@@ -95,7 +95,7 @@ def _run_config(
     exe = Executive(node=0)
     ledger = CreditLedger()
     outbox = DataflowOutbox(exe, ledger)
-    exe.dataflow = ledger
+    exe.attach(ledger)
     exe.dataflow_outbox = outbox
     exe._pollable.append(outbox)
 

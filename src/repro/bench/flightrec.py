@@ -6,8 +6,8 @@ plus one per frame allocation and release, each a single preallocated
 ring.  Three configurations drain the same message load:
 
 ``off``
-    the stock executive with no recorder — the hot path pays one
-    ``is None`` test per hook (the tracer/off-mode discipline);
+    the stock executive with no recorder: no dispatch observer, and
+    one ``is None`` test at each alloc/release record site;
 ``recording``
     a :class:`~repro.flightrec.FlightRecorder` attached (ring only,
     no dump dir — spills are crash-path, not steady-state);
@@ -46,16 +46,14 @@ def _configs(capacity: int) -> dict[str, Callable[[], Executive]]:
         return Executive(node=0, max_dispatch_per_step=1024)
 
     def recording() -> Executive:
-        exe = Executive(node=0, max_dispatch_per_step=1024)
-        exe.attach_flight_recorder(FlightRecorder(capacity=capacity))
+        exe = off()
+        exe.attach(FlightRecorder(capacity=capacity))
         return exe
 
     def recording_traced() -> Executive:
-        exe = Executive(
-            node=0, max_dispatch_per_step=1024,
-            tracer=FrameTracer(capacity=1024),
-        )
-        exe.attach_flight_recorder(FlightRecorder(capacity=capacity))
+        exe = off()
+        exe.attach(FrameTracer(capacity=1024))
+        exe.attach(FlightRecorder(capacity=capacity))
         return exe
 
     return {

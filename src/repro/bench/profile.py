@@ -1,16 +1,15 @@
 """Experiment X11 — continuous-profiling overhead on the native path.
 
 The sampling profiler touches the dispatch hot path in exactly one
-place: a reference store into the :class:`~repro.profile.sampler.
-DispatchSlot` at dispatch begin and a ``None`` store at dispatch end.
+place: its :class:`~repro.profile.sampler.DispatchSlot` observer does
+a reference store at dispatch begin and a ``None`` store at the end.
 Everything else (the stack walk) happens on the sampler's own thread,
 stealing GIL slices rather than inline cycles.  Three configurations
 run the same native ping-pong (two executives over the in-process
 queue transport, stepped from the measuring thread — the N1 harness):
 
 ``off``
-    the stock executive: ``exe.profile is None``, one ``is None`` test
-    per dispatch and nothing else;
+    the stock executive with no dispatch observer attached;
 ``sampling``
     a :class:`~repro.profile.sampler.SamplingProfiler` registered on
     both executives, watching the measuring thread, sampler thread
@@ -37,7 +36,8 @@ import numpy as np
 
 from repro.bench.devices import EchoDevice, PingDevice
 from repro.bench.report import format_table
-from repro.core.executive import DISPATCH_LATENCY_BUCKETS_NS, Executive
+from repro.core.executive import Executive
+from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS, DispatchTimer
 from repro.core.tracing import FrameTracer
 from repro.profile.sampler import SamplingProfiler
 from repro.profile.watch import SlowFrameWatch
@@ -76,12 +76,12 @@ def _run_once(
             profiler.watch_thread(exe.node)  # both run on this thread
     if config == "full-kit":
         for exe in (exe_a, exe_b):
-            exe.tracer = FrameTracer(node=exe.node, capacity=1024)
-            exe.metrics.timing = True
+            exe.attach(FrameTracer(capacity=1024))
+            exe.attach(DispatchTimer())
             exe.metrics.histogram(
                 "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
             ).enable_exemplars()
-            SlowFrameWatch(_NEVER_TRIPS_NS).attach(exe)
+            exe.attach(SlowFrameWatch(_NEVER_TRIPS_NS))
     echo = EchoDevice()
     echo_tid = exe_b.install(echo)
     ping = PingDevice()

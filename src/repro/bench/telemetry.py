@@ -10,7 +10,7 @@ nothing measurable.  Four configurations drain the same message load:
     None`` guards — the pre-observability hot path, reconstructed as a
     subclass so the comparison survives future refactors;
 ``off``
-    the stock executive with no tracer and ``metrics.timing`` off (the
+    the stock executive with no dispatch observer attached (the
     default) — what every node pays for being *observable*;
 ``traced``
     a :class:`~repro.core.tracing.FrameTracer` installed;
@@ -33,6 +33,7 @@ from typing import Callable
 
 from repro.bench.report import format_table
 from repro.core.executive import Executive
+from repro.core.metrics import DispatchTimer
 from repro.core.tracing import FrameTracer
 from repro.i2o.frame import Frame
 
@@ -63,17 +64,13 @@ def _configs() -> dict[str, Callable[[], Executive]]:
         return Executive(node=0, max_dispatch_per_step=1024)
 
     def traced() -> Executive:
-        return Executive(
-            node=0, max_dispatch_per_step=1024,
-            tracer=FrameTracer(capacity=1024),
-        )
+        exe = off()
+        exe.attach(FrameTracer(capacity=1024))
+        return exe
 
     def timed() -> Executive:
-        exe = Executive(
-            node=0, max_dispatch_per_step=1024,
-            tracer=FrameTracer(capacity=1024),
-        )
-        exe.metrics.timing = True
+        exe = traced()
+        exe.attach(DispatchTimer())
         return exe
 
     return {"floor": floor, "off": off, "traced": traced, "timed": timed}

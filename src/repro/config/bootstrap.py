@@ -43,9 +43,20 @@ Device classes are addressed by import path; instances by unique name.
 from __future__ import annotations
 
 import importlib
+import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.config.schema import (
+    DATAFLOW_SCHEMA,
+    DURABILITY_SCHEMA,
+    FLIGHT_RECORDER_SCHEMA,
+    PROFILING_SCHEMA,
+    SUPERVISION_SCHEMA,
+    TELEMETRY_SCHEMA,
+    ParamSchema,
+    SchemaError,
+)
 from repro.core.device import Listener
 from repro.core.executive import Executive
 from repro.i2o.errors import I2OError
@@ -78,11 +89,6 @@ class UnknownDeviceError(BootstrapError, KeyError):
         return self.message
 
 
-#: Every key :func:`bootstrap` understands at the top of a spec.
-SPEC_KEYS = frozenset({
-    "transport", "nodes", "supervision", "telemetry", "durability",
-    "flight_recorder", "dataflow", "profiling",
-})
 
 
 @dataclass
@@ -184,6 +190,35 @@ def _load_class(path: str) -> type[Listener]:
     return cls
 
 
+def _section_options(
+    schema: ParamSchema, name: str, conf: dict[str, Any]
+) -> dict[str, Any]:
+    """Validate one spec section against its schema: the typed values
+    over the schema's defaults.  Any refusal names section and key."""
+    unknown = sorted(set(conf) - {spec.name for spec in schema})
+    if unknown:
+        raise BootstrapError(
+            f"bad {name} section: unknown {name} keys {unknown}"
+        )
+    try:
+        options = schema.validate_update({
+            key: value if isinstance(value, str)
+            else schema.spec(key).format(value)
+            for key, value in conf.items()
+        })
+    except SchemaError as exc:
+        raise BootstrapError(f"bad {name} section: {exc}") from exc
+    return {spec.name: spec.default for spec in schema} | options
+
+
+def _section_dir(name: str, conf: dict[str, Any]) -> Any:
+    """Pop the required, un-defaultable ``dir`` path of a section."""
+    directory = conf.pop("dir", None)
+    if not directory or not isinstance(directory, (str, os.PathLike)):
+        raise BootstrapError(f"{name} section needs a 'dir' path")
+    return directory
+
+
 def _join_transport(cluster: Cluster, kind: str) -> None:
     nodes = sorted(cluster.executives)
     if kind == "loopback":
@@ -212,11 +247,12 @@ def _join_transport(cluster: Cluster, kind: str) -> None:
 
 def bootstrap(spec: dict[str, Any]) -> Cluster:
     """Build a cluster from a declarative specification."""
-    unknown = set(map(str, spec)) - SPEC_KEYS
+    known = {"transport", "nodes", *(name for name, _ in _SECTIONS)}
+    unknown = set(map(str, spec)) - known
     if unknown:
         raise BootstrapError(
             f"unknown spec keys {sorted(unknown)}; "
-            f"known keys: {sorted(SPEC_KEYS)}"
+            f"known keys: {sorted(known)}"
         )
     nodes_spec = spec.get("nodes")
     if not isinstance(nodes_spec, dict) or not nodes_spec:
@@ -245,32 +281,16 @@ def bootstrap(spec: dict[str, Any]) -> Cluster:
                 )
             tid = exe.install(device)
             cluster.devices[name] = (int(node), tid, device)
-    supervision = spec.get("supervision")
-    if supervision is not None:
-        _wire_supervision(cluster, dict(supervision))
-    telemetry = spec.get("telemetry")
-    if telemetry is not None:
-        _wire_telemetry(cluster, dict(telemetry))
-    durability = spec.get("durability")
-    if durability is not None:
-        _wire_durability(cluster, dict(durability))
-    flightrec = spec.get("flight_recorder")
-    if flightrec is not None:
-        _wire_flightrec(cluster, dict(flightrec))
-    profiling = spec.get("profiling")
-    if profiling is not None:
-        # After flight_recorder, so the slow-frame watch can spill.
-        _wire_profiling(cluster, dict(profiling))
-    dataflow = spec.get("dataflow")
-    if dataflow is not None:
-        if not isinstance(dataflow, dict):
+    for name, wire in _SECTIONS:
+        conf = spec.get(name)
+        if conf is None:
+            continue
+        if not isinstance(conf, dict):
             raise BootstrapError(
-                f"'dataflow' section must be a mapping, "
-                f"got {type(dataflow).__name__}"
+                f"{name!r} section must be a mapping, "
+                f"got {type(conf).__name__}"
             )
-        # Last, so the derived routes cover every installed device —
-        # including the ones the sections above added.
-        _wire_dataflow(cluster, dict(dataflow))
+        wire(cluster, dict(conf))
     return cluster
 
 
@@ -279,17 +299,10 @@ def _wire_supervision(cluster: Cluster, conf: dict[str, Any]) -> None:
     and watches every other) configured from the spec section."""
     from repro.core.liveness import HeartbeatService
 
-    policy = str(conf.pop("policy", "rebind"))
-    params = {
-        key: str(conf[key])
-        for key in ("interval_ns", "suspect_after", "dead_after",
-                    "rejoin_after")
-        if key in conf
-    }
+    options = _section_options(SUPERVISION_SCHEMA, "supervision", conf)
+    policy = options.pop("policy")
+    params = {key: str(value) for key, value in options.items()}
     params["failover_policy"] = policy
-    unknown = set(conf) - set(params)
-    if unknown:
-        raise BootstrapError(f"unknown supervision keys {sorted(unknown)}")
     nodes = sorted(cluster.executives)
     for node in nodes:
         exe = cluster.executives[node]
@@ -339,24 +352,10 @@ def _wire_durability(cluster: Cluster, conf: dict[str, Any]) -> None:
     ``evm.recover()`` after ``connect()`` — because restoring before
     the RU/BU wiring exists would relaunch events into the void.
     """
-    import os
-
-    from repro.config.schema import DURABILITY_SCHEMA, SchemaError
     from repro.durable.segments import SegmentStore, SnapshotStore
 
-    directory = conf.pop("dir", None)
-    if not directory or not isinstance(directory, (str, os.PathLike)):
-        raise BootstrapError("durability section needs a 'dir' path")
-    try:
-        options = DURABILITY_SCHEMA.validate_update(
-            {key: DURABILITY_SCHEMA.spec(key).format(value)
-             if not isinstance(value, str) else value
-             for key, value in conf.items()}
-        )
-    except SchemaError as exc:
-        raise BootstrapError(f"bad durability section: {exc}") from exc
-    merged = {spec.name: spec.default for spec in DURABILITY_SCHEMA}
-    merged.update(options)
+    directory = _section_dir("durability", conf)
+    merged = _section_options(DURABILITY_SCHEMA, "durability", conf)
     os.makedirs(directory, exist_ok=True)
     for name, (_node, _tid, device) in sorted(cluster.devices.items()):
         if merged["journals"] and device.device_class == "reliable_endpoint":
@@ -391,35 +390,16 @@ def _wire_flightrec(cluster: Cluster, conf: dict[str, Any]) -> None:
     sanitizer violations and uncaught dispatch exceptions; decode with
     ``python -m repro.flightrec``.
     """
-    import os
-
-    from repro.config.schema import FLIGHT_RECORDER_SCHEMA, SchemaError
     from repro.flightrec.recorder import FlightRecorder
 
-    directory = conf.pop("dir", None)
-    if not directory or not isinstance(directory, (str, os.PathLike)):
-        raise BootstrapError("flight_recorder section needs a 'dir' path")
-    try:
-        options = FLIGHT_RECORDER_SCHEMA.validate_update(
-            {key: FLIGHT_RECORDER_SCHEMA.spec(key).format(value)
-             if not isinstance(value, str) else value
-             for key, value in conf.items()}
-        )
-    except SchemaError as exc:
-        raise BootstrapError(f"bad flight_recorder section: {exc}") from exc
-    merged = {spec.name: spec.default for spec in FLIGHT_RECORDER_SCHEMA}
-    merged.update(options)
+    directory = _section_dir("flight_recorder", conf)
+    merged = _section_options(FLIGHT_RECORDER_SCHEMA, "flight_recorder", conf)
     os.makedirs(directory, exist_ok=True)
-    for node in sorted(cluster.executives):
-        exe = cluster.executives[node]
-        recorder = FlightRecorder(
-            node=node,
-            capacity=int(merged["capacity"]),
-            dump_dir=directory,
-            clock=exe.clock,
+    for node, exe in sorted(cluster.executives.items()):
+        # The recorder adopts the node id and clock as it attaches.
+        cluster.flight_recorders[node] = exe.attach(
+            FlightRecorder(capacity=merged["capacity"], dump_dir=directory)
         )
-        exe.attach_flight_recorder(recorder)
-        cluster.flight_recorders[node] = recorder
 
 
 def _wire_profiling(cluster: Cluster, conf: dict[str, Any]) -> None:
@@ -445,25 +425,13 @@ def _wire_profiling(cluster: Cluster, conf: dict[str, Any]) -> None:
     :meth:`Cluster.start_all` — in single-threaded pump loops call
     ``cluster.profiler.watch_thread(node)`` then ``start()`` yourself.
     """
-    from repro.config.schema import PROFILING_SCHEMA, SchemaError
-    from repro.core.executive import DISPATCH_LATENCY_BUCKETS_NS
+    from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS
     from repro.profile.sampler import SamplingProfiler
     from repro.profile.watch import SlowFrameWatch
 
-    try:
-        options = PROFILING_SCHEMA.validate_update(
-            {key: PROFILING_SCHEMA.spec(key).format(value)
-             if not isinstance(value, str) else value
-             for key, value in conf.items()}
-        )
-    except SchemaError as exc:
-        raise BootstrapError(f"bad profiling section: {exc}") from exc
-    merged = {spec.name: spec.default for spec in PROFILING_SCHEMA}
-    merged.update(options)
-    if bool(merged["sampling"]):
-        profiler = SamplingProfiler(
-            hz=float(merged["hz"]), max_depth=int(merged["max_depth"])
-        )
+    merged = _section_options(PROFILING_SCHEMA, "profiling", conf)
+    if merged["sampling"]:
+        profiler = SamplingProfiler(merged["hz"], max_depth=merged["max_depth"])
         cluster.profiler = profiler
         for exe in cluster.executives.values():
             profiler.register(exe)
@@ -474,55 +442,37 @@ def _wire_profiling(cluster: Cluster, conf: dict[str, Any]) -> None:
             ).enable_exemplars()
     budget = int(merged["dispatch_budget_ns"])
     if budget:
-        for node in sorted(cluster.executives):
-            watch = SlowFrameWatch(
+        for node, exe in sorted(cluster.executives.items()):
+            cluster.slow_watches[node] = exe.attach(SlowFrameWatch(
                 budget,
                 trace_budget_ns=int(merged["trace_budget_ns"]),
                 spill_on_trip=bool(merged["spill_on_trip"]),
                 max_spills=int(merged["max_spills"]),
-            )
-            watch.attach(cluster.executives[node])
-            cluster.slow_watches[node] = watch
+            ))
 
 
 def _wire_telemetry(cluster: Cluster, conf: dict[str, Any]) -> None:
-    """Install per-node tracing/metrics and the telemetry collector.
-
-    Spec section (all keys optional)::
-
-        "telemetry": {
-            "tracing": True,            # install a FrameTracer per node
-            "trace_capacity": 1024,     # span ring size per node
-            "metrics_timing": False,    # dispatch-latency histogram
-            "collector": True,          # agents + collector devices
-            "collector_node": 0,        # defaults to the lowest node
-            "sweep_interval_ns": 0,     # 0 = manual sweeps only
-            "keep_spans": 8192,         # collector-side span bound
-        }
-    """
+    """Attach per-node tracing/metrics observers and install the
+    telemetry agents and collector; all keys optional, see
+    :data:`repro.config.schema.TELEMETRY_SCHEMA`."""
+    from repro.core.metrics import DispatchTimer
     from repro.core.telemetry import TelemetryAgent, TelemetryCollector
     from repro.core.tracing import FrameTracer
 
     nodes = sorted(cluster.executives)
-    known = {
-        "tracing", "trace_capacity", "metrics_timing", "collector",
-        "collector_node", "sweep_interval_ns", "keep_spans",
-    }
-    unknown = set(conf) - known
-    if unknown:
-        raise BootstrapError(f"unknown telemetry keys {sorted(unknown)}")
-    tracing = bool(conf.get("tracing", True))
-    capacity = int(conf.get("trace_capacity", 1024))
-    collector_node = int(conf.get("collector_node", nodes[0]))
+    options = _section_options(TELEMETRY_SCHEMA, "telemetry", conf)
+    collector_node = (
+        options["collector_node"] if "collector_node" in conf else nodes[0]
+    )
     if collector_node not in cluster.executives:
         raise BootstrapError(f"collector_node {collector_node} is not a node")
     for node in nodes:
         exe = cluster.executives[node]
-        if tracing:
-            exe.tracer = FrameTracer(node=node, capacity=capacity)
-        if conf.get("metrics_timing"):
-            exe.metrics.timing = True
-    if not conf.get("collector", True):
+        if options["tracing"]:
+            exe.attach(FrameTracer(capacity=options["trace_capacity"]))
+        if options["metrics_timing"]:
+            exe.attach(DispatchTimer())
+    if not options["collector"]:
         return
     for node in nodes:
         agent = TelemetryAgent(name=f"telemetry-agent{node}")
@@ -530,10 +480,9 @@ def _wire_telemetry(cluster: Cluster, conf: dict[str, Any]) -> None:
         cluster.devices[agent.name] = (node, agent.tid, agent)
         cluster.telemetry_agents[node] = agent
     collector = TelemetryCollector(
-        name="telemetry-collector",
-        keep_spans=int(conf.get("keep_spans", 8192)),
+        name="telemetry-collector", keep_spans=options["keep_spans"]
     )
-    interval = int(conf.get("sweep_interval_ns", 0))
+    interval = options["sweep_interval_ns"]
     if interval:
         collector.parameters["sweep_interval_ns"] = str(interval)
     exe = cluster.executives[collector_node]
@@ -569,20 +518,10 @@ def _wire_dataflow(cluster: Cluster, conf: dict[str, Any]) -> None:
     :class:`~repro.dataflow.routing.DataflowOutbox` retried from the
     executive's poll loop.
     """
-    from repro.config.schema import DATAFLOW_SCHEMA, SchemaError
     from repro.dataflow.graph import DataflowGraph, node_for_device
     from repro.dataflow.routing import CreditLedger, DataflowOutbox, Edge
 
-    try:
-        options = DATAFLOW_SCHEMA.validate_update(
-            {key: DATAFLOW_SCHEMA.spec(key).format(value)
-             if not isinstance(value, str) else value
-             for key, value in conf.items()}
-        )
-    except SchemaError as exc:
-        raise BootstrapError(f"bad dataflow section: {exc}") from exc
-    merged = {spec.name: spec.default for spec in DATAFLOW_SCHEMA}
-    merged.update(options)
+    merged = _section_options(DATAFLOW_SCHEMA, "dataflow", conf)
     edge_credits = int(merged["edge_credits"])
     park_limit = int(merged["park_limit"])
     backpressure = bool(merged["backpressure"])
@@ -605,7 +544,7 @@ def _wire_dataflow(cluster: Cluster, conf: dict[str, Any]) -> None:
     cluster.dataflow_ledger = ledger
     for node in sorted(cluster.executives):
         exe = cluster.executives[node]
-        exe.dataflow = ledger
+        exe.attach(ledger)
         outbox = DataflowOutbox(exe, ledger, limit=park_limit)
         exe.dataflow_outbox = outbox
         exe._pollable.append(outbox)
@@ -648,3 +587,17 @@ def _wire_dataflow(cluster: Cluster, conf: dict[str, Any]) -> None:
             device.connect_route(mtype, targets, edges=edges, replace=True)
     for name in placed:
         cluster.devices[name][2].on_dataflow_connected()
+
+
+#: Optional spec sections in wiring order: ``profiling`` after
+#: ``flight_recorder`` so the slow-frame watch can spill; ``dataflow``
+#: last, so the derived routes cover every installed device —
+#: including the ones the sections before it added.
+_SECTIONS = (
+    ("supervision", _wire_supervision),
+    ("telemetry", _wire_telemetry),
+    ("durability", _wire_durability),
+    ("flight_recorder", _wire_flightrec),
+    ("profiling", _wire_profiling),
+    ("dataflow", _wire_dataflow),
+)

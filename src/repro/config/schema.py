@@ -31,7 +31,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise SchemaError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,41 @@ class ParamSchema:
             out[spec.name] = ",".join(parts)
         return out
 
+
+#: Typed schema for the bootstrap spec's ``supervision`` section; also
+#: the HeartbeatService's device parameters (``repro.core.liveness``).
+SUPERVISION_SCHEMA = ParamSchema([
+    ParamSpec("interval_ns", int, default=1_000_000, minimum=1,
+              description="beat period"),
+    ParamSpec("suspect_after", int, default=2, minimum=1,
+              description="consecutive misses before SUSPECT"),
+    ParamSpec("dead_after", int, default=4, minimum=2,
+              description="consecutive misses before DEAD"),
+    ParamSpec("rejoin_after", int, default=3, minimum=1,
+              description="consecutive beats a DEAD peer needs back"),
+    ParamSpec("policy", str, default="rebind",
+              choices=("rebind", "park", "none"),
+              description="what to do with a dead peer's routes"),
+])
+
+#: Typed schema for the bootstrap spec's ``telemetry`` section
+#: (``repro.core.tracing`` / ``metrics`` / ``telemetry``).
+TELEMETRY_SCHEMA = ParamSchema([
+    ParamSpec("tracing", bool, default=True,
+              description="attach a FrameTracer to every node"),
+    ParamSpec("trace_capacity", int, default=1024, minimum=0,
+              description="span ring size per node"),
+    ParamSpec("metrics_timing", bool, default=False,
+              description="attach the dispatch-latency histogram"),
+    ParamSpec("collector", bool, default=True,
+              description="install telemetry agents and one collector"),
+    ParamSpec("collector_node", int, default=0, minimum=0,
+              description="collector's node (unset = the lowest node)"),
+    ParamSpec("sweep_interval_ns", int, default=0, minimum=0,
+              description="periodic sweep period (0 = manual sweeps)"),
+    ParamSpec("keep_spans", int, default=8192, minimum=0,
+              description="collector-side span bound"),
+])
 
 #: Typed schema for the bootstrap spec's ``durability`` section
 #: (``repro.durable``).  The journal location (``dir``) is deliberately

@@ -25,13 +25,21 @@ import logging
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Any
 
-from repro.core.device import RETAIN, Listener
+from repro.core.device import RETAIN, Listener, decode_params, encode_params
 from repro.core.interrupts import InterruptController
-from repro.core.metrics import MetricsRegistry
+from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS, MetricsRegistry
+from repro.core.observer import (
+    OUTCOME_ABORTED,
+    OUTCOME_HANDLER_ERROR,
+    OUTCOME_OK,
+    OUTCOME_VANISHED,
+    OUTCOME_WATCHDOG,
+    DispatchObserver,
+    DispatchRecord,
+)
 from repro.core.probes import Probes
-from repro.core.tracing import FrameTracer, is_trace_context
 from repro.core.queues import MessagingInstance
 from repro.core.registry import ModuleRegistry
 from repro.core.scheduler import PriorityScheduler
@@ -68,41 +76,14 @@ from repro.i2o.tid import (
     TidAllocator,
     check_tid,
 )
-from repro.flightrec.records import (
-    EV_DISPATCH_BEGIN,
-    EV_DISPATCH_END,
-    EV_DISPATCH_ERROR,
-    EV_FRAME_ALLOC,
-    EV_FRAME_RELEASE,
-    EV_HARD_STOP,
-    EV_LIVENESS,
-    EV_POOL_EXHAUSTED,
-    EV_SANITIZER,
-    EV_WATCHDOG_TRIP,
-    LIVE_ALIVE,
-    LIVE_DEAD,
-    LIVE_SUSPECT,
-    SAN_DOUBLE_FREE,
-    SAN_USE_AFTER_FREE,
-    pack3,
-)
 from repro.mem.pool import BufferPool, PoolExhausted
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.dataflow.routing import CreditLedger, DataflowOutbox
+    from repro.core.tracing import FrameTracer
     from repro.flightrec.recorder import FlightRecorder
-    from repro.profile.sampler import DispatchSlot
-    from repro.profile.watch import SlowFrameWatch
     from repro.transports.agent import PeerTransportAgent
 
 logger = logging.getLogger(__name__)
-
-#: Upper bounds (ns) for the optional dispatch-latency histogram.
-#: Spaced to resolve both the paper's µs-scale framework overheads and
-#: pathological multi-ms handlers.
-DISPATCH_LATENCY_BUCKETS_NS: tuple[int, ...] = (
-    1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 10_000_000,
-)
 
 
 @dataclass(frozen=True)
@@ -150,8 +131,6 @@ class _ExecutiveDevice(Listener):
     def _on_status_get(self, frame: Frame) -> None:
         if frame.is_reply:
             return
-        from repro.core.device import encode_params
-
         exe = self._exe
         self.reply(
             frame,
@@ -191,8 +170,6 @@ class _ExecutiveDevice(Listener):
         """Reply with the logical configuration table: tid=class pairs."""
         if frame.is_reply:
             return
-        from repro.core.device import encode_params
-
         table = {
             str(tid): dev.device_class for tid, dev in self._exe._devices.items()
         }
@@ -207,8 +184,6 @@ class _ExecutiveDevice(Listener):
         """
         if frame.is_reply:
             return
-        from repro.core.device import decode_params
-
         try:
             tid = int(bytes(frame.payload).decode("utf-8"))
             victim = self._exe.device(tid)
@@ -232,8 +207,6 @@ class _ExecutiveDevice(Listener):
         """
         if frame.is_reply:
             return
-        from repro.core.device import decode_params, encode_params
-
         try:
             request = decode_params(frame.payload)
             proxy = self._exe.create_proxy(
@@ -260,8 +233,6 @@ class Executive:
         watchdog: HandlerWatchdog | None = None,
         max_dispatch_per_step: int = 16,
         metrics: MetricsRegistry | None = None,
-        tracer: FrameTracer | None = None,
-        flightrec: "FlightRecorder | None" = None,
     ) -> None:
         self.node = node
         self.pool = pool if pool is not None else BufferPool()
@@ -270,29 +241,16 @@ class Executive:
         self.watchdog = watchdog
         self.max_dispatch_per_step = max_dispatch_per_step
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if tracer is not None and tracer.node is None:
-            tracer.node = node
-        #: ``None`` disables tracing entirely: the hot path pays one
-        #: ``is not None`` test per hook, nothing else.
-        self.tracer = tracer
-        #: the black-box flight recorder; same off-mode discipline as
-        #: the tracer (set via :meth:`attach_flight_recorder`).
+        #: dispatch observers in attach order; copy-on-write, so the
+        #: dispatch loop reads the tuple once per frame (:meth:`attach`)
+        self.observers: tuple[DispatchObserver, ...] = ()
+        #: plain references for the non-dispatch hook sites (stamp /
+        #: enqueue, alloc / release / transmit records, emit-side
+        #: credits); each is set by its owner when it attaches.
+        self.tracer: "FrameTracer | None" = None
         self.flightrec: "FlightRecorder | None" = None
-        #: backpressure state, set by bootstrap when the spec enables
-        #: the dataflow layer; ``None`` keeps the dispatch path at one
-        #: ``is None`` test (the tracer/flightrec off-mode discipline).
-        self.dataflow: "CreditLedger | None" = None
-        self.dataflow_outbox: "DataflowOutbox | None" = None
-        #: current-dispatch slot for the sampling profiler: the
-        #: dispatch loop publishes ``(target, function, xfunction)``
-        #: with one reference store per dispatch while a profiler is
-        #: attached; ``None`` keeps the hot path at one ``is None``
-        #: test (the tracer off-mode discipline).
-        self.profile: "DispatchSlot | None" = None
-        #: slow-frame watchdog: when set, a dispatch exceeding its
-        #: budget records EV_SLOW_FRAME and spills the flight
-        #: recorder; same ``is None`` off-mode contract.
-        self.slow_watch: "SlowFrameWatch | None" = None
+        self.dataflow: Any = None  # the cluster's CreditLedger
+        self.dataflow_outbox: Any = None  # this node's DataflowOutbox
 
         self.tids = TidAllocator()
         self.scheduler = PriorityScheduler()
@@ -337,12 +295,7 @@ class Executive:
         self._devices[EXECUTIVE_TID] = self._self_device
         self._names[self._self_device.name] = EXECUTIVE_TID
 
-        self._dispatch_hist = self.metrics.histogram(
-            "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
-        )
         self._register_core_metrics()
-        if flightrec is not None:
-            self.attach_flight_recorder(flightrec)
 
     def _register_core_metrics(self) -> None:
         """Expose hot-path state through callback gauges.
@@ -379,50 +332,34 @@ class Executive:
             "trace_spans_dropped_total",
             lambda: self.tracer.dropped if self.tracer is not None else 0,
         )
+        # Registered empty so the exported names do not depend on
+        # whether a DispatchTimer is attached.
+        m.histogram("exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS)
 
-    def attach_flight_recorder(self, recorder: "FlightRecorder") -> None:
-        """Wire a black-box :class:`~repro.flightrec.FlightRecorder`.
+    def attach(self, observer: DispatchObserver) -> DispatchObserver:
+        """Subscribe ``observer`` to every dispatch; returns it.
 
-        Adopts this executive's node id and clock when the recorder
-        has none, subscribes liveness transitions from the peer table,
-        hooks sanitizer violations (when the pool's allocator exposes
-        the ``on_violation`` callback slot) so a use-after-free or
-        double free spills the ring before raising, and exposes the
-        recorder's own accounting as callback gauges.  The dispatch
-        hot path then pays one ``is None`` test plus one ring write
-        per hook — the tracer discipline.
+        Delivery order is attach order.  One observer per class: a
+        second recorder, tracer or watch on one node is refused.  Safe
+        from the main thread while the executive is ``start()``ed: the
+        dispatch loop reads the tuple once per frame, so a begin is
+        always paired with its end.
         """
-        if self.flightrec is not None:
+        if any(type(other) is type(observer) for other in self.observers):
             raise I2OError(
-                f"node {self.node} already has a flight recorder attached"
+                f"node {self.node} already has a {observer.label} attached"
             )
-        if recorder.node is None:
-            recorder.node = self.node
-        if recorder.clock is None:
-            recorder.clock = self.clock
-        self.flightrec = recorder
-        record = recorder.record
-        self.peers.on_alive(lambda node: record(EV_LIVENESS, node, LIVE_ALIVE))
-        self.peers.on_suspect(
-            lambda node: record(EV_LIVENESS, node, LIVE_SUSPECT)
-        )
-        self.peers.on_dead(lambda node: record(EV_LIVENESS, node, LIVE_DEAD))
-        allocator = self.pool.allocator
-        if hasattr(allocator, "on_violation"):
-            codes = {
-                "double-free": SAN_DOUBLE_FREE,
-                "use-after-free": SAN_USE_AFTER_FREE,
-            }
+        observer.on_attach(self)
+        self.observers += (observer,)
+        return observer
 
-            def spill_violation(kind: str) -> None:
-                record(EV_SANITIZER, codes.get(kind, 0))
-                recorder.spill("sanitizer")
-
-            allocator.on_violation = spill_violation
-        m = self.metrics
-        m.gauge("flightrec_records_total", lambda: recorder.total_records)
-        m.gauge("flightrec_dropped_total", lambda: recorder.dropped_records)
-        m.gauge("flightrec_spills_total", lambda: recorder.spills)
+    def detach(self, observer: DispatchObserver) -> None:
+        """Unsubscribe ``observer`` (no-op when it is not attached)."""
+        if observer in self.observers:
+            self.observers = tuple(
+                o for o in self.observers if o is not observer
+            )
+            observer.on_detach(self)
 
     # ------------------------------------------------------------------
     # device management
@@ -620,15 +557,14 @@ class Executive:
         buffer loaning).
         """
         with self.probes.measure("frame_alloc"):
+            size = HEADER_SIZE + payload_size
             try:
-                block = self.pool.alloc(HEADER_SIZE + payload_size)
+                block = self.pool.alloc(size)
             except PoolExhausted:
                 if self.flightrec is not None:
-                    self.flightrec.record(
-                        EV_POOL_EXHAUSTED, HEADER_SIZE + payload_size
-                    )
+                    self.flightrec.note_pool_exhausted(size)
                 raise
-            frame = Frame(block.memory[: HEADER_SIZE + payload_size], block=block)
+            frame = Frame(block.memory[:size], block=block)
             frame.set_header(
                 target=target,
                 initiator=initiator,
@@ -640,10 +576,7 @@ class Executive:
                 organization=organization,
             )
         if self.flightrec is not None:
-            self.flightrec.record(
-                EV_FRAME_ALLOC, HEADER_SIZE + payload_size,
-                self.pool.in_flight,
-            )
+            self.flightrec.note_alloc(size, self.pool.in_flight)
         return frame
 
     def frame_send(self, frame: Frame) -> None:
@@ -667,9 +600,7 @@ class Executive:
                 if self.flightrec is not None:
                     # Context read *before* the free: afterwards the
                     # block may recycle under the sanitizer's poison.
-                    self.flightrec.record(
-                        EV_FRAME_RELEASE, frame.transaction_context
-                    )
+                    self.flightrec.note_release(frame.transaction_context)
                 self.pool.free(frame.block)
                 frame.block = None
 
@@ -779,7 +710,7 @@ class Executive:
             self._thread = None
         self._halt_requested = True
         if self.flightrec is not None:
-            self.flightrec.record(EV_HARD_STOP)
+            self.flightrec.note_hard_stop()
         self.timers.cancel_all()
         detached: set[int] = set()
         for pt in self._pollable:
@@ -938,137 +869,85 @@ class Executive:
         self.scheduler.push(frame)
 
     def _dispatch_one(self) -> bool:
+        # Pop, look up, upcall, free (paper figure 4, step 8) — and tell
+        # the observers: one begin before, one end after, on every exit.
         frame = self.scheduler.pop()
         if frame is None:
             return False
-        if self.dataflow is not None:
-            # The frame left its priority FIFO: the consumer's queue
-            # slot is free, so the emitting edge gets its credit back.
-            self.dataflow.on_dispatched(
-                self.node, frame.target, frame.function, frame.xfunction
-            )
-        tracer = self.tracer
-        timed = self.metrics.timing
-        fr = self.flightrec
-        sw = self.slow_watch
-        prof = self.profile
-        if prof is not None:
-            # Publish the dispatch context for the sampler thread: one
-            # reference store of an immutable tuple, read racily but
-            # atomically from the sampler side.
-            prof.current = (frame.target, frame.function, frame.xfunction)
-        if tracer is not None or timed or fr is not None or sw is not None:
-            start_ns = self.clock.now_ns()
-            token = tracer.begin_dispatch(frame, start_ns) if tracer else None
-            # Snapshot before dispatch: the handler may free the frame,
-            # after which reading it is a use-after-free.
-            dispatch_ctx = frame.transaction_context
-            dispatch_hdr = pack3(frame.target, frame.function, frame.xfunction)
-        else:
-            start_ns, token = 0, None
-            dispatch_ctx = dispatch_hdr = 0
-        if fr is not None:
-            fr.record(
-                EV_DISPATCH_BEGIN, dispatch_ctx, dispatch_hdr, t_ns=start_ns
-            )
+        observers = self.observers
+        if observers:
+            # Snapshot before the upcall: the handler may free the frame.
+            rec = DispatchRecord(self.node, frame, self.clock.now_ns())
+            for observer in observers:
+                observer.dispatch_begin(rec)
+        outcome = OUTCOME_ABORTED  # until an exit below says otherwise
         try:
-            with self.probes.measure("demultiplex"):
-                device = self._devices.get(frame.target)
-                if device is None:
-                    # Device vanished between queueing and dispatch.
-                    self._release_frame(frame)
-                    self.dropped += 1
-                    if prof is not None:
-                        prof.current = None
-                    if tracer is not None:
-                        tracer.end_dispatch(token, self.clock.now_ns())
-                    if fr is not None:
-                        fr.record(EV_DISPATCH_END, dispatch_ctx, dispatch_hdr)
-                    return True
-                functor = device.table.lookup(frame)
-            with self.probes.measure("upcall"):
-                thunk = functor.prepare(frame)
-            accrued_before = self.probes.accrued_ns
-            with self.probes.measure("application"):
-                if self.watchdog is not None and self.probes.mode != "model":
-                    with self.watchdog.guard(label=device.name):
+            try:
+                with self.probes.measure("demultiplex"):
+                    device = self._devices.get(frame.target)
+                    if device is None:
+                        # Device vanished between queueing and dispatch.
+                        self._release_frame(frame)
+                        self.dropped += 1
+                        outcome = OUTCOME_VANISHED
+                        return True
+                    functor = device.table.lookup(frame)
+                with self.probes.measure("upcall"):
+                    thunk = functor.prepare(frame)
+                accrued_before = self.probes.accrued_ns
+                with self.probes.measure("application"):
+                    if self.watchdog is not None and self.probes.mode != "model":
+                        with self.watchdog.guard(label=device.name):
+                            result = thunk()
+                    else:
                         result = thunk()
-                else:
-                    result = thunk()
-            if (
-                self.watchdog is not None
-                and self.probes.mode == "model"
-                and (self.probes.accrued_ns - accrued_before)
-                > self.watchdog.limit_ns
-            ):
-                # Simulation plane: the handler's *modelled* cost blew
-                # the budget — same quarantine as a wall-clock overrun.
-                self.watchdog.overruns += 1
-                raise WatchdogTimeout(
-                    f"handler {device.name} modelled cost exceeded "
-                    f"{self.watchdog.limit_ns} ns"
-                )
-        except WatchdogTimeout as exc:
-            self._quarantine(frame.target, str(exc))
-            result = None
-        except Exception as exc:  # fault tolerance: a bad handler must
-            # never take the executive down (paper §3.2)
-            self.handler_errors += 1
-            logger.error(
-                "node %s: handler error for %s at TiD %d: %s",
-                self.node,
-                function_name(frame.function),
-                frame.target,
-                exc,
-            )
-            if fr is not None:
-                fr.record(EV_DISPATCH_ERROR, dispatch_ctx, dispatch_hdr)
-                fr.spill("dispatch-exception")
-            if not frame.is_reply and frame.initiator != frame.target:
-                self._send_failure_reply(frame)
-            result = None
-        except BaseException:
-            # A non-Exception escape — crash injection
-            # (repro.analysis.crashpoints), KeyboardInterrupt — is
-            # *meant* to take the loop of control down; ``except
-            # Exception`` above deliberately lets it through.  But the
-            # frame being dispatched must still return to its pool, or
-            # the simulated process death leaks a real block.
-            self._release_frame(frame)
-            raise
-        self.dispatched += 1
-        with self.probes.measure("postprocess"):
-            if result is not RETAIN:
-                self.frame_free(frame)
-        if prof is not None:
-            prof.current = None
-        if tracer is not None or timed or fr is not None or sw is not None:
-            end_ns = self.clock.now_ns()
-            elapsed = end_ns - start_ns
-            if tracer is not None:
-                tracer.end_dispatch(token, end_ns)
-            if timed:
-                # Traced dispatches pin their trace id to the latency
-                # bucket they land in (OpenMetrics exemplars).
-                self._dispatch_hist.observe(
-                    elapsed,
-                    dispatch_ctx if is_trace_context(dispatch_ctx) else 0,
-                )
-            if fr is not None:
-                fr.record(
-                    EV_DISPATCH_END, dispatch_ctx, dispatch_hdr,
-                    elapsed, t_ns=end_ns,
-                )
-            if sw is not None and elapsed > sw.budget_ns:
-                sw.note(dispatch_ctx, dispatch_hdr, elapsed, end_ns)
+                if self.watchdog is not None and self.probes.mode == "model":
+                    # Simulation plane: a *modelled* cost over budget is
+                    # quarantined exactly like a wall-clock overrun.
+                    self.watchdog.check_modelled(
+                        device.name, self.probes.accrued_ns - accrued_before
+                    )
+                outcome = OUTCOME_OK
+            except WatchdogTimeout as exc:
+                self._quarantine(frame.target, str(exc))
+                result, outcome = None, OUTCOME_WATCHDOG
+            except Exception as exc:  # fault tolerance: a bad handler must
+                # never take the executive down (paper §3.2)
+                self._handler_failed(frame, exc)
+                result, outcome = None, OUTCOME_HANDLER_ERROR
+            except BaseException:
+                # A non-Exception escape — crash injection
+                # (repro.analysis.crashpoints), KeyboardInterrupt — is
+                # *meant* to take the loop of control down; ``except
+                # Exception`` above deliberately lets it through.  But the
+                # frame being dispatched must still return to its pool, or
+                # the simulated process death leaks a real block.
+                self._release_frame(frame)
+                raise
+            self.dispatched += 1
+            with self.probes.measure("postprocess"):
+                if result is not RETAIN:
+                    self.frame_free(frame)
+        finally:
+            if observers:
+                rec.end_ns, rec.outcome = self.clock.now_ns(), outcome
+                for observer in observers:
+                    observer.dispatch_end(rec)
         return True
 
-    def _send_failure_reply(self, request: Frame) -> None:
-        device = self._devices.get(request.target)
-        if device is None:
+    def _handler_failed(self, frame: Frame, exc: Exception) -> None:
+        """Count and log a handler exception; the initiator of a
+        request gets the standard failure reply."""
+        self.handler_errors += 1
+        logger.error(
+            "node %s: handler error for %s at TiD %d: %s",
+            self.node, function_name(frame.function), frame.target, exc,
+        )
+        device = self._devices.get(frame.target)
+        if device is None or frame.is_reply or frame.initiator == frame.target:
             return
         try:
-            device.reply(request, fail=True)
+            device.reply(frame, fail=True)
         except I2OError:  # pragma: no cover - defensive
             logger.exception("failure reply failed")
 
@@ -1080,7 +959,7 @@ class Executive:
         logger.error("node %s: quarantining TiD %d: %s", self.node, tid, reason)
         device.state = DeviceState.FAILED
         if self.flightrec is not None:
-            self.flightrec.record(EV_WATCHDOG_TRIP, int(tid))
+            self.flightrec.note_watchdog_trip(int(tid))
         for frame in self.scheduler.drop_device(tid):
             self._release_frame(frame)
         if self.flightrec is not None:
@@ -1091,8 +970,6 @@ class Executive:
             self.tracer.forget(frame)
         if frame.block is not None:
             if self.flightrec is not None:
-                self.flightrec.record(
-                    EV_FRAME_RELEASE, frame.transaction_context
-                )
+                self.flightrec.note_release(frame.transaction_context)
             self.pool.free(frame.block)
             frame.block = None

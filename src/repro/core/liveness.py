@@ -36,10 +36,14 @@ The division of labour:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.config.schema import ParamSchema, ParamSpec, SchemaListenerMixin
+from repro.config.schema import (
+    SUPERVISION_SCHEMA,
+    ParamSchema,
+    SchemaListenerMixin,
+)
 from repro.core.device import Listener
 from repro.core.states import PeerState
 from repro.i2o.errors import I2OError
@@ -225,19 +229,13 @@ class HeartbeatService(SchemaListenerMixin, Listener):
 
     device_class = "heartbeat"
 
-    schema = ParamSchema([
-        ParamSpec("interval_ns", int, default=1_000_000, minimum=1,
-                  description="beat period"),
-        ParamSpec("suspect_after", int, default=2, minimum=1,
-                  description="consecutive misses before SUSPECT"),
-        ParamSpec("dead_after", int, default=4, minimum=2,
-                  description="consecutive misses before DEAD"),
-        ParamSpec("rejoin_after", int, default=3, minimum=1,
-                  description="consecutive beats a DEAD peer needs back"),
-        ParamSpec("failover_policy", str, default="rebind",
-                  choices=("rebind", "park", "none"),
-                  description="what to do with a dead peer's routes"),
-    ])
+    #: the bootstrap ``supervision`` section's parameters, its ``policy``
+    #: key under the device-parameter name ``failover_policy``
+    schema = ParamSchema(
+        replace(spec, name="failover_policy") if spec.name == "policy"
+        else spec
+        for spec in SUPERVISION_SCHEMA
+    )
 
     def __init__(
         self,

@@ -29,11 +29,23 @@ import re
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
+from repro.core.observer import DispatchObserver, DispatchRecord
+from repro.core.tracing import is_trace_context
 from repro.i2o.errors import I2OError
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.executive import Executive
+
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
+
+#: Upper bounds (ns) for the dispatch-latency histogram
+#: (``exe_dispatch_ns``).  Spaced to resolve both the paper's µs-scale
+#: framework overheads and pathological multi-ms handlers.
+DISPATCH_LATENCY_BUCKETS_NS: tuple[int, ...] = (
+    1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 10_000_000,
+)
 
 #: Upper bounds (ns) for journal-recovery latency histograms.  Replay
 #: is file I/O plus one retransmission per live record, so the range
@@ -201,17 +213,16 @@ class MetricsRegistry:
     and transports register instruments against it, and the
     telemetry agent exports :meth:`snapshot` over ``UtilParamsGet``.
 
-    ``timing`` gates the per-dispatch latency histogram in the
-    executive — the only instrument that would force a clock read on
-    the hot path — and defaults off so observability costs nothing
-    unless asked for.
+    The per-dispatch latency histogram — the only instrument that
+    needs a clock read on the hot path — is populated by attaching a
+    :class:`DispatchTimer`, so observability costs nothing unless
+    asked for.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self.timing = False
 
     # -- registration -------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -303,6 +314,28 @@ class MetricsRegistry:
                 list(self._histograms.values()),
             )
         ) + "\n"
+
+
+class DispatchTimer(DispatchObserver):
+    """Feeds ``exe_dispatch_ns`` from the dispatch record's shared
+    clock pair (``exe.attach(DispatchTimer())``)."""
+
+    __slots__ = ("_histogram",)
+    label = "dispatch timer"
+
+    def on_attach(self, exe: "Executive") -> None:
+        self._histogram = exe.metrics.histogram(
+            "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
+        )
+
+    def dispatch_end(self, rec: DispatchRecord) -> None:
+        # Traced dispatches pin their trace id to the latency bucket
+        # they land in (OpenMetrics exemplars).
+        context = rec.context
+        self._histogram.observe(
+            rec.end_ns - rec.start_ns,
+            context if is_trace_context(context) else 0,
+        )
 
 
 def prometheus_lines(

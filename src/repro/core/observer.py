@@ -1,0 +1,69 @@
+"""The dispatch-observer seam: one contract for everything that watches
+the executive dispatch a frame (DESIGN §8, "Dispatch observers").
+
+Per frame the executive calls ``dispatch_begin(rec)`` before the upcall
+and ``dispatch_end(rec)`` exactly once after it, on every exit, in
+attach order.  ``rec`` is a :class:`DispatchRecord` snapshot taken
+*before* the upcall; observers never see the frame, which the handler
+may free.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.executive import Executive
+    from repro.i2o.frame import Frame
+
+#: ``DispatchRecord.outcome`` codes, set by the executive before ``end``.
+OUTCOME_OK = 0             # handler returned
+OUTCOME_HANDLER_ERROR = 1  # handler raised; initiator got a failure reply
+OUTCOME_WATCHDOG = 2       # handler overran its budget; device quarantined
+OUTCOME_VANISHED = 3       # target uninstalled between queueing and dispatch
+OUTCOME_ABORTED = 4        # a BaseException is taking the loop down
+
+
+class DispatchRecord:
+    """What observers get instead of the frame."""
+
+    __slots__ = (
+        "node", "target", "function", "xfunction", "context",
+        "enqueued_ns", "start_ns", "end_ns", "outcome",
+    )
+
+    def __init__(self, node: int, frame: "Frame", start_ns: int) -> None:
+        self.node = node
+        # One bulk unpack, not four property reads; the target is read
+        # separately because a SharedFrame's is not in the buffer.
+        self.target = frame.target
+        #: ``context``: the ``transaction_context`` (a trace id when tagged)
+        (_, _, _, self.function, _, _, _, _, self.xfunction, _,
+         self.context) = frame.header_fields()
+        #: when the frame entered the scheduler (``None`` = not noted)
+        self.enqueued_ns = frame.trace_mark
+        frame.trace_mark = None
+        self.start_ns = start_ns
+        self.end_ns = start_ns
+        self.outcome = OUTCOME_OK
+
+
+class DispatchObserver:
+    """Base for dispatch observers; override what you need."""
+
+    __slots__ = ()
+
+    #: names the observer in the one-per-class refusal
+    label = "dispatch observer"
+
+    def on_attach(self, exe: "Executive") -> None:
+        """Adopt the executive: node id, clock, gauges, ``exe.<ref>``."""
+
+    def on_detach(self, exe: "Executive") -> None:
+        """Undo :meth:`on_attach`."""
+
+    def dispatch_begin(self, rec: DispatchRecord) -> None:
+        """A frame left the scheduler; its handler runs next."""
+
+    def dispatch_end(self, rec: DispatchRecord) -> None:
+        """The dispatch is over; ``rec.end_ns``/``rec.outcome`` are set."""

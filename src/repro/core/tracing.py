@@ -26,9 +26,9 @@ stitched *across* nodes by the collector.  Spans live in a bounded
 ring (old spans fall off; ``dropped`` counts them), so tracing can
 stay on in production without growing memory.
 
-When no tracer is installed the executive pays a single ``is not
-None`` test per dispatch — the off-mode no-op discipline ``Probes``
-already established.
+The tracer is a dispatch observer (:mod:`repro.core.observer`):
+``exe.attach(FrameTracer())`` subscribes it and sets ``exe.tracer``,
+which the send/enqueue/release hook sites read directly.
 """
 
 from __future__ import annotations
@@ -37,7 +37,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.observer import DispatchObserver, DispatchRecord
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.executive import Executive
     from repro.i2o.frame import Frame
 
 #: Discriminator in the top 12 bits of a trace id.
@@ -81,12 +84,13 @@ class Span:
     dispatch_ns: int
 
 
-class FrameTracer:
+class FrameTracer(DispatchObserver):
     """Per-executive trace-id allocator and span ring.
 
-    The executive drives it from four hook points, all passing the
-    clock reading in (the tracer is clock-agnostic, so it works on
-    both the native and simulation planes):
+    Clock-agnostic (every reading is passed in), so it works on both
+    the native and simulation planes.  Besides the observer contract —
+    ``dispatch_begin`` / ``dispatch_end`` record the hop's span — the
+    executive calls three hooks directly:
 
     * :meth:`stamp` at ``frame_send`` — roots a new trace for frames
       sent from outside any dispatch, or propagates the active trace
@@ -94,10 +98,10 @@ class FrameTracer:
       ``transaction_context`` (application and timer contexts, and
       contexts already carried across the wire, pass untouched);
     * :meth:`note_enqueue` when a frame enters the scheduler;
-    * :meth:`begin_dispatch` / :meth:`end_dispatch` around the upcall,
-      recording the hop's span;
     * :meth:`forget` when a frame is released without dispatch.
     """
+
+    label = "frame tracer"
 
     def __init__(self, node: int | None = None, capacity: int = 1024) -> None:
         self.node = node
@@ -140,41 +144,42 @@ class FrameTracer:
     def forget(self, frame: "Frame") -> None:
         frame.trace_mark = None
 
-    # -- dispatch hooks -----------------------------------------------------
-    def begin_dispatch(
-        self, frame: "Frame", now_ns: int
-    ) -> tuple[int, int, int, int, int]:
-        enqueued = frame.trace_mark
-        frame.trace_mark = None
-        queue_wait = now_ns - enqueued if enqueued is not None else 0
-        context = frame.transaction_context
-        self._active = context if is_trace_context(context) else 0
-        self._in_dispatch = True
-        return (queue_wait, frame.target, frame.function, frame.xfunction, now_ns)
+    # -- the observer contract ----------------------------------------------
+    def on_attach(self, exe: "Executive") -> None:
+        if self.node is None:
+            self.node = exe.node
+        exe.tracer = self
 
-    def end_dispatch(
-        self, token: tuple[int, int, int, int, int], now_ns: int
-    ) -> None:
+    def on_detach(self, exe: "Executive") -> None:
+        exe.tracer = None
+
+    def dispatch_begin(self, rec: DispatchRecord) -> None:
+        self._active = rec.context if is_trace_context(rec.context) else 0
+        self._in_dispatch = True
+
+    def dispatch_end(self, rec: DispatchRecord) -> None:
         trace_id = self._active
         self._active = 0
         self._in_dispatch = False
         if trace_id == 0:
             return
-        queue_wait, target, function, xfunction, start_ns = token
         if len(self.spans) == self.capacity:
             self.dropped += 1
         self._span_seq += 1
+        enqueued = rec.enqueued_ns
         self.spans.append(
             Span(
                 trace_id=trace_id,
                 span_id=self._span_seq,
                 node=self.node or 0,
-                tid=target,
-                function=function,
-                xfunction=xfunction,
-                start_ns=start_ns,
-                queue_wait_ns=queue_wait,
-                dispatch_ns=now_ns - start_ns,
+                tid=rec.target,
+                function=rec.function,
+                xfunction=rec.xfunction,
+                start_ns=rec.start_ns,
+                queue_wait_ns=(
+                    rec.start_ns - enqueued if enqueued is not None else 0
+                ),
+                dispatch_ns=rec.end_ns - rec.start_ns,
             )
         )
 

@@ -94,3 +94,12 @@ class HandlerWatchdog:
                 f"handler {label or '?'} ran {elapsed} ns, "
                 f"budget {self.limit_ns} ns"
             )
+
+    def check_modelled(self, label: str, cost_ns: int) -> None:
+        """Simulation-plane twin of :meth:`guard`: the handler's
+        *modelled* cost is charged against the same budget."""
+        if cost_ns > self.limit_ns:
+            self.overruns += 1
+            raise WatchdogTimeout(
+                f"handler {label} modelled cost exceeded {self.limit_ns} ns"
+            )

@@ -16,10 +16,10 @@ the consumer's priority-FIFO capacity:
   the emitter **parks** the payload in its node's bounded
   :class:`DataflowOutbox` (flushed from the executive's poll loop) or
   **sheds** it, per the message type's ``on_saturation`` policy.
-* the *consumer's* executive returns the credit when it pops the frame
-  for dispatch — the queue slot is free again — via one ``is None``
-  test on the dispatch path (the tracer/flightrec off-mode
-  discipline).
+* the credit comes back when the *consumer's* executive pops the frame
+  for dispatch — the queue slot is free again: the ledger is attached
+  to every executive as a dispatch observer
+  (:mod:`repro.core.observer`).
 
 Credits are conservative, not reliable-delivery: the
 :class:`CreditLedger` is the single-process bookkeeping all bootstrap
@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.core.observer import DispatchObserver, DispatchRecord
 from repro.dataflow.registry import MessageType
 from repro.i2o.tid import Tid
 
@@ -91,7 +92,7 @@ class Edge:
         )
 
 
-class CreditLedger:
+class CreditLedger(DispatchObserver):
     """Cluster-wide credit bookkeeping (one per bootstrapped cluster).
 
     ``try_acquire`` runs on the emitter side at ``emit`` time;
@@ -99,8 +100,12 @@ class CreditLedger:
     a frame — the FIFO slot is free, so the oldest charged edge for
     that ``(node, tid, function, xfunction)`` gets its credit back.
     Attribution through the per-consumer FIFO keeps conservation exact
-    even when several emitters share one consumer.
+    even when several emitters share one consumer.  The one ledger is
+    attached to every executive of the cluster (``exe.attach(ledger)``
+    also sets ``exe.dataflow`` for the emit-side readers).
     """
+
+    label = "dataflow credit ledger"
 
     def __init__(self) -> None:
         #: (node, tid, function, xfunction) -> edges awaiting release
@@ -160,6 +165,15 @@ class CreditLedger:
             edge = queue.popleft()
             if edge.credits < edge.capacity:
                 edge.credits += 1
+
+    def on_attach(self, exe: "Executive") -> None:
+        exe.dataflow = self
+
+    def on_detach(self, exe: "Executive") -> None:
+        exe.dataflow = None
+
+    def dispatch_begin(self, rec: DispatchRecord) -> None:
+        self.on_dispatched(rec.node, rec.target, rec.function, rec.xfunction)
 
     # -- accounting --------------------------------------------------------
     def note_shed(self, node: int) -> None:

@@ -42,13 +42,31 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.core.observer import OUTCOME_HANDLER_ERROR, DispatchObserver, DispatchRecord
 from repro.flightrec.records import (
+    EV_DISPATCH_BEGIN,
+    EV_DISPATCH_END,
+    EV_DISPATCH_ERROR,
+    EV_FRAME_ALLOC,
+    EV_FRAME_RELEASE,
+    EV_HARD_STOP,
+    EV_LIVENESS,
+    EV_POOL_EXHAUSTED,
+    EV_SANITIZER,
+    EV_WATCHDOG_TRIP,
+    LIVE_ALIVE,
+    LIVE_DEAD,
+    LIVE_SUSPECT,
     RECORD_SIZE,
     RECORD_STRUCT,
+    SAN_DOUBLE_FREE,
+    SAN_USE_AFTER_FREE,
     FlightRecError,
+    pack3,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.executive import Executive
     from repro.hw.clock import Clock
 
 logger = logging.getLogger(__name__)
@@ -62,11 +80,13 @@ DUMP_HEADER_SIZE = DUMP_HEADER.size  # 52
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-class FlightRecorder:
+class FlightRecorder(DispatchObserver):
     """Per-executive bounded event ring with crash spill-to-disk.
 
-    ``node`` and ``clock`` may be left unset; they are adopted from
-    the executive at :meth:`~repro.core.executive.Executive.attach_flight_recorder`
+    A dispatch observer: ``exe.attach(FlightRecorder(...))`` brackets
+    every dispatch with begin/end records and sets ``exe.flightrec``,
+    which the fabric's other record sites read.  ``node`` and ``clock``
+    may be left unset; they are adopted from the executive at attach
     time.  Without a ``dump_dir`` the recorder still records (useful
     for overhead benchmarks and in-process inspection) but
     :meth:`spill` is a no-op returning ``None``.
@@ -75,6 +95,8 @@ class FlightRecorder:
     replacement executives that reuse a dead node's id a distinct name
     so their eventual spill does not overwrite the victim's black box.
     """
+
+    label = "flight recorder"
 
     def __init__(
         self,
@@ -118,7 +140,7 @@ class FlightRecorder:
     ) -> None:
         """Write one event into the ring (wrapping over the oldest).
 
-        Callers that already hold a clock reading (the dispatch loop's
+        Callers that already hold a clock reading (a dispatch record's
         ``start_ns``/``end_ns``) pass it as ``t_ns`` to avoid a second
         clock read; otherwise the recorder reads its own clock.
         """
@@ -131,6 +153,75 @@ class FlightRecorder:
         RECORD_STRUCT.pack_into(
             self._ring, (seq % self.capacity) * RECORD_SIZE,
             seq, t_ns & _U64, a & _U64, b & _U64, c & _U64, kind & 0xFF,
+        )
+
+    # -- the executive's own record sites ------------------------------------
+    def note_alloc(self, size: int, in_flight: int) -> None:
+        self.record(EV_FRAME_ALLOC, size, in_flight)
+
+    def note_release(self, context: int) -> None:
+        self.record(EV_FRAME_RELEASE, context)
+
+    def note_pool_exhausted(self, size: int) -> None:
+        self.record(EV_POOL_EXHAUSTED, size)
+
+    def note_watchdog_trip(self, tid: int) -> None:
+        self.record(EV_WATCHDOG_TRIP, tid)
+
+    def note_hard_stop(self) -> None:
+        self.record(EV_HARD_STOP)
+
+    # -- the observer contract -----------------------------------------------
+    def on_attach(self, exe: "Executive") -> None:
+        """Adopt node id and clock when unset; record liveness
+        transitions; spill on sanitizer violations *before* they raise
+        (when the allocator has the ``on_violation`` slot); export the
+        recorder's own accounting as callback gauges."""
+        if self.node is None:
+            self.node = exe.node
+        if self.clock is None:
+            self.clock = exe.clock
+        exe.flightrec = self
+        record = self.record
+        exe.peers.on_alive(lambda node: record(EV_LIVENESS, node, LIVE_ALIVE))
+        exe.peers.on_suspect(
+            lambda node: record(EV_LIVENESS, node, LIVE_SUSPECT)
+        )
+        exe.peers.on_dead(lambda node: record(EV_LIVENESS, node, LIVE_DEAD))
+        allocator = exe.pool.allocator
+        if hasattr(allocator, "on_violation"):
+            codes = {
+                "double-free": SAN_DOUBLE_FREE,
+                "use-after-free": SAN_USE_AFTER_FREE,
+            }
+
+            def spill_violation(kind: str) -> None:
+                record(EV_SANITIZER, codes.get(kind, 0))
+                self.spill("sanitizer")
+
+            allocator.on_violation = spill_violation
+        m = exe.metrics
+        m.gauge("flightrec_records_total", lambda: self.total_records)
+        m.gauge("flightrec_dropped_total", lambda: self.dropped_records)
+        m.gauge("flightrec_spills_total", lambda: self.spills)
+
+    def on_detach(self, exe: "Executive") -> None:
+        exe.flightrec = None
+
+    def dispatch_begin(self, rec: DispatchRecord) -> None:
+        self.record(
+            EV_DISPATCH_BEGIN, rec.context,
+            pack3(rec.target, rec.function, rec.xfunction), t_ns=rec.start_ns,
+        )
+
+    def dispatch_end(self, rec: DispatchRecord) -> None:
+        hdr = pack3(rec.target, rec.function, rec.xfunction)
+        if rec.outcome == OUTCOME_HANDLER_ERROR:
+            self.record(EV_DISPATCH_ERROR, rec.context, hdr, t_ns=rec.end_ns)
+            self.spill("dispatch-exception")
+        self.record(
+            EV_DISPATCH_END, rec.context, hdr,
+            rec.end_ns - rec.start_ns, t_ns=rec.end_ns,
         )
 
     # -- spill ---------------------------------------------------------------

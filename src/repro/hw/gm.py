@@ -45,21 +45,13 @@ SendCallback = Callable[[], None]
 
 
 class GmNic:
-    """The NIC-resident half: couples a port to the fabric.
+    """The NIC-resident half: couples a port to the fabric."""
 
-    ``switch`` places the NIC on a specific switch of a multi-switch
-    fabric (:class:`repro.hw.topology.MultiSwitchFabric`); None keeps
-    the fabric's default placement.
-    """
-
-    def __init__(self, fabric: Fabric, node: int, switch: str | None = None) -> None:
+    def __init__(self, fabric: Fabric, node: int) -> None:
         self.fabric = fabric
         self.node = node
         self.port: "GmPort | None" = None
-        if switch is None:
-            fabric.attach(node, self)
-        else:
-            fabric.attach(node, self, switch=switch)  # type: ignore[call-arg]
+        fabric.attach(node, self)
 
     def deliver(self, packet: GmPacket) -> None:
         if self.port is None:
@@ -90,9 +82,8 @@ class GmPort:
         send_tokens: int = DEFAULT_SEND_TOKENS,
         recv_tokens: int = DEFAULT_RECV_TOKENS,
         nic_backlog: int = 64,
-        switch: str | None = None,
     ) -> None:
-        self.nic = GmNic(fabric, node, switch=switch)
+        self.nic = GmNic(fabric, node)
         self.nic.port = self
         self.fabric = fabric
         self.node = node

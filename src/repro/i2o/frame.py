@@ -158,7 +158,9 @@ class Frame:
         return frame
 
     # -- raw header access ----------------------------------------------------
-    def _unpack(self) -> tuple:
+    def header_fields(self) -> tuple:
+        """Every header field from one bulk unpack, in the order
+        :meth:`set_header` packs them (the figure-5 layout)."""
         return _HEADER.unpack_from(self._buf, 0)
 
     def set_header(

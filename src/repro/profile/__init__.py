@@ -15,10 +15,10 @@ Three instruments answering "why is p99 slow?" from one command:
   exceeding its budget records an ``EV_SLOW_FRAME`` flight-recorder
   event and spills the ring, capturing the incident without a crash.
 
-All three follow the tracer's off-mode discipline: an executive
-without a profiler attached pays exactly one ``is None`` test per
-dispatch.  ``python -m repro.profile`` runs the whole kit against the
-traced 4-node event builder.
+The sampler's slot and the watch reach the dispatch loop as dispatch
+observers (:mod:`repro.core.observer`); an executive with neither
+attached pays nothing for them.  ``python -m repro.profile`` runs the
+whole kit against the traced 4-node event builder.
 """
 
 from repro.profile.critical import (

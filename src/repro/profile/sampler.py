@@ -9,13 +9,13 @@ picked up at the next tick), walks the frame chain into a collapsed
 stack, and attributes the sample to the dispatch context the hot path
 published in its :class:`DispatchSlot`.
 
-The attribution channel is deliberately race-tolerant: the dispatch
-loop performs one reference store of an immutable tuple per dispatch
-(or ``None`` between dispatches), the sampler performs one reference
-read.  Both are atomic under the GIL; a sample landing exactly on a
-context switch is attributed to whichever dispatch the slot held — a
-one-sample error, invisible at any realistic rate.  The sampler never
-mutates executive state.
+The attribution channel is deliberately race-tolerant: the slot (a
+dispatch observer) performs one reference store of an immutable tuple
+per dispatch (or ``None`` between dispatches), the sampler performs
+one reference read.  Both are atomic under the GIL; a sample landing
+exactly on a context switch is attributed to whichever dispatch the
+slot held — a one-sample error, invisible at any realistic rate.  The
+sampler never mutates executive state.
 
 Output is Brendan-Gregg collapsed-stack format (``frame;frame;... N``)
 with two synthetic root frames carrying the attribution —
@@ -31,24 +31,34 @@ from collections import Counter
 from types import FrameType
 from typing import TYPE_CHECKING, Optional
 
+from repro.core.observer import DispatchObserver, DispatchRecord
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import function_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executive import Executive
 
-class DispatchSlot:
-    """The cheap current-dispatch slot the executive publishes into.
 
-    One plain attribute holding either ``None`` (between dispatches)
-    or the immutable ``(target, function, xfunction)`` triple of the
-    in-flight dispatch.  No locks: single-store, single-load.
+class DispatchSlot(DispatchObserver):
+    """The cheap current-dispatch slot the sampler reads.
+
+    A dispatch observer holding one plain attribute: ``None`` between
+    dispatches, or the immutable ``(target, function, xfunction)``
+    triple of the in-flight dispatch.  No locks: single-store,
+    single-load.
     """
 
     __slots__ = ("current",)
+    label = "profiler dispatch slot"
 
     def __init__(self) -> None:
         self.current: Optional[tuple[int, int, int]] = None
+
+    def dispatch_begin(self, rec: DispatchRecord) -> None:
+        self.current = (rec.target, rec.function, rec.xfunction)
+
+    def dispatch_end(self, rec: DispatchRecord) -> None:
+        self.current = None
 
 
 def _xfunction_names() -> dict[tuple[int, int], str]:
@@ -78,8 +88,8 @@ def context_label(ctx: "tuple[int, int, int] | None") -> str:
 class SamplingProfiler:
     """Cluster-wide sampler: one thread, many watched executives.
 
-    ``register(exe)`` installs a :class:`DispatchSlot` on the
-    executive (turning its profiling hot path on) and exposes the
+    ``register(exe)`` attaches a :class:`DispatchSlot` to the
+    executive and exposes the
     per-node sample tallies as callback gauges, so telemetry sweeps
     and ``repro.top`` see a HOT column with zero extra plumbing.
     ``start``/``stop`` are idempotent; the sampled thread ident is
@@ -110,11 +120,12 @@ class SamplingProfiler:
 
     # -- registration -------------------------------------------------------
     def register(self, exe: "Executive") -> DispatchSlot:
-        """Watch an executive; installs its dispatch slot (idempotent)."""
-        slot = exe.profile
+        """Watch an executive; attaches its dispatch slot (idempotent)."""
+        slot = next(
+            (o for o in exe.observers if isinstance(o, DispatchSlot)), None
+        )
         if slot is None:
-            slot = DispatchSlot()
-            exe.profile = slot
+            slot = exe.attach(DispatchSlot())
         with self._lock:
             self._watched[exe.node] = exe
             self._slots[exe.node] = slot
@@ -128,14 +139,15 @@ class SamplingProfiler:
         return slot
 
     def unregister(self, exe: "Executive") -> None:
-        """Stop watching; clears the slot so the hot path goes back to
-        its single ``is None`` test costing nothing further."""
+        """Stop watching and detach the executive's dispatch slot."""
+        slot = None
         with self._lock:
             if self._watched.get(exe.node) is exe:
                 del self._watched[exe.node]
-                self._slots.pop(exe.node, None)
+                slot = self._slots.pop(exe.node, None)
                 self._idents.pop(exe.node, None)
-        exe.profile = None
+        if slot is not None:
+            exe.detach(slot)
 
     def watch_thread(self, node: int, ident: int | None = None) -> None:
         """Pin the sampled thread for ``node`` explicitly.

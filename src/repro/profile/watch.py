@@ -12,25 +12,27 @@ Spills are capped (``max_spills``) so one pathological device cannot
 turn the watchdog into a disk-thrashing loop; every overrun is still
 counted and recorded in the ring regardless.
 
-The executive's hot path pays one ``is None`` test when no watch is
-attached, and one integer comparison per dispatch when one is — the
-clock read it needs is the same one the trace/flightrec/timing paths
-already share.
+The watch is a dispatch observer (``exe.attach(SlowFrameWatch(...))``):
+it costs one integer comparison per dispatch on the record's shared
+``start_ns``/``end_ns`` pair, and nothing when not attached.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.flightrec.records import EV_SLOW_FRAME
+from repro.core.observer import DispatchObserver, DispatchRecord
+from repro.flightrec.records import EV_SLOW_FRAME, pack3
 from repro.i2o.errors import I2OError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executive import Executive
 
 
-class SlowFrameWatch:
+class SlowFrameWatch(DispatchObserver):
     """Threshold watchdog for dispatch (and whole-trace) latency."""
+
+    label = "slow-frame watch"
 
     __slots__ = (
         "budget_ns", "trace_budget_ns", "spill_on_trip", "max_spills",
@@ -60,29 +62,26 @@ class SlowFrameWatch:
         self.spills = 0
         self._exe: "Executive | None" = None
 
-    def attach(self, exe: "Executive") -> "SlowFrameWatch":
+    # -- the observer contract -----------------------------------------------
+    def on_attach(self, exe: "Executive") -> None:
         """Arm this watch on an executive and expose trip counters."""
-        if exe.slow_watch is not None:
-            raise I2OError(
-                f"node {exe.node} already has a slow-frame watch"
-            )
-        exe.slow_watch = self
         self._exe = exe
         exe.metrics.gauge("prof_slow_frames_total", lambda: self.trips)
         exe.metrics.gauge("prof_slow_traces_total", lambda: self.trace_trips)
         exe.metrics.gauge("prof_slow_spills_total", lambda: self.spills)
-        return self
 
-    def detach(self) -> None:
-        if self._exe is not None:
-            self._exe.slow_watch = None
-            self._exe = None
+    def on_detach(self, exe: "Executive") -> None:
+        self._exe = None
 
-    # -- called from the dispatch loop --------------------------------------
-    def note(self, ctx: int, hdr: int, elapsed_ns: int, end_ns: int) -> None:
-        """One dispatch blew the budget: record, maybe spill."""
-        self.trips += 1
-        self._capture(ctx, hdr, elapsed_ns, end_ns, "slow-frame")
+    def dispatch_end(self, rec: DispatchRecord) -> None:
+        elapsed = rec.end_ns - rec.start_ns
+        if elapsed > self.budget_ns:
+            # One dispatch blew the budget: record, maybe spill.
+            self.trips += 1
+            self._capture(
+                rec.context, pack3(rec.target, rec.function, rec.xfunction),
+                elapsed, rec.end_ns, "slow-frame",
+            )
 
     # -- called from trace-level tooling -------------------------------------
     def note_trace(self, trace_id: int, total_ns: int, end_ns: int = 0) -> None:

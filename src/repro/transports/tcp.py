@@ -47,6 +47,15 @@ def _sendmsg_all(sock: socket.socket, parts: list) -> None:
                 sent = 0
 
 
+def _hang_up(sock: socket.socket) -> None:
+    """Shut down then close: wakes any thread blocked on ``sock``."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
+
+
 class TcpTransport(PeerTransport):
     """Task-mode TCP endpoint.
 
@@ -72,6 +81,10 @@ class TcpTransport(PeerTransport):
         self._server: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._conns: dict[int, socket.socket] = {}
+        #: every socket with a reader thread — including accepted ones
+        #: that lost the ``_conns`` reverse-path race — so shutdown can
+        #: wake each reader out of ``recv``
+        self._socks: list[socket.socket] = []
         self._conn_lock = threading.Lock()
         self._readers: list[threading.Thread] = []
         self._stop = threading.Event()
@@ -96,26 +109,22 @@ class TcpTransport(PeerTransport):
     def shutdown(self) -> None:
         self._stop.set()
         if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
+            # Closing a listener does not wake accept() on Linux;
+            # shutting it down does.
+            _hang_up(self._server)
             self._server = None
+        if self._accept_thread is not None:
+            # Joined first, so no reader is spawned behind our back.
+            self._accept_thread.join(timeout=2)
+            self._accept_thread = None
         with self._conn_lock:
-            conns = list(self._conns.values())
+            socks, self._socks = self._socks, []
             self._conns.clear()
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
+        for sock in socks:
+            _hang_up(sock)
         for reader in self._readers:
             reader.join(timeout=2)
         self._readers.clear()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2)
-            self._accept_thread = None
 
     def add_peer(self, node: int, host: str, port: int) -> None:
         self.peers[node] = (host, port)
@@ -183,6 +192,7 @@ class TcpTransport(PeerTransport):
         # transmit) the dispatch thread; shutdown() joins the list.
         with self._conn_lock:
             self._readers.append(reader)
+            self._socks.append(sock)
 
     def _reader_loop(self, sock: socket.socket) -> None:
         while not self._stop.is_set():

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config.bootstrap import BootstrapError, bootstrap
 from repro.core.executive import DISPATCH_LATENCY_BUCKETS_NS
+from repro.profile import DispatchSlot, SlowFrameWatch
 
 ECHO = "repro.bench.devices.EchoDevice"
 PING = "repro.bench.devices.PingDevice"
@@ -22,6 +23,11 @@ def spec_with_profiling(**section):
     }
 
 
+def attached(exe, kind):
+    """The executive's dispatch observers of one class."""
+    return [o for o in exe.observers if isinstance(o, kind)]
+
+
 def dispatch_hist(cluster, node):
     return cluster.executives[node].metrics.histogram(
         "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
@@ -34,20 +40,22 @@ class TestWiring:
         assert cluster.profiler is not None
         assert cluster.profiler.hz == 97.0  # the schema default
         for exe in cluster.executives.values():
-            assert exe.profile is not None  # slot installed per node
+            assert attached(exe, DispatchSlot)  # slot attached per node
         for node in (0, 1):
             assert dispatch_hist(cluster, node).exemplars is not None
         # The default budget is 0: no watches armed.
         assert cluster.slow_watches == {}
-        assert all(
-            exe.slow_watch is None for exe in cluster.executives.values()
+        assert not any(
+            attached(exe, SlowFrameWatch)
+            for exe in cluster.executives.values()
         )
 
     def test_sampling_off_leaves_the_hot_path_alone(self):
         cluster = bootstrap(spec_with_profiling(sampling=False))
         assert cluster.profiler is None
-        assert all(
-            exe.profile is None for exe in cluster.executives.values()
+        assert not any(
+            attached(exe, DispatchSlot)
+            for exe in cluster.executives.values()
         )
 
     def test_exemplars_off(self):
@@ -70,7 +78,9 @@ class TestWiring:
         ))
         assert sorted(cluster.slow_watches) == [0, 1]
         for node, watch in cluster.slow_watches.items():
-            assert cluster.executives[node].slow_watch is watch
+            assert attached(
+                cluster.executives[node], SlowFrameWatch
+            ) == [watch]
             assert watch.budget_ns == 50_000
             assert watch.trace_budget_ns == 400_000
             assert watch.max_spills == 2
@@ -82,7 +92,7 @@ class TestWiring:
         assert cluster.profiler is None
         assert cluster.slow_watches == {}
         for exe in cluster.executives.values():
-            assert exe.profile is None and exe.slow_watch is None
+            assert exe.observers == ()
 
 
 class TestValidation:

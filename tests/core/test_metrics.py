@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.executive import Executive
 from repro.core.metrics import (
     Histogram,
     MetricsRegistry,
@@ -221,7 +222,10 @@ class TestSnapshotAndRendering:
         ]
 
     def test_timing_flag_defaults_off(self):
-        assert MetricsRegistry().timing is False
+        # No polled flag: the histogram fills iff a DispatchTimer is
+        # attached, and a fresh executive has no observer at all.
+        assert not hasattr(MetricsRegistry(), "timing")
+        assert Executive(node=0).observers == ()
 
 
 class TestExemplars:

@@ -36,7 +36,7 @@ def _telemetry_cluster(n_nodes: int = 2, *, tracing: bool = True):
     agents = {}
     for node, exe in cluster.items():
         if tracing:
-            exe.tracer = FrameTracer(node=node, capacity=128)
+            exe.attach(FrameTracer(capacity=128))
         agent = TelemetryAgent(name=f"agent{node}")
         exe.install(agent)
         agents[node] = agent

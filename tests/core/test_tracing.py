@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core.device import FunctionalListener, Listener
 from repro.core.executive import Executive
+from repro.core.observer import DispatchRecord
 from repro.core.tracing import (
     FrameTracer,
     TRACE_TAG,
@@ -40,7 +41,7 @@ class _Echo(Listener):
 def _traced_pair(capacity: int = 64):
     cluster = make_loopback_cluster(2)
     for node, exe in cluster.items():
-        exe.tracer = FrameTracer(node=node, capacity=capacity)
+        exe.attach(FrameTracer(capacity=capacity))
     echo = _Echo(name="echo")
     echo_tid = cluster[1].install(echo)
     caller = FunctionalListener(name="caller")
@@ -127,7 +128,8 @@ class TestSpans:
 
     def test_queue_wait_measured_against_the_executive_clock(self):
         clock = _ManualClock()
-        exe = Executive(node=0, clock=clock, tracer=FrameTracer(capacity=16))
+        exe = Executive(node=0, clock=clock)
+        exe.attach(FrameTracer(capacity=16))
         sink = FunctionalListener(name="sink", handlers={0x1: lambda f: None})
         tid = exe.install(sink)
         sink.send(tid, b"x", xfunction=0x1)
@@ -139,7 +141,8 @@ class TestSpans:
         assert span.start_ns == 5_000
 
     def test_forget_on_release_leaves_no_stale_entries(self):
-        exe = Executive(node=0, tracer=FrameTracer(capacity=16))
+        exe = Executive(node=0)
+        exe.attach(FrameTracer(capacity=16))
         sink = FunctionalListener(name="sink", handlers={0x1: lambda f: None})
         tid = exe.install(sink)
         frames = []
@@ -175,11 +178,12 @@ class TestSpans:
         # id()) enqueued much later must measure from *its* enqueue.
         tracer.note_enqueue(frame, clock.t)
         clock.t = 1_000_500
-        token = tracer.begin_dispatch(frame, clock.t)
-        assert token[0] == 500  # queue_wait, not 1_000_500
+        rec = DispatchRecord(0, frame, clock.t)
+        assert rec.start_ns - rec.enqueued_ns == 500  # not 1_000_500
 
     def test_timer_contexts_survive_untraced(self):
-        exe = Executive(node=0, tracer=FrameTracer(capacity=16))
+        exe = Executive(node=0)
+        exe.attach(FrameTracer(capacity=16))
         fired = []
 
         class _Timed(Listener):

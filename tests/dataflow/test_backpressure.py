@@ -53,7 +53,7 @@ def _rig(exe: Executive, park_limit: int = 256):
     """Wire ledger + outbox onto a bare executive (bootstrap's job)."""
     ledger = CreditLedger()
     outbox = DataflowOutbox(exe, ledger, limit=park_limit)
-    exe.dataflow = ledger
+    exe.attach(ledger)
     exe.dataflow_outbox = outbox
     exe._pollable.append(outbox)
     return ledger, outbox
@@ -186,9 +186,7 @@ class TestInstrumentation:
 
         parky, sheddy = types
         exe = Executive(node=0)
-        exe.attach_flight_recorder(
-            FlightRecorder(node=0, capacity=64, clock=exe.clock)
-        )
+        exe.attach(FlightRecorder(node=0, capacity=64, clock=exe.clock))
         ledger, _ = _rig(exe)
         source, sink = Source("src"), Sink()
         exe.install(source)

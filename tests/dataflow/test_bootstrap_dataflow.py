@@ -123,6 +123,25 @@ class TestSpecValidation:
         with pytest.raises(BootstrapError, match="credit_limit"):
             bootstrap(spec)
 
+    @pytest.mark.parametrize("section, conf, named", [
+        ("telemetry", {"trace_capacity": "lots"}, "trace_capacity"),
+        ("telemetry", {"tracing": "maybe"}, "tracing"),
+        ("telemetry", {"sweep_interval_ns": -1}, "sweep_interval_ns"),
+        ("telemetry", {"colector": True}, "colector"),
+        ("supervision", {"interval_ns": 0}, "interval_ns"),
+        ("supervision", {"dead_after": "soon"}, "dead_after"),
+        ("supervision", {"policy": "panic"}, "policy"),
+    ])
+    def test_bad_value_in_any_section_names_section_and_key(
+        self, section, conf, named
+    ):
+        spec = event_builder_spec(1, 1)
+        spec[section] = conf
+        with pytest.raises(
+            BootstrapError, match=f"bad {section} section: .*{named}"
+        ):
+            bootstrap(spec)
+
     def test_non_mapping_dataflow_section_rejected(self):
         spec = event_builder_spec(1, 1)
         spec["dataflow"] = True

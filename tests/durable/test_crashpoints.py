@@ -56,7 +56,7 @@ class _Rig:
         self.received: list[bytes] = []
 
         self.rx_exe = Executive(node=1, clock=self.clock)
-        self.rx_exe.attach_flight_recorder(FlightRecorder(
+        self.rx_exe.attach(FlightRecorder(
             capacity=512, dump_dir=self.crash_dir, name="rx"
         ))
         PeerTransportAgent.attach(self.rx_exe).register(
@@ -74,7 +74,7 @@ class _Rig:
     def _build_sender(self, store, tid=None):
         self.incarnation += 1
         exe = Executive(node=0, clock=self.clock)
-        exe.attach_flight_recorder(FlightRecorder(
+        exe.attach(FlightRecorder(
             capacity=512, dump_dir=self.crash_dir,
             name=f"tx-inc{self.incarnation}",
         ))

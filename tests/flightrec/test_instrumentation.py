@@ -58,12 +58,10 @@ def records_of(recorder: FlightRecorder, *kinds: int) -> list[FlightRecord]:
     return [r for r in out if not kinds or r.kind in kinds]
 
 
-def make_recorded_exe(**kwargs) -> Executive:
-    return Executive(
-        node=kwargs.pop("node", 0),
-        flightrec=FlightRecorder(capacity=1024),
-        **kwargs,
-    )
+def make_recorded_exe(recorder=None, **kwargs) -> Executive:
+    exe = Executive(node=kwargs.pop("node", 0), **kwargs)
+    exe.attach(recorder or FlightRecorder(capacity=1024))
+    return exe
 
 
 class TestDispatchPath:
@@ -95,10 +93,9 @@ class TestDispatchPath:
         assert records_of(exe.flightrec, EV_FRAME_RELEASE)
 
     def test_pool_exhaustion_recorded_before_raising(self):
-        exe = Executive(
-            node=0,
+        exe = make_recorded_exe(
+            FlightRecorder(capacity=64),
             pool=BufferPool(OriginalAllocator(block_size=64, block_count=1)),
-            flightrec=FlightRecorder(capacity=64),
         )
         held = exe.frame_alloc(8, target=EXECUTIVE_TID, initiator=EXECUTIVE_TID, xfunction=0x1)
         with pytest.raises(PoolExhausted):
@@ -108,9 +105,8 @@ class TestDispatchPath:
         exe.frame_free(held)
 
     def test_handler_exception_records_error_and_spills(self, tmp_path):
-        exe = Executive(
-            node=0,
-            flightrec=FlightRecorder(capacity=64, dump_dir=tmp_path),
+        exe = make_recorded_exe(
+            FlightRecorder(capacity=64, dump_dir=tmp_path)
         )
 
         def boom(frame):
@@ -130,9 +126,8 @@ class TestDispatchPath:
 
 class TestCrashPaths:
     def test_hard_stop_spills_a_decodable_dump(self, tmp_path):
-        exe = Executive(
-            node=5,
-            flightrec=FlightRecorder(capacity=64, dump_dir=tmp_path),
+        exe = make_recorded_exe(
+            FlightRecorder(capacity=64, dump_dir=tmp_path), node=5
         )
         exe.frame_alloc(8, target=EXECUTIVE_TID, initiator=EXECUTIVE_TID, xfunction=0x1)
         exe.hard_stop()
@@ -148,10 +143,9 @@ class TestCrashPaths:
     def test_watchdog_quarantine_spills(self, tmp_path):
         import time
 
-        exe = Executive(
-            node=0,
+        exe = make_recorded_exe(
+            FlightRecorder(capacity=64, dump_dir=tmp_path),
             watchdog=HandlerWatchdog(limit_ns=1_000_000),
-            flightrec=FlightRecorder(capacity=64, dump_dir=tmp_path),
         )
 
         def slow(frame):
@@ -168,10 +162,9 @@ class TestCrashPaths:
         assert load_dump(exe.flightrec.dump_path()).reason == "watchdog"
 
     def test_sanitizer_violation_spills_before_raising(self, tmp_path):
-        exe = Executive(
-            node=0,
+        exe = make_recorded_exe(
+            FlightRecorder(capacity=64, dump_dir=tmp_path),
             pool=BufferPool(SanitizingTableAllocator()),
-            flightrec=FlightRecorder(capacity=64, dump_dir=tmp_path),
         )
         block = exe.pool.alloc(64)
         exe.pool.free(block)
@@ -212,11 +205,11 @@ class TestAttachment:
     def test_attach_twice_raises(self):
         exe = make_recorded_exe()
         with pytest.raises(I2OError, match="already has a flight recorder"):
-            exe.attach_flight_recorder(FlightRecorder(capacity=8))
+            exe.attach(FlightRecorder(capacity=8))
 
     def test_recorder_adopts_node_and_clock(self):
         rec = FlightRecorder(capacity=8)
-        exe = Executive(node=9, flightrec=rec)
+        exe = make_recorded_exe(rec, node=9)
         assert rec.node == 9
         assert rec.clock is exe.clock
 
@@ -239,7 +232,7 @@ class TestWirePath:
     def test_transmit_and_ingest_join_across_nodes(self):
         cluster = make_loopback_cluster(2)
         for node, exe in cluster.items():
-            exe.attach_flight_recorder(FlightRecorder(capacity=256))
+            exe.attach(FlightRecorder(capacity=256))
         received = []
         echo = FunctionalListener(
             name="echo", handlers={0x1: lambda f: received.append(bytes(f.payload))}
@@ -276,8 +269,8 @@ def _reliable_pair(journal_dir=None):
     clocks, exes, endpoints = {}, {}, {}
     for node in range(2):
         clock = _ManualClock()
-        exe = Executive(
-            node=node, clock=clock, flightrec=FlightRecorder(capacity=512)
+        exe = make_recorded_exe(
+            FlightRecorder(capacity=512), node=node, clock=clock
         )
         PeerTransportAgent.attach(exe).register(
             LoopbackTransport(network), default=True
@@ -334,9 +327,8 @@ class TestReliableStream:
         clocks, exes, eps = {}, {}, {}
         for node in range(2):
             clock = _ManualClock()
-            exe = Executive(
-                node=node, clock=clock,
-                flightrec=FlightRecorder(capacity=512),
+            exe = make_recorded_exe(
+                FlightRecorder(capacity=512), node=node, clock=clock
             )
             PeerTransportAgent.attach(exe).register(
                 FaultyLoopbackTransport(

@@ -117,11 +117,11 @@ class _Cluster:
         exe = Executive(
             node=node, clock=clock,
             pool=BufferPool(SanitizingTableAllocator()),
-            tracer=FrameTracer(capacity=4096),
         )
+        exe.attach(FrameTracer(capacity=4096))
         inc = self.incarnations.get(node, 0) + 1
         self.incarnations[node] = inc
-        exe.attach_flight_recorder(FlightRecorder(
+        exe.attach(FlightRecorder(
             capacity=4096, dump_dir=self.crash_dir,
             name=f"node{node}-inc{inc}",
         ))

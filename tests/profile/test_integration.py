@@ -17,6 +17,7 @@ import time
 
 from repro.core.device import FunctionalListener, Listener
 from repro.core.executive import DISPATCH_LATENCY_BUCKETS_NS
+from repro.core.metrics import DispatchTimer
 from repro.core.tracing import FrameTracer, is_trace_context
 from repro.flightrec import FlightRecorder, load_dump
 from repro.flightrec.records import EV_SLOW_FRAME
@@ -31,16 +32,14 @@ BUDGET_NS = 1_000_000  # 1 ms: the slow handler sleeps 5x that
 def test_slowed_dispatch_produces_exemplar_spill_and_samples(tmp_path):
     cluster = make_loopback_cluster(2)
     for node, exe in cluster.items():
-        exe.tracer = FrameTracer(node=node, capacity=256)
+        exe.attach(FrameTracer(capacity=256))
     receiver = cluster[1]
-    receiver.metrics.timing = True
+    receiver.attach(DispatchTimer())
     receiver.metrics.histogram(
         "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
     ).enable_exemplars()
-    receiver.attach_flight_recorder(
-        FlightRecorder(capacity=256, dump_dir=tmp_path)
-    )
-    watch = SlowFrameWatch(BUDGET_NS).attach(receiver)
+    receiver.attach(FlightRecorder(capacity=256, dump_dir=tmp_path))
+    watch = receiver.attach(SlowFrameWatch(BUDGET_NS))
     profiler = SamplingProfiler(hz=997.0)
     slot = profiler.register(receiver)
     sampled_ctx = []

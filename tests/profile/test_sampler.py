@@ -76,7 +76,7 @@ class TestRegistration:
         exe = Executive(node=3)
         profiler = SamplingProfiler(hz=50.0)
         slot = profiler.register(exe)
-        assert exe.profile is slot
+        assert exe.observers == (slot,)
         snap = exe.metrics.snapshot()
         assert snap["prof_samples_total"] == 0
         assert snap["prof_busy_samples_total"] == 0
@@ -91,7 +91,7 @@ class TestRegistration:
         profiler = SamplingProfiler(hz=50.0)
         profiler.register(exe)
         profiler.unregister(exe)
-        assert exe.profile is None
+        assert exe.observers == ()
 
     def test_bad_rate_rejected(self):
         with pytest.raises(I2OError, match="sampling rate"):
@@ -219,9 +219,9 @@ class TestLifecycle:
 class TestOffMode:
     def test_no_profiler_means_no_slot_and_no_prof_metrics(self):
         exe = Executive(node=0)
-        assert exe.profile is None
-        run_echo_dispatch(exe)  # hot path: one is-None test, nothing else
-        assert exe.profile is None
+        assert exe.observers == ()
+        run_echo_dispatch(exe)  # hot path: one truthiness test, nothing else
+        assert exe.observers == ()
         assert not any(
             key.startswith("prof_") for key in exe.metrics.snapshot()
         )

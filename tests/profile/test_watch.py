@@ -25,7 +25,7 @@ def slow_dispatch_exe(budget_ns=10_000, cost_ns=50_000, **watch_kwargs):
     clock, with a slow-frame watch armed at ``budget_ns``."""
     clock = _ManualClock()
     exe = Executive(node=0, clock=clock)
-    watch = SlowFrameWatch(budget_ns, **watch_kwargs).attach(exe)
+    watch = exe.attach(SlowFrameWatch(budget_ns, **watch_kwargs))
 
     def slow(frame):
         if not frame.is_reply:
@@ -49,15 +49,15 @@ class TestValidation:
 
     def test_attach_twice_raises(self):
         exe = Executive(node=0)
-        SlowFrameWatch(1000).attach(exe)
+        exe.attach(SlowFrameWatch(1000))
         with pytest.raises(I2OError, match="already has a slow-frame"):
-            SlowFrameWatch(1000).attach(exe)
+            exe.attach(SlowFrameWatch(1000))
 
     def test_detach_restores_off_mode(self):
         exe = Executive(node=0)
-        watch = SlowFrameWatch(1000).attach(exe)
-        watch.detach()
-        assert exe.slow_watch is None
+        watch = exe.attach(SlowFrameWatch(1000))
+        exe.detach(watch)
+        assert exe.observers == ()
 
 
 class TestTrips:
@@ -82,7 +82,7 @@ class TestTrips:
 
     def test_trace_budget_trips_separately(self):
         exe = Executive(node=0)
-        watch = SlowFrameWatch(1000, trace_budget_ns=5000).attach(exe)
+        watch = exe.attach(SlowFrameWatch(1000, trace_budget_ns=5000))
         watch.note_trace(0xABC, total_ns=9000)
         assert watch.trace_trips == 1
         assert watch.trips == 0
@@ -91,11 +91,9 @@ class TestTrips:
 class TestCapture:
     def _recorded(self, tmp_path, **watch_kwargs):
         clock = _ManualClock()
-        exe = Executive(
-            node=0, clock=clock,
-            flightrec=FlightRecorder(capacity=128, dump_dir=tmp_path),
-        )
-        watch = SlowFrameWatch(10_000, **watch_kwargs).attach(exe)
+        exe = Executive(node=0, clock=clock)
+        exe.attach(FlightRecorder(capacity=128, dump_dir=tmp_path))
+        watch = exe.attach(SlowFrameWatch(10_000, **watch_kwargs))
 
         def slow(frame):
             if not frame.is_reply:

@@ -95,9 +95,7 @@ class TransportHarness:
 
         tracers = {}
         for node, exe in self.exes.items():
-            tracers[node] = exe.tracer = FrameTracer(
-                node=node, capacity=capacity
-            )
+            tracers[node] = exe.attach(FrameTracer(capacity=capacity))
         return tracers
 
     def finish(self) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -80,3 +81,22 @@ class TestTcp:
             exe.frame_free(frame)
         finally:
             pt.shutdown()
+
+    def test_shutdown_of_a_connected_pair_is_prompt(self, tcp_cluster):
+        # Regression: closing the listener did not wake accept() and
+        # accepted sockets that lost the reverse-path race were never
+        # closed, so shutdown() sat out its 2 s joins.
+        exes, pts = tcp_cluster
+        echo_tid = exes[1].install(Echo())
+        caller = Caller()
+        exes[0].install(caller)
+        caller.send(exes[0].create_proxy(1, echo_tid), b"x", xfunction=0x1)
+        assert wait_for(lambda: caller.replies == [b"x"])
+        started = time.monotonic()
+        for pt in pts.values():
+            pt.shutdown()
+        assert time.monotonic() - started < 0.5
+        assert [
+            t.name for t in threading.enumerate()
+            if t.name in ("pt-tcp-accept", "pt-tcp-reader")
+        ] == []
