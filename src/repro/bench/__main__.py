@@ -1,10 +1,11 @@
-"""CLI: regenerate any (or every) experiment from DESIGN.md.
+"""CLI: regenerate any (or every) experiment from DESIGN.md §4.
 
 Usage::
 
     python -m repro.bench fig6
     python -m repro.bench all
-    xdaq-bench tab1          # console script, same thing
+    python -m repro.bench overhead --gate   # exit 1 on a gate violation
+    xdaq-bench tab1                         # console script, same thing
 """
 
 from __future__ import annotations
@@ -12,119 +13,54 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable
+from typing import Callable, Protocol
+
+from repro.bench.alloc import run_alloc
+from repro.bench.backpressure import run_backpressure
+from repro.bench.daqscale import run_daqscale
+from repro.bench.dispatch import run_dispatch
+from repro.bench.fig6 import run_fig6
+from repro.bench.multirail import run_multirail
+from repro.bench.native import run_native
+from repro.bench.orb import run_orb
+from repro.bench.overhead import run_overhead
+from repro.bench.pcififo import run_pcififo
+from repro.bench.ptmodes import run_ptmodes
+from repro.bench.tab1 import run_tab1
+from repro.bench.zerocopy import run_zerocopy
 
 
-def _fig6() -> str:
-    from repro.bench.fig6 import run_fig6
+class Result(Protocol):
+    """What every runner returns; gated experiments add
+    ``violations() -> list[str]`` (empty when every gate holds)."""
 
-    return run_fig6().report()
-
-
-def _tab1() -> str:
-    from repro.bench.tab1 import run_tab1
-
-    return run_tab1().report()
+    def report(self) -> str: ...
 
 
-def _alloc() -> str:
-    from repro.bench.alloc import run_alloc
-
-    return run_alloc().report()
-
-
-def _orb() -> str:
-    from repro.bench.orb import run_orb
-
-    return run_orb().report()
-
-
-def _ptmodes() -> str:
-    from repro.bench.ptmodes import run_ptmodes
-
-    return run_ptmodes().report()
-
-
-def _dispatch() -> str:
-    from repro.bench.dispatch import run_dispatch
-
-    return run_dispatch().report()
-
-
-def _pcififo() -> str:
-    from repro.bench.pcififo import run_pcififo
-
-    return run_pcififo().report()
-
-
-def _multirail() -> str:
-    from repro.bench.multirail import run_multirail
-
-    return run_multirail().report()
-
-
-def _native() -> str:
-    from repro.bench.native import run_native
-
-    return run_native().report()
-
-
-def _daqscale() -> str:
-    from repro.bench.daqscale import run_daqscale
-
-    return run_daqscale().report()
-
-
-def _telemetry() -> str:
-    from repro.bench.telemetry import run_telemetry
-
-    return run_telemetry().report()
-
-
-def _zerocopy() -> str:
-    from repro.bench.zerocopy import run_zerocopy
-
-    return run_zerocopy().report()
-
-
-def _flightrec() -> str:
-    from repro.bench.flightrec import run_flightrec
-
-    return run_flightrec().report()
-
-
-def _backpressure() -> str:
-    from repro.bench.backpressure import run_backpressure
-
-    return run_backpressure().report()
-
-
-def _profile() -> str:
-    from repro.bench.profile import run_profile
-
-    return run_profile().report()
-
-
-EXPERIMENTS: dict[str, tuple[str, Callable[[], str]]] = {
-    "fig6": ("Figure 6: blackbox ping-pong latencies", _fig6),
-    "tab1": ("Table 1: whitebox stage breakdown", _tab1),
-    "alloc": ("A1: optimised allocator ablation", _alloc),
-    "orb": ("B1: mini-ORB vs XDAQ overhead", _orb),
-    "ptmodes": ("X1: polling vs task-mode PTs", _ptmodes),
-    "dispatch": ("X2: dispatch scaling with device count", _dispatch),
-    "pcififo": ("X3: hardware FIFO support", _pcififo),
-    "multirail": ("X4: multi-rail transports", _multirail),
-    "native": ("N1: native-plane honesty check", _native),
-    "daqscale": ("X5: event-builder throughput at cluster scale", _daqscale),
-    "telemetry": ("X6: observability overhead on the dispatch path", _telemetry),
-    "zerocopy": ("X7: copies per frame on the zero-copy path", _zerocopy),
-    "flightrec": ("X9: flight-recorder overhead on the dispatch path",
-                  _flightrec),
+EXPERIMENTS: dict[str, tuple[str, Callable[[], Result]]] = {
+    "fig6": ("Figure 6: blackbox ping-pong latencies", run_fig6),
+    "tab1": ("Table 1: whitebox stage breakdown", run_tab1),
+    "alloc": ("A1: optimised allocator ablation", run_alloc),
+    "zerocopy": ("A2: buffer loaning vs a copy chain", run_zerocopy),
+    "orb": ("B1: mini-ORB vs XDAQ overhead", run_orb),
+    "ptmodes": ("X1: polling vs task-mode PTs", run_ptmodes),
+    "dispatch": ("X2: dispatch scaling with device count", run_dispatch),
+    "pcififo": ("X3: hardware FIFO support", run_pcififo),
+    "multirail": ("X4: multi-rail transports", run_multirail),
+    "daqscale": ("X5: event-builder throughput at cluster scale", run_daqscale),
+    "native": ("N1: native-plane honesty check", run_native),
+    "overhead": ("X6/X9/X11: observer overhead on the dispatch path",
+                 run_overhead),
     "backpressure": ("X10: queue depth under fan-out saturation",
-                     _backpressure),
-    "profile": ("X11: continuous-profiling overhead on the native "
-                "ping-pong", _profile),
+                     run_backpressure),
 }
+
+
+def violations(result: Result) -> list[str]:
+    """The gate: what ``result`` reports as out of bounds (nothing, for
+    an experiment that has no gate)."""
+    check = getattr(result, "violations", None)
+    return check() if check is not None else []
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -134,18 +70,28 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all"],
-        help="experiment id from DESIGN.md (or 'all')",
+        choices=[*EXPERIMENTS, "all"],
+        help="experiment id from DESIGN.md §4 (or 'all')",
+    )
+    parser.add_argument(
+        "--gate", action="store_true",
+        help="exit 1 when an experiment's result violates its gate",
     )
     args = parser.parse_args(argv)
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    failed = False
     for name in names:
         title, runner = EXPERIMENTS[name]
         print(f"== {name}: {title} ==")
         start = time.perf_counter()
-        print(runner())
+        result = runner()
+        print(result.report())
         print(f"[{name} done in {time.perf_counter() - start:.1f}s]\n")
-    return 0
+        if args.gate:
+            for violation in violations(result):
+                print(f"GATE VIOLATION: {name}: {violation}", file=sys.stderr)
+                failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

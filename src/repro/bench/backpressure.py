@@ -21,14 +21,12 @@ Three configurations drive the identical burst schedule:
 
 Every run finishes with a pool-conservation check, so running the
 bench under ``REPRO_SANITIZE=1`` proves the park/shed/resume paths
-leak no frames (the CI gate does exactly that).  Exits non-zero when
-a capped peak exceeds its bound or a frame leaks.
+leak no frames (the CI gate does exactly that): a leak raises, a
+capped peak over its bound is a gate violation.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass, field
 
 from repro.core.device import Listener
@@ -145,14 +143,13 @@ def _run_config(
 class BackpressureResult:
     stats: dict[str, _RunStats] = field(default_factory=dict)
 
-    @property
-    def bounded(self) -> bool:
-        """Every capped configuration held its queue-depth bound."""
-        return all(
-            s.peak_queue <= s.bound
-            for s in self.stats.values()
-            if s.bound is not None
-        )
+    def violations(self) -> list[str]:
+        """Capped configurations whose peak queue exceeded the bound."""
+        return [
+            f"{name}: peak queue {s.peak_queue} exceeds bound {s.bound}"
+            for name, s in self.stats.items()
+            if s.bound is not None and s.peak_queue > s.bound
+        ]
 
     def report(self) -> str:
         rows = [
@@ -191,32 +188,3 @@ def run_backpressure(
     )
     return result
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.backpressure",
-        description="Measure queue depth under fan-out saturation.",
-    )
-    parser.add_argument("--sinks", type=int, default=DEFAULT_SINKS)
-    parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    parser.add_argument("--burst", type=int, default=DEFAULT_BURST)
-    parser.add_argument("--credits", type=int, default=DEFAULT_CREDITS)
-    parser.add_argument(
-        "--check", action="store_true",
-        help="fail (exit 1) unless capped peaks honour their bounds",
-    )
-    args = parser.parse_args(argv)
-    result = run_backpressure(
-        n_sinks=args.sinks, rounds=args.rounds,
-        burst=args.burst, credits=args.credits,
-    )
-    print(result.report())
-    if args.check and not result.bounded:
-        print("FAIL: a credit-capped run exceeded its queue-depth bound",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

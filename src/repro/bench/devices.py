@@ -1,4 +1,5 @@
-"""The blackbox benchmark device classes.
+"""The benchmark device classes: the blackbox ping/echo pair and the
+counting sink the drain loads (X2, overhead) dispatch into.
 
 Paper §5: *"we built a simple private device class that is instantiated
 on one node and continuously floods a remote instance of this class
@@ -48,7 +49,6 @@ class PingDevice(Listener):
         self.remaining = 0
         self.rtts_ns: list[int] = []
         self._t0 = 0
-        self.on_finished = None  # optional callback
 
     def configure(self, peer: Tid, payload_size: int, rounds: int) -> None:
         self.peer = peer
@@ -79,8 +79,25 @@ class PingDevice(Listener):
         self.remaining -= 1
         if self.remaining > 0:
             self.kick()
-        elif self.on_finished is not None:
-            self.on_finished()
 
     def export_counters(self) -> dict[str, object]:
         return {"rounds_done": len(self.rtts_ns), "remaining": self.remaining}
+
+
+class CountingSink(Listener):
+    """Counts deliveries; never replies."""
+
+    device_class = "bench_sink"
+
+    def __init__(self, name: str = "sink") -> None:
+        super().__init__(name)
+        self.hits = 0
+
+    def on_plugin(self) -> None:
+        self.bind(XF_PING, self._on_hit)
+        # Register many extra handlers so table size is also exercised.
+        for xfunc in range(0x0100, 0x0110):
+            self.bind(xfunc, self._on_hit)
+
+    def _on_hit(self, frame: Frame) -> None:
+        self.hits += 1

@@ -18,29 +18,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.bench.devices import XF_PING, CountingSink
 from repro.bench.report import format_table
-from repro.core.device import Listener
 from repro.core.executive import Executive
-from repro.i2o.frame import Frame
 
 DEFAULT_DEVICE_COUNTS = (1, 10, 100, 1000)
-
-
-class _Sink(Listener):
-    device_class = "bench_sink"
-
-    def __init__(self, name: str = "") -> None:
-        super().__init__(name)
-        self.hits = 0
-
-    def on_plugin(self) -> None:
-        self.bind(0x0001, self._on_hit)
-        # Register many extra handlers so table size is also exercised.
-        for xfunc in range(0x0100, 0x0110):
-            self.bind(xfunc, self._on_hit)
-
-    def _on_hit(self, frame: Frame) -> None:
-        self.hits += 1
 
 
 @dataclass
@@ -67,6 +49,26 @@ class DispatchResult:
         )
 
 
+def drain_ns_per_message(
+    exe: Executive, messages: int, devices: int = 1
+) -> float:
+    """Preload ``messages`` round-robin across ``devices`` fresh sinks
+    on ``exe``, then time draining them all."""
+    sinks = [CountingSink(name=f"sink{i}") for i in range(devices)]
+    tids = [exe.install(s) for s in sinks]
+    for i in range(messages):
+        tid = tids[i % devices]
+        frame = exe.frame_alloc(8, target=tid, initiator=tid, xfunction=XF_PING)
+        exe.post_inbound(frame)
+    t0 = time.perf_counter_ns()
+    exe.run_until_idle()
+    elapsed = time.perf_counter_ns() - t0
+    delivered = sum(s.hits for s in sinks)
+    if delivered != messages:
+        raise RuntimeError(f"lost messages: {delivered}/{messages}")
+    return elapsed / messages
+
+
 def run_dispatch(
     device_counts: tuple[int, ...] = DEFAULT_DEVICE_COUNTS,
     messages: int = 20_000,
@@ -74,20 +76,8 @@ def run_dispatch(
     result = DispatchResult()
     for count in device_counts:
         exe = Executive(node=0, max_dispatch_per_step=1024)
-        sinks = [_Sink(name=f"sink{i}") for i in range(count)]
-        tids = [exe.install(s) for s in sinks]
-        for i in range(messages):
-            frame = exe.frame_alloc(
-                8, target=tids[i % count], initiator=tids[i % count],
-                xfunction=0x0001,
-            )
-            exe.post_inbound(frame)
-        t0 = time.perf_counter_ns()
-        exe.run_until_idle()
-        elapsed = time.perf_counter_ns() - t0
-        delivered = sum(s.hits for s in sinks)
-        if delivered != messages:
-            raise RuntimeError(f"lost messages: {delivered}/{messages}")
         result.device_counts.append(count)
-        result.ns_per_message.append(elapsed / messages)
+        result.ns_per_message.append(
+            drain_ns_per_message(exe, messages, devices=count)
+        )
     return result

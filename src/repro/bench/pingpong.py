@@ -10,7 +10,9 @@ in real time over an in-process transport, measured with real clocks.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -117,13 +119,18 @@ def run_native_pingpong(
     *,
     probes: bool = False,
     warmup: int = 20,
+    instrument: Callable[
+        [tuple[Executive, ...]], AbstractContextManager[None]
+    ] = lambda exes: nullcontext(),
 ) -> PingPongResult:
     """Real-time ping-pong over the in-process queue transport.
 
     Single-threaded: both executives are stepped from this loop, so the
     measurement is pure framework cost plus queue handoff — the native
     analogue of the blackbox test (absolute numbers are Python's, the
-    *structure* matches; see EXPERIMENTS.md).
+    *structure* matches; see EXPERIMENTS.md).  ``instrument`` is entered
+    with the two executives around the measured loop: the overhead
+    experiment attaches its observers there.
     """
     from repro.transports.queued import QueuePair, QueueTransport
 
@@ -145,15 +152,16 @@ def run_native_pingpong(
     ping = PingDevice()
     exe_a.install(ping)
     ping.configure(exe_a.create_proxy(1, echo_tid), payload_size, rounds + warmup)
-    ping.kick()
-    guard = 0
-    while ping.remaining > 0:
-        worked = exe_a.step() | exe_b.step()
-        guard = 0 if worked else guard + 1
-        if guard > 1000:
-            raise RuntimeError(
-                f"native ping-pong stalled with {ping.remaining} rounds left"
-            )
+    with instrument((exe_a, exe_b)):
+        ping.kick()
+        guard = 0
+        while ping.remaining > 0:
+            worked = exe_a.step() | exe_b.step()
+            guard = 0 if worked else guard + 1
+            if guard > 1000:
+                raise RuntimeError(
+                    f"native ping-pong stalled with {ping.remaining} rounds left"
+                )
     result = PingPongResult(payload_size, rounds, ping.rtts_ns[warmup:])
     if probes:
         result.stage_medians_us = {

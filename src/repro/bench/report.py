@@ -26,13 +26,3 @@ def format_table(
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def paper_vs_measured(
-    rows: Sequence[tuple[str, object, object]], *, title: str = ""
-) -> str:
-    """Three-column comparison table used throughout EXPERIMENTS.md."""
-    return format_table(
-        ["quantity", "paper", "measured"],
-        [list(r) for r in rows],
-        title=title,
-    )

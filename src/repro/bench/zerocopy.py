@@ -1,356 +1,104 @@
-"""X7 — copies per frame on the end-to-end zero-copy path.
+"""Ablation A2 — the zero-copy design choice (DESIGN.md §5.2).
 
-Paper §4: *"All communication employs a zero-copy scheme as the
-message buffers are taken from the executive's memory pool."*  After
-the frame-path refactor this is a measurable, gateable property:
+Paper §4: *"All communication employs a zero-copy scheme as the message
+buffers are taken from the executive's memory pool"*; §6.2 demands
+"buffer loaning techniques" from competitive middleware.
 
-* **intra-process transports** (loopback, queued) hand the sender's
-  pool block itself across executives — **0 payload copies** per
-  delivered frame;
-* **TCP** puts the frame's pool buffer on the wire with vectored
-  ``sendmsg`` and ``recv_into``s arriving frames straight into the
-  receiver's freshly allocated pool block — **exactly 1 copy per
-  node** (the receive side's copy off the wire; the send side is
-  0-copy).
-
-Copies are counted by the transports' own ``tx_copies``/``rx_copies``
-stats, so the gate catches any future regression that quietly
-re-introduces a serialisation step.  Pool conservation is asserted
-after every run: zero-copy must never mean leaked or double-freed
-blocks.
-
-The second half re-measures the native ping-pong (same quantity as
-``benchmarks/results/zerocopy_baseline.txt``: full round-trip µs, best
-of 3 runs) so the refactor's latency win is visible against the
-pre-refactor baseline.
-
-Run with ``python -m repro.bench zerocopy`` or, for the CI gate form::
-
-    python -m repro.bench.zerocopy --frames 64 --rounds 200 --gate \
-        --out benchmarks/results/zerocopy_e2e.txt
+Measured with real Python: moving a payload through the framework's
+send path with buffer loaning (write once into the loaned frame) versus
+a deliberately conventional pipeline that copies at each layer boundary
+(application buffer → message body → wire buffer), as a non-loaning
+stack must.  The gap widens with payload size — the architectural
+argument in one number.  (Copies on the *delivery* path are counted by
+the transports themselves and held to exact budgets by
+``tests/transports/test_conformance.py::test_copy_budget``.)
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from repro.bench.pingpong import run_native_pingpong
 from repro.bench.report import format_table
-from repro.core.device import Listener
 from repro.core.executive import Executive
-from repro.transports.agent import PeerTransportAgent
+from repro.i2o.frame import Frame
+from repro.i2o.tid import EXECUTIVE_TID, PTA_TID
 
-#: per-transport copy budget: (tx copies, rx copies) per delivered frame
-COPY_BUDGETS: dict[str, tuple[int, int]] = {
-    "loopback": (0, 0),
-    "queued": (0, 0),
-    "tcp": (0, 1),
-}
-
-PAYLOAD_SIZES = (1, 256, 1024, 4096, 65536)
-
-_RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-BASELINE_FILE = _RESULTS_DIR / "zerocopy_baseline.txt"
+#: 192 KB is a jumbo event fragment, near the 256 KB block maximum.
+DEFAULT_PAYLOADS = (64, 4096, 196608)
 
 
-class _Sink(Listener):
-    """Counts one-way deliveries; never replies."""
-
-    def __init__(self) -> None:
-        super().__init__("sink")
-        self.received = 0
-
-    def on_plugin(self) -> None:
-        self.bind(0x1, self._h)
-
-    def _h(self, frame) -> None:
-        if not frame.is_reply:
-            self.received += 1
-
-
-@dataclass
-class TransportCopyStats:
-    """Aggregated copy counters for one transport's one-way stream."""
-
-    transport: str
-    frames: int
-    tx_copies: int
-    rx_copies: int
-
-    @property
-    def copies_per_frame(self) -> float:
-        return (self.tx_copies + self.rx_copies) / self.frames
-
-    def violations(self) -> list[str]:
-        """Check against the transport's copy budget; empty if clean."""
-        budget = COPY_BUDGETS.get(self.transport)
-        if budget is None:
-            return []
-        problems = []
-        if self.tx_copies != budget[0] * self.frames:
-            problems.append(
-                f"{self.transport}: {self.tx_copies} tx copies for "
-                f"{self.frames} frames (budget {budget[0]}/frame)"
-            )
-        if self.rx_copies != budget[1] * self.frames:
-            problems.append(
-                f"{self.transport}: {self.rx_copies} rx copies for "
-                f"{self.frames} frames (budget {budget[1]}/frame)"
-            )
-        return problems
-
-
-def _collect(name, exes, pts, sink, frames) -> TransportCopyStats:
-    if sink.received != frames:
-        raise RuntimeError(
-            f"{name}: sink saw {sink.received} of {frames} frames"
-        )
-    for exe in exes.values():
-        exe.pool.check_conservation()
-        if exe.pool.in_flight != 0:
-            raise RuntimeError(
-                f"{name}: {exe.pool.in_flight} blocks still in flight"
-            )
-    return TransportCopyStats(
-        transport=name,
-        frames=frames,
-        tx_copies=sum(pt.tx_copies for pt in pts.values()),
-        rx_copies=sum(pt.rx_copies for pt in pts.values()),
+def loaned_send_path(exe: Executive, payload: bytes) -> int:
+    """Zero-copy: one write into pool memory, header set in place."""
+    frame = exe.frame_alloc(
+        len(payload), target=PTA_TID, initiator=EXECUTIVE_TID
     )
+    frame.payload[:] = payload  # the single, C-speed copy
+    total = frame.total_size
+    exe.frame_free(frame)
+    return total
 
 
-def _measure_stepped(name: str, frames: int) -> TransportCopyStats:
-    """Loopback or queued: one-way stream, single-threaded stepping."""
-    exes = {node: Executive(node=node) for node in range(2)}
-    pts: dict[int, object] = {}
-    if name == "loopback":
-        from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
-
-        network = LoopbackNetwork()
-        for node, exe in exes.items():
-            pts[node] = LoopbackTransport(network)
-            PeerTransportAgent.attach(exe).register(pts[node], default=True)
-    elif name == "queued":
-        from repro.transports.queued import QueuePair, QueueTransport
-
-        pair = QueuePair(0, 1)
-        for node, exe in exes.items():
-            pts[node] = QueueTransport(pair, name="q", mode="polling")
-            PeerTransportAgent.attach(exe).register(pts[node], default=True)
-    else:
-        raise ValueError(f"not a stepped transport: {name!r}")
-    sink = _Sink()
-    sink_tid = exes[1].install(sink)
-    sender = Listener("sender")
-    exes[0].install(sender)
-    peer = exes[0].create_proxy(1, sink_tid)
-    for i in range(frames):
-        sender.send(peer, b"x" * 128, xfunction=0x1)
-    for _ in range(100_000):
-        if sink.received == frames and all(e.idle for e in exes.values()):
-            break
-        if not any(exe.step() for exe in exes.values()):
-            break
-    return _collect(name, exes, pts, sink, frames)
+def copying_send_path(payload: bytes) -> int:
+    """The conventional pipeline: app buffer -> message -> wire."""
+    message_body = bytes(payload)  # copy 1: into the message object
+    frame = Frame.build(
+        target=PTA_TID, initiator=EXECUTIVE_TID, payload=message_body
+    )
+    wire = frame.tobytes()  # copy 2: into the wire buffer
+    staging = bytearray(wire)  # copy 3: the transport's own buffer
+    return len(staging)
 
 
-def _measure_tcp(frames: int) -> TransportCopyStats:
-    """TCP: threaded executives over real localhost sockets."""
-    from repro.transports.tcp import TcpTransport
-
-    exes = {node: Executive(node=node) for node in range(2)}
-    pts: dict[int, TcpTransport] = {}
-    for node, exe in exes.items():
-        pts[node] = TcpTransport(name="tcp")
-        PeerTransportAgent.attach(exe).register(pts[node], default=True)
-    pts[0].add_peer(1, "127.0.0.1", pts[1].bound_port)
-    pts[1].add_peer(0, "127.0.0.1", pts[0].bound_port)
-    sink = _Sink()
-    sink_tid = exes[1].install(sink)
-    sender = Listener("sender")
-    exes[0].install(sender)
-    peer = exes[0].create_proxy(1, sink_tid)
-    for exe in exes.values():
-        exe.start(poll_interval=0.001)
-    try:
-        for _ in range(frames):
-            sender.send(peer, b"x" * 128, xfunction=0x1)
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            if sink.received == frames and all(e.idle for e in exes.values()):
-                break
-            time.sleep(0.002)
-    finally:
-        for exe in exes.values():
-            exe.stop()
-        for pt in pts.values():
-            pt.shutdown()
-    return _collect("tcp", exes, pts, sink, frames)
-
-
-def measure_copies(transport: str, frames: int = 64) -> TransportCopyStats:
-    """Copy counters for one transport moving ``frames`` one-way frames."""
-    if transport == "tcp":
-        return _measure_tcp(frames)
-    return _measure_stepped(transport, frames)
-
-
-@dataclass
-class LatencyRow:
-    payload: int
-    rtt_us_mean: float
-    rtt_us_median: float
-
-
-def _measure_latency(rounds: int) -> list[LatencyRow]:
-    """Native ping-pong, full RTT µs, best of 3 runs per payload —
-    the exact quantity recorded in ``zerocopy_baseline.txt``."""
-    rows = []
-    for payload in PAYLOAD_SIZES:
-        best = None
-        for _ in range(3):
-            result = run_native_pingpong(payload, rounds)
-            mean = float(np.mean(result.rtts_ns)) / 1000.0
-            median = float(np.median(result.rtts_ns)) / 1000.0
-            if best is None or mean < best[0]:
-                best = (mean, median)
-        rows.append(LatencyRow(payload, best[0], best[1]))
-    return rows
-
-
-def _load_baseline() -> dict[int, tuple[float, float]]:
-    """Parse the pre-refactor baseline; {} when the file is absent."""
-    if not BASELINE_FILE.exists():
-        return {}
-    baseline: dict[int, tuple[float, float]] = {}
-    for line in BASELINE_FILE.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) >= 3:
-            baseline[int(parts[0])] = (float(parts[1]), float(parts[2]))
-    return baseline
+def _median_ns(fn, *args, repeats: int) -> float:
+    samples = np.empty(repeats, dtype=np.int64)
+    for i in range(repeats):
+        t0 = time.perf_counter_ns()
+        fn(*args)
+        samples[i] = time.perf_counter_ns() - t0
+    return float(np.median(samples))
 
 
 @dataclass
 class ZeroCopyResult:
-    frames: int
-    rounds: int
-    copy_stats: list[TransportCopyStats]
-    latencies: list[LatencyRow]
-    baseline: dict[int, tuple[float, float]] = field(default_factory=dict)
+    payloads: list[int] = field(default_factory=list)
+    loaned_ns: list[float] = field(default_factory=list)
+    copying_ns: list[float] = field(default_factory=list)
 
     @property
-    def violations(self) -> list[str]:
-        problems: list[str] = []
-        for stat in self.copy_stats:
-            problems.extend(stat.violations())
-        return problems
+    def ratios(self) -> list[float]:
+        """Copy chain cost over buffer loaning cost, per payload."""
+        return [c / l for c, l in zip(self.copying_ns, self.loaned_ns)]
 
     def report(self) -> str:
-        copy_rows = []
-        for stat in self.copy_stats:
-            budget = COPY_BUDGETS.get(stat.transport)
-            copy_rows.append(
-                (
-                    stat.transport,
-                    stat.frames,
-                    stat.tx_copies,
-                    stat.rx_copies,
-                    f"{stat.copies_per_frame:.2f}",
-                    f"{budget[0] + budget[1]}" if budget else "-",
-                    "ok" if not stat.violations() else "VIOLATION",
-                )
-            )
-        sections = [
-            format_table(
-                ["transport", "frames", "tx copies", "rx copies",
-                 "copies/frame", "budget", "gate"],
-                copy_rows,
-                title=(
-                    "X7: payload copies per delivered frame "
-                    f"({self.frames} one-way frames)"
-                ),
+        rows = [
+            (p, f"{l:.0f}", f"{c:.0f}", f"{r:.2f}x")
+            for p, l, c, r in zip(
+                self.payloads, self.loaned_ns, self.copying_ns, self.ratios
             )
         ]
-        lat_rows = []
-        for row in self.latencies:
-            base = self.baseline.get(row.payload)
-            if base:
-                delta = (base[0] - row.rtt_us_mean) / base[0] * 100.0
-                lat_rows.append(
-                    (row.payload, f"{row.rtt_us_mean:.2f}",
-                     f"{row.rtt_us_median:.2f}", f"{base[0]:.2f}",
-                     f"{delta:+.1f}%")
-                )
-            else:
-                lat_rows.append(
-                    (row.payload, f"{row.rtt_us_mean:.2f}",
-                     f"{row.rtt_us_median:.2f}", "-", "-")
-                )
-        sections.append(
-            format_table(
-                ["payload B", "rtt µs mean", "rtt µs median",
-                 "baseline mean", "improvement"],
-                lat_rows,
-                title=(
-                    "native ping-pong, full RTT "
-                    f"(best of 3 × {self.rounds} rounds) vs pre-refactor "
-                    "baseline"
-                ),
-            )
+        return format_table(
+            ["payload B", "buffer loaning ns", "copy chain ns", "ratio"],
+            rows,
+            title="A2: the zero-copy design choice, real Python "
+            "(send path, ns/message median)",
         )
-        return "\n\n".join(sections)
 
 
-def run_zerocopy(frames: int = 64, rounds: int = 400) -> ZeroCopyResult:
-    """The full X7 experiment: copy gate + latency comparison."""
-    copy_stats = [
-        measure_copies(name, frames) for name in ("loopback", "queued", "tcp")
-    ]
-    return ZeroCopyResult(
-        frames=frames,
-        rounds=rounds,
-        copy_stats=copy_stats,
-        latencies=_measure_latency(rounds),
-        baseline=_load_baseline(),
-    )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.zerocopy",
-        description="X7: copies-per-frame gate and zero-copy latency.",
-    )
-    parser.add_argument("--frames", type=int, default=64,
-                        help="one-way frames per transport (default 64)")
-    parser.add_argument("--rounds", type=int, default=400,
-                        help="ping-pong rounds per latency run (default 400)")
-    parser.add_argument("--gate", action="store_true",
-                        help="exit non-zero on any copy-budget violation")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the report to this file")
-    args = parser.parse_args(argv)
-    result = run_zerocopy(frames=args.frames, rounds=args.rounds)
-    report = result.report()
-    print(report)
-    violations = result.violations
-    for violation in violations:
-        print(f"GATE VIOLATION: {violation}", file=sys.stderr)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(report + "\n")
-    if args.gate and violations:
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def run_zerocopy(
+    payloads: tuple[int, ...] = DEFAULT_PAYLOADS, repeats: int = 300
+) -> ZeroCopyResult:
+    exe = Executive(node=0)
+    result = ZeroCopyResult()
+    for size in payloads:
+        payload = bytes(size)
+        result.payloads.append(size)
+        result.loaned_ns.append(
+            _median_ns(loaned_send_path, exe, payload, repeats=repeats)
+        )
+        result.copying_ns.append(
+            _median_ns(copying_send_path, payload, repeats=repeats)
+        )
+    return result

@@ -2,17 +2,33 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
+from repro.bench import __main__ as cli
 from repro.bench.__main__ import EXPERIMENTS, main
+from repro.bench.overhead import ARMS, GATES, OverheadResult, run_overhead
+
+DESIGN = Path(__file__).parents[2] / "DESIGN.md"
 
 
 def test_experiment_registry_covers_design_index():
-    """Every experiment id from DESIGN.md's table has a runner."""
-    for exp_id in ("fig6", "tab1", "alloc", "orb", "ptmodes", "dispatch",
-                   "pcififo", "multirail", "native", "daqscale",
-                   "telemetry"):
-        assert exp_id in EXPERIMENTS
+    """DESIGN §4's "Regenerate with" column and the CLI's registry name
+    exactly the same experiment ids."""
+    section = DESIGN.read_text(encoding="utf-8").split(
+        "## 4. Per-experiment index"
+    )[1].split("\n## ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    regenerate = [row.split("|")[-2] for row in rows[1:]]
+    ids = {
+        exp_id
+        for cell in regenerate
+        for exp_id in re.findall(r"python -m repro\.bench (\w+)", cell)
+    }
+    assert len(regenerate) >= 17  # F6 T1 A1 A2 B1 X1-X11 N1
+    assert ids == set(EXPERIMENTS)
 
 
 def test_cli_runs_one_experiment(capsys):
@@ -23,35 +39,61 @@ def test_cli_runs_one_experiment(capsys):
     assert "done in" in out
 
 
-def test_telemetry_overhead_gate(capsys):
-    """The X6 benchmark runs standalone and enforces its ratio gate."""
-    from repro.bench.telemetry import main as telemetry_main
+def _overhead_result(off_over_floor: float) -> OverheadResult:
+    ns: dict[str, dict[str, float]] = {}
+    for arm in ARMS:
+        ns.setdefault(arm.load, {})[arm.name] = 1000.0
+    ns["drain"]["off"] = 1000.0 * off_over_floor
+    # Keep recording/off at 1.0 so only the gate under test can trip.
+    ns["drain"]["recording"] = ns["drain"]["off"]
+    return OverheadResult(ns=ns)
 
-    code = telemetry_main(["--messages", "400", "--repeats", "1",
-                           "--max-ratio", "1000"])
-    assert code == 0
+
+def test_gate_trips_when_exceeded(monkeypatch, capsys):
+    """The gate is a pure function of the result; ``--gate`` turns a
+    violation into exit status 1."""
+    assert [limit for *_, limit in GATES] == [1.25, 2.0, 1.5]
+    assert _overhead_result(1.2).violations() == []
+    (violation,) = _overhead_result(1.3).violations()
+    assert "off/floor" in violation and "1.25" in violation
+    for ratio, code in ((1.2, 0), (1.3, 1)):
+        monkeypatch.setitem(
+            EXPERIMENTS, "overhead",
+            ("synthetic", lambda ratio=ratio: _overhead_result(ratio)),
+        )
+        assert main(["overhead", "--gate"]) == code
+        assert ("GATE VIOLATION" in capsys.readouterr().err) == bool(code)
+        assert main(["overhead"]) == 0  # ungated, a report is just a report
+
+
+def test_ungated_result_never_violates():
+    class Plain:
+        def report(self) -> str:
+            return ""
+
+    assert cli.violations(Plain()) == []
+
+
+def test_overhead_smoke(monkeypatch, capsys):
+    """``main(["overhead"])`` end to end, at tiny size."""
+    monkeypatch.setitem(
+        EXPERIMENTS, "overhead",
+        ("tiny", lambda: run_overhead(messages=200, rounds=20, repeats=1)),
+    )
+    assert main(["overhead"]) == 0
     out = capsys.readouterr().out
-    assert "off/floor ratio" in out
-    for column in ("floor", "off", "traced", "timed"):
-        assert column in out
-
-
-def test_telemetry_gate_trips_when_exceeded(capsys):
-    from repro.bench.telemetry import main as telemetry_main
-
-    # An impossible threshold: any measured ratio exceeds 0.
-    code = telemetry_main(["--messages", "200", "--repeats", "1",
-                           "--max-ratio", "0"])
-    assert code == 1
+    assert "X6/X9" in out and "X11" in out and "gates:" in out
 
 
 def test_cli_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+    for gone in ("telemetry", "flightrec", "profile"):
+        assert gone not in EXPERIMENTS
 
 
 def test_report_formatting():
-    from repro.bench.report import format_table, paper_vs_measured
+    from repro.bench.report import format_table
 
     table = format_table(["a", "bb"], [[1, 22], [333, 4]], title="T")
     lines = table.splitlines()
@@ -59,9 +101,6 @@ def test_report_formatting():
     assert lines[1].split() == ["a", "bb"]
     # Right-aligned columns line up.
     assert lines[4].index("333") < lines[4].index("4")
-
-    compare = paper_vs_measured([("x", 1, 2)], title="C")
-    assert "paper" in compare and "measured" in compare
 
 
 def test_format_table_empty_rows():

@@ -185,6 +185,95 @@ class TestMultirail:
         assert 10 <= result.one_rail_mb_s <= 60
 
 
+class TestDaqScale:
+    @pytest.fixture(scope="class")
+    def result(self):
+        from repro.bench.daqscale import run_daqscale
+
+        # run_config raises if any event is lost at any scale.
+        return run_daqscale(events=40)
+
+    def test_assembled_bandwidth_scales_with_cluster(self, result):
+        """The reason to distribute the processing task at all (paper
+        §1): aggregate assembled bandwidth grows with RUxBU."""
+        assert len(result.configs) == 4
+        by_config = dict(zip(result.configs, result.assembled_mb_s))
+        assert by_config[(2, 2)] > 1.5 * by_config[(1, 1)]
+        assert by_config[(4, 4)] > 2.5 * by_config[(1, 1)]
+
+    def test_crossing_traffic_message_count(self, result):
+        """Per event the wire carries n readout + 1 allocate + n request
+        + n fragment + 1 done + n clear = 4n+2 messages (minus purely
+        local hops on shared nodes)."""
+        for (n_ru, _), msgs in zip(result.configs, result.wire_messages):
+            assert 3 * n_ru <= msgs / 40 <= 4 * n_ru + 2
+
+
+class TestNative:
+    @pytest.fixture(scope="class")
+    def result(self):
+        from repro.bench.native import run_native
+
+        return run_native(payloads=(1, 256, 1024, 4096), rounds=100)
+
+    def test_rtt_nearly_flat_in_payload(self, result):
+        """Figure 6's finding at Python magnitude: per-message constant
+        cost dominates; the C-speed copies are nearly invisible."""
+        assert max(result.rtt_us_median) < 3 * min(result.rtt_us_median)
+
+    def test_whitebox_stages_present(self, result):
+        assert set(result.stage_medians_us) >= {
+            "pt_processing", "demultiplex", "upcall", "application",
+            "postprocess", "frame_alloc", "frame_free",
+        }
+
+
+class TestZeroCopyAblation:
+    def test_loaning_beats_copy_chain_at_daq_payloads(self):
+        from repro.bench.zerocopy import run_zerocopy
+
+        result = run_zerocopy(payloads=(196608,), repeats=100)
+        assert result.ratios[0] > 1.5
+        assert "196608" in result.report()
+
+    def test_both_paths_move_the_same_frame(self):
+        from repro.bench.zerocopy import copying_send_path, loaned_send_path
+        from repro.core.executive import Executive
+        from repro.i2o.frame import HEADER_SIZE
+
+        payload = bytes(4096)
+        assert (
+            loaned_send_path(Executive(node=0), payload)
+            == copying_send_path(payload)
+            == HEADER_SIZE + 4096
+        )
+
+
+class TestBackpressure:
+    def test_capped_arms_bounded_and_conserving(self):
+        from repro.bench.backpressure import run_backpressure
+
+        # 32 frames emitted per round against 16 dispatched per step.
+        result = run_backpressure(n_sinks=2, rounds=20, burst=16, credits=4)
+        assert result.violations() == []
+        for name in ("park", "shed"):
+            stats = result.stats[name]
+            assert stats.peak_queue <= stats.bound == 8
+            assert stats.delivered + stats.shed == stats.emitted
+        assert result.stats["uncapped"].peak_queue > 8
+
+
+class TestOverhead:
+    def test_reports_every_arm(self):
+        from repro.bench.overhead import ARMS, run_overhead
+
+        result = run_overhead(messages=200, rounds=20, repeats=1)
+        text = result.report()
+        for arm in ARMS:
+            assert result.ns[arm.load][arm.name] > 0
+            assert arm.name in text
+
+
 class TestCostModels:
     def test_fig6_with_optimised_model_drops_overhead(self):
         base = run_fig6(payloads=(512, 2048), rounds=30)
