@@ -33,9 +33,8 @@ from repro.analysis.violations import Severity, Violation
 BASELINE_VERSION = 1
 #: rules that the baseline refuses to pin (ownership/dispatch bugs)
 NEVER_BASELINE_PREFIXES = ("OWN", "DSP", "RACE")
-#: exact rules outside those prefixes that are also never pinned —
-#: DFL001 (hand wiring, a warning) stays baselinable while the
-#: contract-conformance errors DFL002/DFL003 must be fixed
+#: exact rules outside those prefixes that are also never pinned:
+#: the contract-conformance errors DFL002/DFL003 must be fixed
 NEVER_BASELINE_RULES = frozenset({"DFL002", "DFL003"})
 
 

@@ -10,7 +10,6 @@ OWN003   frame/block released twice on one path
 DSP001   ``table.bind`` with a code not in ``repro.i2o.function_codes``
 TID001   raw integer literal where a TiD is expected
 EXC001   broad ``except`` that swallows exceptions
-DFL001   hand-wired route instead of a declared dataflow route
 DFL002   emission of a message type absent from declared ``emits``
 DFL003   handler bound for a type matching neither ``consumes``
          nor ``emits``

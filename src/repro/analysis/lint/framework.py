@@ -14,13 +14,6 @@
   anything: the paper's bounded-handler discipline (§3.2) demands that
   dispatch-path failures are *handled* (counted, logged, replied to),
   never silently discarded.
-* **DFL001** — a ``<device>.connect(...)`` call whose arguments build
-  proxies inline (``.proxy(...)`` / ``.create_proxy(...)``).  Devices
-  declare ``consumes``/``emits`` now; topology belongs in a bootstrap
-  spec with a ``dataflow`` section, where the DAG analysis can see it —
-  hand-threading proxy TiDs through ``connect()`` bypasses every
-  diagnostic.  Baselinable: harness-internal wiring that predates the
-  declarations carries a ``# repro: noqa DFL001``.
 """
 
 from __future__ import annotations
@@ -96,11 +89,10 @@ class FrameworkVisitor(ast.NodeVisitor):
             )
         )
 
-    # -- DSP001 + TID001 + DFL001 ------------------------------------------
+    # -- DSP001 + TID001 ---------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         self._check_dispatch_binding(node)
         self._check_tid_literals(node)
-        self._check_hand_wired_route(node)
         self.generic_visit(node)
 
     def _check_dispatch_binding(self, node: ast.Call) -> None:
@@ -164,35 +156,6 @@ class FrameworkVisitor(ast.NodeVisitor):
                     "constant (EXECUTIVE_TID, PTA_TID, a proxy)",
                     keyword.arg,
                 )
-
-    def _check_hand_wired_route(self, node: ast.Call) -> None:
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "connect"):
-            return
-        for arg in list(node.args) + [k.value for k in node.keywords]:
-            for child in ast.walk(arg):
-                if (
-                    isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr in ("proxy", "create_proxy")
-                ):
-                    receiver = func.value
-                    detail = (
-                        receiver.attr
-                        if isinstance(receiver, ast.Attribute)
-                        else receiver.id
-                        if isinstance(receiver, ast.Name)
-                        else "connect"
-                    )
-                    self._report(
-                        "DFL001",
-                        node,
-                        "hand-wired route: connect() builds proxies "
-                        "inline; declare consumes/emits and let a "
-                        "'dataflow' bootstrap section derive the route",
-                        detail,
-                    )
-                    return
 
     # -- EXC001 ------------------------------------------------------------
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:

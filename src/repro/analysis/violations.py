@@ -52,11 +52,6 @@ RULES: dict[str, tuple[Severity, str]] = {
         Severity.WARNING,
         "broad except swallows exceptions inside a dispatch path",
     ),
-    "DFL001": (
-        Severity.WARNING,
-        "hand-wired route: connect() fed proxy TiDs instead of a "
-        "declared dataflow route",
-    ),
     "DFL002": (
         Severity.ERROR,
         "device emits a message type absent from its declared emits",

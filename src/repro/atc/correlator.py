@@ -67,14 +67,6 @@ class TrackCorrelator(Listener):
         #: (a, b) pairs currently in conflict, to avoid alert storms
         self._active_conflicts: set[tuple[int, int]] = set()
 
-    def connect(self, console_tid: Tid) -> None:
-        self.connect_route(
-            MT_TRACK_UPDATE, {"console": console_tid}, replace=True
-        )
-        self.connect_route(
-            MT_CONFLICT_ALERT, {"console": console_tid}, replace=True
-        )
-
     @property
     def console_tid(self) -> Tid | None:
         targets = self.dataflow_targets(MT_TRACK_UPDATE)

@@ -48,11 +48,6 @@ class RadarSource(SchemaListenerMixin, Listener):
         self.reports_sent = 0
         self._timer_id: int | None = None
 
-    def connect(self, correlator_tid: Tid) -> None:
-        self.connect_route(
-            MT_POSITION, {"correlator": correlator_tid}, replace=True
-        )
-
     @property
     def correlator_tid(self) -> Tid | None:
         targets = self.dataflow_targets(MT_POSITION)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from repro.core.device import Listener
 from repro.core.executive import Executive
 from repro.dataflow.registry import _unregister, message_type
-from repro.dataflow.routing import CreditLedger, DataflowOutbox
+from repro.dataflow.wiring import wire_dataflow
 from repro.bench.report import format_table
 
 DEFAULT_SINKS = 4
@@ -58,10 +58,6 @@ class _BurstSink(Listener):
             self.received += 1
 
 
-class _BurstSource(Listener):
-    device_class = "bench_source"
-
-
 @dataclass
 class _RunStats:
     emitted: int = 0
@@ -72,15 +68,6 @@ class _RunStats:
     bound: int | None = None  # None: uncapped
 
 
-def _burst_type(policy: str):
-    # Identical re-registration is idempotent, so repeated runs in one
-    # process are fine; each run unregisters its type on completion.
-    return message_type(
-        f"bench.burst-{policy}", XF_BURST, mode="fanout",
-        on_saturation=policy,
-    )
-
-
 def _run_config(
     *,
     credits: int | None,
@@ -89,29 +76,27 @@ def _run_config(
     rounds: int = DEFAULT_ROUNDS,
     burst: int = DEFAULT_BURST,
 ) -> _RunStats:
-    mtype = _burst_type(policy)
+    # Identical re-registration is idempotent, so repeated runs in one
+    # process are fine; each run unregisters its type on completion.
+    mtype = message_type(
+        f"bench.burst-{policy}", XF_BURST, mode="fanout",
+        on_saturation=policy,
+    )
     exe = Executive(node=0)
-    ledger = CreditLedger()
-    outbox = DataflowOutbox(exe, ledger)
-    exe.attach(ledger)
-    exe.dataflow_outbox = outbox
-    exe._pollable.append(outbox)
-
-    source = _BurstSource("src")
+    # The run's type is declared per instance, then the routes (and,
+    # when capped, one ``credits``-wide edge per sink) are derived.
+    source = Listener("src")
+    source.emits = (mtype,)
     exe.install(source)
     sinks = [_BurstSink(f"sink{i}") for i in range(n_sinks)]
-    targets, edges = {}, {}
     for sink in sinks:
+        sink.consumes = (mtype,)
         exe.install(sink)
-        targets[sink.name] = sink.tid
-        if credits is not None:
-            edges[sink.name] = ledger.register_edge(
-                mtype, sink.name, source.name, exe.node,
-                sink.name, exe.node, sink.tid, credits,
-            )
-    source.connect_route(
-        mtype, targets, edges=edges if credits is not None else None
-    )
+    if credits is None:
+        _, ledger = wire_dataflow({0: exe}, backpressure=False)
+    else:
+        _, ledger = wire_dataflow({0: exe}, edge_credits=credits)
+    outbox = exe.dataflow_outbox
 
     stats = _RunStats(
         bound=None if credits is None else credits * n_sinks

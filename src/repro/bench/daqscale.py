@@ -23,7 +23,8 @@ from repro.core.executive import Executive
 from repro.core.probes import CostModel
 from repro.core.simnode import SimNode
 from repro.daq import BuilderUnit, EventManager, ReadoutUnit, TriggerSource
-from repro.hw.myrinet import Fabric, MyrinetParams
+from repro.dataflow import wire_dataflow
+from repro.hw.myrinet import Fabric
 from repro.sim.kernel import Simulator
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.simgm import SimGmTransport
@@ -60,14 +61,12 @@ def run_config(
     *,
     events: int = 200,
     mean_fragment: int = 2048,
-    params: MyrinetParams | None = None,
 ) -> tuple[float, float, int]:
     """One configuration; returns (events/s, assembled MB/s, wire msgs)."""
     sim = Simulator()
     n_nodes = 1 + n_ru + n_bu
-    fabric = Fabric(sim, params, ports=max(16, n_nodes))
+    fabric = Fabric(sim, ports=max(16, n_nodes))
     exes: dict[int, Executive] = {}
-    nodes: dict[int, SimNode] = {}
     for node in range(n_nodes):
         exe = Executive(node=node)
         sim_node = SimNode(sim, exe, cost_model=CostModel.paper_table1())
@@ -76,29 +75,21 @@ def run_config(
             default=True,
         )
         sim_node.attach_transport_hooks()
-        exes[node], nodes[node] = exe, sim_node
+        exes[node] = exe
 
     evm, trigger = EventManager(), TriggerSource()
-    evm_tid = exes[0].install(evm)
+    exes[0].install(evm)
     exes[0].install(trigger)
-    trigger.connect(evm_tid)
-    rus = {i: ReadoutUnit(ru_id=i, mean_fragment=mean_fragment)
-           for i in range(n_ru)}
-    ru_tids = {i: exes[1 + i].install(ru) for i, ru in rus.items()}
-    bus = {i: BuilderUnit(bu_id=i) for i in range(n_bu)}
-    bu_tids = {i: exes[1 + n_ru + i].install(bu) for i, bu in bus.items()}
-    evm.connect(  # repro: noqa DFL001
-        {i: exes[0].create_proxy(1 + i, t) for i, t in ru_tids.items()},
-        {i: exes[0].create_proxy(1 + n_ru + i, t)
-         for i, t in bu_tids.items()},
-    )
-    for i, bu in bus.items():
-        node = 1 + n_ru + i
-        bu.connect(  # repro: noqa DFL001
-            exes[node].create_proxy(0, evm_tid),
-            {j: exes[node].create_proxy(1 + j, t)
-             for j, t in ru_tids.items()},
+    for i in range(n_ru):
+        exes[1 + i].install(
+            ReadoutUnit(ru_id=i, mean_fragment=mean_fragment)
         )
+    bus = [BuilderUnit(bu_id=i) for i in range(n_bu)]
+    for i, bu in enumerate(bus):
+        exes[1 + n_ru + i].install(bu)
+    # Uncapped routes: every trigger fires in one burst at t=0, far
+    # past any credit window.
+    wire_dataflow(exes, backpressure=False)
 
     # Burst-drive: all triggers at t=0; batch completion time = last
     # event's completion, so rate = events / makespan.
@@ -109,7 +100,7 @@ def run_config(
             f"{n_ru}x{n_bu}: only {evm.completed}/{events} events built"
         )
     makespan_s = sim.now / 1e9
-    assembled_bytes = sum(bu.bytes_built for bu in bus.values())
+    assembled_bytes = sum(bu.bytes_built for bu in bus)
     return (
         events / makespan_s,
         assembled_bytes / makespan_s / 1e6,

@@ -19,9 +19,6 @@ class LinearFit:
     intercept: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
-
     def __str__(self) -> str:
         return (
             f"y = {self.slope:+.6g}*x + {self.intercept:.4g} "

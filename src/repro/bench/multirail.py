@@ -13,7 +13,6 @@ two rails approach 2x the delivered bandwidth.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from repro.bench.report import format_table
@@ -28,7 +27,6 @@ from repro.transports.agent import PeerTransportAgent
 from repro.transports.simgm import SimGmTransport
 
 XF_DATA = 0x0030
-_SEQ = struct.Struct("<Q")
 
 
 class _Source(Listener):

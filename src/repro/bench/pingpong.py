@@ -38,14 +38,6 @@ class PingPongResult:
     def one_way_us_mean(self) -> float:
         return float(np.mean(self.rtts_ns)) / 2.0 / 1000.0
 
-    @property
-    def one_way_us_median(self) -> float:
-        return float(np.median(self.rtts_ns)) / 2.0 / 1000.0
-
-    @property
-    def one_way_us_std(self) -> float:
-        return float(np.std(self.rtts_ns)) / 2.0 / 1000.0
-
 
 @dataclass
 class GmCluster:

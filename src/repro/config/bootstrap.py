@@ -45,7 +45,7 @@ from __future__ import annotations
 import importlib
 import os
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from repro.config.schema import (
     DATAFLOW_SCHEMA,
@@ -79,7 +79,6 @@ class UnknownDeviceError(BootstrapError, KeyError):
     """
 
     def __init__(self, name: str, available: Any) -> None:
-        self.device_name = name
         names = ", ".join(sorted(map(str, available))) or "<none>"
         self.message = f"no device named {name!r}; available: {names}"
         super().__init__(self.message)
@@ -245,6 +244,39 @@ def _join_transport(cluster: Cluster, kind: str) -> None:
         raise BootstrapError(f"unknown transport kind {kind!r}")
 
 
+def _nodes_of(spec: dict[str, Any]) -> dict[Any, Any]:
+    nodes_spec = spec.get("nodes")
+    if not isinstance(nodes_spec, dict) or not nodes_spec:
+        raise BootstrapError("spec needs a non-empty 'nodes' mapping")
+    return nodes_spec
+
+
+def spec_devices(spec: dict[str, Any]) -> Iterator[tuple[int, str, Listener]]:
+    """Construct every device the spec names, in node order, as
+    ``(node, name, device)``: ``params`` applied, nothing installed
+    (``python -m repro.dataflow`` only reads their declarations)."""
+    seen: set[str] = set()
+    for node, node_spec in sorted(_nodes_of(spec).items()):
+        for dev_spec in node_spec.get("devices", ()):
+            cls = _load_class(dev_spec["class"])
+            kwargs = dict(dev_spec.get("kwargs", {}))
+            name = dev_spec.get("name")
+            if name:
+                kwargs.setdefault("name", name)
+            device = cls(**kwargs)
+            if name is None:
+                name = device.name
+            if name in seen:
+                raise BootstrapError(f"duplicate device name {name!r}")
+            seen.add(name)
+            params = dev_spec.get("params")
+            if params:
+                device.parameters.update(
+                    {k: str(v) for k, v in params.items()}
+                )
+            yield int(node), name, device
+
+
 def bootstrap(spec: dict[str, Any]) -> Cluster:
     """Build a cluster from a declarative specification."""
     known = {"transport", "nodes", *(name for name, _ in _SECTIONS)}
@@ -254,33 +286,13 @@ def bootstrap(spec: dict[str, Any]) -> Cluster:
             f"unknown spec keys {sorted(unknown)}; "
             f"known keys: {sorted(known)}"
         )
-    nodes_spec = spec.get("nodes")
-    if not isinstance(nodes_spec, dict) or not nodes_spec:
-        raise BootstrapError("spec needs a non-empty 'nodes' mapping")
     cluster = Cluster()
-    for node in sorted(nodes_spec):
+    for node in sorted(_nodes_of(spec)):
         cluster.executives[int(node)] = Executive(node=int(node))
     _join_transport(cluster, spec.get("transport", "loopback"))
-    for node, node_spec in sorted(nodes_spec.items()):
-        exe = cluster.executives[int(node)]
-        for dev_spec in node_spec.get("devices", ()):  # type: ignore[union-attr]
-            cls = _load_class(dev_spec["class"])
-            kwargs = dict(dev_spec.get("kwargs", {}))
-            name = dev_spec.get("name")
-            if name:
-                kwargs.setdefault("name", name)
-            device = cls(**kwargs)
-            if name is None:
-                name = device.name
-            if name in cluster.devices:
-                raise BootstrapError(f"duplicate device name {name!r}")
-            params = dev_spec.get("params")
-            if params:
-                device.parameters.update(
-                    {k: str(v) for k, v in params.items()}
-                )
-            tid = exe.install(device)
-            cluster.devices[name] = (int(node), tid, device)
+    for node, name, device in spec_devices(spec):
+        tid = cluster.executives[node].install(device)
+        cluster.devices[name] = (node, tid, device)
     for name, wire in _SECTIONS:
         conf = spec.get(name)
         if conf is None:
@@ -348,9 +360,10 @@ def _wire_durability(cluster: Cluster, conf: dict[str, Any]) -> None:
     attached (and, because the device is already installed, recovery
     runs immediately: a pre-existing journal replays its unacked sends
     right here).  Every ``daq_eventmanager`` device gets
-    ``<dir>/<name>.snapshot``; EVM restore stays explicit — call
-    ``evm.recover()`` after ``connect()`` — because restoring before
-    the RU/BU wiring exists would relaunch events into the void.
+    ``<dir>/<name>.snapshot``; EVM restore stays explicit (call
+    ``evm.recover()`` on the booted cluster): the ``dataflow`` section
+    wires the RU/BU routes after this one, and restoring before they
+    exist would relaunch events into the void.
     """
     from repro.durable.segments import SegmentStore, SnapshotStore
 
@@ -507,86 +520,19 @@ def _wire_dataflow(cluster: Cluster, conf: dict[str, Any]) -> None:
             "backpressure": True,   # False = routes only, uncapped
         }
 
-    The static graph is built from every *installed* device (including
-    ones other sections added, e.g. telemetry agents), analysed, and —
-    when clean — lowered to per-device
-    :class:`~repro.dataflow.routing.TypeRoutes`: local consumers by
-    TiD, remote ones by proxy.  With backpressure on, each edge gets a
-    credit window of the consumer's ``queue_capacity`` (or the spec's
-    ``edge_credits``) split across the consumer's fan-in for that type,
-    and every node gets a bounded
-    :class:`~repro.dataflow.routing.DataflowOutbox` retried from the
-    executive's poll loop.
+    The section is one call to :func:`repro.dataflow.wire_dataflow`
+    over every *installed* device — including the ones the sections
+    before it added, e.g. telemetry agents.
     """
-    from repro.dataflow.graph import DataflowGraph, node_for_device
-    from repro.dataflow.routing import CreditLedger, DataflowOutbox, Edge
+    from repro.dataflow.wiring import wire_dataflow
 
     merged = _section_options(DATAFLOW_SCHEMA, "dataflow", conf)
-    edge_credits = int(merged["edge_credits"])
-    park_limit = int(merged["park_limit"])
-    backpressure = bool(merged["backpressure"])
-
-    placed = {}
-    for name, (node, _tid, device) in sorted(cluster.devices.items()):
-        dn = node_for_device(name, node, device)
-        if dn is not None:
-            placed[name] = dn
-    graph = DataflowGraph(placed.values())
-    cluster.dataflow_graph = graph
-    diagnostics = graph.analyze()
-    if diagnostics and bool(merged["strict"]):
-        rendered = "; ".join(d.render() for d in diagnostics)
-        raise BootstrapError(
-            f"dataflow analysis rejected the topology: {rendered}"
+    try:
+        cluster.dataflow_graph, cluster.dataflow_ledger = wire_dataflow(
+            cluster.executives, **merged
         )
-
-    ledger = CreditLedger()
-    cluster.dataflow_ledger = ledger
-    for node in sorted(cluster.executives):
-        exe = cluster.executives[node]
-        exe.attach(ledger)
-        outbox = DataflowOutbox(exe, ledger, limit=park_limit)
-        exe.dataflow_outbox = outbox
-        exe._pollable.append(outbox)
-        exe.metrics.gauge("dataflow_credits_available",
-                          lambda n=node: ledger.credits_available(n))
-        exe.metrics.gauge("dataflow_parked", lambda o=outbox: o.depth)
-        exe.metrics.gauge("dataflow_parked_total",
-                          lambda o=outbox: o.parked_total)
-        exe.metrics.gauge("dataflow_shed_total",
-                          lambda n=node: ledger.shed(n))
-        exe.metrics.gauge("dataflow_resumed_total",
-                          lambda n=node: ledger.resumed(n))
-
-    for name, dn in placed.items():
-        node, _tid, device = cluster.devices[name]
-        exe = cluster.executives[node]
-        for tname in dn.emits:
-            mtype = graph.type_of(tname)
-            consumers = graph.consumers_of(tname)
-            if not consumers:
-                continue  # diagnosed above; reachable only non-strict
-            targets: dict[Any, Tid] = {}
-            edges: dict[Any, Edge] | None = {} if backpressure else None
-            for consumer in consumers:
-                c_node, c_tid, c_device = cluster.devices[consumer.name]
-                if c_node == node:
-                    targets[consumer.key] = c_tid
-                else:
-                    targets[consumer.key] = exe.create_proxy(c_node, c_tid)
-                if edges is not None:
-                    capacity = getattr(c_device, "queue_capacity", None)
-                    if capacity is None:
-                        capacity = edge_credits
-                    fan_in = max(1, graph.fan_in(consumer.name, tname))
-                    edges[consumer.key] = ledger.register_edge(
-                        mtype, consumer.key, name, node,
-                        consumer.name, c_node, c_tid,
-                        max(1, int(capacity) // fan_in),
-                    )
-            device.connect_route(mtype, targets, edges=edges, replace=True)
-    for name in placed:
-        cluster.devices[name][2].on_dataflow_connected()
+    except I2OError as exc:
+        raise BootstrapError(str(exc)) from exc
 
 
 #: Optional spec sections in wiring order: ``profiling`` after

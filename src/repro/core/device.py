@@ -87,7 +87,7 @@ class Listener:
     #: Dataflow contract — the message types this class receives and
     #: originates.  Bootstrap reads these to build the static DAG and
     #: derive route tables; an empty contract means the device stays
-    #: outside the dataflow layer entirely (hand wiring still works).
+    #: outside the dataflow layer entirely.
     consumes: "tuple[MessageType, ...]" = ()
     emits: "tuple[MessageType, ...]" = ()
     #: Inbound queue share (frames) granted to this device's consumed
@@ -194,6 +194,50 @@ class Listener:
             flags=flags,
         )
 
+    def _post(
+        self,
+        target: Tid,
+        function: int,
+        xfunction: int,
+        priority: int,
+        flags: int,
+        organization: int,
+        transaction_context: int,
+        initiator_context: int,
+        size: int,
+        payload: bytes | bytearray | memoryview | None,
+        writer: Callable[[memoryview], None] | None,
+    ) -> Frame:
+        """The one frame-post path under :meth:`send`, :meth:`reply`,
+        :meth:`emit` and their ``*_into`` forms: loan a frame, fill it
+        (copy ``payload`` in, or let ``writer`` build it in place),
+        stamp the contexts, post.  A fill that raises frees the frame.
+        Positional on purpose: this runs once per message."""
+        exe = self._require_live()
+        frame = exe.frame_alloc(
+            size,
+            target=target,
+            initiator=self.tid,
+            function=function,
+            xfunction=xfunction,
+            priority=priority,
+            flags=flags,
+            organization=organization,
+        )
+        try:
+            if size:
+                if writer is None:
+                    frame.payload[:] = payload
+                else:
+                    writer(frame.payload)
+            frame.transaction_context = transaction_context
+            frame.initiator_context = initiator_context
+        except BaseException:
+            exe.frame_free(frame)
+            raise
+        exe.frame_send(frame)
+        return frame
+
     def send(
         self,
         target: Tid,
@@ -207,22 +251,11 @@ class Listener:
         organization: int = 0,
     ) -> Frame:
         """frameSend: build a pool frame carrying ``payload`` and post it."""
-        exe = self._require_live()
-        frame = exe.frame_alloc(
-            len(payload),
-            target=target,
-            initiator=self.tid,
-            function=function,
-            xfunction=xfunction,
-            priority=priority,
-            organization=organization,
+        return self._post(
+            target, function, xfunction, priority, 0, organization,
+            transaction_context, initiator_context,
+            len(payload), payload, None,
         )
-        if len(payload):
-            frame.payload[:] = payload
-        frame.transaction_context = transaction_context
-        frame.initiator_context = initiator_context
-        exe.frame_send(frame)
-        return frame
 
     def send_into(
         self,
@@ -241,26 +274,11 @@ class Listener:
         directly in the loaned frame instead of handing over assembled
         bytes.  ``writer`` raising frees the frame; nothing is posted.
         """
-        exe = self._require_live()
-        frame = exe.frame_alloc(
-            payload_size,
-            target=target,
-            initiator=self.tid,
-            function=function,
-            xfunction=xfunction,
-            priority=priority,
-            organization=organization,
+        return self._post(
+            target, function, xfunction, priority, 0, organization,
+            transaction_context, initiator_context,
+            payload_size, None, writer,
         )
-        try:
-            if payload_size:
-                writer(frame.payload)
-            frame.transaction_context = transaction_context
-            frame.initiator_context = initiator_context
-        except BaseException:
-            exe.frame_free(frame)
-            raise
-        exe.frame_send(frame)
-        return frame
 
     # -- typed dataflow API ---------------------------------------------------
     def connect_route(
@@ -275,9 +293,10 @@ class Listener:
 
         ``targets`` maps consumer ``dataflow_key`` -> TiD and is held
         by reference — callers may share one live dict between types so
-        a supervision drop updates all of them.  Bootstrap calls this
-        from the declarations; tests and legacy paths may hand-wire the
-        same structure.
+        a supervision drop updates all of them.
+        :func:`~repro.dataflow.wiring.wire_dataflow` calls this from
+        the declarations; a single-device unit test may install the
+        same structure directly.
         """
         from repro.dataflow.routing import TypeRoutes
 
@@ -301,32 +320,42 @@ class Listener:
         return routes.targets if routes is not None else {}
 
     def drop_route_target(
-        self,
-        key: Any,
-        *,
-        types: "tuple[MessageType | str, ...] | None" = None,
+        self, key: Any, *, types: "tuple[MessageType, ...]"
     ) -> int:
         """Supervision hook: the consumer keyed ``key`` died — remove
-        it from the installed route tables (reclaiming its credits)
-        and return how many tables dropped it.  ``types`` restricts
-        the drop to the named message types (keys are only unique per
-        type: ru 0 and bu 0 are different consumers)."""
+        it from the route tables of ``types`` (reclaiming its credits)
+        and return how many tables dropped it.  The types are named
+        because keys are only unique per type: ru 0 and bu 0 are
+        different consumers."""
         exe = self.executive
         ledger = exe.dataflow if exe is not None else None
-        names = None if types is None else {
-            t if isinstance(t, str) else t.name for t in types
-        }
         dropped = 0
-        for name, routes in self._type_routes.items():
-            if names is not None and name not in names:
-                continue
-            if routes.drop(key, ledger):
+        for mtype in types:
+            routes = self._type_routes.get(mtype.name)
+            if routes is not None and routes.drop(key, ledger):
                 dropped += 1
         return dropped
 
+    def drop_unreachable_targets(
+        self, node: int, *, types: "tuple[MessageType, ...]"
+    ) -> list[Any]:
+        """Supervision hook: ``node`` died — drop every target of
+        ``types`` (which share their keys) whose route is parked or
+        still leads there after discovery's failover pass; a proxy
+        that was re-bound elsewhere is kept.  Returns the keys."""
+        exe = self._require_live()
+        dead = []
+        for key, tid in self.dataflow_targets(types[0]).items():
+            route = exe.route_for(tid)
+            if route is not None and (route.parked or route.node == node):
+                dead.append(key)
+        for key in dead:
+            self.drop_route_target(key, types=types)
+        return dead
+
     def on_dataflow_connected(self) -> None:
-        """Override: bootstrap finished installing this device's route
-        tables (all ``connect_route`` calls done, graph analysed)."""
+        """Override: this device's route tables are installed (all
+        ``connect_route`` calls done, graph analysed)."""
 
     def emit(
         self,
@@ -342,22 +371,15 @@ class Listener:
         ``mode="one"`` needs no key (there is a single consumer);
         ``mode="keyed"`` selects one consumer by ``key``;
         ``mode="fanout"`` posts one frame per installed target.  When
-        bootstrap wired backpressure, a saturated edge parks the
+        the routes carry backpressure edges, a saturated edge parks the
         payload in the node's outbox or sheds it, per the type's
         ``on_saturation`` policy.  Returns the number of frames posted
         *now* (parked/shed emissions are not counted).
         """
-        routes = self._routes_required(mtype)
-        if mtype.mode == "fanout":
-            keys = list(routes.targets)
-        else:
-            keys = [self._resolve_key(routes, key)]
-        sent = 0
-        for k in keys:
-            if self._emit_to(routes, k, payload,
-                             transaction_context, initiator_context):
-                sent += 1
-        return sent
+        return self._emit(
+            mtype, len(payload), payload, None, key,
+            transaction_context, initiator_context,
+        )
 
     def emit_into(
         self,
@@ -373,6 +395,23 @@ class Listener:
         payload directly in the loaned frame (once per target on
         fanout; also once into a scratch buffer if the emission must
         be parked or shed, so the writer must be repeatable)."""
+        return self._emit(
+            mtype, payload_size, None, writer, key,
+            transaction_context, initiator_context,
+        )
+
+    def _emit(
+        self,
+        mtype: "MessageType",
+        size: int,
+        payload: bytes | bytearray | memoryview | None,
+        writer: Callable[[memoryview], None] | None,
+        key: Any | None,
+        transaction_context: int,
+        initiator_context: int,
+    ) -> int:
+        """The one emit loop: resolve the keys, take a credit per
+        target, post — or park/shed where the edge is saturated."""
         routes = self._routes_required(mtype)
         if mtype.mode == "fanout":
             keys = list(routes.targets)
@@ -380,23 +419,27 @@ class Listener:
             keys = [self._resolve_key(routes, key)]
         exe = self._require_live()
         ledger = exe.dataflow
+        edges = routes.edges
         sent = 0
         for k in keys:
-            edge = routes.edges.get(k) if routes.edges is not None else None
+            edge = edges.get(k) if edges is not None else None
             if edge is not None and ledger is not None \
                     and not ledger.try_acquire(edge):
-                scratch = bytearray(payload_size)
-                if payload_size:
-                    writer(memoryview(scratch))
-                self._saturated(exe, routes, k, edge, bytes(scratch),
+                if writer is None:
+                    held = bytes(payload)  # type: ignore[arg-type]
+                else:
+                    scratch = bytearray(size)
+                    if size:
+                        writer(memoryview(scratch))
+                    held = bytes(scratch)
+                self._saturated(exe, routes, k, edge, held,
                                 transaction_context, initiator_context)
                 continue
-            self.send_into(
-                routes.targets[k], payload_size, writer,
-                xfunction=mtype.xfunction, function=mtype.function,
-                priority=mtype.priority, organization=mtype.organization,
-                transaction_context=transaction_context,
-                initiator_context=initiator_context,
+            self._post(
+                routes.targets[k], mtype.function, mtype.xfunction,
+                mtype.priority, 0, mtype.organization,
+                transaction_context, initiator_context,
+                size, payload, writer,
             )
             sent += 1
         return sent
@@ -406,8 +449,8 @@ class Listener:
         if routes is None:
             raise I2OError(
                 f"device {self.name!r} has no route for message type "
-                f"{mtype.name!r}; declare it in 'emits' and bootstrap "
-                f"with a consumer, or connect_route() by hand"
+                f"{mtype.name!r}; declare it in 'emits' and wire the "
+                f"cluster (bootstrap, or repro.dataflow.wire_dataflow)"
             )
         return routes
 
@@ -428,33 +471,6 @@ class Listener:
             )
         return next(iter(routes.targets))
 
-    def _emit_to(
-        self,
-        routes: "TypeRoutes",
-        key: Any,
-        payload: bytes | bytearray | memoryview,
-        transaction_context: int,
-        initiator_context: int,
-    ) -> bool:
-        exe = self._require_live()
-        mtype = routes.mtype
-        edge = routes.edges.get(key) if routes.edges is not None else None
-        if edge is not None:
-            ledger = exe.dataflow
-            if ledger is not None and not ledger.try_acquire(edge):
-                return self._saturated(
-                    exe, routes, key, edge, bytes(payload),
-                    transaction_context, initiator_context,
-                )
-        self.send(
-            routes.targets[key], payload,
-            xfunction=mtype.xfunction, function=mtype.function,
-            priority=mtype.priority, organization=mtype.organization,
-            transaction_context=transaction_context,
-            initiator_context=initiator_context,
-        )
-        return True
-
     def _saturated(
         self,
         exe: "Executive",
@@ -464,7 +480,7 @@ class Listener:
         payload: bytes,
         transaction_context: int,
         initiator_context: int,
-    ) -> bool:
+    ) -> None:
         """The edge is out of credits: park or shed per policy."""
         from repro.flightrec.records import (
             EV_DATAFLOW_PARK,
@@ -474,31 +490,21 @@ class Listener:
 
         mtype = routes.mtype
         outbox = exe.dataflow_outbox
-        recorder = exe.flightrec
-        if (
+        parked = (
             mtype.on_saturation == "park"
             and outbox is not None
             and outbox.park(self, mtype, key, payload,
                             transaction_context, initiator_context)
-        ):
-            if recorder is not None:
-                recorder.record(
-                    EV_DATAFLOW_PARK,
-                    pack3(edge.consumer_node, edge.consumer_tid,
-                          mtype.xfunction),
-                    outbox.depth,
-                )
-            return False
-        if exe.dataflow is not None:
+        )
+        if not parked and exe.dataflow is not None:
             exe.dataflow.note_shed(exe.node)
-        if recorder is not None:
-            recorder.record(
-                EV_DATAFLOW_SHED,
+        if exe.flightrec is not None:
+            exe.flightrec.record(
+                EV_DATAFLOW_PARK if parked else EV_DATAFLOW_SHED,
                 pack3(edge.consumer_node, edge.consumer_tid,
                       mtype.xfunction),
                 outbox.depth if outbox is not None else 0,
             )
-        return False
 
     def reply(
         self,
@@ -508,23 +514,13 @@ class Listener:
         fail: bool = False,
     ) -> Frame:
         """frameReply: answer ``request``, echoing its contexts."""
-        exe = self._require_live()
-        frame = exe.frame_alloc(
-            len(payload),
-            target=request.initiator,
-            initiator=self.tid,
-            function=request.function,
-            xfunction=request.xfunction,
-            priority=request.priority,
-            flags=FLAG_REPLY | (FLAG_FAIL if fail else 0),
-            organization=request.organization,
+        return self._post(
+            request.initiator, request.function, request.xfunction,
+            request.priority, FLAG_REPLY | (FLAG_FAIL if fail else 0),
+            request.organization,
+            request.transaction_context, request.initiator_context,
+            len(payload), payload, None,
         )
-        if len(payload):
-            frame.payload[:] = payload
-        frame.initiator_context = request.initiator_context
-        frame.transaction_context = request.transaction_context
-        exe.frame_send(frame)
-        return frame
 
     def reply_into(
         self,
@@ -536,27 +532,13 @@ class Listener:
     ) -> Frame:
         """frameReply, zero-copy form: like :meth:`send_into` but
         echoing ``request``'s addressing and contexts."""
-        exe = self._require_live()
-        frame = exe.frame_alloc(
-            payload_size,
-            target=request.initiator,
-            initiator=self.tid,
-            function=request.function,
-            xfunction=request.xfunction,
-            priority=request.priority,
-            flags=FLAG_REPLY | (FLAG_FAIL if fail else 0),
-            organization=request.organization,
+        return self._post(
+            request.initiator, request.function, request.xfunction,
+            request.priority, FLAG_REPLY | (FLAG_FAIL if fail else 0),
+            request.organization,
+            request.transaction_context, request.initiator_context,
+            payload_size, None, writer,
         )
-        try:
-            if payload_size:
-                writer(frame.payload)
-            frame.initiator_context = request.initiator_context
-            frame.transaction_context = request.transaction_context
-        except BaseException:
-            exe.frame_free(frame)
-            raise
-        exe.frame_send(frame)
-        return frame
 
     def bind(self, xfunction: int, handler: Handler) -> None:
         """Bind a private message of this application class."""

@@ -532,9 +532,6 @@ class Executive:
                 )
         return self._routes[proxy_tid]
 
-    def is_local(self, tid: Tid) -> bool:
-        return tid in self._devices
-
     # ------------------------------------------------------------------
     # frame API (the narrow component interface of paper §1)
     # ------------------------------------------------------------------

@@ -54,9 +54,6 @@ class InterruptController:
         if tid in listeners:
             listeners.remove(tid)
 
-    def listeners(self, irq: int) -> list[Tid]:
-        return list(self._listeners.get(irq, ()))
-
     # -- delivery ---------------------------------------------------------
     def raise_irq(self, irq: int, payload: bytes = b"") -> int:
         """Inject interrupt ``irq``; returns the number of deliveries.

@@ -65,8 +65,6 @@ class PeerHealth:
     state: PeerState = PeerState.ALIVE
     misses: int = 0  # consecutive intervals without a beat
     rejoin_hits: int = 0  # consecutive beats while DEAD
-    beats_seen: int = 0
-    last_seen_ns: int = 0
     deaths: int = 0
 
 
@@ -117,9 +115,6 @@ class PeerTable:
         """Start tracking ``node`` (idempotent); peers begin ALIVE."""
         return self._peers.setdefault(node, PeerHealth())
 
-    def forget(self, node: int) -> None:
-        self._peers.pop(node, None)
-
     def nodes(self) -> list[int]:
         return sorted(self._peers)
 
@@ -156,11 +151,9 @@ class PeerTable:
         self._on_suspect.append(callback)
 
     # -- evidence ----------------------------------------------------------
-    def heartbeat_seen(self, node: int, now_ns: int = 0) -> None:
+    def heartbeat_seen(self, node: int) -> None:
         """A beat from ``node`` arrived."""
         peer = self.watch(node)
-        peer.beats_seen += 1
-        peer.last_seen_ns = now_ns
         peer.misses = 0
         if peer.state is PeerState.DEAD:
             peer.rejoin_hits += 1
@@ -282,11 +275,6 @@ class HeartbeatService(SchemaListenerMixin, Listener):
         self._beat_routes[node] = exe.route_for(beat_target)
         exe.peers.watch(node)
 
-    def unmonitor(self, node: int) -> None:
-        self._targets.pop(node, None)
-        self._beat_routes.pop(node, None)
-        self._require_live().peers.forget(node)
-
     # -- operation ---------------------------------------------------------
     def start(self) -> None:
         """Apply thresholds and begin beating; idempotent."""
@@ -342,7 +330,7 @@ class HeartbeatService(SchemaListenerMixin, Listener):
         exe = self._require_live()
         self.beats_received += 1
         exe.metrics.inc("hb_beats_received_total")
-        exe.peers.heartbeat_seen(node, exe.clock.now_ns())
+        exe.peers.heartbeat_seen(node)
         self._seen_since_tick.add(node)
 
     # -- the failover cascade ---------------------------------------------

@@ -1,9 +1,8 @@
 """The metrics registry: counters, gauges and fixed-bucket histograms.
 
 The paper's system-management claim (§2) is that every component is
-observable "according to one common scheme".  PR 1 grew ad-hoc event
-counters (``Probes.counters``); this module replaces them with typed
-instruments that one ``UtilParamsGet`` sweep can export verbatim:
+observable "according to one common scheme": typed instruments that
+one ``UtilParamsGet`` sweep can export verbatim:
 
 * :class:`Counter` — a monotonically increasing event count;
 * :class:`Gauge` — a point-in-time value, either set explicitly or
@@ -347,19 +346,7 @@ def prometheus_lines(
     into a proper ``le`` label so Prometheus tooling sees a native
     histogram series.
     """
-    base = ",".join(f'{k}="{v}"' for k, v in labels.items())
-    lines: list[str] = []
-    for key in sorted(flat, key=_bucket_sort_key):
-        value = flat[key]
-        name, sep, bound = key.partition("_bucket_le_")
-        if sep:
-            le = "+Inf" if bound == "inf" else bound.replace("p", ".").replace("m", "-")
-            labelset = f'{base},le="{le}"' if base else f'le="{le}"'
-            lines.append(f"repro_{name}_bucket{{{labelset}}} {_fmt_value(value)}")
-        else:
-            suffix = f"{{{base}}}" if base else ""
-            lines.append(f"repro_{key}{suffix} {_fmt_value(value)}")
-    return lines
+    return _exposition_lines(flat, labels, {})
 
 
 def openmetrics_lines(
@@ -369,13 +356,25 @@ def openmetrics_lines(
 ) -> list[str]:
     """Render a flat snapshot in OpenMetrics text format.
 
-    Identical line shape to :func:`prometheus_lines` except that label
-    values are escaped per the OpenMetrics ABNF, bucket lines whose
-    histogram captured an exemplar grow the
+    Identical line shape to :func:`prometheus_lines` except that
+    bucket lines whose histogram captured an exemplar grow the
     `` # {trace_id="..."} value timestamp`` suffix, and the exposition
     ends with ``# EOF``.
     """
-    by_name = {h.name: h for h in histograms}
+    lines = _exposition_lines(flat, labels, {h.name: h for h in histograms})
+    lines.append("# EOF")
+    return lines
+
+
+def _exposition_lines(
+    flat: Mapping[str, float],
+    labels: Mapping[str, object],
+    exemplar_sources: Mapping[str, Histogram],
+) -> list[str]:
+    """The one exposition renderer under both text formats: sorted
+    series, ``le`` folded out of the bucket keys, label values escaped
+    (both ABNFs demand the same three escapes), exemplars appended to
+    the bucket lines of the histograms in ``exemplar_sources``."""
     base = ",".join(
         f'{k}="{openmetrics_escape(str(v))}"' for k, v in labels.items()
     )
@@ -384,23 +383,24 @@ def openmetrics_lines(
         value = flat[key]
         name, sep, bound = key.partition("_bucket_le_")
         if sep:
-            le = "+Inf" if bound == "inf" else bound.replace("p", ".").replace("m", "-")
+            le = "+Inf" if bound == "inf" else _bound_text(bound)
             labelset = f'{base},le="{le}"' if base else f'le="{le}"'
             line = f"repro_{name}_bucket{{{labelset}}} {_fmt_value(value)}"
-            hist = by_name.get(name)
+            hist = exemplar_sources.get(name)
             if hist is not None:
-                numeric = float("inf") if bound == "inf" else float(
-                    bound.replace("p", ".").replace("m", "-")
-                )
-                ex = hist.exemplar_for(numeric)
+                ex = hist.exemplar_for(float(le))
                 if ex is not None:
                     line += _exemplar_suffix(ex)
             lines.append(line)
         else:
             suffix = f"{{{base}}}" if base else ""
             lines.append(f"repro_{key}{suffix} {_fmt_value(value)}")
-    lines.append("# EOF")
     return lines
+
+
+def _bound_text(bound: str) -> str:
+    """A bucket bound back from its metric-name-safe spelling."""
+    return bound.replace("p", ".").replace("m", "-")
 
 
 def openmetrics_escape(value: str) -> str:
@@ -426,7 +426,7 @@ def _bucket_sort_key(key: str) -> tuple[str, float, str]:
     if bound == "inf":
         return (name, float("inf"), "")
     try:
-        return (name, float(bound.replace("p", ".").replace("m", "-")), "")
+        return (name, float(_bound_text(bound)), "")
     except ValueError:  # pragma: no cover - defensive
         return (name, float("inf"), bound)
 

@@ -118,9 +118,6 @@ class Probes:
         self._samples: dict[str, list[int]] = {}
         self._stages = stages
         self._accrued_ns = 0
-        #: named event counters (liveness, failover, ...), live in every
-        #: mode — counting is cheap enough for the hot path.
-        self.counters: dict[str, int] = {}
         self._jitter_rng = None
         if model is not None and model.jitter_frac > 0.0:
             from repro.sim.rng import RngStreams
@@ -152,12 +149,6 @@ class Probes:
         if self.mode == "wall":
             return _WallSpan(self, stage)
         return _ModelSpan(self, stage)
-
-    def bump(self, name: str, count: int = 1) -> int:
-        """Increment a named event counter; returns the new value."""
-        value = self.counters.get(name, 0) + count
-        self.counters[name] = value
-        return value
 
     def _record(self, stage: str, duration_ns: int) -> None:
         if self._stages is not None and stage not in self._stages:
@@ -214,7 +205,6 @@ class Probes:
 
     def reset(self) -> None:
         self._samples.clear()
-        self.counters.clear()
         self._accrued_ns = 0
 
 

@@ -97,9 +97,5 @@ class MessagingInstance:
         return len(self._inbound)
 
     @property
-    def outbound_depth(self) -> int:
-        return len(self._outbound)
-
-    @property
     def idle(self) -> bool:
         return not self._inbound and not self._outbound

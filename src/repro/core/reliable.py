@@ -423,11 +423,11 @@ class ReliableEndpoint(Listener):
         self._transmit(seq, target, payload)
 
     # -- failover ------------------------------------------------------------
-    def abort_node(self, node: int) -> int:
+    def on_peer_dead(self, node: int) -> int:
         """Abort every in-flight message routed to ``node``.
 
-        The supervision layer calls this (via ``on_peer_dead``) when a
-        peer is declared DEAD: the retransmit timers are disarmed and
+        The supervision cascade calls this hook when a peer is
+        declared DEAD: the retransmit timers are disarmed and
         each aborted message is reported through ``on_failed`` exactly
         like an exhausted retry.  The payload handed to ``on_failed``
         is snapshotted (``bytes``) at abort time, so the callback may
@@ -451,9 +451,6 @@ class ReliableEndpoint(Listener):
             if self.on_failed is not None:
                 self.on_failed(seq, target, bytes(payload))
         return len(doomed)
-
-    # The supervision cascade's uniform hook name.
-    on_peer_dead = abort_node
 
     def export_counters(self) -> dict[str, object]:
         return {

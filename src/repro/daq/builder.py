@@ -8,11 +8,10 @@ name), verifies each fragment's CRC and identity, and reports
 
 from __future__ import annotations
 
-import struct
-
 from repro.core.device import Listener
 from repro.daq.events import parse_fragment
 from repro.daq.protocol import (
+    EVENT_ID,
     MT_ALLOCATE,
     MT_EVENT_DONE,
     MT_REQUEST_FRAGMENT,
@@ -22,8 +21,6 @@ from repro.daq.protocol import (
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.i2o.tid import Tid
-
-_EVENT_ID = struct.Struct("<Q")
 
 
 class BuilderUnit(Listener):
@@ -46,12 +43,6 @@ class BuilderUnit(Listener):
         #: completed events kept for inspection (bounded)
         self.completed: list[tuple[int, int]] = []  # (event_id, size)
         self.keep_completed = 1024
-
-    def connect(self, evm_tid: Tid, ru_tids: dict[int, Tid]) -> None:
-        """Hand-wire the route tables (legacy path; bootstrap derives
-        the same structure from the declarations)."""
-        self.connect_route(MT_EVENT_DONE, {"evm": evm_tid}, replace=True)
-        self.connect_route(MT_REQUEST_FRAGMENT, dict(ru_tids), replace=True)
 
     @property
     def ru_tids(self) -> dict[int, Tid]:
@@ -76,9 +67,9 @@ class BuilderUnit(Listener):
             return
         if not self.ru_tids:
             raise I2OError(f"builder {self.name} has no readout units")
-        (event_id,) = _EVENT_ID.unpack_from(frame.payload, 0)
+        (event_id,) = EVENT_ID.unpack_from(frame.payload, 0)
         self._pending[event_id] = {}
-        self.emit(MT_REQUEST_FRAGMENT, _EVENT_ID.pack(event_id))
+        self.emit(MT_REQUEST_FRAGMENT, EVENT_ID.pack(event_id))
 
     def _on_fragment_reply(self, frame: Frame) -> None:
         if not frame.is_reply:
@@ -110,7 +101,7 @@ class BuilderUnit(Listener):
         if len(self.completed) < self.keep_completed:
             self.completed.append((event_id, size))
         if self.dataflow_targets(MT_EVENT_DONE):
-            self.emit(MT_EVENT_DONE, _EVENT_ID.pack(event_id))
+            self.emit(MT_EVENT_DONE, EVENT_ID.pack(event_id))
 
     # -- supervision hook ---------------------------------------------------
     def on_peer_dead(self, node: int) -> None:
@@ -119,20 +110,11 @@ class BuilderUnit(Listener):
         failover pass), then re-check every pending event: an event
         that was only waiting for the dead slice completes with the
         fragments the surviving units supplied."""
-        exe = self.executive
-        if exe is None:
-            return
-        dead = []
-        for ru_id, tid in self.ru_tids.items():
-            route = exe.route_for(tid)
-            if route is not None and (route.parked or route.node == node):
-                dead.append(ru_id)
-        if not dead:
-            return
-        for ru_id in dead:
-            self.drop_route_target(ru_id, types=(MT_REQUEST_FRAGMENT,))
+        dead = self.drop_unreachable_targets(
+            node, types=(MT_REQUEST_FRAGMENT,)
+        )
         self.readouts_dropped += len(dead)
-        if not self.ru_tids:
+        if not dead or not self.ru_tids:
             return
         for event_id, fragments in list(self._pending.items()):
             if len(fragments) >= len(self.ru_tids):
@@ -145,7 +127,3 @@ class BuilderUnit(Listener):
             "corrupt": self.corrupt,
             "in_flight": len(self._pending),
         }
-
-    @property
-    def in_flight_events(self) -> int:
-        return len(self._pending)

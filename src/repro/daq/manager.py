@@ -9,11 +9,11 @@ XDAQ.
 
 from __future__ import annotations
 
-import struct
 from typing import TYPE_CHECKING, Any
 
 from repro.core.device import Listener
 from repro.daq.protocol import (
+    EVENT_ID,
     MT_ALLOCATE,
     MT_CLEAR,
     MT_EVENT_DONE,
@@ -29,7 +29,6 @@ from repro.i2o.tid import Tid
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.durable.segments import SnapshotStore
 
-_EVENT_ID = struct.Struct("<Q")
 
 #: Version stamp inside every EVM snapshot; bump on layout change.
 SNAPSHOT_VERSION = 1
@@ -56,7 +55,7 @@ class EventManager(Listener):
     event table, builder ring position, per-event reassignment counts
     and the completed/lost history — after every state-changing
     dispatch.  A replacement EVM on a restarted node calls
-    :meth:`recover` after :meth:`connect` and resumes building against
+    :meth:`recover` once its routes are wired and resumes building against
     the still-intact readout buffers: in-flight events are re-launched
     (READOUT is idempotent on the RUs, ALLOCATE restarts the builder
     cleanly) and re-delivered triggers for events it already knows are
@@ -100,21 +99,8 @@ class EventManager(Listener):
         #: traffic to persist a snapshot after every mutation
         self.snapshot_store: "SnapshotStore | None" = None
 
-    def connect(self, ru_tids: dict[int, Tid], bu_tids: dict[int, Tid]) -> None:
-        """Hand-wire the route tables (legacy path; bootstrap derives
-        the same structure from the declarations).  READOUT and CLEAR
-        share one live dict, so a dropped readout unit leaves both."""
-        if not ru_tids or not bu_tids:
-            raise I2OError("event manager needs at least one RU and one BU")
-        shared_rus = dict(ru_tids)
-        self.connect_route(MT_READOUT, shared_rus, replace=True)
-        self.connect_route(MT_CLEAR, shared_rus, replace=True)
-        self.connect_route(MT_ALLOCATE, dict(bu_tids), replace=True)
-        self._rr = sorted(bu_tids)
-        self._rr_index = 0
-
     def on_dataflow_connected(self) -> None:
-        """Bootstrap installed the declared routes: build the ring."""
+        """The declared routes are installed: build the builder ring."""
         self._rr = sorted(self.bu_tids)
         self._rr_index = 0
 
@@ -144,7 +130,7 @@ class EventManager(Listener):
     def _on_trigger(self, frame: Frame) -> None:
         if frame.is_reply:
             return
-        (event_id,) = _EVENT_ID.unpack_from(frame.payload, 0)
+        (event_id,) = EVENT_ID.unpack_from(frame.payload, 0)
         self.intake_trigger(event_id)
 
     def intake_trigger(self, event_id: int) -> None:
@@ -180,7 +166,7 @@ class EventManager(Listener):
         self._autosave()
 
     def _launch(self, event_id: int, avoid: int | None = None) -> None:
-        payload = _EVENT_ID.pack(event_id)
+        payload = EVENT_ID.pack(event_id)
         # 1. tell every readout unit to capture its slice (idempotent:
         #    an RU regenerates deterministically and keeps existing
         #    buffers, so re-launching after a timeout is safe even when
@@ -203,7 +189,7 @@ class EventManager(Listener):
             self._deadlines[event_id] = self.start_timer(
                 self.event_timeout_ns, context=event_id
             )
-        self.emit(MT_ALLOCATE, _EVENT_ID.pack(event_id), key=bu_id)
+        self.emit(MT_ALLOCATE, EVENT_ID.pack(event_id), key=bu_id)
 
     def on_timer(self, context: int, frame: Frame) -> None:
         """Completion deadline passed: reassign or declare the event lost."""
@@ -216,7 +202,7 @@ class EventManager(Listener):
             self.lost_events.append(event_id)
             self._attempts.pop(event_id, None)
             # Free the readout buffers of the abandoned event.
-            self.emit(MT_CLEAR, _EVENT_ID.pack(event_id))
+            self.emit(MT_CLEAR, EVENT_ID.pack(event_id))
             self._release_throttled()
             self._autosave()
             return
@@ -227,7 +213,7 @@ class EventManager(Listener):
     def _on_done(self, frame: Frame) -> None:
         if frame.is_reply:
             return
-        (event_id,) = _EVENT_ID.unpack_from(frame.payload, 0)
+        (event_id,) = EVENT_ID.unpack_from(frame.payload, 0)
         if self._assigned.pop(event_id, None) is None:
             return  # duplicate completion
         timer_id = self._deadlines.pop(event_id, None)
@@ -238,7 +224,7 @@ class EventManager(Listener):
         if len(self.completed_ids) < self.keep_completed:
             self.completed_ids.append(event_id)
         self._completed_set.add(event_id)
-        self.emit(MT_CLEAR, _EVENT_ID.pack(event_id))
+        self.emit(MT_CLEAR, EVENT_ID.pack(event_id))
         self._release_throttled()
         self._autosave()
 
@@ -253,26 +239,14 @@ class EventManager(Listener):
         dead builder units leave the ring and their in-flight events
         are relaunched immediately rather than waiting for the timeout.
         """
-        exe = self.executive
-        if exe is None:
-            return
-
-        def unreachable(tid: Tid) -> bool:
-            route = exe.route_for(tid)
-            return route is not None and (route.parked or route.node == node)
-
-        dead_rus = [ru for ru, tid in self.ru_tids.items() if unreachable(tid)]
-        for ru_id in dead_rus:
-            self.drop_route_target(ru_id, types=(MT_READOUT, MT_CLEAR))
+        dead_rus = self.drop_unreachable_targets(
+            node, types=(MT_READOUT, MT_CLEAR)
+        )
         self.readouts_dropped += len(dead_rus)
-
-        dead_bus = [bu for bu, tid in self.bu_tids.items() if unreachable(tid)]
-        for bu_id in dead_bus:
-            self.drop_route_target(bu_id, types=(MT_ALLOCATE,))
+        dead_bus = self.drop_unreachable_targets(node, types=(MT_ALLOCATE,))
         self.builders_dropped += len(dead_bus)
         if dead_bus:
-            self._rr = sorted(self.bu_tids)
-            self._rr_index = 0
+            self.on_dataflow_connected()  # rebuild the ring
             orphans = sorted(
                 ev for ev, bu in self._assigned.items() if bu in dead_bus
             )
@@ -298,7 +272,7 @@ class EventManager(Listener):
         completed/lost history the post-restart dedup needs.  *Not*
         captured: armed timers (restore re-arms deadlines) and the
         RU/BU TiD maps (proxy TiDs are process-local; the replacement
-        EVM re-``connect``\\ s first).
+        EVM's routes are re-derived first).
         """
         return {
             "version": SNAPSHOT_VERSION,
@@ -319,7 +293,7 @@ class EventManager(Listener):
         """Adopt a snapshot; with ``relaunch`` (default), re-issue every
         in-flight event so building resumes immediately.
 
-        Call after :meth:`connect`: relaunching needs live RU/BU
+        Call once the routes are wired: relaunching needs live RU/BU
         routes.  READOUT is idempotent on the RUs (existing buffers
         are kept), and a fresh ALLOCATE resets the builder's partial
         state for the event, so re-launching an event that was mid
@@ -337,7 +311,8 @@ class EventManager(Listener):
         assigned = {int(k): int(v) for k, v in snap["assigned"].items()}
         if assigned and not self._rr:
             raise I2OError(
-                f"event manager {self.name}: connect() before restore()"
+                f"event manager {self.name}: no builder routes connected; "
+                f"wire the cluster before restore()"
             )
         self._assigned = assigned
         self._throttled = [int(x) for x in snap["throttled"]]
@@ -364,7 +339,7 @@ class EventManager(Listener):
         self._autosave()
 
     def _relaunch_assigned(self) -> None:
-        payloads = {ev: _EVENT_ID.pack(ev) for ev in self._assigned}
+        payloads = {ev: EVENT_ID.pack(ev) for ev in self._assigned}
         for event_id in sorted(self._assigned):
             bu_id = self._assigned[event_id]
             if bu_id not in self.bu_tids:

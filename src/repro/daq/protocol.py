@@ -14,9 +14,14 @@ dataflow stays a DAG, the control loop that closes it is explicit.
 
 from __future__ import annotations
 
+import struct
+
 from repro.dataflow.registry import message_type
 
 DAQ_ORG = 0xCE12  # 'CERN-ish' vendor id for the private class
+
+#: every control message's payload: the 64-bit event id
+EVENT_ID = struct.Struct("<Q")
 
 # trigger -> event manager
 XF_TRIGGER = 0x0101
@@ -30,8 +35,6 @@ XF_REQUEST_FRAGMENT = 0x0104
 XF_EVENT_DONE = 0x0105
 # event manager -> readout units: discard buffers of event N
 XF_CLEAR = 0x0106
-# monitor pull: report counters
-XF_REPORT = 0x0107
 
 MT_TRIGGER = message_type(
     "daq.trigger", XF_TRIGGER, organization=DAQ_ORG, mode="one",

@@ -11,11 +11,10 @@ event was built.
 
 from __future__ import annotations
 
-import struct
-
 from repro.core.device import Listener, RETAIN
 from repro.daq.events import synthesize_fragment
 from repro.daq.protocol import (
+    EVENT_ID,
     MT_CLEAR,
     MT_READOUT,
     MT_REQUEST_FRAGMENT,
@@ -24,8 +23,6 @@ from repro.daq.protocol import (
     XF_REQUEST_FRAGMENT,
 )
 from repro.i2o.frame import Frame
-
-_EVENT_ID = struct.Struct("<Q")
 
 
 class ReadoutUnit(Listener):
@@ -63,7 +60,7 @@ class ReadoutUnit(Listener):
     def _on_readout(self, frame: Frame) -> None:
         if frame.is_reply:
             return
-        (event_id,) = _EVENT_ID.unpack_from(frame.payload, 0)
+        (event_id,) = EVENT_ID.unpack_from(frame.payload, 0)
         if event_id not in self._buffers:
             self._buffers[event_id] = synthesize_fragment(
                 event_id, self.ru_id, mean=self.mean_fragment
@@ -77,7 +74,7 @@ class ReadoutUnit(Listener):
     def _on_request(self, frame: Frame) -> object:
         if frame.is_reply:
             return None
-        (event_id,) = _EVENT_ID.unpack_from(frame.payload, 0)
+        (event_id,) = EVENT_ID.unpack_from(frame.payload, 0)
         if event_id not in self._buffers:
             # Park the request until readout happens: keep the frame
             # alive past dispatch by taking ownership (RETAIN).
@@ -87,14 +84,14 @@ class ReadoutUnit(Listener):
         return None
 
     def _serve(self, request: Frame) -> None:
-        (event_id,) = _EVENT_ID.unpack_from(request.payload, 0)
+        (event_id,) = EVENT_ID.unpack_from(request.payload, 0)
         self.reply(request, self._buffers[event_id])
         self.served += 1
 
     def _on_clear(self, frame: Frame) -> None:
         if frame.is_reply:
             return
-        (event_id,) = _EVENT_ID.unpack_from(frame.payload, 0)
+        (event_id,) = EVENT_ID.unpack_from(frame.payload, 0)
         if self._buffers.pop(event_id, None) is not None:
             self.cleared += 1
 
@@ -118,4 +115,4 @@ class ReadoutUnit(Listener):
 
 
 def pack_event_id(event_id: int) -> bytes:
-    return _EVENT_ID.pack(event_id)
+    return EVENT_ID.pack(event_id)

@@ -12,15 +12,11 @@ event id to the event manager.  Two drive modes:
 
 from __future__ import annotations
 
-import struct
-
 from repro.core.device import Listener
-from repro.daq.protocol import MT_TRIGGER, XF_TRIGGER
+from repro.daq.protocol import EVENT_ID, MT_TRIGGER
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.i2o.tid import Tid
-
-_EVENT_ID = struct.Struct("<Q")
 
 
 class TriggerSource(Listener):
@@ -33,13 +29,11 @@ class TriggerSource(Listener):
         super().__init__(name)
         self.next_event_id = 1
         self.fired = 0
+        #: triggers a saturated route refused (never left this node)
+        self.shed = 0
         self.max_events: int | None = None
         self.parameters.setdefault("interval_ns", "0")
         self._timer_id: int | None = None
-
-    def connect(self, evm_tid: Tid) -> None:
-        """Point the trigger at the event manager (local or proxy TiD)."""
-        self.connect_route(MT_TRIGGER, {"evm": evm_tid}, replace=True)
 
     @property
     def evm_tid(self) -> Tid | None:
@@ -49,21 +43,34 @@ class TriggerSource(Listener):
         return next(iter(targets.values()), None)
 
     def export_counters(self) -> dict[str, object]:
-        return {"fired": self.fired, "next_event_id": self.next_event_id}
+        return {"fired": self.fired, "shed": self.shed,
+                "next_event_id": self.next_event_id}
 
     # -- manual drive ---------------------------------------------------------
-    def fire(self) -> int:
-        """Emit one trigger; returns the event id used."""
+    def fire(self) -> int | None:
+        """Emit one trigger; returns the event id used, or ``None``
+        when the saturated route shed it.  A shed trigger never left
+        this node, so it is counted in ``shed`` and consumes no event
+        id: ids stay dense over ``fired``.  (A *parked* trigger is on
+        its way and counts as fired.)"""
         if not self.dataflow_targets(MT_TRIGGER):
             raise I2OError("trigger is not connected to an event manager")
+        exe = self._require_live()
+        ledger = exe.dataflow
+        shed_before = ledger.shed(exe.node) if ledger is not None else 0
         event_id = self.next_event_id
+        self.emit(MT_TRIGGER, EVENT_ID.pack(event_id))
+        if ledger is not None and ledger.shed(exe.node) != shed_before:
+            self.shed += 1
+            return None
         self.next_event_id += 1
         self.fired += 1
-        self.emit(MT_TRIGGER, _EVENT_ID.pack(event_id))
         return event_id
 
     def fire_burst(self, count: int) -> list[int]:
-        return [self.fire() for _ in range(count)]
+        """``count`` attempts; the ids of the triggers that went out."""
+        fired = (self.fire() for _ in range(count))
+        return [event_id for event_id in fired if event_id is not None]
 
     # -- timer drive ------------------------------------------------------------
     def on_enable(self) -> None:
@@ -83,10 +90,3 @@ class TriggerSource(Listener):
         # Re-arm: context carries the interval.
         if context > 0:
             self._timer_id = self.start_timer(context, context=context)
-
-
-def unpack_trigger(frame: Frame) -> int:
-    """Extract the event id from an XF_TRIGGER frame."""
-    if frame.xfunction != XF_TRIGGER:
-        raise I2OError(f"not a trigger frame: xfunc 0x{frame.xfunction:04X}")
-    return _EVENT_ID.unpack_from(frame.payload, 0)[0]

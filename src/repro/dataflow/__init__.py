@@ -16,6 +16,8 @@ hierarchy):
 * :mod:`repro.dataflow.routing` — the runtime side: per-device route
   tables the typed ``emit`` API resolves, plus queue-capacity credit
   backpressure (shed/park on downstream saturation).
+* :mod:`repro.dataflow.wiring` — :func:`wire_dataflow` lowers the graph
+  to those route tables, for bootstrap and hand-assembled rigs alike.
 
 Routing is runtime, the DAG is analytic: ``emit`` never walks the
 graph — bootstrap derives plain TiD route tables from it once, so the
@@ -27,6 +29,7 @@ CLI: ``python -m repro.dataflow`` renders or checks a topology.
 from repro.dataflow.graph import DataflowGraph, DeviceNode, Diagnostic
 from repro.dataflow.registry import MessageType, lookup, message_type, registered
 from repro.dataflow.routing import CreditLedger, DataflowOutbox, Edge, TypeRoutes
+from repro.dataflow.wiring import wire_dataflow
 
 __all__ = [
     "CreditLedger",
@@ -40,4 +43,5 @@ __all__ = [
     "lookup",
     "message_type",
     "registered",
+    "wire_dataflow",
 ]

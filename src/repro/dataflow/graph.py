@@ -27,11 +27,10 @@ it into per-device :class:`~repro.dataflow.routing.TypeRoutes` once.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.dataflow.registry import MessageType, lookup
+from repro.dataflow.registry import lookup
 from repro.i2o.errors import I2OError
 
 
@@ -94,16 +93,9 @@ class DataflowGraph:
                 self._uses.setdefault(tname, _TypeUse()).consumers.append(dev)
 
     # -- structure ----------------------------------------------------------
-    def type_of(self, name: str) -> MessageType:
-        return lookup(name)
-
     def consumers_of(self, tname: str) -> tuple[DeviceNode, ...]:
         use = self._uses.get(tname)
         return tuple(use.consumers) if use else ()
-
-    def emitters_of(self, tname: str) -> tuple[DeviceNode, ...]:
-        use = self._uses.get(tname)
-        return tuple(use.emitters) if use else ()
 
     def edges(self) -> tuple[GraphEdge, ...]:
         out: list[GraphEdge] = []
@@ -316,28 +308,10 @@ def graph_from_spec(spec: dict[str, Any]) -> DataflowGraph:
     nothing is installed), then reduced to their declarations.  This is
     the ``python -m repro.dataflow`` path — topology review without
     side effects."""
-    nodes_spec = spec.get("nodes")
-    if not isinstance(nodes_spec, dict) or not nodes_spec:
-        raise I2OError("spec needs a non-empty 'nodes' mapping")
-    devices: list[DeviceNode] = []
-    seen: set[str] = set()
-    for node, node_spec in sorted(nodes_spec.items()):
-        for dev_spec in node_spec.get("devices", ()):
-            path = dev_spec["class"]
-            module_name, _, class_name = path.rpartition(".")
-            if not module_name:
-                raise I2OError(f"device class {path!r} must be a full path")
-            cls = getattr(importlib.import_module(module_name), class_name)
-            kwargs = dict(dev_spec.get("kwargs", {}))
-            name = dev_spec.get("name")
-            if name:
-                kwargs.setdefault("name", name)
-            instance = cls(**kwargs)
-            name = name or instance.name
-            if name in seen:
-                raise I2OError(f"duplicate device name {name!r}")
-            seen.add(name)
-            dn = node_for_device(name, int(node), instance)
-            if dn is not None:
-                devices.append(dn)
-    return DataflowGraph(devices)
+    from repro.config.bootstrap import spec_devices
+
+    placed = (
+        node_for_device(name, node, device)
+        for node, name, device in spec_devices(spec)
+    )
+    return DataflowGraph(dn for dn in placed if dn is not None)

@@ -3,8 +3,8 @@
 The graph (:mod:`repro.dataflow.graph`) is analytic; this module is
 what the hot path actually touches.  A device's typed ``emit`` resolves
 a :class:`TypeRoutes` — a plain ``key -> TiD`` mapping installed once
-by bootstrap (or by a legacy ``connect()`` hand-wiring the same
-structure) — and posts ordinary frames.  No graph walk, no registry
+by :func:`~repro.dataflow.wiring.wire_dataflow` — and posts ordinary
+frames.  No graph walk, no registry
 lookup, no new send path: the frames leave through the same zero-copy
 ``frameSend`` as before.
 
@@ -32,7 +32,7 @@ supervision calls that when it drops a dead consumer.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.core.observer import DispatchObserver, DispatchRecord
 from repro.dataflow.registry import MessageType
@@ -200,11 +200,10 @@ class TypeRoutes:
     """Installed routes for one message type on one emitting device.
 
     ``targets`` maps consumer ``dataflow_key`` -> TiD (local or proxy).
-    The mapping may be *shared* between types (the event manager points
-    READOUT and CLEAR at the same live dict, so dropping a dead readout
-    unit updates both).  ``edges`` carries the per-key credit state
-    when bootstrap wired backpressure; ``None`` means uncapped
-    (hand-wired legacy routes behave exactly as before).
+    The mapping may be *shared* between types, so dropping a dead
+    consumer updates all of them.  ``edges`` carries the per-key credit
+    state when the routes were wired with backpressure; ``None`` means
+    uncapped.
     """
 
     __slots__ = ("mtype", "targets", "edges")
@@ -261,7 +260,6 @@ class DataflowOutbox:
             tuple["Listener", MessageType, Any, bytes, int, int]
         ] = deque()
         self.parked_total = 0
-        self.shed_total = 0
 
     @property
     def depth(self) -> int:
@@ -293,7 +291,6 @@ class DataflowOutbox:
             routes = device.routes_for(mtype)
             if routes is None or key not in routes.targets:
                 # The consumer was dropped while the payload waited.
-                self.shed_total += 1
                 self._ledger.note_shed(self._exe.node)
                 progressed = True
                 continue
@@ -326,9 +323,3 @@ class DataflowOutbox:
         """Hard-stop hook (the executive detaches every pollable):
         abandon parked payloads without touching the ledger."""
         self._entries.clear()
-
-    def drain(self) -> Iterable[tuple["Listener", MessageType, Any]]:
-        """Abandon everything parked (teardown); yields what was lost."""
-        while self._entries:
-            device, mtype, key, _payload, _t, _i = self._entries.popleft()
-            yield (device, mtype, key)

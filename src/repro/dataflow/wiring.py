@@ -1,0 +1,128 @@
+"""The one way to wire a cluster: routes derived from declarations.
+
+``bootstrap``'s ``dataflow`` section is a call to :func:`wire_dataflow`;
+so is every rig assembled outside bootstrap, native or simulation
+plane.  There is no per-application ``connect()`` beside it.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Any, Mapping
+
+from repro.dataflow.graph import DataflowGraph, node_for_device
+from repro.dataflow.registry import lookup
+from repro.dataflow.routing import (
+    DEFAULT_EDGE_CREDITS,
+    DEFAULT_PARK_LIMIT,
+    CreditLedger,
+    DataflowOutbox,
+    Edge,
+)
+from repro.i2o.errors import I2OError
+from repro.i2o.tid import Tid
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.executive import Executive
+
+
+def wire_dataflow(
+    executives: "Mapping[int, Executive]",
+    *,
+    edge_credits: int = DEFAULT_EDGE_CREDITS,
+    park_limit: int = DEFAULT_PARK_LIMIT,
+    strict: bool = True,
+    backpressure: bool = True,
+) -> tuple[DataflowGraph, CreditLedger]:
+    """Derive every route table of the cluster ``{node: executive}``.
+
+    The graph is built from every installed device's
+    ``consumes``/``emits``, analysed, and lowered to per-device
+    :class:`~repro.dataflow.routing.TypeRoutes`: local consumers by
+    TiD, remote ones by proxy.  The keywords are the ``dataflow`` spec
+    section's keys (:data:`repro.config.schema.DATAFLOW_SCHEMA`).
+    With ``backpressure`` each edge gets a credit window of the
+    consumer's ``queue_capacity`` (or ``edge_credits``) split across
+    its fan-in for that type; without it the routes are uncapped.
+    Either way every node gets the cluster's one
+    :class:`~repro.dataflow.routing.CreditLedger` and a bounded
+    :class:`~repro.dataflow.routing.DataflowOutbox` retried from its
+    poll loop.  ``strict`` makes analysis diagnostics fatal; a rig
+    that wires a partial topology on purpose passes ``strict=False``.
+
+    Re-runnable: after a node was replaced (kill and rejoin), calling
+    this again over the current executives re-derives every table —
+    proxies are idempotent, a fresh executive joins the existing
+    ledger, and replaced routes hand their credit edges back.
+    """
+    installed = {}
+    placed = []
+    for exe in executives.values():
+        for device in exe.devices().values():
+            dn = node_for_device(device.name, exe.node, device)
+            if dn is not None:
+                installed[dn.name] = (exe, device)
+                placed.append(dn)
+    # Name order, so fan-out emission order does not depend on how
+    # the caller happened to install the devices.
+    graph = DataflowGraph(sorted(placed, key=lambda dn: dn.name))
+    diagnostics = graph.analyze()
+    if diagnostics and strict:
+        rendered = "; ".join(d.render() for d in diagnostics)
+        raise I2OError(
+            f"dataflow analysis rejected the topology: {rendered}"
+        )
+
+    ledger = next(
+        (exe.dataflow for exe in executives.values()
+         if exe.dataflow is not None),
+        None,
+    ) or CreditLedger()
+    for exe in sorted(executives.values(), key=lambda exe: exe.node):
+        if exe.dataflow is ledger:
+            continue  # re-run: this node is already on the ledger
+        node = exe.node
+        exe.attach(ledger)
+        outbox = DataflowOutbox(exe, ledger, limit=park_limit)
+        exe.dataflow_outbox = outbox
+        exe._pollable.append(outbox)
+        exe.metrics.gauge("dataflow_credits_available",
+                          lambda n=node: ledger.credits_available(n))
+        exe.metrics.gauge("dataflow_parked", lambda o=outbox: o.depth)
+        exe.metrics.gauge("dataflow_parked_total",
+                          lambda o=outbox: o.parked_total)
+        exe.metrics.gauge("dataflow_shed_total",
+                          lambda n=node: ledger.shed(n))
+        exe.metrics.gauge("dataflow_resumed_total",
+                          lambda n=node: ledger.resumed(n))
+
+    for name, dn in graph.devices.items():
+        exe, device = installed[name]
+        for tname in dn.emits:
+            mtype = lookup(tname)
+            consumers = graph.consumers_of(tname)
+            if not consumers:
+                continue  # diagnosed above; reachable only non-strict
+            targets: dict[Any, Tid] = {}
+            edges: dict[Any, Edge] | None = {} if backpressure else None
+            for consumer in consumers:
+                c_exe, c_device = installed[consumer.name]
+                c_tid = c_device.tid
+                targets[consumer.key] = exe.create_proxy(c_exe.node, c_tid)
+                if edges is not None:
+                    capacity = c_device.queue_capacity
+                    if capacity is None:
+                        capacity = edge_credits
+                    # (register_edge floors the window at one credit)
+                    edges[consumer.key] = ledger.register_edge(
+                        mtype, consumer.key, name, exe.node,
+                        consumer.name, c_exe.node, c_tid,
+                        capacity // graph.fan_in(consumer.name, tname),
+                    )
+            replaced = device.routes_for(mtype)
+            if replaced is not None and replaced.edges:
+                for edge in replaced.edges.values():
+                    ledger.forget_edge(edge)
+            device.connect_route(mtype, targets, edges=edges, replace=True)
+    for name in graph.devices:
+        installed[name][1].on_dataflow_connected()
+    return graph, ledger

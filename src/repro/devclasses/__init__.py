@@ -12,11 +12,10 @@ Listener subclasses over simulated media:
 
 * :class:`BlockStorageDevice` — random-access block storage (I2O BSA),
 * :class:`SequentialStorageDevice` — tape-style sequential storage,
-* :class:`LanDevice` — a network-port device on a shared segment,
 
 plus the matching synchronous client helpers.  Applications remain
 "merely a new, private device class" — these exist so the claim that
-*everything* (storage, network ports, applications) speaks the same
+*everything* (storage, applications) speaks the same
 three-interface protocol is demonstrated, not just asserted.
 """
 
@@ -25,7 +24,6 @@ from repro.devclasses.block import (
     BlockDeviceError,
     BlockStorageDevice,
 )
-from repro.devclasses.lan import LanClient, LanDevice, LanSegment
 from repro.devclasses.sequential import (
     SequentialClient,
     SequentialStorageDevice,
@@ -36,9 +34,6 @@ __all__ = [
     "BlockClient",
     "BlockDeviceError",
     "BlockStorageDevice",
-    "LanClient",
-    "LanDevice",
-    "LanSegment",
     "SequentialClient",
     "SequentialStorageDevice",
     "TapeMark",

@@ -78,10 +78,8 @@ class SegmentStore:
         self.compact_min_records = compact_min_records
         self.compact_live_ratio = compact_live_ratio
 
-        self.records_appended = 0
         self.acks_recorded = 0
         self.compactions = 0
-        self.fsyncs = 0
         self.torn_bytes_recovered = 0
 
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -162,7 +160,6 @@ class SegmentStore:
         if self._file is None:
             raise JournalError(f"journal {self.path.name} is closed")
         self._buffer.append(encode_record(record))
-        self.records_appended += 1
         self._records_total += 1
         self._unflushed += 1
         if self._unflushed >= self.flush_every:
@@ -178,7 +175,6 @@ class SegmentStore:
         self._file.flush()
         if self.fsync:
             os.fsync(self._file.fileno())
-            self.fsyncs += 1
 
     # -- compaction ---------------------------------------------------------
     def _maybe_compact(self) -> None:
@@ -210,7 +206,6 @@ class SegmentStore:
             fh.flush()
             if self.fsync:
                 os.fsync(fh.fileno())
-                self.fsyncs += 1
         self._file.close()
         os.replace(tmp, self.path)
         self._file = open(self.path, "ab")
@@ -222,10 +217,6 @@ class SegmentStore:
     def depth(self) -> int:
         """Live (unacknowledged) records — what a restart would replay."""
         return len(self._live)
-
-    @property
-    def closed(self) -> bool:
-        return self._file is None
 
     def pending(self) -> dict[int, PendingSend]:
         """The live set, keyed by seq (a copy; callers may mutate)."""

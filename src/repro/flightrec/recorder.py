@@ -117,7 +117,6 @@ class FlightRecorder(DispatchObserver):
         self._ring = bytearray(capacity * RECORD_SIZE)
         self._seq = 0
         self.spills = 0
-        self.last_spill_path: Path | None = None
 
     # -- accounting ----------------------------------------------------------
     @property
@@ -280,7 +279,6 @@ class FlightRecorder(DispatchObserver):
             )
             return None
         self.spills += 1
-        self.last_spill_path = path
         logger.info(
             "node %s: flight recorder spilled %d record(s) to %s (%s)",
             self.node, self.stored_records, path, reason,

@@ -85,10 +85,6 @@ class Hop:
     ns_per_byte: float
     free_at: int = 0
     messages: int = 0
-    busy_ns: int = 0
-
-    def utilisation(self, now_ns: int) -> float:
-        return self.busy_ns / now_ns if now_ns > 0 else 0.0
 
 
 def _cut_through_delivery(
@@ -116,7 +112,6 @@ def _cut_through_delivery(
         tail_out = max(head_out + serialise, tail + hop.fixed_ns + flit)
         hop.free_at = tail_out
         hop.messages += 1
-        hop.busy_ns += tail_out - queued_start
         head = head_out
         tail = tail_out
     return tail

@@ -107,7 +107,6 @@ class HardwareFifo:
         self.name = name
         self._items: deque[object] = deque()
         self.posts = 0
-        self.fetches = 0
         self.full_rejects = 0
 
     def post_cost_ns(self) -> int:
@@ -137,7 +136,6 @@ class HardwareFifo:
     def fetch(self) -> object | None:
         if not self._items:
             return None
-        self.fetches += 1
         return self._items.popleft()
 
     def __len__(self) -> int:

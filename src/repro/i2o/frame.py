@@ -289,10 +289,6 @@ class Frame:
     def is_failure(self) -> bool:
         return bool(self.flags & FLAG_FAIL)
 
-    @property
-    def has_more(self) -> bool:
-        return bool(self.flags & FLAG_MORE)
-
     # -- payload ------------------------------------------------------------
     @property
     def payload(self) -> memoryview:

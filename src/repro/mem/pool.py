@@ -37,7 +37,6 @@ class PoolStats:
     allocs: int = 0
     frees: int = 0
     failed_allocs: int = 0
-    bytes_requested: int = 0
     slabs_created: int = 0
     high_watermark: int = 0  # max blocks simultaneously in flight
     per_class: dict[int, int] = field(default_factory=dict)
@@ -109,7 +108,6 @@ class Allocator(ABC):
             self._in_flight += 1
             self._frag_bytes += block.capacity - size
             self.stats.allocs += 1
-            self.stats.bytes_requested += size
             self.stats.per_class[block.size_class] = (
                 self.stats.per_class.get(block.size_class, 0) + 1
             )

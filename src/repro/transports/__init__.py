@@ -18,7 +18,6 @@ from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 from repro.transports.queued import QueuePair, QueueTransport
 from repro.transports.simgm import SimGmTransport
-from repro.transports.simib import SimIbTransport
 from repro.transports.simpci import SimPciTransport
 from repro.transports.tcp import TcpTransport
 from repro.transports.wire import (
@@ -40,7 +39,6 @@ __all__ = [
     "QueuePair",
     "QueueTransport",
     "SimGmTransport",
-    "SimIbTransport",
     "SimPciTransport",
     "TcpTransport",
     "TransportError",

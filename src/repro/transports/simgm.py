@@ -55,7 +55,6 @@ class SimGmTransport(PeerTransport):
         #: frames awaiting a free send token (GM back-pressure):
         #: (wire bytes, destination node, pool block)
         self._tx_backlog: list[tuple[bytes, int, object]] = []
-        self.backlogged = 0
         #: set by the SimNode so arrivals wake a sleeping node process
         self.wake_hook: Callable[[], None] | None = None
 
@@ -91,7 +90,6 @@ class SimGmTransport(PeerTransport):
         assert self.port is not None
         if self.port.send_tokens <= 0:
             self._tx_backlog.append((data, node, block))
-            self.backlogged += 1
             return
         exe = self._require_live()
 

@@ -165,6 +165,3 @@ class TestNeverBaselined:
     @pytest.mark.parametrize("rule", ["DFL002", "DFL003"])
     def test_policy_refuses(self, rule):
         assert baseline.never_baselined(rule)
-
-    def test_dfl001_stays_baselinable(self):
-        assert not baseline.never_baselined("DFL001")

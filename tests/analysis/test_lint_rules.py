@@ -285,64 +285,6 @@ class TestTid001RawTids:
         """) == []
 
 
-class TestDfl001HandWiredRoutes:
-    def test_connect_fed_inline_proxy(self):
-        assert rules("""
-            def wire(evm, cluster):
-                evm.connect(cluster[0].create_proxy(1, 7))
-        """) == ["DFL001"]
-
-    def test_proxy_nested_in_dict_comprehension(self):
-        assert rules("""
-            def wire(evm, exes, tids):
-                evm.connect(
-                    {i: exes[0].create_proxy(1 + i, t)
-                     for i, t in tids.items()},
-                )
-        """) == ["DFL001"]
-
-    def test_proxy_in_keyword_argument(self):
-        assert rules("""
-            def wire(bu, cluster):
-                bu.connect(evm=cluster.proxy(3, "evm"))
-        """) == ["DFL001"]
-
-    def test_reported_once_per_call(self):
-        assert rules("""
-            def wire(bu, exe, a, b):
-                bu.connect(exe.create_proxy(1, a), exe.create_proxy(2, b))
-        """) == ["DFL001"]
-
-    def test_connect_with_plain_tid_clean(self):
-        # Same-node wiring with an allocated TiD carries no proxies.
-        assert rules("""
-            def wire(trigger, evm_tid):
-                trigger.connect(evm_tid)
-        """) == []
-
-    def test_unrelated_connect_clean(self):
-        assert rules("""
-            def dial(sock, address):
-                sock.connect(address)
-        """) == []
-
-    def test_proxy_outside_connect_clean(self):
-        # Proxies themselves are fine; only threading them through
-        # connect() bypasses the dataflow DAG.
-        assert rules("""
-            def watch(monitor, cluster):
-                monitor.watch(cluster.proxy(6, "evm"))
-        """) == []
-
-    def test_noqa_suppresses(self):
-        violations = run("""
-            def wire(evm, exe, t):
-                evm.connect(exe.create_proxy(1, t))  # repro: noqa DFL001
-        """)
-        assert [v.rule for v in violations if not v.suppressed] == []
-        assert [v.rule for v in violations if v.suppressed] == ["DFL001"]
-
-
 class TestExc001BroadExcepts:
     def test_bare_except(self):
         assert rules("""

@@ -18,6 +18,8 @@ from repro.atc.protocol import (
     pack_alert,
 )
 
+from repro.dataflow import wire_dataflow
+
 from tests.conftest import assert_no_leaks, make_loopback_cluster, pump
 
 
@@ -28,16 +30,15 @@ def build_sector(*, n_aircraft=4, n_radars=2, conflict_pair=False, seed=0):
     traffic = SyntheticTraffic(n_aircraft, seed=seed,
                                conflict_pair=conflict_pair)
     correlator = TrackCorrelator()
-    correlator_tid = cluster[0].install(correlator)
+    cluster[0].install(correlator)
     console = AlertConsole()
-    console_tid = cluster[n_nodes - 1].install(console)
-    correlator.connect(cluster[0].create_proxy(n_nodes - 1, console_tid))  # repro: noqa DFL001
+    cluster[n_nodes - 1].install(console)
     radars = []
     for r in range(n_radars):
         radar = RadarSource(radar_id=r, traffic=traffic, seed=seed + r)
         cluster[1 + r].install(radar)
-        radar.connect(cluster[1 + r].create_proxy(0, correlator_tid))  # repro: noqa DFL001
         radars.append(radar)
+    wire_dataflow(cluster, backpressure=False)
     return cluster, traffic, radars, correlator, console
 
 
@@ -123,19 +124,19 @@ class TestRealTimePath:
         console_tid = cluster[1].install(console)
         correlator = TrackCorrelator()
         cluster[0].install(correlator)
-        correlator.connect(cluster[0].create_proxy(1, console_tid))  # repro: noqa DFL001
+        console_proxy = cluster[0].create_proxy(1, console_tid)
         # Queue many routine updates, then one alert, all before the
         # console's executive dispatches anything.
         from repro.atc.protocol import pack_position
 
         for i in range(50):
             correlator.send(
-                correlator.console_tid,
+                console_proxy,
                 pack_position(i, 0, 0.0, 0.0, 200.0, 0),
                 xfunction=0x0302, priority=UPDATE_PRIORITY,
             )
         correlator.send(
-            correlator.console_tid,
+            console_proxy,
             pack_alert(1, 2, 3.0, 0.0),
             xfunction=XF_CONFLICT_ALERT, priority=ALERT_PRIORITY,
         )

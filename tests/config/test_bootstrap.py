@@ -108,15 +108,11 @@ class TestOperation:
                      "kwargs": {"bu_id": 0}},
                 ]},
             },
+            "dataflow": {},
         }
         cluster = bootstrap(spec)
         evm = cluster.device("evm")
         trigger = cluster.device("trigger")
-        bu = cluster.device("bu0")
-        trigger.connect(cluster.tid("evm"))
-        evm.connect({0: cluster.proxy(0, "ru0")},  # repro: noqa DFL001
-                    {0: cluster.proxy(0, "bu0")})
-        bu.connect(cluster.proxy(2, "evm"), {0: cluster.proxy(2, "ru0")})  # repro: noqa DFL001
         trigger.fire_burst(4)
         cluster.pump()
         assert evm.completed == 4

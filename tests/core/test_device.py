@@ -271,6 +271,32 @@ class TestHelpers:
         drive(exe)
         assert echoes == [(7, 9, 0x42)]
 
+    @pytest.mark.parametrize("form", ["send", "send_into", "reply", "reply_into"])
+    def test_failed_fill_frees_the_frame_and_posts_nothing(self, exe, form):
+        """The one post path under all four senders: a payload that
+        cannot be copied in, or a writer that raises, hands the loaned
+        frame back — pool conserved, nothing queued."""
+        dev = Recorder()
+        tid = exe.install(dev)
+        request = dev.alloc_frame(0, target=tid)
+
+        def boom(view):
+            raise ValueError("writer failed")
+
+        with pytest.raises((ValueError, TypeError)):
+            if form == "send":
+                dev.send(tid, "str")  # not a bytes-like payload
+            elif form == "send_into":
+                dev.send_into(tid, 4, boom)
+            elif form == "reply":
+                dev.reply(request, "str")
+            else:
+                dev.reply_into(request, 4, boom)
+        exe.frame_free(request)
+        assert exe.pool.in_flight == 0
+        assert len(exe.scheduler) == 0
+        exe.pool.check_conservation()
+
     def test_functional_listener(self, exe):
         hits = []
         dev = FunctionalListener("fn", handlers={0x5: hits.append})

@@ -7,6 +7,14 @@ import pytest
 from repro.core.device import Listener
 from repro.core.discovery import DiscoveryError, DiscoveryService
 from repro.daq import BuilderUnit, EventManager, ReadoutUnit, TriggerSource
+from repro.daq.protocol import (
+    MT_ALLOCATE,
+    MT_CLEAR,
+    MT_EVENT_DONE,
+    MT_READOUT,
+    MT_REQUEST_FRAGMENT,
+    MT_TRIGGER,
+)
 
 from tests.conftest import assert_no_leaks, make_loopback_cluster, pump
 
@@ -90,7 +98,8 @@ class TestFindOne:
 class TestDiscoveryDrivenDaq:
     def test_event_builder_wired_by_discovery(self):
         """The paper's §4 story end to end: devices find their peers
-        through the executives, no hand-built proxy tables."""
+        through the executives, no hand-built proxy tables — the route
+        tables are filled with what discovery answers, not derived."""
         cluster = make_loopback_cluster(5)
 
         def pump_once():
@@ -100,7 +109,7 @@ class TestDiscoveryDrivenDaq:
         evm, trigger = EventManager(), TriggerSource()
         evm_tid = cluster[0].install(evm)
         cluster[0].install(trigger)
-        trigger.connect(evm_tid)
+        trigger.connect_route(MT_TRIGGER, {"evm": evm_tid})
         for i in (0, 1):
             cluster[1 + i].install(ReadoutUnit(ru_id=i))
         for i in (0, 1):
@@ -111,10 +120,12 @@ class TestDiscoveryDrivenDaq:
         cluster[0].install(evm_disc)
         ru_proxies = evm_disc.find_all("daq_readout")
         bu_proxies = evm_disc.find_all("daq_builder")
-        evm.connect(
-            {node: proxy for (node, _), proxy in sorted(ru_proxies.items())},
-            {node: proxy for (node, _), proxy in sorted(bu_proxies.items())},
-        )
+        rus = {node: proxy for (node, _), proxy in sorted(ru_proxies.items())}
+        bus = {node: proxy for (node, _), proxy in sorted(bu_proxies.items())}
+        evm.connect_route(MT_READOUT, rus)
+        evm.connect_route(MT_CLEAR, rus)
+        evm.connect_route(MT_ALLOCATE, bus)
+        evm.on_dataflow_connected()
         # Each BU node discovers the EVM and the RUs.
         for node in (3, 4):
             disc = DiscoveryService(nodes=list(cluster), pump=pump_once)
@@ -123,8 +134,11 @@ class TestDiscoveryDrivenDaq:
                 dev for dev in cluster[node].devices().values()
                 if dev.device_class == "daq_builder"
             )
-            bu.connect(
-                disc.find_one("daq_eventmanager"),
+            bu.connect_route(
+                MT_EVENT_DONE, {"evm": disc.find_one("daq_eventmanager")}
+            )
+            bu.connect_route(
+                MT_REQUEST_FRAGMENT,
                 {n: p for (n, _), p in sorted(disc.find_all(
                     "daq_readout").items())},
             )

@@ -55,14 +55,6 @@ class TestWallMode:
         probes.reset()
         assert probes.count("x") == 0
 
-    def test_reset_clears_counters(self):
-        # Regression: reset() used to leave stale event counters behind.
-        probes = Probes("wall")
-        probes.bump("events", 3)
-        probes.reset()
-        assert probes.counters == {}
-        assert probes.bump("events") == 1
-
 
 class TestModelMode:
     def test_imposes_exact_costs(self):

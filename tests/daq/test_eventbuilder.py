@@ -12,6 +12,7 @@ from repro.daq import (
     TriggerSource,
 )
 from repro.daq.events import fragment_size
+from repro.dataflow import wire_dataflow
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 from repro.transports.queued import QueuePair, QueueTransport
@@ -22,26 +23,16 @@ from tests.conftest import assert_no_leaks, make_loopback_cluster, pump
 def wire_daq(cluster, n_ru=2, n_bu=2, mean_fragment=512):
     """Standard topology: node 0 = evm+trigger, then RUs, then BUs."""
     evm, trigger = EventManager(), TriggerSource()
-    evm_tid = cluster[0].install(evm)
+    cluster[0].install(evm)
     cluster[0].install(trigger)
-    trigger.connect(evm_tid)
     rus = {i: ReadoutUnit(ru_id=i, mean_fragment=mean_fragment)
            for i in range(n_ru)}
-    ru_tids = {i: cluster[1 + i].install(ru) for i, ru in rus.items()}
+    for i, ru in rus.items():
+        cluster[1 + i].install(ru)
     bus = {i: BuilderUnit(bu_id=i) for i in range(n_bu)}
-    bu_tids = {i: cluster[1 + n_ru + i].install(bu) for i, bu in bus.items()}
-    evm.connect(  # repro: noqa DFL001
-        {i: cluster[0].create_proxy(1 + i, t) for i, t in ru_tids.items()},
-        {i: cluster[0].create_proxy(1 + n_ru + i, t)
-         for i, t in bu_tids.items()},
-    )
     for i, bu in bus.items():
-        node = 1 + n_ru + i
-        bu.connect(  # repro: noqa DFL001
-            cluster[node].create_proxy(0, evm_tid),
-            {j: cluster[node].create_proxy(1 + j, t)
-             for j, t in ru_tids.items()},
-        )
+        cluster[1 + n_ru + i].install(bu)
+    wire_dataflow(cluster, backpressure=False)
     return evm, trigger, rus, bus
 
 
@@ -177,3 +168,24 @@ class TestOverQueueTransport:
         pump(exes)
         assert evm.completed == 8
         assert_no_leaks(exes)
+
+
+class TestTriggerUnderSaturation:
+    def test_shed_triggers_are_not_counted_as_fired(self):
+        """An over-capacity burst against credit-capped routes: what
+        the trigger says went out is what the event manager received,
+        and the refused rest is on the trigger's own ``shed`` count."""
+        from repro.config.bootstrap import bootstrap
+        from repro.dataflow.examples import event_builder_spec
+
+        cluster = bootstrap(event_builder_spec(2, 2))
+        trigger, evm = cluster.device("trigger"), cluster.device("evm")
+        ids = trigger.fire_burst(1000)
+        cluster.pump()
+        assert trigger.shed > 0  # the burst really overran the route
+        assert trigger.fired + trigger.shed == 1000
+        assert evm.triggers == trigger.fired
+        # A shed trigger consumed no event id: ids dense over fired.
+        assert ids == list(range(1, trigger.fired + 1))
+        assert trigger.next_event_id == trigger.fired + 1
+        assert trigger.export_counters()["shed"] == trigger.shed

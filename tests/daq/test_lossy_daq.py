@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.core.executive import Executive
 from repro.daq import BuilderUnit, EventManager, ReadoutUnit, TriggerSource
+from repro.dataflow import wire_dataflow
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
 from repro.transports.loopback import LoopbackNetwork
@@ -39,24 +40,15 @@ def build_lossy_daq(drop_rate: float, *, seed: int = 7):
 
     evm = EventManager(event_timeout_ns=5_000, max_reassignments=30)
     trigger = TriggerSource()
-    evm_tid = cluster[0].install(evm)
+    cluster[0].install(evm)
     cluster[0].install(trigger)
-    trigger.connect(evm_tid)
     rus = {i: ReadoutUnit(ru_id=i, mean_fragment=256) for i in (0, 1)}
-    ru_tids = {i: cluster[1 + i].install(ru) for i, ru in rus.items()}
+    for i, ru in rus.items():
+        cluster[1 + i].install(ru)
     bus = {i: BuilderUnit(bu_id=i) for i in (0, 1)}
-    bu_tids = {i: cluster[3 + i].install(bu) for i, bu in bus.items()}
-    evm.connect(  # repro: noqa DFL001
-        {i: cluster[0].create_proxy(1 + i, t) for i, t in ru_tids.items()},
-        {i: cluster[0].create_proxy(3 + i, t) for i, t in bu_tids.items()},
-    )
     for i, bu in bus.items():
-        node = 3 + i
-        bu.connect(  # repro: noqa DFL001
-            cluster[node].create_proxy(0, evm_tid),
-            {j: cluster[node].create_proxy(1 + j, t)
-             for j, t in ru_tids.items()},
-        )
+        cluster[3 + i].install(bu)
+    wire_dataflow(cluster, backpressure=False)
     return cluster, clocks, evm, trigger, rus, bus
 
 

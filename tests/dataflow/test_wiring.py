@@ -1,0 +1,75 @@
+"""``wire_dataflow`` outside bootstrap: hand-assembled rigs, re-runs."""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.config.bootstrap import bootstrap
+from repro.daq import BuilderUnit, EventManager, ReadoutUnit, TriggerSource
+from repro.dataflow import wire_dataflow
+from repro.dataflow.examples import event_builder_spec
+from repro.i2o.errors import I2OError
+
+from tests.conftest import assert_no_leaks, make_loopback_cluster, pump
+
+
+def _install_daq(cluster, *, with_trigger=True):
+    evm = EventManager()
+    cluster[0].install(evm)
+    trigger = TriggerSource()
+    if with_trigger:
+        cluster[0].install(trigger)
+    cluster[1].install(ReadoutUnit(ru_id=0))
+    cluster[2].install(BuilderUnit(bu_id=0))
+    return evm, trigger
+
+
+def test_hand_assembled_rig_gets_the_bootstrap_routes():
+    """Same devices, same placement: the rig's derived tables equal
+    the ones a spec's ``dataflow`` section produces."""
+    booted = bootstrap(event_builder_spec(1, 1))
+    cluster = make_loopback_cluster(3)
+    evm, trigger = _install_daq(cluster)
+    _, ledger = wire_dataflow(cluster)
+    for name, device in (("evm", evm), ("trigger", trigger)):
+        reference = booted.device(name)
+        for mtype in device.emits:
+            assert sorted(device.dataflow_targets(mtype)) == sorted(
+                reference.dataflow_targets(mtype)
+            )
+    assert [(e.mtype.name, e.capacity) for e in ledger.edges_from(0)] == [
+        (e.mtype.name, e.capacity)
+        for e in booted.dataflow_ledger.edges_from(0)
+    ]
+    trigger.fire_burst(5)
+    pump(cluster)
+    assert evm.completed == 5
+    assert_no_leaks(cluster)
+
+
+def test_rewiring_is_idempotent():
+    cluster = bootstrap(event_builder_spec(2, 1))
+    ledger = cluster.dataflow_ledger
+    credits = {n: ledger.credits_available(n) for n in cluster.executives}
+    pollables = {n: len(e._pollable) for n, e in cluster.executives.items()}
+    _, again = wire_dataflow(cluster.executives)
+    assert again is ledger  # every node stays on the one ledger
+    assert credits == {
+        n: ledger.credits_available(n) for n in cluster.executives
+    }  # replaced routes handed their edges back
+    assert pollables == {
+        n: len(e._pollable) for n, e in cluster.executives.items()
+    }  # no second outbox
+    cluster.device("trigger").fire_burst(6)
+    cluster.pump()
+    assert cluster.device("evm").completed == 6
+
+
+def test_partial_topology_needs_strict_off():
+    cluster = make_loopback_cluster(3)
+    evm, _ = _install_daq(cluster, with_trigger=False)
+    with pytest.raises(I2OError, match="missing-provider"):
+        wire_dataflow(cluster)
+    graph, _ = wire_dataflow(cluster, strict=False, backpressure=False)
+    assert [d.code for d in graph.analyze()] == ["missing-provider"]
+    assert sorted(evm.bu_tids) == [0] and sorted(evm.ru_tids) == [0]

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.executive import Executive
 from repro.daq import EventManager, TriggerSource
+from repro.daq.protocol import MT_ALLOCATE
+from repro.dataflow import wire_dataflow
 from repro.durable.segments import SnapshotStore
 from repro.i2o.errors import I2OError
 from repro.transports.agent import PeerTransportAgent
@@ -22,7 +24,8 @@ class TestSnapshotDocument:
         pump(five_nodes)
         snap = evm.snapshot()
         fresh = EventManager()
-        fresh.connect(evm.ru_tids, evm.bu_tids)
+        fresh.connect_route(MT_ALLOCATE, dict(evm.bu_tids))
+        fresh.on_dataflow_connected()
         five_nodes[0].install(fresh)
         fresh.restore(snap, relaunch=False)
         assert fresh.completed == 8
@@ -99,13 +102,10 @@ class TestKillAndRejoinLoopback:
         cluster[0] = exe
         evm2 = EventManager()
         exe.install(evm2, tid=evm_tid)  # BUs report DONE to this TiD
-        trigger2 = TriggerSource()
-        exe.install(trigger2)
-        trigger2.connect(evm2.tid)
-        evm2.connect(  # repro: noqa DFL001
-            {i: exe.create_proxy(1 + i, t.tid) for i, t in rus.items()},
-            {i: exe.create_proxy(3 + i, t.tid) for i, t in bus.items()},
-        )
+        exe.install(TriggerSource())
+        # Re-derive over the current executives: the replacement's
+        # devices get their routes, the survivors keep theirs.
+        wire_dataflow(cluster, backpressure=False)
         evm2.snapshot_store = SnapshotStore(tmp_path / "evm.snapshot")
         assert evm2.recover() is True
         assert evm2.restores == 1

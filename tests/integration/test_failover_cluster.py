@@ -27,6 +27,7 @@ from repro.daq.builder import BuilderUnit
 from repro.daq.manager import EventManager
 from repro.daq.readout import ReadoutUnit
 from repro.daq.trigger import TriggerSource
+from repro.dataflow import wire_dataflow
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
 from repro.transports.loopback import LoopbackNetwork
@@ -70,31 +71,43 @@ def _run_scenario():
             exe.step()
 
     # DAQ devices: primaries on 1..3, replicas shifted one node over.
-    rus = {
+    primaries = {
         "ru0": (1, ReadoutUnit("ru0", ru_id=0)),
-        "ru2b": (1, ReadoutUnit("ru2b", ru_id=2)),
         "ru1": (2, ReadoutUnit("ru1", ru_id=1)),
-        "ru0b": (2, ReadoutUnit("ru0b", ru_id=0)),
         "ru2": (3, ReadoutUnit("ru2", ru_id=2)),
+    }
+    standbys = {
+        "ru2b": (1, ReadoutUnit("ru2b", ru_id=2)),
+        "ru0b": (2, ReadoutUnit("ru0b", ru_id=0)),
         "ru1b": (3, ReadoutUnit("ru1b", ru_id=1)),
     }
-    ru_tids = {}
-    ru_id_of = {}  # (node, tid) -> ru_id, for replacement selection
-    for name, (node, device) in rus.items():
-        tid = cluster[node].install(device)
-        ru_tids[name] = (node, tid)
-        ru_id_of[(node, tid)] = device.ru_id
-
+    rus = primaries | standbys
     trigger = TriggerSource()
     evm = EventManager(
         event_timeout_ns=EVENT_TIMEOUT_NS, max_reassignments=5
     )
     builder = BuilderUnit(bu_id=0)
     discovery = DiscoveryService(nodes=[0, 1, 2, 3], pump=pump_once)
-    cluster[0].install(trigger)
-    evm_tid = cluster[0].install(evm)
-    bu_tid = cluster[0].install(builder)
-    cluster[0].install(discovery)
+    for device in (trigger, evm, builder, discovery):
+        cluster[0].install(device)
+
+    # Control plane wiring: routes are derived while only the primary
+    # slices exist; the standby replicas (which share their primary's
+    # dataflow key) are installed afterwards, outside every route
+    # table, for discovery to find.
+    ru_tids = {}
+    ru_id_of = {}  # (node, tid) -> ru_id, for replacement selection
+
+    def install(group):
+        for name, (node, device) in group.items():
+            tid = cluster[node].install(device)
+            ru_tids[name] = (node, tid)
+            ru_id_of[(node, tid)] = device.ru_id
+
+    install(primaries)
+    wire_dataflow(cluster, backpressure=False)
+    install(standbys)
+    proxies = dict(evm.ru_tids)
 
     def pick_replica(dead_node, dead_tid, device_class, candidates):
         if device_class != "daq_readout":
@@ -108,15 +121,6 @@ def _run_scenario():
     discovery.select_replacement = pick_replica
     for node in (1, 2, 3):
         discovery.refresh(node)
-
-    # Control plane wiring: one proxy per primary slice.
-    proxies = {
-        ru_id: cluster[0].create_proxy(*ru_tids[name])
-        for ru_id, name in ((0, "ru0"), (1, "ru1"), (2, "ru2"))
-    }
-    trigger.connect(evm_tid)
-    evm.connect(ru_tids=proxies, bu_tids={0: bu_tid})
-    builder.connect(evm_tid, dict(proxies))
 
     # Full supervision mesh; only node 0 reacts (rebind policy).
     hbs: dict[int, HeartbeatService] = {}

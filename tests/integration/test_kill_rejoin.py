@@ -34,6 +34,7 @@ from repro.flightrec import (
 )
 from repro.flightrec.records import EV_REL_ACK, EV_REL_DELIVER, EV_REL_SEND
 from repro.daq import BuilderUnit, EventManager, ReadoutUnit
+from repro.dataflow import wire_dataflow
 from repro.durable.segments import SegmentStore, SnapshotStore
 from repro.mem.pool import BufferPool
 from repro.transports.agent import PeerTransportAgent
@@ -85,20 +86,12 @@ class _Cluster:
         # -- nodes 1-4: RUs and BUs ------------------------------------
         self.rus = {i: ReadoutUnit(ru_id=i, mean_fragment=256)
                     for i in (0, 1)}
-        ru_tids = {i: self.exes[1 + i].install(ru)
-                   for i, ru in self.rus.items()}
+        for i, ru in self.rus.items():
+            self.exes[1 + i].install(ru)
         self.bus = {i: BuilderUnit(bu_id=i) for i in (0, 1)}
-        bu_tids = {i: self.exes[3 + i].install(bu)
-                   for i, bu in self.bus.items()}
-        self.ru_tids, self.bu_tids = ru_tids, bu_tids
-        self._connect_evm(self.evm)
         for i, bu in self.bus.items():
-            node = 3 + i
-            bu.connect(  # repro: noqa DFL001
-                self.exes[node].create_proxy(EVM_NODE, self.evm_tid),
-                {j: self.exes[node].create_proxy(1 + j, t)
-                 for j, t in ru_tids.items()},
-            )
+            self.exes[3 + i].install(bu)
+        self._wire()
 
         # -- node 5: the journaled trigger feed ------------------------
         self.feed_store = SegmentStore(tmp_path / "feed.journal")
@@ -145,12 +138,10 @@ class _Cluster:
         exe.install(rx, tid=tid)
         return rx
 
-    def _connect_evm(self, evm):
-        exe = self.exes[EVM_NODE]
-        evm.connect(  # repro: noqa DFL001
-            {i: exe.create_proxy(1 + i, t) for i, t in self.ru_tids.items()},
-            {i: exe.create_proxy(3 + i, t) for i, t in self.bu_tids.items()},
-        )
+    def _wire(self):
+        # Not strict: nothing here emits daq.trigger — triggers reach
+        # the EVM over the reliable stream, not a dataflow route.
+        wire_dataflow(self.exes, strict=False, backpressure=False)
 
     # -- workload -------------------------------------------------------
     def fire(self, first, last):
@@ -190,7 +181,7 @@ class _Cluster:
         # The fresh endpoint's dedup window is empty — EVM-level dedup
         # (restored from the snapshot) absorbs re-deliveries instead.
         self.rx = self._install_rx(exe, evm2, tid=self.rx_tid)
-        self._connect_evm(evm2)
+        self._wire()
         evm2.snapshot_store = SnapshotStore(self.tmp_path / "evm.snapshot")
         assert evm2.recover() is True
         self.evm = evm2

@@ -37,6 +37,7 @@ def _build_cluster():
             "metrics_timing": True,
             "collector_node": 0,
         },
+        "dataflow": {"backpressure": False},
         "nodes": {
             0: {"devices": [
                 {"class": "repro.daq.trigger.TriggerSource", "name": "trigger"},
@@ -55,17 +56,7 @@ def _build_cluster():
             ]},
         },
     }
-    cluster = bootstrap(spec)
-    cluster.device("trigger").connect(cluster.tid("evm"))
-    cluster.device("evm").connect(  # repro: noqa DFL001
-        {0: cluster.proxy(0, "ru0"), 1: cluster.proxy(0, "ru1")},
-        {0: cluster.proxy(0, "bu0")},
-    )
-    cluster.device("bu0").connect(  # repro: noqa DFL001
-        cluster.proxy(3, "evm"),
-        {0: cluster.proxy(3, "ru0"), 1: cluster.proxy(3, "ru1")},
-    )
-    return cluster
+    return bootstrap(spec)
 
 
 @pytest.fixture

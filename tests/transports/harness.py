@@ -22,7 +22,6 @@ from repro.core.device import Listener
 from repro.core.executive import Executive
 from repro.core.probes import CostModel
 from repro.core.simnode import SimNode
-from repro.hw.infiniband import IbFabric
 from repro.hw.myrinet import Fabric
 from repro.hw.pci import IopBoard, PciBus
 from repro.sim.kernel import Simulator
@@ -31,7 +30,6 @@ from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 from repro.transports.queued import QueuePair, QueueTransport
 from repro.transports.simgm import SimGmTransport
-from repro.transports.simib import SimIbTransport
 from repro.transports.simpci import SimPciTransport
 from repro.transports.tcp import TcpTransport
 
@@ -84,6 +82,9 @@ class TransportHarness:
     burst: int = 24
     #: large-payload size that must still cross intact
     big_size: int = 16 * 1024
+    #: payload copies per frame this transport may perform, (tx, rx) —
+    #: filled in from the :data:`FACTORIES` entry by :func:`make_harness`
+    copy_budget: tuple[int, int] = (0, 0)
 
     def run_until(self, predicate: Callable[[], bool]) -> bool:
         return self._run_until(predicate)
@@ -97,6 +98,19 @@ class TransportHarness:
         for node, exe in self.exes.items():
             tracers[node] = exe.attach(FrameTracer(capacity=capacity))
         return tracers
+
+    def assert_copy_budget(self) -> None:
+        """Every PT copied exactly its budget per frame, both ways."""
+        tx_rate, rx_rate = self.copy_budget
+        for pt in self.pts.values():
+            assert pt.tx_copies == tx_rate * pt.frames_sent, (
+                f"{self.name}: {pt.tx_copies} tx copies for "
+                f"{pt.frames_sent} sent frames"
+            )
+            assert pt.rx_copies == rx_rate * pt.frames_received, (
+                f"{self.name}: {pt.rx_copies} rx copies for "
+                f"{pt.frames_received} received frames"
+            )
 
     def finish(self) -> None:
         from repro.analysis.sanitize import assert_clean
@@ -215,20 +229,6 @@ def make_simgm() -> TransportHarness:
     return _sim_harness("simgm", exes, pts, sim)
 
 
-def make_simib() -> TransportHarness:
-    sim = Simulator()
-    fabric = IbFabric(sim)
-    exes = _two_executives()
-    pts = {}
-    nodes = {}
-    for node, exe in exes.items():
-        nodes[node] = SimNode(sim, exe, cost_model=CostModel.paper_table1())
-        pts[node] = SimIbTransport(fabric)
-        PeerTransportAgent.attach(exe).register(pts[node], default=True)
-        nodes[node].attach_transport_hooks()
-    return _sim_harness("simib", exes, pts, sim)
-
-
 def make_simpci() -> TransportHarness:
     sim = Simulator()
     board = IopBoard(sim, PciBus(sim), hardware_fifos=True)
@@ -242,12 +242,24 @@ def make_simpci() -> TransportHarness:
     return _sim_harness("simpci", exes, pts, sim)
 
 
-FACTORIES: dict[str, Callable[[], TransportHarness]] = {
-    "loopback": make_loopback,
-    "faulty": make_faulty_clean,
-    "queued": make_queued,
-    "tcp": make_tcp,
-    "simgm": make_simgm,
-    "simib": make_simib,
-    "simpci": make_simpci,
+#: The one place a conformance transport is declared: how to build
+#: its two-node cluster, and the payload copies per frame it may
+#: perform, (tx, rx).  Intra-process delivery hands the pool block
+#: over (0, 0); TCP pays exactly the receive-side copy off the wire;
+#: the simulation-plane models serialise onto the modelled wire and
+#: copy off it (1, 1).
+FACTORIES: dict[str, tuple[Callable[[], TransportHarness], tuple[int, int]]] = {
+    "loopback": (make_loopback, (0, 0)),
+    "faulty": (make_faulty_clean, (0, 0)),  # clean plan: plain loopback
+    "queued": (make_queued, (0, 0)),
+    "tcp": (make_tcp, (0, 1)),
+    "simgm": (make_simgm, (1, 1)),
+    "simpci": (make_simpci, (1, 1)),
 }
+
+
+def make_harness(name: str) -> TransportHarness:
+    factory, budget = FACTORIES[name]
+    harness = factory()
+    harness.copy_budget = budget
+    return harness

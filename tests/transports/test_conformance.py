@@ -5,8 +5,8 @@ TiD and never see which peer transport carries the frames.  That only
 holds if every transport honours the same delivery contract, so this
 module runs one parametrized suite against all of them — the
 in-process loopbacks, the fault-injection wrapper (clean plan), the
-queue-pair mesh, real TCP sockets, and the three simulation-plane
-hardware models (Myrinet/GM, InfiniBand verbs, PCI host↔IOP).
+queue-pair mesh, real TCP sockets, and the two simulation-plane
+hardware models (Myrinet/GM, PCI host↔IOP).
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from repro.core.tracing import is_trace_context, trace_root_node
 from repro.i2o.frame import MAX_PAYLOAD_SIZE
 from repro.mem.pool import PoolError
 
-from tests.transports.harness import FACTORIES, Caller, Echo
+from tests.transports.harness import FACTORIES, Caller, Echo, make_harness
 
 
 @pytest.fixture(params=sorted(FACTORIES))
 def harness(request):
-    h = FACTORIES[request.param]()
+    h = make_harness(request.param)
     yield h
     h.finish()
 
@@ -119,33 +119,10 @@ class TestTransportContract:
         assert pt0.bytes_sent == pt1.bytes_received
         assert pt1.bytes_sent == pt0.bytes_received
 
-    # Payload copies each transport may perform per frame, (tx, rx):
-    # intra-process delivery hands the pool block over (0, 0); TCP pays
-    # exactly the receive-side copy off the wire; the simulation-plane
-    # models serialise onto the modelled wire and copy off it (1, 1).
-    COPY_BUDGETS = {
-        "loopback": (0, 0),
-        "faulty": (0, 0),  # clean plan: behaves like plain loopback
-        "queued": (0, 0),
-        "tcp": (0, 1),
-        "simgm": (1, 1),
-        "simib": (1, 1),
-        "simpci": (1, 1),
-    }
-
     def test_copy_budget(self, harness):
         caller, proxy = _wire(harness)
         n = 8
         for _ in range(n):
             caller.send(proxy, b"copy-counted", xfunction=0x1)
         assert harness.run_until(lambda: len(caller.replies) == n)
-        tx_rate, rx_rate = self.COPY_BUDGETS[harness.name]
-        for pt in harness.pts.values():
-            assert pt.tx_copies == tx_rate * pt.frames_sent, (
-                f"{harness.name}: {pt.tx_copies} tx copies for "
-                f"{pt.frames_sent} sent frames"
-            )
-            assert pt.rx_copies == rx_rate * pt.frames_received, (
-                f"{harness.name}: {pt.rx_copies} rx copies for "
-                f"{pt.frames_received} received frames"
-            )
+        harness.assert_copy_budget()

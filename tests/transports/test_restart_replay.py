@@ -18,13 +18,7 @@ import pytest
 from repro.core.reliable import ReliableEndpoint
 from repro.durable.segments import SegmentStore
 
-from tests.transports import test_conformance
-from tests.transports.harness import FACTORIES
-
-# The same per-transport budgets the conformance suite enforces (the
-# module — not the class — is imported so pytest doesn't re-collect
-# the whole conformance suite here).
-COPY_BUDGETS = test_conformance.TestTransportContract.COPY_BUDGETS
+from tests.transports.harness import FACTORIES, make_harness
 
 #: Far beyond any test's virtual or wall time: replay must not depend
 #: on retransmission timers, and spurious retransmits would break the
@@ -34,7 +28,7 @@ NEVER_NS = 10**15
 
 @pytest.fixture(params=sorted(FACTORIES))
 def harness(request):
-    h = FACTORIES[request.param]()
+    h = make_harness(request.param)
     yield h
     h.finish()
 
@@ -108,16 +102,7 @@ def test_restart_replay_exactly_once_within_copy_budget(harness, tmp_path):
 
     # The replayed path is the ordinary send path: per-transport copy
     # budgets hold exactly as in the conformance suite.
-    tx_rate, rx_rate = COPY_BUDGETS[harness.name]
-    for pt in harness.pts.values():
-        assert pt.tx_copies == tx_rate * pt.frames_sent, (
-            f"{harness.name}: {pt.tx_copies} tx copies for "
-            f"{pt.frames_sent} sent frames"
-        )
-        assert pt.rx_copies == rx_rate * pt.frames_received, (
-            f"{harness.name}: {pt.rx_copies} rx copies for "
-            f"{pt.frames_received} received frames"
-        )
+    harness.assert_copy_budget()
 
     # Teardown hygiene: disarm the far-future retransmit timers so the
     # harness's idle-drain finish() isn't held hostage by them.
