@@ -10,10 +10,11 @@ measured by the same program on two loads:
     path as it was before observability landed, reconstructed as a
     subclass so the comparison survives refactors), ``off`` (the stock
     executive, nothing attached — what every node pays for being
-    *observable*), ``traced``, ``timed`` (tracer + dispatch-latency
-    histogram), ``recording`` (flight-recorder ring only; spills are
-    crash-path, not steady-state) and ``recording+traced`` (what the
-    cross-node timeline merge needs).
+    *observable*), ``recording`` (flight-recorder ring only; spills are
+    crash-path, not steady-state), ``traced`` (the ring plus the
+    trace-id stamper — the ring is the only span store, so this is
+    what ``telemetry.tracing`` and the cross-node timeline merge cost)
+    and ``timed`` (traced + dispatch-latency histogram).
 ``pingpong``
     the N1 native ping-pong (:func:`run_native_pingpong`); the unit is
     median RTT ns.  Arms: ``off``, ``sampling`` (a
@@ -54,7 +55,8 @@ _NEVER_TRIPS_NS = 10**12
 
 class _FloorExecutive(Executive):
     """The dispatch path exactly as it was before observability landed:
-    no tracer guard on send/enqueue, no timing branch around dispatch."""
+    no tracer guard on send, no recorder guard on enqueue, no timing
+    branch around dispatch."""
 
     def _enqueue(self, frame: Frame) -> None:
         self.scheduler.push(frame)
@@ -65,22 +67,18 @@ class _FloorExecutive(Executive):
         self.msgi.post_outbound(frame)
 
 
+def _recording(exe: Executive) -> None:
+    exe.attach(FlightRecorder(capacity=4096))
+
+
 def _traced(exe: Executive) -> None:
-    exe.attach(FrameTracer(capacity=1024))
+    _recording(exe)
+    exe.attach(FrameTracer())
 
 
 def _timed(exe: Executive) -> None:
     _traced(exe)
     exe.attach(DispatchTimer())
-
-
-def _recording(exe: Executive) -> None:
-    exe.attach(FlightRecorder(capacity=4096))
-
-
-def _recording_traced(exe: Executive) -> None:
-    _traced(exe)
-    _recording(exe)
 
 
 def _full_kit(exe: Executive) -> None:
@@ -105,10 +103,9 @@ class Arm:
 ARMS = (
     Arm("drain", "floor", executive=_FloorExecutive),
     Arm("drain", "off"),
+    Arm("drain", "recording", _recording),
     Arm("drain", "traced", _traced),
     Arm("drain", "timed", _timed),
-    Arm("drain", "recording", _recording),
-    Arm("drain", "recording+traced", _recording_traced),
     Arm("pingpong", "off"),
     Arm("pingpong", "sampling", sampled=True),
     Arm("pingpong", "full-kit", _full_kit, sampled=True),

@@ -254,7 +254,7 @@ def _nodes_of(spec: dict[str, Any]) -> dict[Any, Any]:
 def spec_devices(spec: dict[str, Any]) -> Iterator[tuple[int, str, Listener]]:
     """Construct every device the spec names, in node order, as
     ``(node, name, device)``: ``params`` applied, nothing installed
-    (``python -m repro.dataflow`` only reads their declarations)."""
+    (``python -m repro.diag graph`` only reads their declarations)."""
     seen: set[str] = set()
     for node, node_spec in sorted(_nodes_of(spec).items()):
         for dev_spec in node_spec.get("devices", ()):
@@ -401,7 +401,7 @@ def _wire_flightrec(cluster: Cluster, conf: dict[str, Any]) -> None:
     Every executive gets its own preallocated ring spilled to
     ``<dir>/node<NNN>.flightrec`` on ``hard_stop``, watchdog trips,
     sanitizer violations and uncaught dispatch exceptions; decode with
-    ``python -m repro.flightrec``.
+    ``python -m repro.diag timeline``.
     """
     from repro.flightrec.recorder import FlightRecorder
 
@@ -427,7 +427,6 @@ def _wire_profiling(cluster: Cluster, conf: dict[str, Any]) -> None:
             "max_depth": 48,            # frames per collapsed stack
             "exemplars": True,          # trace ids on latency buckets
             "dispatch_budget_ns": 0,    # slow-frame watch (0 = off)
-            "trace_budget_ns": 0,       # end-to-end budget (0 = off)
             "spill_on_trip": True,      # spill flightrec on overrun
             "max_spills": 4,            # spill cap per node
         }
@@ -458,7 +457,6 @@ def _wire_profiling(cluster: Cluster, conf: dict[str, Any]) -> None:
         for node, exe in sorted(cluster.executives.items()):
             cluster.slow_watches[node] = exe.attach(SlowFrameWatch(
                 budget,
-                trace_budget_ns=int(merged["trace_budget_ns"]),
                 spill_on_trip=bool(merged["spill_on_trip"]),
                 max_spills=int(merged["max_spills"]),
             ))
@@ -467,10 +465,15 @@ def _wire_profiling(cluster: Cluster, conf: dict[str, Any]) -> None:
 def _wire_telemetry(cluster: Cluster, conf: dict[str, Any]) -> None:
     """Attach per-node tracing/metrics observers and install the
     telemetry agents and collector; all keys optional, see
-    :data:`repro.config.schema.TELEMETRY_SCHEMA`."""
+    :data:`repro.config.schema.TELEMETRY_SCHEMA`.
+
+    ``tracing`` attaches the trace-id stamper *and*, on a node the
+    ``flight_recorder`` section gave no ring, a diskless one: the ring
+    is the only store hops are projected from."""
     from repro.core.metrics import DispatchTimer
     from repro.core.telemetry import TelemetryAgent, TelemetryCollector
     from repro.core.tracing import FrameTracer
+    from repro.flightrec.recorder import FlightRecorder
 
     nodes = sorted(cluster.executives)
     options = _section_options(TELEMETRY_SCHEMA, "telemetry", conf)
@@ -482,7 +485,9 @@ def _wire_telemetry(cluster: Cluster, conf: dict[str, Any]) -> None:
     for node in nodes:
         exe = cluster.executives[node]
         if options["tracing"]:
-            exe.attach(FrameTracer(capacity=options["trace_capacity"]))
+            exe.attach(FrameTracer())
+            if exe.flightrec is None:
+                cluster.flight_recorders[node] = exe.attach(FlightRecorder())
         if options["metrics_timing"]:
             exe.attach(DispatchTimer())
     if not options["collector"]:
@@ -535,15 +540,16 @@ def _wire_dataflow(cluster: Cluster, conf: dict[str, Any]) -> None:
         raise BootstrapError(str(exc)) from exc
 
 
-#: Optional spec sections in wiring order: ``profiling`` after
-#: ``flight_recorder`` so the slow-frame watch can spill; ``dataflow``
+#: Optional spec sections in wiring order: ``flight_recorder`` before
+#: ``telemetry`` (tracing adds a ring only where none is configured)
+#: and ``profiling`` (the slow-frame watch spills it); ``dataflow``
 #: last, so the derived routes cover every installed device —
 #: including the ones the sections before it added.
 _SECTIONS = (
     ("supervision", _wire_supervision),
+    ("flight_recorder", _wire_flightrec),
     ("telemetry", _wire_telemetry),
     ("durability", _wire_durability),
-    ("flight_recorder", _wire_flightrec),
     ("profiling", _wire_profiling),
     ("dataflow", _wire_dataflow),
 )

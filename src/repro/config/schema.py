@@ -181,9 +181,8 @@ SUPERVISION_SCHEMA = ParamSchema([
 #: (``repro.core.tracing`` / ``metrics`` / ``telemetry``).
 TELEMETRY_SCHEMA = ParamSchema([
     ParamSpec("tracing", bool, default=True,
-              description="attach a FrameTracer to every node"),
-    ParamSpec("trace_capacity", int, default=1024, minimum=0,
-              description="span ring size per node"),
+              description="attach a FrameTracer (and a flight-recorder "
+                          "ring, where none is configured) to every node"),
     ParamSpec("metrics_timing", bool, default=False,
               description="attach the dispatch-latency histogram"),
     ParamSpec("collector", bool, default=True,
@@ -247,9 +246,6 @@ PROFILING_SCHEMA = ParamSchema([
               description="slow-frame budget per dispatch; overruns "
                           "record EV_SLOW_FRAME and spill the flight "
                           "recorder (0 = watch off)"),
-    ParamSpec("trace_budget_ns", int, default=0, minimum=0,
-              description="end-to-end budget for whole traces, checked "
-                          "by the critical-path tooling (0 = off)"),
     ParamSpec("spill_on_trip", bool, default=True,
               description="spill the flight recorder on budget overrun"),
     ParamSpec("max_spills", int, default=4, minimum=0,

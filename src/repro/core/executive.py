@@ -244,8 +244,8 @@ class Executive:
         #: dispatch observers in attach order; copy-on-write, so the
         #: dispatch loop reads the tuple once per frame (:meth:`attach`)
         self.observers: tuple[DispatchObserver, ...] = ()
-        #: plain references for the non-dispatch hook sites (stamp /
-        #: enqueue, alloc / release / transmit records, emit-side
+        #: plain references for the non-dispatch hook sites (stamp,
+        #: enqueue mark / alloc / release / transmit records, emit-side
         #: credits); each is set by its owner when it attaches.
         self.tracer: "FrameTracer | None" = None
         self.flightrec: "FlightRecorder | None" = None
@@ -327,10 +327,6 @@ class Executive:
         m.gauge(
             "exe_watchdog_trips_total",
             lambda: self.watchdog.overruns if self.watchdog is not None else 0,
-        )
-        m.gauge(
-            "trace_spans_dropped_total",
-            lambda: self.tracer.dropped if self.tracer is not None else 0,
         )
         # Registered empty so the exported names do not depend on
         # whether a DispatchTimer is attached.
@@ -859,10 +855,10 @@ class Executive:
                 self._dead_letter(frame, f"inbound for unknown TiD {frame.target}")
 
     def _enqueue(self, frame: Frame) -> None:
-        """Push a frame for dispatch, noting its queue-entry time when
-        a tracer is installed (queue wait is a per-hop span field)."""
-        if self.tracer is not None:
-            self.tracer.note_enqueue(frame, self.clock.now_ns())
+        """Push a frame for dispatch, marking its queue-entry time when
+        a recorder is attached (queue wait rides ``dispatch-begin``)."""
+        if self.flightrec is not None:
+            frame.trace_mark = self.clock.now_ns()
         self.scheduler.push(frame)
 
     def _dispatch_one(self) -> bool:
@@ -963,8 +959,6 @@ class Executive:
             self.flightrec.spill("watchdog")
 
     def _release_frame(self, frame: Frame) -> None:
-        if self.tracer is not None:
-            self.tracer.forget(frame)
         if frame.block is not None:
             if self.flightrec is not None:
                 self.flightrec.note_release(frame.transaction_context)

@@ -150,6 +150,12 @@ class PeerTable:
     def on_suspect(self, callback: PeerCallback) -> None:
         self._on_suspect.append(callback)
 
+    def unsubscribe(self, callback: PeerCallback) -> None:
+        """Undo every ``on_*`` registration of ``callback``."""
+        for callbacks in (self._on_dead, self._on_alive, self._on_suspect):
+            while callback in callbacks:
+                callbacks.remove(callback)
+
     # -- evidence ----------------------------------------------------------
     def heartbeat_seen(self, node: int) -> None:
         """A beat from ``node`` arrived."""

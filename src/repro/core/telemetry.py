@@ -6,13 +6,14 @@ standard executive/utility messages.  This module holds that line for
 whole-cluster observability:
 
 * :class:`TelemetryAgent` — one per node; exports the node's
-  :class:`~repro.core.metrics.MetricsRegistry` snapshot and the
-  :class:`~repro.core.tracing.FrameTracer` span ring as an ordinary
+  :class:`~repro.core.metrics.MetricsRegistry` snapshot and the hops
+  projected from its flight-recorder ring
+  (:func:`~repro.flightrec.timeline.project_hops`) as an ordinary
   ``UtilParamsGet`` parameter map.  It adds no private verbs.
 * :class:`TelemetryCollector` — installed on one node; sweeps every
   agent through proxies with ``UtilParamsGet`` (exactly like
   :class:`~repro.daq.monitor.DaqMonitor`), aggregates per-node metric
-  snapshots and cluster totals, stitches cross-node spans into
+  snapshots and cluster totals, stitches cross-node hops into
   end-to-end trace timelines, and renders Prometheus-text and JSON
   dumps.
 * :class:`PeriodicSweeper` — a mixin turning any device with a
@@ -28,13 +29,14 @@ tentpole.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import re
 
 from repro.core.device import Listener, decode_params, encode_params
-from repro.core.tracing import Span
 from repro.dataflow.registry import message_type
+from repro.flightrec.timeline import Hop, hop_order, project_hops
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.i2o.function_codes import UTIL_PARAMS_GET
@@ -52,44 +54,27 @@ MT_PARAMS_SWEEP = message_type(
 #: untagged, so the tracer never mistakes it for a trace id.
 SWEEP_CONTEXT = 0x5EE9
 
-#: Agent parameter keys carrying encoded spans: ``s<span_id>``.
-_SPAN_KEY = re.compile(r"^s\d+$")
+#: Agent parameter keys carrying encoded hops: ``s<begin-record seq>``.
+_HOP_KEY = re.compile(r"^s\d+$")
 
-_SPAN_FIELDS = 9
+_HOP_FIELDS = len(dataclasses.fields(Hop))
 
-
-def encode_span(span: Span) -> str:
-    """One span as a compact ``;``-joined record (params-safe)."""
-    return ";".join(
-        (
-            format(span.trace_id, "x"),
-            str(span.span_id),
-            str(span.node),
-            str(span.tid),
-            str(span.function),
-            str(span.xfunction),
-            str(span.start_ns),
-            str(span.queue_wait_ns),
-            str(span.dispatch_ns),
-        )
-    )
+#: Newest hops one ``UtilParamsGet`` reply carries: keeps the reply
+#: inside one frame however large the node's ring is.  The ring keeps
+#: the rest for ``python -m repro.diag where`` and post-mortems.
+MAX_EXPORT_HOPS = 1024
 
 
-def decode_span(text: str) -> Span:
+def encode_hop(hop: Hop) -> str:
+    """One hop as a compact ``;``-joined hex record (params-safe)."""
+    return ";".join(format(v, "x") for v in dataclasses.astuple(hop))
+
+
+def decode_hop(text: str) -> Hop:
     parts = text.split(";")
-    if len(parts) != _SPAN_FIELDS:
-        raise I2OError(f"malformed span record {text!r}")
-    return Span(
-        trace_id=int(parts[0], 16),
-        span_id=int(parts[1]),
-        node=int(parts[2]),
-        tid=int(parts[3]),
-        function=int(parts[4]),
-        xfunction=int(parts[5]),
-        start_ns=int(parts[6]),
-        queue_wait_ns=int(parts[7]),
-        dispatch_ns=int(parts[8]),
-    )
+    if len(parts) != _HOP_FIELDS:
+        raise I2OError(f"malformed hop record {text!r}")
+    return Hop(*(int(part, 16) for part in parts))
 
 
 class PeriodicSweeper:
@@ -137,10 +122,10 @@ class PeriodicSweeper:
 
 
 class TelemetryAgent(Listener):
-    """Per-node exporter of metrics and trace spans.
+    """Per-node exporter of metrics and trace hops.
 
     Answers ``UtilParamsGet`` with a *fresh* map on every request
-    (overriding the accumulate-into-``parameters`` default: span keys
+    (overriding the accumulate-into-``parameters`` default: hop keys
     churn every sweep and must not pile up as stale parameters).
     """
 
@@ -158,11 +143,11 @@ class TelemetryAgent(Listener):
             for key, value in exe.metrics.snapshot().items()
         }
         out["node"] = str(exe.node)
-        tracer = exe.tracer
-        out["trace_enabled"] = "1" if tracer is not None else "0"
-        if tracer is not None:
-            for span in tracer.snapshot_spans():
-                out[f"s{span.span_id}"] = encode_span(span)
+        out["trace_enabled"] = "1" if exe.tracer is not None else "0"
+        if exe.flightrec is not None:
+            hops = project_hops(exe.node, exe.flightrec.records)
+            for hop in hops[-MAX_EXPORT_HOPS:]:
+                out[f"s{hop.seq}"] = encode_hop(hop)
         return out
 
     def _on_params_get(self, frame: Frame) -> None:
@@ -185,10 +170,10 @@ class TelemetryCollector(PeriodicSweeper, Listener):
     ``watch(node, proxy_tid)`` registers one agent per node; every
     :meth:`sweep` (manual, or periodic via :class:`PeriodicSweeper`)
     pulls each agent's snapshot with a correlated ``UtilParamsGet``.
-    Spans are deduplicated by ``(node, span_id)`` — the agent exports
-    its whole ring each time — and indexed by trace id; ``keep_spans``
-    bounds collector memory the same way the per-node ring bounds the
-    tracer's.
+    Hops are deduplicated by ``(node, seq)`` — the agent exports its
+    whole ring each time — and indexed by trace id; ``keep_spans``
+    bounds collector memory the same way the ring's capacity bounds
+    the node's.
     """
 
     device_class = "telemetry_collector"
@@ -204,8 +189,8 @@ class TelemetryCollector(PeriodicSweeper, Listener):
         self.node_info: dict[int, dict[str, str]] = {}
         self._contexts = itertools.count(1)
         self._context_node: dict[int, int] = {}
-        self._spans: list[Span] = []
-        self._by_trace: dict[int, list[Span]] = {}
+        self._spans: list[Hop] = []
+        self._by_trace: dict[int, list[Hop]] = {}
         self._seen: set[tuple[int, int]] = set()
         self.sweeps = 0
         self.spans_collected = 0
@@ -239,8 +224,8 @@ class TelemetryCollector(PeriodicSweeper, Listener):
         metrics: dict[str, float] = {}
         info: dict[str, str] = {}
         for key, value in decode_params(frame.payload).items():
-            if _SPAN_KEY.match(key):
-                self._ingest_span(decode_span(value))
+            if _HOP_KEY.match(key):
+                self._ingest_hop(decode_hop(value))
                 continue
             number = _parse_number(value)
             if number is None:
@@ -250,17 +235,17 @@ class TelemetryCollector(PeriodicSweeper, Listener):
         self.node_metrics[node] = metrics
         self.node_info[node] = info
 
-    def _ingest_span(self, span: Span) -> None:
-        key = (span.node, span.span_id)
+    def _ingest_hop(self, hop: Hop) -> None:
+        key = (hop.node, hop.seq)
         if key in self._seen:
             return
         self._seen.add(key)
-        self._spans.append(span)
-        self._by_trace.setdefault(span.trace_id, []).append(span)
+        self._spans.append(hop)
+        self._by_trace.setdefault(hop.trace_id, []).append(hop)
         self.spans_collected += 1
         while len(self._spans) > self.keep_spans:
             old = self._spans.pop(0)
-            self._seen.discard((old.node, old.span_id))
+            self._seen.discard((old.node, old.seq))
             per_trace = self._by_trace.get(old.trace_id)
             if per_trace is not None:
                 per_trace.remove(old)
@@ -271,32 +256,14 @@ class TelemetryCollector(PeriodicSweeper, Listener):
     def trace_ids(self) -> list[int]:
         return sorted(self._by_trace)
 
-    def trace(self, trace_id: int) -> list[Span]:
-        """All collected spans of one trace, in start-time order.
-
-        Cross-node ordering is meaningful on both planes: natively all
-        nodes read the same ``perf_counter_ns`` domain, and in
-        simulation all executives share the simulated clock.
-        """
-        return sorted(
-            self._by_trace.get(trace_id, ()),
-            key=lambda s: (s.start_ns, s.node, s.span_id),
-        )
+    def trace(self, trace_id: int) -> list[Hop]:
+        """All collected hops of one trace, in the order
+        :meth:`MergedTimeline.hops` gives the same records."""
+        return sorted(self._by_trace.get(trace_id, ()), key=hop_order)
 
     def timeline(self, trace_id: int) -> list[dict[str, int]]:
-        """One trace as an end-to-end list of hop records."""
-        return [
-            {
-                "node": span.node,
-                "tid": span.tid,
-                "function": span.function,
-                "xfunction": span.xfunction,
-                "start_ns": span.start_ns,
-                "queue_wait_ns": span.queue_wait_ns,
-                "dispatch_ns": span.dispatch_ns,
-            }
-            for span in self.trace(trace_id)
-        ]
+        """One trace as an end-to-end list of JSON-ready hop records."""
+        return [dataclasses.asdict(hop) for hop in self.trace(trace_id)]
 
     # -- aggregation and export ---------------------------------------------
     def cluster_totals(self) -> dict[str, float]:

@@ -18,23 +18,21 @@ small integers.  Layout::
     |  0xACE tag  |  node id |       local sequence      |
     +-------------+----------+---------------------------+
 
-Each executive that has a :class:`FrameTracer` installed records one
-:class:`Span` per dispatched frame belonging to a trace: node, target
-TiD, function codes, enqueue-to-dispatch queue wait and dispatch
-duration — the per-hop breakdown of paper §5's whitebox probes, but
-stitched *across* nodes by the collector.  Spans live in a bounded
-ring (old spans fall off; ``dropped`` counts them), so tracing can
-stay on in production without growing memory.
+The tracer only *stamps*: it allocates ids and keeps the in-dispatch
+context that lets a handler's sends join the dispatched frame's trace.
+It stores nothing per hop — the per-hop facts are the flight
+recorder's ``dispatch-begin``/``dispatch-end`` records, and a span is
+a projection of one such pair
+(:func:`repro.flightrec.timeline.project_hops`); a node that should
+report hops attaches a ``FlightRecorder`` beside its tracer.
 
-The tracer is a dispatch observer (:mod:`repro.core.observer`):
-``exe.attach(FrameTracer())`` subscribes it and sets ``exe.tracer``,
-which the send/enqueue/release hook sites read directly.
+A dispatch observer (:mod:`repro.core.observer`):
+``exe.attach(FrameTracer())`` sets ``exe.tracer``, which
+``frame_send`` reads to stamp outgoing frames.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.observer import DispatchObserver, DispatchRecord
@@ -69,56 +67,29 @@ def trace_root_node(trace_id: int) -> int:
     return (trace_id >> _NODE_SHIFT) & 0xFFF
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
-    """One dispatch hop of a traced operation."""
-
-    trace_id: int
-    span_id: int
-    node: int
-    tid: int
-    function: int
-    xfunction: int
-    start_ns: int
-    queue_wait_ns: int
-    dispatch_ns: int
-
-
 class FrameTracer(DispatchObserver):
-    """Per-executive trace-id allocator and span ring.
+    """Per-executive trace-id allocator.
 
-    Clock-agnostic (every reading is passed in), so it works on both
-    the native and simulation planes.  Besides the observer contract —
-    ``dispatch_begin`` / ``dispatch_end`` record the hop's span — the
-    executive calls three hooks directly:
-
-    * :meth:`stamp` at ``frame_send`` — roots a new trace for frames
-      sent from outside any dispatch, or propagates the active trace
-      to frames sent *during* a dispatch; never overwrites a non-zero
-      ``transaction_context`` (application and timer contexts, and
-      contexts already carried across the wire, pass untouched);
-    * :meth:`note_enqueue` when a frame enters the scheduler;
-    * :meth:`forget` when a frame is released without dispatch.
+    Besides the observer contract — ``dispatch_begin`` / ``dispatch_end``
+    bracket the in-dispatch context — the executive calls :meth:`stamp`
+    at ``frame_send``: it roots a new trace for frames sent from outside
+    any dispatch, or propagates the active trace to frames sent *during*
+    a dispatch; it never overwrites a non-zero ``transaction_context``
+    (application and timer contexts, and contexts already carried across
+    the wire, pass untouched).
     """
 
     label = "frame tracer"
 
-    def __init__(self, node: int | None = None, capacity: int = 1024) -> None:
+    def __init__(self, node: int | None = None) -> None:
         self.node = node
-        self.capacity = capacity
-        self.spans: deque[Span] = deque(maxlen=capacity)
-        self.dropped = 0
         self.allocated = 0
-        self._seq = 0
-        self._span_seq = 0
         self._active = 0
         self._in_dispatch = False
 
-    # -- trace-id allocation ------------------------------------------------
     def _fresh_id(self) -> int:
-        self._seq += 1
         self.allocated += 1
-        return make_trace_id(self.node or 0, self._seq)
+        return make_trace_id(self.node or 0, self.allocated)
 
     def stamp(self, frame: "Frame") -> None:
         if frame.transaction_context != 0 or frame.is_reply:
@@ -132,17 +103,6 @@ class FrameTracer(DispatchObserver):
             frame.transaction_context = self._active
         else:
             frame.transaction_context = self._fresh_id()
-
-    # -- scheduler hooks ----------------------------------------------------
-    # The enqueue timestamp rides the frame itself (``trace_mark``),
-    # not a dict keyed by ``id(frame)``: id() values recycle with the
-    # allocator, so a released frame's stale entry could alias a new
-    # frame at the same address and inflate its queue_wait_ns.
-    def note_enqueue(self, frame: "Frame", now_ns: int) -> None:
-        frame.trace_mark = now_ns
-
-    def forget(self, frame: "Frame") -> None:
-        frame.trace_mark = None
 
     # -- the observer contract ----------------------------------------------
     def on_attach(self, exe: "Executive") -> None:
@@ -158,31 +118,5 @@ class FrameTracer(DispatchObserver):
         self._in_dispatch = True
 
     def dispatch_end(self, rec: DispatchRecord) -> None:
-        trace_id = self._active
         self._active = 0
         self._in_dispatch = False
-        if trace_id == 0:
-            return
-        if len(self.spans) == self.capacity:
-            self.dropped += 1
-        self._span_seq += 1
-        enqueued = rec.enqueued_ns
-        self.spans.append(
-            Span(
-                trace_id=trace_id,
-                span_id=self._span_seq,
-                node=self.node or 0,
-                tid=rec.target,
-                function=rec.function,
-                xfunction=rec.xfunction,
-                start_ns=rec.start_ns,
-                queue_wait_ns=(
-                    rec.start_ns - enqueued if enqueued is not None else 0
-                ),
-                dispatch_ns=rec.end_ns - rec.start_ns,
-            )
-        )
-
-    # -- export -------------------------------------------------------------
-    def snapshot_spans(self) -> list[Span]:
-        return list(self.spans)

@@ -23,7 +23,7 @@ Routing is runtime, the DAG is analytic: ``emit`` never walks the
 graph — bootstrap derives plain TiD route tables from it once, so the
 hot path stays the paper's zero-copy frameSend.
 
-CLI: ``python -m repro.dataflow`` renders or checks a topology.
+CLI: ``python -m repro.diag graph`` renders or checks a topology.
 """
 
 from repro.dataflow.graph import DataflowGraph, DeviceNode, Diagnostic

@@ -2,7 +2,7 @@
 
 Each factory returns a plain bootstrap spec dict whose routes are
 *derived* from the devices' consumes/emits declarations — zero
-hand-wired proxies.  ``python -m repro.dataflow --builtin <name>``
+hand-wired proxies.  ``python -m repro.diag graph --builtin <name>``
 renders/checks these, and the CI gate holds them at zero diagnostics.
 """
 

@@ -258,6 +258,31 @@ class DataflowGraph:
             "fan": self.fan_report(),
         }
 
+    def describe(self) -> str:
+        """Human-readable report: devices, edges, fan counts, findings."""
+        lines = ["== devices =="]
+        for dev in sorted(self.devices.values(),
+                          key=lambda d: (d.node, d.name)):
+            lines.append(
+                f"  node{dev.node} {dev.name} [{dev.device_class}] "
+                f"consumes={list(dev.consumes)} emits={list(dev.emits)}"
+            )
+        lines.append("== edges ==")
+        for edge in self.edges():
+            marker = " (feedback)" if edge.feedback else ""
+            lines.append(f"  {edge.src} -> {edge.dst}  [{edge.mtype}]{marker}")
+        lines.append("== fan-in/fan-out ==")
+        for name, counts in self.fan_report()["devices"].items():
+            lines.append(
+                f"  {name}: in={counts['fan_in']} out={counts['fan_out']}"
+            )
+        diagnostics = self.analyze()
+        lines.append(f"== diagnostics ({len(diagnostics)}) ==")
+        lines.extend(f"  {diag.render()}" for diag in diagnostics)
+        if not diagnostics:
+            lines.append("  clean")
+        return "\n".join(lines)
+
     def to_dot(self) -> str:
         """GraphViz rendering: nodes clustered per processing node,
         forward edges solid, feedback edges dashed."""
@@ -306,7 +331,7 @@ def graph_from_spec(spec: dict[str, Any]) -> DataflowGraph:
     """Build the graph from a bootstrap spec dict *without* building a
     cluster: classes are imported and instantiated (constructors only;
     nothing is installed), then reduced to their declarations.  This is
-    the ``python -m repro.dataflow`` path — topology review without
+    the ``python -m repro.diag graph`` path — topology review without
     side effects."""
     from repro.config.bootstrap import spec_devices
 

@@ -1,37 +1,22 @@
-"""repro.flightrec — per-executive black-box flight recorder.
+"""repro.flightrec — the per-executive record stream and its projections.
 
 * :class:`FlightRecorder` — the bounded, preallocated binary event
   ring every subsystem writes into, spilled to disk on crash paths;
-* :func:`load_dump` / :class:`FlightDump` — dump verification and
-  decoding;
-* :func:`merge_dumps` / :class:`MergedTimeline` — multi-node causal
-  stitching by trace id and reliable sequence number;
-* ``python -m repro.flightrec decode|merge`` — the post-mortem CLI.
+  the only per-node store of frame-lifecycle facts;
+* :func:`load_dump` / :func:`load_dumps` / :class:`FlightDump` — dump
+  verification and decoding;
+* :func:`project_hops` / :class:`Hop` — a node's traced dispatches,
+  projected from its begin/end record pairs;
+* :class:`MergedTimeline` — multi-node causal stitching by trace id
+  and reliable sequence number, over dumps or live recorders;
+* the ``EV_*`` kinds and their argument contract live in
+  :mod:`repro.flightrec.records`; ``python -m repro.diag timeline``
+  is the post-mortem CLI.
 """
 
-from repro.flightrec.dump import FlightDump, describe_dump, load_dump
+from repro.flightrec.dump import FlightDump, describe_dump, load_dump, load_dumps
 from repro.flightrec.recorder import FlightRecorder
 from repro.flightrec.records import (
-    EV_CRASH_POINT,
-    EV_DISPATCH_BEGIN,
-    EV_DISPATCH_END,
-    EV_DISPATCH_ERROR,
-    EV_FRAME_ALLOC,
-    EV_FRAME_INGEST,
-    EV_FRAME_RELEASE,
-    EV_FRAME_TRANSMIT,
-    EV_HARD_STOP,
-    EV_JOURNAL_COMMIT,
-    EV_JOURNAL_RETIRE,
-    EV_LIVENESS,
-    EV_POOL_EXHAUSTED,
-    EV_REL_ACK,
-    EV_REL_DELIVER,
-    EV_REL_RETRANSMIT,
-    EV_REL_SEND,
-    EV_SANITIZER,
-    EV_TIMER_FIRE,
-    EV_WATCHDOG_TRIP,
     KIND_NAMES,
     FlightRecError,
     FlightRecord,
@@ -40,10 +25,11 @@ from repro.flightrec.records import (
 )
 from repro.flightrec.timeline import (
     Gap,
+    Hop,
     MergedTimeline,
     TimelineEvent,
     in_flight_sends,
-    merge_dumps,
+    project_hops,
 )
 
 __all__ = [
@@ -52,33 +38,15 @@ __all__ = [
     "FlightRecError",
     "FlightRecord",
     "Gap",
+    "Hop",
+    "KIND_NAMES",
     "MergedTimeline",
     "TimelineEvent",
     "describe_dump",
     "in_flight_sends",
     "load_dump",
-    "merge_dumps",
+    "load_dumps",
     "pack3",
+    "project_hops",
     "unpack3",
-    "KIND_NAMES",
-    "EV_DISPATCH_BEGIN",
-    "EV_DISPATCH_END",
-    "EV_DISPATCH_ERROR",
-    "EV_FRAME_ALLOC",
-    "EV_FRAME_RELEASE",
-    "EV_FRAME_TRANSMIT",
-    "EV_FRAME_INGEST",
-    "EV_POOL_EXHAUSTED",
-    "EV_REL_SEND",
-    "EV_REL_DELIVER",
-    "EV_REL_ACK",
-    "EV_REL_RETRANSMIT",
-    "EV_JOURNAL_COMMIT",
-    "EV_JOURNAL_RETIRE",
-    "EV_TIMER_FIRE",
-    "EV_LIVENESS",
-    "EV_CRASH_POINT",
-    "EV_WATCHDOG_TRIP",
-    "EV_SANITIZER",
-    "EV_HARD_STOP",
 ]

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import os
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.flightrec.records import (
     RECORD_SIZE,
-    RECORD_STRUCT,
     FlightRecError,
     FlightRecord,
+    decode_records,
 )
 from repro.flightrec.recorder import (
     DUMP_HEADER,
@@ -84,18 +85,23 @@ def load_dump(path: str | os.PathLike[str]) -> FlightDump:
             f"{path}: header claims {min(total, capacity)} stored "
             f"record(s), body holds {stored}"
         )
-    records = tuple(
-        FlightRecord(*RECORD_STRUCT.unpack_from(body, i * RECORD_SIZE))
-        for i in range(stored)
-    )
     return FlightDump(
         path=path,
         node=node,
         capacity=capacity,
         total=total,
         reason=reason_raw.rstrip(b"\0").decode("ascii", "replace"),
-        records=records,
+        records=decode_records(body),
     )
+
+
+def load_dumps(paths: Iterable[str | os.PathLike[str]]) -> list[FlightDump]:
+    """Load every dump named; a directory stands for the
+    ``*.flightrec`` files in it, in name order."""
+    files: list[Path] = []
+    for path in map(Path, paths):
+        files.extend(sorted(path.glob("*.flightrec")) if path.is_dir() else [path])
+    return [load_dump(file) for file in files]
 
 
 def describe_dump(dump: FlightDump) -> str:

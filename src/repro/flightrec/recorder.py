@@ -62,7 +62,8 @@ from repro.flightrec.records import (
     SAN_DOUBLE_FREE,
     SAN_USE_AFTER_FREE,
     FlightRecError,
-    pack3,
+    FlightRecord,
+    decode_records,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,17 +80,32 @@ DUMP_HEADER_SIZE = DUMP_HEADER.size  # 52
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
+#: Spills one recorder writes for *survivable* incidents (handler
+#: exceptions here, budget overruns in ``SlowFrameWatch``): a device
+#: failing every dispatch must not turn forensics into a disk-thrashing
+#: loop.  Every incident is still recorded in the ring; fatal paths
+#: (``hard_stop``, watchdog, sanitizer) always spill.
+MAX_INCIDENT_SPILLS = 4
+
+_SANITIZER_CODES = {
+    "double-free": SAN_DOUBLE_FREE,
+    "use-after-free": SAN_USE_AFTER_FREE,
+}
+
 
 class FlightRecorder(DispatchObserver):
     """Per-executive bounded event ring with crash spill-to-disk.
 
     A dispatch observer: ``exe.attach(FlightRecorder(...))`` brackets
     every dispatch with begin/end records and sets ``exe.flightrec``,
-    which the fabric's other record sites read.  ``node`` and ``clock``
-    may be left unset; they are adopted from the executive at attach
-    time.  Without a ``dump_dir`` the recorder still records (useful
-    for overhead benchmarks and in-process inspection) but
-    :meth:`spill` is a no-op returning ``None``.
+    which the fabric's other record sites read.  The ring is the only
+    per-node store of frame-lifecycle facts: spans, critical paths and
+    post-mortems are projections of it
+    (:mod:`repro.flightrec.timeline`).  ``node`` and ``clock`` may be
+    left unset; they are adopted from the executive at attach time.
+    Without a ``dump_dir`` the recorder still records (what
+    ``telemetry.tracing`` attaches) but :meth:`spill` is a no-op
+    returning ``None``.
 
     ``name`` controls the dump filename (``<name>.flightrec``); give
     replacement executives that reuse a dead node's id a distinct name
@@ -117,6 +133,9 @@ class FlightRecorder(DispatchObserver):
         self._ring = bytearray(capacity * RECORD_SIZE)
         self._seq = 0
         self.spills = 0
+        #: dispatch-exception spills withheld by MAX_INCIDENT_SPILLS
+        self.suppressed_spills = 0
+        self._exception_spills = 0
 
     # -- accounting ----------------------------------------------------------
     @property
@@ -154,6 +173,13 @@ class FlightRecorder(DispatchObserver):
             seq, t_ns & _U64, a & _U64, b & _U64, c & _U64, kind & 0xFF,
         )
 
+    @property
+    def records(self) -> tuple[FlightRecord, ...]:
+        """The live ring decoded, oldest first — the same shape a
+        loaded dump's ``records`` has, so every projection of a dump
+        also runs on a live recorder.  O(capacity) per read."""
+        return decode_records(self.ring_bytes())
+
     # -- the executive's own record sites ------------------------------------
     def note_alloc(self, size: int, in_flight: int) -> None:
         self.record(EV_FRAME_ALLOC, size, in_flight)
@@ -181,46 +207,65 @@ class FlightRecorder(DispatchObserver):
         if self.clock is None:
             self.clock = exe.clock
         exe.flightrec = self
-        record = self.record
-        exe.peers.on_alive(lambda node: record(EV_LIVENESS, node, LIVE_ALIVE))
-        exe.peers.on_suspect(
-            lambda node: record(EV_LIVENESS, node, LIVE_SUSPECT)
-        )
-        exe.peers.on_dead(lambda node: record(EV_LIVENESS, node, LIVE_DEAD))
+        exe.peers.on_alive(self._peer_alive)
+        exe.peers.on_suspect(self._peer_suspect)
+        exe.peers.on_dead(self._peer_dead)
         allocator = exe.pool.allocator
         if hasattr(allocator, "on_violation"):
-            codes = {
-                "double-free": SAN_DOUBLE_FREE,
-                "use-after-free": SAN_USE_AFTER_FREE,
-            }
-
-            def spill_violation(kind: str) -> None:
-                record(EV_SANITIZER, codes.get(kind, 0))
-                self.spill("sanitizer")
-
-            allocator.on_violation = spill_violation
+            allocator.on_violation = self._violation
         m = exe.metrics
         m.gauge("flightrec_records_total", lambda: self.total_records)
         m.gauge("flightrec_dropped_total", lambda: self.dropped_records)
         m.gauge("flightrec_spills_total", lambda: self.spills)
+        m.gauge(
+            "flightrec_spills_suppressed_total", lambda: self.suppressed_spills
+        )
 
     def on_detach(self, exe: "Executive") -> None:
         exe.flightrec = None
+        for callback in (self._peer_alive, self._peer_suspect, self._peer_dead):
+            exe.peers.unsubscribe(callback)
+        allocator = exe.pool.allocator
+        if getattr(allocator, "on_violation", None) == self._violation:
+            allocator.on_violation = None
 
+    def _peer_alive(self, node: int) -> None:
+        self.record(EV_LIVENESS, node, LIVE_ALIVE)
+
+    def _peer_suspect(self, node: int) -> None:
+        self.record(EV_LIVENESS, node, LIVE_SUSPECT)
+
+    def _peer_dead(self, node: int) -> None:
+        self.record(EV_LIVENESS, node, LIVE_DEAD)
+
+    def _violation(self, kind: str) -> None:
+        self.record(EV_SANITIZER, _SANITIZER_CODES.get(kind, 0))
+        self.spill("sanitizer")
+
+    # Both dispatch records inline pack3(target, function, xfunction):
+    # the fields come from a validated header, already in range, and
+    # this is the recorder's hottest path (X9).
     def dispatch_begin(self, rec: DispatchRecord) -> None:
+        enqueued = rec.enqueued_ns
         self.record(
             EV_DISPATCH_BEGIN, rec.context,
-            pack3(rec.target, rec.function, rec.xfunction), t_ns=rec.start_ns,
+            (rec.target << 32) | (rec.function << 16) | rec.xfunction,
+            rec.start_ns - enqueued if enqueued is not None else 0,
+            rec.start_ns,
         )
 
     def dispatch_end(self, rec: DispatchRecord) -> None:
-        hdr = pack3(rec.target, rec.function, rec.xfunction)
+        hdr = (rec.target << 32) | (rec.function << 16) | rec.xfunction
         if rec.outcome == OUTCOME_HANDLER_ERROR:
-            self.record(EV_DISPATCH_ERROR, rec.context, hdr, t_ns=rec.end_ns)
-            self.spill("dispatch-exception")
+            self.record(EV_DISPATCH_ERROR, rec.context, hdr, 0, rec.end_ns)
+            if self._exception_spills < MAX_INCIDENT_SPILLS:
+                self._exception_spills += 1
+                self.spill("dispatch-exception")
+            else:
+                self.suppressed_spills += 1
         self.record(
             EV_DISPATCH_END, rec.context, hdr,
-            rec.end_ns - rec.start_ns, t_ns=rec.end_ns,
+            rec.end_ns - rec.start_ns, rec.end_ns,
         )
 
     # -- spill ---------------------------------------------------------------

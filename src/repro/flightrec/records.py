@@ -10,45 +10,19 @@ hot path, matching the ``Probes``/tracer discipline)::
     ------  ----  ---------------------------------------------------
        0      8   seq     monotonically increasing record number
        8      8   t_ns    clock reading (executive clock domain)
-      16      8   a       event argument (see table below)
+      16      8   a       event argument (see ARGUMENTS)
       24      8   b       event argument
       32      8   c       event argument
       40      1   kind    event kind (EV_*)
       41      7   padding (zero)
 
-Event argument meanings — the contract the decoder and the timeline
-merge rely on (``ctx`` is the frame's 64-bit ``transaction_context``,
-which carries the 0xACE-tagged trace id when a tracer is installed;
-``hdr`` is :func:`pack3` of addressing fields):
-
-======================  =====================  ==================  ============
-kind                    a                      b                   c
-======================  =====================  ==================  ============
-EV_DISPATCH_BEGIN       ctx                    pack3(tgt,fn,xfn)   0
-EV_DISPATCH_END         ctx                    pack3(tgt,fn,xfn)   duration_ns
-EV_DISPATCH_ERROR       ctx                    pack3(tgt,fn,xfn)   0
-EV_FRAME_ALLOC          total size             blocks in flight    0
-EV_FRAME_RELEASE        ctx                    0                   0
-EV_FRAME_TRANSMIT       ctx                    pack3(node,tid,xfn) total size
-EV_FRAME_INGEST         ctx                    pack3(src,tgt,xfn)  total size
-EV_POOL_EXHAUSTED       requested size         0                   0
-EV_REL_SEND             seq                    dest node           payload len
-EV_REL_DELIVER          seq                    source node         payload len
-EV_REL_ACK              seq                    0                   0
-EV_REL_RETRANSMIT       seq                    retries left        0
-EV_JOURNAL_COMMIT       seq                    0                   0
-EV_JOURNAL_RETIRE       seq                    0                   0
-EV_TIMER_FIRE           timer id               owner TiD           context
-EV_LIVENESS             peer node              state code          0
-EV_CRASH_POINT          crash-point code       0                   0
-EV_WATCHDOG_TRIP        quarantined TiD        0                   0
-EV_SANITIZER            violation code         0                   0
-EV_HARD_STOP            0                      0                   0
-EV_DATAFLOW_SHED        pack3(node,tid,xfn)    outbox backlog      0
-EV_DATAFLOW_PARK        pack3(node,tid,xfn)    outbox backlog      0
-EV_DATAFLOW_RESUME      pack3(node,tid,xfn)    outbox backlog      0
-EV_SLOW_FRAME           ctx                    pack3(tgt,fn,xfn)   duration_ns
-======================  =====================  ==================  ============
+What ``a``/``b``/``c`` mean for each kind — the contract every record
+site, the decoder and the timeline merge rely on — is written once, in
+executable form: the :data:`ARGUMENTS` table at the bottom of this
+module, which is also what renders a record for humans.  There ``ctx``
+is a frame's 64-bit ``transaction_context`` (a 0xACE-tagged trace id
+when a tracer stamped it) and a *header* is :func:`pack3` of three
+addressing fields.
 """
 
 from __future__ import annotations
@@ -173,71 +147,71 @@ class FlightRecord:
 
     def describe(self) -> str:
         """Human-readable event line (symbolic names, not raw ints)."""
-        k, a, b, c = self.kind, self.a, self.b, self.c
-        if k in (EV_DISPATCH_BEGIN, EV_DISPATCH_END, EV_DISPATCH_ERROR):
-            target, function, xfunction = unpack3(b)
-            detail = (
-                f"ctx={a:#x} tid={target} fn={function_name(function)} "
-                f"xfn={xfunction:#06x}"
-            )
-            if k == EV_DISPATCH_END:
-                detail += f" took={c}ns"
-            return f"{self.kind_name:<16} {detail}"
-        if k == EV_FRAME_ALLOC:
-            return f"{self.kind_name:<16} size={a} in_flight={b}"
-        if k == EV_FRAME_RELEASE:
-            return f"{self.kind_name:<16} ctx={a:#x}"
-        if k == EV_FRAME_TRANSMIT:
-            node, tid, xfunction = unpack3(b)
-            return (
-                f"{self.kind_name:<16} ctx={a:#x} dest=node{node}/tid{tid} "
-                f"xfn={xfunction:#06x} size={c}"
-            )
-        if k == EV_FRAME_INGEST:
-            src, target, xfunction = unpack3(b)
-            return (
-                f"{self.kind_name:<16} ctx={a:#x} src=node{src} tid={target} "
-                f"xfn={xfunction:#06x} size={c}"
-            )
-        if k == EV_POOL_EXHAUSTED:
-            return f"{self.kind_name:<16} requested={a}"
-        if k == EV_REL_SEND:
-            return f"{self.kind_name:<16} seq={a} dest=node{b} len={c}"
-        if k == EV_REL_DELIVER:
-            return f"{self.kind_name:<16} seq={a} src=node{b} len={c}"
-        if k in (EV_REL_ACK, EV_JOURNAL_COMMIT, EV_JOURNAL_RETIRE):
-            return f"{self.kind_name:<16} seq={a}"
-        if k == EV_REL_RETRANSMIT:
-            return f"{self.kind_name:<16} seq={a} retries_left={b}"
-        if k == EV_TIMER_FIRE:
-            return f"{self.kind_name:<16} timer={a} owner=tid{b} context={c:#x}"
-        if k == EV_LIVENESS:
-            state = LIVENESS_NAMES.get(b, f"state{b}")
-            return f"{self.kind_name:<16} peer=node{a} -> {state}"
-        if k == EV_CRASH_POINT:
-            point = CRASH_POINT_NAMES.get(a, f"code{a}")
-            return f"{self.kind_name:<16} {point}"
-        if k == EV_WATCHDOG_TRIP:
-            return f"{self.kind_name:<16} quarantined=tid{a}"
-        if k == EV_SANITIZER:
-            return f"{self.kind_name:<16} {SANITIZER_NAMES.get(a, f'code{a}')}"
-        if k == EV_SLOW_FRAME:
-            target, function, xfunction = unpack3(b)
-            return (
-                f"{self.kind_name:<16} ctx={a:#x} tid={target} "
-                f"fn={function_name(function)} xfn={xfunction:#06x} "
-                f"took={c}ns"
-            )
-        if k in (EV_DATAFLOW_SHED, EV_DATAFLOW_PARK, EV_DATAFLOW_RESUME):
-            node, tid, xfunction = unpack3(a)
-            return (
-                f"{self.kind_name:<16} edge=node{node}/tid{tid} "
-                f"xfn={xfunction:#06x} backlog={b}"
-            )
-        return self.kind_name
+        arguments = ARGUMENTS.get(self.kind)
+        if arguments is None:
+            return self.kind_name
+        return f"{self.kind_name:<16} {arguments(self.a, self.b, self.c)}"
 
     def pack(self) -> bytes:
         return RECORD_STRUCT.pack(
             self.seq & _U64, self.t_ns & _U64, self.a & _U64,
             self.b & _U64, self.c & _U64, self.kind & 0xFF,
         )
+
+
+def decode_records(body: bytes) -> tuple[FlightRecord, ...]:
+    """Decode a run of packed records (a ring's or a dump's body)."""
+    return tuple(
+        FlightRecord(*fields) for fields in RECORD_STRUCT.iter_unpack(body)
+    )
+
+
+def _hdr(b: int) -> str:
+    target, function, xfunction = unpack3(b)
+    return f"tid={target} fn={function_name(function)} xfn={xfunction:#06x}"
+
+
+def _edge(a: int, b: int, c: int) -> str:
+    node, tid, xfunction = unpack3(a)
+    return f"edge=node{node}/tid{tid} xfn={xfunction:#06x} backlog={b}"
+
+
+def _seq_only(a: int, b: int, c: int) -> str:
+    return f"seq={a}"
+
+
+#: kind -> what its (a, b, c) arguments are, as their renderer.  Kinds
+#: absent here (``hard-stop``) carry no arguments.
+ARGUMENTS = {
+    EV_DISPATCH_BEGIN: lambda a, b, c: f"ctx={a:#x} {_hdr(b)} waited={c}ns",
+    EV_DISPATCH_END: lambda a, b, c: f"ctx={a:#x} {_hdr(b)} took={c}ns",
+    EV_DISPATCH_ERROR: lambda a, b, c: f"ctx={a:#x} {_hdr(b)}",
+    EV_SLOW_FRAME: lambda a, b, c: f"ctx={a:#x} {_hdr(b)} took={c}ns",
+    EV_FRAME_ALLOC: lambda a, b, c: f"size={a} in_flight={b}",
+    EV_FRAME_RELEASE: lambda a, b, c: f"ctx={a:#x}",
+    EV_FRAME_TRANSMIT: lambda a, b, c: (
+        "ctx={:#x} dest=node{}/tid{} xfn={:#06x} size={}".format(
+            a, *unpack3(b), c)
+    ),
+    EV_FRAME_INGEST: lambda a, b, c: (
+        "ctx={:#x} src=node{} tid={} xfn={:#06x} size={}".format(
+            a, *unpack3(b), c)
+    ),
+    EV_POOL_EXHAUSTED: lambda a, b, c: f"requested={a}",
+    EV_REL_SEND: lambda a, b, c: f"seq={a} dest=node{b} len={c}",
+    EV_REL_DELIVER: lambda a, b, c: f"seq={a} src=node{b} len={c}",
+    EV_REL_ACK: _seq_only,
+    EV_JOURNAL_COMMIT: _seq_only,
+    EV_JOURNAL_RETIRE: _seq_only,
+    EV_REL_RETRANSMIT: lambda a, b, c: f"seq={a} retries_left={b}",
+    EV_TIMER_FIRE: lambda a, b, c: f"timer={a} owner=tid{b} context={c:#x}",
+    EV_LIVENESS: lambda a, b, c: (
+        f"peer=node{a} -> {LIVENESS_NAMES.get(b, f'state{b}')}"
+    ),
+    EV_CRASH_POINT: lambda a, b, c: CRASH_POINT_NAMES.get(a, f"code{a}"),
+    EV_WATCHDOG_TRIP: lambda a, b, c: f"quarantined=tid{a}",
+    EV_SANITIZER: lambda a, b, c: SANITIZER_NAMES.get(a, f"code{a}"),
+    EV_DATAFLOW_SHED: _edge,
+    EV_DATAFLOW_PARK: _edge,
+    EV_DATAFLOW_RESUME: _edge,
+}

@@ -1,42 +1,41 @@
-"""Stitching per-node dumps into one causal cluster timeline.
+"""Projections of the per-node record streams: hops, and the merge.
 
-Each flight recorder is a *per-node* black box; after an incident you
-hold one dump per executive (dead nodes included — their spill happened
-at ``hard_stop``).  This module joins them on the two identifiers that
-already cross the wire:
+A *source* is anything with a ``node`` and decoded ``records`` — a
+loaded dump (dead nodes included: they spilled at ``hard_stop``) or a
+live :class:`~repro.flightrec.recorder.FlightRecorder`.
+:func:`project_hops` turns one node's dispatch-begin/end pairs into
+the per-hop facts the telemetry agent exports and the critical-path
+analyzer decomposes.  :class:`MergedTimeline` joins sources on the two
+identifiers that already cross the wire:
 
-* **trace ids** — the 0xACE-tagged ``transaction_context`` a
-  :class:`~repro.core.tracing.FrameTracer` stamps on every rooted
-  frame.  A ``frame-transmit`` on node A and a ``dispatch-begin`` on
-  node B carrying the same trace id are the same message leaving and
-  arriving;
-* **reliable sequence numbers** — a ``rel-send`` on the sender and a
-  ``rel-deliver`` on the receiver with the same seq (and matching
-  node pair) are one reliable message's send and arrival.
+* **trace ids** — the 0xACE-tagged ``transaction_context``: a
+  ``frame-transmit`` on node A and a ``dispatch-begin`` on node B
+  carrying the same id are one message leaving and arriving;
+* **reliable sequence numbers** — a ``rel-send`` and a ``rel-deliver``
+  with the same seq and node pair are one reliable message's two ends.
 
-The joins drive two diagnoses:
-
-* :meth:`MergedTimeline.gaps` — sends with *no* matching arrival
-  anywhere in the merged record (a message that left a node and was
-  never seen again: lost on the wire past every retransmission, or
-  addressed to a node whose dump is missing);
-* :func:`in_flight_sends` — per dump, reliable sends never acked
-  within that dump: exactly the frames that were in flight at the
-  crash window when the node died.
+The joins drive two diagnoses: :meth:`MergedTimeline.gaps` (sends with
+no matching arrival anywhere in the merge — lost past every
+retransmission, or addressed to a node whose dump is missing) and
+:func:`in_flight_sends` (per source, reliable sends never acked within
+it: the frames in flight when that node died).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any
 
 from repro.core.tracing import is_trace_context
-from repro.flightrec.dump import FlightDump
 from repro.flightrec.records import (
     EV_DISPATCH_BEGIN,
     EV_DISPATCH_END,
     EV_DISPATCH_ERROR,
     EV_FRAME_INGEST,
     EV_FRAME_TRANSMIT,
+    EV_JOURNAL_COMMIT,
     EV_REL_ACK,
     EV_REL_DELIVER,
     EV_REL_RETRANSMIT,
@@ -50,6 +49,61 @@ _CTX_KINDS = frozenset((
     EV_DISPATCH_BEGIN, EV_DISPATCH_END, EV_DISPATCH_ERROR,
     EV_FRAME_TRANSMIT, EV_FRAME_INGEST,
 ))
+
+#: the reliable stream's record kinds (``a`` is the stream seq)
+_REL_KINDS = frozenset((
+    EV_REL_SEND, EV_REL_DELIVER, EV_REL_ACK, EV_REL_RETRANSMIT,
+    EV_JOURNAL_COMMIT,
+))
+
+
+#: a FlightDump or a live FlightRecorder: ``.node`` + ``.records``
+RecordSource = Any
+
+
+@dataclass(frozen=True, slots=True)
+class Hop:
+    """One traced dispatch: a begin/end record pair of one node."""
+
+    trace_id: int
+    #: the begin record's ring sequence number — unique per node
+    seq: int
+    node: int
+    tid: int
+    function: int
+    xfunction: int
+    start_ns: int
+    queue_wait_ns: int
+    dispatch_ns: int
+
+
+#: The order of one trace's hops, wherever they are listed.  Cross-node
+#: ordering is meaningful on both planes: natively all nodes read the
+#: same ``perf_counter_ns`` domain, and in simulation all executives
+#: share the simulated clock.
+hop_order = attrgetter("start_ns", "node", "seq")
+
+
+def project_hops(node: int, records: Iterable[FlightRecord]) -> list[Hop]:
+    """The hops in one node's record stream, in dispatch order.
+
+    A hop is a ``dispatch-begin`` carrying a trace id followed by its
+    ``dispatch-end`` (dispatches of one loop of control do not
+    interleave).  A begin whose end is missing — the node died
+    mid-dispatch, or the ring overwrote half the pair — yields nothing.
+    """
+    hops: list[Hop] = []
+    begin: FlightRecord | None = None
+    for record in records:
+        if record.kind == EV_DISPATCH_BEGIN:
+            begin = record if is_trace_context(record.a) else None
+        elif record.kind == EV_DISPATCH_END and begin is not None:
+            hops.append(Hop(
+                begin.a, begin.seq, node, *unpack3(begin.b),
+                begin.t_ns, begin.c, record.c,
+            ))
+            begin = None
+    return hops
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,42 +139,43 @@ class Gap:
 
 
 class MergedTimeline:
-    """The cross-node causal timeline built from a set of dumps."""
+    """The cross-node causal timeline built from a set of sources."""
 
-    def __init__(self, dumps: list[FlightDump]) -> None:
+    def __init__(self, dumps: Iterable[RecordSource]) -> None:
         self.dumps = list(dumps)
+        records = [(dump.node, dump.records) for dump in self.dumps]
         self.events: list[TimelineEvent] = sorted(
             (
-                TimelineEvent(dump.node, record)
-                for dump in dumps
-                for record in dump.records
+                TimelineEvent(node, record)
+                for node, node_records in records
+                for record in node_records
             ),
             key=lambda ev: (ev.record.t_ns, ev.node, ev.record.seq),
         )
+        # trace id -> its hops, every node's projection merged.
+        self._hops: dict[int, list[Hop]] = {}
+        for node, node_records in records:
+            for hop in project_hops(node, node_records):
+                self._hops.setdefault(hop.trace_id, []).append(hop)
         # (sender node, dest node, seq) seen leaving / arriving.
         self._sent: dict[tuple[int, int, int], TimelineEvent] = {}
         self._delivered: set[tuple[int, int, int]] = set()
-        # trace ctx -> transmit event / set of nodes that dispatched it.
-        self._transmits: dict[int, TimelineEvent] = {}
-        self._dispatched_ctx: dict[int, set[int]] = {}
+        # frame context -> every record carrying it, in merged order.
+        self._by_ctx: dict[int, list[TimelineEvent]] = {}
+        # node -> its reliable-stream records, in merged order.
+        self._reliable: dict[int, list[FlightRecord]] = {}
         for event in self.events:
             record = event.record
-            if record.kind in (EV_REL_SEND, EV_REL_RETRANSMIT):
-                dest = record.b if record.kind == EV_REL_SEND else None
-                if dest is not None:
+            if record.kind in _CTX_KINDS:
+                self._by_ctx.setdefault(record.a, []).append(event)
+            elif record.kind in _REL_KINDS:
+                self._reliable.setdefault(event.node, []).append(record)
+                if record.kind == EV_REL_SEND:
                     self._sent.setdefault(
-                        (event.node, dest, record.a), event
+                        (event.node, record.b, record.a), event
                     )
-            elif record.kind == EV_REL_DELIVER:
-                self._delivered.add((record.b, event.node, record.a))
-            elif record.kind == EV_FRAME_TRANSMIT \
-                    and is_trace_context(record.a):
-                self._transmits.setdefault(record.a, event)
-            elif record.kind == EV_DISPATCH_BEGIN \
-                    and is_trace_context(record.a):
-                self._dispatched_ctx.setdefault(record.a, set()).add(
-                    event.node
-                )
+                elif record.kind == EV_REL_DELIVER:
+                    self._delivered.add((record.b, event.node, record.a))
 
     @property
     def nodes(self) -> list[int]:
@@ -145,11 +200,19 @@ class MergedTimeline:
 
     def trace(self, trace_id: int) -> list[TimelineEvent]:
         """Every record carrying ``trace_id`` as its frame context."""
-        return [
-            event for event in self.events
-            if event.record.kind in _CTX_KINDS
-            and event.record.a == trace_id
-        ]
+        return self._by_ctx.get(trace_id, [])
+
+    def trace_ids(self) -> list[int]:
+        """Every trace with at least one complete hop in the merge."""
+        return sorted(self._hops)
+
+    def hops(self, trace_id: int) -> list[Hop]:
+        """One trace's hops, in :data:`hop_order`."""
+        return sorted(self._hops.get(trace_id, ()), key=hop_order)
+
+    def reliable(self, node: int) -> list[FlightRecord]:
+        """``node``'s reliable-stream records, chronological."""
+        return self._reliable.get(node, [])
 
     def delivered(self, sender: int, dest: int, seq: int) -> bool:
         return (sender, dest, seq) in self._delivered
@@ -168,11 +231,19 @@ class MergedTimeline:
         for (sender, dest, _seq), event in sorted(self._sent.items()):
             if (sender, dest, event.record.a) not in self._delivered:
                 out.append(Gap("send-no-deliver", event.node, event.record))
-        for ctx, event in sorted(self._transmits.items()):
-            dispatchers = self._dispatched_ctx.get(ctx, set())
-            if not (dispatchers - {event.node}):
+        for ctx, events in sorted(self._by_ctx.items()):
+            if not is_trace_context(ctx):
+                continue
+            transmit = next(
+                (e for e in events if e.record.kind == EV_FRAME_TRANSMIT),
+                None,
+            )
+            if transmit is not None and not any(
+                e.record.kind == EV_DISPATCH_BEGIN and e.node != transmit.node
+                for e in events
+            ):
                 out.append(
-                    Gap("transmit-no-dispatch", event.node, event.record)
+                    Gap("transmit-no-dispatch", transmit.node, transmit.record)
                 )
         return out
 
@@ -192,12 +263,7 @@ class MergedTimeline:
         return "\n".join(lines)
 
 
-def merge_dumps(dumps: list[FlightDump]) -> MergedTimeline:
-    """Stitch per-node dumps into one causal timeline."""
-    return MergedTimeline(dumps)
-
-
-def in_flight_sends(dump: FlightDump) -> list[FlightRecord]:
+def in_flight_sends(dump: RecordSource) -> list[FlightRecord]:
     """Reliable sends never acked *within this dump* — the frames in
     flight at the moment the ring was spilled.  For a dump written by
     a crash (``hard_stop``), this identifies the in-flight frames at

@@ -88,10 +88,9 @@ class Frame:
             )
         self._buf = buffer
         self.block = block
-        #: tracer scratch: enqueue timestamp while the frame sits in
-        #: the scheduler (see FrameTracer.note_enqueue).  Lives on the
-        #: frame object itself so a recycled frame can never alias a
-        #: stale entry keyed by id().
+        #: enqueue timestamp while the frame sits in the scheduler (see
+        #: Executive._enqueue).  Lives on the frame object itself so a
+        #: recycled frame can never alias a stale entry keyed by id().
         self.trace_mark: int | None = None
 
     # -- construction -------------------------------------------------------

@@ -1,34 +1,21 @@
 """Per-hop critical-path decomposition of traced frame lifetimes.
 
-Input is the stitched cross-node trace the telemetry collector already
-holds (PR 2): per-hop queue-wait and dispatch durations on a shared
-clock domain.  This module turns one trace into a :class:`TracePath` —
-an ordered list of hops, each broken into named segments — and a set
-of traces into per-segment p50/p99 plus the dominant hop of the slow
-ones.
+Input is one :class:`~repro.flightrec.timeline.MergedTimeline` — live
+recorders or ``.flightrec`` dumps, the analysis is the same.  Its hops
+give per-hop queue-wait and dispatch on a shared clock domain; its
+``frame-transmit``/``frame-ingest`` and reliable-stream records split
+the time *between* hops.  One trace becomes a :class:`TracePath` (hops
+in start order, each broken into named segments), a set of traces
+per-segment p50/p99 plus the dominant hop of the slow ones.
 
-Segment taxonomy (DESIGN §13 carries the full table):
-
-==========  ============================================================
-segment     covers
-==========  ============================================================
-queue-wait  scheduler entry → dispatch start on the hop's node
-dispatch    the handler upcall itself
-encode      previous hop's dispatch end → ``frame-transmit`` (header
-            serialisation, transport staging); needs flightrec records
-wire        ``frame-transmit`` → ``frame-ingest`` on the next node;
-            needs flightrec records
-transit     inter-hop gap not attributable to encode/wire (the whole
-            gap when no flight-recorder dump is supplied)
-journal     ``rel-send`` → ``journal-commit`` on the sending node
-            (inside the encode window; reported, not double-counted)
-ack         ``frame-transmit`` → ``rel-ack`` back on the sender
-            (feedback path, off the forward critical path)
-==========  ============================================================
-
-``queue-wait + dispatch + encode + wire + transit`` over all hops sums
-to the end-to-end lifetime; ``journal`` and ``ack`` are overlapping
-diagnostics, never added to the total.
+Which record pair bounds which segment, and the paper's Table-1 stages
+inside each, is the table in DESIGN §13.  The additive segments
+partition the trace's lifetime: each is clipped to the time no
+earlier-starting hop already covers, so overlapping hops (fan-out
+branches in parallel, two frames queued behind one another) are never
+counted twice and the additive segments of all hops sum exactly to
+``total_ns``.  ``journal`` and ``ack`` are overlapping diagnostics,
+never added to the total.
 """
 
 from __future__ import annotations
@@ -36,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable
 
 from repro.flightrec.records import (
     EV_FRAME_INGEST,
@@ -44,13 +31,11 @@ from repro.flightrec.records import (
     EV_JOURNAL_COMMIT,
     EV_REL_ACK,
     EV_REL_SEND,
+    unpack3,
 )
+from repro.flightrec.timeline import Hop, MergedTimeline
 from repro.i2o.errors import I2OError
 from repro.profile.sampler import context_label
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.telemetry import TelemetryCollector
-    from repro.flightrec.timeline import MergedTimeline
 
 #: Every segment name the decomposition can emit, report order.
 SEGMENTS: tuple[str, ...] = (
@@ -59,25 +44,23 @@ SEGMENTS: tuple[str, ...] = (
 )
 
 #: Segments that sum to the end-to-end lifetime (the rest overlap).
-ADDITIVE_SEGMENTS: tuple[str, ...] = (
-    "queue-wait", "dispatch", "encode", "wire", "transit",
-)
+ADDITIVE_SEGMENTS: tuple[str, ...] = SEGMENTS[:5]
+
+#: The overlapping segments: latency from a ``rel-send`` to this record.
+_AFTER_REL_SEND = {EV_JOURNAL_COMMIT: "journal", EV_REL_ACK: "ack"}
 
 
 @dataclass
 class HopBreakdown:
     """One dispatch hop of a trace, decomposed into segments."""
 
-    node: int
-    tid: int
-    function: int
-    xfunction: int
-    start_ns: int
+    hop: Hop
     segments: dict[str, int] = field(default_factory=dict)
 
     @property
     def label(self) -> str:
-        return context_label((self.tid, self.function, self.xfunction))
+        hop = self.hop
+        return context_label((hop.tid, hop.function, hop.xfunction))
 
     @property
     def total_ns(self) -> int:
@@ -111,129 +94,79 @@ class TracePath:
 
 
 class CriticalPathAnalyzer:
-    """Decompose stitched traces and aggregate segment statistics."""
+    """Decompose a merged timeline's traces; aggregate the segments."""
 
-    def __init__(self, collector: "TelemetryCollector | None" = None) -> None:
-        self.collector = collector
+    def __init__(self, merged: MergedTimeline) -> None:
+        self.merged = merged
 
     # -- single-trace decomposition -----------------------------------------
-    def path(
-        self,
-        trace_id: int,
-        timeline: "Iterable[Mapping[str, int]] | None" = None,
-        merged: "MergedTimeline | None" = None,
-    ) -> TracePath:
-        """Decompose one trace.
-
-        ``timeline`` defaults to the collector's stitched hop list;
-        ``merged`` (a flight-recorder :class:`MergedTimeline`) refines
-        the inter-hop gaps into encode/wire and attributes journal and
-        ack latencies.
-        """
-        if timeline is None:
-            if self.collector is None:
-                raise I2OError("no collector and no timeline supplied")
-            timeline = self.collector.timeline(trace_id)
+    def path(self, trace_id: int) -> TracePath:
+        """Decompose one trace (no hops in the merge: an empty path)."""
         hops: list[HopBreakdown] = []
-        prev_end = 0
-        for i, hop in enumerate(timeline):
-            enqueue = hop["start_ns"] - hop["queue_wait_ns"]
-            breakdown = HopBreakdown(
-                node=hop["node"],
-                tid=hop["tid"],
-                function=hop["function"],
-                xfunction=hop["xfunction"],
-                start_ns=hop["start_ns"],
-                segments={
-                    "queue-wait": hop["queue_wait_ns"],
-                    "dispatch": hop["dispatch_ns"],
-                },
-            )
-            if i > 0:
-                breakdown.segments["transit"] = max(0, enqueue - prev_end)
-            hops.append(breakdown)
-            prev_end = hop["start_ns"] + hop["dispatch_ns"]
-        if not hops:
-            return TracePath(trace_id=trace_id, total_ns=0, hops=[])
-        first_enqueue = hops[0].start_ns - hops[0].segments["queue-wait"]
-        total = prev_end - first_enqueue
-        path = TracePath(trace_id=trace_id, total_ns=total, hops=hops)
-        if merged is not None:
-            self._refine(path, merged)
-        return path
+        first_enqueue = cursor = 0  # cursor: end of the time covered so far
+        for hop in self.merged.hops(trace_id):
+            enqueue = hop.start_ns - hop.queue_wait_ns
+            end = hop.start_ns + hop.dispatch_ns
+            if not hops:
+                first_enqueue = cursor = enqueue
+            segments = self._gap(hop, enqueue, cursor)
+            segments["queue-wait"] = max(0, hop.start_ns - max(enqueue, cursor))
+            segments["dispatch"] = max(0, end - max(hop.start_ns, cursor))
+            hops.append(HopBreakdown(hop, segments))
+            cursor = max(cursor, end)
+        return TracePath(trace_id, cursor - first_enqueue, hops)
 
-    def _refine(self, path: TracePath, merged: "MergedTimeline") -> None:
-        """Split transit into encode/wire and attribute journal/ack
-        using the merged flight-recorder record stream."""
-        ctx_events = merged.trace(path.trace_id)
-        for i in range(1, len(path.hops)):
-            prev, hop = path.hops[i - 1], path.hops[i]
-            if hop.node == prev.node or "transit" not in hop.segments:
-                continue
-            prev_end = prev.start_ns + prev.segments["dispatch"]
-            enqueue = hop.start_ns - hop.segments["queue-wait"]
-            transmit = ingest = None
-            for event in ctx_events:
-                t = event.record.t_ns
-                if not prev_end <= t <= enqueue:
-                    continue
-                if (event.record.kind == EV_FRAME_TRANSMIT
-                        and event.node == prev.node and transmit is None):
-                    transmit = event
-                elif (event.record.kind == EV_FRAME_INGEST
-                        and event.node == hop.node and ingest is None):
-                    ingest = event
-            if transmit is None or ingest is None:
-                continue
-            encode = max(0, transmit.record.t_ns - prev_end)
-            wire = max(0, ingest.record.t_ns - transmit.record.t_ns)
-            residual = max(0, hop.segments["transit"] - encode - wire)
-            hop.segments.update(
-                {"encode": encode, "wire": wire, "transit": residual}
-            )
-            self._attribute_reliable(
-                hop, merged, prev.node, prev_end, enqueue
-            )
-
-    @staticmethod
-    def _attribute_reliable(
-        hop: HopBreakdown,
-        merged: "MergedTimeline",
-        sender: int,
-        window_start: int,
-        window_end: int,
-    ) -> None:
-        """Journal-commit and ack latency of the reliable send that
-        carried this hop's frame, matched by seq within the window."""
+    def _gap(self, hop: Hop, enqueue: int, lo: int) -> dict[str, int]:
+        """Attribute the time from ``lo`` (where earlier hops' coverage
+        ends) to ``hop``'s enqueue, joining on the ingest that delivered
+        its frame and the transmit that sent it.  A frame that crossed
+        the wire gets ``encode`` and ``wire`` even when an overlap clips
+        them to 0."""
+        hi = max(lo, enqueue)
+        unattributed = {"transit": hi - lo} if hi > lo else {}
+        events = self.merged.trace(hop.trace_id)
+        arrival = (hop.tid, hop.xfunction)
+        ingest = next((
+            e for e in reversed(events)
+            if e.record.kind == EV_FRAME_INGEST and e.node == hop.node
+            and e.record.t_ns <= enqueue
+            and unpack3(e.record.b)[1:] == arrival
+        ), None)
+        if ingest is None:
+            return unattributed
+        sender = unpack3(ingest.record.b)[0]
+        transmit = next((
+            e for e in reversed(events)
+            if e.record.kind == EV_FRAME_TRANSMIT and e.node == sender
+            and e.record.t_ns <= ingest.record.t_ns
+            and unpack3(e.record.b) == (hop.node, *arrival)
+        ), None)
+        if transmit is None:
+            return unattributed
+        sent = min(max(transmit.record.t_ns, lo), hi)
+        arrived = min(max(ingest.record.t_ns, sent), hi)
+        segments = {
+            "encode": sent - lo, "wire": arrived - sent,
+            "transit": hi - arrived,
+        }
+        # Journal-commit and ack latency of the reliable send(s) the
+        # sender made inside the gap, matched by seq.
         send_t: dict[int, int] = {}
-        for event in merged.events:
-            record = event.record
-            if event.node != sender:
-                continue
+        for record in self.merged.reliable(sender):
             t = record.t_ns
-            if record.kind == EV_REL_SEND and \
-                    window_start <= t <= window_end:
+            if record.kind == EV_REL_SEND and lo <= t <= hi:
                 send_t.setdefault(record.a, t)
-            elif record.kind == EV_JOURNAL_COMMIT and record.a in send_t:
-                hop.segments["journal"] = max(
-                    hop.segments.get("journal", 0), t - send_t[record.a]
+            elif record.a in send_t and record.kind in _AFTER_REL_SEND:
+                name = _AFTER_REL_SEND[record.kind]
+                segments[name] = max(
+                    segments.get(name, 0), t - send_t[record.a]
                 )
-            elif record.kind == EV_REL_ACK and record.a in send_t:
-                hop.segments["ack"] = max(
-                    hop.segments.get("ack", 0), t - send_t[record.a]
-                )
+        return segments
 
     # -- aggregation ---------------------------------------------------------
-    def paths(
-        self, merged: "MergedTimeline | None" = None
-    ) -> list[TracePath]:
-        """Every stitched trace the collector holds, decomposed."""
-        if self.collector is None:
-            raise I2OError("analyzer has no collector to enumerate traces")
-        return [
-            self.path(trace_id, merged=merged)
-            for trace_id in self.collector.trace_ids()
-        ]
+    def paths(self) -> list[TracePath]:
+        """Every trace in the merge, decomposed."""
+        return [self.path(trace_id) for trace_id in self.merged.trace_ids()]
 
     @staticmethod
     def segment_quantiles(
@@ -264,15 +197,12 @@ class CriticalPathAnalyzer:
 
     # -- rendering -----------------------------------------------------------
     def report(
-        self,
-        paths: "list[TracePath] | None" = None,
-        merged: "MergedTimeline | None" = None,
-        top: int = 3,
+        self, paths: "list[TracePath] | None" = None, top: int = 3
     ) -> str:
         """Human-readable critical-path report: segment quantiles, then
         the slowest traces hop by hop with each hop's dominant segment."""
         if paths is None:
-            paths = self.paths(merged=merged)
+            paths = self.paths()
         lines = [f"=== critical path: {len(paths)} trace(s) ==="]
         quantiles = self.segment_quantiles(paths)
         if quantiles:
@@ -291,17 +221,17 @@ class CriticalPathAnalyzer:
                 f"{len(path.hops)} hop(s) ---"
             )
             lines.append(
-                f"{'hop':>4} {'node':>5} {'message':<28}"
-                f"{'queue-wait':>11}{'dispatch':>10}{'transit':>9}  dominant"
+                f"{'hop':>4} {'node':>5} {'message':<28}" + "".join(
+                    f"{segment:>11}" for segment in ADDITIVE_SEGMENTS
+                ) + "  dominant"
             )
             for i, hop in enumerate(path.hops):
                 segment, ns = hop.dominant
                 lines.append(
-                    f"{i:>4} {hop.node:>5} {hop.label:<28}"
-                    f"{hop.segments.get('queue-wait', 0):>11}"
-                    f"{hop.segments.get('dispatch', 0):>10}"
-                    f"{hop.segments.get('transit', 0):>9}"
-                    f"  {segment} ({ns} ns)"
+                    f"{i:>4} {hop.hop.node:>5} {hop.label:<28}" + "".join(
+                        f"{hop.segments.get(s, 0):>11}"
+                        for s in ADDITIVE_SEGMENTS
+                    ) + f"  {segment} ({ns} ns)"
                 )
             if path.hops:
                 index, hop = path.dominant_hop
@@ -309,18 +239,14 @@ class CriticalPathAnalyzer:
                 share = 100 * hop.total_ns / path.total_ns \
                     if path.total_ns else 0.0
                 lines.append(
-                    f"dominant hop: #{index} node{hop.node} {hop.label} — "
-                    f"{segment} ({share:.0f}% of total)"
+                    f"dominant hop: #{index} node{hop.hop.node} {hop.label}"
+                    f" — {segment} ({share:.0f}% of total)"
                 )
         return "\n".join(lines)
 
-    def to_json(
-        self,
-        paths: "list[TracePath] | None" = None,
-        merged: "MergedTimeline | None" = None,
-    ) -> str:
+    def to_json(self, paths: "list[TracePath] | None" = None) -> str:
         if paths is None:
-            paths = self.paths(merged=merged)
+            paths = self.paths()
         return json.dumps(
             {
                 "segments": self.segment_quantiles(paths),
@@ -330,8 +256,8 @@ class CriticalPathAnalyzer:
                         "total_ns": path.total_ns,
                         "hops": [
                             {
-                                "node": hop.node,
-                                "tid": hop.tid,
+                                "node": hop.hop.node,
+                                "tid": hop.hop.tid,
                                 "message": hop.label,
                                 "segments": hop.segments,
                                 "dominant": hop.dominant[0],

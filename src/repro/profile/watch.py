@@ -4,9 +4,9 @@ A :class:`SlowFrameWatch` attached to an executive gives the dispatch
 loop a latency budget.  When a dispatch exceeds it, the watch records
 an ``EV_SLOW_FRAME`` flight-recorder event carrying the frame's trace
 context, addressing triple and measured duration, then triggers a
-recorder spill — so the post-mortem tooling (``python -m
-repro.flightrec``) holds the complete ring *around* the slow incident
-without anything having crashed.
+recorder spill — so the post-mortem tooling (``python -m repro.diag
+timeline``) holds the complete ring *around* the slow incident without
+anything having crashed.
 
 Spills are capped (``max_spills``) so one pathological device cannot
 turn the watchdog into a disk-thrashing loop; every overrun is still
@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.observer import DispatchObserver, DispatchRecord
+from repro.flightrec.recorder import MAX_INCIDENT_SPILLS
 from repro.flightrec.records import EV_SLOW_FRAME, pack3
 from repro.i2o.errors import I2OError
 
@@ -30,35 +31,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class SlowFrameWatch(DispatchObserver):
-    """Threshold watchdog for dispatch (and whole-trace) latency."""
+    """Threshold watchdog for dispatch latency."""
 
     label = "slow-frame watch"
 
     __slots__ = (
-        "budget_ns", "trace_budget_ns", "spill_on_trip", "max_spills",
-        "trips", "trace_trips", "spills", "_exe",
+        "budget_ns", "spill_on_trip", "max_spills", "trips", "spills", "_exe",
     )
 
     def __init__(
         self,
         budget_ns: int,
         *,
-        trace_budget_ns: int = 0,
         spill_on_trip: bool = True,
-        max_spills: int = 4,
+        max_spills: int = MAX_INCIDENT_SPILLS,
     ) -> None:
         if budget_ns <= 0:
             raise I2OError(
                 f"slow-frame budget must be positive, got {budget_ns}"
             )
         self.budget_ns = budget_ns
-        #: end-to-end budget for whole traces (0 disables); checked by
-        #: the critical-path tooling, not the dispatch loop.
-        self.trace_budget_ns = trace_budget_ns
         self.spill_on_trip = spill_on_trip
         self.max_spills = max_spills
         self.trips = 0
-        self.trace_trips = 0
         self.spills = 0
         self._exe: "Executive | None" = None
 
@@ -67,7 +62,6 @@ class SlowFrameWatch(DispatchObserver):
         """Arm this watch on an executive and expose trip counters."""
         self._exe = exe
         exe.metrics.gauge("prof_slow_frames_total", lambda: self.trips)
-        exe.metrics.gauge("prof_slow_traces_total", lambda: self.trace_trips)
         exe.metrics.gauge("prof_slow_spills_total", lambda: self.spills)
 
     def on_detach(self, exe: "Executive") -> None:
@@ -75,28 +69,18 @@ class SlowFrameWatch(DispatchObserver):
 
     def dispatch_end(self, rec: DispatchRecord) -> None:
         elapsed = rec.end_ns - rec.start_ns
-        if elapsed > self.budget_ns:
-            # One dispatch blew the budget: record, maybe spill.
-            self.trips += 1
-            self._capture(
-                rec.context, pack3(rec.target, rec.function, rec.xfunction),
-                elapsed, rec.end_ns, "slow-frame",
-            )
-
-    # -- called from trace-level tooling -------------------------------------
-    def note_trace(self, trace_id: int, total_ns: int, end_ns: int = 0) -> None:
-        """A whole stitched trace blew the end-to-end budget."""
-        self.trace_trips += 1
-        self._capture(trace_id, 0, total_ns, end_ns, "slow-trace")
-
-    def _capture(
-        self, ctx: int, hdr: int, elapsed_ns: int, end_ns: int, reason: str
-    ) -> None:
-        exe = self._exe
-        fr = exe.flightrec if exe is not None else None
+        if elapsed <= self.budget_ns:
+            return
+        # One dispatch blew the budget: count, record, maybe spill.
+        self.trips += 1
+        fr = self._exe.flightrec if self._exe is not None else None
         if fr is None:
             return
-        fr.record(EV_SLOW_FRAME, ctx, hdr, elapsed_ns, t_ns=end_ns or None)
+        fr.record(
+            EV_SLOW_FRAME, rec.context,
+            pack3(rec.target, rec.function, rec.xfunction),
+            elapsed, t_ns=rec.end_ns,
+        )
         if self.spill_on_trip and self.spills < self.max_spills:
             self.spills += 1
-            fr.spill(reason)
+            fr.spill("slow-frame")

@@ -1,4 +1,4 @@
-"""``repro.top`` — a live, top-like console for a running cluster.
+"""``repro.top`` — the top-like console table for a cluster.
 
 Renders one row per node from :class:`~repro.core.telemetry.
 TelemetryCollector` sweeps: dispatch totals, scheduler queue depth,
@@ -9,22 +9,15 @@ errors.  The console consumes only what the collector already gathered
 over ``UtilParamsGet`` — no private verbs, no cross-node object access
 (paper §2's "one common scheme" discipline).
 
-Usage::
-
-    python -m repro.top --demo           # live demo cluster, ANSI refresh
-    python -m repro.top --demo --once    # one frame, no screen control
-    python -m repro.top --json dump.json # render a saved collector dump
-
-Embedded use: call :func:`render` with any ``node -> {metric: value}``
-mapping (``TelemetryCollector.node_metrics`` verbatim).
+``python -m repro.diag top`` is the command; embedded use: call
+:func:`render` with any ``node -> {metric: value}`` mapping
+(``TelemetryCollector.node_metrics`` verbatim).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import time
+from collections.abc import Callable
+from typing import Any
 
 _HIST = "exe_dispatch_ns"
 _BUCKET_PREFIX = f"{_HIST}_bucket_le_"
@@ -103,58 +96,50 @@ def _fmt_pct(value: float | None) -> str:
     return "-" if value is None else f"{100 * value:.0f}%"
 
 
-COLUMNS = (
-    "NODE", "DISP", "QUEUE", "POOL", "P50", "P99", "HOT",
-    "JRNL", "COPIES", "DOWN", "ERR", "SPILL", "SHED",
-)
+def _counter(name: str) -> Callable[[int, dict[str, float]], float]:
+    return lambda node, m: m.get(name, 0)
 
-#: Per-column numeric sort key over one node's snapshot.  ``--sort``
-#: orders by *these*, not the humanised cell strings, so "9us" never
-#: sorts above "10ms".
-_SORT_KEYS = {
-    "NODE": lambda node, m: node,
-    "DISP": lambda node, m: m.get("exe_dispatched_total", 0),
-    "QUEUE": lambda node, m: m.get("exe_scheduler_depth", 0),
-    "POOL": lambda node, m: m.get("pool_blocks_in_flight", 0),
-    "P50": lambda node, m: dispatch_quantile(m, 0.50) or -1,
-    "P99": lambda node, m: dispatch_quantile(m, 0.99) or -1,
-    "HOT": lambda node, m: hot_ratio(m) if hot_ratio(m) is not None else -1,
-    "JRNL": lambda node, m: _sum_matching(m, "rel_", "_journal_depth"),
-    "COPIES": lambda node, m: (
-        _sum_matching(m, "pt_", "_tx_copies")
-        + _sum_matching(m, "pt_", "_rx_copies")
+
+#: column -> (numeric value over one node's snapshot, cell formatter).
+#: ``sort=`` orders by the *values*, not the humanised cells, so "9us"
+#: never sorts above "10ms".
+_COLUMNS: dict[str, tuple[Callable[[int, dict[str, float]], Any],
+                          Callable[[Any], str]]] = {
+    "NODE": (lambda node, m: node, str),
+    "DISP": (_counter("exe_dispatched_total"), _fmt_count),
+    "QUEUE": (_counter("exe_scheduler_depth"), _fmt_count),
+    "POOL": (_counter("pool_blocks_in_flight"), _fmt_count),
+    "P50": (lambda node, m: dispatch_quantile(m, 0.50), _fmt_ns),
+    "P99": (lambda node, m: dispatch_quantile(m, 0.99), _fmt_ns),
+    "HOT": (lambda node, m: hot_ratio(m), _fmt_pct),
+    "JRNL": (
+        lambda node, m: _sum_matching(m, "rel_", "_journal_depth"),
+        _fmt_count,
     ),
-    "DOWN": lambda node, m: max(
-        0.0, m.get("peer_deaths_total", 0) - m.get("peer_rejoins_total", 0)
+    "COPIES": (
+        lambda node, m: _sum_matching(m, "pt_", "_tx_copies")
+        + _sum_matching(m, "pt_", "_rx_copies"),
+        _fmt_count,
     ),
-    "ERR": lambda node, m: m.get("exe_handler_errors_total", 0),
-    "SPILL": lambda node, m: m.get("flightrec_spills_total", 0),
-    "SHED": lambda node, m: m.get("dataflow_shed_total", 0),
+    "DOWN": (
+        lambda node, m: max(
+            0.0,
+            m.get("peer_deaths_total", 0) - m.get("peer_rejoins_total", 0),
+        ),
+        _fmt_count,
+    ),
+    "ERR": (_counter("exe_handler_errors_total"), _fmt_count),
+    "SPILL": (_counter("flightrec_spills_total"), _fmt_count),
+    "SHED": (_counter("dataflow_shed_total"), _fmt_count),
 }
+
+COLUMNS = tuple(_COLUMNS)
 
 
 def node_row(node: int, metrics: dict[str, float]) -> tuple[str, ...]:
     """One console row from one node's metric snapshot."""
-    deaths = metrics.get("peer_deaths_total", 0)
-    rejoins = metrics.get("peer_rejoins_total", 0)
-    copies = (
-        _sum_matching(metrics, "pt_", "_tx_copies")
-        + _sum_matching(metrics, "pt_", "_rx_copies")
-    )
-    return (
-        str(node),
-        _fmt_count(metrics.get("exe_dispatched_total", 0)),
-        _fmt_count(metrics.get("exe_scheduler_depth", 0)),
-        _fmt_count(metrics.get("pool_blocks_in_flight", 0)),
-        _fmt_ns(dispatch_quantile(metrics, 0.50)),
-        _fmt_ns(dispatch_quantile(metrics, 0.99)),
-        _fmt_pct(hot_ratio(metrics)),
-        _fmt_count(_sum_matching(metrics, "rel_", "_journal_depth")),
-        _fmt_count(copies),
-        _fmt_count(max(0.0, deaths - rejoins)),
-        _fmt_count(metrics.get("exe_handler_errors_total", 0)),
-        _fmt_count(metrics.get("flightrec_spills_total", 0)),
-        _fmt_count(metrics.get("dataflow_shed_total", 0)),
+    return tuple(
+        fmt(value(node, metrics)) for value, fmt in _COLUMNS.values()
     )
 
 
@@ -175,16 +160,18 @@ def render(
     """
     nodes = sorted(node_metrics)
     if sort is not None:
-        key = _SORT_KEYS.get(sort.upper())
-        if key is None:
+        if sort.upper() not in _COLUMNS:
             raise ValueError(
                 f"unknown sort column {sort!r}; "
                 f"one of {', '.join(c.lower() for c in COLUMNS)}"
             )
-        nodes.sort(
-            key=lambda node: key(node, node_metrics[node]),
-            reverse=sort.upper() != "NODE",
-        )
+        value = _COLUMNS[sort.upper()][0]
+
+        def key(node: int) -> float:
+            found = value(node, node_metrics[node])
+            return -1 if found is None else found
+
+        nodes.sort(key=key, reverse=sort.upper() != "NODE")
     rows = [node_row(node, node_metrics[node]) for node in nodes]
     table = [COLUMNS] + rows
     if widths is None:
@@ -205,130 +192,3 @@ def render(
         f"{_fmt_count(total)} dispatched cluster-wide --"
     )
     return "\n".join(lines)
-
-
-def render_from_collector(
-    collector, *, sort: str | None = None, widths: list[int] | None = None
-) -> str:
-    """Render the latest sweep of a live ``TelemetryCollector``."""
-    return render(collector.node_metrics, sort=sort, widths=widths)
-
-
-# -- sources -----------------------------------------------------------------
-def _load_json(path: str) -> dict[int, dict[str, float]]:
-    """A ``TelemetryCollector.render_json()`` dump as node snapshots."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    nodes = data.get("nodes", data)
-    return {int(node): metrics for node, metrics in nodes.items()}
-
-
-def _demo_cluster():
-    """A small self-contained cluster the live mode can watch."""
-    from repro.config.bootstrap import bootstrap
-    from repro.core.device import FunctionalListener
-
-    spec = {
-        "transport": "loopback",
-        "telemetry": {"tracing": True, "metrics_timing": True},
-        "nodes": {
-            0: {"devices": []},
-            1: {"devices": []},
-            2: {"devices": []},
-        },
-    }
-    cluster = bootstrap(spec)
-    echoes = {}
-    for node in (1, 2):
-        echo = FunctionalListener(
-            name=f"echo{node}", handlers={0x1: lambda f: None}
-        )
-        cluster.executives[node].install(echo)
-        cluster.devices[echo.name] = (node, echo.tid, echo)
-        echoes[node] = echo
-    driver = FunctionalListener(name="driver", handlers={})
-    cluster.executives[0].install(driver)
-    cluster.devices[driver.name] = (0, driver.tid, driver)
-
-    def tick() -> None:
-        for node in (1, 2):
-            proxy = cluster.proxy(0, f"echo{node}")
-            for _ in range(25):
-                driver.send(proxy, b"demo", xfunction=0x1)
-        cluster.pump()
-        assert cluster.collector is not None
-        cluster.collector.sweep()
-        cluster.pump()
-
-    return cluster, tick
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.top",
-        description="Live top-like cluster console over telemetry sweeps.",
-    )
-    parser.add_argument(
-        "--demo", action="store_true",
-        help="run an in-process demo cluster and watch it",
-    )
-    parser.add_argument(
-        "--json", metavar="FILE",
-        help="render one frame from a saved collector JSON dump",
-    )
-    parser.add_argument(
-        "--once", action="store_true",
-        help="render a single frame and exit (no screen control)",
-    )
-    parser.add_argument(
-        "--frames", type=int, default=0,
-        help="stop the live demo after N refreshes (0 = until ^C)",
-    )
-    parser.add_argument(
-        "--interval", type=float, default=1.0,
-        help="live refresh interval in seconds",
-    )
-    parser.add_argument(
-        "--sort", metavar="COL",
-        choices=[c.lower() for c in COLUMNS],
-        help="order rows by a column (descending; 'node' ascending)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.json:
-        print(render(_load_json(args.json), sort=args.sort))
-        return 0
-    if not args.demo:
-        parser.error("choose a source: --demo or --json FILE")
-
-    cluster, tick = _demo_cluster()
-    try:
-        if args.once:
-            tick()
-            assert cluster.collector is not None
-            print(render_from_collector(cluster.collector, sort=args.sort))
-            return 0
-        frame = 0
-        widths: list[int] = []
-        while True:
-            tick()
-            assert cluster.collector is not None
-            body = render_from_collector(
-                cluster.collector, sort=args.sort, widths=widths
-            )
-            # ANSI: clear screen, home cursor — the top(1) refresh.
-            sys.stdout.write("\x1b[2J\x1b[H")
-            sys.stdout.write(
-                f"repro.top — demo cluster (refresh {frame + 1})\n{body}\n"
-            )
-            sys.stdout.flush()
-            frame += 1
-            if args.frames and frame >= args.frames:
-                return 0
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.config.bootstrap import BootstrapError, bootstrap
-from repro.flightrec import EV_HARD_STOP, load_dump
+from repro.flightrec import load_dump
+from repro.flightrec.records import EV_HARD_STOP
 
 ECHO = "repro.bench.devices.EchoDevice"
 PING = "repro.bench.devices.PingDevice"

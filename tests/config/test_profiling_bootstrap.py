@@ -73,8 +73,7 @@ class TestWiring:
 
     def test_budget_arms_a_watch_per_node(self):
         cluster = bootstrap(spec_with_profiling(
-            dispatch_budget_ns=50_000, trace_budget_ns=400_000,
-            max_spills=2,
+            dispatch_budget_ns=50_000, max_spills=2,
         ))
         assert sorted(cluster.slow_watches) == [0, 1]
         for node, watch in cluster.slow_watches.items():
@@ -82,7 +81,6 @@ class TestWiring:
                 cluster.executives[node], SlowFrameWatch
             ) == [watch]
             assert watch.budget_ns == 50_000
-            assert watch.trace_budget_ns == 400_000
             assert watch.max_spills == 2
 
     def test_no_section_means_fully_off(self):
@@ -102,6 +100,7 @@ class TestValidation:
         {"max_depth": 0},
         {"dispatch_budget_ns": -1},
         {"bogus_key": 1},
+        {"trace_budget_ns": 400_000},  # removed with SlowFrameWatch.note_trace
     ])
     def test_bad_section_rejected(self, section):
         with pytest.raises(BootstrapError, match="bad profiling section"):

@@ -120,7 +120,7 @@ class TestEveryExitIsBalanced:
 class TestSeamSemantics:
     @pytest.mark.parametrize("make", [
         lambda: FlightRecorder(capacity=8),
-        lambda: FrameTracer(capacity=8),
+        lambda: FrameTracer(),
         lambda: SlowFrameWatch(1000),
     ], ids=["recorder", "tracer", "watch"])
     def test_second_observer_of_a_class_is_refused(self, make):

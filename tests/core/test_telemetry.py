@@ -11,10 +11,11 @@ from repro.core.telemetry import (
     SWEEP_CONTEXT,
     TelemetryAgent,
     TelemetryCollector,
-    decode_span,
-    encode_span,
+    decode_hop,
+    encode_hop,
 )
-from repro.core.tracing import FrameTracer, Span
+from repro.core.tracing import FrameTracer
+from repro.flightrec import FlightRecorder, Hop
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import UTIL_PARAMS_GET
 
@@ -36,7 +37,8 @@ def _telemetry_cluster(n_nodes: int = 2, *, tracing: bool = True):
     agents = {}
     for node, exe in cluster.items():
         if tracing:
-            exe.attach(FrameTracer(capacity=128))
+            exe.attach(FrameTracer())
+            exe.attach(FlightRecorder(capacity=512))
         agent = TelemetryAgent(name=f"agent{node}")
         exe.install(agent)
         agents[node] = agent
@@ -49,16 +51,16 @@ def _telemetry_cluster(n_nodes: int = 2, *, tracing: bool = True):
 
 class TestSpanCodec:
     def test_round_trip(self):
-        span = Span(
-            trace_id=0xACE0000000000001, span_id=9, node=3, tid=SPAN_TID,
+        span = Hop(
+            trace_id=0xACE0000000000001, seq=9, node=3, tid=SPAN_TID,
             function=0xFF, xfunction=0x104, start_ns=123456789,
             queue_wait_ns=42, dispatch_ns=7_000,
         )
-        assert decode_span(encode_span(span)) == span
+        assert decode_hop(encode_hop(span)) == span
 
     def test_malformed_record_rejected(self):
         with pytest.raises(I2OError):
-            decode_span("1;2;3")
+            decode_hop("1;2;3")
 
 
 class TestCollectorSweep:
@@ -87,7 +89,7 @@ class TestCollectorSweep:
         collector.sweep()
         pump(cluster)
         second = collector.spans_collected
-        collected = {(s.node, s.span_id) for s in collector._spans}
+        collected = {(s.node, s.seq) for s in collector._spans}
         assert len(collected) == second  # no duplicates survived
 
     def test_collector_speaks_only_util_params_get(self):
@@ -172,6 +174,26 @@ class TestAgent:
         # span keys churn every sweep and would pile up forever.
         for agent in agents.values():
             assert not any(k.startswith("s") for k in agent.parameters)
+
+    def test_export_carries_only_the_newest_hops(self, monkeypatch):
+        # However large the ring, one reply stays inside one frame.
+        from repro.core import telemetry
+
+        cluster, collector, agents = _telemetry_cluster(2)
+        for _ in range(3):
+            collector.sweep()
+            pump(cluster)
+        exported = [
+            int(k[1:]) for k in agents[1].local_snapshot()
+            if telemetry._HOP_KEY.match(k)
+        ]
+        assert len(exported) >= 3
+        monkeypatch.setattr(telemetry, "MAX_EXPORT_HOPS", 2)
+        capped = [
+            int(k[1:]) for k in agents[1].local_snapshot()
+            if telemetry._HOP_KEY.match(k)
+        ]
+        assert capped == sorted(exported)[-2:]
 
     def test_reports_tracing_disabled(self):
         cluster, collector, _ = _telemetry_cluster(2, tracing=False)

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import MetricsRegistry
+from repro.diag import main
 from repro.top import (
     COLUMNS,
     dispatch_quantile,
     hot_ratio,
-    main,
     node_row,
     render,
 )
@@ -245,7 +245,7 @@ class TestCli:
         }
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(dump))
-        assert main(["--json", str(path)]) == 0
+        assert main(["top", "--json", str(path)]) == 0
         out = capsys.readouterr().out
         assert "NODE" in out
         assert "9 dispatched cluster-wide" in out
@@ -253,17 +253,20 @@ class TestCli:
     def test_bare_node_map_also_accepted(self, tmp_path, capsys):
         path = tmp_path / "bare.json"
         path.write_text(json.dumps({"2": {"exe_dispatched_total": 1}}))
-        assert main(["--json", str(path)]) == 0
+        assert main(["top", "--json", str(path)]) == 0
         assert "1 node(s)" in capsys.readouterr().out
 
     def test_demo_once_runs_a_real_cluster(self, capsys):
-        assert main(["--demo", "--once"]) == 0
+        assert main(["top", "--frames", "1"]) == 0
         out = capsys.readouterr().out
         assert "NODE" in out
-        assert "3 node(s)" in out
-        # The demo drives 50 echo dispatches through nodes 1 and 2.
-        assert "50 dispatched cluster-wide" in out
+        assert "\x1b[" not in out  # screen control only on a tty
+        # The demo is the 4-node event builder, 25 events per refresh.
+        assert "4 node(s)" in out
+        assert "275 dispatched cluster-wide" in out
 
     def test_source_required(self, capsys):
         with pytest.raises(SystemExit):
-            main([])
+            main([])  # a subcommand is required
+        with pytest.raises(SystemExit):
+            main(["top", "--demo"])  # dropped with the old entry point

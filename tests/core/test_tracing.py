@@ -1,4 +1,5 @@
-"""The distributed frame tracer: id tagging, spans, ring bounds."""
+"""The distributed frame tracer: id tagging and stamping; the hops it
+makes possible are projections of the flight-recorder ring."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from repro.core.tracing import (
     make_trace_id,
     trace_root_node,
 )
+from repro.flightrec import FlightRecorder, project_hops
+from repro.flightrec.records import EV_DISPATCH_BEGIN
 from repro.i2o.frame import Frame
 from repro.i2o.tid import EXECUTIVE_TID, PTA_TID
 
@@ -38,10 +41,19 @@ class _Echo(Listener):
             self.reply(frame, bytes(frame.payload))
 
 
-def _traced_pair(capacity: int = 64):
+def _trace(exe: Executive, capacity: int = 256) -> None:
+    exe.attach(FrameTracer())
+    exe.attach(FlightRecorder(capacity=capacity))
+
+
+def _hops(exe: Executive):
+    return project_hops(exe.node, exe.flightrec.records)
+
+
+def _traced_pair(capacity: int = 256):
     cluster = make_loopback_cluster(2)
     for node, exe in cluster.items():
-        exe.attach(FrameTracer(capacity=capacity))
+        _trace(exe, capacity)
     echo = _Echo(name="echo")
     echo_tid = cluster[1].install(echo)
     caller = FunctionalListener(name="caller")
@@ -98,8 +110,7 @@ class TestSpans:
         cluster, caller, proxy = _traced_pair()
         caller.send(proxy, b"ping", xfunction=0x1)
         pump(cluster)
-        spans0 = cluster[0].tracer.snapshot_spans()
-        spans1 = cluster[1].tracer.snapshot_spans()
+        spans0, spans1 = _hops(cluster[0]), _hops(cluster[1])
         assert spans0 and spans1
         ids = {s.trace_id for s in spans0} | {s.trace_id for s in spans1}
         assert len(ids) == 1
@@ -111,79 +122,96 @@ class TestSpans:
         cluster, caller, proxy = _traced_pair()
         caller.send(proxy, b"ping", xfunction=0x1)
         pump(cluster)
-        (span,) = cluster[1].tracer.snapshot_spans()
+        (span,) = _hops(cluster[1])
         assert span.node == 1
         assert span.xfunction == 0x1
         assert span.queue_wait_ns >= 0
         assert span.dispatch_ns >= 0
 
     def test_ring_is_bounded(self):
-        cluster, caller, proxy = _traced_pair(capacity=4)
-        tracer = cluster[1].tracer
+        # The recorder's capacity is the only bound: the tracer itself
+        # stores nothing per hop.
+        cluster, caller, proxy = _traced_pair(capacity=8)
         for _ in range(10):
             caller.send(proxy, b"p", xfunction=0x1)
         pump(cluster)
-        assert len(tracer.spans) == 4
-        assert tracer.dropped == 6
+        recorder = cluster[1].flightrec
+        assert recorder.stored_records == 8
+        assert recorder.dropped_records > 0
+        assert 0 < len(_hops(cluster[1])) <= 4  # two records per hop
+        assert not hasattr(cluster[1].tracer, "spans")
 
     def test_queue_wait_measured_against_the_executive_clock(self):
         clock = _ManualClock()
         exe = Executive(node=0, clock=clock)
-        exe.attach(FrameTracer(capacity=16))
+        _trace(exe)
         sink = FunctionalListener(name="sink", handlers={0x1: lambda f: None})
         tid = exe.install(sink)
         sink.send(tid, b"x", xfunction=0x1)
         exe._route_outbound()  # enqueue at t=0
         clock.t = 5_000
         exe.step()
-        (span,) = exe.tracer.snapshot_spans()
+        (span,) = _hops(exe)
         assert span.queue_wait_ns == 5_000
         assert span.start_ns == 5_000
 
     def test_forget_on_release_leaves_no_stale_entries(self):
+        # Frames released without dispatch leave nothing behind: the
+        # enqueue mark dies with the frame object, and no begin record
+        # (so no hop) exists for them.
         exe = Executive(node=0)
-        exe.attach(FrameTracer(capacity=16))
+        _trace(exe)
         sink = FunctionalListener(name="sink", handlers={0x1: lambda f: None})
         tid = exe.install(sink)
-        frames = []
-        original_note = exe.tracer.note_enqueue
-
-        def spy(frame, now_ns):
-            frames.append(frame)
-            original_note(frame, now_ns)
-
-        exe.tracer.note_enqueue = spy  # type: ignore[method-assign]
         for _ in range(3):
             sink.send(tid, b"x", xfunction=0x1)
         exe._route_outbound()
-        assert all(f.trace_mark is not None for f in frames)
+        assert len(exe.scheduler) == 3
         exe.uninstall(tid)  # drops the queued frames without dispatch
-        assert all(f.trace_mark is None for f in frames)
+        exe.run_until_idle()
+        assert exe.pool.in_flight == 0
+        assert not [
+            r for r in exe.flightrec.records if r.kind == EV_DISPATCH_BEGIN
+        ]
+        assert _hops(exe) == []
 
     def test_recycled_frame_does_not_inherit_stale_queue_wait(self):
-        # Regression: the tracer used to key enqueue timestamps by
-        # id(frame); a recycled frame at the same address would then
-        # inherit the dead frame's (older) timestamp and report a
-        # wildly inflated queue wait.  The mark now rides the frame.
+        # Regression: enqueue timestamps used to be keyed by id(frame);
+        # a recycled frame at the same address would then inherit the
+        # dead frame's (older) timestamp and report a wildly inflated
+        # queue wait.  The mark rides the frame, and the dispatch
+        # record consumes it.
         clock = _ManualClock()
-        tracer = FrameTracer(node=0, capacity=16)
+        exe = Executive(node=0, clock=clock)
+        _trace(exe)
         frame = Frame.build(
             target=PTA_TID, initiator=EXECUTIVE_TID, xfunction=0x1
         )
-        tracer.note_enqueue(frame, clock.t)
-        # Released without dispatch, mark forgotten...
-        tracer.forget(frame)
+        exe._enqueue(frame)
+        assert exe.scheduler.pop() is frame  # released without dispatch
         clock.t = 1_000_000
-        # ...and a "new" frame (same object standing in for a recycled
-        # id()) enqueued much later must measure from *its* enqueue.
-        tracer.note_enqueue(frame, clock.t)
+        # The same object standing in for a recycled id(), enqueued
+        # much later, must measure from *its* enqueue.
+        exe._enqueue(frame)
         clock.t = 1_000_500
         rec = DispatchRecord(0, frame, clock.t)
         assert rec.start_ns - rec.enqueued_ns == 500  # not 1_000_500
+        assert frame.trace_mark is None  # consumed: nothing left to alias
+        exe.scheduler.pop()
+
+    def test_untraced_node_pays_no_enqueue_clock_read(self):
+        exe = Executive(node=0)
+        exe.attach(FrameTracer())  # stamps, but no ring: no marks
+        frame = Frame.build(
+            target=PTA_TID, initiator=EXECUTIVE_TID, xfunction=0x1
+        )
+        exe._enqueue(frame)
+        assert frame.trace_mark is None
+        exe.scheduler.pop()
 
     def test_timer_contexts_survive_untraced(self):
         exe = Executive(node=0)
-        exe.attach(FrameTracer(capacity=16))
+        _trace(exe, capacity=16)
         fired = []
 
         class _Timed(Listener):

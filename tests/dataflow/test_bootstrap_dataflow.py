@@ -124,7 +124,8 @@ class TestSpecValidation:
             bootstrap(spec)
 
     @pytest.mark.parametrize("section, conf, named", [
-        ("telemetry", {"trace_capacity": "lots"}, "trace_capacity"),
+        # removed with the tracer's span ring: now an unknown key
+        ("telemetry", {"trace_capacity": 512}, "unknown .*trace_capacity"),
         ("telemetry", {"tracing": "maybe"}, "tracing"),
         ("telemetry", {"sweep_interval_ns": -1}, "sweep_interval_ns"),
         ("telemetry", {"colector": True}, "colector"),

@@ -10,6 +10,7 @@ from repro.core.executive import Executive
 from repro.core.reliable import ReliableEndpoint
 from repro.core.watchdog import HandlerWatchdog
 from repro.flightrec import FlightRecorder, load_dump, unpack3
+from repro.flightrec.recorder import MAX_INCIDENT_SPILLS
 from repro.flightrec.records import (
     EV_DISPATCH_BEGIN,
     EV_DISPATCH_END,
@@ -33,8 +34,6 @@ from repro.flightrec.records import (
     LIVE_ALIVE,
     LIVE_DEAD,
     LIVE_SUSPECT,
-    RECORD_SIZE,
-    RECORD_STRUCT,
     SAN_DOUBLE_FREE,
     FlightRecord,
 )
@@ -49,13 +48,8 @@ from tests.conftest import make_loopback_cluster, pump
 
 
 def records_of(recorder: FlightRecorder, *kinds: int) -> list[FlightRecord]:
-    """Decode the live ring (no spill needed) and filter by kind."""
-    body = recorder.ring_bytes()
-    out = [
-        FlightRecord(*RECORD_STRUCT.unpack_from(body, i * RECORD_SIZE))
-        for i in range(len(body) // RECORD_SIZE)
-    ]
-    return [r for r in out if not kinds or r.kind in kinds]
+    """The live ring (no spill needed), filtered by kind."""
+    return [r for r in recorder.records if not kinds or r.kind in kinds]
 
 
 def make_recorded_exe(recorder=None, **kwargs) -> Executive:
@@ -122,6 +116,35 @@ class TestDispatchPath:
         dump = load_dump(exe.flightrec.dump_path())
         assert dump.reason == "dispatch-exception"
         assert dump.of_kind(EV_DISPATCH_ERROR)
+
+    def test_failing_device_cannot_turn_spills_into_a_storm(self, tmp_path):
+        # Regression: every handler error rewrote the whole dump (tmp +
+        # fsync + replace) — 500 failing dispatches, 500 spills.
+        exe = make_recorded_exe(
+            FlightRecorder(capacity=4096, dump_dir=tmp_path)
+        )
+
+        def boom(frame):
+            raise RuntimeError("boom")
+
+        bad = FunctionalListener(name="bad", handlers={0x1: boom})
+        tid = exe.install(bad)
+        for _ in range(500):
+            bad.send(tid, b"", xfunction=0x1)  # self-sends: no failure reply
+        exe.run_until_idle()
+        recorder = exe.flightrec
+        assert exe.handler_errors == 500
+        assert recorder.spills == MAX_INCIDENT_SPILLS
+        assert recorder.suppressed_spills == 500 - MAX_INCIDENT_SPILLS
+        # Every failure is still in the ring, and the count is exported.
+        assert len(records_of(recorder, EV_DISPATCH_ERROR)) == 500
+        snap = exe.metrics.snapshot()
+        assert snap["flightrec_spills_suppressed_total"] == 496
+        # The newest dump on disk still decodes, and fatal paths are
+        # never capped.
+        assert load_dump(recorder.dump_path()).reason == "dispatch-exception"
+        exe.hard_stop()
+        assert load_dump(recorder.dump_path()).reason == "hard_stop"
 
 
 class TestCrashPaths:
@@ -212,6 +235,37 @@ class TestAttachment:
         exe = make_recorded_exe(rec, node=9)
         assert rec.node == 9
         assert rec.clock is exe.clock
+
+    def test_detach_undoes_attach(self, tmp_path):
+        # Regression: detach + attach left the old recorder's liveness
+        # callbacks on exe.peers (two on_dead entries) and its spill
+        # hook on the sanitizer.
+        old = FlightRecorder(capacity=64, dump_dir=tmp_path / "old")
+        exe = make_recorded_exe(
+            old, pool=BufferPool(SanitizingTableAllocator())
+        )
+        exe.detach(old)
+        assert exe.pool.allocator.on_violation is None
+        new = exe.attach(FlightRecorder(capacity=64, dump_dir=tmp_path / "new"))
+        exe.peers.watch(7)
+        for _ in range(20):
+            exe.peers.interval_missed(7)
+        for _ in range(20):
+            exe.peers.heartbeat_seen(7)
+        block = exe.pool.alloc(64)
+        exe.pool.free(block)
+        with pytest.raises(DoubleFreeError):
+            exe.pool.free(block)
+        # Each transition and the violation: once, in the attached one.
+        assert [(r.a, r.b) for r in records_of(new, EV_LIVENESS)] == [
+            (7, LIVE_SUSPECT), (7, LIVE_DEAD), (7, LIVE_ALIVE),
+        ]
+        assert len(records_of(new, EV_SANITIZER)) == 1
+        assert old.total_records == 0 and old.spills == 0
+        assert new.spills == 1
+        exe.detach(new)
+        assert exe.peers._on_dead == exe.peers._on_alive == []
+        assert exe.peers._on_suspect == []
 
     def test_accounting_gauges_exported(self):
         exe = make_recorded_exe()

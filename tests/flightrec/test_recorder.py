@@ -8,12 +8,6 @@ import zlib
 import pytest
 
 from repro.flightrec import (
-    EV_DISPATCH_BEGIN,
-    EV_DISPATCH_END,
-    EV_HARD_STOP,
-    EV_LIVENESS,
-    EV_REL_SEND,
-    EV_TIMER_FIRE,
     FlightRecError,
     FlightRecord,
     FlightRecorder,
@@ -23,7 +17,16 @@ from repro.flightrec import (
 )
 from repro.flightrec.dump import describe_dump
 from repro.flightrec.recorder import DUMP_HEADER, DUMP_HEADER_SIZE
-from repro.flightrec.records import RECORD_SIZE, RECORD_STRUCT
+from repro.flightrec.records import (
+    EV_DISPATCH_BEGIN,
+    EV_DISPATCH_END,
+    EV_HARD_STOP,
+    EV_LIVENESS,
+    EV_REL_SEND,
+    EV_TIMER_FIRE,
+    RECORD_SIZE,
+    RECORD_STRUCT,
+)
 
 
 class _ManualClock:

@@ -6,18 +6,25 @@ import pytest
 
 from repro.core.tracing import make_trace_id
 from repro.flightrec import (
+    FlightRecorder,
+    Hop,
+    MergedTimeline,
+    in_flight_sends,
+    load_dump,
+    load_dumps,
+    pack3,
+    project_hops,
+)
+from repro.flightrec.records import (
     EV_DISPATCH_BEGIN,
+    EV_DISPATCH_END,
+    EV_FRAME_RELEASE,
     EV_FRAME_TRANSMIT,
     EV_HARD_STOP,
     EV_REL_ACK,
     EV_REL_DELIVER,
     EV_REL_RETRANSMIT,
     EV_REL_SEND,
-    FlightRecorder,
-    in_flight_sends,
-    load_dump,
-    merge_dumps,
-    pack3,
 )
 
 
@@ -47,7 +54,7 @@ class TestMergeOrdering:
         a = _dump(tmp_path, 1, [(10, EV_REL_SEND, 1, 2, 8),
                                 (30, EV_REL_ACK, 1, 0, 0)])
         b = _dump(tmp_path, 2, [(20, EV_REL_DELIVER, 1, 1, 8)])
-        timeline = merge_dumps([a, b])
+        timeline = MergedTimeline([a, b])
         assert [(e.node, e.record.t_ns) for e in timeline.events] == [
             (1, 10), (2, 20), (1, 30),
         ]
@@ -57,7 +64,7 @@ class TestMergeOrdering:
         a = _dump(tmp_path, 2, [(5, EV_HARD_STOP, 0, 0, 0)])
         b = _dump(tmp_path, 1, [(5, EV_REL_SEND, 1, 2, 8),
                                 (5, EV_REL_SEND, 2, 2, 8)])
-        timeline = merge_dumps([b, a])
+        timeline = MergedTimeline([b, a])
         assert [(e.node, e.record.seq) for e in timeline.events] == [
             (1, 0), (1, 1), (2, 0),
         ]
@@ -72,7 +79,7 @@ class TestStreamJoin:
             (40, EV_REL_ACK, 7, 0, 0),
         ])
         receiver = _dump(tmp_path, 2, [(30, EV_REL_DELIVER, 7, 1, 16)])
-        timeline = merge_dumps([sender, receiver])
+        timeline = MergedTimeline([sender, receiver])
         hops = timeline.stream(sender=1, seq=7)
         assert [(e.node, e.record.kind) for e in hops] == [
             (1, EV_REL_SEND),
@@ -93,13 +100,86 @@ class TestTraceJoin:
         receiver = _dump(tmp_path, 2, [
             (20, EV_DISPATCH_BEGIN, ctx, pack3(8, 1, 0xF001), 0),
         ])
-        timeline = merge_dumps([sender, receiver])
+        timeline = MergedTimeline([sender, receiver])
         hops = timeline.trace(ctx)
         assert [(e.node, e.record.kind) for e in hops] == [
             (1, EV_FRAME_TRANSMIT),
             (2, EV_DISPATCH_BEGIN),
         ]
         assert timeline.gaps() == []
+
+
+class TestHopProjection:
+    """A hop is a projection of one traced begin/end record pair."""
+
+    CTX = make_trace_id(1, 7)
+    TID = 17
+    HDR = pack3(TID, 0xFF, 0x102)
+
+    def _records(self, tmp_path, events):
+        return _dump(tmp_path, 3, events).records
+
+    def test_pair_becomes_one_hop(self, tmp_path):
+        records = self._records(tmp_path, [
+            (100, EV_DISPATCH_BEGIN, self.CTX, self.HDR, 40),
+            (150, EV_FRAME_RELEASE, self.CTX, 0, 0),
+            (160, EV_DISPATCH_END, self.CTX, self.HDR, 60),
+        ])
+        assert project_hops(3, records) == [Hop(
+            trace_id=self.CTX, seq=0, node=3, tid=self.TID, function=0xFF,
+            xfunction=0x102, start_ns=100, queue_wait_ns=40, dispatch_ns=60,
+        )]
+
+    def test_untraced_and_unpaired_records_project_nothing(self, tmp_path):
+        records = self._records(tmp_path, [
+            # an untraced dispatch (timer context) ...
+            (10, EV_DISPATCH_BEGIN, 0x5EE9, self.HDR, 0),
+            (20, EV_DISPATCH_END, 0x5EE9, self.HDR, 10),
+            # ... an end whose begin the ring already overwrote ...
+            (30, EV_DISPATCH_END, self.CTX, self.HDR, 5),
+            # ... and a begin the node died inside.
+            (40, EV_DISPATCH_BEGIN, self.CTX, self.HDR, 0),
+        ])
+        assert project_hops(3, records) == []
+
+    def test_merge_orders_hops_across_nodes(self, tmp_path):
+        a = _dump(tmp_path, 1, [
+            (100, EV_DISPATCH_BEGIN, self.CTX, self.HDR, 0),
+            (110, EV_DISPATCH_END, self.CTX, self.HDR, 10),
+            (300, EV_DISPATCH_BEGIN, self.CTX, self.HDR, 0),
+            (310, EV_DISPATCH_END, self.CTX, self.HDR, 10),
+        ])
+        b = _dump(tmp_path, 2, [
+            (200, EV_DISPATCH_BEGIN, self.CTX, self.HDR, 0),
+            (210, EV_DISPATCH_END, self.CTX, self.HDR, 10),
+        ])
+        merged = MergedTimeline([a, b])
+        assert merged.trace_ids() == [self.CTX]
+        assert [(h.node, h.start_ns) for h in merged.hops(self.CTX)] == [
+            (1, 100), (2, 200), (1, 300),
+        ]
+        assert merged.hops(0xDEAD) == []
+
+    def test_live_recorders_merge_like_their_dumps(self, tmp_path):
+        clock = _ManualClock()
+        live = FlightRecorder(
+            node=4, capacity=8, dump_dir=tmp_path, clock=clock, name="live"
+        )
+        for t in range(12):  # wraps: the projection sees what a dump would
+            clock.t = t
+            live.record(EV_REL_SEND, t, 2, 8)
+        dumped = load_dump(live.spill("test"))
+        assert live.records == dumped.records
+        assert [e.record for e in MergedTimeline([live]).events] == [
+            e.record for e in MergedTimeline([dumped]).events
+        ]
+
+    def test_load_dumps_expands_directories(self, tmp_path):
+        _dump(tmp_path, 2, [(1, EV_HARD_STOP, 0, 0, 0)], name="b")
+        _dump(tmp_path, 1, [(1, EV_HARD_STOP, 0, 0, 0)], name="a")
+        (tmp_path / "notes.txt").write_text("not a dump")
+        assert [d.node for d in load_dumps([tmp_path])] == [1, 2]
+        assert [d.node for d in load_dumps([tmp_path / "b.flightrec"])] == [2]
 
 
 class TestGaps:
@@ -109,7 +189,7 @@ class TestGaps:
             (20, EV_REL_SEND, 8, 2, 16),
         ])
         receiver = _dump(tmp_path, 2, [(30, EV_REL_DELIVER, 7, 1, 16)])
-        gaps = merge_dumps([sender, receiver]).gaps()
+        gaps = MergedTimeline([sender, receiver]).gaps()
         assert len(gaps) == 1
         gap = gaps[0]
         assert gap.kind == "send-no-deliver"
@@ -124,7 +204,7 @@ class TestGaps:
             # A local dispatch of the same ctx must NOT count as arrival.
             (11, EV_DISPATCH_BEGIN, ctx, pack3(8, 1, 0xF001), 0),
         ])
-        gaps = merge_dumps([sender]).gaps()
+        gaps = MergedTimeline([sender]).gaps()
         assert [g.kind for g in gaps] == ["transmit-no-dispatch"]
         assert "never dispatched remotely" in gaps[0].describe()
 
@@ -134,11 +214,11 @@ class TestGaps:
         sender = _dump(tmp_path, 1, [
             (10, EV_FRAME_TRANSMIT, 5, pack3(2, 8, 0xF001), 64),
         ])
-        assert merge_dumps([sender]).gaps() == []
+        assert MergedTimeline([sender]).gaps() == []
 
     def test_describe_renders_events_and_gaps(self, tmp_path):
         sender = _dump(tmp_path, 1, [(10, EV_REL_SEND, 7, 2, 16)])
-        text = merge_dumps([sender]).describe()
+        text = MergedTimeline([sender]).describe()
         assert "1 dump(s)" in text
         assert "rel-send" in text
         assert "1 gap(s)" in text
@@ -168,16 +248,16 @@ class TestInFlightSends:
 
 class TestCli:
     def test_decode_prints_symbolic_records(self, tmp_path, capsys):
-        from repro.flightrec.__main__ import main
+        from repro.diag import main
 
         _dump(tmp_path, 5, [(10, EV_HARD_STOP, 0, 0, 0)], name="node005")
-        assert main(["decode", str(tmp_path / "node005.flightrec")]) == 0
+        assert main(["timeline", str(tmp_path / "node005.flightrec")]) == 0
         out = capsys.readouterr().out
         assert "hard-stop" in out
         assert "node 5" in out or "node005" in out or "node=5" in out
 
     def test_merge_reports_gaps_and_in_flight(self, tmp_path, capsys):
-        from repro.flightrec.__main__ import main
+        from repro.diag import main
 
         _dump(tmp_path, 1, [
             (10, EV_REL_SEND, 13, 2, 8),
@@ -185,7 +265,7 @@ class TestCli:
         ], name="n1")
         _dump(tmp_path, 2, [(20, EV_REL_DELIVER, 13, 1, 8)], name="n2")
         code = main([
-            "merge",
+            "timeline",
             str(tmp_path / "n1.flightrec"),
             str(tmp_path / "n2.flightrec"),
         ])
@@ -196,15 +276,15 @@ class TestCli:
         assert "13, 14" in out
 
     def test_bad_file_exits_2(self, tmp_path, capsys):
-        from repro.flightrec.__main__ import main
+        from repro.diag import main
 
         bogus = tmp_path / "bogus.flightrec"
         bogus.write_bytes(b"not a dump")
-        assert main(["decode", str(bogus)]) == 2
+        assert main(["timeline", str(bogus)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
-        from repro.flightrec.__main__ import main
+        from repro.diag import main
 
-        assert main(["decode", str(tmp_path / "absent.flightrec")]) == 2
+        assert main(["timeline", str(tmp_path / "absent.flightrec")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -28,9 +28,9 @@ from repro.core.reliable import ReliableEndpoint
 from repro.core.tracing import FrameTracer
 from repro.flightrec import (
     FlightRecorder,
+    MergedTimeline,
     in_flight_sends,
     load_dump,
-    merge_dumps,
 )
 from repro.flightrec.records import EV_REL_ACK, EV_REL_DELIVER, EV_REL_SEND
 from repro.daq import BuilderUnit, EventManager, ReadoutUnit
@@ -111,7 +111,7 @@ class _Cluster:
             node=node, clock=clock,
             pool=BufferPool(SanitizingTableAllocator()),
         )
-        exe.attach(FrameTracer(capacity=4096))
+        exe.attach(FrameTracer())
         inc = self.incarnations.get(node, 0) + 1
         self.incarnations[node] = inc
         exe.attach(FlightRecorder(
@@ -283,7 +283,7 @@ def test_black_box_merge_reconstructs_the_killed_events(tmp_path):
     dumps = [dead_dump]
     for exe in cluster.exes.values():
         dumps.append(load_dump(exe.flightrec.spill("post-mortem")))
-    timeline = merge_dumps(dumps)
+    timeline = MergedTimeline(dumps)
     assert timeline.nodes == [0, 1, 2, 3, 4, 5]
 
     # One killed event end to end: seq 13 committed by the dead feed,

@@ -33,7 +33,6 @@ def _build_cluster():
         "transport": "loopback",
         "telemetry": {
             "tracing": True,
-            "trace_capacity": 512,
             "metrics_timing": True,
             "collector_node": 0,
         },

@@ -32,7 +32,7 @@ BUDGET_NS = 1_000_000  # 1 ms: the slow handler sleeps 5x that
 def test_slowed_dispatch_produces_exemplar_spill_and_samples(tmp_path):
     cluster = make_loopback_cluster(2)
     for node, exe in cluster.items():
-        exe.attach(FrameTracer(capacity=256))
+        exe.attach(FrameTracer())
     receiver = cluster[1]
     receiver.attach(DispatchTimer())
     receiver.metrics.histogram(

@@ -80,13 +80,6 @@ class TestTrips:
         assert snap["prof_slow_frames_total"] == 1
         assert snap["prof_slow_spills_total"] == 0  # no recorder attached
 
-    def test_trace_budget_trips_separately(self):
-        exe = Executive(node=0)
-        watch = exe.attach(SlowFrameWatch(1000, trace_budget_ns=5000))
-        watch.note_trace(0xABC, total_ns=9000)
-        assert watch.trace_trips == 1
-        assert watch.trips == 0
-
 
 class TestCapture:
     def _recorded(self, tmp_path, **watch_kwargs):

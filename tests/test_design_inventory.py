@@ -52,3 +52,59 @@ def test_no_row_names_a_package_that_is_gone():
             assert path.is_dir() or path.with_suffix(".py").exists(), (
                 f"DESIGN §3 names {name}, which no longer exists"
             )
+
+
+def _taxonomy() -> tuple[list[list[str]], str]:
+    """DESIGN §13's taxonomy: the table's rows (cells) and the
+    "kinds that bound no segment" sentence after it."""
+    section = (ROOT / "DESIGN.md").read_text(encoding="utf-8").split(
+        "### Taxonomy: record kind → segment → Table-1 stage"
+    )[1].split("\n**")[0]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split(" | ")]
+        for line in section.splitlines() if line.startswith("| ")
+    ][1:]
+    rest = section.split("Kinds that bound no segment")[1]
+    return rows, rest
+
+
+def _names(text: str) -> list[str]:
+    return re.findall(r"`([\w-]+)`", text)
+
+
+def test_taxonomy_table_matches_the_code():
+    """One table, three vocabularies: segments (the analyzer), record
+    kinds (the ring) and Table-1 stages (the probes).  A name that
+    drifts from the code fails here, not in a reader's head."""
+    from repro.core.probes import PAPER_TABLE1_COSTS_NS
+    from repro.flightrec.records import KIND_NAMES
+    from repro.profile.critical import ADDITIVE_SEGMENTS, SEGMENTS
+
+    rows, unbounded = _taxonomy()
+    assert all(len(row) == 5 for row in rows)
+    assert tuple(_names(row[0])[0] for row in rows) == SEGMENTS
+    assert tuple(
+        _names(row[0])[0] for row in rows if row[4] == "✔"
+    ) == ADDITIVE_SEGMENTS
+    kinds = set(KIND_NAMES.values())
+    bounding = {
+        name for row in rows for name in _names(row[1] + row[2])
+        if name != "c"  # the begin record's argument, not a kind
+    }
+    assert bounding <= kinds, bounding - kinds
+    # Every kind is either a segment boundary or listed as context.
+    assert bounding | set(_names(unbounded)) == kinds
+    assert not bounding & set(_names(unbounded))
+    stages = [name for row in rows for name in _names(row[3])]
+    assert sorted(stages) == sorted(PAPER_TABLE1_COSTS_NS), (
+        "every Table-1 stage falls inside exactly one segment"
+    )
+
+
+def test_observability_sections_link_to_the_one_table():
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    for heading in ("## 8. Observability", "## 11. Flight recorder"):
+        section = text.split(heading)[1].split("\n## ")[0]
+        assert "§13" in section, f"{heading} does not point at the table"
+        # ... instead of restating it.
+        assert "| segment |" not in section

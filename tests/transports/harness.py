@@ -89,15 +89,18 @@ class TransportHarness:
     def run_until(self, predicate: Callable[[], bool]) -> bool:
         return self._run_until(predicate)
 
-    def enable_tracing(self, capacity: int = 256) -> dict[int, "FrameTracer"]:
-        """Install a FrameTracer on every executive; returns them by
-        node so tests can inspect the recorded spans."""
+    def enable_tracing(self, capacity: int = 512) -> dict[int, "FlightRecorder"]:
+        """Install a FrameTracer and a flight-recorder ring on every
+        executive; returns the recorders by node so tests can project
+        the recorded hops."""
         from repro.core.tracing import FrameTracer
+        from repro.flightrec import FlightRecorder
 
-        tracers = {}
+        recorders = {}
         for node, exe in self.exes.items():
-            tracers[node] = exe.attach(FrameTracer(capacity=capacity))
-        return tracers
+            exe.attach(FrameTracer())
+            recorders[node] = exe.attach(FlightRecorder(capacity=capacity))
+        return recorders
 
     def assert_copy_budget(self) -> None:
         """Every PT copied exactly its budget per frame, both ways."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.tracing import is_trace_context, trace_root_node
+from repro.flightrec import project_hops
 from repro.i2o.frame import MAX_PAYLOAD_SIZE
 from repro.mem.pool import PoolError
 
@@ -83,7 +84,7 @@ class TestTransportContract:
         assert caller.reply_contexts == [context]
 
     def test_trace_context_propagates_across_transport(self, harness):
-        tracers = harness.enable_tracing()
+        recorders = harness.enable_tracing()
         caller, proxy = _wire(harness)
         caller.send(proxy, b"trace-me", xfunction=0x1)
         assert harness.run_until(lambda: caller.replies == [b"trace-me"])
@@ -95,7 +96,7 @@ class TestTransportContract:
         # on node 1 and the reply dispatch back on node 0.
         def spans_of(node):
             return [
-                s for s in tracers[node].snapshot_spans()
+                s for s in project_hops(node, recorders[node].records)
                 if s.trace_id == trace_id
             ]
         assert harness.run_until(lambda: spans_of(0) and spans_of(1))
