@@ -15,11 +15,11 @@ setup.
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable
+from typing import Any
 
-from repro.core.device import Listener, decode_params, encode_params
+from repro.core.device import decode_params, encode_params
 from repro.core.registry import download_module
+from repro.core.request import Requester
 from repro.config.tclish import TclError, TclInterp, format_list
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
@@ -39,57 +39,45 @@ class ControlError(I2OError):
     """Control-plane failure (timeout, refused rights, failed reply)."""
 
 
-Pump = Callable[[], None]
-
-
-class HostController(Listener):
+class HostController(Requester):
     """A (primary or secondary) control point for the cluster.
 
-    ``pump`` is invoked repeatedly while waiting for replies; in
-    single-threaded setups it steps every executive once, in threaded
-    setups it may simply sleep.  ``rpc`` raises :class:`ControlError`
-    after ``max_pumps`` pumps without an answer, so a dead node cannot
-    hang the control script forever.
+    Every verb is one :meth:`rpc` — a synchronous
+    :meth:`~repro.core.request.Requester.ask` whose failure reply or
+    timeout surfaces as :class:`ControlError`, so a dead node cannot
+    hang the control script (DESIGN §5, "Request/reply correlation",
+    has the waiting contract).
     """
 
     device_class = "host_controller"
+    error_type = ControlError
 
     def __init__(
         self,
         name: str = "host",
         *,
-        pump: Pump | None = None,
         primary: bool = True,
-        max_pumps: int = 100_000,
+        **requester: Any,
     ) -> None:
-        super().__init__(name)
-        self.pump = pump
+        super().__init__(name, **requester)
         self.primary = primary
-        self.max_pumps = max_pumps
-        self._contexts = itertools.count(1)
-        self._replies: dict[int, tuple[bool, bytes]] = {}
         self._exec_proxies: dict[int, Tid] = {}
         #: secondary controllers that registered (paper §3.5)
         self.secondaries: list[str] = []
         self.control_holder: str = name if primary else ""
 
     def on_plugin(self) -> None:
-        self.table.bind_default(self._on_any_reply)
+        self.table.bind_default(self.handle_reply)
         # A controller consumes replies to the utility messages it
         # issues; rebind the standard handlers (which would swallow
-        # them) to the reply collector.
-        self.table.bind(UTIL_PARAMS_GET, self._on_any_reply)
-        self.table.bind(UTIL_PARAMS_SET, self._on_any_reply)
+        # them) to the reply handler.
+        self.table.bind(UTIL_PARAMS_GET, self.handle_reply)
+        self.table.bind(UTIL_PARAMS_SET, self.handle_reply)
 
-    # -- reply collection ---------------------------------------------------
-    def _on_any_reply(self, frame: Frame) -> None:
-        if frame.is_reply:
-            self._replies[frame.initiator_context] = (
-                frame.is_failure,
-                bytes(frame.payload),
-            )
-        elif frame.initiator != self.tid:
-            self.reply(frame, fail=True)
+    def on_unsolicited(self, frame: Frame) -> None:
+        # Foreign requests are refused; the controller's own are ignored.
+        if frame.initiator != self.tid:
+            super().on_unsolicited(frame)
 
     # -- control rights ---------------------------------------------------------
     def register_secondary(self, name: str) -> None:
@@ -137,31 +125,15 @@ class HostController(Listener):
     ) -> bytes:
         """Send one control message and wait for its reply."""
         self._require_control()
-        exe = self._require_live()
-        context = next(self._contexts)
-        self.send(
-            target,
-            payload,
-            function=function,
-            xfunction=xfunction,
+        failed, data = self.ask(
+            target, payload, function=function, xfunction=xfunction,
             priority=1,  # control traffic outranks data
-            initiator_context=context,
         )
-        for _ in range(self.max_pumps):
-            if context in self._replies:
-                failed, data = self._replies.pop(context)
-                if failed:
-                    raise ControlError(
-                        f"node rejected control message 0x{function:02X}"
-                    )
-                return data
-            if self.pump is not None:
-                self.pump()
-            exe.step()
-        raise ControlError(
-            f"no reply to control message 0x{function:02X} after "
-            f"{self.max_pumps} pumps"
-        )
+        if failed:
+            raise ControlError(
+                f"node rejected control message 0x{function:02X}"
+            )
+        return data
 
     # -- high-level verbs ---------------------------------------------------------
     def status(self, node: int) -> dict[str, str]:

@@ -15,6 +15,7 @@ from repro.core.liveness import HeartbeatService, PeerTable
 from repro.core.probes import CostModel, Probes
 from repro.core.queues import MessagingInstance
 from repro.core.registry import ModuleRegistry, download_module
+from repro.core.request import Requester
 from repro.core.scheduler import PriorityScheduler
 from repro.core.states import DeviceState, PeerState
 from repro.core.timer import TimerService
@@ -36,6 +37,7 @@ __all__ = [
     "PriorityScheduler",
     "Probes",
     "RETAIN",
+    "Requester",
     "Route",
     "TimerService",
     "WatchdogTimeout",

@@ -14,13 +14,12 @@ mandatory message set *is* the discovery protocol.
 
 from __future__ import annotations
 
-import itertools
 import logging
-from typing import Callable
+from typing import Any, Callable
 
-from repro.core.device import Listener, decode_params
+from repro.core.device import decode_params
+from repro.core.request import Requester
 from repro.i2o.errors import I2OError
-from repro.i2o.frame import Frame
 from repro.i2o.function_codes import EXEC_LCT_NOTIFY
 from repro.i2o.tid import EXECUTIVE_TID, Tid
 
@@ -38,30 +37,28 @@ class DiscoveryError(I2OError):
     """A node did not answer or discovery found nothing."""
 
 
-class DiscoveryService(Listener):
+class DiscoveryService(Requester):
     """Resolves device-class names to proxies across the cluster.
 
     ``nodes`` is the set of reachable node ids (the cluster membership
-    a configuration system provides); ``pump`` drives the cluster while
-    waiting for LCT replies.
+    a configuration system provides).  An LCT request is one
+    synchronous :meth:`~repro.core.request.Requester.ask`; a failure
+    reply or a timeout raises :class:`DiscoveryError` (DESIGN §5,
+    "Request/reply correlation").
     """
 
     device_class = "discovery"
+    error_type = DiscoveryError
 
     def __init__(
         self,
         name: str = "discovery",
         *,
         nodes: list[int] | None = None,
-        pump: Callable[[], None] | None = None,
-        max_pumps: int = 100_000,
+        **requester: Any,
     ) -> None:
-        super().__init__(name)
+        super().__init__(name, **requester)
         self.nodes: list[int] = list(nodes or [])
-        self.pump = pump
-        self.max_pumps = max_pumps
-        self._contexts = itertools.count(1)
-        self._replies: dict[int, dict[str, str]] = {}
         #: cache: node -> last seen LCT (tid string -> device class)
         self.tables: dict[int, dict[str, str]] = {}
         #: nodes declared DEAD and excluded until readmitted
@@ -75,36 +72,23 @@ class DiscoveryService(Listener):
         self.parks = 0
 
     def on_plugin(self) -> None:
-        self.table.bind(EXEC_LCT_NOTIFY, self._on_lct_reply)
+        self.table.bind(EXEC_LCT_NOTIFY, self.handle_reply)
 
     def add_node(self, node: int) -> None:
         if node not in self.nodes:
             self.nodes.append(node)
 
     # -- the wire protocol ---------------------------------------------------
-    def _on_lct_reply(self, frame: Frame) -> None:
-        if not frame.is_reply or frame.is_failure:
-            if not frame.is_reply:
-                self.reply(frame, fail=True)
-            return
-        self._replies[frame.initiator_context] = decode_params(frame.payload)
-
     def refresh(self, node: int) -> dict[str, str]:
         """Fetch one node's logical configuration table."""
-        exe = self._require_live()
-        context = next(self._contexts)
-        proxy = exe.create_proxy(node, EXECUTIVE_TID)
-        self.send(proxy, function=EXEC_LCT_NOTIFY, initiator_context=context,
-                  priority=1)
-        for _ in range(self.max_pumps):
-            if context in self._replies:
-                table = self._replies.pop(context)
-                self.tables[node] = table
-                return table
-            if self.pump is not None:
-                self.pump()
-            exe.step()
-        raise DiscoveryError(f"node {node} did not answer LCT request")
+        proxy = self._require_live().create_proxy(node, EXECUTIVE_TID)
+        failed, data = self.ask(proxy, function=EXEC_LCT_NOTIFY, priority=1)
+        if failed:
+            raise DiscoveryError(
+                f"node {node} did not answer LCT request (failure reply)"
+            )
+        table = self.tables[node] = decode_params(data)
+        return table
 
     # -- resolution -----------------------------------------------------------
     def find_all(self, device_class: str, *, refresh: bool = True) -> dict[
@@ -224,6 +208,7 @@ class DiscoveryService(Listener):
 
     def export_counters(self) -> dict[str, object]:
         return {
+            **super().export_counters(),
             "known_tables": len(self.tables),
             "quarantined": len(self.quarantined),
             "rebinds": self.rebinds,

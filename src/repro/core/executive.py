@@ -671,6 +671,16 @@ class Executive:
         )
         self._thread.start()
 
+    def stepped_elsewhere(self) -> bool:
+        """True when a live loop thread other than the caller owns
+        :meth:`step` — a synchronous waiter must then park, not step."""
+        thread = self._thread
+        return (
+            thread is not None
+            and thread.is_alive()
+            and thread is not threading.current_thread()
+        )
+
     def stop(self, timeout: float = 5.0) -> None:
         if self._thread is None:
             return

@@ -30,11 +30,12 @@ tentpole.
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import functools
 import json
 import re
 
 from repro.core.device import Listener, decode_params, encode_params
+from repro.core.request import Requester
 from repro.dataflow.registry import message_type
 from repro.flightrec.timeline import Hop, hop_order, project_hops
 from repro.i2o.errors import I2OError
@@ -164,12 +165,15 @@ class TelemetryAgent(Listener):
         return {"exports": self.exports}
 
 
-class TelemetryCollector(PeriodicSweeper, Listener):
+class TelemetryCollector(PeriodicSweeper, Requester):
     """Cluster-wide snapshot aggregation and trace stitching.
 
     ``watch(node, proxy_tid)`` registers one agent per node; every
     :meth:`sweep` (manual, or periodic via :class:`PeriodicSweeper`)
-    pulls each agent's snapshot with a correlated ``UtilParamsGet``.
+    pulls each agent's snapshot with a correlated ``UtilParamsGet`` —
+    one :meth:`~repro.core.request.Requester.request` per node, in a
+    per-node slot, so an agent that never answers costs one pending
+    entry however long it stays silent.
     Hops are deduplicated by ``(node, seq)`` — the agent exports its
     whole ring each time — and indexed by trace id; ``keep_spans``
     bounds collector memory the same way the ring's capacity bounds
@@ -187,8 +191,6 @@ class TelemetryCollector(PeriodicSweeper, Listener):
         self.node_metrics: dict[int, dict[str, float]] = {}
         #: node -> non-numeric reply values (e.g. state strings)
         self.node_info: dict[int, dict[str, str]] = {}
-        self._contexts = itertools.count(1)
-        self._context_node: dict[int, int] = {}
         self._spans: list[Hop] = []
         self._by_trace: dict[int, list[Hop]] = {}
         self._seen: set[tuple[int, int]] = set()
@@ -196,7 +198,7 @@ class TelemetryCollector(PeriodicSweeper, Listener):
         self.spans_collected = 0
 
     def on_plugin(self) -> None:
-        self.table.bind(UTIL_PARAMS_GET, self._on_params_traffic)
+        self.table.bind(UTIL_PARAMS_GET, self.handle_reply)
 
     # -- sweeping -----------------------------------------------------------
     def watch(self, node: int, agent_tid: Tid) -> None:
@@ -206,20 +208,20 @@ class TelemetryCollector(PeriodicSweeper, Listener):
 
     def sweep(self) -> int:
         for node, tid in sorted(self.watched.items()):
-            context = next(self._contexts)
-            self._context_node[context] = node
-            self.send(tid, function=UTIL_PARAMS_GET, initiator_context=context)
+            self.request(
+                tid, function=UTIL_PARAMS_GET, slot=node,
+                on_reply=functools.partial(self._on_snapshot, node),
+            )
         self.sweeps += 1
         return len(self.watched)
 
-    def _on_params_traffic(self, frame: Frame) -> None:
-        if not frame.is_reply:
-            # Someone is observing the observer through the same scheme.
-            counters = {k: str(v) for k, v in self.export_counters().items()}
-            self.reply(frame, encode_params({**self.parameters, **counters}))
-            return
-        node = self._context_node.pop(frame.initiator_context, None)
-        if node is None or frame.is_failure:
+    def on_unsolicited(self, frame: Frame) -> None:
+        # Someone is observing the observer through the same scheme.
+        counters = {k: str(v) for k, v in self.export_counters().items()}
+        self.reply(frame, encode_params({**self.parameters, **counters}))
+
+    def _on_snapshot(self, node: int, frame: Frame) -> None:
+        if frame.is_failure:
             return
         metrics: dict[str, float] = {}
         info: dict[str, str] = {}
@@ -314,6 +316,7 @@ class TelemetryCollector(PeriodicSweeper, Listener):
 
     def export_counters(self) -> dict[str, object]:
         return {
+            **super().export_counters(),
             "sweeps": self.sweeps,
             "nodes_watched": len(self.watched),
             "nodes_reporting": len(self.node_metrics),

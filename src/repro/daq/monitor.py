@@ -10,17 +10,17 @@ management).  Devices expose counters by overriding
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable
+import functools
 
-from repro.core.device import Listener, decode_params
+from repro.core.device import decode_params, encode_params
+from repro.core.request import Requester
 from repro.core.telemetry import PeriodicSweeper
 from repro.i2o.frame import Frame
 from repro.i2o.function_codes import UTIL_PARAMS_GET
 from repro.i2o.tid import Tid
 
 
-class DaqMonitor(PeriodicSweeper, Listener):
+class DaqMonitor(PeriodicSweeper, Requester):
     """Collects parameter snapshots from a set of watched TiDs.
 
     :meth:`sweep` is manual by default; setting the
@@ -36,12 +36,10 @@ class DaqMonitor(PeriodicSweeper, Listener):
         self.watched: list[Tid] = []
         #: tid -> latest parameter snapshot
         self.snapshots: dict[Tid, dict[str, str]] = {}
-        self._contexts = itertools.count(1)
-        self._context_tid: dict[int, Tid] = {}
         self.sweeps = 0
 
     def on_plugin(self) -> None:
-        self.table.bind(UTIL_PARAMS_GET, self._on_params_reply)
+        self.table.bind(UTIL_PARAMS_GET, self.handle_reply)
 
     def watch(self, tid: Tid) -> None:
         if tid not in self.watched:
@@ -50,27 +48,20 @@ class DaqMonitor(PeriodicSweeper, Listener):
     def sweep(self) -> int:
         """Request a fresh snapshot from every watched device."""
         for tid in self.watched:
-            context = next(self._contexts)
-            self._context_tid[context] = tid
-            self.send(
-                tid,
-                function=UTIL_PARAMS_GET,
-                initiator_context=context,
+            self.request(
+                tid, function=UTIL_PARAMS_GET, slot=tid,
+                on_reply=functools.partial(self._on_snapshot, tid),
             )
         self.sweeps += 1
         return len(self.watched)
 
-    def _on_params_reply(self, frame: Frame) -> None:
-        if not frame.is_reply:
-            # Someone asked the monitor for its own parameters.
-            from repro.core.device import encode_params
+    def on_unsolicited(self, frame: Frame) -> None:
+        # Someone asked the monitor for its own parameters.
+        self.reply(frame, encode_params(self.parameters))
 
-            self.reply(frame, encode_params(self.parameters))
-            return
-        tid = self._context_tid.pop(frame.initiator_context, None)
-        if tid is None or frame.is_failure:
-            return
-        self.snapshots[tid] = decode_params(frame.payload)
+    def _on_snapshot(self, tid: Tid, frame: Frame) -> None:
+        if not frame.is_failure:
+            self.snapshots[tid] = decode_params(frame.payload)
 
     def snapshot(self, tid: Tid) -> dict[str, str]:
         return dict(self.snapshots.get(tid, {}))

@@ -26,6 +26,7 @@ import struct
 
 from repro.config.schema import ParamSchema, ParamSpec, SchemaListenerMixin
 from repro.core.device import Listener
+from repro.core.request import Requester
 from repro.dataflow.registry import message_type
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
@@ -166,53 +167,28 @@ class BlockStorageDevice(SchemaListenerMixin, Listener):
         self.reply(frame, bytes([status]), fail=True)
 
 
-class BlockClient(Listener):
-    """Synchronous client: read/write/status against a BSA TiD.
-
-    ``pump`` drives the cluster while waiting for the reply (same
-    convention as :class:`~repro.config.control.HostController`).
-    """
+class BlockClient(Requester):
+    """Synchronous client: read/write/status against a BSA TiD, each a
+    :meth:`~repro.core.request.Requester.ask` (DESIGN §5,
+    "Request/reply correlation")."""
 
     device_class = "i2o_block_client"
     emits = (MT_BSA_READ, MT_BSA_WRITE, MT_BSA_STATUS, MT_BSA_MEDIA_LOCK)
-
-    def __init__(self, name: str = "bsa-client", *, pump=None,
-                 max_pumps: int = 100_000) -> None:
-        super().__init__(name)
-        self.pump = pump
-        self.max_pumps = max_pumps
-        self._context = 0
-        self._replies: dict[int, tuple[bool, bytes]] = {}
+    error_type = BlockDeviceError
 
     def on_plugin(self) -> None:
         for xfunc in (XF_BSA_READ, XF_BSA_WRITE, XF_BSA_STATUS,
                       XF_BSA_MEDIA_LOCK):
-            self.bind(xfunc, self._on_reply)
-
-    def _on_reply(self, frame: Frame) -> None:
-        if frame.is_reply:
-            self._replies[frame.initiator_context] = (
-                frame.is_failure, bytes(frame.payload)
-            )
+            self.bind(xfunc, self.handle_reply)
 
     def _call(self, target: Tid, xfunc: int, payload: bytes) -> bytes:
-        self._context += 1
-        context = self._context
-        self.send(target, payload, xfunction=xfunc, initiator_context=context)
-        exe = self._require_live()
-        for _ in range(self.max_pumps):
-            if context in self._replies:
-                failed, data = self._replies.pop(context)
-                if failed:
-                    status = data[0] if data else 255
-                    raise BlockDeviceError(
-                        f"block operation 0x{xfunc:04X} failed, status {status}"
-                    )
-                return data
-            if self.pump is not None:
-                self.pump()
-            exe.step()
-        raise BlockDeviceError(f"no reply to block operation 0x{xfunc:04X}")
+        failed, data = self.ask(target, payload, xfunction=xfunc)
+        if failed:
+            status = data[0] if data else 255
+            raise BlockDeviceError(
+                f"block operation 0x{xfunc:04X} failed, status {status}"
+            )
+        return data
 
     # -- public API --------------------------------------------------------
     def read(self, target: Tid, lba: int, count: int = 1) -> bytes:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 
 from repro.core.device import Listener
+from repro.core.request import Requester
 from repro.dataflow.registry import message_type
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
@@ -150,50 +151,27 @@ class SequentialStorageDevice(Listener):
         self.reply(frame, bytes([STATUS_OK]))
 
 
-class SequentialClient(Listener):
-    """Synchronous tape client."""
+class SequentialClient(Requester):
+    """Synchronous tape client (DESIGN §5, "Request/reply
+    correlation")."""
 
     device_class = "i2o_sequential_client"
     emits = (MT_SEQ_WRITE, MT_SEQ_READ, MT_SEQ_REWIND, MT_SEQ_SPACE,
              MT_SEQ_WRITE_FILEMARK)
 
-    def __init__(self, name: str = "tape-client", *, pump=None,
-                 max_pumps: int = 100_000) -> None:
-        super().__init__(name)
-        self.pump = pump
-        self.max_pumps = max_pumps
-        self._context = 0
-        self._replies: dict[int, tuple[bool, bytes]] = {}
-
     def on_plugin(self) -> None:
         for xfunc in (XF_SEQ_WRITE, XF_SEQ_READ, XF_SEQ_REWIND,
                       XF_SEQ_SPACE, XF_SEQ_WRITE_FILEMARK):
-            self.bind(xfunc, self._on_reply)
-
-    def _on_reply(self, frame: Frame) -> None:
-        if frame.is_reply:
-            self._replies[frame.initiator_context] = (
-                frame.is_failure, bytes(frame.payload)
-            )
+            self.bind(xfunc, self.handle_reply)
 
     def _call(self, target: Tid, xfunc: int, payload: bytes = b"") -> bytes:
-        self._context += 1
-        context = self._context
-        self.send(target, payload, xfunction=xfunc, initiator_context=context)
-        exe = self._require_live()
-        for _ in range(self.max_pumps):
-            if context in self._replies:
-                failed, data = self._replies.pop(context)
-                if failed:
-                    status = data[0] if data else 255
-                    raise I2OError(
-                        f"tape operation 0x{xfunc:04X} failed, status {status}"
-                    )
-                return data
-            if self.pump is not None:
-                self.pump()
-            exe.step()
-        raise I2OError(f"no reply to tape operation 0x{xfunc:04X}")
+        failed, data = self.ask(target, payload, xfunction=xfunc)
+        if failed:
+            status = data[0] if data else 255
+            raise I2OError(
+                f"tape operation 0x{xfunc:04X} failed, status {status}"
+            )
+        return data
 
     def write(self, target: Tid, record: bytes) -> None:
         self._call(target, XF_SEQ_WRITE, record)

@@ -10,10 +10,9 @@ a :class:`CallFuture`) returns the unmarshalled result.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable
 
-from repro.core.device import Listener
+from repro.core.request import Requester
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.i2o.tid import Tid
@@ -28,9 +27,10 @@ class RemoteCallError(I2OError):
 class CallFuture:
     """Completion handle for one outstanding remote call."""
 
-    __slots__ = ("_done", "_value", "_error", "callbacks")
+    __slots__ = ("_done", "_value", "_error", "callbacks", "context")
 
     def __init__(self) -> None:
+        self.context = 0  # set by StubDevice.invoke
         self._done = False
         self._value: Any = None
         self._error: str | None = None
@@ -54,53 +54,36 @@ class CallFuture:
         for cb in self.callbacks:
             cb(self)
 
-
-class StubDevice(Listener):
-    """Caller-side endpoint: issues calls, collects replies.
-
-    ``pump`` is called repeatedly by :meth:`wait` until the future
-    completes — single-threaded programs pass a function that steps
-    their executives; threaded programs can pass ``time.sleep``-based
-    pumps or use futures with callbacks instead.
-    """
-
-    device_class = "rmi_stub"
-
-    def __init__(
-        self,
-        name: str = "stub",
-        *,
-        pump: Callable[[], None] | None = None,
-        max_pumps: int = 100_000,
-    ) -> None:
-        super().__init__(name)
-        self.pump = pump
-        self.max_pumps = max_pumps
-        self._contexts = itertools.count(1)
-        self._outstanding: dict[int, CallFuture] = {}
-
-    def on_plugin(self) -> None:
-        self.table.bind_default(self._on_reply)
-
     def _on_reply(self, frame: Frame) -> None:
-        if not frame.is_reply:
-            self.reply(frame, fail=True)
-            return
-        future = self._outstanding.pop(frame.initiator_context, None)
-        if future is None:
-            return  # late reply for an abandoned call
         if frame.is_failure:
-            future._complete(error="remote rejected the call (failure reply)")
+            self._complete(error="remote rejected the call (failure reply)")
             return
         try:
             status, payload = unmarshal(frame.payload)
         except I2OError as exc:
-            future._complete(error=f"unmarshal failed: {exc}")
+            self._complete(error=f"unmarshal failed: {exc}")
             return
         if status == "ok":
-            future._complete(value=payload)
+            self._complete(value=payload)
         else:
-            future._complete(error=str(payload))
+            self._complete(error=str(payload))
+
+
+class StubDevice(Requester):
+    """Caller-side endpoint: issues calls, collects replies.
+
+    :meth:`invoke` is an asynchronous
+    :meth:`~repro.core.request.Requester.request` whose reply completes
+    a :class:`CallFuture`; :meth:`wait` runs the one wait loop on it
+    (DESIGN §5, "Request/reply correlation") — threaded programs can
+    use futures with callbacks instead.
+    """
+
+    device_class = "rmi_stub"
+    error_type = RemoteCallError
+
+    def on_plugin(self) -> None:
+        self.table.bind_default(self.handle_reply)
 
     # -- calls ---------------------------------------------------------------
     def invoke(
@@ -108,38 +91,27 @@ class StubDevice(Listener):
     ) -> CallFuture:
         """Fire a call; returns its future immediately."""
         future = CallFuture()
-        context = next(self._contexts)
-        self._outstanding[context] = future
         # Marshal straight into the loaned frame: the chunk list is
         # written to pool memory without an intermediate join.
         parts = marshal_parts((list(args), kwargs))
-        self.send_into(
+        future.context = self.request(
             target,
-            parts_size(parts),
-            lambda view: write_parts(parts, view),
+            size=parts_size(parts),
+            writer=lambda view: write_parts(parts, view),
             xfunction=method_code(method),
-            initiator_context=context,
+            on_reply=future._on_reply,
         )
         return future
 
     def wait(self, future: CallFuture) -> Any:
         """Pump until ``future`` completes; returns its result."""
-        for _ in range(self.max_pumps):
-            if future.done:
-                return future.result()
-            if self.pump is not None:
-                self.pump()
-            elif self.executive is not None:
-                self.executive.step()
-        raise RemoteCallError(f"no reply after {self.max_pumps} pumps")
+        self.wait_until(lambda: future.done, context=future.context,
+                        what="remote call")
+        return future.result()
 
     def call(self, target: Tid, method: str, *args: Any, **kwargs: Any) -> Any:
         """Synchronous remote call."""
         return self.wait(self.invoke(target, method, *args, **kwargs))
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._outstanding)
 
 
 class Stub:

@@ -57,23 +57,14 @@ class LoopbackNetwork:
 class LoopbackTransport(PeerTransport):
     """Zero-wire, zero-copy transport over a :class:`LoopbackNetwork`.
 
-    Polling mode by default: delivery deposits the block-handoff item
-    into the destination endpoint's staging list, drained by the
-    destination executive's next ``poll``.  With ``immediate=True`` the
-    frame is ingested synchronously at transmit time (handy for
-    single-threaded tests that drive both executives by hand).
+    Polling mode: delivery deposits the block-handoff item into the
+    destination endpoint's staging list, drained by the destination
+    executive's next ``poll``.
     """
 
-    def __init__(
-        self,
-        network: LoopbackNetwork,
-        name: str = "loopback",
-        *,
-        immediate: bool = False,
-    ) -> None:
+    def __init__(self, network: LoopbackNetwork, name: str = "loopback") -> None:
         super().__init__(name=name, mode="polling")
         self.network = network
-        self.immediate = immediate
         self._staged: list[StagedItem] = []
 
     def on_plugin(self) -> None:
@@ -86,10 +77,7 @@ class LoopbackTransport(PeerTransport):
         self.account_sent(frame.total_size)
         item = self.make_handoff(frame)
         self.network.messages += 1
-        if dest.immediate:
-            dest.ingest_staged(item)
-        else:
-            dest._staged.append(item)
+        dest._staged.append(item)
 
     def poll(self) -> bool:
         if not self._staged or self.suspended:

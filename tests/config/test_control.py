@@ -20,7 +20,7 @@ def controlled_cluster():
         for exe in cluster.values():
             exe.step()
 
-    controller = HostController(pump=pump, max_pumps=10_000)
+    controller = HostController(pump=pump)
     cluster[0].install(controller)
     return cluster, controller
 
@@ -61,9 +61,8 @@ class TestVerbs:
 
     def test_rpc_timeout_on_dead_node(self, controlled_cluster):
         cluster, ctl = controlled_cluster
-        ctl.max_pumps = 50
         proxy = cluster[0].create_proxy(77, 0)  # nonexistent node
-        with pytest.raises(ControlError):
+        with pytest.raises(ControlError, match="rejected"):
             ctl.rpc(proxy, 0xA0)
 
 

@@ -89,8 +89,7 @@ class TestFindOne:
 
     def test_dead_node_times_out(self, rig):
         cluster, discovery = rig
-        discovery.add_node(77)  # unreachable
-        discovery.max_pumps = 50
+        discovery.add_node(77)  # unreachable: the failure reply ends it
         with pytest.raises(DiscoveryError, match="did not answer"):
             discovery.refresh(77)
 

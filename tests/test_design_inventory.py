@@ -108,3 +108,68 @@ def test_observability_sections_link_to_the_one_table():
         assert "§13" in section, f"{heading} does not point at the table"
         # ... instead of restating it.
         assert "| segment |" not in section
+
+
+# -- request/reply correlation (DESIGN §5) ----------------------------------
+
+REQUEST_MODULE = PACKAGE_ROOT / "core" / "request.py"
+
+
+def _sources() -> dict[Path, str]:
+    return {
+        path: path.read_text(encoding="utf-8")
+        for path in PACKAGE_ROOT.rglob("*.py")
+    }
+
+
+def test_request_users_list_matches_the_subclasses():
+    """The "Users" sentence under "Request/reply correlation" names
+    exactly the classes that derive from ``Requester``."""
+    import ast
+
+    section = (ROOT / "DESIGN.md").read_text(encoding="utf-8").split(
+        "### Request/reply correlation"
+    )[1].split("\n### ")[0]
+    listed = set(_names(section.split("Users (")[1]))
+    users = {
+        node.name
+        for source in _sources().values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(base, ast.Name) and base.id == "Requester"
+            for base in node.bases
+        )
+    }
+    assert len(users) == 7
+    assert listed == users
+
+
+def test_one_context_allocator_and_one_wait_loop():
+    """An eighth private copy of the mechanism fails here: the wait
+    loop, its ``max_pumps`` bound and the request-context counter each
+    live in ``core/request.py`` and nowhere else, and the old per-class
+    reply tables stay gone."""
+    allocator = re.compile(
+        r"_contexts?\s*=\s*itertools\.count|self\._context\s*\+=\s*1"
+    )
+    tables = re.compile(
+        r"\b(_replies|_context_node|_context_tid|_outstanding)\b"
+    )
+    sources = _sources()
+    # ``max_pumps`` anywhere else means a second loop or a per-class knob.
+    for pattern in (re.compile(r"max_pumps"), allocator):
+        holders = {
+            path for path, source in sources.items() if pattern.search(source)
+        }
+        assert holders == {REQUEST_MODULE}, (pattern.pattern, holders)
+    assert "range(self.max_pumps)" in sources[REQUEST_MODULE]
+    clients = [
+        "config/control.py", "core/discovery.py", "devclasses/block.py",
+        "devclasses/sequential.py", "rmi/stub.py", "core/telemetry.py",
+        "daq/monitor.py",
+    ]
+    for name in clients:
+        source = sources[PACKAGE_ROOT / name]
+        assert "Requester" in source, name
+        assert not tables.search(source), name

@@ -9,7 +9,7 @@ from repro.transports.agent import PeerTransportAgent
 from repro.transports.base import TransportError
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 
-from tests.conftest import assert_no_leaks, pump
+from tests.conftest import pump
 from tests.transports.harness import Caller, Echo
 
 # Round-trip, burst, large-payload, counter and oversize semantics are
@@ -35,24 +35,6 @@ def test_unknown_destination_becomes_failure_reply(two_nodes):
     caller.send(proxy, b"x", xfunction=0x2)
     pump(two_nodes)
     assert caller.failures == [True]
-
-
-def test_immediate_mode_delivers_synchronously():
-    net = LoopbackNetwork()
-    exes = {}
-    for node in range(2):
-        exe = Executive(node=node)
-        PeerTransportAgent.attach(exe).register(
-            LoopbackTransport(net, immediate=True), default=True
-        )
-        exes[node] = exe
-    echo_tid = exes[1].install(Echo())
-    caller = Caller()
-    exes[0].install(caller)
-    caller.send(exes[0].create_proxy(1, echo_tid), b"now", xfunction=0x1)
-    pump(exes)
-    assert caller.replies == [b"now"]
-    assert_no_leaks(exes)
 
 
 def test_has_pending_reflects_staged_data(two_nodes):
