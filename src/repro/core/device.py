@@ -211,7 +211,7 @@ class Listener:
         """The one frame-post path under :meth:`send`, :meth:`reply`,
         :meth:`emit` and their ``*_into`` forms: loan a frame, fill it
         (copy ``payload`` in, or let ``writer`` build it in place),
-        stamp the contexts, post.  A fill that raises frees the frame.
+        post.  A fill that raises frees the frame.
         Positional on purpose: this runs once per message."""
         exe = self._require_live()
         frame = exe.frame_alloc(
@@ -223,18 +223,18 @@ class Listener:
             priority=priority,
             flags=flags,
             organization=organization,
+            initiator_context=initiator_context,
+            transaction_context=transaction_context,
         )
-        try:
-            if size:
+        if size:
+            try:
                 if writer is None:
                     frame.payload[:] = payload
                 else:
                     writer(frame.payload)
-            frame.transaction_context = transaction_context
-            frame.initiator_context = initiator_context
-        except BaseException:
-            exe.frame_free(frame)
-            raise
+            except BaseException:
+                exe.frame_free(frame)
+                raise
         exe.frame_send(frame)
         return frame
 

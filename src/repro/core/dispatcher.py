@@ -49,8 +49,7 @@ class Functor:
         """The upcall: validate the frame against the binding and
         return the zero-argument application thunk."""
         func, xfunc = self.key
-        is_default = self.key == (-1, -1)
-        if not is_default and (
+        if func != -1 and (  # -1: the default functor takes anything
             frame.function != func or (func == PRIVATE and frame.xfunction != xfunc)
         ):
             raise DispatchError(
@@ -109,11 +108,10 @@ class DispatchTable:
     def lookup(self, frame: Frame) -> Functor:
         """Demultiplex a frame to its functor (whitebox stage
         ``demultiplex``)."""
-        key = (
-            frame.function,
-            frame.xfunction if frame.function == PRIVATE else 0,
+        function = frame.function
+        functor = self._table.get(
+            (function, frame.xfunction if function == PRIVATE else 0)
         )
-        functor = self._table.get(key)
         if functor is not None:
             return functor
         if self.default is not None:

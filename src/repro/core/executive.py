@@ -445,18 +445,25 @@ class Executive:
         how to reach this device ... compared to the Proxy pattern."
         Idempotent per ``(node, remote_tid)``.
         """
+        key = (node, remote_tid, transport)
+        # Every ingested frame asks; after the first the answer is one
+        # dict read (atomic under the GIL), and an entry is only ever
+        # inserted below, after ``check_tid`` passed.
+        existing = self._proxies.get(key)
+        if existing is not None:
+            return existing
         check_tid(remote_tid)
         if node == self.node:
             # A proxy for a local device is just the device itself.
             return remote_tid
         with self._route_lock:
-            existing = self._proxies.get((node, remote_tid, transport))
+            existing = self._proxies.get(key)
             if existing is not None:
                 return existing
             tid = self.tids.allocate()
             self._routes[tid] = Route(
                 node=node, remote_tid=remote_tid, transport=transport)
-            self._proxies[(node, remote_tid, transport)] = tid
+            self._proxies[key] = tid
             return tid
 
     def route_for(self, tid: Tid) -> Route | None:
@@ -542,12 +549,15 @@ class Executive:
         priority: int = DEFAULT_PRIORITY,
         flags: int = 0,
         organization: int = 0,
+        initiator_context: int = 0,
+        transaction_context: int = 0,
     ) -> Frame:
         """Loan a pool block and shape it into an addressed frame.
 
         The payload size is declared in the header; content is written
         by the caller directly into ``frame.payload`` (zero-copy
-        buffer loaning).
+        buffer loaning).  The whole header goes down in one pack: the
+        block's old bytes are never decoded.
         """
         with self.probes.measure("frame_alloc"):
             size = HEADER_SIZE + payload_size
@@ -557,7 +567,7 @@ class Executive:
                 if self.flightrec is not None:
                     self.flightrec.note_pool_exhausted(size)
                 raise
-            frame = Frame(block.memory[:size], block=block)
+            frame = Frame._undecoded(block.memory[:size], block)
             frame.set_header(
                 target=target,
                 initiator=initiator,
@@ -567,6 +577,8 @@ class Executive:
                 flags=flags,
                 xfunction=xfunction,
                 organization=organization,
+                initiator_context=initiator_context,
+                transaction_context=transaction_context,
             )
         if self.flightrec is not None:
             self.flightrec.note_alloc(size, self.pool.in_flight)
@@ -839,6 +851,8 @@ class Executive:
                     xfunction=xfunction,
                     priority=priority,
                     flags=FLAG_REPLY | FLAG_FAIL,
+                    initiator_context=initiator_context,
+                    transaction_context=transaction_context,
                 )
             except PoolExhausted:
                 logger.warning(
@@ -846,8 +860,6 @@ class Executive:
                     self.node, initiator,
                 )
                 return
-            failure.initiator_context = initiator_context
-            failure.transaction_context = transaction_context
             self._route(failure)
             return
         self._release_frame(frame)

@@ -34,12 +34,11 @@ class DispatchRecord:
 
     def __init__(self, node: int, frame: "Frame", start_ns: int) -> None:
         self.node = node
-        # One bulk unpack, not four property reads; the target is read
-        # separately because a SharedFrame's is not in the buffer.
         self.target = frame.target
+        self.function = frame.function
+        self.xfunction = frame.xfunction
         #: ``context``: the ``transaction_context`` (a trace id when tagged)
-        (_, _, _, self.function, _, _, _, _, self.xfunction, _,
-         self.context) = frame.header_fields()
+        self.context = frame.transaction_context
         #: when the frame entered the scheduler (``None`` = not noted)
         self.enqueued_ns = frame.trace_mark
         frame.trace_mark = None

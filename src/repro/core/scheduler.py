@@ -47,10 +47,11 @@ class PriorityScheduler:
         if not 0 <= priority < NUM_PRIORITIES:
             raise I2OError(f"frame priority {priority} out of range")
         level = self._levels[priority]
-        queue = level.get(frame.target)
+        target = frame.target
+        queue = level.get(target)
         if queue is None:
             queue = deque()
-            level[frame.target] = queue
+            level[target] = queue
         queue.append(frame)
         self._depth += 1
         self.pushed += 1

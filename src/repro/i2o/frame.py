@@ -1,11 +1,12 @@
 """The I2O message frame (paper figure 5).
 
-One binary layout for every message in the system.  The frame is a
-*view* over a buffer — normally a block loaned from the executive's
-memory pool (:mod:`repro.mem`), so that building, routing, transmitting
-and dispatching a message never copies the payload (paper §4: "All
+One binary layout for every message in the system.  A frame is a
+buffer — normally a block loaned from the executive's memory pool
+(:mod:`repro.mem`), so that building, routing, transmitting and
+dispatching a message never copies the payload (paper §4: "All
 communication employs a zero-copy scheme as the message buffers are
-taken from the executive's memory pool").
+taken from the executive's memory pool") — plus a decoded copy of its
+header, read once per hop; :class:`Frame` states the contract.
 
 Layout (little-endian, 32-byte fixed header)::
 
@@ -55,6 +56,9 @@ _ALL_FLAGS = FLAG_REPLY | FLAG_FAIL | FLAG_MORE | FLAG_LAST
 
 _HEADER = struct.Struct("<BBBBHHIHHQQ")
 HEADER_SIZE = _HEADER.size  # 32
+_TID = struct.Struct("<H")  # the setters' write-through codecs
+_CONTEXT = struct.Struct("<Q")
+_U64 = 0xFFFFFFFFFFFFFFFF
 
 NUM_PRIORITIES = 7  # paper §4: "There exist seven priority levels"
 DEFAULT_PRIORITY = 3
@@ -66,7 +70,18 @@ MAX_PAYLOAD_SIZE = MAX_FRAME_SIZE - HEADER_SIZE
 
 
 class Frame:
-    """A mutable view of one I2O message inside a buffer.
+    """One I2O message: a buffer plus a decoded copy of its header.
+
+    The **buffer** is the wire truth — ``view``, ``tobytes``, a block
+    hand-off, the journal and the CRC all read it.  The eleven header
+    fields are also held **decoded in slots**, filled once: by one bulk
+    unpack over existing bytes, or straight from the arguments of
+    :meth:`set_header`.  Getters read the slots; every setter keeps its
+    range check and **writes through** to buffer and slot.
+    :meth:`validate` **resynchronises**: it re-reads the buffer, so
+    wire input, hostile bytes and recycled blocks are judged by what is
+    really there.  Header bytes must not be written behind a live frame
+    by any other route (``_buf`` has no reader outside this module).
 
     ``Frame`` never owns payload memory itself: ``buffer`` is any
     writable buffer (a :class:`memoryview` of a pool block, or a
@@ -75,9 +90,18 @@ class Frame:
     return it (see :class:`repro.mem.pool.BufferPool`).
     """
 
-    __slots__ = ("_buf", "block", "trace_mark")
+    __slots__ = (
+        "_buf", "block", "trace_mark",
+        "_version", "_flags", "_priority", "_function", "_target",
+        "_initiator", "_payload_size", "_organization", "_xfunction",
+        "_initiator_context", "_transaction_context",
+    )
 
     def __init__(self, buffer: memoryview | bytearray, block: Any = None) -> None:
+        self._attach(buffer, block)
+        self._decode()
+
+    def _attach(self, buffer: memoryview | bytearray, block: Any) -> None:
         if isinstance(buffer, bytearray):
             buffer = memoryview(buffer)
         if buffer.readonly:
@@ -93,7 +117,24 @@ class Frame:
         #: recycled frame can never alias a stale entry keyed by id().
         self.trace_mark: int | None = None
 
+    def _decode(self) -> None:
+        """Fill the header slots from the buffer — the one bulk unpack."""
+        (self._version, self._flags, self._priority, self._function,
+         self._target, self._initiator, self._payload_size,
+         self._organization, self._xfunction, self._initiator_context,
+         self._transaction_context) = _HEADER.unpack_from(self._buf, 0)
+
     # -- construction -------------------------------------------------------
+    @classmethod
+    def _undecoded(cls, buffer: memoryview | bytearray, block: Any) -> "Frame":
+        """Wrap ``buffer`` without reading it.  The header slots are
+        unset until the caller's :meth:`set_header` (a frame being
+        built) or :meth:`validate` (a frame being received) fills them,
+        so either path pays one pack or one unpack, not both."""
+        frame = cls.__new__(cls)
+        frame._attach(buffer, block)
+        return frame
+
     @classmethod
     def build(
         cls,
@@ -124,7 +165,7 @@ class Frame:
             )
         if buffer is None:
             buffer = bytearray(HEADER_SIZE + size)
-        frame = cls(buffer, block=block)
+        frame = cls._undecoded(buffer, block)
         if HEADER_SIZE + size > len(frame._buf):
             raise FrameFormatError(
                 f"payload {size} does not fit buffer of {len(frame._buf)}"
@@ -152,15 +193,18 @@ class Frame:
             data = bytearray(data)
         elif isinstance(data, memoryview) and data.readonly:
             data = bytearray(data)
-        frame = cls(data, block=block)
-        frame.validate()
-        return frame
+        return cls._undecoded(data, block).validate()
 
     # -- raw header access ----------------------------------------------------
     def header_fields(self) -> tuple:
-        """Every header field from one bulk unpack, in the order
-        :meth:`set_header` packs them (the figure-5 layout)."""
-        return _HEADER.unpack_from(self._buf, 0)
+        """Every header field, in the order :meth:`set_header` packs
+        them (the figure-5 layout)."""
+        return (
+            self._version, self._flags, self._priority, self._function,
+            self._target, self._initiator, self._payload_size,
+            self._organization, self._xfunction, self._initiator_context,
+            self._transaction_context,
+        )
 
     def set_header(
         self,
@@ -186,6 +230,10 @@ class Frame:
             raise FrameFormatError(f"priority {priority} out of range 0..6")
         if flags & ~_ALL_FLAGS:
             raise FrameFormatError(f"unknown flag bits 0x{flags:02X}")
+        organization &= 0xFFFF
+        xfunction &= 0xFFFF
+        initiator_context &= _U64
+        transaction_context &= _U64
         _HEADER.pack_into(
             self._buf,
             0,
@@ -196,147 +244,162 @@ class Frame:
             target,
             initiator,
             payload_size,
-            organization & 0xFFFF,
-            xfunction & 0xFFFF,
-            initiator_context & 0xFFFFFFFFFFFFFFFF,
-            transaction_context & 0xFFFFFFFFFFFFFFFF,
+            organization,
+            xfunction,
+            initiator_context,
+            transaction_context,
         )
+        self._version = I2O_VERSION
+        self._flags = flags
+        self._priority = priority
+        self._function = function
+        self._target = target
+        self._initiator = initiator
+        self._payload_size = payload_size
+        self._organization = organization
+        self._xfunction = xfunction
+        self._initiator_context = initiator_context
+        self._transaction_context = transaction_context
 
     # -- field properties -------------------------------------------------
     @property
     def version(self) -> int:
-        return self._buf[0]
+        return self._version
 
     @property
     def flags(self) -> int:
-        return self._buf[1]
+        return self._flags
 
     @flags.setter
     def flags(self, value: int) -> None:
         if value & ~_ALL_FLAGS:
             raise FrameFormatError(f"unknown flag bits 0x{value:02X}")
         self._buf[1] = value
+        self._flags = value
 
     @property
     def priority(self) -> int:
-        return self._buf[2]
+        return self._priority
 
     @priority.setter
     def priority(self, value: int) -> None:
         if not 0 <= value < NUM_PRIORITIES:
             raise FrameFormatError(f"priority {value} out of range 0..6")
         self._buf[2] = value
+        self._priority = value
 
     @property
     def function(self) -> int:
-        return self._buf[3]
+        return self._function
 
     @property
     def target(self) -> int:
-        return int.from_bytes(self._buf[4:6], "little")
+        return self._target
 
     @target.setter
     def target(self, tid: int) -> None:
         if not 0 <= tid <= MAX_TID:
             raise FrameFormatError(f"target TiD {tid} out of range")
-        self._buf[4:6] = tid.to_bytes(2, "little")
+        _TID.pack_into(self._buf, 4, tid)
+        self._target = tid
 
     @property
     def initiator(self) -> int:
-        return int.from_bytes(self._buf[6:8], "little")
+        return self._initiator
 
     @initiator.setter
     def initiator(self, tid: int) -> None:
         if not 0 <= tid <= MAX_TID:
             raise FrameFormatError(f"initiator TiD {tid} out of range")
-        self._buf[6:8] = tid.to_bytes(2, "little")
+        _TID.pack_into(self._buf, 6, tid)
+        self._initiator = tid
 
     @property
     def payload_size(self) -> int:
-        return int.from_bytes(self._buf[8:12], "little")
+        return self._payload_size
 
     @property
     def organization(self) -> int:
-        return int.from_bytes(self._buf[12:14], "little")
+        return self._organization
 
     @property
     def xfunction(self) -> int:
-        return int.from_bytes(self._buf[14:16], "little")
+        return self._xfunction
 
     @property
     def initiator_context(self) -> int:
-        return int.from_bytes(self._buf[16:24], "little")
+        return self._initiator_context
 
     @initiator_context.setter
     def initiator_context(self, value: int) -> None:
-        self._buf[16:24] = (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+        value &= _U64
+        _CONTEXT.pack_into(self._buf, 16, value)
+        self._initiator_context = value
 
     @property
     def transaction_context(self) -> int:
-        return int.from_bytes(self._buf[24:32], "little")
+        return self._transaction_context
 
     @transaction_context.setter
     def transaction_context(self, value: int) -> None:
-        self._buf[24:32] = (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+        value &= _U64
+        _CONTEXT.pack_into(self._buf, 24, value)
+        self._transaction_context = value
 
     # -- flag helpers -------------------------------------------------------
     @property
     def is_reply(self) -> bool:
-        return bool(self.flags & FLAG_REPLY)
+        return bool(self._flags & FLAG_REPLY)
 
     @property
     def is_failure(self) -> bool:
-        return bool(self.flags & FLAG_FAIL)
+        return bool(self._flags & FLAG_FAIL)
 
     # -- payload ------------------------------------------------------------
     @property
     def payload(self) -> memoryview:
         """Zero-copy writable view of the payload bytes."""
-        return self._buf[HEADER_SIZE : HEADER_SIZE + self.payload_size]
+        return self._buf[HEADER_SIZE : HEADER_SIZE + self._payload_size]
 
     @property
     def total_size(self) -> int:
-        return HEADER_SIZE + self.payload_size
+        return HEADER_SIZE + self._payload_size
 
     @property
     def view(self) -> memoryview:
         """Zero-copy view of the whole frame (header + payload) — the
         iovec a scatter-gather transport puts on the wire.  Aliases the
         frame's buffer: it must be consumed before the block is freed."""
-        return self._buf[: self.total_size]
+        return self._buf[: HEADER_SIZE + self._payload_size]
 
     def tobytes(self) -> bytes:
         """Serialise header + payload for the wire (this is the one copy
         a byte-stream transport like TCP must make)."""
-        return bytes(self._buf[: self.total_size])
+        return bytes(self._buf[: HEADER_SIZE + self._payload_size])
 
     # -- validation & comparison -----------------------------------------
     def validate(self) -> "Frame":
-        """Check structural well-formedness; returns self for chaining.
+        """Re-read the header from the buffer and check structural
+        well-formedness; returns self for chaining.
 
-        One bulk header unpack instead of per-field property reads:
-        this runs per message on both the send and receive hot paths.
+        This is where the slots resynchronise with the wire truth: it
+        runs on every ingested frame and on every non-pool frame at
+        ``frame_send``, so the checks judge the bytes, never a cached
+        copy of them.
         """
-        (
-            version,
-            flags,
-            priority,
-            _function,
-            target,
-            initiator,
-            payload_size,
-            *_rest,
-        ) = _HEADER.unpack_from(self._buf, 0)
+        self._decode()
+        version = self._version
         if version != I2O_VERSION:
             raise FrameFormatError(
                 f"bad version 0x{version:02X}, expected 0x{I2O_VERSION:02X}"
             )
-        if flags & ~_ALL_FLAGS:
-            raise FrameFormatError(f"unknown flag bits 0x{flags:02X}")
-        if priority >= NUM_PRIORITIES:
-            raise FrameFormatError(f"priority {priority} out of range")
-        if target > MAX_TID or initiator > MAX_TID:
+        if self._flags & ~_ALL_FLAGS:
+            raise FrameFormatError(f"unknown flag bits 0x{self._flags:02X}")
+        if self._priority >= NUM_PRIORITIES:
+            raise FrameFormatError(f"priority {self._priority} out of range")
+        if self._target > MAX_TID or self._initiator > MAX_TID:
             raise FrameFormatError("TiD out of 12-bit range")
+        payload_size = self._payload_size
         total = HEADER_SIZE + payload_size
         if total > len(self._buf):
             raise FrameFormatError(
@@ -366,11 +429,11 @@ class SharedFrame(Frame):
     ``Executive._broadcast`` fans a single refcounted pool block out to
     every local listener.  Each delivery needs its own ``target`` (the
     scheduler keys its FIFOs by it) but the 32-byte header is shared by
-    all of them, so the override lives on the instance instead of being
-    written into the buffer.  Everything else — payload, contexts,
-    initiator — reads through to the shared buffer."""
+    all of them, so this is a :class:`Frame` whose ``target`` lives in
+    the slot only: the setter does not write the shared buffer, and
+    :meth:`validate` keeps it across the re-read."""
 
-    __slots__ = ("_target",)
+    __slots__ = ()
 
     def __init__(
         self,
@@ -380,9 +443,7 @@ class SharedFrame(Frame):
         target: int,
     ) -> None:
         super().__init__(buffer, block=block)
-        if not 0 <= target <= MAX_TID:
-            raise FrameFormatError(f"target TiD {target} out of range")
-        self._target = target
+        self.target = target
 
     @property
     def target(self) -> int:
@@ -393,3 +454,10 @@ class SharedFrame(Frame):
         if not 0 <= tid <= MAX_TID:
             raise FrameFormatError(f"target TiD {tid} out of range")
         self._target = tid
+
+    def validate(self) -> "Frame":
+        target = self._target
+        try:
+            return super().validate()
+        finally:
+            self._target = target

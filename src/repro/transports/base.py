@@ -142,8 +142,7 @@ class PeerTransport(Listener):
                 view = block.memory[:frame_len]
                 fill(view)
                 self.rx_copies += 1
-                frame = Frame(view, block=block)
-                frame.validate()
+                frame = Frame._undecoded(view, block).validate()
                 return self._post_ingested(exe, src_node, frame)
             except BaseException:
                 exe.pool.free(block)
@@ -162,8 +161,7 @@ class PeerTransport(Listener):
         exe = self._require_live()
         with exe.probes.measure("pt_processing"):
             try:
-                frame = Frame(block.memory[:frame_len], block=block)
-                frame.validate()
+                frame = Frame._undecoded(block.memory[:frame_len], block).validate()
                 return self._post_ingested(exe, src_node, frame)
             except BaseException:
                 block.release()

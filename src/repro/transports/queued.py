@@ -28,15 +28,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class QueuePair:
-    """A bidirectional channel: two unbounded FIFO queues."""
+    """A bidirectional channel: two unbounded FIFO queues
+    (``SimpleQueue``: the C-implemented one, no per-call mutex and
+    condition variables in Python)."""
 
     def __init__(self, node_a: int, node_b: int) -> None:
         if node_a == node_b:
             raise TransportError("queue pair endpoints must differ")
         self.nodes = (node_a, node_b)
-        self._queues: dict[int, queue.Queue[object]] = {
-            node_a: queue.Queue(),
-            node_b: queue.Queue(),
+        self._queues: dict[int, queue.SimpleQueue[object]] = {
+            node_a: queue.SimpleQueue(),
+            node_b: queue.SimpleQueue(),
         }
 
     def send_to(self, node: int, item: object) -> None:
@@ -45,7 +47,7 @@ class QueuePair:
             raise TransportError(f"queue pair does not reach node {node}")
         q.put(item)
 
-    def receive_queue(self, node: int) -> "queue.Queue[object]":
+    def receive_queue(self, node: int) -> "queue.SimpleQueue[object]":
         q = self._queues.get(node)
         if q is None:
             raise TransportError(f"node {node} is not an endpoint")
@@ -69,7 +71,7 @@ class QueueTransport(PeerTransport):
         #: reproduce the paper's "a slow PT ... would negate the
         #: benefits" claim about mixing PTs in polling mode.
         self.artificial_delay_s = artificial_delay_s
-        self._rx: "queue.Queue[object] | None" = None
+        self._rx: "queue.SimpleQueue[object] | None" = None
         self._reader: threading.Thread | None = None
         self._stop = threading.Event()
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.device import Listener, RETAIN, decode_params
@@ -200,6 +203,48 @@ class TestProxies:
         exe = Executive(node=0)
         assert exe.create_proxy(1, 20) != exe.create_proxy(2, 20)
         assert exe.create_proxy(1, 20) != exe.create_proxy(1, 21)
+
+    def test_racing_rx_threads_get_one_proxy_per_key(self):
+        """The hit path reads ``_proxies`` without the lock; the insert
+        re-checks under it.  Eight threads ask for the same three keys
+        and for one key each of their own: one TiD per key, and the
+        allocator has handed out exactly those and no more."""
+        exe = Executive(node=0)
+        live_before = exe.tids.live
+        n_threads, shared = 8, [(1, 20, "a"), (1, 20, "b"), (2, 21, None)]
+        barrier = threading.Barrier(n_threads)
+        got: list[dict] = [{} for _ in range(n_threads)]
+
+        def rx(i: int) -> None:
+            barrier.wait(timeout=5)
+            for _ in range(200):
+                for key in [*shared, (3, 100 + i, None)]:
+                    got[i].setdefault(key, set()).add(exe.create_proxy(*key))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=rx, args=(i,))
+                       for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        by_key: dict = {}
+        for seen in got:
+            for key, proxies in seen.items():
+                by_key.setdefault(key, set()).update(proxies)
+        assert len(by_key) == len(shared) + n_threads
+        allocated = set()
+        for key, proxies in by_key.items():
+            (proxy,) = proxies
+            assert exe.route_for(proxy) == Route(*key)
+            allocated.add(proxy)
+        assert len(allocated) == len(by_key)
+        assert exe.tids.live - live_before == allocated
 
     def test_proxy_with_no_pta_dead_letters(self):
         exe = Executive(node=0)

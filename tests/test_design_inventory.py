@@ -173,3 +173,39 @@ def test_one_context_allocator_and_one_wait_loop():
         source = sources[PACKAGE_ROOT / name]
         assert "Requester" in source, name
         assert not tables.search(source), name
+
+
+# -- the frame header cache (DESIGN §5 decision 2) ---------------------------
+
+HEADER_FIELDS = (
+    "version", "flags", "priority", "function", "target", "initiator",
+    "payload_size", "organization", "xfunction", "initiator_context",
+    "transaction_context",
+)
+
+
+def test_no_header_getter_decodes_the_buffer():
+    """A re-decoding getter cannot come back unnoticed: every header
+    getter in ``i2o/frame.py`` is a slot read, the one bulk unpack lives
+    in one helper, and no other module reaches into ``_buf``."""
+    import ast
+
+    sources = _sources()
+    frame_py = PACKAGE_ROOT / "i2o" / "frame.py"
+    source = sources[frame_py]
+    assert "int.from_bytes(self._buf[" not in source
+    assert source.count("_HEADER.unpack_from") == 1
+    getters = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and node.name in HEADER_FIELDS
+        and any(ast.unparse(d) == "property" for d in node.decorator_list)
+    ]
+    assert {g.name for g in getters} == set(HEADER_FIELDS)
+    for getter in getters:
+        assert "_buf" not in ast.unparse(getter), getter.name
+    readers = {
+        path for path, text in sources.items() if re.search(r"\._buf\b", text)
+    }
+    assert readers == {frame_py}

@@ -95,7 +95,12 @@ def test_restart_replay_exactly_once_within_copy_budget(harness, tmp_path):
     assert harness.run_until(
         lambda: sorted(received) == everything
     ), f"{harness.name}: {len(received)}/{len(everything)} delivered"
-    assert harness.run_until(lambda: tx2.in_flight == 0)
+    # The ack handler pops ``_pending`` before its journal append (a
+    # file write that releases the GIL): on threaded executives wait
+    # for the retire itself, not just for ``in_flight`` to reach 0.
+    assert harness.run_until(
+        lambda: tx2.in_flight == 0 and store2.depth == 0
+    )
     assert sorted(received) == everything  # exactly once, no extras
     assert rx.delivered == len(everything)
     assert store2.depth == 0  # every replayed send was retired
