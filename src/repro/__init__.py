@@ -27,7 +27,7 @@ from repro.config.bootstrap import Cluster, bootstrap
 from repro.core.device import FunctionalListener, Listener, RETAIN
 from repro.core.discovery import DiscoveryService
 from repro.core.executive import Executive, Route
-from repro.core.probes import CostModel, Probes
+from repro.core.probes import CostModel
 from repro.core.registry import download_module
 from repro.core.reliable import ReliableEndpoint
 from repro.core.simnode import SimNode
@@ -55,7 +55,6 @@ __all__ = [
     "Listener",
     "OriginalAllocator",
     "PeerTransportAgent",
-    "Probes",
     "RETAIN",
     "Reassembler",
     "ReliableEndpoint",

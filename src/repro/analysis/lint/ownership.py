@@ -5,8 +5,8 @@ simple variable bound from a *producer* call (``pool.alloc``,
 ``frame_alloc``, ``alloc_frame``, ``addref``) carries an obligation;
 *transfer* calls (``transmit``, ``forward``, ``frame_send``,
 ``make_handoff``, ``post_outbound``, ``post_inbound``) and *release*
-calls (``release``, ``free``, ``frame_free``, ``_release_frame``,
-``release_staged``) discharge it; any other escape (passed to a call,
+calls (``release``, ``free``, ``frame_free``, ``release_staged``)
+discharge it; any other escape (passed to a call,
 stored, returned, yielded) relieves the linter of the obligation —
 escape analysis across calls is out of scope by design.
 
@@ -54,7 +54,7 @@ TRANSFER_CALLEES = frozenset(
 )
 #: first-argument release calls
 RELEASE_CALLEES = frozenset(
-    {"frame_free", "free", "_release_frame", "release_staged"}
+    {"frame_free", "free", "release_staged"}
 )
 #: zero-argument methods on the tracked variable itself
 RELEASE_METHODS = frozenset({"release"})

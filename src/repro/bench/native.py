@@ -3,9 +3,10 @@
 The simulation plane regenerates the paper's numbers from a calibrated
 cost model; this bench measures what the *same framework code* costs
 as real Python: per-call round-trip time over the in-process queue
-transport across payload sizes, plus real whitebox stage medians.
-EXPERIMENTS.md reports these side by side with the paper so nobody
-mistakes modelled microseconds for Python microseconds.
+transport across payload sizes.  EXPERIMENTS.md reports these side by
+side with the paper so nobody mistakes modelled microseconds for Python
+microseconds; where the Python microseconds go, stage by stage, is
+``python -m repro.diag where`` and the trajectory's per-layer rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ DEFAULT_PAYLOADS = (1, 256, 1024, 4096)
 class NativeResult:
     payloads: list[int] = field(default_factory=list)
     rtt_us_median: list[float] = field(default_factory=list)
-    stage_medians_us: dict[str, float] = field(default_factory=dict)
     fit: LinearFit | None = None
 
     def report(self) -> str:
@@ -39,12 +39,7 @@ class NativeResult:
             title="N1: native-plane (real Python) ping-pong over the "
             "queue transport",
         )
-        stages = format_table(
-            ["stage", "us (median)"],
-            [(s, f"{v:.2f}") for s, v in sorted(self.stage_medians_us.items())],
-            title="N1: real whitebox stage costs (Python)",
-        )
-        return f"{table}\n\nfit: {self.fit}\n\n{stages}"
+        return f"{table}\n\nfit: {self.fit}"
 
 
 def run_native(
@@ -55,7 +50,5 @@ def run_native(
         r = run_native_pingpong(payload, rounds)
         result.payloads.append(payload)
         result.rtt_us_median.append(float(np.median(r.rtts_ns)) / 1000.0)
-    probed = run_native_pingpong(payloads[-1], rounds, probes=True)
-    result.stage_medians_us = dict(probed.stage_medians_us)
     result.fit = linear_fit(result.payloads, result.rtt_us_median)
     return result

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.bench.devices import EchoDevice, PingDevice
 from repro.core.executive import Executive
-from repro.core.probes import CostModel, Probes
+from repro.core.probes import CostModel
 from repro.core.simnode import SimNode
 from repro.hw.myrinet import Fabric, MyrinetParams
 from repro.sim.kernel import Simulator
@@ -31,7 +31,8 @@ class PingPongResult:
     payload_size: int
     rounds: int
     rtts_ns: list[int] = field(default_factory=list)
-    #: whitebox stage medians (µs) from the echo side
+    #: whitebox stage medians (µs) from the echo node's cost ledger
+    #: (simulation plane only)
     stage_medians_us: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -98,9 +99,9 @@ def run_xdaq_gm_pingpong(
             f"{rounds + warmup} rounds completed"
         )
     result = PingPongResult(payload_size, rounds, cluster.ping.rtts_ns[warmup:])
-    probes = cluster.exe_b.probes
     result.stage_medians_us = {
-        stage: probes.median_us(stage) for stage in probes.stage_names()
+        stage: float(np.median(samples)) / 1000.0
+        for stage, samples in sorted(cluster.node_b.ledger.samples.items())
     }
     return result
 
@@ -109,7 +110,6 @@ def run_native_pingpong(
     payload_size: int,
     rounds: int = 200,
     *,
-    probes: bool = False,
     warmup: int = 20,
     instrument: Callable[
         [tuple[Executive, ...]], AbstractContextManager[None]
@@ -126,12 +126,8 @@ def run_native_pingpong(
     """
     from repro.transports.queued import QueuePair, QueueTransport
 
-    exe_a = Executive(
-        node=0, probes=Probes("wall") if probes else Probes("off")
-    )
-    exe_b = Executive(
-        node=1, probes=Probes("wall") if probes else Probes("off")
-    )
+    exe_a = Executive(node=0)
+    exe_b = Executive(node=1)
     pair = QueuePair(0, 1)
     PeerTransportAgent.attach(exe_a).register(
         QueueTransport(pair, name="q"), default=True
@@ -154,10 +150,4 @@ def run_native_pingpong(
                 raise RuntimeError(
                     f"native ping-pong stalled with {ping.remaining} rounds left"
                 )
-    result = PingPongResult(payload_size, rounds, ping.rtts_ns[warmup:])
-    if probes:
-        result.stage_medians_us = {
-            stage: exe_b.probes.median_us(stage)
-            for stage in exe_b.probes.stage_names()
-        }
-    return result
+    return PingPongResult(payload_size, rounds, ping.rtts_ns[warmup:])

@@ -1,8 +1,9 @@
 """Experiment T1 — table 1: whitebox receive-path breakdown.
 
-Runs the blackbox setup with probes on and reports the per-stage
-medians next to the paper's values, plus the cross-check the paper
-performs (sum of stage medians vs blackbox overhead).
+Runs the blackbox setup and reports the per-stage medians the echo
+node's cost ledger charged next to the paper's values, plus the
+cross-check the paper performs (sum of stage medians vs blackbox
+overhead).
 """
 
 from __future__ import annotations

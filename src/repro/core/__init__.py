@@ -12,7 +12,7 @@ from repro.core.device import Listener, RETAIN
 from repro.core.dispatcher import DispatchTable, Functor
 from repro.core.executive import Executive, Route
 from repro.core.liveness import HeartbeatService, PeerTable
-from repro.core.probes import CostModel, Probes
+from repro.core.probes import CostModel
 from repro.core.queues import MessagingInstance
 from repro.core.registry import ModuleRegistry, download_module
 from repro.core.request import Requester
@@ -35,7 +35,6 @@ __all__ = [
     "PeerState",
     "PeerTable",
     "PriorityScheduler",
-    "Probes",
     "RETAIN",
     "Requester",
     "Route",

@@ -4,7 +4,8 @@ One executive runs per processing node.  It is deliberately *lean*
 (paper §4: "After all, the executive is very lean as it acts only as a
 delegate"): devices keep their own dispatch tables; the executive owns
 only the loop of control, the frame memory, the TiD space and the
-routes.
+routes.  It carries no instrument: observers (:meth:`Executive.attach`)
+— the sim plane's cost model included — work from the facts it reports.
 
 Message flow (paper figure 4):
 
@@ -39,13 +40,13 @@ from repro.core.observer import (
     DispatchObserver,
     DispatchRecord,
 )
-from repro.core.probes import Probes
 from repro.core.queues import MessagingInstance
 from repro.core.registry import ModuleRegistry
 from repro.core.scheduler import PriorityScheduler
 from repro.core.states import DeviceState
 from repro.core.timer import TimerService
 from repro.core.watchdog import HandlerWatchdog, WatchdogTimeout
+from repro.flightrec.records import EV_HARD_STOP, EV_POOL_EXHAUSTED, EV_WATCHDOG_TRIP
 from repro.hw.clock import Clock, WallClock
 from repro.i2o.errors import AddressingError, I2OError
 from repro.i2o.frame import (
@@ -229,7 +230,6 @@ class Executive:
         *,
         pool: BufferPool | None = None,
         clock: Clock | None = None,
-        probes: Probes | None = None,
         watchdog: HandlerWatchdog | None = None,
         max_dispatch_per_step: int = 16,
         metrics: MetricsRegistry | None = None,
@@ -237,7 +237,6 @@ class Executive:
         self.node = node
         self.pool = pool if pool is not None else BufferPool()
         self.clock: Clock = clock if clock is not None else WallClock()
-        self.probes = probes if probes is not None else Probes("off")
         self.watchdog = watchdog
         self.max_dispatch_per_step = max_dispatch_per_step
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -246,7 +245,9 @@ class Executive:
         self.observers: tuple[DispatchObserver, ...] = ()
         #: plain references for the non-dispatch hook sites (stamp,
         #: enqueue mark / alloc / release / transmit records, emit-side
-        #: credits); each is set by its owner when it attaches.
+        #: credits); each is set by its owner when it attaches.  On a
+        #: sim-plane node the cost ledger holds ``flightrec`` and passes
+        #: the facts on to a recorder behind it.
         self.tracer: "FrameTracer | None" = None
         self.flightrec: "FlightRecorder | None" = None
         self.dataflow: Any = None  # the cluster's CreditLedger
@@ -391,7 +392,7 @@ class Executive:
                     self._names[device.name] = other_tid
                     break
         for frame in self.scheduler.drop_device(tid):
-            self._release_frame(frame)
+            self.frame_free(frame)
         self.timers.cancel_owned(tid)
         device.unplug()
         self.tids.release(tid)
@@ -559,27 +560,26 @@ class Executive:
         buffer loaning).  The whole header goes down in one pack: the
         block's old bytes are never decoded.
         """
-        with self.probes.measure("frame_alloc"):
-            size = HEADER_SIZE + payload_size
-            try:
-                block = self.pool.alloc(size)
-            except PoolExhausted:
-                if self.flightrec is not None:
-                    self.flightrec.note_pool_exhausted(size)
-                raise
-            frame = Frame._undecoded(block.memory[:size], block)
-            frame.set_header(
-                target=target,
-                initiator=initiator,
-                function=function,
-                payload_size=payload_size,
-                priority=priority,
-                flags=flags,
-                xfunction=xfunction,
-                organization=organization,
-                initiator_context=initiator_context,
-                transaction_context=transaction_context,
-            )
+        size = HEADER_SIZE + payload_size
+        try:
+            block = self.pool.alloc(size)
+        except PoolExhausted:
+            if self.flightrec is not None:
+                self.flightrec.record(EV_POOL_EXHAUSTED, size)
+            raise
+        frame = Frame._undecoded(block.memory[:size], block)
+        frame.set_header(
+            target=target,
+            initiator=initiator,
+            function=function,
+            payload_size=payload_size,
+            priority=priority,
+            flags=flags,
+            xfunction=xfunction,
+            organization=organization,
+            initiator_context=initiator_context,
+            transaction_context=transaction_context,
+        )
         if self.flightrec is not None:
             self.flightrec.note_alloc(size, self.pool.in_flight)
         return frame
@@ -600,14 +600,15 @@ class Executive:
 
     def frame_free(self, frame: Frame) -> None:
         """Release a frame's block back to the pool (frameFree)."""
-        with self.probes.measure("frame_free"):
-            if frame.block is not None:
-                if self.flightrec is not None:
-                    # Context read *before* the free: afterwards the
-                    # block may recycle under the sanitizer's poison.
-                    self.flightrec.note_release(frame.transaction_context)
-                self.pool.free(frame.block)
-                frame.block = None
+        # The one release routine: handlers, transports, drops, dead
+        # letters and ``hard_stop`` all come through here.
+        if frame.block is not None:
+            if self.flightrec is not None:
+                # Context read *before* the free: afterwards the
+                # block may recycle under the sanitizer's poison.
+                self.flightrec.note_release(frame.transaction_context)
+            self.pool.free(frame.block)
+            frame.block = None
 
     def post_inbound(self, frame: Frame) -> None:
         """Entry point for peer transports and the timer service."""
@@ -725,7 +726,7 @@ class Executive:
             self._thread = None
         self._halt_requested = True
         if self.flightrec is not None:
-            self.flightrec.note_hard_stop()
+            self.flightrec.record(EV_HARD_STOP)
         self.timers.cancel_all()
         detached: set[int] = set()
         for pt in self._pollable:
@@ -736,11 +737,11 @@ class Executive:
                 if id(pt) not in detached:
                     pt.crash_detach()
         while (frame := self.msgi.take_outbound()) is not None:
-            self._release_frame(frame)
+            self.frame_free(frame)
         while (frame := self.msgi.take_inbound()) is not None:
-            self._release_frame(frame)
+            self.frame_free(frame)
         while (frame := self.scheduler.pop()) is not None:
-            self._release_frame(frame)
+            self.frame_free(frame)
         self.state = DeviceState.FAILED
         if self.flightrec is not None:
             # Spill last so the drain's frame-release records make it
@@ -818,7 +819,7 @@ class Executive:
             if block is not None:
                 block.addref()
             self._enqueue(SharedFrame(view, block=block, target=tid))
-        self._release_frame(frame)
+        self.frame_free(frame)
 
     def _dead_letter(self, frame: Frame, reason: str) -> None:
         self.dropped += 1
@@ -841,7 +842,7 @@ class Executive:
             priority = frame.priority
             initiator_context = frame.initiator_context
             transaction_context = frame.transaction_context
-            self._release_frame(frame)
+            self.frame_free(frame)
             try:
                 failure = self.frame_alloc(
                     0,
@@ -862,7 +863,7 @@ class Executive:
                 return
             self._route(failure)
             return
-        self._release_frame(frame)
+        self.frame_free(frame)
 
     def _intake_inbound(self) -> bool:
         took = False
@@ -898,30 +899,20 @@ class Executive:
         outcome = OUTCOME_ABORTED  # until an exit below says otherwise
         try:
             try:
-                with self.probes.measure("demultiplex"):
-                    device = self._devices.get(frame.target)
-                    if device is None:
-                        # Device vanished between queueing and dispatch.
-                        self._release_frame(frame)
-                        self.dropped += 1
-                        outcome = OUTCOME_VANISHED
-                        return True
-                    functor = device.table.lookup(frame)
-                with self.probes.measure("upcall"):
-                    thunk = functor.prepare(frame)
-                accrued_before = self.probes.accrued_ns
-                with self.probes.measure("application"):
-                    if self.watchdog is not None and self.probes.mode != "model":
-                        with self.watchdog.guard(label=device.name):
-                            result = thunk()
-                    else:
+                device = self._devices.get(frame.target)
+                if device is None:
+                    # Device vanished between queueing and dispatch.
+                    self.frame_free(frame)
+                    self.dropped += 1
+                    outcome = OUTCOME_VANISHED
+                    return True
+                functor = device.table.lookup(frame)
+                thunk = functor.prepare(frame)
+                if self.watchdog is not None:
+                    with self.watchdog.guard(label=device.name):
                         result = thunk()
-                if self.watchdog is not None and self.probes.mode == "model":
-                    # Simulation plane: a *modelled* cost over budget is
-                    # quarantined exactly like a wall-clock overrun.
-                    self.watchdog.check_modelled(
-                        device.name, self.probes.accrued_ns - accrued_before
-                    )
+                else:
+                    result = thunk()
                 outcome = OUTCOME_OK
             except WatchdogTimeout as exc:
                 self._quarantine(frame.target, str(exc))
@@ -937,12 +928,11 @@ class Executive:
                 # Exception`` above deliberately lets it through.  But the
                 # frame being dispatched must still return to its pool, or
                 # the simulated process death leaks a real block.
-                self._release_frame(frame)
+                self.frame_free(frame)
                 raise
             self.dispatched += 1
-            with self.probes.measure("postprocess"):
-                if result is not RETAIN:
-                    self.frame_free(frame)
+            if result is not RETAIN:
+                self.frame_free(frame)
         finally:
             if observers:
                 rec.end_ns, rec.outcome = self.clock.now_ns(), outcome
@@ -974,15 +964,8 @@ class Executive:
         logger.error("node %s: quarantining TiD %d: %s", self.node, tid, reason)
         device.state = DeviceState.FAILED
         if self.flightrec is not None:
-            self.flightrec.note_watchdog_trip(int(tid))
+            self.flightrec.record(EV_WATCHDOG_TRIP, int(tid))
         for frame in self.scheduler.drop_device(tid):
-            self._release_frame(frame)
+            self.frame_free(frame)
         if self.flightrec is not None:
             self.flightrec.spill("watchdog")
-
-    def _release_frame(self, frame: Frame) -> None:
-        if frame.block is not None:
-            if self.flightrec is not None:
-                self.flightrec.note_release(frame.transaction_context)
-            self.pool.free(frame.block)
-            frame.block = None

@@ -18,6 +18,10 @@ The reproduction implements both halves of that sentence:
   handler.  Injection is asynchronous and lands at the next bytecode
   boundary — best effort, exactly like asynchronous termination on a
   real executive, and disabled by default.
+
+On the simulation plane wall time means nothing: the node's
+:class:`~repro.core.simnode.CostLedger` takes the watchdog over and
+holds ``limit_ns`` against each handler's *modelled* cost instead.
 """
 
 from __future__ import annotations
@@ -93,13 +97,4 @@ class HandlerWatchdog:
             raise WatchdogTimeout(
                 f"handler {label or '?'} ran {elapsed} ns, "
                 f"budget {self.limit_ns} ns"
-            )
-
-    def check_modelled(self, label: str, cost_ns: int) -> None:
-        """Simulation-plane twin of :meth:`guard`: the handler's
-        *modelled* cost is charged against the same budget."""
-        if cost_ns > self.limit_ns:
-            self.overruns += 1
-            raise WatchdogTimeout(
-                f"handler {label} modelled cost exceeded {self.limit_ns} ns"
             )

@@ -49,11 +49,8 @@ from repro.flightrec.records import (
     EV_DISPATCH_ERROR,
     EV_FRAME_ALLOC,
     EV_FRAME_RELEASE,
-    EV_HARD_STOP,
     EV_LIVENESS,
-    EV_POOL_EXHAUSTED,
     EV_SANITIZER,
-    EV_WATCHDOG_TRIP,
     LIVE_ALIVE,
     LIVE_DEAD,
     LIVE_SUSPECT,
@@ -168,10 +165,16 @@ class FlightRecorder(DispatchObserver):
                 else time.perf_counter_ns()
         seq = self._seq
         self._seq = seq + 1
-        RECORD_STRUCT.pack_into(
-            self._ring, (seq % self.capacity) * RECORD_SIZE,
-            seq, t_ns & _U64, a & _U64, b & _U64, c & _U64, kind & 0xFF,
-        )
+        offset = (seq % self.capacity) * RECORD_SIZE
+        try:
+            RECORD_STRUCT.pack_into(self._ring, offset, seq, t_ns, a, b, c, kind)
+        except struct.error:
+            # An argument outside u64 (a negative duration under a
+            # manual clock): wrap it rather than lose the record.
+            RECORD_STRUCT.pack_into(
+                self._ring, offset,
+                seq, t_ns & _U64, a & _U64, b & _U64, c & _U64, kind & 0xFF,
+            )
 
     @property
     def records(self) -> tuple[FlightRecord, ...]:
@@ -187,15 +190,6 @@ class FlightRecorder(DispatchObserver):
     def note_release(self, context: int) -> None:
         self.record(EV_FRAME_RELEASE, context)
 
-    def note_pool_exhausted(self, size: int) -> None:
-        self.record(EV_POOL_EXHAUSTED, size)
-
-    def note_watchdog_trip(self, tid: int) -> None:
-        self.record(EV_WATCHDOG_TRIP, tid)
-
-    def note_hard_stop(self) -> None:
-        self.record(EV_HARD_STOP)
-
     # -- the observer contract -----------------------------------------------
     def on_attach(self, exe: "Executive") -> None:
         """Adopt node id and clock when unset; record liveness
@@ -206,7 +200,12 @@ class FlightRecorder(DispatchObserver):
             self.node = exe.node
         if self.clock is None:
             self.clock = exe.clock
-        exe.flightrec = self
+        if exe.flightrec is None:
+            exe.flightrec = self
+        else:
+            # A sim-plane cost ledger charges at the record sites and
+            # passes every fact on: ride behind it.
+            exe.flightrec.ring = self
         exe.peers.on_alive(self._peer_alive)
         exe.peers.on_suspect(self._peer_suspect)
         exe.peers.on_dead(self._peer_dead)
@@ -222,7 +221,10 @@ class FlightRecorder(DispatchObserver):
         )
 
     def on_detach(self, exe: "Executive") -> None:
-        exe.flightrec = None
+        if exe.flightrec is self:
+            exe.flightrec = None
+        else:
+            exe.flightrec.ring = None
         for callback in (self._peer_alive, self._peer_suspect, self._peer_dead):
             exe.peers.unsubscribe(callback)
         allocator = exe.pool.allocator

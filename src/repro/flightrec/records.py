@@ -4,7 +4,7 @@ A flight-recorder record is a fixed 48-byte packed struct — small
 enough that a bounded ring of a few thousand records costs a couple
 hundred kilobytes per node, fixed-size so the ring can be preallocated
 once and written with ``pack_into`` (no per-event allocation on the
-hot path, matching the ``Probes``/tracer discipline)::
+hot path, matching the tracer's discipline)::
 
     offset  size  field
     ------  ----  ---------------------------------------------------

@@ -6,10 +6,11 @@ job is moving frames to other nodes.  Subclasses implement
 :meth:`transmit`; the receive side funnels through :meth:`ingest_into`
 (pool-block-first: allocate, then let the transport write the wire
 bytes straight into it) or :meth:`ingest_block` (intra-process block
-handoff, zero copies).  Both are the probe point for the whitebox
-stage ``pt_processing`` ("Handling an incoming message in the GM PT
-accounts for most of the time ... most of the PT processing time is
-spent in the frame allocation", paper §5).
+handoff, zero copies).  Both end in one ``frame-ingest`` fact, which
+is where the simulation plane charges Table 1's ``pt_processing``
+("Handling an incoming message in the GM PT accounts for most of the
+time ... most of the PT processing time is spent in the frame
+allocation", paper §5).
 
 Copy accounting: every transport maintains ``tx_copies`` /
 ``rx_copies`` — the number of whole-frame payload copies it performed
@@ -126,27 +127,30 @@ class PeerTransport(Listener):
     ) -> Frame:
         """Pool-block-first receive: alloc, let the transport fill, post.
 
-        This is the ``pt_processing`` probe span: allocate a pool block
-        (nested ``frame_alloc`` probe) and hand its view to ``fill``,
-        which writes the wire bytes straight into it — the single
-        unavoidable copy off the wire (e.g. ``recv_into`` for TCP) —
-        then resolve the initiator to a local proxy TiD and post to the
-        inbound queue.  ``fill`` raising (or the frame failing
+        Allocate a pool block — a ``frame-alloc`` fact like any other,
+        the one nested in Table 1's PT processing — and hand its view
+        to ``fill``, which writes the wire bytes straight into it — the
+        single unavoidable copy off the wire (e.g. ``recv_into`` for
+        TCP) — then resolve the initiator to a local proxy TiD and post
+        to the inbound queue.  ``fill`` raising (or the frame failing
         validation) frees the block; nothing leaks.
         """
         exe = self._require_live()
-        with exe.probes.measure("pt_processing"):
-            with exe.probes.measure("frame_alloc"):
-                block = exe.pool.alloc(frame_len)
-            try:
-                view = block.memory[:frame_len]
-                fill(view)
-                self.rx_copies += 1
-                frame = Frame._undecoded(view, block).validate()
-                return self._post_ingested(exe, src_node, frame)
-            except BaseException:
-                exe.pool.free(block)
-                raise
+        block = exe.pool.alloc(frame_len)
+        recorder = exe.flightrec
+        if recorder is not None:
+            recorder.note_alloc(frame_len, exe.pool.in_flight)
+        try:
+            view = block.memory[:frame_len]
+            fill(view)
+            self.rx_copies += 1
+            frame = Frame._undecoded(view, block).validate()
+            return self._post_ingested(exe, src_node, frame)
+        except BaseException:
+            if recorder is not None:
+                recorder.note_release(0)
+            exe.pool.free(block)
+            raise
 
     def ingest_block(
         self, src_node: int, block: "PoolBlock", frame_len: int
@@ -159,13 +163,12 @@ class PeerTransport(Listener):
         validation failure the reference is dropped here.
         """
         exe = self._require_live()
-        with exe.probes.measure("pt_processing"):
-            try:
-                frame = Frame._undecoded(block.memory[:frame_len], block).validate()
-                return self._post_ingested(exe, src_node, frame)
-            except BaseException:
-                block.release()
-                raise
+        try:
+            frame = Frame._undecoded(block.memory[:frame_len], block).validate()
+            return self._post_ingested(exe, src_node, frame)
+        except BaseException:
+            block.release()
+            raise
 
     def ingest_frame_bytes(self, src_node: int, frame_bytes) -> Frame:
         """Compat shim: rebuild an arriving frame from serialised bytes.

@@ -9,20 +9,22 @@ Timing semantics in the simulation plane:
 
 * **transmit** — the frame is serialised immediately (so its block can
   be recycled), but wire injection is scheduled after the CPU cost the
-  framework has accrued since the node last yielded
-  (``probes.accrued_ns``): software overhead delays the wire, which is
+  framework has accrued since the node last yielded (the node's
+  ``ledger.accrued_ns``): software overhead delays the wire, which is
   precisely what figure 6 measures.  The sent frame's block is
   released at DMA completion, off the critical path, mirroring GM's
-  send-callback buffer ownership.
+  send-callback buffer ownership: a ``frame-release`` fact for the
+  ring, no CPU charge.
 * **receive** — the GM receive handler stages the packet and wakes the
   node; the executive's next polling quantum runs ``ingest_frame_bytes``
-  (the ``pt_processing`` probe span) at properly accounted CPU cost.
+  (where ``pt_processing`` is charged) at properly accounted CPU cost.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+from repro.flightrec.records import EV_FRAME_RELEASE
 from repro.hw.gm import GmPacket, GmPort
 from repro.hw.myrinet import Fabric
 from repro.i2o.frame import Frame
@@ -31,6 +33,7 @@ from repro.transports.wire import decode_wire, encode_wire
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executive import Route
+    from repro.core.simnode import CostLedger
 
 
 class SimGmTransport(PeerTransport):
@@ -57,6 +60,8 @@ class SimGmTransport(PeerTransport):
         self._tx_backlog: list[tuple[bytes, int, object]] = []
         #: set by the SimNode so arrivals wake a sleeping node process
         self.wake_hook: Callable[[], None] | None = None
+        #: the SimNode's cost ledger (``attach_transport_hooks``)
+        self.ledger: "CostLedger | None" = None
 
     def on_plugin(self) -> None:
         exe = self._require_live()
@@ -77,7 +82,7 @@ class SimGmTransport(PeerTransport):
         self.account_sent(frame.total_size)
         block = frame.block
         frame.block = None  # ownership moves to the send completion
-        offset = exe.probes.accrued_ns
+        offset = self.ledger.accrued_ns if self.ledger is not None else 0
         if offset:
             self.fabric.sim.after(
                 offset, lambda: self._inject(data, route.node, block)
@@ -97,6 +102,8 @@ class SimGmTransport(PeerTransport):
             # GM send callback: the DMA drained the host buffer.
             if block is not None:
                 exe.pool.free(block)  # type: ignore[arg-type]
+                if exe.flightrec is not None:
+                    exe.flightrec.record(EV_FRAME_RELEASE)
             self._drain_backlog()
 
         self.port.send_with_callback(data, node, on_sent)

@@ -24,6 +24,7 @@ from repro.transports.wire import decode_wire, encode_wire
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executive import Route
+    from repro.core.simnode import CostLedger
 
 
 class SimPciTransport(PeerTransport):
@@ -46,6 +47,8 @@ class SimPciTransport(PeerTransport):
         self.side = side
         self.peer_node = peer_node
         self.wake_hook: Callable[[], None] | None = None
+        #: the SimNode's cost ledger (``attach_transport_hooks``)
+        self.ledger: "CostLedger | None" = None
         self._staged: list[tuple[int, bytes]] = []
 
     # FIFO orientation: the host posts into board.inbound and fetches
@@ -71,9 +74,11 @@ class SimPciTransport(PeerTransport):
         exe.frame_free(frame)
         # Queue-management CPU cost: ~free with hardware FIFOs, real
         # with software queues — charge it to this node's ledger.
-        exe.probes.charge("fifo_post", self._tx_fifo.post_cost_ns())
+        offset = 0
+        if self.ledger is not None:
+            self.ledger.charge("fifo_post", self._tx_fifo.post_cost_ns())
+            offset = self.ledger.accrued_ns
         fifo = self._tx_fifo
-        offset = exe.probes.accrued_ns
 
         def post() -> None:
             def dma_done(_t: int) -> None:
@@ -112,14 +117,15 @@ class SimPciTransport(PeerTransport):
 
     # -- receive -----------------------------------------------------------
     def poll(self) -> bool:
-        exe = self._require_live()
+        self._require_live()
         got = False
         while True:
             item = self._rx_fifo.fetch()
             if item is None:
                 break
             got = True
-            exe.probes.charge("fifo_fetch", self._rx_fifo.fetch_cost_ns())
+            if self.ledger is not None:
+                self.ledger.charge("fifo_fetch", self._rx_fifo.fetch_cost_ns())
             src_node, frame_bytes = decode_wire(item)  # type: ignore[arg-type]
             self.ingest_frame_bytes(src_node, frame_bytes)
         return got

@@ -8,11 +8,36 @@ relationships so a regression that flips a conclusion fails CI.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench.fig6 import run_fig6
 from repro.bench.tab1 import PAPER_TABLE1_US, SUM_STAGES, run_tab1
 from repro.core.probes import CostModel
+
+
+def _daqscale_40():
+    from repro.bench.daqscale import run_daqscale
+
+    return run_daqscale(events=40)
+
+
+@pytest.mark.parametrize(
+    "experiment", ["fig6", "tab1", "alloc", "pcififo", "multirail", "daqscale"]
+)
+def test_sim_plane_table_matches_golden(experiment):
+    """The paper's results, pinned: the sim plane is deterministic, so
+    each experiment's first table (the sim-plane rows, two-decimal µs;
+    not the fit lines, whose 1e-18 slope is float noise) must equal the
+    text in ``golden/``, captured at commit d4d7be2 before the cost
+    model moved from inline probe spans to the ledger.  A refactor that
+    shifts a modelled nanosecond fails here, not in a hand diff."""
+    from repro.bench.__main__ import EXPERIMENTS
+
+    run = _daqscale_40 if experiment == "daqscale" else EXPERIMENTS[experiment][1]
+    golden = Path(__file__).parent / "golden" / f"{experiment}.txt"
+    assert run().report().split("\n\n")[0] + "\n" == golden.read_text()
 
 
 class TestFig6:
@@ -220,12 +245,6 @@ class TestNative:
         """Figure 6's finding at Python magnitude: per-message constant
         cost dominates; the C-speed copies are nearly invisible."""
         assert max(result.rtt_us_median) < 3 * min(result.rtt_us_median)
-
-    def test_whitebox_stages_present(self, result):
-        assert set(result.stage_medians_us) >= {
-            "pt_processing", "demultiplex", "upcall", "application",
-            "postprocess", "frame_alloc", "frame_free",
-        }
 
 
 class TestZeroCopyAblation:

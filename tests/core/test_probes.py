@@ -1,103 +1,87 @@
-"""Time probes in all three modes."""
+"""The cost tables and the ledger that charges them."""
 
 from __future__ import annotations
 
-import pytest
-
+from repro.core.observer import OUTCOME_OK, DispatchRecord
 from repro.core.probes import (
     CostModel,
     OPTIMISED_ALLOC_COSTS_NS,
     PAPER_TABLE1_COSTS_NS,
-    Probes,
 )
-from repro.i2o.errors import I2OError
+from repro.core.simnode import CostLedger
+from repro.flightrec.records import EV_FRAME_INGEST
+from repro.i2o.frame import Frame
+from repro.i2o.tid import EXECUTIVE_TID
 
 
-class TestOffMode:
-    def test_records_nothing(self):
-        probes = Probes("off")
-        with probes.measure("stage"):
-            pass
-        assert probes.stage_names() == []
-        with pytest.raises(I2OError):
-            probes.median_us("stage")
-
-
-class TestWallMode:
-    def test_durations_positive_and_counted(self):
-        probes = Probes("wall")
-        for _ in range(5):
-            with probes.measure("work"):
-                sum(range(1000))
-        assert probes.count("work") == 5
-        assert probes.median_us("work") > 0
-        assert probes.mean_us("work") > 0
-
-    def test_nested_inner_contributes_to_outer(self):
-        probes = Probes("wall")
-        with probes.measure("outer"):
-            with probes.measure("inner"):
-                sum(range(20_000))
-        assert probes.samples("outer")[0] >= probes.samples("inner")[0]
-
-    def test_stage_filter(self):
-        probes = Probes("wall", stages=("kept",))
-        with probes.measure("kept"):
-            pass
-        with probes.measure("dropped"):
-            pass
-        assert probes.stage_names() == ["kept"]
-
-    def test_reset(self):
-        probes = Probes("wall")
-        with probes.measure("x"):
-            pass
-        probes.reset()
-        assert probes.count("x") == 0
+def _dispatch(ledger: CostLedger, during=lambda: None) -> None:
+    """One begin/end pair as the executive delivers it."""
+    frame = Frame.build(target=EXECUTIVE_TID, initiator=EXECUTIVE_TID)
+    rec = DispatchRecord(0, frame, 0)
+    ledger.dispatch_begin(rec)
+    during()
+    rec.outcome = OUTCOME_OK
+    ledger.dispatch_end(rec)
 
 
 class TestModelMode:
     def test_imposes_exact_costs(self):
-        probes = Probes("model", model=CostModel({"a": 100, "b": 50}))
-        with probes.measure("a"):
-            pass
-        with probes.measure("b"):
-            pass
-        assert probes.samples("a")[0] == 100
-        assert probes.samples("b")[0] == 50
-        assert probes.drain_accrued_ns() == 150
-        assert probes.drain_accrued_ns() == 0
+        ledger = CostLedger(CostModel({"frame_alloc": 100, "frame_free": 50}))
+        ledger.note_alloc(64, 1)
+        ledger.note_release(0)
+        assert ledger.samples["frame_alloc"] == [100]
+        assert ledger.samples["frame_free"] == [50]
+        assert ledger.accrued_ns == 150
 
     def test_nested_costs_are_inclusive(self):
-        probes = Probes("model", model=CostModel({"outer": 10, "inner": 90}))
-        with probes.measure("outer"):
-            with probes.measure("inner"):
-                pass
-        assert probes.samples("inner")[0] == 90
-        assert probes.samples("outer")[0] == 100  # inclusive, like rdtsc pairs
-        assert probes.accrued_ns == 100
+        ledger = CostLedger(CostModel({"pt_processing": 10, "frame_alloc": 90}))
+        ledger.note_alloc(64, 1)
+        ledger.record(EV_FRAME_INGEST)
+        assert ledger.samples["frame_alloc"] == [90]
+        assert ledger.samples["pt_processing"] == [100]  # inclusive, like rdtsc pairs
+        assert ledger.accrued_ns == 100
+
+    def test_dispatch_stages_include_what_the_handler_charged(self):
+        ledger = CostLedger(CostModel(
+            {"demultiplex": 1, "upcall": 2, "application": 30,
+             "postprocess": 40, "frame_alloc": 500, "frame_free": 600}
+        ))
+
+        def handler_and_free():
+            ledger.note_alloc(64, 1)    # the handler's reply
+            ledger.note_release(0)      # the executive frees the request
+
+        ledger.note_alloc(64, 1)  # before the dispatch: not the handler's
+        _dispatch(ledger, handler_and_free)
+        assert ledger.samples["demultiplex"] == [1]
+        assert ledger.samples["upcall"] == [2]
+        assert ledger.samples["application"] == [530]
+        assert ledger.samples["postprocess"] == [640]
+        assert ledger.accrued_ns == 500 + 1 + 2 + 30 + 40 + 500 + 600
 
     def test_unknown_stage_costs_default(self):
-        probes = Probes("model", model=CostModel({"a": 5}, default_ns=7))
-        with probes.measure("other"):
-            pass
-        assert probes.samples("other")[0] == 7
+        ledger = CostLedger(CostModel({"frame_alloc": 5}, default_ns=7))
+        ledger.note_release(0)
+        assert ledger.samples["frame_free"] == [7]
 
     def test_charge_records_and_accrues(self):
-        probes = Probes("model", model=CostModel({}))
-        probes.charge("fifo", 123)
-        assert probes.samples("fifo")[0] == 123
-        assert probes.accrued_ns == 123
-
-    def test_charge_ignored_outside_model_mode(self):
-        probes = Probes("wall")
-        probes.charge("fifo", 123)
-        assert probes.count("fifo") == 0
+        ledger = CostLedger(CostModel({}))
+        ledger.charge("fifo", 123)
+        assert ledger.samples["fifo"] == [123]
+        assert ledger.accrued_ns == 123
 
     def test_default_model_is_paper_calibration(self):
-        probes = Probes("model")
-        assert probes.model is not None
-        assert probes.model.cost("frame_alloc") == 2180
+        assert CostModel().cost("frame_alloc") == 2180
+        assert CostModel.paper_table1().costs_ns == PAPER_TABLE1_COSTS_NS
+
+    def test_a_bare_release_record_is_not_cpu_work(self):
+        """GM's send-completion callback hands a buffer back: a fact
+        for the ring, nothing on the node's CPU."""
+        from repro.flightrec.records import EV_FRAME_RELEASE
+
+        ledger = CostLedger(CostModel.paper_table1())
+        ledger.record(EV_FRAME_RELEASE)
+        assert ledger.accrued_ns == 0 and not ledger.samples
 
 
 class TestCalibration:
@@ -128,47 +112,3 @@ class TestCalibration:
         ]
         saving_us = (base - opt) / 1000
         assert 3.5 <= saving_us <= 5.5
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(I2OError):
-            Probes("banana")
-
-
-class TestJitter:
-    def test_zero_jitter_is_exact(self):
-        probes = Probes("model", model=CostModel({"a": 1000}))
-        for _ in range(10):
-            with probes.measure("a"):
-                pass
-        assert set(probes.samples("a")) == {1000}
-
-    def test_jitter_disperses_around_mean(self):
-        model = CostModel({"a": 1000}, jitter_frac=0.2, jitter_seed=3)
-        probes = Probes("model", model=model)
-        for _ in range(500):
-            with probes.measure("a"):
-                pass
-        samples = probes.samples("a")
-        assert len(set(samples.tolist())) > 100  # genuinely dispersed
-        assert abs(float(samples.mean()) - 1000) < 50
-        assert 100 < float(samples.std()) < 350
-
-    def test_jitter_deterministic_per_seed(self):
-        def run(seed):
-            model = CostModel({"a": 1000}, jitter_frac=0.2, jitter_seed=seed)
-            probes = Probes("model", model=model)
-            for _ in range(20):
-                with probes.measure("a"):
-                    pass
-            return probes.samples("a").tolist()
-
-        assert run(1) == run(1)
-        assert run(1) != run(2)
-
-    def test_jitter_never_negative(self):
-        model = CostModel({"a": 10}, jitter_frac=5.0)  # wild dispersion
-        probes = Probes("model", model=model)
-        for _ in range(200):
-            with probes.measure("a"):
-                pass
-        assert int(probes.samples("a").min()) >= 0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.device import Listener
 from repro.core.executive import Executive
-from repro.core.probes import CostModel, Probes
+from repro.core.probes import CostModel
 from repro.core.simnode import SimNode
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
@@ -141,10 +141,10 @@ class TestTimerPriority:
 class TestSimPlaneTimers:
     def test_simnode_sleeps_until_timer_deadline(self):
         sim = Simulator()
-        exe = Executive(node=0, probes=Probes("model", CostModel({})))
+        exe = Executive(node=0)
         dev = TimerUser()
         exe.install(dev)
-        node = SimNode(sim, exe)
+        node = SimNode(sim, exe, cost_model=CostModel({}))
         dev.start_timer(5_000, context=1)
         sim.run(until=100_000)
         assert dev.expiries == [(1, 5_000)]

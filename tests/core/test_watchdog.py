@@ -128,15 +128,19 @@ class TestSimPlaneWatchdog:
     checked against the handler's *modelled* cost."""
 
     def _build(self, limit_ns: int, handler_cost_ns: int):
-        from repro.core.probes import CostModel, Probes
+        from repro.core.probes import CostModel
+        from repro.core.simnode import SimNode
+        from repro.sim.kernel import Simulator
 
-        exe = Executive(
-            node=0,
-            probes=Probes("model", model=CostModel(
-                {"application": handler_cost_ns}
-            )),
-            watchdog=HandlerWatchdog(limit_ns=limit_ns),
+        sim = Simulator()
+        watchdog = HandlerWatchdog(limit_ns=limit_ns)
+        exe = Executive(node=0, watchdog=watchdog)
+        # The node's ledger takes the watchdog over: virtual time has
+        # no wall-clock budget, so ``guard`` must not run here.
+        node = SimNode(
+            sim, exe, cost_model=CostModel({"application": handler_cost_ns})
         )
+        assert exe.watchdog is None and node.ledger.watchdog is watchdog
 
         class Dev(Listener):
             def on_plugin(self):
@@ -146,16 +150,17 @@ class TestSimPlaneWatchdog:
         tid = exe.install(dev)
         frame = exe.frame_alloc(0, target=tid, initiator=tid, xfunction=0x01)
         exe.post_inbound(frame)
-        exe.run_until_idle()
-        return exe, dev
+        sim.run(until=1_000_000)
+        assert exe.dispatched == 1
+        return exe, dev, watchdog
 
     def test_modelled_overrun_quarantines(self):
-        exe, dev = self._build(limit_ns=1_000, handler_cost_ns=5_000)
+        exe, dev, watchdog = self._build(limit_ns=1_000, handler_cost_ns=5_000)
         assert dev.state is DeviceState.FAILED
-        assert exe.watchdog.overruns == 1
+        assert watchdog.overruns == 1
         exe.pool.check_conservation()
 
     def test_modelled_within_budget_survives(self):
-        exe, dev = self._build(limit_ns=10_000, handler_cost_ns=5_000)
+        exe, dev, watchdog = self._build(limit_ns=10_000, handler_cost_ns=5_000)
         assert dev.state is not DeviceState.FAILED
-        assert exe.watchdog.overruns == 0
+        assert watchdog.overruns == 0

@@ -45,6 +45,7 @@ from repro.transports.agent import PeerTransportAgent
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 
 from tests.conftest import make_loopback_cluster, pump
+from tests.transports.harness import FACTORIES, Caller, Echo, make_harness
 
 
 def records_of(recorder: FlightRecorder, *kinds: int) -> list[FlightRecord]:
@@ -307,6 +308,31 @@ class TestWirePath:
         src, target, xfn = unpack3(ingests[0].b)
         assert (src, xfn) == (0, 0x1)
         assert ingests[0].c == transmits[0].c  # same bytes on both ends
+
+    @pytest.mark.parametrize("transport", sorted(FACTORIES))
+    def test_every_alloc_has_a_release_on_every_transport(self, transport):
+        """Copy transports take a pool block at receive (tcp, simgm,
+        simpci) and simgm returns the sender's at DMA completion: both
+        are lifecycle facts like the executive's own, so once the
+        cluster is quiet the rings balance."""
+        harness = make_harness(transport)
+        recorders = [
+            exe.attach(FlightRecorder(capacity=1024))
+            for exe in harness.exes.values()
+        ]
+        try:
+            echo_tid = harness.exes[1].install(Echo())
+            caller = Caller()
+            harness.exes[0].install(caller)
+            proxy = harness.exes[0].create_proxy(1, echo_tid)
+            for i in range(4):
+                caller.send(proxy, b"x" * (i + 1), xfunction=0x1)
+            assert harness.run_until(lambda: len(caller.replies) == 4)
+        finally:
+            harness.finish()
+        allocs = sum(len(records_of(r, EV_FRAME_ALLOC)) for r in recorders)
+        releases = sum(len(records_of(r, EV_FRAME_RELEASE)) for r in recorders)
+        assert allocs == releases >= 8
 
 
 class _ManualClock:

@@ -85,6 +85,18 @@ class TestRing:
         ]
         assert seqs == [0, 1, 2, 3, 4]
 
+    def test_out_of_range_argument_wraps_instead_of_raising(self):
+        """The hot path packs unmasked; a value outside u64 (a negative
+        duration under a manual clock, an oversized kind) still lands,
+        wrapped, and never raises into the fabric."""
+        rec = FlightRecorder(node=1, capacity=4, clock=_ManualClock())
+        rec.record(EV_TIMER_FIRE, -1, 1 << 64, 2, t_ns=-5)
+        rec.record(0x1FF, 7)
+        first, second = rec.records
+        assert (first.a, first.b, first.c) == ((1 << 64) - 1, 0, 2)
+        assert first.t_ns == (1 << 64) - 5 and first.kind == EV_TIMER_FIRE
+        assert (second.seq, second.kind, second.a) == (1, 0xFF, 7)
+
     def test_wrap_drops_oldest_first(self):
         rec = FlightRecorder(node=1, capacity=4, clock=_ManualClock())
         for i in range(10):

@@ -209,3 +209,43 @@ def test_no_header_getter_decodes_the_buffer():
         path for path, text in sources.items() if re.search(r"\._buf\b", text)
     }
     assert readers == {frame_py}
+
+
+# -- one instrument on the dispatch path (DESIGN §8) -------------------------
+
+
+def test_the_dispatch_path_carries_no_probes():
+    """The sim-plane cost model is an observer (``core/simnode.py``),
+    not spans inside the executive: the hot modules never name it,
+    ``_dispatch_one`` enters no context manager but the watchdog guard,
+    and ``core/probes.py`` is cost tables only."""
+    import ast
+    import inspect
+
+    from repro.core.executive import Executive
+
+    sources = _sources()
+    for name in ("core/executive.py", "core/device.py", "transports/base.py"):
+        assert "probes" not in sources[PACKAGE_ROOT / name], name
+    assert "probes" not in inspect.signature(Executive.__init__).parameters
+    dispatch = next(
+        node
+        for node in ast.walk(ast.parse(sources[PACKAGE_ROOT / "core/executive.py"]))
+        if isinstance(node, ast.FunctionDef) and node.name == "_dispatch_one"
+    )
+    entered = [
+        ast.unparse(item.context_expr)
+        for node in ast.walk(dispatch) if isinstance(node, ast.With)
+        for item in node.items
+    ]
+    assert entered == ["self.watchdog.guard(label=device.name)"]
+    span_classes = [
+        node.name
+        for node in ast.walk(ast.parse(sources[PACKAGE_ROOT / "core/probes.py"]))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "__enter__"
+            for item in node.body
+        )
+    ]
+    assert not span_classes
