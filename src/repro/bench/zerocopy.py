@@ -29,6 +29,12 @@ from repro.i2o.tid import EXECUTIVE_TID, PTA_TID
 #: 192 KB is a jumbo event fragment, near the 256 KB block maximum.
 DEFAULT_PAYLOADS = (64, 4096, 196608)
 
+#: Every copy a DAQ fragment's payload takes from front-end memory to
+#: the builder, read off ``daq/readout.py`` and ``daq/builder.py``.
+#: (Before PR 22 there were four: ``tobytes`` out of the generator, the
+#: header+CRC concat, into the reply frame, ``bytes()`` at the builder.)
+DAQ_FRAGMENT_COPIES = ("arena -> reply frame", "reply frame -> builder")
+
 
 def loaned_send_path(exe: Executive, payload: bytes) -> int:
     """Zero-copy: one write into pool memory, header set in place."""
@@ -84,6 +90,8 @@ class ZeroCopyResult:
             rows,
             title="A2: the zero-copy design choice, real Python "
             "(send path, ns/message median)",
+        ) + "\nDAQ fragment: payload copies RU->BU: {} ({})".format(
+            len(DAQ_FRAGMENT_COPIES), ", ".join(DAQ_FRAGMENT_COPIES)
         )
 
 

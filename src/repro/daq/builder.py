@@ -3,7 +3,8 @@
 On ``XF_ALLOCATE`` the builder requests one fragment from every
 readout unit it knows (the n×m crossing traffic that gave XDAQ its
 name), verifies each fragment's CRC and identity, and reports
-``XF_EVENT_DONE`` to the event manager when the event is complete.
+``XF_EVENT_DONE`` to the event manager when the event is complete;
+``XF_ABANDON`` (the event was reassigned or given up) drops a partial.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from repro.core.device import Listener
 from repro.daq.events import parse_fragment
 from repro.daq.protocol import (
     EVENT_ID,
+    MT_ABANDON,
     MT_ALLOCATE,
     MT_EVENT_DONE,
     MT_REQUEST_FRAGMENT,
+    XF_ABANDON,
     XF_ALLOCATE,
     XF_REQUEST_FRAGMENT,
 )
@@ -27,7 +30,7 @@ class BuilderUnit(Listener):
     """Collects one fragment per readout unit into complete events."""
 
     device_class = "daq_builder"
-    consumes = (MT_ALLOCATE,)
+    consumes = (MT_ALLOCATE, MT_ABANDON)
     emits = (MT_REQUEST_FRAGMENT, MT_EVENT_DONE)
 
     def __init__(self, name: str = "", bu_id: int = 0) -> None:
@@ -56,6 +59,7 @@ class BuilderUnit(Listener):
 
     def on_plugin(self) -> None:
         self.bind(XF_ALLOCATE, self._on_allocate)
+        self.bind(XF_ABANDON, self._on_abandon)
         self.bind(XF_REQUEST_FRAGMENT, self._on_fragment_reply)
 
     def on_reset(self) -> None:
@@ -70,6 +74,11 @@ class BuilderUnit(Listener):
         (event_id,) = EVENT_ID.unpack_from(frame.payload, 0)
         self._pending[event_id] = {}
         self.emit(MT_REQUEST_FRAGMENT, EVENT_ID.pack(event_id))
+
+    def _on_abandon(self, frame: Frame) -> None:
+        # The event went elsewhere: later replies for it are stale.
+        if not frame.is_reply:
+            self._pending.pop(EVENT_ID.unpack_from(frame.payload, 0)[0], None)
 
     def _on_fragment_reply(self, frame: Frame) -> None:
         if not frame.is_reply:

@@ -1,12 +1,13 @@
 """Synthetic detector data: fragments and their wire format.
 
 A *fragment* is one readout unit's share of one physics event.  The
-paper's real source (CMS front-end electronics) is substituted by a
-deterministic generator: payload sizes are drawn per (event, ru) from
-a seeded stream, contents are a reproducible byte pattern, and a CRC32
-trailer lets builders verify end-to-end integrity through every
-transport — corruption anywhere in the zero-copy path would surface
-here.
+paper's real source (CMS front-end electronics) has the data in memory
+before software sees it, so the substitute is an arena slice: payload
+sizes are drawn per (event, ru) from a seeded stream, contents are a
+read-only view into one seeded pattern arena (the "front-end memory"),
+and a CRC32 trailer lets builders verify end-to-end integrity through
+every transport — corruption anywhere in the zero-copy path would
+surface here.
 
 Fragment wire layout (little-endian)::
 
@@ -21,6 +22,7 @@ Fragment wire layout (little-endian)::
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
 from dataclasses import dataclass
@@ -33,6 +35,12 @@ _HDR = struct.Struct("<QII")
 _CRC = struct.Struct("<I")
 
 FRAGMENT_OVERHEAD = _HDR.size + _CRC.size  # 20 bytes
+
+#: The front-end memory, 128 KiB built once: a payload starts at any of
+#: the first 64 Ki offsets and runs up to 64 KiB.  (SHAKE, not a NumPy
+#: Generator: the first ``default_rng`` of a process costs 12 ms and
+#: 2.4 MB, which every importer would pay.)
+_ARENA = memoryview(hashlib.shake_256(b"repro.daq front end").digest(1 << 17))
 
 
 class FragmentError(I2OError):
@@ -60,44 +68,52 @@ def fragment_size(event_id: int, ru_id: int, mean: int = 2048, spread: float = 0
     return max(minimum, min(maximum, size))
 
 
-def fragment_payload(event_id: int, ru_id: int, length: int) -> bytes:
-    """Reproducible payload contents for (event, ru)."""
+def fragment_payload(event_id: int, ru_id: int, length: int) -> memoryview:
+    """Reproducible payload contents for (event, ru): an arena slice."""
+    if not 0 <= length <= 1 << 16:
+        raise FragmentError(f"no {length}-byte fragment in the arena")
     seed = (event_id * 0x9E3779B1 + ru_id * 0x85EBCA77 + 1) & 0xFFFFFFFF
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
+    return _ARENA[seed >> 16 : (seed >> 16) + length]
 
 
-def make_fragment_payload(event_id: int, ru_id: int, data: bytes) -> bytes:
-    """Wrap ``data`` in the fragment wire format."""
-    return (
-        _HDR.pack(event_id, ru_id, len(data))
-        + data
-        + _CRC.pack(zlib.crc32(data))
-    )
+def write_fragment(view: memoryview, event_id: int, ru_id: int,
+                   data: bytes | memoryview, crc: int) -> None:
+    """The one encoder: header, ``data``, ``crc`` packed into a wire-sized ``view``."""
+    end = _HDR.size + len(data)
+    _HDR.pack_into(view, 0, event_id, ru_id, len(data))
+    view[_HDR.size : end] = data
+    _CRC.pack_into(view, end, crc)
 
 
-def parse_fragment(payload: bytes | memoryview) -> tuple[FragmentHeader, bytes]:
-    """Validate and split a fragment; raises on any corruption."""
+def verify_fragment(payload: bytes | memoryview) -> FragmentHeader:
+    """The one verifier: length consistency and CRC checked on the
+    view, nothing copied; raises on any corruption."""
     view = memoryview(payload)
     if len(view) < FRAGMENT_OVERHEAD:
         raise FragmentError(f"fragment of {len(view)} bytes is too short")
     event_id, ru_id, length = _HDR.unpack_from(view, 0)
-    if _HDR.size + length + _CRC.size != len(view):
-        raise FragmentError(
-            f"declared length {length} inconsistent with payload {len(view)}"
-        )
-    data = bytes(view[_HDR.size : _HDR.size + length])
-    (crc,) = _CRC.unpack_from(view, _HDR.size + length)
-    if zlib.crc32(data) != crc:
-        raise FragmentError(
-            f"CRC mismatch on fragment (event {event_id}, ru {ru_id})"
-        )
-    return FragmentHeader(event_id, ru_id, length), data
+    end = _HDR.size + length
+    if end + _CRC.size != len(view):
+        raise FragmentError(f"declared length {length} in a {len(view)}-byte fragment")
+    if zlib.crc32(view[_HDR.size : end]) != _CRC.unpack_from(view, end)[0]:
+        raise FragmentError(f"CRC mismatch on fragment (event {event_id}, ru {ru_id})")
+    return FragmentHeader(event_id, ru_id, length)
+
+
+def make_fragment_payload(event_id: int, ru_id: int, data: bytes | memoryview) -> bytes:
+    """Wrap ``data`` in the fragment wire format."""
+    wire = bytearray(FRAGMENT_OVERHEAD + len(data))
+    write_fragment(memoryview(wire), event_id, ru_id, data, zlib.crc32(data))
+    return bytes(wire)
+
+
+def parse_fragment(payload: bytes | memoryview) -> tuple[FragmentHeader, bytes]:
+    """Validate, then split (the one copy) a fragment; raises on any corruption."""
+    header = verify_fragment(payload)
+    return header, bytes(memoryview(payload)[_HDR.size : _HDR.size + header.length])
 
 
 def synthesize_fragment(event_id: int, ru_id: int, *, mean: int = 2048) -> bytes:
     """Generate the full wire-format fragment for (event, ru)."""
-    size = fragment_size(event_id, ru_id, mean=mean)
-    return make_fragment_payload(
-        event_id, ru_id, fragment_payload(event_id, ru_id, size)
-    )
+    data = fragment_payload(event_id, ru_id, fragment_size(event_id, ru_id, mean=mean))
+    return make_fragment_payload(event_id, ru_id, data)

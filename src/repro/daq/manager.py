@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.device import Listener
 from repro.daq.protocol import (
     EVENT_ID,
+    MT_ABANDON,
     MT_ALLOCATE,
     MT_CLEAR,
     MT_EVENT_DONE,
@@ -64,7 +65,7 @@ class EventManager(Listener):
 
     device_class = "daq_eventmanager"
     consumes = (MT_TRIGGER, MT_EVENT_DONE)
-    emits = (MT_READOUT, MT_ALLOCATE, MT_CLEAR)
+    emits = (MT_READOUT, MT_ALLOCATE, MT_CLEAR, MT_ABANDON)
 
     def __init__(self, name: str = "evm",
                  max_in_flight: int | None = None,
@@ -198,6 +199,7 @@ class EventManager(Listener):
             return  # completed while the expiry frame was in flight
         self._deadlines.pop(event_id, None)
         failed_bu = self._assigned.pop(event_id)
+        self._abandon(event_id, failed_bu)
         if self._attempts.get(event_id, 0) > self.max_reassignments:
             self.lost_events.append(event_id)
             self._attempts.pop(event_id, None)
@@ -209,6 +211,12 @@ class EventManager(Listener):
         self.reassignments += 1
         self._launch(event_id, avoid=failed_bu)
         self._autosave()
+
+    def _abandon(self, event_id: int, bu_id: int) -> None:
+        # Tell the builder an event was taken from to drop its partial (if
+        # it is routed: a dropped builder or a hand-wired rig is not).
+        if bu_id in self.dataflow_targets(MT_ABANDON):
+            self.emit(MT_ABANDON, EVENT_ID.pack(event_id), key=bu_id)
 
     def _on_done(self, frame: Frame) -> None:
         if frame.is_reply:
@@ -243,7 +251,7 @@ class EventManager(Listener):
             node, types=(MT_READOUT, MT_CLEAR)
         )
         self.readouts_dropped += len(dead_rus)
-        dead_bus = self.drop_unreachable_targets(node, types=(MT_ALLOCATE,))
+        dead_bus = self.drop_unreachable_targets(node, types=(MT_ALLOCATE, MT_ABANDON))
         self.builders_dropped += len(dead_bus)
         if dead_bus:
             self.on_dataflow_connected()  # rebuild the ring

@@ -35,6 +35,8 @@ XF_REQUEST_FRAGMENT = 0x0104
 XF_EVENT_DONE = 0x0105
 # event manager -> readout units: discard buffers of event N
 XF_CLEAR = 0x0106
+# event manager -> builder unit: event N was taken from you, drop it
+XF_ABANDON = 0x0107
 
 MT_TRIGGER = message_type(
     "daq.trigger", XF_TRIGGER, organization=DAQ_ORG, mode="one",
@@ -55,4 +57,7 @@ MT_EVENT_DONE = message_type(
 )
 MT_CLEAR = message_type(
     "daq.clear", XF_CLEAR, organization=DAQ_ORG, mode="fanout",
+)
+MT_ABANDON = message_type(
+    "daq.abandon", XF_ABANDON, organization=DAQ_ORG, mode="keyed",
 )

@@ -1,18 +1,22 @@
 """Readout units: per-event fragment buffers.
 
 A readout unit stands for one slice of front-end electronics.  On
-``XF_READOUT`` it synthesises (deterministically) its fragment of the
-event into a buffer; on ``XF_REQUEST_FRAGMENT`` it replies with the
-fragment — or parks the request if readout has not happened yet
-(builder requests and readout commands race freely across transports).
-``XF_CLEAR`` drops the buffer once the event manager confirms the
-event was built.
+``XF_READOUT`` it takes its fragment of the event as an arena slice (a
+view of the front-end memory) plus its CRC; on ``XF_REQUEST_FRAGMENT``
+it writes both straight into the loaned reply frame — or parks the
+request if readout has not happened yet (builder requests and readout
+commands race freely across transports).  ``XF_CLEAR`` drops the
+buffer once the event manager confirms the event was built.
 """
 
 from __future__ import annotations
 
+import zlib
+
 from repro.core.device import Listener, RETAIN
-from repro.daq.events import synthesize_fragment
+from repro.daq.events import (
+    FRAGMENT_OVERHEAD, fragment_payload, fragment_size, write_fragment,
+)
 from repro.daq.protocol import (
     EVENT_ID,
     MT_CLEAR,
@@ -40,7 +44,9 @@ class ReadoutUnit(Listener):
         #: fan-out traffic addresses this unit under its ru_id
         self.dataflow_key = ru_id
         self.mean_fragment = mean_fragment
-        self._buffers: dict[int, bytes] = {}
+        #: event id -> (payload view, its CRC32, computed once here as
+        #: the front end would)
+        self._buffers: dict[int, tuple[memoryview, int]] = {}
         self._parked: dict[int, list[Frame]] = {}
         self.read_out = 0
         self.served = 0
@@ -54,7 +60,11 @@ class ReadoutUnit(Listener):
 
     def on_reset(self) -> None:
         self._buffers.clear()
+        for request in sum(self._parked.values(), []):  # RETAINed: ours
+            self._require_live().frame_free(request)
         self._parked.clear()
+
+    on_unplug = on_reset
 
     # -- handlers ---------------------------------------------------------
     def _on_readout(self, frame: Frame) -> None:
@@ -62,14 +72,19 @@ class ReadoutUnit(Listener):
             return
         (event_id,) = EVENT_ID.unpack_from(frame.payload, 0)
         if event_id not in self._buffers:
-            self._buffers[event_id] = synthesize_fragment(
-                event_id, self.ru_id, mean=self.mean_fragment
-            )
+            size = fragment_size(event_id, self.ru_id, mean=self.mean_fragment)
+            data = fragment_payload(event_id, self.ru_id, size)
+            self._buffers[event_id] = (data, zlib.crc32(data))
             self.read_out += 1
-        # Serve any builder that asked before the data existed.
-        for parked in self._parked.pop(event_id, ()):  # frames were RETAINed
-            self._serve(parked)
-            self._require_live().frame_free(parked)
+        # Serve any builder that asked before the data existed; the
+        # frames were RETAINed, so all are freed even if a reply raises.
+        parked = self._parked.pop(event_id, ())
+        try:
+            for request in parked:
+                self._serve(request, event_id)
+        finally:
+            for request in parked:
+                self._require_live().frame_free(request)
 
     def _on_request(self, frame: Frame) -> object:
         if frame.is_reply:
@@ -80,12 +95,15 @@ class ReadoutUnit(Listener):
             # alive past dispatch by taking ownership (RETAIN).
             self._parked.setdefault(event_id, []).append(frame)
             return RETAIN
-        self._serve(frame)
+        self._serve(frame, event_id)
         return None
 
-    def _serve(self, request: Frame) -> None:
-        (event_id,) = EVENT_ID.unpack_from(request.payload, 0)
-        self.reply(request, self._buffers[event_id])
+    def _serve(self, request: Frame, event_id: int) -> None:
+        data, crc = self._buffers[event_id]
+        self.reply_into(
+            request, FRAGMENT_OVERHEAD + len(data),
+            lambda view: write_fragment(view, event_id, self.ru_id, data, crc),
+        )
         self.served += 1
 
     def _on_clear(self, frame: Frame) -> None:

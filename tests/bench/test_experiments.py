@@ -255,6 +255,15 @@ class TestZeroCopyAblation:
         assert result.ratios[0] > 1.5
         assert "196608" in result.report()
 
+    def test_report_ends_with_the_daq_fragment_copy_count(self):
+        # (that the count is true of the code: tests/daq/test_readout.py)
+        from repro.bench.zerocopy import ZeroCopyResult
+
+        assert ZeroCopyResult().report().endswith(
+            "payload copies RU->BU: 2 (arena -> reply frame, "
+            "reply frame -> builder)"
+        )
+
     def test_both_paths_move_the_same_frame(self):
         from repro.bench.zerocopy import copying_send_path, loaned_send_path
         from repro.core.executive import Executive

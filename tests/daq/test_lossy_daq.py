@@ -9,8 +9,13 @@ together: timers as messages, failure recovery, buffer conservation.
 
 from __future__ import annotations
 
+from collections import Counter
+
+import pytest
+
 from repro.core.executive import Executive
 from repro.daq import BuilderUnit, EventManager, ReadoutUnit, TriggerSource
+from repro.daq.protocol import EVENT_ID, XF_ABANDON
 from repro.dataflow import wire_dataflow
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
@@ -91,3 +96,90 @@ def test_deterministic_given_seed():
         return evm.completed, evm.reassignments
 
     assert outcome() == outcome()
+
+
+def _spy_on_abandon(evm, bus):
+    """(sent, received) ``daq.abandon`` multisets of (event, builder)."""
+    sent, received = Counter(), Counter()
+    emit = evm._abandon
+
+    def sending(event_id, bu_id):
+        sent[event_id, bu_id] += 1
+        emit(event_id, bu_id)
+
+    evm._abandon = sending
+    for bu in bus.values():
+        def receiving(frame, bu=bu, handle=bu._on_abandon):
+            received[EVENT_ID.unpack_from(frame.payload, 0)[0], bu.bu_id] += 1
+            handle(frame)
+
+        bu.bind(XF_ABANDON, receiving)
+    return sent, received
+
+
+@pytest.mark.parametrize("seed", [6, 7, 8, 10])
+def test_no_partial_event_survives_recovery(seed):
+    """Every event the EVM took away from a builder on a timeout is
+    dropped there too.  ``daq.abandon`` is as droppable as any message
+    and is not retried, so a partial left at the end is one whose
+    abandon the wire ate (seed 6 loses three, the others none; at
+    33283f9 every one of these runs ends with partials)."""
+    cluster, clocks, evm, trigger, rus, bus = build_lossy_daq(
+        drop_rate=0.08, seed=seed
+    )
+    sent, received = _spy_on_abandon(evm, bus)
+    trigger.fire_burst(15)
+    run(cluster, clocks, ticks=600)
+    assert evm.completed == 15 and sum(received.values()) > 0
+    left = Counter(
+        (event_id, bu.bu_id) for bu in bus.values() for event_id in bu._pending
+    )
+    assert not left - (sent - received)
+
+
+def _starve_builder(cluster, clocks, evm, trigger, bus, *, timeouts: int):
+    """One event whose second fragment never arrives: ru1's node is cut
+    off until ``timeouts`` completion deadlines have passed."""
+    cluster[2].pta.transports()[0].partition()
+    trigger.fire()
+    run(cluster, clocks, ticks=1)
+    assert [len(bu._pending.get(1, ())) for bu in bus.values()] == [1, 0]
+    run(cluster, clocks, ticks=5 * timeouts)
+
+
+def test_reassigned_event_is_abandoned_at_the_old_builder():
+    cluster, clocks, evm, trigger, rus, bus = build_lossy_daq(drop_rate=0.0)
+    _starve_builder(cluster, clocks, evm, trigger, bus, timeouts=1)
+    assert evm.reassignments == 1
+    # bu0 dropped its one-fragment partial; bu1 now holds the event.
+    assert [len(bu._pending.get(1, ())) for bu in bus.values()] == [0, 1]
+    assert 1 not in bus[0]._pending
+    # Healed, the event completes on a later round (ru1 has yet to
+    # hear of it) and whoever lost it on the way holds nothing.
+    cluster[2].pta.transports()[0].heal()
+    run(cluster, clocks, ticks=30)
+    assert evm.completed == 1 and evm.lost_events == []
+    assert [bu.export_counters()["in_flight"] for bu in bus.values()] == [0, 0]
+    for exe in cluster.values():
+        assert exe.pool.in_flight == 0
+
+
+def test_lost_event_is_abandoned_at_its_last_builder():
+    cluster, clocks, evm, trigger, rus, bus = build_lossy_daq(drop_rate=0.0)
+    evm.max_reassignments = 1
+    _starve_builder(cluster, clocks, evm, trigger, bus, timeouts=3)
+    assert evm.lost_events == [1]
+    assert [bu.export_counters()["in_flight"] for bu in bus.values()] == [0, 0]
+
+
+def test_fault_free_path_sends_no_abandon(monkeypatch):
+    cluster, clocks, evm, trigger, rus, bus = build_lossy_daq(drop_rate=0.0)
+    sent = []
+    monkeypatch.setattr(evm, "_abandon", lambda *a: sent.append(a))
+    trigger.fire_burst(10)
+    run(cluster, clocks, ticks=5)
+    assert evm.completed == 10 and sent == []
+    # per event: 2 readout, 1 allocate, 2 requests, 2 replies, 1 done,
+    # 2 clear
+    wire = sum(exe.pta.transports()[0].frames_sent for exe in cluster.values())
+    assert wire == 10 * 10

@@ -125,7 +125,8 @@ class TestReports:
 
     def test_fan_report_counts_edges(self, graph):
         fan = graph.fan_report()
-        assert fan["devices"]["evm"]["fan_out"] == 5  # 2 readout, 2 clear, 1 allocate
+        # 2 readout, 2 clear, 1 allocate, 1 abandon
+        assert fan["devices"]["evm"]["fan_out"] == 6
         assert fan["devices"]["ru0"]["fan_in"] == 3
 
 
