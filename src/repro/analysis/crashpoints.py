@@ -3,7 +3,8 @@
 The journal's write-ahead discipline (``repro.durable``) is only as
 good as the crash windows it survives.  A reliable endpoint commits a
 send in three observable steps — journal append, wire transmit, ack
-retirement — and each gap between them is a distinct failure mode:
+retirement — and each gap between them (plus the one between the
+retirement and the pending table's pop) is a distinct failure mode:
 
 * ``pre-journal-append`` — the process dies before the record is
   written.  The message was never accepted; the caller's exception is
@@ -13,6 +14,8 @@ retirement — and each gap between them is a distinct failure mode:
 * ``post-transmit-pre-ack-record`` — delivered and acked on the wire,
   but the ack was never retired in the journal.  Recovery replays a
   duplicate; the receiver's dedup window must absorb it.
+* ``post-ack-record-pre-pop`` — retired in the journal, still in the
+  dead process's pending table.  Nothing replays; nothing is owed.
 
 :class:`CrashInjector` arms one of those points through the endpoint's
 ``crash_hook`` and raises :class:`ExecutiveCrashed` when it fires.
@@ -31,6 +34,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.reliable import (
+    CRASH_POST_ACK_RECORD,
     CRASH_POST_APPEND,
     CRASH_PRE_ACK_RECORD,
     CRASH_PRE_APPEND,
@@ -44,6 +48,7 @@ CRASH_POINTS: tuple[str, ...] = (
     CRASH_PRE_APPEND,
     CRASH_POST_APPEND,
     CRASH_PRE_ACK_RECORD,
+    CRASH_POST_ACK_RECORD,
 )
 
 

@@ -352,8 +352,8 @@ def _wire_durability(cluster: Cluster, conf: dict[str, Any]) -> None:
             "snapshots": True,          # daq_eventmanager snapshot stores
             "flush_every": 1,           # group-commit batch size
             "fsync": False,             # fsync on flush
-            "compact_min_records": 64,
-            "compact_live_ratio": 0.5,
+            "compact_min_records": ..., # both default to SegmentStore's
+            "compact_live_ratio": ...,  # own (repro.durable.segments)
         }
 
     Every ``reliable_endpoint`` device gets ``<dir>/<name>.journal``

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from repro.durable.segments import COMPACT_LIVE_RATIO, COMPACT_MIN_RECORDS
 from repro.i2o.errors import I2OError
 
 
@@ -210,11 +211,14 @@ DURABILITY_SCHEMA = ParamSchema([
               description="group-commit batch size (records per flush)"),
     ParamSpec("fsync", bool, default=False,
               description="fsync the journal file on every flush"),
-    ParamSpec("compact_min_records", int, default=64, minimum=1,
-              description="do not compact below this many records"),
-    ParamSpec("compact_live_ratio", float, default=0.5,
+    ParamSpec("compact_min_records", int, default=COMPACT_MIN_RECORDS,
+              minimum=1,
+              description="do not rewrite the journal below this many "
+                          "records (bounds the file; amortises the rewrite)"),
+    ParamSpec("compact_live_ratio", float, default=COMPACT_LIVE_RATIO,
               minimum=0.0, maximum=1.0,
-              description="compact when live/total falls to this ratio"),
+              description="past that floor, rewrite once live/total falls "
+                          "to this ratio"),
 ])
 
 #: Typed schema for the bootstrap spec's ``flight_recorder`` section

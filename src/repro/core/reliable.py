@@ -76,11 +76,12 @@ XF_REL_ACK = 0xF002
 _HEADER = struct.Struct("<QI")
 
 #: Named crash points for fault-injection tests (see
-#: repro.analysis.crashpoints): the three torn states the journal
+#: repro.analysis.crashpoints): the four torn states the journal
 #: write-ahead ordering can leave behind.
 CRASH_PRE_APPEND = "pre-journal-append"
 CRASH_POST_APPEND = "post-append-pre-transmit"
 CRASH_PRE_ACK_RECORD = "post-transmit-pre-ack-record"
+CRASH_POST_ACK_RECORD = "post-ack-record-pre-pop"
 
 Consumer = Callable[[Tid, bytes], None]
 FailureHandler = Callable[[int, Tid, bytes], None]
@@ -126,8 +127,8 @@ class ReliableEndpoint(Listener):
         #: fault-injection hook (repro.analysis.crashpoints.crash_at)
         self.crash_hook: CrashHook | None = None
         self._next_seq = 1
-        #: seq -> (target, payload, retries_left, timer_id)
-        self._pending: dict[int, tuple[Tid, bytes, int, int]] = {}
+        #: seq -> (target, payload, retries_left, timer_id, wire crc)
+        self._pending: dict[int, tuple[Tid, bytes, int, int, int]] = {}
         #: (initiator, seq) -> None, LRU-bounded (unordered mode)
         self._seen: OrderedDict[tuple[Tid, int], None] = OrderedDict()
         #: ordered mode: initiator -> next seq to deliver
@@ -212,8 +213,9 @@ class ReliableEndpoint(Listener):
             else:
                 target = exe.create_proxy(record.node, Tid(record.tid))
             timer_id = self.start_timer(self.retransmit_ns, context=seq)
+            crc = _data_crc(seq, record.payload)
             self._pending[seq] = (
-                target, record.payload, self.max_retries, timer_id,
+                target, record.payload, self.max_retries, timer_id, crc,
             )
             # Replay bypasses send_reliable, so the send is recorded
             # here: a restarted node's black box shows the same seqs
@@ -223,7 +225,7 @@ class ReliableEndpoint(Listener):
                 fr.record(
                     EV_REL_SEND, seq, record.node, len(record.payload)
                 )
-            self._transmit(seq, target, record.payload)
+            self._transmit(seq, target, record.payload, crc)
             self.replayed += 1
         if state.records:
             self.recoveries += 1
@@ -272,30 +274,29 @@ class ReliableEndpoint(Listener):
         """
         seq = self._next_seq
         data = bytes(payload)
+        crc = _data_crc(seq, data)  # journal, wire and every retransmit
+        fr = self._flightrec
+        if self.journal is not None or fr is not None:
+            node, remote_tid = self._stable_address(target)
         self._crash(CRASH_PRE_APPEND)
         if self.journal is not None:
-            node, remote_tid = self._stable_address(target)
-            self.journal.append_send(seq, node, int(remote_tid), data)
-            fr = self._flightrec
+            self.journal.append_send(seq, node, int(remote_tid), data, crc)
             if fr is not None:
                 fr.record(EV_JOURNAL_COMMIT, seq)
         self._crash(CRASH_POST_APPEND)
         self._next_seq = seq + 1
         timer_id = self.start_timer(self.retransmit_ns, context=seq)
-        self._pending[seq] = (target, data, self.max_retries, timer_id)
-        fr = self._flightrec
+        self._pending[seq] = (target, data, self.max_retries, timer_id, crc)
         if fr is not None:
-            fr.record(
-                EV_REL_SEND, seq, self._stable_address(target)[0], len(data)
-            )
-        self._transmit(seq, target, data)
+            fr.record(EV_REL_SEND, seq, node, len(data))
+        self._transmit(seq, target, data, crc)
         return seq
 
-    def _transmit(self, seq: int, target: Tid, payload: bytes) -> None:
+    def _transmit(self, seq: int, target: Tid, payload: bytes, crc: int) -> None:
         # Header and payload are written straight into the loaned
         # frame — no intermediate header+payload concatenation.
         def write(view: memoryview) -> None:
-            _HEADER.pack_into(view, 0, seq, _data_crc(seq, payload))
+            _HEADER.pack_into(view, 0, seq, crc)
             view[_HEADER.size:] = payload
 
         self.send_into(
@@ -380,21 +381,26 @@ class ReliableEndpoint(Listener):
             # pending seq and lose that message forever.
             self.corrupt_discarded += 1
             return
-        entry = self._pending.pop(seq, None)
-        if entry is not None:
-            self.cancel_timer(entry[3])
-            fr = self._flightrec
+        entry = self._pending.get(seq)
+        if entry is None:
+            return  # a duplicate ack
+        fr = self._flightrec
+        if fr is not None:
+            fr.record(EV_REL_ACK, seq)
+        self._crash(CRASH_PRE_ACK_RECORD)
+        if self.journal is not None:
+            # Crash window: the peer has the message but this ack
+            # record may die unflushed.  Replay then re-transmits
+            # and the receiver's dedup absorbs the duplicate —
+            # at-least-once on the wire, exactly-once delivered.
+            self.journal.append_ack(seq)
             if fr is not None:
-                fr.record(EV_REL_ACK, seq)
-            self._crash(CRASH_PRE_ACK_RECORD)
-            if self.journal is not None:
-                # Crash window: the peer has the message but this ack
-                # record may die unflushed.  Replay then re-transmits
-                # and the receiver's dedup absorbs the duplicate —
-                # at-least-once on the wire, exactly-once delivered.
-                self.journal.append_ack(seq)
-                if fr is not None:
-                    fr.record(EV_JOURNAL_RETIRE, seq)
+                fr.record(EV_JOURNAL_RETIRE, seq)
+        # Journal first, pending table second: whoever sees in_flight
+        # drop (an observer, a crash) finds the retire already recorded.
+        self._crash(CRASH_POST_ACK_RECORD)
+        del self._pending[seq]
+        self.cancel_timer(entry[3])
 
     # -- retransmission ------------------------------------------------------
     def on_timer(self, context: int, frame: Frame) -> None:
@@ -402,25 +408,25 @@ class ReliableEndpoint(Listener):
         entry = self._pending.get(seq)
         if entry is None:
             return  # acked in the meantime
-        target, payload, retries_left, _old_timer = entry
+        target, payload, retries_left, _old_timer, crc = entry
         if retries_left <= 0:
-            del self._pending[seq]
-            self.failures += 1
             if self.journal is not None:
                 # Permanently failed: retire the record so a restart
                 # does not resurrect a message the application was
                 # already told is dead.
                 self.journal.append_ack(seq)
+            del self._pending[seq]
+            self.failures += 1
             if self.on_failed is not None:
                 self.on_failed(seq, target, bytes(payload))
             return
         self.retransmissions += 1
         timer_id = self.start_timer(self.retransmit_ns, context=seq)
-        self._pending[seq] = (target, payload, retries_left - 1, timer_id)
+        self._pending[seq] = (target, payload, retries_left - 1, timer_id, crc)
         fr = self._flightrec
         if fr is not None:
             fr.record(EV_REL_RETRANSMIT, seq, retries_left - 1)
-        self._transmit(seq, target, payload)
+        self._transmit(seq, target, payload, crc)
 
     # -- failover ------------------------------------------------------------
     def on_peer_dead(self, node: int) -> int:
@@ -437,17 +443,17 @@ class ReliableEndpoint(Listener):
         """
         exe = self._require_live()
         doomed = []
-        for seq, (target, _, _, _) in self._pending.items():
+        for seq, (target, *_) in self._pending.items():
             route = exe.route_for(target)
             if route is not None and route.node == node:
                 doomed.append(seq)
         for seq in doomed:
-            target, payload, _, timer_id = self._pending.pop(seq)
+            if self.journal is not None:
+                self.journal.append_ack(seq)
+            target, payload, _, timer_id, _ = self._pending.pop(seq)
             self.cancel_timer(timer_id)
             self.aborted += 1
             self.failures += 1
-            if self.journal is not None:
-                self.journal.append_ack(seq)
             if self.on_failed is not None:
                 self.on_failed(seq, target, bytes(payload))
         return len(doomed)

@@ -66,10 +66,10 @@ REC_META = 0x03
 _KINDS = frozenset((REC_SEND, REC_ACK, REC_META))
 
 #: kind u8, seq u64, node u32, tid u32, payload_len u32, payload_crc u32
-_FIXED = struct.Struct("<BQIII")
+_FIXED = struct.Struct("<BQIIII")
 _CRC = struct.Struct("<I")
-#: total header size: fixed fields + payload_crc + header_crc
-HEADER_SIZE = _FIXED.size + 2 * _CRC.size
+#: total header size: the fixed fields + header_crc
+HEADER_SIZE = _FIXED.size + _CRC.size
 
 #: Journal payloads are whole reliable-stream payloads; anything this
 #: large is a caller bug, and bounding it keeps a corrupted length
@@ -141,22 +141,35 @@ class DecodeResult:
         return self.torn_bytes > 0
 
 
+def encode_header(
+    kind: int, seq: int, node: int, tid: int, payload: bytes,
+    payload_crc: int | None = None,
+) -> bytes:
+    """The ``HEADER_SIZE`` bytes that precede ``payload`` on disk (the
+    segment store writes the two as one gathered write, uncopied).
+    ``payload_crc``, if given, must be ``seeded_crc(seq, payload)`` —
+    the reliable endpoint passes the wire CRC it has just computed."""
+    if kind not in _KINDS:
+        raise JournalError(f"unknown record kind 0x{kind:02x}")
+    if seq < 0 or seq > 0xFFFF_FFFF_FFFF_FFFF:
+        raise JournalError(f"seq {seq} out of u64 range")
+    if len(payload) > MAX_RECORD_PAYLOAD:
+        raise JournalError(
+            f"record payload of {len(payload)} bytes exceeds "
+            f"{MAX_RECORD_PAYLOAD}"
+        )
+    if payload_crc is None:
+        payload_crc = seeded_crc(seq, payload)
+    fixed = _FIXED.pack(kind, seq, node, tid, len(payload), payload_crc)
+    return fixed + _CRC.pack(zlib.crc32(fixed))
+
+
 def encode_record(record: Record) -> bytes:
     """Serialise one record; the inverse of one :func:`decode_journal`
     step."""
-    if record.kind not in _KINDS:
-        raise JournalError(f"unknown record kind 0x{record.kind:02x}")
-    if record.seq < 0 or record.seq > 0xFFFF_FFFF_FFFF_FFFF:
-        raise JournalError(f"seq {record.seq} out of u64 range")
-    if len(record.payload) > MAX_RECORD_PAYLOAD:
-        raise JournalError(
-            f"record payload of {len(record.payload)} bytes exceeds "
-            f"{MAX_RECORD_PAYLOAD}"
-        )
-    fixed = _FIXED.pack(
-        record.kind, record.seq, record.node, record.tid, len(record.payload)
-    ) + _CRC.pack(seeded_crc(record.seq, record.payload))
-    return fixed + _CRC.pack(zlib.crc32(fixed)) + record.payload
+    return encode_header(
+        record.kind, record.seq, record.node, record.tid, record.payload
+    ) + record.payload
 
 
 def decode_journal(data: bytes | bytearray | memoryview) -> DecodeResult:
@@ -176,13 +189,11 @@ def decode_journal(data: bytes | bytearray | memoryview) -> DecodeResult:
         remaining = total - offset
         if remaining < HEADER_SIZE:
             break  # torn tail: not even a whole header
-        fixed_end = offset + _FIXED.size + _CRC.size
-        fixed = bytes(view[offset:fixed_end])
-        (header_crc,) = _CRC.unpack_from(view, fixed_end)
+        fixed = bytes(view[offset:offset + _FIXED.size])
+        (header_crc,) = _CRC.unpack_from(view, offset + _FIXED.size)
         if zlib.crc32(fixed) != header_crc:
             raise _corrupt(offset, "record header CRC mismatch", records)
-        kind, seq, node, tid, payload_len = _FIXED.unpack(fixed[:_FIXED.size])
-        (payload_crc,) = _CRC.unpack_from(fixed, _FIXED.size)
+        kind, seq, node, tid, payload_len, payload_crc = _FIXED.unpack(fixed)
         if kind not in _KINDS:
             raise _corrupt(
                 offset, f"unknown record kind 0x{kind:02x}", records

@@ -33,15 +33,6 @@ class PendingSend:
     tid: int
     payload: bytes
 
-    def as_record(self) -> Record:
-        return Record(
-            kind=REC_SEND,
-            seq=self.seq,
-            node=self.node,
-            tid=self.tid,
-            payload=self.payload,
-        )
-
 
 @dataclass
 class ReplayState:

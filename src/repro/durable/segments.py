@@ -13,11 +13,12 @@ process; the recovery protocol stays correct either way — the message
 is then *lost with an explicit failure at the sender*, never silently
 half-delivered (see DESIGN.md §10 for the guarantee table).
 
-Compaction keeps the file proportional to the *live* (unacked) set:
-when enough records have accumulated and most are dead, the store
-rewrites ``META + live SENDs`` to a temporary file and atomically
-replaces the segment (``os.replace``), so a crash during compaction
-leaves either the old or the new file, both valid.
+Compaction bounds the file: once :data:`COMPACT_MIN_RECORDS` records
+have accumulated and most are dead, the store rewrites ``META + live
+SENDs`` to a temporary file and atomically replaces the segment
+(``os.replace``), so a crash during compaction leaves either the old
+or the new file, both valid.  The floor is what amortises the rewrite's
+fixed cost (a ``replace`` is milliseconds) over thousands of records.
 
 :class:`SnapshotStore` is the event manager's durable state cell: one
 JSON document, length- and CRC-framed, written to a temporary file and
@@ -31,8 +32,9 @@ import json
 import os
 import struct
 import zlib
+from io import FileIO
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any
 
 from repro.durable.journal import (
     REC_ACK,
@@ -40,11 +42,18 @@ from repro.durable.journal import (
     REC_SEND,
     JournalCorruption,
     JournalError,
-    Record,
     decode_journal,
-    encode_record,
+    encode_header,
 )
 from repro.durable.replay import PendingSend, ReplayState, replay_records
+
+#: The compaction defaults, defined here only (the ``durability`` spec
+#: schema reads them): no rewrite below this many records — 1 KiB
+#: messages keep the file under ~4 MiB — and then only when at most
+#: this share of them is live.
+COMPACT_MIN_RECORDS = 4096
+COMPACT_LIVE_RATIO = 0.5
+_IOV_MAX = os.sysconf("SC_IOV_MAX")  # parts per gathered write
 
 
 class SegmentStore:
@@ -63,8 +72,8 @@ class SegmentStore:
         *,
         flush_every: int = 1,
         fsync: bool = False,
-        compact_min_records: int = 64,
-        compact_live_ratio: float = 0.5,
+        compact_min_records: int = COMPACT_MIN_RECORDS,
+        compact_live_ratio: float = COMPACT_LIVE_RATIO,
     ) -> None:
         if flush_every < 1:
             raise JournalError(f"flush_every must be >= 1, got {flush_every}")
@@ -84,13 +93,19 @@ class SegmentStore:
 
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.recovered = self._recover_file()
-        self._live: dict[int, PendingSend] = dict(self.recovered.pending)
+        #: seq -> (node, tid, payload)
+        self._live: dict[int, tuple[int, int, bytes]] = {
+            seq: (send.node, send.tid, send.payload)
+            for seq, send in self.recovered.pending.items()
+        }
         self._hwm = self.recovered.next_seq
         self._identity = self.recovered.identity
         self._records_total = self.recovered.records
         self._buffer: list[bytes] = []
         self._unflushed = 0
-        self._file: BinaryIO | None = open(self.path, "ab")
+        # Unbuffered: ``_buffer`` is the only user-space copy, so
+        # flush() is one write and crash() has nothing else to discard.
+        self._file: FileIO | None = open(self.path, "ab", buffering=0)
 
     def _recover_file(self) -> ReplayState:
         try:
@@ -119,9 +134,7 @@ class SegmentStore:
         """
         if self._identity is None:
             self._identity = (node, tid)
-            self._append(
-                Record(kind=REC_META, seq=self._hwm, node=node, tid=tid)
-            )
+            self._append(encode_header(REC_META, self._hwm, node, tid, b""))
         elif self._identity != (node, tid):
             jnode, jtid = self._identity
             raise JournalError(
@@ -136,30 +149,30 @@ class SegmentStore:
 
     # -- appends ------------------------------------------------------------
     def append_send(
-        self, seq: int, node: int, tid: int, payload: bytes
+        self, seq: int, node: int, tid: int, payload: bytes,
+        crc: int | None = None,
     ) -> None:
-        """Write-ahead record for a message about to be transmitted."""
+        """Write-ahead record for a message about to be transmitted
+        (``crc``: its ``seeded_crc(seq, payload)``, if already known)."""
         self._append(
-            Record(kind=REC_SEND, seq=seq, node=node, tid=tid, payload=payload)
+            encode_header(REC_SEND, seq, node, tid, payload, crc), payload
         )
-        self._live[seq] = PendingSend(
-            seq=seq, node=node, tid=tid, payload=payload
-        )
+        self._live[seq] = (node, tid, payload)
         if seq >= self._hwm:
             self._hwm = seq + 1
 
     def append_ack(self, seq: int) -> None:
         """Retire ``seq`` — acknowledged or permanently failed; either
         way it must not resurrect on replay."""
-        self._append(Record(kind=REC_ACK, seq=seq))
+        self._append(encode_header(REC_ACK, seq, 0, 0, b""))
         self.acks_recorded += 1
         if self._live.pop(seq, None) is not None:
             self._maybe_compact()
 
-    def _append(self, record: Record) -> None:
+    def _append(self, header: bytes, payload: bytes = b"") -> None:
         if self._file is None:
             raise JournalError(f"journal {self.path.name} is closed")
-        self._buffer.append(encode_record(record))
+        self._buffer += (header, payload)
         self._records_total += 1
         self._unflushed += 1
         if self._unflushed >= self.flush_every:
@@ -169,12 +182,15 @@ class SegmentStore:
         """Push buffered records to the file (group commit point)."""
         if self._file is None or not self._buffer:
             return
-        self._file.write(b"".join(self._buffer))
+        fd = self._file.fileno()
+        for start in range(0, len(self._buffer), _IOV_MAX):
+            parts = self._buffer[start:start + _IOV_MAX]
+            if os.writev(fd, parts) != sum(map(len, parts)):
+                raise JournalError(f"short write to journal {self.path.name}")
         self._buffer.clear()
         self._unflushed = 0
-        self._file.flush()
         if self.fsync:
-            os.fsync(self._file.fileno())
+            os.fsync(fd)
 
     # -- compaction ---------------------------------------------------------
     def _maybe_compact(self) -> None:
@@ -196,19 +212,16 @@ class SegmentStore:
         node, tid = self._identity if self._identity is not None else (0, 0)
         tmp = self.path.with_name(self.path.name + ".compact")
         with open(tmp, "wb") as fh:
-            fh.write(
-                encode_record(
-                    Record(kind=REC_META, seq=self._hwm, node=node, tid=tid)
-                )
-            )
-            for seq in sorted(self._live):
-                fh.write(encode_record(self._live[seq].as_record()))
+            fh.write(encode_header(REC_META, self._hwm, node, tid, b""))
+            for seq, (node, tid, payload) in sorted(self._live.items()):
+                fh.write(encode_header(REC_SEND, seq, node, tid, payload))
+                fh.write(payload)
             fh.flush()
             if self.fsync:
                 os.fsync(fh.fileno())
         self._file.close()
         os.replace(tmp, self.path)
-        self._file = open(self.path, "ab")
+        self._file = open(self.path, "ab", buffering=0)
         self._records_total = 1 + len(self._live)
         self.compactions += 1
 
@@ -220,7 +233,9 @@ class SegmentStore:
 
     def pending(self) -> dict[int, PendingSend]:
         """The live set, keyed by seq (a copy; callers may mutate)."""
-        return dict(self._live)
+        return {
+            seq: PendingSend(seq, *send) for seq, send in self._live.items()
+        }
 
     def close(self) -> None:
         """Flush and close (clean shutdown)."""

@@ -110,6 +110,7 @@ CRASH_POINT_CODES: dict[str, int] = {
     "pre-journal-append": 1,
     "post-append-pre-transmit": 2,
     "post-transmit-pre-ack-record": 3,
+    "post-ack-record-pre-pop": 4,
 }
 CRASH_POINT_NAMES = {code: name for name, code in CRASH_POINT_CODES.items()}
 

@@ -41,3 +41,52 @@ def test_history_names_exist_in_the_benchmark(path):
         return
     assert claimed["workload"] in workloads and claimed["metric"] in metrics
     assert claimed["wins"] + claimed["ties"] + claimed["losses"] == record["pairs"]
+
+
+@pytest.mark.parametrize("path", HISTORY, ids=lambda p: p.stem)
+def test_optional_sections_use_the_benchmarks_names(path):
+    """``seed2`` (the claim repeated on a seed not used while the change
+    was written) and ``traced`` (one ``--trace 1`` row set per side) are
+    optional, but where present they follow the same rule."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    layers = {m["name"] for m in declared["per_layer"]}
+    record = json.loads(path.read_text(encoding="utf-8"))
+    traced = record.get("traced")
+    if traced is not None:
+        assert traced["workload"] in {w["name"] for w in declared["workloads"]}
+        for side in ("parent", "change"):
+            assert traced[side]
+            assert set(traced[side]) - {"attempted_ops"} <= layers
+    repeat = record.get("seed2")
+    if repeat is not None:
+        assert repeat["seed"] != record["seed"]
+        assert repeat["workload"] == record["claimed"]["workload"]
+        assert repeat["metric"] == record["claimed"]["metric"]
+        assert repeat["wins"] + repeat["ties"] + repeat["losses"] == repeat["pairs"] >= 5
+        for side in ("parent", "change"):
+            assert set(repeat[side]) == metrics | {"failed_ops"}
+
+
+def test_bench_23_records_where_the_journal_saving_is():
+    """ISSUE 23's traced evidence, pinned as recorded: the rewrite is
+    amortised (compactions per op down >= 10x), both appends are under
+    their stated costs, and bytes written per message fell."""
+    record = json.loads(
+        (ROOT / "benchmarks" / "history" / "BENCH_23.json").read_text("utf-8")
+    )
+    claimed = record["claimed"]
+    assert (claimed["workload"], claimed["metric"]) == (
+        "durable_stream", "ops_per_s"
+    )
+    assert claimed["wins"] * 10 >= 9 * record["pairs"]
+    parent, change = record["traced"]["parent"], record["traced"]["change"]
+    per_10k = record["traced"]["compactions_per_10k_ops"]
+    assert per_10k["change"] * 10 <= per_10k["parent"]
+    assert change["durable.segments.append_ack_ns"] <= 8_000
+    assert change["durable.segments.append_send_ns"] <= 7_000
+    assert (change["durable.segments.bytes_per_op"]
+            < parent["durable.segments.bytes_per_op"])
+    for side in (parent, change):
+        assert side["core.reliable.retransmissions"] == 0
+        assert side["core.reliable.duplicates_suppressed"] == 0
