@@ -663,19 +663,35 @@ class Executive:
     def request_halt(self) -> None:
         self._halt_requested = True
         self._thread_stop.set()
+        self.msgi.ring()
 
     # -- native thread mode -------------------------------------------------
     def start(self, poll_interval: float = 0.001) -> None:
-        """Run the loop of control in a dedicated thread (native plane)."""
+        """Run the loop of control in a dedicated thread (native plane).
+
+        An idle loop sleeps on the messaging doorbell until a post, a
+        timer armed from another thread or a stop rings it — to the
+        next timer deadline, or with no timer at all.  Only polling-mode
+        transports, which cannot ring, keep the ``poll_interval`` tick.
+        """
         if self._thread is not None:
             raise I2OError("executive already started")
         self._thread_stop.clear()
         self._halt_requested = False
+        msgi = self.msgi
 
         def loop() -> None:
             while not self._thread_stop.is_set():
                 if not self.step():
-                    self.msgi.wait_for_work(timeout=poll_interval)
+                    # Announce first: a deadline armed after this line
+                    # rings, one armed before it is read below.
+                    msgi.parking = True
+                    timeout: float | None = poll_interval
+                    if not self._pollable:
+                        deadline = self.timers.next_deadline_ns()
+                        timeout = None if deadline is None else max(
+                            0.0, (deadline - self.clock.now_ns()) / 1e9)
+                    msgi.wait_for_work(timeout)
                 if self._halt_requested:
                     break
 
@@ -698,6 +714,7 @@ class Executive:
         if self._thread is None:
             return
         self._thread_stop.set()
+        self.msgi.ring()
         self._thread.join(timeout)
         if self._thread.is_alive():  # pragma: no cover - defensive
             raise I2OError(f"executive thread on node {self.node} did not stop")
@@ -722,6 +739,7 @@ class Executive:
         """
         if self._thread is not None:
             self._thread_stop.set()
+            self.msgi.ring()
             self._thread.join(timeout=5.0)
             self._thread = None
         self._halt_requested = True

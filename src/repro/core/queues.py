@@ -8,9 +8,10 @@ transport.  Peer transports deposit received frames into the
 **inbound** queue, from which the executive dispatches.
 
 The queues are thread-safe because task-mode peer transports run in
-their own threads (paper §4) while the dispatch loop drains them.  An
-optional ``on_work`` callback lets the simulation plane (or a sleeping
-native loop) wake up when work arrives.
+their own threads (paper §4) while the dispatch loop drains them.  Any
+thread may post; exactly one — the loop of control — drains and parks.
+An optional ``on_work`` callback lets the simulation plane wake up when
+work arrives; a sleeping native loop is woken by the doorbell.
 """
 
 from __future__ import annotations
@@ -23,28 +24,48 @@ from repro.i2o.frame import Frame
 
 
 class MessagingInstance:
-    """Inbound + outbound FIFO pair with a work notification hook.
+    """Inbound + outbound FIFO pair; any thread posts, one drains.
 
     ``deque.append``/``popleft`` are atomic under CPython's GIL, so the
     queues themselves need no lock — this sits on the per-message hot
-    path.  The condition variable is only touched when a thread has
-    actually parked in :meth:`wait_for_work` (tracked by a waiter
-    count), so single-threaded use never pays for it.
+    path.  The one consumer (the loop of control) sleeps in
+    :meth:`wait_for_work` on a sticky doorbell that a post rings only
+    while it is :attr:`parking`: single-threaded use pays one attribute
+    test per post.
     """
+
+    # No wake-up is lost, by order alone (the GIL makes it sequentially
+    # consistent): the consumer sets ``parking`` *before* it looks for
+    # work, a producer publishes work *before* it reads ``parking`` —
+    # so the consumer sees the work or the producer sees the flag.
+    # Anything else the decision to sleep depends on (a timer deadline)
+    # follows the same rule: write it, ``if msgi.parking: msgi.ring()``.
+    #
+    # The bell is a lock used as a binary semaphore, all in C: held =
+    # silent, ``release`` rings, ``acquire`` parks.  A ring nobody was
+    # parked for stays: the next park returns at once, which costs one
+    # spurious ``step()`` and nothing else.
 
     def __init__(self, on_work: Callable[[], None] | None = None) -> None:
         self._inbound: deque[Frame] = deque()
         self._outbound: deque[Frame] = deque()
-        self._work = threading.Condition()
-        self._waiters = 0
+        self._bell = threading.Lock()
+        self._bell.acquire()
+        self.parking = False
         self.on_work = on_work
         self.posted_inbound = 0
         self.posted_outbound = 0
 
+    def ring(self) -> None:
+        """Wake the consumer, now or at its next park (any thread)."""
+        try:
+            self._bell.release()
+        except RuntimeError:
+            pass  # already rung: a second ring is swallowed
+
     def _notify(self) -> None:
-        if self._waiters:
-            with self._work:
-                self._work.notify_all()
+        if self.parking:
+            self.ring()
         if self.on_work is not None:
             self.on_work()
 
@@ -75,21 +96,19 @@ class MessagingInstance:
             return None
 
     def wait_for_work(self, timeout: float | None = None) -> bool:
-        """Block until either queue is non-empty (native thread mode).
+        """Park the consumer until there is work, a ring or ``timeout``
+        seconds pass (``None``: no timer at all).  False on timeout.
 
-        Callers must pass a bounded ``timeout``: the lock-free posting
-        fast path can miss a waiter that is *just* parking, and the
-        timeout converts that rare race into one bounded poll interval
-        instead of a hang.
+        Single consumer by contract — the loop of control.  A post
+        cannot be missed, so the timeout only bounds what cannot ring.
         """
-        with self._work:
+        self.parking = True  # announce, then look, then block
+        try:
             if self._inbound or self._outbound:
                 return True
-            self._waiters += 1
-            try:
-                return self._work.wait(timeout)
-            finally:
-                self._waiters -= 1
+            return self._bell.acquire(True, -1 if timeout is None else timeout)
+        finally:
+            self.parking = False
 
     # -- introspection ------------------------------------------------------
     @property

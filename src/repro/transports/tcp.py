@@ -16,6 +16,7 @@ it — exactly one copy per node, the one off the wire.
 
 from __future__ import annotations
 
+import logging
 import socket
 import threading
 from typing import TYPE_CHECKING
@@ -24,6 +25,7 @@ from repro.i2o.errors import FrameFormatError
 from repro.i2o.frame import Frame
 from repro.transports.base import PeerTransport, TransportError
 from repro.transports.wire import (
+    WIRE_HEADER_SIZE,
     encode_wire_parts,
     read_wire_header,
     recv_into_exact,
@@ -32,12 +34,17 @@ from repro.transports.wire import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executive import Route
 
+logger = logging.getLogger(__name__)
 
-def _sendmsg_all(sock: socket.socket, parts: list) -> None:
-    """Vectored send of all ``parts``, looping on partial writes."""
+
+def _sendmsg_all(sock: socket.socket, parts: tuple, total: int) -> None:
+    """Vectored send of all ``total`` bytes of ``parts``, looping on
+    partial writes."""
+    sent = sock.sendmsg(parts)
+    if sent == total:
+        return  # the whole message in one call: the usual case
     views = [memoryview(p) for p in parts]
-    while views:
-        sent = sock.sendmsg(views)
+    while True:
         while sent:
             if sent >= len(views[0]):
                 sent -= len(views[0])
@@ -45,6 +52,9 @@ def _sendmsg_all(sock: socket.socket, parts: list) -> None:
             else:
                 views[0] = views[0][sent:]
                 sent = 0
+        if not views:
+            return
+        sent = sock.sendmsg(views)
 
 
 def _hang_up(sock: socket.socket) -> None:
@@ -120,11 +130,11 @@ class TcpTransport(PeerTransport):
         with self._conn_lock:
             socks, self._socks = self._socks, []
             self._conns.clear()
+            readers = list(self._readers)
         for sock in socks:
             _hang_up(sock)
-        for reader in self._readers:
+        for reader in readers:  # each takes itself off ``_readers``
             reader.join(timeout=2)
-        self._readers.clear()
 
     def add_peer(self, node: int, host: str, port: int) -> None:
         self.peers[node] = (host, port)
@@ -138,7 +148,7 @@ class TcpTransport(PeerTransport):
         # block is released — no serialisation copy on this side.
         parts = encode_wire_parts(exe.node, frame)
         try:
-            _sendmsg_all(sock, list(parts))
+            _sendmsg_all(sock, parts, WIRE_HEADER_SIZE + frame.total_size)
         except OSError as exc:
             self._drop_connection(route.node)
             raise TransportError(f"send to node {route.node} failed: {exc}") from exc
@@ -157,6 +167,7 @@ class TcpTransport(PeerTransport):
             sock = socket.create_connection(address, timeout=5)
         except OSError as exc:
             raise TransportError(f"connect to node {node} {address}: {exc}") from exc
+        sock.settimeout(None)  # 5 s bounds the connect, not an idle reader
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with self._conn_lock:
             self._conns[node] = sock
@@ -167,7 +178,7 @@ class TcpTransport(PeerTransport):
         with self._conn_lock:
             sock = self._conns.pop(node, None)
         if sock is not None:
-            sock.close()
+            _hang_up(sock)  # its reader wakes and forgets it
 
     # -- receive ------------------------------------------------------------------
     def _accept_loop(self) -> None:
@@ -187,32 +198,45 @@ class TcpTransport(PeerTransport):
             name=f"pt-{self.name}-reader",
             daemon=True,
         )
-        reader.start()
         # Spawned from both the accept thread and (lazily, on first
         # transmit) the dispatch thread; shutdown() joins the list.
+        # Listed before it runs, so its exit always finds itself.
         with self._conn_lock:
             self._readers.append(reader)
             self._socks.append(sock)
+            reader.start()
 
     def _reader_loop(self, sock: socket.socket) -> None:
-        while not self._stop.is_set():
-            try:
-                parsed = read_wire_header(sock.recv_into)
-            except (OSError, FrameFormatError):
-                return
-            if parsed is None:
-                return  # orderly shutdown at a message boundary
-            src_node, frame_len = parsed
-            # Learn the reverse path: an accepted connection can serve
-            # replies to its originating node.
-            with self._conn_lock:
-                self._conns.setdefault(src_node, sock)
+        recv_into = sock.recv_into
+        header = memoryview(bytearray(WIRE_HEADER_SIZE))
+        conns = self._conns
 
-            def fill(view: memoryview, _sock: socket.socket = sock) -> None:
-                if not recv_into_exact(_sock.recv_into, view):
-                    raise TransportError("connection closed mid-frame")
+        def fill(view: memoryview) -> None:
+            if not recv_into_exact(recv_into, view):
+                raise TransportError("connection closed mid-frame")
 
-            try:
+        try:
+            while not self._stop.is_set():
+                parsed = read_wire_header(recv_into, header)
+                if parsed is None:
+                    return  # orderly shutdown at a message boundary
+                src_node, frame_len = parsed
+                if src_node not in conns:
+                    # Learn the reverse path: an accepted connection
+                    # can serve replies to its originating node.
+                    with self._conn_lock:
+                        conns.setdefault(src_node, sock)
                 self.ingest_into(src_node, frame_len, fill)
-            except (OSError, TransportError, FrameFormatError):
-                return
+        except (OSError, TransportError, FrameFormatError) as exc:
+            if not self._stop.is_set():
+                logger.warning("%s: dropping connection: %s", self.name, exc)
+        finally:
+            # Whatever ended the reader, nobody reads this socket any
+            # more: the peer must see EOF and no send may go to it.
+            with self._conn_lock:
+                for node in [n for n, s in conns.items() if s is sock]:
+                    del conns[node]
+                if sock in self._socks:
+                    self._socks.remove(sock)
+                self._readers.remove(threading.current_thread())
+            _hang_up(sock)

@@ -109,17 +109,21 @@ def decode_wire(data: bytes | bytearray | memoryview) -> tuple[int, memoryview]:
     return src_node, view[WIRE_HEADER_SIZE:]
 
 
-def read_wire_header(recv_into: ReadInto) -> tuple[int, int] | None:
+def read_wire_header(
+    recv_into: ReadInto, scratch: memoryview | None = None
+) -> tuple[int, int] | None:
     """Read and validate one wire header from a byte stream.
 
     Returns ``(src_node, frame_len)`` so the caller can allocate the
     receiving pool block *before* pulling the frame off the stream
     (see :func:`recv_into_exact`), or ``None`` on a clean end of
     stream at a message boundary.  An EOF mid-header or a malformed
-    header raises :class:`FrameFormatError`.
+    header raises :class:`FrameFormatError`.  A per-stream reader
+    passes its own 12-byte ``scratch`` view to reuse across calls.
     """
-    header = bytearray(WIRE_HEADER_SIZE)
-    view = memoryview(header)
+    view = scratch
+    if view is None:
+        view = memoryview(bytearray(WIRE_HEADER_SIZE))
     got = recv_into(view)
     if got == 0:
         return None
@@ -129,7 +133,7 @@ def read_wire_header(recv_into: ReadInto) -> tuple[int, int] | None:
         if got == 0:
             raise FrameFormatError("stream ended mid wire header")
         pos += got
-    magic, src_node, length = _WIRE.unpack(header)
+    magic, src_node, length = _WIRE.unpack(view)
     if magic != WIRE_MAGIC:
         raise FrameFormatError(f"bad wire magic 0x{magic:08X}")
     if length < HEADER_SIZE or length > MAX_FRAME_SIZE:

@@ -90,3 +90,31 @@ def test_bench_23_records_where_the_journal_saving_is():
     for side in (parent, change):
         assert side["core.reliable.retransmissions"] == 0
         assert side["core.reliable.duplicates_suppressed"] == 0
+
+
+def test_bench_24_records_that_the_saving_is_waiting_not_work():
+    """ISSUE 24's evidence, pinned as recorded: the round trip fell by
+    more than a quarter on both seeds while every count of work done
+    per round trip repeated exactly on both sides."""
+    record = json.loads(
+        (ROOT / "benchmarks" / "history" / "BENCH_24.json").read_text("utf-8")
+    )
+    claimed = record["claimed"]
+    assert (claimed["workload"], claimed["metric"]) == (
+        "tcp_pingpong", "rtt_us_p50"
+    )
+    assert claimed["wins"] * 10 >= 9 * record["pairs"]
+    assert record["seed2"]["wins"] == record["seed2"]["pairs"]
+    before = record["sides"]["parent"]["workloads"]["tcp_pingpong"]["rtt_us_p50"]
+    after = record["sides"]["change"]["workloads"]["tcp_pingpong"]["rtt_us_p50"]
+    assert after["median"] <= 0.75 * before["median"]
+    assert before["median"] - after["median"] > before["q3"] - before["q1"]
+    parent, change = record["traced"]["parent"], record["traced"]["change"]
+    for side in (parent, change):
+        assert side["transports.tcp.rx_copies_per_frame"] == 1.0
+        assert side["transports.tcp.tx_copies_per_frame"] == 0.0
+        assert side["transports.tcp.wire_bytes_per_op"] == 8280
+        assert side["mem.pool.allocs_per_op"] == 4.0
+        assert side["core.executive.dispatched_per_op"] == 2.0
+    assert change["driver.raw_rtt_us_p50"] < parent["driver.raw_rtt_us_p50"]
+    assert change["driver.rtt_us_p99"] < parent["driver.rtt_us_p99"]

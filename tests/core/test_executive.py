@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import faulthandler
+import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -19,6 +22,8 @@ from repro.i2o.function_codes import (
     EXEC_SYS_QUIESCE,
 )
 from repro.i2o.tid import EXECUTIVE_TID, TID_BROADCAST
+from repro.transports.agent import PeerTransportAgent
+from repro.transports.base import PeerTransport
 
 from tests.conftest import assert_no_leaks, make_loopback_cluster, pump
 
@@ -337,3 +342,152 @@ class TestThreadMode:
 
     def test_stop_without_start_is_noop(self):
         Executive().stop()
+
+
+class _Alarm(Listener):
+    """Records when each of its timers fired (monotonic ns, by context)."""
+
+    def __init__(self) -> None:
+        super().__init__("alarm")
+        self.fired_at: dict[int, int] = {}
+
+    def on_timer(self, context: int, frame: Frame) -> None:
+        self.fired_at[context] = time.monotonic_ns()
+
+
+class TestParkedLoop:
+    """The idle loop of control sleeps on the doorbell, not on a tick.
+
+    Every wait here is bounded and every failure is an assertion.
+    """
+
+    @staticmethod
+    def _instrument(exe: Executive) -> tuple[list, list]:
+        """Count ``step()`` calls and record every park timeout."""
+        steps: list[int] = []
+        parks: list[float | None] = []
+        step, wait = exe.step, exe.msgi.wait_for_work
+
+        def counted_step() -> bool:
+            steps.append(1)
+            return step()
+
+        def recorded_wait(timeout=None) -> bool:
+            parks.append(timeout)
+            return wait(timeout)
+
+        exe.step, exe.msgi.wait_for_work = counted_step, recorded_wait
+        return steps, parks
+
+    @staticmethod
+    def _wait(predicate, timeout: float = 5.0) -> bool:
+        deadline = time.monotonic() + timeout
+        while not predicate() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return predicate()
+
+    def _parked(self, exe: Executive) -> bool:
+        """True once the loop has blocked (announced, and stayed so)."""
+        if not self._wait(lambda: exe.msgi.parking):
+            return False
+        time.sleep(0.02)
+        return exe.msgi.parking
+
+    def test_idle_with_a_task_mode_pt_takes_no_steps_and_no_timer(self):
+        exe = Executive()
+        PeerTransportAgent.attach(exe).register(
+            PeerTransport("task-pt", mode="task"), default=True)
+        steps, parks = self._instrument(exe)
+        exe.start(poll_interval=0.001)
+        try:
+            assert self._parked(exe)
+            before = len(steps)
+            time.sleep(0.2)
+            assert len(steps) - before == 0  # ~165 with the 1 ms tick
+            assert len(steps) <= 3
+            assert parks and set(parks) == {None}
+        finally:
+            exe.stop()
+
+    def test_a_post_wakes_the_untimed_park(self):
+        exe = Executive()
+        sink = Sink()
+        tid = exe.install(sink)
+        exe.start()
+        try:
+            assert self._parked(exe)
+            sink.send(tid, b"wake", xfunction=0x01)
+            assert self._wait(lambda: sink.got, timeout=1.0)
+        finally:
+            exe.stop()
+
+    def test_an_armed_timer_bounds_the_park_and_fires_on_time(self):
+        exe = Executive()
+        alarm = _Alarm()
+        exe.install(alarm)
+        steps, parks = self._instrument(exe)
+        armed = time.monotonic_ns()
+        alarm.start_timer(50_000_000, context=1)
+        exe.start(poll_interval=0.001)
+        try:
+            assert self._wait(lambda: 1 in alarm.fired_at, timeout=1.0)
+            late_ns = alarm.fired_at[1] - (armed + 50_000_000)
+            assert -1_000_000 <= late_ns <= 100_000_000
+            timed = [t for t in parks if t is not None]
+            assert timed and max(timed) <= 0.050
+            assert len(steps) <= 10  # slept to the deadline, did not tick
+            assert self._parked(exe) and parks[-1] is None  # disarmed: untimed
+        finally:
+            exe.stop()
+
+    def test_a_polling_mode_pt_keeps_the_tick(self):
+        exe = Executive()
+        PeerTransportAgent.attach(exe).register(
+            PeerTransport("polling-pt", mode="polling"), default=True)
+        _steps, parks = self._instrument(exe)
+        exe.start(poll_interval=0.004)
+        try:
+            assert self._wait(lambda: len(parks) >= 5, timeout=1.0)
+            assert set(parks) == {0.004}
+        finally:
+            exe.stop()
+
+    def test_timers_armed_from_another_thread_ring_the_parked_loop(self):
+        exe = Executive()
+        alarm = _Alarm()
+        exe.install(alarm)
+        exe.start()
+        rng = random.Random(24)
+        deadlines: dict[int, int] = {}
+        try:
+            assert self._parked(exe)
+            for context in range(2_000):
+                delay_ns = rng.randrange(0, 30_000_000)
+                deadlines[context] = time.monotonic_ns() + delay_ns
+                alarm.start_timer(delay_ns, context=context)
+                if context % 100 == 0:
+                    time.sleep(0.005)  # let the loop park again in between
+            assert self._wait(lambda: len(alarm.fired_at) == len(deadlines))
+        finally:
+            exe.stop()
+        assert len(alarm.fired_at) == 2_000, "an expiry was never dispatched"
+        late = [alarm.fired_at[c] - deadlines[c] for c in deadlines]
+        assert min(late) >= -1_000_000  # never early (1 ms clock slack)
+        assert max(late) <= 100_000_000
+
+    @pytest.mark.parametrize("how", ["stop", "request_halt", "hard_stop"])
+    def test_every_way_out_wakes_the_untimed_park(self, how):
+        exe = Executive()
+        exe.start()
+        thread = exe._thread
+        try:
+            assert self._parked(exe)
+            started = time.monotonic()
+            getattr(exe, how)()
+            thread.join(timeout=5.0)
+            if thread.is_alive():
+                faulthandler.dump_traceback()  # where the loop still sleeps
+            assert not thread.is_alive(), f"{how}() did not wake the loop"
+            assert time.monotonic() - started < 0.5
+        finally:
+            exe.stop()

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import faulthandler
+import sys
 import threading
+import time
+from collections import deque
 
 from repro.core.queues import MessagingInstance
 from repro.i2o.frame import Frame
@@ -78,3 +82,109 @@ def test_wait_for_work_wakes_on_cross_thread_post():
     msgi.post_inbound(frame())
     t.join(timeout=5)
     assert results == [True]
+
+
+# -- untimed parking: every case fails by assertion, never by hanging -----------
+JOIN_S = 10.0
+
+
+def _run(target) -> threading.Thread:
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread
+
+
+def _joined(*threads: threading.Thread, timeout: float = JOIN_S) -> bool:
+    """Join with a bound; a thread that slept through its wake-up is
+    named by a dump of every stack, then the caller's assertion fails."""
+    for thread in threads:
+        thread.join(timeout=timeout)
+    stuck = any(thread.is_alive() for thread in threads)
+    if stuck:
+        faulthandler.dump_traceback()
+    return not stuck
+
+
+def test_untimed_wait_wakes_on_cross_thread_post():
+    msgi = MessagingInstance()
+    results = []
+    waiter = _run(lambda: results.append(msgi.wait_for_work(None)))
+    deadline = time.monotonic() + JOIN_S
+    while not msgi.parking and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert msgi.parking, "waiter never announced its park"
+    time.sleep(0.02)  # let it block for real
+    msgi.post_outbound(frame())
+    assert _joined(waiter), "wait_for_work(None) slept through a post"
+    assert results == [True]
+    assert msgi.parking is False
+
+
+def test_a_ring_is_sticky_then_consumed():
+    msgi = MessagingInstance()
+    msgi.ring()
+    msgi.ring()  # a second ring is swallowed, not queued
+    started = time.monotonic()
+    assert msgi.wait_for_work(timeout=5) is True  # nobody was parked: kept
+    assert time.monotonic() - started < 1.0
+    assert msgi.wait_for_work(timeout=0.02) is False  # ... and used up
+
+
+def test_posting_with_nobody_parked_leaves_the_bell_alone():
+    msgi = MessagingInstance()
+    msgi.post_inbound(frame())
+    assert msgi.take_inbound() is not None
+    assert msgi.wait_for_work(timeout=0.02) is False
+
+
+def test_wait_for_work_announces_before_it_looks():
+    """The lost-wake-up fix is an order: parking flag, then the queues."""
+    msgi = MessagingInstance()
+    flag_when_read: list[bool] = []
+
+    class Watched(deque):
+        def __len__(self) -> int:
+            flag_when_read.append(msgi.parking)
+            return super().__len__()
+
+    msgi._inbound, msgi._outbound = Watched(), Watched()
+    assert msgi.wait_for_work(timeout=0) is False
+    assert len(flag_when_read) == 2 and all(flag_when_read)
+    assert msgi.parking is False
+
+
+def test_untimed_handoffs_between_two_threads_lose_none():
+    """20 000 post/park hand-offs, no timeout anywhere: one lost
+    wake-up and both threads sleep for ever."""
+    rounds = 20_000
+    ping, pong = MessagingInstance(), MessagingInstance()
+    token = frame()
+
+    def bounce(mine: MessagingInstance, theirs: MessagingInstance) -> None:
+        for _ in range(rounds):
+            while mine.take_inbound() is None:
+                mine.wait_for_work(None)
+            theirs.post_inbound(token)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside the handshake too
+    try:
+        echo = _run(lambda: bounce(pong, ping))
+        ping.post_inbound(token)
+        driver = _run(lambda: bounce(ping, pong))
+        # A busy host makes this slow; only a lost wake-up makes it
+        # stop.  Give up when a whole second passes without a hand-off.
+        seen = -1
+        while echo.is_alive() and seen != ping.posted_inbound:
+            seen = ping.posted_inbound
+            driver.join(timeout=1.0)
+            echo.join(timeout=1.0)
+        assert _joined(driver, echo, timeout=0), (
+            f"stalled after {ping.posted_inbound} of {rounds} hand-offs "
+            f"(parking: {ping.parking}, {pong.parking}; "
+            f"depth: {ping.inbound_depth}, {pong.inbound_depth})"
+        )
+    finally:
+        sys.setswitchinterval(previous)
+    # the kick-off plus the echo's posts; the driver's posts
+    assert (ping.posted_inbound, pong.posted_inbound) == (rounds + 1, rounds)
