@@ -160,9 +160,9 @@ class Cluster:
         for hb in self.heartbeats.values():
             hb.start()  # type: ignore[attr-defined]
 
-    def start_all(self, poll_interval: float = 0.001) -> None:
+    def start_all(self) -> None:
         for exe in self.executives.values():
-            exe.start(poll_interval=poll_interval)
+            exe.start()
         if self.profiler is not None:
             self.profiler.start()
 

@@ -493,7 +493,7 @@ class Listener:
         parked = (
             mtype.on_saturation == "park"
             and outbox is not None
-            and outbox.park(self, mtype, key, payload,
+            and outbox.park(self, mtype, key, edge, payload,
                             transaction_context, initiator_context)
         )
         if not parked and exe.dataflow is not None:

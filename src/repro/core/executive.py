@@ -273,7 +273,8 @@ class Executive:
         #: loop of control rebinds/parks routes on the dispatch thread.
         self._route_lock = threading.Lock()
         self.pta: "PeerTransportAgent | None" = None
-        self._pollable: list[object] = []  # polling-mode PTs, set by the PTA
+        #: polling-mode PTs (set by the PTA) and the dataflow outbox
+        self._pollable: list[Any] = []
 
         # Peer liveness table (fed by a HeartbeatService, if installed).
         from repro.core.liveness import PeerTable
@@ -623,7 +624,7 @@ class Executive:
         if len(self.timers) and self.timers.poll(self.clock.now_ns()):
             worked = True
         for pt in self._pollable:
-            if pt.poll():  # type: ignore[attr-defined]
+            if pt.poll():
                 worked = True
         if self._route_outbound():
             worked = True
@@ -654,11 +655,8 @@ class Executive:
 
     @property
     def idle(self) -> bool:
-        if not self.msgi.idle or not self.scheduler.empty:
-            return False
-        return not any(
-            getattr(pt, "has_pending", False) for pt in self._pollable
-        )
+        return self.msgi.idle and self.scheduler.empty and not any(
+            pt.has_pending for pt in self._pollable)
 
     def request_halt(self) -> None:
         self._halt_requested = True
@@ -666,13 +664,11 @@ class Executive:
         self.msgi.ring()
 
     # -- native thread mode -------------------------------------------------
-    def start(self, poll_interval: float = 0.001) -> None:
+    def start(self) -> None:
         """Run the loop of control in a dedicated thread (native plane).
 
-        An idle loop sleeps on the messaging doorbell until a post, a
-        timer armed from another thread or a stop rings it — to the
-        next timer deadline, or with no timer at all.  Only polling-mode
-        transports, which cannot ring, keep the ``poll_interval`` tick.
+        An idle loop sleeps on the doorbell, untimed unless a timer is
+        armed, until a producer of work (``msgi.wake``) or a stop rings.
         """
         if self._thread is not None:
             raise I2OError("executive already started")
@@ -683,15 +679,16 @@ class Executive:
         def loop() -> None:
             while not self._thread_stop.is_set():
                 if not self.step():
-                    # Announce first: a deadline armed after this line
-                    # rings, one armed before it is read below.
+                    # Announce first: work published after this line
+                    # rings; a deadline, staged item or credit published
+                    # before it is seen below.
                     msgi.parking = True
-                    timeout: float | None = poll_interval
-                    if not self._pollable:
+                    if any(pt.has_pending for pt in self._pollable):
+                        msgi.parking = False
+                    else:
                         deadline = self.timers.next_deadline_ns()
-                        timeout = None if deadline is None else max(
-                            0.0, (deadline - self.clock.now_ns()) / 1e9)
-                    msgi.wait_for_work(timeout)
+                        msgi.wait_for_work(None if deadline is None else max(
+                            0.0, (deadline - self.clock.now_ns()) / 1e9))
                 if self._halt_requested:
                     break
 
@@ -746,14 +743,10 @@ class Executive:
         if self.flightrec is not None:
             self.flightrec.record(EV_HARD_STOP)
         self.timers.cancel_all()
-        detached: set[int] = set()
-        for pt in self._pollable:
-            pt.crash_detach()  # type: ignore[attr-defined]
-            detached.add(id(pt))
-        if self.pta is not None:
-            for pt in self.pta.transports():
-                if id(pt) not in detached:
-                    pt.crash_detach()
+        transports = self.pta.transports() if self.pta is not None else []
+        # Each once, pollables first: a polling PT is in both lists.
+        for pt in {id(pt): pt for pt in self._pollable + transports}.values():
+            pt.crash_detach()
         while (frame := self.msgi.take_outbound()) is not None:
             self.frame_free(frame)
         while (frame := self.msgi.take_inbound()) is not None:
@@ -789,12 +782,10 @@ class Executive:
     # ------------------------------------------------------------------
     def _route_outbound(self) -> bool:
         routed = False
-        while True:
-            frame = self.msgi.take_outbound()
-            if frame is None:
-                return routed
+        while (frame := self.msgi.take_outbound()) is not None:
             routed = True
             self._route(frame)
+        return routed
 
     def _route(self, frame: Frame) -> None:
         target = frame.target
@@ -885,15 +876,13 @@ class Executive:
 
     def _intake_inbound(self) -> bool:
         took = False
-        while True:
-            frame = self.msgi.take_inbound()
-            if frame is None:
-                return took
+        while (frame := self.msgi.take_inbound()) is not None:
             took = True
             if frame.target in self._devices:
                 self._enqueue(frame)
             else:
                 self._dead_letter(frame, f"inbound for unknown TiD {frame.target}")
+        return took
 
     def _enqueue(self, frame: Frame) -> None:
         """Push a frame for dispatch, marking its queue-entry time when

@@ -10,8 +10,8 @@ transport.  Peer transports deposit received frames into the
 The queues are thread-safe because task-mode peer transports run in
 their own threads (paper §4) while the dispatch loop drains them.  Any
 thread may post; exactly one — the loop of control — drains and parks.
-An optional ``on_work`` callback lets the simulation plane wake up when
-work arrives; a sleeping native loop is woken by the doorbell.
+Every producer of work (posts, timers, polling-PT staging, returned
+credits) wakes it through :meth:`MessagingInstance.wake`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ class MessagingInstance:
     # consistent): the consumer sets ``parking`` *before* it looks for
     # work, a producer publishes work *before* it reads ``parking`` —
     # so the consumer sees the work or the producer sees the flag.
-    # Anything else the decision to sleep depends on (a timer deadline)
-    # follows the same rule: write it, ``if msgi.parking: msgi.ring()``.
+    # Anything else the decision to sleep depends on (a timer deadline,
+    # a polling transport's staged data, an edge credit) follows the
+    # same rule: publish it, then :meth:`wake`.
     #
     # The bell is a lock used as a binary semaphore, all in C: held =
     # silent, ``release`` rings, ``acquire`` parks.  A ring nobody was
@@ -63,7 +64,8 @@ class MessagingInstance:
         except RuntimeError:
             pass  # already rung: a second ring is swallowed
 
-    def _notify(self) -> None:
+    def wake(self) -> None:
+        """Work was just published for the consumer (any thread)."""
         if self.parking:
             self.ring()
         if self.on_work is not None:
@@ -74,13 +76,13 @@ class MessagingInstance:
         """Deposit a frame arriving from the wire (or local loopback)."""
         self._inbound.append(frame)
         self.posted_inbound += 1
-        self._notify()
+        self.wake()
 
     def post_outbound(self, frame: Frame) -> None:
         """Deposit a frame a local device wants sent (frameSend)."""
         self._outbound.append(frame)
         self.posted_outbound += 1
-        self._notify()
+        self.wake()
 
     # -- draining -----------------------------------------------------------
     def take_inbound(self) -> Frame | None:
@@ -99,8 +101,8 @@ class MessagingInstance:
         """Park the consumer until there is work, a ring or ``timeout``
         seconds pass (``None``: no timer at all).  False on timeout.
 
-        Single consumer by contract — the loop of control.  A post
-        cannot be missed, so the timeout only bounds what cannot ring.
+        Single consumer by contract — the loop of control.  No wake-up
+        can be missed, so the timeout is a timer deadline, nothing else.
         """
         self.parking = True  # announce, then look, then block
         try:

@@ -156,15 +156,12 @@ class SimNode:
         self.process = sim.process(self._run(), name=f"node{executive.node}")
 
     def attach_transport_hooks(self) -> None:
-        """Point every registered transport's wake hook at this node and
-        hand it the ledger its wire-injection offsets are read from.
-
-        Call after the PTA and its transports are registered.
-        """
+        """Hand every registered sim transport the ledger its wire
+        offsets and FIFO costs go to (arrivals wake this node through
+        ``msgi.wake``).  Call after the transports are registered."""
         if self.executive.pta is not None:
             for pt in self.executive.pta.transports():
-                if hasattr(pt, "wake_hook"):
-                    pt.wake_hook = self.wake
+                if hasattr(pt, "ledger"):
                     pt.ledger = self.ledger
 
     def wake(self) -> None:

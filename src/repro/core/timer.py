@@ -59,9 +59,8 @@ class TimerService:
         deadline = self._executive.clock.now_ns() + delay_ns
         self._live[timer_id] = (owner, context, period_ns)
         heapq.heappush(self._heap, (deadline, timer_id))
-        msgi = self._executive.msgi
-        if msgi.parking:  # a loop asleep sized its wait without us
-            msgi.ring()
+        # A loop asleep sized its wait without this deadline.
+        self._executive.msgi.wake()
         return timer_id
 
     def cancel(self, timer_id: int) -> bool:

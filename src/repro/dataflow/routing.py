@@ -19,7 +19,7 @@ the consumer's priority-FIFO capacity:
 * the credit comes back when the *consumer's* executive pops the frame
   for dispatch — the queue slot is free again: the ledger is attached
   to every executive as a dispatch observer
-  (:mod:`repro.core.observer`).
+  (:mod:`repro.core.observer`), and wakes an emitter parked on it.
 
 Credits are conservative, not reliable-delivery: the
 :class:`CreditLedger` is the single-process bookkeeping all bootstrap
@@ -57,7 +57,7 @@ class Edge:
     __slots__ = (
         "mtype", "key", "emitter", "emitter_node",
         "consumer", "consumer_node", "consumer_tid",
-        "capacity", "credits", "ledger_key",
+        "capacity", "credits", "ledger_key", "parked",
     )
 
     def __init__(
@@ -84,6 +84,9 @@ class Edge:
         self.ledger_key = (
             consumer_node, consumer_tid, mtype.function, mtype.xfunction,
         )
+        #: emissions the emitter's outbox holds for want of a credit
+        #: here: while nonzero, a returned credit wakes the emitter
+        self.parked = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -113,6 +116,8 @@ class CreditLedger(DispatchObserver):
         self._edges_by_node: dict[int, list[Edge]] = {}
         self._shed: dict[int, int] = {}
         self._resumed: dict[int, int] = {}
+        #: node -> the MessagingInstance a parked emitter is woken by
+        self._msgi: dict[int, Any] = {}
 
     # -- wiring ------------------------------------------------------------
     def register_edge(
@@ -146,6 +151,8 @@ class CreditLedger(DispatchObserver):
         edges = self._edges_by_node.get(edge.emitter_node)
         if edges is not None and edge in edges:
             edges.remove(edge)
+        if edge.parked:  # they can leave now: shed, or by a new edge
+            self._msgi[edge.emitter_node].wake()
 
     # -- the two hot-path operations ---------------------------------------
     def try_acquire(self, edge: Edge) -> bool:
@@ -165,9 +172,12 @@ class CreditLedger(DispatchObserver):
             edge = queue.popleft()
             if edge.credits < edge.capacity:
                 edge.credits += 1
+            if edge.parked:  # published the credit: wake the emitter
+                self._msgi[edge.emitter_node].wake()
 
     def on_attach(self, exe: "Executive") -> None:
         exe.dataflow = self
+        self._msgi[exe.node] = exe.msgi
 
     def on_detach(self, exe: "Executive") -> None:
         exe.dataflow = None
@@ -255,9 +265,10 @@ class DataflowOutbox:
         self._exe = executive
         self._ledger = ledger
         self.limit = limit
-        #: (device, mtype, key, payload, transaction_ctx, initiator_ctx)
+        #: (device, mtype, key, parked-on edge, payload,
+        #:  transaction_ctx, initiator_ctx)
         self._entries: deque[
-            tuple["Listener", MessageType, Any, bytes, int, int]
+            tuple["Listener", MessageType, Any, Edge, bytes, int, int]
         ] = deque()
         self.parked_total = 0
 
@@ -265,21 +276,34 @@ class DataflowOutbox:
     def depth(self) -> int:
         return len(self._entries)
 
+    @staticmethod
+    def _route(entry: tuple) -> tuple[TypeRoutes | None, Edge | None]:
+        """Routes (``None``: consumer gone) and edge (``None``: uncapped)."""
+        routes = entry[0].routes_for(entry[1])
+        if routes is None or entry[2] not in routes.targets:
+            return None, None
+        return routes, (routes.edges.get(entry[2]) if routes.edges else None)
+
     @property
     def has_pending(self) -> bool:
-        return bool(self._entries)
+        # Saturated entries are not pending: the loop sleeps until the
+        # ledger returns a credit to their edge (``Edge.parked``).
+        return any(edge is None or edge.credits > 0
+                   for _, edge in map(self._route, self._entries))
 
     def park(
-        self, device: "Listener", mtype: MessageType, key: Any,
+        self, device: "Listener", mtype: MessageType, key: Any, edge: Edge,
         payload: bytes, transaction_context: int, initiator_context: int,
     ) -> bool:
         if len(self._entries) >= self.limit:
             return False
         self._entries.append(
-            (device, mtype, key, payload,
+            (device, mtype, key, edge, payload,
              transaction_context, initiator_context)
         )
+        edge.parked += 1
         self.parked_total += 1
+        self._exe.msgi.wake()  # the emit may have come from another thread
         return True
 
     def poll(self) -> bool:
@@ -287,16 +311,16 @@ class DataflowOutbox:
         progressed = False
         for _ in range(len(self._entries)):
             entry = self._entries.popleft()
-            device, mtype, key, payload, tctx, ictx = entry
-            routes = device.routes_for(mtype)
-            if routes is None or key not in routes.targets:
-                # The consumer was dropped while the payload waited.
-                self._ledger.note_shed(self._exe.node)
-                progressed = True
-                continue
-            edge = routes.edges.get(key) if routes.edges else None
+            device, mtype, key, parked_on, payload, tctx, ictx = entry
+            routes, edge = self._route(entry)
             if edge is not None and not self._ledger.try_acquire(edge):
                 self._entries.append(entry)
+                continue
+            parked_on.parked -= 1
+            progressed = True
+            if routes is None:
+                # The consumer was dropped while the payload waited.
+                self._ledger.note_shed(self._exe.node)
                 continue
             device.send(
                 routes.targets[key], payload,
@@ -316,10 +340,10 @@ class DataflowOutbox:
                           routes.targets.get(key, 0), mtype.xfunction),
                     len(self._entries),
                 )
-            progressed = True
         return progressed
 
     def crash_detach(self) -> None:
         """Hard-stop hook (the executive detaches every pollable):
-        abandon parked payloads without touching the ledger."""
-        self._entries.clear()
+        abandon parked payloads without touching the credits."""
+        while self._entries:
+            self._entries.popleft()[3].parked -= 1

@@ -119,10 +119,12 @@ def wire_dataflow(
                         capacity // graph.fan_in(consumer.name, tname),
                     )
             replaced = device.routes_for(mtype)
+            device.connect_route(mtype, targets, edges=edges, replace=True)
             if replaced is not None and replaced.edges:
+                # After the new routes are live: forgetting an edge
+                # wakes an emitter parked on it, to move by the new one.
                 for edge in replaced.edges.values():
                     ledger.forget_edge(edge)
-            device.connect_route(mtype, targets, edges=edges, replace=True)
     for name in graph.devices:
         installed[name][1].on_dataflow_connected()
     return graph, ledger

@@ -73,6 +73,7 @@ class PeerTransportAgent(Listener):
             self._default = transport
         if transport.mode == "polling":
             exe._pollable.append(transport)
+            exe.msgi.wake()  # data staged before this is polled now
         from repro.core.metrics import sanitize_metric_name
 
         prefix = f"pt_{sanitize_metric_name(transport.name)}"

@@ -48,7 +48,7 @@ class PeerTransport(Listener):
     ``mode`` selects the paper's two operation styles:
 
     * ``"polling"`` — the executive's loop calls :meth:`poll` every
-      quantum; the PT must never block in it;
+      quantum (woken by :meth:`notify_staged`); it must never block;
     * ``"task"`` — the PT owns a thread (or, in the simulation plane,
       a process) that pushes received frames asynchronously.
     """
@@ -98,10 +98,15 @@ class PeerTransport(Listener):
 
     @property
     def has_pending(self) -> bool:
-        """True when data is staged awaiting the next ``poll`` — the
-        executive's idleness test must include this, or work parked in
-        a polling transport would be invisible."""
+        """True when the next ``poll`` would ingest staged data: a
+        ``start()``ed loop does not park while it is, and whoever
+        stages data calls :meth:`notify_staged` afterwards."""
         return False
+
+    def notify_staged(self) -> None:
+        """Wake the executive that will ``poll`` what was just staged."""
+        if self.executive is not None:
+            self.executive.msgi.wake()
 
     def suspend(self) -> None:
         """Paper §4: it is "advisable ... to suspend other PTs during
@@ -110,6 +115,7 @@ class PeerTransport(Listener):
 
     def resume(self) -> None:
         self.suspended = False
+        self.notify_staged()  # data may have been staged meanwhile
 
     def crash_detach(self) -> None:
         """Abandon the medium as a crashed node would: no draining, no

@@ -24,6 +24,7 @@ identically.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.i2o.frame import HEADER_SIZE, Frame
@@ -71,7 +72,7 @@ class FaultyLoopbackTransport(LoopbackTransport):
         self.corrupted = 0
         self.delayed = 0
         self.partition_dropped = 0
-        self._delayed_queue: list[StagedItem] = []
+        self._delayed_queue: deque[StagedItem] = deque()
         self._partitioned: set[int] | object = set()
 
     # -- partition fault ---------------------------------------------------
@@ -140,6 +141,7 @@ class FaultyLoopbackTransport(LoopbackTransport):
             else:
                 dest._staged.append(delivery)
         self.network.messages += 1
+        dest.notify_staged()
 
     def _staged_bytes(self, item: StagedItem) -> bytes:
         """Serialise a staged item's frame (the copy-on-mutate copy)."""
@@ -161,21 +163,22 @@ class FaultyLoopbackTransport(LoopbackTransport):
         """
         if self.suspended:
             return False
-        got = False
-        staged, self._staged = self._staged, []
-        for item in staged:
+        staged = self._staged
+        # A dropped item counts too: the queue did move.
+        got = bool(staged or self._delayed_queue)
+        for _ in range(len(staged)):
+            item = staged.popleft()
             if self.is_cut(item[0]):
                 self.partition_dropped += 1
                 self.release_staged(item)
-                got = True  # consumed (dropped) — the queue did move
-                continue
-            self.ingest_staged(item)
-            got = True
-        if self._delayed_queue:
-            self._staged.extend(self._delayed_queue)
-            self._delayed_queue.clear()
-            got = True
+            else:
+                self.ingest_staged(item)
+        self._promote_delayed()
         return got
+
+    def _promote_delayed(self) -> None:
+        delayed = self._delayed_queue  # popleft: senders append meanwhile
+        self._staged.extend(delayed.popleft() for _ in range(len(delayed)))
 
     def flush(self) -> bool:
         """Idle-drain: deliver everything — including delayed traffic —
@@ -184,16 +187,14 @@ class FaultyLoopbackTransport(LoopbackTransport):
         in the delay queue."""
         if not (self._staged or self._delayed_queue):
             return False
-        self._staged.extend(self._delayed_queue)
-        self._delayed_queue.clear()
+        self._promote_delayed()
         return self.poll()
 
     def crash_detach(self) -> None:
-        for item in self._delayed_queue:
-            self.release_staged(item)
-        self._delayed_queue.clear()
+        while self._delayed_queue:
+            self.release_staged(self._delayed_queue.popleft())
         super().crash_detach()
 
     @property
     def has_pending(self) -> bool:
-        return bool(self._staged) or bool(self._delayed_queue)
+        return bool(self._staged or self._delayed_queue) and not self.suspended

@@ -12,6 +12,7 @@ the lowest-latency option in the native plane.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.i2o.frame import Frame
@@ -50,22 +51,21 @@ class LoopbackNetwork:
             raise TransportError(f"no loopback endpoint for node {node}")
         return ep
 
-    def nodes(self) -> list[int]:
-        return sorted(self._endpoints)
-
 
 class LoopbackTransport(PeerTransport):
     """Zero-wire, zero-copy transport over a :class:`LoopbackNetwork`.
 
     Polling mode: delivery deposits the block-handoff item into the
-    destination endpoint's staging list, drained by the destination
-    executive's next ``poll``.
+    destination endpoint's staging deque and wakes the destination
+    executive, whose next ``poll`` drains it — on its own thread when
+    the executives are ``start()``ed (``append``/``popleft`` are atomic,
+    so a sender on another thread needs no lock).
     """
 
     def __init__(self, network: LoopbackNetwork, name: str = "loopback") -> None:
         super().__init__(name=name, mode="polling")
         self.network = network
-        self._staged: list[StagedItem] = []
+        self._staged: deque[StagedItem] = deque()
 
     def on_plugin(self) -> None:
         exe = self._require_live()
@@ -78,13 +78,16 @@ class LoopbackTransport(PeerTransport):
         item = self.make_handoff(frame)
         self.network.messages += 1
         dest._staged.append(item)
+        dest.notify_staged()
 
     def poll(self) -> bool:
-        if not self._staged or self.suspended:
+        staged = self._staged
+        if not staged or self.suspended:
             return False
-        staged, self._staged = self._staged, []
-        for item in staged:
-            self.ingest_staged(item)
+        # What was staged when the poll began: a peer that keeps
+        # sending from its own thread cannot hold this loop here.
+        for _ in range(len(staged)):
+            self.ingest_staged(staged.popleft())
         return True
 
     def crash_detach(self) -> None:
@@ -92,9 +95,8 @@ class LoopbackTransport(PeerTransport):
         *other* nodes' pools — the OS analogue is reclaiming a dead
         process's mapped memory) and leave the network so senders get
         fail-fast transport errors until a replacement rejoins."""
-        for item in self._staged:
-            self.release_staged(item)
-        self._staged.clear()
+        while self._staged:
+            self.release_staged(self._staged.popleft())
         exe = self.executive
         if exe is not None:
             self.network.leave(exe.node, self)
@@ -102,4 +104,4 @@ class LoopbackTransport(PeerTransport):
 
     @property
     def has_pending(self) -> bool:
-        return bool(self._staged)
+        return bool(self._staged) and not self.suspended

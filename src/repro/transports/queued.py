@@ -8,7 +8,7 @@ copies); the block's refcount is guarded by its allocator's lock, so
 the cross-thread handoff is safe.  Supports both PT operation modes:
 
 * **polling** — the executive's loop drains the receive queue each
-  quantum (non-blocking);
+  quantum (non-blocking); a transmit wakes the receiving loop;
 * **task** — the PT runs a reader thread that blocks on the queue and
   posts frames the moment they arrive, like the paper's Myrinet/GM PT
   which "ran as a thread".
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import queue
 import threading
+import time
 from typing import TYPE_CHECKING
 
 from repro.i2o.frame import Frame
@@ -40,12 +41,9 @@ class QueuePair:
             node_a: queue.SimpleQueue(),
             node_b: queue.SimpleQueue(),
         }
-
-    def send_to(self, node: int, item: object) -> None:
-        q = self._queues.get(node)
-        if q is None:
-            raise TransportError(f"queue pair does not reach node {node}")
-        q.put(item)
+        #: node -> the polling endpoint that drains its queue, woken
+        #: by every transmit toward it (a task-mode reader wakes itself)
+        self.pollers: dict[int, "QueueTransport"] = {}
 
     def receive_queue(self, node: int) -> "queue.SimpleQueue[object]":
         q = self._queues.get(node)
@@ -82,7 +80,9 @@ class QueueTransport(PeerTransport):
                 f"executive node {exe.node} is not an endpoint of this pair"
             )
         self._rx = self.pair.receive_queue(exe.node)
-        if self.mode == "task":
+        if self.mode == "polling":
+            self.pair.pollers[exe.node] = self
+        else:
             self._stop.clear()
             self._reader = threading.Thread(
                 target=self._reader_loop, name=f"pt-{self.name}", daemon=True
@@ -108,6 +108,9 @@ class QueueTransport(PeerTransport):
         rx = self.pair.receive_queue(route.node)
         self.account_sent(frame.total_size)
         rx.put(self.make_handoff(frame))
+        poller = self.pair.pollers.get(route.node)
+        if poller is not None:
+            poller.notify_staged()
 
     # -- receive: polling mode ----------------------------------------------
     def poll(self) -> bool:
@@ -116,8 +119,6 @@ class QueueTransport(PeerTransport):
         if self.artificial_delay_s:
             # A deliberately slow poll (e.g. a select() on a TCP socket
             # in the paper's warning about polling-mode mixing).
-            import time
-
             time.sleep(self.artificial_delay_s)
         got = False
         while True:
@@ -136,6 +137,7 @@ class QueueTransport(PeerTransport):
             self.mode == "polling"
             and self._rx is not None
             and not self._rx.empty()
+            and not self.suspended
         )
 
     # -- receive: task mode -------------------------------------------------
@@ -146,7 +148,5 @@ class QueueTransport(PeerTransport):
             if item is None:  # shutdown sentinel
                 continue
             if self.artificial_delay_s:
-                import time
-
                 time.sleep(self.artificial_delay_s)
             self.ingest_staged(item)

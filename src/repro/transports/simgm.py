@@ -22,7 +22,7 @@ Timing semantics in the simulation plane:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.flightrec.records import EV_FRAME_RELEASE
 from repro.hw.gm import GmPacket, GmPort
@@ -58,8 +58,6 @@ class SimGmTransport(PeerTransport):
         #: frames awaiting a free send token (GM back-pressure):
         #: (wire bytes, destination node, pool block)
         self._tx_backlog: list[tuple[bytes, int, object]] = []
-        #: set by the SimNode so arrivals wake a sleeping node process
-        self.wake_hook: Callable[[], None] | None = None
         #: the SimNode's cost ledger (``attach_transport_hooks``)
         self.ledger: "CostLedger | None" = None
 
@@ -118,8 +116,7 @@ class SimGmTransport(PeerTransport):
     def _on_packet(self, packet: GmPacket) -> None:
         src_node, frame_bytes = decode_wire(packet.data)
         self._staged.append((src_node, frame_bytes))
-        if self.wake_hook is not None:
-            self.wake_hook()
+        self.notify_staged()
 
     def poll(self) -> bool:
         if not self._staged or self.suspended:
@@ -130,10 +127,6 @@ class SimGmTransport(PeerTransport):
             assert self.port is not None
             self.port.provide_receive_buffer()
         return True
-
-    @property
-    def staged(self) -> int:
-        return len(self._staged)
 
     @property
     def has_pending(self) -> bool:

@@ -14,7 +14,7 @@ the inbound queue, the IOP replies through the outbound queue).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.hw.pci import HardwareFifo, IopBoard
 from repro.i2o.frame import Frame
@@ -46,10 +46,8 @@ class SimPciTransport(PeerTransport):
         self.board = board
         self.side = side
         self.peer_node = peer_node
-        self.wake_hook: Callable[[], None] | None = None
         #: the SimNode's cost ledger (``attach_transport_hooks``)
         self.ledger: "CostLedger | None" = None
-        self._staged: list[tuple[int, bytes]] = []
 
     # FIFO orientation: the host posts into board.inbound and fetches
     # from board.outbound; the IOP does the opposite (paper figure 2).
@@ -89,9 +87,8 @@ class SimPciTransport(PeerTransport):
                         lambda: dma_done(_t),
                     )
                     return
-                peer = self._peer_endpoint
-                if peer is not None and peer.wake_hook is not None:
-                    peer.wake_hook()
+                if self._peer_endpoint is not None:
+                    self._peer_endpoint.notify_staged()
 
             self.board.bus.transfer(len(data), dma_done)
 

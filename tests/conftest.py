@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -101,6 +102,42 @@ def assert_no_leaks(cluster: dict[int, Executive]) -> None:
             f"node {exe.node} leaked {exe.pool.in_flight} blocks"
         )
         assert_clean(exe.pool)  # no-op unless REPRO_SANITIZE=1
+
+
+def wait_for(predicate, timeout: float = 5.0) -> bool:
+    """Poll ``predicate`` until it holds or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return predicate()
+
+
+def all_parked(exes) -> bool:
+    """True once every ``start()``ed loop in ``exes`` has blocked
+    (announced its park, and stayed so)."""
+    if not wait_for(lambda: all(exe.msgi.parking for exe in exes)):
+        return False
+    time.sleep(0.02)
+    return all(exe.msgi.parking for exe in exes)
+
+
+def record_loop(exe: Executive) -> tuple[list[int], list[float | None]]:
+    """Count ``exe``'s ``step()`` calls and record every park timeout
+    (``None``: untimed).  Install before ``exe.start()``."""
+    steps: list[int] = []
+    parks: list[float | None] = []
+    step, wait = exe.step, exe.msgi.wait_for_work
+
+    def counted_step() -> bool:
+        steps.append(1)
+        return step()
+
+    def recorded_wait(timeout=None) -> bool:
+        parks.append(timeout)
+        return wait(timeout)
+
+    exe.step, exe.msgi.wait_for_work = counted_step, recorded_wait
+    return steps, parks
 
 
 @pytest.fixture

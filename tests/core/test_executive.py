@@ -25,7 +25,14 @@ from repro.i2o.tid import EXECUTIVE_TID, TID_BROADCAST
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.base import PeerTransport
 
-from tests.conftest import assert_no_leaks, make_loopback_cluster, pump
+from tests.conftest import (
+    all_parked,
+    assert_no_leaks,
+    make_loopback_cluster,
+    pump,
+    record_loop,
+    wait_for,
+)
 
 REMOTE_TID = 20
 
@@ -319,7 +326,7 @@ class TestThreadMode:
         exe.install(a)
         tb = exe.install(b)
         b.bind(0x01, lambda f: b.reply(f) if not f.is_reply else None)
-        exe.start(poll_interval=0.001)
+        exe.start()
         try:
             a.send(tb, b"threaded", xfunction=0x01)
             import time
@@ -361,46 +368,14 @@ class TestParkedLoop:
     Every wait here is bounded and every failure is an assertion.
     """
 
-    @staticmethod
-    def _instrument(exe: Executive) -> tuple[list, list]:
-        """Count ``step()`` calls and record every park timeout."""
-        steps: list[int] = []
-        parks: list[float | None] = []
-        step, wait = exe.step, exe.msgi.wait_for_work
-
-        def counted_step() -> bool:
-            steps.append(1)
-            return step()
-
-        def recorded_wait(timeout=None) -> bool:
-            parks.append(timeout)
-            return wait(timeout)
-
-        exe.step, exe.msgi.wait_for_work = counted_step, recorded_wait
-        return steps, parks
-
-    @staticmethod
-    def _wait(predicate, timeout: float = 5.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while not predicate() and time.monotonic() < deadline:
-            time.sleep(0.001)
-        return predicate()
-
-    def _parked(self, exe: Executive) -> bool:
-        """True once the loop has blocked (announced, and stayed so)."""
-        if not self._wait(lambda: exe.msgi.parking):
-            return False
-        time.sleep(0.02)
-        return exe.msgi.parking
-
     def test_idle_with_a_task_mode_pt_takes_no_steps_and_no_timer(self):
         exe = Executive()
         PeerTransportAgent.attach(exe).register(
             PeerTransport("task-pt", mode="task"), default=True)
-        steps, parks = self._instrument(exe)
-        exe.start(poll_interval=0.001)
+        steps, parks = record_loop(exe)
+        exe.start()
         try:
-            assert self._parked(exe)
+            assert all_parked([exe])
             before = len(steps)
             time.sleep(0.2)
             assert len(steps) - before == 0  # ~165 with the 1 ms tick
@@ -415,9 +390,9 @@ class TestParkedLoop:
         tid = exe.install(sink)
         exe.start()
         try:
-            assert self._parked(exe)
+            assert all_parked([exe])
             sink.send(tid, b"wake", xfunction=0x01)
-            assert self._wait(lambda: sink.got, timeout=1.0)
+            assert wait_for(lambda: sink.got, timeout=1.0)
         finally:
             exe.stop()
 
@@ -425,32 +400,42 @@ class TestParkedLoop:
         exe = Executive()
         alarm = _Alarm()
         exe.install(alarm)
-        steps, parks = self._instrument(exe)
+        steps, parks = record_loop(exe)
         armed = time.monotonic_ns()
         alarm.start_timer(50_000_000, context=1)
-        exe.start(poll_interval=0.001)
+        exe.start()
         try:
-            assert self._wait(lambda: 1 in alarm.fired_at, timeout=1.0)
+            assert wait_for(lambda: 1 in alarm.fired_at, timeout=1.0)
             late_ns = alarm.fired_at[1] - (armed + 50_000_000)
             assert -1_000_000 <= late_ns <= 100_000_000
             timed = [t for t in parks if t is not None]
             assert timed and max(timed) <= 0.050
             assert len(steps) <= 10  # slept to the deadline, did not tick
-            assert self._parked(exe) and parks[-1] is None  # disarmed: untimed
+            assert all_parked([exe]) and parks[-1] is None  # disarmed: untimed
         finally:
             exe.stop()
 
-    def test_a_polling_mode_pt_keeps_the_tick(self):
-        exe = Executive()
-        PeerTransportAgent.attach(exe).register(
-            PeerTransport("polling-pt", mode="polling"), default=True)
-        _steps, parks = self._instrument(exe)
-        exe.start(poll_interval=0.004)
+    def test_a_polling_pts_staging_wakes_the_untimed_park(self):
+        cluster = make_loopback_cluster(2)
+        sender, receiver = cluster[0], cluster[1]
+        sink, caller = Sink(), Sink("caller")
+        proxy = sender.create_proxy(1, receiver.install(sink))
+        sender.install(caller)
+        steps, parks = record_loop(receiver)
+        receiver.start()
         try:
-            assert self._wait(lambda: len(parks) >= 5, timeout=1.0)
-            assert set(parks) == {0.004}
+            assert all_parked([receiver])
+            idle_steps = len(steps)
+            caller.send(proxy, b"staged", xfunction=0x01)
+            sender.step()  # transmit: stages at node 1, nothing posted
+            assert wait_for(lambda: sink.got, timeout=1.0)
+            assert all_parked([receiver])
+            assert set(parks) == {None}  # never a tick, before or after
+            assert len(steps) - idle_steps <= 3
         finally:
-            exe.stop()
+            receiver.stop()
+        pump(cluster)
+        assert_no_leaks(cluster)
 
     def test_timers_armed_from_another_thread_ring_the_parked_loop(self):
         exe = Executive()
@@ -460,14 +445,14 @@ class TestParkedLoop:
         rng = random.Random(24)
         deadlines: dict[int, int] = {}
         try:
-            assert self._parked(exe)
+            assert all_parked([exe])
             for context in range(2_000):
                 delay_ns = rng.randrange(0, 30_000_000)
                 deadlines[context] = time.monotonic_ns() + delay_ns
                 alarm.start_timer(delay_ns, context=context)
                 if context % 100 == 0:
                     time.sleep(0.005)  # let the loop park again in between
-            assert self._wait(lambda: len(alarm.fired_at) == len(deadlines))
+            assert wait_for(lambda: len(alarm.fired_at) == len(deadlines))
         finally:
             exe.stop()
         assert len(alarm.fired_at) == 2_000, "an expiry was never dispatched"
@@ -481,7 +466,7 @@ class TestParkedLoop:
         exe.start()
         thread = exe._thread
         try:
-            assert self._parked(exe)
+            assert all_parked([exe])
             started = time.monotonic()
             getattr(exe, how)()
             thread.join(timeout=5.0)

@@ -209,7 +209,7 @@ class TestSeamSemantics:
         exe.install(spinner)
         spinner.send(spinner.tid, b"", xfunction=XFN)
         observer = Pairing()
-        exe.start(poll_interval=0.0005)
+        exe.start()
         try:
             deadline = time.monotonic() + 5.0
             toggles = 0

@@ -75,7 +75,7 @@ class TestDaqOverTcpThreads:
     def test_event_building_over_sockets(self, tcp_cluster):
         evm, trigger, rus, bus = wire_daq(tcp_cluster, mean_fragment=256)
         for exe in tcp_cluster.values():
-            exe.start(poll_interval=0.001)
+            exe.start()
         trigger_events = 12
         # fire from within the cluster's own thread context via timer-free
         # direct calls; sends are thread-safe (queues + locks).

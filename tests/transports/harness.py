@@ -188,7 +188,7 @@ def make_tcp() -> TransportHarness:
     pts[0].add_peer(1, "127.0.0.1", pts[1].bound_port)
     pts[1].add_peer(0, "127.0.0.1", pts[0].bound_port)
     for exe in exes.values():
-        exe.start(poll_interval=0.001)
+        exe.start()
 
     def run_until(predicate, timeout=10.0):
         deadline = time.monotonic() + timeout

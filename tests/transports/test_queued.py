@@ -38,8 +38,6 @@ class TestQueuePair:
     def test_unknown_node_rejected(self):
         pair = QueuePair(0, 1)
         with pytest.raises(TransportError):
-            pair.send_to(5, b"x")
-        with pytest.raises(TransportError):
             pair.receive_queue(5)
 
     def test_wrong_executive_node_rejected(self):
@@ -57,7 +55,7 @@ class TestTaskMode:
         caller = Caller()
         exes[0].install(caller)
         for exe in exes.values():
-            exe.start(poll_interval=0.001)
+            exe.start()
         try:
             caller.send(exes[0].create_proxy(1, echo_tid), b"task",
                         xfunction=0x1)

@@ -53,7 +53,7 @@ def _pause_threads(harness):
 def _resume_threads(harness):
     if harness.name == "tcp":
         for exe in harness.exes.values():
-            exe.start(poll_interval=0.001)
+            exe.start()
 
 
 def test_restart_replay_exactly_once_within_copy_budget(harness, tmp_path):

@@ -57,7 +57,6 @@ class TestGmTransportInternals:
         assert pt.port is not None
         assert pt.port.dropped == 0
         # All provided buffers returned: pending backlog empty.
-        assert pt.staged == 0
         assert not pt.has_pending
 
     def test_wire_counter_matches_rounds(self):
