@@ -45,6 +45,7 @@ from __future__ import annotations
 import importlib
 import os
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Any, Iterator
 
 from repro.config.schema import (
@@ -149,8 +150,11 @@ class Cluster:
     # -- operation -----------------------------------------------------------
     def pump(self, max_rounds: int = 1_000_000) -> int:
         """Step every executive until the cluster is idle."""
+        # ``map``, not a generator: ``any`` stopping early would close a
+        # generator with a raised GeneratorExit on every busy round.
+        step = methodcaller("step")
         for rounds in range(max_rounds):
-            if not any(exe.step() for exe in self.executives.values()):
+            if not any(map(step, self.executives.values())):
                 return rounds
         raise BootstrapError("cluster did not go idle")
 

@@ -8,10 +8,11 @@ instances, but the executive performs the dispatching."*
 
 A :class:`DispatchTable` maps a message discriminator — the function
 code, plus the ``XFunctionCode`` for private messages — to a
-:class:`Functor`.  The two-step ``prepare``/``invoke`` split of the
-functor mirrors the paper's whitebox stages: *upcall of functor*
-(argument binding and validation) versus *application* (the user
-code).
+:class:`Functor`.  The executive reaches the user code in two steps
+that mirror the paper's whitebox stages: :meth:`Functor.prepare` is the
+*upcall of functor* (validate the frame against the binding, hand back
+the bound handler) and calling that handler with the frame is the
+*application* (the user code).
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ class Functor:
         self.key = key
         self.calls = 0
 
-    def prepare(self, frame: Frame) -> Callable[[], object]:
+    def prepare(self, frame: Frame) -> Handler:
         """The upcall: validate the frame against the binding and
-        return the zero-argument application thunk."""
+        return the handler; the caller applies it to the frame."""
         func, xfunc = self.key
         if func != -1 and (  # -1: the default functor takes anything
             frame.function != func or (func == PRIVATE and frame.xfunction != xfunc)
@@ -57,8 +58,7 @@ class Functor:
                 f"reached functor bound to {function_name(func)}/0x{xfunc:04X}"
             )
         self.calls += 1
-        handler = self.handler
-        return lambda: handler(frame)
+        return self.handler
 
 
 class DispatchTable:

@@ -886,7 +886,7 @@ class Executive:
 
     def _enqueue(self, frame: Frame) -> None:
         """Push a frame for dispatch, marking its queue-entry time when
-        a recorder is attached (queue wait rides ``dispatch-begin``)."""
+        a recorder is attached (queue wait rides the ``dispatch`` record)."""
         if self.flightrec is not None:
             frame.trace_mark = self.clock.now_ns()
         self.scheduler.push(frame)
@@ -913,13 +913,12 @@ class Executive:
                     self.dropped += 1
                     outcome = OUTCOME_VANISHED
                     return True
-                functor = device.table.lookup(frame)
-                thunk = functor.prepare(frame)
+                handler = device.table.lookup(frame).prepare(frame)
                 if self.watchdog is not None:
                     with self.watchdog.guard(label=device.name):
-                        result = thunk()
+                        result = handler(frame)
                 else:
-                    result = thunk()
+                    result = handler(frame)
                 outcome = OUTCOME_OK
             except WatchdogTimeout as exc:
                 self._quarantine(frame.target, str(exc))

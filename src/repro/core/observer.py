@@ -33,12 +33,14 @@ class DispatchRecord:
     )
 
     def __init__(self, node: int, frame: "Frame", start_ns: int) -> None:
+        # The decoded header slots, read directly: one per dispatch, and
+        # a SharedFrame's per-delivery target lives in the slot too.
         self.node = node
-        self.target = frame.target
-        self.function = frame.function
-        self.xfunction = frame.xfunction
+        self.target = frame._target
+        self.function = frame._function
+        self.xfunction = frame._xfunction
         #: ``context``: the ``transaction_context`` (a trace id when tagged)
-        self.context = frame.transaction_context
+        self.context = frame._transaction_context
         #: when the frame entered the scheduler (``None`` = not noted)
         self.enqueued_ns = frame.trace_mark
         frame.trace_mark = None

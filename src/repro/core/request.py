@@ -9,6 +9,7 @@ correlation") states the contract and lists the devices built on it.
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 from typing import Callable, Hashable
 
@@ -19,9 +20,10 @@ from repro.i2o.function_codes import PRIVATE
 from repro.i2o.tid import Tid
 
 #: Wall-clock bound on a wait whose executive runs in its own loop
-#: thread (pump counts mean nothing there), and the sleep between checks.
+#: thread (pump counts mean nothing there), and how long such a wait
+#: parks between calls of its ``pump``, when it has one.
 THREADED_WAIT_S = 5.0
-PARK_SLICE_S = 0.001
+PUMP_SLICE_S = 0.001
 
 
 class Requester(Listener):
@@ -47,6 +49,9 @@ class Requester(Listener):
         #: replies whose context was unknown: abandoned after a
         #: timeout, superseded in their slot, or never ours
         self.late_replies = 0
+        #: rung after every reply callback: what a waiter on another
+        #: thread than the loop of control parks on (:meth:`wait_until`)
+        self._replied = threading.Event()
 
     @property
     def outstanding(self) -> int:
@@ -105,6 +110,7 @@ class Requester(Listener):
             self.late_replies += 1
             return
         callback(frame)
+        self._replied.set()
 
     def on_unsolicited(self, frame: Frame) -> None:
         """Override: a *request* arrived on a code bound for replies.
@@ -118,7 +124,8 @@ class Requester(Listener):
         """The one wait loop: until ``done()``, call ``pump`` and step
         this device's executive, at most ``max_pumps`` times.  An
         executive stepped by its own live loop thread must not be
-        stepped from here (thread affinity): the caller parks instead,
+        stepped from here (thread affinity): the caller parks on the
+        reply ring instead (a ``pump`` wakes it every ``PUMP_SLICE_S``),
         at most ``THREADED_WAIT_S``.  On timeout ``context`` is
         abandoned and ``error_type`` raised.
         """
@@ -126,10 +133,14 @@ class Requester(Listener):
         if exe.stepped_elsewhere():
             bound = f"{THREADED_WAIT_S} s"
             deadline = time.monotonic() + THREADED_WAIT_S
-            while not done() and time.monotonic() < deadline:
+            # Every reply-driven ``done`` turns true inside a callback,
+            # which runs before the ring; the check follows the clear.
+            while not done() and (left := deadline - time.monotonic()) > 0:
                 if self.pump is not None:
                     self.pump()
-                time.sleep(PARK_SLICE_S)
+                    left = min(left, PUMP_SLICE_S)
+                self._replied.wait(left)
+                self._replied.clear()
         else:
             bound = f"{self.max_pumps} pumps"
             for _ in range(self.max_pumps):

@@ -14,7 +14,7 @@ another is served twice (fairness is property-tested).
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import NUM_PRIORITIES, Frame
@@ -25,11 +25,13 @@ class PriorityScheduler:
     """Seven priority levels × per-device FIFOs with round-robin service."""
 
     def __init__(self) -> None:
-        # priority -> OrderedDict(tid -> deque of frames); the OrderedDict
-        # order *is* the round-robin ring: serving a device moves it to
-        # the back of the ring if it still has frames queued.
-        self._levels: list[OrderedDict[Tid, deque[Frame]]] = [
-            OrderedDict() for _ in range(NUM_PRIORITIES)
+        # Per priority: the round-robin ring of the devices whose FIFO is
+        # non-empty, in service order, and every device's FIFO, kept
+        # alive while the device is (a ping-pong would otherwise build
+        # and drop one per message).  Serving a device pops it off the
+        # front of the ring and re-appends it if frames remain.
+        self._levels: list[tuple[deque[Tid], dict[Tid, deque[Frame]]]] = [
+            (deque(), {}) for _ in range(NUM_PRIORITIES)
         ]
         self._depth = 0
         self.pushed = 0
@@ -46,12 +48,13 @@ class PriorityScheduler:
         priority = frame.priority
         if not 0 <= priority < NUM_PRIORITIES:
             raise I2OError(f"frame priority {priority} out of range")
-        level = self._levels[priority]
+        ring, queues = self._levels[priority]
         target = frame.target
-        queue = level.get(target)
+        queue = queues.get(target)
         if queue is None:
-            queue = deque()
-            level[target] = queue
+            queue = queues[target] = deque()
+        if not queue:  # the device joins the back of the ring
+            ring.append(target)
         queue.append(frame)
         self._depth += 1
         self.pushed += 1
@@ -60,15 +63,15 @@ class PriorityScheduler:
         """Next frame by (priority, round-robin device) order, or None."""
         if self._depth == 0:
             return None
-        for level in self._levels:
-            if not level:
+        for ring, queues in self._levels:
+            if not ring:
                 continue
             # Serve the device at the front of the ring.
-            tid, queue = next(iter(level.items()))
+            tid = ring.popleft()
+            queue = queues[tid]
             frame = queue.popleft()
-            del level[tid]
             if queue:
-                level[tid] = queue  # re-insert at the back: round-robin
+                ring.append(tid)  # back of the ring: round-robin
             self._depth -= 1
             self.popped += 1
             return frame
@@ -77,19 +80,20 @@ class PriorityScheduler:
     def depth_of(self, priority: int) -> int:
         if not 0 <= priority < NUM_PRIORITIES:
             raise I2OError(f"priority {priority} out of range")
-        return sum(len(q) for q in self._levels[priority].values())
+        return sum(len(q) for q in self._levels[priority][1].values())
 
     def pending_devices(self, priority: int) -> list[Tid]:
         """Devices with queued frames at ``priority``, in service order."""
-        return list(self._levels[priority])
+        return list(self._levels[priority][0])
 
     def drop_device(self, tid: Tid) -> list[Frame]:
         """Remove and return all frames queued for ``tid`` (device
         destroyed / quarantined by the watchdog)."""
         dropped: list[Frame] = []
-        for level in self._levels:
-            queue = level.pop(tid, None)
+        for ring, queues in self._levels:
+            queue = queues.pop(tid, None)
             if queue:
+                ring.remove(tid)
                 dropped.extend(queue)
         self._depth -= len(dropped)
         return dropped

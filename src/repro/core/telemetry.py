@@ -55,7 +55,7 @@ MT_PARAMS_SWEEP = message_type(
 #: untagged, so the tracer never mistakes it for a trace id.
 SWEEP_CONTEXT = 0x5EE9
 
-#: Agent parameter keys carrying encoded hops: ``s<begin-record seq>``.
+#: Agent parameter keys carrying encoded hops: ``s<dispatch-record seq>``.
 _HOP_KEY = re.compile(r"^s\d+$")
 
 _HOP_FIELDS = len(dataclasses.fields(Hop))

@@ -21,8 +21,8 @@ small integers.  Layout::
 The tracer only *stamps*: it allocates ids and keeps the in-dispatch
 context that lets a handler's sends join the dispatched frame's trace.
 It stores nothing per hop — the per-hop facts are the flight
-recorder's ``dispatch-begin``/``dispatch-end`` records, and a span is
-a projection of one such pair
+recorder's ``dispatch`` records, and a span is a projection of one
+such record
 (:func:`repro.flightrec.timeline.project_hops`); a node that should
 report hops attaches a ``FlightRecorder`` beside its tracer.
 

@@ -6,7 +6,7 @@
 * :func:`load_dump` / :func:`load_dumps` / :class:`FlightDump` — dump
   verification and decoding;
 * :func:`project_hops` / :class:`Hop` — a node's traced dispatches,
-  projected from its begin/end record pairs;
+  projected from its ``dispatch`` records;
 * :class:`MergedTimeline` — multi-node causal stitching by trace id
   and reliable sequence number, over dumps or live recorders;
 * the ``EV_*`` kinds and their argument contract live in

@@ -21,7 +21,7 @@ Dump layout (little-endian)::
     offset  size  field
     ------  ----  ---------------------------------------------------
        0      4   magic       b"FREC"
-       4      2   version     (1)
+       4      2   version     (2)
        6      2   node        recording executive's node id
        8      2   record size (48; readers refuse other sizes)
       10      2   reserved    (0)
@@ -44,8 +44,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.observer import OUTCOME_HANDLER_ERROR, DispatchObserver, DispatchRecord
 from repro.flightrec.records import (
-    EV_DISPATCH_BEGIN,
-    EV_DISPATCH_END,
+    EV_DISPATCH,
     EV_DISPATCH_ERROR,
     EV_FRAME_ALLOC,
     EV_FRAME_RELEASE,
@@ -70,12 +69,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 logger = logging.getLogger(__name__)
 
 DUMP_MAGIC = 0x43455246  # b"FREC" little-endian
-DUMP_VERSION = 1
+DUMP_VERSION = 2  # 2: one ``dispatch`` record replaced the begin/end pair
 #: magic, version, node, record size, reserved, capacity, total, crc, reason
 DUMP_HEADER = struct.Struct("<IHHHHIQI24s")
 DUMP_HEADER_SIZE = DUMP_HEADER.size  # 52
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+_pack_into = RECORD_STRUCT.pack_into
 
 #: Spills one recorder writes for *survivable* incidents (handler
 #: exceptions here, budget overruns in ``SlowFrameWatch``): a device
@@ -93,8 +93,8 @@ _SANITIZER_CODES = {
 class FlightRecorder(DispatchObserver):
     """Per-executive bounded event ring with crash spill-to-disk.
 
-    A dispatch observer: ``exe.attach(FlightRecorder(...))`` brackets
-    every dispatch with begin/end records and sets ``exe.flightrec``,
+    A dispatch observer: ``exe.attach(FlightRecorder(...))`` writes one
+    ``dispatch`` record per dispatch and sets ``exe.flightrec``,
     which the fabric's other record sites read.  The ring is the only
     per-node store of frame-lifecycle facts: spans, critical paths and
     post-mortems are projections of it
@@ -149,16 +149,14 @@ class FlightRecorder(DispatchObserver):
         return max(0, self._seq - self.capacity)
 
     # -- the hot path --------------------------------------------------------
+    # The hottest sites (dispatch, alloc, release) inline this method's
+    # body: a Python call is a sizeable share of a record's cost (X9).
     def record(
         self, kind: int, a: int = 0, b: int = 0, c: int = 0,
-        t_ns: int | None = None,
+        t_ns: int | None = None, d: int = 0,
     ) -> None:
-        """Write one event into the ring (wrapping over the oldest).
-
-        Callers that already hold a clock reading (a dispatch record's
-        ``start_ns``/``end_ns``) pass it as ``t_ns`` to avoid a second
-        clock read; otherwise the recorder reads its own clock.
-        """
+        """Write one event into the ring (wrapping over the oldest),
+        stamped ``t_ns`` or, when that is ``None``, a fresh clock read."""
         if t_ns is None:
             clock = self.clock
             t_ns = clock.now_ns() if clock is not None \
@@ -167,14 +165,12 @@ class FlightRecorder(DispatchObserver):
         self._seq = seq + 1
         offset = (seq % self.capacity) * RECORD_SIZE
         try:
-            RECORD_STRUCT.pack_into(self._ring, offset, seq, t_ns, a, b, c, kind)
+            _pack_into(self._ring, offset, seq, t_ns, a, b, c, kind | d << 8)
         except struct.error:
             # An argument outside u64 (a negative duration under a
             # manual clock): wrap it rather than lose the record.
-            RECORD_STRUCT.pack_into(
-                self._ring, offset,
-                seq, t_ns & _U64, a & _U64, b & _U64, c & _U64, kind & 0xFF,
-            )
+            _pack_into(self._ring, offset, seq, t_ns & _U64, a & _U64, b & _U64,
+                       c & _U64, (kind & 0xFF) | ((d << 8) & _U64))
 
     @property
     def records(self) -> tuple[FlightRecord, ...]:
@@ -185,10 +181,20 @@ class FlightRecorder(DispatchObserver):
 
     # -- the executive's own record sites ------------------------------------
     def note_alloc(self, size: int, in_flight: int) -> None:
-        self.record(EV_FRAME_ALLOC, size, in_flight)
+        clock = self.clock
+        t_ns = clock.now_ns() if clock is not None else time.perf_counter_ns()
+        seq = self._seq
+        self._seq = seq + 1
+        _pack_into(self._ring, (seq % self.capacity) * RECORD_SIZE,
+                   seq, t_ns, size, in_flight, 0, EV_FRAME_ALLOC)
 
     def note_release(self, context: int) -> None:
-        self.record(EV_FRAME_RELEASE, context)
+        clock = self.clock
+        t_ns = clock.now_ns() if clock is not None else time.perf_counter_ns()
+        seq = self._seq
+        self._seq = seq + 1
+        _pack_into(self._ring, (seq % self.capacity) * RECORD_SIZE,
+                   seq, t_ns, context, 0, 0, EV_FRAME_RELEASE)
 
     # -- the observer contract -----------------------------------------------
     def on_attach(self, exe: "Executive") -> None:
@@ -244,31 +250,36 @@ class FlightRecorder(DispatchObserver):
         self.record(EV_SANITIZER, _SANITIZER_CODES.get(kind, 0))
         self.spill("sanitizer")
 
-    # Both dispatch records inline pack3(target, function, xfunction):
-    # the fields come from a validated header, already in range, and
-    # this is the recorder's hottest path (X9).
-    def dispatch_begin(self, rec: DispatchRecord) -> None:
-        enqueued = rec.enqueued_ns
-        self.record(
-            EV_DISPATCH_BEGIN, rec.context,
-            (rec.target << 32) | (rec.function << 16) | rec.xfunction,
-            rec.start_ns - enqueued if enqueued is not None else 0,
-            rec.start_ns,
-        )
-
+    # One record per dispatch, written when it is over: start time,
+    # queue wait and duration ride together, so the ring pays one pack
+    # per dispatch and the recorder needs no ``dispatch_begin``.  The
+    # header inlines pack3(target, function, xfunction): the fields
+    # come from a validated header, already in range, and this is the
+    # recorder's hottest path (X9).
     def dispatch_end(self, rec: DispatchRecord) -> None:
+        start = rec.start_ns
+        enqueued = rec.enqueued_ns
+        wait = start - enqueued if enqueued is not None else 0
         hdr = (rec.target << 32) | (rec.function << 16) | rec.xfunction
         if rec.outcome == OUTCOME_HANDLER_ERROR:
             self.record(EV_DISPATCH_ERROR, rec.context, hdr, 0, rec.end_ns)
-            if self._exception_spills < MAX_INCIDENT_SPILLS:
-                self._exception_spills += 1
-                self.spill("dispatch-exception")
-            else:
-                self.suppressed_spills += 1
-        self.record(
-            EV_DISPATCH_END, rec.context, hdr,
-            rec.end_ns - rec.start_ns, rec.end_ns,
-        )
+        seq = self._seq
+        self._seq = seq + 1
+        try:
+            _pack_into(self._ring, (seq % self.capacity) * RECORD_SIZE,
+                       seq, start, rec.context, hdr, wait,
+                       EV_DISPATCH | (rec.end_ns - start) << 8)
+        except struct.error:
+            self._seq = seq
+            self.record(EV_DISPATCH, rec.context, hdr, wait, start,
+                        rec.end_ns - start)
+        if rec.outcome != OUTCOME_HANDLER_ERROR:
+            return
+        if self._exception_spills < MAX_INCIDENT_SPILLS:
+            self._exception_spills += 1
+            self.spill("dispatch-exception")
+        else:
+            self.suppressed_spills += 1
 
     # -- spill ---------------------------------------------------------------
     def ring_bytes(self) -> bytes:

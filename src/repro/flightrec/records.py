@@ -14,9 +14,10 @@ hot path, matching the tracer's discipline)::
       24      8   b       event argument
       32      8   c       event argument
       40      1   kind    event kind (EV_*)
-      41      7   padding (zero)
+      41      7   d       event argument, 56 bits (zero for most kinds)
 
-What ``a``/``b``/``c`` mean for each kind — the contract every record
+The last word is packed as ``kind | d << 8``.  What ``a``/``b``/``c``/``d``
+mean for each kind — the contract every record
 site, the decoder and the timeline merge rely on — is written once, in
 executable form: the :data:`ARGUMENTS` table at the bottom of this
 module, which is also what renders a record for humans.  There ``ctx``
@@ -33,14 +34,13 @@ from dataclasses import dataclass
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import function_name
 
-#: seq, t_ns, a, b, c (u64 each) + kind (u8) + 7 pad bytes
-RECORD_STRUCT = struct.Struct("<QQQQQB7x")
+#: seq, t_ns, a, b, c (u64 each) + ``kind | d << 8`` (u64)
+RECORD_STRUCT = struct.Struct("<QQQQQQ")
 RECORD_SIZE = RECORD_STRUCT.size  # 48
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-EV_DISPATCH_BEGIN = 1
-EV_DISPATCH_END = 2
+EV_DISPATCH = 1
 EV_DISPATCH_ERROR = 3
 EV_FRAME_ALLOC = 4
 EV_FRAME_RELEASE = 5
@@ -65,8 +65,7 @@ EV_DATAFLOW_RESUME = 23
 EV_SLOW_FRAME = 24
 
 KIND_NAMES: dict[int, str] = {
-    EV_DISPATCH_BEGIN: "dispatch-begin",
-    EV_DISPATCH_END: "dispatch-end",
+    EV_DISPATCH: "dispatch",
     EV_DISPATCH_ERROR: "dispatch-error",
     EV_FRAME_ALLOC: "frame-alloc",
     EV_FRAME_RELEASE: "frame-release",
@@ -141,6 +140,7 @@ class FlightRecord:
     b: int
     c: int
     kind: int
+    d: int = 0
 
     @property
     def kind_name(self) -> str:
@@ -151,19 +151,21 @@ class FlightRecord:
         arguments = ARGUMENTS.get(self.kind)
         if arguments is None:
             return self.kind_name
-        return f"{self.kind_name:<16} {arguments(self.a, self.b, self.c)}"
+        return f"{self.kind_name:<16} {arguments(self.a, self.b, self.c, self.d)}"
 
     def pack(self) -> bytes:
         return RECORD_STRUCT.pack(
             self.seq & _U64, self.t_ns & _U64, self.a & _U64,
-            self.b & _U64, self.c & _U64, self.kind & 0xFF,
+            self.b & _U64, self.c & _U64,
+            (self.kind & 0xFF) | ((self.d << 8) & _U64),
         )
 
 
 def decode_records(body: bytes) -> tuple[FlightRecord, ...]:
     """Decode a run of packed records (a ring's or a dump's body)."""
     return tuple(
-        FlightRecord(*fields) for fields in RECORD_STRUCT.iter_unpack(body)
+        FlightRecord(seq, t_ns, a, b, c, last & 0xFF, last >> 8)
+        for seq, t_ns, a, b, c, last in RECORD_STRUCT.iter_unpack(body)
     )
 
 
@@ -172,46 +174,45 @@ def _hdr(b: int) -> str:
     return f"tid={target} fn={function_name(function)} xfn={xfunction:#06x}"
 
 
-def _edge(a: int, b: int, c: int) -> str:
+def _edge(a: int, b: int, c: int, d: int) -> str:
     node, tid, xfunction = unpack3(a)
     return f"edge=node{node}/tid{tid} xfn={xfunction:#06x} backlog={b}"
 
 
-def _seq_only(a: int, b: int, c: int) -> str:
+def _seq_only(a: int, b: int, c: int, d: int) -> str:
     return f"seq={a}"
 
 
-#: kind -> what its (a, b, c) arguments are, as their renderer.  Kinds
-#: absent here (``hard-stop``) carry no arguments.
+#: kind -> what its (a, b, c, d) arguments are, as their renderer.
+#: Kinds absent here (``hard-stop``) carry no arguments.
 ARGUMENTS = {
-    EV_DISPATCH_BEGIN: lambda a, b, c: f"ctx={a:#x} {_hdr(b)} waited={c}ns",
-    EV_DISPATCH_END: lambda a, b, c: f"ctx={a:#x} {_hdr(b)} took={c}ns",
-    EV_DISPATCH_ERROR: lambda a, b, c: f"ctx={a:#x} {_hdr(b)}",
-    EV_SLOW_FRAME: lambda a, b, c: f"ctx={a:#x} {_hdr(b)} took={c}ns",
-    EV_FRAME_ALLOC: lambda a, b, c: f"size={a} in_flight={b}",
-    EV_FRAME_RELEASE: lambda a, b, c: f"ctx={a:#x}",
-    EV_FRAME_TRANSMIT: lambda a, b, c: (
+    EV_DISPATCH: lambda a, b, c, d: f"ctx={a:#x} {_hdr(b)} waited={c}ns took={d}ns",
+    EV_DISPATCH_ERROR: lambda a, b, c, d: f"ctx={a:#x} {_hdr(b)}",
+    EV_SLOW_FRAME: lambda a, b, c, d: f"ctx={a:#x} {_hdr(b)} took={c}ns",
+    EV_FRAME_ALLOC: lambda a, b, c, d: f"size={a} in_flight={b}",
+    EV_FRAME_RELEASE: lambda a, b, c, d: f"ctx={a:#x}",
+    EV_FRAME_TRANSMIT: lambda a, b, c, d: (
         "ctx={:#x} dest=node{}/tid{} xfn={:#06x} size={}".format(
             a, *unpack3(b), c)
     ),
-    EV_FRAME_INGEST: lambda a, b, c: (
+    EV_FRAME_INGEST: lambda a, b, c, d: (
         "ctx={:#x} src=node{} tid={} xfn={:#06x} size={}".format(
             a, *unpack3(b), c)
     ),
-    EV_POOL_EXHAUSTED: lambda a, b, c: f"requested={a}",
-    EV_REL_SEND: lambda a, b, c: f"seq={a} dest=node{b} len={c}",
-    EV_REL_DELIVER: lambda a, b, c: f"seq={a} src=node{b} len={c}",
+    EV_POOL_EXHAUSTED: lambda a, b, c, d: f"requested={a}",
+    EV_REL_SEND: lambda a, b, c, d: f"seq={a} dest=node{b} len={c}",
+    EV_REL_DELIVER: lambda a, b, c, d: f"seq={a} src=node{b} len={c}",
     EV_REL_ACK: _seq_only,
     EV_JOURNAL_COMMIT: _seq_only,
     EV_JOURNAL_RETIRE: _seq_only,
-    EV_REL_RETRANSMIT: lambda a, b, c: f"seq={a} retries_left={b}",
-    EV_TIMER_FIRE: lambda a, b, c: f"timer={a} owner=tid{b} context={c:#x}",
-    EV_LIVENESS: lambda a, b, c: (
+    EV_REL_RETRANSMIT: lambda a, b, c, d: f"seq={a} retries_left={b}",
+    EV_TIMER_FIRE: lambda a, b, c, d: f"timer={a} owner=tid{b} context={c:#x}",
+    EV_LIVENESS: lambda a, b, c, d: (
         f"peer=node{a} -> {LIVENESS_NAMES.get(b, f'state{b}')}"
     ),
-    EV_CRASH_POINT: lambda a, b, c: CRASH_POINT_NAMES.get(a, f"code{a}"),
-    EV_WATCHDOG_TRIP: lambda a, b, c: f"quarantined=tid{a}",
-    EV_SANITIZER: lambda a, b, c: SANITIZER_NAMES.get(a, f"code{a}"),
+    EV_CRASH_POINT: lambda a, b, c, d: CRASH_POINT_NAMES.get(a, f"code{a}"),
+    EV_WATCHDOG_TRIP: lambda a, b, c, d: f"quarantined=tid{a}",
+    EV_SANITIZER: lambda a, b, c, d: SANITIZER_NAMES.get(a, f"code{a}"),
     EV_DATAFLOW_SHED: _edge,
     EV_DATAFLOW_PARK: _edge,
     EV_DATAFLOW_RESUME: _edge,

@@ -3,13 +3,13 @@
 A *source* is anything with a ``node`` and decoded ``records`` — a
 loaded dump (dead nodes included: they spilled at ``hard_stop``) or a
 live :class:`~repro.flightrec.recorder.FlightRecorder`.
-:func:`project_hops` turns one node's dispatch-begin/end pairs into
+:func:`project_hops` turns one node's ``dispatch`` records into
 the per-hop facts the telemetry agent exports and the critical-path
 analyzer decomposes.  :class:`MergedTimeline` joins sources on the two
 identifiers that already cross the wire:
 
 * **trace ids** — the 0xACE-tagged ``transaction_context``: a
-  ``frame-transmit`` on node A and a ``dispatch-begin`` on node B
+  ``frame-transmit`` on node A and a ``dispatch`` on node B
   carrying the same id are one message leaving and arriving;
 * **reliable sequence numbers** — a ``rel-send`` and a ``rel-deliver``
   with the same seq and node pair are one reliable message's two ends.
@@ -30,8 +30,7 @@ from typing import Any
 
 from repro.core.tracing import is_trace_context
 from repro.flightrec.records import (
-    EV_DISPATCH_BEGIN,
-    EV_DISPATCH_END,
+    EV_DISPATCH,
     EV_DISPATCH_ERROR,
     EV_FRAME_INGEST,
     EV_FRAME_TRANSMIT,
@@ -46,8 +45,7 @@ from repro.flightrec.records import (
 
 #: record kinds whose ``a`` argument is a frame ``transaction_context``
 _CTX_KINDS = frozenset((
-    EV_DISPATCH_BEGIN, EV_DISPATCH_END, EV_DISPATCH_ERROR,
-    EV_FRAME_TRANSMIT, EV_FRAME_INGEST,
+    EV_DISPATCH, EV_DISPATCH_ERROR, EV_FRAME_TRANSMIT, EV_FRAME_INGEST,
 ))
 
 #: the reliable stream's record kinds (``a`` is the stream seq)
@@ -63,10 +61,10 @@ RecordSource = Any
 
 @dataclass(frozen=True, slots=True)
 class Hop:
-    """One traced dispatch: a begin/end record pair of one node."""
+    """One traced dispatch: a ``dispatch`` record of one node."""
 
     trace_id: int
-    #: the begin record's ring sequence number — unique per node
+    #: the record's ring sequence number — unique per node
     seq: int
     node: int
     tid: int
@@ -87,23 +85,16 @@ hop_order = attrgetter("start_ns", "node", "seq")
 def project_hops(node: int, records: Iterable[FlightRecord]) -> list[Hop]:
     """The hops in one node's record stream, in dispatch order.
 
-    A hop is a ``dispatch-begin`` carrying a trace id followed by its
-    ``dispatch-end`` (dispatches of one loop of control do not
-    interleave).  A begin whose end is missing — the node died
-    mid-dispatch, or the ring overwrote half the pair — yields nothing.
+    A hop is a ``dispatch`` record carrying a trace id; it is written
+    when the dispatch is over, so a node that dies mid-dispatch leaves
+    no hop for it.
     """
-    hops: list[Hop] = []
-    begin: FlightRecord | None = None
-    for record in records:
-        if record.kind == EV_DISPATCH_BEGIN:
-            begin = record if is_trace_context(record.a) else None
-        elif record.kind == EV_DISPATCH_END and begin is not None:
-            hops.append(Hop(
-                begin.a, begin.seq, node, *unpack3(begin.b),
-                begin.t_ns, begin.c, record.c,
-            ))
-            begin = None
-    return hops
+    return [
+        Hop(record.a, record.seq, node, *unpack3(record.b),
+            record.t_ns, record.c, record.d)
+        for record in records
+        if record.kind == EV_DISPATCH and is_trace_context(record.a)
+    ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,7 +214,7 @@ class MergedTimeline:
 
         A reliable send is matched by a ``rel-deliver`` with the same
         (sender, dest, seq); a traced transmit is matched by a
-        ``dispatch-begin`` with the same trace id on *another* node
+        ``dispatch`` with the same trace id on *another* node
         (the same message may hop several times; any remote dispatch
         counts as arrival).
         """
@@ -239,7 +230,7 @@ class MergedTimeline:
                 None,
             )
             if transmit is not None and not any(
-                e.record.kind == EV_DISPATCH_BEGIN and e.node != transmit.node
+                e.record.kind == EV_DISPATCH and e.node != transmit.node
                 for e in events
             ):
                 out.append(

@@ -225,8 +225,9 @@ class TableAllocator(Allocator):
         self.max_bytes = max_bytes
         self.bytes_reserved = 0
         self._slabs: list[bytearray] = []
+        #: class size (= the capacity of its blocks) -> LIFO free list
         self._free: dict[int, list[PoolBlock]] = {
-            bits: [] for bits in range(_MIN_CLASS_BITS, _MAX_CLASS_BITS + 1)
+            1 << bits: [] for bits in range(_MIN_CLASS_BITS, _MAX_CLASS_BITS + 1)
         }
         self._block_index = 0
 
@@ -248,7 +249,7 @@ class TableAllocator(Allocator):
         self.bytes_reserved += slab_bytes
         self.stats.slabs_created += 1
         view = memoryview(slab)
-        free_list = self._free[bits]
+        free_list = self._free[class_size]
         for i in range(count):
             free_list.append(
                 self._make_block(
@@ -261,13 +262,13 @@ class TableAllocator(Allocator):
 
     def _acquire(self, size: int) -> PoolBlock:
         bits = _size_class_bits(size)
-        free_list = self._free[bits]
+        free_list = self._free[1 << bits]
         if not free_list:
             self._grow(bits)
         return free_list.pop()
 
     def _recycle(self, block: PoolBlock) -> None:
-        self._free[_size_class_bits(block.capacity)].append(block)
+        self._free[block.capacity].append(block)
         self.note_free(block)
 
     @property

@@ -120,16 +120,17 @@ class QueueTransport(PeerTransport):
             # A deliberately slow poll (e.g. a select() on a TCP socket
             # in the paper's warning about polling-mode mixing).
             time.sleep(self.artificial_delay_s)
+        # The poller is this queue's one consumer, so a non-empty queue
+        # stays non-empty until ``get_nowait``: no ``queue.Empty`` is
+        # raised to end a drain.
         got = False
-        while True:
-            try:
-                item = self._rx.get_nowait()
-            except queue.Empty:
-                return got
+        while not self._rx.empty():
+            item = self._rx.get_nowait()
             if item is None:  # shutdown sentinel
                 continue
             got = True
             self.ingest_staged(item)
+        return got
 
     @property
     def has_pending(self) -> bool:

@@ -29,7 +29,8 @@ class TestBinding:
         hits = []
         table.bind(PRIVATE, hits.append, xfunction=0x10)
         functor = table.lookup(private_frame(0x10))
-        functor.prepare(private_frame(0x10))()
+        frame = private_frame(0x10)
+        functor.prepare(frame)(frame)
         assert len(hits) == 1
 
     def test_bind_and_lookup_standard(self):
@@ -79,7 +80,8 @@ class TestDefaults:
         caught = []
         table.bind_default(caught.append)
         functor = table.lookup(private_frame(0x99))
-        functor.prepare(private_frame(0x99))()
+        frame = private_frame(0x99)
+        functor.prepare(frame)(frame)
         assert len(caught) == 1
 
     def test_exact_binding_beats_default(self):
@@ -103,12 +105,14 @@ class TestFunctorPrepare:
         with pytest.raises(DispatchError, match="bound to"):
             functor.prepare(private_frame(4))
 
-    def test_prepare_returns_thunk_carrying_frame(self):
+    def test_prepare_returns_bound_handler_and_still_validates(self):
         table = DispatchTable()
         got = []
         functor = table.bind(PRIVATE, got.append, xfunction=3)
         frame = private_frame(3)
-        thunk = functor.prepare(frame)
-        assert got == []  # not yet invoked
-        thunk()
-        assert got == [frame]
+        handler = functor.prepare(frame)
+        assert handler == got.append
+        assert got == []  # prepare validates; it does not apply
+        with pytest.raises(DispatchError, match="bound to"):
+            functor.prepare(private_frame(4))
+        assert functor.calls == 1

@@ -1,0 +1,93 @@
+"""Regression guard: the per-message path raises no exception.
+
+A raised-and-caught exception costs about ten times the test that
+avoids it, and the fast path once paid roughly ten per round trip:
+``IndexError`` from empty-deque pops in ``MessagingInstance.take_*``,
+``queue.Empty`` ending every ``QueueTransport.poll`` drain.  Each
+workload below runs under ``sys.settrace`` and counts ``exception``
+events in frames whose code lives in the ``repro`` package; the count
+must be zero.
+
+The mutant this must catch: restoring ``try: return
+self._inbound.popleft() except IndexError: return None`` in
+``MessagingInstance.take_inbound`` fails every case here.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+
+import repro
+from repro.config.bootstrap import bootstrap
+from repro.dataflow.examples import event_builder_spec
+from tests.transports.harness import Caller, Echo, make_loopback, make_queued
+
+PACKAGE = os.path.dirname(repro.__file__) + os.sep
+
+
+@contextmanager
+def exceptions_in_package() -> Iterator[list[str]]:
+    """Collect ``file:line ExceptionType`` for every exception event in
+    a ``repro`` frame while the block runs."""
+    seen: list[str] = []
+
+    def local(frame, event, arg):
+        if event == "exception":
+            seen.append(
+                f"{frame.f_code.co_filename}:{frame.f_lineno} {arg[0].__name__}"
+            )
+        return local
+
+    def call(frame, event, arg) -> Callable | None:
+        if not frame.f_code.co_filename.startswith(PACKAGE):
+            return None
+        frame.f_trace_lines = False
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        yield seen
+    finally:
+        sys.settrace(previous)
+
+
+def _round_trips(harness, count: int, burst: int) -> None:
+    echo_tid = harness.exes[1].install(Echo())
+    caller = Caller()
+    harness.exes[0].install(caller)
+    proxy = harness.exes[0].create_proxy(1, echo_tid)
+    for i in range(count // burst):
+        for _ in range(burst):
+            caller.send(proxy, b"x" * 64, xfunction=0x1)
+        expected = (i + 1) * burst
+        assert harness.run_until(lambda: len(caller.replies) == expected)
+
+
+def test_queue_transport_pingpong_raises_nothing():
+    harness = make_queued()
+    with exceptions_in_package() as seen:
+        _round_trips(harness, 200, burst=1)
+    harness.finish()
+    assert seen == []
+
+
+def test_loopback_flood_raises_nothing():
+    harness = make_loopback()
+    with exceptions_in_package() as seen:
+        _round_trips(harness, 256, burst=256)
+    harness.finish()
+    assert seen == []
+
+
+def test_stepped_event_builder_raises_nothing():
+    cluster = bootstrap(event_builder_spec(2, 2))
+    trigger, evm = cluster.device("trigger"), cluster.device("evm")
+    with exceptions_in_package() as seen:
+        fired = trigger.fire_burst(32)
+        cluster.pump()
+    assert len(fired) == 32 and evm.completed == 32
+    assert seen == []

@@ -136,6 +136,35 @@ def test_status_on_started_executives_steps_from_loop_threads_only(monkeypatch):
     assert_no_leaks(cluster)
 
 
+def test_threaded_wait_parks_on_the_reply_not_in_slices(monkeypatch):
+    """Without a pump, a waiter on a started executive blocks untimed
+    (up to the bound) on the reply ring: the one wait is the reply."""
+    cluster = make_loopback_cluster(2)
+    asker = Asker()
+    cluster[0].install(asker)
+    target = cluster[0].create_proxy(1, cluster[1].install(Answerer()))
+    timeouts: list[float | None] = []
+    real_wait = threading.Event.wait
+
+    def wait(self, timeout=None):
+        timeouts.append(timeout)
+        return real_wait(self, timeout)
+
+    monkeypatch.setattr(threading.Event, "wait", wait)
+    for exe in cluster.values():
+        exe.start()
+    try:
+        answers = [asker.ask(target, b"ping%d" % i, xfunction=XF_ASK)
+                   for i in range(20)]
+    finally:
+        for exe in cluster.values():
+            exe.stop()
+    assert answers == [(False, b"PING%d" % i) for i in range(20)]
+    assert timeouts and min(t for t in timeouts if t is not None) > 1.0
+    assert asker.outstanding == 0
+    assert_no_leaks(cluster)
+
+
 # -- defect 2: nothing grows while a peer stays silent ----------------------
 
 

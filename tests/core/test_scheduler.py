@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,3 +164,95 @@ class TestRoundRobin:
                     ring[target] = queue
                 expected.append((priority, target))
         assert popped == expected
+
+
+class _OrderedDictScheduler:
+    """The scheduler as it was before the kept-alive ring: one
+    ``OrderedDict(tid -> deque)`` per level, whose order *is* the ring
+    (a device is deleted when served and re-inserted if frames remain).
+    The reference the ring implementation must match step for step."""
+
+    def __init__(self) -> None:
+        from collections import OrderedDict
+
+        self.levels = [OrderedDict() for _ in range(NUM_PRIORITIES)]
+
+    def push(self, f: Frame) -> None:
+        self.levels[f.priority].setdefault(f.target, deque()).append(f)
+
+    def pop(self) -> Frame | None:
+        for level in self.levels:
+            if level:
+                tid, queue = next(iter(level.items()))
+                f = queue.popleft()
+                del level[tid]
+                if queue:
+                    level[tid] = queue
+                return f
+        return None
+
+    def drop_device(self, tid: int) -> list[Frame]:
+        dropped: list[Frame] = []
+        for level in self.levels:
+            dropped.extend(level.pop(tid, ()))
+        return dropped
+
+    def depth_of(self, priority: int) -> int:
+        return sum(len(q) for q in self.levels[priority].values())
+
+    def pending_devices(self, priority: int) -> list[int]:
+        return list(self.levels[priority])
+
+
+class TestKeptRing:
+    """The per-level ring of active TiDs beside kept-alive FIFOs."""
+
+    def test_drop_from_the_middle_of_the_ring_keeps_the_others_order(self):
+        sched = PriorityScheduler()
+        for target in (1, 2, 3, 4):
+            sched.push(frame(target))
+            sched.push(frame(target))
+        sched.pop()  # 1 rotates to the back: ring is 2, 3, 4, 1
+        assert [f.target for f in sched.drop_device(3)] == [3, 3]
+        assert sched.pending_devices(3) == [2, 4, 1]
+        order = [sched.pop().target for _ in range(len(sched))]
+        assert order == [2, 4, 1, 2, 4]
+        assert sched.pop() is None
+
+    def test_a_drained_device_rejoins_at_the_back(self):
+        sched = PriorityScheduler()
+        sched.push(frame(7))
+        sched.push(frame(8))
+        sched.push(frame(8))
+        assert sched.pop().target == 7  # 7 drains and leaves the ring
+        assert sched.pending_devices(3) == [8]
+        sched.push(frame(7))  # ... and comes back behind 8
+        assert sched.pending_devices(3) == [8, 7]
+        assert [sched.pop().target for _ in range(3)] == [8, 7, 8]
+
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("push"), st.integers(0, 6), st.integers(1, 5)),
+            st.tuples(st.just("pop"), st.just(0), st.just(0)),
+            st.tuples(st.just("drop"), st.just(0), st.integers(1, 5)),
+        ),
+        max_size=120,
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_ordered_dict_scheduler(self, ops):
+        sched, reference = PriorityScheduler(), _OrderedDictScheduler()
+        for tag, (op, priority, target) in enumerate(ops):
+            if op == "push":
+                f = frame(target, priority=priority, tag=tag)
+                sched.push(f)
+                reference.push(f)
+            elif op == "pop":
+                assert sched.pop() is reference.pop()
+            else:
+                assert sched.drop_device(target) == reference.drop_device(target)
+            for level in range(NUM_PRIORITIES):
+                assert sched.pending_devices(level) == \
+                    reference.pending_devices(level)
+                assert sched.depth_of(level) == reference.depth_of(level)
+        assert len(sched) == sum(
+            reference.depth_of(level) for level in range(NUM_PRIORITIES))

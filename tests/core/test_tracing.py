@@ -14,7 +14,7 @@ from repro.core.tracing import (
     trace_root_node,
 )
 from repro.flightrec import FlightRecorder, project_hops
-from repro.flightrec.records import EV_DISPATCH_BEGIN
+from repro.flightrec.records import EV_DISPATCH
 from repro.i2o.frame import Frame
 from repro.i2o.tid import EXECUTIVE_TID, PTA_TID
 
@@ -157,7 +157,7 @@ class TestSpans:
 
     def test_forget_on_release_leaves_no_stale_entries(self):
         # Frames released without dispatch leave nothing behind: the
-        # enqueue mark dies with the frame object, and no begin record
+        # enqueue mark dies with the frame object, and no dispatch record
         # (so no hop) exists for them.
         exe = Executive(node=0)
         _trace(exe)
@@ -171,7 +171,7 @@ class TestSpans:
         exe.run_until_idle()
         assert exe.pool.in_flight == 0
         assert not [
-            r for r in exe.flightrec.records if r.kind == EV_DISPATCH_BEGIN
+            r for r in exe.flightrec.records if r.kind == EV_DISPATCH
         ]
         assert _hops(exe) == []
 

@@ -12,8 +12,7 @@ from repro.core.watchdog import HandlerWatchdog
 from repro.flightrec import FlightRecorder, load_dump, unpack3
 from repro.flightrec.recorder import MAX_INCIDENT_SPILLS
 from repro.flightrec.records import (
-    EV_DISPATCH_BEGIN,
-    EV_DISPATCH_END,
+    EV_DISPATCH,
     EV_DISPATCH_ERROR,
     EV_FRAME_ALLOC,
     EV_FRAME_INGEST,
@@ -60,7 +59,7 @@ def make_recorded_exe(recorder=None, **kwargs) -> Executive:
 
 
 class TestDispatchPath:
-    def test_begin_end_bracket_every_dispatch(self):
+    def test_one_dispatch_record_per_dispatch(self):
         exe = make_recorded_exe()
         echo = FunctionalListener(name="echo", handlers={0x1: lambda f: None})
         tid = exe.install(echo)
@@ -68,15 +67,15 @@ class TestDispatchPath:
         exe.install(sender)
         sender.send(tid, b"ping", xfunction=0x1)
         exe.run_until_idle()
-        begins = records_of(exe.flightrec, EV_DISPATCH_BEGIN)
-        ends = records_of(exe.flightrec, EV_DISPATCH_END)
-        assert len(begins) == len(ends) >= 1
+        dispatches = records_of(exe.flightrec, EV_DISPATCH)
+        assert len(dispatches) == exe.dispatched >= 1
         # The echo dispatch: packed header carries (target, fn, xfn).
-        hit = [r for r in begins if unpack3(r.b)[0] == int(tid)]
+        hit = [r for r in dispatches if unpack3(r.b)[0] == int(tid)]
         assert hit and unpack3(hit[0].b)[2] == 0x1
-        # The matching end carries the same ctx/header plus a duration.
-        end = [r for r in ends if r.b == hit[0].b]
-        assert end and end[0].t_ns >= hit[0].t_ns
+        # Written at the end: after every record the handler caused,
+        # stamped with its start, carrying its queue wait and duration.
+        assert hit[0].seq == exe.flightrec.total_records - 1
+        assert hit[0].c >= 0 and hit[0].d >= 0
 
     def test_frame_alloc_and_release_recorded(self):
         exe = make_recorded_exe()

@@ -18,8 +18,8 @@ from repro.flightrec import (
 from repro.flightrec.dump import describe_dump
 from repro.flightrec.recorder import DUMP_HEADER, DUMP_HEADER_SIZE
 from repro.flightrec.records import (
-    EV_DISPATCH_BEGIN,
-    EV_DISPATCH_END,
+    EV_DISPATCH,
+    EV_DISPATCH_ERROR,
     EV_HARD_STOP,
     EV_LIVENESS,
     EV_REL_SEND,
@@ -132,7 +132,7 @@ class TestRing:
 
     def test_explicit_t_ns_skips_the_clock_read(self):
         rec = FlightRecorder(node=1, capacity=4, clock=_ManualClock())
-        rec.record(EV_DISPATCH_BEGIN, t_ns=42)
+        rec.record(EV_DISPATCH, t_ns=42)
         assert RECORD_STRUCT.unpack_from(rec.ring_bytes(), 0)[1] == 42
 
 
@@ -143,9 +143,9 @@ class TestSpillAndLoad:
             node=3, capacity=8, dump_dir=tmp_path, clock=clock
         )
         clock.t = 10
-        rec.record(EV_DISPATCH_BEGIN, 0xACE, 5)
+        rec.record(EV_DISPATCH_ERROR, 0xACE, 5)
         clock.t = 20
-        rec.record(EV_DISPATCH_END, 0xACE, 5, 10)
+        rec.record(EV_DISPATCH, 0xACE, 5, 10, d=1 << 55)
         rec.record(EV_HARD_STOP)
         path = rec.spill("hard_stop")
         assert path is not None and path.exists()
@@ -157,8 +157,9 @@ class TestSpillAndLoad:
         assert dump.dropped == 0
         assert dump.reason == "hard_stop"
         kinds = [r.kind for r in dump.records]
-        assert kinds == [EV_DISPATCH_BEGIN, EV_DISPATCH_END, EV_HARD_STOP]
+        assert kinds == [EV_DISPATCH_ERROR, EV_DISPATCH, EV_HARD_STOP]
         assert dump.records[1].t_ns == 20
+        assert (dump.records[1].c, dump.records[1].d) == (10, 1 << 55)
 
     def test_dump_after_wrap_reports_drops(self, tmp_path):
         rec = FlightRecorder(

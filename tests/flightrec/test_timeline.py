@@ -16,8 +16,7 @@ from repro.flightrec import (
     project_hops,
 )
 from repro.flightrec.records import (
-    EV_DISPATCH_BEGIN,
-    EV_DISPATCH_END,
+    EV_DISPATCH,
     EV_FRAME_RELEASE,
     EV_FRAME_TRANSMIT,
     EV_HARD_STOP,
@@ -37,15 +36,16 @@ class _ManualClock:
 
 
 def _dump(tmp_path, node, events, name=None):
-    """Spill `(t_ns, kind, a, b, c)` tuples as node `node`'s black box."""
+    """Spill `(t_ns, kind, a, b, c[, d])` tuples as node `node`'s black
+    box."""
     clock = _ManualClock()
     rec = FlightRecorder(
         node=node, capacity=64, dump_dir=tmp_path,
         clock=clock, name=name or f"n{node}",
     )
-    for t_ns, kind, a, b, c in events:
+    for t_ns, kind, a, b, c, *d in events:
         clock.t = t_ns
-        rec.record(kind, a, b, c)
+        rec.record(kind, a, b, c, d=d[0] if d else 0)
     return load_dump(rec.spill("test"))
 
 
@@ -98,19 +98,19 @@ class TestTraceJoin:
             (10, EV_FRAME_TRANSMIT, ctx, pack3(2, 8, 0xF001), 64),
         ])
         receiver = _dump(tmp_path, 2, [
-            (20, EV_DISPATCH_BEGIN, ctx, pack3(8, 1, 0xF001), 0),
+            (20, EV_DISPATCH, ctx, pack3(8, 1, 0xF001), 0, 5),
         ])
         timeline = MergedTimeline([sender, receiver])
         hops = timeline.trace(ctx)
         assert [(e.node, e.record.kind) for e in hops] == [
             (1, EV_FRAME_TRANSMIT),
-            (2, EV_DISPATCH_BEGIN),
+            (2, EV_DISPATCH),
         ]
         assert timeline.gaps() == []
 
 
 class TestHopProjection:
-    """A hop is a projection of one traced begin/end record pair."""
+    """A hop is a projection of one traced ``dispatch`` record."""
 
     CTX = make_trace_id(1, 7)
     TID = 17
@@ -119,39 +119,36 @@ class TestHopProjection:
     def _records(self, tmp_path, events):
         return _dump(tmp_path, 3, events).records
 
-    def test_pair_becomes_one_hop(self, tmp_path):
+    def test_dispatch_record_becomes_one_hop(self, tmp_path):
+        # Written when the dispatch is over: after the records made
+        # inside it, carrying its start time, queue wait and duration.
         records = self._records(tmp_path, [
-            (100, EV_DISPATCH_BEGIN, self.CTX, self.HDR, 40),
             (150, EV_FRAME_RELEASE, self.CTX, 0, 0),
-            (160, EV_DISPATCH_END, self.CTX, self.HDR, 60),
+            (100, EV_DISPATCH, self.CTX, self.HDR, 40, 60),
         ])
         assert project_hops(3, records) == [Hop(
-            trace_id=self.CTX, seq=0, node=3, tid=self.TID, function=0xFF,
+            trace_id=self.CTX, seq=1, node=3, tid=self.TID, function=0xFF,
             xfunction=0x102, start_ns=100, queue_wait_ns=40, dispatch_ns=60,
         )]
 
     def test_untraced_and_unpaired_records_project_nothing(self, tmp_path):
         records = self._records(tmp_path, [
             # an untraced dispatch (timer context) ...
-            (10, EV_DISPATCH_BEGIN, 0x5EE9, self.HDR, 0),
-            (20, EV_DISPATCH_END, 0x5EE9, self.HDR, 10),
-            # ... an end whose begin the ring already overwrote ...
-            (30, EV_DISPATCH_END, self.CTX, self.HDR, 5),
-            # ... and a begin the node died inside.
-            (40, EV_DISPATCH_BEGIN, self.CTX, self.HDR, 0),
+            (10, EV_DISPATCH, 0x5EE9, self.HDR, 0, 10),
+            # ... and the other facts of a traced frame, which the node
+            # died before dispatching.
+            (30, EV_FRAME_RELEASE, self.CTX, 0, 0),
+            (40, EV_FRAME_TRANSMIT, self.CTX, pack3(2, 8, 0x102), 64),
         ])
         assert project_hops(3, records) == []
 
     def test_merge_orders_hops_across_nodes(self, tmp_path):
         a = _dump(tmp_path, 1, [
-            (100, EV_DISPATCH_BEGIN, self.CTX, self.HDR, 0),
-            (110, EV_DISPATCH_END, self.CTX, self.HDR, 10),
-            (300, EV_DISPATCH_BEGIN, self.CTX, self.HDR, 0),
-            (310, EV_DISPATCH_END, self.CTX, self.HDR, 10),
+            (100, EV_DISPATCH, self.CTX, self.HDR, 0, 10),
+            (300, EV_DISPATCH, self.CTX, self.HDR, 0, 10),
         ])
         b = _dump(tmp_path, 2, [
-            (200, EV_DISPATCH_BEGIN, self.CTX, self.HDR, 0),
-            (210, EV_DISPATCH_END, self.CTX, self.HDR, 10),
+            (200, EV_DISPATCH, self.CTX, self.HDR, 0, 10),
         ])
         merged = MergedTimeline([a, b])
         assert merged.trace_ids() == [self.CTX]
@@ -202,7 +199,7 @@ class TestGaps:
         sender = _dump(tmp_path, 1, [
             (10, EV_FRAME_TRANSMIT, ctx, pack3(2, 8, 0xF001), 64),
             # A local dispatch of the same ctx must NOT count as arrival.
-            (11, EV_DISPATCH_BEGIN, ctx, pack3(8, 1, 0xF001), 0),
+            (11, EV_DISPATCH, ctx, pack3(8, 1, 0xF001), 0, 5),
         ])
         gaps = MergedTimeline([sender]).gaps()
         assert [g.kind for g in gaps] == ["transmit-no-dispatch"]

@@ -1,7 +1,7 @@
 """Critical-path decomposition: segments, wire joins, aggregation.
 
 The analyzer's one input is a merged flight-recorder timeline, so every
-case here is a handful of records: a hop is a begin/end pair.
+case here is a handful of records: a hop is one ``dispatch`` record.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import pytest
 from repro.core.tracing import make_trace_id
 from repro.flightrec import MergedTimeline, pack3
 from repro.flightrec.records import (
-    EV_DISPATCH_BEGIN,
-    EV_DISPATCH_END,
+    EV_DISPATCH,
     EV_FRAME_INGEST,
     EV_FRAME_TRANSMIT,
     EV_JOURNAL_COMMIT,
@@ -34,17 +33,15 @@ TRACE = make_trace_id(0, 0x123)
 TID, XFN = 17, 0x2
 
 
-def record(kind, t_ns, a, b=0, c=0):
-    return FlightRecord(seq=t_ns, t_ns=t_ns, a=a, b=b, c=c, kind=kind)
+def record(kind, t_ns, a, b=0, c=0, d=0):
+    return FlightRecord(seq=t_ns, t_ns=t_ns, a=a, b=b, c=c, kind=kind, d=d)
 
 
 def hop(start_ns, queue_wait_ns, dispatch_ns, trace=TRACE):
-    """The two records one traced dispatch leaves in its node's ring."""
+    """The record one traced dispatch leaves in its node's ring."""
     hdr = pack3(TID, 0xFF, XFN)
     return [
-        record(EV_DISPATCH_BEGIN, start_ns, trace, hdr, queue_wait_ns),
-        record(EV_DISPATCH_END, start_ns + dispatch_ns, trace, hdr,
-               dispatch_ns),
+        record(EV_DISPATCH, start_ns, trace, hdr, queue_wait_ns, dispatch_ns),
     ]
 
 
