@@ -1,6 +1,6 @@
-"""Static analysis and runtime sanitizers for the frame-ownership protocol.
+"""Runtime checkers for the frame-ownership protocol.
 
-PR 3 turned frame ownership into a protocol: the caller owns a loaned
+Frame ownership is a protocol (DESIGN §5): the caller owns a loaned
 block until ``transmit`` commits, the transport owns it afterwards, and
 broadcast fans out refcounted :class:`~repro.i2o.frame.SharedFrame`
 views that must be released exactly once.  The paper's whole
@@ -9,19 +9,17 @@ message memory — a misbehaving device must not be able to corrupt the
 system — so violations of the ownership protocol are correctness bugs
 even when the refcounts happen to balance today.
 
-This package checks the protocol from two sides:
+This package holds the checkers a running cluster arms:
 
-* :mod:`repro.analysis.lint` — an AST-based linter (stdlib ``ast``
-  only) with framework-specific rules: use-after-transmit, missing or
-  doubled ``release()``, unknown function codes in dispatch bindings,
-  raw TiD literals, and swallowed exceptions in dispatch paths.  Run it
-  as ``python -m repro.analysis.lint src tests examples``.
 * :mod:`repro.analysis.sanitize` — an opt-in debug pool
   (``REPRO_SANITIZE=1``) that poisons blocks on free, verifies canaries
   on re-allocation, records allocation/transfer sites, and reports
-  leaked blocks with their acquisition tracebacks at shutdown.
+  leaked blocks with their acquisition tracebacks at shutdown; plus
+  the thread-affinity guard (``REPRO_AFFINITY=1``).
+* :mod:`repro.analysis.crashpoints` — the named crash windows of the
+  durable path, armed by the crash-point matrix.
+
+The static side — the ownership and race lint — guards the repository,
+not a running cluster, and lives outside the package as ``python -m
+tools.lint``.
 """
-
-from repro.analysis.violations import Severity, Violation
-
-__all__ = ["Severity", "Violation"]

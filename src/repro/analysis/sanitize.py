@@ -1,6 +1,6 @@
 """Opt-in runtime pool sanitizer: poison, canaries and leak reports.
 
-The static OWN rules (:mod:`repro.analysis.lint`) catch protocol
+The static OWN rules (``python -m tools.lint``) catch protocol
 violations the AST can see; this module catches the rest at runtime,
 in the style of an address sanitizer scaled down to the buffer pool:
 

@@ -2,10 +2,10 @@
 
 Every bug here is invisible to a single-function checker: the release
 or transfer happens inside a same-module helper, so only the
-project-wide ownership summaries (:mod:`repro.analysis.lint.callgraph`)
-can see it.  CI lints this file with ``--no-default-excludes
---expect OWN001 --expect OWN002 --expect OWN003`` to prove the
-summaries still propagate.  Never import this module; never "fix" it.
+project-wide ownership summaries (:mod:`tools.lint.callgraph`) can
+see it.  ``tests/analysis/test_lint_cli.py`` lints this file with
+``--no-default-excludes --expect OWN001 --expect OWN002 --expect
+OWN003`` to prove the summaries still propagate.  Never import this module; never "fix" it.
 """
 
 from __future__ import annotations

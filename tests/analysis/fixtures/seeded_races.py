@@ -3,10 +3,10 @@
 The receive thread spawned in ``on_plugin`` mutates device, executive
 and module-level state without marshalling through
 ``Executive.post_inbound`` — exactly the bugs RACE001/RACE002 exist
-for.  CI lints this file with ``--no-default-excludes --expect RACE001
---expect RACE002`` to prove the context classifier still tags the
-thread target as rx-reachable.  Never import this module; never "fix"
-it.
+for.  ``tests/analysis/test_lint_cli.py`` lints this file with
+``--no-default-excludes --expect RACE001 --expect RACE002`` to prove
+the context classifier still tags the thread target as rx-reachable.
+Never import this module; never "fix" it.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ tallies on the sampler's own plain object, which must lint clean.
 mutates the device, executive and module-level state it exists to
 observe — the sampler is read-only by contract, so even the ``+=``
 stat-counter idiom transport rx threads are allowed is a violation
-here.  CI lints this file with ``--no-default-excludes --expect
-RACE001 --expect RACE002`` to prove the stricter sampler rules still
-fire.  Never import this module; never "fix" it.
+here.  ``tests/analysis/test_lint_cli.py`` lints this file with
+``--no-default-excludes --expect RACE001 --expect RACE002`` to prove
+the stricter sampler rules still fire.  Never import this module;
+never "fix" it.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Deliberately broken ownership code, seeded for the lint gate.
 
-CI lints this file with ``--no-default-excludes --expect OWN001
---expect OWN002`` to prove the checker still detects the canonical
+``tests/analysis/test_lint_cli.py`` lints this file with
+``--no-default-excludes --expect OWN001 --expect OWN002 --expect
+OWN003`` to prove the checker still detects the canonical
 frame-ownership bugs.  Never import this module; never "fix" it.
 """
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import ast
 import textwrap
 
-from repro.analysis.lint import lint_source
-from repro.analysis.lint.callgraph import (
+from tools.lint import lint_source
+from tools.lint.callgraph import (
     BORROWS,
     ESCAPES,
     RELEASES,

@@ -3,9 +3,13 @@ yields to a ``# repro: noqa``."""
 
 from __future__ import annotations
 
+import ast
+import re
 import textwrap
+from pathlib import Path
 
-from repro.analysis.lint import lint_source
+from tools.lint import lint_source
+from tools.lint.engine import _stmt_spans, _suppressed_rules
 
 
 def run(source: str):
@@ -229,98 +233,25 @@ class TestPytestRaisesMuting:
         """) == []
 
 
-class TestDsp001DispatchBindings:
-    def test_unknown_uppercase_name(self):
-        assert rules("""
-            def f(self):
-                self.table.bind(EXEC_MADE_UP, handler)
-        """) == ["DSP001"]
-
-    def test_unknown_int_literal(self):
-        assert rules("""
-            def f(self):
-                self.table.bind(0x77, handler)
-        """) == ["DSP001"]
-
-    def test_known_code_clean(self):
-        assert rules("""
-            from repro.i2o.function_codes import EXEC_STATUS_GET
-
-            def f(self):
-                self.table.bind(EXEC_STATUS_GET, handler)
-        """) == []
-
-    def test_lowercase_variable_is_dynamic(self):
-        assert rules("""
-            def f(self, func):
-                self.table.bind(func, handler)
-        """) == []
-
-    def test_non_table_bind_out_of_scope(self):
-        # Listener.bind takes per-application xfunctions, not codes.
-        assert rules("""
-            def f(self):
-                self.bind(0x77, handler)
-        """) == []
-
-
-class TestTid001RawTids:
-    def test_int_literal_target(self):
-        assert rules("""
-            def f(exe):
-                exe.frame_alloc(0, target=42)
-        """) == ["TID001"]
-
-    def test_named_constant_clean(self):
-        assert rules("""
-            def f(exe):
-                exe.frame_alloc(0, target=EXECUTIVE_TID)
-        """) == []
-
-    def test_bool_is_not_an_int_literal(self):
-        # bool is an int subtype; reply=True must not trip the rule.
-        assert rules("""
-            def f(exe):
-                exe.configure(target=EXECUTIVE_TID, strict=True)
-        """) == []
+def ruff_select() -> set[str]:
+    """The ``[tool.ruff.lint] select`` codes in pyproject.toml."""
+    text = (Path(__file__).parents[2] / "pyproject.toml").read_text()
+    lint = text.split("[tool.ruff.lint]")[1]
+    listing = re.search(r"^select = \[(.*?)\]", lint, re.M | re.S)
+    assert listing is not None
+    return set(re.findall(r'"([A-Z]+\d*)"', listing.group(1)))
 
 
 class TestExc001BroadExcepts:
+    """The swallowed-exception rule moved to ruff; these codes are what
+    replaced it, so they must stay selected."""
+
     def test_bare_except(self):
-        assert rules("""
-            def f():
-                try:
-                    work()
-                except:
-                    pass
-        """) == ["EXC001"]
+        assert {"E", "E722"} & ruff_select()
 
     def test_swallowed_broad_exception(self):
-        assert rules("""
-            def f():
-                try:
-                    work()
-                except Exception:
-                    pass
-        """) == ["EXC001"]
-
-    def test_handled_broad_exception_is_fine(self):
-        assert rules("""
-            def f(self):
-                try:
-                    work()
-                except Exception as exc:
-                    self.log.warning("dispatch failed: %s", exc)
-        """) == []
-
-    def test_specific_exception_is_fine(self):
-        assert rules("""
-            def f():
-                try:
-                    work()
-                except ValueError:
-                    pass
-        """) == []
+        # `except Exception: pass` / `... continue`
+        assert {"S110", "S112"} <= ruff_select()
 
 
 class TestNoqaSuppression:
@@ -343,7 +274,7 @@ class TestNoqaSuppression:
         assert rules(self.SOURCE.format(noqa="  # repro: noqa")) == []
 
     def test_wrong_rule_does_not_suppress(self):
-        assert rules(self.SOURCE.format(noqa="  # repro: noqa TID001")) == [
+        assert rules(self.SOURCE.format(noqa="  # repro: noqa OWN002")) == [
             "OWN001"
         ]
 
@@ -353,32 +284,42 @@ class TestMultilineNoqa:
         # The violation anchors inside the call; the noqa sits on the
         # statement's first line.  Same statement, same suppression.
         assert rules("""
-            def f(exe):
-                exe.frame_alloc(  # repro: noqa TID001
-                    0,
-                    target=42,
+            def f(transport, pool, log):
+                frame = pool.alloc(10)
+                transport.transmit(frame)
+                log(  # repro: noqa OWN001
+                    frame.payload,
                 )
         """) == []
 
     def test_noqa_on_closing_line(self):
         assert rules("""
-            def f(exe):
-                exe.frame_alloc(
-                    0,
-                    target=42,
-                )  # repro: noqa TID001
+            def f(transport, pool, log):
+                frame = pool.alloc(10)
+                transport.transmit(frame)
+                log(
+                    frame.payload,
+                )  # repro: noqa OWN001
         """) == []
 
     def test_noqa_covers_a_decorator_stack(self):
         # Compound statements suppress over their *header* — decorators
         # through the def line — but never the body.
-        assert rules("""
+        source = textwrap.dedent("""
             @register(
-                exe.frame_alloc(0, target=42),
-            )  # repro: noqa TID001
-            def f(exe):
-                exe.frame_alloc(0, target=7)
-        """) == ["TID001"]
+                option,
+            )  # repro: noqa OWN003
+            def f(pool):
+                block = pool.alloc(10)
+                block.release()
+                block.release()
+        """)
+        lines = source.splitlines()
+        spans = _stmt_spans(ast.parse(source))
+        def_line = lines.index("def f(pool):") + 1
+        assert "OWN003" in _suppressed_rules(def_line - 3, lines, spans)
+        assert "OWN003" in _suppressed_rules(def_line, lines, spans)
+        assert rules(source) == ["OWN003"]
 
     def test_noqa_does_not_leak_to_the_next_statement(self):
         assert rules("""

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import textwrap
 
-import pytest
-
-from repro.analysis import baseline
-from repro.analysis.lint import lint_source
-from repro.analysis.violations import Violation
+from tools.lint import lint_source
 
 RX_DEVICE = """
     class Dev(Listener):
@@ -194,22 +190,3 @@ class TestSamplerContext:
         assert sampler_rules(
             "with self._lock:\n                self.last_walk = frames"
         ) == []
-
-
-class TestNeverBaselined:
-    @pytest.mark.parametrize("rule", ["RACE001", "RACE002"])
-    def test_save_refuses_race_rules(self, tmp_path, rule):
-        v = Violation(rule=rule, path="t.py", line=1, col=1,
-                      message="m", context="c", detail="d")
-        path = tmp_path / "baseline.json"
-        assert baseline.save(path, [v]) == 0  # nothing written
-
-    @pytest.mark.parametrize("rule", ["RACE001", "RACE002"])
-    def test_load_refuses_pinned_race_rules(self, tmp_path, rule):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            '{"version": 1, "entries": [{"path": "t.py", '
-            f'"rule": "{rule}", "count": 1}}]}}'
-        )
-        with pytest.raises(baseline.BaselineError):
-            baseline.load(path)

@@ -80,7 +80,7 @@ class TestOneEntryPoint:
     def test_the_four_old_mains_are_gone(self):
         assert sorted(
             str(p.relative_to(SRC)) for p in SRC.rglob("__main__.py")
-        ) == ["analysis/lint/__main__.py", "bench/__main__.py"]
+        ) == ["bench/__main__.py"]
         assert "def main" not in (SRC / "top.py").read_text()
 
     def test_option_budget(self):
