@@ -13,14 +13,14 @@ measured by the same program on two loads:
     *observable*), ``recording`` (flight-recorder ring only; spills are
     crash-path, not steady-state), ``traced`` (the ring plus the
     trace-id stamper — the ring is the only span store, so this is
-    what ``telemetry.tracing`` and the cross-node timeline merge cost)
+    what ``observability`` tracing and the cross-node timeline merge cost)
     and ``timed`` (traced + dispatch-latency histogram).
 ``pingpong``
     the N1 native ping-pong (:func:`run_native_pingpong`); the unit is
     median RTT ns.  Arms: ``off``, ``sampling`` (a
     :class:`SamplingProfiler` registered on both executives, its
     thread running) and ``full-kit`` (sampling plus everything the
-    ``profiling`` bootstrap section can arm: timing with exemplar
+    ``observability`` bootstrap section arms: timing with exemplar
     capture and a slow-frame watch that never trips — the hook is
     measured, not the spill).
 

@@ -51,10 +51,8 @@ from typing import Any, Iterator
 from repro.config.schema import (
     DATAFLOW_SCHEMA,
     DURABILITY_SCHEMA,
-    FLIGHT_RECORDER_SCHEMA,
-    PROFILING_SCHEMA,
+    OBSERVABILITY_SCHEMA,
     SUPERVISION_SCHEMA,
-    TELEMETRY_SCHEMA,
     ParamSchema,
     SchemaError,
 )
@@ -99,17 +97,18 @@ class Cluster:
     devices: dict[str, tuple[int, Tid, Listener]] = field(default_factory=dict)
     #: node -> its HeartbeatService, when the spec asked for supervision
     heartbeats: dict[int, "Listener"] = field(default_factory=dict)
-    #: node -> its TelemetryAgent, when the spec asked for telemetry
+    #: node -> its TelemetryAgent, when the spec asked for observability
     telemetry_agents: dict[int, "Listener"] = field(default_factory=dict)
-    #: the TelemetryCollector, when the spec asked for one
+    #: the TelemetryCollector, when the spec asked for observability
     collector: "Listener | None" = None
     #: device name -> its SegmentStore, when the spec asked for durability
     journals: dict[str, Any] = field(default_factory=dict)
     #: device name -> its SnapshotStore, when the spec asked for durability
     snapshots: dict[str, Any] = field(default_factory=dict)
-    #: node -> its FlightRecorder, when the spec asked for one
+    #: node -> its FlightRecorder, when the spec asked for observability
     flight_recorders: dict[int, Any] = field(default_factory=dict)
-    #: the cluster-wide SamplingProfiler, when the spec asked for one
+    #: the cluster-wide SamplingProfiler, when the spec asked for
+    #: observability
     profiler: Any = None
     #: node -> its SlowFrameWatch, when the spec set a dispatch budget
     slow_watches: dict[int, Any] = field(default_factory=dict)
@@ -203,6 +202,13 @@ def _section_options(
         raise BootstrapError(
             f"bad {name} section: unknown {name} keys {unknown}"
         )
+    for key, value in conf.items():
+        if schema.spec(key).type is str and not isinstance(
+            value, (str, os.PathLike)
+        ):
+            raise BootstrapError(
+                f"bad {name} section: {key} must be a string or path"
+            )
     try:
         options = schema.validate_update({
             key: value if isinstance(value, str)
@@ -212,14 +218,6 @@ def _section_options(
     except SchemaError as exc:
         raise BootstrapError(f"bad {name} section: {exc}") from exc
     return {spec.name: spec.default for spec in schema} | options
-
-
-def _section_dir(name: str, conf: dict[str, Any]) -> Any:
-    """Pop the required, un-defaultable ``dir`` path of a section."""
-    directory = conf.pop("dir", None)
-    if not directory or not isinstance(directory, (str, os.PathLike)):
-        raise BootstrapError(f"{name} section needs a 'dir' path")
-    return directory
 
 
 def _join_transport(cluster: Cluster, kind: str) -> None:
@@ -371,8 +369,10 @@ def _wire_durability(cluster: Cluster, conf: dict[str, Any]) -> None:
     """
     from repro.durable.segments import SegmentStore, SnapshotStore
 
-    directory = _section_dir("durability", conf)
     merged = _section_options(DURABILITY_SCHEMA, "durability", conf)
+    directory = merged["dir"]
+    if not directory:
+        raise BootstrapError("durability section needs a 'dir' path")
     os.makedirs(directory, exist_ok=True)
     for name, (_node, _tid, device) in sorted(cluster.devices.items()):
         if merged["journals"] and device.device_class == "reliable_endpoint":
@@ -391,128 +391,72 @@ def _wire_durability(cluster: Cluster, conf: dict[str, Any]) -> None:
             cluster.snapshots[name] = snaps
 
 
-def _wire_flightrec(cluster: Cluster, conf: dict[str, Any]) -> None:
-    """Attach a black-box flight recorder to every node.
-
-    Spec section (``dir`` required, the rest optional — see
-    :data:`repro.config.schema.FLIGHT_RECORDER_SCHEMA`)::
-
-        "flight_recorder": {
-            "dir": "/var/lib/repro/crash",  # where dumps land
-            "capacity": 4096,               # ring records per node
-        }
-
-    Every executive gets its own preallocated ring spilled to
-    ``<dir>/node<NNN>.flightrec`` on ``hard_stop``, watchdog trips,
-    sanitizer violations and uncaught dispatch exceptions; decode with
-    ``python -m repro.diag timeline``.
-    """
-    from repro.flightrec.recorder import FlightRecorder
-
-    directory = _section_dir("flight_recorder", conf)
-    merged = _section_options(FLIGHT_RECORDER_SCHEMA, "flight_recorder", conf)
-    os.makedirs(directory, exist_ok=True)
-    for node, exe in sorted(cluster.executives.items()):
-        # The recorder adopts the node id and clock as it attaches.
-        cluster.flight_recorders[node] = exe.attach(
-            FlightRecorder(capacity=merged["capacity"], dump_dir=directory)
-        )
-
-
-def _wire_profiling(cluster: Cluster, conf: dict[str, Any]) -> None:
-    """Arm the continuous-profiling kit per the spec section.
+def _wire_observability(cluster: Cluster, conf: dict[str, Any]) -> None:
+    """Give every node the whole instrument kit.
 
     Spec section (all keys optional — see
-    :data:`repro.config.schema.PROFILING_SCHEMA`)::
+    :data:`repro.config.schema.OBSERVABILITY_SCHEMA`)::
 
-        "profiling": {
-            "sampling": True,           # stack sampler over loop threads
-            "hz": 97.0,                 # sampling rate
-            "max_depth": 48,            # frames per collapsed stack
-            "exemplars": True,          # trace ids on latency buckets
-            "dispatch_budget_ns": 0,    # slow-frame watch (0 = off)
-            "spill_on_trip": True,      # spill flightrec on overrun
-            "max_spills": 4,            # spill cap per node
+        "observability": {
+            "dir": "/var/lib/repro/crash",  # spill dir (unset = diskless)
+            "capacity": 4096,               # ring records per node
+            "hz": 97.0,                     # stack sampling rate
+            "dispatch_budget_ns": 0,        # slow-frame watch (0 = off)
         }
 
-    The sampler registers every executive (its loop thread is resolved
-    live at each tick, so ``start``/``stop``/restart of nodes needs no
-    re-wiring) but its thread only starts with
-    :meth:`Cluster.start_all` — in single-threaded pump loops call
+    Each node's observers attach in one fixed order, which is their
+    delivery order (DESIGN §8): a ``FlightRecorder`` spilling to
+    ``<dir>/node<NNN>.flightrec`` on ``hard_stop``, watchdog trips,
+    sanitizer violations and uncaught dispatch exceptions; the
+    ``FrameTracer``; the ``DispatchTimer`` with trace-id exemplars on;
+    the sampler's ``DispatchSlot``; and, with a budget, a
+    ``SlowFrameWatch``, so a slow-frame capture lands in the ring after
+    that dispatch's record.  Every node also gets a ``TelemetryAgent``,
+    and the lowest node hosts the ``TelemetryCollector``.
+
+    The sampler's thread only starts with :meth:`Cluster.start_all` —
+    in single-threaded pump loops call
     ``cluster.profiler.watch_thread(node)`` then ``start()`` yourself.
     """
-    from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS
-    from repro.profile.sampler import SamplingProfiler
-    from repro.profile.watch import SlowFrameWatch
-
-    merged = _section_options(PROFILING_SCHEMA, "profiling", conf)
-    if merged["sampling"]:
-        profiler = SamplingProfiler(merged["hz"], max_depth=merged["max_depth"])
-        cluster.profiler = profiler
-        for exe in cluster.executives.values():
-            profiler.register(exe)
-    if bool(merged["exemplars"]):
-        for exe in cluster.executives.values():
-            exe.metrics.histogram(
-                "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
-            ).enable_exemplars()
-    budget = int(merged["dispatch_budget_ns"])
-    if budget:
-        for node, exe in sorted(cluster.executives.items()):
-            cluster.slow_watches[node] = exe.attach(SlowFrameWatch(
-                budget,
-                spill_on_trip=bool(merged["spill_on_trip"]),
-                max_spills=int(merged["max_spills"]),
-            ))
-
-
-def _wire_telemetry(cluster: Cluster, conf: dict[str, Any]) -> None:
-    """Attach per-node tracing/metrics observers and install the
-    telemetry agents and collector; all keys optional, see
-    :data:`repro.config.schema.TELEMETRY_SCHEMA`.
-
-    ``tracing`` attaches the trace-id stamper *and*, on a node the
-    ``flight_recorder`` section gave no ring, a diskless one: the ring
-    is the only store hops are projected from."""
-    from repro.core.metrics import DispatchTimer
+    from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS, DispatchTimer
     from repro.core.telemetry import TelemetryAgent, TelemetryCollector
     from repro.core.tracing import FrameTracer
     from repro.flightrec.recorder import FlightRecorder
+    from repro.profile.sampler import SamplingProfiler
+    from repro.profile.watch import SlowFrameWatch
 
+    options = _section_options(OBSERVABILITY_SCHEMA, "observability", conf)
+    directory = options["dir"] or None
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    budget = options["dispatch_budget_ns"]
+    profiler = cluster.profiler = SamplingProfiler(options["hz"])
     nodes = sorted(cluster.executives)
-    options = _section_options(TELEMETRY_SCHEMA, "telemetry", conf)
-    collector_node = (
-        options["collector_node"] if "collector_node" in conf else nodes[0]
-    )
-    if collector_node not in cluster.executives:
-        raise BootstrapError(f"collector_node {collector_node} is not a node")
     for node in nodes:
         exe = cluster.executives[node]
-        if options["tracing"]:
-            exe.attach(FrameTracer())
-            if exe.flightrec is None:
-                cluster.flight_recorders[node] = exe.attach(FlightRecorder())
-        if options["metrics_timing"]:
-            exe.attach(DispatchTimer())
-    if not options["collector"]:
-        return
-    for node in nodes:
+        cluster.flight_recorders[node] = exe.attach(
+            FlightRecorder(capacity=options["capacity"], dump_dir=directory)
+        )
+        exe.attach(FrameTracer())
+        exe.attach(DispatchTimer())
+        exe.metrics.histogram(
+            "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
+        ).enable_exemplars()
+        profiler.register(exe)
+        if budget:
+            cluster.slow_watches[node] = exe.attach(SlowFrameWatch(budget))
         agent = TelemetryAgent(name=f"telemetry-agent{node}")
-        cluster.executives[node].install(agent)
+        exe.install(agent)
         cluster.devices[agent.name] = (node, agent.tid, agent)
         cluster.telemetry_agents[node] = agent
-    collector = TelemetryCollector(
-        name="telemetry-collector", keep_spans=options["keep_spans"]
+    home = cluster.executives[nodes[0]]
+    collector = cluster.collector = TelemetryCollector(
+        name="telemetry-collector"
     )
-    interval = options["sweep_interval_ns"]
-    if interval:
-        collector.parameters["sweep_interval_ns"] = str(interval)
-    exe = cluster.executives[collector_node]
-    exe.install(collector)
-    cluster.devices[collector.name] = (collector_node, collector.tid, collector)
-    cluster.collector = collector
+    home.install(collector)
+    cluster.devices[collector.name] = (nodes[0], collector.tid, collector)
     for node, agent in cluster.telemetry_agents.items():
-        collector.watch(node, exe.create_proxy(node, agent.tid))
+        collector.watch(node, home.create_proxy(node, agent.tid))
 
 
 def _wire_dataflow(cluster: Cluster, conf: dict[str, Any]) -> None:
@@ -544,16 +488,12 @@ def _wire_dataflow(cluster: Cluster, conf: dict[str, Any]) -> None:
         raise BootstrapError(str(exc)) from exc
 
 
-#: Optional spec sections in wiring order: ``flight_recorder`` before
-#: ``telemetry`` (tracing adds a ring only where none is configured)
-#: and ``profiling`` (the slow-frame watch spills it); ``dataflow``
-#: last, so the derived routes cover every installed device —
-#: including the ones the sections before it added.
+#: Optional spec sections in wiring order; ``dataflow`` last, so the
+#: derived routes cover every installed device — including the ones
+#: the sections before it added (heartbeats, telemetry agents).
 _SECTIONS = (
     ("supervision", _wire_supervision),
-    ("flight_recorder", _wire_flightrec),
-    ("telemetry", _wire_telemetry),
+    ("observability", _wire_observability),
     ("durability", _wire_durability),
-    ("profiling", _wire_profiling),
     ("dataflow", _wire_dataflow),
 )

@@ -178,29 +178,33 @@ SUPERVISION_SCHEMA = ParamSchema([
               description="what to do with a dead peer's routes"),
 ])
 
-#: Typed schema for the bootstrap spec's ``telemetry`` section
-#: (``repro.core.tracing`` / ``metrics`` / ``telemetry``).
-TELEMETRY_SCHEMA = ParamSchema([
-    ParamSpec("tracing", bool, default=True,
-              description="attach a FrameTracer (and a flight-recorder "
-                          "ring, where none is configured) to every node"),
-    ParamSpec("metrics_timing", bool, default=False,
-              description="attach the dispatch-latency histogram"),
-    ParamSpec("collector", bool, default=True,
-              description="install telemetry agents and one collector"),
-    ParamSpec("collector_node", int, default=0, minimum=0,
-              description="collector's node (unset = the lowest node)"),
-    ParamSpec("sweep_interval_ns", int, default=0, minimum=0,
-              description="periodic sweep period (0 = manual sweeps)"),
-    ParamSpec("keep_spans", int, default=8192, minimum=0,
-              description="collector-side span bound"),
+#: Typed schema for the bootstrap spec's ``observability`` section: the
+#: whole instrument kit on every node (``repro.flightrec``,
+#: ``repro.core.tracing`` / ``metrics`` / ``telemetry``,
+#: ``repro.profile``).  Everything else the instruments take keeps its
+#: constructor default.
+OBSERVABILITY_SCHEMA = ParamSchema([
+    ParamSpec("dir", str, default="",
+              description="where the rings spill as node<NNN>.flightrec "
+                          "(unset = diskless rings, spill is a no-op)"),
+    ParamSpec("capacity", int, default=4096, minimum=8,
+              description="flight-recorder ring capacity in records per "
+                          "node"),
+    ParamSpec("hz", float, default=97.0, minimum=1.0, maximum=10_000.0,
+              description="stack sampling rate (prime-ish defaults "
+                          "avoid lockstep with periodic work)"),
+    ParamSpec("dispatch_budget_ns", int, default=0, minimum=0,
+              description="slow-frame budget per dispatch; overruns "
+                          "record EV_SLOW_FRAME and spill the flight "
+                          "recorder (0 = watch off)"),
 ])
 
 #: Typed schema for the bootstrap spec's ``durability`` section
-#: (``repro.durable``).  The journal location (``dir``) is deliberately
-#: not a parameter here — it is a required, un-defaultable path that
-#: the bootstrap validates itself.
+#: (``repro.durable``).  ``dir`` has no usable default: the bootstrap
+#: refuses the section without it.
 DURABILITY_SCHEMA = ParamSchema([
+    ParamSpec("dir", str, default="",
+              description="journal and snapshot directory (required)"),
     ParamSpec("journals", bool, default=True,
               description="attach a send journal to every "
                           "reliable_endpoint device"),
@@ -219,41 +223,6 @@ DURABILITY_SCHEMA = ParamSchema([
               minimum=0.0, maximum=1.0,
               description="past that floor, rewrite once live/total falls "
                           "to this ratio"),
-])
-
-#: Typed schema for the bootstrap spec's ``flight_recorder`` section
-#: (``repro.flightrec``).  The dump location (``dir``) is deliberately
-#: not a parameter here — it is a required, un-defaultable path that
-#: the bootstrap validates itself.
-FLIGHT_RECORDER_SCHEMA = ParamSchema([
-    ParamSpec("capacity", int, default=4096, minimum=8,
-              description="black-box ring capacity in records per node"),
-])
-
-#: Typed schema for the bootstrap spec's ``profiling`` section
-#: (``repro.profile``): the sampling profiler, dispatch-histogram
-#: exemplar capture, and the slow-frame watchdog.
-PROFILING_SCHEMA = ParamSchema([
-    ParamSpec("sampling", bool, default=True,
-              description="run the sampling profiler thread over every "
-                          "executive loop thread"),
-    ParamSpec("hz", float, default=97.0, minimum=1.0, maximum=10_000.0,
-              description="stack sampling rate (prime-ish defaults "
-                          "avoid lockstep with periodic work)"),
-    ParamSpec("max_depth", int, default=48, minimum=1,
-              description="frames kept per collapsed stack"),
-    ParamSpec("exemplars", bool, default=True,
-              description="capture trace-id exemplars into the dispatch "
-                          "latency histogram (visible with telemetry "
-                          "metrics_timing on)"),
-    ParamSpec("dispatch_budget_ns", int, default=0, minimum=0,
-              description="slow-frame budget per dispatch; overruns "
-                          "record EV_SLOW_FRAME and spill the flight "
-                          "recorder (0 = watch off)"),
-    ParamSpec("spill_on_trip", bool, default=True,
-              description="spill the flight recorder on budget overrun"),
-    ParamSpec("max_spills", int, default=4, minimum=0,
-              description="cap on slow-frame spills per node"),
 ])
 
 #: Typed schema for the bootstrap spec's ``dataflow`` section

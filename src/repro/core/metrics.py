@@ -205,6 +205,12 @@ def _fmt_bound(bound: float) -> str:
     return repr(float(bound)).replace(".", "p").replace("-", "m")
 
 
+def parse_bound(text: str) -> float:
+    """A bucket bound back from its ``_bucket_le_<bound>`` spelling
+    (``inf`` parses to infinity)."""
+    return float(text.replace("p", ".").replace("m", "-"))
+
+
 class MetricsRegistry:
     """One node's metric instruments, keyed by name.
 
@@ -383,12 +389,13 @@ def _exposition_lines(
         value = flat[key]
         name, sep, bound = key.partition("_bucket_le_")
         if sep:
-            le = "+Inf" if bound == "inf" else _bound_text(bound)
+            upper = parse_bound(bound)
+            le = "+Inf" if upper == float("inf") else _fmt_value(upper)
             labelset = f'{base},le="{le}"' if base else f'le="{le}"'
             line = f"repro_{name}_bucket{{{labelset}}} {_fmt_value(value)}"
             hist = exemplar_sources.get(name)
             if hist is not None:
-                ex = hist.exemplar_for(float(le))
+                ex = hist.exemplar_for(upper)
                 if ex is not None:
                     line += _exemplar_suffix(ex)
             lines.append(line)
@@ -396,11 +403,6 @@ def _exposition_lines(
             suffix = f"{{{base}}}" if base else ""
             lines.append(f"repro_{key}{suffix} {_fmt_value(value)}")
     return lines
-
-
-def _bound_text(bound: str) -> str:
-    """A bucket bound back from its metric-name-safe spelling."""
-    return bound.replace("p", ".").replace("m", "-")
 
 
 def openmetrics_escape(value: str) -> str:
@@ -423,10 +425,8 @@ def _bucket_sort_key(key: str) -> tuple[str, float, str]:
     name, sep, bound = key.partition("_bucket_le_")
     if not sep:
         return (key, float("-inf"), "")
-    if bound == "inf":
-        return (name, float("inf"), "")
     try:
-        return (name, float(_bound_text(bound)), "")
+        return (name, parse_bound(bound), "")
     except ValueError:  # pragma: no cover - defensive
         return (name, float("inf"), bound)
 

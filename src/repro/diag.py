@@ -61,10 +61,10 @@ TOP_N = 10
 
 def _demo_cluster(dumps: str | None = None) -> Cluster:
     spec = event_builder_spec(2, 1)
-    spec["telemetry"] = {"metrics_timing": True}
-    spec["profiling"] = {"hz": DEMO_SAMPLER_HZ}
+    observability: dict[str, Any] = {"hz": DEMO_SAMPLER_HZ}
     if dumps:
-        spec["flight_recorder"] = {"dir": dumps, "capacity": DEMO_RING}
+        observability.update(dir=dumps, capacity=DEMO_RING)
+    spec["observability"] = observability
     return bootstrap(spec)
 
 

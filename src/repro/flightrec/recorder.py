@@ -100,9 +100,9 @@ class FlightRecorder(DispatchObserver):
     post-mortems are projections of it
     (:mod:`repro.flightrec.timeline`).  ``node`` and ``clock`` may be
     left unset; they are adopted from the executive at attach time.
-    Without a ``dump_dir`` the recorder still records (what
-    ``telemetry.tracing`` attaches) but :meth:`spill` is a no-op
-    returning ``None``.
+    Without a ``dump_dir`` the recorder still records (what the
+    ``observability`` section attaches when it has no ``dir``) but
+    :meth:`spill` is a no-op returning ``None``.
 
     ``name`` controls the dump filename (``<name>.flightrec``); give
     replacement executives that reuse a dead node's id a distinct name

@@ -19,15 +19,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
+from repro.core.metrics import parse_bound
+
 _HIST = "exe_dispatch_ns"
 _BUCKET_PREFIX = f"{_HIST}_bucket_le_"
-
-
-def _decode_bound(text: str) -> float:
-    """Invert :func:`repro.core.metrics._fmt_bound` (p→. , m→-)."""
-    if text == "inf":
-        return float("inf")
-    return float(text.replace("p", ".").replace("m", "-"))
 
 
 def dispatch_quantile(metrics: dict[str, float], q: float) -> float | None:
@@ -43,7 +38,7 @@ def dispatch_quantile(metrics: dict[str, float], q: float) -> float | None:
         return None
     bounds = sorted(
         (
-            (_decode_bound(key[len(_BUCKET_PREFIX):]), value)
+            (parse_bound(key[len(_BUCKET_PREFIX):]), value)
             for key, value in metrics.items()
             if key.startswith(_BUCKET_PREFIX)
         ),

@@ -14,6 +14,7 @@ from repro.core.metrics import (
     sanitize_metric_name,
 )
 from repro.i2o.errors import I2OError
+from repro.top import dispatch_quantile
 
 
 class TestCounters:
@@ -188,6 +189,20 @@ class TestBoundRoundTrip:
         assert any(
             'le="2.5"' in line and line.endswith(" 2") for line in lines
         )
+
+    def test_quantiles_read_the_same_bounds(self):
+        # The console parses the export keys with the same parser as
+        # the exposition: float and negative bounds come back exact.
+        m = MetricsRegistry()
+        h = m.histogram("exe_dispatch_ns", [-1.5, 0.5, 1000])
+        for value in (-2, 0.25, 0.5, 999):
+            h.observe(value)
+        flat = m.snapshot()
+        assert dispatch_quantile(flat, 0.25) == -1.5
+        assert dispatch_quantile(flat, 0.75) == 0.5
+        assert dispatch_quantile(flat, 1.0) == 1000
+        h.observe(5000)
+        assert dispatch_quantile(m.snapshot(), 1.0) == float("inf")
 
 
 class TestSnapshotAndRendering:

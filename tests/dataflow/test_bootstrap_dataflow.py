@@ -125,10 +125,12 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("section, conf, named", [
         # removed with the tracer's span ring: now an unknown key
-        ("telemetry", {"trace_capacity": 512}, "unknown .*trace_capacity"),
-        ("telemetry", {"tracing": "maybe"}, "tracing"),
-        ("telemetry", {"sweep_interval_ns": -1}, "sweep_interval_ns"),
-        ("telemetry", {"colector": True}, "colector"),
+        ("observability", {"trace_capacity": 512}, "unknown .*trace_capacity"),
+        ("observability", {"tracing": "maybe"}, "tracing"),
+        ("observability", {"sweep_interval_ns": -1}, "sweep_interval_ns"),
+        ("observability", {"colector": True}, "colector"),
+        ("observability", {"capacity": "maybe"}, "capacity"),
+        ("observability", {"dispatch_budget_ns": -1}, "dispatch_budget_ns"),
         ("supervision", {"interval_ns": 0}, "interval_ns"),
         ("supervision", {"dead_after": "soon"}, "dead_after"),
         ("supervision", {"policy": "panic"}, "policy"),

@@ -24,8 +24,7 @@ EVENTS = 5
 def _run_and_kill(dump_dir):
     """Returns what the live collector knew of each event's trace."""
     spec = event_builder_spec(2, 1)
-    spec["telemetry"] = {}
-    spec["flight_recorder"] = {"dir": str(dump_dir)}
+    spec["observability"] = {"dir": str(dump_dir)}
     cluster = bootstrap(spec)
     cluster.device("trigger").fire_burst(EVENTS)
     cluster.pump()

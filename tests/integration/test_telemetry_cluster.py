@@ -31,11 +31,7 @@ from repro.daq.protocol import (
 def _build_cluster():
     spec = {
         "transport": "loopback",
-        "telemetry": {
-            "tracing": True,
-            "metrics_timing": True,
-            "collector_node": 0,
-        },
+        "observability": {},
         "dataflow": {"backpressure": False},
         "nodes": {
             0: {"devices": [
