@@ -17,7 +17,7 @@ Specification shape (plain dicts, JSON/Tcl-friendly)::
             "suspect_after": 2,
             "dead_after": 4,
             "rejoin_after": 3,
-            "policy": "rebind",             # rebind | park | none
+            "failover_policy": "rebind",    # rebind | park | none
         },
         "nodes": {
             0: {"devices": [
@@ -48,16 +48,13 @@ from dataclasses import dataclass, field
 from operator import methodcaller
 from typing import Any, Iterator
 
-from repro.config.schema import (
-    DATAFLOW_SCHEMA,
-    DURABILITY_SCHEMA,
-    OBSERVABILITY_SCHEMA,
-    SUPERVISION_SCHEMA,
-    ParamSchema,
-    SchemaError,
-)
+from repro.config.schema import ParamSchema, SchemaError
 from repro.core.device import Listener
 from repro.core.executive import Executive
+from repro.core.liveness import HeartbeatService, install_supervision
+from repro.core.telemetry import OBSERVABILITY_SCHEMA, install_observability
+from repro.dataflow.wiring import DATAFLOW_SCHEMA, install_dataflow
+from repro.durable.segments import DURABILITY_SCHEMA, install_durability
 from repro.i2o.errors import I2OError
 from repro.i2o.tid import Tid
 from repro.transports.agent import PeerTransportAgent
@@ -176,6 +173,14 @@ class Cluster:
             exe.stop()
 
 
+def _mapping(value: Any, what: str) -> dict[Any, Any]:
+    if not isinstance(value, dict):
+        raise BootstrapError(
+            f"{what} must be a mapping, got {type(value).__name__}"
+        )
+    return value
+
+
 def _load_class(path: str) -> type[Listener]:
     module_name, _, class_name = path.rpartition(".")
     if not module_name:
@@ -246,42 +251,72 @@ def _join_transport(cluster: Cluster, kind: str) -> None:
         raise BootstrapError(f"unknown transport kind {kind!r}")
 
 
-def _nodes_of(spec: dict[str, Any]) -> dict[Any, Any]:
+def _nodes_of(spec: dict[str, Any]) -> list[tuple[int, dict[str, Any]]]:
+    """The spec's ``(node id, node spec)`` pairs in node order."""
     nodes_spec = spec.get("nodes")
     if not isinstance(nodes_spec, dict) or not nodes_spec:
         raise BootstrapError("spec needs a non-empty 'nodes' mapping")
-    return nodes_spec
+    nodes: dict[int, dict[str, Any]] = {}
+    for key, node_spec in nodes_spec.items():
+        try:
+            node = int(key)
+        except (TypeError, ValueError):
+            raise BootstrapError(f"node id {key!r} is not an integer") from None
+        if node in nodes:
+            raise BootstrapError(f"node {node} is given twice")
+        nodes[node] = _mapping(node_spec, f"node {node} spec")
+    return sorted(nodes.items())
+
+
+def _device(entry: Any) -> tuple[str, Listener]:
+    """One device entry constructed, its ``params`` applied."""
+    entry = _mapping(entry, "entry")
+    path = entry.get("class")
+    if not isinstance(path, str):
+        raise BootstrapError("entry needs a 'class' import path")
+    cls = _load_class(path)
+    kwargs = dict(_mapping(entry.get("kwargs", {}), "kwargs"))
+    params = _mapping(entry.get("params", {}), "params")
+    name = entry.get("name")
+    if name:
+        kwargs.setdefault("name", name)
+    try:
+        device = cls(**kwargs)
+    except TypeError as exc:
+        raise BootstrapError(f"cannot construct {path}: {exc}") from exc
+    device.parameters.update({k: str(v) for k, v in params.items()})
+    return name or device.name, device
 
 
 def spec_devices(spec: dict[str, Any]) -> Iterator[tuple[int, str, Listener]]:
     """Construct every device the spec names, in node order, as
     ``(node, name, device)``: ``params`` applied, nothing installed
-    (``python -m repro.diag graph`` only reads their declarations)."""
+    (``python -m repro.diag graph`` only reads their declarations).
+    A malformed entry is refused naming its node and index."""
     seen: set[str] = set()
-    for node, node_spec in sorted(_nodes_of(spec).items()):
-        for dev_spec in node_spec.get("devices", ()):
-            cls = _load_class(dev_spec["class"])
-            kwargs = dict(dev_spec.get("kwargs", {}))
-            name = dev_spec.get("name")
-            if name:
-                kwargs.setdefault("name", name)
-            device = cls(**kwargs)
-            if name is None:
-                name = device.name
-            if name in seen:
-                raise BootstrapError(f"duplicate device name {name!r}")
+    for node, node_spec in _nodes_of(spec):
+        entries = node_spec.get("devices", ())
+        if not isinstance(entries, (list, tuple)):
+            raise BootstrapError(
+                f"node {node}: devices must be a list, "
+                f"got {type(entries).__name__}"
+            )
+        for index, entry in enumerate(entries):
+            try:
+                name, device = _device(entry)
+                if name in seen:
+                    raise BootstrapError(f"duplicate device name {name!r}")
+            except BootstrapError as exc:
+                raise BootstrapError(
+                    f"node {node} device {index}: {exc}"
+                ) from exc
             seen.add(name)
-            params = dev_spec.get("params")
-            if params:
-                device.parameters.update(
-                    {k: str(v) for k, v in params.items()}
-                )
-            yield int(node), name, device
+            yield node, name, device
 
 
 def bootstrap(spec: dict[str, Any]) -> Cluster:
     """Build a cluster from a declarative specification."""
-    known = {"transport", "nodes", *(name for name, _ in _SECTIONS)}
+    known = {"transport", "nodes", *(name for name, _, _ in _SECTIONS)}
     unknown = set(map(str, spec)) - known
     if unknown:
         raise BootstrapError(
@@ -289,211 +324,35 @@ def bootstrap(spec: dict[str, Any]) -> Cluster:
             f"known keys: {sorted(known)}"
         )
     cluster = Cluster()
-    for node in sorted(_nodes_of(spec)):
-        cluster.executives[int(node)] = Executive(node=int(node))
+    for node, _ in _nodes_of(spec):
+        cluster.executives[node] = Executive(node=node)
     _join_transport(cluster, spec.get("transport", "loopback"))
     for node, name, device in spec_devices(spec):
         tid = cluster.executives[node].install(device)
         cluster.devices[name] = (node, tid, device)
-    for name, wire in _SECTIONS:
+    for name, schema, install in _SECTIONS:
         conf = spec.get(name)
         if conf is None:
             continue
-        if not isinstance(conf, dict):
-            raise BootstrapError(
-                f"{name!r} section must be a mapping, "
-                f"got {type(conf).__name__}"
-            )
-        wire(cluster, dict(conf))
+        options = _section_options(
+            schema, name, _mapping(conf, f"{name!r} section")
+        )
+        try:
+            install(cluster, options)
+        except I2OError as exc:
+            raise BootstrapError(f"{name} section: {exc}") from exc
     return cluster
 
 
-def _wire_supervision(cluster: Cluster, conf: dict[str, Any]) -> None:
-    """Install a full mesh of HeartbeatServices (every node beats to
-    and watches every other) configured from the spec section."""
-    from repro.core.liveness import HeartbeatService
-
-    options = _section_options(SUPERVISION_SCHEMA, "supervision", conf)
-    policy = options.pop("policy")
-    params = {key: str(value) for key, value in options.items()}
-    params["failover_policy"] = policy
-    nodes = sorted(cluster.executives)
-    for node in nodes:
-        exe = cluster.executives[node]
-        discovery = next(
-            (dev for dev in exe.devices().values()
-             if dev.device_class == "discovery"),
-            None,
-        ) if policy != "none" else None
-        hb = HeartbeatService(name=f"heartbeat{node}", discovery=discovery)
-        hb.on_parameters(params)
-        hb.parameters.update(params)
-        exe.install(hb)
-        cluster.devices[hb.name] = (node, hb.tid, hb)
-        cluster.heartbeats[node] = hb
-    for node, hb in cluster.heartbeats.items():
-        for peer in nodes:
-            if peer == node:
-                continue
-            peer_hb = cluster.heartbeats[peer]
-            hb.monitor(
-                peer,
-                cluster.executives[node].create_proxy(peer, peer_hb.tid),
-            )
-
-
-def _wire_durability(cluster: Cluster, conf: dict[str, Any]) -> None:
-    """Attach journals and snapshot stores per the spec section.
-
-    Spec section (``dir`` required, the rest optional — see
-    :data:`repro.config.schema.DURABILITY_SCHEMA`)::
-
-        "durability": {
-            "dir": "/var/lib/repro",    # journal/snapshot directory
-            "journals": True,           # reliable_endpoint send journals
-            "snapshots": True,          # daq_eventmanager snapshot stores
-            "flush_every": 1,           # group-commit batch size
-            "fsync": False,             # fsync on flush
-            "compact_min_records": ..., # both default to SegmentStore's
-            "compact_live_ratio": ...,  # own (repro.durable.segments)
-        }
-
-    Every ``reliable_endpoint`` device gets ``<dir>/<name>.journal``
-    attached (and, because the device is already installed, recovery
-    runs immediately: a pre-existing journal replays its unacked sends
-    right here).  Every ``daq_eventmanager`` device gets
-    ``<dir>/<name>.snapshot``; EVM restore stays explicit (call
-    ``evm.recover()`` on the booted cluster): the ``dataflow`` section
-    wires the RU/BU routes after this one, and restoring before they
-    exist would relaunch events into the void.
-    """
-    from repro.durable.segments import SegmentStore, SnapshotStore
-
-    merged = _section_options(DURABILITY_SCHEMA, "durability", conf)
-    directory = merged["dir"]
-    if not directory:
-        raise BootstrapError("durability section needs a 'dir' path")
-    os.makedirs(directory, exist_ok=True)
-    for name, (_node, _tid, device) in sorted(cluster.devices.items()):
-        if merged["journals"] and device.device_class == "reliable_endpoint":
-            store = SegmentStore(
-                os.path.join(directory, f"{name}.journal"),
-                flush_every=int(merged["flush_every"]),
-                fsync=bool(merged["fsync"]),
-                compact_min_records=int(merged["compact_min_records"]),
-                compact_live_ratio=float(merged["compact_live_ratio"]),
-            )
-            device.attach_journal(store)  # type: ignore[attr-defined]
-            cluster.journals[name] = store
-        elif merged["snapshots"] and device.device_class == "daq_eventmanager":
-            snaps = SnapshotStore(os.path.join(directory, f"{name}.snapshot"))
-            device.snapshot_store = snaps  # type: ignore[attr-defined]
-            cluster.snapshots[name] = snaps
-
-
-def _wire_observability(cluster: Cluster, conf: dict[str, Any]) -> None:
-    """Give every node the whole instrument kit.
-
-    Spec section (all keys optional — see
-    :data:`repro.config.schema.OBSERVABILITY_SCHEMA`)::
-
-        "observability": {
-            "dir": "/var/lib/repro/crash",  # spill dir (unset = diskless)
-            "capacity": 4096,               # ring records per node
-            "hz": 97.0,                     # stack sampling rate
-            "dispatch_budget_ns": 0,        # slow-frame watch (0 = off)
-        }
-
-    Each node's observers attach in one fixed order, which is their
-    delivery order (DESIGN §8): a ``FlightRecorder`` spilling to
-    ``<dir>/node<NNN>.flightrec`` on ``hard_stop``, watchdog trips,
-    sanitizer violations and uncaught dispatch exceptions; the
-    ``FrameTracer``; the ``DispatchTimer`` with trace-id exemplars on;
-    the sampler's ``DispatchSlot``; and, with a budget, a
-    ``SlowFrameWatch``, so a slow-frame capture lands in the ring after
-    that dispatch's record.  Every node also gets a ``TelemetryAgent``,
-    and the lowest node hosts the ``TelemetryCollector``.
-
-    The sampler's thread only starts with :meth:`Cluster.start_all` —
-    in single-threaded pump loops call
-    ``cluster.profiler.watch_thread(node)`` then ``start()`` yourself.
-    """
-    from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS, DispatchTimer
-    from repro.core.telemetry import TelemetryAgent, TelemetryCollector
-    from repro.core.tracing import FrameTracer
-    from repro.flightrec.recorder import FlightRecorder
-    from repro.profile.sampler import SamplingProfiler
-    from repro.profile.watch import SlowFrameWatch
-
-    options = _section_options(OBSERVABILITY_SCHEMA, "observability", conf)
-    directory = options["dir"] or None
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    budget = options["dispatch_budget_ns"]
-    profiler = cluster.profiler = SamplingProfiler(options["hz"])
-    nodes = sorted(cluster.executives)
-    for node in nodes:
-        exe = cluster.executives[node]
-        cluster.flight_recorders[node] = exe.attach(
-            FlightRecorder(capacity=options["capacity"], dump_dir=directory)
-        )
-        exe.attach(FrameTracer())
-        exe.attach(DispatchTimer())
-        exe.metrics.histogram(
-            "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
-        ).enable_exemplars()
-        profiler.register(exe)
-        if budget:
-            cluster.slow_watches[node] = exe.attach(SlowFrameWatch(budget))
-        agent = TelemetryAgent(name=f"telemetry-agent{node}")
-        exe.install(agent)
-        cluster.devices[agent.name] = (node, agent.tid, agent)
-        cluster.telemetry_agents[node] = agent
-    home = cluster.executives[nodes[0]]
-    collector = cluster.collector = TelemetryCollector(
-        name="telemetry-collector"
-    )
-    home.install(collector)
-    cluster.devices[collector.name] = (nodes[0], collector.tid, collector)
-    for node, agent in cluster.telemetry_agents.items():
-        collector.watch(node, home.create_proxy(node, agent.tid))
-
-
-def _wire_dataflow(cluster: Cluster, conf: dict[str, Any]) -> None:
-    """Derive every route table from the devices' consumes/emits
-    declarations and wire queue-capacity backpressure on top.
-
-    Spec section (all keys optional — see
-    :data:`repro.config.schema.DATAFLOW_SCHEMA`)::
-
-        "dataflow": {
-            "edge_credits": 64,     # default per-consumer capacity
-            "park_limit": 256,      # parked-emission slots per node
-            "strict": True,         # analysis diagnostics are fatal
-            "backpressure": True,   # False = routes only, uncapped
-        }
-
-    The section is one call to :func:`repro.dataflow.wire_dataflow`
-    over every *installed* device — including the ones the sections
-    before it added, e.g. telemetry agents.
-    """
-    from repro.dataflow.wiring import wire_dataflow
-
-    merged = _section_options(DATAFLOW_SCHEMA, "dataflow", conf)
-    try:
-        cluster.dataflow_graph, cluster.dataflow_ledger = wire_dataflow(
-            cluster.executives, **merged
-        )
-    except I2OError as exc:
-        raise BootstrapError(str(exc)) from exc
-
-
-#: Optional spec sections in wiring order; ``dataflow`` last, so the
-#: derived routes cover every installed device — including the ones
-#: the sections before it added (heartbeats, telemetry agents).
+#: The optional spec sections in install order, as ``(name, schema,
+#: install)``: ``install(cluster, options)`` gets the section's typed
+#: values over its schema's defaults.  ``dataflow`` follows the
+#: sections that add devices (heartbeats, telemetry agents), so its
+#: derived routes cover them; ``durability`` adds none and goes last,
+#: so no later refusal can leave its journals open.
 _SECTIONS = (
-    ("supervision", _wire_supervision),
-    ("observability", _wire_observability),
-    ("durability", _wire_durability),
-    ("dataflow", _wire_dataflow),
+    ("supervision", HeartbeatService.schema, install_supervision),
+    ("observability", OBSERVABILITY_SCHEMA, install_observability),
+    ("dataflow", DATAFLOW_SCHEMA, install_dataflow),
+    ("durability", DURABILITY_SCHEMA, install_durability),
 )

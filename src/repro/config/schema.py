@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.durable.segments import COMPACT_LIVE_RATIO, COMPACT_MIN_RECORDS
 from repro.i2o.errors import I2OError
 
 
@@ -160,86 +159,6 @@ class ParamSchema:
                 parts.append("ro")
             out[spec.name] = ",".join(parts)
         return out
-
-
-#: Typed schema for the bootstrap spec's ``supervision`` section; also
-#: the HeartbeatService's device parameters (``repro.core.liveness``).
-SUPERVISION_SCHEMA = ParamSchema([
-    ParamSpec("interval_ns", int, default=1_000_000, minimum=1,
-              description="beat period"),
-    ParamSpec("suspect_after", int, default=2, minimum=1,
-              description="consecutive misses before SUSPECT"),
-    ParamSpec("dead_after", int, default=4, minimum=2,
-              description="consecutive misses before DEAD"),
-    ParamSpec("rejoin_after", int, default=3, minimum=1,
-              description="consecutive beats a DEAD peer needs back"),
-    ParamSpec("policy", str, default="rebind",
-              choices=("rebind", "park", "none"),
-              description="what to do with a dead peer's routes"),
-])
-
-#: Typed schema for the bootstrap spec's ``observability`` section: the
-#: whole instrument kit on every node (``repro.flightrec``,
-#: ``repro.core.tracing`` / ``metrics`` / ``telemetry``,
-#: ``repro.profile``).  Everything else the instruments take keeps its
-#: constructor default.
-OBSERVABILITY_SCHEMA = ParamSchema([
-    ParamSpec("dir", str, default="",
-              description="where the rings spill as node<NNN>.flightrec "
-                          "(unset = diskless rings, spill is a no-op)"),
-    ParamSpec("capacity", int, default=4096, minimum=8,
-              description="flight-recorder ring capacity in records per "
-                          "node"),
-    ParamSpec("hz", float, default=97.0, minimum=1.0, maximum=10_000.0,
-              description="stack sampling rate (prime-ish defaults "
-                          "avoid lockstep with periodic work)"),
-    ParamSpec("dispatch_budget_ns", int, default=0, minimum=0,
-              description="slow-frame budget per dispatch; overruns "
-                          "record EV_SLOW_FRAME and spill the flight "
-                          "recorder (0 = watch off)"),
-])
-
-#: Typed schema for the bootstrap spec's ``durability`` section
-#: (``repro.durable``).  ``dir`` has no usable default: the bootstrap
-#: refuses the section without it.
-DURABILITY_SCHEMA = ParamSchema([
-    ParamSpec("dir", str, default="",
-              description="journal and snapshot directory (required)"),
-    ParamSpec("journals", bool, default=True,
-              description="attach a send journal to every "
-                          "reliable_endpoint device"),
-    ParamSpec("snapshots", bool, default=True,
-              description="attach a snapshot store to every "
-                          "daq_eventmanager device"),
-    ParamSpec("flush_every", int, default=1, minimum=1,
-              description="group-commit batch size (records per flush)"),
-    ParamSpec("fsync", bool, default=False,
-              description="fsync the journal file on every flush"),
-    ParamSpec("compact_min_records", int, default=COMPACT_MIN_RECORDS,
-              minimum=1,
-              description="do not rewrite the journal below this many "
-                          "records (bounds the file; amortises the rewrite)"),
-    ParamSpec("compact_live_ratio", float, default=COMPACT_LIVE_RATIO,
-              minimum=0.0, maximum=1.0,
-              description="past that floor, rewrite once live/total falls "
-                          "to this ratio"),
-])
-
-#: Typed schema for the bootstrap spec's ``dataflow`` section
-#: (``repro.dataflow``): route tables derived from the devices'
-#: consumes/emits declarations, plus backpressure tuning.
-DATAFLOW_SCHEMA = ParamSchema([
-    ParamSpec("edge_credits", int, default=64, minimum=1,
-              description="per-consumer queue capacity (frames) when the "
-                          "device class declares no queue_capacity"),
-    ParamSpec("park_limit", int, default=256, minimum=0,
-              description="bounded parked-emission slots per node"),
-    ParamSpec("strict", bool, default=True,
-              description="refuse to boot on any analysis diagnostic"),
-    ParamSpec("backpressure", bool, default=True,
-              description="wire per-edge credit windows (off = routes "
-                          "only, uncapped)"),
-])
 
 
 class SchemaListenerMixin:

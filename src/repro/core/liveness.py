@@ -36,19 +36,18 @@ The division of labour:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.config.schema import (
-    SUPERVISION_SCHEMA,
-    ParamSchema,
-    SchemaListenerMixin,
-)
+from repro.config.schema import ParamSchema, ParamSpec, SchemaListenerMixin
 from repro.core.device import Listener
 from repro.core.states import PeerState
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.i2o.tid import Tid
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.config.bootstrap import Cluster
 
 #: Liveness beacon, one-way (0xF0xx is reserved framework space).
 XF_HB_BEAT = 0xF010
@@ -228,13 +227,21 @@ class HeartbeatService(SchemaListenerMixin, Listener):
 
     device_class = "heartbeat"
 
-    #: the bootstrap ``supervision`` section's parameters, its ``policy``
-    #: key under the device-parameter name ``failover_policy``
-    schema = ParamSchema(
-        replace(spec, name="failover_policy") if spec.name == "policy"
-        else spec
-        for spec in SUPERVISION_SCHEMA
-    )
+    #: the device parameters, and the bootstrap ``supervision`` section's
+    #: keys (:func:`install_supervision`)
+    schema = ParamSchema([
+        ParamSpec("interval_ns", int, default=1_000_000, minimum=1,
+                  description="beat period"),
+        ParamSpec("suspect_after", int, default=2, minimum=1,
+                  description="consecutive misses before SUSPECT"),
+        ParamSpec("dead_after", int, default=4, minimum=2,
+                  description="consecutive misses before DEAD"),
+        ParamSpec("rejoin_after", int, default=3, minimum=1,
+                  description="consecutive beats a DEAD peer needs back"),
+        ParamSpec("failover_policy", str, default="rebind",
+                  choices=("rebind", "park", "none"),
+                  description="what to do with a dead peer's routes"),
+    ])
 
     def __init__(
         self,
@@ -410,3 +417,30 @@ class HeartbeatService(SchemaListenerMixin, Listener):
                 {f"peers_{k}": v for k, v in exe.peers.export_counters().items()}
             )
         return counters
+
+
+def install_supervision(cluster: "Cluster", options: dict[str, Any]) -> None:
+    """The bootstrap ``supervision`` section: a full mesh of
+    HeartbeatServices (every node beats to and watches every other),
+    each taking the section's options as its parameters.  Unless the
+    policy is ``none``, a node's DiscoveryService runs its failover."""
+    params = {key: str(value) for key, value in options.items()}
+    nodes = sorted(cluster.executives)
+    for node in nodes:
+        exe = cluster.executives[node]
+        discovery = next(
+            (dev for dev in exe.devices().values()
+             if dev.device_class == "discovery"),
+            None,
+        ) if options["failover_policy"] != "none" else None
+        hb = HeartbeatService(name=f"heartbeat{node}", discovery=discovery)
+        hb.parameters.update(params)
+        exe.install(hb)
+        cluster.devices[hb.name] = (node, hb.tid, hb)
+        cluster.heartbeats[node] = hb
+    for node, hb in cluster.heartbeats.items():
+        for peer in nodes:
+            if peer != node:
+                hb.monitor(peer, cluster.executives[node].create_proxy(
+                    peer, cluster.heartbeats[peer].tid
+                ))

@@ -32,8 +32,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import re
+from typing import TYPE_CHECKING, Any
 
+from repro.config.schema import ParamSchema, ParamSpec
 from repro.core.device import Listener, decode_params, encode_params
 from repro.core.request import Requester
 from repro.dataflow.registry import message_type
@@ -42,7 +45,14 @@ from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.i2o.function_codes import UTIL_PARAMS_GET
 from repro.i2o.tid import Tid
-from repro.core.metrics import prometheus_lines
+from repro.core.metrics import (
+    DISPATCH_LATENCY_BUCKETS_NS,
+    DispatchTimer,
+    prometheus_lines,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.config.bootstrap import Cluster
 
 #: The sweep is an ordinary ``UtilParamsGet`` (no private verb); the
 #: declared type exists so the collector->agent edges show up in the
@@ -341,3 +351,79 @@ def _parse_number(text: str) -> float | None:
             return float(text)
         except ValueError:
             return None
+
+
+#: The bootstrap ``observability`` section (:func:`install_observability`):
+#: the whole instrument kit on every node.  Everything else the
+#: instruments take keeps its constructor default.
+OBSERVABILITY_SCHEMA = ParamSchema([
+    ParamSpec("dir", str, default="",
+              description="where the rings spill as node<NNN>.flightrec "
+                          "(unset = diskless rings, spill is a no-op)"),
+    ParamSpec("capacity", int, default=4096, minimum=8,
+              description="flight-recorder ring capacity in records per "
+                          "node"),
+    ParamSpec("hz", float, default=97.0, minimum=1.0, maximum=10_000.0,
+              description="stack sampling rate (prime-ish defaults "
+                          "avoid lockstep with periodic work)"),
+    ParamSpec("dispatch_budget_ns", int, default=0, minimum=0,
+              description="slow-frame budget per dispatch; overruns "
+                          "record EV_SLOW_FRAME and spill the flight "
+                          "recorder (0 = watch off)"),
+])
+
+
+def install_observability(cluster: "Cluster", options: dict[str, Any]) -> None:
+    """The bootstrap ``observability`` section: the whole instrument kit
+    on every node.
+
+    Each node's observers attach in one fixed order, which is their
+    delivery order (DESIGN §8): a ``FlightRecorder`` spilling to
+    ``<dir>/node<NNN>.flightrec`` on ``hard_stop``, watchdog trips,
+    sanitizer violations and uncaught dispatch exceptions; the
+    ``FrameTracer``; the ``DispatchTimer`` with trace-id exemplars on;
+    the sampler's ``DispatchSlot``; and, with a budget, a
+    ``SlowFrameWatch``, so a slow-frame capture lands in the ring after
+    that dispatch's record.  Every node also gets a ``TelemetryAgent``,
+    and the lowest node hosts the ``TelemetryCollector``.
+
+    The sampler's thread only starts with ``Cluster.start_all`` — in
+    single-threaded pump loops call ``cluster.profiler.watch_thread(node)``
+    then ``start()`` yourself.
+    """
+    from repro.core.tracing import FrameTracer
+    from repro.flightrec.recorder import FlightRecorder
+    from repro.profile.sampler import SamplingProfiler
+    from repro.profile.watch import SlowFrameWatch
+
+    directory = options["dir"] or None
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    budget = options["dispatch_budget_ns"]
+    profiler = cluster.profiler = SamplingProfiler(options["hz"])
+    nodes = sorted(cluster.executives)
+    for node in nodes:
+        exe = cluster.executives[node]
+        cluster.flight_recorders[node] = exe.attach(
+            FlightRecorder(capacity=options["capacity"], dump_dir=directory)
+        )
+        exe.attach(FrameTracer())
+        exe.attach(DispatchTimer())
+        exe.metrics.histogram(
+            "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
+        ).enable_exemplars()
+        profiler.register(exe)
+        if budget:
+            cluster.slow_watches[node] = exe.attach(SlowFrameWatch(budget))
+        agent = TelemetryAgent(name=f"telemetry-agent{node}")
+        exe.install(agent)
+        cluster.devices[agent.name] = (node, agent.tid, agent)
+        cluster.telemetry_agents[node] = agent
+    home = cluster.executives[nodes[0]]
+    collector = cluster.collector = TelemetryCollector(
+        name="telemetry-collector"
+    )
+    home.install(collector)
+    cluster.devices[collector.name] = (nodes[0], collector.tid, collector)
+    for node, agent in cluster.telemetry_agents.items():
+        collector.watch(node, home.create_proxy(node, agent.tid))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.config.schema import ParamSchema, ParamSpec
 from repro.dataflow.graph import DataflowGraph, node_for_device
 from repro.dataflow.registry import lookup
 from repro.dataflow.routing import (
@@ -22,7 +23,20 @@ from repro.i2o.errors import I2OError
 from repro.i2o.tid import Tid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.config.bootstrap import Cluster
     from repro.core.executive import Executive
+
+#: The bootstrap ``dataflow`` section (:func:`install_dataflow`): the
+#: :func:`wire_dataflow` keywords a spec sets; the rest keep their
+#: defaults.
+DATAFLOW_SCHEMA = ParamSchema([
+    ParamSpec("edge_credits", int, default=DEFAULT_EDGE_CREDITS, minimum=1,
+              description="per-consumer queue capacity (frames) when the "
+                          "device class declares no queue_capacity"),
+    ParamSpec("backpressure", bool, default=True,
+              description="wire per-edge credit windows (off = routes "
+                          "only, uncapped)"),
+])
 
 
 def wire_dataflow(
@@ -38,8 +52,8 @@ def wire_dataflow(
     The graph is built from every installed device's
     ``consumes``/``emits``, analysed, and lowered to per-device
     :class:`~repro.dataflow.routing.TypeRoutes`: local consumers by
-    TiD, remote ones by proxy.  The keywords are the ``dataflow`` spec
-    section's keys (:data:`repro.config.schema.DATAFLOW_SCHEMA`).
+    TiD, remote ones by proxy.  A spec's ``dataflow`` section sets
+    ``edge_credits`` and ``backpressure`` (:data:`DATAFLOW_SCHEMA`).
     With ``backpressure`` each edge gets a credit window of the
     consumer's ``queue_capacity`` (or ``edge_credits``) split across
     its fan-in for that type; without it the routes are uncapped.
@@ -128,3 +142,12 @@ def wire_dataflow(
     for name in graph.devices:
         installed[name][1].on_dataflow_connected()
     return graph, ledger
+
+
+def install_dataflow(cluster: "Cluster", options: dict[str, Any]) -> None:
+    """The bootstrap ``dataflow`` section: one :func:`wire_dataflow`
+    over every installed device, including the ones the sections
+    before it added (heartbeats, telemetry agents)."""
+    cluster.dataflow_graph, cluster.dataflow_ledger = wire_dataflow(
+        cluster.executives, **options
+    )

@@ -35,7 +35,7 @@ from typing import Any
 # dumps-only ``where`` has no cluster whose boot would have named them.
 import repro.atc.protocol  # noqa: F401
 import repro.daq.protocol  # noqa: F401
-from repro.config.bootstrap import Cluster, bootstrap
+from repro.config.bootstrap import BootstrapError, Cluster, bootstrap
 from repro.dataflow.examples import BUILTIN_SPECS, event_builder_spec
 from repro.dataflow.graph import graph_from_spec
 from repro.flightrec import (
@@ -194,9 +194,10 @@ def _graph(args: argparse.Namespace) -> int:
     else:
         with open(args.spec, encoding="utf-8") as fh:
             spec = json.load(fh)
-        # JSON object keys are strings; node ids are ints in the spec.
-        spec["nodes"] = {int(k): v for k, v in spec.get("nodes", {}).items()}
-    graph = graph_from_spec(spec)
+    try:
+        graph = graph_from_spec(spec)
+    except BootstrapError as exc:
+        raise SystemExit(f"graph: {exc}") from exc
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(graph.to_dot() + "\n")

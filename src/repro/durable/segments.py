@@ -34,8 +34,9 @@ import struct
 import zlib
 from io import FileIO
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro.config.schema import ParamSchema, ParamSpec
 from repro.durable.journal import (
     REC_ACK,
     REC_META,
@@ -47,8 +48,10 @@ from repro.durable.journal import (
 )
 from repro.durable.replay import PendingSend, ReplayState, replay_records
 
-#: The compaction defaults, defined here only (the ``durability`` spec
-#: schema reads them): no rewrite below this many records — 1 KiB
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.config.bootstrap import Cluster
+
+#: The compaction defaults: no rewrite below this many records — 1 KiB
 #: messages keep the file under ~4 MiB — and then only when at most
 #: this share of them is live.
 COMPACT_MIN_RECORDS = 4096
@@ -325,3 +328,49 @@ class SnapshotStore:
 
     def clear(self) -> None:
         self.path.unlink(missing_ok=True)
+
+
+#: The bootstrap ``durability`` section (:func:`install_durability`).
+#: ``dir`` has no usable default: the installer refuses the section
+#: without it.
+DURABILITY_SCHEMA = ParamSchema([
+    ParamSpec("dir", str, default="",
+              description="journal and snapshot directory (required)"),
+    ParamSpec("fsync", bool, default=False,
+              description="fsync the journal file on every flush"),
+])
+
+
+def install_durability(cluster: "Cluster", options: dict[str, Any]) -> None:
+    """The bootstrap ``durability`` section: every ``reliable_endpoint``
+    device gets ``<dir>/<name>.journal`` attached, every
+    ``daq_eventmanager`` device ``<dir>/<name>.snapshot``.
+
+    The endpoint is already installed, so recovery runs right here: a
+    pre-existing journal replays its unacked sends.  EVM restore stays
+    explicit (call ``evm.recover()`` on the booted cluster).  If any
+    store cannot be opened, the ones opened before it are closed.
+    """
+    directory = options["dir"]
+    if not directory:
+        raise JournalError("needs a 'dir' path")
+    os.makedirs(directory, exist_ok=True)
+    try:
+        for name, (_node, _tid, device) in sorted(cluster.devices.items()):
+            if device.device_class == "reliable_endpoint":
+                store = SegmentStore(
+                    os.path.join(directory, f"{name}.journal"),
+                    fsync=options["fsync"],
+                )
+                cluster.journals[name] = store
+                device.attach_journal(store)  # type: ignore[attr-defined]
+            elif device.device_class == "daq_eventmanager":
+                snaps = SnapshotStore(
+                    os.path.join(directory, f"{name}.snapshot")
+                )
+                device.snapshot_store = snaps  # type: ignore[attr-defined]
+                cluster.snapshots[name] = snaps
+    except Exception:
+        for store in cluster.journals.values():
+            store.close()
+        raise

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config.bootstrap import BootstrapError, Cluster, bootstrap
+from repro.config.bootstrap import (
+    _SECTIONS,
+    BootstrapError,
+    Cluster,
+    bootstrap,
+)
+from repro.dataflow.graph import graph_from_spec
 
 from tests.conftest import assert_no_leaks
 
@@ -20,6 +26,11 @@ def two_node_spec(transport="loopback"):
             1: {"devices": [{"class": ECHO, "name": "echo"}]},
         },
     }
+
+
+def after_ping(entry):
+    """One node whose second device entry is ``entry``."""
+    return {0: {"devices": [{"class": PING}, entry]}}
 
 
 class TestBuild:
@@ -69,6 +80,26 @@ class TestBuild:
         with pytest.raises(BootstrapError):
             bootstrap({"nodes": {}})
 
+    @pytest.mark.parametrize("nodes, named", [
+        ({0: [{"class": ECHO}]}, "node 0 spec must be a mapping, got list"),
+        ({"a": {"devices": []}}, "node id 'a' is not an integer"),
+        (after_ping({"name": "echo"}), "node 0 device 1: entry needs a 'class'"),
+        (after_ping({"class": ECHO, "kwargs": ["x"]}),
+         "node 0 device 1: kwargs must be a mapping, got list"),
+        (after_ping({"class": ECHO, "kwargs": {"colour": "blue"}}),
+         "node 0 device 1: cannot construct .*colour"),
+        (after_ping({"class": ECHO, "params": ["x"]}),
+         "node 0 device 1: params must be a mapping, got list"),
+        ({0: {"devices": 5}}, "node 0: devices must be a list, got int"),
+        (after_ping(ECHO), "node 0 device 1: entry must be a mapping, got str"),
+        ({1: {}, "1": {}}, "node 1 is given twice"),
+    ], ids=["node-list", "node-id", "no-class", "kwargs-list", "unknown-kwarg",
+            "params-list", "devices-int", "entry-string", "node-twice"])
+    def test_malformed_entry_names_node_and_index(self, nodes, named):
+        for build in (bootstrap, graph_from_spec):
+            with pytest.raises(BootstrapError, match=named):
+                build({"nodes": nodes})
+
     def test_unknown_transport(self):
         with pytest.raises(BootstrapError, match="unknown transport"):
             bootstrap(two_node_spec(transport="carrier-pigeon"))
@@ -117,3 +148,36 @@ class TestOperation:
         cluster.pump()
         assert evm.completed == 4
         assert_no_leaks(cluster.executives)
+
+
+class TestSpecSurface:
+    def test_sections_and_keys(self):
+        """Every settable spec key; a new knob is an edit here."""
+        assert {
+            name: sorted(spec.name for spec in schema)
+            for name, schema, _ in _SECTIONS
+        } == {
+            "supervision": ["dead_after", "failover_policy", "interval_ns",
+                            "rejoin_after", "suspect_after"],
+            "observability": ["capacity", "dir", "dispatch_budget_ns", "hz"],
+            "dataflow": ["backpressure", "edge_credits"],
+            "durability": ["dir", "fsync"],
+        }
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("durability", "journals", False),
+        ("durability", "snapshots", False),
+        ("durability", "flush_every", 4),
+        ("durability", "compact_min_records", 8),
+        ("durability", "compact_live_ratio", 0.25),
+        ("dataflow", "park_limit", 16),
+        ("dataflow", "strict", False),
+        ("supervision", "policy", "park"),
+    ])
+    def test_retired_key_is_refused_by_name(self, section, key, value):
+        spec = two_node_spec()
+        spec[section] = {key: value}
+        with pytest.raises(
+            BootstrapError, match=rf"unknown {section} keys \['{key}'\]"
+        ):
+            bootstrap(spec)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import pytest
 
 from repro.config.bootstrap import BootstrapError, bootstrap
+from tests.dataflow import fixtures
 
 RELIABLE = "repro.core.reliable.ReliableEndpoint"
 EVM = "repro.daq.manager.EventManager"
@@ -41,33 +45,10 @@ class TestWiring:
         # Non-durable devices are untouched.
         assert "echo" not in cluster.journals
 
-    def test_store_options_forwarded(self, tmp_path):
-        cluster = bootstrap(durable_spec(
-            tmp_path, flush_every=4, fsync=False, compact_min_records=8,
-            compact_live_ratio=0.25,
-        ))
-        store = cluster.journals["feed"]
-        assert store.flush_every == 4
-        assert store.compact_min_records == 8
-        assert store.compact_live_ratio == 0.25
-
     def test_string_values_coerced_through_schema(self, tmp_path):
         """Spec files carry strings; the schema formats them."""
-        cluster = bootstrap(durable_spec(tmp_path, flush_every="3",
-                                         journals="true"))
-        assert cluster.journals["feed"].flush_every == 3
-
-    def test_journals_off_skips_endpoints(self, tmp_path):
-        cluster = bootstrap(durable_spec(tmp_path, journals=False))
-        assert cluster.journals == {}
-        assert cluster.device("feed").journal is None
-        assert sorted(cluster.snapshots) == ["evm"]
-
-    def test_snapshots_off_skips_evm(self, tmp_path):
-        cluster = bootstrap(durable_spec(tmp_path, snapshots=False))
-        assert cluster.snapshots == {}
-        assert cluster.device("evm").snapshot_store is None
-        assert sorted(cluster.journals) == ["feed", "rx"]
+        cluster = bootstrap(durable_spec(tmp_path, fsync="true"))
+        assert cluster.journals["feed"].fsync is True
 
     def test_existing_journal_recovers_at_bootstrap(self, tmp_path):
         """A journal left by a previous incarnation replays during
@@ -100,4 +81,28 @@ class TestRejection:
 
     def test_out_of_range_value_rejected(self, tmp_path):
         with pytest.raises(BootstrapError, match="durability"):
-            bootstrap(durable_spec(tmp_path, flush_every=0))
+            bootstrap(durable_spec(tmp_path, fsync="maybe"))
+
+    @pytest.mark.parametrize("refusal", ["later-section", "later-store"])
+    def test_refused_boot_leaves_no_journal_open(self, tmp_path, refusal):
+        if refusal == "later-section":
+            # the dataflow analysis refuses the topology
+            spec = fixtures.missing_consumer_spec()
+            spec["nodes"][0]["devices"].append(
+                {"class": RELIABLE, "name": "rel"}
+            )
+            spec["durability"] = {"dir": str(tmp_path / "state")}
+            expected: type[Exception] = BootstrapError
+        else:
+            # feed's journal opens, then rx's path cannot be opened
+            spec = durable_spec(tmp_path)
+            (tmp_path / "state" / "rx.journal").mkdir(parents=True)
+            expected = OSError
+        gc.collect()  # earlier tests' clusters are not this one's leak
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(expected):
+                bootstrap(spec)
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]

@@ -444,7 +444,7 @@ class TestBootstrapSupervision:
                 "interval_ns": 1_000,
                 "suspect_after": 2,
                 "dead_after": 4,
-                "policy": "park",
+                "failover_policy": "park",
             },
             "nodes": {
                 0: {"devices": []},

@@ -82,14 +82,6 @@ class TestStrictAnalysis:
         with pytest.raises(BootstrapError, match="missing-provider"):
             bootstrap(fixtures.missing_provider_spec())
 
-    def test_non_strict_boots_anyway(self):
-        spec = fixtures.missing_consumer_spec()
-        spec["dataflow"]["strict"] = False
-        cluster = bootstrap(spec)
-        assert [d.code for d in cluster.dataflow_graph.analyze()] == [
-            "missing-consumer"
-        ]
-
     def test_backpressure_off_wires_uncapped_routes(self):
         spec = event_builder_spec(1, 1)
         spec["dataflow"]["backpressure"] = False
@@ -133,7 +125,7 @@ class TestSpecValidation:
         ("observability", {"dispatch_budget_ns": -1}, "dispatch_budget_ns"),
         ("supervision", {"interval_ns": 0}, "interval_ns"),
         ("supervision", {"dead_after": "soon"}, "dead_after"),
-        ("supervision", {"policy": "panic"}, "policy"),
+        ("supervision", {"failover_policy": "panic"}, "failover_policy"),
     ])
     def test_bad_value_in_any_section_names_section_and_key(
         self, section, conf, named

@@ -69,6 +69,12 @@ class TestGraph:
         assert main(["graph", str(spec), "--check"]) == 1
         assert "dataflow check failed: 1" in capsys.readouterr().err
 
+    def test_malformed_spec_is_refused_by_name(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"nodes": {"0": {"devices": 5}}}))
+        with pytest.raises(SystemExit, match="graph: node 0: devices"):
+            main(["graph", str(spec)])
+
     def test_exactly_one_source(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["graph"])
