@@ -10,18 +10,19 @@ measured by the same program on two loads:
     path as it was before observability landed, reconstructed as a
     subclass so the comparison survives refactors), ``off`` (the stock
     executive, nothing attached — what every node pays for being
-    *observable*), ``recording`` (flight-recorder ring only; spills are
-    crash-path, not steady-state), ``traced`` (the ring plus the
-    trace-id stamper — the ring is the only span store, so this is
-    what ``observability`` tracing and the cross-node timeline merge cost)
-    and ``timed`` (traced + dispatch-latency histogram).
+    *observable*), ``recording`` (the flight recorder: its ring and
+    the trace-id stamping it does at ``frame_send`` — the ring is the
+    only span store, so this is what ``observability`` tracing and the
+    cross-node timeline merge cost; spills are crash-path, not
+    steady-state) and ``timed`` (recording + dispatch-latency
+    histogram).
 ``pingpong``
     the N1 native ping-pong (:func:`run_native_pingpong`); the unit is
     median RTT ns.  Arms: ``off``, ``sampling`` (a
     :class:`SamplingProfiler` registered on both executives, its
     thread running) and ``full-kit`` (sampling plus everything the
     ``observability`` bootstrap section arms: timing with exemplar
-    capture and a slow-frame watch that never trips — the hook is
+    capture and a dispatch budget that never trips — the comparison is
     measured, not the spill).
 
 Every arm runs once per repeat, interleaved, and reports its median.
@@ -41,21 +42,19 @@ from repro.bench.pingpong import run_native_pingpong
 from repro.bench.report import format_table
 from repro.core.executive import Executive
 from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS, DispatchTimer
-from repro.core.tracing import FrameTracer
 from repro.flightrec.recorder import FlightRecorder
 from repro.i2o.frame import Frame
 from repro.profile.sampler import SamplingProfiler
-from repro.profile.watch import SlowFrameWatch
 
 PINGPONG_PAYLOAD = 256
 SAMPLER_HZ = 487.0
-#: high enough that no dispatch ever trips the full-kit watch
+#: high enough that no dispatch ever trips the full-kit budget
 _NEVER_TRIPS_NS = 10**12
 
 
 class _FloorExecutive(Executive):
     """The dispatch path exactly as it was before observability landed:
-    no tracer guard on send, no recorder guard on enqueue, no timing
+    no stamp guard on send, no recorder guard on enqueue, no timing
     branch around dispatch."""
 
     def _enqueue(self, frame: Frame) -> None:
@@ -71,22 +70,17 @@ def _recording(exe: Executive) -> None:
     exe.attach(FlightRecorder(capacity=4096))
 
 
-def _traced(exe: Executive) -> None:
-    _recording(exe)
-    exe.attach(FrameTracer())
-
-
 def _timed(exe: Executive) -> None:
-    _traced(exe)
+    _recording(exe)
     exe.attach(DispatchTimer())
 
 
 def _full_kit(exe: Executive) -> None:
-    _timed(exe)
+    exe.attach(FlightRecorder(capacity=4096, budget_ns=_NEVER_TRIPS_NS))
+    exe.attach(DispatchTimer())
     exe.metrics.histogram(
         "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
     ).enable_exemplars()
-    exe.attach(SlowFrameWatch(_NEVER_TRIPS_NS))
 
 
 @dataclass(frozen=True)
@@ -104,7 +98,6 @@ ARMS = (
     Arm("drain", "floor", executive=_FloorExecutive),
     Arm("drain", "off"),
     Arm("drain", "recording", _recording),
-    Arm("drain", "traced", _traced),
     Arm("drain", "timed", _timed),
     Arm("pingpong", "off"),
     Arm("pingpong", "sampling", sampled=True),

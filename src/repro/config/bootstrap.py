@@ -107,8 +107,6 @@ class Cluster:
     #: the cluster-wide SamplingProfiler, when the spec asked for
     #: observability
     profiler: Any = None
-    #: node -> its SlowFrameWatch, when the spec set a dispatch budget
-    slow_watches: dict[int, Any] = field(default_factory=dict)
     #: the static emits→consumes DAG, when the spec asked for dataflow
     dataflow_graph: Any = None
     #: the cluster-wide credit ledger, when dataflow backpressure is on

@@ -80,8 +80,8 @@ from repro.i2o.tid import (
 from repro.mem.pool import BufferPool, PoolExhausted
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.tracing import FrameTracer
     from repro.flightrec.recorder import FlightRecorder
+    from repro.mem.block import PoolBlock
     from repro.transports.agent import PeerTransportAgent
 
 logger = logging.getLogger(__name__)
@@ -243,12 +243,11 @@ class Executive:
         #: dispatch observers in attach order; copy-on-write, so the
         #: dispatch loop reads the tuple once per frame (:meth:`attach`)
         self.observers: tuple[DispatchObserver, ...] = ()
-        #: plain references for the non-dispatch hook sites (stamp,
+        #: plain references for the non-dispatch hook sites (trace stamp,
         #: enqueue mark / alloc / release / transmit records, emit-side
         #: credits); each is set by its owner when it attaches.  On a
         #: sim-plane node the cost ledger holds ``flightrec`` and passes
         #: the facts on to a recorder behind it.
-        self.tracer: "FrameTracer | None" = None
         self.flightrec: "FlightRecorder | None" = None
         self.dataflow: Any = None  # the cluster's CreditLedger
         self.dataflow_outbox: Any = None  # this node's DataflowOutbox
@@ -338,7 +337,7 @@ class Executive:
         """Subscribe ``observer`` to every dispatch; returns it.
 
         Delivery order is attach order.  One observer per class: a
-        second recorder, tracer or watch on one node is refused.  Safe
+        second recorder or timer on one node is refused.  Safe
         from the main thread while the executive is ``start()``ed: the
         dispatch loop reads the tuple once per frame, so a begin is
         always paired with its end.
@@ -562,6 +561,8 @@ class Executive:
         block's old bytes are never decoded.
         """
         size = HEADER_SIZE + payload_size
+        # block_loan's body, inlined: a call is a measurable share of
+        # a ping-pong's per-message cost.
         try:
             block = self.pool.alloc(size)
         except PoolExhausted:
@@ -585,6 +586,29 @@ class Executive:
             self.flightrec.note_alloc(size, self.pool.in_flight)
         return frame
 
+    def block_loan(self, size: int) -> "PoolBlock":
+        """Loan a pool block of ``size`` bytes for a peer transport's
+        receive path to fill with wire bytes, recording the loan — or
+        the exhaustion, before it raises — as :meth:`frame_alloc` does,
+        so frame-memory facts are written only here."""
+        try:
+            block = self.pool.alloc(size)
+        except PoolExhausted:
+            if self.flightrec is not None:
+                self.flightrec.record(EV_POOL_EXHAUSTED, size)
+            raise
+        if self.flightrec is not None:
+            self.flightrec.note_alloc(size, self.pool.in_flight)
+        return block
+
+    def block_return(self, block: "PoolBlock") -> None:
+        """Return a :meth:`block_loan` block that never became a frame
+        (the receive failed), recording the release as
+        :meth:`frame_free` does, under context 0."""
+        if self.flightrec is not None:
+            self.flightrec.note_release(0)
+        self.pool.free(block)
+
     def frame_send(self, frame: Frame) -> None:
         """Post a frame for routing (frameSend).
 
@@ -595,8 +619,8 @@ class Executive:
         """
         if frame.block is None:
             frame.validate()
-        if self.tracer is not None:
-            self.tracer.stamp(frame)
+        if self.flightrec is not None:
+            self.flightrec.stamp(frame)
         self.msgi.post_outbound(frame)
 
     def frame_free(self, frame: Frame) -> None:

@@ -19,7 +19,7 @@ Naming scheme: ``<subsystem>_<what>[_<unit>][_total]`` with
 :func:`sanitize_metric_name` when interpolating runtime names such as
 transport names).  Subsystem prefixes in use: ``exe_`` (executive),
 ``pool_``, ``timer_``, ``pt_`` (peer transports), ``rel_`` (reliable
-endpoint), ``hb_``/``peer_`` (liveness), ``trace_`` (frame tracer).
+endpoint), ``hb_``/``peer_`` (liveness), ``flightrec_`` (flight recorder).
 """
 
 from __future__ import annotations

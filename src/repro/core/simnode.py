@@ -27,6 +27,7 @@ from repro.sim.kernel import Event, Simulator, delay
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.watchdog import HandlerWatchdog
     from repro.flightrec.recorder import FlightRecorder
+    from repro.i2o.frame import Frame
 
 
 class CostLedger(DispatchObserver):
@@ -35,7 +36,8 @@ class CostLedger(DispatchObserver):
     The ledger holds ``exe.flightrec``, so it hears what the ring hears
     with no extra test on the native path; a flight recorder on the
     same node rides behind it as :attr:`ring` and is handed every fact
-    unchanged — shared sites, separate storage.  ``note_alloc`` and
+    unchanged — shared sites, separate storage (the ring also keeps
+    stamping trace ids through :meth:`stamp`).  ``note_alloc`` and
     ``note_release`` are the executive's frameAlloc/frameFree and are
     charged; a release a transport writes with a bare :meth:`record`
     (GM's send-completion callback) costs the node's CPU nothing.
@@ -112,6 +114,11 @@ class CostLedger(DispatchObserver):
         self.charge("frame_free", cost)
         if self.ring is not None:
             self.ring.note_release(context)
+
+    def stamp(self, frame: "Frame") -> None:
+        # Trace ids cost the modelled CPU nothing; the ring stamps them.
+        if self.ring is not None:
+            self.ring.stamp(frame)
 
     def record(
         self, kind: int, a: int = 0, b: int = 0, c: int = 0,

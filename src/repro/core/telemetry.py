@@ -62,7 +62,7 @@ MT_PARAMS_SWEEP = message_type(
 )
 
 #: Timer context the sweeper arms its periodic timer with.  Small and
-#: untagged, so the tracer never mistakes it for a trace id.
+#: untagged, so it is never mistaken for a trace id.
 SWEEP_CONTEXT = 0x5EE9
 
 #: Agent parameter keys carrying encoded hops: ``s<dispatch-record seq>``.
@@ -154,7 +154,7 @@ class TelemetryAgent(Listener):
             for key, value in exe.metrics.snapshot().items()
         }
         out["node"] = str(exe.node)
-        out["trace_enabled"] = "1" if exe.tracer is not None else "0"
+        out["trace_enabled"] = "1" if exe.flightrec is not None else "0"
         if exe.flightrec is not None:
             hops = project_hops(exe.node, exe.flightrec.records)
             for hop in hops[-MAX_EXPORT_HOPS:]:
@@ -367,9 +367,9 @@ OBSERVABILITY_SCHEMA = ParamSchema([
               description="stack sampling rate (prime-ish defaults "
                           "avoid lockstep with periodic work)"),
     ParamSpec("dispatch_budget_ns", int, default=0, minimum=0,
-              description="slow-frame budget per dispatch; overruns "
-                          "record EV_SLOW_FRAME and spill the flight "
-                          "recorder (0 = watch off)"),
+              description="the flight recorder's slow-frame budget per "
+                          "dispatch; overruns record EV_SLOW_FRAME and "
+                          "spill the ring (0 = off)"),
 ])
 
 
@@ -377,44 +377,39 @@ def install_observability(cluster: "Cluster", options: dict[str, Any]) -> None:
     """The bootstrap ``observability`` section: the whole instrument kit
     on every node.
 
-    Each node's observers attach in one fixed order, which is their
-    delivery order (DESIGN §8): a ``FlightRecorder`` spilling to
+    Each node's three observers attach in one fixed order, which is
+    their delivery order (DESIGN §8): a ``FlightRecorder`` — which also
+    stamps trace ids and holds the dispatch budget — spilling to
     ``<dir>/node<NNN>.flightrec`` on ``hard_stop``, watchdog trips,
-    sanitizer violations and uncaught dispatch exceptions; the
-    ``FrameTracer``; the ``DispatchTimer`` with trace-id exemplars on;
-    the sampler's ``DispatchSlot``; and, with a budget, a
-    ``SlowFrameWatch``, so a slow-frame capture lands in the ring after
-    that dispatch's record.  Every node also gets a ``TelemetryAgent``,
-    and the lowest node hosts the ``TelemetryCollector``.
+    sanitizer violations, uncaught dispatch exceptions and budget
+    overruns; the ``DispatchTimer`` with trace-id exemplars on; and the
+    sampler's ``DispatchSlot``.  Every node also gets a
+    ``TelemetryAgent``, and the lowest node hosts the
+    ``TelemetryCollector``.
 
     The sampler's thread only starts with ``Cluster.start_all`` — in
     single-threaded pump loops call ``cluster.profiler.watch_thread(node)``
     then ``start()`` yourself.
     """
-    from repro.core.tracing import FrameTracer
     from repro.flightrec.recorder import FlightRecorder
     from repro.profile.sampler import SamplingProfiler
-    from repro.profile.watch import SlowFrameWatch
 
     directory = options["dir"] or None
     if directory:
         os.makedirs(directory, exist_ok=True)
-    budget = options["dispatch_budget_ns"]
     profiler = cluster.profiler = SamplingProfiler(options["hz"])
     nodes = sorted(cluster.executives)
     for node in nodes:
         exe = cluster.executives[node]
-        cluster.flight_recorders[node] = exe.attach(
-            FlightRecorder(capacity=options["capacity"], dump_dir=directory)
-        )
-        exe.attach(FrameTracer())
+        cluster.flight_recorders[node] = exe.attach(FlightRecorder(
+            capacity=options["capacity"], dump_dir=directory,
+            budget_ns=options["dispatch_budget_ns"],
+        ))
         exe.attach(DispatchTimer())
         exe.metrics.histogram(
             "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
         ).enable_exemplars()
         profiler.register(exe)
-        if budget:
-            cluster.slow_watches[node] = exe.attach(SlowFrameWatch(budget))
         agent = TelemetryAgent(name=f"telemetry-agent{node}")
         exe.install(agent)
         cluster.devices[agent.name] = (node, agent.tid, agent)

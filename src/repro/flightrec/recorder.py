@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.observer import OUTCOME_HANDLER_ERROR, DispatchObserver, DispatchRecord
+from repro.core.tracing import is_trace_context, make_trace_id
 from repro.flightrec.records import (
     EV_DISPATCH,
     EV_DISPATCH_ERROR,
@@ -50,6 +51,7 @@ from repro.flightrec.records import (
     EV_FRAME_RELEASE,
     EV_LIVENESS,
     EV_SANITIZER,
+    EV_SLOW_FRAME,
     LIVE_ALIVE,
     LIVE_DEAD,
     LIVE_SUSPECT,
@@ -65,6 +67,7 @@ from repro.flightrec.records import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executive import Executive
     from repro.hw.clock import Clock
+    from repro.i2o.frame import Frame
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +81,7 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _pack_into = RECORD_STRUCT.pack_into
 
 #: Spills one recorder writes for *survivable* incidents (handler
-#: exceptions here, budget overruns in ``SlowFrameWatch``): a device
+#: exceptions and dispatch-budget overruns, one shared count): a device
 #: failing every dispatch must not turn forensics into a disk-thrashing
 #: loop.  Every incident is still recorded in the ring; fatal paths
 #: (``hard_stop``, watchdog, sanitizer) always spill.
@@ -95,7 +98,8 @@ class FlightRecorder(DispatchObserver):
 
     A dispatch observer: ``exe.attach(FlightRecorder(...))`` writes one
     ``dispatch`` record per dispatch and sets ``exe.flightrec``,
-    which the fabric's other record sites read.  The ring is the only
+    which the fabric's other record sites read — ``frame_send`` among
+    them, to :meth:`stamp` trace ids.  The ring is the only
     per-node store of frame-lifecycle facts: spans, critical paths and
     post-mortems are projections of it
     (:mod:`repro.flightrec.timeline`).  ``node`` and ``clock`` may be
@@ -103,6 +107,13 @@ class FlightRecorder(DispatchObserver):
     Without a ``dump_dir`` the recorder still records (what the
     ``observability`` section attaches when it has no ``dir``) but
     :meth:`spill` is a no-op returning ``None``.
+
+    A positive ``budget_ns`` arms slow-frame capture: a dispatch that
+    takes longer records ``EV_SLOW_FRAME`` after its ``dispatch``
+    record, counts in ``prof_slow_frames_total`` and spills the ring
+    (reason ``slow-frame``) under the :data:`MAX_INCIDENT_SPILLS` cap,
+    so the black box around the incident is on disk without anything
+    having crashed.  0 leaves it off.
 
     ``name`` controls the dump filename (``<name>.flightrec``); give
     replacement executives that reuse a dead node's id a distinct name
@@ -119,9 +130,14 @@ class FlightRecorder(DispatchObserver):
         dump_dir: str | os.PathLike[str] | None = None,
         clock: "Clock | None" = None,
         name: str | None = None,
+        budget_ns: int = 0,
     ) -> None:
         if capacity < 1:
             raise FlightRecError(f"ring capacity must be >= 1, got {capacity}")
+        if budget_ns < 0:
+            raise FlightRecError(
+                f"dispatch budget must be >= 0 (0 = off), got {budget_ns}"
+            )
         self.node = node
         self.capacity = capacity
         self.dump_dir = Path(dump_dir) if dump_dir is not None else None
@@ -130,9 +146,19 @@ class FlightRecorder(DispatchObserver):
         self._ring = bytearray(capacity * RECORD_SIZE)
         self._seq = 0
         self.spills = 0
-        #: dispatch-exception spills withheld by MAX_INCIDENT_SPILLS
+        #: incident spills withheld by MAX_INCIDENT_SPILLS
         self.suppressed_spills = 0
-        self._exception_spills = 0
+        self._incident_spills = 0
+        self.budget_ns = budget_ns
+        #: the duration a dispatch must exceed to trip: one comparison
+        #: per dispatch, against a bound no duration reaches when off
+        self._slow_over_ns = budget_ns or _U64
+        #: dispatches that overran ``budget_ns``
+        self.slow_frames = 0
+        self._traces_rooted = 0
+        #: the dispatched frame's context while a dispatch is running,
+        #: ``None`` between dispatches
+        self._active: int | None = None
 
     # -- accounting ----------------------------------------------------------
     @property
@@ -196,6 +222,31 @@ class FlightRecorder(DispatchObserver):
         _pack_into(self._ring, (seq % self.capacity) * RECORD_SIZE,
                    seq, t_ns, context, 0, 0, EV_FRAME_RELEASE)
 
+    # -- trace stamping (``frame_send``) ------------------------------------
+    def stamp(self, frame: "Frame") -> None:
+        """Give an outgoing frame a trace id (repro.core.tracing).
+
+        A send from outside any dispatch roots a new trace here; a send
+        made *during* a dispatch joins the dispatched frame's trace, and
+        an untraced dispatch (a timer's, say) lazily roots one so its
+        chain is still stitched.  A non-zero ``transaction_context``
+        (application and timer contexts, contexts carried across the
+        wire) and replies pass untouched.
+        """
+        if frame.transaction_context != 0 or frame.is_reply:
+            return
+        active = self._active
+        if active is None:
+            frame.transaction_context = self._root_trace()
+            return
+        if not is_trace_context(active):
+            active = self._active = self._root_trace()
+        frame.transaction_context = active
+
+    def _root_trace(self) -> int:
+        self._traces_rooted += 1
+        return make_trace_id(self.node or 0, self._traces_rooted)
+
     # -- the observer contract -----------------------------------------------
     def on_attach(self, exe: "Executive") -> None:
         """Adopt node id and clock when unset; record liveness
@@ -225,6 +276,7 @@ class FlightRecorder(DispatchObserver):
         m.gauge(
             "flightrec_spills_suppressed_total", lambda: self.suppressed_spills
         )
+        m.gauge("prof_slow_frames_total", lambda: self.slow_frames)
 
     def on_detach(self, exe: "Executive") -> None:
         if exe.flightrec is self:
@@ -250,34 +302,44 @@ class FlightRecorder(DispatchObserver):
         self.record(EV_SANITIZER, _SANITIZER_CODES.get(kind, 0))
         self.spill("sanitizer")
 
+    def dispatch_begin(self, rec: DispatchRecord) -> None:
+        self._active = rec.context
+
     # One record per dispatch, written when it is over: start time,
     # queue wait and duration ride together, so the ring pays one pack
-    # per dispatch and the recorder needs no ``dispatch_begin``.  The
-    # header inlines pack3(target, function, xfunction): the fields
-    # come from a validated header, already in range, and this is the
-    # recorder's hottest path (X9).
+    # per dispatch.  The header inlines pack3(target, function,
+    # xfunction): the fields come from a validated header, already in
+    # range, and this is the recorder's hottest path (X9).
     def dispatch_end(self, rec: DispatchRecord) -> None:
+        self._active = None
         start = rec.start_ns
+        duration = rec.end_ns - start
         enqueued = rec.enqueued_ns
         wait = start - enqueued if enqueued is not None else 0
         hdr = (rec.target << 32) | (rec.function << 16) | rec.xfunction
-        if rec.outcome == OUTCOME_HANDLER_ERROR:
+        failed = rec.outcome == OUTCOME_HANDLER_ERROR
+        if failed:
             self.record(EV_DISPATCH_ERROR, rec.context, hdr, 0, rec.end_ns)
         seq = self._seq
         self._seq = seq + 1
         try:
             _pack_into(self._ring, (seq % self.capacity) * RECORD_SIZE,
                        seq, start, rec.context, hdr, wait,
-                       EV_DISPATCH | (rec.end_ns - start) << 8)
+                       EV_DISPATCH | duration << 8)
         except struct.error:
             self._seq = seq
-            self.record(EV_DISPATCH, rec.context, hdr, wait, start,
-                        rec.end_ns - start)
-        if rec.outcome != OUTCOME_HANDLER_ERROR:
-            return
-        if self._exception_spills < MAX_INCIDENT_SPILLS:
-            self._exception_spills += 1
-            self.spill("dispatch-exception")
+            self.record(EV_DISPATCH, rec.context, hdr, wait, start, duration)
+        if failed:
+            self._incident("dispatch-exception")
+        if duration > self._slow_over_ns:
+            self.slow_frames += 1
+            self.record(EV_SLOW_FRAME, rec.context, hdr, duration, rec.end_ns)
+            self._incident("slow-frame")
+
+    def _incident(self, reason: str) -> None:
+        if self._incident_spills < MAX_INCIDENT_SPILLS:
+            self._incident_spills += 1
+            self.spill(reason)
         else:
             self.suppressed_spills += 1
 

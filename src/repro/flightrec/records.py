@@ -4,7 +4,7 @@ A flight-recorder record is a fixed 48-byte packed struct — small
 enough that a bounded ring of a few thousand records costs a couple
 hundred kilobytes per node, fixed-size so the ring can be preallocated
 once and written with ``pack_into`` (no per-event allocation on the
-hot path, matching the tracer's discipline)::
+hot path)::
 
     offset  size  field
     ------  ----  ---------------------------------------------------
@@ -22,7 +22,7 @@ site, the decoder and the timeline merge rely on — is written once, in
 executable form: the :data:`ARGUMENTS` table at the bottom of this
 module, which is also what renders a record for humans.  There ``ctx``
 is a frame's 64-bit ``transaction_context`` (a 0xACE-tagged trace id
-when a tracer stamped it) and a *header* is :func:`pack3` of three
+when the recorder stamped it) and a *header* is :func:`pack3` of three
 addressing fields.
 """
 

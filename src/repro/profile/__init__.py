@@ -1,6 +1,6 @@
 """Continuous profiling and latency attribution.
 
-Three instruments answering "why is p99 slow?" from one command:
+Two instruments answering "why is p99 slow?" from one command:
 
 * :mod:`repro.profile.sampler` — a background thread walks
   ``sys._current_frames()`` for registered executive loop threads at a
@@ -11,15 +11,14 @@ Three instruments answering "why is p99 slow?" from one command:
   lifetimes of one merged flight-recorder timeline (live rings or
   dumps) into named per-hop segments (queue-wait, dispatch, encode,
   wire, journal, ack), reports per-segment p50/p99 and names the
-  dominant hop and segment of slow traces;
-* :mod:`repro.profile.watch` — a slow-frame watchdog: a dispatch
-  exceeding its budget records an ``EV_SLOW_FRAME`` flight-recorder
-  event and spills the ring, capturing the incident without a crash.
+  dominant hop and segment of slow traces.
 
-The sampler's slot and the watch reach the dispatch loop as dispatch
-observers (:mod:`repro.core.observer`); an executive with neither
-attached pays nothing for them.  ``python -m repro.diag flame`` and
-``where`` run the kit against the traced 4-node event builder.
+Slow-frame capture is the flight recorder's dispatch budget
+(``FlightRecorder(budget_ns=...)``).  The sampler's slot reaches the
+dispatch loop as a dispatch observer (:mod:`repro.core.observer`); an
+executive without it pays nothing for it.  ``python -m repro.diag
+flame`` and ``where`` run the kit against the traced 4-node event
+builder.
 """
 
 from repro.profile.critical import (
@@ -29,7 +28,6 @@ from repro.profile.critical import (
     TracePath,
 )
 from repro.profile.sampler import DispatchSlot, SamplingProfiler
-from repro.profile.watch import SlowFrameWatch
 
 __all__ = [
     "SEGMENTS",
@@ -37,6 +35,5 @@ __all__ = [
     "DispatchSlot",
     "HopBreakdown",
     "SamplingProfiler",
-    "SlowFrameWatch",
     "TracePath",
 ]

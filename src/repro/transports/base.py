@@ -133,8 +133,10 @@ class PeerTransport(Listener):
     ) -> Frame:
         """Pool-block-first receive: alloc, let the transport fill, post.
 
-        Allocate a pool block — a ``frame-alloc`` fact like any other,
-        the one nested in Table 1's PT processing — and hand its view
+        Borrow a pool block through :meth:`Executive.block_loan` — a
+        ``frame-alloc`` fact like any other, the one nested in Table
+        1's PT processing, and a ``pool-exhausted`` one when the pool is
+        dry — and hand its view
         to ``fill``, which writes the wire bytes straight into it — the
         single unavoidable copy off the wire (e.g. ``recv_into`` for
         TCP) — then resolve the initiator to a local proxy TiD and post
@@ -142,10 +144,7 @@ class PeerTransport(Listener):
         validation) frees the block; nothing leaks.
         """
         exe = self._require_live()
-        block = exe.pool.alloc(frame_len)
-        recorder = exe.flightrec
-        if recorder is not None:
-            recorder.note_alloc(frame_len, exe.pool.in_flight)
+        block = exe.block_loan(frame_len)
         try:
             view = block.memory[:frame_len]
             fill(view)
@@ -153,9 +152,7 @@ class PeerTransport(Listener):
             frame = Frame._undecoded(view, block).validate()
             return self._post_ingested(exe, src_node, frame)
         except BaseException:
-            if recorder is not None:
-                recorder.note_release(0)
-            exe.pool.free(block)
+            exe.block_return(block)
             raise
 
     def ingest_block(

@@ -1,19 +1,20 @@
 """Bootstrap wiring for the one ``observability`` section: the flight
-recorder, tracer, timer, sampler and slow-frame watch on every node,
-plus the telemetry agents and their collector."""
+recorder (trace stamping and the dispatch budget included), timer and
+sampler on every node, plus the telemetry agents and their
+collector."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.config.bootstrap import BootstrapError, bootstrap
+from repro.core.device import FunctionalListener
 from repro.core.executive import DISPATCH_LATENCY_BUCKETS_NS
 from repro.core.metrics import DispatchTimer
 from repro.core.telemetry import TelemetryAgent, TelemetryCollector
-from repro.core.tracing import FrameTracer
 from repro.flightrec import FlightRecorder, load_dump
-from repro.flightrec.records import EV_HARD_STOP
-from repro.profile import DispatchSlot, SlowFrameWatch
+from repro.flightrec.records import EV_HARD_STOP, EV_SLOW_FRAME
+from repro.profile import DispatchSlot
 
 ECHO = "repro.bench.devices.EchoDevice"
 PING = "repro.bench.devices.PingDevice"
@@ -49,16 +50,15 @@ class TestWiring:
         cluster = bootstrap(spec_with(dispatch_budget_ns=50_000))
         for exe in cluster.executives.values():
             assert [type(o) for o in exe.observers] == [
-                FlightRecorder, FrameTracer, DispatchTimer,
-                DispatchSlot, SlowFrameWatch,
+                FlightRecorder, DispatchTimer, DispatchSlot,
             ]
 
     def test_no_budget_means_no_watch(self):
         cluster = bootstrap(spec_with())
-        assert cluster.slow_watches == {}
-        for exe in cluster.executives.values():
+        for node, exe in cluster.executives.items():
+            assert cluster.flight_recorders[node].budget_ns == 0
             assert [type(o) for o in exe.observers] == [
-                FlightRecorder, FrameTracer, DispatchTimer, DispatchSlot,
+                FlightRecorder, DispatchTimer, DispatchSlot,
             ]
 
     def test_every_node_gets_the_kit(self):
@@ -104,12 +104,24 @@ class TestWiring:
             capacity=64, hz=251.0, dispatch_budget_ns=50_000,
         ))
         assert cluster.profiler.hz == 251.0
-        assert sorted(cluster.slow_watches) == [0, 1]
-        for node, watch in cluster.slow_watches.items():
-            assert cluster.flight_recorders[node].capacity == 64
-            assert watch.budget_ns == 50_000
-            assert watch.spill_on_trip is True  # the class defaults
-            assert watch.max_spills == SlowFrameWatch(1).max_spills
+        assert sorted(cluster.flight_recorders) == [0, 1]
+        for recorder in cluster.flight_recorders.values():
+            assert recorder.capacity == 64
+            assert recorder.budget_ns == 50_000
+
+    def test_budget_spills_slow_frames_into_the_dir(self, tmp_path):
+        cluster = bootstrap(spec_with(
+            dir=str(tmp_path), dispatch_budget_ns=1,  # every dispatch trips
+        ))
+        exe = cluster.executives[1]
+        sink = FunctionalListener(name="sink", handlers={0x1: lambda f: None})
+        tid = exe.install(sink)
+        sink.send(tid, b"x", xfunction=0x1)
+        exe.run_until_idle()
+        assert cluster.flight_recorders[1].slow_frames >= 1
+        dump = load_dump(tmp_path / "node001.flightrec")
+        assert dump.reason == "slow-frame"
+        assert dump.of_kind(EV_SLOW_FRAME)
 
     def test_string_values_coerced(self):
         cluster = bootstrap(spec_with(capacity="128", hz="251"))
@@ -159,7 +171,7 @@ class TestRejection:
         {"hz": 0.0},
         {"hz": 100_000.0},
         {"dispatch_budget_ns": -1},
-        {"trace_budget_ns": 400_000},  # removed with SlowFrameWatch.note_trace
+        {"trace_budget_ns": 400_000},  # a retired profiling key
     ])
     def test_bad_value_refused(self, section):
         with pytest.raises(BootstrapError, match="bad observability section"):

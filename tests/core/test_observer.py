@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.device import FunctionalListener, Listener
 from repro.core.executive import Executive
+from repro.core.metrics import DispatchTimer
 from repro.core.observer import (
     OUTCOME_ABORTED,
     OUTCOME_HANDLER_ERROR,
@@ -17,11 +18,10 @@ from repro.core.observer import (
     OUTCOME_WATCHDOG,
     DispatchObserver,
 )
-from repro.core.tracing import FrameTracer
+from repro.core.tracing import is_trace_context
 from repro.core.watchdog import HandlerWatchdog
 from repro.flightrec import FlightRecorder
 from repro.i2o.errors import I2OError
-from repro.profile import SlowFrameWatch
 
 XFN = 0x1
 
@@ -103,10 +103,16 @@ class TestEveryExitIsBalanced:
         from repro.profile import SamplingProfiler
 
         exe = Executive(node=0)
-        tracer = exe.attach(FrameTracer())
+        recorder = exe.attach(FlightRecorder(capacity=8))
         slot = SamplingProfiler(hz=50.0).register(exe)
+        in_dispatch = []
+
+        def crash(frame):
+            in_dispatch.append(recorder._active)
+            _raise(_Crash())
+
         tid = exe.install(FunctionalListener(
-            name="target", handlers={XFN: lambda f: _raise(_Crash())}
+            name="target", handlers={XFN: crash}
         ))
         sender = Listener("sender")
         exe.install(sender)
@@ -114,15 +120,17 @@ class TestEveryExitIsBalanced:
         with pytest.raises(_Crash):
             exe.run_until_idle()
         assert slot.current is None
-        assert tracer._in_dispatch is False
+        # The dispatched frame's trace was active, and is cleared: sends
+        # made after the abort root traces of their own.
+        assert is_trace_context(in_dispatch[0])
+        assert recorder._active is None
 
 
 class TestSeamSemantics:
     @pytest.mark.parametrize("make", [
         lambda: FlightRecorder(capacity=8),
-        lambda: FrameTracer(),
-        lambda: SlowFrameWatch(1000),
-    ], ids=["recorder", "tracer", "watch"])
+        lambda: DispatchTimer(),
+    ], ids=["recorder", "timer"])
     def test_second_observer_of_a_class_is_refused(self, make):
         exe = Executive(node=3)
         first = exe.attach(make())
@@ -132,14 +140,12 @@ class TestSeamSemantics:
 
     def test_attach_sets_and_detach_clears_the_plain_references(self):
         exe = Executive(node=0)
-        tracer = exe.attach(FrameTracer())
         recorder = exe.attach(FlightRecorder(capacity=8))
-        assert (exe.tracer, exe.flightrec) == (tracer, recorder)
-        assert (tracer.node, recorder.clock) == (0, exe.clock)
-        exe.detach(tracer)
+        assert exe.flightrec is recorder
+        assert (recorder.node, recorder.clock) == (0, exe.clock)
         exe.detach(recorder)
         exe.detach(recorder)  # not attached: a no-op
-        assert (exe.tracer, exe.flightrec, exe.observers) == (None, None, ())
+        assert (exe.flightrec, exe.observers) == (None, ())
 
     def test_delivery_order_is_attach_order(self):
         exe = Executive(node=0)

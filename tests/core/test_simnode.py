@@ -138,3 +138,21 @@ def test_ledger_adopts_a_recorder_attached_first():
     assert node.ledger.accrued_ns == 2180 + 1780
     exe.detach(node.ledger)
     assert exe.flightrec is ring
+
+
+def test_ringed_sim_node_keeps_stamping_trace_ids():
+    """The ledger holds ``exe.flightrec``, so ``frame_send`` stamps
+    through it: the ring behind it mints the ids, and stamping costs
+    virtual time nothing."""
+    from repro.core.tracing import is_trace_context
+    from repro.flightrec import FlightRecorder
+    from repro.flightrec.records import EV_DISPATCH
+
+    bare, _ = _echo_run(lambda exe: None)
+    ringed, rings = _echo_run(lambda exe: exe.attach(FlightRecorder()))
+    assert ringed.ping.rtts_ns == bare.ping.rtts_ns
+    assert ringed.node_a.busy_ns == bare.node_a.busy_ns
+    assert ringed.node_b.busy_ns == bare.node_b.busy_ns
+    for ring in rings:
+        contexts = [r.a for r in ring.records if r.kind == EV_DISPATCH]
+        assert contexts and all(is_trace_context(c) for c in contexts)

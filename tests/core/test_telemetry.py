@@ -14,7 +14,6 @@ from repro.core.telemetry import (
     decode_hop,
     encode_hop,
 )
-from repro.core.tracing import FrameTracer
 from repro.flightrec import FlightRecorder, Hop
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import UTIL_PARAMS_GET
@@ -37,7 +36,6 @@ def _telemetry_cluster(n_nodes: int = 2, *, tracing: bool = True):
     agents = {}
     for node, exe in cluster.items():
         if tracing:
-            exe.attach(FrameTracer())
             exe.attach(FlightRecorder(capacity=512))
         agent = TelemetryAgent(name=f"agent{node}")
         exe.install(agent)

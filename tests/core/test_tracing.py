@@ -1,5 +1,5 @@
-"""The distributed frame tracer: id tagging and stamping; the hops it
-makes possible are projections of the flight-recorder ring."""
+"""Distributed frame tracing: id tagging and the flight recorder's
+stamping; the hops it makes possible are projections of its ring."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from repro.core.device import FunctionalListener, Listener
 from repro.core.executive import Executive
 from repro.core.observer import DispatchRecord
 from repro.core.tracing import (
-    FrameTracer,
     TRACE_TAG,
     is_trace_context,
     make_trace_id,
@@ -42,7 +41,6 @@ class _Echo(Listener):
 
 
 def _trace(exe: Executive, capacity: int = 256) -> None:
-    exe.attach(FrameTracer())
     exe.attach(FlightRecorder(capacity=capacity))
 
 
@@ -74,35 +72,70 @@ class TestTraceIds:
             assert not is_trace_context(ctx)
 
     def test_ids_are_unique_per_root(self):
-        tracer = FrameTracer(node=1)
+        recorder = FlightRecorder(node=1)
         frames = [
             Frame.build(target=TARGET_TID, initiator=INITIATOR_TID)
             for _ in range(3)
         ]
         for f in frames:
-            tracer.stamp(f)
+            recorder.stamp(f)
         contexts = {f.transaction_context for f in frames}
         assert len(contexts) == 3
         assert all(is_trace_context(c) for c in contexts)
+        assert {trace_root_node(c) for c in contexts} == {1}
 
     def test_stamp_never_overwrites(self):
-        tracer = FrameTracer(node=1)
+        recorder = FlightRecorder(node=1)
         frame = Frame.build(target=TARGET_TID, initiator=INITIATOR_TID,
                             transaction_context=0x77)
-        tracer.stamp(frame)
+        recorder.stamp(frame)
         assert frame.transaction_context == 0x77
+
+    def test_sends_inside_a_dispatch_join_its_trace(self):
+        recorder = FlightRecorder(node=1)
+
+        def sent() -> int:
+            frame = Frame.build(target=TARGET_TID, initiator=INITIATOR_TID)
+            recorder.stamp(frame)
+            return frame.transaction_context
+
+        traced = make_trace_id(0, 9)
+        rec = DispatchRecord(1, Frame.build(
+            target=TARGET_TID, initiator=INITIATOR_TID,
+            transaction_context=traced,
+        ), 0)
+        recorder.dispatch_begin(rec)
+        assert sent() == sent() == traced
+        recorder.dispatch_end(rec)
+        assert sent() != traced  # between dispatches: a fresh root
+        # An untraced dispatch (a timer's) roots one trace for all of
+        # its sends.
+        rec = DispatchRecord(1, Frame.build(
+            target=TARGET_TID, initiator=INITIATOR_TID,
+            transaction_context=0x123,
+        ), 0)
+        recorder.dispatch_begin(rec)
+        first = sent()
+        assert is_trace_context(first) and sent() == first
+        recorder.dispatch_end(rec)
 
 
 class TestOffMode:
     def test_no_tracer_means_zero_contexts_and_no_spans(self, two_nodes):
-        echo = _Echo(name="echo")
-        echo_tid = two_nodes[1].install(echo)
+        # Stamping is the recorder's: a node without one sends its
+        # frames with the context the sender gave them.
+        seen = []
+        sink = FunctionalListener(name="sink", handlers={
+            0x1: lambda f: seen.append(f.transaction_context),
+        })
+        sink_tid = two_nodes[1].install(sink)
         caller = FunctionalListener(name="caller")
         two_nodes[0].install(caller)
-        proxy = two_nodes[0].create_proxy(1, echo_tid)
+        proxy = two_nodes[0].create_proxy(1, sink_tid)
         caller.send(proxy, b"x", xfunction=0x1)
         pump(two_nodes)
-        assert all(exe.tracer is None for exe in two_nodes.values())
+        assert seen == [0]
+        assert all(exe.flightrec is None for exe in two_nodes.values())
 
 
 class TestSpans:
@@ -129,8 +162,7 @@ class TestSpans:
         assert span.dispatch_ns >= 0
 
     def test_ring_is_bounded(self):
-        # The recorder's capacity is the only bound: the tracer itself
-        # stores nothing per hop.
+        # The recorder's capacity is the only bound on hops.
         cluster, caller, proxy = _traced_pair(capacity=8)
         for _ in range(10):
             caller.send(proxy, b"p", xfunction=0x1)
@@ -139,7 +171,6 @@ class TestSpans:
         assert recorder.stored_records == 8
         assert recorder.dropped_records > 0
         assert 0 < len(_hops(cluster[1])) <= 4  # two records per hop
-        assert not hasattr(cluster[1].tracer, "spans")
 
     def test_queue_wait_measured_against_the_executive_clock(self):
         clock = _ManualClock()
@@ -200,8 +231,7 @@ class TestSpans:
         exe.scheduler.pop()
 
     def test_untraced_node_pays_no_enqueue_clock_read(self):
-        exe = Executive(node=0)
-        exe.attach(FrameTracer())  # stamps, but no ring: no marks
+        exe = Executive(node=0)  # no ring: no stamps, no marks
         frame = Frame.build(
             target=PTA_TID, initiator=EXECUTIVE_TID, xfunction=0x1
         )

@@ -87,16 +87,32 @@ class TestDispatchPath:
         assert records_of(exe.flightrec, EV_FRAME_RELEASE)
 
     def test_pool_exhaustion_recorded_before_raising(self):
+        # Both ways a node borrows frame memory — a device's frameAlloc
+        # and a peer transport's receive — write the same fact.
         exe = make_recorded_exe(
             FlightRecorder(capacity=64),
             pool=BufferPool(OriginalAllocator(block_size=64, block_count=1)),
         )
+        pt = LoopbackTransport(LoopbackNetwork())
+        PeerTransportAgent.attach(exe).register(pt, default=True)
         held = exe.frame_alloc(8, target=EXECUTIVE_TID, initiator=EXECUTIVE_TID, xfunction=0x1)
-        with pytest.raises(PoolExhausted):
-            exe.frame_alloc(8, target=EXECUTIVE_TID, initiator=EXECUTIVE_TID, xfunction=0x1)
-        exhausted = records_of(exe.flightrec, EV_POOL_EXHAUSTED)
-        assert exhausted and exhausted[0].a == HEADER_SIZE + 8
+        borrow = {
+            "frame_alloc": lambda: exe.frame_alloc(
+                8, target=EXECUTIVE_TID, initiator=EXECUTIVE_TID, xfunction=0x1
+            ),
+            "ingest_frame_bytes": lambda: pt.ingest_frame_bytes(
+                1, held.tobytes()
+            ),
+        }
+        for entry, attempt in borrow.items():
+            before = len(records_of(exe.flightrec, EV_POOL_EXHAUSTED))
+            with pytest.raises(PoolExhausted):
+                attempt()
+            exhausted = records_of(exe.flightrec, EV_POOL_EXHAUSTED)
+            assert len(exhausted) == before + 1, entry
+            assert exhausted[-1].a == HEADER_SIZE + 8, entry
         exe.frame_free(held)
+        exe.pool.check_conservation()
 
     def test_handler_exception_records_error_and_spills(self, tmp_path):
         exe = make_recorded_exe(

@@ -25,7 +25,6 @@ import struct
 from repro.analysis.sanitize import SanitizingTableAllocator, assert_clean
 from repro.core.executive import Executive
 from repro.core.reliable import ReliableEndpoint
-from repro.core.tracing import FrameTracer
 from repro.flightrec import (
     FlightRecorder,
     MergedTimeline,
@@ -111,7 +110,6 @@ class _Cluster:
             node=node, clock=clock,
             pool=BufferPool(SanitizingTableAllocator()),
         )
-        exe.attach(FrameTracer())
         inc = self.incarnations.get(node, 0) + 1
         self.incarnations[node] = inc
         exe.attach(FlightRecorder(

@@ -1,10 +1,10 @@
 """Acceptance: a deliberately slowed dispatch lights up the whole kit.
 
 One two-node loopback cluster with the full profiling kit armed: the
-tracer mints a trace id on the sender, the slow handler blows the
-dispatch budget on the receiver, and afterwards (a) the receiver's
+sender's flight recorder mints a trace id, the slow handler blows the
+receiver recorder's dispatch budget, and afterwards (a) the receiver's
 OpenMetrics exposition carries that trace id as a histogram exemplar
-on a slow bucket, (b) the slow-frame watch has tripped and spilled a
+on a slow bucket, (b) the budget has tripped and spilled a
 flight-recorder dump holding the matching ``EV_SLOW_FRAME``, and (c)
 the sampling profiler can attribute a mid-dispatch sample to the slow
 device's context.
@@ -18,11 +18,10 @@ import time
 from repro.core.device import FunctionalListener, Listener
 from repro.core.executive import DISPATCH_LATENCY_BUCKETS_NS
 from repro.core.metrics import DispatchTimer
-from repro.core.tracing import FrameTracer, is_trace_context
+from repro.core.tracing import is_trace_context
 from repro.flightrec import FlightRecorder, load_dump
 from repro.flightrec.records import EV_SLOW_FRAME
 from repro.profile.sampler import SamplingProfiler
-from repro.profile.watch import SlowFrameWatch
 
 from tests.conftest import make_loopback_cluster, pump
 
@@ -31,15 +30,15 @@ BUDGET_NS = 1_000_000  # 1 ms: the slow handler sleeps 5x that
 
 def test_slowed_dispatch_produces_exemplar_spill_and_samples(tmp_path):
     cluster = make_loopback_cluster(2)
-    for node, exe in cluster.items():
-        exe.attach(FrameTracer())
+    cluster[0].attach(FlightRecorder(capacity=256))
     receiver = cluster[1]
     receiver.attach(DispatchTimer())
     receiver.metrics.histogram(
         "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
     ).enable_exemplars()
-    receiver.attach(FlightRecorder(capacity=256, dump_dir=tmp_path))
-    watch = receiver.attach(SlowFrameWatch(BUDGET_NS))
+    recorder = receiver.attach(FlightRecorder(
+        capacity=256, dump_dir=tmp_path, budget_ns=BUDGET_NS,
+    ))
     profiler = SamplingProfiler(hz=997.0)
     slot = profiler.register(receiver)
     sampled_ctx = []
@@ -67,8 +66,8 @@ def test_slowed_dispatch_produces_exemplar_spill_and_samples(tmp_path):
     trace_id = int(exemplars[-1], 16)
     assert is_trace_context(trace_id)
 
-    # (b) the watch tripped and the spill holds the same trace context.
-    assert watch.trips >= 1 and watch.spills >= 1
+    # (b) the budget tripped and the spill holds the same trace context.
+    assert recorder.slow_frames >= 1 and recorder.spills >= 1
     dump = load_dump(receiver.flightrec.dump_path())
     assert dump.reason == "slow-frame"
     slow_records = dump.of_kind(EV_SLOW_FRAME)

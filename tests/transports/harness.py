@@ -90,15 +90,13 @@ class TransportHarness:
         return self._run_until(predicate)
 
     def enable_tracing(self, capacity: int = 512) -> dict[int, "FlightRecorder"]:
-        """Install a FrameTracer and a flight-recorder ring on every
-        executive; returns the recorders by node so tests can project
-        the recorded hops."""
-        from repro.core.tracing import FrameTracer
+        """Install a flight-recorder ring (which stamps trace ids) on
+        every executive; returns the recorders by node so tests can
+        project the recorded hops."""
         from repro.flightrec import FlightRecorder
 
         recorders = {}
         for node, exe in self.exes.items():
-            exe.attach(FrameTracer())
             recorders[node] = exe.attach(FlightRecorder(capacity=capacity))
         return recorders
 
