@@ -19,15 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.report import format_table
-from repro.core.executive import Executive
-from repro.core.probes import CostModel
-from repro.core.simnode import SimNode
-from repro.daq import BuilderUnit, EventManager, ReadoutUnit, TriggerSource
-from repro.dataflow import wire_dataflow
-from repro.hw.myrinet import Fabric
+from repro.config.bootstrap import bootstrap
+from repro.dataflow.examples import event_builder_spec
+from repro.hw.clock import SimClock
 from repro.sim.kernel import Simulator
-from repro.transports.agent import PeerTransportAgent
-from repro.transports.simgm import SimGmTransport
 
 DEFAULT_CONFIGS = ((1, 1), (2, 2), (4, 2), (4, 4))
 
@@ -64,32 +59,14 @@ def run_config(
 ) -> tuple[float, float, int]:
     """One configuration; returns (events/s, assembled MB/s, wire msgs)."""
     sim = Simulator()
-    n_nodes = 1 + n_ru + n_bu
-    fabric = Fabric(sim, ports=max(16, n_nodes))
-    exes: dict[int, Executive] = {}
-    for node in range(n_nodes):
-        exe = Executive(node=node)
-        sim_node = SimNode(sim, exe, cost_model=CostModel.paper_table1())
-        PeerTransportAgent.attach(exe).register(
-            SimGmTransport(fabric, send_tokens=64, recv_tokens=256),
-            default=True,
-        )
-        sim_node.attach_transport_hooks()
-        exes[node] = exe
-
-    evm, trigger = EventManager(), TriggerSource()
-    exes[0].install(evm)
-    exes[0].install(trigger)
-    for i in range(n_ru):
-        exes[1 + i].install(
-            ReadoutUnit(ru_id=i, mean_fragment=mean_fragment)
-        )
-    bus = [BuilderUnit(bu_id=i) for i in range(n_bu)]
-    for i, bu in enumerate(bus):
-        exes[1 + n_ru + i].install(bu)
     # Uncapped routes: every trigger fires in one burst at t=0, far
     # past any credit window.
-    wire_dataflow(exes, backpressure=False)
+    cluster = bootstrap(event_builder_spec(
+        n_ru, n_bu, transport="simgm", mean_fragment=mean_fragment,
+        dataflow={"backpressure": False},
+    ), clock=SimClock(sim))
+    evm, trigger = cluster.device("evm"), cluster.device("trigger")
+    bus = [cluster.device(f"bu{i}") for i in range(n_bu)]
 
     # Burst-drive: all triggers at t=0; batch completion time = last
     # event's completion, so rate = events / makespan.
@@ -101,10 +78,11 @@ def run_config(
         )
     makespan_s = sim.now / 1e9
     assembled_bytes = sum(bu.bytes_built for bu in bus)
+    (gm,) = cluster.executive(0).pta.transports()
     return (
         events / makespan_s,
         assembled_bytes / makespan_s / 1e6,
-        fabric.stats.messages,
+        gm.fabric.stats.messages,
     )
 
 

@@ -11,7 +11,12 @@ and test would otherwise repeat.
 Specification shape (plain dicts, JSON/Tcl-friendly)::
 
     spec = {
-        "transport": "loopback",            # loopback | queue-mesh
+        "transport": "loopback",            # loopback | queue-mesh | simgm
+        "faults": {                         # optional: a lossy loopback
+            "drop_rate": 0.05,
+            "duplicate_rate": 0.0,
+            "seed": 7,                      # node N draws from seed + N
+        },
         "supervision": {                    # optional liveness/failover
             "interval_ns": 1_000_000,
             "suspect_after": 2,
@@ -37,6 +42,15 @@ Specification shape (plain dicts, JSON/Tcl-friendly)::
     cluster = bootstrap(spec)
     cluster.proxy(from_node=0, to="ru0")    # proxy TiD by device name
 
+Transports: ``loopback`` (with a ``faults`` section, a seeded lossy
+``FaultyLoopbackTransport`` named ``faulty``), ``queue-mesh`` (a queue
+pair per node pair) and ``simgm`` (the modelled Myrinet/GM fabric).
+``clock=`` picks the plane: none runs wall clocks; a ``SimClock`` hosts
+every executive in a ``SimNode`` on its simulator (``simgm`` needs
+one); any other ``Clock`` is shared, the caller advancing it and
+calling ``cluster.pump()``.  ``cluster.kill(node)`` and
+``cluster.rejoin(node)`` crash a node and boot its next incarnation.
+
 Device classes are addressed by import path; instances by unique name.
 """
 
@@ -46,20 +60,25 @@ import importlib
 import os
 from dataclasses import dataclass, field
 from operator import methodcaller
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.config.schema import ParamSchema, SchemaError
 from repro.core.device import Listener
 from repro.core.executive import Executive
 from repro.core.liveness import HeartbeatService, install_supervision
+from repro.core.simnode import SimNode
 from repro.core.telemetry import OBSERVABILITY_SCHEMA, install_observability
 from repro.dataflow.wiring import DATAFLOW_SCHEMA, install_dataflow
 from repro.durable.segments import DURABILITY_SCHEMA, install_durability
+from repro.hw.clock import Clock, SimClock
+from repro.hw.myrinet import Fabric
 from repro.i2o.errors import I2OError
 from repro.i2o.tid import Tid
 from repro.transports.agent import PeerTransportAgent
+from repro.transports.faulty import FAULTS_SCHEMA, FaultPlan, FaultyLoopbackTransport
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 from repro.transports.queued import QueuePair, QueueTransport
+from repro.transports.simgm import SimGmTransport
 
 
 class BootstrapError(I2OError):
@@ -90,6 +109,8 @@ class UnknownDeviceError(BootstrapError, KeyError):
 class Cluster:
     """The built system: executives plus a name → (node, tid) index."""
 
+    #: registers one executive's transports on the cluster's one wire
+    join: Callable[[Executive], None] = field(repr=False)
     executives: dict[int, Executive] = field(default_factory=dict)
     devices: dict[str, tuple[int, Tid, Listener]] = field(default_factory=dict)
     #: node -> its HeartbeatService, when the spec asked for supervision
@@ -111,6 +132,13 @@ class Cluster:
     dataflow_graph: Any = None
     #: the cluster-wide credit ledger, when dataflow backpressure is on
     dataflow_ledger: Any = None
+    #: what :meth:`rejoin` rebuilds from besides the wire: the spec,
+    #: its sections' validated options and the boot clock
+    spec: dict[str, Any] = field(default_factory=dict)
+    options: dict[str, dict[str, Any]] = field(default_factory=dict)
+    clock: Clock | None = None
+    #: node -> how many executives have held that node id
+    incarnations: dict[int, int] = field(default_factory=dict)
 
     def executive(self, node: int) -> Executive:
         exe = self.executives.get(node)
@@ -140,6 +168,70 @@ class Cluster:
         if entry is None:
             raise UnknownDeviceError(name, self.devices)
         return entry
+
+    # -- construction (boot and rejoin share every step) ---------------------
+    def install(self, node: int, device: Listener) -> Tid:
+        """Install ``device`` on ``node`` under its name.  A name the
+        cluster already knows on that node keeps its TiD, so a rejoined
+        node's devices come back where its peers' proxies point."""
+        known = self.devices.get(device.name)
+        tid = self.executive(node).install(
+            device, tid=known[1] if known and known[0] == node else None
+        )
+        self.devices[device.name] = (node, tid, device)
+        return tid
+
+    def _boot(self, node: int) -> Executive:
+        """A fresh executive for ``node`` on the cluster's clock, joined
+        to its wire."""
+        exe = Executive(node=node, clock=self.clock)
+        host = (SimNode(self.clock.sim, exe)
+                if isinstance(self.clock, SimClock) else None)
+        self.join(exe)
+        if host is not None:
+            host.attach_transport_hooks()
+        self.executives[node] = exe
+        self.incarnations[node] = self.incarnations.get(node, 0) + 1
+        return exe
+
+    def _install_sections(self, nodes: list[int]) -> None:
+        """Run every present section's installer for ``nodes``."""
+        for name, _schema, install in _SECTIONS:
+            if install is None or name not in self.options:
+                continue
+            try:
+                install(self, self.options[name], nodes)
+            except I2OError as exc:
+                raise BootstrapError(f"{name} section: {exc}") from exc
+
+    def kill(self, node: int) -> None:
+        """``kill -9`` one node: its journals crash (what was not yet
+        flushed is lost), then its executive hard-stops — the recorder,
+        if any, spills with reason ``hard_stop``."""
+        exe = self.executive(node)
+        for name, store in self.journals.items():
+            if self.node_of(name) == node:
+                store.crash()
+        exe.hard_stop()
+
+    def rejoin(self, node: int) -> Executive:
+        """Boot ``node``'s next incarnation after :meth:`kill`: a fresh
+        executive on the same clock and wire (a lossy wire draws from
+        the same seed again), the node's spec devices at the TiDs the
+        dead incarnation held, then every section installer for this
+        node alone — journals reopen and replay, and the recorder spills
+        under a name its predecessor's dump does not have.  Nothing is
+        started (threads, heartbeats), and restoring an EventManager
+        stays explicit: call ``evm.recover()``."""
+        self.executive(node)  # refuses a node the spec does not have
+        try:
+            exe = self._boot(node)
+            for device in _node_devices(node, dict(_nodes_of(self.spec))[node]):
+                self.install(node, device)
+            self._install_sections([node])
+        except I2OError as exc:
+            raise BootstrapError(f"rejoin node {node}: {exc}") from exc
+        return exe
 
     # -- operation -----------------------------------------------------------
     def pump(self, max_rounds: int = 1_000_000) -> int:
@@ -223,30 +315,61 @@ def _section_options(
     return {spec.name: spec.default for spec in schema} | options
 
 
-def _join_transport(cluster: Cluster, kind: str) -> None:
-    nodes = sorted(cluster.executives)
+#: GM tokens per ``simgm`` port: enough that a whole event-builder
+#: burst queues in the modelled NICs, not behind the host.
+GM_SEND_TOKENS = 64
+GM_RECV_TOKENS = 256
+
+
+def _wire(
+    kind: str, faults: dict[str, Any] | None, clock: Clock | None,
+    nodes: list[int],
+) -> Callable[[Executive], None]:
+    """The transport kind's join: it registers one executive's
+    transports on the one medium every incarnation of every node
+    shares (a rejoined node re-registers on the same one)."""
+    if faults is not None and kind != "loopback":
+        raise BootstrapError(
+            f"faults section: needs transport 'loopback', got {kind!r}"
+        )
+
+    def default_pt(make: Callable[[Executive], Any]) -> Any:
+        return lambda exe: PeerTransportAgent.attach(exe).register(
+            make(exe), default=True
+        )
+
     if kind == "loopback":
         network = LoopbackNetwork()
-        for node in nodes:
-            PeerTransportAgent.attach(cluster.executives[node]).register(
-                LoopbackTransport(network), default=True
-            )
-    elif kind == "queue-mesh":
-        ptas = {
-            node: PeerTransportAgent.attach(cluster.executives[node])
-            for node in nodes
-        }
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                pair = QueuePair(a, b)
-                ptas[a].register(
-                    QueueTransport(pair, name=f"q{a}-{b}"), nodes=[b]
-                )
-                ptas[b].register(
-                    QueueTransport(pair, name=f"q{b}-{a}"), nodes=[a]
-                )
-    else:
-        raise BootstrapError(f"unknown transport kind {kind!r}")
+        if faults is None:
+            return default_pt(lambda exe: LoopbackTransport(network))
+        plan = FaultPlan(drop_rate=faults["drop_rate"],
+                         duplicate_rate=faults["duplicate_rate"])
+        return default_pt(lambda exe: FaultyLoopbackTransport(
+            network, plan, seed=faults["seed"] + exe.node
+        ))
+    if kind == "queue-mesh":
+        pairs: dict[tuple[int, int], QueuePair] = {}
+
+        def join(exe: Executive) -> None:
+            pta = PeerTransportAgent.attach(exe)
+            for peer in nodes:
+                if peer == exe.node:
+                    continue
+                key = (min(exe.node, peer), max(exe.node, peer))
+                if key not in pairs:
+                    pairs[key] = QueuePair(*key)
+                pta.register(QueueTransport(pairs[key], name=f"q{exe.node}-{peer}"),
+                             nodes=[peer])
+
+        return join
+    if kind == "simgm":
+        if not isinstance(clock, SimClock):
+            raise BootstrapError("transport 'simgm' needs clock=SimClock")
+        fabric = Fabric(clock.sim, ports=max(16, len(nodes)))
+        return default_pt(lambda exe: SimGmTransport(
+            fabric, send_tokens=GM_SEND_TOKENS, recv_tokens=GM_RECV_TOKENS
+        ))
+    raise BootstrapError(f"unknown transport kind {kind!r}")
 
 
 def _nodes_of(spec: dict[str, Any]) -> list[tuple[int, dict[str, Any]]]:
@@ -266,7 +389,7 @@ def _nodes_of(spec: dict[str, Any]) -> list[tuple[int, dict[str, Any]]]:
     return sorted(nodes.items())
 
 
-def _device(entry: Any) -> tuple[str, Listener]:
+def _device(entry: Any) -> Listener:
     """One device entry constructed, its ``params`` applied."""
     entry = _mapping(entry, "entry")
     path = entry.get("class")
@@ -276,44 +399,58 @@ def _device(entry: Any) -> tuple[str, Listener]:
     kwargs = dict(_mapping(entry.get("kwargs", {}), "kwargs"))
     params = _mapping(entry.get("params", {}), "params")
     name = entry.get("name")
+    if name is not None and not isinstance(name, str):
+        raise BootstrapError(
+            f"name must be a string, got {type(name).__name__}"
+        )
     if name:
         kwargs.setdefault("name", name)
     try:
         device = cls(**kwargs)
-    except TypeError as exc:
+    except (TypeError, I2OError) as exc:
         raise BootstrapError(f"cannot construct {path}: {exc}") from exc
     device.parameters.update({k: str(v) for k, v in params.items()})
-    return name or device.name, device
+    return device
+
+
+def _node_devices(node: int, node_spec: dict[str, Any]) -> Iterator[Listener]:
+    """One node's devices, constructed; a malformed entry is refused
+    naming its node and index."""
+    entries = node_spec.get("devices", ())
+    if not isinstance(entries, (list, tuple)):
+        raise BootstrapError(
+            f"node {node}: devices must be a list, "
+            f"got {type(entries).__name__}"
+        )
+    for index, entry in enumerate(entries):
+        try:
+            device = _device(entry)
+        except BootstrapError as exc:
+            raise BootstrapError(f"node {node} device {index}: {exc}") from exc
+        yield device
 
 
 def spec_devices(spec: dict[str, Any]) -> Iterator[tuple[int, str, Listener]]:
     """Construct every device the spec names, in node order, as
     ``(node, name, device)``: ``params`` applied, nothing installed
     (``python -m repro.diag graph`` only reads their declarations).
-    A malformed entry is refused naming its node and index."""
+    A malformed entry or a repeated name is refused naming its node
+    and index."""
     seen: set[str] = set()
     for node, node_spec in _nodes_of(spec):
-        entries = node_spec.get("devices", ())
-        if not isinstance(entries, (list, tuple)):
-            raise BootstrapError(
-                f"node {node}: devices must be a list, "
-                f"got {type(entries).__name__}"
-            )
-        for index, entry in enumerate(entries):
-            try:
-                name, device = _device(entry)
-                if name in seen:
-                    raise BootstrapError(f"duplicate device name {name!r}")
-            except BootstrapError as exc:
+        for index, device in enumerate(_node_devices(node, node_spec)):
+            if device.name in seen:
                 raise BootstrapError(
-                    f"node {node} device {index}: {exc}"
-                ) from exc
-            seen.add(name)
-            yield node, name, device
+                    f"node {node} device {index}: "
+                    f"duplicate device name {device.name!r}"
+                )
+            seen.add(device.name)
+            yield node, device.name, device
 
 
-def bootstrap(spec: dict[str, Any]) -> Cluster:
-    """Build a cluster from a declarative specification."""
+def bootstrap(spec: dict[str, Any], *, clock: Clock | None = None) -> Cluster:
+    """Build a cluster from a declarative specification, on wall clocks
+    or on ``clock`` (see the module docstring)."""
     known = {"transport", "nodes", *(name for name, _, _ in _SECTIONS)}
     unknown = set(map(str, spec)) - known
     if unknown:
@@ -321,34 +458,35 @@ def bootstrap(spec: dict[str, Any]) -> Cluster:
             f"unknown spec keys {sorted(unknown)}; "
             f"known keys: {sorted(known)}"
         )
-    cluster = Cluster()
-    for node, _ in _nodes_of(spec):
-        cluster.executives[node] = Executive(node=node)
-    _join_transport(cluster, spec.get("transport", "loopback"))
-    for node, name, device in spec_devices(spec):
-        tid = cluster.executives[node].install(device)
-        cluster.devices[name] = (node, tid, device)
-    for name, schema, install in _SECTIONS:
-        conf = spec.get(name)
-        if conf is None:
-            continue
-        options = _section_options(
-            schema, name, _mapping(conf, f"{name!r} section")
+    options = {
+        name: _section_options(
+            schema, name, _mapping(spec[name], f"{name!r} section")
         )
-        try:
-            install(cluster, options)
-        except I2OError as exc:
-            raise BootstrapError(f"{name} section: {exc}") from exc
+        for name, schema, _ in _SECTIONS if spec.get(name) is not None
+    }
+    nodes = [node for node, _ in _nodes_of(spec)]
+    join = _wire(spec.get("transport", "loopback"), options.get("faults"),
+                 clock, nodes)
+    cluster = Cluster(join, spec=spec, options=options, clock=clock)
+    for node in nodes:
+        cluster._boot(node)
+    for node, _name, device in spec_devices(spec):
+        cluster.install(node, device)
+    cluster._install_sections(nodes)
     return cluster
 
 
 #: The optional spec sections in install order, as ``(name, schema,
-#: install)``: ``install(cluster, options)`` gets the section's typed
-#: values over its schema's defaults.  ``dataflow`` follows the
-#: sections that add devices (heartbeats, telemetry agents), so its
-#: derived routes cover them; ``durability`` adds none and goes last,
-#: so no later refusal can leave its journals open.
-_SECTIONS = (
+#: install)``: ``install(cluster, options, nodes)`` gets the section's
+#: typed values over its schema's defaults and the nodes to act on
+#: (every node at boot, the one node on ``Cluster.rejoin``).
+#: ``faults`` has no installer: the wire reads it as each executive
+#: joins.  ``dataflow`` follows the sections that add devices
+#: (heartbeats, telemetry agents), so its derived routes cover them;
+#: ``durability`` adds none and goes last, so no later refusal can
+#: leave its journals open.
+_SECTIONS: tuple[tuple[str, ParamSchema, Callable[..., None] | None], ...] = (
+    ("faults", FAULTS_SCHEMA, None),
     ("supervision", HeartbeatService.schema, install_supervision),
     ("observability", OBSERVABILITY_SCHEMA, install_observability),
     ("dataflow", DATAFLOW_SCHEMA, install_dataflow),

@@ -419,13 +419,16 @@ class HeartbeatService(SchemaListenerMixin, Listener):
         return counters
 
 
-def install_supervision(cluster: "Cluster", options: dict[str, Any]) -> None:
+def install_supervision(
+    cluster: "Cluster", options: dict[str, Any], nodes: list[int]
+) -> None:
     """The bootstrap ``supervision`` section: a full mesh of
     HeartbeatServices (every node beats to and watches every other),
     each taking the section's options as its parameters.  Unless the
-    policy is ``none``, a node's DiscoveryService runs its failover."""
+    policy is ``none``, a node's DiscoveryService runs its failover.
+    ``nodes`` get a service watching every peer; a peer's own service
+    keeps its proxy, which the rejoined service's TiD still answers."""
     params = {key: str(value) for key, value in options.items()}
-    nodes = sorted(cluster.executives)
     for node in nodes:
         exe = cluster.executives[node]
         discovery = next(
@@ -435,12 +438,11 @@ def install_supervision(cluster: "Cluster", options: dict[str, Any]) -> None:
         ) if options["failover_policy"] != "none" else None
         hb = HeartbeatService(name=f"heartbeat{node}", discovery=discovery)
         hb.parameters.update(params)
-        exe.install(hb)
-        cluster.devices[hb.name] = (node, hb.tid, hb)
+        cluster.install(node, hb)
         cluster.heartbeats[node] = hb
-    for node, hb in cluster.heartbeats.items():
-        for peer in nodes:
+    for node in nodes:
+        for peer in sorted(cluster.executives):
             if peer != node:
-                hb.monitor(peer, cluster.executives[node].create_proxy(
-                    peer, cluster.heartbeats[peer].tid
-                ))
+                cluster.heartbeats[node].monitor(
+                    peer, cluster.proxy(node, cluster.heartbeats[peer].name)
+                )

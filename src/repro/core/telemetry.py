@@ -373,9 +373,11 @@ OBSERVABILITY_SCHEMA = ParamSchema([
 ])
 
 
-def install_observability(cluster: "Cluster", options: dict[str, Any]) -> None:
+def install_observability(
+    cluster: "Cluster", options: dict[str, Any], nodes: list[int]
+) -> None:
     """The bootstrap ``observability`` section: the whole instrument kit
-    on every node.
+    on each of ``nodes``.
 
     Each node's three observers attach in one fixed order, which is
     their delivery order (DESIGN §8): a ``FlightRecorder`` — which also
@@ -385,7 +387,9 @@ def install_observability(cluster: "Cluster", options: dict[str, Any]) -> None:
     overruns; the ``DispatchTimer`` with trace-id exemplars on; and the
     sampler's ``DispatchSlot``.  Every node also gets a
     ``TelemetryAgent``, and the lowest node hosts the
-    ``TelemetryCollector``.
+    ``TelemetryCollector``.  A rejoined node's recorder spills as
+    ``node<NNN>-inc<K>.flightrec`` for its K-th incarnation, so the dead
+    one's dump survives its successor.
 
     The sampler's thread only starts with ``Cluster.start_all`` — in
     single-threaded pump loops call ``cluster.profiler.watch_thread(node)``
@@ -397,28 +401,30 @@ def install_observability(cluster: "Cluster", options: dict[str, Any]) -> None:
     directory = options["dir"] or None
     if directory:
         os.makedirs(directory, exist_ok=True)
-    profiler = cluster.profiler = SamplingProfiler(options["hz"])
-    nodes = sorted(cluster.executives)
+    if cluster.profiler is None:
+        cluster.profiler = SamplingProfiler(options["hz"])
     for node in nodes:
         exe = cluster.executives[node]
+        incarnation = cluster.incarnations[node]
         cluster.flight_recorders[node] = exe.attach(FlightRecorder(
             capacity=options["capacity"], dump_dir=directory,
             budget_ns=options["dispatch_budget_ns"],
+            name=f"node{node:03d}-inc{incarnation}" if incarnation > 1
+            else None,
         ))
         exe.attach(DispatchTimer())
         exe.metrics.histogram(
             "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
         ).enable_exemplars()
-        profiler.register(exe)
+        cluster.profiler.register(exe)
         agent = TelemetryAgent(name=f"telemetry-agent{node}")
-        exe.install(agent)
-        cluster.devices[agent.name] = (node, agent.tid, agent)
+        cluster.install(node, agent)
         cluster.telemetry_agents[node] = agent
-    home = cluster.executives[nodes[0]]
-    collector = cluster.collector = TelemetryCollector(
-        name="telemetry-collector"
-    )
-    home.install(collector)
-    cluster.devices[collector.name] = (nodes[0], collector.tid, collector)
-    for node, agent in cluster.telemetry_agents.items():
-        collector.watch(node, home.create_proxy(node, agent.tid))
+    home = min(cluster.executives)
+    if home in nodes:
+        collector = cluster.collector = TelemetryCollector(
+            name="telemetry-collector"
+        )
+        cluster.install(home, collector)
+        for node, agent in cluster.telemetry_agents.items():
+            collector.watch(node, cluster.proxy(home, agent.name))

@@ -101,9 +101,11 @@ class EventManager(Listener):
         self.snapshot_store: "SnapshotStore | None" = None
 
     def on_dataflow_connected(self) -> None:
-        """The declared routes are installed: build the builder ring."""
-        self._rr = sorted(self.bu_tids)
-        self._rr_index = 0
+        """The declared routes are installed: build the builder ring.
+        A re-wire that keeps the same builders keeps the ring's place."""
+        rr = sorted(self.bu_tids)
+        if rr != self._rr:
+            self._rr, self._rr_index = rr, 0
 
     @property
     def ru_tids(self) -> dict[int, Tid]:

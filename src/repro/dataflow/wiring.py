@@ -1,8 +1,9 @@
 """The one way to wire a cluster: routes derived from declarations.
 
-``bootstrap``'s ``dataflow`` section is a call to :func:`wire_dataflow`;
-so is every rig assembled outside bootstrap, native or simulation
-plane.  There is no per-application ``connect()`` beside it.
+``bootstrap``'s ``dataflow`` section is a call to :func:`wire_dataflow`
+(on either plane, and again on ``Cluster.rejoin``); so is every rig
+still assembled by hand.  There is no per-application ``connect()``
+beside it.
 """
 
 from __future__ import annotations
@@ -144,10 +145,14 @@ def wire_dataflow(
     return graph, ledger
 
 
-def install_dataflow(cluster: "Cluster", options: dict[str, Any]) -> None:
+def install_dataflow(
+    cluster: "Cluster", options: dict[str, Any], nodes: list[int]
+) -> None:
     """The bootstrap ``dataflow`` section: one :func:`wire_dataflow`
     over every installed device, including the ones the sections
-    before it added (heartbeats, telemetry agents)."""
+    before it added (heartbeats, telemetry agents).  Routes are a
+    property of the whole graph, so a rejoin of any of ``nodes``
+    re-derives them all (the re-run is idempotent for the rest)."""
     cluster.dataflow_graph, cluster.dataflow_ledger = wire_dataflow(
         cluster.executives, **options
     )

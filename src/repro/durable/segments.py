@@ -341,9 +341,11 @@ DURABILITY_SCHEMA = ParamSchema([
 ])
 
 
-def install_durability(cluster: "Cluster", options: dict[str, Any]) -> None:
+def install_durability(
+    cluster: "Cluster", options: dict[str, Any], nodes: list[int]
+) -> None:
     """The bootstrap ``durability`` section: every ``reliable_endpoint``
-    device gets ``<dir>/<name>.journal`` attached, every
+    device on ``nodes`` gets ``<dir>/<name>.journal`` attached, every
     ``daq_eventmanager`` device ``<dir>/<name>.snapshot``.
 
     The endpoint is already installed, so recovery runs right here: a
@@ -355,13 +357,17 @@ def install_durability(cluster: "Cluster", options: dict[str, Any]) -> None:
     if not directory:
         raise JournalError("needs a 'dir' path")
     os.makedirs(directory, exist_ok=True)
+    opened: list[SegmentStore] = []
     try:
-        for name, (_node, _tid, device) in sorted(cluster.devices.items()):
+        for name, (node, _tid, device) in sorted(cluster.devices.items()):
+            if node not in nodes:
+                continue
             if device.device_class == "reliable_endpoint":
                 store = SegmentStore(
                     os.path.join(directory, f"{name}.journal"),
                     fsync=options["fsync"],
                 )
+                opened.append(store)
                 cluster.journals[name] = store
                 device.attach_journal(store)  # type: ignore[attr-defined]
             elif device.device_class == "daq_eventmanager":
@@ -371,6 +377,6 @@ def install_durability(cluster: "Cluster", options: dict[str, Any]) -> None:
                 device.snapshot_store = snaps  # type: ignore[attr-defined]
                 cluster.snapshots[name] = snaps
     except Exception:
-        for store in cluster.journals.values():
+        for store in opened:
             store.close()
         raise

@@ -38,7 +38,7 @@ class SimClock:
     """Virtual time read from a simulation kernel (simulation plane)."""
 
     def __init__(self, sim: Simulator) -> None:
-        self._sim = sim
+        self.sim = sim
 
     def now_ns(self) -> int:
-        return self._sim.now
+        return self.sim.now

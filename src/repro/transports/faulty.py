@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from repro.config.schema import ParamSchema, ParamSpec
 from repro.i2o.frame import HEADER_SIZE, Frame
 from repro.sim.rng import RngStreams
 from repro.transports.base import StagedItem
@@ -51,6 +52,19 @@ class FaultPlan:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
+#: The bootstrap ``faults`` section: a spec with one runs its loopback
+#: wire as a ``FaultyLoopbackTransport`` per node, node N seeded with
+#: ``seed + N``.
+FAULTS_SCHEMA = ParamSchema([
+    ParamSpec("drop_rate", float, default=0.0, minimum=0.0, maximum=1.0,
+              description="chance a message vanishes"),
+    ParamSpec("duplicate_rate", float, default=0.0, minimum=0.0,
+              maximum=1.0, description="chance a message arrives twice"),
+    ParamSpec("seed", int, default=0, minimum=0,
+              description="fault-draw seed; node N draws from seed + N"),
+])
 
 
 class FaultyLoopbackTransport(LoopbackTransport):

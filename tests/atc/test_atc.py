@@ -20,7 +20,12 @@ from repro.atc.protocol import (
 
 from repro.dataflow import wire_dataflow
 
-from tests.conftest import assert_no_leaks, make_loopback_cluster, pump
+from tests.conftest import (
+    ManualClock,
+    assert_no_leaks,
+    make_loopback_cluster,
+    pump,
+)
 
 
 def build_sector(*, n_aircraft=4, n_radars=2, conflict_pair=False, seed=0):
@@ -154,12 +159,6 @@ class TestRealTimePath:
 
 class TestTimerDrivenRadar:
     def test_enabled_radar_sweeps_on_timer(self):
-        class ManualClock:
-            t = 0
-
-            def now_ns(self):
-                return self.t
-
         cluster, traffic, radars, correlator, console = build_sector(
             n_radars=1
         )

@@ -10,9 +10,12 @@ from repro.config.bootstrap import (
     Cluster,
     bootstrap,
 )
+from repro.core.simnode import CostLedger
 from repro.dataflow.graph import graph_from_spec
+from repro.hw.clock import SimClock
+from repro.sim.kernel import Simulator
 
-from tests.conftest import assert_no_leaks
+from tests.conftest import ManualClock, assert_no_leaks
 
 ECHO = "repro.bench.devices.EchoDevice"
 PING = "repro.bench.devices.PingDevice"
@@ -93,8 +96,15 @@ class TestBuild:
         ({0: {"devices": 5}}, "node 0: devices must be a list, got int"),
         (after_ping(ECHO), "node 0 device 1: entry must be a mapping, got str"),
         ({1: {}, "1": {}}, "node 1 is given twice"),
+        (after_ping({"class": ECHO, "name": 5}),
+         "node 0 device 1: name must be a string, got int"),
+        (after_ping({"class": "repro.daq.manager.EventManager",
+                     "kwargs": {"event_timeout_ns": -1}}),
+         "node 0 device 1: cannot construct repro.daq.manager.EventManager: "
+         "negative event timeout -1"),
     ], ids=["node-list", "node-id", "no-class", "kwargs-list", "unknown-kwarg",
-            "params-list", "devices-int", "entry-string", "node-twice"])
+            "params-list", "devices-int", "entry-string", "node-twice",
+            "name-int", "ctor-refusal"])
     def test_malformed_entry_names_node_and_index(self, nodes, named):
         for build in (bootstrap, graph_from_spec):
             with pytest.raises(BootstrapError, match=named):
@@ -103,6 +113,20 @@ class TestBuild:
     def test_unknown_transport(self):
         with pytest.raises(BootstrapError, match="unknown transport"):
             bootstrap(two_node_spec(transport="carrier-pigeon"))
+
+    @pytest.mark.parametrize("transport, faults, named", [
+        ("simgm", None, "transport 'simgm' needs clock=SimClock"),
+        ("queue-mesh", {"drop_rate": 0.1},
+         "faults section: needs transport 'loopback', got 'queue-mesh'"),
+        ("loopback", {"drop_rate": 1.5},
+         "bad faults section: drop_rate: 1.5 above maximum 1.0"),
+    ], ids=["simgm-wall-clock", "faults-queue-mesh", "drop-rate-range"])
+    def test_boot_surface_refusals(self, transport, faults, named):
+        spec = two_node_spec(transport)
+        if faults is not None:
+            spec["faults"] = faults
+        with pytest.raises(BootstrapError, match=named):
+            bootstrap(spec)
 
 
 class TestOperation:
@@ -115,6 +139,57 @@ class TestOperation:
         cluster.pump()
         assert len(ping.rtts_ns) == 5
         assert_no_leaks(cluster.executives)
+
+    def test_sim_clock_hosts_every_executive_on_the_gm_fabric(self):
+        sim = Simulator()
+        cluster = bootstrap(two_node_spec("simgm"), clock=SimClock(sim))
+        for exe in cluster.executives.values():
+            assert isinstance(exe.flightrec, CostLedger)
+        ping = cluster.device("ping")
+        ping.configure(cluster.proxy(0, "echo"), 128, 3)
+        sim.at(0, ping.kick)
+        sim.run()
+        assert len(ping.rtts_ns) == 3 and min(ping.rtts_ns) > 0
+        (gm,) = cluster.executive(0).pta.transports()
+        assert gm.fabric.stats.messages == 6
+
+    @pytest.mark.parametrize("transport", ["loopback", "queue-mesh"])
+    def test_rejoined_node_answers_at_the_same_tid(self, transport):
+        cluster = bootstrap(two_node_spec(transport))
+        dead, tid = cluster.executive(1), cluster.tid("echo")
+        cluster.kill(1)
+        cluster.rejoin(1)
+        assert cluster.executive(1) is not dead
+        assert cluster.tid("echo") == tid
+        assert cluster.device("echo").executive is cluster.executive(1)
+        assert cluster.incarnations == {0: 1, 1: 2}
+        ping = cluster.device("ping")
+        ping.configure(cluster.proxy(0, "echo"), 128, 3)
+        ping.kick()
+        cluster.pump()
+        assert len(ping.rtts_ns) == 3
+        assert_no_leaks({**cluster.executives, "dead": dead})
+
+    def test_rejoined_node_is_readmitted_by_supervision(self):
+        clock = ManualClock()
+        cluster = bootstrap({
+            "supervision": {"interval_ns": 1000, "dead_after": 3,
+                            "rejoin_after": 2},
+            "nodes": {node: {"devices": []} for node in range(3)},
+        }, clock=clock)
+        cluster.start_supervision()
+
+        def states(ticks):
+            for _ in range(ticks):
+                clock.t += 1000
+                cluster.pump()
+            return [cluster.executive(0).peers.state(n).name for n in (1, 2)]
+
+        cluster.kill(1)
+        assert states(10) == ["DEAD", "ALIVE"]
+        cluster.rejoin(1)
+        cluster.heartbeats[1].start()
+        assert states(10) == ["ALIVE", "ALIVE"]
 
     def test_proxy_unknown_name(self):
         cluster = bootstrap(two_node_spec())
@@ -157,6 +232,7 @@ class TestSpecSurface:
             name: sorted(spec.name for spec in schema)
             for name, schema, _ in _SECTIONS
         } == {
+            "faults": ["drop_rate", "duplicate_rate", "seed"],
             "supervision": ["dead_after", "failover_policy", "interval_ns",
                             "rejoin_after", "suspect_after"],
             "observability": ["capacity", "dir", "dispatch_budget_ns", "hz"],

@@ -99,6 +99,19 @@ class TestWiring:
         assert dump.node == 1
         assert dump.of_kind(EV_HARD_STOP)
 
+    def test_rejoined_node_spills_under_its_incarnation(self, tmp_path):
+        crash = tmp_path / "crash"
+        cluster = bootstrap(spec_with(dir=str(crash)))
+        cluster.kill(1)
+        cluster.rejoin(1)
+        assert cluster.executives[1].flightrec is cluster.flight_recorders[1]
+        cluster.kill(1)
+        assert sorted(p.name for p in crash.iterdir()) == [
+            "node001-inc2.flightrec", "node001.flightrec",
+        ]
+        for name in ("node001.flightrec", "node001-inc2.flightrec"):
+            assert load_dump(crash / name).reason == "hard_stop"
+
     def test_capacity_hz_and_budget_forwarded(self):
         cluster = bootstrap(spec_with(
             capacity=64, hz=251.0, dispatch_budget_ns=50_000,
@@ -161,7 +174,7 @@ class TestRejection:
         message = str(info.value)
         assert f"unknown spec keys ['{section}']" in message
         assert (
-            "known keys: ['dataflow', 'durability', 'nodes', "
+            "known keys: ['dataflow', 'durability', 'faults', 'nodes', "
             "'observability', 'supervision', 'transport']"
         ) in message
 

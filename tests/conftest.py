@@ -68,6 +68,16 @@ def pytest_unconfigure(config):
         _profiler = None
 
 
+class ManualClock:
+    """A clock that moves only when a test sets or advances ``t``."""
+
+    def __init__(self) -> None:
+        self.t = 0
+
+    def now_ns(self) -> int:
+        return self.t
+
+
 def make_loopback_cluster(n_nodes: int) -> dict[int, Executive]:
     """N executives joined by one loopback network, PTA installed."""
     network = LoopbackNetwork()

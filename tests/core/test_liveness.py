@@ -16,13 +16,7 @@ from repro.transports.agent import PeerTransportAgent
 from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
 from repro.transports.loopback import LoopbackNetwork
 
-
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
+from tests.conftest import ManualClock
 
 
 class TestPeerTable:
@@ -124,7 +118,7 @@ def build_supervised(
     """N executives on a faulty loopback (clean plan) with a full mesh
     of heartbeat services, all driven by one manual clock."""
     network = LoopbackNetwork()
-    clock = _ManualClock()
+    clock = ManualClock()
     cluster: dict[int, Executive] = {}
     faulty: dict[int, FaultyLoopbackTransport] = {}
     for node in range(n_nodes):
@@ -453,7 +447,7 @@ class TestBootstrapSupervision:
             },
         }
         cluster = bootstrap(spec)
-        clock = _ManualClock()
+        clock = ManualClock()
         for exe in cluster.executives.values():
             exe.clock = clock
         cluster.start_supervision()

@@ -11,13 +11,7 @@ from repro.transports.agent import PeerTransportAgent
 from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 
-
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
+from tests.conftest import ManualClock
 
 
 def build_pair(plan: FaultPlan | None = None, *, seed: int = 1,
@@ -26,7 +20,7 @@ def build_pair(plan: FaultPlan | None = None, *, seed: int = 1,
     network = LoopbackNetwork()
     clocks, exes, endpoints = {}, {}, {}
     for node in range(2):
-        clock = _ManualClock()
+        clock = ManualClock()
         exe = Executive(node=node, clock=clock)
         pta = PeerTransportAgent.attach(exe)
         if plan is None:
@@ -251,7 +245,7 @@ class TestAbortPayloadSnapshot:
         from repro.mem.pool import BufferPool
 
         network = LoopbackNetwork()
-        clock0 = _ManualClock()
+        clock0 = ManualClock()
         exes, eps = {}, {}
         for node in range(2):
             exe = Executive(

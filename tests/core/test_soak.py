@@ -30,13 +30,7 @@ from repro.transports.agent import PeerTransportAgent
 from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
 from repro.transports.loopback import LoopbackNetwork
 
-
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
+from tests.conftest import ManualClock
 
 
 def derive_plan(seed: int) -> FaultPlan:
@@ -60,7 +54,7 @@ def run_soak(seed: int, messages: int, tick_budget: int = 3_000):
     network = LoopbackNetwork()
     clocks, exes, eps = {}, {}, {}
     for node in range(2):
-        clock = _ManualClock()
+        clock = ManualClock()
         exe = Executive(node=node, clock=clock)
         PeerTransportAgent.attach(exe).register(
             FaultyLoopbackTransport(network, plan, seed=seed * 2 + node),

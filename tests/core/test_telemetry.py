@@ -18,17 +18,9 @@ from repro.flightrec import FlightRecorder, Hop
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import UTIL_PARAMS_GET
 
-from tests.conftest import make_loopback_cluster, pump
+from tests.conftest import ManualClock, make_loopback_cluster, pump
 
 SPAN_TID = 17
-
-
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
 
 
 def _telemetry_cluster(n_nodes: int = 2, *, tracing: bool = True):
@@ -203,7 +195,7 @@ class TestAgent:
 
 class TestPeriodicSweeper:
     def _collector_on_manual_clock(self):
-        clock = _ManualClock()
+        clock = ManualClock()
         exe = Executive(node=0, clock=clock)
         agent = TelemetryAgent(name="agent")
         exe.install(agent)

@@ -12,13 +12,7 @@ from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.sim.kernel import Simulator
 
-
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
+from tests.conftest import ManualClock
 
 
 class TimerUser(Listener):
@@ -32,7 +26,7 @@ class TimerUser(Listener):
 
 @pytest.fixture
 def clocked():
-    clock = _ManualClock()
+    clock = ManualClock()
     exe = Executive(node=0, clock=clock)
     dev = TimerUser()
     exe.install(dev)

@@ -17,18 +17,10 @@ from repro.flightrec.records import EV_DISPATCH
 from repro.i2o.frame import Frame
 from repro.i2o.tid import EXECUTIVE_TID, PTA_TID
 
-from tests.conftest import make_loopback_cluster, pump
+from tests.conftest import ManualClock, make_loopback_cluster, pump
 
 TARGET_TID = 2
 INITIATOR_TID = 1
-
-
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
 
 
 class _Echo(Listener):
@@ -173,7 +165,7 @@ class TestSpans:
         assert 0 < len(_hops(cluster[1])) <= 4  # two records per hop
 
     def test_queue_wait_measured_against_the_executive_clock(self):
-        clock = _ManualClock()
+        clock = ManualClock()
         exe = Executive(node=0, clock=clock)
         _trace(exe)
         sink = FunctionalListener(name="sink", handlers={0x1: lambda f: None})
@@ -212,7 +204,7 @@ class TestSpans:
         # dead frame's (older) timestamp and report a wildly inflated
         # queue wait.  The mark rides the frame, and the dispatch
         # record consumes it.
-        clock = _ManualClock()
+        clock = ManualClock()
         exe = Executive(node=0, clock=clock)
         _trace(exe)
         frame = Frame.build(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.executive import Executive
+from repro.config.bootstrap import bootstrap
 from repro.daq import (
     BuilderUnit,
     EventManager,
@@ -13,11 +13,14 @@ from repro.daq import (
 )
 from repro.daq.events import fragment_size
 from repro.dataflow import wire_dataflow
-from repro.transports.agent import PeerTransportAgent
-from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
-from repro.transports.queued import QueuePair, QueueTransport
+from repro.dataflow.examples import event_builder_spec
 
-from tests.conftest import assert_no_leaks, make_loopback_cluster, pump
+from tests.conftest import (
+    ManualClock,
+    assert_no_leaks,
+    make_loopback_cluster,
+    pump,
+)
 
 
 def wire_daq(cluster, n_ru=2, n_bu=2, mean_fragment=512):
@@ -51,6 +54,17 @@ class TestLoopbackEventBuilding:
         pump(five_nodes)
         assert bus[0].built == 5
         assert bus[1].built == 5
+
+    def test_rewire_keeps_the_builder_ring_position(self, five_nodes):
+        """Re-deriving the routes with the same builders (a node
+        rejoined elsewhere) does not restart the round robin."""
+        evm, trigger, rus, bus = wire_daq(five_nodes)
+        trigger.fire()
+        pump(five_nodes)
+        wire_dataflow(five_nodes, backpressure=False)
+        trigger.fire()
+        pump(five_nodes)
+        assert [bu.built for bu in bus.values()] == [1, 1]
 
     def test_built_sizes_match_generator(self, five_nodes):
         evm, trigger, rus, bus = wire_daq(five_nodes)
@@ -125,12 +139,6 @@ class TestTimerDrivenTrigger:
     def test_enable_starts_periodic_triggers(self, five_nodes):
         evm, trigger, rus, bus = wire_daq(five_nodes)
 
-        class ManualClock:
-            t = 0
-
-            def now_ns(self):
-                return self.t
-
         clock = ManualClock()
         five_nodes[0].clock = clock
         trigger.parameters["interval_ns"] = "1000"
@@ -148,26 +156,14 @@ class TestOverQueueTransport:
     def test_same_application_over_queue_wires(self):
         """The identical DAQ code on a different transport - paper's
         'exchange the hardware, keep the application'."""
-        nodes = range(5)
-        pairs = {}
-        exes = {n: Executive(node=n) for n in nodes}
-        for n in nodes:
-            pta = PeerTransportAgent.attach(exes[n])
-            for m in nodes:
-                if m <= n:
-                    continue
-                pair = QueuePair(n, m)
-                pairs[(n, m)] = pair
-                pta.register(QueueTransport(pair, name=f"q{n}-{m}"),
-                             nodes=[m])
-        for (n, m), pair in pairs.items():
-            exes[m].pta.register(QueueTransport(pair, name=f"q{m}-{n}"),
-                                 nodes=[n])
-        evm, trigger, rus, bus = wire_daq(exes)
-        trigger.fire_burst(8)
-        pump(exes)
+        cluster = bootstrap(event_builder_spec(
+            2, 2, transport="queue-mesh", dataflow={"backpressure": False}
+        ))
+        evm = cluster.device("evm")
+        cluster.device("trigger").fire_burst(8)
+        cluster.pump()
         assert evm.completed == 8
-        assert_no_leaks(exes)
+        assert_no_leaks(cluster.executives)
 
 
 class TestTriggerUnderSaturation:
@@ -175,9 +171,6 @@ class TestTriggerUnderSaturation:
         """An over-capacity burst against credit-capped routes: what
         the trigger says went out is what the event manager received,
         and the refused rest is on the trigger's own ``shed`` count."""
-        from repro.config.bootstrap import bootstrap
-        from repro.dataflow.examples import event_builder_spec
-
         cluster = bootstrap(event_builder_spec(2, 2))
         trigger, evm = cluster.device("trigger"), cluster.device("evm")
         ids = trigger.fire_burst(1000)

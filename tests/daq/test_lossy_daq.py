@@ -13,86 +13,61 @@ from collections import Counter
 
 import pytest
 
-from repro.core.executive import Executive
-from repro.daq import BuilderUnit, EventManager, ReadoutUnit, TriggerSource
+from repro.config.bootstrap import bootstrap
 from repro.daq.protocol import EVENT_ID, XF_ABANDON
-from repro.dataflow import wire_dataflow
-from repro.transports.agent import PeerTransportAgent
-from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
-from repro.transports.loopback import LoopbackNetwork
+from repro.dataflow.examples import event_builder_spec
 
-
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
+from tests.conftest import ManualClock
 
 
 def build_lossy_daq(drop_rate: float, *, seed: int = 7):
-    network = LoopbackNetwork()
-    plan = FaultPlan(drop_rate=drop_rate)
-    cluster, clocks = {}, {}
-    for node in range(5):
-        clock = _ManualClock()
-        exe = Executive(node=node, clock=clock)
-        PeerTransportAgent.attach(exe).register(
-            FaultyLoopbackTransport(network, plan, seed=seed + node),
-            default=True,
-        )
-        cluster[node], clocks[node] = exe, clock
-
-    evm = EventManager(event_timeout_ns=5_000, max_reassignments=30)
-    trigger = TriggerSource()
-    cluster[0].install(evm)
-    cluster[0].install(trigger)
-    rus = {i: ReadoutUnit(ru_id=i, mean_fragment=256) for i in (0, 1)}
-    for i, ru in rus.items():
-        cluster[1 + i].install(ru)
-    bus = {i: BuilderUnit(bu_id=i) for i in (0, 1)}
-    for i, bu in bus.items():
-        cluster[3 + i].install(bu)
-    wire_dataflow(cluster, backpressure=False)
-    return cluster, clocks, evm, trigger, rus, bus
+    spec = event_builder_spec(
+        2, 2, mean_fragment=256, dataflow={"backpressure": False}
+    )
+    spec["nodes"][0]["devices"][1]["kwargs"] = {
+        "event_timeout_ns": 5_000, "max_reassignments": 30,
+    }
+    spec["faults"] = {"drop_rate": drop_rate, "seed": seed}
+    cluster = bootstrap(spec, clock=ManualClock())
+    rus = {i: cluster.device(f"ru{i}") for i in (0, 1)}
+    bus = {i: cluster.device(f"bu{i}") for i in (0, 1)}
+    return (cluster, cluster.device("evm"), cluster.device("trigger"),
+            rus, bus)
 
 
-def run(cluster, clocks, ticks: int, step_ns: int = 1000) -> None:
+def run(cluster, ticks: int, step_ns: int = 1000) -> None:
     for _ in range(ticks):
-        for clock in clocks.values():
-            clock.t += step_ns
-        for _ in range(10_000):
-            if not any(exe.step() for exe in cluster.values()):
-                break
+        cluster.clock.t += step_ns
+        cluster.pump()
 
 
 def test_all_events_built_despite_drops():
-    cluster, clocks, evm, trigger, rus, bus = build_lossy_daq(drop_rate=0.08)
+    cluster, evm, trigger, rus, bus = build_lossy_daq(drop_rate=0.08)
     trigger.fire_burst(15)
-    run(cluster, clocks, ticks=600)
+    run(cluster, ticks=600)
     assert evm.completed == 15
     assert evm.lost_events == []
     assert evm.reassignments > 0  # drops actually forced recovery
-    for exe in cluster.values():
+    for exe in cluster.executives.values():
         exe.pool.check_conservation()
         assert exe.pool.in_flight == 0
 
 
 def test_loss_free_plan_needs_no_recovery():
-    cluster, clocks, evm, trigger, rus, bus = build_lossy_daq(drop_rate=0.0)
+    cluster, evm, trigger, rus, bus = build_lossy_daq(drop_rate=0.0)
     trigger.fire_burst(10)
-    run(cluster, clocks, ticks=5)
+    run(cluster, ticks=5)
     assert evm.completed == 10
     assert evm.reassignments == 0
 
 
 def test_deterministic_given_seed():
     def outcome():
-        cluster, clocks, evm, trigger, rus, bus = build_lossy_daq(
+        cluster, evm, trigger, rus, bus = build_lossy_daq(
             drop_rate=0.1, seed=21
         )
         trigger.fire_burst(10)
-        run(cluster, clocks, ticks=500)
+        run(cluster, ticks=500)
         return evm.completed, evm.reassignments
 
     assert outcome() == outcome()
@@ -124,12 +99,12 @@ def test_no_partial_event_survives_recovery(seed):
     and is not retried, so a partial left at the end is one whose
     abandon the wire ate (seed 6 loses three, the others none; at
     33283f9 every one of these runs ends with partials)."""
-    cluster, clocks, evm, trigger, rus, bus = build_lossy_daq(
+    cluster, evm, trigger, rus, bus = build_lossy_daq(
         drop_rate=0.08, seed=seed
     )
     sent, received = _spy_on_abandon(evm, bus)
     trigger.fire_burst(15)
-    run(cluster, clocks, ticks=600)
+    run(cluster, ticks=600)
     assert evm.completed == 15 and sum(received.values()) > 0
     left = Counter(
         (event_id, bu.bu_id) for bu in bus.values() for event_id in bu._pending
@@ -137,49 +112,49 @@ def test_no_partial_event_survives_recovery(seed):
     assert not left - (sent - received)
 
 
-def _starve_builder(cluster, clocks, evm, trigger, bus, *, timeouts: int):
+def _starve_builder(cluster, evm, trigger, bus, *, timeouts: int):
     """One event whose second fragment never arrives: ru1's node is cut
     off until ``timeouts`` completion deadlines have passed."""
-    cluster[2].pta.transports()[0].partition()
+    cluster.executive(2).pta.transports()[0].partition()
     trigger.fire()
-    run(cluster, clocks, ticks=1)
+    run(cluster, ticks=1)
     assert [len(bu._pending.get(1, ())) for bu in bus.values()] == [1, 0]
-    run(cluster, clocks, ticks=5 * timeouts)
+    run(cluster, ticks=5 * timeouts)
 
 
 def test_reassigned_event_is_abandoned_at_the_old_builder():
-    cluster, clocks, evm, trigger, rus, bus = build_lossy_daq(drop_rate=0.0)
-    _starve_builder(cluster, clocks, evm, trigger, bus, timeouts=1)
+    cluster, evm, trigger, rus, bus = build_lossy_daq(drop_rate=0.0)
+    _starve_builder(cluster, evm, trigger, bus, timeouts=1)
     assert evm.reassignments == 1
     # bu0 dropped its one-fragment partial; bu1 now holds the event.
     assert [len(bu._pending.get(1, ())) for bu in bus.values()] == [0, 1]
     assert 1 not in bus[0]._pending
     # Healed, the event completes on a later round (ru1 has yet to
     # hear of it) and whoever lost it on the way holds nothing.
-    cluster[2].pta.transports()[0].heal()
-    run(cluster, clocks, ticks=30)
+    cluster.executive(2).pta.transports()[0].heal()
+    run(cluster, ticks=30)
     assert evm.completed == 1 and evm.lost_events == []
     assert [bu.export_counters()["in_flight"] for bu in bus.values()] == [0, 0]
-    for exe in cluster.values():
+    for exe in cluster.executives.values():
         assert exe.pool.in_flight == 0
 
 
 def test_lost_event_is_abandoned_at_its_last_builder():
-    cluster, clocks, evm, trigger, rus, bus = build_lossy_daq(drop_rate=0.0)
+    cluster, evm, trigger, rus, bus = build_lossy_daq(drop_rate=0.0)
     evm.max_reassignments = 1
-    _starve_builder(cluster, clocks, evm, trigger, bus, timeouts=3)
+    _starve_builder(cluster, evm, trigger, bus, timeouts=3)
     assert evm.lost_events == [1]
     assert [bu.export_counters()["in_flight"] for bu in bus.values()] == [0, 0]
 
 
 def test_fault_free_path_sends_no_abandon(monkeypatch):
-    cluster, clocks, evm, trigger, rus, bus = build_lossy_daq(drop_rate=0.0)
+    cluster, evm, trigger, rus, bus = build_lossy_daq(drop_rate=0.0)
     sent = []
     monkeypatch.setattr(evm, "_abandon", lambda *a: sent.append(a))
     trigger.fire_burst(10)
-    run(cluster, clocks, ticks=5)
+    run(cluster, ticks=5)
     assert evm.completed == 10 and sent == []
     # per event: 2 readout, 1 allocate, 2 requests, 2 replies, 1 done,
     # 2 clear
-    wire = sum(exe.pta.transports()[0].frames_sent for exe in cluster.values())
+    wire = sum(exe.pta.transports()[0].frames_sent for exe in cluster.executives.values())
     assert wire == 10 * 10

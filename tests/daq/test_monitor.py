@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.daq import DaqMonitor, EventManager, ReadoutUnit, TriggerSource
 from repro.daq.builder import BuilderUnit
 
-from tests.conftest import pump
+from tests.conftest import ManualClock, pump
 from tests.daq.test_eventbuilder import wire_daq
 
 
@@ -46,14 +46,7 @@ def test_periodic_sweeps_via_timer_facility():
     facility fires sweeps until quiesce disarms it."""
     from repro.core.executive import Executive
 
-    class _ManualClock:
-        def __init__(self):
-            self.t = 0
-
-        def now_ns(self):
-            return self.t
-
-    clock = _ManualClock()
+    clock = ManualClock()
     exe = Executive(node=0, clock=clock)
     evm = EventManager()
     evm_tid = exe.install(evm)

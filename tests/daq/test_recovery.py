@@ -7,23 +7,15 @@ import pytest
 from repro.daq import BuilderUnit
 from repro.i2o.errors import I2OError
 
-from tests.conftest import assert_no_leaks, make_loopback_cluster
+from tests.conftest import ManualClock, assert_no_leaks, make_loopback_cluster
 from tests.daq.test_eventbuilder import wire_daq
-
-
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
 
 
 def build_recoverable(timeout_ns=1000, max_reassignments=3):
     """Standard 5-node DAQ, manual clock on the EVM node so tests can
     force event deadlines to pass."""
     cluster = make_loopback_cluster(5)
-    clock = _ManualClock()
+    clock = ManualClock()
     cluster[0].clock = clock
     evm, trigger, rus, bus = wire_daq(cluster)
     evm.event_timeout_ns = timeout_ns

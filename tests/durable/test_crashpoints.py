@@ -31,13 +31,7 @@ from repro.flightrec.records import CRASH_POINT_NAMES, EV_CRASH_POINT
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 
-
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
+from tests.conftest import ManualClock
 
 
 class _Rig:
@@ -52,7 +46,7 @@ class _Rig:
         self.crash_dir.mkdir(parents=True, exist_ok=True)
         self.incarnation = 0
         self.network = LoopbackNetwork()
-        self.clock = _ManualClock()
+        self.clock = ManualClock()
         self.received: list[bytes] = []
 
         self.rx_exe = Executive(node=1, clock=self.clock)

@@ -43,7 +43,7 @@ from repro.mem.pool import BufferPool, OriginalAllocator, PoolExhausted
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 
-from tests.conftest import make_loopback_cluster, pump
+from tests.conftest import ManualClock, make_loopback_cluster, pump
 from tests.transports.harness import FACTORIES, Caller, Echo, make_harness
 
 
@@ -350,20 +350,12 @@ class TestWirePath:
         assert allocs == releases >= 8
 
 
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
-
-
 def _reliable_pair(journal_dir=None):
     """Two recorded nodes with reliable endpoints on manual clocks."""
     network = LoopbackNetwork()
     clocks, exes, endpoints = {}, {}, {}
     for node in range(2):
-        clock = _ManualClock()
+        clock = ManualClock()
         exe = make_recorded_exe(
             FlightRecorder(capacity=512), node=node, clock=clock
         )
@@ -421,7 +413,7 @@ class TestReliableStream:
         network = LoopbackNetwork()
         clocks, exes, eps = {}, {}, {}
         for node in range(2):
-            clock = _ManualClock()
+            clock = ManualClock()
             exe = make_recorded_exe(
                 FlightRecorder(capacity=512), node=node, clock=clock
             )

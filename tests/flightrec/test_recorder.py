@@ -28,13 +28,7 @@ from repro.flightrec.records import (
     RECORD_STRUCT,
 )
 
-
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
+from tests.conftest import ManualClock
 
 
 class TestRecordCodec:
@@ -72,7 +66,7 @@ class TestRecordCodec:
 
 class TestRing:
     def test_records_before_wrap_kept_in_order(self):
-        rec = FlightRecorder(node=1, capacity=8, clock=_ManualClock())
+        rec = FlightRecorder(node=1, capacity=8, clock=ManualClock())
         for i in range(5):
             rec.record(EV_TIMER_FIRE, i)
         assert rec.total_records == 5
@@ -89,7 +83,7 @@ class TestRing:
         """The hot path packs unmasked; a value outside u64 (a negative
         duration under a manual clock, an oversized kind) still lands,
         wrapped, and never raises into the fabric."""
-        rec = FlightRecorder(node=1, capacity=4, clock=_ManualClock())
+        rec = FlightRecorder(node=1, capacity=4, clock=ManualClock())
         rec.record(EV_TIMER_FIRE, -1, 1 << 64, 2, t_ns=-5)
         rec.record(0x1FF, 7)
         first, second = rec.records
@@ -98,7 +92,7 @@ class TestRing:
         assert (second.seq, second.kind, second.a) == (1, 0xFF, 7)
 
     def test_wrap_drops_oldest_first(self):
-        rec = FlightRecorder(node=1, capacity=4, clock=_ManualClock())
+        rec = FlightRecorder(node=1, capacity=4, clock=ManualClock())
         for i in range(10):
             rec.record(EV_TIMER_FIRE, i)
         assert rec.total_records == 10
@@ -113,7 +107,7 @@ class TestRing:
         assert [row[2] for row in rows] == [6, 7, 8, 9]  # a tracks i
 
     def test_no_allocation_per_record(self):
-        rec = FlightRecorder(node=1, capacity=16, clock=_ManualClock())
+        rec = FlightRecorder(node=1, capacity=16, clock=ManualClock())
         ring = rec._ring
         for i in range(100):
             rec.record(EV_TIMER_FIRE, i)
@@ -124,21 +118,21 @@ class TestRing:
             FlightRecorder(node=1, capacity=0)
 
     def test_timestamps_use_the_given_clock(self):
-        clock = _ManualClock()
+        clock = ManualClock()
         rec = FlightRecorder(node=1, capacity=4, clock=clock)
         clock.t = 777
         rec.record(EV_TIMER_FIRE, 1)
         assert RECORD_STRUCT.unpack_from(rec.ring_bytes(), 0)[1] == 777
 
     def test_explicit_t_ns_skips_the_clock_read(self):
-        rec = FlightRecorder(node=1, capacity=4, clock=_ManualClock())
+        rec = FlightRecorder(node=1, capacity=4, clock=ManualClock())
         rec.record(EV_DISPATCH, t_ns=42)
         assert RECORD_STRUCT.unpack_from(rec.ring_bytes(), 0)[1] == 42
 
 
 class TestSpillAndLoad:
     def test_dump_round_trip(self, tmp_path):
-        clock = _ManualClock()
+        clock = ManualClock()
         rec = FlightRecorder(
             node=3, capacity=8, dump_dir=tmp_path, clock=clock
         )
@@ -163,7 +157,7 @@ class TestSpillAndLoad:
 
     def test_dump_after_wrap_reports_drops(self, tmp_path):
         rec = FlightRecorder(
-            node=1, capacity=4, dump_dir=tmp_path, clock=_ManualClock()
+            node=1, capacity=4, dump_dir=tmp_path, clock=ManualClock()
         )
         for i in range(9):
             rec.record(EV_TIMER_FIRE, i)
@@ -175,7 +169,7 @@ class TestSpillAndLoad:
 
     def test_respill_replaces_atomically(self, tmp_path):
         rec = FlightRecorder(
-            node=1, capacity=4, dump_dir=tmp_path, clock=_ManualClock()
+            node=1, capacity=4, dump_dir=tmp_path, clock=ManualClock()
         )
         rec.record(EV_TIMER_FIRE, 1)
         rec.spill("first")
@@ -190,20 +184,20 @@ class TestSpillAndLoad:
     def test_custom_name_controls_the_filename(self, tmp_path):
         rec = FlightRecorder(
             node=1, capacity=4, dump_dir=tmp_path,
-            clock=_ManualClock(), name="feed-incarnation2",
+            clock=ManualClock(), name="feed-incarnation2",
         )
         rec.record(EV_TIMER_FIRE, 1)
         assert rec.spill("x").name == "feed-incarnation2.flightrec"
 
     def test_spill_without_dump_dir_is_a_noop(self):
-        rec = FlightRecorder(node=1, capacity=4, clock=_ManualClock())
+        rec = FlightRecorder(node=1, capacity=4, clock=ManualClock())
         rec.record(EV_TIMER_FIRE, 1)
         assert rec.spill("x") is None
         assert rec.spills == 0
 
     def test_liveness_record_decodes(self, tmp_path):
         rec = FlightRecorder(
-            node=1, capacity=4, dump_dir=tmp_path, clock=_ManualClock()
+            node=1, capacity=4, dump_dir=tmp_path, clock=ManualClock()
         )
         rec.record(EV_LIVENESS, 7, 2)  # node 7 -> DEAD
         dump = load_dump(rec.spill("x"))
@@ -211,7 +205,7 @@ class TestSpillAndLoad:
 
     def test_describe_dump_lists_every_record(self, tmp_path):
         rec = FlightRecorder(
-            node=1, capacity=4, dump_dir=tmp_path, clock=_ManualClock()
+            node=1, capacity=4, dump_dir=tmp_path, clock=ManualClock()
         )
         rec.record(EV_TIMER_FIRE, 3)
         rec.record(EV_HARD_STOP)
@@ -224,7 +218,7 @@ class TestSpillAndLoad:
 class TestDumpIntegrity:
     def _dump(self, tmp_path):
         rec = FlightRecorder(
-            node=1, capacity=4, dump_dir=tmp_path, clock=_ManualClock()
+            node=1, capacity=4, dump_dir=tmp_path, clock=ManualClock()
         )
         rec.record(EV_TIMER_FIRE, 1)
         rec.record(EV_TIMER_FIRE, 2)

@@ -26,19 +26,13 @@ from repro.flightrec.records import (
     EV_REL_SEND,
 )
 
-
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
+from tests.conftest import ManualClock
 
 
 def _dump(tmp_path, node, events, name=None):
     """Spill `(t_ns, kind, a, b, c[, d])` tuples as node `node`'s black
     box."""
-    clock = _ManualClock()
+    clock = ManualClock()
     rec = FlightRecorder(
         node=node, capacity=64, dump_dir=tmp_path,
         clock=clock, name=name or f"n{node}",
@@ -158,7 +152,7 @@ class TestHopProjection:
         assert merged.hops(0xDEAD) == []
 
     def test_live_recorders_merge_like_their_dumps(self, tmp_path):
-        clock = _ManualClock()
+        clock = ManualClock()
         live = FlightRecorder(
             node=4, capacity=8, dump_dir=tmp_path, clock=clock, name="live"
         )

@@ -32,18 +32,12 @@ from repro.transports.agent import PeerTransportAgent
 from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
 from repro.transports.loopback import LoopbackNetwork
 
+from tests.conftest import ManualClock
+
 INTERVAL_NS = 1_000
 SUSPECT_AFTER = 2
 DEAD_AFTER = 4
 EVENT_TIMEOUT_NS = 20 * INTERVAL_NS
-
-
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
 
 
 def _tick(cluster, clock, n=1):
@@ -56,7 +50,7 @@ def _tick(cluster, clock, n=1):
 
 def _run_scenario():
     network = LoopbackNetwork()
-    clock = _ManualClock()
+    clock = ManualClock()
     cluster: dict[int, Executive] = {}
     faulty: dict[int, FaultyLoopbackTransport] = {}
     for node in range(4):

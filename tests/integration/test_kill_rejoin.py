@@ -9,141 +9,106 @@ reliable endpoint:
 * nodes 1-2 — readout units; nodes 3-4 — builder units;
 * node 5 — the trigger feed: a journaled ReliableEndpoint.
 
-Two nodes are killed abruptly (``hard_stop`` — the kill -9 analogue)
-at different points mid-burst and rebuilt from their durable state:
-first the EVM node (snapshot restore + relaunch), then the feed node
-(journal replay).  The run must finish with ZERO events lost, every
-event built exactly once, and every pool clean — the executives run on
-explicitly sanitizing pools, so canary scans and leak tracebacks are
-active regardless of REPRO_SANITIZE.
+Two nodes are killed abruptly (``Cluster.kill`` — journals crash, then
+``hard_stop``, the kill -9 analogue) at different points mid-burst and
+rebuilt from their durable state by ``Cluster.rejoin``: first the EVM
+node (snapshot restore + relaunch), then the feed node (journal
+replay).  The run must finish with ZERO events lost, every event built
+exactly once, and every pool clean — the executives run on sanitizing
+pools (``REPRO_SANITIZE=1``), so canary scans and leak tracebacks are
+active whatever the suite's own setting.
 """
 
 from __future__ import annotations
 
 import struct
 
-from repro.analysis.sanitize import SanitizingTableAllocator, assert_clean
-from repro.core.executive import Executive
-from repro.core.reliable import ReliableEndpoint
-from repro.flightrec import (
-    FlightRecorder,
-    MergedTimeline,
-    in_flight_sends,
-    load_dump,
-)
+import pytest
+
+from repro.analysis.sanitize import assert_clean
+from repro.config.bootstrap import bootstrap
+from repro.flightrec import MergedTimeline, in_flight_sends, load_dump
 from repro.flightrec.records import EV_REL_ACK, EV_REL_DELIVER, EV_REL_SEND
-from repro.daq import BuilderUnit, EventManager, ReadoutUnit
-from repro.dataflow import wire_dataflow
-from repro.durable.segments import SegmentStore, SnapshotStore
-from repro.mem.pool import BufferPool
-from repro.transports.agent import PeerTransportAgent
-from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
+from repro.transports.faulty import FaultPlan
+
+from tests.conftest import ManualClock
 
 _EVENT_ID = struct.Struct("<Q")
 
 EVM_NODE = 0
 FEED_NODE = 5
-DROPPY = FaultPlan(drop_rate=0.05, duplicate_rate=0.02)
+REL = "repro.core.reliable.ReliableEndpoint"
 
 
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
+def drill_spec(tmp_path, seed):
+    """The six-node drill: every node carries a black box spilling to
+    ``crash/``, the EVM a snapshot store, the feed a journal."""
+    return {
+        "faults": {"drop_rate": 0.05, "duplicate_rate": 0.02, "seed": seed},
+        "nodes": {
+            EVM_NODE: {"devices": [
+                {"class": "repro.daq.manager.EventManager", "name": "evm",
+                 "kwargs": {"event_timeout_ns": 5_000,
+                            "max_reassignments": 30}},
+                {"class": REL, "name": "rx",
+                 "kwargs": {"retransmit_ns": 1000}},
+            ]},
+            **{1 + i: {"devices": [
+                {"class": "repro.daq.readout.ReadoutUnit", "name": f"ru{i}",
+                 "kwargs": {"ru_id": i, "mean_fragment": 256}},
+            ]} for i in (0, 1)},
+            **{3 + i: {"devices": [
+                {"class": "repro.daq.builder.BuilderUnit", "name": f"bu{i}",
+                 "kwargs": {"bu_id": i}},
+            ]} for i in (0, 1)},
+            FEED_NODE: {"devices": [
+                {"class": REL, "name": "feed",
+                 "kwargs": {"retransmit_ns": 1000, "max_retries": 400}},
+                # The daq.trigger producer the feed stands for: never
+                # fired, triggers reach the EVM over the reliable stream.
+                {"class": "repro.daq.trigger.TriggerSource",
+                 "name": "trigger"},
+            ]},
+        },
+        "observability": {"dir": tmp_path / "crash", "capacity": 4096},
+        "dataflow": {"backpressure": False},
+        "durability": {"dir": tmp_path},
+    }
 
-    def now_ns(self) -> int:
-        return self.t
+
+@pytest.fixture(autouse=True)
+def _sanitizing_pools(monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
 
 
-class _Cluster:
+class _Drill:
     def __init__(self, tmp_path, *, seed=11):
-        self.tmp_path = tmp_path
-        self.seed = seed
-        self.network = None
-        self.exes: dict[int, Executive] = {}
-        self.clocks: dict[int, _ManualClock] = {}
-        self.dead: list[Executive] = []
-        self.tick = 0
-        # Every node carries a black box + tracer; a killed node's ring
-        # spills at hard_stop under a per-incarnation name so the dead
-        # incarnation's evidence is never overwritten by its successor.
         self.crash_dir = tmp_path / "crash"
-        self.crash_dir.mkdir(parents=True, exist_ok=True)
-        self.incarnations: dict[int, int] = {}
+        self.cluster = bootstrap(drill_spec(tmp_path, seed),
+                                 clock=ManualClock())
+        self.dead = []
+        self._feed_evm()
 
-        from repro.transports.loopback import LoopbackNetwork
+    exes = property(lambda self: self.cluster.executives)
+    evm = property(lambda self: self.cluster.device("evm"))
+    feed = property(lambda self: self.cluster.device("feed"))
+    rus = property(lambda self: {i: self.cluster.device(f"ru{i}")
+                                 for i in (0, 1)})
+    bus = property(lambda self: {i: self.cluster.device(f"bu{i}")
+                                 for i in (0, 1)})
 
-        self.network = LoopbackNetwork()
-        for node in range(6):
-            self._boot_node(node)
-
-        # -- node 0: EVM + receiving endpoint --------------------------
-        self.evm = EventManager(event_timeout_ns=5_000, max_reassignments=30)
-        self.evm_tid = int(self.exes[EVM_NODE].install(self.evm))
-        self.rx = self._install_rx(self.exes[EVM_NODE], self.evm)
-        self.rx_tid = int(self.rx.tid)
-
-        # -- nodes 1-4: RUs and BUs ------------------------------------
-        self.rus = {i: ReadoutUnit(ru_id=i, mean_fragment=256)
-                    for i in (0, 1)}
-        for i, ru in self.rus.items():
-            self.exes[1 + i].install(ru)
-        self.bus = {i: BuilderUnit(bu_id=i) for i in (0, 1)}
-        for i, bu in self.bus.items():
-            self.exes[3 + i].install(bu)
-        self._wire()
-
-        # -- node 5: the journaled trigger feed ------------------------
-        self.feed_store = SegmentStore(tmp_path / "feed.journal")
-        self.feed = ReliableEndpoint(
-            name="feed", retransmit_ns=1000, max_retries=400,
-            journal=self.feed_store,
-        )
-        self.feed_tid = int(self.exes[FEED_NODE].install(self.feed))
-
-        self.evm.snapshot_store = SnapshotStore(tmp_path / "evm.snapshot")
-
-    # -- construction helpers -------------------------------------------
-    def _boot_node(self, node):
-        clock = _ManualClock()
-        clock.t = self.tick * 1000
-        exe = Executive(
-            node=node, clock=clock,
-            pool=BufferPool(SanitizingTableAllocator()),
-        )
-        inc = self.incarnations.get(node, 0) + 1
-        self.incarnations[node] = inc
-        exe.attach(FlightRecorder(
-            capacity=4096, dump_dir=self.crash_dir,
-            name=f"node{node}-inc{inc}",
-        ))
-        PeerTransportAgent.attach(exe).register(
-            FaultyLoopbackTransport(
-                self.network, DROPPY, seed=self.seed + node
-            ),
-            default=True,
-        )
-        self.exes[node], self.clocks[node] = exe, clock
-        return exe
-
-    def _install_rx(self, exe, evm, tid=None):
-        rx = ReliableEndpoint(name="rx", retransmit_ns=1000)
+    def _feed_evm(self):
         # The durable-stream receiver feeds the EVM *synchronously in
         # its own dispatch*: delivery, intake and snapshot autosave
         # commit (or die) together.
-        rx.consumer = lambda src, data: evm.intake_trigger(
-            _EVENT_ID.unpack(bytes(data))[0]
+        evm = self.evm
+        self.cluster.device("rx").consumer = lambda src, data: (
+            evm.intake_trigger(_EVENT_ID.unpack(bytes(data))[0])
         )
-        exe.install(rx, tid=tid)
-        return rx
-
-    def _wire(self):
-        # Not strict: nothing here emits daq.trigger — triggers reach
-        # the EVM over the reliable stream, not a dataflow route.
-        wire_dataflow(self.exes, strict=False, backpressure=False)
 
     # -- workload -------------------------------------------------------
     def fire(self, first, last):
-        peer = self.exes[FEED_NODE].create_proxy(EVM_NODE, self.rx_tid)
+        peer = self.cluster.proxy(FEED_NODE, "rx")
         for event_id in range(first, last + 1):
             self.feed.send_reliable(peer, _EVENT_ID.pack(event_id))
 
@@ -152,52 +117,30 @@ class _Cluster:
         # it (the test_reliable idiom): in-flight exchanges complete
         # "instantly", so timers only fire for genuinely lost traffic.
         for _ in range(ticks):
-            self._pump()
-            self.tick += 1
-            for clock in self.clocks.values():
-                clock.t = self.tick * step_ns
-        self._pump()
-
-    def _pump(self):
-        for _ in range(10_000):
-            if not any(exe.step() for exe in self.exes.values()):
-                return
+            self.cluster.pump()
+            self.cluster.clock.t += step_ns
+        self.cluster.pump()
 
     # -- the two kills --------------------------------------------------
+    def _kill_and_rejoin(self, node):
+        self.dead.append(self.cluster.executive(node))
+        self.cluster.kill(node)
+        self.cluster.rejoin(node)
+
     def kill_and_rejoin_evm_node(self):
-        """kill -9 the EVM node mid-burst; boot a replacement that
-        restores from the snapshot store and resumes building."""
-        self.exes[EVM_NODE].hard_stop()
-        self.dead.append(self.exes[EVM_NODE])
-        exe = self._boot_node(EVM_NODE)
-        evm2 = EventManager(event_timeout_ns=5_000, max_reassignments=30)
-        # Same TiDs as before the crash: the surviving BUs still
-        # address DONE to the EVM's slot, and the feed's
-        # retransmissions must land on the endpoint's.  (Reserve both
-        # before creating proxies, which draw from the same space.)
-        exe.install(evm2, tid=self.evm_tid)
-        # The fresh endpoint's dedup window is empty — EVM-level dedup
-        # (restored from the snapshot) absorbs re-deliveries instead.
-        self.rx = self._install_rx(exe, evm2, tid=self.rx_tid)
-        self._wire()
-        evm2.snapshot_store = SnapshotStore(self.tmp_path / "evm.snapshot")
-        assert evm2.recover() is True
-        self.evm = evm2
+        """kill -9 the EVM node mid-burst; the replacement restores
+        from the snapshot store and resumes building.  Its endpoint's
+        dedup window is empty — EVM-level dedup (restored from the
+        snapshot) absorbs re-deliveries instead."""
+        self._kill_and_rejoin(EVM_NODE)
+        self._feed_evm()
+        assert self.evm.recover() is True
 
     def kill_and_rejoin_feed_node(self):
         """kill -9 the feed mid-burst; the replacement replays every
         unacknowledged trigger from the journal and resumes the
         sequence space."""
-        self.feed_store.crash()
-        self.exes[FEED_NODE].hard_stop()
-        self.dead.append(self.exes[FEED_NODE])
-        exe = self._boot_node(FEED_NODE)
-        self.feed_store = SegmentStore(self.tmp_path / "feed.journal")
-        self.feed = ReliableEndpoint(
-            name="feed", retransmit_ns=1000, max_retries=400,
-            journal=self.feed_store,
-        )
-        exe.install(self.feed, tid=self.feed_tid)
+        self._kill_and_rejoin(FEED_NODE)
 
     # -- verdicts -------------------------------------------------------
     def assert_all_pools_clean(self):
@@ -210,7 +153,7 @@ class _Cluster:
 
 
 def test_kill_and_rejoin_zero_events_lost(tmp_path):
-    cluster = _Cluster(tmp_path)
+    cluster = _Drill(tmp_path)
 
     # Phase 1: first burst; let it run just long enough that some
     # events complete, some are mid-build and some triggers are still
@@ -258,7 +201,7 @@ def test_black_box_merge_reconstructs_the_killed_events(tmp_path):
     full burst committed-but-unacked, the dead incarnation's dump alone
     identifies the in-flight frames, and merging every node's dump
     reconstructs one killed event's full cross-node story."""
-    cluster = _Cluster(tmp_path)
+    cluster = _Drill(tmp_path)
     cluster.fire(1, 12)
     cluster.run(ticks=120)
     assert cluster.evm.completed == 12
@@ -272,7 +215,7 @@ def test_black_box_merge_reconstructs_the_killed_events(tmp_path):
 
     # The dead incarnation spilled at hard_stop; its black box alone
     # names the frames in flight at the crash window — no journal read.
-    dead_dump = load_dump(cluster.crash_dir / "node5-inc1.flightrec")
+    dead_dump = load_dump(cluster.crash_dir / "node005.flightrec")
     assert dead_dump.node == FEED_NODE
     assert dead_dump.reason == "hard_stop"
     assert [r.a for r in in_flight_sends(dead_dump)] == list(range(13, 25))
@@ -304,7 +247,7 @@ def test_black_box_merge_reconstructs_the_killed_events(tmp_path):
 def test_clean_wire_no_faults_needed(tmp_path):
     """Control run: with a perfect wire and no kills the same rig
     completes without a single retransmission or reassignment."""
-    cluster = _Cluster(tmp_path)
+    cluster = _Drill(tmp_path)
     for pt_holder in cluster.exes.values():
         pt_holder.pta.transport("faulty").plan = FaultPlan()
     cluster.fire(1, 10)

@@ -12,19 +12,13 @@ from repro.flightrec.recorder import MAX_INCIDENT_SPILLS
 from repro.flightrec.records import EV_DISPATCH, EV_SLOW_FRAME
 from repro.i2o.errors import I2OError
 
-
-class _ManualClock:
-    def __init__(self) -> None:
-        self.t = 0
-
-    def now_ns(self) -> int:
-        return self.t
+from tests.conftest import ManualClock
 
 
 def slow_dispatch_exe(budget_ns=10_000, cost_ns=50_000, dump_dir=None):
     """An executive whose handler 'takes' ``cost_ns`` on a manual clock,
     with a recorder holding a ``budget_ns`` dispatch budget."""
-    clock = _ManualClock()
+    clock = ManualClock()
     exe = Executive(node=0, clock=clock)
     recorder = exe.attach(FlightRecorder(
         capacity=128, dump_dir=dump_dir, budget_ns=budget_ns,
@@ -115,7 +109,7 @@ class TestCapture:
         assert recorder.suppressed_spills == 2
 
     def test_the_cap_is_shared_with_handler_errors(self, tmp_path):
-        clock = _ManualClock()
+        clock = ManualClock()
         exe = Executive(node=0, clock=clock)
         recorder = exe.attach(FlightRecorder(
             capacity=128, dump_dir=tmp_path, budget_ns=10_000,
