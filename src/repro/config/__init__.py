@@ -9,7 +9,17 @@ Secondary hosts may register and subsequently apply for control
 rights."*
 """
 
-from repro.config.control import ControlError, HostController
-from repro.config.tclish import TclError, TclInterp
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.config.control import ControlError, HostController
+    from repro.config.tclish import TclError, TclInterp
 
 __all__ = ["ControlError", "HostController", "TclError", "TclInterp"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.config.control": ("ControlError", "HostController"),
+    "repro.config.tclish": ("TclError", "TclInterp"),
+})

@@ -59,26 +59,18 @@ from __future__ import annotations
 import importlib
 import os
 from dataclasses import dataclass, field
-from operator import methodcaller
+from operator import attrgetter, methodcaller
 from typing import Any, Callable, Iterator
 
 from repro.config.schema import ParamSchema, SchemaError
 from repro.core.device import Listener
 from repro.core.executive import Executive
-from repro.core.liveness import HeartbeatService, install_supervision
-from repro.core.simnode import SimNode
-from repro.core.telemetry import OBSERVABILITY_SCHEMA, install_observability
-from repro.dataflow.wiring import DATAFLOW_SCHEMA, install_dataflow
-from repro.durable.segments import DURABILITY_SCHEMA, install_durability
 from repro.hw.clock import Clock, SimClock
-from repro.hw.myrinet import Fabric
 from repro.i2o.errors import I2OError
 from repro.i2o.tid import Tid
 from repro.transports.agent import PeerTransportAgent
-from repro.transports.faulty import FAULTS_SCHEMA, FaultPlan, FaultyLoopbackTransport
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 from repro.transports.queued import QueuePair, QueueTransport
-from repro.transports.simgm import SimGmTransport
 
 
 class BootstrapError(I2OError):
@@ -185,22 +177,27 @@ class Cluster:
         """A fresh executive for ``node`` on the cluster's clock, joined
         to its wire."""
         exe = Executive(node=node, clock=self.clock)
-        host = (SimNode(self.clock.sim, exe)
-                if isinstance(self.clock, SimClock) else None)
-        self.join(exe)
-        if host is not None:
+        if isinstance(self.clock, SimClock):
+            from repro.core.simnode import SimNode
+
+            host = SimNode(self.clock.sim, exe)
+            self.join(exe)
             host.attach_transport_hooks()
+        else:
+            self.join(exe)
         self.executives[node] = exe
         self.incarnations[node] = self.incarnations.get(node, 0) + 1
         return exe
 
     def _install_sections(self, nodes: list[int]) -> None:
-        """Run every present section's installer for ``nodes``."""
-        for name, _schema, install in _SECTIONS:
-            if install is None or name not in self.options:
+        """Run every present section's installer for ``nodes``, in
+        install order (``options`` was built in that order)."""
+        for name, options in self.options.items():
+            install = _section(name)[1]
+            if install is None:
                 continue
             try:
-                install(self, self.options[name], nodes)
+                install(self, options, nodes)
             except I2OError as exc:
                 raise BootstrapError(f"{name} section: {exc}") from exc
 
@@ -342,6 +339,8 @@ def _wire(
         network = LoopbackNetwork()
         if faults is None:
             return default_pt(lambda exe: LoopbackTransport(network))
+        from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
+
         plan = FaultPlan(drop_rate=faults["drop_rate"],
                          duplicate_rate=faults["duplicate_rate"])
         return default_pt(lambda exe: FaultyLoopbackTransport(
@@ -365,6 +364,9 @@ def _wire(
     if kind == "simgm":
         if not isinstance(clock, SimClock):
             raise BootstrapError("transport 'simgm' needs clock=SimClock")
+        from repro.hw.myrinet import Fabric
+        from repro.transports.simgm import SimGmTransport
+
         fabric = Fabric(clock.sim, ports=max(16, len(nodes)))
         return default_pt(lambda exe: SimGmTransport(
             fabric, send_tokens=GM_SEND_TOKENS, recv_tokens=GM_RECV_TOKENS
@@ -451,7 +453,7 @@ def spec_devices(spec: dict[str, Any]) -> Iterator[tuple[int, str, Listener]]:
 def bootstrap(spec: dict[str, Any], *, clock: Clock | None = None) -> Cluster:
     """Build a cluster from a declarative specification, on wall clocks
     or on ``clock`` (see the module docstring)."""
-    known = {"transport", "nodes", *(name for name, _, _ in _SECTIONS)}
+    known = {"transport", "nodes", *_SECTION_SOURCES}
     unknown = set(map(str, spec)) - known
     if unknown:
         raise BootstrapError(
@@ -460,9 +462,9 @@ def bootstrap(spec: dict[str, Any], *, clock: Clock | None = None) -> Cluster:
         )
     options = {
         name: _section_options(
-            schema, name, _mapping(spec[name], f"{name!r} section")
+            _section(name)[0], name, _mapping(spec[name], f"{name!r} section")
         )
-        for name, schema, _ in _SECTIONS if spec.get(name) is not None
+        for name in _SECTION_SOURCES if spec.get(name) is not None
     }
     nodes = [node for node, _ in _nodes_of(spec)]
     join = _wire(spec.get("transport", "loopback"), options.get("faults"),
@@ -476,19 +478,41 @@ def bootstrap(spec: dict[str, Any], *, clock: Clock | None = None) -> Cluster:
     return cluster
 
 
-#: The optional spec sections in install order, as ``(name, schema,
-#: install)``: ``install(cluster, options, nodes)`` gets the section's
-#: typed values over its schema's defaults and the nodes to act on
-#: (every node at boot, the one node on ``Cluster.rejoin``).
-#: ``faults`` has no installer: the wire reads it as each executive
-#: joins.  ``dataflow`` follows the sections that add devices
-#: (heartbeats, telemetry agents), so its derived routes cover them;
-#: ``durability`` adds none and goes last, so no later refusal can
-#: leave its journals open.
-_SECTIONS: tuple[tuple[str, ParamSchema, Callable[..., None] | None], ...] = (
-    ("faults", FAULTS_SCHEMA, None),
-    ("supervision", HeartbeatService.schema, install_supervision),
-    ("observability", OBSERVABILITY_SCHEMA, install_observability),
-    ("dataflow", DATAFLOW_SCHEMA, install_dataflow),
-    ("durability", DURABILITY_SCHEMA, install_durability),
-)
+#: The optional spec sections in install order, each with the module
+#: that owns it and, in that module, its schema and its installer.
+#: ``install(cluster, options, nodes)`` gets the section's typed values
+#: over its schema's defaults and the nodes to act on (every node at
+#: boot, the one node on ``Cluster.rejoin``).  A section's module is
+#: imported only when a spec names the section, so a boot loads no
+#: subsystem it does not run.  ``faults`` has no installer: the wire
+#: reads it as each executive joins.  ``dataflow`` follows the sections
+#: that add devices (heartbeats, telemetry agents), so its derived
+#: routes cover them; ``durability`` adds none and goes last, so no
+#: later refusal can leave its journals open.
+_SECTION_SOURCES: dict[str, tuple[str, str, str | None]] = {
+    "faults": ("repro.transports.faulty", "FAULTS_SCHEMA", None),
+    "supervision": ("repro.core.liveness", "HeartbeatService.schema",
+                    "install_supervision"),
+    "observability": ("repro.core.telemetry", "OBSERVABILITY_SCHEMA",
+                      "install_observability"),
+    "dataflow": ("repro.dataflow.wiring", "DATAFLOW_SCHEMA", "install_dataflow"),
+    "durability": ("repro.durable.segments", "DURABILITY_SCHEMA",
+                   "install_durability"),
+}
+
+
+def _section(name: str) -> tuple[ParamSchema, Callable[..., None] | None]:
+    """Section ``name``'s schema and installer, its module imported."""
+    path, schema, install = _SECTION_SOURCES[name]
+    module = importlib.import_module(path)
+    return (attrgetter(schema)(module),
+            getattr(module, install) if install else None)
+
+
+def __getattr__(name: str) -> Any:
+    # ``_SECTIONS``, the whole table as ``(name, schema, install)``
+    # rows, loads every section's module: it is for readers that list
+    # the spec surface, not for the boot path.
+    if name == "_SECTIONS":
+        return tuple((section, *_section(section)) for section in _SECTION_SOURCES)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

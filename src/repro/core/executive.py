@@ -43,7 +43,7 @@ from repro.core.observer import (
 from repro.core.queues import MessagingInstance
 from repro.core.registry import ModuleRegistry
 from repro.core.scheduler import PriorityScheduler
-from repro.core.states import DeviceState
+from repro.core.states import DeviceState, PeerTable
 from repro.core.timer import TimerService
 from repro.core.watchdog import HandlerWatchdog, WatchdogTimeout
 from repro.flightrec.records import EV_HARD_STOP, EV_POOL_EXHAUSTED, EV_WATCHDOG_TRIP
@@ -276,8 +276,6 @@ class Executive:
         self._pollable: list[Any] = []
 
         # Peer liveness table (fed by a HeartbeatService, if installed).
-        from repro.core.liveness import PeerTable
-
         self.peers = PeerTable()
 
         self.dispatched = 0

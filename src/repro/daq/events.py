@@ -26,8 +26,7 @@ import hashlib
 import struct
 import zlib
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Any
 
 from repro.i2o.errors import I2OError
 
@@ -41,6 +40,27 @@ FRAGMENT_OVERHEAD = _HDR.size + _CRC.size  # 20 bytes
 #: Generator: the first ``default_rng`` of a process costs 12 ms and
 #: 2.4 MB, which every importer would pay.)
 _ARENA = memoryview(hashlib.shake_256(b"repro.daq front end").digest(1 << 17))
+
+
+#: NumPy, loaded by the first :func:`fragment_size` rather than by
+#: importing this module (it is most of a native node's import time);
+#: ``events.np`` reads it through the module ``__getattr__``.
+_np: Any = None
+
+
+def _numpy() -> Any:
+    global _np
+    if _np is None:
+        import numpy
+
+        _np = numpy
+    return _np
+
+
+def __getattr__(name: str) -> Any:
+    if name == "np":
+        return _numpy()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FragmentError(I2OError):
@@ -63,6 +83,7 @@ def fragment_size(event_id: int, ru_id: int, mean: int = 2048, spread: float = 0
     irregular.  Same (event, ru) always yields the same size, so any
     node can predict any fragment without communication.
     """
+    np = _np or _numpy()
     rng = np.random.default_rng((event_id * 0x9E3779B1 + ru_id) & 0xFFFFFFFF)
     size = int(rng.lognormal(mean=np.log(mean), sigma=spread))
     return max(minimum, min(maximum, size))

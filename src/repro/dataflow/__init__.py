@@ -26,10 +26,15 @@ hot path stays the paper's zero-copy frameSend.
 CLI: ``python -m repro.diag graph`` renders or checks a topology.
 """
 
-from repro.dataflow.graph import DataflowGraph, DeviceNode, Diagnostic
-from repro.dataflow.registry import MessageType, lookup, message_type, registered
-from repro.dataflow.routing import CreditLedger, DataflowOutbox, Edge, TypeRoutes
-from repro.dataflow.wiring import wire_dataflow
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.dataflow.graph import DataflowGraph, DeviceNode, Diagnostic
+    from repro.dataflow.registry import MessageType, lookup, message_type, registered
+    from repro.dataflow.routing import CreditLedger, DataflowOutbox, Edge, TypeRoutes
+    from repro.dataflow.wiring import wire_dataflow
 
 __all__ = [
     "CreditLedger",
@@ -45,3 +50,10 @@ __all__ = [
     "registered",
     "wire_dataflow",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dataflow.graph": ("DataflowGraph", "DeviceNode", "Diagnostic"),
+    "repro.dataflow.registry": ("MessageType", "lookup", "message_type", "registered"),
+    "repro.dataflow.routing": ("CreditLedger", "DataflowOutbox", "Edge", "TypeRoutes"),
+    "repro.dataflow.wiring": ("wire_dataflow",),
+})

@@ -12,22 +12,27 @@ fault-tolerant transport frameworks cited in PAPERS.md: recovery is a
 consensus — kept honest by CRC discipline shared with the wire format.
 """
 
-from repro.durable.journal import (
-    HEADER_SIZE,
-    MAX_RECORD_PAYLOAD,
-    REC_ACK,
-    REC_META,
-    REC_SEND,
-    DecodeResult,
-    JournalCorruption,
-    JournalError,
-    Record,
-    decode_journal,
-    encode_record,
-    seeded_crc,
-)
-from repro.durable.replay import PendingSend, ReplayState, replay_records
-from repro.durable.segments import SegmentStore, SnapshotStore
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.durable.journal import (
+        HEADER_SIZE,
+        MAX_RECORD_PAYLOAD,
+        REC_ACK,
+        REC_META,
+        REC_SEND,
+        DecodeResult,
+        JournalCorruption,
+        JournalError,
+        Record,
+        decode_journal,
+        encode_record,
+        seeded_crc,
+    )
+    from repro.durable.replay import PendingSend, ReplayState, replay_records
+    from repro.durable.segments import SegmentStore, SnapshotStore
 
 __all__ = [
     "HEADER_SIZE",
@@ -48,3 +53,13 @@ __all__ = [
     "replay_records",
     "seeded_crc",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.durable.journal": (
+        "HEADER_SIZE", "MAX_RECORD_PAYLOAD", "REC_ACK", "REC_META", "REC_SEND",
+        "DecodeResult", "JournalCorruption", "JournalError", "Record",
+        "decode_journal", "encode_record", "seeded_crc",
+    ),
+    "repro.durable.replay": ("PendingSend", "ReplayState", "replay_records"),
+    "repro.durable.segments": ("SegmentStore", "SnapshotStore"),
+})

@@ -14,23 +14,28 @@
   is the post-mortem CLI.
 """
 
-from repro.flightrec.dump import FlightDump, describe_dump, load_dump, load_dumps
-from repro.flightrec.recorder import FlightRecorder
-from repro.flightrec.records import (
-    KIND_NAMES,
-    FlightRecError,
-    FlightRecord,
-    pack3,
-    unpack3,
-)
-from repro.flightrec.timeline import (
-    Gap,
-    Hop,
-    MergedTimeline,
-    TimelineEvent,
-    in_flight_sends,
-    project_hops,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.flightrec.dump import FlightDump, describe_dump, load_dump, load_dumps
+    from repro.flightrec.recorder import FlightRecorder
+    from repro.flightrec.records import (
+        KIND_NAMES,
+        FlightRecError,
+        FlightRecord,
+        pack3,
+        unpack3,
+    )
+    from repro.flightrec.timeline import (
+        Gap,
+        Hop,
+        MergedTimeline,
+        TimelineEvent,
+        in_flight_sends,
+        project_hops,
+    )
 
 __all__ = [
     "FlightRecorder",
@@ -50,3 +55,15 @@ __all__ = [
     "project_hops",
     "unpack3",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.flightrec.dump": ("FlightDump", "describe_dump", "load_dump", "load_dumps"),
+    "repro.flightrec.recorder": ("FlightRecorder",),
+    "repro.flightrec.records": (
+        "KIND_NAMES", "FlightRecError", "FlightRecord", "pack3", "unpack3",
+    ),
+    "repro.flightrec.timeline": (
+        "Gap", "Hop", "MergedTimeline", "TimelineEvent", "in_flight_sends",
+        "project_hops",
+    ),
+})

@@ -11,9 +11,10 @@ the two planes share every code path.
 from __future__ import annotations
 
 import time
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from repro.sim.kernel import Simulator
+if TYPE_CHECKING:  # the native plane never loads the simulation kernel
+    from repro.sim.kernel import Simulator
 
 
 @runtime_checkable

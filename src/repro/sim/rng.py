@@ -9,8 +9,10 @@ existing ones — a standard reproducibility idiom in simulation codes.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # NumPy loads with the first stream, not with the module
+    import numpy as np
 
 
 class RngStreams:
@@ -30,7 +32,9 @@ class RngStreams:
                 f"{self.root_seed}:{name}".encode("utf-8")
             ).digest()
             seed = int.from_bytes(digest[:8], "little")
-            gen = np.random.default_rng(seed)
+            import numpy
+
+            gen = numpy.random.default_rng(seed)
             self._streams[name] = gen
         return gen
 

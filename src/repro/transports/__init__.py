@@ -12,22 +12,27 @@ is why :class:`~repro.transports.base.PeerTransport` subclasses
 :class:`~repro.core.device.Listener`.
 """
 
-from repro.transports.agent import PeerTransportAgent
-from repro.transports.base import PeerTransport, TransportError
-from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
-from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
-from repro.transports.queued import QueuePair, QueueTransport
-from repro.transports.simgm import SimGmTransport
-from repro.transports.simpci import SimPciTransport
-from repro.transports.tcp import TcpTransport
-from repro.transports.wire import (
-    decode_wire,
-    encode_wire,
-    encode_wire_into,
-    encode_wire_parts,
-    read_wire_header,
-    recv_into_exact,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.transports.agent import PeerTransportAgent
+    from repro.transports.base import PeerTransport, TransportError
+    from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
+    from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
+    from repro.transports.queued import QueuePair, QueueTransport
+    from repro.transports.simgm import SimGmTransport
+    from repro.transports.simpci import SimPciTransport
+    from repro.transports.tcp import TcpTransport
+    from repro.transports.wire import (
+        decode_wire,
+        encode_wire,
+        encode_wire_into,
+        encode_wire_parts,
+        read_wire_header,
+        recv_into_exact,
+    )
 
 __all__ = [
     "FaultPlan",
@@ -49,3 +54,18 @@ __all__ = [
     "read_wire_header",
     "recv_into_exact",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.transports.agent": ("PeerTransportAgent",),
+    "repro.transports.base": ("PeerTransport", "TransportError"),
+    "repro.transports.faulty": ("FaultPlan", "FaultyLoopbackTransport"),
+    "repro.transports.loopback": ("LoopbackNetwork", "LoopbackTransport"),
+    "repro.transports.queued": ("QueuePair", "QueueTransport"),
+    "repro.transports.simgm": ("SimGmTransport",),
+    "repro.transports.simpci": ("SimPciTransport",),
+    "repro.transports.tcp": ("TcpTransport",),
+    "repro.transports.wire": (
+        "decode_wire", "encode_wire", "encode_wire_into", "encode_wire_parts",
+        "read_wire_header", "recv_into_exact",
+    ),
+})

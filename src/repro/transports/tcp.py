@@ -97,6 +97,9 @@ class TcpTransport(PeerTransport):
         self._socks: list[socket.socket] = []
         self._conn_lock = threading.Lock()
         self._readers: list[threading.Thread] = []
+        #: readers that took themselves off ``_readers`` but may still
+        #: be running: shutdown joins these too, so none outlives it
+        self._leaving: list[threading.Thread] = []
         self._stop = threading.Event()
 
     # -- lifecycle ------------------------------------------------------------
@@ -130,11 +133,20 @@ class TcpTransport(PeerTransport):
         with self._conn_lock:
             socks, self._socks = self._socks, []
             self._conns.clear()
-            readers = list(self._readers)
+            readers = self._readers + self._leaving
+            self._leaving = []
         for sock in socks:
             _hang_up(sock)
-        for reader in readers:  # each takes itself off ``_readers``
+        for reader in readers:
             reader.join(timeout=2)
+
+    def crash_detach(self) -> None:
+        """Die abruptly: the listener and every socket close and the
+        accept and reader threads end, so no wire byte reaches the dead
+        executive, peers see EOF and their next send is refused, and a
+        replacement can listen on the same port."""
+        self.shutdown()
+        super().crash_detach()
 
     def add_peer(self, node: int, host: str, port: int) -> None:
         self.peers[node] = (host, port)
@@ -202,6 +214,7 @@ class TcpTransport(PeerTransport):
         # transmit) the dispatch thread; shutdown() joins the list.
         # Listed before it runs, so its exit always finds itself.
         with self._conn_lock:
+            self._leaving = [r for r in self._leaving if r.is_alive()]
             self._readers.append(reader)
             self._socks.append(sock)
             reader.start()
@@ -238,5 +251,9 @@ class TcpTransport(PeerTransport):
                     del conns[node]
                 if sock in self._socks:
                     self._socks.remove(sock)
+                # Off the list, yet still running until it returns: a
+                # shutdown that starts now (this reader was woken by
+                # the peer's) must still join it.
                 self._readers.remove(threading.current_thread())
+                self._leaving.append(threading.current_thread())
             _hang_up(sock)

@@ -1,0 +1,111 @@
+"""Cold start: what a native node loads.
+
+A section-less two-node ``loopback`` boot and one round trip run in a
+fresh interpreter, which then reports every ``repro`` module and
+whether NumPy is loaded.  The native plane must not reach the
+simulation plane (``repro.sim``, the hardware models, the simulated
+transports, ``SimNode``) or NumPy, and ``bootstrap`` must not import
+the subsystem of a section the spec does not name.  The same child
+then resolves every lazily re-exported name of every package.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: packages whose ``__init__`` re-exports lazily (PEP 562)
+LAZY_PACKAGES = (
+    "repro", "repro.core", "repro.hw", "repro.sim", "repro.transports",
+    "repro.daq", "repro.config", "repro.durable", "repro.dataflow",
+    "repro.flightrec",
+)
+
+CHILD = """
+import importlib
+import json
+import sys
+
+from repro.config.bootstrap import bootstrap
+from repro.core.device import Listener
+
+
+class Echo(Listener):
+    def on_plugin(self):
+        self.bind(0x1, self.on_ping)
+
+    def on_ping(self, frame):
+        if frame.is_reply:
+            self.replies.append(bytes(frame.payload))
+        else:
+            self.reply(frame, bytes(frame.payload))
+
+
+cluster = bootstrap({"transport": "loopback",
+                     "nodes": {0: {"devices": []}, 1: {"devices": []}}})
+server, client = Echo("server"), Echo("client")
+client.replies = []
+cluster.install(1, server)
+cluster.install(0, client)
+client.send(cluster.proxy(0, "server"), b"ping", xfunction=0x1)
+cluster.pump()
+loaded = sorted(name for name in sys.modules
+                if name == "numpy" or name.startswith(("numpy.", "repro")))
+
+unresolved = []
+for package in sys.argv[1:]:
+    module = importlib.import_module(package)
+    listing = dir(module)
+    for name in module.__all__:
+        try:
+            getattr(module, name)
+        except AttributeError:
+            unresolved.append(f"{package}.{name}: no attribute")
+        if name not in listing:
+            unresolved.append(f"{package}.{name}: not in dir()")
+print(json.dumps({"replies": [r.decode() for r in client.replies],
+                  "loaded": loaded, "unresolved": unresolved}))
+"""
+
+#: what a section-less native boot must not load: the simulation
+#: plane, NumPy, and the subsystems of the sections it did not name
+FORBIDDEN = (
+    "numpy", "repro.sim", "repro.hw.gm", "repro.hw.myrinet", "repro.hw.pci",
+    "repro.transports.simgm", "repro.transports.simpci",
+    "repro.core.simnode", "repro.core.liveness", "repro.core.telemetry",
+    "repro.dataflow.wiring",
+)
+
+
+@pytest.fixture(scope="module")
+def cold_boot() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *LAZY_PACKAGES],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_native_boot_loads_no_sim_plane_numpy_or_unnamed_section(cold_boot):
+    assert cold_boot["replies"] == ["ping"]
+    leaked = [
+        name for name in cold_boot["loaded"]
+        if any(name == bad or name.startswith(bad + ".") for bad in FORBIDDEN)
+    ]
+    assert leaked == []
+
+
+def test_every_lazy_export_resolves_and_is_listed(cold_boot):
+    assert cold_boot["unresolved"] == []

@@ -104,6 +104,43 @@ class TestTcp:
             if t.name in ("pt-tcp-accept", "pt-tcp-reader")
         ] == []
 
+    def test_hard_stop_closes_the_listener_and_every_socket(self, tcp_cluster):
+        # Regression: a hard-stopped node kept accepting connections and
+        # its reader threads kept ingesting wire bytes into the dead
+        # executive's pool, and no replacement could claim its port.
+        exes, pts = tcp_cluster
+        echo_tid = exes[1].install(Echo())
+        caller = Caller()
+        exes[0].install(caller)
+        caller.send(exes[0].create_proxy(1, echo_tid), b"x", xfunction=0x1)
+        assert wait_for(lambda: caller.replies == [b"x"])
+        dead_port = pts[1].bound_port
+        dead_threads = [pts[1]._accept_thread, *pts[1]._readers]
+        assert len(dead_threads) == 2  # accept + the reader of node 0's dial
+
+        exes[1].hard_stop()
+        assert [t.name for t in dead_threads if t.is_alive()] == []
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", dead_port), timeout=1)
+
+        # The survivor hears EOF, forgets the socket, and its next send
+        # is refused naming the dead node, without waiting for a timeout.
+        assert wait_for(lambda: 1 not in pts[0]._conns, timeout=1.0)
+        frame = exes[0].frame_alloc(0, target=REMOTE_TID, initiator=INITIATOR_TID)
+        started = time.monotonic()
+        with pytest.raises(TransportError, match="connect to node 1"):
+            pts[0].transmit(frame, Route(node=1, remote_tid=echo_tid))
+        assert time.monotonic() - started < 1.0
+        exes[0].frame_free(frame)
+
+        exes[0].hard_stop()
+        assert [
+            t.name for t in threading.enumerate() if t.name.startswith("pt-tcp")
+        ] == []
+        for exe in exes.values():
+            exe.pool.check_conservation()
+            assert exe.pool.in_flight == 0
+
 
 # -- a refused or dead connection is closed and forgotten ------------------------
 GHOST_NODE = 7
