@@ -10,22 +10,24 @@ measured by the same program on two loads:
     path as it was before observability landed, reconstructed as a
     subclass so the comparison survives refactors), ``off`` (the stock
     executive, nothing attached — what every node pays for being
-    *observable*), ``recording`` (the flight recorder: its ring and
-    the trace-id stamping it does at ``frame_send`` — the ring is the
-    only span store, so this is what ``observability`` tracing and the
-    cross-node timeline merge cost; spills are crash-path, not
-    steady-state) and ``timed`` (recording + dispatch-latency
-    histogram).
+    *observable*) and ``recording`` (the flight recorder: its ring,
+    the ``exe_dispatch_ns`` histogram it fills and the trace-id
+    stamping it does at ``frame_send`` — the ring is the only span
+    store, so this is what ``observability`` tracing, dispatch timing
+    and the cross-node timeline merge cost; spills are crash-path, not
+    steady-state).
 ``pingpong``
     the N1 native ping-pong (:func:`run_native_pingpong`); the unit is
     median RTT ns.  Arms: ``off``, ``sampling`` (a
-    :class:`SamplingProfiler` registered on both executives, its
-    thread running) and ``full-kit`` (sampling plus everything the
-    ``observability`` bootstrap section arms: timing with exemplar
-    capture and a dispatch budget that never trips — the comparison is
-    measured, not the spill).
+    :class:`SamplingProfiler` watching both executives, its thread
+    running) and ``full-kit`` (sampling plus everything the
+    ``observability`` bootstrap section arms: the recorder with
+    exemplar capture and a dispatch budget that never trips — the
+    comparison is measured, not the spill).
 
-Every arm runs once per repeat, interleaved, and reports its median.
+Every arm runs once per short batch, so host noise slower than a batch
+hits an arm and its baseline alike; a ratio is the median of the
+in-batch ratios, printed with its IQR and the ratio of medians.
 :data:`GATES` holds the three ratios CI enforces.
 """
 
@@ -41,7 +43,7 @@ from repro.bench.dispatch import drain_ns_per_message
 from repro.bench.pingpong import run_native_pingpong
 from repro.bench.report import format_table
 from repro.core.executive import Executive
-from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS, DispatchTimer
+from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS
 from repro.flightrec.recorder import FlightRecorder
 from repro.i2o.frame import Frame
 from repro.profile.sampler import SamplingProfiler
@@ -70,14 +72,8 @@ def _recording(exe: Executive) -> None:
     exe.attach(FlightRecorder(capacity=4096))
 
 
-def _timed(exe: Executive) -> None:
-    _recording(exe)
-    exe.attach(DispatchTimer())
-
-
 def _full_kit(exe: Executive) -> None:
     exe.attach(FlightRecorder(capacity=4096, budget_ns=_NEVER_TRIPS_NS))
-    exe.attach(DispatchTimer())
     exe.metrics.histogram(
         "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
     ).enable_exemplars()
@@ -98,7 +94,6 @@ ARMS = (
     Arm("drain", "floor", executive=_FloorExecutive),
     Arm("drain", "off"),
     Arm("drain", "recording", _recording),
-    Arm("drain", "timed", _timed),
     Arm("pingpong", "off"),
     Arm("pingpong", "sampling", sampled=True),
     Arm("pingpong", "full-kit", _full_kit, sampled=True),
@@ -142,11 +137,37 @@ def _measure(arm: Arm, messages: int, rounds: int) -> float:
 
 @dataclass
 class OverheadResult:
-    #: load -> arm -> median ns (per message on drain, per RTT on pingpong)
-    ns: dict[str, dict[str, float]] = field(default_factory=dict)
+    #: load -> arm -> one reading per batch (ns per message on drain,
+    #: median RTT ns on pingpong); reading i of every arm is batch i's
+    batches: dict[str, dict[str, list[float]]] = field(default_factory=dict)
+
+    @property
+    def ns(self) -> dict[str, dict[str, float]]:
+        """load -> arm -> median reading over the batches."""
+        return {
+            load: {name: statistics.median(v) for name, v in arms.items()}
+            for load, arms in self.batches.items()
+        }
+
+    def ratios(self, load: str, arm: str, baseline: str) -> list[float]:
+        """arm/baseline within each batch."""
+        readings = self.batches[load]
+        return [a / b for a, b in zip(readings[arm], readings[baseline])]
 
     def ratio(self, load: str, arm: str, baseline: str) -> float:
-        return self.ns[load][arm] / self.ns[load][baseline]
+        """What the gate reads: the median of the per-batch ratios."""
+        return statistics.median(self.ratios(load, arm, baseline))
+
+    def iqr(self, load: str, arm: str, baseline: str) -> float:
+        ratios = self.ratios(load, arm, baseline)
+        if len(ratios) < 2:
+            return 0.0
+        q1, _, q3 = statistics.quantiles(ratios, n=4)
+        return q3 - q1
+
+    def ratio_of_medians(self, load: str, arm: str, baseline: str) -> float:
+        ns = self.ns[load]
+        return ns[arm] / ns[baseline]
 
     def violations(self) -> list[str]:
         return [
@@ -156,41 +177,42 @@ class OverheadResult:
             if self.ratio(load, arm, baseline) > limit
         ]
 
+    def _table(self, load: str, unit: str, title: str) -> str:
+        return format_table(
+            ["config", unit, "vs off", "IQR", "medians"],
+            [(name, f"{ns:.0f}", f"{self.ratio(load, name, 'off'):.2f}x",
+              f"{self.iqr(load, name, 'off'):.2f}",
+              f"{self.ratio_of_medians(load, name, 'off'):.2f}x")
+             for name, ns in self.ns[load].items()],
+            title=title,
+        )
+
     def report(self) -> str:
-        drain, pingpong = self.ns["drain"], self.ns["pingpong"]
+        batches = len(self.batches["drain"]["off"])
         return "\n\n".join([
-            format_table(
-                ["config", "ns/message", "vs floor", "vs off"],
-                [(name, f"{ns:.0f}", f"{ns / drain['floor']:.2f}x",
-                  f"{ns / drain['off']:.2f}x") for name, ns in drain.items()],
-                title="X6/X9: observer overhead per dispatched message "
-                "(off must ride the floor)",
-            ),
-            format_table(
-                ["config", "RTT ns (median)", "vs off"],
-                [(name, f"{ns:.0f}", f"{ns / pingpong['off']:.2f}x")
-                 for name, ns in pingpong.items()],
-                title="X11: continuous-profiling overhead on the native "
-                "ping-pong",
-            ),
+            self._table("drain", "ns/message", "X6/X9: observer overhead "
+                        "per dispatched message (off must ride the floor)"),
+            self._table("pingpong", "RTT ns (median)", "X11: continuous-"
+                        "profiling overhead on the native ping-pong"),
             "gates: " + ", ".join(
                 f"{load} {arm}/{baseline} "
-                f"{self.ratio(load, arm, baseline):.3f} <= {limit}"
+                f"{self.ratio(load, arm, baseline):.3f} "
+                f"(IQR {self.iqr(load, arm, baseline):.3f}, medians "
+                f"{self.ratio_of_medians(load, arm, baseline):.3f}) "
+                f"<= {limit}"
                 for load, arm, baseline, limit in GATES
-            ),
+            ) + f" — the median of {batches} per-batch ratios",
         ])
 
 
 def run_overhead(
-    messages: int = 20_000, rounds: int = 400, repeats: int = 3
+    messages: int = 2_000, rounds: int = 100, batches: int = 21
 ) -> OverheadResult:
-    # Interleave the arms across repeats so ambient machine noise (CI
-    # neighbours, thermal drift) hits all of them alike.
-    samples: dict[Arm, list[float]] = {arm: [] for arm in ARMS}
-    for _ in range(repeats):
-        for arm in ARMS:
-            samples[arm].append(_measure(arm, messages, rounds))
     result = OverheadResult()
-    for arm, values in samples.items():
-        result.ns.setdefault(arm.load, {})[arm.name] = statistics.median(values)
+    for batch in range(batches):
+        # Alternate the direction so no arm always runs first.
+        for arm in ARMS if batch % 2 == 0 else reversed(ARMS):
+            result.batches.setdefault(arm.load, {}).setdefault(
+                arm.name, []
+            ).append(_measure(arm, messages, rounds))
     return result

@@ -15,6 +15,7 @@ running node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -69,6 +70,10 @@ class ParamSpec:
                 value = int(text)
             elif self.type is float:
                 value = float(text)
+                # NaN passes every bound below (its comparisons are all
+                # false), and no parameter means infinity.
+                if not math.isfinite(value):
+                    raise ValueError("not finite")
             else:
                 value = text
         except ValueError as exc:

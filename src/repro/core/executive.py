@@ -328,7 +328,7 @@ class Executive:
             lambda: self.watchdog.overruns if self.watchdog is not None else 0,
         )
         # Registered empty so the exported names do not depend on
-        # whether a DispatchTimer is attached.
+        # whether a flight recorder (which fills it) is attached.
         m.histogram("exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS)
 
     def attach(self, observer: DispatchObserver) -> DispatchObserver:

@@ -28,14 +28,9 @@ import re
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from repro.core.observer import DispatchObserver, DispatchRecord
-from repro.core.tracing import is_trace_context
 from repro.i2o.errors import I2OError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.executive import Executive
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -218,10 +213,10 @@ class MetricsRegistry:
     and transports register instruments against it, and the
     telemetry agent exports :meth:`snapshot` over ``UtilParamsGet``.
 
-    The per-dispatch latency histogram — the only instrument that
-    needs a clock read on the hot path — is populated by attaching a
-    :class:`DispatchTimer`, so observability costs nothing unless
-    asked for.
+    The per-dispatch latency histogram ``exe_dispatch_ns`` is
+    populated while a flight recorder is attached: it observes the
+    duration its ``dispatch`` record already holds, so a node without
+    one pays no clock read for it.
     """
 
     def __init__(self) -> None:
@@ -319,28 +314,6 @@ class MetricsRegistry:
                 list(self._histograms.values()),
             )
         ) + "\n"
-
-
-class DispatchTimer(DispatchObserver):
-    """Feeds ``exe_dispatch_ns`` from the dispatch record's shared
-    clock pair (``exe.attach(DispatchTimer())``)."""
-
-    __slots__ = ("_histogram",)
-    label = "dispatch timer"
-
-    def on_attach(self, exe: "Executive") -> None:
-        self._histogram = exe.metrics.histogram(
-            "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
-        )
-
-    def dispatch_end(self, rec: DispatchRecord) -> None:
-        # Traced dispatches pin their trace id to the latency bucket
-        # they land in (OpenMetrics exemplars).
-        context = rec.context
-        self._histogram.observe(
-            rec.end_ns - rec.start_ns,
-            context if is_trace_context(context) else 0,
-        )
 
 
 def prometheus_lines(

@@ -45,11 +45,7 @@ from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.i2o.function_codes import UTIL_PARAMS_GET
 from repro.i2o.tid import Tid
-from repro.core.metrics import (
-    DISPATCH_LATENCY_BUCKETS_NS,
-    DispatchTimer,
-    prometheus_lines,
-)
+from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS, prometheus_lines
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config.bootstrap import Cluster
@@ -379,13 +375,13 @@ def install_observability(
     """The bootstrap ``observability`` section: the whole instrument kit
     on each of ``nodes``.
 
-    Each node's three observers attach in one fixed order, which is
-    their delivery order (DESIGN §8): a ``FlightRecorder`` — which also
-    stamps trace ids and holds the dispatch budget — spilling to
-    ``<dir>/node<NNN>.flightrec`` on ``hard_stop``, watchdog trips,
-    sanitizer violations, uncaught dispatch exceptions and budget
-    overruns; the ``DispatchTimer`` with trace-id exemplars on; and the
-    sampler's ``DispatchSlot``.  Every node also gets a
+    Each node gets one dispatch observer (DESIGN §8): a
+    ``FlightRecorder`` — which also stamps trace ids, holds the dispatch
+    budget and fills ``exe_dispatch_ns``, here with trace-id exemplars
+    on — spilling to ``<dir>/node<NNN>.flightrec`` on ``hard_stop``,
+    watchdog trips, sanitizer violations, uncaught dispatch exceptions
+    and budget overruns.  The cluster's ``SamplingProfiler`` watches
+    every node without attaching to it.  Every node also gets a
     ``TelemetryAgent``, and the lowest node hosts the
     ``TelemetryCollector``.  A rejoined node's recorder spills as
     ``node<NNN>-inc<K>.flightrec`` for its K-th incarnation, so the dead
@@ -412,7 +408,6 @@ def install_observability(
             name=f"node{node:03d}-inc{incarnation}" if incarnation > 1
             else None,
         ))
-        exe.attach(DispatchTimer())
         exe.metrics.histogram(
             "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
         ).enable_exemplars()

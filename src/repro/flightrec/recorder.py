@@ -42,6 +42,7 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS, Histogram
 from repro.core.observer import OUTCOME_HANDLER_ERROR, DispatchObserver, DispatchRecord
 from repro.core.tracing import is_trace_context, make_trace_id
 from repro.flightrec.records import (
@@ -97,11 +98,13 @@ class FlightRecorder(DispatchObserver):
     """Per-executive bounded event ring with crash spill-to-disk.
 
     A dispatch observer: ``exe.attach(FlightRecorder(...))`` writes one
-    ``dispatch`` record per dispatch and sets ``exe.flightrec``,
-    which the fabric's other record sites read — ``frame_send`` among
-    them, to :meth:`stamp` trace ids.  The ring is the only
-    per-node store of frame-lifecycle facts: spans, critical paths and
-    post-mortems are projections of it
+    ``dispatch`` record per dispatch, observes its duration in the
+    executive's ``exe_dispatch_ns`` histogram (the trace id as
+    exemplar, once the histogram captures them) and sets
+    ``exe.flightrec``, which the fabric's other record sites read —
+    ``frame_send`` among them, to :meth:`stamp` trace ids.  The ring
+    is the only per-node store of frame-lifecycle facts: spans,
+    critical paths and post-mortems are projections of it
     (:mod:`repro.flightrec.timeline`).  ``node`` and ``clock`` may be
     left unset; they are adopted from the executive at attach time.
     Without a ``dump_dir`` the recorder still records (what the
@@ -159,6 +162,9 @@ class FlightRecorder(DispatchObserver):
         #: the dispatched frame's context while a dispatch is running,
         #: ``None`` between dispatches
         self._active: int | None = None
+        #: dispatch durations: the executive's ``exe_dispatch_ns`` from
+        #: attach on, a private one until then
+        self._latency = Histogram("exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS)
 
     # -- accounting ----------------------------------------------------------
     @property
@@ -249,10 +255,11 @@ class FlightRecorder(DispatchObserver):
 
     # -- the observer contract -----------------------------------------------
     def on_attach(self, exe: "Executive") -> None:
-        """Adopt node id and clock when unset; record liveness
-        transitions; spill on sanitizer violations *before* they raise
-        (when the allocator has the ``on_violation`` slot); export the
-        recorder's own accounting as callback gauges."""
+        """Adopt node id and clock when unset; take the executive's
+        dispatch-latency histogram; record liveness transitions; spill
+        on sanitizer violations *before* they raise (when the allocator
+        has the ``on_violation`` slot); export the recorder's own
+        accounting as callback gauges."""
         if self.node is None:
             self.node = exe.node
         if self.clock is None:
@@ -263,6 +270,9 @@ class FlightRecorder(DispatchObserver):
             # A sim-plane cost ledger charges at the record sites and
             # passes every fact on: ride behind it.
             exe.flightrec.ring = self
+        self._latency = exe.metrics.histogram(
+            "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
+        )
         exe.peers.on_alive(self._peer_alive)
         exe.peers.on_suspect(self._peer_suspect)
         exe.peers.on_dead(self._peer_dead)
@@ -307,9 +317,10 @@ class FlightRecorder(DispatchObserver):
 
     # One record per dispatch, written when it is over: start time,
     # queue wait and duration ride together, so the ring pays one pack
-    # per dispatch.  The header inlines pack3(target, function,
-    # xfunction): the fields come from a validated header, already in
-    # range, and this is the recorder's hottest path (X9).
+    # per dispatch, and the same duration fills ``exe_dispatch_ns``.
+    # The header inlines pack3(target, function, xfunction): the fields
+    # come from a validated header, already in range, and this is the
+    # recorder's hottest path (X9).
     def dispatch_end(self, rec: DispatchRecord) -> None:
         self._active = None
         start = rec.start_ns
@@ -329,6 +340,12 @@ class FlightRecorder(DispatchObserver):
         except struct.error:
             self._seq = seq
             self.record(EV_DISPATCH, rec.context, hdr, wait, start, duration)
+        # A traced dispatch pins its trace id to the latency bucket it
+        # lands in (an OpenMetrics exemplar, kept once enabled).
+        context = rec.context
+        self._latency.observe(
+            duration, context if is_trace_context(context) else 0
+        )
         if failed:
             self._incident("dispatch-exception")
         if duration > self._slow_over_ns:

@@ -6,16 +6,17 @@ returns every live thread's current frame without interrupting it.
 For each registered executive it resolves the loop-of-control thread
 (dynamically, from ``Executive._thread``, so an executive restart is
 picked up at the next tick), walks the frame chain into a collapsed
-stack, and attributes the sample to the dispatch context the hot path
-published in its :class:`DispatchSlot`.
+stack, and attributes the sample to the dispatch in flight on that
+stack: the innermost ``Executive._dispatch_one`` frame whose ``self``
+is the watched executive names it, through the decoded header of its
+``frame`` local.
 
-The attribution channel is deliberately race-tolerant: the slot (a
-dispatch observer) performs one reference store of an immutable tuple
-per dispatch (or ``None`` between dispatches), the sampler performs
-one reference read.  Both are atomic under the GIL; a sample landing
-exactly on a context switch is attributed to whichever dispatch the
-slot held — a one-sample error, invisible at any realistic rate.  The
-sampler never mutates executive state.
+The attribution reads only what the dispatch loop already holds, so
+the sampler adds nothing to the dispatch path and needs no observer,
+and it tells apart several executives stepped from one thread (the
+sim plane, ``pump()``, the native ping-pong).  A sample landing
+between two dispatches is idle.  The sampler never mutates executive
+state.
 
 Output is Brendan-Gregg collapsed-stack format (``frame;frame;... N``)
 with two synthetic root frames carrying the attribution —
@@ -29,36 +30,15 @@ import sys
 import threading
 from collections import Counter
 from types import FrameType
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from repro.core.observer import DispatchObserver, DispatchRecord
+from repro.core.executive import Executive
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import function_name
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.executive import Executive
-
-
-class DispatchSlot(DispatchObserver):
-    """The cheap current-dispatch slot the sampler reads.
-
-    A dispatch observer holding one plain attribute: ``None`` between
-    dispatches, or the immutable ``(target, function, xfunction)``
-    triple of the in-flight dispatch.  No locks: single-store,
-    single-load.
-    """
-
-    __slots__ = ("current",)
-    label = "profiler dispatch slot"
-
-    def __init__(self) -> None:
-        self.current: Optional[tuple[int, int, int]] = None
-
-    def dispatch_begin(self, rec: DispatchRecord) -> None:
-        self.current = (rec.target, rec.function, rec.xfunction)
-
-    def dispatch_end(self, rec: DispatchRecord) -> None:
-        self.current = None
+#: the dispatch loop's code object: a stack frame running it holds the
+#: in-flight dispatch in its ``frame`` local
+_DISPATCH_CODE = Executive._dispatch_one.__code__
 
 
 def _xfunction_names() -> dict[tuple[int, int], str]:
@@ -88,8 +68,7 @@ def context_label(ctx: "tuple[int, int, int] | None") -> str:
 class SamplingProfiler:
     """Cluster-wide sampler: one thread, many watched executives.
 
-    ``register(exe)`` attaches a :class:`DispatchSlot` to the
-    executive and exposes the
+    ``register(exe)`` attaches nothing to the executive; it exposes the
     per-node sample tallies as callback gauges, so telemetry sweeps
     and ``repro.top`` see a HOT column with zero extra plumbing.
     ``start``/``stop`` are idempotent; the sampled thread ident is
@@ -110,8 +89,7 @@ class SamplingProfiler:
         self.node_samples: Counter[int] = Counter()
         self.node_busy: Counter[int] = Counter()
         self.ticks = 0
-        self._watched: dict[int, "Executive"] = {}
-        self._slots: dict[int, DispatchSlot] = {}
+        self._watched: dict[int, Executive] = {}
         self._idents: dict[int, int] = {}
         #: registration happens on caller threads, reads on the sampler
         self._lock = threading.Lock()
@@ -119,16 +97,10 @@ class SamplingProfiler:
         self._thread: threading.Thread | None = None
 
     # -- registration -------------------------------------------------------
-    def register(self, exe: "Executive") -> DispatchSlot:
-        """Watch an executive; attaches its dispatch slot (idempotent)."""
-        slot = next(
-            (o for o in exe.observers if isinstance(o, DispatchSlot)), None
-        )
-        if slot is None:
-            slot = exe.attach(DispatchSlot())
+    def register(self, exe: Executive) -> None:
+        """Watch an executive (idempotent)."""
         with self._lock:
             self._watched[exe.node] = exe
-            self._slots[exe.node] = slot
         node = exe.node
         exe.metrics.gauge(
             "prof_samples_total", lambda: self.node_samples[node]
@@ -136,18 +108,13 @@ class SamplingProfiler:
         exe.metrics.gauge(
             "prof_busy_samples_total", lambda: self.node_busy[node]
         )
-        return slot
 
-    def unregister(self, exe: "Executive") -> None:
-        """Stop watching and detach the executive's dispatch slot."""
-        slot = None
+    def unregister(self, exe: Executive) -> None:
+        """Stop watching the executive."""
         with self._lock:
             if self._watched.get(exe.node) is exe:
                 del self._watched[exe.node]
-                slot = self._slots.pop(exe.node, None)
                 self._idents.pop(exe.node, None)
-        if slot is not None:
-            exe.detach(slot)
 
     def watch_thread(self, node: int, ident: int | None = None) -> None:
         """Pin the sampled thread for ``node`` explicitly.
@@ -207,7 +174,6 @@ class SamplingProfiler:
         frames = sys._current_frames()
         with self._lock:
             watched = list(self._watched.items())
-            slots = dict(self._slots)
             idents = dict(self._idents)
         sampled = 0
         try:
@@ -223,9 +189,7 @@ class SamplingProfiler:
                 frame = frames.get(ident)
                 if frame is None:
                     continue
-                stack = self._walk(frame)
-                slot = slots.get(node)
-                ctx = slot.current if slot is not None else None
+                stack, ctx = self._walk(frame, exe)
                 self.counts[(node, ctx, stack)] += 1
                 self.node_samples[node] += 1
                 if ctx is not None:
@@ -236,19 +200,34 @@ class SamplingProfiler:
             del frames
         return sampled
 
-    def _walk(self, frame: FrameType) -> tuple[str, ...]:
+    def _walk(
+        self, frame: FrameType, exe: Executive
+    ) -> tuple[tuple[str, ...], Optional[tuple[int, int, int]]]:
         """Collapse a frame chain to ``module.qualname`` strings,
-        outermost first (flamegraph root-to-leaf order)."""
+        outermost first (flamegraph root-to-leaf order), and find the
+        ``(target, function, xfunction)`` of ``exe``'s dispatch in
+        flight on it (``None`` = idle).  Past ``max_depth`` the walk
+        only looks for that dispatch."""
         parts: list[str] = []
+        ctx = None
         current: FrameType | None = frame
-        while current is not None and len(parts) < self.max_depth:
+        while current is not None:
             code = current.f_code
-            module = current.f_globals.get("__name__", "?")
-            name = getattr(code, "co_qualname", code.co_name)
-            parts.append(f"{module}.{name}")
+            if len(parts) < self.max_depth:
+                module = current.f_globals.get("__name__", "?")
+                name = getattr(code, "co_qualname", code.co_name)
+                parts.append(f"{module}.{name}")
+            elif ctx is not None:
+                break
+            if ctx is None and code is _DISPATCH_CODE:
+                local = current.f_locals
+                dispatched = local.get("frame")
+                if local.get("self") is exe and dispatched is not None:
+                    ctx = (dispatched._target, dispatched._function,
+                           dispatched._xfunction)
             current = current.f_back
         parts.reverse()
-        return tuple(parts)
+        return tuple(parts), ctx
 
     # -- reporting ----------------------------------------------------------
     def collapsed(self) -> list[str]:

@@ -46,7 +46,11 @@ def _overhead_result(off_over_floor: float) -> OverheadResult:
     ns["drain"]["off"] = 1000.0 * off_over_floor
     # Keep recording/off at 1.0 so only the gate under test can trip.
     ns["drain"]["recording"] = ns["drain"]["off"]
-    return OverheadResult(ns=ns)
+    # One batch: each arm's only reading.
+    return OverheadResult(batches={
+        load: {name: [value] for name, value in arms.items()}
+        for load, arms in ns.items()
+    })
 
 
 def test_gate_trips_when_exceeded(monkeypatch, capsys):
@@ -78,7 +82,7 @@ def test_overhead_smoke(monkeypatch, capsys):
     """``main(["overhead"])`` end to end, at tiny size."""
     monkeypatch.setitem(
         EXPERIMENTS, "overhead",
-        ("tiny", lambda: run_overhead(messages=200, rounds=20, repeats=1)),
+        ("tiny", lambda: run_overhead(messages=200, rounds=20, batches=1)),
     )
     assert main(["overhead"]) == 0
     out = capsys.readouterr().out

@@ -295,7 +295,7 @@ class TestOverhead:
     def test_reports_every_arm(self):
         from repro.bench.overhead import ARMS, run_overhead
 
-        result = run_overhead(messages=200, rounds=20, repeats=1)
+        result = run_overhead(messages=200, rounds=20, batches=1)
         text = result.report()
         for arm in ARMS:
             assert result.ns[arm.load][arm.name] > 0

@@ -120,7 +120,10 @@ class TestBuild:
          "faults section: needs transport 'loopback', got 'queue-mesh'"),
         ("loopback", {"drop_rate": 1.5},
          "bad faults section: drop_rate: 1.5 above maximum 1.0"),
-    ], ids=["simgm-wall-clock", "faults-queue-mesh", "drop-rate-range"])
+        ("loopback", {"drop_rate": float("nan")},
+         "bad faults section: drop_rate: cannot parse 'nan' as float"),
+    ], ids=["simgm-wall-clock", "faults-queue-mesh", "drop-rate-range",
+            "drop-rate-nan"])
     def test_boot_surface_refusals(self, transport, faults, named):
         spec = two_node_spec(transport)
         if faults is not None:

@@ -1,7 +1,7 @@
 """Bootstrap wiring for the one ``observability`` section: the flight
-recorder (trace stamping and the dispatch budget included), timer and
-sampler on every node, plus the telemetry agents and their
-collector."""
+recorder (trace stamping, the dispatch budget and dispatch timing
+included) on every node, the sampler watching them, plus the telemetry
+agents and their collector."""
 
 from __future__ import annotations
 
@@ -10,11 +10,9 @@ import pytest
 from repro.config.bootstrap import BootstrapError, bootstrap
 from repro.core.device import FunctionalListener
 from repro.core.executive import DISPATCH_LATENCY_BUCKETS_NS
-from repro.core.metrics import DispatchTimer
 from repro.core.telemetry import TelemetryAgent, TelemetryCollector
 from repro.flightrec import FlightRecorder, load_dump
 from repro.flightrec.records import EV_HARD_STOP, EV_SLOW_FRAME
-from repro.profile import DispatchSlot
 
 ECHO = "repro.bench.devices.EchoDevice"
 PING = "repro.bench.devices.PingDevice"
@@ -49,17 +47,13 @@ class TestWiring:
     def test_attach_order_per_node(self):
         cluster = bootstrap(spec_with(dispatch_budget_ns=50_000))
         for exe in cluster.executives.values():
-            assert [type(o) for o in exe.observers] == [
-                FlightRecorder, DispatchTimer, DispatchSlot,
-            ]
+            assert [type(o) for o in exe.observers] == [FlightRecorder]
 
     def test_no_budget_means_no_watch(self):
         cluster = bootstrap(spec_with())
         for node, exe in cluster.executives.items():
             assert cluster.flight_recorders[node].budget_ns == 0
-            assert [type(o) for o in exe.observers] == [
-                FlightRecorder, DispatchTimer, DispatchSlot,
-            ]
+            assert [type(o) for o in exe.observers] == [FlightRecorder]
 
     def test_every_node_gets_the_kit(self):
         cluster = bootstrap(spec_with())
@@ -185,6 +179,7 @@ class TestRejection:
         {"hz": 100_000.0},
         {"dispatch_budget_ns": -1},
         {"trace_budget_ns": 400_000},  # a retired profiling key
+        {"hz": "nan"},  # passes both bounds: NaN compares false
     ])
     def test_bad_value_refused(self, section):
         with pytest.raises(BootstrapError, match="bad observability section"):

@@ -237,7 +237,7 @@ class TestSnapshotAndRendering:
         ]
 
     def test_timing_flag_defaults_off(self):
-        # No polled flag: the histogram fills iff a DispatchTimer is
+        # No polled flag: the histogram fills iff a flight recorder is
         # attached, and a fresh executive has no observer at all.
         assert not hasattr(MetricsRegistry(), "timing")
         assert Executive(node=0).observers == ()

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.device import FunctionalListener, Listener
 from repro.core.executive import Executive
-from repro.core.metrics import DispatchTimer
 from repro.core.observer import (
     OUTCOME_ABORTED,
     OUTCOME_HANDLER_ERROR,
@@ -104,11 +103,14 @@ class TestEveryExitIsBalanced:
 
         exe = Executive(node=0)
         recorder = exe.attach(FlightRecorder(capacity=8))
-        slot = SamplingProfiler(hz=50.0).register(exe)
+        profiler = SamplingProfiler(hz=50.0)
+        profiler.register(exe)
+        profiler.watch_thread(0)
         in_dispatch = []
 
         def crash(frame):
             in_dispatch.append(recorder._active)
+            profiler.sample_once()
             _raise(_Crash())
 
         tid = exe.install(FunctionalListener(
@@ -119,17 +121,28 @@ class TestEveryExitIsBalanced:
         sender.send(tid, b"x", xfunction=XFN)
         with pytest.raises(_Crash):
             exe.run_until_idle()
-        assert slot.current is None
+        # The sampler saw the dispatch in flight, and sees none after
+        # the abort unwound it.
+        assert profiler.node_busy[0] == 1
+        profiler.sample_once()
+        assert profiler.node_busy[0] == 1
+        assert profiler.node_samples[0] == 2
         # The dispatched frame's trace was active, and is cleared: sends
         # made after the abort root traces of their own.
         assert is_trace_context(in_dispatch[0])
         assert recorder._active is None
 
 
+class Timer(DispatchObserver):
+    """A stand-in instrument class of its own."""
+
+    label = "dispatch timer"
+
+
 class TestSeamSemantics:
     @pytest.mark.parametrize("make", [
         lambda: FlightRecorder(capacity=8),
-        lambda: DispatchTimer(),
+        lambda: Timer(),
     ], ids=["recorder", "timer"])
     def test_second_observer_of_a_class_is_refused(self, make):
         exe = Executive(node=3)

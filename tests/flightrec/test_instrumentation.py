@@ -7,7 +7,9 @@ import pytest
 from repro.analysis.sanitize import DoubleFreeError, SanitizingTableAllocator
 from repro.core.device import FunctionalListener, Listener
 from repro.core.executive import Executive
+from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS
 from repro.core.reliable import ReliableEndpoint
+from repro.core.tracing import is_trace_context
 from repro.core.watchdog import HandlerWatchdog
 from repro.flightrec import FlightRecorder, load_dump, unpack3
 from repro.flightrec.recorder import MAX_INCIDENT_SPILLS
@@ -76,6 +78,38 @@ class TestDispatchPath:
         # stamped with its start, carrying its queue wait and duration.
         assert hit[0].seq == exe.flightrec.total_records - 1
         assert hit[0].c >= 0 and hit[0].d >= 0
+
+    def test_each_dispatch_observed_in_exe_dispatch_ns(self):
+        # The recorder alone times dispatch: one observation per
+        # dispatch, the ``dispatch`` record's duration, and a traced
+        # dispatch's id as exemplar once the histogram keeps them.
+        exe = make_recorded_exe()
+        hist = exe.metrics.histogram(
+            "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
+        )
+        tid = exe.install(
+            FunctionalListener(name="sink", handlers={0x1: lambda f: None})
+        )
+        sender = Listener("sender")
+        exe.install(sender)
+        sender.send(tid, b"", xfunction=0x1)  # stamped: a traced dispatch
+        exe.run_until_idle()
+        assert hist.count == exe.dispatched == 1
+        assert hist.exemplars is None
+        hist.enable_exemplars()
+        sender.send(tid, b"", xfunction=0x1)
+        exe.run_until_idle()
+        traced = records_of(exe.flightrec, EV_DISPATCH)[-1]
+        # Posted past frame_send: unstamped, so no exemplar.
+        exe.post_inbound(exe.frame_alloc(0, target=tid, xfunction=0x1))
+        exe.run_until_idle()
+        assert hist.count == exe.dispatched == 3
+        assert hist.sum == sum(
+            r.d for r in records_of(exe.flightrec, EV_DISPATCH)
+        )
+        (exemplar,) = [e for e in hist.exemplars if e is not None]
+        assert is_trace_context(traced.a)
+        assert (exemplar.trace_id, exemplar.value) == (traced.a, traced.d)
 
     def test_frame_alloc_and_release_recorded(self):
         exe = make_recorded_exe()

@@ -6,7 +6,7 @@ receiver recorder's dispatch budget, and afterwards (a) the receiver's
 OpenMetrics exposition carries that trace id as a histogram exemplar
 on a slow bucket, (b) the budget has tripped and spilled a
 flight-recorder dump holding the matching ``EV_SLOW_FRAME``, and (c)
-the sampling profiler can attribute a mid-dispatch sample to the slow
+the sampling profiler attributes a mid-dispatch sample to the slow
 device's context.
 """
 
@@ -17,7 +17,6 @@ import time
 
 from repro.core.device import FunctionalListener, Listener
 from repro.core.executive import DISPATCH_LATENCY_BUCKETS_NS
-from repro.core.metrics import DispatchTimer
 from repro.core.tracing import is_trace_context
 from repro.flightrec import FlightRecorder, load_dump
 from repro.flightrec.records import EV_SLOW_FRAME
@@ -32,22 +31,21 @@ def test_slowed_dispatch_produces_exemplar_spill_and_samples(tmp_path):
     cluster = make_loopback_cluster(2)
     cluster[0].attach(FlightRecorder(capacity=256))
     receiver = cluster[1]
-    receiver.attach(DispatchTimer())
-    receiver.metrics.histogram(
-        "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
-    ).enable_exemplars()
     recorder = receiver.attach(FlightRecorder(
         capacity=256, dump_dir=tmp_path, budget_ns=BUDGET_NS,
     ))
+    receiver.metrics.histogram(
+        "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
+    ).enable_exemplars()
     profiler = SamplingProfiler(hz=997.0)
-    slot = profiler.register(receiver)
-    sampled_ctx = []
+    profiler.register(receiver)
+    profiler.watch_thread(1)  # the pump steps the receiver from here
 
     def slow(frame):
         if not frame.is_reply:
             time.sleep(5 * BUDGET_NS / 1e9)
-            # Mid-dispatch the sampler would see this exact context.
-            sampled_ctx.append(slot.current)
+            # A sampler tick landing here: mid-dispatch.
+            profiler.sample_once()
 
     slow_tid = receiver.install(
         FunctionalListener(name="slowdev", handlers={0x1: slow})
@@ -75,7 +73,9 @@ def test_slowed_dispatch_produces_exemplar_spill_and_samples(tmp_path):
     assert any(r.a == trace_id for r in slow_records)
     assert all(r.c >= BUDGET_NS for r in slow_records)
 
-    # (c) the dispatch slot held the slow device's context mid-flight
-    # (what any sampler tick landing in the handler would attribute).
-    assert sampled_ctx == [(int(slow_tid), sampled_ctx[0][1], 0x1)]
-    assert slot.current is None  # and it is clear again afterwards
+    # (c) the sample taken mid-flight is the slow device's context...
+    ((node, ctx, count),) = profiler.hot_contexts()
+    assert (node, ctx, count) == (1, (int(slow_tid), ctx[1], 0x1), 1)
+    # ...and a sample taken after the dispatch is idle.
+    profiler.sample_once()
+    assert (profiler.node_samples[1], profiler.node_busy[1]) == (2, 1)

@@ -1,4 +1,4 @@
-"""The sampling profiler: slots, attribution, lifecycle, off-mode."""
+"""The sampling profiler: stack attribution, lifecycle, off-mode."""
 
 from __future__ import annotations
 
@@ -11,11 +11,8 @@ from repro.core.executive import Executive
 from repro.dataflow.registry import _unregister, message_type
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import function_name
-from repro.profile.sampler import (
-    DispatchSlot,
-    SamplingProfiler,
-    context_label,
-)
+from repro.i2o.tid import Tid
+from repro.profile.sampler import SamplingProfiler, context_label
 
 
 def run_echo_dispatch(exe: Executive) -> None:
@@ -28,30 +25,69 @@ def run_echo_dispatch(exe: Executive) -> None:
     exe.run_until_idle()
 
 
-class TestDispatchSlot:
-    def test_starts_idle(self):
-        assert DispatchSlot().current is None
+def sample_in_handler(
+    exe: Executive, profiler: SamplingProfiler, depth: int = 0
+) -> Tid:
+    """Dispatch one message whose handler takes a real sample on this,
+    the stepping thread, ``depth`` calls below the handler; returns the
+    handler's TiD."""
 
-    def test_dispatch_publishes_and_clears_the_slot(self):
+    def nested(levels: int) -> None:
+        if levels:
+            nested(levels - 1)
+        else:
+            profiler.sample_once()
+
+    tid = exe.install(FunctionalListener(
+        name="spy", handlers={0x1: lambda f: nested(depth)},
+    ))
+    sender = Listener("sender")
+    exe.install(sender)
+    sender.send(tid, b"", xfunction=0x1)
+    exe.run_until_idle()
+    return tid
+
+
+class TestStackAttribution:
+    def test_handler_sample_reads_the_stack(self):
         exe = Executive(node=0)
         profiler = SamplingProfiler(hz=50.0)
-        slot = profiler.register(exe)
-        seen = []
+        profiler.register(exe)
+        profiler.watch_thread(0)
+        tid = sample_in_handler(exe, profiler)
+        # Mid-dispatch the sample took this dispatch's context triple...
+        ((node, ctx, count),) = profiler.hot_contexts()
+        assert (node, ctx[0], ctx[2], count) == (0, int(tid), 0x1, 1)
+        # ...and between dispatches the stack holds none: idle.
+        profiler.sample_once()
+        assert (profiler.node_samples[0], profiler.node_busy[0]) == (2, 1)
 
-        def handler(frame):
-            seen.append(slot.current)
+    def test_two_executives_on_one_thread(self):
+        # Busy for the executive whose dispatch is on the stack, idle
+        # for the other one stepped from the same thread.
+        exe_a, exe_b = Executive(node=0), Executive(node=1)
+        profiler = SamplingProfiler(hz=50.0)
+        for exe in (exe_a, exe_b):
+            profiler.register(exe)
+            profiler.watch_thread(exe.node)  # both stepped from here
+        tid = sample_in_handler(exe_a, profiler)
+        assert (profiler.node_samples[0], profiler.node_busy[0]) == (1, 1)
+        assert (profiler.node_samples[1], profiler.node_busy[1]) == (1, 0)
+        ((node, ctx, _),) = profiler.hot_contexts()
+        assert (node, ctx[0]) == (0, int(tid))
 
-        tid = exe.install(
-            FunctionalListener(name="spy", handlers={0x1: handler})
-        )
-        sender = Listener("sender")
-        exe.install(sender)
-        sender.send(tid, b"", xfunction=0x1)
-        exe.run_until_idle()
-        # Mid-dispatch the slot held this dispatch's context triple...
-        assert (int(tid), seen[0][1], 0x1) == seen[0]
-        # ...and between dispatches it is back to idle.
-        assert slot.current is None
+    def test_attribution_does_not_depend_on_max_depth(self):
+        exe = Executive(node=0)
+        profiler = SamplingProfiler(hz=50.0, max_depth=3)
+        profiler.register(exe)
+        profiler.watch_thread(0)
+        tid = sample_in_handler(exe, profiler, depth=5)
+        ((node, ctx, stack),) = list(profiler.counts)
+        # The recorded stack holds only the innermost three frames; the
+        # dispatch loop lies deeper than that.
+        assert len(stack) == 3
+        assert not any("_dispatch_one" in name for name in stack)
+        assert (node, ctx[0], ctx[2]) == (0, int(tid), 0x1)
 
 
 class TestContextLabel:
@@ -72,11 +108,11 @@ class TestContextLabel:
 
 
 class TestRegistration:
-    def test_register_installs_slot_and_gauges(self):
+    def test_register_attaches_nothing_and_exports_gauges(self):
         exe = Executive(node=3)
         profiler = SamplingProfiler(hz=50.0)
-        slot = profiler.register(exe)
-        assert exe.observers == (slot,)
+        profiler.register(exe)
+        assert exe.observers == ()
         snap = exe.metrics.snapshot()
         assert snap["prof_samples_total"] == 0
         assert snap["prof_busy_samples_total"] == 0
@@ -84,7 +120,11 @@ class TestRegistration:
     def test_register_is_idempotent(self):
         exe = Executive(node=0)
         profiler = SamplingProfiler(hz=50.0)
-        assert profiler.register(exe) is profiler.register(exe)
+        profiler.register(exe)
+        profiler.register(exe)
+        profiler.watch_thread(0)
+        assert exe.observers == ()
+        assert profiler.sample_once() == 1  # one node, sampled once
 
     def test_unregister_restores_off_mode(self):
         exe = Executive(node=0)
@@ -102,12 +142,12 @@ class TestSampling:
     def _watched(self, hz=50.0, **kwargs):
         exe = Executive(node=0)
         profiler = SamplingProfiler(hz=hz, **kwargs)
-        slot = profiler.register(exe)
+        profiler.register(exe)
         profiler.watch_thread(0)  # defaults to this, the pumping thread
-        return exe, profiler, slot
+        return exe, profiler
 
     def test_idle_sample_attributed_to_idle(self):
-        _exe, profiler, _slot = self._watched()
+        _exe, profiler = self._watched()
         assert profiler.sample_once() == 1
         assert profiler.node_samples[0] == 1
         assert profiler.node_busy[0] == 0
@@ -117,21 +157,21 @@ class TestSampling:
         )
 
     def test_busy_sample_attributed_to_the_published_context(self):
-        _exe, profiler, slot = self._watched()
-        slot.current = (7, 0xFF, 0x42)
-        profiler.sample_once()
+        exe, profiler = self._watched()
+        tid = sample_in_handler(exe, profiler)
         assert profiler.node_busy[0] == 1
         assert profiler.busy_ratio(0) == 1.0
         ((node, ctx, count),) = profiler.hot_contexts()
-        assert (node, ctx, count) == (0, (7, 0xFF, 0x42), 1)
-        label = context_label((7, 0xFF, 0x42))
+        function = ctx[1]
+        assert (node, ctx, count) == (0, (int(tid), function, 0x1), 1)
+        label = context_label((int(tid), function, 0x1))
         assert any(
             line.startswith(f"node0;{label};")
             for line in profiler.collapsed()
         )
 
     def test_collapsed_lines_end_with_the_sample_count(self):
-        _exe, profiler, _slot = self._watched()
+        _exe, profiler = self._watched()
         profiler.sample_once()
         profiler.sample_once()
         total = sum(int(line.rsplit(" ", 1)[1])
@@ -139,13 +179,13 @@ class TestSampling:
         assert total == 2
 
     def test_max_depth_caps_the_walk(self):
-        _exe, profiler, _slot = self._watched(max_depth=3)
+        _exe, profiler = self._watched(max_depth=3)
         profiler.sample_once()
         ((_, _, stack),) = list(profiler.counts)
         assert 0 < len(stack) <= 3
 
     def test_clear_keeps_the_watched_set(self):
-        _exe, profiler, _slot = self._watched()
+        _exe, profiler = self._watched()
         profiler.sample_once()
         profiler.clear()
         assert profiler.node_samples[0] == 0
