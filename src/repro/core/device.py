@@ -60,7 +60,8 @@ def encode_params(params: dict[str, str]) -> bytes:
 def decode_params(payload: bytes | memoryview) -> dict[str, str]:
     text = bytes(payload).decode("utf-8")
     result: dict[str, str] = {}
-    for line in text.splitlines():
+    # "\n" only: encode_params lets every other line break through.
+    for line in text.split("\n"):
         if not line:
             continue
         key, sep, value = line.partition("=")

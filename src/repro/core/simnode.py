@@ -140,6 +140,10 @@ class CostLedger(DispatchObserver):
     def records(self) -> tuple[FlightRecord, ...]:
         return self.ring.records if self.ring is not None else ()
 
+    @property
+    def capacity(self) -> int:
+        return self.ring.capacity if self.ring is not None else 0
+
 
 class SimNode:
     """One node = one executive driven by one simulation process."""

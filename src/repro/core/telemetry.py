@@ -1,46 +1,42 @@
 """Cluster telemetry over the standard utility message scheme.
 
-Paper §2 claims system management needs no side channel: every
-component is observable "according to one common scheme" — the
-standard executive/utility messages.  This module holds that line for
-whole-cluster observability:
+Paper §2: every component is observable "according to one common
+scheme" — the standard executive/utility messages, no side channel:
 
-* :class:`TelemetryAgent` — one per node; exports the node's
-  :class:`~repro.core.metrics.MetricsRegistry` snapshot and the hops
-  projected from its flight-recorder ring
-  (:func:`~repro.flightrec.timeline.project_hops`) as an ordinary
-  ``UtilParamsGet`` parameter map.  It adds no private verbs.
-* :class:`TelemetryCollector` — installed on one node; sweeps every
-  agent through proxies with ``UtilParamsGet`` (exactly like
-  :class:`~repro.daq.monitor.DaqMonitor`), aggregates per-node metric
-  snapshots and cluster totals, stitches cross-node hops into
-  end-to-end trace timelines, and renders Prometheus-text and JSON
-  dumps.
-* :class:`PeriodicSweeper` — a mixin turning any device with a
-  ``sweep()`` method into a self-clocked one via the I2O timer
-  facility (expirations arrive as frames through the ordinary queues,
-  paper §3.2).  Shared by the collector and ``DaqMonitor``.
+* :class:`TelemetryAgent` — one per node; answers ``UtilParamsGet``
+  with the node's metrics snapshot and its flight-recorder records
+  since a given seq.  It adds no private verbs.
+* :class:`TelemetryCollector` — on one node; sweeps every agent through
+  proxies, aggregates metrics, mirrors each ring (:class:`RingMirror`)
+  and reads hops, critical paths and gaps through the same
+  :class:`~repro.flightrec.timeline.MergedTimeline` a dead cluster's
+  dumps go through; renders Prometheus-text and JSON dumps.
+* :class:`PeriodicSweeper` — drives any ``sweep()`` from a periodic I2O
+  timer (paper §3.2).  Shared by the collector and ``DaqMonitor``.
 
 The collector's only view of a remote node is the byte payload of a
 ``UtilParamsGet`` reply: no private function codes, no cross-node
-Python object access — the acceptance criterion of the observability
-tentpole.
+Python object access.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
 import json
 import os
-import re
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.config.schema import ParamSchema, ParamSpec
 from repro.core.device import Listener, decode_params, encode_params
 from repro.core.request import Requester
 from repro.dataflow.registry import message_type
-from repro.flightrec.timeline import Hop, hop_order, project_hops
+from repro.flightrec.records import (
+    RECORD_SIZE, FlightRecError, FlightRecord, decode_records,
+)
+from repro.flightrec.timeline import MergedTimeline
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.i2o.function_codes import UTIL_PARAMS_GET
@@ -61,37 +57,18 @@ MT_PARAMS_SWEEP = message_type(
 #: untagged, so it is never mistaken for a trace id.
 SWEEP_CONTEXT = 0x5EE9
 
-#: Agent parameter keys carrying encoded hops: ``s<dispatch-record seq>``.
-_HOP_KEY = re.compile(r"^s\d+$")
-
-_HOP_FIELDS = len(dataclasses.fields(Hop))
-
-#: Newest hops one ``UtilParamsGet`` reply carries: keeps the reply
-#: inside one frame however large the node's ring is.  The ring keeps
-#: the rest for ``python -m repro.diag where`` and post-mortems.
-MAX_EXPORT_HOPS = 1024
-
-
-def encode_hop(hop: Hop) -> str:
-    """One hop as a compact ``;``-joined hex record (params-safe)."""
-    return ";".join(format(v, "x") for v in dataclasses.astuple(hop))
-
-
-def decode_hop(text: str) -> Hop:
-    parts = text.split(";")
-    if len(parts) != _HOP_FIELDS:
-        raise I2OError(f"malformed hop record {text!r}")
-    return Hop(*(int(part, 16) for part in parts))
+#: Records one ``UtilParamsGet`` reply carries at most (48 KiB packed,
+#: 64 KiB as base64): one reply stays inside one frame however large
+#: the node's ring is, and the next sweep asks for the rest.
+MAX_EXPORT_RECORDS = 1024
 
 
 class PeriodicSweeper:
     """Mixin: drive ``self.sweep()`` from a periodic I2O timer.
 
     The interval comes from the device parameter named by
-    ``sweep_param`` (nanoseconds; 0 or unset keeps the device
-    manual-only, the pre-PR behaviour).  The timer is armed on enable
-    and disarmed on quiesce, so a paused device stops generating
-    monitoring traffic.
+    ``sweep_param`` (nanoseconds; 0 or unset = manual sweeps only).
+    The timer is armed on enable and disarmed on quiesce.
     """
 
     sweep_param = "sweep_interval_ns"
@@ -129,11 +106,11 @@ class PeriodicSweeper:
 
 
 class TelemetryAgent(Listener):
-    """Per-node exporter of metrics and trace hops.
+    """Per-node exporter of metrics and flight-recorder records.
 
-    Answers ``UtilParamsGet`` with a *fresh* map on every request
-    (overriding the accumulate-into-``parameters`` default: hop keys
-    churn every sweep and must not pile up as stale parameters).
+    Answers ``UtilParamsGet`` with a *fresh* map, not ``parameters``
+    (the ring value changes every sweep).  A ``since=<seq>`` request
+    parameter names the first record wanted; other keys select.
     """
 
     device_class = "telemetry_agent"
@@ -143,80 +120,119 @@ class TelemetryAgent(Listener):
         super().__init__(name)
         self.exports = 0
 
-    def local_snapshot(self) -> dict[str, str]:
+    def local_snapshot(self, since: int = 0) -> dict[str, str]:
+        """Metrics, plus ``ring`` (base64 of at most
+        :data:`MAX_EXPORT_RECORDS` packed records with seq >= ``since``,
+        oldest first) and ``ring_capacity`` when a ring is attached."""
         exe = self._require_live()
         out = {
             key: _fmt_number(value)
             for key, value in exe.metrics.snapshot().items()
         }
         out["node"] = str(exe.node)
-        out["trace_enabled"] = "1" if exe.flightrec is not None else "0"
-        if exe.flightrec is not None:
-            hops = project_hops(exe.node, exe.flightrec.records)
-            for hop in hops[-MAX_EXPORT_HOPS:]:
-                out[f"s{hop.seq}"] = encode_hop(hop)
+        ring = exe.flightrec
+        out["trace_enabled"] = "1" if ring is not None else "0"
+        if ring is not None:
+            batch = [r for r in ring.records if r.seq >= since][:MAX_EXPORT_RECORDS]
+            out["ring"] = base64.b64encode(b"".join(r.pack() for r in batch)).decode()
+            out["ring_capacity"] = str(ring.capacity)
         return out
 
     def _on_params_get(self, frame: Frame) -> None:
         if frame.is_reply:
             return
         self.exports += 1
-        snapshot = self.local_snapshot()
-        if frame.payload_size:
-            keys = decode_params(frame.payload).keys()
-            snapshot = {k: snapshot.get(k, "") for k in keys}
+        request = decode_params(frame.payload) if frame.payload_size else {}
+        try:
+            snapshot = self.local_snapshot(int(request.pop("since", "0")))
+        except ValueError:
+            self.reply(frame, fail=True)
+            return
+        if request:
+            snapshot = {k: snapshot.get(k, "") for k in request}
         self.reply(frame, encode_params(snapshot))
 
     def export_counters(self) -> dict[str, object]:
         return {"exports": self.exports}
 
 
-class TelemetryCollector(PeriodicSweeper, Requester):
-    """Cluster-wide snapshot aggregation and trace stitching.
+class RingMirror:
+    """The collector's copy of one node incarnation's ring: a record
+    source (``.node``, ``.records``) like a dump or a live recorder.
+    ``cursor`` is the next seq to ask for; ``missed`` counts records
+    the ring overwrote before a sweep reached them."""
 
-    ``watch(node, proxy_tid)`` registers one agent per node; every
-    :meth:`sweep` (manual, or periodic via :class:`PeriodicSweeper`)
-    pulls each agent's snapshot with a correlated ``UtilParamsGet`` —
-    one :meth:`~repro.core.request.Requester.request` per node, in a
-    per-node slot, so an agent that never answers costs one pending
-    entry however long it stays silent.
-    Hops are deduplicated by ``(node, seq)`` — the agent exports its
-    whole ring each time — and indexed by trace id; ``keep_spans``
-    bounds collector memory the same way the ring's capacity bounds
-    the node's.
-    """
+    def __init__(self, node: int, tid: Tid) -> None:
+        self.node = node
+        self.tid = tid
+        self.records: deque[FlightRecord] = deque()
+        self.cursor = 0
+        self.missed = 0
+        #: the last reply was a whole batch: the ring holds more
+        self.full = False
+
+    def ingest(self, ring: str, capacity: str) -> int:
+        """Append one reply's records; returns how many were new.  A
+        malformed reply raises and leaves the mirror as it was."""
+        try:
+            body = base64.b64decode(ring, validate=True)
+            bound = int(capacity)
+            if len(body) % RECORD_SIZE or bound < 0:
+                raise ValueError(f"{len(body)} bytes, capacity {bound}")
+        except ValueError as exc:  # binascii.Error included
+            raise FlightRecError(
+                f"node {self.node}: malformed ring reply: {exc}"
+            ) from None
+        batch = decode_records(body)
+        fresh = [r for r in batch if r.seq >= self.cursor]
+        if fresh:
+            self.missed += fresh[0].seq - self.cursor
+            self.cursor = fresh[-1].seq + 1
+        self.records = deque([*self.records, *fresh], maxlen=bound)
+        self.full = len(batch) >= MAX_EXPORT_RECORDS
+        return len(fresh)
+
+
+class TelemetryCollector(PeriodicSweeper, Requester):
+    """Cluster-wide metrics aggregation and ring mirroring: each
+    :meth:`sweep` asks every watched agent for its snapshot and the
+    records since its mirror's cursor — one correlated ``UtilParamsGet``
+    per node, in a per-node slot, so a silent agent costs one entry."""
 
     device_class = "telemetry_collector"
     emits = (MT_PARAMS_SWEEP,)
 
-    def __init__(self, name: str = "telemetry", *, keep_spans: int = 8192) -> None:
+    def __init__(self, name: str = "telemetry") -> None:
         super().__init__(name)
-        self.keep_spans = keep_spans
-        self.watched: dict[int, Tid] = {}
+        #: node -> the mirror of its current incarnation's ring
+        self.watched: dict[int, RingMirror] = {}
+        #: every mirror watched, dead incarnations' included
+        self.mirrors: list[RingMirror] = []
         #: node -> latest numeric metric snapshot
         self.node_metrics: dict[int, dict[str, float]] = {}
         #: node -> non-numeric reply values (e.g. state strings)
         self.node_info: dict[int, dict[str, str]] = {}
-        self._spans: list[Hop] = []
-        self._by_trace: dict[int, list[Hop]] = {}
-        self._seen: set[tuple[int, int]] = set()
         self.sweeps = 0
-        self.spans_collected = 0
+        self._merged: MergedTimeline | None = None
 
     def on_plugin(self) -> None:
         self.table.bind(UTIL_PARAMS_GET, self.handle_reply)
 
     # -- sweeping -----------------------------------------------------------
     def watch(self, node: int, agent_tid: Tid) -> None:
-        """Register ``node``'s telemetry agent, reachable at
-        ``agent_tid`` (normally a local proxy)."""
-        self.watched[node] = agent_tid
+        """Mirror ``node``'s ring through its agent at ``agent_tid`` (a
+        proxy).  A fresh mirror each call: a rejoined node restarts at
+        seq 0, and the dead incarnation's mirror stays in :meth:`merged`."""
+        self.watched[node] = mirror = RingMirror(node, agent_tid)
+        self.mirrors.append(mirror)
+        self._merged = None
 
     def sweep(self) -> int:
-        for node, tid in sorted(self.watched.items()):
+        for node, mirror in sorted(self.watched.items()):
             self.request(
-                tid, function=UTIL_PARAMS_GET, slot=node,
-                on_reply=functools.partial(self._on_snapshot, node),
+                mirror.tid, encode_params({"since": str(mirror.cursor)}),
+                function=UTIL_PARAMS_GET, slot=node,
+                on_reply=functools.partial(self._on_snapshot, mirror),
             )
         self.sweeps += 1
         return len(self.watched)
@@ -226,52 +242,30 @@ class TelemetryCollector(PeriodicSweeper, Requester):
         counters = {k: str(v) for k, v in self.export_counters().items()}
         self.reply(frame, encode_params({**self.parameters, **counters}))
 
-    def _on_snapshot(self, node: int, frame: Frame) -> None:
+    def _on_snapshot(self, mirror: RingMirror, frame: Frame) -> None:
         if frame.is_failure:
             return
+        params = decode_params(frame.payload)
+        # A node with no ring sends neither key: its mirror stays empty.
+        if mirror.ingest(params.pop("ring", ""), params.pop("ring_capacity", "0")):
+            self._merged = None
         metrics: dict[str, float] = {}
         info: dict[str, str] = {}
-        for key, value in decode_params(frame.payload).items():
-            if _HOP_KEY.match(key):
-                self._ingest_hop(decode_hop(value))
-                continue
+        for key, value in params.items():
             number = _parse_number(value)
             if number is None:
                 info[key] = value
             else:
                 metrics[key] = number
-        self.node_metrics[node] = metrics
-        self.node_info[node] = info
+        self.node_metrics[mirror.node] = metrics
+        self.node_info[mirror.node] = info
 
-    def _ingest_hop(self, hop: Hop) -> None:
-        key = (hop.node, hop.seq)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self._spans.append(hop)
-        self._by_trace.setdefault(hop.trace_id, []).append(hop)
-        self.spans_collected += 1
-        while len(self._spans) > self.keep_spans:
-            old = self._spans.pop(0)
-            self._seen.discard((old.node, old.seq))
-            per_trace = self._by_trace.get(old.trace_id)
-            if per_trace is not None:
-                per_trace.remove(old)
-                if not per_trace:
-                    del self._by_trace[old.trace_id]
-
-    # -- stitched traces ----------------------------------------------------
-    def trace_ids(self) -> list[int]:
-        return sorted(self._by_trace)
-
-    def trace(self, trace_id: int) -> list[Hop]:
-        """All collected hops of one trace, in the order
-        :meth:`MergedTimeline.hops` gives the same records."""
-        return sorted(self._by_trace.get(trace_id, ()), key=hop_order)
-
-    def timeline(self, trace_id: int) -> list[dict[str, int]]:
-        """One trace as an end-to-end list of JSON-ready hop records."""
-        return [dataclasses.asdict(hop) for hop in self.trace(trace_id)]
+    def merged(self) -> MergedTimeline:
+        """The timeline over every mirror, as over a dead cluster's
+        dumps; rebuilt only after new records arrived."""
+        if self._merged is None:
+            self._merged = MergedTimeline(self.mirrors)
+        return self._merged
 
     # -- aggregation and export ---------------------------------------------
     def cluster_totals(self) -> dict[str, float]:
@@ -286,22 +280,16 @@ class TelemetryCollector(PeriodicSweeper, Requester):
         """The latest cluster snapshot in the Prometheus text format."""
         lines = ["# repro cluster telemetry (one block per swept node)"]
         for node in sorted(self.node_metrics):
-            lines.extend(
-                prometheus_lines(self.node_metrics[node], {"node": node})
-            )
-        lines.extend(
-            prometheus_lines(
-                {
-                    "collector_sweeps": self.sweeps,
-                    "collector_spans": len(self._spans),
-                    "collector_traces": len(self._by_trace),
-                },
-                {"node": self._node_label()},
-            )
-        )
+            lines.extend(prometheus_lines(self.node_metrics[node], {"node": node}))
+        lines.extend(prometheus_lines(
+            {f"collector_{k}": v for k, v in self.export_counters().items()
+             if k in ("sweeps", "records", "missed_records", "traces")},
+            {"node": self._node_label()},
+        ))
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
+        merged = self.merged()
         return json.dumps(
             {
                 "nodes": {
@@ -310,8 +298,8 @@ class TelemetryCollector(PeriodicSweeper, Requester):
                 },
                 "totals": self.cluster_totals(),
                 "traces": {
-                    format(trace_id, "x"): self.timeline(trace_id)
-                    for trace_id in self.trace_ids()
+                    format(t, "x"): [dataclasses.asdict(h) for h in merged.hops(t)]
+                    for t in merged.trace_ids()
                 },
             },
             sort_keys=True,
@@ -326,8 +314,9 @@ class TelemetryCollector(PeriodicSweeper, Requester):
             "sweeps": self.sweeps,
             "nodes_watched": len(self.watched),
             "nodes_reporting": len(self.node_metrics),
-            "spans": len(self._spans),
-            "traces": len(self._by_trace),
+            "records": sum(len(m.records) for m in self.mirrors),
+            "missed_records": sum(m.missed for m in self.mirrors),
+            "traces": len(self.merged().trace_ids()),
         }
 
 
@@ -372,24 +361,20 @@ OBSERVABILITY_SCHEMA = ParamSchema([
 def install_observability(
     cluster: "Cluster", options: dict[str, Any], nodes: list[int]
 ) -> None:
-    """The bootstrap ``observability`` section: the whole instrument kit
-    on each of ``nodes``.
+    """The bootstrap ``observability`` section on each of ``nodes``.
 
-    Each node gets one dispatch observer (DESIGN §8): a
-    ``FlightRecorder`` — which also stamps trace ids, holds the dispatch
-    budget and fills ``exe_dispatch_ns``, here with trace-id exemplars
-    on — spilling to ``<dir>/node<NNN>.flightrec`` on ``hard_stop``,
-    watchdog trips, sanitizer violations, uncaught dispatch exceptions
-    and budget overruns.  The cluster's ``SamplingProfiler`` watches
-    every node without attaching to it.  Every node also gets a
-    ``TelemetryAgent``, and the lowest node hosts the
-    ``TelemetryCollector``.  A rejoined node's recorder spills as
-    ``node<NNN>-inc<K>.flightrec`` for its K-th incarnation, so the dead
-    one's dump survives its successor.
-
-    The sampler's thread only starts with ``Cluster.start_all`` — in
-    single-threaded pump loops call ``cluster.profiler.watch_thread(node)``
-    then ``start()`` yourself.
+    Each node gets one dispatch observer (DESIGN §8), a
+    ``FlightRecorder`` (it stamps trace ids, holds the dispatch budget
+    and fills ``exe_dispatch_ns``, exemplars on here) spilling to
+    ``<dir>/node<NNN>.flightrec`` on ``hard_stop``, watchdog trips,
+    sanitizer violations, dispatch exceptions and budget overruns, and
+    a ``TelemetryAgent``; the cluster's ``SamplingProfiler`` watches it
+    without attaching.  The lowest node hosts the ``TelemetryCollector``.
+    A rejoined node's K-th incarnation spills as
+    ``node<NNN>-inc<K>.flightrec`` and gets a fresh mirror, so the dead
+    one's dump and mirror both survive it.  The sampler's thread starts
+    with ``Cluster.start_all`` (in a pump loop: ``watch_thread``, then
+    ``start()``).
     """
     from repro.flightrec.recorder import FlightRecorder
     from repro.profile.sampler import SamplingProfiler
@@ -416,10 +401,11 @@ def install_observability(
         cluster.install(node, agent)
         cluster.telemetry_agents[node] = agent
     home = min(cluster.executives)
+    collector = cluster.collector
     if home in nodes:
-        collector = cluster.collector = TelemetryCollector(
-            name="telemetry-collector"
-        )
+        collector = cluster.collector = TelemetryCollector(name="telemetry-collector")
         cluster.install(home, collector)
-        for node, agent in cluster.telemetry_agents.items():
-            collector.watch(node, cluster.proxy(home, agent.name))
+        nodes = list(cluster.telemetry_agents)
+    assert isinstance(collector, TelemetryCollector)
+    for node in nodes:  # at a rejoin: a fresh mirror for the new incarnation
+        collector.watch(node, cluster.proxy(home, cluster.telemetry_agents[node].name))

@@ -13,7 +13,7 @@ Usage::
     python -m repro.diag timeline crash/node003.flightrec   # decode one
     python -m repro.diag timeline crash/        # merge a directory of dumps
     python -m repro.diag where crash/           # critical path from dumps
-    python -m repro.diag where                  # ... from a live demo run
+    python -m repro.diag where                  # ... live, rings over I2O
     python -m repro.diag flame --out stacks.txt --dumps crash/
     python -m repro.diag graph --builtin event-builder --check --dot dag.dot
     python -m repro.diag graph myspec.json --json report.json
@@ -146,9 +146,13 @@ def _timeline(args: argparse.Namespace) -> int:
 def _where(args: argparse.Namespace) -> int:
     if args.dumps:
         merged = MergedTimeline(load_dumps(args.dumps))
-    else:
+    else:  # live: pull every ring over UtilParamsGet until a reply is short
         cluster = _run_demo(args.events)
-        merged = MergedTimeline(cluster.flight_recorders.values())
+        collector: Any = cluster.collector
+        while not collector.sweeps or any(m.full for m in collector.watched.values()):
+            collector.sweep()
+            cluster.pump()
+        merged = collector.merged()
     analyzer = CriticalPathAnalyzer(merged)
     paths = analyzer.paths()
     print(analyzer.report(paths, top=TOP_N))

@@ -74,7 +74,6 @@ class TestWiring:
         collector = cluster.collector
         assert isinstance(collector, TelemetryCollector)
         assert cluster.node_of(collector.name) == 0
-        assert collector.keep_spans == 8192  # the class default
         assert collector.sweep_interval_ns() == 0  # manual sweeps
 
     def test_diskless_rings_without_dir(self, tmp_path, monkeypatch):
@@ -134,6 +133,25 @@ class TestWiring:
         cluster = bootstrap(spec_with(capacity="128", hz="251"))
         assert cluster.flight_recorders[1].capacity == 128
         assert cluster.profiler.hz == 251.0
+
+    def test_sim_plane_rings_mirror_through_the_ledger(self):
+        # On a sim node exe.flightrec is the cost ledger; the agent
+        # exports the recorder riding behind it, capacity included.
+        from repro.hw.clock import SimClock
+        from repro.sim.kernel import Simulator
+
+        sim = Simulator()
+        spec = spec_with(capacity=64)
+        spec["transport"] = "simgm"
+        cluster = bootstrap(spec, clock=SimClock(sim))
+        sim.at(0, cluster.collector.sweep)
+        sim.run()
+        for node, mirror in cluster.collector.watched.items():
+            assert mirror.records.maxlen == 64
+            assert list(mirror.records) == list(
+                cluster.flight_recorders[node].records[: mirror.cursor]
+            )
+            assert mirror.cursor > 0
 
     def test_no_section_means_no_observers(self):
         spec = spec_with()

@@ -56,8 +56,16 @@ def drive(exe: Executive) -> None:
 
 class TestParamsCodec:
     def test_round_trip(self):
-        params = {"a": "1", "b": "two", "empty": ""}
-        assert decode_params(encode_params(params)) == params
+        rows = [
+            {"a": "1", "b": "two", "empty": ""},
+            # Line breaks other than "\n" are ordinary value characters.
+            {"k": "x\ry"},
+            {"k": "x\x0cy"},
+            {"k": "x\x85y"},
+            {"k": "x\u2028y"},
+        ]
+        for params in rows:
+            assert decode_params(encode_params(params)) == params, params
 
     def test_empty(self):
         assert decode_params(encode_params({})) == {}

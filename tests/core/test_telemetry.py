@@ -2,33 +2,38 @@
 
 from __future__ import annotations
 
+import base64
 import json
 
 import pytest
 
+from repro.core import telemetry
 from repro.core.executive import Executive
 from repro.core.telemetry import (
     SWEEP_CONTEXT,
+    RingMirror,
     TelemetryAgent,
     TelemetryCollector,
-    decode_hop,
-    encode_hop,
 )
-from repro.flightrec import FlightRecorder, Hop
+from repro.flightrec import FlightRecorder
+from repro.core.device import encode_params
+from repro.flightrec.records import EV_TIMER_FIRE, FlightRecord, decode_records
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import UTIL_PARAMS_GET
 
 from tests.conftest import ManualClock, make_loopback_cluster, pump
 
-SPAN_TID = 17
+AGENT_TID = 17
 
 
-def _telemetry_cluster(n_nodes: int = 2, *, tracing: bool = True):
+def _telemetry_cluster(
+    n_nodes: int = 2, *, tracing: bool = True, capacity: int = 512
+):
     cluster = make_loopback_cluster(n_nodes)
     agents = {}
     for node, exe in cluster.items():
         if tracing:
-            exe.attach(FlightRecorder(capacity=512))
+            exe.attach(FlightRecorder(capacity=capacity))
         agent = TelemetryAgent(name=f"agent{node}")
         exe.install(agent)
         agents[node] = agent
@@ -39,18 +44,48 @@ def _telemetry_cluster(n_nodes: int = 2, *, tracing: bool = True):
     return cluster, collector, agents
 
 
-class TestSpanCodec:
-    def test_round_trip(self):
-        span = Hop(
-            trace_id=0xACE0000000000001, seq=9, node=3, tid=SPAN_TID,
-            function=0xFF, xfunction=0x104, start_ns=123456789,
-            queue_wait_ns=42, dispatch_ns=7_000,
-        )
-        assert decode_hop(encode_hop(span)) == span
+def _ring_value(*seqs: int) -> str:
+    """An agent's ``ring`` value carrying timer records ``seqs``."""
+    return base64.b64encode(b"".join(
+        FlightRecord(seq, 1_000 + seq, seq, AGENT_TID, 0, EV_TIMER_FIRE).pack()
+        for seq in seqs
+    )).decode()
 
+
+def _mirror_state(mirror):
+    return list(mirror.records), mirror.cursor, mirror.missed, mirror.full
+
+
+class TestRingReply:
     def test_malformed_record_rejected(self):
-        with pytest.raises(I2OError):
-            decode_hop("1;2;3")
+        mirror = RingMirror(1, AGENT_TID)
+        assert mirror.ingest(_ring_value(0, 1), "8") == 2
+        before = _mirror_state(mirror)
+        torn = base64.b64encode(base64.b64decode(_ring_value(2))[:-1]).decode()
+        for ring, capacity in [
+            ("not base64!", "8"),  # outside the alphabet
+            ("QUJD", "8"),  # valid base64, 3 bytes: not a whole record
+            (torn, "8"),  # one record short of its last byte
+            (_ring_value(2), "eight"),
+            (_ring_value(2), "-1"),
+        ]:
+            with pytest.raises(I2OError, match="node 1: malformed ring reply"):
+                mirror.ingest(ring, capacity)
+            assert _mirror_state(mirror) == before
+        assert mirror.ingest(_ring_value(2), "8") == 1  # still usable
+
+    def test_hostile_agent_leaves_the_mirror_unchanged(self):
+        cluster, collector, agents = _telemetry_cluster(2)
+        collector.sweep()
+        pump(cluster)
+        mirror = collector.watched[1]
+        before = _mirror_state(mirror)
+        agents[1].local_snapshot = lambda since=0: {"ring": "%%%", "node": "1"}
+        collector.sweep()
+        pump(cluster)
+        assert _mirror_state(mirror) == before
+        assert cluster[0].handler_errors == 1  # the reply, refused by name
+        assert collector.watched[0].cursor > 0  # the other node unaffected
 
 
 class TestCollectorSweep:
@@ -68,19 +103,19 @@ class TestCollectorSweep:
 
     def test_spans_deduplicated_across_sweeps(self):
         cluster, collector, _ = _telemetry_cluster(2)
-        collector.sweep()
-        pump(cluster)
-        collector.sweep()  # observes the spans sweep 1 caused
-        pump(cluster)
-        first = collector.spans_collected
-        assert first > 0
-        # The agent re-exports its whole ring; further sweeps must only
-        # add spans that are actually new.
-        collector.sweep()
-        pump(cluster)
-        second = collector.spans_collected
-        collected = {(s.node, s.seq) for s in collector._spans}
-        assert len(collected) == second  # no duplicates survived
+        for _ in range(3):
+            collector.sweep()
+            pump(cluster)
+        # Each sweep asks only for records past the cursor: every record
+        # the ring wrote before the last reply arrived exactly once.
+        for node, mirror in collector.watched.items():
+            assert mirror.cursor > 0 and mirror.missed == 0
+            assert [r.seq for r in mirror.records] == list(range(mirror.cursor))
+            ring = cluster[node].flightrec.records
+            assert list(mirror.records) == list(ring[: mirror.cursor])
+        merged = collector.merged()
+        hops = [(h.node, h.seq) for t in merged.trace_ids() for h in merged.hops(t)]
+        assert hops and len(hops) == len(set(hops))
 
     def test_collector_speaks_only_util_params_get(self):
         cluster, collector, _ = _telemetry_cluster(2)
@@ -98,14 +133,55 @@ class TestCollectorSweep:
         assert sent and set(sent) == {UTIL_PARAMS_GET}
 
     def test_collector_side_span_bound(self):
+        # The mirror is bounded by the node's own ring capacity: it
+        # keeps the newest records, contiguous, however many arrived.
+        cluster, collector, _ = _telemetry_cluster(2, capacity=8)
+        for _ in range(4):
+            collector.sweep()
+            pump(cluster)
+        for mirror in collector.watched.values():
+            assert mirror.records.maxlen == 8
+            assert [r.seq for r in mirror.records] == list(
+                range(mirror.cursor - 8, mirror.cursor)
+            )
+            assert mirror.cursor > 8  # more arrived than the bound keeps
+
+    def test_cursor_delivers_every_record_exactly_once(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "MAX_EXPORT_RECORDS", 16)
         cluster, collector, _ = _telemetry_cluster(2)
-        collector.keep_spans = 3
+        ring = cluster[1].flightrec
+        for i in range(100):  # a backlog of several replies' worth
+            ring.record(EV_TIMER_FIRE, i, AGENT_TID, 0)
+        mirror = collector.watched[1]
+        batches = []
+        for _ in range(20):  # drained well within: 100 records, 16 a reply
+            before = mirror.cursor
+            collector.sweep()
+            pump(cluster)
+            batches.append(mirror.cursor - before)
+            if not mirror.full:
+                break
+        assert not mirror.full
+        assert len(batches) >= 7 and batches[:6] == [16] * 6
+        assert ring.dropped_records == 0
+        assert mirror.missed == 0
+        assert [r.seq for r in mirror.records] == list(range(mirror.cursor))
+        assert list(mirror.records) == list(ring.records[: mirror.cursor])
+
+    def test_wrapped_ring_shows_in_the_missed_count(self):
+        cluster, collector, _ = _telemetry_cluster(2, capacity=8)
+        ring = cluster[1].flightrec
+        for i in range(40):
+            ring.record(EV_TIMER_FIRE, i, AGENT_TID, 0)
         collector.sweep()
         pump(cluster)
-        collector.sweep()
-        pump(cluster)
-        assert len(collector._spans) <= 3
-        assert len(collector._seen) <= 3
+        mirror = collector.watched[1]
+        assert len(mirror.records) == 8
+        assert mirror.missed == mirror.cursor - 8 >= 32
+        assert collector.export_counters()["missed_records"] >= mirror.missed
+        assert 'repro_collector_missed_records{node="0"}' in (
+            collector.render_prometheus()
+        )
 
     def test_cluster_totals_sum_across_nodes(self):
         cluster, collector, _ = _telemetry_cluster(2)
@@ -161,29 +237,41 @@ class TestAgent:
         collector.sweep()
         pump(cluster)
         # The agent must not accumulate exported keys as parameters —
-        # span keys churn every sweep and would pile up forever.
+        # the ring value changes every sweep and would go stale.
         for agent in agents.values():
-            assert not any(k.startswith("s") for k in agent.parameters)
+            assert not {"ring", "ring_capacity"} & set(agent.parameters)
 
-    def test_export_carries_only_the_newest_hops(self, monkeypatch):
-        # However large the ring, one reply stays inside one frame.
-        from repro.core import telemetry
-
+    def test_export_is_capped_from_the_cursor(self, monkeypatch):
+        # However large the ring, one reply stays inside one frame: it
+        # carries the oldest records past ``since``, the next sweep the rest.
         cluster, collector, agents = _telemetry_cluster(2)
         for _ in range(3):
             collector.sweep()
             pump(cluster)
-        exported = [
-            int(k[1:]) for k in agents[1].local_snapshot()
-            if telemetry._HOP_KEY.match(k)
-        ]
-        assert len(exported) >= 3
-        monkeypatch.setattr(telemetry, "MAX_EXPORT_HOPS", 2)
-        capped = [
-            int(k[1:]) for k in agents[1].local_snapshot()
-            if telemetry._HOP_KEY.match(k)
-        ]
-        assert capped == sorted(exported)[-2:]
+
+        def exported(since):
+            snapshot = agents[1].local_snapshot(since)
+            assert snapshot["ring_capacity"] == "512"
+            body = base64.b64decode(snapshot["ring"])
+            return [r.seq for r in decode_records(body)]
+
+        total = cluster[1].flightrec.total_records
+        assert exported(0) == list(range(total))
+        assert exported(total) == []
+        monkeypatch.setattr(telemetry, "MAX_EXPORT_RECORDS", 2)
+        assert exported(0) == [0, 1]
+        assert exported(5) == [5, 6]
+        assert exported(total - 1) == [total - 1]
+
+    def test_bad_since_gets_a_failure_reply(self):
+        cluster, collector, _ = _telemetry_cluster(2)
+        replies = []
+        collector.request(
+            collector.watched[1].tid, encode_params({"since": "soon"}),
+            function=UTIL_PARAMS_GET, on_reply=replies.append,
+        )
+        pump(cluster)
+        assert len(replies) == 1 and replies[0].is_failure
 
     def test_reports_tracing_disabled(self):
         cluster, collector, _ = _telemetry_cluster(2, tracing=False)

@@ -34,10 +34,11 @@ def _run_and_kill(dump_dir):
     cluster.pump()
     # The event traces only: the sweep's own trace was still being
     # dispatched while the agents answered it.
+    mirrored = collector.merged()
     live = {
-        trace_id: collector.trace(trace_id)
-        for trace_id in collector.trace_ids()
-        if any(h.xfunction == XF_TRIGGER for h in collector.trace(trace_id))
+        trace_id: mirrored.hops(trace_id)
+        for trace_id in mirrored.trace_ids()
+        if any(h.xfunction == XF_TRIGGER for h in mirrored.hops(trace_id))
     }
     assert len(live) == EVENTS
     for exe in cluster.executives.values():

@@ -2,7 +2,7 @@
 
 Runs trigger → readout → build with tracing and metrics enabled on
 every node, then reconstructs the complete cross-node trace of one
-event from the collector's stitched spans — per-hop queue-wait and
+event from the collector's mirrored rings — per-hop queue-wait and
 dispatch durations included — and exercises the Prometheus/JSON dumps.
 
 When ``TELEMETRY_PROM_OUT`` is set the Prometheus text dump is also
@@ -11,6 +11,7 @@ written there (the CI workflow publishes it as an artifact).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -65,10 +66,11 @@ def telemetry_cluster():
 
 def _trigger_traces(collector):
     """Trace ids that contain the EVM's XF_TRIGGER dispatch."""
+    merged = collector.merged()
     return [
         trace_id
-        for trace_id in collector.trace_ids()
-        if any(s.xfunction == XF_TRIGGER for s in collector.trace(trace_id))
+        for trace_id in merged.trace_ids()
+        if any(s.xfunction == XF_TRIGGER for s in merged.hops(trace_id))
     ]
 
 
@@ -86,7 +88,7 @@ class TestCrossNodeTrace:
         assert is_trace_context(trace_id)
         assert trace_root_node(trace_id) == 0  # rooted at the trigger
 
-        spans = collector.trace(trace_id)
+        spans = collector.merged().hops(trace_id)
         hops = {(s.node, s.xfunction) for s in spans}
         # trigger → EVM on node 0 ...
         assert (0, XF_TRIGGER) in hops
@@ -109,7 +111,9 @@ class TestCrossNodeTrace:
         collector.sweep()
         cluster.pump()
         (trace_id,) = _trigger_traces(collector)
-        timeline = collector.timeline(trace_id)
+        timeline = [
+            dataclasses.asdict(hop) for hop in collector.merged().hops(trace_id)
+        ]
         assert len(timeline) >= 8  # the full event walk above
         starts = [hop["start_ns"] for hop in timeline]
         assert starts == sorted(starts)
