@@ -15,7 +15,11 @@ import zlib
 
 from repro.core.device import Listener, RETAIN
 from repro.daq.events import (
-    FRAGMENT_OVERHEAD, fragment_payload, fragment_size, write_fragment,
+    FRAGMENT_OVERHEAD,
+    check_fragment_shape,
+    fragment_payload,
+    fragment_size,
+    write_fragment,
 )
 from repro.daq.protocol import (
     EVENT_ID,
@@ -39,6 +43,8 @@ class ReadoutUnit(Listener):
     queue_capacity = 64
 
     def __init__(self, name: str = "", ru_id: int = 0, *, mean_fragment: int = 2048) -> None:
+        # refused here, so a bad spec fails at boot, not in a handler
+        check_fragment_shape(mean_fragment)
         super().__init__(name or f"ru{ru_id}")
         self.ru_id = ru_id
         #: fan-out traffic addresses this unit under its ru_id

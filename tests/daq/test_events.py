@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.executive import Executive
-from repro.daq import events
 from repro.daq.events import (
     FRAGMENT_OVERHEAD,
     FragmentError,
     FragmentHeader,
+    _pcg64,
+    _pcg64_next,
+    _standard_normal,
     fragment_payload,
     fragment_size,
     make_fragment_payload,
@@ -24,6 +31,8 @@ from repro.daq.events import (
     write_fragment,
 )
 from repro.i2o.tid import EXECUTIVE_TID, PTA_TID
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestGenerator:
@@ -138,18 +147,156 @@ class TestPinnedSizes:
         assert fragment_size(event, ru, **kwargs) == size
 
 
+def numpy_fragment_size(event_id, ru_id, mean=2048, spread=0.25,
+                        minimum=64, maximum=16384):
+    """The oracle: ``fragment_size``'s body while it drew through NumPy."""
+    rng = np.random.default_rng((event_id * 0x9E3779B1 + ru_id) & 0xFFFFFFFF)
+    size = int(rng.lognormal(mean=np.log(mean), sigma=spread))
+    return max(minimum, min(maximum, size))
+
+
+def numpy_path(seed):
+    """``(branch, layer)`` that ``default_rng(seed).standard_normal()``
+    takes, read from NumPy alone: the first raw word's layer, and how
+    many words the draw consumed (fast 1, wedge 2, a retry or the tail
+    more)."""
+    layer = int(np.random.PCG64(seed).random_raw()) & 0xFF
+    drawn = np.random.PCG64(seed)
+    np.random.Generator(drawn).standard_normal()
+    probe = np.random.PCG64(seed)
+    words = 0
+    while probe.state != drawn.state:
+        probe.advance(1)
+        words += 1
+        assert words < 16
+    if words == 1:
+        return "fast", layer
+    if layer == 0:
+        return ("tail" if words == 3 else "tail-reject-retry"), layer
+    return ("wedge-accept" if words == 2 else "wedge-reject-retry"), layer
+
+
+#: Unclamped keywords: every bit of the draw that survives ``int()`` shows.
+UNCLAMPED = {"spread": 1.0, "minimum": 0, "maximum": 2**62}
+
+#: ru ids at event 0 (so the seed is the ru id): 0..1551 is the
+#: shortest run from 0 whose first draws take the fast path on every
+#: layer that has one — all but layer 1, the top layer, where
+#: ``KI[1] == 0`` makes every draw a wedge draw.
+FAST_PATH_SEEDS = range(1552)
+
+#: Seeds whose draw leaves the fast path, found by scanning seeds
+#: 0..199 999 once and pinned; ``numpy_path`` re-derives each branch,
+#: so a seed that stops taking its branch fails the test.
+SLOW_PATH_SEEDS = [
+    ("wedge-accept", 163),          # layer 1
+    ("wedge-accept", 235),          # layer 244
+    ("wedge-reject-retry", 15),     # layer 1, then the fast path
+    ("wedge-reject-retry", 61),     # layer 239, then the fast path
+    ("wedge-reject-retry", 4101),   # rejected twice
+    ("wedge-reject-retry", 39111),  # rejected, then a wedge accept
+    ("tail", 755),                  # below -R
+    ("tail", 1950),                 # above +R
+    ("tail-reject-retry", 139259),
+    ("tail-reject-retry", 141511),
+]
+
+
+class TestNumpyOracle:
+    """``fragment_size`` draws what ``default_rng(seed).lognormal`` does,
+    bit for bit.  Where NumPy and ``math`` disagree in the last ulp on
+    some host, ``TestPinnedSizes`` decides, not this oracle."""
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**31 - 1),
+           st.sampled_from([64, 70, 256, 512, 2048, 16384]),
+           st.one_of(st.just(0.25), st.just(0.0),
+                     st.floats(0, 2, allow_nan=False)))
+    @settings(max_examples=400, deadline=None)
+    def test_sizes_match_numpy(self, event_id, ru_id, mean, spread):
+        assert fragment_size(event_id, ru_id, mean=mean, spread=spread) == (
+            numpy_fragment_size(event_id, ru_id, mean=mean, spread=spread)
+        )
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_words_match_pcg64(self, seed):
+        """The unrolled seed hash and PCG64's seeding and step."""
+        state, inc = _pcg64(seed)
+        words = []
+        for _ in range(4):
+            state, word = _pcg64_next(state, inc)
+            words.append(word)
+        assert words == np.random.PCG64(seed).random_raw(4).tolist()
+
+    def test_fast_path_on_every_layer(self):
+        layers = set()
+        for seed in FAST_PATH_SEEDS:
+            branch, layer = numpy_path(seed)
+            if branch == "fast":
+                layers.add(layer)
+            assert _standard_normal(seed) == (
+                np.random.default_rng(seed).standard_normal()
+            )
+            for kwargs in ({}, UNCLAMPED):
+                assert fragment_size(0, seed, **kwargs) == (
+                    numpy_fragment_size(0, seed, **kwargs)
+                )
+        assert layers == set(range(256)) - {1}
+
+    @pytest.mark.parametrize("branch,seed", SLOW_PATH_SEEDS)
+    def test_slow_branches(self, branch, seed):
+        assert numpy_path(seed)[0] == branch
+        assert _standard_normal(seed) == (
+            np.random.default_rng(seed).standard_normal()
+        )
+        for kwargs in ({}, UNCLAMPED, {"mean": 64}, {"mean": 16384}):
+            assert fragment_size(0, seed, **kwargs) == (
+                numpy_fragment_size(0, seed, **kwargs)
+            )
+
+
+class TestShapeRefused:
+    """NumPy raised ``ValueError: sigma < 0``; a non-positive mean got
+    through it as a NaN or a zero size."""
+
+    @pytest.mark.parametrize("mean", [0, -5, float("nan"), float("inf"),
+                                      -float("inf")])
+    def test_mean_must_be_positive_and_finite(self, mean):
+        with pytest.raises(FragmentError, match="mean"):
+            fragment_size(1, 0, mean=mean)
+
+    @pytest.mark.parametrize("spread", [-0.25, float("nan"), float("inf")])
+    def test_spread_must_be_non_negative_and_finite(self, spread):
+        with pytest.raises(FragmentError, match="spread"):
+            fragment_size(1, 0, spread=spread)
+
+
 class TestArena:
     def test_payload_is_a_read_only_view_not_a_copy(self):
         view = fragment_payload(7, 1, 100)
         assert isinstance(view, memoryview) and view.readonly
         assert view.obj is fragment_payload(8, 3, 5000).obj  # one arena
 
-    def test_payload_builds_no_generator(self, monkeypatch):
-        def no_generator(*args, **kwargs):
-            raise AssertionError("fragment_payload built a Generator")
-
-        monkeypatch.setattr(events.np.random, "default_rng", no_generator)
-        assert len(fragment_payload(7, 1, 100)) == 100
+    def test_fragments_load_no_numpy(self):
+        """Sizes, payloads and whole fragments are drawn without NumPy,
+        checked in a fresh interpreter."""
+        child = (
+            "import sys\n"
+            "from repro.daq.events import (\n"
+            "    fragment_payload, fragment_size, synthesize_fragment)\n"
+            "assert len(fragment_payload(7, 1, 100)) == 100\n"
+            "assert 64 <= fragment_size(7, 1) <= 16384\n"
+            "synthesize_fragment(7, 1, mean=512)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
 
     @given(st.integers(0, 2**63), st.integers(0, 2**31))
     @settings(max_examples=80, deadline=None)

@@ -7,7 +7,7 @@ import inspect
 
 import pytest
 
-from repro.config.bootstrap import bootstrap
+from repro.config.bootstrap import BootstrapError, bootstrap
 from repro.core.device import Listener
 from repro.daq import readout
 from repro.daq.events import synthesize_fragment
@@ -127,3 +127,16 @@ class TestParkedRequestsAreFreed:
         # its frame is not stranded.
         assert [ru.served for ru in rus] == [0, 0]
         assert_no_leaks(cluster.executives)
+
+
+class TestBadMeanRefusedAtBoot:
+    """A mean no size can be drawn from fails the boot, naming the
+    device, instead of the first ``XF_READOUT`` dispatch."""
+
+    @pytest.mark.parametrize("mean", [-5, 0, float("nan"), float("inf")])
+    def test_boot_fails_naming_the_readout_unit(self, mean):
+        with pytest.raises(
+            BootstrapError,
+            match="cannot construct repro.daq.readout.ReadoutUnit: fragment mean",
+        ):
+            bootstrap(event_builder_spec(1, 1, mean_fragment=mean))

@@ -2,7 +2,8 @@
 
 A section-less two-node ``loopback`` boot and one round trip run in a
 fresh interpreter, which then reports every ``repro`` module and
-whether NumPy is loaded.  The native plane must not reach the
+whether NumPy is loaded; so does a 2 x 2 event builder that builds 8
+events.  The native plane must not reach the
 simulation plane (``repro.sim``, the hardware models, the simulated
 transports, ``SimNode``) or NumPy, and ``bootstrap`` must not import
 the subsystem of a section the spec does not name.  The same child
@@ -84,27 +85,64 @@ FORBIDDEN = (
 )
 
 
-@pytest.fixture(scope="module")
-def cold_boot() -> dict:
+EVB_CHILD = """
+import json
+import sys
+
+from repro.config.bootstrap import bootstrap
+from repro.dataflow.examples import event_builder_spec
+
+cluster = bootstrap(event_builder_spec(2, 2))
+fired = cluster.device("trigger").fire_burst(8)
+cluster.pump()
+loaded = sorted(name for name in sys.modules
+                if name == "numpy" or name.startswith(("numpy.", "repro")))
+print(json.dumps({"fired": len(fired),
+                  "built": sum(cluster.device(f"bu{i}").built for i in range(2)),
+                  "loaded": loaded}))
+"""
+
+
+def _run_child(source: str, *args: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *LAZY_PACKAGES],
+        [sys.executable, "-c", source, *args],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _leaked(loaded: list[str], forbidden: tuple[str, ...]) -> list[str]:
+    return [
+        name for name in loaded
+        if any(name == bad or name.startswith(bad + ".") for bad in forbidden)
+    ]
+
+
+@pytest.fixture(scope="module")
+def cold_boot() -> dict:
+    return _run_child(CHILD, *LAZY_PACKAGES)
+
+
 def test_native_boot_loads_no_sim_plane_numpy_or_unnamed_section(cold_boot):
     assert cold_boot["replies"] == ["ping"]
-    leaked = [
-        name for name in cold_boot["loaded"]
-        if any(name == bad or name.startswith(bad + ".") for bad in FORBIDDEN)
-    ]
-    assert leaked == []
+    assert _leaked(cold_boot["loaded"], FORBIDDEN) == []
+
+
+def test_event_builder_boot_loads_no_sim_plane_or_numpy():
+    """Fragment sizes are drawn without NumPy, so the event builder
+    boots like any native node; its spec names ``dataflow``, so the
+    wiring module is the one expected extra."""
+    evb = _run_child(EVB_CHILD)
+    assert evb["fired"] == evb["built"] == 8
+    expected = ("repro.dataflow.wiring",)
+    forbidden = tuple(bad for bad in FORBIDDEN if bad not in expected)
+    assert _leaked(evb["loaded"], forbidden) == []
+    assert "repro.dataflow.wiring" in evb["loaded"]
 
 
 def test_every_lazy_export_resolves_and_is_listed(cold_boot):
