@@ -18,7 +18,7 @@ declarations and rejects the spec if the DAG is unsound.
 Run: ``python examples/air_traffic.py``
 """
 
-from repro.atc import SyntheticTraffic
+from repro.atc.aircraft import SyntheticTraffic
 from repro.config.bootstrap import bootstrap
 from repro.dataflow.examples import air_traffic_spec
 

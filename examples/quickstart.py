@@ -13,8 +13,10 @@ This is the paper's programming model end to end:
 Run: ``python examples/quickstart.py``
 """
 
-from repro import Executive, Listener, PeerTransportAgent
-from repro.transports import LoopbackNetwork, LoopbackTransport
+from repro.core.device import Listener
+from repro.core.executive import Executive
+from repro.transports.agent import PeerTransportAgent
+from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 
 XF_GREET = 0x0001
 

@@ -11,9 +11,11 @@ executives and transports.
 Run: ``python examples/rmi_calculator.py``
 """
 
-from repro import Executive, PeerTransportAgent
-from repro.rmi import RemoteCallError, RemoteObject, Stub, StubDevice, remote
-from repro.transports import LoopbackNetwork, LoopbackTransport
+from repro.core.executive import Executive
+from repro.rmi.skeleton import RemoteObject, remote
+from repro.rmi.stub import RemoteCallError, Stub, StubDevice
+from repro.transports.agent import PeerTransportAgent
+from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 
 
 class Calculator(RemoteObject):

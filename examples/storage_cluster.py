@@ -13,14 +13,11 @@ then archives the run to "tape" with a filemark per run.
 Run: ``python examples/storage_cluster.py``
 """
 
-from repro import Executive, PeerTransportAgent
-from repro.devclasses import (
-    BlockClient,
-    BlockStorageDevice,
-    SequentialClient,
-    SequentialStorageDevice,
-)
-from repro.transports import LoopbackNetwork, LoopbackTransport
+from repro.core.executive import Executive
+from repro.devclasses.block import BlockClient, BlockStorageDevice
+from repro.devclasses.sequential import SequentialClient, SequentialStorageDevice
+from repro.transports.agent import PeerTransportAgent
+from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 
 
 def main() -> None:

@@ -13,9 +13,11 @@ download), (3) sets a parameter on it, and (4) enables the system.
 Run: ``python examples/tcl_control.py``
 """
 
-from repro import Executive, PeerTransportAgent
-from repro.config import HostController, TclInterp
-from repro.transports import LoopbackNetwork, LoopbackTransport
+from repro.config.control import HostController
+from repro.config.tclish import TclInterp
+from repro.core.executive import Executive
+from repro.transports.agent import PeerTransportAgent
+from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 
 #: Source text "downloaded" into a running executive, exactly like the
 #: paper downloads compiled object code into a running node.

@@ -23,71 +23,7 @@ Quickstart::
 See ``examples/quickstart.py`` for the complete two-node program.
 """
 
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:
-    from repro.config.bootstrap import Cluster, bootstrap
-    from repro.core.device import RETAIN, FunctionalListener, Listener
-    from repro.core.discovery import DiscoveryService
-    from repro.core.executive import Executive, Route
-    from repro.core.probes import CostModel
-    from repro.core.registry import download_module
-    from repro.core.reliable import ReliableEndpoint
-    from repro.core.simnode import SimNode
-    from repro.core.states import DeviceState
-    from repro.core.watchdog import HandlerWatchdog, WatchdogTimeout
-    from repro.i2o.frame import Frame
-    from repro.i2o.sgl import Fragmenter, Reassembler, ScatterGatherList
-    from repro.mem.pool import BufferPool, OriginalAllocator, TableAllocator
-    from repro.sim.kernel import Simulator
-    from repro.transports.agent import PeerTransportAgent
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "BufferPool",
-    "Cluster",
-    "CostModel",
-    "DeviceState",
-    "DiscoveryService",
-    "Executive",
-    "Fragmenter",
-    "Frame",
-    "FunctionalListener",
-    "HandlerWatchdog",
-    "Listener",
-    "OriginalAllocator",
-    "PeerTransportAgent",
-    "RETAIN",
-    "Reassembler",
-    "ReliableEndpoint",
-    "Route",
-    "bootstrap",
-    "ScatterGatherList",
-    "SimNode",
-    "Simulator",
-    "TableAllocator",
-    "WatchdogTimeout",
-    "download_module",
-    "__version__",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.config.bootstrap": ("Cluster", "bootstrap"),
-    "repro.core.device": ("RETAIN", "FunctionalListener", "Listener"),
-    "repro.core.discovery": ("DiscoveryService",),
-    "repro.core.executive": ("Executive", "Route"),
-    "repro.core.probes": ("CostModel",),
-    "repro.core.registry": ("download_module",),
-    "repro.core.reliable": ("ReliableEndpoint",),
-    "repro.core.simnode": ("SimNode",),
-    "repro.core.states": ("DeviceState",),
-    "repro.core.watchdog": ("HandlerWatchdog", "WatchdogTimeout"),
-    "repro.i2o.frame": ("Frame",),
-    "repro.i2o.sgl": ("Fragmenter", "Reassembler", "ScatterGatherList"),
-    "repro.mem.pool": ("BufferPool", "OriginalAllocator", "TableAllocator"),
-    "repro.sim.kernel": ("Simulator",),
-    "repro.transports.agent": ("PeerTransportAgent",),
-})
+# The README quickstart imports these names from the package.
+from repro.core.device import Listener as Listener
+from repro.core.executive import Executive as Executive
+from repro.transports.agent import PeerTransportAgent as PeerTransportAgent

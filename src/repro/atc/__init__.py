@@ -7,28 +7,16 @@ on custom embedded devices and contain real-time paths."*
 Where the DAQ kit (:mod:`repro.daq`) exercises bulk event building,
 this kit exercises the framework's **real-time path** machinery:
 
-* :class:`RadarSource` — emits periodic position reports for a set of
-  simulated aircraft (timer-driven, like real sensor heads);
-* :class:`TrackCorrelator` — fuses reports from multiple radars into
-  tracks, detects separation violations, and raises **conflict alerts
-  at priority 0** while routine track updates travel at default
-  priority — the seven-level I2O scheduler doing the job it exists
-  for;
-* :class:`AlertConsole` — receives alerts and updates, proving the
-  priority inversion never happens (alerts always arrive first);
+* :class:`~repro.atc.radar.RadarSource` — emits periodic position
+  reports for a set of simulated aircraft (timer-driven, like real
+  sensor heads), which :mod:`repro.atc.aircraft` synthesizes;
+* :class:`~repro.atc.correlator.TrackCorrelator` — fuses reports from
+  multiple radars into tracks, detects separation violations, and
+  raises **conflict alerts at priority 0** while routine track updates
+  travel at default priority — the seven-level I2O scheduler doing the
+  job it exists for;
+* :class:`~repro.atc.console.AlertConsole` — receives alerts and
+  updates, proving the priority inversion never happens (alerts always arrive first);
 * a watchdog-guarded correlator variant for the §4 misbehaving-handler
   scenario in a realistic role.
 """
-
-from repro.atc.aircraft import AircraftState, SyntheticTraffic
-from repro.atc.console import AlertConsole
-from repro.atc.correlator import TrackCorrelator
-from repro.atc.radar import RadarSource
-
-__all__ = [
-    "AircraftState",
-    "AlertConsole",
-    "RadarSource",
-    "SyntheticTraffic",
-    "TrackCorrelator",
-]

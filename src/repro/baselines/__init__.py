@@ -8,15 +8,3 @@
   §6.2 comparison: "the overhead induced by an ORB core is
   significant (about 90 µsec)".
 """
-
-from repro.baselines.miniorb import MiniOrb, ObjectRef, OrbChannel, OrbError
-from repro.baselines.rawgm import GmPingPong, run_gm_pingpong
-
-__all__ = [
-    "GmPingPong",
-    "MiniOrb",
-    "ObjectRef",
-    "OrbChannel",
-    "OrbError",
-    "run_gm_pingpong",
-]

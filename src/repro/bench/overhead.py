@@ -21,9 +21,9 @@ measured by the same program on two loads:
     median RTT ns.  Arms: ``off``, ``sampling`` (a
     :class:`SamplingProfiler` watching both executives, its thread
     running) and ``full-kit`` (sampling plus everything the
-    ``observability`` bootstrap section arms: the recorder with
-    exemplar capture and a dispatch budget that never trips — the
-    comparison is measured, not the spill).
+    ``observability`` bootstrap section arms: the recorder with a
+    dispatch budget that never trips — the comparison is measured, not
+    the spill).
 
 Every arm runs once per short batch, so host noise slower than a batch
 hits an arm and its baseline alike; a ratio is the median of the
@@ -43,7 +43,6 @@ from repro.bench.dispatch import drain_ns_per_message
 from repro.bench.pingpong import run_native_pingpong
 from repro.bench.report import format_table
 from repro.core.executive import Executive
-from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS
 from repro.flightrec.recorder import FlightRecorder
 from repro.i2o.frame import Frame
 from repro.profile.sampler import SamplingProfiler
@@ -74,9 +73,6 @@ def _recording(exe: Executive) -> None:
 
 def _full_kit(exe: Executive) -> None:
     exe.attach(FlightRecorder(capacity=4096, budget_ns=_NEVER_TRIPS_NS))
-    exe.metrics.histogram(
-        "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
-    ).enable_exemplars()
 
 
 @dataclass(frozen=True)

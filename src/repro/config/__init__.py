@@ -7,19 +7,8 @@ chose Tcl because it is the I2O recommended way for configuration and
 control."*  And §3.5: *"a primary host controls all processing nodes.
 Secondary hosts may register and subsequently apply for control
 rights."*
+
+:mod:`~repro.config.tclish` is the Tcl subset, :mod:`~repro.config.control`
+the host controller, :mod:`~repro.config.schema` the typed parameters
+and :mod:`~repro.config.bootstrap` the declarative cluster boot.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:
-    from repro.config.control import ControlError, HostController
-    from repro.config.tclish import TclError, TclInterp
-
-__all__ = ["ControlError", "HostController", "TclError", "TclInterp"]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.config.control": ("ControlError", "HostController"),
-    "repro.config.tclish": ("TclError", "TclInterp"),
-})

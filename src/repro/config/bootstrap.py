@@ -509,10 +509,9 @@ def _section(name: str) -> tuple[ParamSchema, Callable[..., None] | None]:
             getattr(module, install) if install else None)
 
 
-def __getattr__(name: str) -> Any:
-    # ``_SECTIONS``, the whole table as ``(name, schema, install)``
-    # rows, loads every section's module: it is for readers that list
-    # the spec surface, not for the boot path.
-    if name == "_SECTIONS":
-        return tuple((section, *_section(section)) for section in _SECTION_SOURCES)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def sections() -> tuple[tuple[str, ParamSchema, Callable[..., None] | None], ...]:
+    """Every section as ``(name, schema, install)``, in install order.
+
+    It loads every section's module: it is for readers that list the
+    spec surface, not for the boot path."""
+    return tuple((section, *_section(section)) for section in _SECTION_SOURCES)

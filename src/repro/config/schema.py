@@ -16,8 +16,8 @@ running node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass
+from typing import Any, Iterable
 
 from repro.i2o.errors import I2OError
 

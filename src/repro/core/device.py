@@ -451,7 +451,7 @@ class Listener:
             raise I2OError(
                 f"device {self.name!r} has no route for message type "
                 f"{mtype.name!r}; declare it in 'emits' and wire the "
-                f"cluster (bootstrap, or repro.dataflow.wire_dataflow)"
+                f"cluster (bootstrap, or repro.dataflow.wiring.wire_dataflow)"
             )
         return routes
 

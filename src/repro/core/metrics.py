@@ -25,9 +25,7 @@ endpoint), ``hb_``/``peer_`` (liveness), ``flightrec_`` (flight recorder).
 from __future__ import annotations
 
 import re
-import time
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from repro.i2o.errors import I2OError
@@ -101,24 +99,6 @@ class Gauge:
         return self._value
 
 
-@dataclass(frozen=True, slots=True)
-class Exemplar:
-    """One slow-observation exemplar pinned to a histogram bucket.
-
-    Carries the trace id of a concrete observation that landed in the
-    bucket, so a p99 spike in the exposition links straight to a
-    stitched trace (``TelemetryCollector.timeline``) or a flight-
-    recorder dump — the OpenMetrics exemplar model.
-    """
-
-    trace_id: int
-    value: float
-    ts: float
-
-    def labels(self) -> dict[str, str]:
-        return {"trace_id": format(self.trace_id, "x")}
-
-
 class Histogram:
     """Fixed-bucket histogram with inclusive upper bounds.
 
@@ -127,15 +107,9 @@ class Histogram:
     places ``v`` in the first bucket whose bound is >= v (Prometheus
     ``le`` semantics), tracked per-bucket; the snapshot export is
     *cumulative*, matching the Prometheus text format.
-
-    Exemplar capture is opt-in (:meth:`enable_exemplars`): when on,
-    ``observe(v, exemplar=trace_id)`` remembers the latest exemplar
-    per bucket — one slot per bucket, overwrite-newest, so the memory
-    cost is fixed and the hot path pays one slot store only for
-    observations that actually carry a trace id.
     """
 
-    __slots__ = ("name", "buckets", "counts", "count", "sum", "exemplars")
+    __slots__ = ("name", "buckets", "counts", "count", "sum")
 
     def __init__(self, name: str, buckets: Iterable[float]) -> None:
         bounds = list(buckets)
@@ -146,40 +120,11 @@ class Histogram:
         self.counts = [0] * (len(bounds) + 1)  # last slot is +Inf
         self.count = 0
         self.sum = 0.0
-        self.exemplars: list[Exemplar | None] | None = None
 
-    def enable_exemplars(self) -> None:
-        """Start capturing per-bucket exemplars (idempotent)."""
-        if self.exemplars is None:
-            self.exemplars = [None] * (len(self.buckets) + 1)
-
-    def observe(self, value: float, exemplar: int = 0) -> None:
-        index = bisect_left(self.buckets, value)
-        self.counts[index] += 1
+    def observe(self, value: float) -> None:
+        self.counts[bisect_left(self.buckets, value)] += 1
         self.count += 1
         self.sum += value
-        if exemplar and self.exemplars is not None:
-            self.exemplars[index] = Exemplar(exemplar, value, time.time())
-
-    def exemplar_for(self, bound: float) -> Exemplar | None:
-        """Latest exemplar of the bucket with upper bound ``bound``
-        (``inf`` for the overflow bucket); ``None`` when capture is
-        off or the bucket never saw a traced observation."""
-        if self.exemplars is None:
-            return None
-        if bound == float("inf"):
-            return self.exemplars[-1]
-        index = bisect_left(self.buckets, bound)
-        if index == len(self.buckets) or self.buckets[index] != bound:
-            raise I2OError(f"histogram {self.name!r} has no bucket le={bound}")
-        return self.exemplars[index]
-
-    def bucket_count(self, bound: float) -> int:
-        """Non-cumulative count of the bucket with upper bound ``bound``."""
-        index = bisect_left(self.buckets, bound)
-        if index == len(self.buckets) or self.buckets[index] != bound:
-            raise I2OError(f"histogram {self.name!r} has no bucket le={bound}")
-        return self.counts[index]
 
     def export(self) -> dict[str, float]:
         """Flatten to snapshot keys with cumulative bucket counts."""
@@ -289,31 +234,8 @@ class MetricsRegistry:
         return out
 
     def render_prometheus(self, labels: Mapping[str, object] | None = None) -> str:
-        """This registry's snapshot in the Prometheus text format.
-
-        Plain Prometheus mode: exemplars are *omitted* — the classic
-        text parser chokes on the ``#`` exemplar suffix.  Use
-        :meth:`render_openmetrics` to expose them.
-        """
+        """This registry's snapshot in the Prometheus text format."""
         return "\n".join(prometheus_lines(self.snapshot(), labels or {})) + "\n"
-
-    def render_openmetrics(
-        self, labels: Mapping[str, object] | None = None
-    ) -> str:
-        """The snapshot in OpenMetrics text format, exemplars included.
-
-        Histogram bucket lines carry their latest captured exemplar in
-        the OpenMetrics syntax (``... # {trace_id="..."} value ts``),
-        linking a slow bucket straight to a stitched trace id; every
-        other instrument renders exactly as in Prometheus mode.  Ends
-        with the mandatory ``# EOF`` terminator.
-        """
-        return "\n".join(
-            openmetrics_lines(
-                self.snapshot(), labels or {},
-                list(self._histograms.values()),
-            )
-        ) + "\n"
 
 
 def prometheus_lines(
@@ -321,39 +243,11 @@ def prometheus_lines(
 ) -> list[str]:
     """Render a flat snapshot as ``repro_<name>{labels} value`` lines.
 
-    Histogram keys produced by :meth:`Histogram.export` are folded back
-    into a proper ``le`` label so Prometheus tooling sees a native
-    histogram series.
+    Series are sorted, histogram keys produced by
+    :meth:`Histogram.export` are folded back into a proper ``le`` label
+    so Prometheus tooling sees a native histogram series, and label
+    values are escaped.
     """
-    return _exposition_lines(flat, labels, {})
-
-
-def openmetrics_lines(
-    flat: Mapping[str, float],
-    labels: Mapping[str, object],
-    histograms: Iterable[Histogram] = (),
-) -> list[str]:
-    """Render a flat snapshot in OpenMetrics text format.
-
-    Identical line shape to :func:`prometheus_lines` except that
-    bucket lines whose histogram captured an exemplar grow the
-    `` # {trace_id="..."} value timestamp`` suffix, and the exposition
-    ends with ``# EOF``.
-    """
-    lines = _exposition_lines(flat, labels, {h.name: h for h in histograms})
-    lines.append("# EOF")
-    return lines
-
-
-def _exposition_lines(
-    flat: Mapping[str, float],
-    labels: Mapping[str, object],
-    exemplar_sources: Mapping[str, Histogram],
-) -> list[str]:
-    """The one exposition renderer under both text formats: sorted
-    series, ``le`` folded out of the bucket keys, label values escaped
-    (both ABNFs demand the same three escapes), exemplars appended to
-    the bucket lines of the histograms in ``exemplar_sources``."""
     base = ",".join(
         f'{k}="{openmetrics_escape(str(v))}"' for k, v in labels.items()
     )
@@ -365,13 +259,7 @@ def _exposition_lines(
             upper = parse_bound(bound)
             le = "+Inf" if upper == float("inf") else _fmt_value(upper)
             labelset = f'{base},le="{le}"' if base else f'le="{le}"'
-            line = f"repro_{name}_bucket{{{labelset}}} {_fmt_value(value)}"
-            hist = exemplar_sources.get(name)
-            if hist is not None:
-                ex = hist.exemplar_for(upper)
-                if ex is not None:
-                    line += _exemplar_suffix(ex)
-            lines.append(line)
+            lines.append(f"repro_{name}_bucket{{{labelset}}} {_fmt_value(value)}")
         else:
             suffix = f"{{{base}}}" if base else ""
             lines.append(f"repro_{key}{suffix} {_fmt_value(value)}")
@@ -384,13 +272,6 @@ def openmetrics_escape(value: str) -> str:
     return (
         value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
     )
-
-
-def _exemplar_suffix(ex: Exemplar) -> str:
-    pairs = ",".join(
-        f'{k}="{openmetrics_escape(v)}"' for k, v in ex.labels().items()
-    )
-    return f" # {{{pairs}}} {_fmt_value(ex.value)} {ex.ts:.3f}"
 
 
 def _bucket_sort_key(key: str) -> tuple[str, float, str]:

@@ -41,7 +41,7 @@ from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.i2o.function_codes import UTIL_PARAMS_GET
 from repro.i2o.tid import Tid
-from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS, prometheus_lines
+from repro.core.metrics import prometheus_lines
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config.bootstrap import Cluster
@@ -365,7 +365,7 @@ def install_observability(
 
     Each node gets one dispatch observer (DESIGN §8), a
     ``FlightRecorder`` (it stamps trace ids, holds the dispatch budget
-    and fills ``exe_dispatch_ns``, exemplars on here) spilling to
+    and fills ``exe_dispatch_ns``) spilling to
     ``<dir>/node<NNN>.flightrec`` on ``hard_stop``, watchdog trips,
     sanitizer violations, dispatch exceptions and budget overruns, and
     a ``TelemetryAgent``; the cluster's ``SamplingProfiler`` watches it
@@ -393,9 +393,6 @@ def install_observability(
             name=f"node{node:03d}-inc{incarnation}" if incarnation > 1
             else None,
         ))
-        exe.metrics.histogram(
-            "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
-        ).enable_exemplars()
         cluster.profiler.register(exe)
         agent = TelemetryAgent(name=f"telemetry-agent{node}")
         cluster.install(node, agent)

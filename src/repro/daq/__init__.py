@@ -22,35 +22,3 @@ same application runs unchanged over loopback, queue, TCP or simulated
 Myrinet transports — the paper's flexibility claim, which the test
 suite exercises transport-by-transport.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:
-    from repro.daq.builder import BuilderUnit
-    from repro.daq.events import FragmentHeader, make_fragment_payload, parse_fragment
-    from repro.daq.manager import EventManager
-    from repro.daq.monitor import DaqMonitor
-    from repro.daq.readout import ReadoutUnit
-    from repro.daq.trigger import TriggerSource
-
-__all__ = [
-    "BuilderUnit",
-    "DaqMonitor",
-    "EventManager",
-    "FragmentHeader",
-    "ReadoutUnit",
-    "TriggerSource",
-    "make_fragment_payload",
-    "parse_fragment",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.daq.builder": ("BuilderUnit",),
-    "repro.daq.events": ("FragmentHeader", "make_fragment_payload", "parse_fragment"),
-    "repro.daq.manager": ("EventManager",),
-    "repro.daq.monitor": ("DaqMonitor",),
-    "repro.daq.readout": ("ReadoutUnit",),
-    "repro.daq.trigger": ("TriggerSource",),
-})

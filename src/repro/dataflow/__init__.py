@@ -16,7 +16,7 @@ hierarchy):
 * :mod:`repro.dataflow.routing` — the runtime side: per-device route
   tables the typed ``emit`` API resolves, plus queue-capacity credit
   backpressure (shed/park on downstream saturation).
-* :mod:`repro.dataflow.wiring` — :func:`wire_dataflow` lowers the graph
+* :mod:`repro.dataflow.wiring` — ``wire_dataflow`` lowers the graph
   to those route tables, for bootstrap and hand-assembled rigs alike.
 
 Routing is runtime, the DAG is analytic: ``emit`` never walks the
@@ -25,35 +25,3 @@ hot path stays the paper's zero-copy frameSend.
 
 CLI: ``python -m repro.diag graph`` renders or checks a topology.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:
-    from repro.dataflow.graph import DataflowGraph, DeviceNode, Diagnostic
-    from repro.dataflow.registry import MessageType, lookup, message_type, registered
-    from repro.dataflow.routing import CreditLedger, DataflowOutbox, Edge, TypeRoutes
-    from repro.dataflow.wiring import wire_dataflow
-
-__all__ = [
-    "CreditLedger",
-    "DataflowGraph",
-    "DataflowOutbox",
-    "DeviceNode",
-    "Diagnostic",
-    "Edge",
-    "MessageType",
-    "TypeRoutes",
-    "lookup",
-    "message_type",
-    "registered",
-    "wire_dataflow",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.dataflow.graph": ("DataflowGraph", "DeviceNode", "Diagnostic"),
-    "repro.dataflow.registry": ("MessageType", "lookup", "message_type", "registered"),
-    "repro.dataflow.routing": ("CreditLedger", "DataflowOutbox", "Edge", "TypeRoutes"),
-    "repro.dataflow.wiring": ("wire_dataflow",),
-})

@@ -10,31 +10,13 @@ is a Device Driver Module."*
 This package provides the device classes the spec names, as working
 Listener subclasses over simulated media:
 
-* :class:`BlockStorageDevice` — random-access block storage (I2O BSA),
-* :class:`SequentialStorageDevice` — tape-style sequential storage,
+* :mod:`repro.devclasses.block` — ``BlockStorageDevice``, random-access
+  block storage (I2O BSA), and its ``BlockClient``;
+* :mod:`repro.devclasses.sequential` — ``SequentialStorageDevice``,
+  tape-style sequential storage, and its ``SequentialClient``,
 
-plus the matching synchronous client helpers.  Applications remain
+the clients being synchronous helpers.  Applications remain
 "merely a new, private device class" — these exist so the claim that
 *everything* (storage, applications) speaks the same
 three-interface protocol is demonstrated, not just asserted.
 """
-
-from repro.devclasses.block import (
-    BlockClient,
-    BlockDeviceError,
-    BlockStorageDevice,
-)
-from repro.devclasses.sequential import (
-    SequentialClient,
-    SequentialStorageDevice,
-    TapeMark,
-)
-
-__all__ = [
-    "BlockClient",
-    "BlockDeviceError",
-    "BlockStorageDevice",
-    "SequentialClient",
-    "SequentialStorageDevice",
-    "TapeMark",
-]

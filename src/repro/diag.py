@@ -38,13 +38,9 @@ import repro.daq.protocol  # noqa: F401
 from repro.config.bootstrap import BootstrapError, Cluster, bootstrap
 from repro.dataflow.examples import BUILTIN_SPECS, event_builder_spec
 from repro.dataflow.graph import graph_from_spec
-from repro.flightrec import (
-    FlightRecError,
-    MergedTimeline,
-    describe_dump,
-    in_flight_sends,
-    load_dumps,
-)
+from repro.flightrec.dump import describe_dump, load_dumps
+from repro.flightrec.records import FlightRecError
+from repro.flightrec.timeline import MergedTimeline, in_flight_sends
 from repro.profile.critical import CriticalPathAnalyzer
 from repro.profile.sampler import context_label
 from repro.top import COLUMNS, render

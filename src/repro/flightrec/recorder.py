@@ -99,8 +99,7 @@ class FlightRecorder(DispatchObserver):
 
     A dispatch observer: ``exe.attach(FlightRecorder(...))`` writes one
     ``dispatch`` record per dispatch, observes its duration in the
-    executive's ``exe_dispatch_ns`` histogram (the trace id as
-    exemplar, once the histogram captures them) and sets
+    executive's ``exe_dispatch_ns`` histogram and sets
     ``exe.flightrec``, which the fabric's other record sites read —
     ``frame_send`` among them, to :meth:`stamp` trace ids.  The ring
     is the only per-node store of frame-lifecycle facts: spans,
@@ -340,12 +339,7 @@ class FlightRecorder(DispatchObserver):
         except struct.error:
             self._seq = seq
             self.record(EV_DISPATCH, rec.context, hdr, wait, start, duration)
-        # A traced dispatch pins its trace id to the latency bucket it
-        # lands in (an OpenMetrics exemplar, kept once enabled).
-        context = rec.context
-        self._latency.observe(
-            duration, context if is_trace_context(context) else 0
-        )
+        self._latency.observe(duration)
         if failed:
             self._incident("dispatch-exception")
         if duration > self._slow_over_ns:

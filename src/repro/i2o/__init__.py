@@ -6,94 +6,7 @@ these frames (paper §3.2: "essentially every occurrence in the system
 is mapped to an I2O message").
 """
 
-from repro.i2o.errors import (
-    AddressingError,
-    FrameFormatError,
-    I2OError,
-    SGLError,
-)
-from repro.i2o.frame import (
-    FLAG_FAIL,
-    FLAG_LAST,
-    FLAG_MORE,
-    FLAG_REPLY,
-    HEADER_SIZE,
-    I2O_VERSION,
-    MAX_FRAME_SIZE,
-    Frame,
-)
-from repro.i2o.function_codes import (
-    EXEC_DDM_DESTROY,
-    EXEC_DDM_ENABLE,
-    EXEC_DDM_QUIESCE,
-    EXEC_LCT_NOTIFY,
-    EXEC_STATUS_GET,
-    EXEC_SYS_ENABLE,
-    EXEC_SYS_HALT,
-    EXEC_SYS_QUIESCE,
-    PRIVATE,
-    UTIL_ABORT,
-    UTIL_CLAIM,
-    UTIL_EVENT_ACKNOWLEDGE,
-    UTIL_EVENT_REGISTER,
-    UTIL_NOP,
-    UTIL_PARAMS_GET,
-    UTIL_PARAMS_SET,
-    function_name,
-    is_executive,
-    is_private,
-    is_utility,
-)
-from repro.i2o.sgl import Fragmenter, Reassembler, ScatterGatherList
-from repro.i2o.tid import (
-    EXECUTIVE_TID,
-    MAX_TID,
-    PTA_TID,
-    TID_BROADCAST,
-    Tid,
-    TidAllocator,
-)
-
-__all__ = [
-    "AddressingError",
-    "EXECUTIVE_TID",
-    "EXEC_DDM_DESTROY",
-    "EXEC_DDM_ENABLE",
-    "EXEC_DDM_QUIESCE",
-    "EXEC_LCT_NOTIFY",
-    "EXEC_STATUS_GET",
-    "EXEC_SYS_ENABLE",
-    "EXEC_SYS_HALT",
-    "EXEC_SYS_QUIESCE",
-    "FLAG_FAIL",
-    "FLAG_LAST",
-    "FLAG_MORE",
-    "FLAG_REPLY",
-    "Fragmenter",
-    "Frame",
-    "FrameFormatError",
-    "HEADER_SIZE",
-    "I2OError",
-    "I2O_VERSION",
-    "MAX_FRAME_SIZE",
-    "MAX_TID",
-    "PRIVATE",
-    "PTA_TID",
-    "Reassembler",
-    "SGLError",
-    "ScatterGatherList",
-    "TID_BROADCAST",
-    "Tid",
-    "TidAllocator",
-    "UTIL_ABORT",
-    "UTIL_CLAIM",
-    "UTIL_EVENT_ACKNOWLEDGE",
-    "UTIL_EVENT_REGISTER",
-    "UTIL_NOP",
-    "UTIL_PARAMS_GET",
-    "UTIL_PARAMS_SET",
-    "function_name",
-    "is_executive",
-    "is_private",
-    "is_utility",
-]
+# benchmarks/trajectory imports these names from the package.
+from repro.i2o.frame import HEADER_SIZE as HEADER_SIZE
+from repro.i2o.frame import Frame as Frame
+from repro.i2o.tid import Tid as Tid

@@ -57,23 +57,6 @@ class ScatterGatherList:
         """Gather into one contiguous byte string (the single copy)."""
         return b"".join(bytes(seg) for seg in self._segments)
 
-    def write_into(self, dest: memoryview | bytearray) -> int:
-        """Gather into ``dest``; returns bytes written.
-
-        Raises :class:`SGLError` if ``dest`` is too small — a partial
-        gather would silently truncate a message.
-        """
-        dest_view = memoryview(dest)
-        if len(dest_view) < self._length:
-            raise SGLError(
-                f"destination {len(dest_view)} < SGL length {self._length}"
-            )
-        offset = 0
-        for seg in self._segments:
-            dest_view[offset : offset + len(seg)] = seg
-            offset += len(seg)
-        return offset
-
     def chunks(self, chunk_size: int) -> Iterator[memoryview]:
         """Re-slice the logical byte string into ``chunk_size`` pieces
         without copying (segments are sub-sliced, never joined)."""

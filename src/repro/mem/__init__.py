@@ -7,33 +7,18 @@ a maximum length of 256 KB ... Automatic garbage collection is
 provided, such that blocks are recycled if they are not referenced
 anymore."*
 
-Two allocator schemes are provided, matching the paper's §5 ablation:
+Two allocator schemes are provided in :mod:`repro.mem.pool`, beside
+the ``BufferPool`` they serve, matching the paper's §5 ablation:
 
-* :class:`OriginalAllocator` — the scheme measured in the whitebox test
+* ``OriginalAllocator`` — the scheme measured in the whitebox test
   (frameAlloc 2.18 µs): statically preallocated blocks, linear scan of
   the block list for a fitting free block;
-* :class:`TableAllocator` — the optimised scheme (*"allocates memory
+* ``TableAllocator`` — the optimised scheme (*"allocates memory
   for the buffer pool on demand ... relies on a table based matching
   from requested memory size to pool buffer size"*) that cut the
   blackbox overhead from 8.9 µs to 4.9 µs.
 """
 
-from repro.mem.block import PoolBlock
-from repro.mem.pool import (
-    Allocator,
-    BufferPool,
-    OriginalAllocator,
-    PoolError,
-    PoolExhausted,
-    TableAllocator,
-)
-
-__all__ = [
-    "Allocator",
-    "BufferPool",
-    "OriginalAllocator",
-    "PoolBlock",
-    "PoolError",
-    "PoolExhausted",
-    "TableAllocator",
-]
+# benchmarks/trajectory imports these names from the package.
+from repro.mem.pool import BufferPool as BufferPool
+from repro.mem.pool import PoolError as PoolError

@@ -20,19 +20,3 @@ walks, so the dispatch loop pays nothing for it.  ``python -m repro.diag
 flame`` and ``where`` run the kit against the traced 4-node event
 builder.
 """
-
-from repro.profile.critical import (
-    SEGMENTS,
-    CriticalPathAnalyzer,
-    HopBreakdown,
-    TracePath,
-)
-from repro.profile.sampler import SamplingProfiler
-
-__all__ = [
-    "SEGMENTS",
-    "CriticalPathAnalyzer",
-    "HopBreakdown",
-    "SamplingProfiler",
-    "TracePath",
-]

@@ -5,20 +5,8 @@ be provided that allow a remote method invocation style communication
 scheme.  The stub part will take the call parameters and marshal them
 into a standard message, whereas the skeleton part scans the message
 and provides typed pointers to its contents."*
+
+:mod:`~repro.rmi.stub` is the stub part, :mod:`~repro.rmi.skeleton` the
+skeleton (``RemoteObject``, ``@remote``) and :mod:`~repro.rmi.marshal`
+the wire encoding between them.
 """
-
-from repro.rmi.marshal import MarshalError, marshal, unmarshal
-from repro.rmi.skeleton import RemoteObject, remote
-from repro.rmi.stub import CallFuture, RemoteCallError, Stub, StubDevice
-
-__all__ = [
-    "CallFuture",
-    "MarshalError",
-    "RemoteCallError",
-    "RemoteObject",
-    "Stub",
-    "StubDevice",
-    "marshal",
-    "remote",
-    "unmarshal",
-]

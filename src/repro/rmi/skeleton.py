@@ -11,7 +11,7 @@ skeleton agree on codes without any registry exchange.  The skeleton
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core.device import Listener
 from repro.i2o.frame import Frame

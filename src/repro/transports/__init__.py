@@ -12,60 +12,13 @@ is why :class:`~repro.transports.base.PeerTransport` subclasses
 :class:`~repro.core.device.Listener`.
 """
 
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:
-    from repro.transports.agent import PeerTransportAgent
-    from repro.transports.base import PeerTransport, TransportError
-    from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
-    from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
-    from repro.transports.queued import QueuePair, QueueTransport
-    from repro.transports.simgm import SimGmTransport
-    from repro.transports.simpci import SimPciTransport
-    from repro.transports.tcp import TcpTransport
-    from repro.transports.wire import (
-        decode_wire,
-        encode_wire,
-        encode_wire_into,
-        encode_wire_parts,
-        read_wire_header,
-        recv_into_exact,
-    )
-
-__all__ = [
-    "FaultPlan",
-    "FaultyLoopbackTransport",
-    "LoopbackNetwork",
-    "LoopbackTransport",
-    "PeerTransport",
-    "PeerTransportAgent",
-    "QueuePair",
-    "QueueTransport",
-    "SimGmTransport",
-    "SimPciTransport",
-    "TcpTransport",
-    "TransportError",
-    "decode_wire",
-    "encode_wire",
-    "encode_wire_into",
-    "encode_wire_parts",
-    "read_wire_header",
-    "recv_into_exact",
-]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.transports.agent": ("PeerTransportAgent",),
-    "repro.transports.base": ("PeerTransport", "TransportError"),
-    "repro.transports.faulty": ("FaultPlan", "FaultyLoopbackTransport"),
-    "repro.transports.loopback": ("LoopbackNetwork", "LoopbackTransport"),
-    "repro.transports.queued": ("QueuePair", "QueueTransport"),
-    "repro.transports.simgm": ("SimGmTransport",),
-    "repro.transports.simpci": ("SimPciTransport",),
-    "repro.transports.tcp": ("TcpTransport",),
-    "repro.transports.wire": (
-        "decode_wire", "encode_wire", "encode_wire_into", "encode_wire_parts",
-        "read_wire_header", "recv_into_exact",
-    ),
-})
+# benchmarks/trajectory imports these names from the package.
+from repro.transports.agent import PeerTransportAgent as PeerTransportAgent
+from repro.transports.loopback import LoopbackNetwork as LoopbackNetwork
+from repro.transports.loopback import LoopbackTransport as LoopbackTransport
+from repro.transports.queued import QueuePair as QueuePair
+from repro.transports.queued import QueueTransport as QueueTransport
+from repro.transports.tcp import TcpTransport as TcpTransport
+from repro.transports.wire import decode_wire as decode_wire
+from repro.transports.wire import encode_wire as encode_wire
+from repro.transports.wire import encode_wire_parts as encode_wire_parts

@@ -22,7 +22,7 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.i2o.frame import Frame
-from repro.transports.base import PeerTransport, StagedItem, TransportError
+from repro.transports.base import PeerTransport, TransportError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executive import Route

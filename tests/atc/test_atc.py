@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
 
-from repro.atc import (
-    AlertConsole,
-    RadarSource,
-    SyntheticTraffic,
-    TrackCorrelator,
-)
+from repro.atc.aircraft import SyntheticTraffic
+from repro.atc.console import AlertConsole
+from repro.atc.correlator import TrackCorrelator
 from repro.atc.protocol import (
     ALERT_PRIORITY,
     MIN_HORIZONTAL_KM,
@@ -17,8 +13,9 @@ from repro.atc.protocol import (
     XF_CONFLICT_ALERT,
     pack_alert,
 )
+from repro.atc.radar import RadarSource
 
-from repro.dataflow import wire_dataflow
+from repro.dataflow.wiring import wire_dataflow
 
 from tests.conftest import (
     ManualClock,

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.fig6 import run_fig6
-from repro.bench.tab1 import PAPER_TABLE1_US, SUM_STAGES, run_tab1
+from repro.bench.tab1 import PAPER_TABLE1_US, run_tab1
 from repro.core.probes import CostModel
 
 

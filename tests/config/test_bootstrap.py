@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config.bootstrap import (
-    _SECTIONS,
-    BootstrapError,
-    Cluster,
-    bootstrap,
-)
+from repro.config.bootstrap import BootstrapError, bootstrap, sections
 from repro.core.simnode import CostLedger
 from repro.dataflow.graph import graph_from_spec
 from repro.hw.clock import SimClock
@@ -233,7 +228,7 @@ class TestSpecSurface:
         """Every settable spec key; a new knob is an edit here."""
         assert {
             name: sorted(spec.name for spec in schema)
-            for name, schema, _ in _SECTIONS
+            for name, schema, _ in sections()
         } == {
             "faults": ["drop_rate", "duplicate_rate", "seed"],
             "supervision": ["dead_after", "failover_policy", "interval_ns",

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.device import Listener
 from repro.core.discovery import DiscoveryError, DiscoveryService
-from repro.daq import BuilderUnit, EventManager, ReadoutUnit, TriggerSource
+from repro.daq.builder import BuilderUnit
+from repro.daq.manager import EventManager
 from repro.daq.protocol import (
     MT_ALLOCATE,
     MT_CLEAR,
@@ -15,6 +16,8 @@ from repro.daq.protocol import (
     MT_REQUEST_FRAGMENT,
     MT_TRIGGER,
 )
+from repro.daq.readout import ReadoutUnit
+from repro.daq.trigger import TriggerSource
 
 from tests.conftest import assert_no_leaks, make_loopback_cluster, pump
 

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.device import Listener
 from repro.core.executive import Executive
-from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 
 

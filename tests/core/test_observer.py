@@ -19,7 +19,7 @@ from repro.core.observer import (
 )
 from repro.core.tracing import is_trace_context
 from repro.core.watchdog import HandlerWatchdog
-from repro.flightrec import FlightRecorder
+from repro.flightrec.recorder import FlightRecorder
 from repro.i2o.errors import I2OError
 
 XFN = 0x1
@@ -99,7 +99,7 @@ class TestEveryExitIsBalanced:
         exe.pool.check_conservation()
 
     def test_aborted_dispatch_clears_tracer_and_slot_state(self):
-        from repro.profile import SamplingProfiler
+        from repro.profile.sampler import SamplingProfiler
 
         exe = Executive(node=0)
         recorder = exe.attach(FlightRecorder(capacity=8))

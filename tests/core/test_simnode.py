@@ -108,7 +108,7 @@ def _echo_run(attach_ring):
 def test_ring_beside_the_ledger_sees_every_fact_and_costs_nothing():
     """A sim-plane node can carry a flight recorder too: the ledger
     passes each fact on, and virtual time does not move."""
-    from repro.flightrec import FlightRecorder
+    from repro.flightrec.recorder import FlightRecorder
     from repro.flightrec.records import EV_FRAME_ALLOC, EV_FRAME_INGEST
 
     bare, _ = _echo_run(lambda exe: None)
@@ -126,7 +126,7 @@ def test_ring_beside_the_ledger_sees_every_fact_and_costs_nothing():
 
 
 def test_ledger_adopts_a_recorder_attached_first():
-    from repro.flightrec import FlightRecorder
+    from repro.flightrec.recorder import FlightRecorder
 
     sim = Simulator()
     exe = Executive(node=0)
@@ -145,7 +145,7 @@ def test_ringed_sim_node_keeps_stamping_trace_ids():
     through it: the ring behind it mints the ids, and stamping costs
     virtual time nothing."""
     from repro.core.tracing import is_trace_context
-    from repro.flightrec import FlightRecorder
+    from repro.flightrec.recorder import FlightRecorder
     from repro.flightrec.records import EV_DISPATCH
 
     bare, _ = _echo_run(lambda exe: None)

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.core import telemetry
+from repro.core.device import encode_params
 from repro.core.executive import Executive
 from repro.core.telemetry import (
     SWEEP_CONTEXT,
@@ -15,8 +16,7 @@ from repro.core.telemetry import (
     TelemetryAgent,
     TelemetryCollector,
 )
-from repro.flightrec import FlightRecorder
-from repro.core.device import encode_params
+from repro.flightrec.recorder import FlightRecorder
 from repro.flightrec.records import EV_TIMER_FIRE, FlightRecord, decode_records
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import UTIL_PARAMS_GET

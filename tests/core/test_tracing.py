@@ -12,8 +12,9 @@ from repro.core.tracing import (
     make_trace_id,
     trace_root_node,
 )
-from repro.flightrec import FlightRecorder, project_hops
+from repro.flightrec.recorder import FlightRecorder
 from repro.flightrec.records import EV_DISPATCH
+from repro.flightrec.timeline import project_hops
 from repro.i2o.frame import Frame
 from repro.i2o.tid import EXECUTIVE_TID, PTA_TID
 

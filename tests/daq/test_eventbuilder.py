@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro.config.bootstrap import bootstrap
-from repro.daq import (
-    BuilderUnit,
-    EventManager,
-    ReadoutUnit,
-    TriggerSource,
-)
+from repro.daq.builder import BuilderUnit
 from repro.daq.events import fragment_size
-from repro.dataflow import wire_dataflow
+from repro.daq.manager import EventManager
+from repro.daq.readout import ReadoutUnit
+from repro.daq.trigger import TriggerSource
 from repro.dataflow.examples import event_builder_spec
+from repro.dataflow.wiring import wire_dataflow
 
 from tests.conftest import (
     ManualClock,

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.daq import DaqMonitor, EventManager, ReadoutUnit, TriggerSource
-from repro.daq.builder import BuilderUnit
+from repro.daq.manager import EventManager
+from repro.daq.monitor import DaqMonitor
 
 from tests.conftest import ManualClock, pump
 from tests.daq.test_eventbuilder import wire_daq

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.daq import BuilderUnit
+from repro.daq.builder import BuilderUnit
 from repro.i2o.errors import I2OError
 
 from tests.conftest import ManualClock, assert_no_leaks, make_loopback_cluster
@@ -105,7 +105,7 @@ class TestBuilderFailure:
 
 class TestValidation:
     def test_negative_timeout_rejected(self):
-        from repro.daq import EventManager
+        from repro.daq.manager import EventManager
 
         with pytest.raises(I2OError):
             EventManager(event_timeout_ns=-1)

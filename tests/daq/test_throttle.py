@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.daq import EventManager
+from repro.daq.manager import EventManager
 from repro.i2o.errors import I2OError
 
 from tests.conftest import assert_no_leaks, pump

@@ -26,7 +26,8 @@ from repro.core.reliable import (
     ReliableEndpoint,
 )
 from repro.durable.segments import SegmentStore
-from repro.flightrec import FlightRecorder, load_dump
+from repro.flightrec.dump import load_dump
+from repro.flightrec.recorder import FlightRecorder
 from repro.flightrec.records import CRASH_POINT_NAMES, EV_CRASH_POINT
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.executive import Executive
-from repro.daq import EventManager, TriggerSource
+from repro.daq.manager import EventManager
 from repro.daq.protocol import MT_ALLOCATE
-from repro.dataflow import wire_dataflow
+from repro.daq.trigger import TriggerSource
+from repro.dataflow.wiring import wire_dataflow
 from repro.durable.segments import SnapshotStore
 from repro.i2o.errors import I2OError
 from repro.transports.agent import PeerTransportAgent

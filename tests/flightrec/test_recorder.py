@@ -7,16 +7,8 @@ import zlib
 
 import pytest
 
-from repro.flightrec import (
-    FlightRecError,
-    FlightRecord,
-    FlightRecorder,
-    load_dump,
-    pack3,
-    unpack3,
-)
-from repro.flightrec.dump import describe_dump
-from repro.flightrec.recorder import DUMP_HEADER, DUMP_HEADER_SIZE
+from repro.flightrec.dump import describe_dump, load_dump
+from repro.flightrec.recorder import DUMP_HEADER, DUMP_HEADER_SIZE, FlightRecorder
 from repro.flightrec.records import (
     EV_DISPATCH,
     EV_DISPATCH_ERROR,
@@ -26,6 +18,10 @@ from repro.flightrec.records import (
     EV_TIMER_FIRE,
     RECORD_SIZE,
     RECORD_STRUCT,
+    FlightRecError,
+    FlightRecord,
+    pack3,
+    unpack3,
 )
 
 from tests.conftest import ManualClock

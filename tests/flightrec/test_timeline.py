@@ -2,19 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro.core.tracing import make_trace_id
-from repro.flightrec import (
-    FlightRecorder,
-    Hop,
-    MergedTimeline,
-    in_flight_sends,
-    load_dump,
-    load_dumps,
-    pack3,
-    project_hops,
-)
+from repro.flightrec.dump import load_dump, load_dumps
+from repro.flightrec.recorder import FlightRecorder
 from repro.flightrec.records import (
     EV_DISPATCH,
     EV_FRAME_RELEASE,
@@ -24,7 +15,9 @@ from repro.flightrec.records import (
     EV_REL_DELIVER,
     EV_REL_RETRANSMIT,
     EV_REL_SEND,
+    pack3,
 )
+from repro.flightrec.timeline import Hop, MergedTimeline, in_flight_sends, project_hops
 
 from tests.conftest import ManualClock
 

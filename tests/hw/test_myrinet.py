@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hw.gm import GmNic
 from repro.hw.myrinet import Fabric, FabricError, Hop, MyrinetParams, _cut_through_delivery
 from repro.sim.kernel import Simulator
 

@@ -27,17 +27,6 @@ class TestScatterGatherList:
         assert sgl.segment_count == 1
         assert sgl.tobytes() == b"x"
 
-    def test_write_into_destination(self):
-        sgl = ScatterGatherList([b"hello ", b"world"])
-        dest = bytearray(20)
-        assert sgl.write_into(dest) == 11
-        assert bytes(dest[:11]) == b"hello world"
-
-    def test_write_into_too_small_raises(self):
-        sgl = ScatterGatherList([b"hello"])
-        with pytest.raises(SGLError):
-            sgl.write_into(bytearray(3))
-
     def test_chunks_reslice_across_segments(self):
         sgl = ScatterGatherList([b"abc", b"defg", b"h"])
         chunks = [bytes(c) for c in sgl.chunks(3)]

@@ -27,7 +27,7 @@ from repro.daq.builder import BuilderUnit
 from repro.daq.manager import EventManager
 from repro.daq.readout import ReadoutUnit
 from repro.daq.trigger import TriggerSource
-from repro.dataflow import wire_dataflow
+from repro.dataflow.wiring import wire_dataflow
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
 from repro.transports.loopback import LoopbackNetwork

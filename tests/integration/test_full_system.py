@@ -10,9 +10,9 @@ from repro.config.control import HostController
 from repro.config.tclish import TclInterp
 from repro.core.executive import Executive
 from repro.core.states import DeviceState
-from repro.daq import BuilderUnit, EventManager, ReadoutUnit, TriggerSource
 from repro.i2o.sgl import Fragmenter, Reassembler
-from repro.rmi import RemoteObject, Stub, StubDevice, remote
+from repro.rmi.skeleton import RemoteObject, remote
+from repro.rmi.stub import Stub, StubDevice
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.tcp import TcpTransport
 

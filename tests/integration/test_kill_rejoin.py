@@ -27,8 +27,9 @@ import pytest
 
 from repro.analysis.sanitize import assert_clean
 from repro.config.bootstrap import bootstrap
-from repro.flightrec import MergedTimeline, in_flight_sends, load_dump
+from repro.flightrec.dump import load_dump
 from repro.flightrec.records import EV_REL_ACK, EV_REL_DELIVER, EV_REL_SEND
+from repro.flightrec.timeline import MergedTimeline, in_flight_sends
 from repro.transports.faulty import FaultPlan
 
 from tests.conftest import ManualClock

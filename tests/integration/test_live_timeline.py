@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.config.bootstrap import bootstrap
 from repro.daq.protocol import XF_TRIGGER
 from repro.dataflow.examples import event_builder_spec
-from repro.flightrec import MergedTimeline, project_hops
+from repro.flightrec.timeline import MergedTimeline, project_hops
 from repro.profile.critical import CriticalPathAnalyzer
 
 #: the builder unit's node in ``event_builder_spec(2, 1)``

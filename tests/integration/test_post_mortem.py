@@ -15,7 +15,8 @@ from repro.config.bootstrap import bootstrap
 from repro.daq.protocol import XF_TRIGGER
 from repro.dataflow.examples import event_builder_spec
 from repro.diag import main
-from repro.flightrec import MergedTimeline, load_dumps
+from repro.flightrec.dump import load_dumps
+from repro.flightrec.timeline import MergedTimeline
 from repro.profile.critical import ADDITIVE_SEGMENTS, CriticalPathAnalyzer
 
 EVENTS = 5

@@ -12,7 +12,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.tracing import make_trace_id
-from repro.flightrec import MergedTimeline, pack3
 from repro.flightrec.records import (
     EV_DISPATCH,
     EV_FRAME_INGEST,
@@ -21,13 +20,11 @@ from repro.flightrec.records import (
     EV_REL_ACK,
     EV_REL_SEND,
     FlightRecord,
+    pack3,
 )
+from repro.flightrec.timeline import MergedTimeline
 from repro.i2o.errors import I2OError
-from repro.profile.critical import (
-    ADDITIVE_SEGMENTS,
-    CriticalPathAnalyzer,
-    TracePath,
-)
+from repro.profile.critical import ADDITIVE_SEGMENTS, CriticalPathAnalyzer, TracePath
 
 TRACE = make_trace_id(0, 0x123)
 TID, XFN = 17, 0x2

@@ -7,9 +7,9 @@ import pytest
 
 from repro.core.device import FunctionalListener, Listener
 from repro.core.executive import Executive
-from repro.flightrec import FlightRecError, FlightRecorder, load_dump
-from repro.flightrec.recorder import MAX_INCIDENT_SPILLS
-from repro.flightrec.records import EV_DISPATCH, EV_SLOW_FRAME
+from repro.flightrec.dump import load_dump
+from repro.flightrec.recorder import MAX_INCIDENT_SPILLS, FlightRecorder
+from repro.flightrec.records import EV_DISPATCH, EV_SLOW_FRAME, FlightRecError
 from repro.i2o.errors import I2OError
 
 from tests.conftest import ManualClock

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.rmi.marshal import MarshalError
 from repro.rmi.skeleton import RemoteObject, method_code, remote
 from repro.rmi.stub import RemoteCallError, Stub, StubDevice
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.kernel import Event, Process, SimError, Simulator, delay
+from repro.sim.kernel import Process, SimError, Simulator, delay
 
 
 class TestScheduling:

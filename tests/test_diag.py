@@ -16,7 +16,7 @@ import pytest
 
 from repro import diag
 from repro.diag import main
-from repro.flightrec import load_dumps
+from repro.flightrec.dump import load_dumps
 
 from tests.dataflow import fixtures
 

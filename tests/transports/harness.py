@@ -93,7 +93,7 @@ class TransportHarness:
         """Install a flight-recorder ring (which stamps trace ids) on
         every executive; returns the recorders by node so tests can
         project the recorded hops."""
-        from repro.flightrec import FlightRecorder
+        from repro.flightrec.recorder import FlightRecorder
 
         recorders = {}
         for node, exe in self.exes.items():

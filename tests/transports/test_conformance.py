@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.tracing import is_trace_context, trace_root_node
-from repro.flightrec import project_hops
+from repro.flightrec.timeline import project_hops
 from repro.i2o.frame import MAX_PAYLOAD_SIZE
 from repro.mem.pool import PoolError
 

@@ -7,7 +7,6 @@ import pytest
 from repro.core.device import Listener
 from repro.core.executive import Executive
 from repro.daq.events import FragmentError, parse_fragment, synthesize_fragment
-from repro.i2o.frame import Frame
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
 from repro.transports.loopback import LoopbackNetwork
