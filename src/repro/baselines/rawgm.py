@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hw.gm import GmPacket, GmPort
-from repro.hw.myrinet import Fabric, MyrinetParams
+from repro.hw.myrinet import Fabric
 from repro.sim.kernel import Simulator
 
 
@@ -65,17 +65,3 @@ class GmPingPong:
         if not self.rtts_ns:
             raise RuntimeError("ping-pong has not run")
         return float(np.mean(self.rtts_ns)) / 2.0 / 1000.0
-
-
-def run_gm_pingpong(
-    payload_size: int,
-    rounds: int = 1000,
-    params: MyrinetParams | None = None,
-) -> float:
-    """Convenience: fresh sim + fabric, run, return one-way µs."""
-    sim = Simulator()
-    fabric = Fabric(sim, params)
-    bench = GmPingPong(sim, fabric, payload_size=payload_size, rounds=rounds)
-    bench.start()
-    sim.run()
-    return bench.one_way_us()

@@ -21,7 +21,6 @@ from repro.bench.daqscale import run_daqscale
 from repro.bench.dispatch import run_dispatch
 from repro.bench.fig6 import run_fig6
 from repro.bench.multirail import run_multirail
-from repro.bench.native import run_native
 from repro.bench.orb import run_orb
 from repro.bench.overhead import run_overhead
 from repro.bench.pcififo import run_pcififo
@@ -48,7 +47,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[], Result]]] = {
     "pcififo": ("X3: hardware FIFO support", run_pcififo),
     "multirail": ("X4: multi-rail transports", run_multirail),
     "daqscale": ("X5: event-builder throughput at cluster scale", run_daqscale),
-    "native": ("N1: native-plane honesty check", run_native),
     "overhead": ("X6/X9/X11: observer overhead on the dispatch path",
                  run_overhead),
     "backpressure": ("X10: queue depth under fan-out saturation",

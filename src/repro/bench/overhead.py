@@ -17,7 +17,7 @@ measured by the same program on two loads:
     and the cross-node timeline merge cost; spills are crash-path, not
     steady-state).
 ``pingpong``
-    the N1 native ping-pong (:func:`run_native_pingpong`); the unit is
+    the native ping-pong (:func:`run_native_pingpong`); the unit is
     median RTT ns.  Arms: ``off``, ``sampling`` (a
     :class:`SamplingProfiler` watching both executives, its thread
     running) and ``full-kit`` (sampling plus everything the

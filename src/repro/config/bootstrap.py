@@ -471,7 +471,10 @@ def bootstrap(spec: dict[str, Any], *, clock: Clock | None = None) -> Cluster:
                  clock, nodes)
     cluster = Cluster(join, spec=spec, options=options, clock=clock)
     for node in nodes:
-        cluster._boot(node)
+        try:
+            cluster._boot(node)
+        except I2OError as exc:
+            raise BootstrapError(f"node {node}: {exc}") from exc
     for node, _name, device in spec_devices(spec):
         cluster.install(node, device)
     cluster._install_sections(nodes)

@@ -377,42 +377,6 @@ class Listener:
         ``on_saturation`` policy.  Returns the number of frames posted
         *now* (parked/shed emissions are not counted).
         """
-        return self._emit(
-            mtype, len(payload), payload, None, key,
-            transaction_context, initiator_context,
-        )
-
-    def emit_into(
-        self,
-        mtype: "MessageType",
-        payload_size: int,
-        writer: Callable[[memoryview], None],
-        *,
-        key: Any | None = None,
-        transaction_context: int = 0,
-        initiator_context: int = 0,
-    ) -> int:
-        """Typed frameSend, zero-copy form: ``writer`` builds each
-        payload directly in the loaned frame (once per target on
-        fanout; also once into a scratch buffer if the emission must
-        be parked or shed, so the writer must be repeatable)."""
-        return self._emit(
-            mtype, payload_size, None, writer, key,
-            transaction_context, initiator_context,
-        )
-
-    def _emit(
-        self,
-        mtype: "MessageType",
-        size: int,
-        payload: bytes | bytearray | memoryview | None,
-        writer: Callable[[memoryview], None] | None,
-        key: Any | None,
-        transaction_context: int,
-        initiator_context: int,
-    ) -> int:
-        """The one emit loop: resolve the keys, take a credit per
-        target, post — or park/shed where the edge is saturated."""
         routes = self._routes_required(mtype)
         if mtype.mode == "fanout":
             keys = list(routes.targets)
@@ -421,26 +385,20 @@ class Listener:
         exe = self._require_live()
         ledger = exe.dataflow
         edges = routes.edges
+        size = len(payload)
         sent = 0
         for k in keys:
             edge = edges.get(k) if edges is not None else None
             if edge is not None and ledger is not None \
                     and not ledger.try_acquire(edge):
-                if writer is None:
-                    held = bytes(payload)  # type: ignore[arg-type]
-                else:
-                    scratch = bytearray(size)
-                    if size:
-                        writer(memoryview(scratch))
-                    held = bytes(scratch)
-                self._saturated(exe, routes, k, edge, held,
+                self._saturated(exe, routes, k, edge, bytes(payload),
                                 transaction_context, initiator_context)
                 continue
             self._post(
                 routes.targets[k], mtype.function, mtype.xfunction,
                 mtype.priority, 0, mtype.organization,
                 transaction_context, initiator_context,
-                size, payload, writer,
+                size, payload, None,
             )
             sent += 1
         return sent

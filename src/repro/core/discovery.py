@@ -74,10 +74,6 @@ class DiscoveryService(Requester):
     def on_plugin(self) -> None:
         self.table.bind(EXEC_LCT_NOTIFY, self.handle_reply)
 
-    def add_node(self, node: int) -> None:
-        if node not in self.nodes:
-            self.nodes.append(node)
-
     # -- the wire protocol ---------------------------------------------------
     def refresh(self, node: int) -> dict[str, str]:
         """Fetch one node's logical configuration table."""
@@ -116,19 +112,6 @@ class DiscoveryService(Requester):
                         node, remote_tid
                     )
         return found
-
-    def find_one(self, device_class: str) -> Tid:
-        """The proxy for exactly one instance; raises on zero or many."""
-        found = self.find_all(device_class)
-        if not found:
-            raise DiscoveryError(f"no instance of {device_class!r} found")
-        if len(found) > 1:
-            where = sorted(node for node, _ in found)
-            raise DiscoveryError(
-                f"{len(found)} instances of {device_class!r} found "
-                f"on nodes {where}; use find_all"
-            )
-        return next(iter(found.values()))
 
     # -- failover -------------------------------------------------------------
     def candidates_for(self, device_class: str, *,

@@ -99,12 +99,6 @@ class DispatchTable:
         self.default = Functor(handler, (-1, -1))
         return self.default
 
-    def unbind(self, function: int, xfunction: int = 0) -> None:
-        key = self.key_for(function, xfunction)
-        if key not in self._table:
-            raise DispatchError(f"{self.owner}: no binding for {key}")
-        del self._table[key]
-
     def lookup(self, frame: Frame) -> Functor:
         """Demultiplex a frame to its functor (whitebox stage
         ``demultiplex``)."""
@@ -121,9 +115,6 @@ class DispatchTable:
             f"{function_name(frame.function)}/0x{frame.xfunction:04X} "
             "and no default bound"
         )
-
-    def bindings(self) -> list[DispatchKey]:
-        return sorted(self._table)
 
     def __len__(self) -> int:
         return len(self._table)

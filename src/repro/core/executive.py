@@ -71,6 +71,7 @@ from repro.i2o.function_codes import (
 )
 from repro.i2o.tid import (
     EXECUTIVE_TID,
+    MAX_NODE,
     PTA_TID,
     TID_BROADCAST,
     Tid,
@@ -234,6 +235,11 @@ class Executive:
         max_dispatch_per_step: int = 16,
         metrics: MetricsRegistry | None = None,
     ) -> None:
+        if isinstance(node, bool) or not isinstance(node, int) \
+                or not 0 <= node <= MAX_NODE:
+            raise AddressingError(
+                f"node id must be an int in 0..{MAX_NODE}, got {node!r}"
+            )
         self.node = node
         self.pool = pool if pool is not None else BufferPool()
         self.clock: Clock = clock if clock is not None else WallClock()

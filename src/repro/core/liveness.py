@@ -117,6 +117,10 @@ class HeartbeatService(SchemaListenerMixin, Listener):
         exe = self._require_live()
         exe.peers.on_dead(self._peer_dead)
         exe.peers.on_alive(self._peer_alive)
+        exe.metrics.gauge("hb_beats_received_total",
+                          lambda: self.beats_received)
+        exe.metrics.gauge("peer_deaths_total", lambda: self.peer_deaths)
+        exe.metrics.gauge("peer_rejoins_total", lambda: self.peer_rejoins)
 
     def on_unplug(self) -> None:
         self.stop()
@@ -187,17 +191,14 @@ class HeartbeatService(SchemaListenerMixin, Listener):
         if frame.payload_size < _NODE.size:
             return
         (node,) = _NODE.unpack_from(frame.payload, 0)
-        exe = self._require_live()
         self.beats_received += 1
-        exe.metrics.inc("hb_beats_received_total")
-        exe.peers.heartbeat_seen(node)
+        self._require_live().peers.heartbeat_seen(node)
         self._seen_since_tick.add(node)
 
     # -- the failover cascade ---------------------------------------------
     def _peer_dead(self, node: int) -> None:
         exe = self._require_live()
         self.peer_deaths += 1
-        exe.metrics.inc("peer_deaths_total")
         policy = self.typed_param("failover_policy")
         if policy == "none":
             return
@@ -231,7 +232,6 @@ class HeartbeatService(SchemaListenerMixin, Listener):
     def _peer_alive(self, node: int) -> None:
         exe = self._require_live()
         self.peer_rejoins += 1
-        exe.metrics.inc("peer_rejoins_total")
         if self.typed_param("failover_policy") == "none":
             return
         if self.discovery is not None:

@@ -1,15 +1,13 @@
-"""The metrics registry: counters, gauges and fixed-bucket histograms.
+"""The metrics registry: callback gauges and fixed-bucket histograms.
 
 The paper's system-management claim (§2) is that every component is
 observable "according to one common scheme": typed instruments that
 one ``UtilParamsGet`` sweep can export verbatim:
 
-* :class:`Counter` — a monotonically increasing event count;
-* :class:`Gauge` — a point-in-time value, either set explicitly or
-  sampled from a callback at snapshot time.  Callback gauges are the
-  preferred way to expose hot-path state (queue depths, dispatch
-  totals): the hot path keeps bumping a plain Python int and pays
-  nothing for being observable;
+* :class:`Gauge` — a point-in-time value sampled from a callback at
+  snapshot time.  Event counts are gauges too: the hot path keeps
+  bumping a plain Python int (queue depths, dispatch totals, beats
+  received) and pays nothing for being observable;
 * :class:`Histogram` — fixed inclusive upper-bound buckets with
   Prometheus ``le`` semantics (an observation equal to a bound lands
   in that bound's bucket; exported counts are cumulative).
@@ -56,47 +54,24 @@ def sanitize_metric_name(name: str) -> str:
     return _NAME_RE.sub("_", name)
 
 
-class Counter:
-    """A monotonically increasing event counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> int:
-        self.value += n
-        return self.value
-
-
 class Gauge:
-    """A point-in-time value.
-
-    Either set explicitly with :meth:`set`, or constructed with a
-    zero-argument callback that is invoked lazily — only when the
-    gauge is read (snapshot or :meth:`get`), never on the hot path.
+    """A point-in-time value: a zero-argument callback invoked lazily —
+    only when the gauge is read (snapshot or :meth:`get`), never on
+    the hot path.
     """
 
-    __slots__ = ("name", "_value", "_fn")
+    __slots__ = ("name", "_fn")
 
-    def __init__(self, name: str, fn: Callable[[], float] | None = None) -> None:
+    def __init__(self, name: str, fn: Callable[[], float]) -> None:
         self.name = name
-        self._value: float = 0
         self._fn = fn
-
-    def set(self, value: float) -> None:
-        self._fn = None
-        self._value = value
 
     def rebind(self, fn: Callable[[], float]) -> None:
         """Replace the sampling callback (device re-plug paths)."""
         self._fn = fn
 
     def get(self) -> float:
-        if self._fn is not None:
-            return self._fn()
-        return self._value
+        return self._fn()
 
 
 class Histogram:
@@ -165,23 +140,16 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # -- registration -------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        found = self._counters.get(name)
-        if found is None:
-            found = self._counters[name] = Counter(name)
-        return found
-
-    def gauge(self, name: str, fn: Callable[[], float] | None = None) -> Gauge:
-        """Get-or-create a gauge; passing ``fn`` (re)binds its callback."""
+    def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
+        """Get-or-create a gauge; an existing one rebinds to ``fn``."""
         found = self._gauges.get(name)
         if found is None:
             found = self._gauges[name] = Gauge(name, fn)
-        elif fn is not None:
+        else:
             found.rebind(fn)
         return found
 
@@ -205,15 +173,8 @@ class MetricsRegistry:
         return found
 
     # -- convenience --------------------------------------------------------
-    def inc(self, name: str, n: int = 1) -> int:
-        """Bump a counter, creating it on first use."""
-        return self.counter(name).inc(n)
-
     def value(self, name: str) -> float:
-        """Current value of a counter or gauge by name."""
-        counter = self._counters.get(name)
-        if counter is not None:
-            return counter.value
+        """Current value of a gauge by name."""
         gauge = self._gauges.get(name)
         if gauge is not None:
             return gauge.get()
@@ -225,8 +186,6 @@ class MetricsRegistry:
         callback gauges and expanding histograms to cumulative
         ``_bucket_le_*`` / ``_count`` / ``_sum`` keys."""
         out: dict[str, float] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
         for name, gauge in self._gauges.items():
             out[name] = gauge.get()
         for histogram in self._histograms.values():

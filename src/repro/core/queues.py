@@ -111,9 +111,5 @@ class MessagingInstance:
 
     # -- introspection ------------------------------------------------------
     @property
-    def inbound_depth(self) -> int:
-        return len(self._inbound)
-
-    @property
     def idle(self) -> bool:
         return not self._inbound and not self._outbound

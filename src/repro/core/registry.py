@@ -79,9 +79,6 @@ class ModuleRegistry:
     def record(self, tid: Tid, module: types.ModuleType) -> None:
         self._modules[tid] = module
 
-    def module_for(self, tid: Tid) -> types.ModuleType | None:
-        return self._modules.get(tid)
-
     def forget(self, tid: Tid) -> None:
         self._modules.pop(tid, None)
 

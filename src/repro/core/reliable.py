@@ -75,6 +75,10 @@ XF_REL_ACK = 0xF002
 #: seq (u64) + CRC32 of the bytes that follow (u32)
 _HEADER = struct.Struct("<QI")
 
+#: (source, seq) pairs an unordered receiver remembers to suppress
+#: duplicates
+DEDUP_WINDOW = 4096
+
 #: Named crash points for fault-injection tests (see
 #: repro.analysis.crashpoints): the four torn states the journal
 #: write-ahead ordering can leave behind.
@@ -110,7 +114,6 @@ class ReliableEndpoint(Listener):
         *,
         retransmit_ns: int = 1_000_000,
         max_retries: int = 25,
-        dedup_window: int = 4096,
         ordered: bool = False,
         journal: "SegmentStore | None" = None,
     ) -> None:
@@ -119,7 +122,6 @@ class ReliableEndpoint(Listener):
             raise I2OError(f"max_retries must be >= 0, got {max_retries}")
         self.retransmit_ns = retransmit_ns
         self.max_retries = max_retries
-        self.dedup_window = dedup_window
         self.ordered = ordered
         self.consumer: Consumer | None = None
         self.on_failed: FailureHandler | None = None
@@ -351,7 +353,7 @@ class ReliableEndpoint(Listener):
             self.duplicates_suppressed += 1
             return
         self._seen[key] = None
-        while len(self._seen) > self.dedup_window:
+        while len(self._seen) > DEDUP_WINDOW:
             self._seen.popitem(last=False)
         self._consume(source, payload)
 

@@ -150,15 +150,6 @@ class PeerTable:
             raise I2OError(f"node {node} is not watched")
         return peer.state
 
-    def health(self, node: int) -> PeerHealth:
-        return self.watch(node)
-
-    def alive_nodes(self) -> list[int]:
-        return sorted(
-            node for node, p in self._peers.items()
-            if p.state is not PeerState.DEAD
-        )
-
     def dead_nodes(self) -> list[int]:
         return sorted(
             node for node, p in self._peers.items()

@@ -26,6 +26,8 @@ such record (:func:`repro.flightrec.timeline.project_hops`), so a node
 without a ring has nothing to stamp for.
 """
 
+from repro.i2o.tid import MAX_NODE
+
 #: Discriminator in the top 12 bits of a trace id.
 TRACE_TAG = 0xACE
 _TAG_SHIFT = 52
@@ -37,7 +39,7 @@ def make_trace_id(node: int, seq: int) -> int:
     """Build a tagged 64-bit trace id rooted at ``node``."""
     return (
         (TRACE_TAG << _TAG_SHIFT)
-        | ((node & 0xFFF) << _NODE_SHIFT)
+        | ((node & MAX_NODE) << _NODE_SHIFT)
         | (seq & _SEQ_MASK)
     )
 
@@ -49,4 +51,4 @@ def is_trace_context(value: int) -> bool:
 
 def trace_root_node(trace_id: int) -> int:
     """The node that rooted a trace (allocated its id)."""
-    return (trace_id >> _NODE_SHIFT) & 0xFFF
+    return (trace_id >> _NODE_SHIFT) & MAX_NODE

@@ -20,6 +20,7 @@ from repro.daq.protocol import (
     XF_ABANDON,
     XF_ALLOCATE,
     XF_REQUEST_FRAGMENT,
+    check_int,
 )
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
@@ -34,6 +35,7 @@ class BuilderUnit(Listener):
     emits = (MT_REQUEST_FRAGMENT, MT_EVENT_DONE)
 
     def __init__(self, name: str = "", bu_id: int = 0) -> None:
+        check_int("bu_id", bu_id, 0)  # the EVM sorts its ring by it
         super().__init__(name or f"bu{bu_id}")
         self.bu_id = bu_id
         #: keyed ALLOCATE traffic reaches this builder under its bu_id

@@ -22,6 +22,7 @@ from repro.daq.protocol import (
     MT_TRIGGER,
     XF_EVENT_DONE,
     XF_TRIGGER,
+    check_int,
 )
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
@@ -72,10 +73,9 @@ class EventManager(Listener):
                  event_timeout_ns: int = 0,
                  max_reassignments: int = 3) -> None:
         super().__init__(name)
-        if max_in_flight is not None and max_in_flight < 1:
-            raise I2OError(f"max_in_flight must be >= 1, got {max_in_flight}")
-        if event_timeout_ns < 0:
-            raise I2OError(f"negative event timeout {event_timeout_ns}")
+        if max_in_flight is not None:
+            check_int("max_in_flight", max_in_flight, 1)
+        check_int("event_timeout_ns", event_timeout_ns, 0)
         self.max_in_flight = max_in_flight
         self.event_timeout_ns = event_timeout_ns
         self.max_reassignments = max_reassignments

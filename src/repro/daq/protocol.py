@@ -14,14 +14,25 @@ dataflow stays a DAG, the control loop that closes it is explicit.
 
 from __future__ import annotations
 
+import math
 import struct
 
 from repro.dataflow.registry import message_type
+from repro.i2o.errors import I2OError
 
 DAQ_ORG = 0xCE12  # 'CERN-ish' vendor id for the private class
 
 #: every control message's payload: the 64-bit event id
 EVENT_ID = struct.Struct("<Q")
+
+
+def check_int(name: str, value: object, low: int, high: float = math.inf) -> None:
+    """Refuse at construction what a handler would trip over later:
+    ``value`` must be an int (not a bool) in ``low..high``."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or not low <= value <= high:
+        bound = f">= {low}" if high == math.inf else f"in {low}..{high}"
+        raise I2OError(f"{name} must be an int {bound}, got {value!r}")
 
 # trigger -> event manager
 XF_TRIGGER = 0x0101

@@ -29,6 +29,7 @@ from repro.daq.protocol import (
     XF_CLEAR,
     XF_READOUT,
     XF_REQUEST_FRAGMENT,
+    check_int,
 )
 from repro.i2o.frame import Frame
 
@@ -45,6 +46,7 @@ class ReadoutUnit(Listener):
     def __init__(self, name: str = "", ru_id: int = 0, *, mean_fragment: int = 2048) -> None:
         # refused here, so a bad spec fails at boot, not in a handler
         check_fragment_shape(mean_fragment)
+        check_int("ru_id", ru_id, 0, 0xFFFF_FFFF)  # a u32 in each fragment
         super().__init__(name or f"ru{ru_id}")
         self.ru_id = ru_id
         #: fan-out traffic addresses this unit under its ru_id
@@ -136,7 +138,3 @@ class ReadoutUnit(Listener):
     @property
     def parked_requests(self) -> int:
         return sum(len(v) for v in self._parked.values())
-
-
-def pack_event_id(event_id: int) -> bytes:
-    return EVENT_ID.pack(event_id)

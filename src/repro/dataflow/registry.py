@@ -32,7 +32,7 @@ meanings for one name would make the DAG lie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import DEFAULT_PRIORITY, NUM_PRIORITIES
@@ -135,8 +135,3 @@ def registered() -> tuple[MessageType, ...]:
 def _unregister(name: str) -> None:
     """Test hook: forget a type (never used on the hot path)."""
     _REGISTRY.pop(name, None)
-
-
-def derived(base: MessageType, **overrides: object) -> MessageType:
-    """A structurally-modified copy (tests build conflicting variants)."""
-    return replace(base, **overrides)  # type: ignore[arg-type]

@@ -202,9 +202,6 @@ class CreditLedger(DispatchObserver):
         """Remaining credits over every edge emitted from ``node``."""
         return sum(e.credits for e in self._edges_by_node.get(node, ()))
 
-    def edges_from(self, node: int) -> tuple[Edge, ...]:
-        return tuple(self._edges_by_node.get(node, ()))
-
 
 class TypeRoutes:
     """Installed routes for one message type on one emitting device.

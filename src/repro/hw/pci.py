@@ -30,6 +30,10 @@ from repro.i2o.errors import I2OError
 from repro.sim.kernel import Simulator
 
 
+#: Entries per FIFO of the IOP board's inbound/outbound pair.
+FIFO_DEPTH = 128
+
+
 class PciError(I2OError):
     """Bus/FIFO misuse."""
 
@@ -96,7 +100,7 @@ class HardwareFifo:
         params: PciParams,
         *,
         hardware: bool,
-        depth: int = 128,
+        depth: int = FIFO_DEPTH,
         name: str = "fifo",
     ) -> None:
         if depth < 1:
@@ -157,7 +161,6 @@ class IopBoard:
         bus: PciBus,
         *,
         hardware_fifos: bool = True,
-        fifo_depth: int = 128,
         name: str = "iop480",
     ) -> None:
         self.sim = sim
@@ -165,14 +168,8 @@ class IopBoard:
         self.name = name
         self.hardware_fifos = hardware_fifos
         self.inbound = HardwareFifo(
-            bus.params, hardware=hardware_fifos, depth=fifo_depth,
-            name=f"{name}.inbound",
+            bus.params, hardware=hardware_fifos, name=f"{name}.inbound"
         )
         self.outbound = HardwareFifo(
-            bus.params, hardware=hardware_fifos, depth=fifo_depth,
-            name=f"{name}.outbound",
+            bus.params, hardware=hardware_fifos, name=f"{name}.outbound"
         )
-
-    def post_time_ns(self, payload_bytes: int) -> int:
-        """CPU+bus time to post one message descriptor + payload DMA."""
-        return self.inbound.post_cost_ns() + self.bus.transfer_time_ns(payload_bytes)

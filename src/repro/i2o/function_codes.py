@@ -25,8 +25,6 @@ UTIL_CLAIM_RELEASE = 0x0B
 UTIL_EVENT_ACKNOWLEDGE = 0x13
 UTIL_EVENT_REGISTER = 0x14
 
-_UTILITY_RANGE = range(0x00, 0x20)
-
 # --- executive message class (the executive is itself a device) ----------
 EXEC_STATUS_GET = 0xA0
 EXEC_LCT_NOTIFY = 0xA2  # logical configuration table changed
@@ -44,8 +42,6 @@ EXEC_TIMER_CANCEL = 0xC9
 EXEC_TIMER_EXPIRED = 0xCA
 EXEC_INTERRUPT = 0xCB  # interrupt delivery (paper §3.2: interrupts are messages)
 
-_EXECUTIVE_RANGE = range(0xA0, 0xF0)
-
 # --- private / application extension --------------------------------------
 PRIVATE = 0xFF
 
@@ -54,18 +50,6 @@ _NAMES: dict[int, str] = {
     for name, value in sorted(globals().items())
     if name.isupper() and not name.startswith("_") and isinstance(value, int)
 }
-
-
-def is_utility(function: int) -> bool:
-    return function in _UTILITY_RANGE
-
-
-def is_executive(function: int) -> bool:
-    return function in _EXECUTIVE_RANGE
-
-
-def is_private(function: int) -> bool:
-    return function == PRIVATE
 
 
 def function_name(function: int) -> str:

@@ -46,10 +46,6 @@ class ScatterGatherList:
     def __len__(self) -> int:
         return self._length
 
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)
-
     def segments(self) -> Iterator[memoryview]:
         return iter(self._segments)
 

@@ -35,6 +35,9 @@ EXECUTIVE_TID: Tid = 0
 PTA_TID: Tid = 1
 TID_BROADCAST: Tid = MAX_TID
 FIRST_DYNAMIC_TID: Tid = 16
+#: Node ids share the TiD width: a trace id keeps 12 bits of its root
+#: node (:mod:`repro.core.tracing`), so a wider id would alias node 0.
+MAX_NODE = 0xFFF
 
 
 def check_tid(tid: int, *, allow_broadcast: bool = False) -> Tid:

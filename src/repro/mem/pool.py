@@ -72,11 +72,6 @@ class Allocator(ABC):
     def _recycle(self, block: PoolBlock) -> None:
         """Accept a block whose refcount just reached zero."""
 
-    @property
-    @abstractmethod
-    def free_blocks(self) -> int:
-        """Number of blocks currently on free lists."""
-
     def _make_block(
         self, memory: memoryview, *, index: int, size_class: int
     ) -> PoolBlock:
@@ -183,10 +178,6 @@ class OriginalAllocator(Allocator):
     def _recycle(self, block: PoolBlock) -> None:
         self.note_free(block)
 
-    @property
-    def free_blocks(self) -> int:
-        return sum(1 for b in self._blocks if not b.in_use)
-
 
 # Size classes for the table allocator: small power-of-two classes up
 # to the 256 KB block maximum.  64 B floor keeps tiny control messages
@@ -270,10 +261,6 @@ class TableAllocator(Allocator):
     def _recycle(self, block: PoolBlock) -> None:
         self._free[block.capacity].append(block)
         self.note_free(block)
-
-    @property
-    def free_blocks(self) -> int:
-        return sum(len(lst) for lst in self._free.values())
 
 
 def _default_allocator() -> Allocator:

@@ -255,8 +255,3 @@ class SamplingProfiler:
             (node, ctx, count)
             for (node, ctx), count in agg.most_common(top)
         ]
-
-    def busy_ratio(self, node: int) -> float:
-        """Fraction of this node's samples that landed in a dispatch."""
-        total = self.node_samples[node]
-        return self.node_busy[node] / total if total else 0.0

@@ -284,9 +284,3 @@ class Simulator:
         if until is not None and self._now < until:
             self._now = until
         return executed
-
-    def peek(self) -> int | None:
-        """Timestamp of the next live event, or None if the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].when if self._queue else None

@@ -58,25 +58,6 @@ def encode_wire_parts(src_node: int, frame: Frame) -> tuple[bytes, memoryview]:
     return _WIRE.pack(WIRE_MAGIC, src_node, frame.total_size), frame.view
 
 
-def encode_wire_into(
-    src_node: int, frame: Frame, out: memoryview | bytearray
-) -> int:
-    """Write the complete wire message into ``out``; returns its size.
-
-    For transports that own a contiguous staging buffer (a DMA region,
-    a ring slot): one copy, no intermediate ``bytes`` objects.
-    """
-    total = frame.total_size
-    needed = WIRE_HEADER_SIZE + total
-    if len(out) < needed:
-        raise FrameFormatError(
-            f"wire buffer of {len(out)} bytes too small for {needed}"
-        )
-    _WIRE.pack_into(out, 0, WIRE_MAGIC, src_node, total)
-    out[WIRE_HEADER_SIZE:needed] = frame.view
-    return needed
-
-
 def encode_wire(src_node: int, frame: Frame) -> bytes:
     """Serialise a frame for transmission from ``src_node`` (one flat
     copy; vectored writers use :func:`encode_wire_parts` instead)."""

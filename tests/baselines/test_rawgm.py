@@ -4,9 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.rawgm import GmPingPong, run_gm_pingpong
+from repro.baselines.rawgm import GmPingPong
 from repro.hw.myrinet import Fabric, MyrinetParams
 from repro.sim.kernel import Simulator
+
+
+def one_way_us(
+    payload_size: int, rounds: int, params: MyrinetParams | None = None
+) -> float:
+    sim = Simulator()
+    bench = GmPingPong(
+        sim, Fabric(sim, params), payload_size=payload_size, rounds=rounds
+    )
+    bench.start()
+    sim.run()
+    return bench.one_way_us()
 
 
 def test_completes_all_rounds():
@@ -41,8 +53,8 @@ def test_latency_matches_fabric_law():
 
 
 def test_convenience_runner_monotone_in_payload():
-    small = run_gm_pingpong(16, rounds=10)
-    large = run_gm_pingpong(4096, rounds=10)
+    small = one_way_us(16, rounds=10)
+    large = one_way_us(4096, rounds=10)
     assert large > small
 
 
@@ -55,6 +67,6 @@ def test_unrun_one_way_raises():
 
 def test_custom_params_change_latency():
     fast = MyrinetParams(pci_dma_ns_per_byte=5.0)
-    default = run_gm_pingpong(4096, rounds=5)
-    quicker = run_gm_pingpong(4096, rounds=5, params=fast)
+    default = one_way_us(4096, rounds=5)
+    quicker = one_way_us(4096, rounds=5, params=fast)
     assert quicker < default

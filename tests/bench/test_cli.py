@@ -27,7 +27,7 @@ def test_experiment_registry_covers_design_index():
         for cell in regenerate
         for exp_id in re.findall(r"python -m repro\.bench (\w+)", cell)
     }
-    assert len(regenerate) >= 17  # F6 T1 A1 A2 B1 X1-X11 N1
+    assert len(regenerate) >= 16  # F6 T1 A1 A2 B1 X1-X11
     assert ids == set(EXPERIMENTS)
 
 

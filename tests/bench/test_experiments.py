@@ -9,6 +9,7 @@ relationships so a regression that flips a conclusion fails CI.
 from __future__ import annotations
 
 from pathlib import Path
+from statistics import median
 
 import pytest
 
@@ -235,16 +236,16 @@ class TestDaqScale:
 
 
 class TestNative:
-    @pytest.fixture(scope="class")
-    def result(self):
-        from repro.bench.native import run_native
-
-        return run_native(payloads=(1, 256, 1024, 4096), rounds=100)
-
-    def test_rtt_nearly_flat_in_payload(self, result):
+    def test_rtt_nearly_flat_in_payload(self):
         """Figure 6's finding at Python magnitude: per-message constant
         cost dominates; the C-speed copies are nearly invisible."""
-        assert max(result.rtt_us_median) < 3 * min(result.rtt_us_median)
+        from repro.bench.pingpong import run_native_pingpong
+
+        rtts_ns = [
+            median(run_native_pingpong(payload, 100).rtts_ns)
+            for payload in (1, 4096)
+        ]
+        assert max(rtts_ns) < 3 * min(rtts_ns)
 
 
 class TestZeroCopyAblation:

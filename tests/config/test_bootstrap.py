@@ -6,6 +6,7 @@ import pytest
 
 from repro.config.bootstrap import BootstrapError, bootstrap, sections
 from repro.core.simnode import CostLedger
+from repro.dataflow.examples import event_builder_spec
 from repro.dataflow.graph import graph_from_spec
 from repro.hw.clock import SimClock
 from repro.sim.kernel import Simulator
@@ -29,6 +30,23 @@ def two_node_spec(transport="loopback"):
 def after_ping(entry):
     """One node whose second device entry is ``entry``."""
     return {0: {"devices": [{"class": PING}, entry]}}
+
+
+def node_spec(node):
+    """Nodes 0 and ``node`` on a loopback wire, both recording (trace
+    ids carry 12 bits of their root node)."""
+    return {
+        "transport": "loopback",
+        "observability": {"dispatch_budget_ns": 1_000_000},
+        "nodes": {0: {"devices": []}, node: {"devices": []}},
+    }
+
+
+def evb_spec(node, index, **kwargs):
+    """The 2 x 2 event builder with ``kwargs`` passed to one device."""
+    spec = event_builder_spec(2, 2)
+    spec["nodes"][node]["devices"][index].setdefault("kwargs", {}).update(kwargs)
+    return spec
 
 
 class TestBuild:
@@ -96,7 +114,7 @@ class TestBuild:
         (after_ping({"class": "repro.daq.manager.EventManager",
                      "kwargs": {"event_timeout_ns": -1}}),
          "node 0 device 1: cannot construct repro.daq.manager.EventManager: "
-         "negative event timeout -1"),
+         "event_timeout_ns must be an int >= 0, got -1"),
     ], ids=["node-list", "node-id", "no-class", "kwargs-list", "unknown-kwarg",
             "params-list", "devices-int", "entry-string", "node-twice",
             "name-int", "ctor-refusal"])
@@ -123,6 +141,24 @@ class TestBuild:
         spec = two_node_spec(transport)
         if faults is not None:
             spec["faults"] = faults
+        with pytest.raises(BootstrapError, match=named):
+            bootstrap(spec)
+
+    @pytest.mark.parametrize("spec, named", [
+        (node_spec(4096), "node 4096: node id must be an int in 0..4095"),
+        (node_spec(-1), "node -1: node id must be an int in 0..4095"),
+        *((evb_spec(1, 0, ru_id=bad), "ru_id must be an int in 0..4294967295")
+          for bad in ("x", 0.5, -1, 2**40)),
+        (evb_spec(3, 0, bu_id="x"), "bu_id must be an int >= 0"),
+        (evb_spec(0, 1, event_timeout_ns=float("nan")),
+         "event_timeout_ns must be an int >= 0"),
+        (evb_spec(0, 1, max_in_flight=float("nan")),
+         "max_in_flight must be an int >= 1"),
+        (evb_spec(0, 1, max_in_flight=2.5), "max_in_flight must be an int >= 1"),
+    ], ids=["node-4096", "node-negative", "ru-id-str", "ru-id-float",
+            "ru-id-negative", "ru-id-above-u32", "bu-id-str", "evm-timeout-nan",
+            "evm-in-flight-nan", "evm-in-flight-float"])
+    def test_ids_the_wire_and_ring_cannot_carry_are_refused(self, spec, named):
         with pytest.raises(BootstrapError, match=named):
             bootstrap(spec)
 

@@ -75,24 +75,12 @@ class TestFindOne:
     def test_single_instance(self, rig):
         cluster, discovery = rig
         tid = cluster[2].install(Worker())
-        proxy = discovery.find_one("test_worker")
+        (proxy,) = discovery.find_all("test_worker").values()
         assert cluster[0].route_for(proxy).remote_tid == tid
 
-    def test_zero_raises(self, rig):
-        _, discovery = rig
-        with pytest.raises(DiscoveryError, match="no instance"):
-            discovery.find_one("test_worker")
-
-    def test_many_raises(self, rig):
-        cluster, discovery = rig
-        cluster[1].install(Worker())
-        cluster[2].install(Worker())
-        with pytest.raises(DiscoveryError, match="2 instances"):
-            discovery.find_one("test_worker")
-
     def test_dead_node_times_out(self, rig):
-        cluster, discovery = rig
-        discovery.add_node(77)  # unreachable: the failure reply ends it
+        _, discovery = rig
+        # node 77 is unreachable: the failure reply ends the request
         with pytest.raises(DiscoveryError, match="did not answer"):
             discovery.refresh(77)
 
@@ -136,9 +124,8 @@ class TestDiscoveryDrivenDaq:
                 dev for dev in cluster[node].devices().values()
                 if dev.device_class == "daq_builder"
             )
-            bu.connect_route(
-                MT_EVENT_DONE, {"evm": disc.find_one("daq_eventmanager")}
-            )
+            (evm_proxy,) = disc.find_all("daq_eventmanager").values()
+            bu.connect_route(MT_EVENT_DONE, {"evm": evm_proxy})
             bu.connect_route(
                 MT_REQUEST_FRAGMENT,
                 {n: p for (n, _), p in sorted(disc.find_all(

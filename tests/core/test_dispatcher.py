@@ -50,24 +50,9 @@ class TestBinding:
         assert len(table) == 1
         assert table.lookup(private_frame(1)).handler(None) == "new"
 
-    def test_unbind(self):
-        table = DispatchTable()
-        table.bind(PRIVATE, lambda f: None, xfunction=1)
-        table.unbind(PRIVATE, xfunction=1)
-        with pytest.raises(DispatchError):
-            table.lookup(private_frame(1))
-        with pytest.raises(DispatchError):
-            table.unbind(PRIVATE, xfunction=1)
-
     def test_non_callable_rejected(self):
         with pytest.raises(I2OError):
             Functor("not callable", (0, 0))  # type: ignore[arg-type]
-
-    def test_bindings_listing(self):
-        table = DispatchTable()
-        table.bind(PRIVATE, lambda f: None, xfunction=2)
-        table.bind(UTIL_NOP, lambda f: None)
-        assert table.bindings() == [(UTIL_NOP, 0), (PRIVATE, 2)]
 
 
 class TestDefaults:

@@ -24,7 +24,7 @@ class TestPeerTable:
         table = PeerTable()
         table.watch(1)
         assert table.state(1) is PeerState.ALIVE
-        assert table.alive_nodes() == [1]
+        assert table.dead_nodes() == []
 
     def test_unwatched_peer_raises(self):
         with pytest.raises(I2OError, match="not watched"):
@@ -48,7 +48,7 @@ class TestPeerTable:
         assert table.state(1) is PeerState.SUSPECT
         table.heartbeat_seen(1)
         assert table.state(1) is PeerState.ALIVE
-        assert table.health(1).misses == 0
+        assert table.watch(1).misses == 0
 
     def test_callbacks_fire_once_per_transition(self):
         table = PeerTable(suspect_after=1, dead_after=2)
@@ -174,9 +174,8 @@ class TestHeartbeatService:
         cluster, clock, hbs, _, _ = build_supervised(3)
         tick(cluster, clock, 10)
         for node, exe in cluster.items():
-            assert exe.peers.alive_nodes() == [
-                n for n in cluster if n != node
-            ]
+            assert exe.peers.nodes() == [n for n in cluster if n != node]
+            assert exe.peers.dead_nodes() == []
         assert hbs[0].beats_received > 0
         assert cluster[0].metrics.value("hb_beats_received_total") > 0
 
@@ -455,9 +454,10 @@ class TestBootstrapSupervision:
             clock.t += 1_000
             cluster.pump()
         for node, exe in cluster.executives.items():
-            assert exe.peers.alive_nodes() == sorted(
+            assert exe.peers.nodes() == sorted(
                 n for n in cluster.executives if n != node
             )
+            assert exe.peers.dead_nodes() == []
         assert cluster.heartbeats[0].typed_param("failover_policy") == "park"
 
     def test_unknown_supervision_key_rejected(self):

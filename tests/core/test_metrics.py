@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histogram bucket edges."""
+"""The metrics registry: callback gauges, histogram bucket edges."""
 
 from __future__ import annotations
 
@@ -17,11 +17,15 @@ from repro.top import dispatch_quantile
 
 
 class TestCounters:
-    def test_inc_creates_and_accumulates(self):
+    """Event counts are plain ints the owner bumps, exported through
+    callback gauges (``*_total``); there is no counter instrument."""
+
+    def test_count_reads_the_owners_int(self):
         m = MetricsRegistry()
-        assert m.inc("events") == 1
-        assert m.inc("events", 4) == 5
-        assert m.value("events") == 5
+        owner = {"events": 0}
+        m.gauge("events_total", lambda: owner["events"])
+        owner["events"] += 5
+        assert m.value("events_total") == 5
 
     def test_unknown_metric_raises(self):
         with pytest.raises(I2OError):
@@ -29,11 +33,6 @@ class TestCounters:
 
 
 class TestGauges:
-    def test_set_and_read(self):
-        m = MetricsRegistry()
-        m.gauge("depth").set(7)
-        assert m.value("depth") == 7
-
     def test_callback_sampled_lazily(self):
         m = MetricsRegistry()
         state = {"n": 1}
@@ -61,12 +60,6 @@ class TestGauges:
         gauge = m.gauge("g", lambda: 1)
         gauge.rebind(lambda: 9)
         assert m.value("g") == 9
-
-    def test_set_after_rebind_pins_the_value(self):
-        m = MetricsRegistry()
-        gauge = m.gauge("g", lambda: 1)
-        gauge.set(5)
-        assert m.value("g") == 5
 
 
 class TestHistogramBucketEdges:
@@ -199,18 +192,18 @@ class TestBoundRoundTrip:
 class TestSnapshotAndRendering:
     def test_snapshot_flattens_all_instruments(self):
         m = MetricsRegistry()
-        m.inc("sent", 3)
+        m.gauge("sent_total", lambda: 3)
         m.gauge("depth", lambda: 2)
         m.histogram("lat", [100]).observe(50)
         flat = m.snapshot()
-        assert flat["sent"] == 3
+        assert flat["sent_total"] == 3
         assert flat["depth"] == 2
         assert flat["lat_bucket_le_100"] == 1
         assert flat["lat_bucket_le_inf"] == 1
 
     def test_prometheus_text_shape(self):
         m = MetricsRegistry()
-        m.inc("frames_total", 2)
+        m.gauge("frames_total", lambda: 2)
         m.histogram("lat", [1000]).observe(10)
         text = m.render_prometheus({"node": 3})
         assert 'repro_frames_total{node="3"} 2' in text

@@ -31,9 +31,9 @@ def test_inbound_fifo():
     msgi = MessagingInstance()
     for tag in range(3):
         msgi.post_inbound(frame(tag))
-    assert msgi.inbound_depth == 3
     tags = [msgi.take_inbound().transaction_context for _ in range(3)]
     assert tags == [0, 1, 2]
+    assert msgi.take_inbound() is None
 
 
 def test_outbound_independent_of_inbound():
@@ -182,7 +182,7 @@ def test_untimed_handoffs_between_two_threads_lose_none():
         assert _joined(driver, echo, timeout=0), (
             f"stalled after {ping.posted_inbound} of {rounds} hand-offs "
             f"(parking: {ping.parking}, {pong.parking}; "
-            f"depth: {ping.inbound_depth}, {pong.inbound_depth})"
+            f"idle: {ping.idle}, {pong.idle})"
         )
     finally:
         sys.setswitchinterval(previous)

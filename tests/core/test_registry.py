@@ -87,8 +87,7 @@ class TestRegistry:
         registry = ModuleRegistry()
         module = compile_module("x = 1")
         registry.record(42, module)
-        assert registry.module_for(42) is module
         assert len(registry) == 1
         registry.forget(42)
-        assert registry.module_for(42) is None
+        assert len(registry) == 0
         registry.forget(42)  # idempotent

@@ -96,12 +96,11 @@ class TestLoopbackEventBuilding:
         # Bypass the EVM: ask a BU to build an event the RUs have
         # never heard of, then trigger readout afterwards.
         bu = bus[0]
-        from repro.daq.protocol import XF_REQUEST_FRAGMENT
-        from repro.daq.readout import pack_event_id
+        from repro.daq.protocol import EVENT_ID, XF_REQUEST_FRAGMENT
 
         bu._pending[999] = {}
         for ru_tid in bu.ru_tids.values():
-            bu.send(ru_tid, pack_event_id(999),
+            bu.send(ru_tid, EVENT_ID.pack(999),
                     xfunction=XF_REQUEST_FRAGMENT)
         pump(five_nodes)
         assert any(ru.parked_requests for ru in rus.values())
@@ -109,7 +108,7 @@ class TestLoopbackEventBuilding:
         from repro.daq.protocol import XF_READOUT
 
         for i, ru_tid in evm.ru_tids.items():
-            evm.send(ru_tid, pack_event_id(999), xfunction=XF_READOUT)
+            evm.send(ru_tid, EVENT_ID.pack(999), xfunction=XF_READOUT)
         pump(five_nodes)
         assert bu.built == 1
         assert all(ru.parked_requests == 0 for ru in rus.values())

@@ -103,23 +103,6 @@ class TestParkResume:
         assert source.emit(parky, b"a") == 1
         assert source.emit(parky, b"b") == 0  # parked, not posted
 
-    def test_emit_into_materialises_when_parked(self, types):
-        parky, _ = types
-        exe = Executive(node=0)
-        ledger, _ = _rig(exe)
-        source, sink = Source("src"), Sink()
-        exe.install(source)
-        exe.install(sink)
-        _wire(exe, ledger, source, sink, parky, capacity=1)
-
-        def writer(buf) -> None:
-            buf[:3] = b"abc"
-
-        assert source.emit_into(parky, 3, writer) == 1
-        assert source.emit_into(parky, 3, writer) == 0  # parked via scratch
-        exe.run_until_idle()
-        assert sink.got == [b"abc", b"abc"]
-
 
 class TestShed:
     def test_shed_policy_drops_and_counts(self, types):

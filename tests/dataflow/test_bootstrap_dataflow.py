@@ -53,10 +53,9 @@ class TestDerivedEventBuilder:
     def test_edge_capacity_comes_from_consumer_queue_capacity(self, cluster):
         # ReadoutUnit declares queue_capacity=64; each RU hears
         # daq.readout from exactly one emitter, so the edge gets 64.
-        ledger = cluster.dataflow_ledger
-        readout_edges = [
-            e for e in ledger.edges_from(0) if e.mtype.name == "daq.readout"
-        ]
+        readout_edges = list(
+            cluster.device("evm").routes_for("daq.readout").edges.values()
+        )
         assert len(readout_edges) == 2
         assert all(e.capacity == 64 for e in readout_edges)
 
@@ -88,7 +87,7 @@ class TestStrictAnalysis:
         cluster = bootstrap(spec)
         evm = cluster.device("evm")
         assert evm.routes_for("daq.readout").edges is None
-        assert cluster.dataflow_ledger.edges_from(0) == ()
+        assert cluster.dataflow_ledger.credits_available(0) == 0
         trigger = cluster.device("trigger")
         for _ in range(5):
             trigger.fire()

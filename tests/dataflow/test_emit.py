@@ -106,19 +106,6 @@ class TestEmit:
         exe.run_until_idle()
         assert sink.got == [b"x"]
 
-    def test_emit_into_builds_payload_in_place(self, exe, types, source):
-        uni, _, _ = types
-        sink = Sink("sink")
-        exe.install(sink)
-        source.connect_route(uni, {"sink": sink.tid})
-
-        def writer(buf) -> None:
-            buf[:4] = b"zero"
-
-        assert source.emit_into(uni, 4, writer) == 1
-        exe.run_until_idle()
-        assert sink.got == [b"zero"]
-
     def test_reconnect_requires_replace(self, exe, types, source):
         uni, _, _ = types
         sink = Sink("sink")

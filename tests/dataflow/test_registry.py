@@ -7,7 +7,6 @@ import pytest
 from repro.dataflow.registry import (
     MessageType,
     _unregister,
-    derived,
     lookup,
     message_type,
     registered,
@@ -68,12 +67,6 @@ class TestValidation:
     def test_empty_name_rejected(self):
         with pytest.raises(I2OError, match="name"):
             MessageType("", 0x0E13)
-
-    def test_derived_builds_variant_without_registering(self, scratch_name):
-        base = message_type(scratch_name, 0x0E01)
-        variant = derived(base, priority=0)
-        assert variant.priority == 0
-        assert lookup(scratch_name).priority == base.priority
 
 
 class TestProtocolDeclarations:

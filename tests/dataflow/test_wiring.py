@@ -27,23 +27,24 @@ def _install_daq(cluster, *, with_trigger=True):
     return evm, trigger
 
 
+def _capacities(device, mtype):
+    return {k: e.capacity for k, e in device.routes_for(mtype).edges.items()}
+
+
 def test_hand_assembled_rig_gets_the_bootstrap_routes():
     """Same devices, same placement: the rig's derived tables equal
     the ones a spec's ``dataflow`` section produces."""
     booted = bootstrap(event_builder_spec(1, 1))
     cluster = make_loopback_cluster(3)
     evm, trigger = _install_daq(cluster)
-    _, ledger = wire_dataflow(cluster)
+    wire_dataflow(cluster)
     for name, device in (("evm", evm), ("trigger", trigger)):
         reference = booted.device(name)
         for mtype in device.emits:
             assert sorted(device.dataflow_targets(mtype)) == sorted(
                 reference.dataflow_targets(mtype)
             )
-    assert [(e.mtype.name, e.capacity) for e in ledger.edges_from(0)] == [
-        (e.mtype.name, e.capacity)
-        for e in booted.dataflow_ledger.edges_from(0)
-    ]
+            assert _capacities(device, mtype) == _capacities(reference, mtype)
     trigger.fire_burst(5)
     pump(cluster)
     assert evm.completed == 5

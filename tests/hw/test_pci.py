@@ -71,10 +71,3 @@ class TestIopBoard:
         board = IopBoard(sim, PciBus(sim), hardware_fifos=True)
         assert board.inbound.hardware and board.outbound.hardware
         assert board.inbound is not board.outbound
-
-    def test_post_time_combines_fifo_and_bus(self):
-        sim = Simulator()
-        bus = PciBus(sim)
-        board = IopBoard(sim, bus, hardware_fifos=False)
-        t = board.post_time_ns(1024)
-        assert t == board.inbound.post_cost_ns() + bus.transfer_time_ns(1024)

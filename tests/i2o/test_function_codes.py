@@ -1,37 +1,35 @@
-"""Function-code classification."""
+"""Function codes: the I2O v2.0 ranges and their names."""
 
 from __future__ import annotations
 
+from repro.i2o import function_codes
 from repro.i2o.function_codes import (
-    EXEC_STATUS_GET,
     EXEC_SYS_ENABLE,
     PRIVATE,
     UTIL_NOP,
-    UTIL_PARAMS_GET,
     function_name,
-    is_executive,
-    is_private,
-    is_utility,
 )
 
 
+def codes(prefix: str) -> list[int]:
+    return [
+        value for name, value in vars(function_codes).items()
+        if name.startswith(prefix) and isinstance(value, int)
+    ]
+
+
 def test_utility_range():
-    assert is_utility(UTIL_NOP)
-    assert is_utility(UTIL_PARAMS_GET)
-    assert not is_utility(EXEC_STATUS_GET)
-    assert not is_utility(PRIVATE)
+    assert UTIL_NOP in codes("UTIL_")
+    assert all(0x00 <= code < 0x20 for code in codes("UTIL_"))
 
 
 def test_executive_range():
-    assert is_executive(EXEC_STATUS_GET)
-    assert is_executive(EXEC_SYS_ENABLE)
-    assert not is_executive(UTIL_NOP)
-    assert not is_executive(PRIVATE)
+    assert EXEC_SYS_ENABLE in codes("EXEC_")
+    assert all(0xA0 <= code < 0xF0 for code in codes("EXEC_"))
 
 
 def test_private():
-    assert is_private(PRIVATE)
-    assert not is_private(UTIL_NOP)
+    assert PRIVATE == 0xFF
 
 
 def test_function_name_known():
@@ -45,5 +43,6 @@ def test_function_name_unknown_is_hex():
 
 
 def test_ranges_disjoint():
-    for code in range(0x100):
-        assert is_utility(code) + is_executive(code) + is_private(code) <= 1
+    # one name per code, or function_name would report the wrong one
+    every = codes("UTIL_") + codes("EXEC_") + [PRIVATE]
+    assert len(set(every)) == len(every)

@@ -20,11 +20,11 @@ class TestScatterGatherList:
         sgl = ScatterGatherList([b"ab", b"cd", b"ef"])
         assert sgl.tobytes() == b"abcdef"
         assert len(sgl) == 6
-        assert sgl.segment_count == 3
+        assert len(list(sgl.segments())) == 3
 
     def test_empty_segments_skipped(self):
         sgl = ScatterGatherList([b"", b"x", b""])
-        assert sgl.segment_count == 1
+        assert len(list(sgl.segments())) == 1
         assert sgl.tobytes() == b"x"
 
     def test_chunks_reslice_across_segments(self):

@@ -136,14 +136,6 @@ class TestOriginalAllocator:
         with pytest.raises(PoolExhausted):
             alloc.alloc(257)
 
-    def test_free_blocks_counter(self):
-        alloc = OriginalAllocator(block_size=128, block_count=4)
-        assert alloc.free_blocks == 4
-        block = alloc.alloc(10)
-        assert alloc.free_blocks == 3
-        block.release()
-        assert alloc.free_blocks == 4
-
     def test_first_fit_from_zero(self):
         alloc = OriginalAllocator(block_size=128, block_count=4)
         a = alloc.alloc(10)

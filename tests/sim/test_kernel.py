@@ -82,13 +82,6 @@ class TestScheduling:
         assert fired == []
         assert handle.cancelled
 
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        h = sim.at(5, lambda: None)
-        sim.at(9, lambda: None)
-        h.cancel()
-        assert sim.peek() == 9
-
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
 

@@ -14,7 +14,6 @@ from repro.transports.wire import (
     WIRE_HEADER_SIZE,
     decode_wire,
     encode_wire,
-    encode_wire_into,
     encode_wire_parts,
     read_wire_header,
     recv_into_exact,
@@ -90,20 +89,6 @@ def test_parts_body_aliases_frame_buffer():
     _, body = encode_wire_parts(1, f)
     f.payload[0] = ord(b"A")
     assert bytes(body[-5:]) == b"Alias"
-
-
-def test_encode_into_matches_flat_encoding():
-    f = frame(b"staged")
-    out = bytearray(WIRE_HEADER_SIZE + f.total_size + 8)
-    n = encode_wire_into(3, f, out)
-    assert n == WIRE_HEADER_SIZE + f.total_size
-    assert bytes(out[:n]) == encode_wire(3, f)
-
-
-def test_encode_into_rejects_small_buffer():
-    f = frame(b"too big")
-    with pytest.raises(FrameFormatError, match="too small"):
-        encode_wire_into(3, f, bytearray(8))
 
 
 def test_decode_returns_zero_copy_view():
