@@ -205,7 +205,7 @@ class _SanitizingMixin:
     def _verify_canary(self, block: SanitizedBlock) -> None:
         if not block.poisoned:
             return  # never freed yet: memory is virgin, no canary
-        if any(byte != POISON for byte in block.memory):
+        if block.memory.tobytes().count(POISON) != block.capacity:
             free = block.last_event("free")
             detail = f"\n  freed:\n{free.render()}" if free else ""
             self._notify_violation("use-after-free")
@@ -221,7 +221,7 @@ class _SanitizingMixin:
             for block in self._tracked:
                 if not block.poisoned or block.in_use:
                     continue
-                if any(byte != POISON for byte in block.memory):
+                if block.memory.tobytes().count(POISON) != block.capacity:
                     reports.append(
                         f"block #{block.index}: freed memory was written "
                         f"(use-after-free)\n{block.history()}"

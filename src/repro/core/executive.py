@@ -651,6 +651,8 @@ class Executive:
         worked = False
         if len(self.timers) and self.timers.poll(self.clock.now_ns()):
             worked = True
+        if self.msgi.watched and self.msgi.service():
+            worked = True
         for pt in self._pollable:
             if pt.poll():
                 worked = True
@@ -689,29 +691,35 @@ class Executive:
     def request_halt(self) -> None:
         self._halt_requested = True
         self._thread_stop.set()
-        self.msgi.ring()
+        if self._thread is not None:
+            self.msgi.ring()
 
     # -- native thread mode -------------------------------------------------
     def start(self) -> None:
         """Run the loop of control in a dedicated thread (native plane).
 
-        An idle loop sleeps on the doorbell, untimed unless a timer is
-        armed, until a producer of work (``msgi.wake``) or a stop rings.
+        An idle loop parks in the messaging instance's epoll, untimed
+        unless a timer is armed, until a producer of work
+        (``msgi.wake``) or a stop rings or a watched fd is ready.
         """
         if self._thread is not None:
             raise I2OError("executive already started")
         self._thread_stop.clear()
         self._halt_requested = False
-        msgi = self.msgi
+        msgi, scheduler = self.msgi, self.scheduler
 
         def loop() -> None:
             while not self._thread_stop.is_set():
-                if not self.step():
+                # A step that left the scheduler empty needs no idle
+                # step after it: the checks below see any work left.
+                if not self.step() or scheduler.empty:
                     # Announce first: work published after this line
-                    # rings; a deadline, staged item or credit published
-                    # before it is seen below.
+                    # rings; a deadline, staged item, credit or stop
+                    # published before it is seen below (a ``step()``
+                    # that serviced fds may have silenced the ring).
                     msgi.parking = True
-                    if any(pt.has_pending for pt in self._pollable):
+                    if self._thread_stop.is_set() or (self._pollable and any(
+                            pt.has_pending for pt in self._pollable)):
                         msgi.parking = False
                     else:
                         deadline = self.timers.next_deadline_ns()
@@ -744,6 +752,7 @@ class Executive:
         if self._thread.is_alive():  # pragma: no cover - defensive
             raise I2OError(f"executive thread on node {self.node} did not stop")
         self._thread = None
+        self.msgi.close()
         self._report_pool_leaks()
 
     def hard_stop(self) -> None:
@@ -781,6 +790,7 @@ class Executive:
             self.frame_free(frame)
         while (frame := self.scheduler.pop()) is not None:
             self.frame_free(frame)
+        self.msgi.close()
         self.state = DeviceState.FAILED
         if self.flightrec is not None:
             # Spill last so the drain's frame-release records make it

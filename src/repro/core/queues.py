@@ -7,15 +7,17 @@ frame either to a local device (via the scheduler) or to a peer
 transport.  Peer transports deposit received frames into the
 **inbound** queue, from which the executive dispatches.
 
-The queues are thread-safe because task-mode peer transports run in
-their own threads (paper §4) while the dispatch loop drains them.  Any
-thread may post; exactly one — the loop of control — drains and parks.
-Every producer of work (posts, timers, polling-PT staging, returned
-credits) wakes it through :meth:`MessagingInstance.wake`.
+Any thread may post; exactly one — the loop of control — drains and
+parks, in one epoll that also serves the fds a peer transport watches
+(Linux: epoll + eventfd).  Every producer of work (posts, timers,
+polling-PT staging, returned credits) wakes it through
+:meth:`MessagingInstance.wake`.
 """
 
 from __future__ import annotations
 
+import os
+import select
 import threading
 from collections import deque
 from typing import Callable
@@ -42,16 +44,23 @@ class MessagingInstance:
     # a polling transport's staged data, an edge credit) follows the
     # same rule: publish it, then :meth:`wake`.
     #
-    # The bell is a lock used as a binary semaphore, all in C: held =
-    # silent, ``release`` rings, ``acquire`` parks.  A ring nobody was
-    # parked for stays: the next park returns at once, which costs one
-    # spurious ``step()`` and nothing else.
+    # The bell is an eventfd in the loop's epoll: ``ring`` writes it,
+    # the park (or a :meth:`service` pass) reads it back to silent.  A
+    # ring nobody was parked for stays: the next park returns at once,
+    # which costs one spurious ``step()`` and nothing else.  Both fds
+    # open on first use — a stepped executive that watches nothing
+    # holds none — and :meth:`close` gives them back until the next.
 
     def __init__(self, on_work: Callable[[], None] | None = None) -> None:
         self._inbound: deque[Frame] = deque()
         self._outbound: deque[Frame] = deque()
-        self._bell = threading.Lock()
-        self._bell.acquire()
+        #: fd -> (callback(event mask), events); ``step()`` polls the
+        #: epoll only while this is non-empty
+        self.watched: dict[int, tuple[Callable[[int], None], int]] = {}
+        self._epoll: select.epoll | None = None
+        self._bell = -1
+        self._just_polled = False
+        self._opening = threading.Lock()
         self.parking = False
         self.on_work = on_work
         self.posted_inbound = 0
@@ -59,10 +68,9 @@ class MessagingInstance:
 
     def ring(self) -> None:
         """Wake the consumer, now or at its next park (any thread)."""
-        try:
-            self._bell.release()
-        except RuntimeError:
-            pass  # already rung: a second ring is swallowed
+        if self._bell < 0:
+            self._open()
+        os.eventfd_write(self._bell, 1)
 
     def wake(self) -> None:
         """Work was just published for the consumer (any thread)."""
@@ -95,19 +103,80 @@ class MessagingInstance:
         return self._outbound.popleft() if self._outbound else None
 
     def wait_for_work(self, timeout: float | None = None) -> bool:
-        """Park the consumer until there is work, a ring or ``timeout``
-        seconds pass (``None``: no timer at all).  False on timeout.
-
-        Single consumer by contract — the loop of control.  No wake-up
-        can be missed, so the timeout is a timer deadline, nothing else.
+        """Park the consumer until there is work, a ring, a ready
+        watched fd (serviced before it returns) or ``timeout`` seconds
+        pass (``None``: no timer; epoll rounds up to whole ms).  False
+        on timeout.  Single consumer by contract — the loop of control.
         """
+        epoll = self._epoll or self._open()  # open *before* announcing
         self.parking = True  # announce, then look, then block
         try:
             if self._inbound or self._outbound:
                 return True
-            return self._bell.acquire(True, -1 if timeout is None else timeout)
+            events = epoll.poll(timeout)
         finally:
             self.parking = False
+        # The park just polled: the step() it returns to need not.
+        self._just_polled = True
+        return self._serve(events)
+
+    # -- file descriptors (loop thread only) -------------------------------
+    def watch(self, fd: int, callback: Callable[[int], None]) -> None:
+        """While ``fd`` is readable (level-triggered; :meth:`modify` for
+        other events), every park and ``step()`` calls
+        ``callback(event_mask)`` on the loop thread."""
+        self.watched[fd] = (callback, select.EPOLLIN)
+        if self._epoll is not None:
+            self._epoll.register(fd, select.EPOLLIN)
+
+    def modify(self, fd: int, mask: int) -> None:
+        """Change the events a watched ``fd`` is serviced for."""
+        self.watched[fd] = (self.watched[fd][0], mask)
+        if self._epoll is not None:
+            self._epoll.modify(fd, mask)
+
+    def unwatch(self, fd: int) -> None:
+        """Stop servicing ``fd``; call it before closing the fd."""
+        del self.watched[fd]
+        if self._epoll is not None:
+            self._epoll.unregister(fd)
+
+    def service(self) -> bool:
+        """Run the ready fds' callbacks (and silence a stray ring); True if
+        anything was ready.  Skipped right after a park, which just polled."""
+        if self._just_polled:
+            self._just_polled = False
+            return False
+        return self._serve((self._epoll or self._open()).poll(0))
+
+    def _serve(self, events: list[tuple[int, int]]) -> bool:
+        for fd, mask in events:
+            if fd == self._bell:
+                os.eventfd_read(fd)
+            elif fd in self.watched:  # not unwatched earlier in this batch
+                self.watched[fd][0](mask)
+        return bool(events)
+
+    def _open(self) -> select.epoll:
+        with self._opening:  # a stop() may ring while the loop opens
+            epoll = self._epoll
+            if epoll is None:
+                epoll = select.epoll()
+                self._bell = os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
+                epoll.register(self._bell, select.EPOLLIN)
+                for fd, (_callback, mask) in self.watched.items():
+                    epoll.register(fd, mask)
+                self._epoll = epoll
+            return epoll
+
+    def close(self) -> None:
+        """Close the epoll and the bell once the consumer is gone
+        (``Executive.stop``); watches are kept for the next open."""
+        with self._opening:
+            if self._epoll is not None:
+                self._epoll.close()
+                os.close(self._bell)
+                self._epoll, self._bell = None, -1
 
     # -- introspection ------------------------------------------------------
     @property

@@ -3,8 +3,8 @@
 A peer transport is an ordinary device module (it has a TiD, answers
 utility messages, is configured through UtilParamsSet) whose private
 job is moving frames to other nodes.  Subclasses implement
-:meth:`transmit`; the receive side funnels through :meth:`ingest_into`
-(pool-block-first: allocate, then let the transport write the wire
+:meth:`transmit`; the receive side funnels through :meth:`ingest_loaned`
+(pool-block-first: the transport loans a block and writes the wire
 bytes straight into it) or :meth:`ingest_block` (intra-process block
 handoff, zero copies).  Both end in one ``frame-ingest`` fact, which
 is where the simulation plane charges Table 1's ``pt_processing``
@@ -21,7 +21,7 @@ node).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.core.device import Listener
 from repro.flightrec.records import EV_FRAME_INGEST, pack3
@@ -49,14 +49,18 @@ class PeerTransport(Listener):
 
     * ``"polling"`` — the executive's loop calls :meth:`poll` every
       quantum (woken by :meth:`notify_staged`); it must never block;
-    * ``"task"`` — the PT owns a thread (or, in the simulation plane,
-      a process) that pushes received frames asynchronously.
+    * ``"task"`` — received frames arrive asynchronously, not when the
+      loop polls: from the PT's own thread (task-mode ``QueueTransport``),
+      a simulation-plane process, or — for ``TcpTransport``, which owns
+      no thread — a socket's readiness callback that the loop's epoll
+      runs on the loop thread.
     """
 
     device_class = "peer_transport"
-    #: Task-mode PTs account traffic from their own receive threads
-    #: and guard shared state with explicit locks, so the runtime
-    #: affinity guard skips them.
+    #: Threaded PTs account traffic from their own receive threads and
+    #: guard shared state with explicit locks, so the runtime affinity
+    #: guard skips them; a PT that only the loop thread touches opts
+    #: back in.
     affinity_exempt = True
 
     def __init__(self, name: str = "", mode: str = "polling") -> None:
@@ -128,27 +132,16 @@ class PeerTransport(Listener):
         self.suspended = True
 
     # -- shared receive path ---------------------------------------------------
-    def ingest_into(
-        self, src_node: int, frame_len: int, fill: Callable[[memoryview], None]
+    def ingest_loaned(
+        self, src_node: int, block: "PoolBlock", view: memoryview
     ) -> Frame:
-        """Pool-block-first receive: alloc, let the transport fill, post.
-
-        Borrow a pool block through :meth:`Executive.block_loan` — a
-        ``frame-alloc`` fact like any other, the one nested in Table
-        1's PT processing, and a ``pool-exhausted`` one when the pool is
-        dry — and hand its view
-        to ``fill``, which writes the wire bytes straight into it — the
-        single unavoidable copy off the wire (e.g. ``recv_into`` for
-        TCP) — then resolve the initiator to a local proxy TiD and post
-        to the inbound queue.  ``fill`` raising (or the frame failing
-        validation) frees the block; nothing leaks.
-        """
+        """Validate and post the frame a transport copied off the wire
+        (its one rx copy) into ``view`` of ``block``, which came from
+        :meth:`Executive.block_loan` — the ``frame-alloc`` nested in
+        Table 1's PT processing.  A failure returns the block."""
         exe = self._require_live()
-        block = exe.block_loan(frame_len)
+        self.rx_copies += 1
         try:
-            view = block.memory[:frame_len]
-            fill(view)
-            self.rx_copies += 1
             frame = Frame._undecoded(view, block).validate()
             return self._post_ingested(exe, src_node, frame)
         except BaseException:
@@ -174,17 +167,13 @@ class PeerTransport(Listener):
             raise
 
     def ingest_frame_bytes(self, src_node: int, frame_bytes) -> Frame:
-        """Compat shim: rebuild an arriving frame from serialised bytes.
-
-        Kept for transports whose medium genuinely yields a byte string
-        (the simulation planes' packet payloads); the copy into the
-        pool block is counted by :meth:`ingest_into`.
-        """
-
-        def fill(view: memoryview, data=frame_bytes) -> None:
-            view[:] = data
-
-        return self.ingest_into(src_node, len(frame_bytes), fill)
+        """Ingest a frame whose medium yields a byte string (the
+        simulation planes' packet payloads): loan, copy in, post."""
+        size = len(frame_bytes)
+        block = self._require_live().block_loan(size)
+        view = block.memory[:size]
+        view[:] = frame_bytes
+        return self.ingest_loaned(src_node, block, view)
 
     def _post_ingested(self, exe: "Executive", src_node: int, frame: Frame) -> Frame:
         frame.initiator = exe.create_proxy(

@@ -4,12 +4,14 @@ The paper's benchmark setup ran *"another PT thread ... handling TCP
 communication for configuration and control purposes"* alongside the
 Myrinet/GM data PT — the classic control/data plane split.  This
 transport provides that role in the native plane: real sockets on
-localhost (or anywhere), lazy outbound connections, and a task-mode
-accept/reader thread per peer.
+localhost (or anywhere) and lazy outbound connections.  It owns no
+thread: non-blocking sockets in the loop's epoll are serviced on the
+loop thread.  It reports ``"task"`` mode (frames arrive on readiness,
+not on ``poll``) and is not exempt from the affinity guard.
 
 Both directions take the zero-copy path: transmit puts the frame's
 pool buffer on the wire with vectored ``sendmsg`` (no serialisation
-copy), and receive re-frames on the 12-byte wire header, allocates the
+copy), and receive re-frames on the 12-byte wire header, loans the
 receiving pool block first, and ``recv_into``s the frame straight into
 it — exactly one copy per node, the one off the wire.
 """
@@ -17,48 +19,26 @@ it — exactly one copy per node, the one off the wire.
 from __future__ import annotations
 
 import logging
+import select
 import socket
-import threading
+from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.i2o.errors import FrameFormatError
+from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.transports.base import PeerTransport, TransportError
-from repro.transports.wire import (
-    WIRE_HEADER_SIZE,
-    encode_wire_parts,
-    read_wire_header,
-    recv_into_exact,
-)
+from repro.transports.wire import WIRE_HEADER_SIZE, encode_wire_parts, parse_wire_header
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executive import Route
+    from repro.mem.block import PoolBlock
 
 logger = logging.getLogger(__name__)
 
 
-def _sendmsg_all(sock: socket.socket, parts: tuple, total: int) -> None:
-    """Vectored send of all ``total`` bytes of ``parts``, looping on
-    partial writes."""
-    sent = sock.sendmsg(parts)
-    if sent == total:
-        return  # the whole message in one call: the usual case
-    views = [memoryview(p) for p in parts]
-    while True:
-        while sent:
-            if sent >= len(views[0]):
-                sent -= len(views[0])
-                views.pop(0)
-            else:
-                views[0] = views[0][sent:]
-                sent = 0
-        if not views:
-            return
-        sent = sock.sendmsg(views)
-
-
 def _hang_up(sock: socket.socket) -> None:
-    """Shut down then close: wakes any thread blocked on ``sock``."""
+    """Shut down then close, so the peer sees EOF at once."""
     try:
         sock.shutdown(socket.SHUT_RDWR)
     except OSError:
@@ -66,14 +46,36 @@ def _hang_up(sock: socket.socket) -> None:
     sock.close()
 
 
+class _Connection:
+    """One socket's receive state (``got`` bytes of ``view``: the wire
+    header, then the loaned block) and send backlog; loop thread only."""
+
+    __slots__ = ("sock", "fd", "header", "got", "src", "block", "view", "backlog")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.fd = sock.fileno()
+        self.header = memoryview(bytearray(WIRE_HEADER_SIZE))
+        self.got = 0
+        self.src = 0
+        self.block: PoolBlock | None = None
+        self.view = self.header
+        #: ``(unsent header, unsent body, frame)``, oldest first; the
+        #: frame is freed once its last byte is written
+        self.backlog: deque[tuple[memoryview, memoryview, Frame]] = deque()
+
+
 class TcpTransport(PeerTransport):
-    """Task-mode TCP endpoint.
+    """TCP endpoint serviced on the executive's loop thread.
 
     ``peers`` maps node id → ``(host, port)``.  The local endpoint
     listens on ``listen_port`` (0 = ephemeral; read ``bound_port``
     after install).  Connections are made lazily on first transmit and
-    cached; each accepted or initiated socket gets a reader thread.
+    cached; an accepted connection also serves replies to the node
+    whose frames arrive on it.
     """
+
+    affinity_exempt = False
 
     def __init__(
         self,
@@ -89,18 +91,10 @@ class TcpTransport(PeerTransport):
         self.peers: dict[int, tuple[str, int]] = dict(peers or {})
         self.bound_port: int | None = None
         self._server: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._conns: dict[int, socket.socket] = {}
-        #: every socket with a reader thread — including accepted ones
-        #: that lost the ``_conns`` reverse-path race — so shutdown can
-        #: wake each reader out of ``recv``
-        self._socks: list[socket.socket] = []
-        self._conn_lock = threading.Lock()
-        self._readers: list[threading.Thread] = []
-        #: readers that took themselves off ``_readers`` but may still
-        #: be running: shutdown joins these too, so none outlives it
-        self._leaving: list[threading.Thread] = []
-        self._stop = threading.Event()
+        #: node id -> the connection that reaches it
+        self._conns: dict[int, _Connection] = {}
+        #: fd -> every open connection, dialled or accepted
+        self._open: dict[int, _Connection] = {}
 
     # -- lifecycle ------------------------------------------------------------
     def on_plugin(self) -> None:
@@ -108,43 +102,35 @@ class TcpTransport(PeerTransport):
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         server.bind((self.listen_host, self.listen_port))
         server.listen(16)
+        server.setblocking(False)
         self._server = server
         self.bound_port = server.getsockname()[1]
-        self._stop.clear()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"pt-{self.name}-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self._require_live().msgi.watch(
+            server.fileno(), partial(self._on_accept, server))
 
     def on_unplug(self) -> None:
         self.shutdown()
 
     def shutdown(self) -> None:
-        self._stop.set()
+        """Close the listener and every socket.  The sockets belong to
+        the loop thread: a ``start()``ed executive must ``stop()`` first."""
+        exe = self.executive
+        if exe is None:
+            return  # never installed, or already unplugged: nothing is open
+        if exe.stepped_elsewhere():
+            raise TransportError(f"{self.name}: node {exe.node} runs its "
+                                 "loop thread; stop() the executive first")
+        for conn in list(self._open.values()):
+            self._drop(conn)
         if self._server is not None:
-            # Closing a listener does not wake accept() on Linux;
-            # shutting it down does.
-            _hang_up(self._server)
+            exe.msgi.unwatch(self._server.fileno())
+            self._server.close()
             self._server = None
-        if self._accept_thread is not None:
-            # Joined first, so no reader is spawned behind our back.
-            self._accept_thread.join(timeout=2)
-            self._accept_thread = None
-        with self._conn_lock:
-            socks, self._socks = self._socks, []
-            self._conns.clear()
-            readers = self._readers + self._leaving
-            self._leaving = []
-        for sock in socks:
-            _hang_up(sock)
-        for reader in readers:
-            reader.join(timeout=2)
 
     def crash_detach(self) -> None:
-        """Die abruptly: the listener and every socket close and the
-        accept and reader threads end, so no wire byte reaches the dead
-        executive, peers see EOF and their next send is refused, and a
-        replacement can listen on the same port."""
+        """Die abruptly: the listener and every socket close, so no wire
+        byte reaches the dead executive, peers see EOF and their next
+        send is refused, and a replacement can listen on the same port."""
         self.shutdown()
         super().crash_detach()
 
@@ -154,24 +140,44 @@ class TcpTransport(PeerTransport):
     # -- transmit ---------------------------------------------------------------
     def transmit(self, frame: Frame, route: "Route") -> None:
         exe = self._require_live()
-        sock = self._connection_to(route.node)
-        # Scatter-gather: [wire header, frame's pool buffer].  The
-        # frame stays with the caller until the send succeeds, then the
-        # block is released — no serialisation copy on this side.
-        parts = encode_wire_parts(exe.node, frame)
-        try:
-            _sendmsg_all(sock, parts, WIRE_HEADER_SIZE + frame.total_size)
-        except OSError as exc:
-            self._drop_connection(route.node)
-            raise TransportError(f"send to node {route.node} failed: {exc}") from exc
-        self.account_sent(frame.total_size)
-        exe.frame_free(frame)
+        conn = self._conns.get(route.node) or self._dial(route.node)
+        # Scatter-gather: [wire header, frame's pool buffer] — no
+        # serialisation copy.  Whatever the socket does not take now
+        # waits in the backlog, and the block with it.
+        header, body = encode_wire_parts(exe.node, frame)
+        sent = 0
+        if not conn.backlog:
+            try:
+                sent = conn.sock.sendmsg((header, body))
+            except BlockingIOError:
+                pass
+            except OSError as exc:
+                self._drop(conn)
+                raise TransportError(
+                    f"send to node {route.node} failed: {exc}") from exc
+            if sent == WIRE_HEADER_SIZE + len(body):
+                self.account_sent(len(body))
+                exe.frame_free(frame)
+                return  # the whole message in one call: the usual case
+            exe.msgi.modify(conn.fd, select.EPOLLIN | select.EPOLLOUT)
+        conn.backlog.append((memoryview(header)[sent:],
+                             body[max(0, sent - WIRE_HEADER_SIZE):], frame))
 
-    def _connection_to(self, node: int) -> socket.socket:
-        with self._conn_lock:
-            sock = self._conns.get(node)
-            if sock is not None:
-                return sock
+    def _flush(self, conn: _Connection) -> None:
+        """Write the backlog until the socket stops taking it."""
+        backlog = conn.backlog
+        while backlog:
+            header, body, frame = backlog[0]
+            sent = conn.sock.sendmsg((header, body))
+            if sent < len(header) + len(body):
+                backlog[0] = (header[sent:], body[max(0, sent - len(header)):], frame)
+                return
+            backlog.popleft()
+            self.account_sent(len(body))
+            self._require_live().frame_free(frame)
+        self._require_live().msgi.modify(conn.fd, select.EPOLLIN)
+
+    def _dial(self, node: int) -> _Connection:
         address = self.peers.get(node)
         if address is None:
             raise TransportError(f"no TCP address configured for node {node}")
@@ -179,81 +185,76 @@ class TcpTransport(PeerTransport):
             sock = socket.create_connection(address, timeout=5)
         except OSError as exc:
             raise TransportError(f"connect to node {node} {address}: {exc}") from exc
-        sock.settimeout(None)  # 5 s bounds the connect, not an idle reader
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with self._conn_lock:
-            self._conns[node] = sock
-        self._spawn_reader(sock)
-        return sock
-
-    def _drop_connection(self, node: int) -> None:
-        with self._conn_lock:
-            sock = self._conns.pop(node, None)
-        if sock is not None:
-            _hang_up(sock)  # its reader wakes and forgets it
+        self._conns[node] = conn = self._adopt(sock)
+        return conn
 
     # -- receive ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        assert self._server is not None
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._server.accept()
-            except OSError:
-                return  # socket closed during shutdown
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._spawn_reader(conn)
-
-    def _spawn_reader(self, sock: socket.socket) -> None:
-        reader = threading.Thread(
-            target=self._reader_loop,
-            args=(sock,),
-            name=f"pt-{self.name}-reader",
-            daemon=True,
-        )
-        # Spawned from both the accept thread and (lazily, on first
-        # transmit) the dispatch thread; shutdown() joins the list.
-        # Listed before it runs, so its exit always finds itself.
-        with self._conn_lock:
-            self._leaving = [r for r in self._leaving if r.is_alive()]
-            self._readers.append(reader)
-            self._socks.append(sock)
-            reader.start()
-
-    def _reader_loop(self, sock: socket.socket) -> None:
-        recv_into = sock.recv_into
-        header = memoryview(bytearray(WIRE_HEADER_SIZE))
-        conns = self._conns
-
-        def fill(view: memoryview) -> None:
-            if not recv_into_exact(recv_into, view):
-                raise TransportError("connection closed mid-frame")
-
+    def _on_accept(self, server: socket.socket, _mask: int) -> None:
         try:
-            while not self._stop.is_set():
-                parsed = read_wire_header(recv_into, header)
-                if parsed is None:
-                    return  # orderly shutdown at a message boundary
-                src_node, frame_len = parsed
-                if src_node not in conns:
-                    # Learn the reverse path: an accepted connection
-                    # can serve replies to its originating node.
-                    with self._conn_lock:
-                        conns.setdefault(src_node, sock)
-                self.ingest_into(src_node, frame_len, fill)
-        except (OSError, TransportError, FrameFormatError) as exc:
-            if not self._stop.is_set():
-                logger.warning("%s: dropping connection: %s", self.name, exc)
-        finally:
-            # Whatever ended the reader, nobody reads this socket any
-            # more: the peer must see EOF and no send may go to it.
-            with self._conn_lock:
-                for node in [n for n, s in conns.items() if s is sock]:
-                    del conns[node]
-                if sock in self._socks:
-                    self._socks.remove(sock)
-                # Off the list, yet still running until it returns: a
-                # shutdown that starts now (this reader was woken by
-                # the peer's) must still join it.
-                self._readers.remove(threading.current_thread())
-                self._leaving.append(threading.current_thread())
-            _hang_up(sock)
+            self._adopt(server.accept()[0])
+        except OSError:
+            pass  # the client gave up before we got to it
+
+    def _adopt(self, sock: socket.socket) -> _Connection:
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Connection(sock)
+        self._open[conn.fd] = conn
+        self._require_live().msgi.watch(conn.fd, partial(self._on_ready, conn))
+        return conn
+
+    def _on_ready(self, conn: _Connection, mask: int) -> None:
+        try:
+            if mask & select.EPOLLOUT:
+                self._flush(conn)
+            if mask & ~select.EPOLLOUT:
+                self._receive(conn)
+        except BlockingIOError:
+            pass  # readiness was stale; epoll reports it again
+        except EOFError:
+            self._drop(conn)  # orderly goodbye at a message boundary
+        except (OSError, I2OError) as exc:  # hostile bytes, a dry pool
+            logger.warning("%s: dropping connection: %s", self.name, exc)
+            self._drop(conn)
+
+    def _receive(self, conn: _Connection) -> None:
+        """Read toward one frame: header, then body into a loaned block.
+        Level-triggered epoll calls again for the next frame."""
+        while True:
+            view, got = conn.view, conn.got
+            n = conn.sock.recv_into(view[got:] if got else view)
+            if not n:
+                if conn.block is not None:
+                    raise TransportError("connection closed mid-frame")
+                if got:  # EOF inside the header: the header check names it
+                    parse_wire_header(view[:got])
+                raise EOFError
+            got += n
+            if got < len(view):
+                conn.got = got
+                return
+            conn.got = 0
+            if conn.block is not None:
+                block, conn.block, conn.view = conn.block, None, conn.header
+                self.ingest_loaned(conn.src, block, view)
+                return
+            conn.src, length = parse_wire_header(view)
+            # Learn the reverse path: an accepted connection can serve
+            # replies to its originating node.
+            self._conns.setdefault(conn.src, conn)
+            block = conn.block = self._require_live().block_loan(length)
+            conn.view = block.memory[:length]
+
+    def _drop(self, conn: _Connection) -> None:
+        """Close and forget ``conn`` (the peer sees EOF); its half-read
+        block and unsent frames go back to the pool."""
+        exe = self._require_live()
+        exe.msgi.unwatch(conn.fd)
+        del self._open[conn.fd]
+        for node in [n for n, c in self._conns.items() if c is conn]:
+            del self._conns[node]
+        if conn.block is not None:
+            exe.block_return(conn.block)
+        for _header, _body, frame in conn.backlog:
+            exe.frame_free(frame)
+        _hang_up(conn.sock)

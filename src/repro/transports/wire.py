@@ -25,15 +25,14 @@ pool"):
   buffer goes on the wire without serialisation;
 * :func:`decode_wire` returns a :class:`memoryview` of the frame bytes
   instead of forcing a copy;
-* :func:`read_wire_header` / :func:`recv_into_exact` re-frame a byte
-  stream by reading the 12-byte header and then ``recv_into`` the
-  frame straight into a receiver-side pool block.
+* :func:`parse_wire_header` checks a stream's 12-byte header, so a
+  stream transport can loan the receiving pool block and ``recv_into``
+  the frame straight into it.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable
 
 from repro.i2o.errors import FrameFormatError
 from repro.i2o.frame import HEADER_SIZE, MAX_FRAME_SIZE, Frame
@@ -41,10 +40,6 @@ from repro.i2o.frame import HEADER_SIZE, MAX_FRAME_SIZE, Frame
 WIRE_MAGIC = 0x58444151
 _WIRE = struct.Struct("<III")
 WIRE_HEADER_SIZE = _WIRE.size  # 12
-
-#: ``socket.recv_into``-shaped reader: fills the given buffer (possibly
-#: partially), returns the byte count, 0 on end of stream.
-ReadInto = Callable[[memoryview], int]
 
 
 def encode_wire_parts(src_node: int, frame: Frame) -> tuple[bytes, memoryview]:
@@ -65,56 +60,13 @@ def encode_wire(src_node: int, frame: Frame) -> bytes:
     return header + bytes(body)
 
 
-def decode_wire(data: bytes | bytearray | memoryview) -> tuple[int, memoryview]:
-    """Split a wire message into ``(src_node, frame_view)``.
-
-    The returned view aliases ``data`` — zero-copy.  A caller that
-    keeps the frame beyond the buffer's lifetime must land it in pool
-    memory (``PeerTransport.ingest_into`` does exactly that).
-
-    Raises :class:`FrameFormatError` on any structural problem — a
-    transport receiving garbage must fail loudly, not deliver it.
-    """
-    view = memoryview(data)
-    if len(view) < WIRE_HEADER_SIZE + HEADER_SIZE:
-        raise FrameFormatError(f"wire message of {len(view)} bytes is too short")
-    magic, src_node, length = _WIRE.unpack_from(view, 0)
-    if magic != WIRE_MAGIC:
-        raise FrameFormatError(f"bad wire magic 0x{magic:08X}")
-    if length < HEADER_SIZE or length > MAX_FRAME_SIZE:
-        raise FrameFormatError(f"implausible frame length {length}")
-    if WIRE_HEADER_SIZE + length != len(view):
-        raise FrameFormatError(
-            f"length field {length} disagrees with message size {len(view)}"
-        )
-    return src_node, view[WIRE_HEADER_SIZE:]
-
-
-def read_wire_header(
-    recv_into: ReadInto, scratch: memoryview | None = None
-) -> tuple[int, int] | None:
-    """Read and validate one wire header from a byte stream.
-
-    Returns ``(src_node, frame_len)`` so the caller can allocate the
-    receiving pool block *before* pulling the frame off the stream
-    (see :func:`recv_into_exact`), or ``None`` on a clean end of
-    stream at a message boundary.  An EOF mid-header or a malformed
-    header raises :class:`FrameFormatError`.  A per-stream reader
-    passes its own 12-byte ``scratch`` view to reuse across calls.
-    """
-    view = scratch
-    if view is None:
-        view = memoryview(bytearray(WIRE_HEADER_SIZE))
-    got = recv_into(view)
-    if got == 0:
-        return None
-    pos = got
-    while pos < WIRE_HEADER_SIZE:
-        got = recv_into(view[pos:])
-        if got == 0:
-            raise FrameFormatError("stream ended mid wire header")
-        pos += got
-    magic, src_node, length = _WIRE.unpack(view)
+def parse_wire_header(data: bytes | bytearray | memoryview) -> tuple[int, int]:
+    """The one wire header check, for messages and streams alike:
+    ``(src_node, frame_len)``, or :class:`FrameFormatError` for a bad
+    magic, a length no frame can have, or ``data`` short of a header."""
+    if len(data) < WIRE_HEADER_SIZE:
+        raise FrameFormatError("stream ended mid wire header")
+    magic, src_node, length = _WIRE.unpack_from(data, 0)
     if magic != WIRE_MAGIC:
         raise FrameFormatError(f"bad wire magic 0x{magic:08X}")
     if length < HEADER_SIZE or length > MAX_FRAME_SIZE:
@@ -122,18 +74,22 @@ def read_wire_header(
     return src_node, length
 
 
-def recv_into_exact(recv_into: ReadInto, view: memoryview) -> bool:
-    """Fill ``view`` completely from a byte stream; False on EOF.
+def decode_wire(data: bytes | bytearray | memoryview) -> tuple[int, memoryview]:
+    """Split a wire message into ``(src_node, frame_view)``.
 
-    This is the stream half of the pool-first receive path: the view
-    is a slice of an already-allocated pool block, so the wire bytes
-    land in their final resting place in one copy.
+    The returned view aliases ``data`` — zero-copy.  A caller that
+    keeps the frame beyond the buffer's lifetime must land it in pool
+    memory (``PeerTransport.ingest_frame_bytes`` does exactly that).
+
+    Raises :class:`FrameFormatError` on any structural problem — a
+    transport receiving garbage must fail loudly, not deliver it.
     """
-    pos = 0
-    total = len(view)
-    while pos < total:
-        got = recv_into(view[pos:])
-        if got == 0:
-            return False
-        pos += got
-    return True
+    view = memoryview(data)
+    if len(view) < WIRE_HEADER_SIZE + HEADER_SIZE:
+        raise FrameFormatError(f"wire message of {len(view)} bytes is too short")
+    src_node, length = parse_wire_header(view)
+    if WIRE_HEADER_SIZE + length != len(view):
+        raise FrameFormatError(
+            f"length field {length} disagrees with message size {len(view)}"
+        )
+    return src_node, view[WIRE_HEADER_SIZE:]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import faulthandler
+import gc
+import os
 import random
 import sys
 import threading
@@ -349,6 +351,28 @@ class TestThreadMode:
 
     def test_stop_without_start_is_noop(self):
         Executive().stop()
+
+    def test_only_a_parking_loop_holds_fds(self):
+        """A stepped executive that watches no fd opens none; a started
+        one opens its epoll and its bell, and ``stop()`` closes both."""
+        gc.collect()  # earlier tests' garbage closes its fds now
+        fds = len(os.listdir("/proc/self/fd"))
+        cluster = make_loopback_cluster(2)
+        a, b = Sink("a"), Sink("b")
+        cluster[0].install(a)
+        a.send(cluster[0].create_proxy(1, cluster[1].install(b)), b"x",
+               xfunction=0x01)
+        pump(cluster)
+        assert len(b.got) == 1
+        assert len(os.listdir("/proc/self/fd")) == fds
+        cluster[1].start()
+        try:
+            assert all_parked([cluster[1]])
+            assert len(os.listdir("/proc/self/fd")) == fds + 2
+        finally:
+            cluster[1].stop()
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert_no_leaks(cluster)
 
 
 class _Alarm(Listener):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import faulthandler
+import socket
 import sys
 import threading
 import time
@@ -188,3 +189,27 @@ def test_untimed_handoffs_between_two_threads_lose_none():
         sys.setswitchinterval(previous)
     # the kick-off plus the echo's posts; the driver's posts
     assert (ping.posted_inbound, pong.posted_inbound) == (rounds + 1, rounds)
+
+
+def test_a_watched_fd_is_serviced_by_the_park_and_by_service():
+    msgi = MessagingInstance()
+    reader, writer = socket.socketpair()
+    seen: list[bytes] = []
+    msgi.watch(reader.fileno(), lambda mask: seen.append(reader.recv(16)))
+    try:
+        assert msgi.service() is False  # nothing ready
+        writer.send(b"one")
+        assert msgi.wait_for_work(timeout=5) is True
+        assert seen == [b"one"]
+        writer.send(b"two")
+        assert msgi.service() is False  # right after a park: it just polled
+        assert msgi.service() is True
+        assert seen == [b"one", b"two"]
+        msgi.unwatch(reader.fileno())
+        writer.send(b"three")
+        assert msgi.wait_for_work(timeout=0.02) is False
+        assert seen == [b"one", b"two"]
+    finally:
+        msgi.close()
+        reader.close()
+        writer.close()

@@ -14,6 +14,7 @@ re-declaring them.
 
 from __future__ import annotations
 
+import socket
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -64,6 +65,52 @@ class Caller(Listener):
         if frame.is_reply:
             self.replies.append(bytes(frame.payload))
             self.reply_contexts.append(frame.transaction_context)
+
+
+class Keeper(Listener):
+    """Records the payload of every frame it is sent (xfunction 0x1)."""
+
+    def __init__(self, name="keeper"):
+        super().__init__(name)
+        self.payloads: list[bytes] = []
+
+    def on_plugin(self):
+        self.bind(0x1, lambda f: self.payloads.append(bytes(f.payload)))
+
+
+# -- a raw client against one stepped TCP node -----------------------------------
+def make_lone_tcp() -> tuple[Executive, TcpTransport]:
+    """One unstarted executive with a listening TCP transport."""
+    exe = Executive(node=0)
+    pt = TcpTransport(name="tcp")
+    PeerTransportAgent.attach(exe).register(pt, default=True)
+    return exe, pt
+
+
+def step_until(exe: Executive, predicate, timeout: float = 5.0) -> bool:
+    """Step an unstarted executive until ``predicate`` holds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        if not exe.step():
+            time.sleep(0.001)
+    return True
+
+
+def dial_raw(pt: TcpTransport) -> socket.socket:
+    """A non-blocking raw client connected to ``pt``'s listener."""
+    sock = socket.create_connection(("127.0.0.1", pt.bound_port), timeout=1)
+    sock.setblocking(False)
+    return sock
+
+
+def hung_up(raw: socket.socket) -> bool:
+    """True once the transport closed its end (EOF, not just silence)."""
+    try:
+        return raw.recv(1) == b""
+    except BlockingIOError:
+        return False
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import io
+import socket
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +13,19 @@ from repro.i2o.errors import FrameFormatError
 from repro.i2o.frame import HEADER_SIZE, Frame
 from repro.transports.wire import (
     WIRE_HEADER_SIZE,
+    WIRE_MAGIC,
     decode_wire,
     encode_wire,
     encode_wire_parts,
-    read_wire_header,
-    recv_into_exact,
+    parse_wire_header,
+)
+
+from tests.transports.harness import (
+    Keeper,
+    dial_raw,
+    hung_up,
+    make_lone_tcp,
+    step_until,
 )
 
 
@@ -100,60 +109,77 @@ def test_decode_returns_zero_copy_view():
 
 
 # -- streaming re-framer ----------------------------------------------------
+# A stream transport re-frames on the wire header: ``parse_wire_header``
+# checks it, then the frame is read straight into a loaned pool block.
+# The re-framer under test is ``TcpTransport``'s, fed by a raw client.
 
 
-def _chunked_reader(data: bytes, chunk: int):
-    """A recv_into-shaped reader that returns at most ``chunk`` bytes
-    per call — simulates TCP delivering a message in pieces."""
-    stream = io.BytesIO(data)
-
-    def recv_into(view: memoryview) -> int:
-        return stream.readinto(view[: min(len(view), chunk)])
-
-    return recv_into
+@pytest.fixture
+def stream():
+    exe, pt = make_lone_tcp()
+    keeper = Keeper()
+    tid = exe.install(keeper)
+    raw = dial_raw(pt)
+    yield exe, pt, keeper, tid, raw
+    raw.close()
+    pt.shutdown()
+    exe.pool.check_conservation()
+    assert exe.pool.in_flight == 0
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 1024])
-def test_reframe_stream(chunk):
-    f = frame(b"stream me")
-    reader = _chunked_reader(encode_wire(6, f), chunk)
-    src, length = read_wire_header(reader)
-    assert src == 6
-    assert length == f.total_size
-    sink = bytearray(length)
-    assert recv_into_exact(reader, memoryview(sink))
-    assert Frame.parse(sink).same_message(f)
+def test_reframe_stream(stream, chunk):
+    """However the bytes are cut — one at a time included — the frame
+    is delivered once, intact, with the one copy off the wire."""
+    exe, pt, keeper, tid, raw = stream
+    f = Frame.build(target=tid, initiator=INITIATOR_TID,
+                    payload=b"stream me" * 20, xfunction=0x1)
+    data = encode_wire(6, f)
+    for start in range(0, len(data), chunk):
+        raw.sendall(data[start:start + chunk])
+        exe.run_until_idle()
+    assert step_until(exe, lambda: keeper.payloads)
+    assert keeper.payloads == [b"stream me" * 20]
+    assert (pt.frames_received, pt.rx_copies) == (1, 1)
 
 
-def test_reframe_clean_eof_returns_none():
-    assert read_wire_header(_chunked_reader(b"", 64)) is None
+def test_reframe_clean_eof_returns_none(stream, caplog):
+    """EOF at a message boundary is a goodbye: the connection closes
+    without a warning and nothing is delivered."""
+    exe, pt, keeper, _tid, raw = stream
+    with caplog.at_level("WARNING"):
+        raw.shutdown(socket.SHUT_WR)
+        assert step_until(exe, lambda: hung_up(raw))
+    assert caplog.records == [] and keeper.payloads == []
 
 
 def test_reframe_eof_mid_header_raises():
     data = encode_wire(1, frame())[:6]
     with pytest.raises(FrameFormatError, match="mid wire header"):
-        read_wire_header(_chunked_reader(data, 4))
+        parse_wire_header(data)
 
 
 def test_reframe_bad_magic_raises():
     data = bytearray(encode_wire(1, frame()))
     data[1] ^= 0xFF
     with pytest.raises(FrameFormatError, match="magic"):
-        read_wire_header(_chunked_reader(bytes(data), 64))
+        parse_wire_header(data)
 
 
 def test_reframe_implausible_length_raises():
-    import struct
-
-    data = struct.pack("<III", 0x58444151, 0, 5)  # < HEADER_SIZE
+    data = struct.pack("<III", WIRE_MAGIC, 0, 5)  # < HEADER_SIZE
     with pytest.raises(FrameFormatError, match="implausible"):
-        read_wire_header(_chunked_reader(data, 64))
+        parse_wire_header(data)
 
 
-def test_recv_into_exact_eof_mid_frame():
-    f = frame(b"cut short")
-    data = encode_wire(1, f)[: WIRE_HEADER_SIZE + 10]
-    reader = _chunked_reader(data, 64)
-    src, length = read_wire_header(reader)
-    sink = bytearray(length)
-    assert not recv_into_exact(reader, memoryview(sink))
+def test_recv_into_exact_eof_mid_frame(stream, caplog):
+    """A stream that ends inside the frame gives the loaned block back."""
+    exe, pt, keeper, tid, raw = stream
+    f = Frame.build(target=tid, initiator=INITIATOR_TID, payload=b"cut short")
+    raw.sendall(encode_wire(1, f)[: WIRE_HEADER_SIZE + 10])
+    assert step_until(exe, lambda: exe.pool.in_flight == 1)
+    with caplog.at_level("WARNING"):
+        raw.shutdown(socket.SHUT_WR)
+        assert step_until(exe, lambda: hung_up(raw))
+    assert exe.pool.in_flight == 0 and keeper.payloads == []
+    assert "closed mid-frame" in caplog.text
