@@ -1,10 +1,7 @@
 """Radar sources: sensor heads emitting position reports.
 
 A radar sweeps its share of the traffic picture and sends one
-``XF_POSITION`` frame per aircraft per sweep.  Sweeps are driven
-either manually (``sweep()``) or by the I2O timer facility when the
-device is enabled with a ``sweep_interval_ns`` parameter — the same
-timer-as-message machinery as the DAQ trigger, in the domain the
+``XF_POSITION`` frame per aircraft per ``sweep()`` — the domain the
 paper's reference [3] comes from.
 
 Measurement noise is seeded per radar, so two radars disagree slightly
@@ -19,7 +16,6 @@ from repro.atc.protocol import MT_POSITION, pack_position
 from repro.config.schema import ParamSchema, ParamSpec, SchemaListenerMixin
 from repro.core.device import Listener
 from repro.i2o.errors import I2OError
-from repro.i2o.frame import Frame
 from repro.i2o.tid import Tid
 from repro.sim.rng import RngStreams
 
@@ -31,8 +27,6 @@ class RadarSource(SchemaListenerMixin, Listener):
     emits = (MT_POSITION,)
 
     schema = ParamSchema([
-        ParamSpec("sweep_interval_ns", int, default=0, minimum=0,
-                  description="0 = manual sweeps only"),
         ParamSpec("noise_km", float, default=0.1, minimum=0.0,
                   description="1-sigma position noise"),
     ])
@@ -46,7 +40,6 @@ class RadarSource(SchemaListenerMixin, Listener):
         self._rng = RngStreams(seed).stream(f"radar{radar_id}-noise")
         self.sweeps = 0
         self.reports_sent = 0
-        self._timer_id: int | None = None
 
     @property
     def correlator_tid(self) -> Tid | None:
@@ -77,22 +70,6 @@ class RadarSource(SchemaListenerMixin, Listener):
         self.sweeps += 1
         self.reports_sent += count
         return count
-
-    # -- timer drive ------------------------------------------------------------
-    def on_enable(self) -> None:
-        interval = self.typed_param("sweep_interval_ns")
-        if interval > 0:
-            self._timer_id = self.start_timer(interval, context=interval)
-
-    def on_quiesce(self) -> None:
-        if self._timer_id is not None:
-            self.cancel_timer(self._timer_id)
-            self._timer_id = None
-
-    def on_timer(self, context: int, frame: Frame) -> None:
-        self.sweep()
-        if context > 0:
-            self._timer_id = self.start_timer(context, context=context)
 
     def export_counters(self) -> dict[str, object]:
         return {"sweeps": self.sweeps, "reports_sent": self.reports_sent}

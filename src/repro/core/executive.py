@@ -233,7 +233,6 @@ class Executive:
         clock: Clock | None = None,
         watchdog: HandlerWatchdog | None = None,
         max_dispatch_per_step: int = 16,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if isinstance(node, bool) or not isinstance(node, int) \
                 or not 0 <= node <= MAX_NODE:
@@ -245,7 +244,7 @@ class Executive:
         self.clock: Clock = clock if clock is not None else WallClock()
         self.watchdog = watchdog
         self.max_dispatch_per_step = max_dispatch_per_step
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         #: dispatch observers in attach order; copy-on-write, so the
         #: dispatch loop reads the tuple once per frame (:meth:`attach`)
         self.observers: tuple[DispatchObserver, ...] = ()

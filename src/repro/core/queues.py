@@ -51,7 +51,7 @@ class MessagingInstance:
     # open on first use — a stepped executive that watches nothing
     # holds none — and :meth:`close` gives them back until the next.
 
-    def __init__(self, on_work: Callable[[], None] | None = None) -> None:
+    def __init__(self) -> None:
         self._inbound: deque[Frame] = deque()
         self._outbound: deque[Frame] = deque()
         #: fd -> (callback(event mask), events); ``step()`` polls the
@@ -62,7 +62,9 @@ class MessagingInstance:
         self._just_polled = False
         self._opening = threading.Lock()
         self.parking = False
-        self.on_work = on_work
+        #: called by every :meth:`wake`; a sim-plane node sets it to
+        #: resume its simulated process
+        self.on_work: Callable[[], None] | None = None
         self.posted_inbound = 0
         self.posted_outbound = 0
 

@@ -11,8 +11,6 @@ scheme" — the standard executive/utility messages, no side channel:
   and reads hops, critical paths and gaps through the same
   :class:`~repro.flightrec.timeline.MergedTimeline` a dead cluster's
   dumps go through; renders Prometheus-text and JSON dumps.
-* :class:`PeriodicSweeper` — drives any ``sweep()`` from a periodic I2O
-  timer (paper §3.2).  Shared by the collector and ``DaqMonitor``.
 
 The collector's only view of a remote node is the byte payload of a
 ``UtilParamsGet`` reply: no private function codes, no cross-node
@@ -37,7 +35,6 @@ from repro.flightrec.records import (
     RECORD_SIZE, FlightRecError, FlightRecord, decode_records,
 )
 from repro.flightrec.timeline import MergedTimeline
-from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.i2o.function_codes import UTIL_PARAMS_GET
 from repro.i2o.tid import Tid
@@ -53,56 +50,10 @@ MT_PARAMS_SWEEP = message_type(
     "telemetry.params-sweep", 0, function=UTIL_PARAMS_GET, mode="fanout"
 )
 
-#: Timer context the sweeper arms its periodic timer with.  Small and
-#: untagged, so it is never mistaken for a trace id.
-SWEEP_CONTEXT = 0x5EE9
-
 #: Records one ``UtilParamsGet`` reply carries at most (48 KiB packed,
 #: 64 KiB as base64): one reply stays inside one frame however large
-#: the node's ring is, and the next sweep asks for the rest.
+#: the node's ring is, and the collector asks again for the rest.
 MAX_EXPORT_RECORDS = 1024
-
-
-class PeriodicSweeper:
-    """Mixin: drive ``self.sweep()`` from a periodic I2O timer.
-
-    The interval comes from the device parameter named by
-    ``sweep_param`` (nanoseconds; 0 or unset = manual sweeps only).
-    The timer is armed on enable and disarmed on quiesce.
-    """
-
-    sweep_param = "sweep_interval_ns"
-    _sweep_timer_id: int | None = None
-
-    def sweep(self) -> int:  # pragma: no cover - satisfied by the host class
-        raise NotImplementedError
-
-    def sweep_interval_ns(self) -> int:
-        raw = self.parameters.get(self.sweep_param, "0")  # type: ignore[attr-defined]
-        try:
-            return int(raw or "0")
-        except ValueError:
-            raise I2OError(f"bad {self.sweep_param} value {raw!r}")
-
-    def on_enable(self) -> None:
-        super().on_enable()  # type: ignore[misc]
-        interval = self.sweep_interval_ns()
-        if interval > 0 and self._sweep_timer_id is None:
-            self._sweep_timer_id = self.start_timer(  # type: ignore[attr-defined]
-                interval, context=SWEEP_CONTEXT, period_ns=interval
-            )
-
-    def on_quiesce(self) -> None:
-        super().on_quiesce()  # type: ignore[misc]
-        if self._sweep_timer_id is not None:
-            self.cancel_timer(self._sweep_timer_id)  # type: ignore[attr-defined]
-            self._sweep_timer_id = None
-
-    def on_timer(self, context: int, frame: Frame) -> None:
-        if context == SWEEP_CONTEXT:
-            self.sweep()
-        else:
-            super().on_timer(context, frame)  # type: ignore[misc]
 
 
 class TelemetryAgent(Listener):
@@ -168,8 +119,6 @@ class RingMirror:
         self.records: deque[FlightRecord] = deque()
         self.cursor = 0
         self.missed = 0
-        #: the last reply was a whole batch: the ring holds more
-        self.full = False
 
     def ingest(self, ring: str, capacity: str) -> int:
         """Append one reply's records; returns how many were new.  A
@@ -189,15 +138,16 @@ class RingMirror:
             self.missed += fresh[0].seq - self.cursor
             self.cursor = fresh[-1].seq + 1
         self.records = deque([*self.records, *fresh], maxlen=bound)
-        self.full = len(batch) >= MAX_EXPORT_RECORDS
         return len(fresh)
 
 
-class TelemetryCollector(PeriodicSweeper, Requester):
+class TelemetryCollector(Requester):
     """Cluster-wide metrics aggregation and ring mirroring: each
     :meth:`sweep` asks every watched agent for its snapshot and the
     records since its mirror's cursor — one correlated ``UtilParamsGet``
-    per node, in a per-node slot, so a silent agent costs one entry."""
+    per node, in a per-node slot, so a silent agent costs one entry.
+    A reply that was a whole batch of new records is followed by the
+    next ask, so one sweep drains every ring however far behind."""
 
     device_class = "telemetry_collector"
     emits = (MT_PARAMS_SWEEP,)
@@ -228,14 +178,17 @@ class TelemetryCollector(PeriodicSweeper, Requester):
         self._merged = None
 
     def sweep(self) -> int:
-        for node, mirror in sorted(self.watched.items()):
-            self.request(
-                mirror.tid, encode_params({"since": str(mirror.cursor)}),
-                function=UTIL_PARAMS_GET, slot=node,
-                on_reply=functools.partial(self._on_snapshot, mirror),
-            )
+        for _, mirror in sorted(self.watched.items()):
+            self._ask(mirror)
         self.sweeps += 1
         return len(self.watched)
+
+    def _ask(self, mirror: RingMirror) -> None:
+        self.request(
+            mirror.tid, encode_params({"since": str(mirror.cursor)}),
+            function=UTIL_PARAMS_GET, slot=mirror.node,
+            on_reply=functools.partial(self._on_snapshot, mirror),
+        )
 
     def on_unsolicited(self, frame: Frame) -> None:
         # Someone is observing the observer through the same scheme.
@@ -247,7 +200,8 @@ class TelemetryCollector(PeriodicSweeper, Requester):
             return
         params = decode_params(frame.payload)
         # A node with no ring sends neither key: its mirror stays empty.
-        if mirror.ingest(params.pop("ring", ""), params.pop("ring_capacity", "0")):
+        fresh = mirror.ingest(params.pop("ring", ""), params.pop("ring_capacity", "0"))
+        if fresh:
             self._merged = None
         metrics: dict[str, float] = {}
         info: dict[str, str] = {}
@@ -259,6 +213,11 @@ class TelemetryCollector(PeriodicSweeper, Requester):
                 metrics[key] = number
         self.node_metrics[mirror.node] = metrics
         self.node_info[mirror.node] = info
+        # A whole batch of new records: the ring holds more.  Not for a
+        # mirror a rejoin replaced: the agent's TiD now answers for the
+        # new incarnation's ring.
+        if fresh >= MAX_EXPORT_RECORDS and self.watched.get(mirror.node) is mirror:
+            self._ask(mirror)
 
     def merged(self) -> MergedTimeline:
         """The timeline over every mirror, as over a dead cluster's

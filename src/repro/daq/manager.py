@@ -299,9 +299,9 @@ class EventManager(Listener):
             "duplicate_triggers": self.duplicate_triggers,
         }
 
-    def restore(self, snap: dict[str, Any], *, relaunch: bool = True) -> None:
-        """Adopt a snapshot; with ``relaunch`` (default), re-issue every
-        in-flight event so building resumes immediately.
+    def restore(self, snap: dict[str, Any]) -> None:
+        """Adopt a snapshot and re-issue every in-flight event so
+        building resumes immediately.
 
         Call once the routes are wired: relaunching needs live RU/BU
         routes.  READOUT is idempotent on the RUs (existing buffers
@@ -344,8 +344,7 @@ class EventManager(Listener):
             self.cancel_timer(timer_id)
         self._deadlines.clear()
         self.restores += 1
-        if relaunch:
-            self._relaunch_assigned()
+        self._relaunch_assigned()
         self._autosave()
 
     def _relaunch_assigned(self) -> None:

@@ -14,20 +14,14 @@ import functools
 
 from repro.core.device import decode_params, encode_params
 from repro.core.request import Requester
-from repro.core.telemetry import PeriodicSweeper
 from repro.i2o.frame import Frame
 from repro.i2o.function_codes import UTIL_PARAMS_GET
 from repro.i2o.tid import Tid
 
 
-class DaqMonitor(PeriodicSweeper, Requester):
-    """Collects parameter snapshots from a set of watched TiDs.
-
-    :meth:`sweep` is manual by default; setting the
-    ``sweep_interval_ns`` parameter before enable turns on periodic
-    sweeping via the I2O timer facility (the same
-    :class:`~repro.core.telemetry.PeriodicSweeper` mechanism the
-    telemetry collector uses)."""
+class DaqMonitor(Requester):
+    """Collects parameter snapshots from a set of watched TiDs, one
+    ``UtilParamsGet`` each per :meth:`sweep`."""
 
     device_class = "daq_monitor"
 

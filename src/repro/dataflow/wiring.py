@@ -45,7 +45,6 @@ def wire_dataflow(
     *,
     edge_credits: int = DEFAULT_EDGE_CREDITS,
     park_limit: int = DEFAULT_PARK_LIMIT,
-    strict: bool = True,
     backpressure: bool = True,
 ) -> tuple[DataflowGraph, CreditLedger]:
     """Derive every route table of the cluster ``{node: executive}``.
@@ -61,8 +60,7 @@ def wire_dataflow(
     Either way every node gets the cluster's one
     :class:`~repro.dataflow.routing.CreditLedger` and a bounded
     :class:`~repro.dataflow.routing.DataflowOutbox` retried from its
-    poll loop.  ``strict`` makes analysis diagnostics fatal; a rig
-    that wires a partial topology on purpose passes ``strict=False``.
+    poll loop.  Any analysis diagnostic refuses the topology.
 
     Re-runnable: after a node was replaced (kill and rejoin), calling
     this again over the current executives re-derives every table —
@@ -81,7 +79,7 @@ def wire_dataflow(
     # the caller happened to install the devices.
     graph = DataflowGraph(sorted(placed, key=lambda dn: dn.name))
     diagnostics = graph.analyze()
-    if diagnostics and strict:
+    if diagnostics:
         rendered = "; ".join(d.render() for d in diagnostics)
         raise I2OError(
             f"dataflow analysis rejected the topology: {rendered}"
@@ -114,12 +112,9 @@ def wire_dataflow(
         exe, device = installed[name]
         for tname in dn.emits:
             mtype = lookup(tname)
-            consumers = graph.consumers_of(tname)
-            if not consumers:
-                continue  # diagnosed above; reachable only non-strict
             targets: dict[Any, Tid] = {}
             edges: dict[Any, Edge] | None = {} if backpressure else None
-            for consumer in consumers:
+            for consumer in graph.consumers_of(tname):
                 c_exe, c_device = installed[consumer.name]
                 c_tid = c_device.tid
                 targets[consumer.key] = exe.create_proxy(c_exe.node, c_tid)

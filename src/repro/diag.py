@@ -12,6 +12,7 @@ Usage::
     python -m repro.diag top --json sweep.json  # a saved render_json() dump
     python -m repro.diag timeline crash/node003.flightrec   # decode one
     python -m repro.diag timeline crash/        # merge a directory of dumps
+    python -m repro.diag timeline               # ... live, rings over I2O
     python -m repro.diag where crash/           # critical path from dumps
     python -m repro.diag where                  # ... live, rings over I2O
     python -m repro.diag flame --out stacks.txt --dumps crash/
@@ -38,7 +39,7 @@ import repro.daq.protocol  # noqa: F401
 from repro.config.bootstrap import BootstrapError, Cluster, bootstrap
 from repro.dataflow.examples import BUILTIN_SPECS, event_builder_spec
 from repro.dataflow.graph import graph_from_spec
-from repro.flightrec.dump import describe_dump, load_dumps
+from repro.flightrec.dump import FlightDump, describe_dump, load_dumps
 from repro.flightrec.records import FlightRecError
 from repro.flightrec.timeline import MergedTimeline, in_flight_sends
 from repro.profile.critical import CriticalPathAnalyzer
@@ -122,12 +123,31 @@ def _top(args: argparse.Namespace) -> int:
 
 
 # -- timeline / where ---------------------------------------------------------
+def _load_timeline(
+    args: argparse.Namespace,
+) -> tuple[list[FlightDump], MergedTimeline]:
+    """The named dumps and their merge; with none named, no dumps and
+    the live demo's timeline: one sweep pulls every ring over
+    ``UtilParamsGet`` into the collector's mirrors."""
+    if args.dumps:
+        dumps = load_dumps(args.dumps)
+        return dumps, MergedTimeline(dumps)
+    cluster = _run_demo(args.events)
+    collector: Any = cluster.collector
+    collector.sweep()
+    cluster.pump()
+    counters = collector.export_counters()
+    print(f"# collector: {counters['traces']} trace(s), "
+          f"missed_records={counters['missed_records']}")
+    return [], collector.merged()
+
+
 def _timeline(args: argparse.Namespace) -> int:
-    dumps = load_dumps(args.dumps)
+    dumps, merged = _load_timeline(args)
     if len(dumps) == 1:
         print(describe_dump(dumps[0]))
     else:
-        print(MergedTimeline(dumps).describe())
+        print(merged.describe())
     for dump in dumps:
         pending = in_flight_sends(dump)
         if pending:
@@ -140,15 +160,7 @@ def _timeline(args: argparse.Namespace) -> int:
 
 
 def _where(args: argparse.Namespace) -> int:
-    if args.dumps:
-        merged = MergedTimeline(load_dumps(args.dumps))
-    else:  # live: pull every ring over UtilParamsGet until a reply is short
-        cluster = _run_demo(args.events)
-        collector: Any = cluster.collector
-        while not collector.sweeps or any(m.full for m in collector.watched.values()):
-            collector.sweep()
-            cluster.pump()
-        merged = collector.merged()
+    _, merged = _load_timeline(args)
     analyzer = CriticalPathAnalyzer(merged)
     paths = analyzer.paths()
     print(analyzer.report(paths, top=TOP_N))
@@ -237,8 +249,10 @@ def main(argv: list[str] | None = None) -> int:
     arg("--sort", metavar="COL", choices=[c.lower() for c in COLUMNS],
         help="order rows by a column (descending; 'node' ascending)")
     arg = command("timeline", _timeline,
-                  "decode one dump, or merge several: gaps, in-flight sends")
-    arg("dumps", nargs="+", help=".flightrec files, or directories of them")
+                  "decode one dump, or merge several: gaps, in-flight sends",
+                  parents=[demo_run])
+    arg("dumps", nargs="*",
+        help=".flightrec files or directories (none = a live demo run)")
     arg = command("where", _where, "where each traced frame's time went",
                   parents=[demo_run])
     arg("dumps", nargs="*",

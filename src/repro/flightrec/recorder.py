@@ -64,6 +64,7 @@ from repro.flightrec.records import (
     FlightRecord,
     decode_records,
 )
+from repro.i2o.function_codes import PRIVATE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executive import Executive
@@ -229,16 +230,20 @@ class FlightRecorder(DispatchObserver):
 
     # -- trace stamping (``frame_send``) ------------------------------------
     def stamp(self, frame: "Frame") -> None:
-        """Give an outgoing frame a trace id (repro.core.tracing).
+        """Give an outgoing ``PRIVATE`` frame a trace id
+        (repro.core.tracing).
 
         A send from outside any dispatch roots a new trace here; a send
         made *during* a dispatch joins the dispatched frame's trace, and
         an untraced dispatch (a timer's, say) lazily roots one so its
         chain is still stitched.  A non-zero ``transaction_context``
         (application and timer contexts, contexts carried across the
-        wire) and replies pass untouched.
+        wire), replies and management frames (executive and utility
+        requests: telemetry sweeps, discovery, host control) pass
+        untouched, so the observer roots no trace of its own.
         """
-        if frame.transaction_context != 0 or frame.is_reply:
+        if frame.transaction_context != 0 or frame.is_reply \
+                or frame.function != PRIVATE:
             return
         active = self._active
         if active is None:

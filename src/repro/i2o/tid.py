@@ -40,13 +40,13 @@ FIRST_DYNAMIC_TID: Tid = 16
 MAX_NODE = 0xFFF
 
 
-def check_tid(tid: int, *, allow_broadcast: bool = False) -> Tid:
-    """Validate ``tid`` as a 12-bit TiD; returns it for chaining."""
+def check_tid(tid: int) -> Tid:
+    """Validate ``tid`` as a 12-bit unicast TiD; returns it for chaining."""
     if not isinstance(tid, int) or isinstance(tid, bool):
         raise AddressingError(f"TiD must be an int, got {type(tid).__name__}")
     if not 0 <= tid <= MAX_TID:
         raise AddressingError(f"TiD {tid} out of range 0..{MAX_TID}")
-    if tid == TID_BROADCAST and not allow_broadcast:
+    if tid == TID_BROADCAST:
         raise AddressingError("broadcast TiD not valid here")
     return tid
 

@@ -17,12 +17,7 @@ from repro.atc.radar import RadarSource
 
 from repro.dataflow.wiring import wire_dataflow
 
-from tests.conftest import (
-    ManualClock,
-    assert_no_leaks,
-    make_loopback_cluster,
-    pump,
-)
+from tests.conftest import assert_no_leaks, make_loopback_cluster, pump
 
 
 def build_sector(*, n_aircraft=4, n_radars=2, conflict_pair=False, seed=0):
@@ -152,21 +147,3 @@ class TestRealTimePath:
         pump(cluster)
         assert console.log[0] == ("alert", (1, 2))
         assert all(kind == "update" for kind, _ in console.log[1:])
-
-
-class TestTimerDrivenRadar:
-    def test_enabled_radar_sweeps_on_timer(self):
-        cluster, traffic, radars, correlator, console = build_sector(
-            n_radars=1
-        )
-        clock = ManualClock()
-        cluster[1].clock = clock
-        radar = radars[0]
-        radar.parameters["sweep_interval_ns"] = "1000000"  # 1 ms
-        radar.set_state(radar.state.__class__.ENABLED)
-        radar.on_enable()
-        for step in range(1, 4):
-            clock.t = step * 1_000_000
-            pump(cluster)
-        assert radar.sweeps == 3
-        assert correlator.reports_received == 12  # 3 sweeps x 4 aircraft

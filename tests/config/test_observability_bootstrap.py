@@ -67,7 +67,6 @@ class TestWiring:
         collector = cluster.collector
         assert isinstance(collector, TelemetryCollector)
         assert cluster.node_of(collector.name) == 0
-        assert collector.sweep_interval_ns() == 0  # manual sweeps
 
     def test_diskless_rings_without_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

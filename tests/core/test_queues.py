@@ -55,7 +55,8 @@ def test_counters():
 
 def test_on_work_callback_fires_for_both_queues():
     calls = []
-    msgi = MessagingInstance(on_work=lambda: calls.append(1))
+    msgi = MessagingInstance()
+    msgi.on_work = lambda: calls.append(1)
     msgi.post_inbound(frame())
     msgi.post_outbound(frame())
     assert len(calls) == 2

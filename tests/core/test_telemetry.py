@@ -1,4 +1,4 @@
-"""Telemetry agent, collector, and the shared periodic sweeper."""
+"""Telemetry agent and collector."""
 
 from __future__ import annotations
 
@@ -9,19 +9,14 @@ import pytest
 
 from repro.core import telemetry
 from repro.core.device import encode_params
-from repro.core.executive import Executive
-from repro.core.telemetry import (
-    SWEEP_CONTEXT,
-    RingMirror,
-    TelemetryAgent,
-    TelemetryCollector,
-)
+from repro.core.telemetry import RingMirror, TelemetryAgent, TelemetryCollector
 from repro.flightrec.recorder import FlightRecorder
 from repro.flightrec.records import EV_TIMER_FIRE, FlightRecord, decode_records
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import UTIL_PARAMS_GET
 
-from tests.conftest import ManualClock, make_loopback_cluster, pump
+from tests.conftest import make_loopback_cluster, pump
+from tests.transports.harness import Caller, Echo
 
 AGENT_TID = 17
 
@@ -53,7 +48,7 @@ def _ring_value(*seqs: int) -> str:
 
 
 def _mirror_state(mirror):
-    return list(mirror.records), mirror.cursor, mirror.missed, mirror.full
+    return list(mirror.records), mirror.cursor, mirror.missed
 
 
 class TestRingReply:
@@ -102,10 +97,18 @@ class TestCollectorSweep:
             assert metrics["node"] == node
 
     def test_spans_deduplicated_across_sweeps(self):
+        # Sweeps root no trace: the hops are the application's, one
+        # echo round trip (two hops) between each pair of sweeps.
         cluster, collector, _ = _telemetry_cluster(2)
+        caller = Caller()
+        cluster[0].install(caller)
+        echo = cluster[0].create_proxy(1, cluster[1].install(Echo("echo")))
         for _ in range(3):
+            caller.send(echo, b"ping", xfunction=0x1)
+            pump(cluster)
             collector.sweep()
             pump(cluster)
+        assert len(caller.replies) == 3
         # Each sweep asks only for records past the cursor: every record
         # the ring wrote before the last reply arrived exactly once.
         for node, mirror in collector.watched.items():
@@ -114,8 +117,9 @@ class TestCollectorSweep:
             ring = cluster[node].flightrec.records
             assert list(mirror.records) == list(ring[: mirror.cursor])
         merged = collector.merged()
+        assert len(merged.trace_ids()) == 3
         hops = [(h.node, h.seq) for t in merged.trace_ids() for h in merged.hops(t)]
-        assert hops and len(hops) == len(set(hops))
+        assert len(hops) == 6 and len(set(hops)) == 6
 
     def test_collector_speaks_only_util_params_get(self):
         cluster, collector, _ = _telemetry_cluster(2)
@@ -148,25 +152,34 @@ class TestCollectorSweep:
 
     def test_cursor_delivers_every_record_exactly_once(self, monkeypatch):
         monkeypatch.setattr(telemetry, "MAX_EXPORT_RECORDS", 16)
-        cluster, collector, _ = _telemetry_cluster(2)
+        cluster, collector, agents = _telemetry_cluster(2)
         ring = cluster[1].flightrec
         for i in range(100):  # a backlog of several replies' worth
             ring.record(EV_TIMER_FIRE, i, AGENT_TID, 0)
         mirror = collector.watched[1]
-        batches = []
-        for _ in range(20):  # drained well within: 100 records, 16 a reply
-            before = mirror.cursor
-            collector.sweep()
-            pump(cluster)
-            batches.append(mirror.cursor - before)
-            if not mirror.full:
-                break
-        assert not mirror.full
-        assert len(batches) >= 7 and batches[:6] == [16] * 6
+        collector.sweep()  # one sweep: every whole batch asks again
+        pump(cluster)
+        assert collector.sweeps == 1
+        assert agents[1].exports >= 7  # 100 records, 16 a reply
+        assert ring.total_records - mirror.cursor < 16  # a short reply ended it
         assert ring.dropped_records == 0
         assert mirror.missed == 0
         assert [r.seq for r in mirror.records] == list(range(mirror.cursor))
         assert list(mirror.records) == list(ring.records[: mirror.cursor])
+
+    def test_a_replaced_mirror_stops_asking(self, monkeypatch):
+        # A whole batch landing in a mirror a rejoin replaced asks no
+        # more: the agent's TiD now answers for the new incarnation.
+        monkeypatch.setattr(telemetry, "MAX_EXPORT_RECORDS", 16)
+        cluster, collector, agents = _telemetry_cluster(2)
+        for i in range(100):
+            cluster[1].flightrec.record(EV_TIMER_FIRE, i, AGENT_TID, 0)
+        old = collector.watched[1]
+        collector.sweep()
+        collector.watch(1, old.tid)
+        pump(cluster)
+        assert agents[1].exports == 1
+        assert old.cursor == 16 and collector.watched[1].cursor == 0
 
     def test_wrapped_ring_shows_in_the_missed_count(self):
         cluster, collector, _ = _telemetry_cluster(2, capacity=8)
@@ -279,53 +292,3 @@ class TestAgent:
         pump(cluster)
         for info in collector.node_metrics.values():
             assert info["trace_enabled"] == 0
-
-
-class TestPeriodicSweeper:
-    def _collector_on_manual_clock(self):
-        clock = ManualClock()
-        exe = Executive(node=0, clock=clock)
-        agent = TelemetryAgent(name="agent")
-        exe.install(agent)
-        collector = TelemetryCollector(name="collector")
-        collector.parameters["sweep_interval_ns"] = "1000"
-        exe.install(collector)
-        collector.watch(0, agent.tid)
-        return clock, exe, collector
-
-    def test_periodic_sweeps_fire_until_quiesced(self):
-        clock, exe, collector = self._collector_on_manual_clock()
-        collector.on_enable()
-        exe.run_until_idle()
-        assert collector.sweeps == 0
-        clock.t = 1_000
-        exe.run_until_idle()
-        assert collector.sweeps == 1
-        assert 0 in collector.node_metrics
-        clock.t = 2_000
-        exe.run_until_idle()
-        assert collector.sweeps == 2  # the timer re-armed itself
-        collector.on_quiesce()
-        clock.t = 10_000
-        exe.run_until_idle()
-        assert collector.sweeps == 2  # disarmed
-
-    def test_zero_interval_stays_manual(self):
-        clock, exe, collector = self._collector_on_manual_clock()
-        collector.parameters["sweep_interval_ns"] = "0"
-        collector.on_enable()
-        clock.t = 1_000_000
-        exe.run_until_idle()
-        assert collector.sweeps == 0
-        assert collector._sweep_timer_id is None
-
-    def test_bad_interval_rejected(self):
-        _, _, collector = self._collector_on_manual_clock()
-        collector.parameters["sweep_interval_ns"] = "soon"
-        with pytest.raises(I2OError):
-            collector.on_enable()
-
-    def test_sweep_context_is_not_a_trace_id(self):
-        from repro.core.tracing import is_trace_context
-
-        assert not is_trace_context(SWEEP_CONTEXT)

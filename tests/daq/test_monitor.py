@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.daq.manager import EventManager
 from repro.daq.monitor import DaqMonitor
 
-from tests.conftest import ManualClock, pump
+from tests.conftest import pump
 from tests.daq.test_eventbuilder import wire_daq
 
 
@@ -39,35 +39,6 @@ def test_sweep_counts_watched(five_nodes):
     monitor.watch(five_nodes[0].create_proxy(1, tid))  # dedup
     assert monitor.sweep() == 1
     pump(five_nodes)
-
-
-def test_periodic_sweeps_via_timer_facility():
-    """sweep_interval_ns turns the monitor self-clocked: the I2O timer
-    facility fires sweeps until quiesce disarms it."""
-    from repro.core.executive import Executive
-
-    clock = ManualClock()
-    exe = Executive(node=0, clock=clock)
-    evm = EventManager()
-    evm_tid = exe.install(evm)
-    monitor = DaqMonitor()
-    monitor.parameters["sweep_interval_ns"] = "1000"
-    exe.install(monitor)
-    monitor.watch(evm_tid)
-    monitor.on_enable()
-    exe.run_until_idle()
-    assert monitor.sweeps == 0  # nothing before the first expiry
-    clock.t = 1_000
-    exe.run_until_idle()
-    assert monitor.sweeps == 1
-    assert "triggers" in monitor.snapshot(evm_tid)
-    clock.t = 2_500
-    exe.run_until_idle()
-    assert monitor.sweeps == 2  # periodic re-arm
-    monitor.on_quiesce()
-    clock.t = 100_000
-    exe.run_until_idle()
-    assert monitor.sweeps == 2
 
 
 def test_repeated_sweeps_refresh(five_nodes):

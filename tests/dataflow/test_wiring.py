@@ -69,11 +69,11 @@ def test_rewiring_is_idempotent():
     assert cluster.device("evm").completed == 6
 
 
-def test_partial_topology_needs_strict_off():
+def test_partial_topology_is_refused():
     cluster = make_loopback_cluster(3)
     evm, _ = _install_daq(cluster, with_trigger=False)
     with pytest.raises(I2OError, match="missing-provider"):
         wire_dataflow(cluster)
-    graph, _ = wire_dataflow(cluster, strict=False, backpressure=False)
-    assert [d.code for d in graph.analyze()] == ["missing-provider"]
-    assert sorted(evm.bu_tids) == [0] and sorted(evm.ru_tids) == [0]
+    # Refused before anything was wired: no ledger, no routes.
+    assert all(exe.dataflow is None for exe in cluster.values())
+    assert not evm.bu_tids and not evm.ru_tids

@@ -28,7 +28,7 @@ class TestSnapshotDocument:
         fresh.connect_route(MT_ALLOCATE, dict(evm.bu_tids))
         fresh.on_dataflow_connected()
         five_nodes[0].install(fresh)
-        fresh.restore(snap, relaunch=False)
+        fresh.restore(snap)
         assert fresh.completed == 8
         assert sorted(fresh.completed_ids) == list(range(1, 9))
         assert fresh.in_flight == 0
@@ -63,7 +63,7 @@ class TestSnapshotDocument:
         pump(five_nodes)
         snap = evm.snapshot()
         snap["rr"] = [7, 8, 9]  # a different builder ring shape
-        evm.restore(snap, relaunch=False)
+        evm.restore(snap)
         assert evm._rr_index == 0
 
 

@@ -29,10 +29,9 @@ class TestCheckTid:
         with pytest.raises(AddressingError):
             check_tid(-1)
 
-    def test_broadcast_needs_opt_in(self):
-        with pytest.raises(AddressingError):
+    def test_broadcast_refused(self):
+        with pytest.raises(AddressingError, match="broadcast"):
             check_tid(TID_BROADCAST)
-        assert check_tid(TID_BROADCAST, allow_broadcast=True) == TID_BROADCAST
 
     def test_bool_is_not_a_tid(self):
         with pytest.raises(AddressingError):

@@ -10,6 +10,7 @@ across a kill and rejoin too, where the reborn ring restarts at seq 0.
 from __future__ import annotations
 
 from repro.config.bootstrap import bootstrap
+from repro.core import telemetry
 from repro.daq.protocol import XF_TRIGGER
 from repro.dataflow.examples import event_builder_spec
 from repro.flightrec.timeline import MergedTimeline, project_hops
@@ -81,3 +82,28 @@ def test_live_critical_paths_match_the_rings():
     for trace_id in events:
         assert live.path(trace_id) == expected.path(trace_id)
     assert collector.merged() is collector.merged()  # cached until new records
+
+
+def test_one_sweep_drains_rings_larger_than_a_reply(monkeypatch):
+    monkeypatch.setattr(telemetry, "MAX_EXPORT_RECORDS", 64)
+    cluster = _traced_cluster()
+    cluster.device("trigger").fire_burst(20)
+    cluster.pump()
+    rings = cluster.flight_recorders
+    written = {node: ring.total_records for node, ring in rings.items()}
+    assert max(written.values()) > 4 * 64  # several replies' worth
+    merged = MergedTimeline(rings.values())
+    events = {
+        t for t in merged.trace_ids()
+        if any(h.xfunction == XF_TRIGGER for h in merged.hops(t))
+    }
+    assert len(events) == 20
+    collector = cluster.collector
+    collector.sweep()
+    cluster.pump()
+    # The sweep rooted no trace of its own, and its one round of asks
+    # (each whole batch asking again) drained every ring.
+    assert set(collector.merged().trace_ids()) == events
+    for node, mirror in collector.watched.items():
+        assert mirror.missed == 0 and mirror.cursor >= written[node]
+        assert list(mirror.records) == list(rings[node].records[: mirror.cursor])

@@ -1,9 +1,10 @@
 """``python -m repro.diag``: one command, five projections.
 
-``top`` is covered in ``tests/core/test_top.py``, ``timeline`` in
-``tests/flightrec/test_timeline.py`` and ``where`` over dumps in
-``tests/integration/test_post_mortem.py``; here: the live demo run
-(``flame``, ``where``), ``graph``, and the shape of the CLI itself.
+``top`` is covered in ``tests/core/test_top.py``, ``timeline`` over
+dumps in ``tests/flightrec/test_timeline.py`` and ``where`` over dumps
+in ``tests/integration/test_post_mortem.py``; here: the live demo run
+(``flame``, ``where``, ``timeline``), ``graph``, and the shape of the
+CLI itself.
 """
 
 from __future__ import annotations
@@ -44,10 +45,20 @@ class TestDemoRun:
     def test_where_on_the_live_demo_reports_encode_and_wire(self, capsys):
         assert main(["where", "--events", "10"]) == 0
         out = capsys.readouterr().out
+        assert "# collector: 10 trace(s), missed_records=0" in out
         assert "=== critical path: 10 trace(s) ===" in out
+        assert "params-sweep" not in out  # sweeps root no trace
         for segment in ("queue-wait", "dispatch", "encode", "wire"):
             count = re.search(rf"\n{segment} +(\d+)", out)
             assert count and int(count.group(1)) > 0, segment
+
+
+    def test_timeline_on_the_live_demo_describes_the_mirrors(self, capsys):
+        assert main(["timeline", "--events", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "# collector: 5 trace(s), missed_records=0" in out
+        assert "=== merged timeline: 4 dump(s), nodes [0, 1, 2, 3]" in out
+        assert "in flight when" not in out  # dump-only lines
 
 
 class TestGraph:

@@ -11,8 +11,6 @@ dispatch    bound as a message handler (``bind``/``bind_default``/
             the body of a thread whose target drives ``step()`` (the
             ``Executive.start`` loop — the dispatch thread itself)
 timer       ``on_timer`` overrides (timers arrive as dispatch frames)
-sweep       ``sweep`` methods of ``PeriodicSweeper`` hosts (driven by
-            the telemetry timer, also on the dispatch thread)
 rx-thread   a ``threading.Thread`` target that is *not* the dispatch
             loop: transport accept/reader threads
 sampler     a ``threading.Thread`` target that walks
@@ -22,8 +20,8 @@ main        ``main()`` entry points — the blessed control plane
 test        ``test_*`` functions
 ==========  =========================================================
 
-``dispatch``/``timer``/``sweep`` are **dispatch-affine**: they all
-execute on the executive's loop thread and can never race each other.
+``dispatch``/``timer`` are **dispatch-affine**: both execute on the
+executive's loop thread and can never race each other.
 ``rx-thread`` is the dangerous one — RACE001/RACE002 fire only on
 mutations reachable from it or from ``sampler``.  ``sampler`` is
 recognised separately so the read-only frame walk is never mistaken
@@ -47,14 +45,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 DISPATCH = "dispatch"
 TIMER = "timer"
-SWEEP = "sweep"
 RX = "rx-thread"
 SAMPLER = "sampler"
 MAIN = "main"
 TEST = "test"
 
 #: contexts that execute on the executive's dispatch thread
-DISPATCH_AFFINE = frozenset({DISPATCH, TIMER, SWEEP})
+DISPATCH_AFFINE = frozenset({DISPATCH, TIMER})
 
 #: Listener lifecycle hooks the executive invokes from dispatch
 LIFECYCLE_HOOKS = frozenset(
@@ -195,9 +192,6 @@ def assign_contexts(
                 contexts[decl.key].add(DISPATCH)
             elif decl.name == "on_timer":
                 contexts[decl.key].add(TIMER)
-            elif decl.name == "sweep" and "PeriodicSweeper" in (
-                    index.mro_names(decl.cls)):
-                contexts[decl.key].add(SWEEP)
             elif decl.name.startswith("_on_"):
                 # The Listener standard-handler idiom: bound in
                 # _bind_standard and dispatched from the loop.
@@ -268,5 +262,5 @@ def assign_contexts(
 
 __all__ = [
     "DISPATCH", "DISPATCH_AFFINE", "LIFECYCLE_HOOKS", "MAIN", "RX",
-    "SAMPLER", "SWEEP", "TEST", "TIMER", "assign_contexts",
+    "SAMPLER", "TEST", "TIMER", "assign_contexts",
 ]
