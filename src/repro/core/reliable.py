@@ -7,11 +7,17 @@ that layer, built entirely from the architectural pieces the paper
 provides:
 
 * sequencing and acknowledgements are ordinary private messages;
+* acknowledgements are batched: the first unacked arrival arms one
+  zero-delay timer, and its expiry sends one ack per source naming
+  every seq received since (at most :data:`MAX_ACK_SEQS` a frame), so
+  a burst costs one ack frame, not one per message;
 * retransmission deadlines use the **I2O timer facility** (expirations
-  arrive as frames through the same queues, paper §3.2);
-* every data and ack frame carries a CRC32 over its payload, so a
-  corrupted frame is discarded instead of delivering garbage or —
-  worse — acknowledging a sequence number that was never received;
+  arrive as frames through the same queues, paper §3.2): the pending
+  table stays in deadline order and one timer per endpoint, armed for
+  its head, retransmits every entry that is due when it fires;
+* every data and ack frame carries a CRC32, so a corrupted frame is
+  discarded instead of delivering garbage or — worse — acknowledging
+  a sequence number that was never received;
 * duplicate suppression keeps at-most-once delivery to the consumer,
   so the combination is exactly-once as long as the wire eventually
   delivers (tested against the fault-injecting transport);
@@ -22,8 +28,8 @@ provides:
 
 When the supervision layer declares a peer DEAD, the endpoint's
 ``on_peer_dead`` hook aborts every in-flight retransmission toward
-that node — retrying into a black hole only wastes wire and timers —
-and reports each aborted message through ``on_failed``.
+that node — retrying into a black hole only wastes the wire — and
+reports each aborted message through ``on_failed``.
 
 An endpoint given a :class:`~repro.durable.segments.SegmentStore`
 journal additionally survives its *own* death: every send is appended
@@ -72,8 +78,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 XF_REL_DATA = 0xF001
 XF_REL_ACK = 0xF002
 
-#: seq (u64) + CRC32 of the bytes that follow (u32)
+#: data: seq (u64) + CRC32 of the bytes that follow (u32)
 _HEADER = struct.Struct("<QI")
+#: ack: seq count (u32) + CRC32 of the seq list (u32), then the seqs
+#: (u64 each)
+_ACK_HEAD = struct.Struct("<II")
+#: seqs one ack frame names: 32 B header + 8 + 8 x 123 = one 1 KiB block
+MAX_ACK_SEQS = 123
 
 #: (source, seq) pairs an unordered receiver remembers to suppress
 #: duplicates
@@ -103,7 +114,9 @@ class ReliableEndpoint(Listener):
     entry.  Consequently ``ordered=True`` assumes the peer-pair usage
     pattern — one remote endpoint per sender — because a receiver
     reconstructs each sender's sequence independently and a sender
-    interleaving targets would create permanent gaps.
+    interleaving targets would create permanent gaps.  For the same
+    reason an ack names its seqs one by one: with several targets,
+    "acked through N" is undefined at any one receiver.
     """
 
     device_class = "reliable_endpoint"
@@ -129,8 +142,15 @@ class ReliableEndpoint(Listener):
         #: fault-injection hook (repro.analysis.crashpoints.crash_at)
         self.crash_hook: CrashHook | None = None
         self._next_seq = 1
-        #: seq -> (target, payload, retries_left, timer_id, wire crc)
+        #: seq -> (target, payload, retries_left, deadline_ns, wire crc),
+        #: in deadline order (a retransmission re-inserts at the end)
         self._pending: dict[int, tuple[Tid, bytes, int, int, int]] = {}
+        #: the one retransmit timer, armed while ``_pending`` is not empty
+        self._rtx_timer: int | None = None
+        #: initiator -> seqs received since the last ack flush
+        self._unacked: dict[Tid, list[int]] = {}
+        #: the zero-delay timer that flushes ``_unacked``
+        self._ack_timer: int | None = None
         #: (initiator, seq) -> None, LRU-bounded (unordered mode)
         self._seen: OrderedDict[tuple[Tid, int], None] = OrderedDict()
         #: ordered mode: initiator -> next seq to deliver
@@ -170,8 +190,15 @@ class ReliableEndpoint(Listener):
         )
         if self.journal is not None:
             self._recover()
+        # A re-plugged endpoint still owes what it held when unplugged.
+        self._arm_retransmit()
 
     def on_unplug(self) -> None:
+        # Uninstall disarmed every timer this endpoint owned: forget the
+        # handles, or nothing would ever re-arm them.  Unacked seqs go
+        # too; their senders retransmit and are acked afresh.
+        self._rtx_timer = self._ack_timer = None
+        self._unacked.clear()
         # Clean uninstall: push buffered journal records to disk so a
         # later restart replays a complete write-ahead record.  The
         # store stays open — the endpoint may be re-plugged.
@@ -208,16 +235,16 @@ class ReliableEndpoint(Listener):
         if state.next_seq > self._next_seq:
             self._next_seq = state.next_seq
         pending = journal.pending()
+        deadline = exe.clock.now_ns() + self.retransmit_ns
         for seq in sorted(pending):
             record = pending[seq]
             if record.node == exe.node:
                 target = Tid(record.tid)
             else:
                 target = exe.create_proxy(record.node, Tid(record.tid))
-            timer_id = self.start_timer(self.retransmit_ns, context=seq)
             crc = _data_crc(seq, record.payload)
             self._pending[seq] = (
-                target, record.payload, self.max_retries, timer_id, crc,
+                target, record.payload, self.max_retries, deadline, crc,
             )
             # Replay bypasses send_reliable, so the send is recorded
             # here: a restarted node's black box shows the same seqs
@@ -229,6 +256,7 @@ class ReliableEndpoint(Listener):
                 )
             self._transmit(seq, target, record.payload, crc)
             self.replayed += 1
+        self._arm_retransmit()
         if state.records:
             self.recoveries += 1
         self.recovery_ns = time.perf_counter_ns() - start_ns
@@ -287,8 +315,10 @@ class ReliableEndpoint(Listener):
                 fr.record(EV_JOURNAL_COMMIT, seq)
         self._crash(CRASH_POST_APPEND)
         self._next_seq = seq + 1
-        timer_id = self.start_timer(self.retransmit_ns, context=seq)
-        self._pending[seq] = (target, data, self.max_retries, timer_id, crc)
+        deadline = self._require_live().clock.now_ns() + self.retransmit_ns
+        self._pending[seq] = (target, data, self.max_retries, deadline, crc)
+        if self._rtx_timer is None:
+            self._arm_retransmit()
         if fr is not None:
             fr.record(EV_REL_SEND, seq, node, len(data))
         self._transmit(seq, target, data, crc)
@@ -329,13 +359,11 @@ class ReliableEndpoint(Listener):
             # position in the stream.
             self.corrupt_discarded += 1
             return
-        # Always ack - the previous ack may have been lost.
-        def write_ack(view: memoryview) -> None:
-            _HEADER.pack_into(view, 0, seq, zlib.crc32(_HEADER.pack(seq, 0)))
-
-        self.send_into(
-            frame.initiator, _HEADER.size, write_ack, xfunction=XF_REL_ACK
-        )
+        # Always ack - the previous ack may have been lost.  The ack
+        # waits for the flush, so one frame answers the whole burst.
+        self._unacked.setdefault(frame.initiator, []).append(seq)
+        if self._ack_timer is None:
+            self._ack_timer = self.start_timer(0)
         fr = self._flightrec
         if fr is not None:
             exe = self._require_live()
@@ -374,68 +402,129 @@ class ReliableEndpoint(Listener):
         if self.consumer is not None:
             self.consumer(source, payload)
 
+    def _flush_acks(self) -> None:
+        """Send each source one ack naming every seq it was not yet
+        acked for (split at :data:`MAX_ACK_SEQS`)."""
+        self._ack_timer = None
+        unacked, self._unacked = self._unacked, {}
+        for source, seqs in unacked.items():
+            for i in range(0, len(seqs), MAX_ACK_SEQS):
+                chunk = seqs[i:i + MAX_ACK_SEQS]
+                body = struct.pack(f"<{len(chunk)}Q", *chunk)
+                self.send(
+                    source,
+                    _ACK_HEAD.pack(len(chunk), zlib.crc32(body)) + body,
+                    xfunction=XF_REL_ACK,
+                )
+
     def _on_ack(self, frame: Frame) -> None:
-        if frame.is_reply or frame.payload_size < _HEADER.size:
+        if frame.is_reply:
             return
-        seq, crc = _HEADER.unpack_from(frame.payload, 0)
-        if zlib.crc32(_HEADER.pack(seq, 0)) != crc:
-            # A corrupted ack could otherwise cancel an arbitrary
+        payload = frame.payload
+        size = len(payload)
+        count, crc = (
+            _ACK_HEAD.unpack_from(payload, 0) if size >= _ACK_HEAD.size
+            else (0, 0)
+        )
+        if (
+            not 0 < count <= MAX_ACK_SEQS
+            or size != _ACK_HEAD.size + 8 * count
+            or zlib.crc32(payload[_ACK_HEAD.size:]) != crc
+        ):
+            # A corrupted ack could otherwise retire an arbitrary
             # pending seq and lose that message forever.
             self.corrupt_discarded += 1
             return
-        entry = self._pending.get(seq)
-        if entry is None:
-            return  # a duplicate ack
+        pending = self._pending
         fr = self._flightrec
-        if fr is not None:
-            fr.record(EV_REL_ACK, seq)
-        self._crash(CRASH_PRE_ACK_RECORD)
-        if self.journal is not None:
-            # Crash window: the peer has the message but this ack
-            # record may die unflushed.  Replay then re-transmits
-            # and the receiver's dedup absorbs the duplicate —
-            # at-least-once on the wire, exactly-once delivered.
-            self.journal.append_ack(seq)
+        for seq in struct.unpack_from(f"<{count}Q", payload, _ACK_HEAD.size):
+            if seq not in pending:
+                continue  # a duplicate ack, or a seq named twice
             if fr is not None:
-                fr.record(EV_JOURNAL_RETIRE, seq)
-        # Journal first, pending table second: whoever sees in_flight
-        # drop (an observer, a crash) finds the retire already recorded.
-        self._crash(CRASH_POST_ACK_RECORD)
-        del self._pending[seq]
-        self.cancel_timer(entry[3])
-
-    # -- retransmission ------------------------------------------------------
-    def on_timer(self, context: int, frame: Frame) -> None:
-        seq = context
-        entry = self._pending.get(seq)
-        if entry is None:
-            return  # acked in the meantime
-        target, payload, retries_left, _old_timer, crc = entry
-        if retries_left <= 0:
+                fr.record(EV_REL_ACK, seq)
+            self._crash(CRASH_PRE_ACK_RECORD)
             if self.journal is not None:
-                # Permanently failed: retire the record so a restart
-                # does not resurrect a message the application was
-                # already told is dead.
+                # Crash window: the peer has the message but this ack
+                # record may die unflushed.  Replay then re-transmits
+                # and the receiver's dedup absorbs the duplicate —
+                # at-least-once on the wire, exactly-once delivered.
                 self.journal.append_ack(seq)
+                if fr is not None:
+                    fr.record(EV_JOURNAL_RETIRE, seq)
+            # Journal first, pending table second: whoever sees
+            # in_flight drop (an observer, a crash) finds the retire
+            # already recorded.
+            self._crash(CRASH_POST_ACK_RECORD)
+            del pending[seq]
+        self._disarm_if_idle()
+
+    # -- timers -------------------------------------------------------------
+    def on_timer(self, context: int, frame: Frame) -> None:
+        # The expiry frame names its timer (core.timer); one a re-plug
+        # or a cancel left behind matches neither handle.
+        timer_id = frame.initiator_context
+        if timer_id == self._ack_timer:
+            self._flush_acks()
+        elif timer_id == self._rtx_timer:
+            self._rtx_timer = None
+            self._retransmit_due()
+
+    def _arm_retransmit(self) -> None:
+        """Arm the retransmit timer for the head of ``_pending``."""
+        if self._rtx_timer is None and self._pending:
+            deadline = next(iter(self._pending.values()))[3]
+            now = self._require_live().clock.now_ns()
+            self._rtx_timer = self.start_timer(max(0, deadline - now))
+
+    def _disarm_if_idle(self) -> None:
+        if not self._pending and self._rtx_timer is not None:
+            self.cancel_timer(self._rtx_timer)
+            self._rtx_timer = None
+
+    def _retransmit_due(self) -> None:
+        """Retransmit (or fail) every entry whose deadline has passed,
+        then re-arm for the next one."""
+        now = self._require_live().clock.now_ns()
+        due = []
+        for seq, entry in self._pending.items():
+            if entry[3] > now:
+                break
+            due.append(seq)
+        for seq in due:
+            # An on_failed callback may already have retired it.
+            entry = self._pending.get(seq)
+            if entry is None:
+                continue
+            target, payload, retries_left, _deadline, crc = entry
+            if retries_left <= 0:
+                if self.journal is not None:
+                    # Permanently failed: retire the record so a restart
+                    # does not resurrect a message the application was
+                    # already told is dead.
+                    self.journal.append_ack(seq)
+                del self._pending[seq]
+                self.failures += 1
+                if self.on_failed is not None:
+                    self.on_failed(seq, target, bytes(payload))
+                continue
+            self.retransmissions += 1
             del self._pending[seq]
-            self.failures += 1
-            if self.on_failed is not None:
-                self.on_failed(seq, target, bytes(payload))
-            return
-        self.retransmissions += 1
-        timer_id = self.start_timer(self.retransmit_ns, context=seq)
-        self._pending[seq] = (target, payload, retries_left - 1, timer_id, crc)
-        fr = self._flightrec
-        if fr is not None:
-            fr.record(EV_REL_RETRANSMIT, seq, retries_left - 1)
-        self._transmit(seq, target, payload, crc)
+            self._pending[seq] = (
+                target, payload, retries_left - 1, now + self.retransmit_ns,
+                crc,
+            )
+            fr = self._flightrec
+            if fr is not None:
+                fr.record(EV_REL_RETRANSMIT, seq, retries_left - 1)
+            self._transmit(seq, target, payload, crc)
+        self._arm_retransmit()
 
     # -- failover ------------------------------------------------------------
     def on_peer_dead(self, node: int) -> int:
         """Abort every in-flight message routed to ``node``.
 
         The supervision cascade calls this hook when a peer is
-        declared DEAD: the retransmit timers are disarmed and
+        declared DEAD: the messages leave the retransmit schedule and
         each aborted message is reported through ``on_failed`` exactly
         like an exhausted retry.  The payload handed to ``on_failed``
         is snapshotted (``bytes``) at abort time, so the callback may
@@ -452,12 +541,12 @@ class ReliableEndpoint(Listener):
         for seq in doomed:
             if self.journal is not None:
                 self.journal.append_ack(seq)
-            target, payload, _, timer_id, _ = self._pending.pop(seq)
-            self.cancel_timer(timer_id)
+            target, payload, *_ = self._pending.pop(seq)
             self.aborted += 1
             self.failures += 1
             if self.on_failed is not None:
                 self.on_failed(seq, target, bytes(payload))
+        self._disarm_if_idle()
         return len(doomed)
 
     def export_counters(self) -> dict[str, object]:

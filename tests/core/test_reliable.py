@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.executive import Executive
-from repro.core.reliable import ReliableEndpoint
+from repro.core.reliable import MAX_ACK_SEQS, XF_REL_ACK, ReliableEndpoint
 from repro.i2o.errors import I2OError
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
@@ -295,3 +300,173 @@ class TestPoolHygiene:
         for exe in exes.values():
             exe.pool.check_conservation()
             assert exe.pool.in_flight == 0
+
+
+class TestBurstAcks:
+    def test_one_ack_frame_answers_a_burst(self):
+        clocks, exes, eps = build_pair()
+        exes[1].max_dispatch_per_step = 2 * MAX_ACK_SEQS  # one step
+        received = []
+        eps[1].consumer = lambda src, data: received.append(data)
+        peer = exes[0].create_proxy(1, eps[1].tid)
+        for i in range(MAX_ACK_SEQS + 5):
+            eps[0].send_reliable(peer, b"b%d" % i)
+        exes[0].run_until_idle()
+        exes[1].step()  # the whole burst arrives; one flush is armed
+        run(clocks, exes, rounds=10)
+        assert len(received) == MAX_ACK_SEQS + 5
+        assert eps[0].in_flight == 0
+        (pt,) = exes[1].pta.transports()
+        assert pt.frames_sent == 2  # one full ack, one with the rest
+
+    def test_one_retransmit_timer_per_endpoint(self):
+        clocks, exes, eps = build_pair(FaultPlan(drop_rate=1.0))
+        peer = exes[0].create_proxy(1, eps[1].tid)
+        for i in range(10):
+            eps[0].send_reliable(peer, b"m%d" % i)
+        assert len(exes[0].timers) == 1
+        run(clocks, exes, rounds=3)
+        assert eps[0].retransmissions == 20
+        assert len(exes[0].timers) == 1
+        assert eps[0].on_peer_dead(1) == 10
+        assert len(exes[0].timers) == 0  # disarmed when nothing is owed
+
+    def test_every_frame_duplicated_delivers_exactly_once(self):
+        """A duplicated data frame makes the next ack name its seq
+        twice, and the duplicated ack names every seq again: the
+        sender retires each seq once and skips the rest."""
+        clocks, exes, eps = build_pair(FaultPlan(duplicate_rate=1.0))
+        received = []
+        eps[1].consumer = lambda src, data: received.append(bytes(data))
+        peer = exes[0].create_proxy(1, eps[1].tid)
+        messages = [b"x%d" % i for i in range(40)]
+        for m in messages:
+            eps[0].send_reliable(peer, m)
+        run(clocks, exes, rounds=20)
+        assert received == messages
+        assert eps[1].duplicates_suppressed >= 40
+        assert eps[0].in_flight == 0
+        assert eps[0].corrupt_discarded == eps[1].corrupt_discarded == 0
+        assert [exe.handler_errors for exe in exes.values()] == [0, 0]
+
+
+class TestReplug:
+    """Uninstall disarms every timer a device owns; a re-plugged
+    endpoint must arm again for what it still owes."""
+
+    def test_replugged_sender_retransmits_what_it_owes(self):
+        clocks, exes, eps = build_pair(FaultPlan())
+        (pt,) = exes[0].pta.transports()
+        received, failed = [], []
+        eps[1].consumer = lambda src, data: received.append(bytes(data))
+        eps[0].on_failed = lambda seq, target, data: failed.append(seq)
+        peer = exes[0].create_proxy(1, eps[1].tid)
+        pt.partition()
+        eps[0].send_reliable(peer, b"owed")
+        run(clocks, exes, rounds=1)
+        tid = eps[0].tid
+        exes[0].uninstall(tid)
+        exes[0].install(eps[0], tid=tid)
+        pt.heal()
+        run(clocks, exes, rounds=200)
+        assert received == [b"owed"]
+        assert eps[0].in_flight == 0
+        assert eps[0].retransmissions >= 1
+        assert failed == []
+
+    def test_replugged_receiver_acks_again(self):
+        """The receiver unplugged with an ack flush armed: the stale
+        handle must not stop its acks for good."""
+        clocks, exes, eps = build_pair()
+        received = []
+        eps[1].consumer = lambda src, data: received.append(bytes(data))
+        peer = exes[0].create_proxy(1, eps[1].tid)
+        eps[0].send_reliable(peer, b"first")
+        exes[0].step()  # transmit
+        exes[1].step()  # deliver; the ack flush is armed, not yet sent
+        assert received == [b"first"]
+        tid = eps[1].tid
+        exes[1].uninstall(tid)
+        exes[1].install(eps[1], tid=tid)
+        run(clocks, exes, rounds=20)
+        assert eps[0].in_flight == 0
+        assert received == [b"first"]  # the retransmission was deduped
+
+
+def _ack(seqs):
+    body = struct.pack(f"<{len(seqs)}Q", *seqs)
+    return struct.pack("<II", len(seqs), zlib.crc32(body)) + body
+
+
+def _valid(payload):
+    """An independent reading of the ack format."""
+    if len(payload) < 8:
+        return False
+    count, crc = struct.unpack_from("<II", payload)
+    return (0 < count <= MAX_ACK_SEQS and len(payload) == 8 + 8 * count
+            and zlib.crc32(payload[8:]) == crc)
+
+
+_OWED = (1, 2, 3, 4)
+_MUTATIONS = (
+    "none", "count", "crc", "truncate", "flip", "oversized", "unknown",
+    "twice",
+)
+
+
+@st.composite
+def _hostile_acks(draw):
+    """A valid ack over owed and unknown seqs, then one mutation;
+    returns (payload, refused?, seqs a correct endpoint retires)."""
+    named = draw(st.lists(
+        st.sampled_from(_OWED + (0, 5, 99, 2**64 - 1)),
+        min_size=1, max_size=8,
+    ))
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    if mutation == "unknown":
+        named = [(seq + 100) % 2**64 for seq in named]
+    elif mutation == "twice":
+        named = named + named[:1]
+    payload = bytearray(_ack(named))
+    if mutation == "count":
+        wrong = draw(st.sampled_from((0, 2**32 - 1, len(named) + 1,
+                                      len(named) - 1)))
+        struct.pack_into("<I", payload, 0, wrong)
+    elif mutation == "crc":
+        payload[4 + draw(st.integers(0, 3))] ^= 1 << draw(st.integers(0, 7))
+    elif mutation == "truncate":
+        del payload[draw(st.integers(0, len(payload) - 1)):]
+    elif mutation == "flip":
+        payload[draw(st.integers(0, len(payload) - 1))] ^= draw(
+            st.integers(1, 255))
+    elif mutation == "oversized":
+        payload = bytearray(_ack([_OWED[0]] * (MAX_ACK_SEQS + 1)))
+    refused = mutation not in ("none", "unknown", "twice")
+    return bytes(payload), refused, (
+        set() if refused else set(named) & set(_OWED))
+
+
+class TestHostileAcks:
+    """Every malformed ack is refused by name (``corrupt_discarded``)
+    or changes nothing; only validly named pending seqs retire."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_hostile_acks())
+    def test_mutated_ack(self, case):
+        payload, refused, retired = case
+        assert _valid(payload) is not refused
+        clocks, exes, eps = build_pair(FaultPlan())
+        (pt,) = exes[0].pta.transports()
+        peer = exes[0].create_proxy(1, eps[1].tid)
+        pt.partition()  # the data never arrives, so nothing is acked
+        for seq in _OWED:
+            assert eps[0].send_reliable(peer, b"p%d" % seq) == seq
+        run(clocks, exes, rounds=1)
+        pt.heal()
+        sender = exes[1].create_proxy(0, eps[0].tid)
+        eps[1].send(sender, payload, xfunction=XF_REL_ACK)
+        run(clocks, exes, rounds=1)  # before any retransmit is due
+        assert set(eps[0]._pending) == set(_OWED) - retired
+        assert eps[0].corrupt_discarded == int(refused)
+        assert exes[0].handler_errors == 0
+
