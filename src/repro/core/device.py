@@ -41,6 +41,7 @@ from repro.i2o.tid import Tid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executive import Executive
+    from repro.core.timer import Carried
     from repro.dataflow.registry import MessageType
     from repro.dataflow.routing import Edge, TypeRoutes
 
@@ -99,6 +100,8 @@ class Listener:
     #: threads and serialise state with explicit locks (peer
     #: transports) set this True.
     affinity_exempt = False
+    #: Timers ``Executive.uninstall`` took out, for ``install`` to re-arm.
+    carried_timers: "tuple[Carried, ...]" = ()
 
     def __init__(self, name: str = "") -> None:
         self.name = name or type(self).__name__

@@ -365,7 +365,7 @@ class Executive:
     # device management
     # ------------------------------------------------------------------
     def install(self, device: Listener, tid: Tid | None = None) -> Tid:
-        """Register a device module; returns its freshly assigned TiD."""
+        """Register a device module; returns its TiD (carried timers re-armed)."""
         if device.executive is not None:
             raise I2OError(f"device {device.name!r} is already installed")
         if tid is None:
@@ -376,13 +376,14 @@ class Executive:
         # First installation wins a contested name, matching the old
         # scan-in-insertion-order lookup.
         self._names.setdefault(device.name, tid)
+        self.timers.adopt(tid, device.carried_timers)
         device.plugin(self, tid)
         logger.debug("node %s: installed %s at TiD %d", self.node, device.name, tid)
         return tid
 
     def uninstall(self, tid: Tid) -> Listener:
-        """Remove a device (ExecDdmDestroy); drops its queued frames
-        and disarms every timer the device still owns."""
+        """Remove a device (ExecDdmDestroy); drops its queued frames.
+        Its timers leave with it (a queued expiry too), for ``install``."""
         device = self._devices.pop(tid, None)
         if device is None:
             raise AddressingError(f"no device at TiD {tid}")
@@ -394,10 +395,11 @@ class Executive:
                 if other.name == device.name:
                     self._names[device.name] = other_tid
                     break
-        for frame in self.scheduler.drop_device(tid):
-            self.frame_free(frame)
-        self.timers.cancel_owned(tid)
+        dropped = self.scheduler.drop_device(tid)
         device.unplug()
+        device.carried_timers = self.timers.detach_owned(tid, dropped)
+        for frame in dropped:
+            self.frame_free(frame)
         self.tids.release(tid)
         self.registry.forget(tid)
         return device

@@ -123,7 +123,10 @@ class HeartbeatService(SchemaListenerMixin, Listener):
         exe.metrics.gauge("peer_rejoins_total", lambda: self.peer_rejoins)
 
     def on_unplug(self) -> None:
-        self.stop()
+        # The beat timer rides through a re-plug; the peer-table
+        # subscriptions are made again by on_plugin.
+        self.peers.unsubscribe(self._peer_dead)
+        self.peers.unsubscribe(self._peer_alive)
 
     @property
     def peers(self) -> PeerTable:

@@ -190,18 +190,13 @@ class ReliableEndpoint(Listener):
         )
         if self.journal is not None:
             self._recover()
-        # A re-plugged endpoint still owes what it held when unplugged.
-        self._arm_retransmit()
 
     def on_unplug(self) -> None:
-        # Uninstall disarmed every timer this endpoint owned: forget the
-        # handles, or nothing would ever re-arm them.  Unacked seqs go
-        # too; their senders retransmit and are acked afresh.
-        self._rtx_timer = self._ack_timer = None
-        self._unacked.clear()
-        # Clean uninstall: push buffered journal records to disk so a
-        # later restart replays a complete write-ahead record.  The
-        # store stays open — the endpoint may be re-plugged.
+        # The timers ride through a re-plug (Executive.uninstall carries
+        # them), so only the journal needs care: push buffered records
+        # to disk so a later restart replays a complete write-ahead
+        # record.  The store stays open — the endpoint may be
+        # re-plugged.
         if self.journal is not None:
             self.journal.flush()
 
@@ -460,8 +455,8 @@ class ReliableEndpoint(Listener):
 
     # -- timers -------------------------------------------------------------
     def on_timer(self, context: int, frame: Frame) -> None:
-        # The expiry frame names its timer (core.timer); one a re-plug
-        # or a cancel left behind matches neither handle.
+        # The expiry frame names its timer (core.timer); one a cancel
+        # left behind matches neither handle.
         timer_id = frame.initiator_context
         if timer_id == self._ack_timer:
             self._flush_acks()

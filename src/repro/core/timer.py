@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.flightrec.records import EV_TIMER_FIRE
 from repro.i2o.errors import I2OError
@@ -27,6 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Timer frames are urgent: they carry watchdog expirations.
 TIMER_PRIORITY = 1
 
+#: One id space per process: a carried timer keeps its id anywhere.
+_ids = itertools.count(1)
+#: (timer_id, delay_ns, context, period_ns or None)
+Carried = tuple[int, int, int, int | None]
+
 
 class TimerService:
     """Deadline heap polled by the executive loop."""
@@ -36,7 +41,6 @@ class TimerService:
         self._heap: list[tuple[int, int]] = []  # (deadline_ns, timer_id)
         self._live: dict[int, tuple[Tid, int, int | None]] = {}
         # timer_id -> (owner, context, period_ns or None)
-        self._ids = itertools.count(1)
         self.fired = 0
 
     def __len__(self) -> int:
@@ -55,40 +59,50 @@ class TimerService:
             raise I2OError(f"negative timer delay {delay_ns}")
         if period_ns is not None and period_ns <= 0:
             raise I2OError(f"period must be positive, got {period_ns}")
-        timer_id = next(self._ids)
-        deadline = self._executive.clock.now_ns() + delay_ns
-        self._live[timer_id] = (owner, context, period_ns)
-        heapq.heappush(self._heap, (deadline, timer_id))
-        # A loop asleep sized its wait without this deadline.
-        self._executive.msgi.wake()
+        timer_id = next(_ids)
+        self.adopt(owner, [(timer_id, delay_ns, context, period_ns)])
         return timer_id
 
     def cancel(self, timer_id: int) -> bool:
         """Disarm; returns False if the timer already fired or never was."""
         return self._live.pop(timer_id, None) is not None
 
-    def cancel_owned(self, owner: Tid) -> int:
-        """Disarm every timer owned by ``owner``; returns the count.
-
-        Called on device uninstall so a removed device cannot keep
-        receiving expiry frames (which would be dead-lettered)."""
-        doomed = [
-            timer_id for timer_id, (tid, _, _) in self._live.items()
-            if tid == owner
+    def detach_owned(
+        self, owner: Tid, dropped: Iterable[Frame] = ()
+    ) -> tuple[Carried, ...]:
+        """Uninstall's half of a re-plug: take ``owner``'s timers out with
+        the delay each has left, a fired expiry in ``dropped`` with 0."""
+        now = self._executive.clock.now_ns()
+        carried: list[Carried] = [
+            (f.initiator_context, 0, f.transaction_context, None)
+            for f in dropped if f.function == EXEC_TIMER_EXPIRED
+            and f.initiator_context not in self._live
         ]
-        for timer_id in doomed:
-            del self._live[timer_id]
-        return len(doomed)
+        mine = {i for i, entry in self._live.items() if entry[0] == owner}
+        carried += [
+            (i, max(0, deadline - now), *self._live.pop(i)[1:])
+            for deadline, i in self._heap if i in mine
+        ]
+        # Stale entries go too: a carried fired expiry's id lives again.
+        self._heap = [entry for entry in self._heap if entry[1] in self._live]
+        heapq.heapify(self._heap)
+        return tuple(carried)
 
-    def cancel_all(self) -> int:
-        """Disarm every timer; returns the count.
+    def adopt(self, owner: Tid, carried: Iterable[Carried]) -> None:
+        """Arm each timer for ``owner`` under its id: :meth:`start`'s body
+        and install's half, so a re-plugged device's handles stay valid."""
+        for timer_id, delay_ns, context, period_ns in carried:
+            deadline = self._executive.clock.now_ns() + delay_ns
+            self._live[timer_id] = (owner, context, period_ns)
+            heapq.heappush(self._heap, (deadline, timer_id))
+            # A loop asleep sized its wait without this deadline.
+            self._executive.msgi.wake()
 
-        The crash-teardown primitive (``Executive.hard_stop``): a dead
-        node's deadlines must not keep generating expiry frames."""
-        count = len(self._live)
+    def cancel_all(self) -> None:
+        """Disarm every timer (``Executive.hard_stop``: a dead node's
+        deadlines must not keep generating expiry frames)."""
         self._live.clear()
         self._heap.clear()
-        return count
 
     def next_deadline_ns(self) -> int | None:
         """Earliest live deadline (lets a sleeping loop size its wait)."""

@@ -76,6 +76,7 @@ class EventManager(Listener):
         if max_in_flight is not None:
             check_int("max_in_flight", max_in_flight, 1)
         check_int("event_timeout_ns", event_timeout_ns, 0)
+        check_int("max_reassignments", max_reassignments, 0)
         self.max_in_flight = max_in_flight
         self.event_timeout_ns = event_timeout_ns
         self.max_reassignments = max_reassignments

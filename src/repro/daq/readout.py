@@ -68,11 +68,14 @@ class ReadoutUnit(Listener):
 
     def on_reset(self) -> None:
         self._buffers.clear()
+        self.on_unplug()
+
+    def on_unplug(self) -> None:
+        # Parked requests are pool frames: released.  The buffers stay,
+        # so a re-plugged unit still serves what it read out.
         for request in sum(self._parked.values(), []):  # RETAINed: ours
             self._require_live().frame_free(request)
         self._parked.clear()
-
-    on_unplug = on_reset
 
     # -- handlers ---------------------------------------------------------
     def _on_readout(self, frame: Frame) -> None:

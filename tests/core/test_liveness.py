@@ -230,6 +230,25 @@ class TestHeartbeatService:
         cluster[0].uninstall(hbs[0].tid)
         assert len(cluster[0].timers) == 0
 
+    def test_replugged_service_beats_on_and_cascades_once(self):
+        """Uninstall + install keeps the beat timer armed and leaves
+        one peer-table subscription each: peers never see the node go
+        quiet, and a peer death runs the cascade once."""
+        cluster, clock, hbs, faulty, _ = build_supervised(3)
+        tick(cluster, clock, 2)
+        tid = hbs[0].tid
+        cluster[0].uninstall(tid)
+        cluster[0].install(hbs[0], tid=tid)
+        sent = hbs[0].beats_sent
+        tick(cluster, clock, 10)
+        assert hbs[0].beats_sent == sent + 2 * 10
+        assert cluster[1].peers.state(0) is PeerState.ALIVE
+        assert cluster[1].peers.suspicions == 0
+        faulty[2].partition()
+        tick(cluster, clock, 8)
+        assert cluster[0].peers.state(2) is PeerState.DEAD
+        assert hbs[0].peer_deaths == 1
+
     def test_monitor_rejects_self(self):
         cluster, _, hbs, _, _ = build_supervised(2)
         with pytest.raises(I2OError, match="does not monitor itself"):

@@ -351,8 +351,10 @@ class TestBurstAcks:
 
 
 class TestReplug:
-    """Uninstall disarms every timer a device owns; a re-plugged
-    endpoint must arm again for what it still owes."""
+    """The executive carries an endpoint's timers through uninstall +
+    install (same ids, the delay each had left), so a re-plugged
+    endpoint still retransmits what it owes and flushes the acks it
+    owes, with no re-arm code of its own."""
 
     def test_replugged_sender_retransmits_what_it_owes(self):
         clocks, exes, eps = build_pair(FaultPlan())

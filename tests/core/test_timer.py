@@ -112,6 +112,73 @@ class TestPeriodic:
             exe.timers.start(owner=dev.tid, delay_ns=1, period_ns=0)
 
 
+class TestReplug:
+    """Uninstall carries a device's timers out, install re-arms them
+    under the same ids with the delay each had left."""
+
+    def _replug(self, exe, dev, into=None):
+        tid = dev.tid
+        exe.uninstall(tid)
+        (into or exe).install(dev, tid=None if into else tid)
+
+    def test_same_ids_with_the_delay_left(self, clocked):
+        clock, exe, dev = clocked
+        first, second = dev.start_timer(300, context=3), dev.start_timer(100)
+        clock.t = 50
+        exe.uninstall(dev.tid)
+        assert len(exe.timers) == 0
+        assert sorted(dev.carried_timers) == [(first, 250, 3, None),
+                                              (second, 50, 0, None)]
+        clock.t = 1_000  # unplugged a while: the delay left counts from install
+        exe.install(dev)
+        assert dev.cancel_timer(second)
+        clock.t = 1_249
+        exe.run_until_idle()
+        assert dev.expiries == []
+        clock.t = 1_250
+        exe.run_until_idle()
+        assert dev.expiries == [(3, 1_250)]
+
+    def test_a_fired_expiry_still_queued_is_carried(self, clocked):
+        clock, exe, dev = clocked
+        timer_id = dev.start_timer(10, context=5)
+        clock.t = 10
+        assert exe.timers.poll() == 1
+        exe._intake_inbound()  # fired: its frame waits in the scheduler
+        self._replug(exe, dev)
+        exe.run_until_idle()
+        assert dev.expiries == [(5, 10)]
+        assert len(exe.timers) == 0
+        exe.pool.check_conservation()
+        assert timer_id not in exe.timers._live
+
+    def test_a_periodic_expiry_coalesces_with_its_next(self, clocked):
+        clock, exe, dev = clocked
+        exe.timers.start(owner=dev.tid, delay_ns=100, period_ns=100, context=9)
+        clock.t = 100
+        exe.timers.poll()
+        exe._intake_inbound()
+        self._replug(exe, dev)
+        exe.run_until_idle()
+        assert dev.expiries == []
+        clock.t = 200
+        exe.run_until_idle()
+        assert dev.expiries == [(9, 200)]
+
+    def test_ids_hold_on_another_executive(self, clocked):
+        clock, exe, dev = clocked
+        timer_id = dev.start_timer(100, context=1)
+        other = Executive(node=1, clock=clock)
+        resident = other.install(TimerUser("resident"))
+        theirs = other.timers.start(owner=resident, delay_ns=100, context=2)
+        self._replug(exe, dev, into=other)
+        assert timer_id != theirs  # one id space per process
+        clock.t = 100
+        other.run_until_idle()
+        assert dev.expiries == [(1, 100)]
+        assert other.device(resident).expiries == [(2, 100)]
+
+
 class TestTimerPriority:
     def test_timer_frames_outrank_data(self, clocked):
         """Timer expirations use priority 1: queued data at default

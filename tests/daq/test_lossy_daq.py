@@ -158,3 +158,25 @@ def test_fault_free_path_sends_no_abandon(monkeypatch):
     # 2 clear
     wire = sum(exe.pta.transports()[0].frames_sent for exe in cluster.executives.values())
     assert wire == 10 * 10
+
+
+def test_replugged_evm_keeps_its_deadlines():
+    """Uninstall + install of the EVM mid-recovery: its completion
+    deadlines ride through the re-plug, so the run ends as it does
+    without one (15/15, 5 reassignments) and every handle the EVM
+    holds still names an armed timer."""
+    cluster, evm, trigger, rus, bus = build_lossy_daq(0.08, seed=3)
+    trigger.fire_burst(15)
+    run(cluster, ticks=3)
+    exe = evm.executive
+    tid = evm.tid
+    exe.uninstall(tid)
+    exe.install(evm, tid=tid)
+    assert set(evm._deadlines.values()) <= set(exe.timers._live)
+    run(cluster, ticks=600)
+    assert (evm.completed, evm.in_flight, evm.reassignments) == (15, 0, 5)
+    assert evm._deadlines == {}
+    for exe in cluster.executives.values():
+        assert exe.handler_errors == 0
+        exe.pool.check_conservation()
+        assert exe.pool.in_flight == 0

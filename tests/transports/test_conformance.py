@@ -113,7 +113,11 @@ class TestTransportContract:
             caller.send(proxy, b"abc", xfunction=0x1)
         assert harness.run_until(lambda: len(caller.replies) == 3)
         pt0, pt1 = harness.pts[0], harness.pts[1]
-        assert pt0.frames_sent == 3 and pt1.frames_sent == 3
+        # A threaded sender counts a frame after its sendmsg returns,
+        # which may be after the peer has already dispatched it.
+        assert harness.run_until(
+            lambda: pt0.frames_sent == 3 and pt1.frames_sent == 3
+        )
         assert harness.run_until(
             lambda: pt1.frames_received == 3 and pt0.frames_received == 3
         )
