@@ -71,7 +71,7 @@ def main() -> None:
     node0.install(caller)
 
     # Location transparency: the caller only ever sees a local TiD.
-    caller.peer = node0.create_proxy(node=1, remote_tid=greeter_tid)
+    caller.peer = node0.routes.create_proxy(node=1, remote_tid=greeter_tid)
 
     caller.greet("cluster")
     caller.greet("I2O")

@@ -56,7 +56,7 @@ def main() -> None:
 
     stub_dev = StubDevice(pump=pump)
     client_exe.install(stub_dev)
-    calc = Stub(stub_dev, client_exe.create_proxy(1, calc_tid))
+    calc = Stub(stub_dev, client_exe.routes.create_proxy(1, calc_tid))
 
     print("2 + 3        =", calc.add(2, 3))
     print("2.5 * 4      =", calc.mul(2.5, 4))

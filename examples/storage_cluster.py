@@ -44,8 +44,8 @@ def main() -> None:
     cluster[0].install(blocks)
     tapes = SequentialClient(pump=pump)
     cluster[0].install(tapes)
-    disk_proxy = cluster[0].create_proxy(1, disk_tid)
-    tape_proxy = cluster[0].create_proxy(2, tape_tid)
+    disk_proxy = cluster[0].routes.create_proxy(1, disk_tid)
+    tape_proxy = cluster[0].routes.create_proxy(2, tape_tid)
 
     print("disk status:", blocks.status(disk_proxy))
 

@@ -109,7 +109,7 @@ def _run_arm(rails: int, *, messages: int, payload: int) -> float:
     source = _Source()
     exe_a.install(source)
     source.targets = [
-        exe_a.create_proxy(1, tid, transport=f"gm{i}")
+        exe_a.routes.create_proxy(1, tid, transport=f"gm{i}")
         for i, tid in enumerate(sink_tids)
     ]
     source.payload = bytes(payload)

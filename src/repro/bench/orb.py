@@ -154,7 +154,7 @@ def _build_xdaq_vector_rig():
     service_tid = exe_b.install(_VectorDevice())
     caller = _VectorCaller()
     exe_a.install(caller)
-    proxy = exe_a.create_proxy(1, service_tid)
+    proxy = exe_a.routes.create_proxy(1, service_tid)
 
     def call(vector: np.ndarray) -> float:
         caller.call(proxy, vector)

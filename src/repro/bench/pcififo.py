@@ -63,7 +63,7 @@ def _run_arm(
     echo_tid = iop_exe.install(EchoDevice())
     ping = PingDevice()
     host_exe.install(ping)
-    ping.configure(host_exe.create_proxy(1, echo_tid), payload, rounds)
+    ping.configure(host_exe.routes.create_proxy(1, echo_tid), payload, rounds)
     sim.at(0, ping.kick)
     sim.run()
     if len(ping.rtts_ns) != rounds:

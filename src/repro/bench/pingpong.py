@@ -76,7 +76,7 @@ def build_gm_cluster(
     echo_tid = exe_b.install(echo)
     ping = PingDevice()
     exe_a.install(ping)
-    ping.peer = exe_a.create_proxy(1, echo_tid)
+    ping.peer = exe_a.routes.create_proxy(1, echo_tid)
     return GmCluster(sim, fabric, exe_a, exe_b, node_a, node_b, ping, echo)
 
 
@@ -139,7 +139,8 @@ def run_native_pingpong(
     echo_tid = exe_b.install(echo)
     ping = PingDevice()
     exe_a.install(ping)
-    ping.configure(exe_a.create_proxy(1, echo_tid), payload_size, rounds + warmup)
+    ping.configure(
+        exe_a.routes.create_proxy(1, echo_tid), payload_size, rounds + warmup)
     with instrument((exe_a, exe_b)):
         ping.kick()
         guard = 0

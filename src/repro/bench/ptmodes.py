@@ -77,7 +77,7 @@ def _run(slow_mode: str | None, *, suspend: bool, rounds: int,
     echo_tid = exe_b.install(EchoDevice())
     ping = PingDevice()
     exe_a.install(ping)
-    ping.configure(exe_a.create_proxy(1, echo_tid), 64, rounds)
+    ping.configure(exe_a.routes.create_proxy(1, echo_tid), 64, rounds)
     ping.kick()
     guard = 0
     while ping.remaining > 0 and guard < 200_000:

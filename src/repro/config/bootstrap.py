@@ -151,7 +151,7 @@ class Cluster:
               transport: str | None = None) -> Tid:
         """A proxy TiD on ``from_node`` for the device named ``to``."""
         node, tid, _ = self._entry(to)
-        return self.executive(from_node).create_proxy(
+        return self.executive(from_node).routes.create_proxy(
             node, tid, transport=transport
         )
 

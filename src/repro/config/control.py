@@ -110,7 +110,7 @@ class HostController(Requester):
         exe = self._require_live()
         proxy = self._exec_proxies.get(node)
         if proxy is None:
-            proxy = exe.create_proxy(node, EXECUTIVE_TID)
+            proxy = exe.routes.create_proxy(node, EXECUTIVE_TID)
             self._exec_proxies[node] = proxy
         return proxy
 
@@ -154,13 +154,13 @@ class HostController(Requester):
 
     def get_params(self, node: int, tid: Tid, *keys: str) -> dict[str, str]:
         exe = self._require_live()
-        proxy = exe.create_proxy(node, tid)
+        proxy = exe.routes.create_proxy(node, tid)
         payload = encode_params({k: "" for k in keys}) if keys else b""
         return decode_params(self.rpc(proxy, UTIL_PARAMS_GET, payload))
 
     def set_params(self, node: int, tid: Tid, params: dict[str, str]) -> None:
         exe = self._require_live()
-        proxy = exe.create_proxy(node, tid)
+        proxy = exe.routes.create_proxy(node, tid)
         self.rpc(proxy, UTIL_PARAMS_SET, encode_params(params))
 
     # -- Tcl integration --------------------------------------------------------------

@@ -350,7 +350,7 @@ class Listener:
         exe = self._require_live()
         dead = []
         for key, tid in self.dataflow_targets(types[0]).items():
-            route = exe.route_for(tid)
+            route = exe.routes.route_for(tid)
             if route is not None and (route.parked or route.node == node):
                 dead.append(key)
         for key in dead:

@@ -14,16 +14,14 @@ mandatory message set *is* the discovery protocol.
 
 from __future__ import annotations
 
-import logging
 from typing import Any, Callable
 
 from repro.core.device import decode_params
 from repro.core.request import Requester
+from repro.core.routes import Route
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import EXEC_LCT_NOTIFY
 from repro.i2o.tid import EXECUTIVE_TID, Tid
-
-logger = logging.getLogger(__name__)
 
 #: ``select_replacement`` hook: (dead_node, dead_tid, device_class,
 #: candidates) -> (node, tid) or None.  Candidates are the surviving
@@ -61,15 +59,16 @@ class DiscoveryService(Requester):
         self.nodes: list[int] = list(nodes or [])
         #: cache: node -> last seen LCT (tid string -> device class)
         self.tables: dict[int, dict[str, str]] = {}
-        #: nodes declared DEAD and excluded until readmitted
+        #: nodes declared DEAD and excluded until readmitted (the
+        #: HeartbeatService that asks this service for replicas keeps it)
         self.quarantined: set[int] = set()
         #: pluggable replica choice; default picks the lowest (node, tid)
         self.select_replacement: ReplacementSelector = (
             lambda node, tid, cls, candidates:
             candidates[0] if candidates else None
         )
+        #: replicas chosen for dead routes
         self.rebinds = 0
-        self.parks = 0
 
     def on_plugin(self) -> None:
         self.table.bind(EXEC_LCT_NOTIFY, self.handle_reply)
@@ -77,7 +76,7 @@ class DiscoveryService(Requester):
     # -- the wire protocol ---------------------------------------------------
     def refresh(self, node: int) -> dict[str, str]:
         """Fetch one node's logical configuration table."""
-        proxy = self._require_live().create_proxy(node, EXECUTIVE_TID)
+        proxy = self._require_live().routes.create_proxy(node, EXECUTIVE_TID)
         failed, data = self.ask(proxy, function=EXEC_LCT_NOTIFY, priority=1)
         if failed:
             raise DiscoveryError(
@@ -108,86 +107,35 @@ class DiscoveryService(Requester):
             for tid_text, cls in table.items():
                 if cls == device_class:
                     remote_tid = int(tid_text)
-                    found[(node, remote_tid)] = exe.create_proxy(
+                    found[(node, remote_tid)] = exe.routes.create_proxy(
                         node, remote_tid
                     )
         return found
 
     # -- failover -------------------------------------------------------------
-    def candidates_for(self, device_class: str, *,
-                       exclude: int) -> list[tuple[int, Tid]]:
-        """Surviving instances of ``device_class`` from the cached LCTs.
+    def replica_for(self, route: Route) -> tuple[int, Tid] | None:
+        """:meth:`RouteTable.fail_node <repro.core.routes.RouteTable.fail_node>`'s
+        pick: a surviving instance of the class the dead route led to,
+        chosen by ``select_replacement``, or None to park.
 
-        Only the cache is consulted — refreshing would mean messaging a
-        cluster that just lost a node, and the dead node obviously
-        cannot answer.  Local devices are excluded: a route must lead
-        to a remote TiD.
+        Only the cached LCTs are consulted — refreshing would mean
+        messaging a cluster that just lost a node.  Local devices are
+        no candidates: a route must lead to a remote TiD.
         """
-        exe = self._require_live()
-        out: list[tuple[int, Tid]] = []
-        for node, table in self.tables.items():
-            if node == exclude or node == exe.node or node in self.quarantined:
-                continue
-            for tid_text, cls in table.items():
-                if cls == device_class:
-                    out.append((node, int(tid_text)))
-        return sorted(out)
-
-    def failover(self, node: int, *, policy: str = "rebind") -> dict[str, int]:
-        """A peer died: re-bind or park every route leading to it.
-
-        With ``policy="rebind"`` each affected proxy is pointed at a
-        surviving replica of the same device class, chosen by the
-        ``select_replacement`` hook (routes whose class has no replica
-        are parked).  With ``policy="park"`` every route is parked:
-        senders receive I2O failure replies — the paper's
-        default-handler fault story — instead of silent stalls.
-        """
-        if policy not in ("rebind", "park"):
-            raise DiscoveryError(f"unknown failover policy {policy!r}")
-        exe = self._require_live()
-        self.quarantined.add(node)
-        dead_lct = self.tables.get(node, {})
-        summary = {"rebound": 0, "parked": 0}
-        for proxy_tid in exe.routes_to(node):
-            route = exe.route_for(proxy_tid)
-            replacement = None
-            if policy == "rebind":
-                cls = dead_lct.get(str(route.remote_tid))
-                if cls is not None:
-                    replacement = self.select_replacement(
-                        node, route.remote_tid, cls,
-                        self.candidates_for(cls, exclude=node),
-                    )
-            if replacement is not None:
-                exe.rebind_route(
-                    proxy_tid, replacement[0], replacement[1],
-                    transport=route.transport,
-                )
-                summary["rebound"] += 1
-                self.rebinds += 1
-            else:
-                exe.park_route(proxy_tid)
-                summary["parked"] += 1
-                self.parks += 1
-        logger.info(
-            "node %s: failover for dead node %s: %s", exe.node, node, summary
+        cls = self.tables.get(route.node, {}).get(str(route.remote_tid))
+        if cls is None:
+            return None
+        skip = {route.node, self._require_live().node, *self.quarantined}
+        candidates = sorted(
+            (node, int(tid_text))
+            for node, table in self.tables.items() if node not in skip
+            for tid_text, other in table.items() if other == cls
         )
-        return summary
-
-    def readmit(self, node: int) -> int:
-        """A dead peer rejoined: lift the quarantine and un-park its
-        routes (rebound routes stay rebound — the replicas own the
-        state built up meanwhile).  Returns the unparked count."""
-        exe = self._require_live()
-        self.quarantined.discard(node)
-        unparked = 0
-        for proxy_tid in exe.routes_to(node, include_parked=True):
-            route = exe.route_for(proxy_tid)
-            if route is not None and route.parked:
-                exe.unpark_route(proxy_tid)
-                unparked += 1
-        return unparked
+        replica = self.select_replacement(
+            route.node, route.remote_tid, cls, candidates)
+        if replica is not None:
+            self.rebinds += 1
+        return replica
 
     def export_counters(self) -> dict[str, object]:
         return {
@@ -195,5 +143,4 @@ class DiscoveryService(Requester):
             "known_tables": len(self.tables),
             "quarantined": len(self.quarantined),
             "rebinds": self.rebinds,
-            "parks": self.parks,
         }

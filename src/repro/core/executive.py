@@ -1,10 +1,13 @@
-"""The XDAQ executive: routing, dispatching, memory and lifecycle.
+"""The XDAQ executive: the loop of control, memory and lifecycle.
 
 One executive runs per processing node.  It is deliberately *lean*
 (paper §4: "After all, the executive is very lean as it acts only as a
 delegate"): devices keep their own dispatch tables; the executive owns
-only the loop of control, the frame memory, the TiD space and the
-routes.  It carries no instrument: observers (:meth:`Executive.attach`)
+only the loop of control, the frame memory and the TiD space.  Proxies
+and failover live in its :class:`~repro.core.routes.RouteTable`
+(``exe.routes``), its message set in
+:class:`~repro.core.executive_device.ExecutiveDevice` (TiD 0).  It
+carries no instrument: observers (:meth:`Executive.attach`)
 — the sim plane's cost model included — work from the facts it reports.
 
 Message flow (paper figure 4):
@@ -25,10 +28,10 @@ from __future__ import annotations
 import logging
 import threading
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.core.device import RETAIN, Listener, decode_params, encode_params
+from repro.core.device import RETAIN, Listener
+from repro.core.executive_device import ExecutiveDevice
 from repro.core.interrupts import InterruptController
 from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS, MetricsRegistry
 from repro.core.observer import (
@@ -42,6 +45,7 @@ from repro.core.observer import (
 )
 from repro.core.queues import MessagingInstance
 from repro.core.registry import ModuleRegistry
+from repro.core.routes import RouteTable
 from repro.core.scheduler import PriorityScheduler
 from repro.core.states import DeviceState, PeerTable
 from repro.core.timer import TimerService
@@ -58,25 +62,13 @@ from repro.i2o.frame import (
     Frame,
     SharedFrame,
 )
-from repro.i2o.function_codes import (
-    EXEC_DDM_DESTROY,
-    EXEC_LCT_NOTIFY,
-    EXEC_PATH_CLAIM,
-    EXEC_STATUS_GET,
-    EXEC_SYS_ENABLE,
-    EXEC_SYS_HALT,
-    EXEC_SYS_QUIESCE,
-    PRIVATE,
-    function_name,
-)
+from repro.i2o.function_codes import PRIVATE, function_name
 from repro.i2o.tid import (
     EXECUTIVE_TID,
-    MAX_NODE,
-    PTA_TID,
     TID_BROADCAST,
     Tid,
     TidAllocator,
-    check_tid,
+    check_node,
 )
 from repro.mem.pool import BufferPool, PoolExhausted
 
@@ -86,140 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.transports.agent import PeerTransportAgent
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class Route:
-    """Where a proxy TiD leads: a device on another node.
-
-    ``transport`` optionally pins the route to a named peer transport
-    (paper §4: "As it is possible to configure each device instance
-    with a route, we can use multiple transports to send and receive in
-    parallel"); ``None`` lets the PTA pick its default for the node.
-
-    A ``parked`` route belongs to a peer declared DEAD by the
-    supervision layer and no replica could take it over: frames sent
-    to it are dead-lettered, so the initiator receives the standard
-    I2O failure reply instead of waiting forever.
-    """
-
-    node: int
-    remote_tid: Tid
-    transport: str | None = None
-    parked: bool = False
-
-
-class _ExecutiveDevice(Listener):
-    """The executive's own device personality (TiD 0).
-
-    Paper §3.5: "All modules, user applications, the peer transports
-    and even the executive get such a TiD.  Thus, they are all valid
-    I2O devices."
-    """
-
-    device_class = "executive"
-
-    def __init__(self, executive: "Executive") -> None:
-        super().__init__(name=f"executive@{executive.node}")
-        self._exe = executive
-        self.table.bind(EXEC_STATUS_GET, self._on_status_get)
-        self.table.bind(EXEC_SYS_ENABLE, self._on_sys_enable)
-        self.table.bind(EXEC_SYS_QUIESCE, self._on_sys_quiesce)
-        self.table.bind(EXEC_SYS_HALT, self._on_sys_halt)
-        self.table.bind(EXEC_LCT_NOTIFY, self._on_lct_notify)
-        self.table.bind(EXEC_DDM_DESTROY, self._on_ddm_destroy)
-        self.table.bind(EXEC_PATH_CLAIM, self._on_path_claim)
-
-    def _on_status_get(self, frame: Frame) -> None:
-        if frame.is_reply:
-            return
-        exe = self._exe
-        self.reply(
-            frame,
-            encode_params(
-                {
-                    "node": str(exe.node),
-                    "state": exe.state.value,
-                    "devices": str(len(exe.devices())),
-                    "dispatched": str(exe.dispatched),
-                    "dropped": str(exe.dropped),
-                    "rebinds": str(exe.rebinds),
-                    "parks": str(exe.parks),
-                    "peers_dead": str(len(exe.peers.dead_nodes())),
-                }
-            ),
-        )
-
-    def _broadcast_state(self, frame: Frame, target: DeviceState) -> None:
-        if frame.is_reply:
-            return
-        failures = self._exe._set_all_states(target)
-        self.reply(frame, fail=bool(failures))
-
-    def _on_sys_enable(self, frame: Frame) -> None:
-        self._broadcast_state(frame, DeviceState.ENABLED)
-
-    def _on_sys_quiesce(self, frame: Frame) -> None:
-        self._broadcast_state(frame, DeviceState.QUIESCED)
-
-    def _on_sys_halt(self, frame: Frame) -> None:
-        if frame.is_reply:
-            return
-        self.reply(frame)
-        self._exe.request_halt()
-
-    def _on_lct_notify(self, frame: Frame) -> None:
-        """Reply with the logical configuration table: tid=class pairs."""
-        if frame.is_reply:
-            return
-        table = {
-            str(tid): dev.device_class for tid, dev in self._exe._devices.items()
-        }
-        self.reply(frame, encode_params(table))
-
-    def _on_ddm_destroy(self, frame: Frame) -> None:
-        """Remove a device by TiD (ExecDdmDestroy over the wire).
-
-        Payload: decimal TiD.  Infrastructure TiDs (executive, PTA,
-        transports) are refused — a controller cannot saw off the
-        branch the control channel sits on.
-        """
-        if frame.is_reply:
-            return
-        try:
-            tid = int(bytes(frame.payload).decode("utf-8"))
-            victim = self._exe.device(tid)
-            if victim.device_class in (
-                "executive", "peer_transport_agent", "peer_transport",
-            ) or tid in (EXECUTIVE_TID, PTA_TID):
-                raise I2OError(f"TiD {tid} is infrastructure")
-            self._exe.uninstall(tid)
-        except (ValueError, I2OError):
-            self.reply(frame, fail=True)
-        else:
-            self.reply(frame)
-
-    def _on_path_claim(self, frame: Frame) -> None:
-        """Create a proxy on this node by request (ExecPathClaim).
-
-        Payload: params map with ``node`` and ``tid`` (and optionally
-        ``transport``); reply carries the local proxy TiD.  This is how
-        a controller pre-builds routes for devices it is about to
-        configure (paper §4: plugged-in classes trigger proxy creation).
-        """
-        if frame.is_reply:
-            return
-        try:
-            request = decode_params(frame.payload)
-            proxy = self._exe.create_proxy(
-                int(request["node"]),
-                int(request["tid"]),
-                transport=request.get("transport") or None,
-            )
-        except (KeyError, ValueError, I2OError):
-            self.reply(frame, fail=True)
-        else:
-            self.reply(frame, encode_params({"proxy": str(proxy)}))
 
 
 class Executive:
@@ -234,12 +92,7 @@ class Executive:
         watchdog: HandlerWatchdog | None = None,
         max_dispatch_per_step: int = 16,
     ) -> None:
-        if isinstance(node, bool) or not isinstance(node, int) \
-                or not 0 <= node <= MAX_NODE:
-            raise AddressingError(
-                f"node id must be an int in 0..{MAX_NODE}, got {node!r}"
-            )
-        self.node = node
+        self.node = check_node(node)
         self.pool = pool if pool is not None else BufferPool()
         self.clock: Clock = clock if clock is not None else WallClock()
         self.watchdog = watchdog
@@ -270,12 +123,14 @@ class Executive:
         #: telemetry sweeps look devices up by name per device, so the
         #: O(n) scan was quadratic across a sweep)
         self._names: dict[str, Tid] = {}
-        self._routes: dict[Tid, Route] = {}
-        self._proxies: dict[tuple[int, Tid, str | None], Tid] = {}
-        #: Serialises proxy/route table writes: task-mode transports
-        #: call ``create_proxy`` from their receive threads while the
-        #: loop of control rebinds/parks routes on the dispatch thread.
-        self._route_lock = threading.Lock()
+        self.routes = RouteTable(node, self.tids)
+        #: the table's own TiD -> Route dict, read by ``_route`` and
+        #: ``_dead_letter`` (written only by the table)
+        self._routes = self.routes.by_proxy
+        # The two route calls the trajectory benchmark makes on the
+        # executive, bound straight to the table.
+        self.create_proxy = self.routes.create_proxy
+        self.route_for = self.routes.route_for
         self.pta: "PeerTransportAgent | None" = None
         #: polling-mode PTs (set by the PTA) and the dataflow outbox
         self._pollable: list[Any] = []
@@ -286,15 +141,13 @@ class Executive:
         self.dispatched = 0
         self.dropped = 0
         self.handler_errors = 0
-        self.rebinds = 0
-        self.parks = 0
         self._halt_requested = False
         self._thread: threading.Thread | None = None
         self._thread_stop = threading.Event()
 
         # Install the executive's own device personality at TiD 0.
         self.tids.reserve(EXECUTIVE_TID)
-        self._self_device = _ExecutiveDevice(self)
+        self._self_device = ExecutiveDevice(self)
         self._self_device.plugin(self, EXECUTIVE_TID)
         self._devices[EXECUTIVE_TID] = self._self_device
         self._names[self._self_device.name] = EXECUTIVE_TID
@@ -312,8 +165,8 @@ class Executive:
         m.gauge("exe_dispatched_total", lambda: self.dispatched)
         m.gauge("exe_dropped_total", lambda: self.dropped)
         m.gauge("exe_handler_errors_total", lambda: self.handler_errors)
-        m.gauge("exe_route_rebinds_total", lambda: self.rebinds)
-        m.gauge("exe_route_parks_total", lambda: self.parks)
+        m.gauge("exe_route_rebinds_total", lambda: self.routes.rebinds)
+        m.gauge("exe_route_parks_total", lambda: self.routes.parks)
         m.gauge("exe_devices", lambda: len(self._devices))
         m.gauge("exe_scheduler_depth", lambda: len(self.scheduler))
         for priority in range(NUM_PRIORITIES):
@@ -420,126 +273,6 @@ class Executive:
                 f"no device named {name!r} on node {self.node}"
             )
         return self._devices[tid]
-
-    def _set_all_states(self, target: DeviceState) -> list[Tid]:
-        """Drive every application device to ``target``; returns failures."""
-        failures: list[Tid] = []
-        for tid, dev in list(self._devices.items()):
-            if tid == EXECUTIVE_TID:
-                continue
-            try:
-                dev.set_state(target)
-                if target is DeviceState.ENABLED:
-                    dev.on_enable()
-                elif target is DeviceState.QUIESCED:
-                    dev.on_quiesce()
-            except I2OError:
-                failures.append(tid)
-        self.state = target
-        return failures
-
-    # ------------------------------------------------------------------
-    # proxies and routes
-    # ------------------------------------------------------------------
-    def create_proxy(
-        self, node: int, remote_tid: Tid, transport: str | None = None
-    ) -> Tid:
-        """Allocate a local TiD standing in for a device on ``node``.
-
-        Paper §3.4: "To communicate with a remote device, the executive
-        creates a local TiD for the target device along with information
-        how to reach this device ... compared to the Proxy pattern."
-        Idempotent per ``(node, remote_tid)``.
-        """
-        key = (node, remote_tid, transport)
-        # Every ingested frame asks; after the first the answer is one
-        # dict read (atomic under the GIL), and an entry is only ever
-        # inserted below, after ``check_tid`` passed.
-        existing = self._proxies.get(key)
-        if existing is not None:
-            return existing
-        check_tid(remote_tid)
-        if node == self.node:
-            # A proxy for a local device is just the device itself.
-            return remote_tid
-        with self._route_lock:
-            existing = self._proxies.get(key)
-            if existing is not None:
-                return existing
-            tid = self.tids.allocate()
-            self._routes[tid] = Route(
-                node=node, remote_tid=remote_tid, transport=transport)
-            self._proxies[key] = tid
-            return tid
-
-    def route_for(self, tid: Tid) -> Route | None:
-        return self._routes.get(tid)
-
-    def routes_to(self, node: int, *, include_parked: bool = False) -> list[Tid]:
-        """Proxy TiDs whose route currently leads to ``node``."""
-        return sorted(
-            tid for tid, route in self._routes.items()
-            if route.node == node and (include_parked or not route.parked)
-        )
-
-    def rebind_route(
-        self,
-        proxy_tid: Tid,
-        node: int,
-        remote_tid: Tid,
-        transport: str | None = None,
-    ) -> Route:
-        """Point an existing proxy at a different remote device.
-
-        This is the failover primitive: every frame already addressed
-        to ``proxy_tid`` — pending replies included — now reaches the
-        replacement device, without any sender learning a new TiD.
-        """
-        old = self._routes.get(proxy_tid)
-        if old is None:
-            raise AddressingError(f"TiD {proxy_tid} is not a proxy")
-        check_tid(remote_tid)
-        if node == self.node:
-            raise AddressingError("cannot rebind a route to the local node")
-        new = Route(node=node, remote_tid=remote_tid, transport=transport)
-        with self._route_lock:
-            self._proxies.pop((old.node, old.remote_tid, old.transport), None)
-            self._routes[proxy_tid] = new
-            # Keep proxy idempotency pointing at the earliest binding.
-            self._proxies.setdefault((node, remote_tid, transport), proxy_tid)
-        self.rebinds += 1
-        logger.info(
-            "node %s: rebound proxy %d: %s:%d -> %s:%d",
-            self.node, proxy_tid, old.node, old.remote_tid, node, remote_tid,
-        )
-        return new
-
-    def park_route(self, proxy_tid: Tid) -> Route:
-        """Mark a proxy's route unusable; senders get failure replies."""
-        old = self._routes.get(proxy_tid)
-        if old is None:
-            raise AddressingError(f"TiD {proxy_tid} is not a proxy")
-        if not old.parked:
-            with self._route_lock:
-                self._routes[proxy_tid] = Route(
-                    node=old.node, remote_tid=old.remote_tid,
-                    transport=old.transport, parked=True,
-                )
-            self.parks += 1
-        return self._routes[proxy_tid]
-
-    def unpark_route(self, proxy_tid: Tid) -> Route:
-        """Restore a parked route (the peer rejoined)."""
-        old = self._routes.get(proxy_tid)
-        if old is None:
-            raise AddressingError(f"TiD {proxy_tid} is not a proxy")
-        if old.parked:
-            with self._route_lock:
-                self._routes[proxy_tid] = Route(
-                    node=old.node, remote_tid=old.remote_tid,
-                    transport=old.transport,
-                )
-        return self._routes[proxy_tid]
 
     # ------------------------------------------------------------------
     # frame API (the narrow component interface of paper §1)

@@ -12,9 +12,10 @@ vocabulary:
   arrive as frames through the same queues (paper §3.2), so
   supervision obeys the same scheduling and probing as every other
   message;
-* failover is expressed through the executive's route table: proxy
-  TiDs of a DEAD node are re-bound to a surviving replica or *parked*
-  so that senders get the paper's default-handler failure reply.
+* failover is expressed through the executive's route table
+  (:meth:`~repro.core.routes.RouteTable.fail_node`): proxy TiDs of a
+  DEAD node are re-bound to a surviving replica or *parked* so that
+  senders get the paper's default-handler failure reply.
 
 The division of labour:
 
@@ -27,8 +28,9 @@ The division of labour:
 :class:`HeartbeatService`
     The device that feeds the table: sends beats to the peers it
     monitors, counts the silence in between, and on a DEAD verdict
-    runs the failover cascade — :class:`DiscoveryService` re-binds or
-    parks the routes, then every local device exposing an
+    runs the failover cascade — the route table re-binds (to the
+    replicas a :class:`DiscoveryService` picks) or parks the routes,
+    then every local device exposing an
     ``on_peer_dead(node)`` hook is upcalled (ascending TiD order) so
     reliable endpoints abort retransmission and DAQ devices degrade
     gracefully.
@@ -41,6 +43,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.config.schema import ParamSchema, ParamSpec, SchemaListenerMixin
 from repro.core.device import Listener
+from repro.core.discovery import DiscoveryService
 from repro.core.states import PeerTable
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
@@ -48,6 +51,7 @@ from repro.i2o.tid import Tid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config.bootstrap import Cluster
+    from repro.core.routes import ReplicaPick
 
 #: Liveness beacon, one-way (0xF0xx is reserved framework space).
 XF_HB_BEAT = 0xF010
@@ -62,9 +66,11 @@ class HeartbeatService(SchemaListenerMixin, Listener):
     the executive's :class:`PeerTable`.  When the table declares a peer
     DEAD, the cascade runs on this node:
 
-    1. the attached :class:`DiscoveryService` (if any) re-binds the
-       dead node's proxy routes to surviving replicas of the same
-       device class, or parks them (policy ``rebind`` | ``park``);
+    1. the executive's route table re-binds the dead node's proxy
+       routes to surviving replicas of the same device class, as the
+       attached :class:`DiscoveryService` picks them, or parks them
+       (policy ``rebind`` | ``park``; without a discovery service every
+       route parks) — except the beat routes, the rejoin probes;
     2. every other local device exposing ``on_peer_dead(node)`` is
        upcalled in ascending TiD order (install order therefore fixes
        the cascade order).
@@ -94,15 +100,12 @@ class HeartbeatService(SchemaListenerMixin, Listener):
         self,
         name: str = "heartbeat",
         *,
-        discovery: "object | None" = None,
+        discovery: DiscoveryService | None = None,
     ) -> None:
         super().__init__(name)
-        #: optional DiscoveryService running the route failover
+        #: optional DiscoveryService: replica choice and quarantine
         self.discovery = discovery
         self._targets: dict[int, Tid] = {}  # node -> beat proxy TiD
-        #: node -> the beat route as bound at monitor() time; failover
-        #: must never park or rebind it (it carries the rejoin probes)
-        self._beat_routes: dict[int, "object"] = {}
         self._seen_since_tick: set[int] = set()
         self._timer_id: int | None = None
         self.running = False
@@ -139,7 +142,6 @@ class HeartbeatService(SchemaListenerMixin, Listener):
         if node == exe.node:
             raise I2OError("a node does not monitor itself")
         self._targets[node] = beat_target
-        self._beat_routes[node] = exe.route_for(beat_target)
         exe.peers.watch(node)
 
     # -- operation ---------------------------------------------------------
@@ -200,48 +202,27 @@ class HeartbeatService(SchemaListenerMixin, Listener):
 
     # -- the failover cascade ---------------------------------------------
     def _peer_dead(self, node: int) -> None:
-        exe = self._require_live()
         self.peer_deaths += 1
         policy = self.typed_param("failover_policy")
         if policy == "none":
             return
+        pick: "ReplicaPick | None" = None
         if self.discovery is not None:
-            self.discovery.failover(node, policy=policy)
-        else:
-            # No directory to find replicas in: park every route to the
-            # dead peer so senders get failure replies, not silence.
-            for proxy_tid in exe.routes_to(node):
-                exe.park_route(proxy_tid)
-        self._restore_beat_route(node)
+            self.discovery.quarantined.add(node)
+            if policy == "rebind":
+                pick = self.discovery.replica_for
+        # The beat routes are spared: they carry the rejoin probes.
+        self._require_live().routes.fail_node(
+            node, pick, spare=self._targets.values())
         self._cascade("on_peer_dead", node)
 
-    def _restore_beat_route(self, node: int) -> None:
-        """Failover parks or rebinds every route to a dead peer — but
-        the beat route is the rejoin probe: without it a symmetric
-        partition never heals (both sides drop their own beats at the
-        parked route and stay mutually DEAD forever)."""
-        beat = self._targets.get(node)
-        orig = self._beat_routes.get(node)
-        if beat is None or orig is None:
-            return
-        exe = self._require_live()
-        cur = exe.route_for(beat)
-        if cur.node != orig.node or cur.remote_tid != orig.remote_tid:
-            exe.rebind_route(beat, orig.node, orig.remote_tid,
-                             transport=orig.transport)
-        elif cur.parked:
-            exe.unpark_route(beat)
-
     def _peer_alive(self, node: int) -> None:
-        exe = self._require_live()
         self.peer_rejoins += 1
         if self.typed_param("failover_policy") == "none":
             return
         if self.discovery is not None:
-            self.discovery.readmit(node)
-        else:
-            for proxy_tid in exe.routes_to(node, include_parked=True):
-                exe.unpark_route(proxy_tid)
+            self.discovery.quarantined.discard(node)
+        self._require_live().routes.readmit(node)
         self._cascade("on_peer_alive", node)
 
     def _cascade(self, hook_name: str, node: int) -> None:
@@ -275,7 +256,7 @@ def install_supervision(
     """The bootstrap ``supervision`` section: a full mesh of
     HeartbeatServices (every node beats to and watches every other),
     each taking the section's options as its parameters.  Unless the
-    policy is ``none``, a node's DiscoveryService runs its failover.
+    policy is ``none``, a node's DiscoveryService picks its replicas.
     ``nodes`` get a service watching every peer; a peer's own service
     keeps its proxy, which the rejoined service's TiD still answers."""
     params = {key: str(value) for key, value in options.items()}
@@ -283,7 +264,7 @@ def install_supervision(
         exe = cluster.executives[node]
         discovery = next(
             (dev for dev in exe.devices().values()
-             if dev.device_class == "discovery"),
+             if isinstance(dev, DiscoveryService)),
             None,
         ) if options["failover_policy"] != "none" else None
         hb = HeartbeatService(name=f"heartbeat{node}", discovery=discovery)

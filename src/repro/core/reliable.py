@@ -236,7 +236,7 @@ class ReliableEndpoint(Listener):
             if record.node == exe.node:
                 target = Tid(record.tid)
             else:
-                target = exe.create_proxy(record.node, Tid(record.tid))
+                target = exe.routes.create_proxy(record.node, Tid(record.tid))
             crc = _data_crc(seq, record.payload)
             self._pending[seq] = (
                 target, record.payload, self.max_retries, deadline, crc,
@@ -265,7 +265,7 @@ class ReliableEndpoint(Listener):
         this executive's own node.
         """
         exe = self._require_live()
-        route = exe.route_for(target)
+        route = exe.routes.route_for(target)
         if route is not None:
             return route.node, route.remote_tid
         return exe.node, target
@@ -362,7 +362,7 @@ class ReliableEndpoint(Listener):
         fr = self._flightrec
         if fr is not None:
             exe = self._require_live()
-            route = exe.route_for(frame.initiator)
+            route = exe.routes.route_for(frame.initiator)
             src = route.node if route is not None else exe.node
             fr.record(EV_REL_DELIVER, seq, src, len(payload))
         if self.ordered:
@@ -530,7 +530,7 @@ class ReliableEndpoint(Listener):
         exe = self._require_live()
         doomed = []
         for seq, (target, *_) in self._pending.items():
-            route = exe.route_for(target)
+            route = exe.routes.route_for(target)
             if route is not None and route.node == node:
                 doomed.append(seq)
         for seq in doomed:

@@ -117,7 +117,7 @@ def wire_dataflow(
             for consumer in graph.consumers_of(tname):
                 c_exe, c_device = installed[consumer.name]
                 c_tid = c_device.tid
-                targets[consumer.key] = exe.create_proxy(c_exe.node, c_tid)
+                targets[consumer.key] = exe.routes.create_proxy(c_exe.node, c_tid)
                 if edges is not None:
                     capacity = c_device.queue_capacity
                     if capacity is None:

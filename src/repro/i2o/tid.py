@@ -8,7 +8,7 @@ identifier, the TiD.  It is unique within one I/O processor card."*
 A TiD is a 12-bit number (0..4095) unique **per executive**.  Remote
 devices are reached through locally allocated *proxy* TiDs; resolving a
 proxy to its ``(node, remote_tid)`` pair is the job of the route table
-in :mod:`repro.core.executive`, not of this module — here we only keep
+in :mod:`repro.core.routes`, not of this module — here we only keep
 allocation honest.
 
 Well-known values follow the I2O convention that the low range is
@@ -49,6 +49,15 @@ def check_tid(tid: int) -> Tid:
     if tid == TID_BROADCAST:
         raise AddressingError("broadcast TiD not valid here")
     return tid
+
+
+def check_node(node: int) -> int:
+    """Validate ``node`` as a node id in 0..MAX_NODE; returns it for chaining."""
+    if isinstance(node, bool) or not isinstance(node, int) \
+            or not 0 <= node <= MAX_NODE:
+        raise AddressingError(
+            f"node id must be an int in 0..{MAX_NODE}, got {node!r}")
+    return node
 
 
 class TidAllocator:

@@ -21,7 +21,8 @@ from repro.i2o.tid import PTA_TID
 from repro.transports.base import PeerTransport, TransportError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.executive import Executive, Route
+    from repro.core.executive import Executive
+    from repro.core.routes import Route
 
 
 class PeerTransportAgent(Listener):

@@ -29,7 +29,8 @@ from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.executive import Executive, Route
+    from repro.core.executive import Executive
+    from repro.core.routes import Route
     from repro.mem.block import PoolBlock
 
 #: A staged in-process delivery: either ``(src_node, block, frame_len)``
@@ -176,7 +177,7 @@ class PeerTransport(Listener):
         return self.ingest_loaned(src_node, block, view)
 
     def _post_ingested(self, exe: "Executive", src_node: int, frame: Frame) -> Frame:
-        frame.initiator = exe.create_proxy(
+        frame.initiator = exe.routes.create_proxy(
             src_node, frame.initiator, transport=self.name
         )
         self.frames_received += 1

@@ -25,7 +25,7 @@ from repro.i2o.frame import Frame
 from repro.transports.base import PeerTransport, TransportError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.executive import Route
+    from repro.core.routes import Route
 
 
 class QueuePair:

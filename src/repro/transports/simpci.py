@@ -23,7 +23,7 @@ from repro.transports.base import PeerTransport, TransportError
 from repro.transports.wire import decode_wire, encode_wire
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.executive import Route
+    from repro.core.routes import Route
     from repro.core.simnode import CostLedger
 
 

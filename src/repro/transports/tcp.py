@@ -31,7 +31,7 @@ from repro.transports.base import PeerTransport, TransportError
 from repro.transports.wire import WIRE_HEADER_SIZE, encode_wire_parts, parse_wire_header
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.executive import Route
+    from repro.core.routes import Route
     from repro.mem.block import PoolBlock
 
 logger = logging.getLogger(__name__)

@@ -17,6 +17,8 @@ FIXTURE_RULES = {
     # helper-mediated bugs: only the ownership summaries see these
     "seeded_interproc": ["OWN001", "OWN002", "OWN003"],
     "seeded_races": ["RACE001", "RACE002"],
+    # an executive part reached as exe.routes from an rx thread
+    "seeded_routes": ["RACE001"],
     # the sampler thread gets no stat-counter pass
     "seeded_sampler": ["RACE001", "RACE002"],
 }

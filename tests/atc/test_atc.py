@@ -121,7 +121,7 @@ class TestRealTimePath:
         console_tid = cluster[1].install(console)
         correlator = TrackCorrelator()
         cluster[0].install(correlator)
-        console_proxy = cluster[0].create_proxy(1, console_tid)
+        console_proxy = cluster[0].routes.create_proxy(1, console_tid)
         # Queue many routine updates, then one alert, all before the
         # console's executive dispatches anything.
         from repro.atc.protocol import pack_position

@@ -61,7 +61,7 @@ class TestVerbs:
 
     def test_rpc_timeout_on_dead_node(self, controlled_cluster):
         cluster, ctl = controlled_cluster
-        proxy = cluster[0].create_proxy(77, 0)  # nonexistent node
+        proxy = cluster[0].routes.create_proxy(77, 0)  # nonexistent node
         with pytest.raises(ControlError, match="rejected"):
             ctl.rpc(proxy, 0xA0)
 

@@ -48,7 +48,7 @@ class TestFindAll:
         assert set(found) == {(node, tid) for node, tid in tids.items()}
         # Each proxy actually routes to the right node.
         for (node, remote_tid), proxy in found.items():
-            route = cluster[0].route_for(proxy)
+            route = cluster[0].routes.route_for(proxy)
             assert route.node == node and route.remote_tid == remote_tid
 
     def test_includes_local_instances_as_real_tids(self, rig):
@@ -76,7 +76,7 @@ class TestFindOne:
         cluster, discovery = rig
         tid = cluster[2].install(Worker())
         (proxy,) = discovery.find_all("test_worker").values()
-        assert cluster[0].route_for(proxy).remote_tid == tid
+        assert cluster[0].routes.route_for(proxy).remote_tid == tid
 
     def test_dead_node_times_out(self, rig):
         _, discovery = rig

@@ -13,7 +13,8 @@ import time
 import pytest
 
 from repro.core.device import Listener, RETAIN, decode_params
-from repro.core.executive import Executive, Route
+from repro.core.executive import Executive
+from repro.core.routes import Route, RouteTable
 from repro.core.states import DeviceState
 from repro.i2o.errors import AddressingError, I2OError
 from repro.i2o.frame import Frame
@@ -23,7 +24,7 @@ from repro.i2o.function_codes import (
     EXEC_SYS_ENABLE,
     EXEC_SYS_QUIESCE,
 )
-from repro.i2o.tid import EXECUTIVE_TID, TID_BROADCAST
+from repro.i2o.tid import EXECUTIVE_TID, MAX_NODE, TID_BROADCAST, TidAllocator
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.base import PeerTransport
 
@@ -203,20 +204,20 @@ class TestLocalRouting:
 class TestProxies:
     def test_create_proxy_idempotent(self):
         exe = Executive(node=0)
-        p1 = exe.create_proxy(1, REMOTE_TID)
-        p2 = exe.create_proxy(1, REMOTE_TID)
+        p1 = exe.routes.create_proxy(1, REMOTE_TID)
+        p2 = exe.routes.create_proxy(1, REMOTE_TID)
         assert p1 == p2
-        assert exe.route_for(p1) == Route(node=1, remote_tid=REMOTE_TID)
+        assert exe.routes.route_for(p1) == Route(node=1, remote_tid=REMOTE_TID)
 
     def test_proxy_for_local_is_identity(self):
         exe = Executive(node=0)
         tid = exe.install(Sink())
-        assert exe.create_proxy(0, tid) == tid
+        assert exe.routes.create_proxy(0, tid) == tid
 
     def test_distinct_remotes_distinct_proxies(self):
         exe = Executive(node=0)
-        assert exe.create_proxy(1, 20) != exe.create_proxy(2, 20)
-        assert exe.create_proxy(1, 20) != exe.create_proxy(1, 21)
+        assert exe.routes.create_proxy(1, 20) != exe.routes.create_proxy(2, 20)
+        assert exe.routes.create_proxy(1, 20) != exe.routes.create_proxy(1, 21)
 
     def test_racing_rx_threads_get_one_proxy_per_key(self):
         """The hit path reads ``_proxies`` without the lock; the insert
@@ -233,7 +234,7 @@ class TestProxies:
             barrier.wait(timeout=5)
             for _ in range(200):
                 for key in [*shared, (3, 100 + i, None)]:
-                    got[i].setdefault(key, set()).add(exe.create_proxy(*key))
+                    got[i].setdefault(key, set()).add(exe.routes.create_proxy(*key))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -255,16 +256,66 @@ class TestProxies:
         allocated = set()
         for key, proxies in by_key.items():
             (proxy,) = proxies
-            assert exe.route_for(proxy) == Route(*key)
+            assert exe.routes.route_for(proxy) == Route(*key)
             allocated.add(proxy)
         assert len(allocated) == len(by_key)
         assert exe.tids.live - live_before == allocated
+
+    def test_second_rebind_keeps_other_proxies_idempotent(self):
+        """A rebind drops the old key's entry only when it names this
+        proxy: rebinding ``a`` onto ``b``'s key and then away again
+        must leave ``b`` the answer for its own key."""
+        routes = Executive(node=0).routes
+        a = routes.create_proxy(2, 5)
+        b = routes.create_proxy(1, 7)
+        routes.rebind_route(a, 1, 7)
+        routes.rebind_route(a, 3, 9)
+        assert routes.create_proxy(1, 7) == b
+        assert routes.routes_to(1) == [b]
+
+    @pytest.mark.parametrize("node", [-1, MAX_NODE + 1, 5000, 10**12, True, "1"])
+    def test_node_ids_out_of_range_are_refused(self, node):
+        """No TiD is spent and no route stored for a node id the wire
+        cannot carry, on create or on rebind."""
+        exe = Executive(node=0)
+        proxy = exe.routes.create_proxy(2, 5)
+        live = exe.tids.live
+        with pytest.raises(AddressingError, match="node id"):
+            exe.routes.create_proxy(node, 5)
+        with pytest.raises(AddressingError, match="node id"):
+            exe.routes.rebind_route(proxy, node, 5)
+        assert exe.tids.live == live
+        assert exe.routes.by_proxy == {proxy: Route(2, 5)}
+
+    def test_routes_to_holds_off_a_racing_insert(self):
+        """``routes_to`` lists a snapshot taken under the table's lock:
+        a receive thread that creates a proxy mid-listing waits for it
+        instead of breaking the iteration."""
+        routes = RouteTable(0, TidAllocator())
+        first = routes.create_proxy(1, 20)
+        routes.create_proxy(2, 21)
+        inserter = threading.Thread(target=routes.create_proxy, args=(1, 99))
+
+        class InsertMidway(dict):
+            def items(self):
+                for n, item in enumerate(super().items()):
+                    if n == 0 and inserter.ident is None:
+                        inserter.start()
+                        inserter.join(timeout=0.2)
+                    yield item
+
+        routes.by_proxy = InsertMidway(routes.by_proxy)
+        listed = routes.routes_to(1)
+        inserter.join(timeout=5)
+        assert not inserter.is_alive()
+        assert listed == [first]
+        assert len(routes.routes_to(1)) == 2
 
     def test_proxy_with_no_pta_dead_letters(self):
         exe = Executive(node=0)
         a = Sink()
         exe.install(a)
-        proxy = exe.create_proxy(1, 20)
+        proxy = exe.routes.create_proxy(1, 20)
         a.send(proxy, b"x", xfunction=0x01)
         exe.run_until_idle()
         assert exe.dropped == 1
@@ -283,7 +334,7 @@ class TestExecutiveDevice:
             function,
             lambda f: answers.append(bytes(f.payload)) if f.is_reply else None,
         )
-        proxy = cluster[0].create_proxy(1, EXECUTIVE_TID)
+        proxy = cluster[0].routes.create_proxy(1, EXECUTIVE_TID)
         asker.send(proxy, function=function)
         pump(cluster)
         return answers
@@ -360,7 +411,7 @@ class TestThreadMode:
         cluster = make_loopback_cluster(2)
         a, b = Sink("a"), Sink("b")
         cluster[0].install(a)
-        a.send(cluster[0].create_proxy(1, cluster[1].install(b)), b"x",
+        a.send(cluster[0].routes.create_proxy(1, cluster[1].install(b)), b"x",
                xfunction=0x01)
         pump(cluster)
         assert len(b.got) == 1
@@ -443,7 +494,7 @@ class TestParkedLoop:
         cluster = make_loopback_cluster(2)
         sender, receiver = cluster[0], cluster[1]
         sink, caller = Sink(), Sink("caller")
-        proxy = sender.create_proxy(1, receiver.install(sink))
+        proxy = sender.routes.create_proxy(1, receiver.install(sink))
         sender.install(caller)
         steps, parks = record_loop(receiver)
         receiver.start()

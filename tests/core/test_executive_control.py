@@ -30,7 +30,7 @@ def rig():
     cluster = make_loopback_cluster(2)
     collector = Collector()
     cluster[0].install(collector)
-    exec_proxy = cluster[0].create_proxy(1, EXECUTIVE_TID)
+    exec_proxy = cluster[0].routes.create_proxy(1, EXECUTIVE_TID)
     return cluster, collector, exec_proxy
 
 
@@ -106,3 +106,14 @@ class TestPathClaim:
                        function=EXEC_PATH_CLAIM)
         pump(cluster)
         assert collector.replies[0][0] is True
+
+    @pytest.mark.parametrize("node", ["5000", "4096", "-1"])
+    def test_node_id_out_of_range_fails(self, rig, node):
+        """A claim for a node id the wire cannot carry gets a failure
+        reply, not a proxy: bogus claims cannot use up the TiD space."""
+        cluster, collector, exec_proxy = rig
+        collector.send(exec_proxy, encode_params({"node": node, "tid": "5"}),
+                       function=EXEC_PATH_CLAIM)
+        pump(cluster)
+        assert collector.replies == [(True, b"")]
+        assert cluster[1].routes.routes_to(int(node)) == []

@@ -59,7 +59,7 @@ def _round_trips(harness, count: int, burst: int) -> None:
     echo_tid = harness.exes[1].install(Echo())
     caller = Caller()
     harness.exes[0].install(caller)
-    proxy = harness.exes[0].create_proxy(1, echo_tid)
+    proxy = harness.exes[0].routes.create_proxy(1, echo_tid)
     for i in range(count // burst):
         for _ in range(burst):
             caller.send(proxy, b"x" * 64, xfunction=0x1)

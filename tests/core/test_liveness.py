@@ -155,7 +155,7 @@ def build_supervised(
     for node, hb in hbs.items():
         for peer in cluster:
             if peer != node:
-                hb.monitor(peer, cluster[node].create_proxy(peer, hbs[peer].tid))
+                hb.monitor(peer, cluster[node].routes.create_proxy(peer, hbs[peer].tid))
     for hb in hbs.values():
         hb.start()
     return cluster, clock, hbs, faulty, discovery
@@ -290,14 +290,14 @@ class TestFailoverCascade:
         replica_tid = cluster[1].install(replica)
         for node in (1, 2):
             discovery.refresh(node)
-        proxy = cluster[0].create_proxy(2, primary_tid)
+        proxy = cluster[0].routes.create_proxy(2, primary_tid)
         faulty[2].partition()
         tick(cluster, clock, 8)
         assert cluster[0].peers.state(2) is PeerState.DEAD
-        route = cluster[0].route_for(proxy)
+        route = cluster[0].routes.route_for(proxy)
         assert (route.node, route.remote_tid) == (1, replica_tid)
         assert not route.parked
-        assert cluster[0].rebinds >= 1
+        assert cluster[0].routes.rebinds >= 1
         assert discovery.rebinds >= 1
         assert cluster[0].metrics.value("exe_route_rebinds_total") >= 1
         assert 2 in discovery.quarantined
@@ -310,16 +310,16 @@ class TestFailoverCascade:
         discovery.refresh(2)
         caller = _Caller()
         cluster[0].install(caller)
-        proxy = cluster[0].create_proxy(2, target_tid)
+        proxy = cluster[0].routes.create_proxy(2, target_tid)
         faulty[2].partition()
         tick(cluster, clock, 8)
-        assert cluster[0].route_for(proxy).parked
+        assert cluster[0].routes.route_for(proxy).parked
         caller.send(proxy, b"anyone home?", xfunction=0x42)
         tick(cluster, clock, 1)
         # The paper's fault story: the sender gets an I2O failure reply
         # instead of waiting on a dead node forever.
         assert caller.failures == 1
-        assert cluster[0].parks >= 1
+        assert cluster[0].routes.parks >= 1
 
     def test_no_replica_parks_even_under_rebind(self):
         cluster, clock, hbs, faulty, discovery = build_supervised(
@@ -327,10 +327,10 @@ class TestFailoverCascade:
         )
         lone_tid = cluster[2].install(Worker())
         discovery.refresh(2)
-        proxy = cluster[0].create_proxy(2, lone_tid)
+        proxy = cluster[0].routes.create_proxy(2, lone_tid)
         faulty[2].partition()
         tick(cluster, clock, 8)
-        assert cluster[0].route_for(proxy).parked
+        assert cluster[0].routes.route_for(proxy).parked
 
     def test_rejoin_unparks_routes(self):
         cluster, clock, hbs, faulty, discovery = build_supervised(
@@ -338,14 +338,14 @@ class TestFailoverCascade:
         )
         target_tid = cluster[2].install(Worker())
         discovery.refresh(2)
-        proxy = cluster[0].create_proxy(2, target_tid)
+        proxy = cluster[0].routes.create_proxy(2, target_tid)
         faulty[2].partition()
         tick(cluster, clock, 8)
-        assert cluster[0].route_for(proxy).parked
+        assert cluster[0].routes.route_for(proxy).parked
         faulty[2].heal()
         tick(cluster, clock, 6)
         assert cluster[0].peers.state(2) is PeerState.ALIVE
-        assert not cluster[0].route_for(proxy).parked
+        assert not cluster[0].routes.route_for(proxy).parked
         assert 2 not in discovery.quarantined
 
     def test_reliable_endpoint_aborts_toward_dead_peer(self):
@@ -358,7 +358,7 @@ class TestFailoverCascade:
         cluster[2].install(ep2)
         failed = []
         ep0.on_failed = lambda seq, target, payload: failed.append(payload)
-        peer = cluster[0].create_proxy(2, ep2.tid)
+        peer = cluster[0].routes.create_proxy(2, ep2.tid)
         faulty[2].partition()
         ep0.send_reliable(peer, b"into the void")
         tick(cluster, clock, 8)
@@ -374,11 +374,11 @@ class TestFailoverCascade:
         )
         target_tid = cluster[2].install(Worker())
         discovery.refresh(2)
-        proxy = cluster[0].create_proxy(2, target_tid)
+        proxy = cluster[0].routes.create_proxy(2, target_tid)
         faulty[2].partition()
         tick(cluster, clock, 8)
         assert cluster[0].peers.state(2) is PeerState.DEAD
-        route = cluster[0].route_for(proxy)
+        route = cluster[0].routes.route_for(proxy)
         assert not route.parked and route.node == 2
 
     def test_park_without_discovery_still_parks_routes(self):
@@ -388,18 +388,18 @@ class TestFailoverCascade:
         target_tid = cluster[1].install(Worker())
         caller = _Caller()
         cluster[0].install(caller)
-        proxy = cluster[0].create_proxy(1, target_tid)
+        proxy = cluster[0].routes.create_proxy(1, target_tid)
         faulty[1].partition()
         tick(cluster, clock, 8)
         assert cluster[0].peers.state(1) is PeerState.DEAD
-        assert cluster[0].route_for(proxy).parked
+        assert cluster[0].routes.route_for(proxy).parked
         caller.send(proxy, b"", xfunction=0x42)
         tick(cluster, clock, 1)
         assert caller.failures == 1  # failure reply, not silence
         faulty[1].heal()
         tick(cluster, clock, 10)
         assert cluster[0].peers.state(1) is PeerState.ALIVE
-        assert not cluster[0].route_for(proxy).parked  # rejoin unparks
+        assert not cluster[0].routes.route_for(proxy).parked  # rejoin unparks
 
     def test_symmetric_partition_heals(self):
         """Both sides park each other's routes — but the beat route is
@@ -430,7 +430,7 @@ class TestFailoverCascade:
         faulty[2].partition()
         tick(cluster, clock, 8)
         assert cluster[0].peers.state(2) is PeerState.DEAD
-        beat_route = cluster[0].route_for(hbs[0]._targets[2])
+        beat_route = cluster[0].routes.route_for(hbs[0]._targets[2])
         assert beat_route.node == 2 and not beat_route.parked
         faulty[2].heal()
         tick(cluster, clock, 10)

@@ -63,7 +63,7 @@ class TestLossFreePath:
         clocks, exes, eps = build_pair()
         received = []
         eps[1].consumer = lambda src, data: received.append(data)
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         eps[0].send_reliable(peer, b"hello")
         run(clocks, exes, rounds=10)
         assert received == [b"hello"]
@@ -72,7 +72,7 @@ class TestLossFreePath:
 
     def test_sequences_are_distinct(self):
         clocks, exes, eps = build_pair()
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         seqs = [eps[0].send_reliable(peer, b"m") for _ in range(5)]
         assert len(set(seqs)) == 5
         run(clocks, exes, rounds=10)
@@ -85,7 +85,7 @@ class TestLossyPath:
         clocks, exes, eps = build_pair(plan, max_retries=200)
         received = []
         eps[1].consumer = lambda src, data: received.append(data)
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         messages = [f"msg-{i}".encode() for i in range(40)]
         for m in messages:
             eps[0].send_reliable(peer, m)
@@ -99,7 +99,7 @@ class TestLossyPath:
         clocks, exes, eps = build_pair(plan)
         received = []
         eps[1].consumer = lambda src, data: received.append(data)
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         for i in range(20):
             eps[0].send_reliable(peer, f"d{i}".encode())
         run(clocks, exes, rounds=100)
@@ -111,7 +111,7 @@ class TestLossyPath:
         clocks, exes, eps = build_pair(plan)
         received = []
         eps[1].consumer = lambda src, data: received.append(data)
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         messages = [f"r{i}".encode() for i in range(25)]
         for m in messages:
             eps[0].send_reliable(peer, m)
@@ -123,7 +123,7 @@ class TestLossyPath:
         clocks, exes, eps = build_pair(plan, max_retries=3)
         failures = []
         eps[0].on_failed = lambda seq, target, payload: failures.append(seq)
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         seq = eps[0].send_reliable(peer, b"doomed")
         run(clocks, exes, rounds=50)
         assert failures == [seq]
@@ -139,7 +139,7 @@ class TestLossyPath:
         clocks, exes, eps = build_pair(plan, max_retries=100)
         received = []
         eps[1].consumer = lambda src, data: received.append(bytes(data))
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         messages = [f"c{i}".encode() for i in range(20)]
         for m in messages:
             eps[0].send_reliable(peer, m)
@@ -155,7 +155,7 @@ class TestOrderedMode:
         clocks, exes, eps = build_pair(plan, max_retries=200, ordered=True)
         received = []
         eps[1].consumer = lambda src, data: received.append(bytes(data))
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         messages = [f"o{i:02d}".encode() for i in range(30)]
         for m in messages:
             eps[0].send_reliable(peer, m)
@@ -167,7 +167,7 @@ class TestOrderedMode:
         clocks, exes, eps = build_pair(ordered=True)
         received = []
         eps[1].consumer = lambda src, data: received.append(bytes(data))
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         # Lose seq 1's first copy on the wire, deliver 2 and 3: a gap.
         eps[0].send_reliable(peer, b"first")
         pt1 = exes[1].pta.transport("loopback")
@@ -198,7 +198,7 @@ class TestJournaledEndpoint:
         eps[0].attach_journal(store)
         received = []
         eps[1].consumer = lambda src, data: received.append(bytes(data))
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         messages = [f"j{i}".encode() for i in range(5)]
         for m in messages:
             eps[0].send_reliable(peer, m)
@@ -232,7 +232,7 @@ class TestJournaledEndpoint:
         eps[0].attach_journal(store)
         failures = []
         eps[0].on_failed = lambda seq, target, payload: failures.append(seq)
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         eps[0].send_reliable(peer, b"doomed")
         run(clocks, exes, rounds=50)
         assert len(failures) == 1
@@ -271,7 +271,7 @@ class TestAbortPayloadSnapshot:
         eps[0].on_failed = (
             lambda seq, target, payload: reports.append(bytes(payload))
         )
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         eps[0].send_reliable(peer, block.memory[: len(pattern)])
         exes[0].pool.free(block)  # sanitizer poisons the freed block
         # Supervision declares the peer dead: the pending message is
@@ -293,7 +293,7 @@ class TestPoolHygiene:
         plan = FaultPlan(drop_rate=0.4, duplicate_rate=0.2)
         clocks, exes, eps = build_pair(plan, max_retries=100)
         eps[1].consumer = lambda src, data: None
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         for i in range(30):
             eps[0].send_reliable(peer, bytes(50))
         run(clocks, exes, rounds=2000)
@@ -308,7 +308,7 @@ class TestBurstAcks:
         exes[1].max_dispatch_per_step = 2 * MAX_ACK_SEQS  # one step
         received = []
         eps[1].consumer = lambda src, data: received.append(data)
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         for i in range(MAX_ACK_SEQS + 5):
             eps[0].send_reliable(peer, b"b%d" % i)
         exes[0].run_until_idle()
@@ -321,7 +321,7 @@ class TestBurstAcks:
 
     def test_one_retransmit_timer_per_endpoint(self):
         clocks, exes, eps = build_pair(FaultPlan(drop_rate=1.0))
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         for i in range(10):
             eps[0].send_reliable(peer, b"m%d" % i)
         assert len(exes[0].timers) == 1
@@ -338,7 +338,7 @@ class TestBurstAcks:
         clocks, exes, eps = build_pair(FaultPlan(duplicate_rate=1.0))
         received = []
         eps[1].consumer = lambda src, data: received.append(bytes(data))
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         messages = [b"x%d" % i for i in range(40)]
         for m in messages:
             eps[0].send_reliable(peer, m)
@@ -362,7 +362,7 @@ class TestReplug:
         received, failed = [], []
         eps[1].consumer = lambda src, data: received.append(bytes(data))
         eps[0].on_failed = lambda seq, target, data: failed.append(seq)
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         pt.partition()
         eps[0].send_reliable(peer, b"owed")
         run(clocks, exes, rounds=1)
@@ -382,7 +382,7 @@ class TestReplug:
         clocks, exes, eps = build_pair()
         received = []
         eps[1].consumer = lambda src, data: received.append(bytes(data))
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         eps[0].send_reliable(peer, b"first")
         exes[0].step()  # transmit
         exes[1].step()  # deliver; the ack flush is armed, not yet sent
@@ -459,13 +459,13 @@ class TestHostileAcks:
         assert _valid(payload) is not refused
         clocks, exes, eps = build_pair(FaultPlan())
         (pt,) = exes[0].pta.transports()
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         pt.partition()  # the data never arrives, so nothing is acked
         for seq in _OWED:
             assert eps[0].send_reliable(peer, b"p%d" % seq) == seq
         run(clocks, exes, rounds=1)
         pt.heal()
-        sender = exes[1].create_proxy(0, eps[0].tid)
+        sender = exes[1].routes.create_proxy(0, eps[0].tid)
         eps[1].send(sender, payload, xfunction=XF_REL_ACK)
         run(clocks, exes, rounds=1)  # before any retransmit is due
         assert set(eps[0]._pending) == set(_OWED) - retired

@@ -47,7 +47,7 @@ class Answerer(Listener):
 def asking(two_nodes):
     asker = Asker(pump=two_nodes[1].step)
     two_nodes[0].install(asker)
-    target = two_nodes[0].create_proxy(1, two_nodes[1].install(Answerer()))
+    target = two_nodes[0].routes.create_proxy(1, two_nodes[1].install(Answerer()))
     return two_nodes, asker, target
 
 
@@ -59,7 +59,7 @@ class TestPrimitive:
 
     def test_callback_runs_for_failure_replies_too(self, asking):
         cluster, asker, _ = asking
-        nowhere = cluster[0].create_proxy(1, 0x7F0)  # no such device
+        nowhere = cluster[0].routes.create_proxy(1, 0x7F0)  # no such device
         seen = []
         asker.request(nowhere, xfunction=XF_ASK,
                       on_reply=lambda f: seen.append(f.is_failure))
@@ -93,7 +93,7 @@ class TestPrimitive:
         cluster, asker, _ = asking
         other = Asker("other", pump=cluster[0].step)
         cluster[1].install(other)
-        failed, _ = other.ask(cluster[1].create_proxy(0, asker.tid),
+        failed, _ = other.ask(cluster[1].routes.create_proxy(0, asker.tid),
                               xfunction=XF_ASK)
         assert failed
 
@@ -142,7 +142,7 @@ def test_threaded_wait_parks_on_the_reply_not_in_slices(monkeypatch):
     cluster = make_loopback_cluster(2)
     asker = Asker()
     cluster[0].install(asker)
-    target = cluster[0].create_proxy(1, cluster[1].install(Answerer()))
+    target = cluster[0].routes.create_proxy(1, cluster[1].install(Answerer()))
     timeouts: list[float | None] = []
     real_wait = threading.Event.wait
 
@@ -182,8 +182,8 @@ def test_sweepers_stay_bounded_over_a_partition_and_resume_after_heal():
     collector, monitor = TelemetryCollector(), DaqMonitor()
     cluster[0].install(collector)
     cluster[0].install(monitor)
-    collector.watch(1, cluster[0].create_proxy(1, agent_tid))
-    proxy = cluster[0].create_proxy(1, watched_tid)
+    collector.watch(1, cluster[0].routes.create_proxy(1, agent_tid))
+    proxy = cluster[0].routes.create_proxy(1, watched_tid)
     monitor.watch(proxy)
 
     wires[0].partition(1)
@@ -218,21 +218,21 @@ def _discovery(cluster):
 def _block(cluster):
     client = BlockClient()
     return client, BlockDeviceError, lambda: client.status(
-        cluster[0].create_proxy(1, cluster[1].install(Listener("deaf")))
+        cluster[0].routes.create_proxy(1, cluster[1].install(Listener("deaf")))
     )
 
 
 def _tape(cluster):
     client = SequentialClient()
     return client, I2OError, lambda: client.rewind(
-        cluster[0].create_proxy(1, cluster[1].install(Listener("deaf")))
+        cluster[0].routes.create_proxy(1, cluster[1].install(Listener("deaf")))
     )
 
 
 def _stub(cluster):
     stub = StubDevice()
     return stub, RemoteCallError, lambda: stub.call(
-        cluster[0].create_proxy(1, cluster[1].install(Listener("deaf"))),
+        cluster[0].routes.create_proxy(1, cluster[1].install(Listener("deaf"))),
         "anything",
     )
 
@@ -286,7 +286,7 @@ class TestFailureReplyEndsDiscoveryAtOnce:
         cluster, discovery, rounds = rig
         discovery.refresh(1)
         del rounds[:]
-        cluster[0].park_route(cluster[0].routes_to(1)[0])
+        cluster[0].routes.park_route(cluster[0].routes.routes_to(1)[0])
         with pytest.raises(DiscoveryError, match="failure reply"):
             discovery.refresh(1)
         assert len(rounds) <= 3

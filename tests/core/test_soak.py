@@ -69,7 +69,7 @@ def run_soak(seed: int, messages: int, tick_budget: int = 3_000):
     received: list[bytes] = []
     eps[1].consumer = lambda src, data: received.append(bytes(data))
     sent = [f"m{i:05d}".encode() for i in range(messages)]
-    peer = exes[0].create_proxy(1, eps[1].tid)
+    peer = exes[0].routes.create_proxy(1, eps[1].tid)
     for payload in sent:
         eps[0].send_reliable(peer, payload)
 

@@ -35,7 +35,7 @@ def _telemetry_cluster(
     collector = TelemetryCollector(name="collector")
     cluster[0].install(collector)
     for node, agent in agents.items():
-        collector.watch(node, cluster[0].create_proxy(node, agent.tid))
+        collector.watch(node, cluster[0].routes.create_proxy(node, agent.tid))
     return cluster, collector, agents
 
 
@@ -102,7 +102,7 @@ class TestCollectorSweep:
         cluster, collector, _ = _telemetry_cluster(2)
         caller = Caller()
         cluster[0].install(caller)
-        echo = cluster[0].create_proxy(1, cluster[1].install(Echo("echo")))
+        echo = cluster[0].routes.create_proxy(1, cluster[1].install(Echo("echo")))
         for _ in range(3):
             caller.send(echo, b"ping", xfunction=0x1)
             pump(cluster)
@@ -212,7 +212,7 @@ class TestCollectorSweep:
         cluster, collector, _ = _telemetry_cluster(2)
         monitor = DaqMonitor()
         cluster[1].install(monitor)
-        monitor.watch(cluster[1].create_proxy(0, collector.tid))
+        monitor.watch(cluster[1].routes.create_proxy(0, collector.tid))
         collector.sweep()
         pump(cluster)
         monitor.sweep()

@@ -49,7 +49,7 @@ def _traced_pair(capacity: int = 256):
     echo_tid = cluster[1].install(echo)
     caller = FunctionalListener(name="caller")
     cluster[0].install(caller)
-    proxy = cluster[0].create_proxy(1, echo_tid)
+    proxy = cluster[0].routes.create_proxy(1, echo_tid)
     return cluster, caller, proxy
 
 
@@ -124,7 +124,7 @@ class TestOffMode:
         sink_tid = two_nodes[1].install(sink)
         caller = FunctionalListener(name="caller")
         two_nodes[0].install(caller)
-        proxy = two_nodes[0].create_proxy(1, sink_tid)
+        proxy = two_nodes[0].routes.create_proxy(1, sink_tid)
         caller.send(proxy, b"x", xfunction=0x1)
         pump(two_nodes)
         assert seen == [0]

@@ -14,9 +14,9 @@ def test_monitor_collects_counters_without_private_messages(five_nodes):
     # Monitor lives on node 4 (shares with a BU; fine).
     monitor = DaqMonitor()
     five_nodes[4].install(monitor)
-    monitor.watch(five_nodes[4].create_proxy(0, evm.tid))
+    monitor.watch(five_nodes[4].routes.create_proxy(0, evm.tid))
     for i, ru in rus.items():
-        monitor.watch(five_nodes[4].create_proxy(1 + i, ru.tid))
+        monitor.watch(five_nodes[4].routes.create_proxy(1 + i, ru.tid))
     trigger.fire_burst(12)
     pump(five_nodes)
     monitor.sweep()
@@ -35,8 +35,8 @@ def test_sweep_counts_watched(five_nodes):
     assert monitor.sweep() == 0
     evm = EventManager()
     tid = five_nodes[1].install(evm)
-    monitor.watch(five_nodes[0].create_proxy(1, tid))
-    monitor.watch(five_nodes[0].create_proxy(1, tid))  # dedup
+    monitor.watch(five_nodes[0].routes.create_proxy(1, tid))
+    monitor.watch(five_nodes[0].routes.create_proxy(1, tid))  # dedup
     assert monitor.sweep() == 1
     pump(five_nodes)
 
@@ -45,7 +45,7 @@ def test_repeated_sweeps_refresh(five_nodes):
     evm, trigger, rus, bus = wire_daq(five_nodes)
     monitor = DaqMonitor()
     five_nodes[4].install(monitor)
-    proxy = five_nodes[4].create_proxy(0, evm.tid)
+    proxy = five_nodes[4].routes.create_proxy(0, evm.tid)
     monitor.watch(proxy)
     trigger.fire_burst(3)
     pump(five_nodes)

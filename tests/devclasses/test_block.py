@@ -28,7 +28,7 @@ def rig():
 
     client = BlockClient(pump=pump)
     cluster[0].install(client)
-    proxy = cluster[0].create_proxy(1, dev_tid)
+    proxy = cluster[0].routes.create_proxy(1, dev_tid)
     return cluster, device, client, proxy
 
 
@@ -80,7 +80,7 @@ class TestReadWrite:
 
         client = BlockClient(pump=pump)
         cluster[0].install(client)
-        proxy = cluster[0].create_proxy(1, dev_tid)
+        proxy = cluster[0].routes.create_proxy(1, dev_tid)
         client.write(proxy, lba, data)
         assert client.read(proxy, lba) == data
 

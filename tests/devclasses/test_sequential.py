@@ -26,7 +26,7 @@ def rig():
 
     client = SequentialClient(pump=pump)
     cluster[0].install(client)
-    proxy = cluster[0].create_proxy(1, dev_tid)
+    proxy = cluster[0].routes.create_proxy(1, dev_tid)
     return device, client, proxy
 
 
@@ -105,7 +105,7 @@ class TestSequentialAccess:
 
         client = SequentialClient(pump=pump)
         cluster[0].install(client)
-        tape = cluster[0].create_proxy(1, dev_tid)
+        tape = cluster[0].routes.create_proxy(1, dev_tid)
         client.write(tape, b"1")
         client.write(tape, b"2")
         with pytest.raises(I2OError, match="status 1"):

@@ -84,7 +84,7 @@ class _Rig:
 
     @property
     def peer(self):
-        return self.tx_exe.create_proxy(1, self.rx.tid)
+        return self.tx_exe.routes.create_proxy(1, self.rx.tid)
 
     def pump(self, ticks=20):
         exes = [self.tx_exe, self.rx_exe]

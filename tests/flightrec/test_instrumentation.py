@@ -335,7 +335,7 @@ class TestWirePath:
         remote_tid = cluster[1].install(echo)
         sender = Listener("sender")
         cluster[0].install(sender)
-        proxy = cluster[0].create_proxy(1, remote_tid)
+        proxy = cluster[0].routes.create_proxy(1, remote_tid)
         sender.send(proxy, b"over-the-wire", xfunction=0x1)
         pump(cluster)
         assert received == [b"over-the-wire"]
@@ -364,7 +364,7 @@ class TestWirePath:
             echo_tid = harness.exes[1].install(Echo())
             caller = Caller()
             harness.exes[0].install(caller)
-            proxy = harness.exes[0].create_proxy(1, echo_tid)
+            proxy = harness.exes[0].routes.create_proxy(1, echo_tid)
             for i in range(4):
                 caller.send(proxy, b"x" * (i + 1), xfunction=0x1)
             assert harness.run_until(lambda: len(caller.replies) == 4)
@@ -411,7 +411,7 @@ class TestReliableStream:
         clocks, exes, eps = _reliable_pair(journal_dir=tmp_path)
         received = []
         eps[1].consumer = lambda src, data: received.append(data)
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         seq = eps[0].send_reliable(peer, b"hello")
         _run(clocks, exes, rounds=5)
         assert received == [b"hello"]
@@ -453,7 +453,7 @@ class TestReliableStream:
             clocks[node], exes[node], eps[node] = clock, exe, ep
         received = []
         eps[1].consumer = lambda src, data: received.append(data)
-        peer = exes[0].create_proxy(1, eps[1].tid)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
         for i in range(10):
             eps[0].send_reliable(peer, b"m%d" % i)
         _run(clocks, exes, rounds=400)

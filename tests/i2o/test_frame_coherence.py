@@ -172,7 +172,7 @@ class TestIngestOverARecycledBlock:
         exe.run_until_idle()
         (frame,) = keeper.kept
         assert frame.target == keeper.tid
-        assert frame.initiator == exe.create_proxy(
+        assert frame.initiator == exe.routes.create_proxy(
             0, REMOTE_TID, transport=pt.name)
         assert bytes(frame.payload) == b"n" * 24
         for name, value in NEW.items():

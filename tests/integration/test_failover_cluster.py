@@ -134,7 +134,7 @@ def _run_scenario():
     for node, hb in hbs.items():
         for peer in cluster:
             if peer != node:
-                hb.monitor(peer, cluster[node].create_proxy(peer, hbs[peer].tid))
+                hb.monitor(peer, cluster[node].routes.create_proxy(peer, hbs[peer].tid))
     for hb in hbs.values():
         hb.start()
 
@@ -173,8 +173,8 @@ def _run_scenario():
             tuple(evm.completed_ids),
             tuple(evm.lost_events),
             evm.reassignments,
-            cluster[0].rebinds,
-            cluster[0].parks,
+            cluster[0].routes.rebinds,
+            cluster[0].routes.parks,
             detected_after,
             survivors["ru2b"].served,
         ),
@@ -192,7 +192,7 @@ class TestFailoverCluster:
         assert result["detected_after"] <= DEAD_AFTER + 1
 
         # The ru2 proxy was re-bound to the surviving replica on node 1.
-        route = cluster[0].route_for(result["proxies"][2])
+        route = cluster[0].routes.route_for(result["proxies"][2])
         assert (route.node, route.remote_tid) == result["ru_tids"]["ru2b"]
         assert not route.parked
         assert 3 in result["discovery"].quarantined

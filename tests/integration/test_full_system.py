@@ -128,7 +128,7 @@ class TestSglAcrossTheWire:
         tx = BulkSender()
         two_nodes[0].install(tx)
         payload = bytes(range(256)) * 300  # 76 800 B, 52 fragments
-        tx.send_bulk(two_nodes[0].create_proxy(1, rx_tid), payload)
+        tx.send_bulk(two_nodes[0].routes.create_proxy(1, rx_tid), payload)
         pump(two_nodes)
         assert rx.received == [payload]
         assert rx.reassembler.pending_chains == 0
@@ -152,11 +152,11 @@ class TestRmiAndRawFramesCoexist:
 
         stub_dev = StubDevice(pump=pump_once)
         two_nodes[0].install(stub_dev)
-        calc = Stub(stub_dev, two_nodes[0].create_proxy(1, calc_tid))
+        calc = Stub(stub_dev, two_nodes[0].routes.create_proxy(1, calc_tid))
 
         ping = PingDevice()
         two_nodes[0].install(ping)
-        ping.configure(two_nodes[0].create_proxy(1, echo_tid), 64, 5)
+        ping.configure(two_nodes[0].routes.create_proxy(1, echo_tid), 64, 5)
         ping.kick()
         results = [calc.square(i) for i in range(5)]
         pump(two_nodes)
@@ -187,7 +187,7 @@ class TestDynamicUpgradeMidRun:
         caller.bind(0x70, lambda f: got.append(bytes(f.payload))
                     if f.is_reply else None)
         tid = download_module(two_nodes[1], source, "Doubler")
-        caller.send(two_nodes[0].create_proxy(1, tid), b"ab",
+        caller.send(two_nodes[0].routes.create_proxy(1, tid), b"ab",
                     xfunction=0x70)
         pump(two_nodes)
         assert got == [b"abab"]

@@ -73,13 +73,13 @@ def test_property_every_request_delivered_or_failure_replied(plan):
         src_node, src_dev, _ = probes[src_idx]
         if bogus:
             # A remote TiD that exists on no node.
-            target = cluster[src_node].create_proxy(
+            target = cluster[src_node].routes.create_proxy(
                 (src_node + 1) % n_nodes, 0xE00 + context
             )
             expected_failures.add(context)
         else:
             dst_node, _, dst_tid = probes[dst_idx]
-            target = cluster[src_node].create_proxy(dst_node, dst_tid)
+            target = cluster[src_node].routes.create_proxy(dst_node, dst_tid)
             if target == src_dev.tid:
                 # Self-send: delivered to self.
                 expected_delivered[src_idx].append(context)

@@ -48,7 +48,7 @@ def test_slowed_dispatch_produces_spill_and_samples(tmp_path):
     )
     sender = Listener("sender")
     cluster[0].install(sender)
-    proxy = cluster[0].create_proxy(1, slow_tid)
+    proxy = cluster[0].routes.create_proxy(1, slow_tid)
     sender.send(proxy, b"work", xfunction=0x1)
     pump(cluster)
 

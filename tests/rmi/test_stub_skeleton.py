@@ -46,7 +46,7 @@ def rig():
 
     stub_dev = StubDevice(pump=pump_all)
     cluster[0].install(stub_dev)
-    proxy = cluster[0].create_proxy(1, svc_tid)
+    proxy = cluster[0].routes.create_proxy(1, svc_tid)
     return cluster, service, stub_dev, proxy
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.executive import Executive, Route
+from repro.core.executive import Executive
+from repro.core.routes import Route
 from repro.i2o.tid import PTA_TID
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.base import PeerTransport, TransportError
@@ -161,7 +162,7 @@ class TestForwarding:
         exe.install(sender)
         failures = []
         sender.bind(0x1, lambda f: failures.append(f.is_failure))
-        proxy = exe.create_proxy(1, 0x20)
+        proxy = exe.routes.create_proxy(1, 0x20)
         sender.send(proxy, b"x", xfunction=0x1)
         exe.run_until_idle()
         assert failures == [True]

@@ -32,7 +32,7 @@ def _wire(harness):
     echo_tid = harness.exes[1].install(Echo())
     caller = Caller()
     harness.exes[0].install(caller)
-    proxy = harness.exes[0].create_proxy(1, echo_tid)
+    proxy = harness.exes[0].routes.create_proxy(1, echo_tid)
     return caller, proxy
 
 
@@ -70,7 +70,7 @@ class TestTransportContract:
 
     def test_unknown_tid_yields_failure_reply(self, harness):
         caller, _ = _wire(harness)
-        stray = harness.exes[0].create_proxy(1, 0x3F)  # nothing lives there
+        stray = harness.exes[0].routes.create_proxy(1, 0x3F)  # nothing lives there
         caller.send(stray, b"anyone?", xfunction=0x2)
         assert harness.run_until(lambda: caller.failures == [True])
 

@@ -36,7 +36,7 @@ def build(plan: FaultPlan, seed: int = 0):
     sink_tid = exes[1].install(sink)
     sender = Listener("sender")
     exes[0].install(sender)
-    proxy = exes[0].create_proxy(1, sink_tid)
+    proxy = exes[0].routes.create_proxy(1, sink_tid)
     return exes, sender, sink, proxy
 
 
@@ -217,7 +217,7 @@ class TestPartition:
         exes[0].install(sender)
         exes[0].pta.transport("faulty").partition(2)
         for n in (1, 2):
-            sender.send(exes[0].create_proxy(n, tids[n]), b"hi",
+            sender.send(exes[0].routes.create_proxy(n, tids[n]), b"hi",
                         xfunction=0x1)
         pump(exes)
         assert sinks[1].payloads == [b"hi"]

@@ -31,7 +31,7 @@ def test_duplicate_node_rejected():
 def test_unknown_destination_becomes_failure_reply(two_nodes):
     caller = Caller()
     two_nodes[0].install(caller)
-    proxy = two_nodes[0].create_proxy(99, 0x20)  # node 99 doesn't exist
+    proxy = two_nodes[0].routes.create_proxy(99, 0x20)  # node 99 doesn't exist
     caller.send(proxy, b"x", xfunction=0x2)
     pump(two_nodes)
     assert caller.failures == [True]
@@ -41,7 +41,7 @@ def test_has_pending_reflects_staged_data(two_nodes):
     echo_tid = two_nodes[1].install(Echo())
     caller = Caller()
     two_nodes[0].install(caller)
-    caller.send(two_nodes[0].create_proxy(1, echo_tid), b"x", xfunction=0x1)
+    caller.send(two_nodes[0].routes.create_proxy(1, echo_tid), b"x", xfunction=0x1)
     two_nodes[0].step()  # routes + transmits, staging at node 1
     pt = two_nodes[1].pta.transport("loopback")
     assert pt.has_pending
@@ -55,7 +55,7 @@ def test_wide_cluster_any_to_any(five_nodes):
     caller = Caller()
     five_nodes[0].install(caller)
     for node, tid in echoes.items():
-        caller.send(five_nodes[0].create_proxy(node, tid),
+        caller.send(five_nodes[0].routes.create_proxy(node, tid),
                     str(node).encode(), xfunction=0x1)
     pump(five_nodes)
     assert sorted(caller.replies) == [b"1", b"2", b"3", b"4"]

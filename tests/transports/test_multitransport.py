@@ -59,8 +59,8 @@ class TestTwoRails:
         echo_tid = exes[1].install(Echo())
         caller = Caller()
         exes[0].install(caller)
-        via0 = exes[0].create_proxy(1, echo_tid, transport="rail0")
-        via1 = exes[0].create_proxy(1, echo_tid, transport="rail1")
+        via0 = exes[0].routes.create_proxy(1, echo_tid, transport="rail0")
+        via1 = exes[0].routes.create_proxy(1, echo_tid, transport="rail1")
         assert via0 != via1  # distinct proxies for distinct routes
         caller.send(via0, b"on rail0", xfunction=0x1)
         caller.send(via1, b"on rail1", xfunction=0x1)
@@ -76,8 +76,8 @@ class TestTwoRails:
         echo_tid = exes[1].install(Echo())
         caller = Caller()
         exes[0].install(caller)
-        via0 = exes[0].create_proxy(1, echo_tid, transport="rail0")
-        via1 = exes[0].create_proxy(1, echo_tid, transport="rail1")
+        via0 = exes[0].routes.create_proxy(1, echo_tid, transport="rail0")
+        via1 = exes[0].routes.create_proxy(1, echo_tid, transport="rail1")
         for i in range(10):
             caller.send(via0 if i % 2 else via1, str(i).encode(),
                         xfunction=0x1)
@@ -109,7 +109,7 @@ class TestTransportTransparency:
         echo_tid = exes[1].install(Echo())
         caller = Caller()
         exes[0].install(caller)
-        caller.send(exes[0].create_proxy(1, echo_tid), b"same code",
+        caller.send(exes[0].routes.create_proxy(1, echo_tid), b"same code",
                     xfunction=0x1)
         drive(exes, 1, caller)
         assert caller.replies == [b"same code"]

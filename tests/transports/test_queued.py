@@ -57,7 +57,7 @@ class TestTaskMode:
         for exe in exes.values():
             exe.start()
         try:
-            caller.send(exes[0].create_proxy(1, echo_tid), b"task",
+            caller.send(exes[0].routes.create_proxy(1, echo_tid), b"task",
                         xfunction=0x1)
             deadline = time.monotonic() + 5
             while not caller.replies and time.monotonic() < deadline:

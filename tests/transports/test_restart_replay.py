@@ -60,7 +60,7 @@ def test_restart_replay_exactly_once_within_copy_budget(harness, tmp_path):
     path = tmp_path / "tx.journal"
     tx, rx, received = _wire(harness, SegmentStore(path))
     tx_tid = int(tx.tid)
-    peer = harness.exes[0].create_proxy(1, rx.tid)
+    peer = harness.exes[0].routes.create_proxy(1, rx.tid)
 
     # Pause any executive threads so the swap below cannot race the
     # delivery of batch1: every harness then journals the whole batch
@@ -86,7 +86,7 @@ def test_restart_replay_exactly_once_within_copy_budget(harness, tmp_path):
     assert tx2.recoveries == 1
     _resume_threads(harness)
 
-    peer2 = harness.exes[0].create_proxy(1, rx.tid)
+    peer2 = harness.exes[0].routes.create_proxy(1, rx.tid)
     batch2 = [f"post-crash-{i}".encode() for i in range(6)]
     for payload in batch2:
         tx2.send_reliable(peer2, payload)

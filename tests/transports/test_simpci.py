@@ -37,7 +37,7 @@ def run_pingpong(hardware: bool, payload=256, rounds=20):
     echo_tid = iop_exe.install(EchoDevice())
     ping = PingDevice()
     host_exe.install(ping)
-    ping.configure(host_exe.create_proxy(1, echo_tid), payload, rounds)
+    ping.configure(host_exe.routes.create_proxy(1, echo_tid), payload, rounds)
     sim.at(0, ping.kick)
     sim.run()
     return ping, board
@@ -61,7 +61,7 @@ class TestTransport:
         pt = host_exe.pta.transport("pci-host")
         frame = host_exe.frame_alloc(0, target=REMOTE_TID,
                                      initiator=INITIATOR_TID)
-        from repro.core.executive import Route
+        from repro.core.routes import Route
 
         with pytest.raises(TransportError, match="reaches only"):
             pt.transmit(frame, Route(node=9, remote_tid=REMOTE_TID))

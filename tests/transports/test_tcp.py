@@ -18,7 +18,8 @@ from functools import partial
 import pytest
 
 from repro.core.device import Listener
-from repro.core.executive import Executive, Route
+from repro.core.executive import Executive
+from repro.core.routes import Route
 from repro.i2o.frame import Frame
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.base import TransportError
@@ -99,7 +100,7 @@ def echo_once(exes, payload: bytes = b"x") -> tuple[Caller, int]:
     echo_tid = exes[1].install(Echo())
     caller = Caller()
     exes[0].install(caller)
-    proxy = exes[0].create_proxy(1, echo_tid)
+    proxy = exes[0].routes.create_proxy(1, echo_tid)
     caller.send(proxy, payload, xfunction=0x1)
     assert wait_for(lambda: caller.replies == [payload])
     return caller, proxy
@@ -347,7 +348,7 @@ def test_two_nodes_flooding_each_other_both_finish():
     flooders = {node: Flooder() for node in exes}
     tids = {node: exes[node].install(f) for node, f in flooders.items()}
     for node, flooder in flooders.items():
-        flooder.peer = exes[node].create_proxy(1 - node, tids[1 - node])
+        flooder.peer = exes[node].routes.create_proxy(1 - node, tids[1 - node])
     for node, exe in exes.items():
         exe.frame_send(exe.frame_alloc(0, target=tids[node], xfunction=0x3))
     started = time.monotonic()

@@ -83,7 +83,7 @@ def _finished(progress: Callable[[], int], done: threading.Event,
 def _bounce(name: str, rounds: int, burst: int, switch_s: float) -> None:
     harness = make_harness(name)
     client, server = harness.exes[0], harness.exes[1]
-    bouncer = Bouncer(client.create_proxy(1, server.install(Echo())),
+    bouncer = Bouncer(client.routes.create_proxy(1, server.install(Echo())),
                       rounds, burst)
     client.install(bouncer)
     records = {node: record_loop(exe) for node, exe in harness.exes.items()}

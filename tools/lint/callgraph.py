@@ -29,6 +29,8 @@ Call sites resolve to summaries by name, never by type inference:
 
 * ``self.m(...)``   — walk the class's bases (by name, project-wide);
 * ``exe.m(...)``/``self.executive.m(...)`` — the ``Executive`` class;
+* ``exe.routes.m(...)`` — the executive-owned part's class
+  (``RouteTable``, :data:`EXECUTIVE_PARTS`);
 * ``f(...)``        — nested function, else same-module function;
 * ``obj.m(...)``    — only when every method of that name in the
   project agrees, and then only for release/transmit effects.
@@ -69,6 +71,10 @@ ESCAPES = "escapes"
 #: receiver spellings that denote "the executive" throughout the tree
 EXECUTIVE_NAMES = frozenset({"exe", "executive"})
 EXECUTIVE_ATTRS = frozenset({"executive", "_exe"})
+#: executive attributes holding executive-owned state, by class: their
+#: methods resolve from ``exe.<attr>.m(...)``, and their ``self`` is
+#: executive state (no stat-counter pass)
+EXECUTIVE_PARTS = {"routes": "RouteTable"}
 
 #: fixpoint rounds: summaries stabilise in (helper-chain depth) rounds;
 #: real chains in this tree are 2-3 deep
@@ -146,7 +152,20 @@ class ProjectIndex:
         return cls is not None and cls in self.listener_classes
 
     def is_executive(self, cls: str | None) -> bool:
-        return cls is not None and cls in self.executive_classes
+        return cls is not None and (
+            cls in self.executive_classes or cls in EXECUTIVE_PARTS.values())
+
+    def executive_owners(self, receiver: ast.expr) -> list[str] | None:
+        """Classes a call on ``receiver`` resolves on when the receiver
+        is the executive (every ``Executive`` subclass) or one of its
+        parts (``exe.routes`` -> ``RouteTable``); None otherwise."""
+        if _is_executive_receiver(receiver):
+            return sorted(self.executive_classes)
+        if (isinstance(receiver, ast.Attribute)
+                and receiver.attr in EXECUTIVE_PARTS
+                and _is_executive_receiver(receiver.value)):
+            return [EXECUTIVE_PARTS[receiver.attr]]
+        return None
 
     def resolve_method(self, cls: str, method: str,
                        prefer_path: str | None = None) -> str | None:
@@ -190,8 +209,9 @@ class ProjectIndex:
             if key is not None and key in self.summaries:
                 return self.summaries[key], True
             return None
-        if _is_executive_receiver(receiver):
-            for exec_cls in sorted(self.executive_classes):
+        owners = self.executive_owners(receiver)
+        if owners is not None:
+            for exec_cls in owners:
                 key = self.resolve_method(exec_cls, method)
                 if key is not None and key in self.summaries:
                     return self.summaries[key], True

@@ -29,10 +29,11 @@ for a transport reader: it is read-only *by contract*, which makes
 the race rules stricter there — even the ``+=`` stat-counter idiom
 the transports are allowed is a violation on a sampler thread.
 Contexts propagate over the name-based
-call graph (``self.m``, ``exe.m``/``self.executive.m``, and bare
-same-module calls) to a fixpoint; dynamically dispatched calls
-(``obj.m``) propagate nothing, so unregistered helpers stay
-unclassified — a deliberate under-approximation.
+call graph (``self.m``, ``exe.m``/``self.executive.m``,
+``exe.routes.m``, and bare same-module calls) to a fixpoint;
+dynamically dispatched calls (``obj.m``) propagate nothing, so
+unregistered helpers stay unclassified — a deliberate
+under-approximation.
 """
 
 from __future__ import annotations
@@ -233,14 +234,10 @@ def assign_contexts(
                         if key is not None:
                             edges[decl.key].add(key)
                 else:
-                    from tools.lint.callgraph import (
-                        _is_executive_receiver,
-                    )
-                    if _is_executive_receiver(recv):
-                        for exec_cls in sorted(index.executive_classes):
-                            key = index.resolve_method(exec_cls, func.attr)
-                            if key is not None:
-                                edges[decl.key].add(key)
+                    for exec_cls in index.executive_owners(recv) or ():
+                        key = index.resolve_method(exec_cls, func.attr)
+                        if key is not None:
+                            edges[decl.key].add(key)
 
     # -- propagate to fixpoint -----------------------------------------------
     changed = True

@@ -8,8 +8,8 @@ the executive's inbound queue (``post_inbound``) or hold a lock.
 * **RACE001** — device or executive state mutated from a function
   reachable from an rx-thread context: an attribute store, subscript
   store, or mutating container call on ``self`` (in a ``Listener`` or
-  ``Executive`` subclass), on ``exe``/``executive``, or through
-  ``<x>.executive``/``<x>._exe``.  Exemptions: mutations lexically
+  ``Executive`` subclass, or an executive part such as ``RouteTable``),
+  on ``exe``/``executive``, or through ``<x>.executive``/``<x>._exe``.  Exemptions: mutations lexically
   inside a ``with <...lock...>:`` block, and ``+=``-style counter
   accumulation on device state (``rx_copies += 1`` — the transports'
   accepted stat-counter discipline, mirrored at runtime by
