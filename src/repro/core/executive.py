@@ -141,6 +141,8 @@ class Executive:
         self.dispatched = 0
         self.dropped = 0
         self.handler_errors = 0
+        #: the frame whose handler is running (see ``frame_free``)
+        self._dispatching: Frame | None = None
         self._halt_requested = False
         self._thread: threading.Thread | None = None
         self._thread_stop = threading.Event()
@@ -295,8 +297,9 @@ class Executive:
 
         The payload size is declared in the header; content is written
         by the caller directly into ``frame.payload`` (zero-copy
-        buffer loaning).  The whole header goes down in one pack: the
-        block's old bytes are never decoded.
+        buffer loaning).  The frame is the block's own, re-headed: the
+        whole header goes down in one pack, the block's old bytes are
+        never decoded and no Python object is built.
         """
         size = HEADER_SIZE + payload_size
         # block_loan's body, inlined: a call is a measurable share of
@@ -307,7 +310,8 @@ class Executive:
             if self.flightrec is not None:
                 self.flightrec.record(EV_POOL_EXHAUSTED, size)
             raise
-        frame = Frame._undecoded(block.memory[:size], block)
+        frame = block.frame
+        frame.block, frame.trace_mark = block, None
         frame.set_header(
             target=target,
             initiator=initiator,
@@ -365,12 +369,18 @@ class Executive:
         """Release a frame's block back to the pool (frameFree)."""
         # The one release routine: handlers, transports, drops, dead
         # letters and ``hard_stop`` all come through here.
-        if frame.block is not None:
+        block = frame.block
+        if block is not None:
             if self.flightrec is not None:
                 # Context read *before* the free: afterwards the
                 # block may recycle under the sanitizer's poison.
                 self.flightrec.note_release(frame.transaction_context)
-            self.pool.free(frame.block)
+            if frame is self._dispatching:
+                # A handler freed the frame it runs on, and the loop
+                # still holds it: the block gets a fresh frame, so no
+                # later loan re-heads this one under the loop's feet.
+                block.frame = Frame._undecoded(block.memory, None)
+            block.release()
             frame.block = None
 
     def post_inbound(self, frame: Frame) -> None:
@@ -676,6 +686,7 @@ class Executive:
             for observer in observers:
                 observer.dispatch_begin(rec)
         outcome = OUTCOME_ABORTED  # until an exit below says otherwise
+        outer = self._dispatching  # not None while a handler pumps
         try:
             try:
                 device = self._devices.get(frame.target)
@@ -686,6 +697,7 @@ class Executive:
                     outcome = OUTCOME_VANISHED
                     return True
                 handler = device.table.lookup(frame).prepare(frame)
+                self._dispatching = frame
                 if self.watchdog is not None:
                     with self.watchdog.guard(label=device.name):
                         result = handler(frame)
@@ -708,6 +720,7 @@ class Executive:
                 # the simulated process death leaks a real block.
                 self.frame_free(frame)
                 raise
+            self._dispatching = outer
             self.dispatched += 1
             if result is not RETAIN:
                 self.frame_free(frame)

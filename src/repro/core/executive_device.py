@@ -137,16 +137,24 @@ class ExecutiveDevice(Listener):
         ``transport``); reply carries the local proxy TiD.  This is how
         a controller pre-builds routes for devices it is about to
         configure (paper §4: plugged-in classes trigger proxy creation).
-        A node id or TiD out of range is a failure reply.
+        A node id or TiD out of range is a failure reply, and so is a
+        ``transport`` this node's PTA has not registered (the reply
+        names it): neither allocates a TiD.
         """
         if frame.is_reply:
             return
+        pta = self._exe.pta
         try:
             request = decode_params(frame.payload)
+            transport = request.get("transport") or None
+            if transport is not None and (
+                pta is None or transport not in {pt.name for pt in pta.transports()}
+            ):
+                error = f"no transport named {transport!r}"
+                self.reply(frame, encode_params({"error": error}), fail=True)
+                return
             proxy = self._exe.routes.create_proxy(
-                int(request["node"]),
-                int(request["tid"]),
-                transport=request.get("transport") or None,
+                int(request["node"]), int(request["tid"]), transport=transport
             )
         except (KeyError, ValueError, I2OError):
             self.reply(frame, fail=True)

@@ -88,6 +88,11 @@ class Frame:
     ``bytearray`` for standalone use in tests).  ``block`` optionally
     records the pool block backing the buffer so ``frame_free`` can
     return it (see :class:`repro.mem.pool.BufferPool`).
+
+    A pool frame is its block's own (``PoolBlock.frame``), spans the
+    whole block (``payload``, ``view`` and ``tobytes`` stop at
+    ``payload_size``) and is re-headed by every loan: a handle is valid
+    only while ``block`` is set, after which it may carry the next loan.
     """
 
     __slots__ = (

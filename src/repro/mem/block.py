@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.i2o.errors import I2OError
+from repro.i2o.frame import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mem.pool import Allocator
@@ -29,11 +30,17 @@ class PoolBlock:
     ``memory`` is a writable memoryview of the block's full capacity.
     User code receives blocks only through
     :meth:`repro.mem.pool.BufferPool.alloc`.
+
+    ``frame`` is the block's one :class:`~repro.i2o.frame.Frame`, over
+    all of ``memory`` and recycled with the block: every loan re-heads
+    it, so a hop builds no Python object.  ``frame.block`` is the block
+    while a loan is live and ``None`` once freed: a frame handle is
+    valid only while its block is loaned.
     """
 
     __slots__ = (
         "memory", "capacity", "index", "size_class", "requested",
-        "_owner", "_refcount",
+        "frame", "_owner", "_refcount",
     )
 
     def __init__(
@@ -53,6 +60,7 @@ class PoolBlock:
         #: bytes the current loan asked for (<= capacity); the gap is
         #: the block's internal fragmentation while in flight
         self.requested = 0
+        self.frame = Frame._undecoded(memory, None)
         self._owner = owner
         self._refcount = 0
 
@@ -63,14 +71,6 @@ class PoolBlock:
     @property
     def in_use(self) -> bool:
         return self._refcount > 0
-
-    def _loan(self) -> None:
-        """Called by the allocator when handing the block out."""
-        if self._refcount != 0:
-            raise BlockStateError(
-                f"block {self.index} loaned while refcount={self._refcount}"
-            )
-        self._refcount = 1
 
     def addref(self) -> "PoolBlock":
         """Take an additional reference; returns self for chaining.

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.i2o.errors import I2OError
-from repro.i2o.frame import MAX_FRAME_SIZE
-from repro.mem.block import PoolBlock
+from repro.i2o.frame import HEADER_SIZE, MAX_FRAME_SIZE
+from repro.mem.block import BlockStateError, PoolBlock
 
 
 class PoolError(I2OError):
@@ -39,7 +40,6 @@ class PoolStats:
     failed_allocs: int = 0
     slabs_created: int = 0
     high_watermark: int = 0  # max blocks simultaneously in flight
-    per_class: dict[int, int] = field(default_factory=dict)
 
     @property
     def in_flight(self) -> int:
@@ -98,14 +98,15 @@ class Allocator(ABC):
             except PoolExhausted:
                 self.stats.failed_allocs += 1
                 raise
-            block._loan()
+            if block._refcount:
+                raise BlockStateError(
+                    f"block {block.index} loaned while refcount={block._refcount}"
+                )
+            block._refcount = 1
             block.requested = size
             self._in_flight += 1
             self._frag_bytes += block.capacity - size
             self.stats.allocs += 1
-            self.stats.per_class[block.size_class] = (
-                self.stats.per_class.get(block.size_class, 0) + 1
-            )
             if self._in_flight > self.stats.high_watermark:
                 self.stats.high_watermark = self._in_flight
             return block
@@ -142,7 +143,7 @@ class OriginalAllocator(Allocator):
 
     def __init__(self, block_size: int = 4096, block_count: int = 256) -> None:
         super().__init__()
-        if not 1 <= block_size <= MAX_FRAME_SIZE:
+        if not HEADER_SIZE <= block_size <= MAX_FRAME_SIZE:
             raise PoolError(f"block_size {block_size} out of range")
         if block_count < 1:
             raise PoolError(f"block_count must be >= 1, got {block_count}")
@@ -220,6 +221,12 @@ class TableAllocator(Allocator):
         self._free: dict[int, list[PoolBlock]] = {
             1 << bits: [] for bits in range(_MIN_CLASS_BITS, _MAX_CLASS_BITS + 1)
         }
+        #: the size-to-class table: ``(size - 1).bit_length()`` -> the
+        #: free list of the smallest class that holds ``size`` bytes
+        self._by_bits = [
+            self._free[1 << max(bits, _MIN_CLASS_BITS)]
+            for bits in range(_MAX_CLASS_BITS + 1)
+        ]
         self._block_index = 0
 
     def _grow(self, bits: int) -> None:
@@ -252,10 +259,9 @@ class TableAllocator(Allocator):
             self._block_index += 1
 
     def _acquire(self, size: int) -> PoolBlock:
-        bits = _size_class_bits(size)
-        free_list = self._free[1 << bits]
+        free_list = self._by_bits[(size - 1).bit_length()]
         if not free_list:
-            self._grow(bits)
+            self._grow(_size_class_bits(size))
         return free_list.pop()
 
     def _recycle(self, block: PoolBlock) -> None:
@@ -286,10 +292,9 @@ class BufferPool:
 
     def __init__(self, allocator: Allocator | None = None) -> None:
         self.allocator = allocator if allocator is not None else _default_allocator()
-
-    def alloc(self, size: int) -> PoolBlock:
-        """Loan a block with at least ``size`` writable bytes."""
-        return self.allocator.alloc(size)
+        #: loan a block with at least ``size`` writable bytes: the
+        #: allocator's own method, so a loan pays no façade call
+        self.alloc: Callable[[int], PoolBlock] = self.allocator.alloc
 
     def free(self, block: PoolBlock) -> None:
         """Drop one reference (frameFree); recycles at refcount zero."""

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.device import Listener
 from repro.flightrec.records import EV_FRAME_INGEST, pack3
-from repro.i2o.errors import I2OError
+from repro.i2o.errors import FrameFormatError, I2OError
 from repro.i2o.frame import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -37,6 +37,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: — the sender's pool block handed over wholesale (the receiver owns
 #: the reference) — or ``(src_node, frame_bytes)`` for serialised data.
 StagedItem = tuple
+
+
+def _adopt(block: "PoolBlock", frame_len: int) -> Frame:
+    """The frame received in ``block``: the block's own frame, re-read
+    from the buffer by ``validate`` and bounded by the ``frame_len``
+    bytes handed over (a refusal is a :class:`FrameFormatError`)."""
+    frame = block.frame
+    frame.block, frame.trace_mark = block, None
+    frame.validate()
+    if frame.total_size > frame_len:
+        raise FrameFormatError(
+            f"declared payload {frame.payload_size} overruns buffer "
+            f"of {frame_len}"
+        )
+    return frame
 
 
 class TransportError(I2OError):
@@ -143,9 +158,9 @@ class PeerTransport(Listener):
         exe = self._require_live()
         self.rx_copies += 1
         try:
-            frame = Frame._undecoded(view, block).validate()
-            return self._post_ingested(exe, src_node, frame)
+            return self._post_ingested(exe, src_node, _adopt(block, len(view)))
         except BaseException:
+            block.frame.block = None  # a freed block's frame is unloaned
             exe.block_return(block)
             raise
 
@@ -161,9 +176,9 @@ class PeerTransport(Listener):
         """
         exe = self._require_live()
         try:
-            frame = Frame._undecoded(block.memory[:frame_len], block).validate()
-            return self._post_ingested(exe, src_node, frame)
+            return self._post_ingested(exe, src_node, _adopt(block, frame_len))
         except BaseException:
+            block.frame.block = None
             block.release()
             raise
 

@@ -17,7 +17,6 @@ from repro.core.device import RETAIN, Listener
 from repro.core.executive import Executive
 from repro.i2o.frame import HEADER_SIZE, Frame, SharedFrame
 from repro.i2o.tid import TID_BROADCAST
-from repro.mem.pool import _size_class_bits
 
 XF = 0x7
 
@@ -56,26 +55,32 @@ class Dropper(Listener):
 
 class TestSharedBroadcast:
     def test_one_allocation_feeds_every_listener(self):
-        """The broadcast frame's size class gains exactly one alloc —
-        no per-listener clones (other traffic, e.g. failure replies,
-        lands in the 64 B class, not this one)."""
+        """The broadcast payload is loaned once — no per-listener
+        clones: every retained share aliases that one block, whose
+        refcount is the listener count, and every other loan the send
+        causes is a header-only failure reply."""
         exe = Executive()
         sender = Dropper("sender")
         exe.install(sender)
         retainers = [Retainer(f"r{i}") for i in range(3)]
         for r in retainers:
             exe.install(r)
-        payload = b"z" * 300  # 332 B total -> its own 512 B class
-        size_class = 1 << _size_class_bits(HEADER_SIZE + len(payload))
-        before = exe.pool.stats.per_class.get(size_class, 0)
+        payload = b"z" * 300
+        loans: list[int] = []
+        pool_alloc = exe.pool.alloc
+        exe.pool.alloc = lambda size: loans.append(size) or pool_alloc(size)
+        before = exe.pool.stats.allocs
         sender.send(TID_BROADCAST, payload, xfunction=XF)
         exe.run_until_idle()
 
-        assert exe.pool.stats.per_class.get(size_class, 0) - before == 1
+        assert loans.count(HEADER_SIZE + len(payload)) == 1
+        assert set(loans) - {HEADER_SIZE + len(payload)} <= {HEADER_SIZE}
+        assert exe.pool.stats.allocs - before == len(loans)
         kept = [r.kept[0] for r in retainers]
         assert all(isinstance(f, SharedFrame) for f in kept)
         blocks = {id(f.block) for f in kept}
         assert len(blocks) == 1, "retained shares must alias one block"
+        assert kept[0].block.refcount == len(retainers)
         for f in kept:
             assert bytes(f.payload) == payload
             exe.frame_free(f)

@@ -201,6 +201,77 @@ class TestLocalRouting:
             exe.run_until_idle(max_steps=200)
 
 
+class _Client(Listener):
+    """Records each delivery: payload, failure flag, transaction
+    context, and whether the frame still owned a block when it ran."""
+
+    def __init__(self) -> None:
+        super().__init__("client")
+        self.got: list[tuple[bytes, bool, int, bool]] = []
+
+    def on_plugin(self) -> None:
+        self.bind(0x01, self._on_msg)
+
+    def _on_msg(self, frame: Frame) -> None:
+        self.got.append((bytes(frame.payload), frame.is_failure,
+                         frame.transaction_context, frame.block is not None))
+
+
+class _FreesThenSends(Listener):
+    """Frees the frame it runs on, then sends its initiator a message
+    — which the pool may well build in the block just freed — and
+    returns ``None`` (or raises)."""
+
+    def __init__(self, raises: bool) -> None:
+        super().__init__("freer")
+        self.raises = raises
+
+    def on_plugin(self) -> None:
+        self.bind(0x01, self._on_msg)
+
+    def _on_msg(self, frame: Frame) -> None:
+        client = frame.initiator
+        self.executive.frame_free(frame)
+        self.send(client, b"answer" * 4, xfunction=0x01)
+        if self.raises:
+            raise ValueError("after the send")
+
+
+class TestStaleHandle:
+    """Frames recycle with their blocks, so a handler's frame object may
+    be re-headed by the next loan.  The dispatch loop must then free
+    only the loan it dispatched, and a failure reply must read the
+    request it dispatched (the sanitizer's poison shows any slip)."""
+
+    def _run(self, raises: bool) -> tuple[Executive, _Client]:
+        from repro.analysis.sanitize import SanitizingTableAllocator
+        from repro.mem.pool import BufferPool
+
+        exe = Executive(pool=BufferPool(SanitizingTableAllocator()))
+        client = _Client()
+        exe.install(client)
+        freer = exe.install(_FreesThenSends(raises))
+        client.send(freer, b"ask", xfunction=0x01, transaction_context=7)
+        exe.run_until_idle(max_steps=100)
+        exe.pool.check_conservation()
+        assert exe.pool.in_flight == 0
+        return exe, client
+
+    def test_the_reply_arrives_intact(self):
+        exe, client = self._run(raises=False)
+        assert client.got == [(b"answer" * 4, False, 0, True)]
+        assert exe.pool.stats.allocs == exe.pool.stats.frees == 2
+
+    def test_a_raising_handler_fails_the_original_initiator(self):
+        exe, client = self._run(raises=True)
+        assert client.got == [
+            (b"answer" * 4, False, 0, True),
+            (b"", True, 7, True),  # the request's context, echoed
+        ]
+        assert exe.handler_errors == 1
+        assert exe.pool.stats.allocs == exe.pool.stats.frees == 3
+
+
 class TestProxies:
     def test_create_proxy_idempotent(self):
         exe = Executive(node=0)

@@ -100,6 +100,24 @@ class TestPathClaim:
         pump(cluster)
         assert len(hits) == 1
 
+    def test_unregistered_transport_is_refused_by_name(self, rig):
+        """A claim pinned to a transport node 1 never registered gets a
+        failure reply naming it, and no proxy: such claims once used up
+        the TiD space, after which a legitimate claim failed too."""
+        cluster, collector, exec_proxy = rig
+        proxies = len(cluster[1].routes.by_proxy)
+        claim = {"node": "0", "tid": "5", "transport": "bogus"}
+        collector.send(exec_proxy, encode_params(claim),
+                       function=EXEC_PATH_CLAIM)
+        pump(cluster)
+        assert collector.replies == [
+            (True, encode_params({"error": "no transport named 'bogus'"}))
+        ]
+        # the one new proxy is the collector's, made when its request arrived
+        assert len(cluster[1].routes.by_proxy) == proxies + 1
+        assert all(route.transport != "bogus"
+                   for route in cluster[1].routes.by_proxy.values())
+
     def test_malformed_request_fails(self, rig):
         cluster, collector, exec_proxy = rig
         collector.send(exec_proxy, encode_params({"node": "x"}),

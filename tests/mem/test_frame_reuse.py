@@ -1,0 +1,213 @@
+"""A pool block owns one ``Frame`` for its whole life.
+
+Every loan re-heads the block's own frame — ``frame_alloc`` packs a
+header into it, an ingest re-reads one — so a hop builds no Python
+object.  These tests check that the reuse is real (one frame per block,
+one block per frame, across alloc, both in-process transports, RETAIN,
+broadcast and free on two executives) and safe (every live frame's
+slots are its buffer's header, no two live loans share a frame, the
+pools conserve), and that an ingest refuses a header declaring more
+bytes than were handed over.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+import textwrap
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.device import RETAIN, Listener
+from repro.core.executive import Executive
+from repro.i2o.errors import FrameFormatError
+from repro.i2o.frame import _HEADER, Frame, SharedFrame
+from repro.i2o.tid import TID_BROADCAST
+from repro.mem.block import PoolBlock
+from repro.transports import base
+from repro.transports.agent import PeerTransportAgent
+from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
+from repro.transports.queued import QueuePair, QueueTransport
+
+XF_KEEP = 0x1
+XF_DROP = 0x2
+_TARGET = 4  # the header field a SharedFrame keeps in its slot only
+
+
+class Reuse:
+    """Every frame seen with the block it was seen in: a bijection
+    while frames recycle with their blocks."""
+
+    def __init__(self) -> None:
+        self.frame_of: dict[PoolBlock, Frame] = {}
+        self.block_of: dict[Frame, PoolBlock] = {}
+
+    def see(self, frame: Frame) -> None:
+        if isinstance(frame, SharedFrame):
+            return  # a broadcast delivery, built per listener
+        block = frame.block
+        assert block is not None, "a live frame owns its block"
+        assert self.frame_of.setdefault(block, frame) is frame
+        assert self.block_of.setdefault(frame, block) is block
+
+
+class Keeper(Listener):
+    def __init__(self, reuse: Reuse) -> None:
+        super().__init__("keeper")
+        self.reuse = reuse
+        self.kept: list[Frame] = []
+
+    def on_plugin(self) -> None:
+        self.bind(XF_KEEP, self._keep)
+        self.bind(XF_DROP, self._drop)
+
+    def _keep(self, frame: Frame):
+        self._drop(frame)
+        if frame.is_reply:
+            return None
+        self.kept.append(frame)
+        return RETAIN
+
+    def _drop(self, frame: Frame) -> None:
+        self.reuse.see(frame)
+        assert_coherent(frame)
+
+
+def assert_coherent(frame: Frame) -> None:
+    fields = list(frame.header_fields())
+    truth = list(_HEADER.unpack_from(frame.view, 0))
+    if isinstance(frame, SharedFrame):
+        fields[_TARGET] = truth[_TARGET] = None
+    assert fields == truth
+
+
+def _cluster(kind: str, reuse: Reuse):
+    exes = [Executive(node=0), Executive(node=1)]
+    if kind == "queued":
+        pair = QueuePair(0, 1)
+        pts = [QueueTransport(pair, name="q"), QueueTransport(pair, name="q")]
+    else:
+        network = LoopbackNetwork()
+        pts = [LoopbackTransport(network), LoopbackTransport(network)]
+    keepers = [Keeper(reuse), Keeper(reuse)]
+    tids = []
+    for exe, pt, keeper in zip(exes, pts, keepers):
+        PeerTransportAgent.attach(exe).register(pt, default=True)
+        tids.append(exe.install(keeper))
+    proxies = [exes[0].create_proxy(1, tids[1]), exes[1].create_proxy(0, tids[0])]
+    return exes, keepers, tids, proxies
+
+
+def _pump(exes: list[Executive]) -> None:
+    while any(exe.step() for exe in exes):
+        pass
+
+
+side = st.integers(0, 1)
+OPS = st.lists(
+    st.one_of(
+        # loan a frame on a side, addressed locally, remotely or to all
+        st.tuples(st.just("alloc"), side, st.integers(0, 300),
+                  st.sampled_from(["local", "remote", "all"]),
+                  st.sampled_from([XF_KEEP, XF_DROP])),
+        st.tuples(st.just("send"), st.integers(0, 50)),
+        st.tuples(st.just("free"), st.integers(0, 50)),
+        st.tuples(st.just("release"), side, st.integers(0, 50)),
+        st.tuples(st.just("pump")),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("kind", ["queued", "loopback"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ops=OPS)
+def test_frames_recycle_with_their_blocks(kind, ops):
+    reuse = Reuse()
+    exes, keepers, tids, proxies = _cluster(kind, reuse)
+    held: list[tuple[int, Frame]] = []  # (side, frame) the test owns
+
+    def check() -> None:
+        live = [f for _, f in held] + [f for k in keepers for f in k.kept]
+        for frame in live:
+            assert frame.block is not None
+            assert_coherent(frame)
+        assert len({id(f) for f in live}) == len(live)
+        for exe in exes:
+            exe.pool.check_conservation()
+
+    for op in ops:
+        if op[0] == "alloc":
+            _, at, size, dest, xf = op
+            target = {"local": tids[at], "remote": proxies[at],
+                      "all": TID_BROADCAST}[dest]
+            frame = exes[at].frame_alloc(
+                size, target=target, initiator=tids[at], xfunction=xf)
+            frame.payload[:] = bytes([size & 0xFF]) * size
+            reuse.see(frame)
+            held.append((at, frame))
+        elif op[0] in ("send", "free") and held:
+            at, frame = held.pop(op[1] % len(held))
+            if op[0] == "send":
+                exes[at].frame_send(frame)
+            else:
+                exes[at].frame_free(frame)
+        elif op[0] == "release" and keepers[op[1]].kept:
+            kept = keepers[op[1]].kept
+            exes[op[1]].frame_free(kept.pop(op[2] % len(kept)))
+        elif op[0] == "pump":
+            _pump(exes)
+        check()
+
+    _pump(exes)
+    check()
+    for at, frame in held:
+        exes[at].frame_free(frame)
+    for exe, keeper in zip(exes, keepers):
+        for frame in keeper.kept:
+            exe.frame_free(frame)
+    for exe in exes:
+        exe.pool.check_conservation()
+        assert exe.pool.in_flight == 0
+    # every frame ever seen is the one frame of one block
+    assert len(reuse.block_of) == len(reuse.frame_of)
+
+
+@pytest.mark.parametrize("kind", ["queued", "loopback"])
+def test_ingest_refuses_a_header_longer_than_the_handover(kind):
+    reuse = Reuse()
+    exes, _keepers, tids, _proxies = _cluster(kind, reuse)
+    sender, receiver = exes
+    pt = receiver.pta.transports()[0]
+    frame = sender.frame_alloc(40, target=tids[1])
+    node, block, size = sender.pta.transports()[0].make_handoff(frame)
+    with pytest.raises(FrameFormatError, match="overruns buffer of 64"):
+        pt.ingest_staged((node, block, size - 8))
+    assert block.frame.block is None  # returned unloaned
+    for exe in exes:
+        exe.pool.check_conservation()
+        assert exe.pool.in_flight == 0
+        assert exe.idle
+
+
+@pytest.mark.parametrize("function", [
+    Executive.frame_alloc,
+    base.PeerTransport.ingest_block,
+    base.PeerTransport.ingest_loaned,
+    base._adopt,
+], ids=lambda f: f.__qualname__)
+def test_a_hop_slices_no_block_and_builds_no_frame(function):
+    """The loan and both ingest paths re-head ``block.frame``: no slice
+    of a block's ``memory`` and no ``Frame`` constructor on the way."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            value = node.value
+            assert not (isinstance(value, ast.Attribute)
+                        and value.attr == "memory"), ast.unparse(node)
+        if isinstance(node, ast.Call):
+            called = ast.unparse(node.func)
+            assert called.split(".")[0] not in ("Frame", "SharedFrame"), called
+            assert "__new__" not in called and "_undecoded" not in called
