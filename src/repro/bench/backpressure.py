@@ -15,7 +15,8 @@ Three configurations drive the identical burst schedule:
     routes without edges — the pre-dataflow behaviour;
 ``park``
     credit-gated edges, overflow parked in the outbox and resumed
-    in order as credits return;
+    in order as credits return; what the full outbox refuses is its
+    own column, park overflow, and never a shed;
 ``shed``
     credit-gated edges, overflow dropped and counted.
 
@@ -63,6 +64,7 @@ class _RunStats:
     emitted: int = 0
     delivered: int = 0
     shed: int = 0
+    park_overflow: int = 0
     peak_queue: int = 0
     peak_parked: int = 0
     bound: int | None = None  # None: uncapped
@@ -114,11 +116,12 @@ def _run_config(
 
     stats.delivered = sum(sink.received for sink in sinks)
     stats.shed = ledger.shed(exe.node)
+    stats.park_overflow = ledger.park_overflow(exe.node)
     exe.pool.check_conservation()  # zero leaks, poison-checked under sanitizer
-    if stats.delivered + stats.shed != stats.emitted:
+    if stats.delivered + stats.shed + stats.park_overflow != stats.emitted:
         raise RuntimeError(
-            f"lost frames: {stats.delivered} delivered + {stats.shed} "
-            f"shed != {stats.emitted} emitted"
+            f"lost frames: {stats.delivered} delivered + {stats.shed} shed "
+            f"+ {stats.park_overflow} park overflow != {stats.emitted} emitted"
         )
     _unregister(mtype.name)
     return stats
@@ -144,13 +147,14 @@ class BackpressureResult:
                 str(s.peak_queue),
                 str(s.peak_parked),
                 str(s.shed),
+                str(s.park_overflow),
                 f"{s.delivered}/{s.emitted}",
             )
             for name, s in self.stats.items()
         ]
         return format_table(
             ["config", "bound", "peak queue", "peak parked", "shed",
-             "delivered"],
+             "park overflow", "delivered"],
             rows,
             title="X10: queue depth under fan-out saturation",
         )

@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.executive import Executive
     from repro.core.timer import Carried
     from repro.dataflow.registry import MessageType
-    from repro.dataflow.routing import Edge, TypeRoutes
+    from repro.dataflow.routing import CreditLedger, Edge, TypeRoutes
 
 #: Sentinel a handler returns to take ownership of the frame's block
 #: (suppressing the executive's automatic post-dispatch frame release).
@@ -369,7 +369,7 @@ class Listener:
         key: Any | None = None,
         transaction_context: int = 0,
         initiator_context: int = 0,
-    ) -> int:
+    ) -> tuple[int, int, int]:
         """Typed frameSend: post ``payload`` along the declared route.
 
         ``mode="one"`` needs no key (there is a single consumer);
@@ -377,8 +377,9 @@ class Listener:
         ``mode="fanout"`` posts one frame per installed target.  When
         the routes carry backpressure edges, a saturated edge parks the
         payload in the node's outbox or sheds it, per the type's
-        ``on_saturation`` policy.  Returns the number of frames posted
-        *now* (parked/shed emissions are not counted).
+        ``on_saturation`` policy.  Returns how many emissions were ``(sent,
+        parked, shed)``; a park the full outbox refused is shed here (the
+        ledger counts it as a park overflow).
         """
         routes = self._routes_required(mtype)
         if mtype.mode == "fanout":
@@ -389,13 +390,14 @@ class Listener:
         ledger = exe.dataflow
         edges = routes.edges
         size = len(payload)
-        sent = 0
+        sent = parked = 0
         for k in keys:
             edge = edges.get(k) if edges is not None else None
             if edge is not None and ledger is not None \
                     and not ledger.try_acquire(edge):
-                self._saturated(exe, routes, k, edge, bytes(payload),
-                                transaction_context, initiator_context)
+                parked += self._saturated(
+                    exe, ledger, routes, k, edge, bytes(payload),
+                    transaction_context, initiator_context)
                 continue
             self._post(
                 routes.targets[k], mtype.function, mtype.xfunction,
@@ -404,7 +406,7 @@ class Listener:
                 size, payload, None,
             )
             sent += 1
-        return sent
+        return sent, parked, len(keys) - sent - parked
 
     def _routes_required(self, mtype: "MessageType") -> "TypeRoutes":
         routes = self._type_routes.get(mtype.name)
@@ -436,37 +438,38 @@ class Listener:
     def _saturated(
         self,
         exe: "Executive",
+        ledger: "CreditLedger",
         routes: "TypeRoutes",
         key: Any,
         edge: "Edge",
         payload: bytes,
         transaction_context: int,
         initiator_context: int,
-    ) -> None:
-        """The edge is out of credits: park or shed per policy."""
-        from repro.flightrec.records import (
-            EV_DATAFLOW_PARK,
-            EV_DATAFLOW_SHED,
-            pack3,
-        )
+    ) -> bool:
+        """The edge is out of credits: park or shed per policy.  True
+        when the payload parked."""
+        from repro.flightrec import records
 
         mtype = routes.mtype
         outbox = exe.dataflow_outbox
-        parked = (
-            mtype.on_saturation == "park"
-            and outbox is not None
-            and outbox.park(self, mtype, key, edge, payload,
-                            transaction_context, initiator_context)
-        )
-        if not parked and exe.dataflow is not None:
-            exe.dataflow.note_shed(exe.node)
+        if mtype.on_saturation == "shed":
+            kind = records.EV_DATAFLOW_SHED
+            ledger.counts["shed", exe.node] += 1
+        elif outbox is not None and outbox.park(
+                self, mtype, key, edge, payload,
+                transaction_context, initiator_context):
+            kind = records.EV_DATAFLOW_PARK
+        else:
+            kind = records.EV_DATAFLOW_PARK_OVERFLOW
+            ledger.counts["park_overflow", exe.node] += 1
         if exe.flightrec is not None:
             exe.flightrec.record(
-                EV_DATAFLOW_PARK if parked else EV_DATAFLOW_SHED,
-                pack3(edge.consumer_node, edge.consumer_tid,
-                      mtype.xfunction),
+                kind,
+                records.pack3(edge.consumer_node, edge.consumer_tid,
+                              mtype.xfunction),
                 outbox.depth if outbox is not None else 0,
             )
+        return kind == records.EV_DATAFLOW_PARK
 
     def reply(
         self,

@@ -9,7 +9,7 @@ XDAQ.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.device import Listener
 from repro.daq.protocol import (
@@ -33,17 +33,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 #: Version stamp inside every EVM snapshot; bump on layout change.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class EventManager(Listener):
     """Coordinates triggers, readout, building and cleanup.
 
-    ``max_in_flight`` throttles the trigger: when that many events are
-    being built, further triggers queue inside the EVM and are released
-    as events complete — the back-pressure mechanism every real event
-    builder needs so a trigger burst cannot exhaust readout buffers.
-    ``None`` disables throttling.
+    The credit window of the ``daq.trigger`` edge bounds the events in
+    flight: the EVM holds each trigger's credit until its event is
+    finished (done, lost, or refused as a duplicate), so a trigger
+    burst sheds at the source instead of exhausting readout buffers —
+    the back-pressure every real event builder needs.  Uncapped routes
+    (``backpressure=False``) leave it unbounded.
 
     ``event_timeout_ns`` arms a completion deadline per event (via the
     I2O timer facility): an event whose builder never reports done —
@@ -69,21 +70,18 @@ class EventManager(Listener):
     emits = (MT_READOUT, MT_ALLOCATE, MT_CLEAR, MT_ABANDON)
 
     def __init__(self, name: str = "evm",
-                 max_in_flight: int | None = None,
                  event_timeout_ns: int = 0,
                  max_reassignments: int = 3) -> None:
         super().__init__(name)
-        if max_in_flight is not None:
-            check_int("max_in_flight", max_in_flight, 1)
         check_int("event_timeout_ns", event_timeout_ns, 0)
         check_int("max_reassignments", max_reassignments, 0)
-        self.max_in_flight = max_in_flight
         self.event_timeout_ns = event_timeout_ns
         self.max_reassignments = max_reassignments
         self._rr: list[int] = []
         self._rr_index = 0
         self._assigned: dict[int, int] = {}  # event_id -> bu_id
-        self._throttled: list[int] = []  # event ids awaiting release
+        #: an event is finished: its trigger credit goes back
+        self._release_trigger: Callable[[], None] = lambda: None
         self._deadlines: dict[int, int] = {}  # event_id -> timer_id
         self._attempts: dict[int, int] = {}  # event_id -> assignments so far
         self.reassignments = 0
@@ -102,11 +100,15 @@ class EventManager(Listener):
         self.snapshot_store: "SnapshotStore | None" = None
 
     def on_dataflow_connected(self) -> None:
-        """The declared routes are installed: build the builder ring.
-        A re-wire that keeps the same builders keeps the ring's place."""
+        """The declared routes are installed: build the builder ring
+        (a re-wire that keeps the same builders keeps its place), and
+        hold the trigger credits, each until its event is finished."""
         rr = sorted(self.bu_tids)
         if rr != self._rr:
             self._rr, self._rr_index = rr, 0
+        exe = self.executive
+        if exe is not None and exe.dataflow is not None:
+            self._release_trigger = exe.dataflow.hold(exe.node, self.tid, MT_TRIGGER)
 
     @property
     def ru_tids(self) -> dict[int, Tid]:
@@ -123,8 +125,9 @@ class EventManager(Listener):
         self.bind(XF_EVENT_DONE, self._on_done)
 
     def on_reset(self) -> None:
+        for _ in self._assigned:
+            self._release_trigger()
         self._assigned.clear()
-        self._throttled.clear()
         for timer_id in self._deadlines.values():
             self.cancel_timer(timer_id)
         self._deadlines.clear()
@@ -154,19 +157,13 @@ class EventManager(Listener):
         if (
             event_id in self._assigned
             or event_id in self._completed_set
-            or event_id in self._throttled
             or event_id in self.lost_events
         ):
             self.duplicate_triggers += 1
+            self._release_trigger()
             return
         self.triggers += 1
-        if (
-            self.max_in_flight is not None
-            and len(self._assigned) >= self.max_in_flight
-        ):
-            self._throttled.append(event_id)
-        else:
-            self._launch(event_id)
+        self._launch(event_id)
         self._autosave()
 
     def _launch(self, event_id: int, avoid: int | None = None) -> None:
@@ -208,7 +205,7 @@ class EventManager(Listener):
             self._attempts.pop(event_id, None)
             # Free the readout buffers of the abandoned event.
             self.emit(MT_CLEAR, EVENT_ID.pack(event_id))
-            self._release_throttled()
+            self._release_trigger()
             self._autosave()
             return
         self.reassignments += 1
@@ -236,7 +233,7 @@ class EventManager(Listener):
             self.completed_ids.append(event_id)
         self._completed_set.add(event_id)
         self.emit(MT_CLEAR, EVENT_ID.pack(event_id))
-        self._release_throttled()
+        self._release_trigger()
         self._autosave()
 
     # -- supervision hook -------------------------------------------------
@@ -272,15 +269,16 @@ class EventManager(Listener):
                 else:
                     self.lost_events.append(event_id)
                     self._attempts.pop(event_id, None)
+                    self._release_trigger()
         self._autosave()
 
     # -- durability --------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
         """The EVM's recoverable state as one JSON-safe document.
 
-        Captured: the in-flight event table, the throttle queue, the
-        builder ring and its cursor, per-event attempt counts, and the
-        completed/lost history the post-restart dedup needs.  *Not*
+        Captured: the in-flight event table, the builder ring and its
+        cursor, per-event attempt counts, and the completed/lost
+        history the post-restart dedup needs.  *Not*
         captured: armed timers (restore re-arms deadlines) and the
         RU/BU TiD maps (proxy TiDs are process-local; the replacement
         EVM's routes are re-derived first).
@@ -288,7 +286,6 @@ class EventManager(Listener):
         return {
             "version": SNAPSHOT_VERSION,
             "assigned": {str(ev): bu for ev, bu in self._assigned.items()},
-            "throttled": list(self._throttled),
             "attempts": {str(ev): n for ev, n in self._attempts.items()},
             "rr": list(self._rr),
             "rr_index": self._rr_index,
@@ -326,7 +323,6 @@ class EventManager(Listener):
                 f"wire the cluster before restore()"
             )
         self._assigned = assigned
-        self._throttled = [int(x) for x in snap["throttled"]]
         self._attempts = {int(k): int(v) for k, v in snap["attempts"].items()}
         self.triggers = int(snap["triggers"])
         self.completed = int(snap["completed"])
@@ -387,20 +383,11 @@ class EventManager(Listener):
         if self.snapshot_store is not None:
             self.snapshot_store.save(self.snapshot())
 
-    def _release_throttled(self) -> None:
-        """Back-pressure release: a freed slot admits a queued trigger."""
-        if self._throttled and (
-            self.max_in_flight is None
-            or len(self._assigned) < self.max_in_flight
-        ):
-            self._launch(self._throttled.pop(0))
-
     def export_counters(self) -> dict[str, object]:
         return {
             "triggers": self.triggers,
             "completed": self.completed,
             "in_flight": len(self._assigned),
-            "throttled": len(self._throttled),
             "reassignments": self.reassignments,
             "lost": len(self.lost_events),
             "readouts_dropped": self.readouts_dropped,

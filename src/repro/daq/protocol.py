@@ -49,8 +49,11 @@ XF_CLEAR = 0x0106
 # event manager -> builder unit: event N was taken from you, drop it
 XF_ABANDON = 0x0107
 
+# A trigger the window refuses is the trigger's own dead time: it
+# sheds, and never parks in the outbox its node shares with the EVM.
 MT_TRIGGER = message_type(
     "daq.trigger", XF_TRIGGER, organization=DAQ_ORG, mode="one",
+    on_saturation="shed",
 )
 MT_READOUT = message_type(
     "daq.readout", XF_READOUT, organization=DAQ_ORG, mode="fanout",

@@ -16,7 +16,6 @@ from repro.core.device import Listener
 from repro.daq.protocol import EVENT_ID, MT_TRIGGER
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
-from repro.i2o.tid import Tid
 
 
 class TriggerSource(Listener):
@@ -29,18 +28,11 @@ class TriggerSource(Listener):
         super().__init__(name)
         self.next_event_id = 1
         self.fired = 0
-        #: triggers a saturated route refused (never left this node)
+        #: triggers the full admission window refused (dead time)
         self.shed = 0
         self.max_events: int | None = None
         self.parameters.setdefault("interval_ns", "0")
         self._timer_id: int | None = None
-
-    @property
-    def evm_tid(self) -> Tid | None:
-        """The connected event manager (None before wiring) — a view
-        over the MT_TRIGGER route table."""
-        targets = self.dataflow_targets(MT_TRIGGER)
-        return next(iter(targets.values()), None)
 
     def export_counters(self) -> dict[str, object]:
         return {"fired": self.fired, "shed": self.shed,
@@ -49,18 +41,15 @@ class TriggerSource(Listener):
     # -- manual drive ---------------------------------------------------------
     def fire(self) -> int | None:
         """Emit one trigger; returns the event id used, or ``None``
-        when the saturated route shed it.  A shed trigger never left
-        this node, so it is counted in ``shed`` and consumes no event
-        id: ids stay dense over ``fired``.  (A *parked* trigger is on
-        its way and counts as fired.)"""
+        when the admission window (the credits of the trigger edge,
+        each held by the EVM until its event is finished) is full.  A
+        shed trigger never left this node, so it is counted in
+        ``shed`` and consumes no event id: ids stay dense over
+        ``fired``."""
         if not self.dataflow_targets(MT_TRIGGER):
             raise I2OError("trigger is not connected to an event manager")
-        exe = self._require_live()
-        ledger = exe.dataflow
-        shed_before = ledger.shed(exe.node) if ledger is not None else 0
         event_id = self.next_event_id
-        self.emit(MT_TRIGGER, EVENT_ID.pack(event_id))
-        if ledger is not None and ledger.shed(exe.node) != shed_before:
+        if self.emit(MT_TRIGGER, EVENT_ID.pack(event_id))[2]:
             self.shed += 1
             return None
         self.next_event_id += 1

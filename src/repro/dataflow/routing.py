@@ -20,6 +20,8 @@ the consumer's priority-FIFO capacity:
   for dispatch — the queue slot is free again: the ledger is attached
   to every executive as a dispatch observer
   (:mod:`repro.core.observer`), and wakes an emitter parked on it.
+  A consumer that calls :meth:`~CreditLedger.hold` for a type returns
+  those credits itself (the event manager: when the event is finished).
 
 Credits are conservative, not reliable-delivery: the
 :class:`CreditLedger` is the single-process bookkeeping all bootstrap
@@ -31,8 +33,9 @@ supervision calls that when it drops a dead consumer.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Any
+from collections import Counter, deque
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.observer import DispatchObserver, DispatchRecord
 from repro.dataflow.registry import MessageType
@@ -114,8 +117,10 @@ class CreditLedger(DispatchObserver):
         #: (node, tid, function, xfunction) -> edges awaiting release
         self._charged: dict[tuple[int, Tid, int, int], deque[Edge]] = {}
         self._edges_by_node: dict[int, list[Edge]] = {}
-        self._shed: dict[int, int] = {}
-        self._resumed: dict[int, int] = {}
+        #: ledger keys whose consumer returns its credits itself
+        self._held: set[tuple[int, Tid, int, int]] = set()
+        #: ("shed" | "park_overflow" | "resumed", node) -> emissions
+        self.counts: Counter[tuple[str, int]] = Counter()
         #: node -> the MessagingInstance a parked emitter is woken by
         self._msgi: dict[int, Any] = {}
 
@@ -164,16 +169,25 @@ class CreditLedger(DispatchObserver):
         return True
 
     def on_dispatched(
-        self, node: int, tid: Tid, function: int, xfunction: int
+        self, node: int, tid: Tid, function: int, xfunction: int,
+        at_dispatch: bool = False,
     ) -> None:
-        """Consumer-side release: a frame left the priority FIFO."""
-        queue = self._charged.get((node, tid, function, xfunction))
-        if queue:
+        """The one release routine: the oldest charged edge into the
+        consumer gets its credit back, unless held at dispatch (:meth:`hold`)."""
+        key = (node, tid, function, xfunction)
+        queue = self._charged.get(key)
+        if queue and not (at_dispatch and key in self._held):
             edge = queue.popleft()
             if edge.credits < edge.capacity:
                 edge.credits += 1
             if edge.parked:  # published the credit: wake the emitter
                 self._msgi[edge.emitter_node].wake()
+
+    def hold(self, node: int, tid: Tid, mtype: MessageType) -> Callable[[], None]:
+        """``(node, tid)`` returns its ``mtype`` credits itself: call the result."""
+        key = (node, tid, mtype.function, mtype.xfunction)
+        self._held.add(key)
+        return partial(self.on_dispatched, *key)
 
     def on_attach(self, exe: "Executive") -> None:
         exe.dataflow = self
@@ -183,20 +197,18 @@ class CreditLedger(DispatchObserver):
         exe.dataflow = None
 
     def dispatch_begin(self, rec: DispatchRecord) -> None:
-        self.on_dispatched(rec.node, rec.target, rec.function, rec.xfunction)
+        self.on_dispatched(
+            rec.node, rec.target, rec.function, rec.xfunction, True)
 
     # -- accounting --------------------------------------------------------
-    def note_shed(self, node: int) -> None:
-        self._shed[node] = self._shed.get(node, 0) + 1
-
-    def note_resumed(self, node: int) -> None:
-        self._resumed[node] = self._resumed.get(node, 0) + 1
-
     def shed(self, node: int) -> int:
-        return self._shed.get(node, 0)
+        return self.counts["shed", node]
+
+    def park_overflow(self, node: int) -> int:
+        return self.counts["park_overflow", node]
 
     def resumed(self, node: int) -> int:
-        return self._resumed.get(node, 0)
+        return self.counts["resumed", node]
 
     def credits_available(self, node: int) -> int:
         """Remaining credits over every edge emitted from ``node``."""
@@ -250,9 +262,9 @@ class DataflowOutbox:
     Registered in the executive's poll loop: each step retries parked
     entries against their edges' credits and re-posts the ones that
     fit.  An entry whose route vanished (the consumer was dropped) is
-    shed.  ``park`` refuses beyond ``limit`` — the caller then sheds,
-    so a saturated system degrades by dropping, never by unbounded
-    buffering (the queue-capacity discipline, applied to the emitter).
+    shed.  ``park`` refuses beyond ``limit``, which the emitter counts
+    as a park overflow: never unbounded buffering (the queue-capacity
+    discipline, applied to the emitter).
     """
 
     def __init__(
@@ -317,7 +329,7 @@ class DataflowOutbox:
             progressed = True
             if routes is None:
                 # The consumer was dropped while the payload waited.
-                self._ledger.note_shed(self._exe.node)
+                self._ledger.counts["shed", self._exe.node] += 1
                 continue
             device.send(
                 routes.targets[key], payload,
@@ -325,7 +337,7 @@ class DataflowOutbox:
                 priority=mtype.priority, organization=mtype.organization,
                 transaction_context=tctx, initiator_context=ictx,
             )
-            self._ledger.note_resumed(self._exe.node)
+            self._ledger.counts["resumed", self._exe.node] += 1
             recorder = self._exe.flightrec
             if recorder is not None:
                 from repro.flightrec.records import EV_DATAFLOW_RESUME, pack3

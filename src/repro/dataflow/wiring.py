@@ -105,6 +105,8 @@ def wire_dataflow(
                           lambda o=outbox: o.parked_total)
         exe.metrics.gauge("dataflow_shed_total",
                           lambda n=node: ledger.shed(n))
+        exe.metrics.gauge("dataflow_park_overflow",
+                          lambda n=node: ledger.park_overflow(n))
         exe.metrics.gauge("dataflow_resumed_total",
                           lambda n=node: ledger.resumed(n))
 

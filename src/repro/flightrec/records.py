@@ -63,6 +63,7 @@ EV_DATAFLOW_SHED = 21
 EV_DATAFLOW_PARK = 22
 EV_DATAFLOW_RESUME = 23
 EV_SLOW_FRAME = 24
+EV_DATAFLOW_PARK_OVERFLOW = 25
 
 KIND_NAMES: dict[int, str] = {
     EV_DISPATCH: "dispatch",
@@ -88,6 +89,7 @@ KIND_NAMES: dict[int, str] = {
     EV_DATAFLOW_PARK: "dataflow-park",
     EV_DATAFLOW_RESUME: "dataflow-resume",
     EV_SLOW_FRAME: "slow-frame",
+    EV_DATAFLOW_PARK_OVERFLOW: "dataflow-park-overflow",
 }
 
 #: EV_LIVENESS state codes (b argument)
@@ -216,4 +218,5 @@ ARGUMENTS = {
     EV_DATAFLOW_SHED: _edge,
     EV_DATAFLOW_PARK: _edge,
     EV_DATAFLOW_RESUME: _edge,
+    EV_DATAFLOW_PARK_OVERFLOW: _edge,
 }

@@ -288,7 +288,8 @@ class TestBackpressure:
         for name in ("park", "shed"):
             stats = result.stats[name]
             assert stats.peak_queue <= stats.bound == 8
-            assert stats.delivered + stats.shed == stats.emitted
+            assert (stats.delivered + stats.shed + stats.park_overflow
+                    == stats.emitted)
         assert result.stats["uncapped"].peak_queue > 8
 
 

@@ -152,15 +152,12 @@ class TestBuild:
         (evb_spec(3, 0, bu_id="x"), "bu_id must be an int >= 0"),
         (evb_spec(0, 1, event_timeout_ns=float("nan")),
          "event_timeout_ns must be an int >= 0"),
-        (evb_spec(0, 1, max_in_flight=float("nan")),
-         "max_in_flight must be an int >= 1"),
-        (evb_spec(0, 1, max_in_flight=2.5), "max_in_flight must be an int >= 1"),
         *((evb_spec(0, 1, max_reassignments=bad),
            "max_reassignments must be an int >= 0")
           for bad in ("3", float("nan"), -1)),
     ], ids=["node-4096", "node-negative", "ru-id-str", "ru-id-float",
             "ru-id-negative", "ru-id-above-u32", "bu-id-str", "evm-timeout-nan",
-            "evm-in-flight-nan", "evm-in-flight-float", "evm-reassign-str",
+            "evm-reassign-str",
             "evm-reassign-nan", "evm-reassign-negative"])
     def test_ids_the_wire_and_ring_cannot_carry_are_refused(self, spec, named):
         with pytest.raises(BootstrapError, match=named):

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import faulthandler
+import os
 import socket
 import sys
+import tempfile
 import threading
 import time
 from collections import deque
@@ -155,6 +157,30 @@ def test_wait_for_work_announces_before_it_looks():
     assert msgi.parking is False
 
 
+def _stall_report(**instances: MessagingInstance) -> str:
+    """Every thread's stack, and whether each instance's bell still
+    holds a ring: a ring that is there was sent but slept through, a
+    bell that is silent was never rung (the wake-up was lost before
+    the ring).  The read is put back, so the report changes nothing."""
+    bells = []
+    for name, msgi in instances.items():
+        if msgi._bell < 0:
+            bells.append(f"{name}: no bell")
+            continue
+        try:
+            rings = os.eventfd_read(msgi._bell)
+        except BlockingIOError:
+            rings = 0
+        else:
+            os.eventfd_write(msgi._bell, rings)
+        bells.append(f"{name}: {rings} ring(s) pending")
+    with tempfile.TemporaryFile("w+") as out:
+        faulthandler.dump_traceback(file=out, all_threads=True)
+        out.seek(0)
+        stacks = out.read()
+    return "; ".join(bells) + "\n" + stacks
+
+
 def test_untimed_handoffs_between_two_threads_lose_none():
     """20 000 post/park hand-offs, no timeout anywhere: one lost
     wake-up and both threads sleep for ever."""
@@ -176,15 +202,20 @@ def test_untimed_handoffs_between_two_threads_lose_none():
         driver = _run(lambda: bounce(ping, pong))
         # A busy host makes this slow; only a lost wake-up makes it
         # stop.  Give up when a whole second passes without a hand-off.
+        # Watch both threads: the echo can finish while the driver is
+        # still inside its last post's ring.
         seen = -1
-        while echo.is_alive() and seen != ping.posted_inbound:
+        while (echo.is_alive() or driver.is_alive()) \
+                and seen != ping.posted_inbound:
             seen = ping.posted_inbound
             driver.join(timeout=1.0)
             echo.join(timeout=1.0)
-        assert _joined(driver, echo, timeout=0), (
+        stalled = echo.is_alive() or driver.is_alive()
+        assert not stalled, (
             f"stalled after {ping.posted_inbound} of {rounds} hand-offs "
             f"(parking: {ping.parking}, {pong.parking}; "
-            f"idle: {ping.idle}, {pong.idle})"
+            f"idle: {ping.idle}, {pong.idle}); "
+            + _stall_report(ping=ping, pong=pong)
         )
     finally:
         sys.setswitchinterval(previous)

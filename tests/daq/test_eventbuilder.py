@@ -20,9 +20,15 @@ from tests.conftest import (
 )
 
 
-def wire_daq(cluster, n_ru=2, n_bu=2, mean_fragment=512):
-    """Standard topology: node 0 = evm+trigger, then RUs, then BUs."""
+def wire_daq(cluster, n_ru=2, n_bu=2, mean_fragment=512, window=None):
+    """Standard topology: node 0 = evm+trigger, then RUs, then BUs.
+
+    Routes are uncapped unless ``window`` is given: then every edge
+    carries credits, and the EVM's queue capacity (so its trigger
+    edge's window) is ``window`` events in flight."""
     evm, trigger = EventManager(), TriggerSource()
+    if window is not None:
+        evm.queue_capacity = window
     cluster[0].install(evm)
     cluster[0].install(trigger)
     rus = {i: ReadoutUnit(ru_id=i, mean_fragment=mean_fragment)
@@ -32,7 +38,7 @@ def wire_daq(cluster, n_ru=2, n_bu=2, mean_fragment=512):
     bus = {i: BuilderUnit(bu_id=i) for i in range(n_bu)}
     for i, bu in bus.items():
         cluster[1 + n_ru + i].install(bu)
-    wire_dataflow(cluster, backpressure=False)
+    wire_dataflow(cluster, backpressure=window is not None)
     return evm, trigger, rus, bus
 
 

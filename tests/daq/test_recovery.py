@@ -9,15 +9,16 @@ from repro.i2o.errors import I2OError
 
 from tests.conftest import ManualClock, assert_no_leaks, make_loopback_cluster
 from tests.daq.test_eventbuilder import wire_daq
+from tests.daq.test_throttle import feed
 
 
-def build_recoverable(timeout_ns=1000, max_reassignments=3):
+def build_recoverable(timeout_ns=1000, max_reassignments=3, window=None):
     """Standard 5-node DAQ, manual clock on the EVM node so tests can
     force event deadlines to pass."""
     cluster = make_loopback_cluster(5)
     clock = ManualClock()
     cluster[0].clock = clock
-    evm, trigger, rus, bus = wire_daq(cluster)
+    evm, trigger, rus, bus = wire_daq(cluster, window=window)
     evm.event_timeout_ns = timeout_ns
     evm.max_reassignments = max_reassignments
     return cluster, clock, evm, trigger, rus, bus
@@ -79,12 +80,13 @@ class TestBuilderFailure:
         assert_no_leaks(cluster)
 
     def test_recovery_respects_throttle(self):
-        cluster, clock, evm, trigger, rus, bus = build_recoverable()
-        evm.max_in_flight = 2
+        """A reassigned event keeps its trigger credit: the window
+        holds across recovery."""
+        cluster, clock, evm, trigger, rus, bus = build_recoverable(window=2)
         self._break_builder(bus[0])
         max_seen = 0
-        trigger.fire_burst(10)
         for tick in range(60):
+            feed(trigger, 10)
             clock.t += 1000
             for _ in range(10_000):
                 if not any(exe.step() for exe in cluster.values()):

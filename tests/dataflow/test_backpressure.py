@@ -10,6 +10,7 @@ from repro.dataflow.registry import _unregister, message_type
 from repro.dataflow.routing import CreditLedger, DataflowOutbox
 from repro.flightrec.records import (
     EV_DATAFLOW_PARK,
+    EV_DATAFLOW_PARK_OVERFLOW,
     EV_DATAFLOW_RESUME,
     EV_DATAFLOW_SHED,
     RECORD_SIZE,
@@ -100,8 +101,8 @@ class TestParkResume:
         exe.install(source)
         exe.install(sink)
         _wire(exe, ledger, source, sink, parky, capacity=1)
-        assert source.emit(parky, b"a") == 1
-        assert source.emit(parky, b"b") == 0  # parked, not posted
+        assert source.emit(parky, b"a") == (1, 0, 0)
+        assert source.emit(parky, b"b") == (0, 1, 0)  # parked, not posted
 
 
 class TestShed:
@@ -121,7 +122,9 @@ class TestShed:
         assert sink.got == [bytes([0]), bytes([1])]
         assert ledger.shed(0) == 3
 
-    def test_full_outbox_degrades_to_shedding(self, types):
+    def test_full_outbox_counts_park_overflow(self, types):
+        """A park the full outbox refuses is dropped, reported to the
+        emitter and counted as park overflow: never as a shed."""
         parky, _ = types
         exe = Executive(node=0)
         ledger, outbox = _rig(exe, park_limit=2)
@@ -130,10 +133,11 @@ class TestShed:
         exe.install(sink)
         _wire(exe, ledger, source, sink, parky, capacity=1)
 
-        for i in range(6):
-            source.emit(parky, bytes([i]))
+        reports = [source.emit(parky, bytes([i])) for i in range(6)]
+        assert reports == [(1, 0, 0)] + [(0, 1, 0)] * 2 + [(0, 0, 1)] * 3
         assert outbox.depth == 2  # bounded
-        assert ledger.shed(0) == 3  # 1 posted + 2 parked + 3 shed
+        assert ledger.park_overflow(0) == 3  # 1 posted + 2 parked + 3 over
+        assert ledger.shed(0) == 0
         exe.run_until_idle()
         assert sink.got == [bytes([0]), bytes([1]), bytes([2])]
 
@@ -181,12 +185,15 @@ class TestInstrumentation:
         source.emit(parky, b"b")  # parked
         source.emit(sheddy, b"c")
         source.emit(sheddy, b"d")  # shed
+        exe.dataflow_outbox.limit = 1
+        source.emit(parky, b"e")  # the outbox is full: park overflow
         exe.run_until_idle()
 
         kinds = self._kinds(exe.flightrec)
         assert kinds.count(EV_DATAFLOW_PARK) == 1
         assert kinds.count(EV_DATAFLOW_SHED) == 1
         assert kinds.count(EV_DATAFLOW_RESUME) == 1
+        assert kinds.count(EV_DATAFLOW_PARK_OVERFLOW) == 1
 
     def test_bootstrap_exports_dataflow_gauges(self):
         from repro.config.bootstrap import bootstrap
@@ -196,6 +203,6 @@ class TestInstrumentation:
         snapshot = cluster.executives[0].metrics.snapshot()
         for name in ("dataflow_credits_available", "dataflow_parked",
                      "dataflow_parked_total", "dataflow_shed_total",
-                     "dataflow_resumed_total"):
+                     "dataflow_park_overflow", "dataflow_resumed_total"):
             assert name in snapshot
         assert snapshot["dataflow_credits_available"] > 0

@@ -23,7 +23,7 @@ class TestDerivedEventBuilder:
         bu = cluster.device("bu0")
         assert sorted(bu.ru_tids) == [0, 1]
         assert bu.evm_tid is not None
-        assert cluster.device("trigger").evm_tid is not None
+        assert cluster.device("trigger").dataflow_targets("daq.trigger")
 
     def test_pipeline_builds_events_end_to_end(self, cluster):
         trigger = cluster.device("trigger")

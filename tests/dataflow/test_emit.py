@@ -67,7 +67,7 @@ class TestEmit:
         sink = Sink("sink")
         exe.install(sink)
         source.connect_route(uni, {"sink": sink.tid})
-        assert source.emit(uni, b"hello") == 1
+        assert source.emit(uni, b"hello") == (1, 0, 0)
         exe.run_until_idle()
         assert sink.got == [b"hello"]
 
@@ -81,7 +81,7 @@ class TestEmit:
         source.connect_route(uni, {"a": a.tid, "b": b.tid})
         with pytest.raises(I2OError, match="2 targets"):
             source.emit(uni, b"x")
-        assert source.emit(uni, b"x", key="b") == 1
+        assert source.emit(uni, b"x", key="b") == (1, 0, 0)
         exe.run_until_idle()
         assert b.got == [b"x"] and a.got == []
 
@@ -91,7 +91,7 @@ class TestEmit:
         for sink in sinks:
             exe.install(sink)
         source.connect_route(fan, {s.name: s.tid for s in sinks})
-        assert source.emit(fan, b"all") == 3
+        assert source.emit(fan, b"all") == (3, 0, 0)
         exe.run_until_idle()
         assert all(s.got == [b"all"] for s in sinks)
 

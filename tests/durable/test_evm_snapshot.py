@@ -44,12 +44,20 @@ class TestSnapshotDocument:
         with pytest.raises(I2OError, match="version"):
             evm.restore(snap)
 
+    def test_version_1_document_refused(self, five_nodes):
+        """Version 1 carried the EVM's own throttle queue; the window is
+        the trigger edge's now, so such a document is refused by name."""
+        evm, trigger, rus, bus = wire_daq(five_nodes)
+        snap = {**evm.snapshot(), "version": 1, "throttled": []}
+        with pytest.raises(I2OError, match="snapshot version 1"):
+            evm.restore(snap)
+
     def test_restore_with_assigned_needs_connect(self):
         exe = Executive(node=0)
         evm = EventManager()
         exe.install(evm)
         snap = {
-            "version": 1, "assigned": {"4": 0}, "throttled": [],
+            "version": 2, "assigned": {"4": 0},
             "attempts": {"4": 1}, "rr": [0], "rr_index": 0, "triggers": 1,
             "completed": 0, "completed_ids": [], "lost": [],
             "reassignments": 0, "duplicate_triggers": 0,

@@ -28,6 +28,7 @@ import pytest
 from repro.config.bootstrap import bootstrap
 from repro.core.device import Listener
 from repro.dataflow.examples import event_builder_spec
+from repro.dataflow.wiring import wire_dataflow
 
 from tests.conftest import all_parked, assert_no_leaks, record_loop, wait_for
 from tests.transports.harness import Echo, make_harness
@@ -139,15 +140,18 @@ class Kicker(Listener):
 
 
 def test_parked_emissions_resume_on_the_returned_credit():
-    """One credit on the EVM → builder edge.  With only the EVM's loop
-    running, every allocation past the first parks and the saturated
-    emitter sleeps instead of spinning.  Start the builder (but not
+    """One credit on the EVM → builder edge, and a trigger window of
+    ``events``.  With only the EVM's loop running, every allocation
+    past the first parks and the saturated emitter sleeps instead of
+    spinning.  Start the builder (but not
     the readout unit, so no event can finish and send ``EVENT_DONE``):
     each credit its dispatch returns is then the only thing that can
     wake the EVM, and every parked allocation must still go out.  Start
     the readout unit and the burst completes — with no tick anywhere."""
     events = 8
     cluster = bootstrap(event_builder_spec(1, 1, dataflow={"edge_credits": 1}))
+    cluster.device("evm").queue_capacity = events
+    wire_dataflow(cluster.executives, edge_credits=1)
     evm_exe, ru_exe, bu_exe = (
         cluster.executive(cluster.node_of(name))
         for name in ("evm", "ru0", "bu0"))
