@@ -10,6 +10,8 @@ in the style of an address sanitizer scaled down to the buffer pool:
   is loaned out again the canary is verified, so a write through a
   stale frame view between free and reuse — a use-after-free write —
   is caught at the next allocation (or by an explicit :func:`audit`);
+* a block handed over in-process is **re-validated** at adoption, as
+  a wire frame is, so the header the receiver trusts is checked;
 * a **double free** raises :class:`DoubleFreeError` carrying the site
   of the *first* free alongside the current stack;
 * at shutdown, :func:`assert_clean` reports every still-loaned block
@@ -38,6 +40,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.i2o.frame import Frame
 from repro.mem.block import BlockStateError, PoolBlock
 from repro.mem.pool import (
     BufferPool,
@@ -132,6 +135,10 @@ class SanitizedBlock(PoolBlock):
         if not self.events:
             return "    (no recorded events)"
         return "\n".join(event.render() for event in self.events)
+
+    def adopt(self, frame_len: int) -> Frame:
+        """Adopt as a wire frame is: validated, within ``frame_len``."""
+        return super().adopt(frame_len).validate(frame_len)
 
     def addref(self) -> "PoolBlock":
         block = super().addref()  # raises BlockStateError on a free block

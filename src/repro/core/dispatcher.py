@@ -10,9 +10,9 @@ A :class:`DispatchTable` maps a message discriminator — the function
 code, plus the ``XFunctionCode`` for private messages — to a
 :class:`Functor`.  The executive reaches the user code in two steps
 that mirror the paper's whitebox stages: :meth:`Functor.prepare` is the
-*upcall of functor* (validate the frame against the binding, hand back
-the bound handler) and calling that handler with the frame is the
-*application* (the user code).
+*upcall of functor* (count the call, hand back the bound handler) and
+calling that handler with the frame is the *application* (the user
+code).
 """
 
 from __future__ import annotations
@@ -47,16 +47,9 @@ class Functor:
         self.calls = 0
 
     def prepare(self, frame: Frame) -> Handler:
-        """The upcall: validate the frame against the binding and
-        return the handler; the caller applies it to the frame."""
-        func, xfunc = self.key
-        if func != -1 and (  # -1: the default functor takes anything
-            frame.function != func or (func == PRIVATE and frame.xfunction != xfunc)
-        ):
-            raise DispatchError(
-                f"frame {function_name(frame.function)}/0x{frame.xfunction:04X} "
-                f"reached functor bound to {function_name(func)}/0x{xfunc:04X}"
-            )
+        """The upcall: count it and return the handler; the caller
+        applies it to the frame.  The key is not compared again:
+        :meth:`DispatchTable.lookup` found this functor by it."""
         self.calls += 1
         return self.handler
 
@@ -101,7 +94,8 @@ class DispatchTable:
 
     def lookup(self, frame: Frame) -> Functor:
         """Demultiplex a frame to its functor (whitebox stage
-        ``demultiplex``)."""
+        ``demultiplex``): the one bound to exactly the frame's key,
+        else the default."""
         function = frame.function
         functor = self._table.get(
             (function, frame.xfunction if function == PRIVATE else 0)

@@ -26,6 +26,7 @@ Message flow (paper figure 4):
 from __future__ import annotations
 
 import logging
+import struct
 import threading
 import warnings
 from typing import TYPE_CHECKING, Any
@@ -52,7 +53,7 @@ from repro.core.timer import TimerService
 from repro.core.watchdog import HandlerWatchdog, WatchdogTimeout
 from repro.flightrec.records import EV_HARD_STOP, EV_POOL_EXHAUSTED, EV_WATCHDOG_TRIP
 from repro.hw.clock import Clock, WallClock
-from repro.i2o.errors import AddressingError, I2OError
+from repro.i2o.errors import AddressingError, FrameFormatError, I2OError
 from repro.i2o.frame import (
     DEFAULT_PRIORITY,
     FLAG_FAIL,
@@ -61,6 +62,7 @@ from repro.i2o.frame import (
     NUM_PRIORITIES,
     Frame,
     SharedFrame,
+    check_header,
 )
 from repro.i2o.function_codes import PRIVATE, function_name
 from repro.i2o.tid import (
@@ -297,10 +299,11 @@ class Executive:
 
         The payload size is declared in the header; content is written
         by the caller directly into ``frame.payload`` (zero-copy
-        buffer loaning).  The frame is the block's own, re-headed: the
-        whole header goes down in one pack, the block's old bytes are
-        never decoded and no Python object is built.
+        buffer loaning).  The API door: the arguments are checked once,
+        before the loan, so a refusal holds no block.  The frame is the
+        block's own, re-headed in one pack: no Python object is built.
         """
+        check_header(target, initiator, function, payload_size, priority, flags)
         size = HEADER_SIZE + payload_size
         # block_loan's body, inlined: a call is a measurable share of
         # a ping-pong's per-message cost.
@@ -311,19 +314,15 @@ class Executive:
                 self.flightrec.record(EV_POOL_EXHAUSTED, size)
             raise
         frame = block.frame
+        try:
+            frame.put_header(
+                flags, priority, function, target, initiator, payload_size,
+                organization, xfunction, initiator_context, transaction_context,
+            )
+        except (TypeError, struct.error) as exc:  # a field that is no int
+            self.pool.free(block)
+            raise FrameFormatError(f"header fields must be ints: {exc}") from exc
         frame.block, frame.trace_mark = block, None
-        frame.set_header(
-            target=target,
-            initiator=initiator,
-            function=function,
-            payload_size=payload_size,
-            priority=priority,
-            flags=flags,
-            xfunction=xfunction,
-            organization=organization,
-            initiator_context=initiator_context,
-            transaction_context=transaction_context,
-        )
         if self.flightrec is not None:
             self.flightrec.note_alloc(size, self.pool.in_flight)
         return frame
@@ -354,10 +353,11 @@ class Executive:
     def frame_send(self, frame: Frame) -> None:
         """Post a frame for routing (frameSend).
 
-        Pool-backed frames were header-validated at ``frame_alloc`` and
-        their payload views cannot overrun the header, so only foreign
-        buffers (hand-built bytearrays) are re-validated here; wire
-        input is always validated at ingest.
+        A pool frame's header was checked at ``frame_alloc`` (the API
+        door) and only checked setters have written it since, so only
+        foreign buffers (hand-built bytearrays) are validated here.
+        Wire input is validated at ingest; a pool frame handed to a
+        peer in-process is trusted (DESIGN, "Trust boundaries").
         """
         if frame.block is None:
             frame.validate()

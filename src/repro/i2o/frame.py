@@ -69,6 +69,24 @@ MAX_FRAME_SIZE = 256 * 1024
 MAX_PAYLOAD_SIZE = MAX_FRAME_SIZE - HEADER_SIZE
 
 
+def check_header(target: int, initiator: int, function: int,
+                 payload_size: int, priority: int, flags: int) -> None:
+    """Refuse, by name, header arguments no frame may carry: the API
+    door's one check, run before anything is loaned or written."""
+    if not 0 <= target <= MAX_TID:
+        raise FrameFormatError(f"target TiD {target} out of range")
+    if not 0 <= initiator <= MAX_TID:
+        raise FrameFormatError(f"initiator TiD {initiator} out of range")
+    if not 0 <= function <= 0xFF:
+        raise FrameFormatError(f"function 0x{function:X} out of range")
+    if payload_size < 0:
+        raise FrameFormatError(f"payload size {payload_size} is negative")
+    if not 0 <= priority < NUM_PRIORITIES:
+        raise FrameFormatError(f"priority {priority} out of range 0..6")
+    if flags & ~_ALL_FLAGS:
+        raise FrameFormatError(f"unknown flag bits 0x{flags:02X}")
+
+
 class Frame:
     """One I2O message: a buffer plus a decoded copy of its header.
 
@@ -175,18 +193,10 @@ class Frame:
             raise FrameFormatError(
                 f"payload {size} does not fit buffer of {len(frame._buf)}"
             )
-        frame.set_header(
-            target=target,
-            initiator=initiator,
-            function=function,
-            payload_size=size,
-            priority=priority,
-            flags=flags,
-            organization=organization,
-            xfunction=xfunction,
-            initiator_context=initiator_context,
-            transaction_context=transaction_context,
-        )
+        check_header(target, initiator, function, size, priority, flags)
+        frame.put_header(flags, priority, function, target, initiator, size,
+                         organization, xfunction, initiator_context,
+                         transaction_context)
         if size:
             frame._buf[HEADER_SIZE : HEADER_SIZE + size] = payload
         return frame
@@ -225,35 +235,26 @@ class Frame:
         initiator_context: int = 0,
         transaction_context: int = 0,
     ) -> None:
-        if not 0 <= target <= MAX_TID:
-            raise FrameFormatError(f"target TiD {target} out of range")
-        if not 0 <= initiator <= MAX_TID:
-            raise FrameFormatError(f"initiator TiD {initiator} out of range")
-        if not 0 <= function <= 0xFF:
-            raise FrameFormatError(f"function 0x{function:X} out of range")
-        if not 0 <= priority < NUM_PRIORITIES:
-            raise FrameFormatError(f"priority {priority} out of range 0..6")
-        if flags & ~_ALL_FLAGS:
-            raise FrameFormatError(f"unknown flag bits 0x{flags:02X}")
+        check_header(target, initiator, function, payload_size, priority, flags)
+        self.put_header(flags, priority, function, target, initiator,
+                        payload_size, organization, xfunction,
+                        initiator_context, transaction_context)
+
+    def put_header(self, flags: int, priority: int, function: int, target: int,
+                   initiator: int, payload_size: int, organization: int,
+                   xfunction: int, initiator_context: int,
+                   transaction_context: int) -> None:
+        """Write a whole header whose fields :func:`check_header` has
+        passed: one pack, no range check (the ``put_*`` writers trust
+        their caller; the setters and :meth:`set_header` check)."""
         organization &= 0xFFFF
         xfunction &= 0xFFFF
         initiator_context &= _U64
         transaction_context &= _U64
         _HEADER.pack_into(
-            self._buf,
-            0,
-            I2O_VERSION,
-            flags,
-            priority,
-            function,
-            target,
-            initiator,
-            payload_size,
-            organization,
-            xfunction,
-            initiator_context,
-            transaction_context,
-        )
+            self._buf, 0, I2O_VERSION, flags, priority, function, target,
+            initiator, payload_size, organization, xfunction,
+            initiator_context, transaction_context)
         self._version = I2O_VERSION
         self._flags = flags
         self._priority = priority
@@ -305,6 +306,10 @@ class Frame:
     def target(self, tid: int) -> None:
         if not 0 <= tid <= MAX_TID:
             raise FrameFormatError(f"target TiD {tid} out of range")
+        self.put_target(tid)
+
+    def put_target(self, tid: int) -> None:
+        """``target = tid`` unchecked, for a TiD the route table checked."""
         _TID.pack_into(self._buf, 4, tid)
         self._target = tid
 
@@ -316,6 +321,10 @@ class Frame:
     def initiator(self, tid: int) -> None:
         if not 0 <= tid <= MAX_TID:
             raise FrameFormatError(f"initiator TiD {tid} out of range")
+        self.put_initiator(tid)
+
+    def put_initiator(self, tid: int) -> None:
+        """``initiator = tid`` unchecked, for a TiD the route table checked."""
         _TID.pack_into(self._buf, 6, tid)
         self._initiator = tid
 
@@ -383,14 +392,16 @@ class Frame:
         return bytes(self._buf[: HEADER_SIZE + self._payload_size])
 
     # -- validation & comparison -----------------------------------------
-    def validate(self) -> "Frame":
+    def validate(self, size: int | None = None) -> "Frame":
         """Re-read the header from the buffer and check structural
-        well-formedness; returns self for chaining.
+        well-formedness, within the first ``size`` bytes when only
+        those were handed over; returns self for chaining.
 
         This is where the slots resynchronise with the wire truth: it
-        runs on every ingested frame and on every non-pool frame at
-        ``frame_send``, so the checks judge the bytes, never a cached
-        copy of them.
+        runs on every frame a wire delivers and on every non-pool frame
+        at ``frame_send``, so the checks judge the bytes, never a cached
+        copy of them.  A pool frame handed over in-process is trusted
+        instead (DESIGN, "Trust boundaries").
         """
         self._decode()
         version = self._version
@@ -406,10 +417,10 @@ class Frame:
             raise FrameFormatError("TiD out of 12-bit range")
         payload_size = self._payload_size
         total = HEADER_SIZE + payload_size
-        if total > len(self._buf):
+        bound = len(self._buf) if size is None else min(size, len(self._buf))
+        if total > bound:
             raise FrameFormatError(
-                f"declared payload {payload_size} overruns buffer "
-                f"of {len(self._buf)}"
+                f"declared payload {payload_size} overruns buffer of {bound}"
             )
         if total > MAX_FRAME_SIZE:
             raise FrameFormatError(f"frame {total} exceeds 256 KB block")
@@ -435,34 +446,22 @@ class SharedFrame(Frame):
     every local listener.  Each delivery needs its own ``target`` (the
     scheduler keys its FIFOs by it) but the 32-byte header is shared by
     all of them, so this is a :class:`Frame` whose ``target`` lives in
-    the slot only: the setter does not write the shared buffer, and
+    the slot only: its writes do not reach the shared buffer, and
     :meth:`validate` keeps it across the re-read."""
 
     __slots__ = ()
 
-    def __init__(
-        self,
-        buffer: memoryview | bytearray,
-        block: Any = None,
-        *,
-        target: int,
-    ) -> None:
+    def __init__(self, buffer: memoryview | bytearray, block: Any = None,
+                 *, target: int) -> None:
         super().__init__(buffer, block=block)
         self.target = target
 
-    @property
-    def target(self) -> int:
-        return self._target
-
-    @target.setter
-    def target(self, tid: int) -> None:
-        if not 0 <= tid <= MAX_TID:
-            raise FrameFormatError(f"target TiD {tid} out of range")
+    def put_target(self, tid: int) -> None:
         self._target = tid
 
-    def validate(self) -> "Frame":
+    def validate(self, size: int | None = None) -> "Frame":
         target = self._target
         try:
-            return super().validate()
+            return super().validate(size)
         finally:
             self._target = target

@@ -64,6 +64,14 @@ class PoolBlock:
         self._owner = owner
         self._refcount = 0
 
+    def adopt(self, frame_len: int) -> Frame:
+        """The block's own frame, live again for the executive it was
+        handed to in-process: trusted, as this process wrote it through
+        checked writes (a sanitized block re-validates it)."""
+        frame = self.frame
+        frame.block, frame.trace_mark = self, None
+        return frame
+
     @property
     def refcount(self) -> int:
         return self._refcount

@@ -138,7 +138,7 @@ class PeerTransportAgent(Listener):
                 pack3(route.node, int(route.remote_tid), frame.xfunction),
                 frame.total_size,
             )
-        frame.target = route.remote_tid
+        frame.put_target(route.remote_tid)  # checked by the route table
         try:
             pt.transmit(frame, route)
         except Exception:

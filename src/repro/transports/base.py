@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.device import Listener
 from repro.flightrec.records import EV_FRAME_INGEST, pack3
-from repro.i2o.errors import FrameFormatError, I2OError
+from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,18 +40,9 @@ StagedItem = tuple
 
 
 def _adopt(block: "PoolBlock", frame_len: int) -> Frame:
-    """The frame received in ``block``: the block's own frame, re-read
-    from the buffer by ``validate`` and bounded by the ``frame_len``
-    bytes handed over (a refusal is a :class:`FrameFormatError`)."""
-    frame = block.frame
-    frame.block, frame.trace_mark = block, None
-    frame.validate()
-    if frame.total_size > frame_len:
-        raise FrameFormatError(
-            f"declared payload {frame.payload_size} overruns buffer "
-            f"of {frame_len}"
-        )
-    return frame
+    """The wire door: the block's own frame, re-read by ``validate``
+    within the ``frame_len`` bytes the wire delivered into ``block``."""
+    return block.adopt(frame_len).validate(frame_len)
 
 
 class TransportError(I2OError):
@@ -171,12 +162,15 @@ class PeerTransport(Listener):
 
         Intra-process transports move the sender's block itself across
         executives (the paper's buffer-loaning, §4); the reference the
-        staged item carried becomes the inbound frame's reference.  On
-        validation failure the reference is dropped here.
+        staged item carried becomes the inbound frame's reference.  The
+        header is trusted, not re-validated: this process built it
+        through checked writes (DESIGN, "Trust boundaries"); a
+        sanitized block re-checks it (:meth:`PoolBlock.adopt`).  On
+        failure the reference is dropped here.
         """
         exe = self._require_live()
         try:
-            return self._post_ingested(exe, src_node, _adopt(block, frame_len))
+            return self._post_ingested(exe, src_node, block.adopt(frame_len))
         except BaseException:
             block.frame.block = None
             block.release()
@@ -192,9 +186,9 @@ class PeerTransport(Listener):
         return self.ingest_loaned(src_node, block, view)
 
     def _post_ingested(self, exe: "Executive", src_node: int, frame: Frame) -> Frame:
-        frame.initiator = exe.routes.create_proxy(
+        frame.put_initiator(exe.routes.create_proxy(
             src_node, frame.initiator, transport=self.name
-        )
+        ))
         self.frames_received += 1
         self.bytes_received += frame.total_size
         if exe.flightrec is not None:
@@ -220,6 +214,8 @@ class PeerTransport(Listener):
         size = frame.total_size
         block = frame.block
         if block is not None:
+            if frame is not block.frame:  # a broadcast delivery keeps its
+                block.frame.validate()  # own slots: resync what peers adopt
             frame.block = None  # ownership moves with the staged item
             return (exe.node, block, size)
         self.tx_copies += 1

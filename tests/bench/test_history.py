@@ -118,3 +118,42 @@ def test_bench_24_records_that_the_saving_is_waiting_not_work():
         assert side["core.executive.dispatched_per_op"] == 2.0
     assert change["driver.raw_rtt_us_p50"] < parent["driver.raw_rtt_us_p50"]
     assert change["driver.rtt_us_p99"] < parent["driver.rtt_us_p99"]
+
+
+def test_bench_46_records_the_trusted_hop():
+    """The in-process hop's removed checks, pinned as recorded: the round
+    trip fell on every pair at both seeds, by more than the parent's own
+    spread, with the work per round trip unchanged; whether the 10 %
+    target was met is stated against the recorded medians."""
+    record = json.loads(
+        (ROOT / "benchmarks" / "history" / "BENCH_46.json").read_text("utf-8")
+    )
+    claimed = record["claimed"]
+    assert (claimed["workload"], claimed["metric"]) == (
+        "pingpong_queued", "rtt_us_p50"
+    )
+    assert claimed["wins"] * 10 >= 9 * record["pairs"]
+    assert record["seed2"]["wins"] == record["seed2"]["pairs"]
+    before = record["sides"]["parent"]["workloads"]["pingpong_queued"]["rtt_us_p50"]
+    after = record["sides"]["change"]["workloads"]["pingpong_queued"]["rtt_us_p50"]
+    assert before["median"] - after["median"] > before["q3"] - before["q1"]
+    target = record["claim_target"]  # stated against the medians above
+    pct = round(100 * (after["median"] / before["median"] - 1), 1)
+    assert target["seed1_change_pct"] == pct
+    assert target["met"] is (pct <= -10)
+    per = record["pairs_per_workload"]
+    assert per["tcp_pingpong"] >= 7
+    assert min(per.values()) >= 3
+    for side in record["sides"].values():
+        assert all(w["failed_ops"] == 0 for w in side["workloads"].values())
+    parent, change = record["traced"]["parent"], record["traced"]["change"]
+    for side in (parent, change):
+        assert side["mem.pool.allocs_per_op"] == 2.0
+        assert side["core.executive.dispatched_per_op"] == 2.0
+        assert side["transports.loopback.copies_per_frame"] == 0.0
+    # The saving is the ingest's validate: the queued receive side fell.
+    assert (change["transports.queued.poll_ingest_ns"]
+            < parent["transports.queued.poll_ingest_ns"])
+    for side in ("parent", "change"):
+        assert set(record["a1_native_ns"][side]) == {
+            "Executive.frame_alloc+frame_free", "TableAllocator alloc+release"}

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dispatcher import DispatchError, DispatchTable, Functor
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
-from repro.i2o.function_codes import PRIVATE, UTIL_NOP
+from repro.i2o.function_codes import PRIVATE, UTIL_NOP, UTIL_PARAMS_GET
 
 TARGET_TID = 1
 INITIATOR_TID = 2
@@ -84,20 +86,50 @@ class TestFunctorPrepare:
         functor.prepare(private_frame(3))
         assert functor.calls == 2
 
-    def test_prepare_rejects_mismatched_frame(self):
-        table = DispatchTable()
-        functor = table.bind(PRIVATE, lambda f: None, xfunction=3)
-        with pytest.raises(DispatchError, match="bound to"):
-            functor.prepare(private_frame(4))
-
-    def test_prepare_returns_bound_handler_and_still_validates(self):
+    def test_prepare_returns_bound_handler_without_applying_it(self):
         table = DispatchTable()
         got = []
         functor = table.bind(PRIVATE, got.append, xfunction=3)
-        frame = private_frame(3)
-        handler = functor.prepare(frame)
+        handler = functor.prepare(private_frame(3))
         assert handler == got.append
-        assert got == []  # prepare validates; it does not apply
-        with pytest.raises(DispatchError, match="bound to"):
-            functor.prepare(private_frame(4))
+        assert got == []  # prepare hands the handler back; it does not apply
         assert functor.calls == 1
+
+
+FUNCTIONS = st.sampled_from([PRIVATE, UTIL_NOP, UTIL_PARAMS_GET])
+XFUNCTIONS = st.integers(0, 4)
+
+
+class TestLookup:
+    """``prepare`` does not re-compare the key, so ``lookup`` alone
+    guarantees a handler sees only frames of its binding."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        bound=st.sets(st.tuples(FUNCTIONS, XFUNCTIONS), max_size=6),
+        with_default=st.booleans(),
+        function=FUNCTIONS,
+        xfunction=XFUNCTIONS,
+    )
+    def test_lookup_finds_exact_key_or_default(
+        self, bound, with_default, function, xfunction
+    ):
+        table = DispatchTable("dev")
+        for func, xfunc in bound:
+            table.bind(func, lambda f: None,
+                       xfunction=xfunc if func == PRIVATE else 0)
+        if with_default:
+            table.bind_default(lambda f: None)
+        frame = Frame.build(target=TARGET_TID, initiator=INITIATOR_TID,
+                            function=function, xfunction=xfunction)
+        key = (function, xfunction if function == PRIVATE else 0)
+        exact = {(f, x if f == PRIVATE else 0) for f, x in bound}
+        if key not in exact and not with_default:
+            with pytest.raises(DispatchError, match="no handler"):
+                table.lookup(frame)
+            return
+        functor = table.lookup(frame)
+        if key in exact:
+            assert functor.key == key
+        else:
+            assert functor is table.default

@@ -6,8 +6,9 @@ object.  These tests check that the reuse is real (one frame per block,
 one block per frame, across alloc, both in-process transports, RETAIN,
 broadcast and free on two executives) and safe (every live frame's
 slots are its buffer's header, no two live loans share a frame, the
-pools conserve), and that an ingest refuses a header declaring more
-bytes than were handed over.
+pools conserve), that the wire door validates while an in-process hop
+adopts on trust, and that a sanitized block still refuses a header
+declaring more bytes than were handed over.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sanitize import SanitizedBlock, SanitizingTableAllocator
 from repro.core.device import RETAIN, Listener
 from repro.core.executive import Executive
 from repro.i2o.errors import FrameFormatError
 from repro.i2o.frame import _HEADER, Frame, SharedFrame
 from repro.i2o.tid import TID_BROADCAST
 from repro.mem.block import PoolBlock
+from repro.mem.pool import BufferPool
 from repro.transports import base
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
@@ -83,8 +86,12 @@ def assert_coherent(frame: Frame) -> None:
     assert fields == truth
 
 
-def _cluster(kind: str, reuse: Reuse):
-    exes = [Executive(node=0), Executive(node=1)]
+def _cluster(kind: str, reuse: Reuse, *, sanitized: bool = False):
+    exes = [
+        Executive(node=node, pool=BufferPool(SanitizingTableAllocator())
+                  if sanitized else None)
+        for node in (0, 1)
+    ]
     if kind == "queued":
         pair = QueuePair(0, 1)
         pts = [QueueTransport(pair, name="q"), QueueTransport(pair, name="q")]
@@ -177,8 +184,9 @@ def test_frames_recycle_with_their_blocks(kind, ops):
 
 @pytest.mark.parametrize("kind", ["queued", "loopback"])
 def test_ingest_refuses_a_header_longer_than_the_handover(kind):
+    """An in-process hop is trusted; the sanitizer's blocks re-check it."""
     reuse = Reuse()
-    exes, _keepers, tids, _proxies = _cluster(kind, reuse)
+    exes, _keepers, tids, _proxies = _cluster(kind, reuse, sanitized=True)
     sender, receiver = exes
     pt = receiver.pta.transports()[0]
     frame = sender.frame_alloc(40, target=tids[1])
@@ -211,3 +219,65 @@ def test_a_hop_slices_no_block_and_builds_no_frame(function):
             called = ast.unparse(node.func)
             assert called.split(".")[0] not in ("Frame", "SharedFrame"), called
             assert "__new__" not in called and "_undecoded" not in called
+
+
+def _calls(function) -> set[str]:
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return {ast.unparse(node.func).split(".")[-1]
+            for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+
+def test_the_wire_door_validates_and_the_in_process_hop_trusts():
+    """One check per trust boundary: bytes from a wire are validated at
+    ``ingest_loaned``; a block handed over in-process is adopted on
+    trust, and only a sanitized block re-validates it."""
+    assert "_adopt" in _calls(base.PeerTransport.ingest_loaned)
+    assert "validate" in _calls(base._adopt)
+    assert "adopt" in _calls(base.PeerTransport.ingest_block)
+    assert not {"_adopt", "validate"} & _calls(base.PeerTransport.ingest_block)
+    assert "validate" not in _calls(PoolBlock.adopt)
+    assert "validate" in _calls(SanitizedBlock.adopt)
+
+
+class Forwarder(Listener):
+    """Retains a broadcast delivery, restamps it and forwards it."""
+
+    def __init__(self) -> None:
+        super().__init__("forwarder")
+        self.to: int | None = None
+
+    def on_plugin(self) -> None:
+        self.bind(XF_DROP, self._forward)
+
+    def _forward(self, frame: Frame):
+        frame.transaction_context = 0xC0FFEE  # written through the share
+        frame.target = self.to
+        self.executive.frame_send(frame)
+        return RETAIN
+
+
+@pytest.mark.parametrize("kind", ["queued", "loopback"])
+def test_a_forwarded_broadcast_delivery_crosses_with_coherent_slots(kind):
+    """A ``SharedFrame`` is not its block's own frame: the receiver,
+    which adopts ``block.frame`` on trust, must still see the bytes."""
+    reuse = Reuse()
+    exes, _keepers, tids, proxies = _cluster(kind, reuse)
+    forwarder = Forwarder()
+    exes[0].install(forwarder)
+    forwarder.to = proxies[0]
+    adopted = []
+    post = exes[1].post_inbound
+
+    def spy(frame: Frame) -> None:
+        assert_coherent(frame)
+        adopted.append(frame.transaction_context)
+        post(frame)
+
+    exes[1].post_inbound = spy
+    exes[0].frame_send(exes[0].frame_alloc(
+        8, target=TID_BROADCAST, initiator=tids[0], xfunction=XF_DROP))
+    _pump(exes)
+    assert adopted == [0xC0FFEE]
+    for exe in exes:
+        exe.pool.check_conservation()
+        assert exe.pool.in_flight == 0
