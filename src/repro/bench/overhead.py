@@ -10,11 +10,12 @@ measured by the same program on two loads:
     path as it was before observability landed, reconstructed as a
     subclass so the comparison survives refactors), ``off`` (the stock
     executive, nothing attached — what every node pays for being
-    *observable*) and ``recording`` (the flight recorder: its ring,
-    the ``exe_dispatch_ns`` histogram it fills and the trace-id
-    stamping it does at ``frame_send`` — the ring is the only span
-    store, so this is what ``observability`` tracing, dispatch timing
-    and the cross-node timeline merge cost; spills are crash-path, not
+    *observable*) and ``recording`` (the flight recorder: its ring
+    writes and the trace-id stamping it does at ``frame_send`` — the
+    ring is the only store of spans and dispatch durations, so this is
+    what ``observability`` tracing, the collector's P50/P99 and the
+    cross-node timeline merge cost on the hot path; those projections
+    are computed when read, and spills are crash-path, not
     steady-state).
 ``pingpong``
     the native ping-pong (:func:`run_native_pingpong`); the unit is
@@ -28,7 +29,10 @@ measured by the same program on two loads:
 Every arm runs once per short batch, so host noise slower than a batch
 hits an arm and its baseline alike; a ratio is the median of the
 in-batch ratios, printed with its IQR and the ratio of medians.
-:data:`GATES` holds the three ratios CI enforces.
+:data:`GATES` holds the three ratios CI enforces.  Each arm's absolute
+cost, the median in-batch ``arm - off`` in ns per message or per RTT,
+is printed beside its ratio and not gated: a ratio over ``off`` rises
+when ``off`` gets cheaper, a cost in ns does not.
 """
 
 from __future__ import annotations
@@ -154,6 +158,14 @@ class OverheadResult:
         """What the gate reads: the median of the per-batch ratios."""
         return statistics.median(self.ratios(load, arm, baseline))
 
+    def cost(self, load: str, arm: str) -> float:
+        """The arm's absolute cost: the median of the per-batch
+        ``arm - off`` differences, in the load's unit."""
+        readings = self.batches[load]
+        return statistics.median(
+            a - b for a, b in zip(readings[arm], readings["off"])
+        )
+
     def iqr(self, load: str, arm: str, baseline: str) -> float:
         ratios = self.ratios(load, arm, baseline)
         if len(ratios) < 2:
@@ -175,10 +187,11 @@ class OverheadResult:
 
     def _table(self, load: str, unit: str, title: str) -> str:
         return format_table(
-            ["config", unit, "vs off", "IQR", "medians"],
+            ["config", unit, "vs off", "IQR", "medians", "cost ns"],
             [(name, f"{ns:.0f}", f"{self.ratio(load, name, 'off'):.2f}x",
               f"{self.iqr(load, name, 'off'):.2f}",
-              f"{self.ratio_of_medians(load, name, 'off'):.2f}x")
+              f"{self.ratio_of_medians(load, name, 'off'):.2f}x",
+              f"{self.cost(load, name):+.0f}")
              for name, ns in self.ns[load].items()],
             title=title,
         )

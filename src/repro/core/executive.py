@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.device import RETAIN, Listener
 from repro.core.executive_device import ExecutiveDevice
 from repro.core.interrupts import InterruptController
-from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS, MetricsRegistry
+from repro.core.metrics import MetricsRegistry
 from repro.core.observer import (
     OUTCOME_ABORTED,
     OUTCOME_HANDLER_ERROR,
@@ -189,9 +189,6 @@ class Executive:
             "exe_watchdog_trips_total",
             lambda: self.watchdog.overruns if self.watchdog is not None else 0,
         )
-        # Registered empty so the exported names do not depend on
-        # whether a flight recorder (which fills it) is attached.
-        m.histogram("exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS)
 
     def attach(self, observer: DispatchObserver) -> DispatchObserver:
         """Subscribe ``observer`` to every dispatch; returns it.
@@ -380,8 +377,11 @@ class Executive:
                 # still holds it: the block gets a fresh frame, so no
                 # later loan re-heads this one under the loop's feet.
                 block.frame = Frame._undecoded(block.memory, None)
-            block.release()
+            # Detach before the release: from then on the block's owner
+            # (on another thread, for a block a peer handed over) may
+            # loan it again at once, re-heading this very frame.
             frame.block = None
+            block.release()
 
     def post_inbound(self, frame: Frame) -> None:
         """Entry point for peer transports and the timer service."""

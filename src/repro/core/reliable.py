@@ -170,10 +170,7 @@ class ReliableEndpoint(Listener):
     def on_plugin(self) -> None:
         self.bind(XF_REL_DATA, self._on_data)
         self.bind(XF_REL_ACK, self._on_ack)
-        from repro.core.metrics import (
-            RECOVERY_LATENCY_BUCKETS_NS,
-            sanitize_metric_name,
-        )
+        from repro.core.metrics import sanitize_metric_name
 
         metrics = self._require_live().metrics
         prefix = f"rel_{sanitize_metric_name(self.name)}"
@@ -185,9 +182,6 @@ class ReliableEndpoint(Listener):
             metrics.gauge(f"{prefix}_{attr}", lambda a=attr: getattr(self, a))
         metrics.gauge(f"{prefix}_journal_depth", lambda: self.journal_depth)
         metrics.gauge(f"{prefix}_recovery_latency_ns", lambda: self.recovery_ns)
-        self._recovery_hist = metrics.histogram(
-            f"{prefix}_recovery_ns", RECOVERY_LATENCY_BUCKETS_NS
-        )
         if self.journal is not None:
             self._recover()
 
@@ -255,7 +249,6 @@ class ReliableEndpoint(Listener):
         if state.records:
             self.recoveries += 1
         self.recovery_ns = time.perf_counter_ns() - start_ns
-        self._recovery_hist.observe(self.recovery_ns)
 
     def _stable_address(self, target: Tid) -> tuple[int, Tid]:
         """Resolve ``target`` to ``(node, remote_tid)`` for the journal.

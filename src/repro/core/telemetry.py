@@ -10,7 +10,8 @@ scheme" — the standard executive/utility messages, no side channel:
   proxies, aggregates metrics, mirrors each ring (:class:`RingMirror`)
   and reads hops, critical paths and gaps through the same
   :class:`~repro.flightrec.timeline.MergedTimeline` a dead cluster's
-  dumps go through; renders Prometheus-text and JSON dumps.
+  dumps go through; derives each node's dispatch-latency percentiles
+  from its mirror; renders Prometheus-text and JSON dumps.
 
 The collector's only view of a remote node is the byte payload of a
 ``UtilParamsGet`` reply: no private function codes, no cross-node
@@ -34,7 +35,7 @@ from repro.dataflow.registry import message_type
 from repro.flightrec.records import (
     RECORD_SIZE, FlightRecError, FlightRecord, decode_records,
 )
-from repro.flightrec.timeline import MergedTimeline
+from repro.flightrec.timeline import MergedTimeline, dispatch_percentiles
 from repro.i2o.frame import Frame
 from repro.i2o.function_codes import UTIL_PARAMS_GET
 from repro.i2o.tid import Tid
@@ -54,6 +55,10 @@ MT_PARAMS_SWEEP = message_type(
 #: 64 KiB as base64): one reply stays inside one frame however large
 #: the node's ring is, and the collector asks again for the rest.
 MAX_EXPORT_RECORDS = 1024
+
+#: The dispatch-latency percentiles the collector reads off each
+#: mirrored ring: ``node_metrics`` key -> percentile.
+DISPATCH_PERCENTILES = {"exe_dispatch_ns_p50": 50, "exe_dispatch_ns_p99": 99}
 
 
 class TelemetryAgent(Listener):
@@ -111,7 +116,8 @@ class RingMirror:
     """The collector's copy of one node incarnation's ring: a record
     source (``.node``, ``.records``) like a dump or a live recorder.
     ``cursor`` is the next seq to ask for; ``missed`` counts records
-    the ring overwrote before a sweep reached them."""
+    the ring overwrote before a sweep reached them; ``latency`` holds
+    the dispatch percentiles of the records mirrored so far."""
 
     def __init__(self, node: int, tid: Tid) -> None:
         self.node = node
@@ -119,6 +125,7 @@ class RingMirror:
         self.records: deque[FlightRecord] = deque()
         self.cursor = 0
         self.missed = 0
+        self.latency: dict[str, int] = {}
 
     def ingest(self, ring: str, capacity: str) -> int:
         """Append one reply's records; returns how many were new.  A
@@ -203,6 +210,8 @@ class TelemetryCollector(Requester):
         fresh = mirror.ingest(params.pop("ring", ""), params.pop("ring_capacity", "0"))
         if fresh:
             self._merged = None
+            mirror.latency = dict(zip(DISPATCH_PERCENTILES, dispatch_percentiles(
+                mirror.records, DISPATCH_PERCENTILES.values())))
         metrics: dict[str, float] = {}
         info: dict[str, str] = {}
         for key, value in params.items():
@@ -211,6 +220,7 @@ class TelemetryCollector(Requester):
                 info[key] = value
             else:
                 metrics[key] = number
+        metrics.update(mirror.latency)
         self.node_metrics[mirror.node] = metrics
         self.node_info[mirror.node] = info
         # A whole batch of new records: the ring holds more.  Not for a
@@ -228,11 +238,13 @@ class TelemetryCollector(Requester):
 
     # -- aggregation and export ---------------------------------------------
     def cluster_totals(self) -> dict[str, float]:
-        """Sum of every numeric metric across swept nodes."""
+        """Sum of every numeric metric across swept nodes (percentiles
+        do not sum, so they are left out)."""
         totals: dict[str, float] = {}
         for metrics in self.node_metrics.values():
             for key, value in metrics.items():
-                totals[key] = totals.get(key, 0) + value
+                if key not in DISPATCH_PERCENTILES:
+                    totals[key] = totals.get(key, 0) + value
         return totals
 
     def render_prometheus(self) -> str:
@@ -324,7 +336,8 @@ def install_observability(
 
     Each node gets one dispatch observer (DESIGN §8), a
     ``FlightRecorder`` (it stamps trace ids, holds the dispatch budget
-    and fills ``exe_dispatch_ns``) spilling to
+    and records the dispatch durations the collector's P50/P99 are
+    read from) spilling to
     ``<dir>/node<NNN>.flightrec`` on ``hard_stop``, watchdog trips,
     sanitizer violations, dispatch exceptions and budget overruns, and
     a ``TelemetryAgent``; the cluster's ``SamplingProfiler`` watches it

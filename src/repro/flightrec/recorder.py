@@ -42,7 +42,6 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS, Histogram
 from repro.core.observer import OUTCOME_HANDLER_ERROR, DispatchObserver, DispatchRecord
 from repro.core.tracing import is_trace_context, make_trace_id
 from repro.flightrec.records import (
@@ -99,9 +98,9 @@ class FlightRecorder(DispatchObserver):
     """Per-executive bounded event ring with crash spill-to-disk.
 
     A dispatch observer: ``exe.attach(FlightRecorder(...))`` writes one
-    ``dispatch`` record per dispatch, observes its duration in the
-    executive's ``exe_dispatch_ns`` histogram and sets
-    ``exe.flightrec``, which the fabric's other record sites read —
+    ``dispatch`` record per dispatch (its duration is what the
+    collector's ``exe_dispatch_ns_p50``/``_p99`` are taken over) and
+    sets ``exe.flightrec``, which the fabric's other record sites read —
     ``frame_send`` among them, to :meth:`stamp` trace ids.  The ring
     is the only per-node store of frame-lifecycle facts: spans,
     critical paths and post-mortems are projections of it
@@ -162,9 +161,6 @@ class FlightRecorder(DispatchObserver):
         #: the dispatched frame's context while a dispatch is running,
         #: ``None`` between dispatches
         self._active: int | None = None
-        #: dispatch durations: the executive's ``exe_dispatch_ns`` from
-        #: attach on, a private one until then
-        self._latency = Histogram("exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS)
 
     # -- accounting ----------------------------------------------------------
     @property
@@ -259,8 +255,7 @@ class FlightRecorder(DispatchObserver):
 
     # -- the observer contract -----------------------------------------------
     def on_attach(self, exe: "Executive") -> None:
-        """Adopt node id and clock when unset; take the executive's
-        dispatch-latency histogram; record liveness transitions; spill
+        """Adopt node id and clock when unset; record liveness transitions; spill
         on sanitizer violations *before* they raise (when the allocator
         has the ``on_violation`` slot); export the recorder's own
         accounting as callback gauges."""
@@ -274,9 +269,6 @@ class FlightRecorder(DispatchObserver):
             # A sim-plane cost ledger charges at the record sites and
             # passes every fact on: ride behind it.
             exe.flightrec.ring = self
-        self._latency = exe.metrics.histogram(
-            "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
-        )
         exe.peers.on_alive(self._peer_alive)
         exe.peers.on_suspect(self._peer_suspect)
         exe.peers.on_dead(self._peer_dead)
@@ -321,7 +313,7 @@ class FlightRecorder(DispatchObserver):
 
     # One record per dispatch, written when it is over: start time,
     # queue wait and duration ride together, so the ring pays one pack
-    # per dispatch, and the same duration fills ``exe_dispatch_ns``.
+    # per dispatch and is the only store of its duration.
     # The header inlines pack3(target, function, xfunction): the fields
     # come from a validated header, already in range, and this is the
     # recorder's hottest path (X9).
@@ -344,7 +336,6 @@ class FlightRecorder(DispatchObserver):
         except struct.error:
             self._seq = seq
             self.record(EV_DISPATCH, rec.context, hdr, wait, start, duration)
-        self._latency.observe(duration)
         if failed:
             self._incident("dispatch-exception")
         if duration > self._slow_over_ns:

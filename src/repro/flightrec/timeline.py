@@ -1,11 +1,13 @@
-"""Projections of the per-node record streams: hops, and the merge.
+"""Projections of the per-node record streams: hops, latency, the merge.
 
 A *source* is anything with a ``node`` and decoded ``records`` — a
-loaded dump (dead nodes included: they spilled at ``hard_stop``) or a
-live :class:`~repro.flightrec.recorder.FlightRecorder`.
-:func:`project_hops` turns one node's ``dispatch`` records into
-the per-hop facts the telemetry agent exports and the critical-path
-analyzer decomposes.  :class:`MergedTimeline` joins sources on the two
+loaded dump (dead nodes included: they spilled at ``hard_stop``), a
+live :class:`~repro.flightrec.recorder.FlightRecorder` or the
+collector's mirror of one.  :func:`project_hops` turns one node's
+``dispatch`` records into the per-hop facts the telemetry agent
+exports and the critical-path analyzer decomposes;
+:func:`dispatch_percentiles` reads the same records' durations for
+the console's P50/P99.  :class:`MergedTimeline` joins sources on the two
 identifiers that already cross the wire:
 
 * **trace ids** — the 0xACE-tagged ``transaction_context``: a
@@ -95,6 +97,19 @@ def project_hops(node: int, records: Iterable[FlightRecord]) -> list[Hop]:
         for record in records
         if record.kind == EV_DISPATCH and is_trace_context(record.a)
     ]
+
+
+def dispatch_percentiles(
+    records: Iterable[FlightRecord], percents: Iterable[int]
+) -> list[int]:
+    """The nearest-rank percentiles (1..100) of the durations of every
+    ``dispatch`` record in one node's record stream: exact durations,
+    taken over the records the stream holds (a ring's newest
+    ``capacity``), not over every dispatch since attach.  Empty when
+    the stream holds no dispatch."""
+    durations = sorted(r.d for r in records if r.kind == EV_DISPATCH)
+    n = len(durations)
+    return [durations[-(-p * n // 100) - 1] for p in percents] if n else []
 
 
 @dataclass(frozen=True, slots=True)

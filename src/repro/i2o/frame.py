@@ -43,7 +43,7 @@ from typing import Any
 
 from repro.i2o.errors import FrameFormatError
 from repro.i2o.function_codes import PRIVATE, function_name
-from repro.i2o.tid import MAX_TID
+from repro.i2o.tid import MAX_TID, TID_BROADCAST
 
 I2O_VERSION = 0x20
 
@@ -72,10 +72,12 @@ MAX_PAYLOAD_SIZE = MAX_FRAME_SIZE - HEADER_SIZE
 def check_header(target: int, initiator: int, function: int,
                  payload_size: int, priority: int, flags: int) -> None:
     """Refuse, by name, header arguments no frame may carry: the API
-    door's one check, run before anything is loaned or written."""
+    door's one check, run before anything is loaned or written.  The
+    broadcast TiD addresses but never originates: no receiver can
+    proxy it as a reply address."""
     if not 0 <= target <= MAX_TID:
         raise FrameFormatError(f"target TiD {target} out of range")
-    if not 0 <= initiator <= MAX_TID:
+    if not 0 <= initiator < TID_BROADCAST:
         raise FrameFormatError(f"initiator TiD {initiator} out of range")
     if not 0 <= function <= 0xFF:
         raise FrameFormatError(f"function 0x{function:X} out of range")
@@ -319,7 +321,7 @@ class Frame:
 
     @initiator.setter
     def initiator(self, tid: int) -> None:
-        if not 0 <= tid <= MAX_TID:
+        if not 0 <= tid < TID_BROADCAST:
             raise FrameFormatError(f"initiator TiD {tid} out of range")
         self.put_initiator(tid)
 

@@ -2,11 +2,12 @@
 
 Renders one row per node from :class:`~repro.core.telemetry.
 TelemetryCollector` sweeps: dispatch totals, scheduler queue depth,
-pool occupancy, dispatch latency p50/p99 (reconstructed from the
-``exe_dispatch_ns`` histogram's cumulative buckets), reliable-endpoint
-journal depth, per-PT copy counters, peers currently down and handler
-errors.  The console consumes only what the collector already gathered
-over ``UtilParamsGet`` — no private verbs, no cross-node object access
+pool occupancy, dispatch latency p50/p99 (``exe_dispatch_ns_p50``/
+``_p99``: exact nearest-rank percentiles the collector takes over each
+node's mirrored ring), reliable-endpoint journal depth, per-PT copy
+counters, peers currently down and handler errors.  The console
+consumes only what the collector already gathered over
+``UtilParamsGet`` — no private verbs, no cross-node object access
 (paper §2's "one common scheme" discipline).
 
 ``python -m repro.diag top`` is the command; embedded use: call
@@ -19,38 +20,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
-from repro.core.metrics import parse_bound
-
-_HIST = "exe_dispatch_ns"
-_BUCKET_PREFIX = f"{_HIST}_bucket_le_"
-
-
-def dispatch_quantile(metrics: dict[str, float], q: float) -> float | None:
-    """Estimate the ``q`` dispatch-latency quantile (ns) from the
-    cumulative ``exe_dispatch_ns`` bucket counts in one node snapshot.
-
-    Returns the upper bound of the first bucket whose cumulative count
-    reaches ``q`` of the total — the conservative histogram estimate —
-    or ``None`` when the node has no timing enabled / no observations.
-    """
-    total = metrics.get(f"{_HIST}_count", 0)
-    if not total:
-        return None
-    bounds = sorted(
-        (
-            (parse_bound(key[len(_BUCKET_PREFIX):]), value)
-            for key, value in metrics.items()
-            if key.startswith(_BUCKET_PREFIX)
-        ),
-        key=lambda pair: pair[0],
-    )
-    threshold = q * total
-    for bound, cumulative in bounds:
-        if cumulative >= threshold:
-            return bound
-    return None
-
-
 def _sum_matching(metrics: dict[str, float], prefix: str, suffix: str) -> float:
     return sum(
         value for key, value in metrics.items()
@@ -61,8 +30,6 @@ def _sum_matching(metrics: dict[str, float], prefix: str, suffix: str) -> float:
 def _fmt_ns(value: float | None) -> str:
     if value is None:
         return "-"
-    if value == float("inf"):
-        return ">max"
     if value >= 1_000_000:
         return f"{value / 1_000_000:.0f}ms"
     if value >= 1_000:
@@ -104,8 +71,8 @@ _COLUMNS: dict[str, tuple[Callable[[int, dict[str, float]], Any],
     "DISP": (_counter("exe_dispatched_total"), _fmt_count),
     "QUEUE": (_counter("exe_scheduler_depth"), _fmt_count),
     "POOL": (_counter("pool_blocks_in_flight"), _fmt_count),
-    "P50": (lambda node, m: dispatch_quantile(m, 0.50), _fmt_ns),
-    "P99": (lambda node, m: dispatch_quantile(m, 0.99), _fmt_ns),
+    "P50": (lambda node, m: m.get("exe_dispatch_ns_p50"), _fmt_ns),
+    "P99": (lambda node, m: m.get("exe_dispatch_ns_p99"), _fmt_ns),
     "HOT": (lambda node, m: hot_ratio(m), _fmt_pct),
     "JRNL": (
         lambda node, m: _sum_matching(m, "rel_", "_journal_depth"),

@@ -20,8 +20,10 @@ from repro.core.device import Listener
 from repro.core.executive import Executive
 from repro.i2o.errors import FrameFormatError
 from repro.i2o.frame import _HEADER, MAX_PAYLOAD_SIZE, Frame
-from repro.i2o.tid import MAX_TID
+from repro.i2o.tid import MAX_TID, TID_BROADCAST
 from repro.mem.pool import PoolError
+from repro.transports.agent import PeerTransportAgent
+from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
 
 REFUSED = (FrameFormatError, PoolError)
 UNKNOWN_TID = 77  # unicast, bound to nothing: a send there dead-letters
@@ -70,6 +72,9 @@ REFUSALS = [
     pytest.param(lambda exe, s: exe.frame_alloc(8, target=5000), id="target"),
     pytest.param(lambda exe, s: exe.frame_alloc(8, target=2, initiator=5000),
                  id="initiator"),
+    pytest.param(lambda exe, s: exe.frame_alloc(8, target=2,
+                                                initiator=TID_BROADCAST),
+                 id="broadcast-initiator"),
     pytest.param(lambda exe, s: exe.frame_alloc(8, target=2, function=0x100),
                  id="function"),
     pytest.param(lambda exe, s: exe.frame_alloc(8, target=2, priority=9),
@@ -112,6 +117,29 @@ def test_a_negative_payload_size_is_refused_by_name():
     exe, _sink = _rig()
     with pytest.raises(FrameFormatError, match="payload size -10 is negative"):
         exe.frame_alloc(-10, target=2)
+
+
+def test_a_broadcast_initiator_never_reaches_the_receiving_step():
+    """No receiver can proxy the broadcast TiD as a reply address, and
+    an in-process hop checks nothing, so the door refuses it: let by,
+    it escaped the receiving executive's ``step()`` as
+    ``AddressingError``."""
+    network = LoopbackNetwork()
+    exes = [Executive(node=node) for node in (0, 1)]
+    for exe in exes:
+        PeerTransportAgent.attach(exe).register(LoopbackTransport(network),
+                                                default=True)
+    sink = Sink()
+    exes[1].install(sink)
+    proxy = exes[0].routes.create_proxy(1, sink.tid)
+    with pytest.raises(FrameFormatError, match="initiator"):
+        exes[0].frame_send(
+            exes[0].frame_alloc(4, target=proxy, initiator=TID_BROADCAST))
+    while any(exe.step() for exe in exes):
+        pass
+    for exe in exes:
+        exe.pool.check_conservation()
+        assert exe.pool.in_flight == 0
 
 
 # -- the corpus: valid calls with one or two arguments mutated --------------

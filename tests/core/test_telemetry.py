@@ -4,18 +4,26 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 
 import pytest
 
+from repro import top
 from repro.core import telemetry
-from repro.core.device import encode_params
+from repro.core.device import FunctionalListener, Listener, encode_params
 from repro.core.telemetry import RingMirror, TelemetryAgent, TelemetryCollector
+from repro.diag import main
 from repro.flightrec.recorder import FlightRecorder
-from repro.flightrec.records import EV_TIMER_FIRE, FlightRecord, decode_records
+from repro.flightrec.records import (
+    EV_DISPATCH,
+    EV_TIMER_FIRE,
+    FlightRecord,
+    decode_records,
+)
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import UTIL_PARAMS_GET
 
-from tests.conftest import make_loopback_cluster, pump
+from tests.conftest import ManualClock, make_loopback_cluster, pump
 from tests.transports.harness import Caller, Echo
 
 AGENT_TID = 17
@@ -242,6 +250,90 @@ class TestRendering:
         for timeline in doc["traces"].values():
             for hop in timeline:
                 assert {"node", "queue_wait_ns", "dispatch_ns"} <= set(hop)
+
+
+class TestDispatchLatency:
+    """P50/P99 are exact nearest-rank percentiles of the durations in a
+    node's mirrored ring, derived by the collector: nothing new crosses
+    the wire, and every reader sees the same two keys."""
+
+    KEYS = ("exe_dispatch_ns_p50", "exe_dispatch_ns_p99")
+
+    @staticmethod
+    def _expected(records):
+        """Nearest rank, computed here: the ceil(p/100 * n)-th smallest."""
+        taken = sorted(r.d for r in records if r.kind == EV_DISPATCH)
+        return {
+            f"exe_dispatch_ns_p{p}": taken[math.ceil(p / 100 * len(taken)) - 1]
+            for p in (50, 99)
+        }, len(taken)
+
+    def test_exact_over_the_records_a_small_ring_holds(self):
+        cluster, collector, agents = _telemetry_cluster(2, capacity=8)
+        clock = ManualClock()
+        worker = cluster[1]
+        worker.clock = worker.flightrec.clock = clock
+        took = iter(range(20_000, 0, -1_000))  # 20 dispatches, slow first
+
+        def work(frame):
+            clock.t += next(took)
+
+        tid = worker.install(FunctionalListener(name="work", handlers={0x1: work}))
+        sender = Listener("sender")
+        worker.install(sender)
+        for _ in range(20):
+            sender.send(tid, b"", xfunction=0x1)
+            pump(cluster)
+        exported = []  # the ring as the agent read it for its reply
+        export = agents[1].local_snapshot
+
+        def spy(since=0):
+            exported.append(worker.flightrec.records)
+            return export(since)
+
+        agents[1].local_snapshot = spy
+        collector.sweep()
+        pump(cluster)
+        (ring,) = exported
+        expected, dispatches = self._expected(ring)
+        assert 0 < dispatches < 20  # the window: the ring's 8 records
+        metrics = collector.node_metrics[1]
+        assert {key: metrics[key] for key in self.KEYS} == expected
+        # Exact durations, and the slow early dispatches aged out.
+        assert set(expected.values()) <= set(range(1_000, 20_001, 1_000))
+        assert expected["exe_dispatch_ns_p99"] < 20_000
+
+    def test_every_reader_sees_the_same_values(self, tmp_path, capsys):
+        cluster = make_loopback_cluster(3)
+        for node in (0, 1):  # node 2 has no recorder
+            cluster[node].attach(FlightRecorder(capacity=512))
+        collector = TelemetryCollector(name="collector")
+        cluster[0].install(collector)
+        for node, exe in cluster.items():
+            agent = TelemetryAgent(name=f"agent{node}")
+            exe.install(agent)
+            collector.watch(node, cluster[0].routes.create_proxy(node, agent.tid))
+        for _ in range(2):
+            collector.sweep()
+            pump(cluster)
+        metrics = collector.node_metrics
+        text = collector.render_prometheus()
+        for node in (0, 1):
+            expected, _ = self._expected(collector.watched[node].records)
+            assert {key: metrics[node][key] for key in self.KEYS} == expected
+            for key, value in expected.items():
+                assert f'repro_{key}{{node="{node}"}} {value}\n' in text
+        assert not set(self.KEYS) & set(metrics[2])
+        assert not set(self.KEYS) & set(collector.cluster_totals())
+        live = top.render(metrics)
+        path = tmp_path / "sweep.json"
+        path.write_text(collector.render_json())
+        assert main(["top", "--json", str(path)]) == 0
+        assert capsys.readouterr().out == live + "\n"
+        rows = {line.split()[0]: line.split() for line in live.splitlines()[1:-1]}
+        p50, p99 = top.COLUMNS.index("P50"), top.COLUMNS.index("P99")
+        assert "-" not in (rows["0"][p50], rows["1"][p99])
+        assert rows["2"][p50] == rows["2"][p99] == "-"
 
 
 class TestAgent:

@@ -1,141 +1,54 @@
-"""The repro.top console: quantile reconstruction and rendering."""
+"""The repro.top console: the columns it reads and its rendering."""
 
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.metrics import MetricsRegistry
 from repro.diag import main
-from repro.top import (
-    COLUMNS,
-    dispatch_quantile,
-    hot_ratio,
-    node_row,
-    render,
-)
+from repro.top import COLUMNS, hot_ratio, node_row, render
 
 
-def _metrics_with_hist(**extra):
-    """A node snapshot with a dispatch histogram: 10 obs ≤ 1000 ns,
-    then 80 more ≤ 10000, then 10 more ≤ 100000 (cumulative export)."""
-    base = {
-        "exe_dispatch_ns_bucket_le_1000": 10,
-        "exe_dispatch_ns_bucket_le_10000": 90,
-        "exe_dispatch_ns_bucket_le_100000": 100,
-        "exe_dispatch_ns_bucket_le_inf": 100,
-        "exe_dispatch_ns_count": 100,
-        "exe_dispatch_ns_sum": 500_000,
-    }
+def _metrics_with_latency(**extra):
+    """A node snapshot with the dispatch percentiles the collector
+    derives from the node's mirrored ring."""
+    base = {"exe_dispatch_ns_p50": 10_000, "exe_dispatch_ns_p99": 100_000}
     base.update(extra)
     return base
 
 
 class TestDispatchQuantile:
-    def test_conservative_upper_bound(self):
-        metrics = _metrics_with_hist()
-        assert dispatch_quantile(metrics, 0.05) == 1000
-        assert dispatch_quantile(metrics, 0.50) == 10000
-        assert dispatch_quantile(metrics, 0.99) == 100000
-
     def test_no_observations_is_none(self):
-        assert dispatch_quantile({}, 0.5) is None
-        assert dispatch_quantile({"exe_dispatch_ns_count": 0}, 0.5) is None
-
-    def test_everything_in_overflow_hits_inf(self):
-        metrics = {
-            "exe_dispatch_ns_bucket_le_1000": 0,
-            "exe_dispatch_ns_bucket_le_inf": 5,
-            "exe_dispatch_ns_count": 5,
-        }
-        assert dispatch_quantile(metrics, 0.5) == float("inf")
-
-    def test_p_and_m_encoded_bounds_decode(self):
-        # Float bounds export as e.g. "0p5"; the console must fold
-        # them back to numeric bounds before sorting.
-        metrics = {
-            "exe_dispatch_ns_bucket_le_0p5": 3,
-            "exe_dispatch_ns_bucket_le_2p5": 4,
-            "exe_dispatch_ns_bucket_le_inf": 4,
-            "exe_dispatch_ns_count": 4,
-        }
-        assert dispatch_quantile(metrics, 0.5) == 0.5
-        assert dispatch_quantile(metrics, 0.99) == 2.5
-
-
-#: Strictly increasing finite bucket bounds plus random observations.
-_bounds = st.lists(
-    st.integers(min_value=1, max_value=10**9),
-    min_size=1, max_size=8, unique=True,
-).map(sorted)
-_observations = st.lists(
-    st.integers(min_value=0, max_value=2 * 10**9), min_size=1, max_size=60
-)
-
-
-class TestQuantileProperties:
-    """Reconstruction from the cumulative export, against the real
-    Histogram: monotone in q, and always exactly a bucket bound."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(bounds=_bounds, values=_observations, qs=st.tuples(
-        st.floats(min_value=0.01, max_value=1.0),
-        st.floats(min_value=0.01, max_value=1.0),
-    ))
-    def test_monotone_and_bound_exact(self, bounds, values, qs):
-        registry = MetricsRegistry()
-        hist = registry.histogram("exe_dispatch_ns", bounds)
-        for value in values:
-            hist.observe(value)
-        metrics = registry.snapshot()
-
-        lo, hi = sorted(qs)
-        q_lo = dispatch_quantile(metrics, lo)
-        q_hi = dispatch_quantile(metrics, hi)
-        assert q_lo is not None and q_hi is not None
-        # Monotone: a higher quantile never reconstructs lower.
-        assert q_lo <= q_hi
-        # Bucket-bound-exact: the estimate is always one of the
-        # declared bounds (or the +Inf overflow), never interpolated.
-        legal = {float(b) for b in bounds} | {math.inf}
-        assert q_lo in legal and q_hi in legal
-        # And it is the *first* bound whose cumulative count covers q.
-        for q, got in ((lo, q_lo), (hi, q_hi)):
-            expected = math.inf
-            for bound in bounds:
-                if sum(1 for v in values if v <= bound) >= q * len(values):
-                    expected = float(bound)
-                    break
-            assert got == expected
+        # A node with no recorder (or no dispatch in its ring yet) sends
+        # no percentile: the column reads nothing, it does not read 0.
+        row = node_row(0, {"exe_dispatched_total": 4})
+        assert row[COLUMNS.index("P50")] == row[COLUMNS.index("P99")] == "-"
 
 
 class TestHotColumn:
     def test_ratio_from_profiler_gauges(self):
-        metrics = _metrics_with_hist(
+        metrics = _metrics_with_latency(
             prof_samples_total=200, prof_busy_samples_total=50
         )
         assert hot_ratio(metrics) == 0.25
         assert node_row(0, metrics)[COLUMNS.index("HOT")] == "25%"
 
     def test_no_samples_renders_dash(self):
-        assert hot_ratio(_metrics_with_hist()) is None
-        assert node_row(0, _metrics_with_hist())[COLUMNS.index("HOT")] == "-"
+        assert hot_ratio(_metrics_with_latency()) is None
+        assert node_row(0, _metrics_with_latency())[COLUMNS.index("HOT")] == "-"
 
 
 class TestSort:
     def _metrics(self):
         return {
-            0: _metrics_with_hist(exe_dispatched_total=10,
-                                  prof_samples_total=100,
-                                  prof_busy_samples_total=90),
-            1: _metrics_with_hist(exe_dispatched_total=30),
-            2: _metrics_with_hist(exe_dispatched_total=20,
-                                  prof_samples_total=100,
-                                  prof_busy_samples_total=10),
+            0: _metrics_with_latency(exe_dispatched_total=10,
+                                     prof_samples_total=100,
+                                     prof_busy_samples_total=90),
+            1: _metrics_with_latency(exe_dispatched_total=30),
+            2: _metrics_with_latency(exe_dispatched_total=20,
+                                     prof_samples_total=100,
+                                     prof_busy_samples_total=10),
         }
 
     def _order(self, text):
@@ -173,25 +86,25 @@ class TestWidthPersistence:
 
 class TestNodeRow:
     def test_row_matches_columns(self):
-        row = node_row(3, _metrics_with_hist())
+        row = node_row(3, _metrics_with_latency())
         assert len(row) == len(COLUMNS)
         assert row[0] == "3"
 
     def test_down_is_deaths_minus_rejoins(self):
-        metrics = _metrics_with_hist(
+        metrics = _metrics_with_latency(
             peer_deaths_total=3, peer_rejoins_total=1
         )
         row = node_row(0, metrics)
         assert row[COLUMNS.index("DOWN")] == "2"
 
     def test_rejoins_never_go_negative(self):
-        metrics = _metrics_with_hist(
+        metrics = _metrics_with_latency(
             peer_deaths_total=1, peer_rejoins_total=4
         )
         assert node_row(0, metrics)[COLUMNS.index("DOWN")] == "0"
 
     def test_journal_and_copies_summed_across_devices(self):
-        metrics = _metrics_with_hist(**{
+        metrics = _metrics_with_latency(**{
             "rel_a_journal_depth": 2,
             "rel_b_journal_depth": 3,
             "pt_loop_tx_copies": 4,
@@ -202,14 +115,14 @@ class TestNodeRow:
         assert row[COLUMNS.index("COPIES")] == "9"
 
     def test_shed_column_reads_dataflow_counter(self):
-        metrics = _metrics_with_hist(dataflow_shed_total=7)
+        metrics = _metrics_with_latency(dataflow_shed_total=7)
         assert node_row(0, metrics)[COLUMNS.index("SHED")] == "7"
 
     def test_shed_column_defaults_to_zero(self):
-        assert node_row(0, _metrics_with_hist())[COLUMNS.index("SHED")] == "0"
+        assert node_row(0, _metrics_with_latency())[COLUMNS.index("SHED")] == "0"
 
     def test_latency_columns_humanised(self):
-        row = node_row(0, _metrics_with_hist())
+        row = node_row(0, _metrics_with_latency())
         assert row[COLUMNS.index("P50")] == "10us"
         assert row[COLUMNS.index("P99")] == "100us"
 
@@ -217,8 +130,8 @@ class TestNodeRow:
 class TestRender:
     def test_table_has_header_rows_and_summary(self):
         text = render({
-            0: _metrics_with_hist(exe_dispatched_total=100),
-            1: _metrics_with_hist(exe_dispatched_total=50),
+            0: _metrics_with_latency(exe_dispatched_total=100),
+            1: _metrics_with_latency(exe_dispatched_total=50),
         })
         lines = text.splitlines()
         assert lines[0].split() == list(COLUMNS)
@@ -238,7 +151,7 @@ class TestCli:
     def test_json_source_renders_a_collector_dump(self, tmp_path, capsys):
         dump = {
             "nodes": {
-                "0": _metrics_with_hist(exe_dispatched_total=7),
+                "0": _metrics_with_latency(exe_dispatched_total=7),
                 "1": {"exe_dispatched_total": 2},
             },
             "totals": {},

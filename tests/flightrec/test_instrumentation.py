@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.sanitize import DoubleFreeError, SanitizingTableAllocator
 from repro.core.device import FunctionalListener, Listener
 from repro.core.executive import Executive
-from repro.core.metrics import DISPATCH_LATENCY_BUCKETS_NS
 from repro.core.reliable import ReliableEndpoint
 from repro.core.watchdog import HandlerWatchdog
 from repro.flightrec.dump import load_dump
@@ -38,6 +37,7 @@ from repro.flightrec.records import (
     FlightRecord,
     unpack3,
 )
+from repro.flightrec.timeline import dispatch_percentiles
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import HEADER_SIZE
 from repro.i2o.tid import EXECUTIVE_TID
@@ -79,28 +79,31 @@ class TestDispatchPath:
         assert hit[0].seq == exe.flightrec.total_records - 1
         assert hit[0].c >= 0 and hit[0].d >= 0
 
-    def test_each_dispatch_observed_in_exe_dispatch_ns(self):
-        # The recorder alone times dispatch: one observation per
-        # dispatch, the ``dispatch`` record's duration.
-        exe = make_recorded_exe()
-        hist = exe.metrics.histogram(
-            "exe_dispatch_ns", DISPATCH_LATENCY_BUCKETS_NS
-        )
-        tid = exe.install(
-            FunctionalListener(name="sink", handlers={0x1: lambda f: None})
-        )
+    def test_each_dispatch_timed_once_in_the_ring(self):
+        # The recorder alone times dispatch, and its ring is the only
+        # store of the duration: one ``dispatch`` record per dispatch,
+        # traced or not, which is what the collector's P50/P99 read.
+        clock = ManualClock()
+        exe = make_recorded_exe(clock=clock)
+        took = iter((700, 300))
+
+        def work(frame):
+            clock.t += next(took)
+
+        tid = exe.install(FunctionalListener(name="sink", handlers={0x1: work}))
         sender = Listener("sender")
         exe.install(sender)
         sender.send(tid, b"", xfunction=0x1)  # stamped: a traced dispatch
         exe.run_until_idle()
-        assert hist.count == exe.dispatched == 1
         # Posted past frame_send: an unstamped dispatch counts too.
         exe.post_inbound(exe.frame_alloc(0, target=tid, xfunction=0x1))
         exe.run_until_idle()
-        assert hist.count == exe.dispatched == 2
-        assert hist.sum == sum(
-            r.d for r in records_of(exe.flightrec, EV_DISPATCH)
-        )
+        dispatches = records_of(exe.flightrec, EV_DISPATCH)
+        assert [r.d for r in dispatches] == [700, 300]
+        assert len(dispatches) == exe.dispatched == 2
+        assert dispatch_percentiles(exe.flightrec.records, (50, 99)) == [300, 700]
+        snapshot = exe.metrics.snapshot()
+        assert not [m for m in snapshot if m.startswith("exe_dispatch_ns")]
 
     def test_frame_alloc_and_release_recorded(self):
         exe = make_recorded_exe()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.tracing import make_trace_id
 from repro.flightrec.dump import load_dump, load_dumps
@@ -15,9 +17,17 @@ from repro.flightrec.records import (
     EV_REL_DELIVER,
     EV_REL_RETRANSMIT,
     EV_REL_SEND,
+    EV_SLOW_FRAME,
+    FlightRecord,
     pack3,
 )
-from repro.flightrec.timeline import Hop, MergedTimeline, in_flight_sends, project_hops
+from repro.flightrec.timeline import (
+    Hop,
+    MergedTimeline,
+    dispatch_percentiles,
+    in_flight_sends,
+    project_hops,
+)
 
 from tests.conftest import ManualClock
 
@@ -164,6 +174,55 @@ class TestHopProjection:
         (tmp_path / "notes.txt").write_text("not a dump")
         assert [d.node for d in load_dumps([tmp_path])] == [1, 2]
         assert [d.node for d in load_dumps([tmp_path / "b.flightrec"])] == [2]
+
+
+class TestDispatchPercentiles:
+    """Dispatch latency is a projection of the same ``dispatch``
+    records: exact nearest-rank percentiles of their durations."""
+
+    @staticmethod
+    def _stream(durations):
+        """A dispatch record per duration, each followed by records of
+        other kinds that carry a duration-sized argument too."""
+        records = []
+        for d in durations:
+            seq = len(records)
+            records.append(FlightRecord(seq, seq, 0, 0, 0, EV_DISPATCH, d))
+            records.append(FlightRecord(seq + 1, seq, 0, 0, 10**9, EV_SLOW_FRAME))
+            records.append(FlightRecord(seq + 2, seq, 0, 0, 0, EV_REL_SEND, 10**9))
+        return records
+
+    def test_nearest_rank_reads_recorded_durations(self):
+        records = self._stream([40, 10, 30, 20])
+        assert dispatch_percentiles(records, (25, 50, 51, 99, 100)) == [
+            10, 20, 30, 40, 40,
+        ]
+        assert dispatch_percentiles(self._stream([7]), (1, 50, 99)) == [7, 7, 7]
+        assert dispatch_percentiles(self._stream([]), (50, 99)) == []
+
+    def test_a_ring_yields_its_window_only(self):
+        clock = ManualClock()
+        ring = FlightRecorder(node=1, capacity=8, clock=clock)
+        for d in range(20, 0, -1):  # the slow ones first, then overwritten
+            ring.record(EV_DISPATCH, 0, 0, 0, d=d)
+        assert dispatch_percentiles(ring.records, (50, 99)) == [4, 8]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        durations=st.lists(st.integers(0, (1 << 56) - 1), max_size=40),
+        percents=st.lists(st.integers(1, 100), min_size=1, max_size=5),
+    )
+    def test_smallest_duration_that_covers_p_percent(self, durations, percents):
+        got = dispatch_percentiles(self._stream(durations), percents)
+        if not durations:
+            assert got == []
+            return
+        n = len(durations)
+        assert got == [
+            min(d for d in durations
+                if 100 * sum(x <= d for x in durations) >= p * n)
+            for p in percents
+        ]
 
 
 class TestGaps:

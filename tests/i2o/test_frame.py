@@ -19,6 +19,7 @@ from repro.i2o.frame import (
     Frame,
 )
 from repro.i2o.function_codes import PRIVATE, UTIL_NOP
+from repro.i2o.tid import TID_BROADCAST
 
 TARGET_TID = 5
 INITIATOR_TID = 17
@@ -87,6 +88,13 @@ class TestBuild:
             build(target=OUT_OF_RANGE_TID)
         with pytest.raises(FrameFormatError):
             build(initiator=-1)
+        # The broadcast TiD addresses but never originates.
+        with pytest.raises(FrameFormatError):
+            build(initiator=TID_BROADCAST)
+        frame = build()
+        with pytest.raises(FrameFormatError):
+            frame.initiator = TID_BROADCAST
+        assert frame.initiator == INITIATOR_TID
 
     def test_bad_priority_rejected(self):
         with pytest.raises(FrameFormatError):
@@ -132,7 +140,7 @@ class TestWireRoundTrip:
 
     @given(
         target=st.integers(0, 0xFFF),
-        initiator=st.integers(0, 0xFFF),
+        initiator=st.integers(0, TID_BROADCAST - 1),
         function=st.sampled_from([PRIVATE, UTIL_NOP, 0xA0]),
         xfunction=st.integers(0, 0xFFFF),
         priority=st.integers(0, 6),

@@ -36,6 +36,8 @@ GETTERS = (
 )  # in header_fields() order
 
 tids = st.integers(min_value=0, max_value=MAX_TID)
+# the broadcast TiD addresses but never originates
+initiators = st.integers(min_value=0, max_value=TID_BROADCAST - 1)
 flag_sets = st.integers(
     min_value=0, max_value=FLAG_REPLY | FLAG_FAIL | FLAG_MORE | FLAG_LAST
 )
@@ -53,7 +55,7 @@ REMOTE_TID = 40  # the sending device's TiD on its own node
 def headers():
     return st.fixed_dictionaries({
         "target": tids,
-        "initiator": tids,
+        "initiator": initiators,
         "function": st.integers(min_value=0, max_value=0xFF),
         "payload_size": st.integers(min_value=0, max_value=PAYLOAD_ROOM),
         "priority": priorities,
@@ -69,7 +71,7 @@ setter_calls = st.one_of(
     st.tuples(st.just("flags"), flag_sets),
     st.tuples(st.just("priority"), priorities),
     st.tuples(st.just("target"), tids),
-    st.tuples(st.just("initiator"), tids),
+    st.tuples(st.just("initiator"), initiators),
     st.tuples(st.just("initiator_context"), contexts),
     st.tuples(st.just("transaction_context"), contexts),
     st.tuples(st.just("set_header"), headers()),

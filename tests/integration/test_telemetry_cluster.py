@@ -147,12 +147,14 @@ class TestClusterSnapshots:
         for metrics in collector.node_metrics.values():
             assert metrics["exe_dispatched_total"] > 0
             assert metrics["pool_blocks_in_flight"] >= 0
-            assert metrics["exe_dispatch_ns_count"] > 0  # metrics_timing
+            # every node's recorder timed its dispatches
+            assert 0 < metrics["exe_dispatch_ns_p50"] <= metrics["exe_dispatch_ns_p99"]
 
         text = collector.render_prometheus()
         for node in range(4):
             assert f'repro_exe_dispatched_total{{node="{node}"}}' in text
-        assert 'repro_exe_dispatch_ns_bucket{node="0",le="+Inf"}' in text
+        p99 = collector.node_metrics[0]["exe_dispatch_ns_p99"]
+        assert f'repro_exe_dispatch_ns_p99{{node="0"}} {p99}' in text
 
         doc = json.loads(collector.render_json())
         assert set(doc["nodes"]) == {"0", "1", "2", "3"}

@@ -26,9 +26,9 @@ from repro.core.device import RETAIN, Listener
 from repro.core.executive import Executive
 from repro.i2o.errors import FrameFormatError
 from repro.i2o.frame import _HEADER, Frame, SharedFrame
-from repro.i2o.tid import TID_BROADCAST
+from repro.i2o.tid import EXECUTIVE_TID, TID_BROADCAST
 from repro.mem.block import PoolBlock
-from repro.mem.pool import BufferPool
+from repro.mem.pool import BufferPool, TableAllocator
 from repro.transports import base
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
@@ -281,3 +281,46 @@ def test_a_forwarded_broadcast_delivery_crosses_with_coherent_slots(kind):
     for exe in exes:
         exe.pool.check_conservation()
         assert exe.pool.in_flight == 0
+
+
+class _LoanedAgainOnRelease(PoolBlock):
+    """A block whose owner loans it out again the moment it recycles,
+    before the releasing call returns: what the owner's own thread may
+    do while a peer's thread frees the block it was handed."""
+
+    __slots__ = ()
+    reloan = None
+
+    def release(self) -> bool:
+        recycled = super().release()
+        if recycled and _LoanedAgainOnRelease.reloan is not None:
+            _LoanedAgainOnRelease.reloan()
+        return recycled
+
+
+class _ReloaningAllocator(TableAllocator):
+    def _make_block(self, memory, *, index, size_class):
+        return _LoanedAgainOnRelease(memory, index=index,
+                                     size_class=size_class, owner=self)
+
+
+def test_a_free_leaves_the_next_loan_of_its_block_intact(monkeypatch):
+    """``frame_free`` lets go of the frame before the block: a free
+    that clears ``frame.block`` after the release clobbers the next
+    loan's handle, and that frame then crosses as a copy and its block
+    leaks (seen as a rare ``1 blocks leaked`` in the threaded wake-up
+    stress test)."""
+    owner = Executive(node=0, pool=BufferPool(_ReloaningAllocator()))
+    frame = owner.frame_alloc(8, target=EXECUTIVE_TID)
+    loans = []
+    monkeypatch.setattr(_LoanedAgainOnRelease, "reloan", lambda: loans.append(
+        owner.frame_alloc(8, target=EXECUTIVE_TID)))
+    Executive(node=1).frame_free(frame)  # the peer frees it
+    monkeypatch.setattr(_LoanedAgainOnRelease, "reloan", None)
+    (again,) = loans
+    assert again is frame  # the block's own frame, re-headed  # repro: noqa OWN001
+    assert again.block is not None and again.block.refcount == 1
+    owner.frame_free(again)
+    owner.pool.check_conservation()
+    assert owner.pool.in_flight == 0
+

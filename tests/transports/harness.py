@@ -169,11 +169,12 @@ class TransportHarness:
         self._cleanup()
         for exe in self.exes.values():
             exe.pool.check_conservation()
+            # Canary scan + leak tracebacks; no-op unless REPRO_SANITIZE=1.
+            # First, so a leak names the site that allocated the block.
+            assert_clean(exe.pool)
             assert exe.pool.in_flight == 0, (
                 f"{self.name}: {exe.pool.in_flight} blocks leaked"
             )
-            # Canary scan + leak tracebacks; no-op unless REPRO_SANITIZE=1.
-            assert_clean(exe.pool)
 
 
 def _stepped(exes: dict[int, Executive], budget: int = 50_000):
