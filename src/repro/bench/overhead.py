@@ -58,9 +58,11 @@ _NEVER_TRIPS_NS = 10**12
 
 
 class _FloorExecutive(Executive):
-    """The dispatch path exactly as it was before observability landed:
-    no stamp guard on send, no recorder guard on enqueue, no timing
-    branch around dispatch."""
+    """The dispatch path without two observability guards: no stamp
+    guard on send, no recorder guard on a routed enqueue.  It inherits
+    ``step`` and ``_dispatch_one``, so the intake's one recorder test
+    per pass and the ``if observers`` tests around each dispatch (all
+    false with nothing attached) are in the floor as well."""
 
     def _enqueue(self, frame: Frame) -> None:
         self.scheduler.push(frame)

@@ -218,17 +218,9 @@ class Listener:
         post.  A fill that raises frees the frame.
         Positional on purpose: this runs once per message."""
         exe = self._require_live()
-        frame = exe.frame_alloc(
-            size,
-            target=target,
-            initiator=self.tid,
-            function=function,
-            xfunction=xfunction,
-            priority=priority,
-            flags=flags,
-            organization=organization,
-            initiator_context=initiator_context,
-            transaction_context=transaction_context,
+        frame = exe.frame_loan(
+            flags, priority, function, target, self.tid, size,
+            organization, xfunction, initiator_context, transaction_context,
         )
         if size:
             try:

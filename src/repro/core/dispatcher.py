@@ -96,9 +96,9 @@ class DispatchTable:
         """Demultiplex a frame to its functor (whitebox stage
         ``demultiplex``): the one bound to exactly the frame's key,
         else the default."""
-        function = frame.function
+        function = frame._function  # the decoded slots, read directly
         functor = self._table.get(
-            (function, frame.xfunction if function == PRIVATE else 0)
+            (function, frame._xfunction if function == PRIVATE else 0)
         )
         if functor is not None:
             return functor

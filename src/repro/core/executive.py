@@ -296,9 +296,26 @@ class Executive:
 
         The payload size is declared in the header; content is written
         by the caller directly into ``frame.payload`` (zero-copy
-        buffer loaning).  The API door: the arguments are checked once,
-        before the loan, so a refusal holds no block.  The frame is the
-        block's own, re-headed in one pack: no Python object is built.
+        buffer loaning).  The API door for device code, by keyword;
+        :meth:`frame_loan` is the same loan taking the fields in header
+        order, for the per-message paths.
+        """
+        return self.frame_loan(
+            flags, priority, function, target, initiator, payload_size,
+            organization, xfunction, initiator_context, transaction_context,
+        )
+
+    def frame_loan(
+        self, flags: int, priority: int, function: int, target: Tid,
+        initiator: Tid, payload_size: int, organization: int,
+        xfunction: int, initiator_context: int, transaction_context: int,
+    ) -> Frame:
+        """:meth:`frame_alloc` positionally, in the order of the header
+        (``frame.header_fields()[1:]``): what ``Listener._post`` calls
+        once per message, where ten keywords are a measurable share of
+        the cost.  The arguments are checked once, before the loan, so
+        a refusal holds no block.  The frame is the block's own,
+        re-headed in one pack: no Python object is built.
         """
         check_header(target, initiator, function, payload_size, priority, flags)
         size = HEADER_SIZE + payload_size
@@ -400,20 +417,36 @@ class Executive:
         for pt in self._pollable:
             if pt.poll():
                 worked = True
-        if self._route_outbound():
+        # One drain loop: route every outbound frame, take in every
+        # inbound one, then dispatch one frame while budget remains and
+        # drain again — a dispatch may have generated sends, and
+        # request/reply chains complete within one call in
+        # single-threaded use.  The deques are this loop's to drain.
+        outbound, inbound = self.msgi._outbound, self.msgi._inbound
+        devices, scheduler = self._devices, self.scheduler
+        budget = self.max_dispatch_per_step
+        while True:
+            if outbound or inbound:
+                worked = True
+                while outbound:
+                    self._route(outbound.popleft())
+                # One enqueue mark per pass, not per frame: the frames
+                # one pass takes in enter the scheduler together.
+                mark = (self.clock.now_ns() if inbound
+                        and self.flightrec is not None else None)
+                while inbound:
+                    frame = inbound.popleft()
+                    if frame._target in devices:
+                        frame.trace_mark = mark
+                        scheduler.push(frame)
+                    else:
+                        self._dead_letter(
+                            frame, f"inbound for unknown TiD {frame._target}")
+            if not budget or scheduler.empty:
+                return worked
+            budget -= 1
+            self._dispatch_one()
             worked = True
-        if self._intake_inbound():
-            worked = True
-        for _ in range(self.max_dispatch_per_step):
-            if not self._dispatch_one():
-                break
-            worked = True
-            # Dispatching may have generated sends: route them before
-            # the next dispatch so request/reply chains complete within
-            # one call in single-threaded use.
-            self._route_outbound()
-            self._intake_inbound()
-        return worked
 
     def run_until_idle(self, max_steps: int = 1_000_000) -> int:
         """Step until no work remains; returns steps executed.
@@ -562,15 +595,8 @@ class Executive:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _route_outbound(self) -> bool:
-        routed = False
-        while (frame := self.msgi.take_outbound()) is not None:
-            routed = True
-            self._route(frame)
-        return routed
-
     def _route(self, frame: Frame) -> None:
-        target = frame.target
+        target = frame._target  # the decoded slot, read directly
         if target == TID_BROADCAST:
             self._broadcast(frame)
         elif target in self._devices:
@@ -635,16 +661,10 @@ class Executive:
             transaction_context = frame.transaction_context
             self.frame_free(frame)
             try:
-                failure = self.frame_alloc(
-                    0,
-                    target=initiator,
-                    initiator=EXECUTIVE_TID,
-                    function=function,
-                    xfunction=xfunction,
-                    priority=priority,
-                    flags=FLAG_REPLY | FLAG_FAIL,
-                    initiator_context=initiator_context,
-                    transaction_context=transaction_context,
+                failure = self.frame_loan(
+                    FLAG_REPLY | FLAG_FAIL, priority, function, initiator,
+                    EXECUTIVE_TID, 0, 0, xfunction, initiator_context,
+                    transaction_context,
                 )
             except PoolExhausted:
                 logger.warning(
@@ -656,29 +676,19 @@ class Executive:
             return
         self.frame_free(frame)
 
-    def _intake_inbound(self) -> bool:
-        took = False
-        while (frame := self.msgi.take_inbound()) is not None:
-            took = True
-            if frame.target in self._devices:
-                self._enqueue(frame)
-            else:
-                self._dead_letter(frame, f"inbound for unknown TiD {frame.target}")
-        return took
-
     def _enqueue(self, frame: Frame) -> None:
         """Push a frame for dispatch, marking its queue-entry time when
-        a recorder is attached (queue wait rides the ``dispatch`` record)."""
+        a recorder is attached (queue wait rides the ``dispatch`` record);
+        ``step``'s intake marks and pushes inbound frames itself."""
         if self.flightrec is not None:
             frame.trace_mark = self.clock.now_ns()
         self.scheduler.push(frame)
 
-    def _dispatch_one(self) -> bool:
+    def _dispatch_one(self) -> None:
         # Pop, look up, upcall, free (paper figure 4, step 8) — and tell
         # the observers: one begin before, one end after, on every exit.
+        # ``step`` calls it only while the scheduler holds a frame.
         frame = self.scheduler.pop()
-        if frame is None:
-            return False
         observers = self.observers
         if observers:
             # Snapshot before the upcall: the handler may free the frame.
@@ -686,16 +696,17 @@ class Executive:
             for observer in observers:
                 observer.dispatch_begin(rec)
         outcome = OUTCOME_ABORTED  # until an exit below says otherwise
+        released = False
         outer = self._dispatching  # not None while a handler pumps
         try:
             try:
-                device = self._devices.get(frame.target)
+                device = self._devices.get(frame._target)
                 if device is None:
                     # Device vanished between queueing and dispatch.
                     self.frame_free(frame)
                     self.dropped += 1
                     outcome = OUTCOME_VANISHED
-                    return True
+                    return
                 handler = device.table.lookup(frame).prepare(frame)
                 self._dispatching = frame
                 if self.watchdog is not None:
@@ -722,14 +733,21 @@ class Executive:
                 raise
             self._dispatching = outer
             self.dispatched += 1
-            if result is not RETAIN:
-                self.frame_free(frame)
+            block = frame.block
+            if result is not RETAIN and block is not None:
+                # frame_free's body without its release record: this
+                # release rides the dispatch record (``rec.released``).
+                # A handler that freed the frame itself left ``block``
+                # None; a RETAINed frame is freed later, with a record.
+                frame.block = None
+                block.release()
+                released = True
         finally:
             if observers:
-                rec.end_ns, rec.outcome = self.clock.now_ns(), outcome
+                rec.end_ns, rec.outcome, rec.released = (
+                    self.clock.now_ns(), outcome, released)
                 for observer in observers:
                     observer.dispatch_end(rec)
-        return True
 
     def _handler_failed(self, frame: Frame, exc: Exception) -> None:
         """Count and log a handler exception; the initiator of a

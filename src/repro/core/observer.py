@@ -29,7 +29,7 @@ class DispatchRecord:
 
     __slots__ = (
         "node", "target", "function", "xfunction", "context",
-        "enqueued_ns", "start_ns", "end_ns", "outcome",
+        "enqueued_ns", "start_ns", "end_ns", "outcome", "released",
     )
 
     def __init__(self, node: int, frame: "Frame", start_ns: int) -> None:
@@ -47,6 +47,9 @@ class DispatchRecord:
         self.start_ns = start_ns
         self.end_ns = start_ns
         self.outcome = OUTCOME_OK
+        #: set with ``outcome``: the loop released the frame at the end
+        #: of the dispatch, a frameFree no other fact records
+        self.released = False
 
 
 class DispatchObserver:
@@ -67,4 +70,5 @@ class DispatchObserver:
         """A frame left the scheduler; its handler runs next."""
 
     def dispatch_end(self, rec: DispatchRecord) -> None:
-        """The dispatch is over; ``rec.end_ns``/``rec.outcome`` are set."""
+        """The dispatch is over; ``rec.end_ns``/``rec.outcome`` and
+        ``rec.released`` are set."""

@@ -95,9 +95,10 @@ class MessagingInstance:
         self.wake()
 
     # -- draining -----------------------------------------------------------
-    # Test before popping: most takes miss (the loop drains after every
-    # dispatch), and a raised-and-caught ``IndexError`` costs ten times
-    # the truthiness test.  Safe because this is the queues' one consumer.
+    # Test before popping: a raised-and-caught ``IndexError`` costs ten
+    # times the truthiness test.  Safe because this is the queues' one
+    # consumer.  ``Executive.step`` drains the deques inline instead;
+    # these serve ``hard_stop`` and callers outside the loop.
     def take_inbound(self) -> Frame | None:
         return self._inbound.popleft() if self._inbound else None
 

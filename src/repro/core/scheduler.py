@@ -45,11 +45,12 @@ class PriorityScheduler:
         return self._depth == 0
 
     def push(self, frame: Frame) -> None:
-        priority = frame.priority
+        # The decoded header slots, read directly (once per message).
+        priority = frame._priority
         if not 0 <= priority < NUM_PRIORITIES:
             raise I2OError(f"frame priority {priority} out of range")
         ring, queues = self._levels[priority]
-        target = frame.target
+        target = frame._target
         queue = queues.get(target)
         if queue is None:
             queue = queues[target] = deque()

@@ -39,8 +39,11 @@ class CostLedger(DispatchObserver):
     unchanged — shared sites, separate storage (the ring also keeps
     stamping trace ids through :meth:`stamp`).  ``note_alloc`` and
     ``note_release`` are the executive's frameAlloc/frameFree and are
-    charged; a release a transport writes with a bare :meth:`record`
-    (GM's send-completion callback) costs the node's CPU nothing.
+    charged, and so is the dispatch loop's own frameFree, which the
+    dispatch record carries (``rec.released``) instead of a
+    ``note_release``; a release a transport writes with a bare
+    :meth:`record` (GM's send-completion callback) costs the node's CPU
+    nothing.
 
     :attr:`samples` are *inclusive*, like rdtsc probe pairs around
     nested code: PT processing contains the receive allocation, the
@@ -84,6 +87,10 @@ class CostLedger(DispatchObserver):
 
     def dispatch_end(self, rec: DispatchRecord) -> None:
         cost = self.model.cost
+        if rec.released:
+            # The loop's frameFree of the dispatched frame, charged from
+            # the dispatch record that carries it (no ``note_release``).
+            self._charge_free()
         self.charge("demultiplex", cost("demultiplex"))
         if rec.outcome != OUTCOME_VANISHED:
             self.charge("upcall", cost("upcall"))
@@ -109,11 +116,14 @@ class CostLedger(DispatchObserver):
             self.ring.note_alloc(size, in_flight)
 
     def note_release(self, context: int) -> None:
+        self._charge_free()
+        if self.ring is not None:
+            self.ring.note_release(context)
+
+    def _charge_free(self) -> None:
         cost = self.model.cost("frame_free")
         self._free_ns += cost
         self.charge("frame_free", cost)
-        if self.ring is not None:
-            self.ring.note_release(context)
 
     def stamp(self, frame: "Frame") -> None:
         # Trace ids cost the modelled CPU nothing; the ring stamps them.

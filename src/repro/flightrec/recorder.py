@@ -45,6 +45,8 @@ from typing import TYPE_CHECKING
 from repro.core.observer import OUTCOME_HANDLER_ERROR, DispatchObserver, DispatchRecord
 from repro.core.tracing import is_trace_context, make_trace_id
 from repro.flightrec.records import (
+    DISPATCH_RELEASED,
+    DISPATCH_WAIT_MASK,
     EV_DISPATCH,
     EV_DISPATCH_ERROR,
     EV_FRAME_ALLOC,
@@ -99,7 +101,9 @@ class FlightRecorder(DispatchObserver):
 
     A dispatch observer: ``exe.attach(FlightRecorder(...))`` writes one
     ``dispatch`` record per dispatch (its duration is what the
-    collector's ``exe_dispatch_ns_p50``/``_p99`` are taken over) and
+    collector's ``exe_dispatch_ns_p50``/``_p99`` are taken over; it
+    also records the loop's release of the frame, which writes no
+    ``frame-release`` of its own) and
     sets ``exe.flightrec``, which the fabric's other record sites read —
     ``frame_send`` among them, to :meth:`stamp` trace ids.  The ring
     is the only per-node store of frame-lifecycle facts: spans,
@@ -312,8 +316,9 @@ class FlightRecorder(DispatchObserver):
         self._active = rec.context
 
     # One record per dispatch, written when it is over: start time,
-    # queue wait and duration ride together, so the ring pays one pack
-    # per dispatch and is the only store of its duration.
+    # queue wait, duration and the loop's release of the frame ride
+    # together, so the ring pays one pack per dispatched frame and is
+    # the only store of its duration.
     # The header inlines pack3(target, function, xfunction): the fields
     # come from a validated header, already in range, and this is the
     # recorder's hottest path (X9).
@@ -323,6 +328,8 @@ class FlightRecorder(DispatchObserver):
         duration = rec.end_ns - start
         enqueued = rec.enqueued_ns
         wait = start - enqueued if enqueued is not None else 0
+        if rec.released:  # a negative wait fails the pack: see below
+            wait |= DISPATCH_RELEASED
         hdr = (rec.target << 32) | (rec.function << 16) | rec.xfunction
         failed = rec.outcome == OUTCOME_HANDLER_ERROR
         if failed:
@@ -334,8 +341,12 @@ class FlightRecorder(DispatchObserver):
                        seq, start, rec.context, hdr, wait,
                        EV_DISPATCH | duration << 8)
         except struct.error:
+            # A negative wait (a manual clock) wraps without reading
+            # as released.
             self._seq = seq
-            self.record(EV_DISPATCH, rec.context, hdr, wait, start, duration)
+            self.record(EV_DISPATCH, rec.context, hdr, wait & DISPATCH_WAIT_MASK
+                        | (DISPATCH_RELEASED if rec.released else 0),
+                        start, duration)
         if failed:
             self._incident("dispatch-exception")
         if duration > self._slow_over_ns:

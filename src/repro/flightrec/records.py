@@ -92,6 +92,13 @@ KIND_NAMES: dict[int, str] = {
     EV_DATAFLOW_PARK_OVERFLOW: "dataflow-park-overflow",
 }
 
+#: EV_DISPATCH: the top bit of ``c`` (above any queue wait) says the
+#: loop released the dispatched frame at the end of its dispatch — a
+#: frameFree that writes no ``frame-release`` record of its own
+DISPATCH_RELEASED = 1 << 63
+#: EV_DISPATCH: the queue wait in ``c``, without the release bit
+DISPATCH_WAIT_MASK = DISPATCH_RELEASED - 1
+
 #: EV_LIVENESS state codes (b argument)
 LIVE_ALIVE = 0
 LIVE_SUSPECT = 1
@@ -188,7 +195,10 @@ def _seq_only(a: int, b: int, c: int, d: int) -> str:
 #: kind -> what its (a, b, c, d) arguments are, as their renderer.
 #: Kinds absent here (``hard-stop``) carry no arguments.
 ARGUMENTS = {
-    EV_DISPATCH: lambda a, b, c, d: f"ctx={a:#x} {_hdr(b)} waited={c}ns took={d}ns",
+    EV_DISPATCH: lambda a, b, c, d: (
+        f"ctx={a:#x} {_hdr(b)} waited={c & DISPATCH_WAIT_MASK}ns took={d}ns"
+        + (" released" if c & DISPATCH_RELEASED else "")
+    ),
     EV_DISPATCH_ERROR: lambda a, b, c, d: f"ctx={a:#x} {_hdr(b)}",
     EV_SLOW_FRAME: lambda a, b, c, d: f"ctx={a:#x} {_hdr(b)} took={c}ns",
     EV_FRAME_ALLOC: lambda a, b, c, d: f"size={a} in_flight={b}",

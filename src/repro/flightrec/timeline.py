@@ -7,8 +7,9 @@ collector's mirror of one.  :func:`project_hops` turns one node's
 ``dispatch`` records into the per-hop facts the telemetry agent
 exports and the critical-path analyzer decomposes;
 :func:`dispatch_percentiles` reads the same records' durations for
-the console's P50/P99.  :class:`MergedTimeline` joins sources on the two
-identifiers that already cross the wire:
+the console's P50/P99, and :func:`frame_releases` counts releases in
+both forms they are recorded in.  :class:`MergedTimeline` joins
+sources on the two identifiers that already cross the wire:
 
 * **trace ids** — the 0xACE-tagged ``transaction_context``: a
   ``frame-transmit`` on node A and a ``dispatch`` on node B
@@ -32,9 +33,12 @@ from typing import Any
 
 from repro.core.tracing import is_trace_context
 from repro.flightrec.records import (
+    DISPATCH_RELEASED,
+    DISPATCH_WAIT_MASK,
     EV_DISPATCH,
     EV_DISPATCH_ERROR,
     EV_FRAME_INGEST,
+    EV_FRAME_RELEASE,
     EV_FRAME_TRANSMIT,
     EV_JOURNAL_COMMIT,
     EV_REL_ACK,
@@ -44,6 +48,7 @@ from repro.flightrec.records import (
     FlightRecord,
     unpack3,
 )
+from repro.i2o.function_codes import PRIVATE
 
 #: record kinds whose ``a`` argument is a frame ``transaction_context``
 _CTX_KINDS = frozenset((
@@ -93,21 +98,38 @@ def project_hops(node: int, records: Iterable[FlightRecord]) -> list[Hop]:
     """
     return [
         Hop(record.a, record.seq, node, *unpack3(record.b),
-            record.t_ns, record.c, record.d)
+            record.t_ns, record.c & DISPATCH_WAIT_MASK, record.d)
         for record in records
         if record.kind == EV_DISPATCH and is_trace_context(record.a)
     ]
 
 
+def frame_releases(records: Iterable[FlightRecord]) -> int:
+    """How many frame releases one node's record stream holds: its
+    ``frame-release`` records plus the ``dispatch`` records that carry
+    the loop's release of the frame they dispatched."""
+    return sum(
+        1 for r in records
+        if r.kind == EV_FRAME_RELEASE
+        or (r.kind == EV_DISPATCH and r.c & DISPATCH_RELEASED)
+    )
+
+
 def dispatch_percentiles(
     records: Iterable[FlightRecord], percents: Iterable[int]
 ) -> list[int]:
-    """The nearest-rank percentiles (1..100) of the durations of every
-    ``dispatch`` record in one node's record stream: exact durations,
-    taken over the records the stream holds (a ring's newest
-    ``capacity``), not over every dispatch since attach.  Empty when
-    the stream holds no dispatch."""
-    durations = sorted(r.d for r in records if r.kind == EV_DISPATCH)
+    """The nearest-rank percentiles (1..100) of the durations of the
+    ``PRIVATE`` ``dispatch`` records in one node's record stream: exact
+    durations, taken over the records the stream holds (a ring's newest
+    ``capacity``), not over every dispatch since attach.  Management
+    dispatches (executive and utility frames: the telemetry sweep's
+    own requests and replies among them) are left out, as they root no
+    trace, so the console does not read its own observer.  Empty when
+    the stream holds no such dispatch."""
+    durations = sorted(
+        r.d for r in records
+        if r.kind == EV_DISPATCH and (r.b >> 16) & 0xFFFF == PRIVATE
+    )
     n = len(durations)
     return [durations[-(-p * n // 100) - 1] for p in percents] if n else []
 

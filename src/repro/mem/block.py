@@ -95,7 +95,9 @@ class PoolBlock:
     def release(self) -> bool:
         """Drop one reference; recycles the block (and returns True)
         when the count reaches zero."""
-        with self._owner.lock:
+        lock = self._owner.lock
+        lock.acquire()  # explicitly, as ``Allocator.alloc`` holds it
+        try:
             if self._refcount <= 0:
                 raise BlockStateError(
                     f"release of free block {self.index} (double free?)"
@@ -105,6 +107,8 @@ class PoolBlock:
                 self._owner._recycle(self)
                 return True
             return False
+        finally:
+            lock.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

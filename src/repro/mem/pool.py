@@ -92,7 +92,11 @@ class Allocator(ABC):
                 f"allocation {size} exceeds the 256 KB block maximum; "
                 "chain blocks via an SGL instead"
             )
-        with self.lock:
+        # Held explicitly, not by ``with``: on this hot path the context
+        # manager's enter/exit calls cost more than the critical section.
+        lock = self.lock
+        lock.acquire()
+        try:
             try:
                 block = self._acquire(size)
             except PoolExhausted:
@@ -106,10 +110,13 @@ class Allocator(ABC):
             block.requested = size
             self._in_flight += 1
             self._frag_bytes += block.capacity - size
-            self.stats.allocs += 1
-            if self._in_flight > self.stats.high_watermark:
-                self.stats.high_watermark = self._in_flight
+            stats = self.stats
+            stats.allocs += 1
+            if self._in_flight > stats.high_watermark:
+                stats.high_watermark = self._in_flight
             return block
+        finally:
+            lock.release()
 
     def note_free(self, block: PoolBlock | None = None) -> None:
         """Bookkeeping hook invoked from ``_recycle`` implementations."""

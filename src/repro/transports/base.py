@@ -198,7 +198,7 @@ class PeerTransport(Listener):
                 pack3(src_node, int(frame.target), frame.xfunction),
                 frame.total_size,
             )
-        exe.post_inbound(frame)
+        exe.msgi.post_inbound(frame)  # what ``exe.post_inbound`` does
         return frame
 
     # -- intra-process staging helpers ----------------------------------------
@@ -214,8 +214,8 @@ class PeerTransport(Listener):
         size = frame.total_size
         block = frame.block
         if block is not None:
-            if frame is not block.frame:  # a broadcast delivery keeps its
-                block.frame.validate()  # own slots: resync what peers adopt
+            # The block's own frame: a broadcast delivery crosses as a
+            # copy (``PeerTransportAgent.forward``).
             frame.block = None  # ownership moves with the staged item
             return (exe.node, block, size)
         self.tx_copies += 1

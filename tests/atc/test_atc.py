@@ -17,7 +17,12 @@ from repro.atc.radar import RadarSource
 
 from repro.dataflow.wiring import wire_dataflow
 
-from tests.conftest import assert_no_leaks, make_loopback_cluster, pump
+from tests.conftest import (
+    assert_no_leaks,
+    drain_queues,
+    make_loopback_cluster,
+    pump,
+)
 
 
 def build_sector(*, n_aircraft=4, n_radars=2, conflict_pair=False, seed=0):
@@ -141,7 +146,7 @@ class TestRealTimePath:
         cluster[0].run_until_idle()
         pt = cluster[1].pta.transport("loopback")
         pt.poll()
-        cluster[1]._intake_inbound()
+        drain_queues(cluster[1])
         assert len(cluster[1].scheduler) == 51
         # Now dispatch: the alert must come out first.
         pump(cluster)

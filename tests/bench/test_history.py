@@ -157,3 +157,43 @@ def test_bench_46_records_the_trusted_hop():
     for side in ("parent", "change"):
         assert set(record["a1_native_ns"][side]) == {
             "Executive.frame_alloc+frame_free", "TableAllocator alloc+release"}
+
+
+def test_bench_48_records_the_dispatch_half_at_its_floor():
+    """The drain loop, the explicit pool lock, the positional loan and
+    the folded release, pinned as recorded: the round trip fell on at
+    least nine pairs in ten at both seeds, by more than the parent's own
+    spread, with the work per round trip unchanged and one ring record
+    fewer per recorded message."""
+    record = json.loads(
+        (ROOT / "benchmarks" / "history" / "BENCH_48.json").read_text("utf-8")
+    )
+    claimed = record["claimed"]
+    assert (claimed["workload"], claimed["metric"]) == (
+        "pingpong_queued", "rtt_us_p50"
+    )
+    assert claimed["wins"] * 10 >= 9 * record["pairs"]
+    assert record["seed2"]["wins"] * 10 >= 9 * record["seed2"]["pairs"]
+    before = record["sides"]["parent"]["workloads"]["pingpong_queued"]["rtt_us_p50"]
+    after = record["sides"]["change"]["workloads"]["pingpong_queued"]["rtt_us_p50"]
+    assert before["median"] - after["median"] > before["q3"] - before["q1"]
+    target = record["claim_target"]  # stated against the medians above
+    pct = round(100 * (after["median"] / before["median"] - 1), 1)
+    assert target["seed1_change_pct"] == pct
+    assert target["met"] is (pct <= -15 and target["seed2_change_pct"] <= -15)
+    per = record["pairs_per_workload"]
+    assert per["tcp_pingpong"] >= 7
+    assert min(per.values()) >= 3
+    for side in record["sides"].values():
+        assert all(w["failed_ops"] == 0 for w in side["workloads"].values())
+    counts = record["exact_counts"]
+    for side in (counts["pingpong_queued --trace 1, both sides"],
+                 counts["parent_traced"]):
+        assert side["mem.pool.allocs_per_op"] == 2.0
+        assert side["core.executive.dispatched_per_op"] == 2.0
+    ring = counts["ring_records_per_recorded_message"]
+    assert ring["change"] == ring["parent"] - 1
+    for side in ("parent", "change"):
+        assert {"Executive.frame_alloc+frame_free",
+                "TableAllocator alloc+release"} <= set(record["a1_native_ns"][side])
+    assert all(run["gate_passed"] for run in record["x6_overhead"]["change"])

@@ -103,6 +103,16 @@ def pump(cluster: dict[int, Executive], max_rounds: int = 100_000) -> int:
     raise AssertionError("cluster did not go idle")
 
 
+def drain_queues(exe: Executive) -> None:
+    """Route every outbound frame and take in every inbound one without
+    dispatching any: one ``step()`` with no dispatch budget."""
+    budget, exe.max_dispatch_per_step = exe.max_dispatch_per_step, 0
+    try:
+        exe.step()
+    finally:
+        exe.max_dispatch_per_step = budget
+
+
 def assert_no_leaks(cluster: dict[int, Executive]) -> None:
     from repro.analysis.sanitize import assert_clean
 

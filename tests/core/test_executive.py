@@ -31,6 +31,7 @@ from repro.transports.base import PeerTransport
 from tests.conftest import (
     all_parked,
     assert_no_leaks,
+    drain_queues,
     make_loopback_cluster,
     pump,
     record_loop,
@@ -91,7 +92,7 @@ class TestInstallation:
         a, b = Sink("a"), Sink("b")
         ta, tb = exe.install(a), exe.install(b)
         a.send(tb, b"queued", xfunction=0x01)
-        exe._route_outbound()  # frame now queued for b
+        drain_queues(exe)  # frame now queued for b
         exe.uninstall(tb)
         exe.run_until_idle()
         assert b.got == []

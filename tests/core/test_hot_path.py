@@ -8,9 +8,9 @@ workload below runs under ``sys.settrace`` and counts ``exception``
 events in frames whose code lives in the ``repro`` package; the count
 must be zero.
 
-The mutant this must catch: restoring ``try: return
-self._inbound.popleft() except IndexError: return None`` in
-``MessagingInstance.take_inbound`` fails every case here.
+The mutant this must catch: draining the inbound deque in
+``Executive.step`` with ``try: popleft() except IndexError: break``
+fails every case here.
 """
 
 from __future__ import annotations

@@ -22,6 +22,8 @@ from repro.core.watchdog import HandlerWatchdog
 from repro.flightrec.recorder import FlightRecorder
 from repro.i2o.errors import I2OError
 
+from tests.conftest import drain_queues
+
 XFN = 0x1
 
 
@@ -75,7 +77,7 @@ class TestEveryExitIsBalanced:
         if vanish:
             # Between queueing and dispatch: the frame is already in
             # the scheduler when its device goes away.
-            exe._route_outbound()
+            drain_queues(exe)
             del exe._devices[tid]
         if outcome == OUTCOME_ABORTED:
             with pytest.raises(_Crash):
@@ -191,8 +193,7 @@ class TestSeamSemantics:
             FunctionalListener(name="sink", handlers={XFN: lambda f: None})
         )
         exe.post_inbound(exe.frame_alloc(0, target=tid, xfunction=XFN))
-        exe._intake_inbound()
-        assert exe._dispatch_one() is True
+        assert exe.step() and exe.dispatched == 1
         assert clock.reads == 0
         assert log == []
 

@@ -19,9 +19,10 @@ from repro.flightrec.records import (
     EV_TIMER_FIRE,
     FlightRecord,
     decode_records,
+    unpack3,
 )
 from repro.i2o.errors import I2OError
-from repro.i2o.function_codes import UTIL_PARAMS_GET
+from repro.i2o.function_codes import PRIVATE, UTIL_PARAMS_GET
 
 from tests.conftest import ManualClock, make_loopback_cluster, pump
 from tests.transports.harness import Caller, Echo
@@ -253,16 +254,18 @@ class TestRendering:
 
 
 class TestDispatchLatency:
-    """P50/P99 are exact nearest-rank percentiles of the durations in a
-    node's mirrored ring, derived by the collector: nothing new crosses
-    the wire, and every reader sees the same two keys."""
+    """P50/P99 are exact nearest-rank percentiles of the durations of
+    the ``PRIVATE`` dispatches in a node's mirrored ring, derived by the
+    collector: nothing new crosses the wire, every reader sees the same
+    two keys, and the sweep's own management dispatches are left out."""
 
     KEYS = ("exe_dispatch_ns_p50", "exe_dispatch_ns_p99")
 
     @staticmethod
     def _expected(records):
         """Nearest rank, computed here: the ceil(p/100 * n)-th smallest."""
-        taken = sorted(r.d for r in records if r.kind == EV_DISPATCH)
+        taken = sorted(r.d for r in records
+                       if r.kind == EV_DISPATCH and unpack3(r.b)[1] == PRIVATE)
         return {
             f"exe_dispatch_ns_p{p}": taken[math.ceil(p / 100 * len(taken)) - 1]
             for p in (50, 99)
@@ -303,10 +306,51 @@ class TestDispatchLatency:
         assert set(expected.values()) <= set(range(1_000, 20_001, 1_000))
         assert expected["exe_dispatch_ns_p99"] < 20_000
 
+    def test_a_slow_management_dispatch_is_not_in_the_p99(self):
+        """The agent's ``UtilParamsGet`` roots no trace and is left out:
+        a sweep that is slow to answer does not become the P99."""
+        cluster, collector, agents = _telemetry_cluster(2)
+        clock = ManualClock()
+        worker = cluster[1]
+        worker.clock = worker.flightrec.clock = clock
+
+        def work(frame):
+            clock.t += 1_000
+
+        tid = worker.install(FunctionalListener(name="work", handlers={0x1: work}))
+        sender = Listener("sender")
+        worker.install(sender)
+        for _ in range(5):
+            sender.send(tid, b"", xfunction=0x1)
+            pump(cluster)
+        export = agents[1].local_snapshot
+
+        def slow(since=0):
+            clock.t += 5_000_000  # an export that takes 5 ms to build
+            return export(since)
+
+        agents[1].local_snapshot = slow
+        for _ in range(2):  # the second sweep brings the first one's record
+            collector.sweep()
+            pump(cluster)
+        assert any(r.kind == EV_DISPATCH and r.d >= 5_000_000
+                   for r in collector.watched[1].records)
+        metrics = collector.node_metrics[1]
+        assert {key: metrics[key] for key in self.KEYS} == dict.fromkeys(
+            self.KEYS, 1_000)
+
     def test_every_reader_sees_the_same_values(self, tmp_path, capsys):
         cluster = make_loopback_cluster(3)
         for node in (0, 1):  # node 2 has no recorder
             cluster[node].attach(FlightRecorder(capacity=512))
+        # Application traffic: a request dispatched on node 1, its reply
+        # on node 0 (the sweep's own dispatches are not counted).
+        echo, caller = Echo(), Caller()
+        cluster[1].install(echo)
+        cluster[0].install(caller)
+        caller.send(cluster[0].routes.create_proxy(1, echo.tid), b"x",
+                    xfunction=0x1)
+        pump(cluster)
         collector = TelemetryCollector(name="collector")
         cluster[0].install(collector)
         for node, exe in cluster.items():

@@ -12,7 +12,7 @@ from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.sim.kernel import Simulator
 
-from tests.conftest import ManualClock
+from tests.conftest import ManualClock, drain_queues
 
 
 class TimerUser(Listener):
@@ -144,7 +144,7 @@ class TestReplug:
         timer_id = dev.start_timer(10, context=5)
         clock.t = 10
         assert exe.timers.poll() == 1
-        exe._intake_inbound()  # fired: its frame waits in the scheduler
+        drain_queues(exe)  # fired: its frame waits in the scheduler
         self._replug(exe, dev)
         exe.run_until_idle()
         assert dev.expiries == [(5, 10)]
@@ -157,7 +157,7 @@ class TestReplug:
         exe.timers.start(owner=dev.tid, delay_ns=100, period_ns=100, context=9)
         clock.t = 100
         exe.timers.poll()
-        exe._intake_inbound()
+        drain_queues(exe)
         self._replug(exe, dev)
         exe.run_until_idle()
         assert dev.expiries == []

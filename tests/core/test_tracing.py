@@ -18,7 +18,7 @@ from repro.flightrec.timeline import project_hops
 from repro.i2o.frame import Frame
 from repro.i2o.tid import EXECUTIVE_TID, PTA_TID
 
-from tests.conftest import ManualClock, make_loopback_cluster, pump
+from tests.conftest import ManualClock, drain_queues, make_loopback_cluster, pump
 
 TARGET_TID = 2
 INITIATOR_TID = 1
@@ -172,7 +172,7 @@ class TestSpans:
         sink = FunctionalListener(name="sink", handlers={0x1: lambda f: None})
         tid = exe.install(sink)
         sink.send(tid, b"x", xfunction=0x1)
-        exe._route_outbound()  # enqueue at t=0
+        drain_queues(exe)  # enqueue at t=0
         clock.t = 5_000
         exe.step()
         (span,) = _hops(exe)
@@ -189,7 +189,7 @@ class TestSpans:
         tid = exe.install(sink)
         for _ in range(3):
             sink.send(tid, b"x", xfunction=0x1)
-        exe._route_outbound()
+        drain_queues(exe)
         assert len(exe.scheduler) == 3
         exe.uninstall(tid)  # drops the queued frames without dispatch
         exe.run_until_idle()

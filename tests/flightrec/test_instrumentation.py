@@ -12,6 +12,7 @@ from repro.core.watchdog import HandlerWatchdog
 from repro.flightrec.dump import load_dump
 from repro.flightrec.recorder import MAX_INCIDENT_SPILLS, FlightRecorder
 from repro.flightrec.records import (
+    DISPATCH_RELEASED,
     EV_DISPATCH,
     EV_DISPATCH_ERROR,
     EV_FRAME_ALLOC,
@@ -37,7 +38,7 @@ from repro.flightrec.records import (
     FlightRecord,
     unpack3,
 )
-from repro.flightrec.timeline import dispatch_percentiles
+from repro.flightrec.timeline import dispatch_percentiles, frame_releases
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import HEADER_SIZE
 from repro.i2o.tid import EXECUTIVE_TID
@@ -104,6 +105,39 @@ class TestDispatchPath:
         assert dispatch_percentiles(exe.flightrec.records, (50, 99)) == [300, 700]
         snapshot = exe.metrics.snapshot()
         assert not [m for m in snapshot if m.startswith("exe_dispatch_ns")]
+
+    def test_the_loops_release_rides_the_dispatch_record(self):
+        # One record per dispatched frame: the loop's frameFree sets the
+        # dispatch record's release bit instead of writing its own
+        # ``frame-release``; a handler's own free and a RETAINed frame's
+        # later free keep theirs.
+        from repro.core.device import RETAIN
+
+        exe = make_recorded_exe()
+        kept = []
+
+        def keep(frame):
+            kept.append(frame)
+            return RETAIN
+
+        tid = exe.install(FunctionalListener(name="sink", handlers={
+            0x1: lambda f: None,
+            0x2: keep,
+            0x3: lambda f: exe.frame_free(f),
+        }))
+        sender = Listener("sender")
+        exe.install(sender)
+        for xfunction in (0x1, 0x2, 0x3):
+            sender.send(tid, b"x", xfunction=xfunction)
+            exe.run_until_idle()
+        released = [bool(r.c & DISPATCH_RELEASED)
+                    for r in records_of(exe.flightrec, EV_DISPATCH)]
+        assert released == [True, False, False]
+        assert len(records_of(exe.flightrec, EV_FRAME_RELEASE)) == 1  # 0x3
+        exe.frame_free(kept.pop())
+        assert len(records_of(exe.flightrec, EV_FRAME_RELEASE)) == 2
+        assert frame_releases(exe.flightrec.records) == 3
+        assert exe.pool.in_flight == 0
 
     def test_frame_alloc_and_release_recorded(self):
         exe = make_recorded_exe()
@@ -374,7 +408,9 @@ class TestWirePath:
         finally:
             harness.finish()
         allocs = sum(len(records_of(r, EV_FRAME_ALLOC)) for r in recorders)
-        releases = sum(len(records_of(r, EV_FRAME_RELEASE)) for r in recorders)
+        # The loop's release of a dispatched frame rides its dispatch
+        # record: count both forms.
+        releases = sum(frame_releases(r.records) for r in recorders)
         assert allocs == releases >= 8
 
 

@@ -9,6 +9,7 @@ from repro.core.tracing import make_trace_id
 from repro.flightrec.dump import load_dump, load_dumps
 from repro.flightrec.recorder import FlightRecorder
 from repro.flightrec.records import (
+    DISPATCH_RELEASED,
     EV_DISPATCH,
     EV_FRAME_RELEASE,
     EV_FRAME_TRANSMIT,
@@ -25,9 +26,11 @@ from repro.flightrec.timeline import (
     Hop,
     MergedTimeline,
     dispatch_percentiles,
+    frame_releases,
     in_flight_sends,
     project_hops,
 )
+from repro.i2o.function_codes import PRIVATE, UTIL_PARAMS_GET
 
 from tests.conftest import ManualClock
 
@@ -178,18 +181,28 @@ class TestHopProjection:
 
 class TestDispatchPercentiles:
     """Dispatch latency is a projection of the same ``dispatch``
-    records: exact nearest-rank percentiles of their durations."""
+    records: exact nearest-rank percentiles of the durations of the
+    ``PRIVATE`` ones."""
 
-    @staticmethod
-    def _stream(durations):
-        """A dispatch record per duration, each followed by records of
-        other kinds that carry a duration-sized argument too."""
+    PRIVATE_HDR = pack3(5, PRIVATE, 0x1)
+
+    @classmethod
+    def _stream(cls, durations):
+        """A ``PRIVATE`` dispatch record per duration — every other one
+        carrying the loop's release — each followed by records of other
+        kinds, and by a management dispatch, that carry a duration-sized
+        argument too."""
         records = []
         for d in durations:
             seq = len(records)
-            records.append(FlightRecord(seq, seq, 0, 0, 0, EV_DISPATCH, d))
+            released = DISPATCH_RELEASED if seq % 2 else 0
+            records.append(FlightRecord(seq, seq, 0, cls.PRIVATE_HDR, released,
+                                        EV_DISPATCH, d))
             records.append(FlightRecord(seq + 1, seq, 0, 0, 10**9, EV_SLOW_FRAME))
             records.append(FlightRecord(seq + 2, seq, 0, 0, 0, EV_REL_SEND, 10**9))
+            records.append(FlightRecord(seq + 3, seq, 0,
+                                        pack3(5, UTIL_PARAMS_GET, 0), 0,
+                                        EV_DISPATCH, 10**9))
         return records
 
     def test_nearest_rank_reads_recorded_durations(self):
@@ -204,7 +217,7 @@ class TestDispatchPercentiles:
         clock = ManualClock()
         ring = FlightRecorder(node=1, capacity=8, clock=clock)
         for d in range(20, 0, -1):  # the slow ones first, then overwritten
-            ring.record(EV_DISPATCH, 0, 0, 0, d=d)
+            ring.record(EV_DISPATCH, 0, self.PRIVATE_HDR, 0, d=d)
         assert dispatch_percentiles(ring.records, (50, 99)) == [4, 8]
 
     @settings(max_examples=80, deadline=None)
@@ -223,6 +236,28 @@ class TestDispatchPercentiles:
                 if 100 * sum(x <= d for x in durations) >= p * n)
             for p in percents
         ]
+
+
+class TestFrameReleases:
+    def test_counts_release_records_and_released_dispatches(self):
+        hdr = pack3(5, PRIVATE, 0x1)
+        records = [
+            FlightRecord(0, 0, 0, 0, 0, EV_FRAME_RELEASE),
+            FlightRecord(1, 0, 0, hdr, 7 | DISPATCH_RELEASED, EV_DISPATCH, 9),
+            FlightRecord(2, 0, 0, hdr, 7, EV_DISPATCH, 9),  # RETAINed
+            FlightRecord(3, 0, 0, 0, DISPATCH_RELEASED, EV_REL_SEND),
+        ]
+        assert frame_releases(records) == 2
+        assert frame_releases([]) == 0
+
+    def test_the_release_bit_is_not_queue_wait(self):
+        trace = make_trace_id(1, 1)
+        hdr = pack3(5, PRIVATE, 0x1)
+        released = FlightRecord(0, 100, trace, hdr, 40 | DISPATCH_RELEASED,
+                                EV_DISPATCH, 60)
+        (hop,) = project_hops(3, [released])
+        assert (hop.queue_wait_ns, hop.dispatch_ns) == (40, 60)
+        assert released.describe().endswith("waited=40ns took=60ns released")
 
 
 class TestGaps:

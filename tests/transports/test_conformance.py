@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.device import RETAIN, Listener
 from repro.core.tracing import is_trace_context, trace_root_node
 from repro.flightrec.timeline import project_hops
 from repro.i2o.frame import MAX_PAYLOAD_SIZE
+from repro.i2o.tid import TID_BROADCAST
 from repro.mem.pool import PoolError
 
-from tests.transports.harness import FACTORIES, Caller, Echo, make_harness
+from tests.transports.harness import FACTORIES, Caller, Echo, Keeper, make_harness
 
 
 @pytest.fixture(params=sorted(FACTORIES))
@@ -36,7 +38,37 @@ def _wire(harness):
     return caller, proxy
 
 
+class Forwarder(Listener):
+    """Retargets the broadcast delivery it is handed and sends it on."""
+
+    def __init__(self, to: int) -> None:
+        super().__init__("forwarder")
+        self.to = to
+
+    def on_plugin(self):
+        self.bind(0x1, self._forward)
+
+    def _forward(self, frame):
+        frame.target = self.to  # a SharedFrame keeps it in its slot
+        self.executive.frame_send(frame)
+        return RETAIN
+
+
 class TestTransportContract:
+    def test_a_forwarded_broadcast_delivery_crosses(self, harness):
+        # A broadcast delivery shares its header bytes with the block's
+        # other deliveries: what crosses must carry its own target, or
+        # the receiver dead-letters it as addressed to TiD 4095.
+        keeper = Keeper()
+        proxy = harness.exes[0].routes.create_proxy(
+            1, harness.exes[1].install(keeper))
+        sender = Caller()
+        harness.exes[0].install(sender)
+        harness.exes[0].install(Forwarder(proxy))
+        sender.send(TID_BROADCAST, b"fan", xfunction=0x1)
+        assert harness.run_until(lambda: keeper.payloads == [b"fan"])
+        assert [exe.dropped for exe in harness.exes.values()] == [0, 0]
+
     def test_round_trip(self, harness):
         caller, proxy = _wire(harness)
         caller.send(proxy, b"payload", xfunction=0x1)
