@@ -2,8 +2,8 @@
 
 Frame ownership is a protocol (DESIGN §5): the caller owns a loaned
 block until ``transmit`` commits, the transport owns it afterwards, and
-broadcast fans out refcounted :class:`~repro.i2o.frame.SharedFrame`
-views that must be released exactly once.  The paper's whole
+every live pool frame is its block's one :class:`~repro.i2o.frame.Frame`,
+released exactly once.  The paper's whole
 fault-tolerance argument (§3.2) rests on the executive owning *all*
 message memory — a misbehaving device must not be able to corrupt the
 system — so violations of the ownership protocol are correctness bugs

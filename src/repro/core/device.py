@@ -176,28 +176,6 @@ class Listener:
             raise I2OError(f"device {self.name!r} is not plugged in")
         return self.executive
 
-    def alloc_frame(
-        self,
-        payload_size: int,
-        *,
-        target: Tid,
-        xfunction: int = 0,
-        function: int = PRIVATE,
-        priority: int = DEFAULT_PRIORITY,
-        flags: int = 0,
-    ) -> Frame:
-        """Allocate a pool-backed frame addressed from this device."""
-        exe = self._require_live()
-        return exe.frame_alloc(
-            payload_size,
-            target=target,
-            initiator=self.tid,
-            function=function,
-            xfunction=xfunction,
-            priority=priority,
-            flags=flags,
-        )
-
     def _post(
         self,
         target: Tid,

@@ -61,7 +61,6 @@ from repro.i2o.frame import (
     HEADER_SIZE,
     NUM_PRIORITIES,
     Frame,
-    SharedFrame,
     check_header,
 )
 from repro.i2o.function_codes import PRIVATE, function_name
@@ -619,23 +618,28 @@ class Executive:
             self._dead_letter(frame, f"unroutable TiD {target}")
 
     def _broadcast(self, frame: Frame) -> None:
-        """Deliver one shared, refcounted frame to every local device
-        except the initiator.
-
-        The paper's buffer loaning applied to fan-out: instead of N
-        alloc+copy clones, every listener gets a :class:`SharedFrame`
-        aliasing the same pool block (one ``addref`` per delivery);
-        the block recycles when the last dispatch — or a RETAINing
-        handler's eventual ``frame_free`` — drops its reference.
-        """
-        block = frame.block
-        view = frame.view
-        for tid in list(self._devices):
-            if tid == frame.initiator:
-                continue
-            if block is not None:
-                block.addref()
-            self._enqueue(SharedFrame(view, block=block, target=tid))
+        """Deliver a copy of the frame to every local device except the
+        initiator, then free it: one loan and one copy per listener, as
+        fan-out ``emit`` does.  A pool that runs dry part way drops the
+        deliveries left (counted in ``dropped``, logged); the exhaustion
+        does not escape ``step``."""
+        flags, priority, function, _, initiator, *rest = frame.header_fields()[1:]
+        payload = frame.payload
+        listeners = [tid for tid in self._devices if tid != initiator]
+        for n, tid in enumerate(listeners):
+            try:
+                delivery = self.frame_loan(
+                    flags, priority, function, tid, initiator, *rest)
+            except PoolExhausted:
+                self.dropped += len(listeners) - n
+                logger.warning(
+                    "node %s: pool exhausted, broadcast %s lost to %d of %d listeners",
+                    self.node, function_name(function), len(listeners) - n,
+                    len(listeners),
+                )
+                break
+            delivery.payload[:] = payload
+            self._enqueue(delivery)
         self.frame_free(frame)
 
     def _dead_letter(self, frame: Frame, reason: str) -> None:

@@ -33,8 +33,7 @@ class DispatchRecord:
     )
 
     def __init__(self, node: int, frame: "Frame", start_ns: int) -> None:
-        # The decoded header slots, read directly: one per dispatch, and
-        # a SharedFrame's per-delivery target lives in the slot too.
+        # The decoded header slots, read directly: one per dispatch.
         self.node = node
         self.target = frame._target
         self.function = frame._function

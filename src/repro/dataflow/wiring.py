@@ -15,7 +15,6 @@ from repro.dataflow.graph import DataflowGraph, node_for_device
 from repro.dataflow.registry import lookup
 from repro.dataflow.routing import (
     DEFAULT_EDGE_CREDITS,
-    DEFAULT_PARK_LIMIT,
     CreditLedger,
     DataflowOutbox,
     Edge,
@@ -44,7 +43,6 @@ def wire_dataflow(
     executives: "Mapping[int, Executive]",
     *,
     edge_credits: int = DEFAULT_EDGE_CREDITS,
-    park_limit: int = DEFAULT_PARK_LIMIT,
     backpressure: bool = True,
 ) -> tuple[DataflowGraph, CreditLedger]:
     """Derive every route table of the cluster ``{node: executive}``.
@@ -95,7 +93,7 @@ def wire_dataflow(
             continue  # re-run: this node is already on the ledger
         node = exe.node
         exe.attach(ledger)
-        outbox = DataflowOutbox(exe, ledger, limit=park_limit)
+        outbox = DataflowOutbox(exe, ledger)
         exe.dataflow_outbox = outbox
         exe._pollable.append(outbox)
         exe.metrics.gauge("dataflow_credits_available",

@@ -439,31 +439,3 @@ class Frame:
             f"xfunc=0x{self.xfunction:04X} size={self.payload_size} "
             f"flags=0x{self.flags:02X}>"
         )
-
-
-class SharedFrame(Frame):
-    """One delivery of a frame whose buffer is shared between deliveries.
-
-    ``Executive._broadcast`` fans a single refcounted pool block out to
-    every local listener.  Each delivery needs its own ``target`` (the
-    scheduler keys its FIFOs by it) but the 32-byte header is shared by
-    all of them, so this is a :class:`Frame` whose ``target`` lives in
-    the slot only: its writes do not reach the shared buffer, and
-    :meth:`validate` keeps it across the re-read."""
-
-    __slots__ = ()
-
-    def __init__(self, buffer: memoryview | bytearray, block: Any = None,
-                 *, target: int) -> None:
-        super().__init__(buffer, block=block)
-        self.target = target
-
-    def put_target(self, tid: int) -> None:
-        self._target = tid
-
-    def validate(self, size: int | None = None) -> "Frame":
-        target = self._target
-        try:
-            return super().validate(size)
-        finally:
-            self._target = target

@@ -307,9 +307,6 @@ class BufferPool:
         """Drop one reference (frameFree); recycles at refcount zero."""
         block.release()
 
-    def addref(self, block: PoolBlock) -> PoolBlock:
-        return block.addref()
-
     @property
     def stats(self) -> PoolStats:
         return self.allocator.stats

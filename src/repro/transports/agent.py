@@ -119,10 +119,6 @@ class PeerTransportAgent(Listener):
         (so the dead-letter path logs and fails the *sender-local*
         address, not the receiver's) and does not count as forwarded.
         """
-        block = frame.block
-        if block is not None and frame is not block.frame:
-            self._forward_delivery(frame, route)
-            return
         pt = self.resolve(route)
         if pt.suspended:
             raise TransportError(
@@ -155,23 +151,3 @@ class PeerTransportAgent(Listener):
         self.forwarded += 1
         if fr is not None:
             fr.record(EV_FRAME_TRANSMIT, *rec_args)
-
-    def _forward_delivery(self, delivery: Frame, route: "Route") -> None:
-        """Forward one broadcast delivery (a ``SharedFrame``).
-
-        Its header bytes are shared with the block's other deliveries
-        and its own target lives in its slot only, so neither may be
-        written through: what crosses is a copy in a block of its own,
-        headed from the delivery's slots, which every transport then
-        hands over or sends as it would any frame.  The delivery is
-        released once the copy is sent; if the send fails it stays with
-        the caller, as it was."""
-        exe = self._require_live()
-        frame = exe.frame_loan(*delivery.header_fields()[1:])
-        frame.payload[:] = delivery.payload
-        try:
-            self.forward(frame, route)
-        except BaseException:
-            exe.frame_free(frame)  # a no-op once the send took the block
-            raise
-        exe.frame_free(delivery)

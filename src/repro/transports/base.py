@@ -214,8 +214,7 @@ class PeerTransport(Listener):
         size = frame.total_size
         block = frame.block
         if block is not None:
-            # The block's own frame: a broadcast delivery crosses as a
-            # copy (``PeerTransportAgent.forward``).
+            # The frame is the block's own: the receiver adopts it.
             frame.block = None  # ownership moves with the staged item
             return (exe.node, block, size)
         self.tx_copies += 1

@@ -1,22 +1,26 @@
-"""Shared-block broadcast: one pool block, many deliveries.
+"""Broadcast: one loan and one copy per listener.
 
-``Executive._broadcast`` no longer clones the frame per listener — it
-fans one refcounted block out as :class:`SharedFrame` deliveries.
-These tests pin the sharing down (one allocation feeds N listeners)
-and property-test the scary part: a RETAINing handler extends the
-shared block's life past its dispatch, and no combination of retaining
-and non-retaining listeners may double-free or leak it.
+``Executive._broadcast`` fans a frame out as fan-out ``emit`` and
+interrupts do: every listener gets a frame of its own, its block's one
+``Frame``, and the original is freed.  These tests pin that down (one
+block per listener), property-test that no combination of retaining
+and non-retaining listeners may double-free or leak, and check that a
+pool running dry part way through the fan-out drops the deliveries
+left, counts them, and keeps the pool whole.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sanitize import SanitizingOriginalAllocator
 from repro.core.device import RETAIN, Listener
 from repro.core.executive import Executive
-from repro.i2o.frame import HEADER_SIZE, Frame, SharedFrame
+from repro.i2o.frame import HEADER_SIZE, Frame
 from repro.i2o.tid import TID_BROADCAST
+from repro.mem.pool import BufferPool, OriginalAllocator
 
 XF = 0x7
 
@@ -54,11 +58,11 @@ class Dropper(Listener):
 
 
 class TestSharedBroadcast:
-    def test_one_allocation_feeds_every_listener(self):
-        """The broadcast payload is loaned once — no per-listener
-        clones: every retained share aliases that one block, whose
-        refcount is the listener count, and every other loan the send
-        causes is a header-only failure reply."""
+    def test_each_listener_gets_its_own_block(self):
+        """One loan of the payload per listener besides the sender's
+        own, and no more: every retained delivery is the one frame of a
+        block of its own, and every other loan the send causes is a
+        header-only failure reply."""
         exe = Executive()
         sender = Dropper("sender")
         exe.install(sender)
@@ -73,15 +77,14 @@ class TestSharedBroadcast:
         sender.send(TID_BROADCAST, payload, xfunction=XF)
         exe.run_until_idle()
 
-        assert loans.count(HEADER_SIZE + len(payload)) == 1
+        listeners = len(exe.devices()) - 1  # the executive's own included
+        assert loans.count(HEADER_SIZE + len(payload)) == 1 + listeners
         assert set(loans) - {HEADER_SIZE + len(payload)} <= {HEADER_SIZE}
         assert exe.pool.stats.allocs - before == len(loans)
         kept = [r.kept[0] for r in retainers]
-        assert all(isinstance(f, SharedFrame) for f in kept)
-        blocks = {id(f.block) for f in kept}
-        assert len(blocks) == 1, "retained shares must alias one block"
-        assert kept[0].block.refcount == len(retainers)
+        assert len({id(f.block) for f in kept}) == len(retainers)
         for f in kept:
+            assert f.block.frame is f and f.block.refcount == 1
             assert bytes(f.payload) == payload
             exe.frame_free(f)
         exe.pool.check_conservation()
@@ -133,3 +136,35 @@ class TestSharedBroadcast:
                 exe.frame_free(frame)
         exe.pool.check_conservation()
         assert exe.pool.in_flight == 0
+
+
+@pytest.mark.parametrize("allocator", [OriginalAllocator,
+                                       SanitizingOriginalAllocator])
+def test_a_pool_running_dry_mid_fanout_drops_the_rest(allocator, caplog):
+    """Three blocks: the original and two deliveries, in install order
+    (the executive's own device, then ``r0``).  The listeners left are
+    counted as dropped and logged, ``step`` returns normally, and the
+    original goes back to the pool: only ``r0``'s delivery stays
+    loaned."""
+    exe = Executive(pool=BufferPool(allocator(block_size=256, block_count=3)))
+    sender = Dropper("sender")
+    exe.install(sender)
+    retainers = [Retainer(f"r{i}") for i in range(4)]
+    for r in retainers:
+        exe.install(r)
+    listeners = len(exe.devices()) - 1
+    sender.send(TID_BROADCAST, b"b" * 100, xfunction=XF)
+    while exe.step():
+        pass
+
+    assert [len(r.kept) for r in retainers] == [1, 0, 0, 0]
+    kept = [f for r in retainers for f in r.kept]
+    assert exe.dropped == listeners - 2
+    assert f"lost to {listeners - 2} of {listeners} listeners" in caplog.text
+    assert exe.pool.in_flight == len(kept)
+    assert all(bytes(f.payload) == b"b" * 100 for f in kept)
+    exe.pool.check_conservation()
+    for f in kept:
+        exe.frame_free(f)
+    exe.pool.check_conservation()
+    assert exe.pool.in_flight == 0

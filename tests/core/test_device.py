@@ -286,7 +286,7 @@ class TestHelpers:
         frame back — pool conserved, nothing queued."""
         dev = Recorder()
         tid = exe.install(dev)
-        request = dev.alloc_frame(0, target=tid)
+        request = exe.frame_alloc(0, target=tid, initiator=dev.tid)
 
         def boom(view):
             raise ValueError("writer failed")
@@ -318,7 +318,7 @@ class TestHelpers:
     def test_alloc_frame_is_pool_backed(self, exe):
         dev = Recorder()
         exe.install(dev)
-        frame = dev.alloc_frame(100, target=dev.tid)
+        frame = exe.frame_alloc(100, target=dev.tid, initiator=dev.tid)
         assert frame.block is not None
         assert frame.payload_size == 100
         exe.frame_free(frame)

@@ -95,6 +95,11 @@ class TestBuild:
         with pytest.raises(FrameFormatError):
             frame.initiator = TID_BROADCAST
         assert frame.initiator == INITIATOR_TID
+        with pytest.raises(FrameFormatError, match="out of range"):
+            frame.target = OUT_OF_RANGE_TID
+        with pytest.raises(FrameFormatError, match="out of range"):
+            frame.target = -1
+        assert frame.target == TARGET_TID
 
     def test_bad_priority_rejected(self):
         with pytest.raises(FrameFormatError):

@@ -23,7 +23,6 @@ from repro.i2o.frame import (
     HEADER_SIZE,
     NUM_PRIORITIES,
     Frame,
-    SharedFrame,
 )
 from repro.i2o.tid import MAX_TID, TID_BROADCAST
 from repro.mem.pool import BufferPool
@@ -210,40 +209,6 @@ class TestIngestOverARecycledBlock:
         pt.ingest_staged(sender_pt.make_handoff(new))
         self._check(exe, keeper, pt)
         sender.pool.check_conservation()
-
-
-class TestSharedFrameDeliveries:
-    def test_distinct_targets_one_payload_buffer_untouched(self):
-        exe = Executive()
-        sender = Listener("sender")
-        exe.install(sender)
-        keepers = [Keeper() for _ in range(4)]
-        tids_ = [exe.install(k) for k in keepers]
-        sender.table.bind_default(lambda frame: None)
-        sender.send(TID_BROADCAST, b"shared", xfunction=0x7)
-        exe.run_until_idle()
-        # the executive's own device is a listener too; look at ours
-        shares = [k.kept[0] for k in keepers]
-        assert all(isinstance(f, SharedFrame) for f in shares)
-        assert [f.target for f in shares] == tids_
-        assert len({id(f.block) for f in shares}) == 1
-        assert all(f.payload.obj is shares[0].payload.obj for f in shares)
-        for tid, share in zip(tids_, shares):
-            share.target = tid  # the setter must not write through
-            assert share.validate().target == tid  # nor be resynchronised
-            assert Frame(bytearray(share.view)).target == TID_BROADCAST
-            assert bytes(share.payload) == b"shared"
-            exe.frame_free(share)
-        exe.pool.check_conservation()
-        assert exe.pool.in_flight == 0
-
-    def test_target_setter_still_range_checks(self):
-        share = SharedFrame(bytearray(HEADER_SIZE), target=TARGET_TID)
-        with pytest.raises(FrameFormatError, match="out of range"):
-            share.target = MAX_TID + 1
-        with pytest.raises(FrameFormatError, match="out of range"):
-            SharedFrame(bytearray(HEADER_SIZE), target=-1)
-        assert share.target == TARGET_TID
 
 
 def test_setter_on_a_freed_frame_trips_the_canary():

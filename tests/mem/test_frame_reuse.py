@@ -25,7 +25,7 @@ from repro.analysis.sanitize import SanitizedBlock, SanitizingTableAllocator
 from repro.core.device import RETAIN, Listener
 from repro.core.executive import Executive
 from repro.i2o.errors import FrameFormatError
-from repro.i2o.frame import _HEADER, Frame, SharedFrame
+from repro.i2o.frame import _HEADER, Frame
 from repro.i2o.tid import EXECUTIVE_TID, TID_BROADCAST
 from repro.mem.block import PoolBlock
 from repro.mem.pool import BufferPool, TableAllocator
@@ -36,7 +36,6 @@ from repro.transports.queued import QueuePair, QueueTransport
 
 XF_KEEP = 0x1
 XF_DROP = 0x2
-_TARGET = 4  # the header field a SharedFrame keeps in its slot only
 
 
 class Reuse:
@@ -48,8 +47,6 @@ class Reuse:
         self.block_of: dict[Frame, PoolBlock] = {}
 
     def see(self, frame: Frame) -> None:
-        if isinstance(frame, SharedFrame):
-            return  # a broadcast delivery, built per listener
         block = frame.block
         assert block is not None, "a live frame owns its block"
         assert self.frame_of.setdefault(block, frame) is frame
@@ -82,11 +79,7 @@ class Keeper(Listener):
 
 
 def assert_coherent(frame: Frame) -> None:
-    fields = list(frame.header_fields())
-    truth = list(_HEADER.unpack_from(frame.view, 0))
-    if isinstance(frame, SharedFrame):
-        fields[_TARGET] = truth[_TARGET] = None
-    assert fields == truth
+    assert frame.header_fields() == _HEADER.unpack_from(frame.view, 0)
 
 
 def _cluster(kind: str, reuse: Reuse, *, sanitized: bool = False):
@@ -221,7 +214,7 @@ def test_a_hop_slices_no_block_and_builds_no_frame(function):
                         and value.attr == "memory"), ast.unparse(node)
         if isinstance(node, ast.Call):
             called = ast.unparse(node.func)
-            assert called.split(".")[0] not in ("Frame", "SharedFrame"), called
+            assert called.split(".")[0] != "Frame", called
             assert "__new__" not in called and "_undecoded" not in called
 
 
@@ -262,10 +255,10 @@ class Forwarder(Listener):
 
 @pytest.mark.parametrize("kind", ["queued", "loopback"])
 def test_a_forwarded_broadcast_delivery_crosses_with_coherent_slots(kind):
-    """A ``SharedFrame`` is not its block's own frame, and its target
-    lives in its slot only: what crosses must carry the delivery's own
-    header, so the remote device dispatches it (its keeper checks the
-    slots against the bytes) and no node drops it."""
+    """A broadcast delivery restamped and forwarded by its handler
+    crosses like any frame: it carries its own header, so the remote
+    device dispatches it (its keeper checks the slots against the
+    bytes) and no node drops it."""
     reuse = Reuse()
     exes, keepers, tids, proxies = _cluster(kind, reuse)
     forwarder = Forwarder()

@@ -249,3 +249,23 @@ def test_the_dispatch_path_carries_no_probes():
         )
     ]
     assert not span_classes
+
+
+# -- frame memory (DESIGN §5, §7) -------------------------------------------
+
+
+def test_every_pool_frame_is_a_plain_frame():
+    """A live pool frame is its block's one ``Frame``, with no
+    exception: with every ``repro`` module imported, nothing derives
+    from ``Frame`` (a subclass is a second frame kind the hop, the
+    forward path and the reuse invariant would each have to know)."""
+    import importlib
+    import pkgutil
+
+    import repro
+    from repro.i2o.frame import Frame
+
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+    assert Frame.__subclasses__() == []

@@ -49,16 +49,16 @@ class Forwarder(Listener):
         self.bind(0x1, self._forward)
 
     def _forward(self, frame):
-        frame.target = self.to  # a SharedFrame keeps it in its slot
+        frame.target = self.to
         self.executive.frame_send(frame)
         return RETAIN
 
 
 class TestTransportContract:
     def test_a_forwarded_broadcast_delivery_crosses(self, harness):
-        # A broadcast delivery shares its header bytes with the block's
-        # other deliveries: what crosses must carry its own target, or
-        # the receiver dead-letters it as addressed to TiD 4095.
+        # A retargeted broadcast delivery is a frame like any other:
+        # what crosses carries its new target, or the receiver
+        # dead-letters it as addressed to TiD 4095.
         keeper = Keeper()
         proxy = harness.exes[0].routes.create_proxy(
             1, harness.exes[1].install(keeper))

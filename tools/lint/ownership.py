@@ -2,7 +2,7 @@
 
 A deliberately small abstract interpreter over function bodies.  Each
 simple variable bound from a *producer* call (``pool.alloc``,
-``frame_alloc``, ``alloc_frame``, ``addref``) carries an obligation;
+``frame_alloc``, ``addref``) carries an obligation;
 *transfer* calls (``transmit``, ``forward``, ``frame_send``,
 ``make_handoff``, ``post_outbound``, ``post_inbound``) and *release*
 calls (``release``, ``free``, ``frame_free``, ``release_staged``)
@@ -13,7 +13,7 @@ escape analysis across calls is out of scope by design.
 Framework-aware refinements, each mirroring a protocol rule:
 
 * a bare ``v.addref()`` adds a reference, so one extra ``release()`` is
-  legal before the double-release rule arms (broadcast fan-out idiom);
+  legal before the double-release rule arms (the refcount idiom);
 * consumptions inside ``with pytest.raises(...)`` (or
   ``assertRaises``) never commit — the ownership contract says a transmit
   that raises leaves ownership with the caller, and such a block
@@ -59,7 +59,7 @@ RELEASE_CALLEES = frozenset(
 #: zero-argument methods on the tracked variable itself
 RELEASE_METHODS = frozenset({"release"})
 #: calls whose result is a fresh owned frame/block when assigned
-PRODUCER_CALLEES = frozenset({"frame_alloc", "alloc_frame", "alloc", "addref"})
+PRODUCER_CALLEES = frozenset({"frame_alloc", "alloc", "addref"})
 #: with-items that assert the body raises: consumptions do not commit
 RAISES_CALLEES = frozenset({"raises", "assertRaises", "assertRaisesRegex"})
 
