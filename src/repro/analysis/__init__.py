@@ -7,7 +7,7 @@ released exactly once.  The paper's whole
 fault-tolerance argument (§3.2) rests on the executive owning *all*
 message memory — a misbehaving device must not be able to corrupt the
 system — so violations of the ownership protocol are correctness bugs
-even when the refcounts happen to balance today.
+even when every loan happens to be returned today.
 
 This package holds the checkers a running cluster arms:
 

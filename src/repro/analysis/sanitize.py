@@ -4,7 +4,7 @@ The static OWN rules (``python -m tools.lint``) catch protocol
 violations the AST can see; this module catches the rest at runtime,
 in the style of an address sanitizer scaled down to the buffer pool:
 
-* every block records its **allocation, addref and free sites** (short
+* every block records its **allocation and free sites** (short
   captured stacks), so any complaint names the code that did it;
 * a freed block's memory is **poisoned** with ``0xDD``; when the block
   is loaned out again the canary is verified, so a write through a
@@ -97,9 +97,9 @@ def _capture_site() -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class BlockEvent:
-    """One recorded pool interaction: who allocated/addref'd/freed."""
+    """One recorded pool interaction: who allocated or freed."""
 
-    kind: str  # "alloc" | "addref" | "free"
+    kind: str  # "alloc" | "free"
     site: tuple[str, ...]
 
     def render(self, indent: str = "    ") -> str:
@@ -140,14 +140,9 @@ class SanitizedBlock(PoolBlock):
         """Adopt as a wire frame is: validated, within ``frame_len``."""
         return super().adopt(frame_len).validate(frame_len)
 
-    def addref(self) -> "PoolBlock":
-        block = super().addref()  # raises BlockStateError on a free block
-        self._record("addref")
-        return block
-
-    def release(self) -> bool:
+    def release(self) -> None:
         try:
-            return super().release()
+            super().release()
         except BlockStateError as exc:
             first = self.last_event("free")
             detail = (
@@ -226,7 +221,7 @@ class _SanitizingMixin:
         reports = []
         with self.lock:
             for block in self._tracked:
-                if not block.poisoned or block.in_use:
+                if not block.poisoned or block.loaned:
                     continue
                 if block.memory.tobytes().count(POISON) != block.capacity:
                     reports.append(
@@ -240,13 +235,12 @@ class _SanitizingMixin:
         reports = []
         with self.lock:
             for block in self._tracked:
-                if not block.in_use:
+                if not block.loaned:
                     continue
                 alloc = block.last_event("alloc")
                 site = f"\n{alloc.render()}" if alloc else ""
                 reports.append(
-                    f"block #{block.index} leaked "
-                    f"(refcount={block.refcount}){site}"
+                    f"block #{block.index} leaked (still loaned){site}"
                 )
         return reports
 

@@ -48,7 +48,7 @@ from repro.flightrec.records import (
     FlightRecord,
     unpack3,
 )
-from repro.i2o.function_codes import PRIVATE
+from repro.i2o.function_codes import EXEC_TIMER_EXPIRED, PRIVATE
 
 #: record kinds whose ``a`` argument is a frame ``transaction_context``
 _CTX_KINDS = frozenset((
@@ -115,20 +115,25 @@ def frame_releases(records: Iterable[FlightRecord]) -> int:
     )
 
 
+#: the functions whose dispatches :func:`dispatch_percentiles` reads
+_DEVICE_WORK = frozenset({PRIVATE, EXEC_TIMER_EXPIRED})
+
+
 def dispatch_percentiles(
     records: Iterable[FlightRecord], percents: Iterable[int]
 ) -> list[int]:
     """The nearest-rank percentiles (1..100) of the durations of the
-    ``PRIVATE`` ``dispatch`` records in one node's record stream: exact
-    durations, taken over the records the stream holds (a ring's newest
-    ``capacity``), not over every dispatch since attach.  Management
-    dispatches (executive and utility frames: the telemetry sweep's
-    own requests and replies among them) are left out, as they root no
-    trace, so the console does not read its own observer.  Empty when
-    the stream holds no such dispatch."""
+    device-work ``dispatch`` records in one node's record stream:
+    ``PRIVATE`` requests and ``EXEC_TIMER_EXPIRED`` expiries, whose
+    ``on_timer`` is a device's own work.  Exact durations, taken over
+    the records the stream holds (a ring's newest ``capacity``), not
+    over every dispatch since attach.  Other management dispatches
+    (executive and utility frames: the telemetry sweep's own requests
+    and replies among them) are left out, so the console does not read
+    its own observer.  Empty when the stream holds no such dispatch."""
     durations = sorted(
         r.d for r in records
-        if r.kind == EV_DISPATCH and (r.b >> 16) & 0xFFFF == PRIVATE
+        if r.kind == EV_DISPATCH and (r.b >> 16) & 0xFFFF in _DEVICE_WORK
     )
     n = len(durations)
     return [durations[-(-p * n // 100) - 1] for p in percents] if n else []

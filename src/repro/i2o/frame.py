@@ -96,7 +96,7 @@ class Frame:
     hand-off, the journal and the CRC all read it.  The eleven header
     fields are also held **decoded in slots**, filled once: by one bulk
     unpack over existing bytes, or straight from the arguments of
-    :meth:`set_header`.  Getters read the slots; every setter keeps its
+    :meth:`put_header`.  Getters read the slots; every setter keeps its
     range check and **writes through** to buffer and slot.
     :meth:`validate` **resynchronises**: it re-reads the buffer, so
     wire input, hostile bytes and recycled blocks are judged by what is
@@ -153,7 +153,7 @@ class Frame:
     @classmethod
     def _undecoded(cls, buffer: memoryview | bytearray, block: Any) -> "Frame":
         """Wrap ``buffer`` without reading it.  The header slots are
-        unset until the caller's :meth:`set_header` (a frame being
+        unset until the caller's :meth:`put_header` (a frame being
         built) or :meth:`validate` (a frame being received) fills them,
         so either path pays one pack or one unpack, not both."""
         frame = cls.__new__(cls)
@@ -214,7 +214,7 @@ class Frame:
 
     # -- raw header access ----------------------------------------------------
     def header_fields(self) -> tuple:
-        """Every header field, in the order :meth:`set_header` packs
+        """Every header field, in the order :meth:`put_header` packs
         them (the figure-5 layout)."""
         return (
             self._version, self._flags, self._priority, self._function,
@@ -223,32 +223,13 @@ class Frame:
             self._transaction_context,
         )
 
-    def set_header(
-        self,
-        *,
-        target: int,
-        initiator: int,
-        function: int,
-        payload_size: int,
-        priority: int = DEFAULT_PRIORITY,
-        flags: int = 0,
-        organization: int = 0,
-        xfunction: int = 0,
-        initiator_context: int = 0,
-        transaction_context: int = 0,
-    ) -> None:
-        check_header(target, initiator, function, payload_size, priority, flags)
-        self.put_header(flags, priority, function, target, initiator,
-                        payload_size, organization, xfunction,
-                        initiator_context, transaction_context)
-
     def put_header(self, flags: int, priority: int, function: int, target: int,
                    initiator: int, payload_size: int, organization: int,
                    xfunction: int, initiator_context: int,
                    transaction_context: int) -> None:
         """Write a whole header whose fields :func:`check_header` has
         passed: one pack, no range check (the ``put_*`` writers trust
-        their caller; the setters and :meth:`set_header` check)."""
+        their caller; the setters and :meth:`build` check)."""
         organization &= 0xFFFF
         xfunction &= 0xFFFF
         initiator_context &= _U64

@@ -1,11 +1,12 @@
-"""Reference-counted pool blocks.
+"""Pool blocks and their loan state.
 
 A block is a fixed-size span of pool memory loaned to exactly one
-in-flight message at a time.  The reference count implements the
-paper's "automatic garbage collection ... blocks are recycled if they
-are not referenced anymore": a transport that needs to hold a frame
-across an asynchronous send takes an extra reference; the block only
-returns to its free list when the last holder releases it.
+in-flight message at a time: it is either loaned to one holder or
+free.  That is the paper's "automatic garbage collection ... blocks
+are recycled if they are not referenced anymore" with one holder per
+block: a hand-off (a staged item, a send still in flight, a retained
+frame) moves the one loan, and N readers of one payload get N copies.
+The holder's ``release()`` returns the block to its free list.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class PoolBlock:
 
     __slots__ = (
         "memory", "capacity", "index", "size_class", "requested",
-        "frame", "_owner", "_refcount",
+        "frame", "_owner", "loaned",
     )
 
     def __init__(
@@ -62,7 +63,9 @@ class PoolBlock:
         self.requested = 0
         self.frame = Frame._undecoded(memory, None)
         self._owner = owner
-        self._refcount = 0
+        #: True while the block is loaned to its one holder; written
+        #: only under the allocator's lock
+        self.loaned = False
 
     def adopt(self, frame_len: int) -> Frame:
         """The block's own frame, live again for the executive it was
@@ -72,46 +75,26 @@ class PoolBlock:
         frame.block, frame.trace_mark = self, None
         return frame
 
-    @property
-    def refcount(self) -> int:
-        return self._refcount
+    def release(self) -> None:
+        """End the loan and recycle the block (frameFree).
 
-    @property
-    def in_use(self) -> bool:
-        return self._refcount > 0
-
-    def addref(self) -> "PoolBlock":
-        """Take an additional reference; returns self for chaining.
-
-        Guarded by the owning allocator's lock: references may be taken
-        and dropped from any thread of any executive.
+        Guarded by the owning allocator's lock: a block may be released
+        from any thread of any executive.
         """
-        with self._owner.lock:
-            if self._refcount <= 0:
-                raise BlockStateError(f"addref on free block {self.index}")
-            self._refcount += 1
-            return self
-
-    def release(self) -> bool:
-        """Drop one reference; recycles the block (and returns True)
-        when the count reaches zero."""
         lock = self._owner.lock
         lock.acquire()  # explicitly, as ``Allocator.alloc`` holds it
         try:
-            if self._refcount <= 0:
+            if not self.loaned:
                 raise BlockStateError(
                     f"release of free block {self.index} (double free?)"
                 )
-            self._refcount -= 1
-            if self._refcount == 0:
-                self._owner._recycle(self)
-                return True
-            return False
+            self.loaned = False
+            self._owner._recycle(self)
         finally:
             lock.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<PoolBlock #{self.index} cap={self.capacity} "
-            f"refs={self._refcount}>"
+            f"loaned={self.loaned}>"
         )

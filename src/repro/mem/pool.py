@@ -50,7 +50,7 @@ class Allocator(ABC):
     """Strategy object: how requested sizes map to free blocks.
 
     The allocator owns the lock guarding both its free lists and the
-    refcounts of its blocks: a frame may be released by a *different*
+    loan state of its blocks: a frame may be released by a *different*
     executive (and thread) than allocated it — e.g. a loopback peer
     transport hands the block across nodes — so safety must live here,
     not in any per-executive façade.
@@ -70,7 +70,7 @@ class Allocator(ABC):
 
     @abstractmethod
     def _recycle(self, block: PoolBlock) -> None:
-        """Accept a block whose refcount just reached zero."""
+        """Accept a block whose loan just ended."""
 
     def _make_block(
         self, memory: memoryview, *, index: int, size_class: int
@@ -102,11 +102,9 @@ class Allocator(ABC):
             except PoolExhausted:
                 self.stats.failed_allocs += 1
                 raise
-            if block._refcount:
-                raise BlockStateError(
-                    f"block {block.index} loaned while refcount={block._refcount}"
-                )
-            block._refcount = 1
+            if block.loaned:
+                raise BlockStateError(f"block {block.index} is already loaned")
+            block.loaned = True
             block.requested = size
             self._in_flight += 1
             self._frag_bytes += block.capacity - size
@@ -177,7 +175,7 @@ class OriginalAllocator(Allocator):
         # First-fit scan from index zero: deliberately the naive scheme
         # the paper measured.
         for block in self._blocks:
-            if not block.in_use:
+            if not block.loaned:
                 return block
         raise PoolExhausted(
             f"all {self.block_count} blocks of {self.block_size} B in use"
@@ -304,7 +302,7 @@ class BufferPool:
         self.alloc: Callable[[int], PoolBlock] = self.allocator.alloc
 
     def free(self, block: PoolBlock) -> None:
-        """Drop one reference (frameFree); recycles at refcount zero."""
+        """End the block's loan (frameFree); it returns to its free list."""
         block.release()
 
     @property

@@ -34,8 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mem.block import PoolBlock
 
 #: A staged in-process delivery: either ``(src_node, block, frame_len)``
-#: — the sender's pool block handed over wholesale (the receiver owns
-#: the reference) — or ``(src_node, frame_bytes)`` for serialised data.
+#: — the sender's pool block handed over wholesale (the receiver holds
+#: the loan) — or ``(src_node, frame_bytes)`` for serialised data.
 StagedItem = tuple
 
 
@@ -94,8 +94,8 @@ class PeerTransport(Listener):
         original target and dead-letter it truthfully.  Once the send
         is committed the transport owns the block: it releases it
         (``frame_free``) when the bytes are on the wire, hands it to
-        the peer executive (:meth:`make_handoff`), or holds a
-        reference across an asynchronous completion.
+        the peer executive (:meth:`make_handoff`), or holds the
+        loan across an asynchronous completion.
         """
         raise NotImplementedError
 
@@ -161,12 +161,12 @@ class PeerTransport(Listener):
         """Zero-copy receive: adopt a pool block handed over wholesale.
 
         Intra-process transports move the sender's block itself across
-        executives (the paper's buffer-loaning, §4); the reference the
-        staged item carried becomes the inbound frame's reference.  The
+        executives (the paper's buffer-loaning, §4); the loan the staged
+        item carried becomes the inbound frame's loan.  The
         header is trusted, not re-validated: this process built it
         through checked writes (DESIGN, "Trust boundaries"); a
         sanitized block re-checks it (:meth:`PoolBlock.adopt`).  On
-        failure the reference is dropped here.
+        failure the block is released here.
         """
         exe = self._require_live()
         try:
@@ -206,8 +206,8 @@ class PeerTransport(Listener):
         """Detach the frame's block for delivery to a peer executive.
 
         Returns a staged item carrying the block itself when the frame
-        is pool-backed (the sender's reference travels with the item —
-        zero copies), or the serialised bytes otherwise.  Caller has
+        is pool-backed (the sender's loan travels with the item — zero
+        copies), or the serialised bytes otherwise.  Caller has
         committed to delivery: the frame no longer owns its block.
         """
         exe = self._require_live()

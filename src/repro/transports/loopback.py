@@ -2,9 +2,9 @@
 
 Connects executives living in the same Python process with no wire at
 all: the frame's *pool block* is handed to the destination endpoint
-wholesale — the sender's reference travels with the staged item and
-becomes the inbound frame's reference (the paper's buffer loaning,
-with zero copies).  The receive side still runs the standard ingest
+wholesale — the sender's loan travels with the staged item and
+becomes the inbound frame's loan (the paper's buffer loaning, with
+zero copies).  The receive side still runs the standard ingest
 path, so it exercises exactly the same code (and record sites) as any real
 transport.  Used heavily by tests and by the quickstart example; also
 the lowest-latency option in the native plane.

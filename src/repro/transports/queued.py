@@ -4,7 +4,7 @@ Two executives running in their own threads exchange staged deliveries
 through a pair of thread-safe queues — the software analogue of the
 inbound/outbound hardware FIFOs of paper figure 2.  What travels on
 the queue is the sender's *pool block* itself (buffer loaning, zero
-copies); the block's refcount is guarded by its allocator's lock, so
+copies); the block's loan state is guarded by its allocator's lock, so
 the cross-thread handoff is safe.  Supports both PT operation modes:
 
 * **polling** — the executive's loop drains the receive queue each

@@ -84,7 +84,7 @@ class TestSharedBroadcast:
         kept = [r.kept[0] for r in retainers]
         assert len({id(f.block) for f in kept}) == len(retainers)
         for f in kept:
-            assert f.block.frame is f and f.block.refcount == 1
+            assert f.block.frame is f and f.block.loaned
             assert bytes(f.payload) == payload
             exe.frame_free(f)
         exe.pool.check_conservation()

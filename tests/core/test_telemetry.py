@@ -22,7 +22,7 @@ from repro.flightrec.records import (
     unpack3,
 )
 from repro.i2o.errors import I2OError
-from repro.i2o.function_codes import PRIVATE, UTIL_PARAMS_GET
+from repro.i2o.function_codes import EXEC_TIMER_EXPIRED, PRIVATE, UTIL_PARAMS_GET
 
 from tests.conftest import ManualClock, make_loopback_cluster, pump
 from tests.transports.harness import Caller, Echo
@@ -255,17 +255,19 @@ class TestRendering:
 
 class TestDispatchLatency:
     """P50/P99 are exact nearest-rank percentiles of the durations of
-    the ``PRIVATE`` dispatches in a node's mirrored ring, derived by the
-    collector: nothing new crosses the wire, every reader sees the same
-    two keys, and the sweep's own management dispatches are left out."""
+    the ``PRIVATE`` and timer-expiry dispatches in a node's mirrored
+    ring, derived by the collector: nothing new crosses the wire, every
+    reader sees the same two keys, and the sweep's own management
+    dispatches are left out."""
 
     KEYS = ("exe_dispatch_ns_p50", "exe_dispatch_ns_p99")
 
     @staticmethod
     def _expected(records):
         """Nearest rank, computed here: the ceil(p/100 * n)-th smallest."""
-        taken = sorted(r.d for r in records
-                       if r.kind == EV_DISPATCH and unpack3(r.b)[1] == PRIVATE)
+        taken = sorted(
+            r.d for r in records if r.kind == EV_DISPATCH
+            and unpack3(r.b)[1] in (PRIVATE, EXEC_TIMER_EXPIRED))
         return {
             f"exe_dispatch_ns_p{p}": taken[math.ceil(p / 100 * len(taken)) - 1]
             for p in (50, 99)
@@ -305,6 +307,36 @@ class TestDispatchLatency:
         # Exact durations, and the slow early dispatches aged out.
         assert set(expected.values()) <= set(range(1_000, 20_001, 1_000))
         assert expected["exe_dispatch_ns_p99"] < 20_000
+
+    def test_a_slow_timer_expiry_is_in_the_p99(self):
+        """A device's ``on_timer`` is its own work, as a request's
+        handler is: a slow expiry shows in the node's P99."""
+        cluster, collector, _agents = _telemetry_cluster(2)
+        clock = ManualClock()
+        worker = cluster[1]
+        worker.clock = worker.flightrec.clock = clock
+
+        def work(frame):
+            clock.t += 1_000
+
+        class Ticker(Listener):
+            def on_timer(self, context, frame):
+                clock.t += 5_000_000
+
+        tid = worker.install(FunctionalListener(name="work", handlers={0x1: work}))
+        sender, ticker = Listener("sender"), Ticker("ticker")
+        worker.install(sender)
+        worker.install(ticker)
+        for _ in range(5):
+            sender.send(tid, b"", xfunction=0x1)
+            pump(cluster)
+        ticker.start_timer(0)
+        pump(cluster)
+        collector.sweep()
+        pump(cluster)
+        metrics = collector.node_metrics[1]
+        assert {key: metrics[key] for key in self.KEYS} == {
+            "exe_dispatch_ns_p50": 1_000, "exe_dispatch_ns_p99": 5_000_000}
 
     def test_a_slow_management_dispatch_is_not_in_the_p99(self):
         """The agent's ``UtilParamsGet`` roots no trace and is left out:

@@ -73,7 +73,7 @@ setter_calls = st.one_of(
     st.tuples(st.just("initiator"), initiators),
     st.tuples(st.just("initiator_context"), contexts),
     st.tuples(st.just("transaction_context"), contexts),
-    st.tuples(st.just("set_header"), headers()),
+    st.tuples(st.just("put_header"), headers()),
 )
 
 
@@ -95,11 +95,11 @@ def assert_coherent(frame: Frame, buffer: bytearray) -> None:
 def test_slots_and_buffer_agree_after_any_setter_sequence(first, calls):
     buffer = bytearray(HEADER_SIZE + PAYLOAD_ROOM)
     frame = Frame(buffer)
-    frame.set_header(**first)
+    frame.put_header(**first)
     assert_coherent(frame, buffer)
     for name, value in calls:
-        if name == "set_header":
-            frame.set_header(**value)
+        if name == "put_header":
+            frame.put_header(**value)
         else:
             setattr(frame, name, value)
         assert_coherent(frame, buffer)

@@ -1,4 +1,4 @@
-"""Pool block refcount semantics."""
+"""Pool block loan semantics: loaned to one holder, or free."""
 
 from __future__ import annotations
 
@@ -15,24 +15,15 @@ def allocator():
 
 def test_fresh_block_has_one_reference(allocator):
     block = allocator.alloc(100)
-    assert block.refcount == 1
-    assert block.in_use
+    assert block.loaned is True
     block.release()
 
 
 def test_release_recycles_at_zero(allocator):
     block = allocator.alloc(100)
-    assert block.release() is True
-    assert not block.in_use  # post-release state probe  # repro: noqa OWN001
+    assert block.release() is None
+    assert not block.loaned  # post-release state probe  # repro: noqa OWN001
     assert allocator.in_flight == 0
-
-
-def test_addref_delays_recycle(allocator):
-    block = allocator.alloc(100)
-    block.addref()
-    assert block.release() is False  # one reference remains
-    assert block.in_use
-    assert block.release() is True
 
 
 def test_double_free_raises(allocator):
@@ -40,13 +31,6 @@ def test_double_free_raises(allocator):
     block.release()
     with pytest.raises(BlockStateError, match="double free"):
         block.release()
-
-
-def test_addref_on_free_block_raises(allocator):
-    block = allocator.alloc(100)
-    block.release()
-    with pytest.raises(BlockStateError):
-        block.addref()
 
 
 def test_capacity_covers_request(allocator):

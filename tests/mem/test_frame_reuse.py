@@ -282,11 +282,10 @@ class _LoanedAgainOnRelease(PoolBlock):
     __slots__ = ()
     reloan = None
 
-    def release(self) -> bool:
-        recycled = super().release()
-        if recycled and _LoanedAgainOnRelease.reloan is not None:
+    def release(self) -> None:
+        super().release()
+        if _LoanedAgainOnRelease.reloan is not None:
             _LoanedAgainOnRelease.reloan()
-        return recycled
 
 
 class _ReloaningAllocator(TableAllocator):
@@ -310,7 +309,7 @@ def test_a_free_leaves_the_next_loan_of_its_block_intact(monkeypatch):
     monkeypatch.setattr(_LoanedAgainOnRelease, "reloan", None)
     (again,) = loans
     assert again is frame  # the block's own frame, re-headed  # repro: noqa OWN001
-    assert again.block is not None and again.block.refcount == 1
+    assert again.block is not None and again.block.loaned
     owner.frame_free(again)
     owner.pool.check_conservation()
     assert owner.pool.in_flight == 0

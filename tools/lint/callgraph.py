@@ -57,8 +57,8 @@ from tools.lint.ownership import (
     PRODUCER_CALLEES,
     OwnershipChecker,
     Own,
-    Ref,
     Resolver,
+    State,
     _callee_name,
 )
 
@@ -357,7 +357,7 @@ def _summarize(decl: FunctionDecl, index: ProjectIndex) -> Summary:
         path=decl.path, context=decl.qualname, resolve=resolve, muted=True,
     )
     checker.record_exits = []
-    state = {p: Ref(Own.OWNED) for p in decl.params}
+    state: State = {p: Own.OWNED for p in decl.params}
     end_state, terminated = checker._exec_block(list(decl.node.body), state)
     exits = list(checker.record_exits)
     if not terminated:
@@ -374,16 +374,16 @@ def _summarize(decl: FunctionDecl, index: ProjectIndex) -> Summary:
 
 
 def _join_effect(
-    param: str, exits: list[tuple[dict[str, Ref], ast.expr | None]]
+    param: str, exits: list[tuple[State, ast.expr | None]]
 ) -> str:
     if not exits:
         return ESCAPES  # always raises: callee consumed nothing we trust
     statuses: set[Own] = set()
     for state, _retval in exits:
-        ref = state.get(param)
-        if ref is None or ref.extra_refs:
+        status = state.get(param)
+        if status is None:
             return ESCAPES
-        statuses.add(ref.status)
+        statuses.add(status)
     if statuses == {Own.OWNED}:
         return BORROWS
     if statuses == {Own.RELEASED}:
@@ -395,7 +395,7 @@ def _join_effect(
 
 def _returns_fresh(
     decl: FunctionDecl,
-    exits: list[tuple[dict[str, Ref], ast.expr | None]],
+    exits: list[tuple[State, ast.expr | None]],
     resolve: Resolver,
 ) -> bool:
     if not exits:
@@ -404,9 +404,8 @@ def _returns_fresh(
         if retval is None:
             return False
         if isinstance(retval, ast.Name):
-            ref = state.get(retval.id)
-            if (retval.id in decl.params or ref is None
-                    or ref.status is not Own.OWNED or ref.extra_refs):
+            if (retval.id in decl.params
+                    or state.get(retval.id) is not Own.OWNED):
                 return False
         elif isinstance(retval, ast.Call):
             if _callee_name(retval.func) in PRODUCER_CALLEES:

@@ -2,9 +2,10 @@
 
 A deliberately small abstract interpreter over function bodies.  Each
 simple variable bound from a *producer* call (``pool.alloc``,
-``frame_alloc``, ``addref``) carries an obligation;
+``frame_alloc``, ``frame_loan``, ``block_loan``) carries an obligation;
 *transfer* calls (``transmit``, ``forward``, ``frame_send``,
-``make_handoff``, ``post_outbound``, ``post_inbound``) and *release*
+``make_handoff``, ``post_outbound``, ``post_inbound``, and the receive
+doors ``ingest_loaned`` / ``ingest_block``) and *release*
 calls (``release``, ``free``, ``frame_free``, ``release_staged``)
 discharge it; any other escape (passed to a call,
 stored, returned, yielded) relieves the linter of the obligation —
@@ -12,8 +13,6 @@ escape analysis across calls is out of scope by design.
 
 Framework-aware refinements, each mirroring a protocol rule:
 
-* a bare ``v.addref()`` adds a reference, so one extra ``release()`` is
-  legal before the double-release rule arms (the refcount idiom);
 * consumptions inside ``with pytest.raises(...)`` (or
   ``assertRaises``) never commit — the ownership contract says a transmit
   that raises leaves ownership with the caller, and such a block
@@ -47,11 +46,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: resolver hook: call site -> (summary, confident) or None
 Resolver = Callable[[ast.Call], "tuple[Summary, bool] | None"]
 
-#: calls that move ownership away from the named first argument
-TRANSFER_CALLEES = frozenset(
-    {"transmit", "forward", "frame_send", "make_handoff",
-     "post_outbound", "post_inbound"}
-)
+#: calls that move ownership away from a named argument -> its position;
+#: a receive door posts the block's frame or returns the block, so the
+#: block it is handed is never the caller's again
+TRANSFER_CALLEES = {
+    "transmit": 0, "forward": 0, "frame_send": 0, "make_handoff": 0,
+    "post_outbound": 0, "post_inbound": 0,
+    "ingest_loaned": 1, "ingest_block": 1,
+}
 #: first-argument release calls
 RELEASE_CALLEES = frozenset(
     {"frame_free", "free", "release_staged"}
@@ -59,7 +61,9 @@ RELEASE_CALLEES = frozenset(
 #: zero-argument methods on the tracked variable itself
 RELEASE_METHODS = frozenset({"release"})
 #: calls whose result is a fresh owned frame/block when assigned
-PRODUCER_CALLEES = frozenset({"frame_alloc", "alloc", "addref"})
+PRODUCER_CALLEES = frozenset(
+    {"frame_alloc", "frame_loan", "alloc", "block_loan"}
+)
 #: with-items that assert the body raises: consumptions do not commit
 RAISES_CALLEES = frozenset({"raises", "assertRaises", "assertRaisesRegex"})
 
@@ -76,7 +80,7 @@ class Own(enum.Enum):
     OWNED = "owned"  # produced here, obligation open
     ESCAPED = "escaped"  # handed to other code; not ours to check
     TRANSFERRED = "transferred"  # a transport/queue owns it now
-    RELEASED = "released"  # reference dropped
+    RELEASED = "released"  # loan returned
     MAYBE = "maybe"  # states diverged across a join; inert
 
 
@@ -84,17 +88,8 @@ class Own(enum.Enum):
 _DEAD = (Own.TRANSFERRED, Own.RELEASED)
 
 
-@dataclass(frozen=True)
-class Ref:
-    """Tracking record for one variable: status + extra references."""
-
-    status: Own
-    extra_refs: int = 0
-
-
-_MAYBE = Ref(Own.MAYBE)
-
-State = dict[str, Ref]
+#: variable name -> its ownership status on the current path
+State = dict[str, Own]
 
 
 def _callee_name(func: ast.expr) -> str | None:
@@ -105,9 +100,9 @@ def _callee_name(func: ast.expr) -> str | None:
     return None
 
 
-def _first_arg_name(call: ast.Call) -> str | None:
-    if call.args and isinstance(call.args[0], ast.Name):
-        return call.args[0].id
+def _arg_name(call: ast.Call, position: int = 0) -> str | None:
+    if len(call.args) > position and isinstance(call.args[position], ast.Name):
+        return call.args[position].id
     return None
 
 
@@ -115,7 +110,7 @@ def _first_arg_name(call: ast.Call) -> str | None:
 class _Action:
     """One ownership-relevant call found in a statement."""
 
-    kind: str  # "transfer" | "release" | "addref" | "borrow"
+    kind: str  # "transfer" | "release" | "borrow"
     var: str
     node: ast.Call
     arg_node: ast.Name | None = None
@@ -222,7 +217,7 @@ class OwnershipChecker:
                 self._mute_depth -= 1
                 for var in body_state:
                     if var not in state:
-                        state[var] = _MAYBE
+                        state[var] = Own.MAYBE
                 return False
             _, term = self._exec_block(stmt.body, state)
             return term
@@ -258,9 +253,8 @@ class OwnershipChecker:
                     # Bare `return v`: ownership (or the alias) goes to
                     # the caller without a dereference — the
                     # Device.send idiom.  Never OWN001; relieves OWN002.
-                    ref = state.get(stmt.value.id)
-                    if ref is not None and ref.status is Own.OWNED:
-                        state[stmt.value.id] = Ref(Own.ESCAPED)
+                    if state.get(stmt.value.id) is Own.OWNED:
+                        state[stmt.value.id] = Own.ESCAPED
                 else:
                     self._scan_expr(stmt.value, state)
             self._check_leaks(stmt, state)
@@ -313,9 +307,9 @@ class OwnershipChecker:
         exits: list[tuple[State, bool]] = [(try_state, try_term)]
         for handler in stmt.handlers:
             h_state = dict(entry)
-            for var, ref in try_state.items():
-                if entry.get(var) != ref:
-                    h_state[var] = _MAYBE
+            for var, status in try_state.items():
+                if entry.get(var) is not status:
+                    h_state[var] = Own.MAYBE
             if handler.name:
                 h_state.pop(handler.name, None)
             exits.append(self._exec_block(handler.body, h_state))
@@ -357,8 +351,7 @@ class OwnershipChecker:
 
         for target in targets:
             if isinstance(target, ast.Name):
-                old = state.get(target.id)
-                if old is not None and old.status is Own.OWNED:
+                if state.get(target.id) is Own.OWNED:
                     self._report(
                         "OWN002",
                         stmt,
@@ -367,7 +360,7 @@ class OwnershipChecker:
                         target.id,
                     )
                 if produced and len(targets) == 1:
-                    state[target.id] = Ref(Own.OWNED)
+                    state[target.id] = Own.OWNED
                 else:
                     state.pop(target.id, None)
             else:
@@ -375,13 +368,12 @@ class OwnershipChecker:
                 # a read of the base — handled by the value/target scan.
                 self._scan_expr(target, state)
                 # Storing the object itself (self.pending = frame)
-                # hands the reference to state we cannot see.  The
-                # value scan misses this only for a bare name, whose
-                # walk starts at the root with no parent context.
-                if isinstance(value, ast.Name):
-                    ref = state.get(value.id)
-                    if ref is not None and ref.status is Own.OWNED:
-                        state[value.id] = Ref(Own.ESCAPED)
+                # hands the loan to state we cannot see.  The value
+                # scan misses this only for a bare name, whose walk
+                # starts at the root with no parent context.
+                if (isinstance(value, ast.Name)
+                        and state.get(value.id) is Own.OWNED):
+                    state[value.id] = Own.ESCAPED
 
     # -- expression scanning -------------------------------------------------
     def _scan_expr(self, expr: ast.expr, state: State) -> None:
@@ -399,39 +391,37 @@ class OwnershipChecker:
             if not isinstance(node, ast.Name) or not isinstance(node.ctx, ast.Load):
                 continue
             var = node.id
-            ref = entry.get(var)
-            if ref is None or id(node) in consumed_nodes:
+            status = entry.get(var)
+            if status is None or id(node) in consumed_nodes:
                 continue  # consumptions judged below with their semantics
-            if ref.status in _DEAD:
+            if status in _DEAD:
                 verb = (
                     "transmitted"
-                    if ref.status is Own.TRANSFERRED
+                    if status is Own.TRANSFERRED
                     else "released"
                 )
                 self._report(
                     "OWN001", node, f"{var!r} used after it was {verb}", var
                 )
-            elif ref.status is Own.OWNED and _is_escape(node, parent):
-                state[var] = Ref(Own.ESCAPED)
+            elif status is Own.OWNED and _is_escape(node, parent):
+                state[var] = Own.ESCAPED
 
         for action in actions:
-            ref = entry.get(action.var)
-            if ref is None:
+            status = entry.get(action.var)
+            if status is None:
                 # Unknown origin: only draft frame/block-looking names —
                 # `release()` alone is too common (locks, semaphores,
                 # sim resources) to track every receiver.
                 if action.kind == "borrow" or not _FRAMEISH.search(action.var):
                     continue
-                ref = Ref(Own.MAYBE)
-                if action.kind == "addref":
-                    continue
+                status = Own.MAYBE
             if action.kind == "borrow":
                 # The callee only reads: the obligation stays here (no
                 # escape), but handing over a dead frame is still a use.
-                if ref.status in _DEAD:
+                if status in _DEAD:
                     verb = (
                         "transmitted"
-                        if ref.status is Own.TRANSFERRED
+                        if status is Own.TRANSFERRED
                         else "released"
                     )
                     self._report(
@@ -442,20 +432,15 @@ class OwnershipChecker:
                         action.var,
                     )
                 continue
-            if action.kind == "addref":
-                state[action.var] = Ref(ref.status, ref.extra_refs + 1)
-            elif action.kind == "release":
-                if ref.extra_refs > 0:
-                    state[action.var] = Ref(ref.status, ref.extra_refs - 1)
-                    continue
-                if ref.status is Own.RELEASED:
+            if action.kind == "release":
+                if status is Own.RELEASED:
                     self._report(
                         "OWN003",
                         action.node,
                         f"{action.var!r} released twice on this path",
                         action.var,
                     )
-                elif ref.status is Own.TRANSFERRED:
+                elif status is Own.TRANSFERRED:
                     self._report(
                         "OWN001",
                         action.node,
@@ -463,12 +448,12 @@ class OwnershipChecker:
                         "transferred",
                         action.var,
                     )
-                state[action.var] = Ref(Own.RELEASED)
+                state[action.var] = Own.RELEASED
             else:  # transfer
-                if ref.status in _DEAD:
+                if status in _DEAD:
                     verb = (
                         "transmitted"
-                        if ref.status is Own.TRANSFERRED
+                        if status is Own.TRANSFERRED
                         else "released"
                     )
                     self._report(
@@ -477,7 +462,7 @@ class OwnershipChecker:
                         f"{action.var!r} sent after it was {verb}",
                         action.var,
                     )
-                state[action.var] = Ref(Own.TRANSFERRED)
+                state[action.var] = Own.TRANSFERRED
 
     def _collect_actions(self, expr: ast.expr) -> list[_Action]:
         actions: list[_Action] = []
@@ -486,11 +471,13 @@ class OwnershipChecker:
                 continue
             callee = _callee_name(node.func)
             if callee in TRANSFER_CALLEES:
-                var = _first_arg_name(node)
+                position = TRANSFER_CALLEES[callee]
+                var = _arg_name(node, position)
                 if var is not None:
-                    actions.append(_Action("transfer", var, node, node.args[0]))
+                    actions.append(
+                        _Action("transfer", var, node, node.args[position]))
             elif callee in RELEASE_CALLEES:
-                var = _first_arg_name(node)
+                var = _arg_name(node)
                 if var is not None:
                     actions.append(_Action("release", var, node, node.args[0]))
             elif (
@@ -500,15 +487,6 @@ class OwnershipChecker:
             ):
                 actions.append(
                     _Action("release", node.func.value.id, node,
-                            node.func.value)
-                )
-            elif (
-                callee == "addref"
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-            ):
-                actions.append(
-                    _Action("addref", node.func.value.id, node,
                             node.func.value)
                 )
             else:
@@ -562,7 +540,7 @@ class OwnershipChecker:
             return
         exit_kind = "raise" if isinstance(at, ast.Raise) else "return"
         for var in sorted(state):
-            if state[var].status is Own.OWNED:
+            if state[var] is Own.OWNED:
                 self._report(
                     "OWN002",
                     at,
@@ -570,14 +548,14 @@ class OwnershipChecker:
                     f"{exit_kind} (missing release on this path)",
                     var,
                 )
-                state[var] = Ref(Own.ESCAPED)  # one report per path
+                state[var] = Own.ESCAPED  # one report per path
 
     def finish(self, state: State, last: ast.stmt | None) -> None:
         """Leak check at the implicit end-of-body return."""
         if last is None:
             return
         for var in sorted(state):
-            if state[var].status is Own.OWNED:
+            if state[var] is Own.OWNED:
                 self._report(
                     "OWN002",
                     last,
@@ -611,11 +589,8 @@ def _merge(
         return dict(a), False
     out: State = {}
     for var in set(a) | set(b):
-        ra, rb = a.get(var), b.get(var)
-        if ra == rb and ra is not None:
-            out[var] = ra
-        else:
-            out[var] = _MAYBE
+        sa = a.get(var)
+        out[var] = sa if sa is not None and sa is b.get(var) else Own.MAYBE
     return out, False
 
 
@@ -641,7 +616,7 @@ def _walk_with_parent(
 
 
 def _is_escape(node: ast.Name, parent: ast.AST | None) -> bool:
-    """Does this read hand the reference to code we cannot see?
+    """Does this read hand the loan to code we cannot see?
 
     Attribute/subscript access through the variable (``frame.payload``,
     ``item[0]``) and identity/truth tests are plain reads; anything
