@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.device import Listener
 from repro.flightrec.records import EV_FRAME_TRANSMIT, pack3
-from repro.i2o.frame import Frame
+from repro.i2o.frame import HEADER_SIZE, Frame
 from repro.i2o.tid import PTA_TID
 from repro.transports.base import PeerTransport, TransportError
 
@@ -85,6 +85,16 @@ class PeerTransportAgent(Listener):
             )
         return transport
 
+    def forget(self, transport: PeerTransport) -> None:
+        """Undo :meth:`register` for an unplugged transport."""
+        self._by_name = {n: p for n, p in self._by_name.items() if p is not transport}
+        self._by_node = {n: p for n, p in self._by_node.items() if p is not transport}
+        if self._default is transport:
+            self._default = None
+        exe = transport.executive
+        if exe is not None and transport in exe._pollable:
+            exe._pollable.remove(transport)
+
     def transport(self, name: str) -> PeerTransport:
         pt = self._by_name.get(name)
         if pt is None:
@@ -119,13 +129,17 @@ class PeerTransportAgent(Listener):
         (so the dead-letter path logs and fails the *sender-local*
         address, not the receiver's) and does not count as forwarded.
         """
-        pt = self.resolve(route)
+        # Once per hop: ``resolve``'s lookups, inlined in its order; only
+        # a miss calls it, for its named error.
+        name = route.transport
+        pt = (self._by_node.get(route.node) or self._default if name is None
+              else self._by_name.get(name)) or self.resolve(route)
         if pt.suspended:
             raise TransportError(
                 f"transport {pt.name!r} is suspended; route to node "
                 f"{route.node} is unavailable"
             )
-        original_target = frame.target
+        original_target = frame._target
         owned = frame.block is not None
         exe = self.executive
         fr = exe.flightrec if exe is not None else None
@@ -134,9 +148,9 @@ class PeerTransportAgent(Listener):
             # been detached to the wire and the frame is not ours to
             # read.
             rec_args = (
-                frame.transaction_context,
-                pack3(route.node, int(route.remote_tid), frame.xfunction),
-                frame.total_size,
+                frame._transaction_context,
+                pack3(route.node, route.remote_tid, frame._xfunction),
+                HEADER_SIZE + frame._payload_size,
             )
         frame.put_target(route.remote_tid)  # checked by the route table
         try:

@@ -3,14 +3,14 @@
 A peer transport is an ordinary device module (it has a TiD, answers
 utility messages, is configured through UtilParamsSet) whose private
 job is moving frames to other nodes.  Subclasses implement
-:meth:`transmit`; the receive side funnels through :meth:`ingest_loaned`
-(pool-block-first: the transport loans a block and writes the wire
-bytes straight into it) or :meth:`ingest_block` (intra-process block
-handoff, zero copies).  Both end in one ``frame-ingest`` fact, which
-is where the simulation plane charges Table 1's ``pt_processing``
-("Handling an incoming message in the GM PT accounts for most of the
-time ... most of the PT processing time is spent in the frame
-allocation", paper §5).
+:meth:`transmit` (in-process ones with one :meth:`make_handoff`).
+There are two receive doors: :meth:`ingest_loaned` validates what a
+wire wrote into a loaned block, :meth:`ingest_staged` adopts a block
+handed over in-process (zero copies), and both post through the
+latter's one ``frame-ingest`` fact, where the simulation plane charges
+Table 1's ``pt_processing`` ("Handling an incoming message in the GM
+PT accounts for most of the time ... most of the PT processing time
+is spent in the frame allocation", paper §5).
 
 Copy accounting: every transport maintains ``tx_copies`` /
 ``rx_copies`` — the number of whole-frame payload copies it performed
@@ -26,10 +26,9 @@ from typing import TYPE_CHECKING
 from repro.core.device import Listener
 from repro.flightrec.records import EV_FRAME_INGEST, pack3
 from repro.i2o.errors import I2OError
-from repro.i2o.frame import Frame
+from repro.i2o.frame import HEADER_SIZE, Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.executive import Executive
     from repro.core.routes import Route
     from repro.mem.block import PoolBlock
 
@@ -128,53 +127,34 @@ class PeerTransport(Listener):
         self.suspended = False
         self.notify_staged()  # data may have been staged meanwhile
 
+    def on_unplug(self) -> None:
+        """Leave the PTA (later sends get the standard failure reply);
+        subclasses also return staged blocks and leave shared media."""
+        pta = self._require_live().pta
+        if pta is not None:
+            pta.forget(self)
+
     def crash_detach(self) -> None:
-        """Abandon the medium as a crashed node would: no draining, no
-        farewells (``Executive.hard_stop``).  The base implementation
-        only suspends; transports that hold staged pool blocks or a
-        registration in a shared medium override this to release the
-        blocks and leave the registry, so frames addressed to the dead
-        node fail fast and a replacement transport can rejoin under
-        the same node id."""
+        """Die as a crashed node would (``Executive.hard_stop``): leave as
+        :meth:`on_unplug` does, with no draining or farewells, and suspend."""
+        self.on_unplug()
         self.suspended = True
 
-    # -- shared receive path ---------------------------------------------------
+    # -- the receive doors ------------------------------------------------------
     def ingest_loaned(
         self, src_node: int, block: "PoolBlock", view: memoryview
     ) -> Frame:
-        """Validate and post the frame a transport copied off the wire
-        (its one rx copy) into ``view`` of ``block``, which came from
-        :meth:`Executive.block_loan` — the ``frame-alloc`` nested in
-        Table 1's PT processing.  A failure returns the block."""
-        exe = self._require_live()
+        """The wire door: validate the frame copied off the wire (the
+        one rx copy) into ``view`` of ``block`` (from
+        :meth:`Executive.block_loan`, Table 1's nested ``frame-alloc``),
+        then post it as an in-process block.  A failure returns it."""
         self.rx_copies += 1
         try:
-            return self._post_ingested(exe, src_node, _adopt(block, len(view)))
+            _adopt(block, len(view))
         except BaseException:
-            block.frame.block = None  # a freed block's frame is unloaned
-            exe.block_return(block)
+            self._return_block(block)
             raise
-
-    def ingest_block(
-        self, src_node: int, block: "PoolBlock", frame_len: int
-    ) -> Frame:
-        """Zero-copy receive: adopt a pool block handed over wholesale.
-
-        Intra-process transports move the sender's block itself across
-        executives (the paper's buffer-loaning, §4); the loan the staged
-        item carried becomes the inbound frame's loan.  The
-        header is trusted, not re-validated: this process built it
-        through checked writes (DESIGN, "Trust boundaries"); a
-        sanitized block re-checks it (:meth:`PoolBlock.adopt`).  On
-        failure the block is released here.
-        """
-        exe = self._require_live()
-        try:
-            return self._post_ingested(exe, src_node, block.adopt(frame_len))
-        except BaseException:
-            block.frame.block = None
-            block.release()
-            raise
+        return self.ingest_staged((src_node, block, len(view)))
 
     def ingest_frame_bytes(self, src_node: int, frame_bytes) -> Frame:
         """Ingest a frame whose medium yields a byte string (the
@@ -185,59 +165,71 @@ class PeerTransport(Listener):
         view[:] = frame_bytes
         return self.ingest_loaned(src_node, block, view)
 
-    def _post_ingested(self, exe: "Executive", src_node: int, frame: Frame) -> Frame:
-        frame.put_initiator(exe.routes.create_proxy(
-            src_node, frame.initiator, transport=self.name
-        ))
-        self.frames_received += 1
-        self.bytes_received += frame.total_size
-        if exe.flightrec is not None:
-            exe.flightrec.record(
-                EV_FRAME_INGEST,
-                frame.transaction_context,
-                pack3(src_node, int(frame.target), frame.xfunction),
-                frame.total_size,
-            )
-        exe.msgi.post_inbound(frame)  # what ``exe.post_inbound`` does
-        return frame
+    def ingest_staged(self, item: StagedItem) -> Frame:
+        """The in-process door, once per hop: the sender's block, handed
+        over wholesale (buffer-loaning, §4), becomes the inbound frame.
+        Its header is trusted (DESIGN, "Trust boundaries"); a sanitized
+        block re-checks it.  Any failure, "not installed" included,
+        returns the block to its pool."""
+        if len(item) == 2:  # serialised bytes: the copying path
+            return self.ingest_frame_bytes(item[0], item[1])
+        src_node, block, frame_len = item
+        try:
+            exe = self.executive
+            if exe is None:
+                raise TransportError(f"peer transport {self.name!r} is not installed")
+            frame = block.adopt(frame_len)
+            frame.put_initiator(exe.routes.create_proxy(
+                src_node, frame._initiator, self.name))
+            size = HEADER_SIZE + frame._payload_size
+            self.frames_received += 1
+            self.bytes_received += size
+            fr = exe.flightrec
+            if fr is not None:
+                fr.record(EV_FRAME_INGEST, frame._transaction_context,
+                          pack3(src_node, frame._target, frame._xfunction),
+                          size)
+            exe.msgi.post_inbound(frame)
+            return frame
+        except BaseException:
+            self._return_block(block)
+            raise
 
-    # -- intra-process staging helpers ----------------------------------------
+    def _return_block(self, block: "PoolBlock") -> None:
+        # A failed ingest's block goes back to its pool with its frame
+        # unloaned; an installed transport records it as ``frame_free`` does.
+        block.frame.block = None
+        exe = self.executive
+        block.release() if exe is None else exe.block_return(block)
+
+    # -- intra-process staging ------------------------------------------------
     def make_handoff(self, frame: Frame) -> StagedItem:
-        """Detach the frame's block for delivery to a peer executive.
+        """Count the frame sent; detach its block for a peer executive.
 
         Returns a staged item carrying the block itself when the frame
         is pool-backed (the sender's loan travels with the item — zero
         copies), or the serialised bytes otherwise.  Caller has
         committed to delivery: the frame no longer owns its block.
         """
-        exe = self._require_live()
-        size = frame.total_size
+        node = self.executive.node  # type: ignore[union-attr]
+        size = HEADER_SIZE + frame._payload_size
+        self.frames_sent += 1
+        self.bytes_sent += size
         block = frame.block
         if block is not None:
             # The frame is the block's own: the receiver adopts it.
             frame.block = None  # ownership moves with the staged item
-            return (exe.node, block, size)
+            return (node, block, size)
         self.tx_copies += 1
-        return (exe.node, frame.tobytes())
-
-    def ingest_staged(self, item: StagedItem) -> Frame:
-        """Deliver a staged item through the matching ingest path."""
-        if len(item) == 3:
-            return self.ingest_block(item[0], item[1], item[2])
-        return self.ingest_frame_bytes(item[0], item[1])
+        return (node, frame.tobytes())
 
     @staticmethod
     def release_staged(item: StagedItem) -> None:
-        """Drop a staged item undelivered (fault injection, partition)."""
+        """Drop a staged item undelivered (faults, an endpoint leaving)."""
         if len(item) == 3:
             item[1].release()
 
-    # -- shared transmit-side bookkeeping -----------------------------------
+    # -- wire-side transmit bookkeeping (``make_handoff`` counts its own) ----
     def account_sent(self, nbytes: int) -> None:
         self.frames_sent += 1
         self.bytes_sent += nbytes
-
-    def _require_live(self) -> "Executive":
-        if self.executive is None:
-            raise TransportError(f"peer transport {self.name!r} is not installed")
-        return self.executive

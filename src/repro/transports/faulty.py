@@ -111,9 +111,9 @@ class FaultyLoopbackTransport(LoopbackTransport):
 
     # -- transmit-side faults ----------------------------------------------
     def transmit(self, frame: Frame, route) -> None:
-        src_size = frame.total_size
-        dest = self.network.endpoint(route.node)
-        self.account_sent(src_size)
+        src_size = HEADER_SIZE + frame._payload_size
+        network = self.network
+        dest = network._endpoints.get(route.node) or network.endpoint(route.node)
         # A clean delivery hands the block over zero-copy like the
         # plain loopback; faults that mutate or multiply the message
         # are copy-on-mutate, so injection can never scribble on a
@@ -147,14 +147,14 @@ class FaultyLoopbackTransport(LoopbackTransport):
         deliveries = [item]
         if copies == 2:
             deliveries.append((item[0], self._staged_bytes(item)))
-        delay_hook = getattr(dest, "_delay_stage", None)
+        # A plain loopback peer has no delay queue, so it draws no delay.
+        held = getattr(dest, "_delayed_queue", None)
         for delivery in deliveries:
-            if delay_hook is not None and draw() < plan.delay_rate:
+            if held is not None and draw() < plan.delay_rate:
                 self.delayed += 1
-                delay_hook(delivery)
+                held.append(delivery)  # delivered on the peer's next round
             else:
                 dest._staged.append(delivery)
-        self.network.messages += 1
         dest.notify_staged()
 
     def _staged_bytes(self, item: StagedItem) -> bytes:
@@ -163,10 +163,6 @@ class FaultyLoopbackTransport(LoopbackTransport):
             self.tx_copies += 1
             return bytes(item[1].memory[: item[2]])
         return item[1]
-
-    def _delay_stage(self, item: StagedItem) -> None:
-        """Hold one message back until the next poll round."""
-        self._delayed_queue.append(item)
 
     # -- receive side ------------------------------------------------------
     def poll(self) -> bool:
@@ -180,13 +176,14 @@ class FaultyLoopbackTransport(LoopbackTransport):
         staged = self._staged
         # A dropped item counts too: the queue did move.
         got = bool(staged or self._delayed_queue)
+        ingest, take = self.ingest_staged, staged.popleft
         for _ in range(len(staged)):
-            item = staged.popleft()
+            item = take()
             if self.is_cut(item[0]):
                 self.partition_dropped += 1
                 self.release_staged(item)
             else:
-                self.ingest_staged(item)
+                ingest(item)
         self._promote_delayed()
         return got
 
@@ -204,10 +201,10 @@ class FaultyLoopbackTransport(LoopbackTransport):
         self._promote_delayed()
         return self.poll()
 
-    def crash_detach(self) -> None:
+    def on_unplug(self) -> None:
         while self._delayed_queue:
             self.release_staged(self._delayed_queue.popleft())
-        super().crash_detach()
+        super().on_unplug()
 
     @property
     def has_pending(self) -> bool:

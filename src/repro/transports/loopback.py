@@ -27,22 +27,16 @@ class LoopbackNetwork:
 
     def __init__(self) -> None:
         self._endpoints: dict[int, "LoopbackTransport"] = {}
-        self.messages = 0
 
     def join(self, node: int, transport: "LoopbackTransport") -> None:
         if node in self._endpoints:
             raise TransportError(f"node {node} already on loopback network")
         self._endpoints[node] = transport
 
-    def leave(self, node: int,
-              transport: "LoopbackTransport | None" = None) -> None:
-        """Remove ``node``'s endpoint (crash detach / rejoin support).
-
-        Passing ``transport`` makes the removal conditional on it still
-        being the registered endpoint, so a stale crash teardown can
-        never evict the replacement that already rejoined."""
-        current = self._endpoints.get(node)
-        if current is not None and (transport is None or current is transport):
+    def leave(self, node: int, transport: "LoopbackTransport") -> None:
+        """Remove ``node``'s endpoint if it is still ``transport``: a
+        stale teardown never evicts a replacement that already joined."""
+        if self._endpoints.get(node) is transport:
             del self._endpoints[node]
 
     def endpoint(self, node: int) -> "LoopbackTransport":
@@ -72,12 +66,12 @@ class LoopbackTransport(PeerTransport):
         self.network.join(exe.node, self)
 
     def transmit(self, frame: Frame, route: "Route") -> None:
-        dest = self.network.endpoint(route.node)  # resolve before taking
-        # ownership of the frame, so failures leave it with the caller
-        self.account_sent(frame.total_size)
-        item = self.make_handoff(frame)
-        self.network.messages += 1
-        dest._staged.append(item)
+        # Resolve before taking ownership of the frame, so failures
+        # leave it with the caller; only a miss calls ``endpoint``,
+        # for its named error.
+        network = self.network
+        dest = network._endpoints.get(route.node) or network.endpoint(route.node)
+        dest._staged.append(self.make_handoff(frame))
         dest.notify_staged()
 
     def poll(self) -> bool:
@@ -86,21 +80,22 @@ class LoopbackTransport(PeerTransport):
             return False
         # What was staged when the poll began: a peer that keeps
         # sending from its own thread cannot hold this loop here.
+        ingest, take = self.ingest_staged, staged.popleft
         for _ in range(len(staged)):
-            self.ingest_staged(staged.popleft())
+            ingest(take())
         return True
 
-    def crash_detach(self) -> None:
-        """Die abruptly: release every staged block (they may belong to
+    def on_unplug(self) -> None:
+        """Leave the network, so senders fail fast until a replacement
+        joins, then release every staged block (they may belong to
         *other* nodes' pools — the OS analogue is reclaiming a dead
-        process's mapped memory) and leave the network so senders get
-        fail-fast transport errors until a replacement rejoins."""
-        while self._staged:
-            self.release_staged(self._staged.popleft())
+        process's mapped memory)."""
         exe = self.executive
         if exe is not None:
             self.network.leave(exe.node, self)
-        super().crash_detach()
+        while self._staged:
+            self.release_staged(self._staged.popleft())
+        super().on_unplug()
 
     @property
     def has_pending(self) -> bool:

@@ -41,9 +41,11 @@ class QueuePair:
             node_a: queue.SimpleQueue(),
             node_b: queue.SimpleQueue(),
         }
-        #: node -> the polling endpoint that drains its queue, woken
-        #: by every transmit toward it (a task-mode reader wakes itself)
-        self.pollers: dict[int, "QueueTransport"] = {}
+        #: node -> the endpoint plugged in there, which drains its
+        #: queue: a transmit toward a node with none fails, and one
+        #: toward a polling endpoint wakes its loop (a task-mode reader
+        #: wakes itself)
+        self.endpoints: dict[int, "QueueTransport"] = {}
 
     def receive_queue(self, node: int) -> "queue.SimpleQueue[object]":
         q = self._queues.get(node)
@@ -80,9 +82,8 @@ class QueueTransport(PeerTransport):
                 f"executive node {exe.node} is not an endpoint of this pair"
             )
         self._rx = self.pair.receive_queue(exe.node)
-        if self.mode == "polling":
-            self.pair.pollers[exe.node] = self
-        else:
+        self.pair.endpoints[exe.node] = self
+        if self.mode == "task":
             self._stop.clear()
             self._reader = threading.Thread(
                 target=self._reader_loop, name=f"pt-{self.name}", daemon=True
@@ -90,7 +91,15 @@ class QueueTransport(PeerTransport):
             self._reader.start()
 
     def on_unplug(self) -> None:
+        """Leave the pair (a later send here fails), stop the reader,
+        and return every block still staged in the queue."""
+        self.pair.endpoints = {
+            node: ep for node, ep in self.pair.endpoints.items() if ep is not self}
         self.shutdown()
+        while self._rx is not None and not self._rx.empty():
+            # ``or ()``: a shutdown sentinel releases nothing
+            self.release_staged(self._rx.get_nowait() or ())
+        super().on_unplug()
 
     def shutdown(self) -> None:
         if self._reader is not None:
@@ -103,14 +112,14 @@ class QueueTransport(PeerTransport):
 
     # -- transmit ---------------------------------------------------------
     def transmit(self, frame: Frame, route: "Route") -> None:
-        # Resolve the receive queue before taking ownership of the
-        # frame, so an unreachable peer leaves it with the caller.
-        rx = self.pair.receive_queue(route.node)
-        self.account_sent(frame.total_size)
-        rx.put(self.make_handoff(frame))
-        poller = self.pair.pollers.get(route.node)
-        if poller is not None:
-            poller.notify_staged()
+        # Resolve the peer before taking ownership of the frame, so an
+        # unreachable one leaves it with the caller.
+        dest = self.pair.endpoints.get(route.node)
+        if dest is None:
+            raise TransportError(f"node {route.node} has no queue endpoint")
+        dest._rx.put(self.make_handoff(frame))  # type: ignore[union-attr]
+        if dest.mode == "polling":
+            dest.notify_staged()
 
     # -- receive: polling mode ----------------------------------------------
     def poll(self) -> bool:
@@ -124,12 +133,13 @@ class QueueTransport(PeerTransport):
         # stays non-empty until ``get_nowait``: no ``queue.Empty`` is
         # raised to end a drain.
         got = False
-        while not self._rx.empty():
-            item = self._rx.get_nowait()
+        rx, ingest = self._rx, self.ingest_staged
+        while not rx.empty():
+            item = rx.get_nowait()
             if item is None:  # shutdown sentinel
                 continue
             got = True
-            self.ingest_staged(item)
+            ingest(item)
         return got
 
     @property

@@ -109,7 +109,11 @@ class TcpTransport(PeerTransport):
             server.fileno(), partial(self._on_accept, server))
 
     def on_unplug(self) -> None:
+        """The listener and every socket close, so no wire byte reaches
+        this node, peers see EOF and their next send is refused, and a
+        replacement can listen on the same port."""
         self.shutdown()
+        super().on_unplug()
 
     def shutdown(self) -> None:
         """Close the listener and every socket.  The sockets belong to
@@ -126,13 +130,6 @@ class TcpTransport(PeerTransport):
             exe.msgi.unwatch(self._server.fileno())
             self._server.close()
             self._server = None
-
-    def crash_detach(self) -> None:
-        """Die abruptly: the listener and every socket close, so no wire
-        byte reaches the dead executive, peers see EOF and their next
-        send is refused, and a replacement can listen on the same port."""
-        self.shutdown()
-        super().crash_detach()
 
     def add_peer(self, node: int, host: str, port: int) -> None:
         self.peers[node] = (host, port)

@@ -197,3 +197,46 @@ def test_bench_48_records_the_dispatch_half_at_its_floor():
         assert {"Executive.frame_alloc+frame_free",
                 "TableAllocator alloc+release"} <= set(record["a1_native_ns"][side])
     assert all(run["gate_passed"] for run in record["x6_overhead"]["change"])
+
+
+def test_bench_51_records_the_transport_half_at_its_floor():
+    """The one hand-off and the one ingest per in-process hop, pinned as
+    recorded: flood_fanin's throughput rose on nine pairs in ten at
+    seed 1 and by more than the parent's own spread at both seeds; the
+    hop made 12 repro calls where it made 24; no run failed an op, and
+    every X6 run of the change passed its gate."""
+    record = json.loads(
+        (ROOT / "benchmarks" / "history" / "BENCH_51.json").read_text("utf-8")
+    )
+    claimed = record["claimed"]
+    assert (claimed["workload"], claimed["metric"]) == ("flood_fanin", "ops_per_s")
+    assert claimed["wins"] * 10 >= 9 * record["pairs"]
+    before = record["sides"]["parent"]["workloads"]["flood_fanin"]["ops_per_s"]
+    after = record["sides"]["change"]["workloads"]["flood_fanin"]["ops_per_s"]
+    assert after["median"] - before["median"] > before["q3"] - before["q1"]
+    seed2 = record["seed2"]
+    assert seed2["pairs"] >= 10
+    before2, after2 = seed2["parent"]["ops_per_s"], seed2["change"]["ops_per_s"]
+    assert after2["median"] - before2["median"] > before2["q3"] - before2["q1"]
+    target = record["claim_target"]  # stated against the medians above
+    pct = round(100 * (after["median"] / before["median"] - 1), 1)
+    pct2 = round(100 * (after2["median"] / before2["median"] - 1), 1)
+    assert (target["seed1_change_pct"], target["seed2_change_pct"]) == (pct, pct2)
+    assert target["met"] is (pct >= 10 and pct2 >= 10)
+    per = record["pairs_per_workload"]
+    assert per["tcp_pingpong"] >= 7
+    assert min(per.values()) >= 3
+    for side in record["sides"].values():
+        assert all(w["failed_ops"] == 0 for w in side["workloads"].values())
+    calls = record["exact_counts"]["repro_calls"]
+    for transport in ("loopback", "queued"):
+        assert calls["parent"][transport]["hop"] == 24
+        assert calls["change"][transport]["hop"] == 12
+        assert (calls["change"][transport]["round_trip"]
+                < calls["parent"][transport]["round_trip"])
+    parent, change = record["traced"]["parent"], record["traced"]["change"]
+    for side in (parent, change):
+        assert side["mem.pool.allocs_per_op"] == 2.0
+        assert side["core.executive.dispatched_per_op"] == 2.0
+        assert side["transports.loopback.copies_per_frame"] == 0.0
+    assert all(run["gate_passed"] for run in record["x6_overhead"]["change"])

@@ -1,4 +1,5 @@
-"""Regression guard: the per-message path raises no exception.
+"""Regression guards on the per-message path: it raises no exception,
+and an in-process hop stays as shallow as it was made.
 
 A raised-and-caught exception costs about ten times the test that
 avoids it, and the fast path once paid roughly ten per round trip:
@@ -10,7 +11,11 @@ must be zero.
 
 The mutant this must catch: draining the inbound deque in
 ``Executive.step`` with ``try: popleft() except IndexError: break``
-fails every case here.
+fails every exception case here.
+
+The hop-depth cases count the ``repro`` functions called while the
+PTA forwards one frame and while the receiver ingests it: 24 before
+the hand-off and the in-process ingest were each made one call.
 """
 
 from __future__ import annotations
@@ -20,10 +25,21 @@ import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
+import pytest
+
 import repro
+from repro.analysis.sanitize import sanitizing_enabled
 from repro.config.bootstrap import bootstrap
 from repro.dataflow.examples import event_builder_spec
-from tests.transports.harness import Caller, Echo, make_loopback, make_queued
+from repro.transports.agent import PeerTransportAgent
+from repro.transports.base import PeerTransport
+from tests.transports.harness import (
+    Caller,
+    Echo,
+    Keeper,
+    make_loopback,
+    make_queued,
+)
 
 PACKAGE = os.path.dirname(repro.__file__) + os.sep
 
@@ -91,3 +107,57 @@ def test_stepped_event_builder_raises_nothing():
         cluster.pump()
     assert len(fired) == 32 and evm.completed == 32
     assert seen == []
+
+
+#: ``repro`` calls per one-way in-process hop: ``forward``, the
+#: target rewrite, ``transmit``, ``make_handoff``, the receiver's wake
+#: (two), then ``ingest_staged``, ``adopt``, ``create_proxy``, the
+#: initiator rewrite and ``post_inbound`` with its wake.
+HOP_CALLS = 12
+_HOP_ROOTS = frozenset({PeerTransportAgent.forward.__code__,
+                        PeerTransport.ingest_staged.__code__})
+
+
+def _hop_calls(harness) -> list[str]:
+    """The ``repro`` functions called under ``forward`` and
+    ``ingest_staged`` (roots included) for one stepped one-way
+    message, sent after a first one warmed the route tables."""
+    keeper = Keeper()
+    proxy = harness.exes[0].routes.create_proxy(
+        1, harness.exes[1].install(keeper))
+    sender = Keeper("sender")
+    harness.exes[0].install(sender)
+    calls: list[str] = []
+    inside: list[object] = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if inside or code in _HOP_ROOTS:
+                if code.co_filename.startswith(PACKAGE):
+                    calls.append(code.co_name)
+                if not inside:
+                    inside.append(frame)
+        elif event == "return" and inside and frame is inside[0]:
+            inside.clear()
+
+    for n in (1, 2):
+        sender.send(proxy, b"x" * 64, xfunction=0x1)
+        if n == 2:
+            sys.setprofile(profile)
+        try:
+            assert harness.run_until(lambda: len(keeper.payloads) == n)
+        finally:
+            sys.setprofile(None)
+    harness.finish()
+    return calls
+
+
+@pytest.mark.skipif(sanitizing_enabled(),
+                    reason="the sanitizer adds calls to every hop on purpose")
+@pytest.mark.parametrize("make", [make_loopback, make_queued],
+                         ids=["loopback", "queued"])
+def test_an_in_process_hop_makes_at_most_twelve_calls(make):
+    calls = _hop_calls(make())
+    assert calls.count("forward") == calls.count("ingest_staged") == 1
+    assert len(calls) == HOP_CALLS, calls

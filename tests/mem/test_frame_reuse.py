@@ -199,7 +199,7 @@ def test_ingest_refuses_a_header_longer_than_the_handover(kind):
 @pytest.mark.parametrize("function", [
     Executive.frame_alloc,
     Executive.frame_loan,
-    base.PeerTransport.ingest_block,
+    base.PeerTransport.ingest_staged,
     base.PeerTransport.ingest_loaned,
     base._adopt,
 ], ids=lambda f: f.__qualname__)
@@ -230,8 +230,8 @@ def test_the_wire_door_validates_and_the_in_process_hop_trusts():
     trust, and only a sanitized block re-validates it."""
     assert "_adopt" in _calls(base.PeerTransport.ingest_loaned)
     assert "validate" in _calls(base._adopt)
-    assert "adopt" in _calls(base.PeerTransport.ingest_block)
-    assert not {"_adopt", "validate"} & _calls(base.PeerTransport.ingest_block)
+    assert "adopt" in _calls(base.PeerTransport.ingest_staged)
+    assert not {"_adopt", "validate"} & _calls(base.PeerTransport.ingest_staged)
     assert "validate" not in _calls(PoolBlock.adopt)
     assert "validate" in _calls(SanitizedBlock.adopt)
 

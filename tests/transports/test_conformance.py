@@ -163,3 +163,29 @@ class TestTransportContract:
             caller.send(proxy, b"copy-counted", xfunction=0x1)
         assert harness.run_until(lambda: len(caller.replies) == n)
         harness.assert_copy_budget()
+
+
+@pytest.mark.parametrize("name", ["loopback", "faulty", "queued"])
+def test_an_unplugged_transport_lets_go_of_its_blocks(name):
+    """Uninstalling a registered in-process transport with a frame
+    staged toward it returns the block to the sender's pool, takes the
+    transport out of the loop and the PTA, and fails a later send with
+    the standard failure reply instead of staging it silently."""
+    h = make_harness(name)
+    sender, receiver = h.exes[0], h.exes[1]
+    keeper = Keeper()
+    caller = Caller()
+    proxy = sender.routes.create_proxy(1, receiver.install(keeper))
+    sender.install(caller)
+    caller.send(proxy, b"staged", xfunction=0x2)
+    sender.step()  # staged toward node 1, not yet ingested
+    assert sender.pool.in_flight == 1
+    receiver.uninstall(h.pts[1].tid)
+    receiver.step()  # nothing is left to poll
+    assert sender.pool.in_flight == 0
+    assert h.pts[1] not in receiver._pollable
+    assert receiver.pta.transports() == []
+    caller.send(proxy, b"refused", xfunction=0x2)
+    assert h.run_until(lambda: caller.failures == [True])
+    assert keeper.payloads == []
+    h.finish()

@@ -5,7 +5,7 @@ simple variable bound from a *producer* call (``pool.alloc``,
 ``frame_alloc``, ``frame_loan``, ``block_loan``) carries an obligation;
 *transfer* calls (``transmit``, ``forward``, ``frame_send``,
 ``make_handoff``, ``post_outbound``, ``post_inbound``, and the receive
-doors ``ingest_loaned`` / ``ingest_block``) and *release*
+doors ``ingest_loaned`` / ``ingest_staged``) and *release*
 calls (``release``, ``free``, ``frame_free``, ``release_staged``)
 discharge it; any other escape (passed to a call,
 stored, returned, yielded) relieves the linter of the obligation —
@@ -48,11 +48,11 @@ Resolver = Callable[[ast.Call], "tuple[Summary, bool] | None"]
 
 #: calls that move ownership away from a named argument -> its position;
 #: a receive door posts the block's frame or returns the block, so the
-#: block it is handed is never the caller's again
+#: block (or the staged item carrying it) is never the caller's again
 TRANSFER_CALLEES = {
     "transmit": 0, "forward": 0, "frame_send": 0, "make_handoff": 0,
     "post_outbound": 0, "post_inbound": 0,
-    "ingest_loaned": 1, "ingest_block": 1,
+    "ingest_loaned": 1, "ingest_staged": 0,
 }
 #: first-argument release calls
 RELEASE_CALLEES = frozenset(
