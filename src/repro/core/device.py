@@ -95,6 +95,12 @@ class Listener:
     #: Inbound queue share (frames) granted to this device's consumed
     #: types; ``None`` falls back to the spec's ``edge_credits``.
     queue_capacity: int | None = None
+    #: Membership in the node's metric snapshot
+    #: (:func:`~repro.core.telemetry.node_snapshot`): ``None`` stays
+    #: out; ``""`` exports ``export_counters()`` keys as series names
+    #: (one per node); a kind such as ``"pt"`` names them
+    #: ``<kind>_<name>_<key>``.
+    metric_kind: str | None = None
     #: Opt out of the runtime thread-affinity guard
     #: (:mod:`repro.analysis.sanitize`).  Devices that run their own
     #: threads and serialise state with explicit locks (peer

@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Any
 from repro.core.device import RETAIN, Listener
 from repro.core.executive_device import ExecutiveDevice
 from repro.core.interrupts import InterruptController
-from repro.core.metrics import MetricsRegistry
 from repro.core.observer import (
     OUTCOME_ABORTED,
     OUTCOME_HANDLER_ERROR,
@@ -59,7 +58,6 @@ from repro.i2o.frame import (
     FLAG_FAIL,
     FLAG_REPLY,
     HEADER_SIZE,
-    NUM_PRIORITIES,
     Frame,
     check_header,
 )
@@ -98,7 +96,6 @@ class Executive:
         self.clock: Clock = clock if clock is not None else WallClock()
         self.watchdog = watchdog
         self.max_dispatch_per_step = max_dispatch_per_step
-        self.metrics = MetricsRegistry()
         #: dispatch observers in attach order; copy-on-write, so the
         #: dispatch loop reads the tuple once per frame (:meth:`attach`)
         self.observers: tuple[DispatchObserver, ...] = ()
@@ -110,6 +107,7 @@ class Executive:
         self.flightrec: "FlightRecorder | None" = None
         self.dataflow: Any = None  # the cluster's CreditLedger
         self.dataflow_outbox: Any = None  # this node's DataflowOutbox
+        self.profiler: Any = None  # the SamplingProfiler watching this node
 
         self.tids = TidAllocator()
         self.scheduler = PriorityScheduler()
@@ -154,40 +152,6 @@ class Executive:
         self._self_device.plugin(self, EXECUTIVE_TID)
         self._devices[EXECUTIVE_TID] = self._self_device
         self._names[self._self_device.name] = EXECUTIVE_TID
-
-        self._register_core_metrics()
-
-    def _register_core_metrics(self) -> None:
-        """Expose hot-path state through callback gauges.
-
-        The dispatch loop keeps bumping plain ints; the registry only
-        reads them when a snapshot is taken, so being observable costs
-        the hot path nothing.
-        """
-        m = self.metrics
-        m.gauge("exe_dispatched_total", lambda: self.dispatched)
-        m.gauge("exe_dropped_total", lambda: self.dropped)
-        m.gauge("exe_handler_errors_total", lambda: self.handler_errors)
-        m.gauge("exe_route_rebinds_total", lambda: self.routes.rebinds)
-        m.gauge("exe_route_parks_total", lambda: self.routes.parks)
-        m.gauge("exe_devices", lambda: len(self._devices))
-        m.gauge("exe_scheduler_depth", lambda: len(self.scheduler))
-        for priority in range(NUM_PRIORITIES):
-            m.gauge(
-                f"exe_fifo_depth_p{priority}",
-                lambda p=priority: self.scheduler.depth_of(p),
-            )
-        m.gauge("exe_scheduler_pushed_total", lambda: self.scheduler.pushed)
-        m.gauge("pool_blocks_in_flight", lambda: self.pool.in_flight)
-        m.gauge(
-            "pool_bytes_internal_fragmentation",
-            lambda: self.pool.internal_fragmentation,
-        )
-        m.gauge("timer_fired_total", lambda: self.timers.fired)
-        m.gauge(
-            "exe_watchdog_trips_total",
-            lambda: self.watchdog.overruns if self.watchdog is not None else 0,
-        )
 
     def attach(self, observer: DispatchObserver) -> DispatchObserver:
         """Subscribe ``observer`` to every dispatch; returns it.

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 from repro.core.device import Listener, decode_params, encode_params
 from repro.core.states import DeviceState
 from repro.i2o.errors import I2OError
-from repro.i2o.frame import Frame
+from repro.i2o.frame import NUM_PRIORITIES, Frame
 from repro.i2o.function_codes import (
     EXEC_DDM_DESTROY,
     EXEC_LCT_NOTIFY,
@@ -32,6 +32,7 @@ class ExecutiveDevice(Listener):
     """TiD 0 on every node: the executive as an I2O device."""
 
     device_class = "executive"
+    metric_kind = ""
 
     def __init__(self, executive: "Executive") -> None:
         super().__init__(name=f"executive@{executive.node}")
@@ -63,6 +64,28 @@ class ExecutiveDevice(Listener):
                 }
             ),
         )
+
+    def export_counters(self) -> dict[str, object]:
+        """The node's core series: dispatch, scheduler, pool and timers."""
+        exe = self._exe
+        scheduler = exe.scheduler
+        watchdog = exe.watchdog
+        return {
+            "exe_dispatched_total": exe.dispatched,
+            "exe_dropped_total": exe.dropped,
+            "exe_handler_errors_total": exe.handler_errors,
+            "exe_route_rebinds_total": exe.routes.rebinds,
+            "exe_route_parks_total": exe.routes.parks,
+            "exe_devices": len(exe._devices),
+            "exe_scheduler_depth": len(scheduler),
+            **{f"exe_fifo_depth_p{priority}": scheduler.depth_of(priority)
+               for priority in range(NUM_PRIORITIES)},
+            "exe_scheduler_pushed_total": scheduler.pushed,
+            "exe_watchdog_trips_total": watchdog.overruns if watchdog else 0,
+            "pool_blocks_in_flight": exe.pool.in_flight,
+            "pool_bytes_internal_fragmentation": exe.pool.internal_fragmentation,
+            "timer_fired_total": exe.timers.fired,
+        }
 
     def _set_all_states(self, target: DeviceState) -> list[Tid]:
         """Drive every application device to ``target``; returns failures."""

@@ -79,6 +79,7 @@ class HeartbeatService(SchemaListenerMixin, Listener):
     """
 
     device_class = "heartbeat"
+    metric_kind = ""
 
     #: the device parameters, and the bootstrap ``supervision`` section's
     #: keys (:func:`install_supervision`)
@@ -120,10 +121,6 @@ class HeartbeatService(SchemaListenerMixin, Listener):
         exe = self._require_live()
         exe.peers.on_dead(self._peer_dead)
         exe.peers.on_alive(self._peer_alive)
-        exe.metrics.gauge("hb_beats_received_total",
-                          lambda: self.beats_received)
-        exe.metrics.gauge("peer_deaths_total", lambda: self.peer_deaths)
-        exe.metrics.gauge("peer_rejoins_total", lambda: self.peer_rejoins)
 
     def on_unplug(self) -> None:
         # The beat timer rides through a re-plug; the peer-table
@@ -238,10 +235,10 @@ class HeartbeatService(SchemaListenerMixin, Listener):
     def export_counters(self) -> dict[str, object]:
         exe = self.executive
         counters: dict[str, object] = {
-            "beats_sent": self.beats_sent,
-            "beats_received": self.beats_received,
-            "peer_deaths": self.peer_deaths,
-            "peer_rejoins": self.peer_rejoins,
+            "hb_beats_sent_total": self.beats_sent,
+            "hb_beats_received_total": self.beats_received,
+            "peer_deaths_total": self.peer_deaths,
+            "peer_rejoins_total": self.peer_rejoins,
         }
         if exe is not None:
             counters.update(

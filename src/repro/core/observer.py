@@ -60,10 +60,14 @@ class DispatchObserver:
     label = "dispatch observer"
 
     def on_attach(self, exe: "Executive") -> None:
-        """Adopt the executive: node id, clock, gauges, ``exe.<ref>``."""
+        """Adopt the executive: node id, clock, ``exe.<ref>``."""
 
     def on_detach(self, exe: "Executive") -> None:
         """Undo :meth:`on_attach`."""
+
+    def export_counters(self) -> dict[str, object]:
+        """The observer's node metric series, read while attached."""
+        return {}
 
     def dispatch_begin(self, rec: DispatchRecord) -> None:
         """A frame left the scheduler; its handler runs next."""

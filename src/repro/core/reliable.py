@@ -120,6 +120,7 @@ class ReliableEndpoint(Listener):
     """
 
     device_class = "reliable_endpoint"
+    metric_kind = "rel"
 
     def __init__(
         self,
@@ -170,18 +171,6 @@ class ReliableEndpoint(Listener):
     def on_plugin(self) -> None:
         self.bind(XF_REL_DATA, self._on_data)
         self.bind(XF_REL_ACK, self._on_ack)
-        from repro.core.metrics import sanitize_metric_name
-
-        metrics = self._require_live().metrics
-        prefix = f"rel_{sanitize_metric_name(self.name)}"
-        for attr in (
-            "delivered", "duplicates_suppressed", "retransmissions",
-            "failures", "aborted", "corrupt_discarded", "in_flight",
-            "held_back", "replayed", "recoveries",
-        ):
-            metrics.gauge(f"{prefix}_{attr}", lambda a=attr: getattr(self, a))
-        metrics.gauge(f"{prefix}_journal_depth", lambda: self.journal_depth)
-        metrics.gauge(f"{prefix}_recovery_latency_ns", lambda: self.recovery_ns)
         if self.journal is not None:
             self._recover()
 
@@ -550,4 +539,5 @@ class ReliableEndpoint(Listener):
             "replayed": self.replayed,
             "recoveries": self.recoveries,
             "journal_depth": self.journal_depth,
+            "recovery_latency_ns": self.recovery_ns,
         }

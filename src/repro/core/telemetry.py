@@ -3,6 +3,8 @@
 Paper §2: every component is observable "according to one common
 scheme" — the standard executive/utility messages, no side channel:
 
+* :func:`node_snapshot` — a node's metric series, built when read
+  from its owners' ``export_counters()`` and named by one rule.
 * :class:`TelemetryAgent` — one per node; answers ``UtilParamsGet``
   with the node's metrics snapshot and its flight-recorder records
   since a given seq.  It adds no private verbs.
@@ -30,6 +32,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.config.schema import ParamSchema, ParamSpec
 from repro.core.device import Listener, decode_params, encode_params
+from repro.core.metrics import format_value, prometheus_lines, sanitize_metric_name
 from repro.core.request import Requester
 from repro.dataflow.registry import message_type
 from repro.flightrec.records import (
@@ -39,10 +42,10 @@ from repro.flightrec.timeline import MergedTimeline, dispatch_percentiles
 from repro.i2o.frame import Frame
 from repro.i2o.function_codes import UTIL_PARAMS_GET
 from repro.i2o.tid import Tid
-from repro.core.metrics import prometheus_lines
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config.bootstrap import Cluster
+    from repro.core.executive import Executive
 
 #: The sweep is an ordinary ``UtilParamsGet`` (no private verb); the
 #: declared type exists so the collector->agent edges show up in the
@@ -59,6 +62,43 @@ MAX_EXPORT_RECORDS = 1024
 #: The dispatch-latency percentiles the collector reads off each
 #: mirrored ring: ``node_metrics`` key -> percentile.
 DISPATCH_PERCENTILES = {"exe_dispatch_ns_p50": 50, "exe_dispatch_ns_p99": 99}
+
+
+def node_snapshot(exe: "Executive") -> dict[str, float]:
+    """The node's metric series, read now from what the node holds.
+
+    Every counter has one producer, its owner's ``export_counters()``:
+    the installed devices that declare a ``metric_kind`` (TiD order),
+    the attached observers, the dataflow outbox, and the tallies of the
+    profiler that registered the node.  One naming rule: a key is the
+    series name, qualified as ``<kind>_<name>_<key>`` for an owner a
+    node may hold several of (``metric_kind`` set, e.g. ``pt``, ``rel``);
+    every same-named owner after the first carries ``_t<TiD>`` after its
+    name.  A series therefore lives exactly as long as its owner.
+    """
+    series: dict[str, Any] = {}
+    taken: set[str] = set()
+    for tid, device in sorted(exe.devices().items()):
+        kind = device.metric_kind
+        if kind is None:
+            continue
+        prefix = ""
+        if kind:
+            prefix = f"{kind}_{sanitize_metric_name(device.name)}"
+            if prefix in taken:
+                prefix += f"_t{tid}"
+            taken.add(prefix)
+            prefix += "_"
+        for key, value in device.export_counters().items():
+            series[prefix + key] = value
+    for owner in (*exe.observers, exe.dataflow_outbox):
+        if owner is not None:
+            series.update(owner.export_counters())
+    profiler = exe.profiler
+    if profiler is not None:
+        series["prof_samples_total"] = profiler.node_samples[exe.node]
+        series["prof_busy_samples_total"] = profiler.node_busy[exe.node]
+    return series
 
 
 class TelemetryAgent(Listener):
@@ -81,10 +121,7 @@ class TelemetryAgent(Listener):
         :data:`MAX_EXPORT_RECORDS` packed records with seq >= ``since``,
         oldest first) and ``ring_capacity`` when a ring is attached."""
         exe = self._require_live()
-        out = {
-            key: _fmt_number(value)
-            for key, value in exe.metrics.snapshot().items()
-        }
+        out = {key: format_value(value) for key, value in node_snapshot(exe).items()}
         out["node"] = str(exe.node)
         ring = exe.flightrec
         out["trace_enabled"] = "1" if ring is not None else "0"
@@ -289,14 +326,6 @@ class TelemetryCollector(Requester):
             "missed_records": sum(m.missed for m in self.mirrors),
             "traces": len(self.merged().trace_ids()),
         }
-
-
-def _fmt_number(value: float) -> str:
-    if isinstance(value, int):
-        return str(value)
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
 
 
 def _parse_number(text: str) -> float | None:

@@ -285,6 +285,19 @@ class DataflowOutbox:
     def depth(self) -> int:
         return len(self._entries)
 
+    def export_counters(self) -> dict[str, object]:
+        """The node's ``dataflow_*`` series: its parked entries and its
+        share of the ledger's credits and outcomes."""
+        ledger, node = self._ledger, self._exe.node
+        return {
+            "dataflow_credits_available": ledger.credits_available(node),
+            "dataflow_parked": self.depth,
+            "dataflow_parked_total": self.parked_total,
+            "dataflow_shed_total": ledger.shed(node),
+            "dataflow_park_overflow": ledger.park_overflow(node),
+            "dataflow_resumed_total": ledger.resumed(node),
+        }
+
     @staticmethod
     def _route(entry: tuple) -> tuple[TypeRoutes | None, Edge | None]:
         """Routes (``None``: consumer gone) and edge (``None``: uncapped)."""

@@ -91,22 +91,10 @@ def wire_dataflow(
     for exe in sorted(executives.values(), key=lambda exe: exe.node):
         if exe.dataflow is ledger:
             continue  # re-run: this node is already on the ledger
-        node = exe.node
         exe.attach(ledger)
         outbox = DataflowOutbox(exe, ledger)
         exe.dataflow_outbox = outbox
         exe._pollable.append(outbox)
-        exe.metrics.gauge("dataflow_credits_available",
-                          lambda n=node: ledger.credits_available(n))
-        exe.metrics.gauge("dataflow_parked", lambda o=outbox: o.depth)
-        exe.metrics.gauge("dataflow_parked_total",
-                          lambda o=outbox: o.parked_total)
-        exe.metrics.gauge("dataflow_shed_total",
-                          lambda n=node: ledger.shed(n))
-        exe.metrics.gauge("dataflow_park_overflow",
-                          lambda n=node: ledger.park_overflow(n))
-        exe.metrics.gauge("dataflow_resumed_total",
-                          lambda n=node: ledger.resumed(n))
 
     for name, dn in graph.devices.items():
         exe, device = installed[name]

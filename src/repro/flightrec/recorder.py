@@ -261,8 +261,7 @@ class FlightRecorder(DispatchObserver):
     def on_attach(self, exe: "Executive") -> None:
         """Adopt node id and clock when unset; record liveness transitions; spill
         on sanitizer violations *before* they raise (when the allocator
-        has the ``on_violation`` slot); export the recorder's own
-        accounting as callback gauges."""
+        has the ``on_violation`` slot)."""
         if self.node is None:
             self.node = exe.node
         if self.clock is None:
@@ -279,14 +278,6 @@ class FlightRecorder(DispatchObserver):
         allocator = exe.pool.allocator
         if hasattr(allocator, "on_violation"):
             allocator.on_violation = self._violation
-        m = exe.metrics
-        m.gauge("flightrec_records_total", lambda: self.total_records)
-        m.gauge("flightrec_dropped_total", lambda: self.dropped_records)
-        m.gauge("flightrec_spills_total", lambda: self.spills)
-        m.gauge(
-            "flightrec_spills_suppressed_total", lambda: self.suppressed_spills
-        )
-        m.gauge("prof_slow_frames_total", lambda: self.slow_frames)
 
     def on_detach(self, exe: "Executive") -> None:
         if exe.flightrec is self:
@@ -298,6 +289,15 @@ class FlightRecorder(DispatchObserver):
         allocator = exe.pool.allocator
         if getattr(allocator, "on_violation", None) == self._violation:
             allocator.on_violation = None
+
+    def export_counters(self) -> dict[str, object]:
+        return {
+            "flightrec_records_total": self.total_records,
+            "flightrec_dropped_total": self.dropped_records,
+            "flightrec_spills_total": self.spills,
+            "flightrec_spills_suppressed_total": self.suppressed_spills,
+            "prof_slow_frames_total": self.slow_frames,
+        }
 
     def _peer_alive(self, node: int) -> None:
         self.record(EV_LIVENESS, node, LIVE_ALIVE)

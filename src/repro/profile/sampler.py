@@ -68,9 +68,11 @@ def context_label(ctx: "tuple[int, int, int] | None") -> str:
 class SamplingProfiler:
     """Cluster-wide sampler: one thread, many watched executives.
 
-    ``register(exe)`` attaches nothing to the executive; it exposes the
-    per-node sample tallies as callback gauges, so telemetry sweeps
-    and ``repro.top`` see a HOT column with zero extra plumbing.
+    ``register(exe)`` attaches nothing to the executive; it sets
+    ``exe.profiler``, through which the node's metric snapshot
+    (:func:`~repro.core.telemetry.node_snapshot`) reads the per-node
+    sample tallies, so telemetry sweeps and ``repro.top`` see a HOT
+    column with zero extra plumbing.
     ``start``/``stop`` are idempotent; the sampled thread ident is
     re-resolved every tick, so executives may stop and restart freely
     while the profiler runs.
@@ -85,7 +87,7 @@ class SamplingProfiler:
         self.counts: Counter[
             tuple[int, Optional[tuple[int, int, int]], tuple[str, ...]]
         ] = Counter()
-        #: per-node totals backing the HOT column gauges
+        #: per-node totals backing the HOT column
         self.node_samples: Counter[int] = Counter()
         self.node_busy: Counter[int] = Counter()
         self.ticks = 0
@@ -101,13 +103,7 @@ class SamplingProfiler:
         """Watch an executive (idempotent)."""
         with self._lock:
             self._watched[exe.node] = exe
-        node = exe.node
-        exe.metrics.gauge(
-            "prof_samples_total", lambda: self.node_samples[node]
-        )
-        exe.metrics.gauge(
-            "prof_busy_samples_total", lambda: self.node_busy[node]
-        )
+        exe.profiler = self
 
     def unregister(self, exe: Executive) -> None:
         """Stop watching the executive."""
@@ -115,6 +111,8 @@ class SamplingProfiler:
             if self._watched.get(exe.node) is exe:
                 del self._watched[exe.node]
                 self._idents.pop(exe.node, None)
+        if exe.profiler is self:
+            exe.profiler = None
 
     def watch_thread(self, node: int, ident: int | None = None) -> None:
         """Pin the sampled thread for ``node`` explicitly.

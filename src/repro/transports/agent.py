@@ -75,14 +75,6 @@ class PeerTransportAgent(Listener):
         if transport.mode == "polling":
             exe._pollable.append(transport)
             exe.msgi.wake()  # data staged before this is polled now
-        from repro.core.metrics import sanitize_metric_name
-
-        prefix = f"pt_{sanitize_metric_name(transport.name)}"
-        for attr in ("frames_sent", "frames_received", "bytes_sent",
-                     "bytes_received", "tx_copies", "rx_copies"):
-            exe.metrics.gauge(
-                f"{prefix}_{attr}", lambda pt=transport, a=attr: getattr(pt, a)
-            )
         return transport
 
     def forget(self, transport: PeerTransport) -> None:

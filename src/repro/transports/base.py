@@ -63,6 +63,7 @@ class PeerTransport(Listener):
     """
 
     device_class = "peer_transport"
+    metric_kind = "pt"
     #: Threaded PTs account traffic from their own receive threads and
     #: guard shared state with explicit locks, so the runtime affinity
     #: guard skips them; a PT that only the loop thread touches opts
@@ -233,3 +234,13 @@ class PeerTransport(Listener):
     def account_sent(self, nbytes: int) -> None:
         self.frames_sent += 1
         self.bytes_sent += nbytes
+
+    def export_counters(self) -> dict[str, object]:
+        return {
+            "frames_sent": self.frames_sent,
+            "frames_received": self.frames_received,
+            "bytes_sent": self.bytes_sent,
+            "bytes_received": self.bytes_received,
+            "tx_copies": self.tx_copies,
+            "rx_copies": self.rx_copies,
+        }

@@ -10,6 +10,7 @@ from repro.core.executive import Executive
 from repro.core.liveness import HeartbeatService, PeerTable
 from repro.core.reliable import ReliableEndpoint
 from repro.core.states import PeerState
+from repro.core.telemetry import node_snapshot
 from repro.i2o.errors import I2OError
 from repro.i2o.frame import Frame
 from repro.transports.agent import PeerTransportAgent
@@ -177,7 +178,7 @@ class TestHeartbeatService:
             assert exe.peers.nodes() == [n for n in cluster if n != node]
             assert exe.peers.dead_nodes() == []
         assert hbs[0].beats_received > 0
-        assert cluster[0].metrics.value("hb_beats_received_total") > 0
+        assert node_snapshot(cluster[0])["hb_beats_received_total"] > 0
 
     def test_partitioned_peer_detected_within_miss_window(self):
         cluster, clock, hbs, faulty, _ = build_supervised(
@@ -212,7 +213,7 @@ class TestHeartbeatService:
         tick(cluster, clock, 3)
         assert cluster[0].peers.state(1) is PeerState.ALIVE
         assert hbs[0].peer_rejoins == 1
-        assert cluster[0].metrics.value("peer_rejoins_total") == 1
+        assert node_snapshot(cluster[0])["peer_rejoins_total"] == 1
 
     def test_stop_disarms_timer(self):
         cluster, clock, hbs, _, _ = build_supervised(2)
@@ -299,7 +300,7 @@ class TestFailoverCascade:
         assert not route.parked
         assert cluster[0].routes.rebinds >= 1
         assert discovery.rebinds >= 1
-        assert cluster[0].metrics.value("exe_route_rebinds_total") >= 1
+        assert node_snapshot(cluster[0])["exe_route_rebinds_total"] >= 1
         assert 2 in discovery.quarantined
 
     def test_park_policy_fails_senders_fast(self):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.device import Listener
 from repro.core.executive import Executive
+from repro.core.telemetry import node_snapshot
 from repro.dataflow.registry import _unregister, message_type
 from repro.dataflow.routing import CreditLedger, DataflowOutbox
 from repro.flightrec.records import (
@@ -200,7 +201,7 @@ class TestInstrumentation:
         from repro.dataflow.examples import event_builder_spec
 
         cluster = bootstrap(event_builder_spec(1, 1))
-        snapshot = cluster.executives[0].metrics.snapshot()
+        snapshot = node_snapshot(cluster.executives[0])
         for name in ("dataflow_credits_available", "dataflow_parked",
                      "dataflow_parked_total", "dataflow_shed_total",
                      "dataflow_park_overflow", "dataflow_resumed_total"):

@@ -8,6 +8,7 @@ from repro.analysis.sanitize import DoubleFreeError, SanitizingTableAllocator
 from repro.core.device import FunctionalListener, Listener
 from repro.core.executive import Executive
 from repro.core.reliable import ReliableEndpoint
+from repro.core.telemetry import node_snapshot
 from repro.core.watchdog import HandlerWatchdog
 from repro.flightrec.dump import load_dump
 from repro.flightrec.recorder import MAX_INCIDENT_SPILLS, FlightRecorder
@@ -103,7 +104,7 @@ class TestDispatchPath:
         assert [r.d for r in dispatches] == [700, 300]
         assert len(dispatches) == exe.dispatched == 2
         assert dispatch_percentiles(exe.flightrec.records, (50, 99)) == [300, 700]
-        snapshot = exe.metrics.snapshot()
+        snapshot = node_snapshot(exe)
         assert not [m for m in snapshot if m.startswith("exe_dispatch_ns")]
 
     def test_the_loops_release_rides_the_dispatch_record(self):
@@ -216,7 +217,7 @@ class TestDispatchPath:
         assert recorder.suppressed_spills == 500 - MAX_INCIDENT_SPILLS
         # Every failure is still in the ring, and the count is exported.
         assert len(records_of(recorder, EV_DISPATCH_ERROR)) == 500
-        snap = exe.metrics.snapshot()
+        snap = node_snapshot(exe)
         assert snap["flightrec_spills_suppressed_total"] == 496
         # The newest dump on disk still decodes, and fatal paths are
         # never capped.
@@ -348,7 +349,7 @@ class TestAttachment:
     def test_accounting_gauges_exported(self):
         exe = make_recorded_exe()
         exe.frame_alloc(8, target=EXECUTIVE_TID, initiator=EXECUTIVE_TID, xfunction=0x1)
-        snap = exe.metrics.snapshot()
+        snap = node_snapshot(exe)
         assert snap["flightrec_records_total"] >= 1
         assert snap["flightrec_dropped_total"] == 0
         assert snap["flightrec_spills_total"] == 0

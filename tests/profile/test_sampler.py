@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.device import FunctionalListener, Listener
 from repro.core.executive import Executive
+from repro.core.telemetry import TelemetryAgent, node_snapshot
 from repro.dataflow.registry import _unregister, message_type
 from repro.i2o.errors import I2OError
 from repro.i2o.function_codes import function_name
@@ -113,9 +114,11 @@ class TestRegistration:
         profiler = SamplingProfiler(hz=50.0)
         profiler.register(exe)
         assert exe.observers == ()
-        snap = exe.metrics.snapshot()
-        assert snap["prof_samples_total"] == 0
-        assert snap["prof_busy_samples_total"] == 0
+        agent = TelemetryAgent()
+        exe.install(agent)
+        snap = agent.local_snapshot()
+        assert snap["prof_samples_total"] == "0"
+        assert snap["prof_busy_samples_total"] == "0"
 
     def test_register_is_idempotent(self):
         exe = Executive(node=0)
@@ -261,7 +264,7 @@ class TestOffMode:
         run_echo_dispatch(exe)  # hot path: one truthiness test, nothing else
         assert exe.observers == ()
         assert not any(
-            key.startswith("prof_") for key in exe.metrics.snapshot()
+            key.startswith("prof_") for key in node_snapshot(exe)
         )
 
     def test_dispatch_works_after_unregister(self):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.device import FunctionalListener, Listener
 from repro.core.executive import Executive
+from repro.core.telemetry import node_snapshot
 from repro.flightrec.dump import load_dump
 from repro.flightrec.recorder import MAX_INCIDENT_SPILLS, FlightRecorder
 from repro.flightrec.records import EV_DISPATCH, EV_SLOW_FRAME, FlightRecError
@@ -79,7 +80,7 @@ class TestTrips:
     def test_trip_counters_exported_as_gauges(self):
         exe, _recorder, fire = slow_dispatch_exe()
         fire()
-        snap = exe.metrics.snapshot()
+        snap = node_snapshot(exe)
         assert snap["prof_slow_frames_total"] == 1
         assert snap["flightrec_spills_total"] == 0  # diskless: no spill
 
