@@ -200,8 +200,10 @@ class Listener:
         :meth:`emit` and their ``*_into`` forms: loan a frame, fill it
         (copy ``payload`` in, or let ``writer`` build it in place),
         post.  A fill that raises frees the frame.
-        Positional on purpose: this runs once per message."""
-        exe = self._require_live()
+        Positional, liveness tested inline: this runs once per message."""
+        exe = self.executive
+        if exe is None or self.tid is None:
+            raise I2OError(f"device {self.name!r} is not plugged in")
         frame = exe.frame_loan(
             flags, priority, function, target, self.tid, size,
             organization, xfunction, initiator_context, transaction_context,
@@ -456,10 +458,10 @@ class Listener:
     ) -> Frame:
         """frameReply: answer ``request``, echoing its contexts."""
         return self._post(
-            request.initiator, request.function, request.xfunction,
-            request.priority, FLAG_REPLY | (FLAG_FAIL if fail else 0),
-            request.organization,
-            request.transaction_context, request.initiator_context,
+            request._initiator, request._function, request._xfunction,
+            request._priority, FLAG_REPLY | (FLAG_FAIL if fail else 0),
+            request._organization,
+            request._transaction_context, request._initiator_context,
             len(payload), payload, None,
         )
 
@@ -474,10 +476,10 @@ class Listener:
         """frameReply, zero-copy form: like :meth:`send_into` but
         echoing ``request``'s addressing and contexts."""
         return self._post(
-            request.initiator, request.function, request.xfunction,
-            request.priority, FLAG_REPLY | (FLAG_FAIL if fail else 0),
-            request.organization,
-            request.transaction_context, request.initiator_context,
+            request._initiator, request._function, request._xfunction,
+            request._priority, FLAG_REPLY | (FLAG_FAIL if fail else 0),
+            request._organization,
+            request._transaction_context, request._initiator_context,
             payload_size, None, writer,
         )
 

@@ -99,6 +99,8 @@ class Executive:
         #: dispatch observers in attach order; copy-on-write, so the
         #: dispatch loop reads the tuple once per frame (:meth:`attach`)
         self.observers: tuple[DispatchObserver, ...] = ()
+        #: the record lent to the observers of each outermost dispatch
+        self._record = DispatchRecord(self.node)
         #: plain references for the non-dispatch hook sites (trace stamp,
         #: enqueue mark / alloc / release / transmit records, emit-side
         #: credits); each is set by its owner when it attaches.  On a
@@ -373,7 +375,9 @@ class Executive:
     def step(self) -> bool:
         """One scheduling quantum; returns True if any work was done."""
         worked = False
-        if len(self.timers) and self.timers.poll(self.clock.now_ns()):
+        # The timer table and the scheduler depth are read as plain
+        # attributes, as the deques are: a call each costs more.
+        if self.timers._live and self.timers.poll(self.clock.now_ns()):
             worked = True
         if self.msgi.watched and self.msgi.service():
             worked = True
@@ -405,7 +409,7 @@ class Executive:
                     else:
                         self._dead_letter(
                             frame, f"inbound for unknown TiD {frame._target}")
-            if not budget or scheduler.empty:
+            if not budget or not scheduler._depth:
                 return worked
             budget -= 1
             self._dispatch_one()
@@ -452,7 +456,7 @@ class Executive:
             while not self._thread_stop.is_set():
                 # A step that left the scheduler empty needs no idle
                 # step after it: the checks below see any work left.
-                if not self.step() or scheduler.empty:
+                if not self.step() or not scheduler._depth:
                     # Announce first: work published after this line
                     # rings; a deadline, staged item, credit or stop
                     # published before it is seen below (a ``step()``
@@ -658,14 +662,18 @@ class Executive:
         # ``step`` calls it only while the scheduler holds a frame.
         frame = self.scheduler.pop()
         observers = self.observers
+        outer = self._dispatching  # not None while a handler pumps
         if observers:
-            # Snapshot before the upcall: the handler may free the frame.
-            rec = DispatchRecord(self.node, frame, self.clock.now_ns())
+            # Filled before the upcall (the handler may free the frame)
+            # and lent, not allocated: an outermost dispatch refills the
+            # executive's one record, a nested one gets its own, so the
+            # outer record's fields survive (DESIGN §8).
+            rec = (self._record if outer is None else DispatchRecord(
+                self.node)).fill(frame, self.clock.now_ns())
             for observer in observers:
                 observer.dispatch_begin(rec)
         outcome = OUTCOME_ABORTED  # until an exit below says otherwise
         released = False
-        outer = self._dispatching  # not None while a handler pumps
         try:
             try:
                 device = self._devices.get(frame._target)
@@ -696,8 +704,11 @@ class Executive:
                 # *meant* to take the loop of control down; ``except
                 # Exception`` above deliberately lets it through.  But the
                 # frame being dispatched must still return to its pool, or
-                # the simulated process death leaks a real block.
+                # the simulated process death leaks a real block.  Nor
+                # may this dispatch stay the running one: a later one
+                # would count as nested and never get the lent record.
                 self.frame_free(frame)
+                self._dispatching = outer
                 raise
             self._dispatching = outer
             self.dispatched += 1

@@ -3,9 +3,9 @@ the executive dispatch a frame (DESIGN §8, "Dispatch observers").
 
 Per frame the executive calls ``dispatch_begin(rec)`` before the upcall
 and ``dispatch_end(rec)`` exactly once after it, on every exit, in
-attach order.  ``rec`` is a :class:`DispatchRecord` snapshot taken
-*before* the upcall; observers never see the frame, which the handler
-may free.
+attach order.  ``rec`` is a :class:`DispatchRecord` filled *before* the
+upcall and lent for that one pair; observers never see the frame, which
+the handler may free, and copy what they keep past ``dispatch_end``.
 """
 
 from __future__ import annotations
@@ -25,16 +25,23 @@ OUTCOME_ABORTED = 4        # a BaseException is taking the loop down
 
 
 class DispatchRecord:
-    """What observers get instead of the frame."""
+    """What observers get instead of the frame, lent for one dispatch."""
 
     __slots__ = (
         "node", "target", "function", "xfunction", "context",
         "enqueued_ns", "start_ns", "end_ns", "outcome", "released",
     )
 
-    def __init__(self, node: int, frame: "Frame", start_ns: int) -> None:
-        # The decoded header slots, read directly: one per dispatch.
+    def __init__(
+        self, node: int, frame: "Frame | None" = None, start_ns: int = 0
+    ) -> None:
         self.node = node
+        if frame is not None:
+            self.fill(frame, start_ns)
+
+    # Refilled for each outermost dispatch; returns the record.
+    def fill(self, frame: "Frame", start_ns: int) -> "DispatchRecord":
+        # The decoded header slots, read directly: one per dispatch.
         self.target = frame._target
         self.function = frame._function
         self.xfunction = frame._xfunction
@@ -49,6 +56,7 @@ class DispatchRecord:
         #: set with ``outcome``: the loop released the frame at the end
         #: of the dispatch, a frameFree no other fact records
         self.released = False
+        return self
 
 
 class DispatchObserver:

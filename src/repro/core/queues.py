@@ -11,7 +11,7 @@ Any thread may post; exactly one — the loop of control — drains and
 parks, in one epoll that also serves the fds a peer transport watches
 (Linux: epoll + eventfd).  Every producer of work (posts, timers,
 polling-PT staging, returned credits) wakes it through
-:meth:`MessagingInstance.wake`.
+:meth:`MessagingInstance.wake` (inline in the per-message posts).
 """
 
 from __future__ import annotations
@@ -86,13 +86,19 @@ class MessagingInstance:
         """Deposit a frame arriving from the wire (or local loopback)."""
         self._inbound.append(frame)
         self.posted_inbound += 1
-        self.wake()
+        if self.parking:
+            self.ring()
+        if self.on_work is not None:
+            self.on_work()
 
     def post_outbound(self, frame: Frame) -> None:
         """Deposit a frame a local device wants sent (frameSend)."""
         self._outbound.append(frame)
         self.posted_outbound += 1
-        self.wake()
+        if self.parking:
+            self.ring()
+        if self.on_work is not None:
+            self.on_work()
 
     # -- draining -----------------------------------------------------------
     # Test before popping: a raised-and-caught ``IndexError`` costs ten

@@ -74,7 +74,8 @@ def node_snapshot(exe: "Executive") -> dict[str, float]:
     series name, qualified as ``<kind>_<name>_<key>`` for an owner a
     node may hold several of (``metric_kind`` set, e.g. ``pt``, ``rel``);
     every same-named owner after the first carries ``_t<TiD>`` after its
-    name.  A series therefore lives exactly as long as its owner.
+    name, as does a series whose name a device before it took (a second
+    one-per-node owner).  A series lives exactly as long as its owner.
     """
     series: dict[str, Any] = {}
     taken: set[str] = set()
@@ -90,7 +91,10 @@ def node_snapshot(exe: "Executive") -> dict[str, float]:
             taken.add(prefix)
             prefix += "_"
         for key, value in device.export_counters().items():
-            series[prefix + key] = value
+            name = prefix + key
+            if name in series:
+                name += f"_t{tid}"
+            series[name] = value
     for owner in (*exe.observers, exe.dataflow_outbox):
         if owner is not None:
             series.update(owner.export_counters())

@@ -68,9 +68,14 @@ class Allocator(ABC):
         """Return a free block with ``capacity >= size`` or raise
         :class:`PoolExhausted`."""
 
-    @abstractmethod
     def _recycle(self, block: PoolBlock) -> None:
-        """Accept a block whose loan just ended."""
+        """Accept a block whose loan just ended: the loan's bookkeeping,
+        all a scheme with no free list needs (``OriginalAllocator``)."""
+        self._in_flight -= 1
+        self.stats.frees += 1
+        self._frag_bytes -= block.capacity - block.requested
+        if self._in_flight < 0:
+            raise PoolError("more frees than allocs — conservation violated")
 
     def _make_block(
         self, memory: memoryview, *, index: int, size_class: int
@@ -115,15 +120,6 @@ class Allocator(ABC):
             return block
         finally:
             lock.release()
-
-    def note_free(self, block: PoolBlock | None = None) -> None:
-        """Bookkeeping hook invoked from ``_recycle`` implementations."""
-        self._in_flight -= 1
-        self.stats.frees += 1
-        if block is not None:
-            self._frag_bytes -= block.capacity - block.requested
-        if self._in_flight < 0:
-            raise PoolError("more frees than allocs — conservation violated")
 
     @property
     def in_flight(self) -> int:
@@ -180,9 +176,6 @@ class OriginalAllocator(Allocator):
         raise PoolExhausted(
             f"all {self.block_count} blocks of {self.block_size} B in use"
         )
-
-    def _recycle(self, block: PoolBlock) -> None:
-        self.note_free(block)
 
 
 # Size classes for the table allocator: small power-of-two classes up
@@ -271,7 +264,12 @@ class TableAllocator(Allocator):
 
     def _recycle(self, block: PoolBlock) -> None:
         self._free[block.capacity].append(block)
-        self.note_free(block)
+        # The base's bookkeeping inline, not by a call: once per message.
+        self._in_flight -= 1
+        self.stats.frees += 1
+        self._frag_bytes -= block.capacity - block.requested
+        if self._in_flight < 0:
+            raise PoolError("more frees than allocs — conservation violated")
 
 
 def _default_allocator() -> Allocator:

@@ -116,8 +116,12 @@ class PeerTransport(Listener):
 
     def notify_staged(self) -> None:
         """Wake the executive that will ``poll`` what was just staged."""
-        if self.executive is not None:
-            self.executive.msgi.wake()
+        if self.executive is not None:  # ``msgi.wake()``, inline
+            msgi = self.executive.msgi
+            if msgi.parking:
+                msgi.ring()
+            if msgi.on_work is not None:
+                msgi.on_work()
 
     def suspend(self) -> None:
         """Paper §4: it is "advisable ... to suspend other PTs during
@@ -190,6 +194,7 @@ class PeerTransport(Listener):
                 fr.record(EV_FRAME_INGEST, frame._transaction_context,
                           pack3(src_node, frame._target, frame._xfunction),
                           size)
+            # Its wake is needed: task-mode QueueTransport ingests on its own thread.
             exe.msgi.post_inbound(frame)
             return frame
         except BaseException:

@@ -13,9 +13,14 @@ The mutant this must catch: draining the inbound deque in
 ``Executive.step`` with ``try: popleft() except IndexError: break``
 fails every exception case here.
 
-The hop-depth cases count the ``repro`` functions called while the
-PTA forwards one frame and while the receiver ingests it: 24 before
-the hand-off and the in-process ingest were each made one call.
+The call-count cases pin the ``repro`` functions one stepped one-way
+message calls, in three parts: the sender's ``send``, the in-process
+hop (the PTA forwarding the frame and the receiver ingesting it) and
+the receiver's dispatch.  The hop made 24 calls before the hand-off
+and the in-process ingest were each made one call, and 12 while it
+called ``MessagingInstance.wake`` twice; the three parts made 12, 12
+and 8 while the path still called ``_require_live``, ``wake`` and
+``Allocator.note_free``.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ import pytest
 import repro
 from repro.analysis.sanitize import sanitizing_enabled
 from repro.config.bootstrap import bootstrap
+from repro.core.device import Listener
+from repro.core.executive import Executive
 from repro.dataflow.examples import event_builder_spec
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.base import PeerTransport
@@ -110,18 +117,27 @@ def test_stepped_event_builder_raises_nothing():
 
 
 #: ``repro`` calls per one-way in-process hop: ``forward``, the
-#: target rewrite, ``transmit``, ``make_handoff``, the receiver's wake
-#: (two), then ``ingest_staged``, ``adopt``, ``create_proxy``, the
-#: initiator rewrite and ``post_inbound`` with its wake.
-HOP_CALLS = 12
+#: target rewrite, ``transmit``, ``make_handoff`` and the receiver's
+#: ``notify_staged``, then ``ingest_staged``, ``adopt``,
+#: ``create_proxy``, the initiator rewrite and ``post_inbound``.
+HOP_CALLS = 10
 _HOP_ROOTS = frozenset({PeerTransportAgent.forward.__code__,
                         PeerTransport.ingest_staged.__code__})
+#: ``repro`` calls under the sender's ``send``: ``send``, ``_post``,
+#: ``frame_loan`` with ``check_header``, the pool's ``alloc`` and
+#: ``_acquire`` and ``put_header``, the payload view, ``frame_send``
+#: and ``post_outbound``.
+SEND_CALLS = 10
+#: ``repro`` calls under the receiver's ``_dispatch_one``: itself, the
+#: scheduler's ``pop``, ``lookup``, ``prepare``, the handler's payload
+#: view, then the block's ``release`` and the pool's ``_recycle``.
+DISPATCH_CALLS = 7
 
 
-def _hop_calls(harness) -> list[str]:
-    """The ``repro`` functions called under ``forward`` and
-    ``ingest_staged`` (roots included) for one stepped one-way
-    message, sent after a first one warmed the route tables."""
+def _calls_under(harness, roots: frozenset) -> list[str]:
+    """The ``repro`` functions called under ``roots`` (roots included)
+    for one stepped one-way message, sent after a first one warmed the
+    route tables."""
     keeper = Keeper()
     proxy = harness.exes[0].routes.create_proxy(
         1, harness.exes[1].install(keeper))
@@ -133,7 +149,7 @@ def _hop_calls(harness) -> list[str]:
     def profile(frame, event, arg):
         if event == "call":
             code = frame.f_code
-            if inside or code in _HOP_ROOTS:
+            if inside or code in roots:
                 if code.co_filename.startswith(PACKAGE):
                     calls.append(code.co_name)
                 if not inside:
@@ -142,10 +158,10 @@ def _hop_calls(harness) -> list[str]:
             inside.clear()
 
     for n in (1, 2):
-        sender.send(proxy, b"x" * 64, xfunction=0x1)
         if n == 2:
             sys.setprofile(profile)
         try:
+            sender.send(proxy, b"x" * 64, xfunction=0x1)
             assert harness.run_until(lambda: len(keeper.payloads) == n)
         finally:
             sys.setprofile(None)
@@ -153,11 +169,31 @@ def _hop_calls(harness) -> list[str]:
     return calls
 
 
-@pytest.mark.skipif(sanitizing_enabled(),
-                    reason="the sanitizer adds calls to every hop on purpose")
-@pytest.mark.parametrize("make", [make_loopback, make_queued],
-                         ids=["loopback", "queued"])
-def test_an_in_process_hop_makes_at_most_twelve_calls(make):
-    calls = _hop_calls(make())
+_unsanitized = pytest.mark.skipif(
+    sanitizing_enabled(), reason="the sanitizer adds calls to every hop on purpose")
+_transports = pytest.mark.parametrize(
+    "make", [make_loopback, make_queued], ids=["loopback", "queued"])
+
+
+@_unsanitized
+@_transports
+def test_an_in_process_hop_makes_at_most_ten_calls(make):
+    calls = _calls_under(make(), _HOP_ROOTS)
     assert calls.count("forward") == calls.count("ingest_staged") == 1
     assert len(calls) == HOP_CALLS, calls
+
+
+@_unsanitized
+@_transports
+def test_a_send_makes_its_pinned_calls(make):
+    calls = _calls_under(make(), frozenset({Listener.send.__code__}))
+    assert calls.count("send") == 1
+    assert len(calls) == SEND_CALLS, calls
+
+
+@_unsanitized
+@_transports
+def test_a_dispatch_makes_its_pinned_calls(make):
+    calls = _calls_under(make(), frozenset({Executive._dispatch_one.__code__}))
+    assert calls.count("_dispatch_one") == 1
+    assert len(calls) == DISPATCH_CALLS, calls

@@ -58,7 +58,9 @@ class TestReadAtSweepTime:
 
 class TestSameNamedOwners:
     """Every same-named owner after the first (TiD order) carries
-    ``_t<TiD>`` after its name, so none hides another."""
+    ``_t<TiD>`` after its name, and a one-per-node owner's series whose
+    name is taken carries it after the series name, so none hides
+    another."""
 
     def test_two_default_named_reliable_endpoints(self):
         exe = Executive(node=0)
@@ -69,6 +71,16 @@ class TestSameNamedOwners:
         snapshot = node_snapshot(exe)
         assert snapshot["rel_reliable_delivered"] == 7
         assert snapshot[f"rel_reliable_t{tid}_delivered"] == 3
+
+    def test_two_heartbeats_one_per_node_kind(self):
+        exe = Executive(node=0)
+        first, second = HeartbeatService("hb-a"), HeartbeatService("hb-b")
+        exe.install(first)
+        tid = exe.install(second)
+        first.beats_received, second.beats_received = 7, 3
+        snapshot = node_snapshot(exe)
+        assert snapshot["hb_beats_received_total"] == 7
+        assert snapshot[f"hb_beats_received_total_t{tid}"] == 3
 
     def test_transport_names_that_sanitize_alike(self):
         exe = Executive(node=0)

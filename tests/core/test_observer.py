@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.core.observer import (
     OUTCOME_VANISHED,
     OUTCOME_WATCHDOG,
     DispatchObserver,
+    DispatchRecord,
 )
 from repro.core.tracing import is_trace_context
 from repro.core.watchdog import HandlerWatchdog
@@ -28,17 +30,30 @@ XFN = 0x1
 
 
 class Recording(DispatchObserver):
-    """Logs ``(name, "begin"|"end", rec)`` into a shared list."""
+    """Logs ``(name, "begin"|"end", copy)`` into a shared list.
+
+    A record is lent for one dispatch only, so the log holds a copy of
+    its fields taken at each call; a begin and its end share one copy,
+    paired by the identity of the record they were lent."""
 
     def __init__(self, log: list, name: str = "") -> None:
         self.log = log
         self.name = name
+        self._open: dict[int, SimpleNamespace] = {}
 
     def dispatch_begin(self, rec) -> None:
-        self.log.append((self.name, "begin", rec))
+        copy = self._open[id(rec)] = SimpleNamespace()
+        self.log.append((self.name, "begin", _copy_fields(rec, copy)))
 
     def dispatch_end(self, rec) -> None:
-        self.log.append((self.name, "end", rec))
+        copy = self._open.pop(id(rec))
+        self.log.append((self.name, "end", _copy_fields(rec, copy)))
+
+
+def _copy_fields(rec: DispatchRecord, into: SimpleNamespace) -> SimpleNamespace:
+    for name in DispatchRecord.__slots__:
+        setattr(into, name, getattr(rec, name))
+    return into
 
 
 class Second(Recording):
@@ -99,6 +114,26 @@ class TestEveryExitIsBalanced:
         )
         assert exe.pool.in_flight == 0
         exe.pool.check_conservation()
+
+    def test_an_aborted_dispatch_does_not_stay_the_running_one(self):
+        # After a BaseException escape the executive is outside any
+        # dispatch again, so its next dispatch gets the lent record.
+        exe = Executive(node=0)
+        log: list = []
+        exe.attach(Recording(log))
+        crash = exe.install(FunctionalListener(
+            name="crash", handlers={XFN: lambda f: _raise(_Crash())}))
+        sink = exe.install(
+            FunctionalListener(name="sink", handlers={XFN: lambda f: None}))
+        exe.post_inbound(exe.frame_alloc(0, target=crash, xfunction=XFN))
+        with pytest.raises(_Crash):
+            exe.run_until_idle()
+        assert exe._dispatching is None
+        lent = exe._record
+        exe.post_inbound(exe.frame_alloc(0, target=sink, xfunction=XFN))
+        exe.run_until_idle()
+        assert lent.target == sink and lent.outcome == OUTCOME_OK
+        assert exe.pool.in_flight == 0
 
     def test_aborted_dispatch_clears_tracer_and_slot_state(self):
         from repro.profile.sampler import SamplingProfiler
@@ -176,6 +211,48 @@ class TestSeamSemantics:
             ("first", "begin"), ("second", "begin"),
             ("first", "end"), ("second", "end"),
         ]
+
+    def test_a_nested_dispatch_leaves_the_outer_record_intact(self):
+        # A handler that pumps its executive dispatches a frame inside
+        # its own dispatch: the outer observer must still see its own
+        # target, context and outcome at ``dispatch_end``.
+        class Stack(DispatchObserver):
+            def __init__(self) -> None:
+                self.open: list[tuple[int, int]] = []
+                self.ends: list[tuple[tuple[int, int], tuple[int, int, int]]] = []
+
+            def dispatch_begin(self, rec) -> None:
+                self.open.append((rec.target, rec.context))
+
+            def dispatch_end(self, rec) -> None:
+                self.ends.append((self.open.pop(),
+                                  (rec.target, rec.context, rec.outcome)))
+
+        exe = Executive(node=0)
+        observer = exe.attach(Stack())
+        sink = exe.install(
+            FunctionalListener(name="sink", handlers={XFN: lambda f: None}))
+
+        class Pumper(Listener):
+            def on_plugin(self) -> None:
+                self.bind(XFN, self._pump)
+
+            def _pump(self, frame) -> None:
+                self.send(sink, b"", xfunction=XFN, transaction_context=0x222)
+                exe.run_until_idle()
+                raise RuntimeError("after the nested dispatch")
+
+        pumper = Pumper("pumper")
+        exe.install(pumper)
+        exe.post_inbound(exe.frame_alloc(
+            0, target=pumper.tid, initiator=pumper.tid, xfunction=XFN,
+            transaction_context=0x111))
+        exe.run_until_idle()
+        assert observer.ends == [
+            ((sink, 0x222), (sink, 0x222, OUTCOME_OK)),
+            ((pumper.tid, 0x111), (pumper.tid, 0x111, OUTCOME_HANDLER_ERROR)),
+        ]
+        assert exe.pool.in_flight == 0
 
     def test_no_observers_means_no_clock_reads(self):
         class CountingClock:
