@@ -13,9 +13,15 @@ retirement and the pending table's pop) is a distinct failure mode:
   Recovery must replay it; the receiver sees it exactly once.
 * ``post-transmit-pre-ack-record`` — delivered and acked on the wire,
   but the ack was never retired in the journal.  Recovery replays a
-  duplicate; the receiver's dedup window must absorb it.
+  duplicate of every seq the ack frame named; the receiver's dedup
+  window must absorb them.
 * ``post-ack-record-pre-pop`` — retired in the journal, still in the
   dead process's pending table.  Nothing replays; nothing is owed.
+
+The two send windows are entered once per message, the two ack
+windows once per acknowledgement frame: the endpoint retires a frame's
+seqs with one ACK record, so a hit count (``at=``) on them counts
+frames, not seqs.
 
 :class:`CrashInjector` arms one of those points through the endpoint's
 ``crash_hook`` and raises :class:`ExecutiveCrashed` when it fires.

@@ -34,7 +34,8 @@ reports each aborted message through ``on_failed``.
 An endpoint given a :class:`~repro.durable.segments.SegmentStore`
 journal additionally survives its *own* death: every send is appended
 to the journal (write-ahead: the record is committed before the first
-transmission) and retired on ack, so a restarted endpoint replays the
+transmission) and retired on ack — one ACK record for every seq an
+acknowledgement frame names — so a restarted endpoint replays the
 unacknowledged tail from disk and resumes its sequence space where it
 left off.  The receiver's dedup window absorbs any overlap between
 the pre-crash transmissions and the replay, keeping delivery exactly
@@ -239,25 +240,14 @@ class ReliableEndpoint(Listener):
             self.recoveries += 1
         self.recovery_ns = time.perf_counter_ns() - start_ns
 
-    def _stable_address(self, target: Tid) -> tuple[int, Tid]:
-        """Resolve ``target`` to ``(node, remote_tid)`` for the journal.
-
-        Proxy TiDs are process-local and do not survive a restart; the
-        route they stand for does.  A local target is recorded under
-        this executive's own node.
-        """
-        exe = self._require_live()
-        route = exe.routes.route_for(target)
-        if route is not None:
-            return route.node, route.remote_tid
-        return exe.node, target
-
     @property
     def _flightrec(self) -> "FlightRecorder | None":
         exe = self.executive
         return exe.flightrec if exe is not None else None
 
     def _crash(self, point: str) -> None:
+        # Callers test ``crash_hook`` first, so a run without one pays
+        # no call here.
         if self.crash_hook is not None:
             # Record *before* invoking the hook: when it raises
             # ExecutiveCrashed the subsequent hard_stop spills the
@@ -279,20 +269,31 @@ class ReliableEndpoint(Listener):
         ``on_failed`` report all use the private copy, never the
         caller's (possibly recycled) buffer.
         """
+        exe = self._require_live()
         seq = self._next_seq
         data = bytes(payload)
         crc = _data_crc(seq, data)  # journal, wire and every retransmit
-        fr = self._flightrec
-        if self.journal is not None or fr is not None:
-            node, remote_tid = self._stable_address(target)
-        self._crash(CRASH_PRE_APPEND)
-        if self.journal is not None:
-            self.journal.append_send(seq, node, int(remote_tid), data, crc)
+        fr = exe.flightrec
+        journal = self.journal
+        if journal is not None or fr is not None:
+            # The stable address: proxy TiDs are process-local and do not
+            # survive a restart, the route they stand for does.  A local
+            # target is recorded under this executive's own node.
+            route = exe.routes.route_for(target)
+            if route is not None:
+                node, remote_tid = route.node, route.remote_tid
+            else:
+                node, remote_tid = exe.node, target
+        if self.crash_hook is not None:
+            self._crash(CRASH_PRE_APPEND)
+        if journal is not None:
+            journal.append_send(seq, node, int(remote_tid), data, crc)
             if fr is not None:
                 fr.record(EV_JOURNAL_COMMIT, seq)
-        self._crash(CRASH_POST_APPEND)
+        if self.crash_hook is not None:
+            self._crash(CRASH_POST_APPEND)
         self._next_seq = seq + 1
-        deadline = self._require_live().clock.now_ns() + self.retransmit_ns
+        deadline = exe.clock.now_ns() + self.retransmit_ns
         self._pending[seq] = (target, data, self.max_retries, deadline, crc)
         if self._rtx_timer is None:
             self._arm_retransmit()
@@ -338,19 +339,20 @@ class ReliableEndpoint(Listener):
             return
         # Always ack - the previous ack may have been lost.  The ack
         # waits for the flush, so one frame answers the whole burst.
-        self._unacked.setdefault(frame.initiator, []).append(seq)
+        source = frame._initiator
+        self._unacked.setdefault(source, []).append(seq)
         if self._ack_timer is None:
             self._ack_timer = self.start_timer(0)
-        fr = self._flightrec
+        exe = self._require_live()
+        fr = exe.flightrec
         if fr is not None:
-            exe = self._require_live()
-            route = exe.routes.route_for(frame.initiator)
+            route = exe.routes.route_for(source)
             src = route.node if route is not None else exe.node
             fr.record(EV_REL_DELIVER, seq, src, len(payload))
         if self.ordered:
-            self._deliver_ordered(frame.initiator, seq, payload)
+            self._deliver_ordered(source, seq, payload)
         else:
-            self._deliver_unordered(frame.initiator, seq, payload)
+            self._deliver_unordered(source, seq, payload)
 
     def _deliver_unordered(self, source: Tid, seq: int, payload: bytes) -> None:
         key = (source, seq)
@@ -413,26 +415,37 @@ class ReliableEndpoint(Listener):
             self.corrupt_discarded += 1
             return
         pending = self._pending
-        fr = self._flightrec
+        # The frame's seqs still pending, once each: a duplicate ack, or
+        # a seq named twice, retires nothing more.
+        acked: dict[int, None] = {}
         for seq in struct.unpack_from(f"<{count}Q", payload, _ACK_HEAD.size):
-            if seq not in pending:
-                continue  # a duplicate ack, or a seq named twice
+            if seq in pending:
+                acked[seq] = None
+        if acked:
+            fr = self._flightrec
             if fr is not None:
-                fr.record(EV_REL_ACK, seq)
-            self._crash(CRASH_PRE_ACK_RECORD)
-            if self.journal is not None:
-                # Crash window: the peer has the message but this ack
-                # record may die unflushed.  Replay then re-transmits
-                # and the receiver's dedup absorbs the duplicate —
-                # at-least-once on the wire, exactly-once delivered.
-                self.journal.append_ack(seq)
+                for seq in acked:
+                    fr.record(EV_REL_ACK, seq)
+            if self.crash_hook is not None:
+                self._crash(CRASH_PRE_ACK_RECORD)
+            journal = self.journal
+            if journal is not None:
+                # Crash window: the peer has the messages but this one
+                # ACK record may die unflushed.  Replay then re-transmits
+                # every seq of the frame and the receiver's dedup absorbs
+                # the duplicates — at-least-once on the wire,
+                # exactly-once delivered.
+                journal.append_ack(*acked)
                 if fr is not None:
-                    fr.record(EV_JOURNAL_RETIRE, seq)
+                    for seq in acked:
+                        fr.record(EV_JOURNAL_RETIRE, seq)
             # Journal first, pending table second: whoever sees
             # in_flight drop (an observer, a crash) finds the retire
             # already recorded.
-            self._crash(CRASH_POST_ACK_RECORD)
-            del pending[seq]
+            if self.crash_hook is not None:
+                self._crash(CRASH_POST_ACK_RECORD)
+            for seq in acked:
+                del pending[seq]
         self._disarm_if_idle()
 
     # -- timers -------------------------------------------------------------

@@ -7,9 +7,12 @@ records.  Three kinds exist:
   number, stable destination address ``(node, remote_tid)`` and the
   payload bytes.  Written *before* the first transmission (write-ahead
   discipline), so a crash after the send can always replay it.
-* ``REC_ACK`` — the sequence number was acknowledged (or permanently
-  retired through ``on_failed``): the matching SEND is dead and a
-  compaction may drop both records.
+* ``REC_ACK`` — sequence numbers that were acknowledged (or
+  permanently retired through ``on_failed``): the header ``seq`` and
+  every little-endian u64 the payload lists, so one record retires a
+  whole acknowledgement frame.  The matching SENDs are dead and a
+  compaction may drop them and the record.  A single-seq ACK has an
+  empty payload.
 * ``REC_META`` — the endpoint's identity ``(node, tid)`` and the
   sequence-space high-water mark (``seq`` = next unused sequence
   number).  Written when a journal is first bound to an endpoint and
@@ -25,7 +28,7 @@ Record layout (little-endian)::
     u32 payload_len
     u32 payload_crc seeded CRC32 (the wire discipline, see seeded_crc)
     u32 header_crc  CRC32 over the 25 bytes above
-    payload_len bytes of payload
+    payload_len bytes of payload (ACK: u64 seqs retired beside ``seq``)
 
 The two CRCs split the failure modes a reader must distinguish:
 
@@ -42,7 +45,9 @@ The two CRCs split the failure modes a reader must distinguish:
   nothing after the damage is trusted.
 
 A corrupted ``payload_len`` cannot masquerade as a torn tail: the
-length field is covered by the header CRC, which fails first.
+length field is covered by the header CRC, which fails first.  An ACK
+whose verified length is not a whole number of u64 seqs is refused as
+corruption too, like an unknown kind under a valid header CRC.
 
 The payload CRC reuses the seeded-CRC discipline of
 ``repro.core.reliable`` (CRC over the sequence number *and* the
@@ -164,6 +169,19 @@ def encode_header(
     return fixed + _CRC.pack(zlib.crc32(fixed))
 
 
+def ack_payload(seqs: tuple[int, ...]) -> bytes:
+    """The payload of an ACK record that retires ``seqs`` beside its
+    header ``seq`` (empty for none: the single-seq record)."""
+    return struct.pack(f"<{len(seqs)}Q", *seqs)
+
+
+def acked_seqs(record: Record) -> tuple[int, ...]:
+    """Every seq an ACK record retires: its header ``seq``, then the
+    ones its payload lists."""
+    count = len(record.payload) // 8
+    return (record.seq, *struct.unpack(f"<{count}Q", record.payload))
+
+
 def encode_record(record: Record) -> bytes:
     """Serialise one record; the inverse of one :func:`decode_journal`
     step."""
@@ -201,6 +219,12 @@ def decode_journal(data: bytes | bytearray | memoryview) -> DecodeResult:
         if payload_len > MAX_RECORD_PAYLOAD:
             raise _corrupt(
                 offset, f"payload length {payload_len} exceeds bound", records
+            )
+        if kind == REC_ACK and payload_len % 8:
+            raise _corrupt(
+                offset,
+                f"ACK payload of {payload_len} bytes is not whole u64 seqs",
+                records,
             )
         if remaining < HEADER_SIZE + payload_len:
             break  # torn tail: the payload never finished writing

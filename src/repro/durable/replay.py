@@ -6,10 +6,12 @@ recovery asks: *given everything the journal remembers, what was
 unacknowledged, and where does the sequence space resume?*
 
 The fold is order-sensitive in exactly one way: an ACK retires the
-SEND it follows.  An ACK with no live SEND is legal — compaction drops
-dead pairs, and the crash window between transmitting and recording an
-ack means replay may re-deliver and re-retire a message the peer
-already consumed (the receiver's dedup window absorbs it).
+SENDs it follows — every seq it names, its header ``seq`` and the u64s
+its payload lists.  A seq an ACK names with no live SEND is legal —
+compaction drops dead records, and the crash window between
+transmitting and recording an ack means replay may re-deliver and
+re-retire a message the peer already consumed (the receiver's dedup
+window absorbs it).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.durable.journal import (
     REC_META,
     REC_SEND,
     Record,
+    acked_seqs,
 )
 
 
@@ -74,8 +77,9 @@ def replay_records(records: list[Record]) -> ReplayState:
             if record.seq >= state.next_seq:
                 state.next_seq = record.seq + 1
         elif record.kind == REC_ACK:
-            if state.pending.pop(record.seq, None) is not None:
-                state.acked += 1
+            for seq in acked_seqs(record):
+                if state.pending.pop(seq, None) is not None:
+                    state.acked += 1
         elif record.kind == REC_META:
             if record.seq > state.next_seq:
                 state.next_seq = record.seq

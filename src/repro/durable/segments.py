@@ -11,7 +11,12 @@ transmit) holds against real process death.  Larger batches shrink the
 cost but widen the window in which a committed send can die with the
 process; the recovery protocol stays correct either way — the message
 is then *lost with an explicit failure at the sender*, never silently
-half-delivered (see DESIGN.md §10 for the guarantee table).
+half-delivered (see DESIGN.md §10 for the guarantee table).  One
+``append_ack`` is one record however many seqs it retires, so the
+reliable endpoint's one ACK record per acknowledgement frame is one
+step of that count and one write.  A flush that fails — a short
+write or an ``OSError`` — is taken back off the file before it raises,
+so the file stays record-aligned and the kept buffer is retried whole.
 
 Compaction bounds the file: once :data:`COMPACT_MIN_RECORDS` records
 have accumulated and most are dead, the store rewrites ``META + live
@@ -43,6 +48,7 @@ from repro.durable.journal import (
     REC_SEND,
     JournalCorruption,
     JournalError,
+    ack_payload,
     decode_journal,
     encode_header,
 )
@@ -164,12 +170,19 @@ class SegmentStore:
         if seq >= self._hwm:
             self._hwm = seq + 1
 
-    def append_ack(self, seq: int) -> None:
-        """Retire ``seq`` — acknowledged or permanently failed; either
-        way it must not resurrect on replay."""
-        self._append(encode_header(REC_ACK, seq, 0, 0, b""))
-        self.acks_recorded += 1
-        if self._live.pop(seq, None) is not None:
+    def append_ack(self, seq: int, *more: int) -> None:
+        """Retire ``seq`` and every seq in ``more`` — acknowledged or
+        permanently failed; either way none may resurrect on replay.
+        However many seqs, it is one record: one step of the
+        ``flush_every`` count, one write, one compaction check."""
+        payload = ack_payload(more) if more else b""
+        self._append(encode_header(REC_ACK, seq, 0, 0, payload), payload)
+        self.acks_recorded += 1 + len(more)
+        live = self._live
+        retired = live.pop(seq, None) is not None
+        for other in more:
+            retired |= live.pop(other, None) is not None
+        if retired:
             self._maybe_compact()
 
     def _append(self, header: bytes, payload: bytes = b"") -> None:
@@ -186,11 +199,22 @@ class SegmentStore:
         if self._file is None or not self._buffer:
             return
         fd = self._file.fileno()
-        for start in range(0, len(self._buffer), _IOV_MAX):
-            parts = self._buffer[start:start + _IOV_MAX]
-            if os.writev(fd, parts) != sum(map(len, parts)):
-                raise JournalError(f"short write to journal {self.path.name}")
-        self._buffer.clear()
+        buffer = self._buffer
+        written = 0
+        try:
+            for start in range(0, len(buffer), _IOV_MAX):
+                parts = buffer[start:start + _IOV_MAX]
+                chunk = os.writev(fd, parts)
+                written += chunk
+                if chunk != sum(map(len, parts)):
+                    raise JournalError(f"short write to journal {self.path.name}")
+        except (OSError, JournalError):
+            # Take this flush's bytes back off the file, earlier chunks
+            # included: it stays record-aligned, and the buffer, kept
+            # whole, is retried by the next flush.
+            os.ftruncate(fd, os.fstat(fd).st_size - written)
+            raise
+        buffer.clear()
         self._unflushed = 0
         if self.fsync:
             os.fsync(fd)

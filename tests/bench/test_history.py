@@ -240,3 +240,45 @@ def test_bench_51_records_the_transport_half_at_its_floor():
         assert side["core.executive.dispatched_per_op"] == 2.0
         assert side["transports.loopback.copies_per_frame"] == 0.0
     assert all(run["gate_passed"] for run in record["x6_overhead"]["change"])
+
+
+def test_bench_55_records_the_journal_half_of_the_burst_ack():
+    """One ACK record and one write per acknowledgement frame, pinned as
+    recorded: durable_stream's throughput rose on nine pairs in ten at
+    seed 1 and by more than the parent's own spread at both seeds; a
+    message made 1.0625 journal writes where it made 2.0, 0.0625 ACK
+    records where it made 1.0, and fewer repro calls, with the frames
+    on the wire unchanged; the run-order split is recorded for both
+    seeds, and every X6 run of both sides is reported."""
+    record = json.loads(
+        (ROOT / "benchmarks" / "history" / "BENCH_55.json").read_text("utf-8")
+    )
+    claimed = record["claimed"]
+    assert (claimed["workload"], claimed["metric"]) == ("durable_stream", "ops_per_s")
+    assert claimed["wins"] * 10 >= 9 * record["pairs"]
+    before = record["sides"]["parent"]["workloads"]["durable_stream"]["ops_per_s"]
+    after = record["sides"]["change"]["workloads"]["durable_stream"]["ops_per_s"]
+    assert after["median"] - before["median"] > before["q3"] - before["q1"]
+    seed2 = record["seed2"]
+    before2, after2 = seed2["parent"]["ops_per_s"], seed2["change"]["ops_per_s"]
+    assert after2["median"] - before2["median"] > before2["q3"] - before2["q1"]
+    target = record["claim_target"]  # stated against the medians above
+    pct = round(100 * (after["median"] / before["median"] - 1), 1)
+    pct2 = round(100 * (after2["median"] / before2["median"] - 1), 1)
+    assert (target["seed1_change_pct"], target["seed2_change_pct"]) == (pct, pct2)
+    per = record["pairs_per_workload"]
+    assert per["tcp_pingpong"] >= 7 and per["pingpong_queued"] >= 7
+    assert min(per.values()) >= 3
+    for side in record["sides"].values():
+        assert all(w["failed_ops"] == 0 for w in side["workloads"].values())
+    order = record["order_effect"]["durable_stream@1"]
+    assert order["parent_first"]["pairs"] == order["change_first"]["pairs"] == 5
+    counts = record["exact_counts"]
+    parent, change = counts["parent"], counts["change"]
+    assert (parent["os_writev"], change["os_writev"]) == (2.0, 1.0625)
+    assert parent["journal_ack_records"] == 1.0
+    assert change["journal_ack_records"] == 0.0625
+    assert change["repro_calls"] <= 55 < parent["repro_calls"]
+    assert parent["frames_on_the_wire"] == change["frames_on_the_wire"] == 1.0625
+    x6 = record["x6_overhead"]
+    assert min(len(x6["parent"]), len(x6["change"])) >= 3

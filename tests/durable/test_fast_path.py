@@ -1,4 +1,5 @@
-"""The journal's one-pass append path and its amortised compaction.
+"""The journal's one-pass append path, its amortised compaction, and
+one ACK record and one write per acknowledgement frame.
 
 ``SegmentStore.append_*`` write a packed header and the caller's
 payload straight to an unbuffered file — no ``Record`` is built.  The
@@ -11,21 +12,26 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
 import textwrap
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.reliable import XF_REL_ACK
 from repro.durable.journal import (
     HEADER_SIZE,
     REC_ACK,
     REC_META,
     REC_SEND,
     Record,
+    acked_seqs,
+    decode_journal,
     encode_record,
     seeded_crc,
 )
 from repro.durable.segments import COMPACT_MIN_RECORDS, SegmentStore
+from tests.durable.test_crashpoints import _Rig
 
 u32 = st.integers(min_value=0, max_value=2**32 - 1)
 u64 = st.integers(min_value=0, max_value=2**64 - 1)
@@ -136,3 +142,70 @@ def test_group_commit_crash_loses_only_the_unflushed_buffer(tmp_path):
     assert sorted(reopened.pending()) == list(range(1, 8))
     assert reopened.recovered.next_seq == 8
     reopened.close()
+
+
+def _count_writes(monkeypatch) -> list[int]:
+    """Count the store's gathered writes from here on."""
+    real, calls = os.writev, []
+
+    def writev(fd, parts):
+        calls.append(fd)
+        return real(fd, parts)
+
+    monkeypatch.setattr("repro.durable.segments.os.writev", writev)
+    return calls
+
+
+def test_one_ack_frame_is_one_ack_record_and_one_write(tmp_path, monkeypatch):
+    """The journal mirrors the wire: the receiver's one ack frame for a
+    burst of 16 retires all 16 with one ACK record in one write."""
+    rig = _Rig(tmp_path)
+    for i in range(16):
+        rig.tx.send_reliable(rig.peer, b"m%d" % i)
+    frames, real_send = [], rig.rx.send
+
+    def send(*args, **kw):
+        frames.append(kw["xfunction"])
+        return real_send(*args, **kw)
+
+    monkeypatch.setattr(rig.rx, "send", send)
+    writes = _count_writes(monkeypatch)
+    rig.pump()
+    assert frames == [XF_REL_ACK]
+    assert len(writes) == 1
+    assert rig.tx.in_flight == rig.store.depth == 0
+    assert rig.store.acks_recorded == 16
+    rig.store.close()
+    acks = [
+        acked_seqs(r) for r in decode_journal(rig.store.path.read_bytes()).records
+        if r.kind == REC_ACK
+    ]
+    assert acks == [tuple(range(1, 17))]
+
+
+def test_durable_stream_shape_writes_once_per_message(tmp_path, monkeypatch):
+    """The benchmark's ``durable_stream`` in small: 1 KiB messages, 16
+    outstanding, a default journal, both executives stepped in turn (the
+    clock stands still, so nothing retransmits).  One SEND write per
+    message and one ACK write per acknowledged burst: at most 1.07
+    writes a message (2.0 while every seq had its own ACK record)."""
+    rig = _Rig(tmp_path)
+    tx, peer, payload = rig.tx, rig.peer, b"\x5a" * 1024
+
+    def stream(messages):
+        sent = 0
+        while sent < messages or tx.in_flight:
+            while sent < messages and tx.in_flight < 16:
+                tx.send_reliable(peer, payload)
+                sent += 1
+            rig.tx_exe.step()
+            rig.rx_exe.step()
+
+    stream(64)
+    writes = _count_writes(monkeypatch)
+    stream(1600)
+    assert len(rig.received) == 1664
+    assert tx.retransmissions == rig.rx.duplicates_suppressed == 0
+    assert rig.store.depth == 0
+    assert len(writes) / 1600 <= 1.07
+    rig.assert_no_leaks()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import os
+
 import pytest
 
 from repro.durable.journal import (
@@ -13,6 +16,7 @@ from repro.durable.journal import (
     JournalCorruption,
     JournalError,
     Record,
+    acked_seqs,
     decode_journal,
     encode_record,
     seeded_crc,
@@ -102,6 +106,26 @@ class TestCodec:
         damaged[17] = 0xEE  # payload_len field (offset 17..20)
         with pytest.raises(JournalCorruption):
             decode_journal(bytes(damaged))
+
+    def test_single_seq_ack_is_the_old_record(self):
+        # Byte for byte what every earlier journal holds: an old
+        # journal's ACKs decode (and fold) exactly as they always did.
+        data = encode_record(Record(kind=REC_ACK, seq=5))
+        assert data.hex() == (
+            "0205000000000000000000000000000000000000007fb176e3f59a2c26"
+        )
+        (record,) = decode_journal(data).records
+        assert acked_seqs(record) == (5,)
+
+    def test_ack_payload_not_whole_u64s_refused_by_name(self):
+        # Both CRCs verify: the damage is a list no writer produces.
+        first = encode_record(_send(1))
+        bad = encode_record(Record(kind=REC_ACK, seq=2, payload=b"\x01" * 12))
+        with pytest.raises(JournalCorruption) as info:
+            decode_journal(first + bad)
+        assert info.value.offset == len(first)
+        assert info.value.reason == "ACK payload of 12 bytes is not whole u64 seqs"
+        assert [r.seq for r in info.value.partial] == [1]
 
 
 class TestReplayFold:
@@ -226,6 +250,59 @@ class TestSegmentStore:
         assert reopened.recovered.next_seq == 7
         assert sorted(reopened.pending()) == [6]
         reopened.close()
+
+    def test_multi_seq_ack_is_one_record(self, tmp_path):
+        store = SegmentStore(tmp_path / "a.journal", flush_every=2)
+        for seq in range(1, 5):
+            store.append_send(seq, 1, 7, b"p")
+        store.append_ack(3, 1, 3, 8)  # a repeat, and one never sent
+        assert store.acks_recorded == 4
+        assert sorted(store.pending()) == [2, 4]
+        store.append_send(5, 1, 7, b"p")  # the ACK counted once: flushed
+        store.crash()
+        reopened = SegmentStore(store.path)
+        assert sorted(reopened.pending()) == [2, 4, 5]
+        reopened.close()
+
+    @pytest.mark.parametrize("iov_max, failing_call, failure", [
+        (1024, 1, "short"), (2, 2, "short"), (2, 2, "no space"),
+    ])
+    def test_failed_flush_leaves_the_segment_record_aligned(
+        self, tmp_path, monkeypatch, iov_max, failing_call, failure
+    ):
+        """A flush that writes short, or fails outright, takes its bytes
+        back off the file — those of earlier whole chunks too — so the
+        buffer it keeps is retried as whole records, not appended after
+        a torn one or after a copy of its own head."""
+        path = tmp_path / "a.journal"
+        store = SegmentStore(path, flush_every=3)
+        store.ensure_identity(0, 5)
+        store.append_send(1, 1, 7, b"a" * 64)
+        store.append_send(2, 1, 7, b"b" * 64)  # flushed whole
+        real, calls = os.writev, []
+
+        def writev(fd, parts):
+            calls.append(fd)
+            if len(calls) != failing_call:
+                return real(fd, parts)
+            if failure == "short":
+                return real(fd, [b"".join(parts)[:40]])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("repro.durable.segments._IOV_MAX", iov_max)
+        monkeypatch.setattr("repro.durable.segments.os.writev", writev)
+        store.append_send(3, 1, 7, b"c" * 64)
+        store.append_send(4, 1, 7, b"d" * 64)
+        with pytest.raises(JournalError if failure == "short" else OSError):
+            store.append_send(5, 1, 7, b"e" * 64)
+        assert len(calls) == failing_call
+        monkeypatch.undo()
+        store.close()  # retries the kept buffer
+        result = decode_journal(path.read_bytes())
+        assert result.torn_bytes == 0
+        assert [(r.kind, r.seq) for r in result.records] == [
+            (REC_META, 1), *((REC_SEND, seq) for seq in range(1, 6))
+        ]
 
     def test_closed_store_refuses_appends(self, tmp_path):
         store = SegmentStore(tmp_path / "a.journal")
