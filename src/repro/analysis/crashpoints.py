@@ -1,14 +1,22 @@
 """Crash-point injection for durability testing.
 
 The journal's write-ahead discipline (``repro.durable``) is only as
-good as the crash windows it survives.  A reliable endpoint commits a
-send in three observable steps — journal append, wire transmit, ack
-retirement — and each gap between them (plus the one between the
-retirement and the pending table's pop) is a distinct failure mode:
+good as the crash windows it survives.  A journaled reliable endpoint
+moves a send through four observable steps — accept
+(``send_reliable``), journal write and wire transmit (both in
+``commit()``, one group commit per batch), ack retirement — and each
+gap between them (plus the one between the retirement and the pending
+table's pop) is a distinct failure mode:
 
-* ``pre-journal-append`` — the process dies before the record is
-  written.  The message was never accepted; the caller's exception is
-  the (explicit, tested) diagnostic.  Nothing replays.
+* ``pre-journal-append`` — the process dies inside ``send_reliable``,
+  before the message is accepted.  The caller's exception is the
+  (explicit, tested) diagnostic.  Nothing replays.
+* ``accepted-pre-commit`` — accepted (``send_reliable`` returned its
+  seq) but never committed: nothing on disk, nothing on the wire.
+  Nothing replays, and the restarted endpoint reuses the seq for its
+  next send, which the receiver delivers — it never saw the first.
+  This is the group commit's loss window: only sends no peer has seen
+  die in it.
 * ``post-append-pre-transmit`` — journaled but never on the wire.
   Recovery must replay it; the receiver sees it exactly once.
 * ``post-transmit-pre-ack-record`` — delivered and acked on the wire,
@@ -18,10 +26,11 @@ retirement and the pending table's pop) is a distinct failure mode:
 * ``post-ack-record-pre-pop`` — retired in the journal, still in the
   dead process's pending table.  Nothing replays; nothing is owed.
 
-The two send windows are entered once per message, the two ack
-windows once per acknowledgement frame: the endpoint retires a frame's
-seqs with one ACK record, so a hit count (``at=``) on them counts
-frames, not seqs.
+``pre-journal-append`` is entered once per message; the two commit
+windows once per commit, however many sends it carries; the two ack
+windows once per acknowledgement frame (the endpoint retires a frame's
+seqs with one ACK record).  A hit count (``at=``) therefore counts
+messages, commits or ack frames, by window.
 
 :class:`CrashInjector` arms one of those points through the endpoint's
 ``crash_hook`` and raises :class:`ExecutiveCrashed` when it fires.
@@ -40,6 +49,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.reliable import (
+    CRASH_ACCEPTED,
     CRASH_POST_ACK_RECORD,
     CRASH_POST_APPEND,
     CRASH_PRE_ACK_RECORD,
@@ -52,6 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Every named crash window, in commit order.
 CRASH_POINTS: tuple[str, ...] = (
     CRASH_PRE_APPEND,
+    CRASH_ACCEPTED,
     CRASH_POST_APPEND,
     CRASH_PRE_ACK_RECORD,
     CRASH_POST_ACK_RECORD,
@@ -109,9 +120,10 @@ def crash_at(
     Restores any previously installed hook on exit, so nested or
     sequential injections compose::
 
+        tx.send_reliable(peer, payload)
         with crash_at(tx, CRASH_POST_APPEND) as injector:
             with pytest.raises(ExecutiveCrashed):
-                tx.send_reliable(peer, payload)
+                tx.commit()
         assert injector.fired
     """
     injector = CrashInjector(point, at=at)

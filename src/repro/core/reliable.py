@@ -8,9 +8,9 @@ provides:
 
 * sequencing and acknowledgements are ordinary private messages;
 * acknowledgements are batched: the first unacked arrival arms one
-  zero-delay timer, and its expiry sends one ack per source naming
-  every seq received since (at most :data:`MAX_ACK_SEQS` a frame), so
-  a burst costs one ack frame, not one per message;
+  zero-delay flush timer, and its expiry sends one ack per source
+  naming every seq received since (at most :data:`MAX_ACK_SEQS` a
+  frame), so a burst costs one ack frame, not one per message;
 * retransmission deadlines use the **I2O timer facility** (expirations
   arrive as frames through the same queues, paper §3.2): the pending
   table stays in deadline order and one timer per endpoint, armed for
@@ -32,15 +32,21 @@ that node — retrying into a black hole only wastes the wire — and
 reports each aborted message through ``on_failed``.
 
 An endpoint given a :class:`~repro.durable.segments.SegmentStore`
-journal additionally survives its *own* death: every send is appended
-to the journal (write-ahead: the record is committed before the first
-transmission) and retired on ack — one ACK record for every seq an
-acknowledgement frame names — so a restarted endpoint replays the
-unacknowledged tail from disk and resumes its sequence space where it
-left off.  The receiver's dedup window absorbs any overlap between
-the pre-crash transmissions and the replay, keeping delivery exactly
-once across the restart — provided the endpoint is reinstalled at its
-recorded TiD, which the journal enforces.
+journal additionally survives its *own* death, by group commit:
+``send_reliable`` *accepts* a send (seq, payload snapshot, wire CRC)
+and arms the flush timer, whose :meth:`~ReliableEndpoint.commit` writes
+every accepted SEND with one journal call and one write, then posts
+the frames.  *Write-ahead*: no frame for seq *s* leaves before SEND(*s*)
+is on the file (``flush_every=1``).  *Durable at commit*: ``commit()``
+returning, or the executive's next step; a crash before loses only
+sends no peer has seen, whose seqs are then reused safely.  Records
+are retired on ack — one ACK record per acknowledgement frame — so a
+restarted endpoint replays the unacknowledged tail and resumes its
+sequence space; the receiver's dedup window absorbs any overlap,
+keeping delivery exactly once across the restart — provided the
+endpoint is reinstalled at its recorded TiD, which the journal
+enforces.  Only the executive's thread writes the journal;
+``send_reliable`` may run on any thread.
 
 xfunctions 0xF0xx are reserved framework space (below the RMI method
 hash range).
@@ -57,6 +63,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.device import Listener
 # The journal codec's payload CRC *is* the wire CRC (one integrity
 # discipline end to end: RAM, wire and disk).
+from repro.durable.journal import JournalError
 from repro.durable.journal import seeded_crc as _data_crc
 from repro.flightrec.records import (
     CRASH_POINT_CODES,
@@ -69,7 +76,7 @@ from repro.flightrec.records import (
     EV_REL_SEND,
 )
 from repro.i2o.errors import I2OError
-from repro.i2o.frame import Frame
+from repro.i2o.frame import MAX_PAYLOAD_SIZE, Frame
 from repro.i2o.tid import Tid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -86,15 +93,20 @@ _HEADER = struct.Struct("<QI")
 _ACK_HEAD = struct.Struct("<II")
 #: seqs one ack frame names: 32 B header + 8 + 8 x 123 = one 1 KiB block
 MAX_ACK_SEQS = 123
+#: the largest payload one data frame carries
+MAX_RELIABLE_PAYLOAD = MAX_PAYLOAD_SIZE - _HEADER.size
+#: timer context of the zero-delay flush: owed acks, then accepted sends
+_FLUSH = 1
 
 #: (source, seq) pairs an unordered receiver remembers to suppress
 #: duplicates
 DEDUP_WINDOW = 4096
 
 #: Named crash points for fault-injection tests (see
-#: repro.analysis.crashpoints): the four torn states the journal
-#: write-ahead ordering can leave behind.
+#: repro.analysis.crashpoints): the torn states the journal's
+#: accept, commit and retire steps can leave behind.
 CRASH_PRE_APPEND = "pre-journal-append"
+CRASH_ACCEPTED = "accepted-pre-commit"
 CRASH_POST_APPEND = "post-append-pre-transmit"
 CRASH_PRE_ACK_RECORD = "post-transmit-pre-ack-record"
 CRASH_POST_ACK_RECORD = "post-ack-record-pre-pop"
@@ -149,9 +161,18 @@ class ReliableEndpoint(Listener):
         self._pending: dict[int, tuple[Tid, bytes, int, int, int]] = {}
         #: the one retransmit timer, armed while ``_pending`` is not empty
         self._rtx_timer: int | None = None
+        #: journaled sends accepted and not yet committed, each
+        #: (seq, node, remote tid, payload, crc, target): any thread
+        #: appends, only commit() removes
+        self._accepted: list[tuple[int, int, int, bytes, int, Tid]] = []
+        #: leading ``_accepted`` entries already handed to the journal (by
+        #: an unplug, or a failed commit: then in the store's kept
+        #: buffer), and the flush timer that retries a failed commit
+        self._staged = 0
+        self._retry_timer: int | None = None
         #: initiator -> seqs received since the last ack flush
         self._unacked: dict[Tid, list[int]] = {}
-        #: the zero-delay timer that flushes ``_unacked``
+        #: a zero-delay flush timer is armed for ``_unacked``
         self._ack_timer: int | None = None
         #: (initiator, seq) -> None, LRU-bounded (unordered mode)
         self._seen: OrderedDict[tuple[Tid, int], None] = OrderedDict()
@@ -165,6 +186,7 @@ class ReliableEndpoint(Listener):
         self.failures = 0
         self.aborted = 0
         self.corrupt_discarded = 0
+        self.commit_failures = 0
         self.replayed = 0
         self.recoveries = 0
         self.recovery_ns = 0
@@ -177,11 +199,13 @@ class ReliableEndpoint(Listener):
 
     def on_unplug(self) -> None:
         # The timers ride through a re-plug (Executive.uninstall carries
-        # them), so only the journal needs care: push buffered records
-        # to disk so a later restart replays a complete write-ahead
-        # record.  The store stays open — the endpoint may be
-        # re-plugged.
+        # them), so only the journal needs care: journal what was
+        # accepted (the carried flush timer posts it) and push buffered
+        # records to disk, so a later restart replays a complete
+        # write-ahead record.  The store stays open — the endpoint may
+        # be re-plugged.
         if self.journal is not None:
+            self._journal_accepted()
             self.journal.flush()
 
     # -- durability --------------------------------------------------------
@@ -215,7 +239,9 @@ class ReliableEndpoint(Listener):
             self._next_seq = state.next_seq
         pending = journal.pending()
         deadline = exe.clock.now_ns() + self.retransmit_ns
-        for seq in sorted(pending):
+        # Sends still accepted (a re-plug) are the flush timer's to post.
+        accepted = {entry[0] for entry in self._accepted}
+        for seq in sorted(pending.keys() - accepted):
             record = pending[seq]
             if record.node == exe.node:
                 target = Tid(record.tid)
@@ -230,9 +256,7 @@ class ReliableEndpoint(Listener):
             # leaving again.
             fr = self._flightrec
             if fr is not None:
-                fr.record(
-                    EV_REL_SEND, seq, record.node, len(record.payload)
-                )
+                fr.record(EV_REL_SEND, seq, record.node, len(record.payload))
             self._transmit(seq, target, record.payload, crc)
             self.replayed += 1
         self._arm_retransmit()
@@ -263,11 +287,12 @@ class ReliableEndpoint(Listener):
     ) -> int:
         """Queue ``payload`` for guaranteed delivery; returns its seq.
 
-        The payload bytes are snapshotted at this commit point, so the
-        caller may pass a view into a pool frame it is about to free:
-        retransmissions, the journal record and any eventual
-        ``on_failed`` report all use the private copy, never the
-        caller's (possibly recycled) buffer.
+        The payload bytes are snapshotted here, so the caller may pass a
+        view into a pool frame it is about to free: retransmissions, the
+        journal record and any eventual ``on_failed`` report all use the
+        private copy, never the caller's (possibly recycled) buffer.
+        With a journal the send is only accepted: its record and frame
+        wait for :meth:`commit`, on the executive's next step.
         """
         exe = self._require_live()
         seq = self._next_seq
@@ -287,9 +312,14 @@ class ReliableEndpoint(Listener):
         if self.crash_hook is not None:
             self._crash(CRASH_PRE_APPEND)
         if journal is not None:
-            journal.append_send(seq, node, int(remote_tid), data, crc)
-            if fr is not None:
-                fr.record(EV_JOURNAL_COMMIT, seq)
+            if len(data) > MAX_RELIABLE_PAYLOAD:  # commit() could not post it
+                raise I2OError(f"payload of {len(data)} B > {MAX_RELIABLE_PAYLOAD}")
+            self._next_seq = seq + 1
+            accepted = self._accepted
+            accepted.append((seq, node, int(remote_tid), data, crc, target))
+            if len(accepted) == 1:
+                self.start_timer(0, _FLUSH)
+            return seq
         if self.crash_hook is not None:
             self._crash(CRASH_POST_APPEND)
         self._next_seq = seq + 1
@@ -301,6 +331,58 @@ class ReliableEndpoint(Listener):
             fr.record(EV_REL_SEND, seq, node, len(data))
         self._transmit(seq, target, data, crc)
         return seq
+
+    def commit(self) -> int:
+        """Journal every accepted send with one store call, then post
+        their frames; returns how many.  A failed write posts nothing:
+        the batch stays accepted, the error is counted and raised, and
+        a flush timer ``retransmit_ns`` later retries it.  Call it from
+        the thread that steps the endpoint's executive: the journal's
+        one writer."""
+        count = self._journal_accepted()
+        if not count:
+            return 0
+        accepted = self._accepted
+        batch = accepted[:count]
+        del accepted[:count]
+        self._staged = 0
+        if accepted:  # a concurrent accept saw our batch and armed nothing
+            self.start_timer(0, _FLUSH)
+        fr = self._flightrec
+        if fr is not None:
+            for entry in batch:
+                fr.record(EV_JOURNAL_COMMIT, entry[0])
+        if self.crash_hook is not None:
+            self._crash(CRASH_POST_APPEND)
+        deadline = self._require_live().clock.now_ns() + self.retransmit_ns
+        for seq, _node, _tid, data, crc, target in batch:
+            self._pending[seq] = (target, data, self.max_retries, deadline, crc)
+        if self._rtx_timer is None:
+            self._arm_retransmit()
+        for seq, node, _tid, data, crc, target in batch:
+            if fr is not None:
+                fr.record(EV_REL_SEND, seq, node, len(data))
+            self._transmit(seq, target, data, crc)
+        return count
+
+    def _journal_accepted(self) -> int:
+        """Journal the accepted sends (one store call); they stay accepted."""
+        accepted, journal = self._accepted, self.journal
+        count = len(accepted)
+        if count:
+            assert journal is not None  # only a journaled send is accepted
+            if self.crash_hook is not None:
+                self._crash(CRASH_ACCEPTED)
+            try:
+                journal.append_sends(accepted[self._staged:count])
+            except (OSError, JournalError):
+                self.commit_failures += 1
+                if self._retry_timer is None:
+                    self._retry_timer = self.start_timer(self.retransmit_ns, _FLUSH)
+                raise
+            finally:
+                self._staged = count  # written, or in the store's kept buffer
+        return count
 
     def _transmit(self, seq: int, target: Tid, payload: bytes, crc: int) -> None:
         # Header and payload are written straight into the loaned
@@ -315,7 +397,8 @@ class ReliableEndpoint(Listener):
 
     @property
     def in_flight(self) -> int:
-        return len(self._pending)
+        """Messages accepted and not yet acknowledged or failed."""
+        return len(self._pending) + len(self._accepted)
 
     @property
     def held_back(self) -> int:
@@ -342,7 +425,7 @@ class ReliableEndpoint(Listener):
         source = frame._initiator
         self._unacked.setdefault(source, []).append(seq)
         if self._ack_timer is None:
-            self._ack_timer = self.start_timer(0)
+            self._ack_timer = self.start_timer(0, _FLUSH)
         exe = self._require_live()
         fr = exe.flightrec
         if fr is not None:
@@ -450,14 +533,27 @@ class ReliableEndpoint(Listener):
 
     # -- timers -------------------------------------------------------------
     def on_timer(self, context: int, frame: Frame) -> None:
-        # The expiry frame names its timer (core.timer); one a cancel
-        # left behind matches neither handle.
-        timer_id = frame.initiator_context
-        if timer_id == self._ack_timer:
+        # A flush timer is told by its context (a sending thread may
+        # arm one), the retransmit timer by its id (core.timer): an
+        # expiry a cancel left behind matches no handle.
+        if context == _FLUSH:
+            if frame.initiator_context == self._retry_timer:
+                self._retry_timer = None
             self._flush_acks()
-        elif timer_id == self._rtx_timer:
+            if self._accepted:
+                self.commit()
+        elif frame.initiator_context == self._rtx_timer:
             self._rtx_timer = None
+            if self._accepted:
+                self._commit_and_go_on()
             self._retransmit_due()
+
+    def _commit_and_go_on(self) -> None:
+        """:meth:`commit`, leaving a failure to the retry it armed."""
+        try:
+            self.commit()
+        except (OSError, JournalError):
+            pass
 
     def _arm_retransmit(self) -> None:
         """Arm the retransmit timer for the head of ``_pending``."""
@@ -513,16 +609,14 @@ class ReliableEndpoint(Listener):
     def on_peer_dead(self, node: int) -> int:
         """Abort every in-flight message routed to ``node``.
 
-        The supervision cascade calls this hook when a peer is
-        declared DEAD: the messages leave the retransmit schedule and
-        each aborted message is reported through ``on_failed`` exactly
-        like an exhausted retry.  The payload handed to ``on_failed``
-        is snapshotted (``bytes``) at abort time, so the callback may
-        keep it indefinitely even if the pending table ever holds
-        views into pool blocks that recycle underneath it.  Returns
-        the abort count.
+        The supervision cascade calls this hook when a peer is declared
+        DEAD: each message leaves the retransmit schedule and is reported
+        through ``on_failed`` like an exhausted retry, with a ``bytes``
+        snapshot the callback may keep.  Returns the abort count.
         """
         exe = self._require_live()
+        if self._accepted:  # accepted sends are in flight too
+            self._commit_and_go_on()
         doomed = []
         for seq, (target, *_) in self._pending.items():
             route = exe.routes.route_for(target)
@@ -547,7 +641,8 @@ class ReliableEndpoint(Listener):
             "failures": self.failures,
             "aborted": self.aborted,
             "corrupt_discarded": self.corrupt_discarded,
-            "in_flight": len(self._pending),
+            "commit_failures": self.commit_failures,
+            "in_flight": self.in_flight,
             "held_back": self.held_back,
             "replayed": self.replayed,
             "recoveries": self.recoveries,

@@ -12,11 +12,12 @@ cost but widen the window in which a committed send can die with the
 process; the recovery protocol stays correct either way — the message
 is then *lost with an explicit failure at the sender*, never silently
 half-delivered (see DESIGN.md §10 for the guarantee table).  One
-``append_ack`` is one record however many seqs it retires, so the
-reliable endpoint's one ACK record per acknowledgement frame is one
-step of that count and one write.  A flush that fails — a short
-write or an ``OSError`` — is taken back off the file before it raises,
-so the file stays record-aligned and the kept buffer is retried whole.
+``append_sends`` (the reliable endpoint's group commit of the sends it
+accepted) or ``append_ack`` (an acknowledgement frame's seqs) is one
+step of that count and one write, however many records or seqs.  A
+flush that fails — a short write or an ``OSError`` — is taken back off
+the file before it raises, so the file stays record-aligned and the
+kept buffer is retried whole.
 
 Compaction bounds the file: once :data:`COMPACT_MIN_RECORDS` records
 have accumulated and most are dead, the store rewrites ``META + live
@@ -39,7 +40,7 @@ import struct
 import zlib
 from io import FileIO
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.config.schema import ParamSchema, ParamSpec
 from repro.durable.journal import (
@@ -143,7 +144,7 @@ class SegmentStore:
         """
         if self._identity is None:
             self._identity = (node, tid)
-            self._append(encode_header(REC_META, self._hwm, node, tid, b""))
+            self._append([encode_header(REC_META, self._hwm, node, tid, b"")])
         elif self._identity != (node, tid):
             jnode, jtid = self._identity
             raise JournalError(
@@ -161,14 +162,25 @@ class SegmentStore:
         self, seq: int, node: int, tid: int, payload: bytes,
         crc: int | None = None,
     ) -> None:
-        """Write-ahead record for a message about to be transmitted
-        (``crc``: its ``seeded_crc(seq, payload)``, if already known)."""
-        self._append(
-            encode_header(REC_SEND, seq, node, tid, payload, crc), payload
-        )
-        self._live[seq] = (node, tid, payload)
-        if seq >= self._hwm:
-            self._hwm = seq + 1
+        """One write-ahead record: :meth:`append_sends` of one."""
+        self.append_sends(((seq, node, tid, payload, crc),))
+
+    def append_sends(self, sends: Sequence[tuple]) -> None:
+        """Write-ahead records, one per ``(seq, node, tid, payload, crc,
+        ...)`` (``crc``: ``seeded_crc(seq, payload)`` or ``None``; later
+        fields ignored), as one ``flush_every`` step.  They are live
+        even if the flush fails; an empty batch retries that flush."""
+        parts: list[bytes] = []
+        live, hwm = self._live, self._hwm
+        for seq, node, tid, payload, crc, *_ in sends:
+            parts += (
+                encode_header(REC_SEND, seq, node, tid, payload, crc), payload
+            )
+            live[seq] = (node, tid, payload)
+            if seq >= hwm:
+                hwm = seq + 1
+        self._hwm = hwm
+        self._append(parts, len(sends))
 
     def append_ack(self, seq: int, *more: int) -> None:
         """Retire ``seq`` and every seq in ``more`` — acknowledged or
@@ -176,7 +188,7 @@ class SegmentStore:
         However many seqs, it is one record: one step of the
         ``flush_every`` count, one write, one compaction check."""
         payload = ack_payload(more) if more else b""
-        self._append(encode_header(REC_ACK, seq, 0, 0, payload), payload)
+        self._append([encode_header(REC_ACK, seq, 0, 0, payload), payload])
         self.acks_recorded += 1 + len(more)
         live = self._live
         retired = live.pop(seq, None) is not None
@@ -185,11 +197,11 @@ class SegmentStore:
         if retired:
             self._maybe_compact()
 
-    def _append(self, header: bytes, payload: bytes = b"") -> None:
+    def _append(self, parts: list[bytes], records: int = 1) -> None:
         if self._file is None:
             raise JournalError(f"journal {self.path.name} is closed")
-        self._buffer += (header, payload)
-        self._records_total += 1
+        self._buffer += parts
+        self._records_total += records
         self._unflushed += 1
         if self._unflushed >= self.flush_every:
             self.flush()

@@ -119,6 +119,7 @@ CRASH_POINT_CODES: dict[str, int] = {
     "post-append-pre-transmit": 2,
     "post-transmit-pre-ack-record": 3,
     "post-ack-record-pre-pop": 4,
+    "accepted-pre-commit": 5,
 }
 CRASH_POINT_NAMES = {code: name for name, code in CRASH_POINT_CODES.items()}
 

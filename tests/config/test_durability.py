@@ -59,7 +59,8 @@ class TestWiring:
         feed = cluster.device("feed")
         peer = cluster.proxy(1, "rx")
         feed.send_reliable(peer, b"unacked")
-        # Simulate process death: nothing pumped, nothing acked.
+        feed.commit()
+        # Simulate process death: committed, nothing pumped or acked.
         for store in cluster.journals.values():
             store.close()
         reborn = bootstrap(durable_spec(tmp_path))

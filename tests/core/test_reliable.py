@@ -208,6 +208,8 @@ class TestJournaledEndpoint:
         messages = [f"j{i}".encode() for i in range(5)]
         for m in messages:
             eps[0].send_reliable(peer, m)
+        assert store.depth == 0  # accepted, not yet journaled
+        assert eps[0].commit() == 5
         assert store.depth == 5  # write-ahead: journaled at commit
         run(clocks, exes, rounds=10)
         assert received == messages

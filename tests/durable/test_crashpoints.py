@@ -1,11 +1,12 @@
 """The crash-point matrix: every window in the send commit path.
 
 Each test kills the sending node at one named crash point, restarts it
-from the journal, and proves the end state is either *full recovery*
-(the message arrives exactly once) or an *explicit diagnostic* (the
-send call raised before the message was accepted).  No silent loss, no
-duplicate delivery, no leaked pool blocks — including the dead
-executive's.
+from the journal, and proves the end state is *full recovery* (the
+message arrives exactly once), an *explicit diagnostic* (the send call
+raised before the message was accepted), or — in the one window
+between accept and commit — a send no peer ever saw, whose seq the
+restarted endpoint reuses.  No duplicate delivery, no leaked pool
+blocks — including the dead executive's.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from repro.analysis.crashpoints import (
 )
 from repro.core.executive import Executive
 from repro.core.reliable import (
+    CRASH_ACCEPTED,
     CRASH_POST_APPEND,
     CRASH_PRE_ACK_RECORD,
     CRASH_PRE_APPEND,
     ReliableEndpoint,
 )
+from repro.durable.journal import REC_SEND, decode_journal
 from repro.durable.segments import SegmentStore
 from repro.flightrec.dump import load_dump
 from repro.flightrec.recorder import FlightRecorder
@@ -138,13 +141,49 @@ class TestPreJournalAppend:
         rig.assert_no_leaks()
 
 
+class TestAcceptedPreCommit:
+    def test_nothing_on_disk_nothing_sent_and_the_seq_is_reused(self, rig):
+        """Accepted but never committed: no SEND record, no frame, no
+        replay — and since no peer saw the seq, the restarted endpoint
+        hands it to its next send, which the receiver delivers instead
+        of suppressing as a duplicate."""
+        rig.tx.send_reliable(rig.peer, b"first")
+        rig.pump()
+        (pt,) = rig.tx_exe.pta.transports()
+        sent = pt.frames_sent
+        with crash_at(rig.tx, CRASH_ACCEPTED) as injector:
+            assert rig.tx.send_reliable(rig.peer, b"accepted-only") == 2
+            with pytest.raises(ExecutiveCrashed):
+                rig.pump()
+        assert injector.fired
+        assert rig.tx.in_flight == 1  # still accepted
+        assert pt.frames_sent == sent and rig.tx_exe.msgi.idle
+        rig.store.flush()
+        sends = [
+            r.seq for r in decode_journal(rig.store.path.read_bytes()).records
+            if r.kind == REC_SEND
+        ]
+        assert sends == [1]
+        rig.kill_and_restart_sender()
+        assert rig.tx.replayed == 0
+        rig.pump()
+        assert rig.received == [b"first"]
+        assert rig.tx.send_reliable(rig.peer, b"reused") == 2
+        rig.pump()
+        assert rig.received == [b"first", b"reused"]
+        assert rig.rx.duplicates_suppressed == 0
+        assert rig.tx.in_flight == rig.store.depth == 0
+        rig.assert_no_leaks()
+
+
 class TestPostAppendPreTransmit:
     def test_journaled_message_replays_exactly_once(self, rig):
         """The record hit the journal but never the wire: recovery owes
         the receiver exactly one delivery."""
+        rig.tx.send_reliable(rig.peer, b"journaled-only")
         with crash_at(rig.tx, CRASH_POST_APPEND):
             with pytest.raises(ExecutiveCrashed):
-                rig.tx.send_reliable(rig.peer, b"journaled-only")
+                rig.tx.commit()
         assert rig.store.depth == 1
         assert rig.tx.in_flight == 0  # never entered the pending table
         rig.kill_and_restart_sender()
@@ -158,9 +197,10 @@ class TestPostAppendPreTransmit:
 
     def test_sequence_space_resumes_past_crashed_send(self, rig):
         rig.tx.send_reliable(rig.peer, b"before")
+        rig.tx.send_reliable(rig.peer, b"crashed")
         with crash_at(rig.tx, CRASH_POST_APPEND):
             with pytest.raises(ExecutiveCrashed):
-                rig.tx.send_reliable(rig.peer, b"crashed")
+                rig.tx.commit()
         rig.kill_and_restart_sender()
         seq = rig.tx.send_reliable(rig.peer, b"after")
         assert seq == 3  # resumed past both journaled sends
@@ -195,8 +235,9 @@ class TestWholeMatrix:
     @pytest.mark.parametrize("point", CRASH_POINTS)
     def test_no_silent_loss_at_any_point(self, tmp_path, point):
         """The acceptance invariant, uniformly: at every crash point,
-        either the send call raised (explicit diagnostic) or the
-        message is delivered exactly once after restart."""
+        either the send call raised (explicit diagnostic), the send was
+        accepted and never committed (no peer saw it), or the message
+        is delivered exactly once after restart."""
         rig = _Rig(tmp_path / point)
         explicit_failure = False
         with crash_at(rig.tx, point):
@@ -214,6 +255,9 @@ class TestWholeMatrix:
         if explicit_failure and rig.store.depth == 0 and not rig.received:
             # pre-journal-append: refused up front, never journaled.
             assert point == CRASH_PRE_APPEND
+        elif point == CRASH_ACCEPTED:
+            # Accepted, never committed: no peer saw it, nothing owed.
+            assert rig.received == [] and rig.tx.replayed == 0
         else:
             assert rig.received == [b"matrix"]
         assert rig.tx.in_flight == 0

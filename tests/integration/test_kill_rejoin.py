@@ -171,6 +171,7 @@ def test_kill_and_rejoin_zero_events_lost(tmp_path):
     # sends are journaled and committed but none acknowledged yet, so
     # every one of them must come back from the replay.
     cluster.fire(13, 24)
+    cluster.feed.commit()
     assert cluster.feed.in_flight == 12, (
         "kill must land with sends still unacknowledged"
     )
@@ -209,6 +210,7 @@ def test_black_box_merge_reconstructs_the_killed_events(tmp_path):
 
     # Kill the feed with seqs 13-24 journaled but none acknowledged.
     cluster.fire(13, 24)
+    cluster.feed.commit()
     assert cluster.feed.in_flight == 12
     cluster.kill_and_rejoin_feed_node()
     cluster.run(ticks=400)

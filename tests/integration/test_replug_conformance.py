@@ -250,3 +250,68 @@ def test_every_class_survives_a_replug(source, tmp_path, monkeypatch):
             assert exe.pool.in_flight == 0, f"{name}: node {exe.node}"
             assert _orphan_timers(exe) == set(), f"{name}: node {exe.node}"
 
+
+
+def test_a_journaled_sender_replugged_holding_an_accepted_batch(
+    tmp_path, monkeypatch
+):
+    """The re-plug lands after ``send_reliable`` accepted a batch and
+    before the flush timer committed it: unplug journals the batch, the
+    carried flush timer posts it after the re-install (the replay leaves
+    sends still accepted to it), and the receiver delivers every message
+    exactly once."""
+    from repro.core.reliable import ReliableEndpoint
+    from repro.durable.segments import SegmentStore
+    from repro.transports.loopback import LoopbackNetwork, LoopbackTransport
+
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    replug = Replug("ReliableEndpoint", after=10**9, by_steps=True)
+    with monkeypatch.context() as patch:
+        replug.patch(patch)
+        network, clock = LoopbackNetwork(), ManualClock()
+        exes = [Executive(node=node, clock=clock) for node in (0, 1)]
+        for exe in exes:
+            PeerTransportAgent.attach(exe).register(
+                LoopbackTransport(network), default=True)
+        tx = ReliableEndpoint("tx", retransmit_ns=1000,
+                              journal=SegmentStore(tmp_path / "tx.journal"))
+        exes[0].install(tx)  # the first of its class: the one re-plugged
+        rx = ReliableEndpoint("rx", retransmit_ns=1000)
+        received = []
+        rx.consumer = lambda src, data: received.append(bytes(data))
+        exes[1].install(rx)
+        peer = exes[0].routes.create_proxy(1, rx.tid)
+        held = []
+        real_unplug = tx.on_unplug
+
+        def unplug():
+            held.append((tx.in_flight, tx.journal_depth))
+            real_unplug()
+            held.append((tx.in_flight, tx.journal_depth))
+
+        monkeypatch.setattr(tx, "on_unplug", unplug)
+
+        def pump():
+            for _ in range(20):
+                clock.t += 1000
+                while any(exe.step() for exe in exes):
+                    pass
+
+        messages = [b"m%d" % i for i in range(12)]
+        for payload in messages[:4]:
+            tx.send_reliable(peer, payload)
+        pump()
+        for payload in messages[4:]:
+            tx.send_reliable(peer, payload)
+        replug.after = replug.steps["ReliableEndpoint"] + 1
+        pump()
+    assert replug.replugged == 1
+    assert held == [(8, 0), (8, 8)]  # accepted; journaled by the unplug
+    assert received == messages
+    assert tx.in_flight == tx.journal_depth == 0
+    assert rx.duplicates_suppressed == tx.retransmissions == 0
+    for exe in exes:
+        assert exe.handler_errors == 0
+        exe.pool.check_conservation()
+        assert exe.pool.in_flight == 0
+        assert _orphan_timers(exe) == set()

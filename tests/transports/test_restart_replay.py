@@ -95,9 +95,9 @@ def test_restart_replay_exactly_once_within_copy_budget(harness, tmp_path):
     assert harness.run_until(
         lambda: sorted(received) == everything
     ), f"{harness.name}: {len(received)}/{len(everything)} delivered"
-    # The ack handler pops ``_pending`` before its journal append (a
-    # file write that releases the GIL): on threaded executives wait
-    # for the retire itself, not just for ``in_flight`` to reach 0.
+    # Delivery comes before the sender's retire: on threaded executives
+    # wait for the ack to be retired (journal first, pending table
+    # second), not just for the last delivery.
     assert harness.run_until(
         lambda: tx2.in_flight == 0 and store2.depth == 0
     )
