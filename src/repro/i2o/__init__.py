@@ -1,4 +1,4 @@
-"""The I2O message layer: frames, function codes, TiD addressing, SGL.
+"""The I2O message layer: frames, function codes, TiD addressing.
 
 Everything that moves through an XDAQ cluster — application data,
 timer expirations, watchdog events, configuration commands — is one of

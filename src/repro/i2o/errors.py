@@ -13,7 +13,3 @@ class FrameFormatError(I2OError):
 
 class AddressingError(I2OError):
     """TiD allocation or resolution failure."""
-
-
-class SGLError(I2OError):
-    """Scatter-gather fragmentation/reassembly failure."""

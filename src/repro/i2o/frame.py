@@ -186,7 +186,7 @@ class Frame:
         size = len(payload)
         if size > MAX_PAYLOAD_SIZE:
             raise FrameFormatError(
-                f"payload {size} exceeds max {MAX_PAYLOAD_SIZE}; use an SGL chain"
+                f"payload {size} exceeds the 256 KB one-block limit (DESIGN §1)"
             )
         if buffer is None:
             buffer = bytearray(HEADER_SIZE + size)

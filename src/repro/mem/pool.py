@@ -94,8 +94,7 @@ class Allocator(ABC):
             raise PoolError(f"allocation size must be positive, got {size}")
         if size > MAX_FRAME_SIZE:
             raise PoolError(
-                f"allocation {size} exceeds the 256 KB block maximum; "
-                "chain blocks via an SGL instead"
+                f"allocation {size} exceeds the 256 KB one-block limit (DESIGN §1)"
             )
         # Held explicitly, not by ``with``: on this hot path the context
         # manager's enter/exit calls cost more than the critical section.

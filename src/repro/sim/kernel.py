@@ -220,29 +220,6 @@ class Simulator:
             arm(i, ev)
         return combined
 
-    def all_of(self, events: list[Event]) -> Event:
-        """An event firing when every event in ``events`` has fired."""
-        combined = Event(self, name="all_of")
-        remaining = len(events)
-        values: list[Any] = [None] * remaining
-        if remaining == 0:
-            combined.succeed([])
-            return combined
-
-        def arm(index: int, ev: Event) -> None:
-            def on_fire(value: Any) -> None:
-                nonlocal remaining
-                values[index] = value
-                remaining -= 1
-                if remaining == 0:
-                    combined.succeed(list(values))
-
-            ev.add_callback(on_fire)
-
-        for i, ev in enumerate(events):
-            arm(i, ev)
-        return combined
-
     # -- execution --------------------------------------------------------
     def step(self) -> bool:
         """Execute the single next event.  Returns False if queue empty."""

@@ -90,9 +90,12 @@ class _Rig:
         return self.tx_exe.routes.create_proxy(1, self.rx.tid)
 
     def pump(self, ticks=20):
+        """Step both executives over ``ticks`` retransmit periods, the
+        first at the clock's current time: the clock only moves on."""
         exes = [self.tx_exe, self.rx_exe]
+        base = self.clock.t
         for tick in range(ticks):
-            self.clock.t = tick * 1000
+            self.clock.t = base + tick * 1000
             for _ in range(10):
                 if not any(exe.step() for exe in exes):
                     break

@@ -67,16 +67,6 @@ def _failing_writev(failure: str):
     return writev
 
 
-def _advance(rig: _Rig, ticks: int) -> None:
-    """Move the shared clock on by ``ticks`` retransmit periods, pumping
-    both executives to idle after each (``_Rig.pump`` restarts at 0)."""
-    exes = [rig.tx_exe, rig.rx_exe]
-    for _ in range(ticks):
-        rig.clock.t += 1000
-        while any(exe.step() for exe in exes):
-            pass
-
-
 def test_a_send_reported_failed_is_never_delivered_after_restart(rig):
     """A message the application was told had failed must not replay.
     The journal used to keep a SEND whose write raised in the buffer it
@@ -90,8 +80,8 @@ def test_a_send_reported_failed_is_never_delivered_after_restart(rig):
             rig.tx.send_reliable(rig.peer, b"REFUSED")
         except OSError:
             told_failed = True
-        _advance(rig, 3)
-    _advance(rig, 3)
+        rig.pump(4)
+    rig.pump(4)
     rig.kill_and_restart_sender()
     rig.pump()
     assert rig.received.count(b"REFUSED") == (0 if told_failed else 1)
@@ -120,11 +110,11 @@ def test_a_failed_commit_posts_no_frame_and_is_retried_whole(
         assert rig.tx_exe.msgi.idle and pt.frames_sent == 0
         assert path.stat().st_size == size
         assert rig.tx.in_flight == 3 and rig.tx.commit_failures == 1
-        _advance(rig, 3)  # the retries fail too: one a tick, each reported
+        rig.pump(4)  # the retries fail too: one a tick, each reported
         assert rig.received == [] and pt.frames_sent == 0
         assert rig.tx_exe.handler_errors >= 3
         assert rig.tx.commit_failures == 1 + rig.tx_exe.handler_errors
-    _advance(rig, 1)
+    rig.pump(2)
     assert rig.received == batch
     assert rig.tx.in_flight == rig.store.depth == 0
     rig.store.close()
@@ -237,7 +227,7 @@ def test_no_data_frame_leaves_before_its_send_record(
     ):
         for count in before:
             burst(count)
-            _advance(rig, 2)
+            rig.pump(3)
         retransmitted = rig.tx.retransmissions
         burst(at_kill)
         rig.tx.commit()
@@ -245,9 +235,9 @@ def test_no_data_frame_leaves_before_its_send_record(
         assert rig.tx.replayed >= at_kill
         for count in after:
             burst(count)
-            _advance(rig, 2)
+            rig.pump(3)
         watch.drop_rate = 0.0
-        _advance(rig, 30)
+        rig.pump(31)
     assert retransmitted >= 1
     assert sorted(rig.received) == sorted(messages)
     assert len(rig.received) == len(messages)

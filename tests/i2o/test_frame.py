@@ -79,7 +79,7 @@ class TestBuild:
         assert frame.total_size == HEADER_SIZE
 
     def test_oversized_payload_rejected(self):
-        with pytest.raises(FrameFormatError, match="SGL"):
+        with pytest.raises(FrameFormatError, match="one-block limit"):
             Frame.build(target=TARGET_TID, initiator=INITIATOR_TID,
                         payload=b"x" * (MAX_PAYLOAD_SIZE + 1))
 

@@ -10,7 +10,6 @@ from repro.config.control import HostController
 from repro.config.tclish import TclInterp
 from repro.core.executive import Executive
 from repro.core.states import DeviceState
-from repro.i2o.sgl import Fragmenter, Reassembler
 from repro.rmi.skeleton import RemoteObject, remote
 from repro.rmi.stub import Stub, StubDevice
 from repro.transports.agent import PeerTransportAgent
@@ -85,53 +84,6 @@ class TestDaqOverTcpThreads:
             time.sleep(0.01)
         assert evm.completed == trigger_events
         assert all(bu.corrupt == 0 for bu in bus.values())
-
-
-class TestSglAcrossTheWire:
-    """Arbitrary-length information via chained frames (paper §4)."""
-
-    def test_bulk_transfer_via_fragmenter(self, two_nodes):
-        from repro.core.device import Listener
-
-        class BulkReceiver(Listener):
-            def __init__(self):
-                super().__init__("bulk-rx")
-                self.reassembler = Reassembler()
-                self.received = []
-
-            def on_plugin(self):
-                self.bind(0x60, self._on_chunk)
-
-            def _on_chunk(self, frame):
-                if frame.is_reply:
-                    return
-                done = self.reassembler.add(frame)
-                if done is not None:
-                    self.received.append(done)
-
-        class BulkSender(Listener):
-            def __init__(self):
-                super().__init__("bulk-tx")
-                self.fragmenter = Fragmenter(max_fragment=1500)
-
-            def send_bulk(self, target, payload):
-                exe = self._require_live()
-                frames = self.fragmenter.fragment(
-                    payload, target=target, initiator=self.tid,
-                    xfunction=0x60,
-                )
-                for f in frames:
-                    exe.frame_send(f)
-
-        rx = BulkReceiver()
-        rx_tid = two_nodes[1].install(rx)
-        tx = BulkSender()
-        two_nodes[0].install(tx)
-        payload = bytes(range(256)) * 300  # 76 800 B, 52 fragments
-        tx.send_bulk(two_nodes[0].routes.create_proxy(1, rx_tid), payload)
-        pump(two_nodes)
-        assert rx.received == [payload]
-        assert rx.reassembler.pending_chains == 0
 
 
 class TestRmiAndRawFramesCoexist:

@@ -50,7 +50,7 @@ class TestCommonBehaviour:
 
     def test_rejects_above_256k(self, make):
         pool = BufferPool(make())
-        with pytest.raises(PoolError, match="SGL"):
+        with pytest.raises(PoolError, match="one-block limit"):
             pool.alloc(MAX_FRAME_SIZE + 1)
 
     def test_stats_track_allocs_and_frees(self, make):

@@ -143,23 +143,6 @@ class TestEvents:
         assert winner == [(1, None)]
         assert sim.now == 20  # the losing timeout still fires
 
-    def test_all_of_collects_values(self):
-        sim = Simulator()
-        a, b = sim.event(), sim.event()
-        got = []
-        sim.all_of([a, b]).add_callback(got.append)
-        sim.at(5, lambda: a.succeed("A"))
-        sim.at(3, lambda: b.succeed("B"))
-        sim.run()
-        assert got == [["A", "B"]]
-
-    def test_all_of_empty_fires_immediately(self):
-        sim = Simulator()
-        got = []
-        sim.all_of([]).add_callback(got.append)
-        sim.run()
-        assert got == [[]]
-
 
 class TestProcesses:
     def test_process_delays_advance_time(self):

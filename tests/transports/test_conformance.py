@@ -87,9 +87,13 @@ class TestTransportContract:
         else:
             assert sorted(caller.replies) == payloads
 
-    def test_large_payload_intact(self, harness):
+    @pytest.mark.parametrize("size", ["big", MAX_PAYLOAD_SIZE])
+    def test_large_payload_intact(self, harness, size):
+        # The largest payload is one full block: nothing chains blocks
+        # (DESIGN §1), so that is the limit every transport must carry.
         caller, proxy = _wire(harness)
-        big = bytes(range(256)) * (harness.big_size // 256)
+        size = harness.big_size if size == "big" else size
+        big = (bytes(range(256)) * (size // 256 + 1))[:size]
         caller.send(proxy, big, xfunction=0x1)
         assert harness.run_until(lambda: bool(caller.replies))
         assert caller.replies == [big]
