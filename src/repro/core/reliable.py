@@ -31,22 +31,22 @@ When the supervision layer declares a peer DEAD, the endpoint's
 that node — retrying into a black hole only wastes the wire — and
 reports each aborted message through ``on_failed``.
 
-An endpoint given a :class:`~repro.durable.segments.SegmentStore`
-journal additionally survives its *own* death, by group commit:
-``send_reliable`` *accepts* a send (seq, payload snapshot, wire CRC)
-and arms the flush timer, whose :meth:`~ReliableEndpoint.commit` writes
-every accepted SEND with one journal call and one write, then posts
-the frames.  *Write-ahead*: no frame for seq *s* leaves before SEND(*s*)
-is on the file (``flush_every=1``).  *Durable at commit*: ``commit()``
-returning, or the executive's next step; a crash before loses only
-sends no peer has seen, whose seqs are then reused safely.  Records
-are retired on ack — one ACK record per acknowledgement frame — so a
-restarted endpoint replays the unacknowledged tail and resumes its
-sequence space; the receiver's dedup window absorbs any overlap,
-keeping delivery exactly once across the restart — provided the
-endpoint is reinstalled at its recorded TiD, which the journal
-enforces.  Only the executive's thread writes the journal;
-``send_reliable`` may run on any thread.
+Every send takes one path: ``send_reliable``, on any thread, *accepts*
+it (seq, payload snapshot, wire CRC) and arms the zero-delay flush
+timer, whose :meth:`~ReliableEndpoint.commit` — on the executive's
+thread, which owns the pending table, the timers and the frames —
+schedules and posts the accepted batch.  An endpoint given a
+:class:`~repro.durable.segments.SegmentStore` journal also survives its
+*own* death: ``commit()`` first writes every accepted SEND with one
+journal call and one write.  *Write-ahead*: no frame for seq *s* leaves
+before SEND(*s*) is on the file (``flush_every=1``).  *Durable at
+commit*: a crash before loses only sends no peer has seen, whose seqs
+are then reused safely.  One ACK record retires an acknowledgement
+frame's seqs, or a failed batch's, so a restarted endpoint replays the
+unacknowledged tail and resumes its sequence space; the receiver's
+dedup window absorbs any overlap, keeping delivery exactly once across
+the restart — provided the endpoint is reinstalled at its recorded
+TiD, which the journal enforces.
 
 xfunctions 0xF0xx are reserved framework space (below the RMI method
 hash range).
@@ -161,7 +161,7 @@ class ReliableEndpoint(Listener):
         self._pending: dict[int, tuple[Tid, bytes, int, int, int]] = {}
         #: the one retransmit timer, armed while ``_pending`` is not empty
         self._rtx_timer: int | None = None
-        #: journaled sends accepted and not yet committed, each
+        #: sends accepted and not yet committed, each
         #: (seq, node, remote tid, payload, crc, target): any thread
         #: appends, only commit() removes
         self._accepted: list[tuple[int, int, int, bytes, int, Tid]] = []
@@ -285,71 +285,56 @@ class ReliableEndpoint(Listener):
     def send_reliable(
         self, target: Tid, payload: bytes | bytearray | memoryview
     ) -> int:
-        """Queue ``payload`` for guaranteed delivery; returns its seq.
+        """Accept ``payload`` for guaranteed delivery; returns its seq.
 
         The payload bytes are snapshotted here, so the caller may pass a
         view into a pool frame it is about to free: retransmissions, the
         journal record and any eventual ``on_failed`` report all use the
-        private copy, never the caller's (possibly recycled) buffer.
-        With a journal the send is only accepted: its record and frame
-        wait for :meth:`commit`, on the executive's next step.
+        private copy, never the caller's (possibly recycled) buffer.  Any
+        thread may send: :meth:`commit` journals and posts the send on
+        the executive's next step.
         """
         exe = self._require_live()
-        seq = self._next_seq
         data = bytes(payload)
+        if len(data) > MAX_RELIABLE_PAYLOAD:  # commit() could not post it
+            raise I2OError(f"payload of {len(data)} B > {MAX_RELIABLE_PAYLOAD}")
+        seq = self._next_seq
         crc = _data_crc(seq, data)  # journal, wire and every retransmit
-        fr = exe.flightrec
-        journal = self.journal
-        if journal is not None or fr is not None:
-            # The stable address: proxy TiDs are process-local and do not
-            # survive a restart, the route they stand for does.  A local
-            # target is recorded under this executive's own node.
+        # The stable address: proxy TiDs are process-local and do not
+        # survive a restart, the route they stand for does.  A local
+        # target is recorded under this executive's own node.
+        node, remote_tid = exe.node, target
+        if self.journal is not None or exe.flightrec is not None:
             route = exe.routes.route_for(target)
             if route is not None:
                 node, remote_tid = route.node, route.remote_tid
-            else:
-                node, remote_tid = exe.node, target
         if self.crash_hook is not None:
             self._crash(CRASH_PRE_APPEND)
-        if journal is not None:
-            if len(data) > MAX_RELIABLE_PAYLOAD:  # commit() could not post it
-                raise I2OError(f"payload of {len(data)} B > {MAX_RELIABLE_PAYLOAD}")
-            self._next_seq = seq + 1
-            accepted = self._accepted
-            accepted.append((seq, node, int(remote_tid), data, crc, target))
-            if len(accepted) == 1:
-                self.start_timer(0, _FLUSH)
-            return seq
-        if self.crash_hook is not None:
-            self._crash(CRASH_POST_APPEND)
         self._next_seq = seq + 1
-        deadline = exe.clock.now_ns() + self.retransmit_ns
-        self._pending[seq] = (target, data, self.max_retries, deadline, crc)
-        if self._rtx_timer is None:
-            self._arm_retransmit()
-        if fr is not None:
-            fr.record(EV_REL_SEND, seq, node, len(data))
-        self._transmit(seq, target, data, crc)
+        accepted = self._accepted
+        accepted.append((seq, node, int(remote_tid), data, crc, target))
+        if len(accepted) == 1:
+            self.start_timer(0, _FLUSH)
         return seq
 
     def commit(self) -> int:
-        """Journal every accepted send with one store call, then post
-        their frames; returns how many.  A failed write posts nothing:
-        the batch stays accepted, the error is counted and raised, and
-        a flush timer ``retransmit_ns`` later retries it.  Call it from
-        the thread that steps the endpoint's executive: the journal's
-        one writer."""
-        count = self._journal_accepted()
+        """Journal every accepted send (one store call, with a journal),
+        then schedule and post their frames; returns how many.  A failed
+        write posts nothing: the batch stays accepted, the error is
+        counted and raised, and a flush timer ``retransmit_ns`` later
+        retries it.  Call it from the thread that steps the endpoint's
+        executive: the owner of the journal, the table and the timers."""
+        accepted, journal = self._accepted, self.journal
+        count = len(accepted) if journal is None else self._journal_accepted()
         if not count:
             return 0
-        accepted = self._accepted
         batch = accepted[:count]
         del accepted[:count]
         self._staged = 0
         if accepted:  # a concurrent accept saw our batch and armed nothing
             self.start_timer(0, _FLUSH)
         fr = self._flightrec
-        if fr is not None:
+        if fr is not None and journal is not None:
             for entry in batch:
                 fr.record(EV_JOURNAL_COMMIT, entry[0])
         if self.crash_hook is not None:
@@ -370,7 +355,7 @@ class ReliableEndpoint(Listener):
         accepted, journal = self._accepted, self.journal
         count = len(accepted)
         if count:
-            assert journal is not None  # only a journaled send is accepted
+            assert journal is not None
             if self.crash_hook is not None:
                 self._crash(CRASH_ACCEPTED)
             try:
@@ -568,42 +553,47 @@ class ReliableEndpoint(Listener):
             self._rtx_timer = None
 
     def _retransmit_due(self) -> None:
-        """Retransmit (or fail) every entry whose deadline has passed,
-        then re-arm for the next one."""
+        """Retransmit every entry whose deadline has passed, retire those
+        out of retries, then re-arm for the next one."""
         now = self._require_live().clock.now_ns()
+        pending = self._pending
         due = []
-        for seq, entry in self._pending.items():
+        for seq, entry in pending.items():
             if entry[3] > now:
                 break
             due.append(seq)
+        exhausted, fr = [], self._flightrec
         for seq in due:
-            # An on_failed callback may already have retired it.
-            entry = self._pending.get(seq)
-            if entry is None:
-                continue
-            target, payload, retries_left, _deadline, crc = entry
+            target, payload, retries_left, _deadline, crc = pending[seq]
             if retries_left <= 0:
-                if self.journal is not None:
-                    # Permanently failed: retire the record so a restart
-                    # does not resurrect a message the application was
-                    # already told is dead.
-                    self.journal.append_ack(seq)
-                del self._pending[seq]
-                self.failures += 1
-                if self.on_failed is not None:
-                    self.on_failed(seq, target, bytes(payload))
+                exhausted.append(seq)
                 continue
             self.retransmissions += 1
-            del self._pending[seq]
-            self._pending[seq] = (
-                target, payload, retries_left - 1, now + self.retransmit_ns,
-                crc,
-            )
-            fr = self._flightrec
+            del pending[seq]
+            pending[seq] = (target, payload, retries_left - 1,
+                            now + self.retransmit_ns, crc)
             if fr is not None:
                 fr.record(EV_REL_RETRANSMIT, seq, retries_left - 1)
             self._transmit(seq, target, payload, crc)
+        self._retire_failed(exhausted)
         self._arm_retransmit()
+
+    def _retire_failed(self, seqs: list[int], aborted: bool = False) -> None:
+        """Retire pending sends that failed for good: one ACK record for
+        them all (a restart must not resurrect a message the application
+        was told is dead), then the pending table, then the counts and
+        one ``on_failed`` report per seq, in seq order."""
+        if not seqs:
+            return
+        seqs.sort()
+        if self.journal is not None:
+            self.journal.append_ack(*seqs)
+        failed = [(seq, self._pending.pop(seq)) for seq in seqs]
+        self.failures += len(seqs)
+        self.aborted += len(seqs) if aborted else 0
+        if self.on_failed is not None:
+            for seq, (target, payload, *_) in failed:
+                self.on_failed(seq, target, payload)
 
     # -- failover ------------------------------------------------------------
     def on_peer_dead(self, node: int) -> int:
@@ -622,14 +612,7 @@ class ReliableEndpoint(Listener):
             route = exe.routes.route_for(target)
             if route is not None and route.node == node:
                 doomed.append(seq)
-        for seq in doomed:
-            if self.journal is not None:
-                self.journal.append_ack(seq)
-            target, payload, *_ = self._pending.pop(seq)
-            self.aborted += 1
-            self.failures += 1
-            if self.on_failed is not None:
-                self.on_failed(seq, target, bytes(payload))
+        self._retire_failed(doomed, aborted=True)
         self._disarm_if_idle()
         return len(doomed)
 

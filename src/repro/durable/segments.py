@@ -58,7 +58,7 @@ from repro.durable.replay import PendingSend, ReplayState, replay_records
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config.bootstrap import Cluster
 
-#: The compaction defaults: no rewrite below this many records — 1 KiB
+#: The compaction thresholds: no rewrite below this many records — 1 KiB
 #: messages keep the file under ~4 MiB — and then only when at most
 #: this share of them is live.
 COMPACT_MIN_RECORDS = 4096
@@ -82,20 +82,12 @@ class SegmentStore:
         *,
         flush_every: int = 1,
         fsync: bool = False,
-        compact_min_records: int = COMPACT_MIN_RECORDS,
-        compact_live_ratio: float = COMPACT_LIVE_RATIO,
     ) -> None:
         if flush_every < 1:
             raise JournalError(f"flush_every must be >= 1, got {flush_every}")
-        if not 0.0 <= compact_live_ratio <= 1.0:
-            raise JournalError(
-                f"compact_live_ratio must be in [0, 1], got {compact_live_ratio}"
-            )
         self.path = Path(path)
         self.flush_every = flush_every
         self.fsync = fsync
-        self.compact_min_records = compact_min_records
-        self.compact_live_ratio = compact_live_ratio
 
         self.acks_recorded = 0
         self.compactions = 0
@@ -233,9 +225,9 @@ class SegmentStore:
 
     # -- compaction ---------------------------------------------------------
     def _maybe_compact(self) -> None:
-        if self._records_total < self.compact_min_records:
+        if self._records_total < COMPACT_MIN_RECORDS:
             return
-        if len(self._live) <= self.compact_live_ratio * self._records_total:
+        if len(self._live) <= COMPACT_LIVE_RATIO * self._records_total:
             self.compact()
 
     def compact(self) -> None:

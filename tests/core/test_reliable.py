@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.executive import Executive
-from repro.core.reliable import MAX_ACK_SEQS, XF_REL_ACK, ReliableEndpoint
+from repro.core.reliable import (
+    MAX_ACK_SEQS,
+    MAX_RELIABLE_PAYLOAD,
+    XF_REL_ACK,
+    ReliableEndpoint,
+)
 from repro.i2o.errors import I2OError
 from repro.transports.agent import PeerTransportAgent
 from repro.transports.faulty import FaultPlan, FaultyLoopbackTransport
@@ -129,6 +134,26 @@ class TestLossyPath:
         assert failures == [seq]
         assert eps[0].in_flight == 0
         assert eps[0].failures == 1
+
+    def test_a_payload_no_frame_can_carry_is_refused_at_accept(self):
+        """Refused before it takes a seq or a pending entry, so it can
+        never raise later, inside the retransmit timer's handler: the
+        next send takes seq 1 and, with nobody to ack it, retransmits
+        until it is reported failed."""
+        clocks, exes, eps = build_pair(max_retries=3)
+        failures = []
+        eps[0].on_failed = lambda seq, target, payload: failures.append(seq)
+        peer = exes[0].routes.create_proxy(1, eps[1].tid)
+        exes[1].uninstall(eps[1].tid)  # nobody acks
+        with pytest.raises(I2OError):
+            eps[0].send_reliable(peer, bytes(MAX_RELIABLE_PAYLOAD + 1))
+        assert eps[0].in_flight == 0
+        assert eps[0].send_reliable(peer, b"good") == 1
+        run(clocks, exes, rounds=20)
+        assert eps[0].retransmissions == 3
+        assert failures == [1] and eps[0].failures == 1
+        assert eps[0].in_flight == 0
+        assert [exe.handler_errors for exe in exes.values()] == [0, 0]
 
     def test_corrupted_copies_discarded_and_retransmitted(self):
         """A flipped byte anywhere in a data or ack frame fails the

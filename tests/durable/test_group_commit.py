@@ -6,7 +6,8 @@ every accepted SEND with one journal call and posts the frames only
 after that write.  These tests hold it to its two rules — no data frame
 for seq *s* is handed to a transport before SEND(*s*) decodes from the
 file, and a commit that did not write posts nothing — and to the
-journal having one writer while another thread sends.
+executive's thread being the one journal writer and the one poster of
+frames while another thread sends, with a journal or without.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import errno
 import os
 import random
+import sys
 import threading
 import time
 from unittest import mock
@@ -246,30 +248,39 @@ def test_no_data_frame_leaves_before_its_send_record(
     rig.assert_no_leaks()
 
 
-def test_one_journal_writer_while_another_thread_sends(tmp_path):
-    """The test thread sends while the executives' threads deliver, ack
-    and retire: the accepted batch crosses threads and only the sender's
-    executive thread writes the store.  Every seq is delivered once, the
-    journal decodes clean and nothing is left live."""
+def _stream_from_the_test_thread(tx: ReliableEndpoint) -> set[str]:
+    """The test thread sends 2 000 messages, 64 outstanding, while the
+    executives' threads deliver, ack and retire.  Every seq is delivered
+    once and only the sender's executive thread posts its frames (the
+    pending table, the timers and the frames are that thread's).  A
+    short switch interval interleaves the threads finely, so a lost
+    accept would show as a missing delivery.  Returns the threads that
+    wrote to the sender's journal file."""
     harness = make_harness("tcp")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
         rx = ReliableEndpoint(name="rx", retransmit_ns=10**15)
         received = []
         rx.consumer = lambda src, data: received.append(bytes(data))
         harness.exes[1].install(rx)
-        store = SegmentStore(tmp_path / "tx.journal")
-        tx = ReliableEndpoint(name="tx", retransmit_ns=10**15, journal=store)
         harness.exes[0].install(tx)
         peer = harness.exes[0].routes.create_proxy(1, rx.tid)
         total, window = 2000, 64
         writers: set[str] = set()
-        real = os.writev
+        posters: set[str] = set()
+        real_writev, real_send_into = os.writev, tx.send_into
 
         def writev(fd, parts):
             writers.add(threading.current_thread().name)
-            return real(fd, parts)
+            return real_writev(fd, parts)
 
-        with mock.patch(WRITEV, writev):
+        def send_into(*args, **kwargs):
+            posters.add(threading.current_thread().name)
+            return real_send_into(*args, **kwargs)
+
+        with mock.patch(WRITEV, writev), \
+                mock.patch.object(tx, "send_into", send_into):
             deadline = time.monotonic() + 30
             for i in range(total):
                 while tx.in_flight >= window:
@@ -278,21 +289,40 @@ def test_one_journal_writer_while_another_thread_sends(tmp_path):
                 tx.send_reliable(peer, b"%d" % i)
             assert harness.run_until(
                 lambda: len(received) == total
-                and tx.in_flight == 0 and store.depth == 0
+                and tx.in_flight == 0 and tx.journal_depth == 0
             ), f"{len(received)}/{total} delivered, {tx.in_flight} in flight"
         assert sorted(received) == sorted(b"%d" % i for i in range(total))
-        assert threading.current_thread().name not in writers
-        assert tx.commit_failures == 0
+        assert posters == {"executive-0"}
         for exe in harness.exes.values():
             exe.stop()
         harness.exes[0].uninstall(tx.tid)
         harness.exes[1].uninstall(rx.tid)
         for exe in harness.exes.values():
             exe.start()
-        store.close()
-        result = decode_journal(store.path.read_bytes())
-        assert result.torn_bytes == 0
-        state = replay_records(result.records)
-        assert state.pending == {} and state.next_seq == total + 1
+        return writers
     finally:
+        sys.setswitchinterval(interval)
         harness.finish()
+
+
+def test_one_journal_writer_while_another_thread_sends(tmp_path):
+    """The accepted batch crosses threads and only the sender's
+    executive thread writes the store: the journal decodes clean and
+    nothing is left live."""
+    store = SegmentStore(tmp_path / "tx.journal")
+    tx = ReliableEndpoint(name="tx", retransmit_ns=10**15, journal=store)
+    writers = _stream_from_the_test_thread(tx)
+    assert threading.current_thread().name not in writers
+    assert tx.commit_failures == 0
+    store.close()
+    result = decode_journal(store.path.read_bytes())
+    assert result.torn_bytes == 0
+    state = replay_records(result.records)
+    assert state.pending == {} and state.next_seq == 2000 + 1
+
+
+def test_a_journal_less_sender_posts_from_the_executive_thread_only():
+    """An endpoint without a journal takes the same send path: accepted
+    on the test thread, scheduled and posted on the executive's."""
+    tx = ReliableEndpoint(name="tx", retransmit_ns=10**15)
+    assert _stream_from_the_test_thread(tx) == set()

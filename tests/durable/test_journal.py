@@ -229,11 +229,10 @@ class TestSegmentStore:
         assert sorted(reopened.pending()) == [1]
         reopened.close()
 
-    def test_compaction_drops_dead_records(self, tmp_path):
+    def test_compaction_drops_dead_records(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.durable.segments.COMPACT_MIN_RECORDS", 8)
         path = tmp_path / "a.journal"
-        store = SegmentStore(
-            path, compact_min_records=8, compact_live_ratio=0.5
-        )
+        store = SegmentStore(path)
         store.ensure_identity(0, 5)
         for seq in range(1, 7):
             store.append_send(seq, 1, 7, b"p" * 64)
@@ -313,8 +312,6 @@ class TestSegmentStore:
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(JournalError):
             SegmentStore(tmp_path / "a.journal", flush_every=0)
-        with pytest.raises(JournalError):
-            SegmentStore(tmp_path / "b.journal", compact_live_ratio=1.5)
 
 
 class TestSnapshotStore:

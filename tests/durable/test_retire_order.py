@@ -77,7 +77,7 @@ def test_books_agree_when_retries_run_out(watched):
     # one shorter — and equal.
     assert [seq for seq, _, _ in failed] == [1, 2, 3]
     assert all(in_flight == depth for _, in_flight, depth in failed)
-    assert watched.checks == 4  # one commit + one ACK record per failure
+    assert watched.checks == 2  # one commit + one ACK record for the batch
     assert watched.tx.in_flight == watched.store.depth == 0
 
 
@@ -87,7 +87,7 @@ def test_books_agree_when_the_peer_is_declared_dead(watched):
     for i in range(4):
         watched.tx.send_reliable(peer, b"doomed-%d" % i)
     assert watched.tx.on_peer_dead(1) == 4
-    assert watched.checks == 5  # one commit + one ACK record per abort
+    assert watched.checks == 2  # one commit + one ACK record for the batch
     assert watched.tx.in_flight == watched.store.depth == 0
     watched.store.close()
     assert SegmentStore(watched.store.path).depth == 0  # nothing resurrects
